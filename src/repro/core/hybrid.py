@@ -30,7 +30,7 @@ import numpy as np
 from ..parallel.common import TrainResult, TrainSpec, microbatch
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
 from ..runtime.subgroup import split_grid
-from .weipipe import _WeiPipeWorker, _worker as _weipipe_worker
+from .weipipe import _WeiPipeWorker
 
 __all__ = ["train_weipipe_dp"]
 
@@ -83,14 +83,7 @@ def train_weipipe_dp(
             total = all_reduce(dp_comm, np.array([ring_mean]), tag=("hdp-loss", it))
             losses.append(float(total[0]) / dp_degree)
         # report replica 0's weights (asserted identical in tests).
-        from ..runtime import all_gather
-
-        owned = {i: w.bwd_slot[i] for i in w.opt_states}
-        gathered = all_gather(ring_comm, owned, tag=("hdp-final",))
-        merged = {}
-        for d in gathered:
-            merged.update(d)
-        chunks = [merged[i] for i in range(spec.cfg.n_layers)]
+        chunks = w.gather_owned(("hdp-final",))
         return TrainResult(losses=losses, chunks=chunks, extra={"dp": dp_idx})
 
     results = run_workers(world, worker, fabric=fabric)

@@ -19,23 +19,30 @@ activations never leave the worker — while the weights rotate past:
   the update and re-injects fresh weights into both flows for the next
   iteration.
 
-Two ring engines share the schedule and compute code (DESIGN.md §10):
+There is one ring engine (DESIGN.md §10): every turn waits F and B,
+computes, waits D, adds the turn's weight grads into it and sends it
+on.  Slots are arena-backed (:class:`~repro.nn.params.ParamStruct`) and
+a fabric-wide :class:`~repro.nn.params.BufferPool` recycles weight
+buffers so the steady-state turn allocates nothing.  Two inputs vary
+what a hop does, never what is computed:
 
-* the **overlap** engine (default) double-buffers the wire the way the
-  paper's ``batch_isend_irecv`` prefetch does: next-turn receives are
-  posted and the held W slots forwarded *before* this turn's compute, so
-  the only wire wait left on the critical path is the consume point.
-  Slots are arena-backed (:class:`~repro.nn.params.ParamStruct`), and a
-  fabric-wide :class:`~repro.nn.params.BufferPool` recycles weight
-  buffers so the steady-state turn allocates nothing;
-* the **sync** engine (``overlap=False``) is the pre-overlap ring —
-  blocking recv, compute, send — kept as the honest baseline the
-  ``bench-overlap`` harness compares against.
+* ``overlap`` places the turn's posts.  ``True`` (default) double-buffers
+  the wire the way the paper's ``batch_isend_irecv`` prefetch does:
+  next-turn receives are posted and the held W slots forwarded *before*
+  this turn's compute, so the only wire wait left on the critical path
+  is the consume point.  ``False`` posts the receives at the top of the
+  turn that consumes them and forwards W *after* compute — the
+  unhidden-wire baseline the ``bench-overlap`` harness compares against;
+* ``topology`` (DESIGN.md §12) makes the weight-flow hooks
+  boundary-aware: on a ring hop that crosses a group boundary a slot
+  travels in full only during the first revolution and as a 24-byte
+  reference afterwards.  No topology, or one group, means no hop
+  crosses and the hooks are the plain send / identity.
 
 Numerical contract: identical losses and final weights as
 :func:`repro.parallel.serial.train_serial` (exact in fp32/fp64 policies
-up to accumulation order) — enforced by ``tests/integration`` for both
-engines.
+up to accumulation order) for every ``overlap`` x ``topology`` —
+enforced by ``tests/integration``.
 """
 
 from __future__ import annotations
@@ -56,10 +63,16 @@ from ..parallel.common import (
     TrainSpec,
     microbatch,
     pre_update,
-    quantize_grads,
     quantize_grads_,
 )
-from ..runtime import Communicator, Fabric, all_gather, run_workers
+from ..runtime import (
+    WREF_NBYTES,
+    Communicator,
+    Fabric,
+    Topology,
+    all_gather,
+    run_workers,
+)
 from .schedule import (
     TurnTask,
     bwd_slot_held,
@@ -71,9 +84,13 @@ from .schedule import (
     zero_bubble_schedule,
 )
 
-__all__ = ["train_weipipe", "weipipe_step", "slot_chunk_ids"]
+__all__ = ["train_weipipe", "weipipe_step", "slot_chunk_ids", "WREF_MARK"]
 
 SlotWeights = Dict[int, ParamStruct]  # chunk id -> weights
+
+#: first element of a weight-reference payload; the tuple is
+#: ``(WREF_MARK, flow, slot_id)`` and is ledgered at WREF_NBYTES.
+WREF_MARK = "hier-wref"
 
 
 def slot_chunk_ids(slot: int, world: int, n_layers: int) -> List[int]:
@@ -98,14 +115,17 @@ class _MicrobatchState:
 
 
 class _WeiPipeWorker:
-    #: whether received slots may be recycled once replaced (wire-copies
-    #: transports only); the hierarchical subclass opts out because its
-    #: gateway cache serves received slot objects all iteration.
-    _retire_slots = True
-
     def __init__(self, comm: Communicator, spec: TrainSpec, mode: str,
                  dp_comm: Optional[Communicator] = None,
-                 overlap: bool = True):
+                 overlap: bool = True,
+                 topology: Optional[Topology] = None):
+        # group layout: the flat ring is the one-group (1xP) hierarchy.
+        topo = topology if topology is not None else Topology.flat(comm.world_size)
+        if topo.world_size != comm.world_size:
+            raise ValueError(
+                f"topology is for world_size {topo.world_size}, "
+                f"ring runs on {comm.world_size}"
+            )
         self.comm = comm
         #: replica group for 2-D hybrids (repro.core.hybrid): the owners
         #: of the same slot across data-parallel rings sync D here.
@@ -119,9 +139,7 @@ class _WeiPipeWorker:
         #: weight-buffer recycler, shared by all ranks of the fabric so a
         #: slot released at its owner's update is reused by the next
         #: inject — the zero-allocation steady state the benchmark gates.
-        self.pool: Optional[BufferPool] = (
-            comm.fabric.shared_pool(BufferPool) if overlap else None
-        )
+        self.pool: BufferPool = comm.fabric.shared_pool(BufferPool)
         self.last_slot = self.world - 1
         self.cos, self.sin = spec.rope()
         self.ck = CheckpointedChunk(self.cfg, recompute=spec.recompute)
@@ -180,19 +198,30 @@ class _WeiPipeWorker:
         self.pool_allocs_by_iter: List[int] = []
         # hybrid mode: chunk id -> preallocated all-reduce pack buffer.
         self._dp_flat: Dict[int, np.ndarray] = {}
-        # overlap mode: when set, _accumulate_grad stashes (chunk id, g)
-        # here instead of adding into grad_slot, so the circulating D can
-        # arrive *after* the backward compute (see _ring_turns_overlap).
-        self._deferred: Optional[List[Tuple[int, ParamStruct]]] = None
+        # this turn's (chunk id, weight grad) contributions, parked by the
+        # backward passes until the circulating D has landed so that D can
+        # arrive *after* the backward compute (see _ring_turns).
+        self._deferred: List[Tuple[int, ParamStruct]] = []
+        # boundary codec (DESIGN.md §12): whether this rank's ring send
+        # (to right) / receive (from left) crosses a group boundary, and
+        # the gateway cache flow -> slot id -> slot dict, emptied at the
+        # start of every iteration (see _ring_turns).
+        self._right_cross = topo.link_class(self.rank, comm.right) == "inter"
+        self._left_cross = topo.link_class(comm.left, self.rank) == "inter"
+        self._wcache: Dict[str, Dict[int, SlotWeights]] = {"F": {}, "B": {}}
+        self.inter_full_sends = 0
+        self.inter_ref_sends = 0
+        self._m_full = m.counter("weipipe_hier_full_crossings_total",
+                                 rank=self.rank)
+        self._m_ref = m.counter("weipipe_hier_ref_crossings_total",
+                                rank=self.rank)
         # wire-copies transports (the shm process backend) deliver fresh
         # buffers every hop, so a replaced slot is garbage unless retired
-        # into the pool.  The hierarchical worker opts out: its gateway
-        # cache keeps serving received slot objects for the whole
-        # iteration (_retire_slots = False there).
+        # into the pool — except on a ring with a boundary hop, where the
+        # gateway caches keep serving received slot objects all iteration.
         self._wire_copies = (
-            self._retire_slots
-            and self.pool is not None
-            and bool(getattr(comm.fabric, "wire_copies", False))
+            bool(getattr(comm.fabric, "wire_copies", False))
+            and not topo.ring_boundaries()
         )
         # F slots cannot be recycled at replacement: forward caches hold
         # views into their weights (the norm gains read again by each
@@ -209,9 +238,7 @@ class _WeiPipeWorker:
         return (self.rank - 1) % self.world
 
     def _clone_chunk(self, c: ParamStruct) -> ParamStruct:
-        if self.pool is not None and c.common_dtype is not None:
-            return c.clone(self.pool)
-        return c.clone()
+        return c.clone(self.pool) if c.common_dtype is not None else c.clone()
 
     def _slot_view(self, chunks_all: List[ParamStruct], slot: int) -> SlotWeights:
         return {
@@ -223,23 +250,63 @@ class _WeiPipeWorker:
         return sum(w.numel for w in slot.values()) * wire
 
     # -- weight-flow transport hooks -------------------------------------------
-    # Both ring engines move the F/B weight slots exclusively through this
-    # pair, so a subclass can substitute the payload on selected hops (the
-    # hierarchical ring sends cache references across group boundaries)
-    # without touching the schedule, the tags, or the D accumulator path.
+    # The turn loop moves the F/B weight slots exclusively through this
+    # pair, which is where the boundary codec substitutes the payload on
+    # hops that cross a group boundary — without touching the schedule,
+    # the tags, or the D accumulator path.  A rank whose hops do not cross
+    # (every rank of a flat or one-group ring) runs the plain send and the
+    # identity resolve.
+
+    def _slot_id_at(self, flow: str, rank: int, turn: int) -> int:
+        """Which slot ``rank`` holds on flow ``flow`` during ``turn`` —
+        the schedule's placement law, shared with the ``_check_slot``
+        asserts so a cache-resolution bug trips the same invariant."""
+        held = fwd_slot_held if flow == "F" else bwd_slot_held
+        return held(rank, turn, self.world)
 
     def _send_wslot(self, flow: str, slot: SlotWeights, it: int, turn: int) -> None:
         """Forward one weight-flow slot to the right neighbour as tag
-        ``(flow, it, turn)``.  Sends are buffered, so this one method
-        serves both the sync and the overlap engine."""
+        ``(flow, it, turn)``."""
+        right = self.comm.right
+        if self._right_cross:
+            if turn > self.world:
+                # this slot already crossed this boundary during the
+                # first revolution of iteration `it`: ship a reference.
+                sid = self._slot_id_at(flow, right, turn)
+                self.comm.send((WREF_MARK, flow, sid), right,
+                               (flow, it, turn), nbytes=WREF_NBYTES)
+                self.inter_ref_sends += 1
+                self._m_ref.add(1)
+                return
+            self.inter_full_sends += 1
+            self._m_full.add(1)
         self.comm.send(
-            slot, self.comm.right, (flow, it, turn),
+            slot, right, (flow, it, turn),
             nbytes=self._slot_nbytes(slot, self.w_wire),
         )
 
     def _resolve_wslot(self, flow: str, payload, it: int, turn: int) -> SlotWeights:
         """Turn a received weight-flow payload (tag ``(flow, it, turn)``)
         into the slot dict the compute code reads."""
+        if not self._left_cross:
+            return payload
+        expected = self._slot_id_at(flow, self.rank, turn)
+        if (isinstance(payload, tuple) and len(payload) == 3
+                and payload[0] == WREF_MARK):
+            if payload[1:] != (flow, expected):
+                raise AssertionError(
+                    f"hier ring: reference names {payload[1]} slot "
+                    f"{payload[2]} but rank {self.rank} expects {flow} slot "
+                    f"{expected} at turn {turn}"
+                )
+            try:
+                return self._wcache[flow][expected]
+            except KeyError:
+                raise AssertionError(
+                    f"hier ring: {flow} slot {expected} referenced before "
+                    f"its first-revolution crossing reached rank {self.rank}"
+                ) from None
+        self._wcache[flow][expected] = payload
         return payload
 
     def _retire_wslot(self, flow: str, slot: SlotWeights) -> None:
@@ -268,8 +335,6 @@ class _WeiPipeWorker:
         strictly after its last compute on the objects it forwarded
         (DESIGN.md §10).
         """
-        if self.pool is None:
-            return
         for w in slot.values():
             a = w.arena
             if a is not None:
@@ -280,6 +345,21 @@ class _WeiPipeWorker:
         the bwd slots escape as the returned canonical state)."""
         self._release_slot(self.fwd_slot)
         self._release_slot(self.grad_slot)
+
+    def gather_owned(self, tag: Tuple, with_opt_state: bool = False) -> List:
+        """All-gather every owner's updated slot into one list in layer
+        order — the replicated weights at an iteration boundary, each
+        paired with its optimizer state when ``with_opt_state``."""
+        if self.pending_w:  # pragma: no cover - invariant
+            raise AssertionError("deferred W passes left undone at the boundary")
+        owned = {
+            i: (self.bwd_slot[i], st) if with_opt_state else self.bwd_slot[i]
+            for i, st in self.opt_states.items()
+        }
+        merged: Dict[int, object] = {}
+        for d in all_gather(self.comm, owned, tag=tag):
+            merged.update(d)
+        return [merged[i] for i in range(self.cfg.n_layers)]
 
     # -- compute ---------------------------------------------------------------
 
@@ -308,28 +388,13 @@ class _WeiPipeWorker:
         """Add one chunk contribution into the circulating D at wire
         precision: the running sum itself lives in the (emulated) fp16
         buffer."""
-        if self._deferred is not None:
-            # overlap engine, mid-turn: the circulating D has not been
-            # waited for yet.  Park the contribution; the turn loop adds
-            # it (through this same method) once D lands.  Chunk sums are
-            # independent, and draining preserves call order, so the
-            # values are bit-identical to accumulating right here.
-            self._deferred.append((i, g))
-            return
-        if self.overlap:
-            # same values as the sync path, without the per-turn struct
-            # rebuilds: g is scratch so it is quantised in place, and the
-            # identity formats (fp32/fp64 policies) skip the round trips.
-            if not self._d_exact:
-                quantize_grads_(g, self.spec.precision)
-            self.grad_slot[i].add_(g, scale=self.scale)
-            if not self._d_exact:
-                quantize_grads_(self.grad_slot[i], self.spec.precision)
-            return
-        self.grad_slot[i].add_(
-            quantize_grads(g, self.spec.precision), scale=self.scale
-        )
-        self.grad_slot[i] = quantize_grads(self.grad_slot[i], self.spec.precision)
+        # g is scratch so it is quantised in place, and the identity
+        # formats (fp32/fp64 policies) skip the round trips.
+        if not self._d_exact:
+            quantize_grads_(g, self.spec.precision)
+        self.grad_slot[i].add_(g, scale=self.scale)
+        if not self._d_exact:
+            quantize_grads_(self.grad_slot[i], self.spec.precision)
 
     def _backward_slot(self, it: int, slot: int, mb: int) -> None:
         """Fused backward (Naive/Interleave modes)."""
@@ -341,7 +406,7 @@ class _WeiPipeWorker:
             dy, g = self.ck.bwd(i, w, dy, state.fwd_states.pop(i))
             if dy is not None:
                 dy = self.q_bgrad(dy)
-            self._accumulate_grad(i, g)
+            self._deferred.append((i, g))
         state.dy = dy
         if slot == 0:
             del self.inflight[mb]  # microbatch fully retired
@@ -366,8 +431,7 @@ class _WeiPipeWorker:
         """Zero-bubble W pass: runs when the slot's D comes around again."""
         for i in slot_chunk_ids(slot, self.world, self.cfg.n_layers):
             cache, wcache = self.pending_w.pop((mb, i))
-            g = self.ck.bwd_weight(i, cache, wcache)
-            self._accumulate_grad(i, g)
+            self._deferred.append((i, self.ck.bwd_weight(i, cache, wcache)))
 
     def _check_slot(self, kind: str, slot: int, expected: int) -> None:
         if slot != expected:
@@ -403,10 +467,7 @@ class _WeiPipeWorker:
         else:
             raise ValueError(f"unknown WeiPipe mode {self.mode!r}")
 
-        if self.overlap:
-            self._ring_turns_overlap(it, total, task_fn)
-        else:
-            self._ring_turns_sync(it, total, task_fn)
+        self._ring_turns(it, total, task_fn)
 
         u0 = perf_counter()
         self._update_pass(it)
@@ -417,230 +478,134 @@ class _WeiPipeWorker:
 
         losses = all_gather(self.comm, dict(self.losses_by_mb), tag=("wp-loss", it))
         self.losses_by_mb.clear()
-        if self.pool is not None:
-            # post-gather: every rank's update pass (and its pool traffic)
-            # for this iteration is complete, so the counter is a clean
-            # per-iteration snapshot for the allocation-regression gate.
-            self.pool_allocs_by_iter.append(self.pool.allocations)
-            pool = self.pool.as_dict()
-            m = self.comm.fabric.metrics
-            for key in ("allocations", "hits", "misses"):
-                m.gauge(f"pool_{key}").set(pool[key])
-            if self.trace.enabled:
-                self.trace.counter("pool_allocations", pool["allocations"])
+        # post-gather: every rank's update pass (and its pool traffic)
+        # for this iteration is complete, so the counter is a clean
+        # per-iteration snapshot for the allocation-regression gate.
+        self.pool_allocs_by_iter.append(self.pool.allocations)
+        pool = self.pool.as_dict()
+        m = self.comm.fabric.metrics
+        for key in ("allocations", "hits", "misses"):
+            m.gauge(f"pool_{key}").set(pool[key])
+        if self.trace.enabled:
+            self.trace.counter("pool_allocations", pool["allocations"])
         merged: Dict[int, float] = {}
         for d in losses:
             merged.update(d)
         return sum(merged.values()) / self.spec.n_microbatches
 
-    def _ring_turns_sync(self, it: int, total: int, task_fn) -> None:
-        """Pre-overlap engine: blocking recv, compute, send, every turn."""
-        left, right = self.comm.left, self.comm.right
-        pc = perf_counter
-        tr = self.trace
-        traced = tr.enabled
-        for t in range(total):
-            tt0 = pc()
-            if t > 0:
-                t0 = pc()
-                old_f, old_b, old_d = self.fwd_slot, self.bwd_slot, self.grad_slot
-                self.fwd_slot = self._resolve_wslot(
-                    "F", self.comm.recv(left, ("F", it, t)), it, t)
-                self.bwd_slot = self._resolve_wslot(
-                    "B", self.comm.recv(left, ("B", it, t)), it, t)
-                self.grad_slot = self.comm.recv(left, ("D", it, t))
-                self._retire_wslot("F", old_f)
-                self._retire_wslot("B", old_b)
-                self._retire_wslot("D", old_d)
-                dt = pc() - t0
-                self._h_wire.observe(dt)
-                if traced:
-                    tr.complete("wait:slots", "wire", t0, dt, {"turn": t})
+    def _timed(self, hist, name: str, cat: str, args: Dict, fn, *fargs) -> None:
+        """Run ``fn(*fargs)``, observe its wall time on ``hist`` and, when
+        tracing, record it as one complete span."""
+        t0 = perf_counter()
+        fn(*fargs)
+        dt = perf_counter() - t0
+        hist.observe(dt)
+        if self.trace.enabled:
+            self.trace.complete(name, cat, t0, dt, args)
 
-            task: TurnTask = task_fn(self.rank, t)
-            if task.fwd is not None:
-                slot, mb = task.fwd
-                self._check_slot("fwd", slot, fwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._forward_slot(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("F", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-            if task.bwd is not None:
-                slot, mb = task.bwd
-                self._check_slot("bwd", slot, bwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._run_bwd(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("B", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-            if task.wpass is not None:
-                slot, mb = task.wpass
-                # the flow loops every P turns
-                self._check_slot("wpass", slot, bwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._w_pass_slot(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("W", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-
-            self._send_wslot("F", self.fwd_slot, it, t + 1)
-            self._send_wslot("B", self.bwd_slot, it, t + 1)
-            self.comm.send(
-                self.grad_slot, right, ("D", it, t + 1),
-                nbytes=self._slot_nbytes(self.grad_slot, self.d_wire),
-            )
-            self._m_turns.add(1)
-            if task.idle:
-                self._m_idle_turns.add(1)
-            if traced:
-                tr.complete("turn", "turn", tt0, pc() - tt0,
-                            {"turn": t, "idle": task.idle})
-
-        # final hop brings every slot back to its home position.
-        t0 = pc()
-        old_f, old_b, old_d = self.fwd_slot, self.bwd_slot, self.grad_slot
-        self.fwd_slot = self._resolve_wslot(
-            "F", self.comm.recv(left, ("F", it, total)), it, total)
-        self.bwd_slot = self._resolve_wslot(
-            "B", self.comm.recv(left, ("B", it, total)), it, total)
-        self.grad_slot = self.comm.recv(left, ("D", it, total))
+    def _take_w(self, nf, nb, it: int, turn: int) -> None:
+        old_f, old_b = self.fwd_slot, self.bwd_slot
+        self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, turn)
+        self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, turn)
         self._retire_wslot("F", old_f)
         self._retire_wslot("B", old_b)
+
+    def _take_d(self, nd) -> None:
+        old_d = self.grad_slot
+        self.grad_slot = nd.wait()
         self._retire_wslot("D", old_d)
-        dt = pc() - t0
-        self._h_wire.observe(dt)
-        if traced:
-            tr.complete("wait:slots", "wire", t0, dt, {"turn": total})
 
-    def _ring_turns_overlap(self, it: int, total: int, task_fn) -> None:
-        """Double-buffered engine: post next-turn receives and forward the
-        held W slots *before* computing, so the wire runs under compute.
+    def _drain_deferred(self) -> None:
+        # chunk sums are independent and draining preserves call order,
+        # so the values are bit-identical to accumulating mid-backward.
+        for i, g in self._deferred:
+            self._accumulate_grad(i, g)
+        self._deferred.clear()
 
-        Waits sit only at the consume points: F/B at the top of the next
-        turn, D just before the first gradient accumulation of this one.
-        Per-turn send order stays F, B, D — the same per-rank message
-        sequence as the sync engine, so traffic accounting and seeded
-        chaos decisions line up across both.
+    def _ring_turns(self, it: int, total: int, task_fn) -> None:
+        """The one ring loop.  Every turn:
+
+            wait F,B -> [F] -> [B / W, grads parked] -> wait D -> drain -> send D
+
+        and the final hop (``t == total``, no task) is the same body up to
+        the drain: it brings every slot back to its home position.
+
+        ``overlap`` only moves the two *posting points*.  Early (True):
+        the next turn's three receives are posted and the held W slots
+        forwarded before this turn's compute, so the wire runs under it
+        and waits sit only at the consume points.  Late (False): the
+        receives are posted at the top of the turn that consumes them and
+        W is forwarded after compute.  Either way the per-rank send order
+        is F, B, D per turn, so tags, traffic accounting and seeded chaos
+        decisions are the same message sequence.
+
+        The backward compute runs *before* the wait for the circulating
+        accumulator: local weight grads only have to be summed into D
+        after they exist, so the serial per-hop D chain carries just
+        wire + accumulate + send instead of the whole backward.
         """
         comm = self.comm
-        left, right = comm.left, comm.right
-        pc = perf_counter
-        tr = self.trace
-        traced = tr.enabled
-        nf = nb = nd = None  # posted receives for the next turn's slots
-        for t in range(total):
-            tt0 = pc()
-            if t > 0:
-                t0 = pc()
-                old_f, old_b = self.fwd_slot, self.bwd_slot
-                self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, t)
-                self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, t)
-                self._retire_wslot("F", old_f)
-                self._retire_wslot("B", old_b)
-                dt = pc() - t0
-                self._h_wire.observe(dt)
-                if traced:
-                    tr.complete("wait:slots", "wire", t0, dt, {"turn": t})
-            cur_d = nd
-            nxt = t + 1
-            nf = comm.irecv(left, ("F", it, nxt))
-            nb = comm.irecv(left, ("B", it, nxt))
-            nd = comm.irecv(left, ("D", it, nxt))
-            self._send_wslot("F", self.fwd_slot, it, nxt)
-            self._send_wslot("B", self.bwd_slot, it, nxt)
+        early = self.overlap
+        h_wire, h_compute = self._h_wire, self._h_compute
 
-            task: TurnTask = task_fn(self.rank, t)
-            if task.fwd is not None:
-                slot, mb = task.fwd
-                self._check_slot("fwd", slot, fwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._forward_slot(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("F", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-            # Run the backward compute *before* waiting for the circulating
-            # accumulator: local weight grads only have to be summed into D
-            # after they exist, so the serial per-hop D chain carries just
-            # wire + accumulate + send instead of the whole backward.  The
-            # contributions are parked in _deferred meanwhile.
-            self._deferred = deferred = []
-            if task.bwd is not None:
-                slot, mb = task.bwd
-                self._check_slot("bwd", slot, bwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._run_bwd(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("B", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-            if task.wpass is not None:
-                slot, mb = task.wpass
-                # the flow loops every P turns
-                self._check_slot("wpass", slot, bwd_slot_held(self.rank, t, self.world))
-                c0 = pc()
-                self._w_pass_slot(it, slot, mb)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("W", "compute", c0, dt,
-                                {"turn": t, "slot": slot, "mb": mb})
-            if cur_d is not None:
+        def post(turn):
+            return [comm.irecv(comm.left, (flow, it, turn)) for flow in "FBD"]
+
+        def forward_w(turn):
+            self._send_wslot("F", self.fwd_slot, it, turn)
+            self._send_wslot("B", self.bwd_slot, it, turn)
+
+        # slots are stepped (and forward copies re-injected) between
+        # iterations, so cached slots never outlive their iteration.
+        self._wcache = {"F": {}, "B": {}}
+        posted = None
+        for t in range(total + 1):
+            tt0 = perf_counter()
+            task: Optional[TurnTask] = task_fn(self.rank, t) if t < total else None
+            nd = None
+            if t > 0:
+                nf, nb, nd = posted if early else post(t)  # posting point (late)
+                self._timed(h_wire, "wait:slots", "wire", {"turn": t},
+                            self._take_w, nf, nb, it, t)
+            if task is not None:
+                if early:  # posting point (early)
+                    posted = post(t + 1)
+                    forward_w(t + 1)
+                for name, job, run in (
+                    ("F", task.fwd, self._forward_slot),
+                    ("B", task.bwd, self._run_bwd),
+                    # rides the backward flow, which loops every P turns
+                    ("W", task.wpass, self._w_pass_slot),
+                ):
+                    if job is not None:
+                        slot, mb = job
+                        self._check_slot(name, slot, self._slot_id_at(name, self.rank, t))
+                        self._timed(h_compute, name, "compute",
+                                    {"turn": t, "slot": slot, "mb": mb},
+                                    run, it, slot, mb)
+            if nd is not None:
                 # consume point of the circulating accumulator: its sender
                 # posts D only after finishing the turn that read the
                 # W slots it forwarded, so from here on those buffers (and
                 # this D) are exclusively ours to mutate.
-                t0 = pc()
-                old_d = self.grad_slot
-                self.grad_slot = cur_d.wait()
-                self._retire_wslot("D", old_d)
-                dt = pc() - t0
-                self._h_wire.observe(dt)
-                if traced:
-                    tr.complete("wait:D", "wire", t0, dt, {"turn": t})
-            self._deferred = None
-            if deferred:
-                c0 = pc()
-                for i, g in deferred:
-                    self._accumulate_grad(i, g)
-                dt = pc() - c0
-                self._h_compute.observe(dt)
-                if traced:
-                    tr.complete("accum", "compute", c0, dt, {"turn": t})
-
+                self._timed(h_wire, "wait:D", "wire", {"turn": t}, self._take_d, nd)
+            if self._deferred:
+                self._timed(h_compute, "accum", "compute", {"turn": t},
+                            self._drain_deferred)
+            if task is None:
+                return
+            if not early:
+                forward_w(t + 1)
             comm.isend(
-                self.grad_slot, right, ("D", it, nxt),
+                self.grad_slot, comm.right, ("D", it, t + 1),
                 nbytes=self._slot_nbytes(self.grad_slot, self.d_wire),
             )
             self._m_turns.add(1)
             if task.idle:
                 self._m_idle_turns.add(1)
-            if traced:
-                tr.complete("turn", "turn", tt0, pc() - tt0,
-                            {"turn": t, "idle": task.idle})
-
-        # final hop brings every slot back to its home position.
-        t0 = pc()
-        old_f, old_b, old_d = self.fwd_slot, self.bwd_slot, self.grad_slot
-        self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, total)
-        self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, total)
-        self.grad_slot = nd.wait()
-        self._retire_wslot("F", old_f)
-        self._retire_wslot("B", old_b)
-        self._retire_wslot("D", old_d)
-        dt = pc() - t0
-        self._h_wire.observe(dt)
-        if traced:
-            tr.complete("wait:slots", "wire", t0, dt, {"turn": total})
+            if self.trace.enabled:
+                self.trace.complete("turn", "turn", tt0, perf_counter() - tt0,
+                                    {"turn": t, "idle": task.idle})
 
     # -- update pass ----------------------------------------------------------
 
@@ -724,6 +689,7 @@ def weipipe_step(
     opt_states: List[Dict],
     mode: str = "interleave",
     overlap: bool = True,
+    topology: Optional[Topology] = None,
 ) -> Tuple[float, List[ParamStruct], List[Dict]]:
     """One WeiPipe iteration from explicit full (replicated) state.
 
@@ -735,7 +701,10 @@ def weipipe_step(
     are cloned (by the worker's init path), never mutated, and chaining
     steps is bit-identical to a persistent-worker run — the flows a
     fresh worker builds from the updated chunks are exactly what
-    ``_update_pass`` left in circulation.
+    ``_update_pass`` left in circulation.  A fresh worker also starts
+    with empty gateway caches, so with a ``topology`` a weight reference
+    issued under one ring layout can never resolve against a slot cached
+    under another (the cache-invalidation half of the rejoin protocol).
     """
     step_spec = replace(
         spec,
@@ -744,39 +713,24 @@ def weipipe_step(
         initial_chunks=chunks,
         initial_opt_state=opt_states,
     )
-    w = _WeiPipeWorker(comm, step_spec, mode, overlap=overlap)
+    w = _WeiPipeWorker(comm, step_spec, mode, overlap=overlap, topology=topology)
     loss = w.run_iteration(0)
-    if w.pending_w:  # pragma: no cover - invariant
-        raise AssertionError("deferred W passes left undone at step boundary")
-    owned = {i: (w.bwd_slot[i], w.opt_states[i]) for i in w.opt_states}
-    gathered = all_gather(comm, owned, tag=("wp-state", iteration))
-    merged: Dict[int, tuple] = {}
-    for d in gathered:
-        merged.update(d)
-    new_chunks = [merged[i][0] for i in range(spec.cfg.n_layers)]
-    new_states = [merged[i][1] for i in range(spec.cfg.n_layers)]
+    pairs = w.gather_owned(("wp-state", iteration), with_opt_state=True)
     # the gather is a step-boundary barrier: the worker's fwd/grad slots
     # have no readers left anywhere, so their buffers go back to the
     # fabric's pool for the next step's worker.
     w.release_buffers()
-    return loss, new_chunks, new_states
+    return loss, [c for c, _ in pairs], [st for _, st in pairs]
 
 
-def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool) -> TrainResult:
-    w = _WeiPipeWorker(comm, spec, mode, overlap=overlap)
+def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
+            topology: Optional[Topology]) -> TrainResult:
+    w = _WeiPipeWorker(comm, spec, mode, overlap=overlap, topology=topology)
     losses = [w.run_iteration(it) for it in range(spec.iters)]
-    # report final weights: gather every worker's owned (updated) slot.
-    owned = {i: w.bwd_slot[i] for i in w.opt_states}
-    gathered = all_gather(comm, owned, tag=("wp-final",))
-    merged: Dict[int, ParamStruct] = {}
-    for d in gathered:
-        merged.update(d)
-    chunks = [merged[i] for i in range(spec.cfg.n_layers)]
-    if w.pending_w:  # pragma: no cover - invariant
-        raise AssertionError("deferred W passes left undone at exit")
     return TrainResult(
         losses=losses,
-        chunks=chunks,
+        # final weights: every worker's owned (updated) slot.
+        chunks=w.gather_owned(("wp-final",)),
         extra={
             "rank": w.rank,
             "peak_inflight": w.peak_inflight,
@@ -785,6 +739,8 @@ def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool) -> Tr
             "wire_wait_s": w._h_wire.total,
             "compute_s": w._h_compute.total,
             "pool_allocs_by_iter": list(w.pool_allocs_by_iter),
+            "inter_full_sends": w.inter_full_sends,
+            "inter_ref_sends": w.inter_ref_sends,
         },
     )
 
@@ -795,6 +751,7 @@ def train_weipipe(
     mode: str = "interleave",
     fabric: Optional[Fabric] = None,
     overlap: bool = True,
+    topology: Optional[Topology] = None,
 ) -> TrainResult:
     """Train with WeiPipe (``mode`` in {"interleave", "naive",
     "zero-bubble"}).
@@ -804,10 +761,13 @@ def train_weipipe(
     path, W passes deferred one ring revolution to when the slot's
     gradient accumulator next passes through.
 
-    ``overlap`` selects the ring engine: double-buffered nonblocking
-    turns with pooled arena buffers (default), or the synchronous
-    pre-overlap ring (the ``bench-overlap`` baseline).  Both are
-    bit-identical in results.
+    ``overlap`` places the ring's posts: next-turn receives and the W
+    forward before this turn's compute (default), or at the top of the
+    consuming turn / after compute (the ``bench-overlap`` baseline).
+    ``topology`` groups the ranks: weight slots cross each group
+    boundary in full once per iteration and as 24-byte references
+    afterwards (:mod:`repro.parallel.weipipe_hier`).  Neither changes
+    what is computed — results are bit-identical across all four.
 
     Requires ``n_layers % world_size == 0`` and
     ``n_microbatches % world_size == 0`` (the paper's setting).
@@ -816,18 +776,16 @@ def train_weipipe(
     if spec.n_microbatches % world_size != 0:
         raise ValueError("n_microbatches must be divisible by world_size")
     results = run_workers(
-        world_size, lambda comm: _worker(comm, spec, mode, overlap), fabric=fabric
+        world_size,
+        lambda comm: _worker(comm, spec, mode, overlap, topology),
+        fabric=fabric,
     )
-    peaks = {r.extra["rank"]: r.extra["peak_inflight"] for r in results}
-    pending = {r.extra["rank"]: r.extra["peak_pending_w"] for r in results}
-    return TrainResult(
-        losses=results[0].losses,
-        chunks=results[0].chunks,
-        extra={
-            "peak_inflight": peaks,
-            "peak_pending_w": pending,
-            "wire_wait_s": {r.extra["rank"]: r.extra["wire_wait_s"] for r in results},
-            "compute_s": {r.extra["rank"]: r.extra["compute_s"] for r in results},
-            "pool_allocs_by_iter": results[0].extra["pool_allocs_by_iter"],
-        },
-    )
+    by_rank = {r.extra["rank"]: r.extra for r in results}
+    extra: Dict[str, object] = {
+        key: {r: e[key] for r, e in by_rank.items()}
+        for key in ("peak_inflight", "peak_pending_w", "wire_wait_s", "compute_s")
+    }
+    extra["pool_allocs_by_iter"] = results[0].extra["pool_allocs_by_iter"]
+    for key in ("inter_full_sends", "inter_ref_sends"):
+        extra[key] = sum(e[key] for e in by_rank.values())
+    return TrainResult(losses=results[0].losses, chunks=results[0].chunks, extra=extra)

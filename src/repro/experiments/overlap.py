@@ -1,31 +1,33 @@
 """``bench-overlap``: the zero-copy ring's microbenchmark harness.
 
-Measures the double-buffered nonblocking ring engine (arena-backed
-weights, pooled buffers, posted receives — DESIGN.md §10) against the
-pre-overlap synchronous ring on the *same machine with the same seeds*,
-and emits one JSON artefact (``BENCH_overlap.json``) with:
+Measures the ring's early posting placement (``overlap=True``: receives
+posted and W forwarded ahead of compute — DESIGN.md §10) against the
+late one (``overlap=False``: receive, compute, send) on the *same
+machine with the same seeds* — one turn loop, arena-backed weights and
+pooled buffers on both sides — and emits one JSON artefact
+(``BENCH_overlap.json``) with:
 
-* tokens/s and wall-clock for both engines, and their ratio;
+* tokens/s and wall-clock for both placements ("sync" / "overlap"
+  rows), and their ratio;
 * logical bytes moved and message counts (identical by construction —
-  the overlap engine changes *when* traffic happens, never *what*);
-* per-engine wire-wait vs compute seconds (summed over ranks) and the
-  derived overlap efficiency;
+  placement changes *when* traffic happens, never *what*);
+* per-placement wire-wait vs compute seconds (summed over ranks) and
+  the derived overlap efficiency;
 * buffer-pool counters and the per-iteration allocation trace, whose
   steady-state growth must be **zero** (the allocation-regression gate);
-* a bit-exactness verdict: both engines must produce identical losses.
+* a bit-exactness verdict: both placements must produce identical losses.
 
 Two wires are measured:
 
 * the **reference wire** — a :class:`~repro.runtime.ChaosFabric` with a
   seeded delay-only policy (no drops, no duplicates), emulating the
-  communication-bound links the paper targets.  Here the sync ring
-  exposes the full link delay on every hop of the serial gradient-ring
-  chain, while the overlap engine posts W transfers a turn early and
-  defers the D wait past the backward compute, so only
-  ``delay + accumulate`` remains on the chain;
+  communication-bound links the paper targets.  Here late posting
+  exposes the full link delay plus the sender's compute on every hop of
+  the serial gradient-ring chain, while early posting moves the W
+  transfers a turn ahead so only ``delay + accumulate`` remains on it;
 * a **zero-latency control** — the plain in-process fabric, where the
-  host is compute-bound and the honest headroom is only the per-turn
-  bookkeeping the arena/pool machinery removes.
+  host is compute-bound and both placements do the same work, so there
+  is no structural headroom to claim.
 
 The in-process fabric runs every rank as a thread of one interpreter,
 so wall-clock on the control wire is pinned to total Python compute;
@@ -106,11 +108,9 @@ BACKEND_CONFIG: Dict = dict(
 )
 
 
-def _pool_dict(fabric, overlap: bool) -> Optional[Dict]:
+def _pool_dict(fabric) -> Optional[Dict]:
     """Pool counters of one run: thread fabrics expose the shared pool
     object, transports expose the merged per-rank dict after launch."""
-    if not overlap:
-        return None
     shared = getattr(fabric, "shared_pool", None)
     if callable(shared):
         return shared(BufferPool).as_dict()
@@ -146,7 +146,7 @@ def _measure(
                 * spec.microbatch_size
                 * spec.cfg.seq_len
             )
-            pool = _pool_dict(fabric, overlap)
+            pool = _pool_dict(fabric)
             allocs = result.extra["pool_allocs_by_iter"]
             wire_wait = sum(result.extra["wire_wait_s"].values())
             compute = sum(result.extra["compute_s"].values())
@@ -191,7 +191,7 @@ def run_backend_comparison(
     chaos_seed: int = 1,
     reps: int = 2,
 ) -> Dict:
-    """Overlap engine, thread transport vs process transport, same seeds.
+    """Overlap placement, thread transport vs process transport, same seeds.
 
     Defaults are :data:`BACKEND_CONFIG`.  Returns the per-backend section
     of the v2 artefact: tokens/s and pool counters per backend, the
@@ -279,7 +279,7 @@ def run_overlap_comparison(
     overrides) and attaches it as the report's ``backends`` section.
 
     ``trace_path`` / ``metrics_path`` record one *extra* traced run of
-    the overlap engine on the reference wire after the timed
+    the overlap placement on the reference wire after the timed
     measurements — the timed runs themselves stay untraced so the
     benchmark numbers are never perturbed by the recorder.
     """

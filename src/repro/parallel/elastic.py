@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..nn.params import ParamStruct
-from ..runtime import Fabric, SubCommunicator, run_workers_elastic
+from ..runtime import Fabric, SubCommunicator, Topology, run_workers_elastic
 from ..runtime.communicator import Communicator
 from ..runtime.recovery import ElasticResult, elastic_worker
 from .common import TrainResult, TrainSpec, init_opt_states
@@ -126,29 +126,31 @@ def _compute_fn(strategy: str, spec: TrainSpec) -> _ComputeFn:
         from .fsdp import fsdp_step
 
         return lambda csub, it, st: fsdp_step(csub, spec, it, st.chunks, st.opt_state)
-    if strategy == "weipipe-hier":
-        from .weipipe_hier import weipipe_hier_step
-
-        # a fresh boundary-aware worker per step re-derives the group
-        # layout from the *current* compute world and starts with empty
-        # gateway caches — every shrink or rejoin therefore invalidates
-        # all cached weight slots by construction.
-        return lambda csub, it, st: weipipe_hier_step(
-            csub, spec, it, st.chunks, st.opt_state
-        )
     if strategy in _WEIPIPE_MODES:
         from ..core.weipipe import weipipe_step
+        from .weipipe_hier import default_groups
 
-        # the overlap engine (double-buffered nonblocking ring, pooled
-        # arenas) is bit-identical to the sync one, so elastic recovery
+        # the overlap placement (double-buffered nonblocking ring, pooled
+        # arenas) is bit-identical to the late one, so elastic recovery
         # gets the fast path too: abandoned posted receives from a failed
         # step can never cross-match a retry because every step runs in
         # its own ("compute", global_step) tag namespace inside the
         # recovery epoch's namespace.
         mode = _WEIPIPE_MODES[strategy]
-        return lambda csub, it, st: weipipe_step(
-            csub, spec, it, st.chunks, st.opt_state, mode=mode, overlap=True
-        )
+        hier = strategy == "weipipe-hier"
+
+        def ring_step(csub, it, st):
+            # a fresh worker per step re-derives the group layout from the
+            # *current* compute world and starts with empty gateway caches
+            # — every shrink or rejoin therefore invalidates all cached
+            # weight slots by construction.
+            w = csub.world_size
+            topo = Topology.grid(w, default_groups(w)) if hier else None
+            return weipipe_step(
+                csub, spec, it, st.chunks, st.opt_state, mode=mode, topology=topo
+            )
+
+        return ring_step
     raise ValueError(
         f"strategy {strategy!r} has no elastic step engine; "
         f"choose from {list(ELASTIC_STRATEGIES)}"

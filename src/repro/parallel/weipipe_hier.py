@@ -7,10 +7,11 @@ though the weights never change mid-iteration — the same ``W`` slot
 crosses the same boundary ``T/P`` times carrying identical bytes.
 TawPipe's observation (PAPERS.md) is that weights only need to cross
 each boundary *once*; after that the fast intra-group links can share
-them.
-
-This module realises that on the functional runtime while staying
-**bit-exact** with the flat ring:
+them.  Topology-awareness is *what a hop carries*, not a different
+ring: the engine is :func:`repro.core.weipipe.train_weipipe`, whose
+weight-flow hooks become boundary-aware when given a ``topology``, and
+this module only resolves the group layout.  What the hooks do, while
+staying **bit-exact** with the flat ring:
 
 * The ring order, schedule, tags and the circulating gradient
   accumulator ``D`` are untouched.  ``D`` is a running sum whose value
@@ -41,40 +42,26 @@ Cross-group volume per boundary per iteration drops from
 paper-style ``T ~= 2 N >> P`` that is nearly the 3x -> 1x chunk
 reduction per turn that makes a slow boundary link stop pacing the
 ring.  Degenerate layouts reduce exactly: one group (``1xP``) has no
-boundaries and is the flat ring verbatim; all-singleton groups
-(``Px1``, built with ``allow_singleton=True``) make every rank a
-gateway and every hop a cached boundary — still bit-exact, with the
-whole model cached everywhere.
+boundaries, so no hop crosses and every rank executes the flat ring's
+statements; all-singleton groups (``Px1``, built with
+``allow_singleton=True``) make every rank a gateway and every hop a
+cached boundary — still bit-exact, with the whole model cached
+everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional
 
-from ..core.schedule import bwd_slot_held, fwd_slot_held
-from ..core.weipipe import SlotWeights, _WeiPipeWorker, slot_chunk_ids
-from ..nn.params import ParamStruct
+from ..core.weipipe import WREF_MARK, train_weipipe
 from ..parallel.common import TrainResult, TrainSpec
-from ..runtime import (
-    WREF_NBYTES,
-    Communicator,
-    Fabric,
-    Topology,
-    all_gather,
-    run_workers,
-)
+from ..runtime import Fabric, Topology
 
 __all__ = [
     "train_weipipe_hier",
-    "weipipe_hier_step",
     "default_groups",
     "WREF_MARK",
 ]
-
-#: first element of a weight-reference payload; the tuple is
-#: ``(WREF_MARK, flow, slot_id)`` and is ledgered at WREF_NBYTES.
-WREF_MARK = "hier-wref"
 
 
 def default_groups(world_size: int) -> str:
@@ -83,155 +70,6 @@ def default_groups(world_size: int) -> str:
     if world_size >= 4 and world_size % 2 == 0:
         return f"2x{world_size // 2}"
     return f"1x{world_size}"
-
-
-class _WeiPipeHierWorker(_WeiPipeWorker):
-    """A flat-ring worker whose weight-flow transport is boundary-aware.
-
-    Only the two transport hooks differ from the base class; schedule,
-    compute, D handling and the update pass are inherited unchanged —
-    that inheritance *is* the bit-exactness argument.
-    """
-
-    #: the gateway cache hands out received slot *objects* for the rest
-    #: of the iteration, so replaced slots must never be recycled even
-    #: on a wire-copies transport.
-    _retire_slots = False
-
-    def __init__(self, comm: Communicator, spec: TrainSpec, mode: str,
-                 topology: Topology, overlap: bool = True):
-        super().__init__(comm, spec, mode, overlap=overlap)
-        self.topo = topology
-        # boundary structure is static: precompute whether this rank's
-        # ring sends (to right) and receives (from left) cross groups.
-        self._right_cross = topology.link_class(self.rank, comm.right) == "inter"
-        self._left_cross = topology.link_class(comm.left, self.rank) == "inter"
-        # per-iteration gateway cache: flow -> slot id -> slot dict.
-        self._wcache: Dict[str, Dict[int, SlotWeights]] = {"F": {}, "B": {}}
-        self._wcache_it: Optional[int] = None
-        self.inter_full_sends = 0
-        self.inter_ref_sends = 0
-        m = comm.fabric.metrics
-        self._m_full = m.counter("weipipe_hier_full_crossings_total",
-                                 rank=self.rank)
-        self._m_ref = m.counter("weipipe_hier_ref_crossings_total",
-                                rank=self.rank)
-
-    def _slot_id_at(self, flow: str, rank: int, turn: int) -> int:
-        """Which slot ``rank`` holds on flow ``flow`` during ``turn`` —
-        the schedule's placement law, shared with the ``_check_slot``
-        asserts so a cache-resolution bug trips the same invariant."""
-        if flow == "F":
-            return fwd_slot_held(rank, turn, self.world)
-        return bwd_slot_held(rank, turn, self.world)
-
-    def _send_wslot(self, flow: str, slot: SlotWeights, it: int, turn: int) -> None:
-        if self._right_cross:
-            if turn > self.world:
-                # this slot already crossed this boundary during the
-                # first revolution of iteration `it`: ship a reference.
-                sid = self._slot_id_at(flow, self.comm.right, turn)
-                self.comm.send((WREF_MARK, flow, sid), self.comm.right,
-                               (flow, it, turn), nbytes=WREF_NBYTES)
-                self.inter_ref_sends += 1
-                self._m_ref.add(1)
-                return
-            self.inter_full_sends += 1
-            self._m_full.add(1)
-        super()._send_wslot(flow, slot, it, turn)
-
-    def invalidate_gateway_cache(self) -> None:
-        """Drop every cached full slot; references can no longer resolve.
-
-        Called on iteration rollover and, by the elastic layer, on every
-        ring-membership change (shrink or rejoin): a slot cached under
-        one ring layout must never satisfy a reference issued under
-        another, where the placement law maps slot ids differently.
-        """
-        self._wcache = {"F": {}, "B": {}}
-        self._wcache_it = None
-
-    def _resolve_wslot(self, flow: str, payload, it: int, turn: int) -> SlotWeights:
-        if self._wcache_it != it:
-            # slots are stepped (and forward copies re-injected) between
-            # iterations, so references never outlive their iteration.
-            self.invalidate_gateway_cache()
-            self._wcache_it = it
-        if (isinstance(payload, tuple) and len(payload) == 3
-                and payload[0] == WREF_MARK):
-            mark_flow, sid = payload[1], payload[2]
-            expected = self._slot_id_at(flow, self.rank, turn)
-            if mark_flow != flow or sid != expected:
-                raise AssertionError(
-                    f"hier ring: reference names {mark_flow} slot {sid} but "
-                    f"rank {self.rank} expects {flow} slot {expected} at "
-                    f"turn {turn}"
-                )
-            try:
-                return self._wcache[flow][sid]
-            except KeyError:
-                raise AssertionError(
-                    f"hier ring: {flow} slot {sid} referenced before its "
-                    f"first-revolution crossing reached rank {self.rank}"
-                ) from None
-        if self._left_cross:
-            sid = self._slot_id_at(flow, self.rank, turn)
-            self._wcache[flow][sid] = payload
-        return payload
-
-
-def weipipe_hier_step(
-    comm: Communicator,
-    spec: TrainSpec,
-    iteration: int,
-    chunks: List[ParamStruct],
-    opt_states: List[Dict],
-    mode: str = "interleave",
-    topology: Optional[Topology] = None,
-    overlap: bool = True,
-) -> Tuple[float, List[ParamStruct], List[Dict]]:
-    """One hierarchical-ring iteration from explicit replicated state.
-
-    The step-boundary entry point elastic recovery uses
-    (:mod:`repro.parallel.elastic`), mirroring
-    :func:`repro.core.weipipe.weipipe_step` with the boundary-aware
-    transport.  ``topology`` defaults to :func:`default_groups` over the
-    *current* compute world, so a shrunken or re-grown ring gets a group
-    layout that matches its actual size.  A fresh worker is built per
-    step, which makes the gateway weight caches trivially empty at every
-    membership change: a reference issued under one ring layout can
-    never resolve against a slot cached under another (the
-    cache-invalidation half of the rejoin protocol —
-    :meth:`_WeiPipeHierWorker.invalidate_gateway_cache` is the explicit
-    form for persistent workers).
-    """
-    if topology is None:
-        topology = Topology.grid(comm.world_size, default_groups(comm.world_size))
-    elif topology.world_size != comm.world_size:
-        raise ValueError(
-            f"topology is for world_size {topology.world_size}, "
-            f"step runs on {comm.world_size}"
-        )
-    step_spec = replace(
-        spec,
-        iters=1,
-        start_iteration=spec.start_iteration + iteration,
-        initial_chunks=chunks,
-        initial_opt_state=opt_states,
-    )
-    w = _WeiPipeHierWorker(comm, step_spec, mode, topology, overlap=overlap)
-    loss = w.run_iteration(0)
-    if w.pending_w:  # pragma: no cover - invariant
-        raise AssertionError("deferred W passes left undone at step boundary")
-    owned = {i: (w.bwd_slot[i], w.opt_states[i]) for i in w.opt_states}
-    gathered = all_gather(comm, owned, tag=("wp-state", iteration))
-    merged: Dict[int, tuple] = {}
-    for d in gathered:
-        merged.update(d)
-    new_chunks = [merged[i][0] for i in range(spec.cfg.n_layers)]
-    new_states = [merged[i][1] for i in range(spec.cfg.n_layers)]
-    w.release_buffers()
-    return loss, new_chunks, new_states
 
 
 def _resolve_topology(
@@ -257,33 +95,6 @@ def _resolve_topology(
     return topology
 
 
-def _worker(comm: Communicator, spec: TrainSpec, mode: str,
-            topology: Topology, overlap: bool) -> TrainResult:
-    w = _WeiPipeHierWorker(comm, spec, mode, topology, overlap=overlap)
-    losses = [w.run_iteration(it) for it in range(spec.iters)]
-    owned = {i: w.bwd_slot[i] for i in w.opt_states}
-    gathered = all_gather(comm, owned, tag=("wp-final",))
-    merged = {}
-    for d in gathered:
-        merged.update(d)
-    chunks = [merged[i] for i in range(spec.cfg.n_layers)]
-    if w.pending_w:  # pragma: no cover - invariant
-        raise AssertionError("deferred W passes left undone at exit")
-    return TrainResult(
-        losses=losses,
-        chunks=chunks,
-        extra={
-            "rank": w.rank,
-            "peak_inflight": w.peak_inflight,
-            "wire_wait_s": w._h_wire.total,
-            "compute_s": w._h_compute.total,
-            "inter_full_sends": w.inter_full_sends,
-            "inter_ref_sends": w.inter_ref_sends,
-            "is_gateway": topology.is_gateway(w.rank),
-        },
-    )
-
-
 def train_weipipe_hier(
     spec: TrainSpec,
     world_size: int,
@@ -303,26 +114,10 @@ def train_weipipe_hier(
     crosses slow links, not what is computed (enforced by
     ``tests/integration/test_weipipe_hier.py``).
     """
-    slot_chunk_ids(0, world_size, spec.cfg.n_layers)  # validates divisibility
-    if spec.n_microbatches % world_size != 0:
-        raise ValueError("n_microbatches must be divisible by world_size")
     topo = _resolve_topology(world_size, topology, groups, fabric)
-    results = run_workers(
-        world_size,
-        lambda comm: _worker(comm, spec, mode, topo, overlap),
-        fabric=fabric,
+    result = train_weipipe(
+        spec, world_size, mode=mode, fabric=fabric, overlap=overlap, topology=topo
     )
-    by_rank = {r.extra["rank"]: r.extra for r in results}
-    return TrainResult(
-        losses=results[0].losses,
-        chunks=results[0].chunks,
-        extra={
-            "groups": [list(g) for g in topo.groups],
-            "gateways": list(topo.gateways()),
-            "peak_inflight": {r: e["peak_inflight"] for r, e in by_rank.items()},
-            "wire_wait_s": {r: e["wire_wait_s"] for r, e in by_rank.items()},
-            "compute_s": {r: e["compute_s"] for r, e in by_rank.items()},
-            "inter_full_sends": sum(e["inter_full_sends"] for e in by_rank.values()),
-            "inter_ref_sends": sum(e["inter_ref_sends"] for e in by_rank.values()),
-        },
-    )
+    result.extra["groups"] = [list(g) for g in topo.groups]
+    result.extra["gateways"] = list(topo.gateways())
+    return result

@@ -30,8 +30,10 @@ Consumers:
   serialization delay ``latency + nbytes/bandwidth`` per message on top
   of the seeded jitter, so a slow inter-group link actually *is* slow
   in wall-clock terms and a bench can measure the win;
-* :func:`repro.parallel.weipipe_hier.train_weipipe_hier` — group
-  membership decides which ring hops are boundary hops and which rank
+* :func:`repro.core.weipipe.train_weipipe` (``topology=``; layout
+  resolution in :mod:`repro.parallel.weipipe_hier`) — group membership
+  decides which ring hops are boundary hops, where the ring worker's
+  weight-flow hooks ship references instead of slots, and which rank
   fronts each group (the *gateway*, lowest rank by convention).
 
 The group layout doubles as the schedule contract: groups must exactly
@@ -60,7 +62,7 @@ __all__ = [
 ]
 
 #: wire size of a hierarchical weight-reference token (see
-#: ``repro.parallel.weipipe_hier``): a (marker, flow, slot) triple —
+#: ``repro.core.weipipe``): a (marker, flow, slot) triple —
 #: metadata, not parameters.  Shared here so the cost model and the
 #: engine cannot drift apart.
 WREF_NBYTES = 24

@@ -236,7 +236,10 @@ class ShmFabric(Fabric):
         self._poll = poll_interval
         self._policy = policy
         self._control = ControlBlock(segment, world_size)
-        self._ctrl_token = self._control.disturb_token()
+        # seeded all-clear, not from the live block: an abort or fail-stop
+        # published before this (later-forked) rank mapped the segment
+        # must still differ from the cache, or it is never noticed.
+        self._ctrl_token = bytes(len(self._control.disturb_token()))
         # clock-alignment handshake: the launcher published its epoch
         # before forking; answer with our own clock sample so the parent
         # can bound the skew between the two timelines (repro.obs.merge).

@@ -1,9 +1,10 @@
-"""The double-buffered overlap engine vs the synchronous ring.
+"""The one ring engine across its two inputs: posting placement
+(``overlap``) and group layout (``topology``).
 
-Bit-exactness is the contract (ISSUE: the overlap engine changes *when*
-communication happens, never *what* is computed), and the buffer pool
-must reach a steady state where whole iterations run without acquiring
-a single fresh buffer (the allocation-regression gate).
+Bit-exactness is the contract (both inputs change *when* communication
+happens and *what a hop carries*, never *what* is computed), and the
+buffer pool must reach a steady state where whole iterations run without
+acquiring a single fresh buffer (the allocation-regression gate).
 """
 
 import numpy as np
@@ -12,9 +13,16 @@ import pytest
 from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64, ModelConfig
 from repro.parallel.common import TrainSpec
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric
+from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology
 
 MODES = ["naive", "interleave", "zero-bubble"]
+#: group layout is one more input of the one ring engine.
+LAYOUTS = [None, "1x4", "2x2"]
+_layout_ids = ["flat", "1x4", "2x2"]
+
+
+def _topo(layout):
+    return None if layout is None else Topology.grid(4, layout)
 
 
 def _assert_identical(chunks_a, chunks_b):
@@ -31,48 +39,86 @@ def _spec(precision=FP64, iters=2, nmb=4):
 
 
 class TestBitExactness:
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=_layout_ids)
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("precision", [FP32, FP64], ids=["fp32", "fp64"])
-    def test_overlap_equals_sync(self, mode, precision):
+    def test_overlap_equals_sync(self, mode, precision, layout):
         spec = _spec(precision=precision)
-        sync = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4), overlap=False)
-        ovl = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4), overlap=True)
+        topo = _topo(layout)
+        sync = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4),
+                             overlap=False, topology=topo)
+        ovl = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4),
+                            overlap=True, topology=topo)
         assert sync.losses == ovl.losses
         _assert_identical(sync.chunks, ovl.chunks)
+        if topo is not None:
+            # hier == flat closes the square: the sync flat ring is the
+            # reference every other (overlap, layout) cell is diffed against.
+            flat = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4),
+                                 overlap=False)
+            assert flat.losses == ovl.losses
+            _assert_identical(flat.chunks, ovl.chunks)
 
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=_layout_ids)
     @pytest.mark.parametrize("mode", MODES)
-    def test_overlap_equals_sync_under_chaos(self, mode):
+    def test_overlap_equals_sync_under_chaos(self, mode, layout):
         policy = ChaosPolicy(seed=5)
         spec = _spec()
+        topo = _topo(layout)
         sync = train_weipipe(
-            spec, 4, mode=mode,
-            fabric=ChaosFabric(4, policy=policy, timeout=60.0), overlap=False,
+            spec, 4, mode=mode, overlap=False, topology=topo,
+            fabric=ChaosFabric(4, policy=policy, timeout=60.0),
         )
         ovl = train_weipipe(
-            spec, 4, mode=mode,
-            fabric=ChaosFabric(4, policy=policy, timeout=60.0), overlap=True,
+            spec, 4, mode=mode, overlap=True, topology=topo,
+            fabric=ChaosFabric(4, policy=policy, timeout=60.0),
         )
         assert sync.losses == ovl.losses
         _assert_identical(sync.chunks, ovl.chunks)
 
-    def test_overlap_traffic_matches_sync(self):
-        """Same logical messages and bytes on both engines."""
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=_layout_ids)
+    def test_overlap_traffic_matches_sync(self, layout):
+        """Same logical messages and bytes for both posting placements."""
         spec = _spec()
+        topo = _topo(layout)
         f_sync, f_ovl = Fabric(4), Fabric(4)
-        train_weipipe(spec, 4, mode="interleave", fabric=f_sync, overlap=False)
-        train_weipipe(spec, 4, mode="interleave", fabric=f_ovl, overlap=True)
+        train_weipipe(spec, 4, mode="interleave", fabric=f_sync,
+                      overlap=False, topology=topo)
+        train_weipipe(spec, 4, mode="interleave", fabric=f_ovl,
+                      overlap=True, topology=topo)
         assert f_sync.stats.messages == f_ovl.stats.messages
         assert f_sync.stats.bytes_total == f_ovl.stats.bytes_total
         assert f_sync.stats.by_kind == f_ovl.stats.by_kind
 
+    def test_one_group_topology_is_the_flat_ring(self):
+        """No hop of a 1xP layout crosses, so the codec hooks are inert:
+        same results, same wire, and a result ledger with zero crossings."""
+        spec = _spec()
+        f_flat, f_one = Fabric(4), Fabric(4)
+        flat = train_weipipe(spec, 4, fabric=f_flat, topology=None)
+        one = train_weipipe(spec, 4, fabric=f_one,
+                            topology=Topology.grid(4, "1x4"))
+        assert flat.losses == one.losses
+        _assert_identical(flat.chunks, one.chunks)
+        assert f_flat.stats.by_kind == f_one.stats.by_kind
+        assert f_flat.stats.messages == f_one.stats.messages
+        assert set(flat.extra) == set(one.extra)
+        for result in (flat, one):
+            assert result.extra["inter_full_sends"] == 0
+            assert result.extra["inter_ref_sends"] == 0
+
 
 class TestAllocationRegression:
-    def test_steady_state_allocations_are_zero(self):
+    @pytest.mark.parametrize("layout", [None, "2x2"], ids=["flat", "2x2"])
+    @pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "sync"])
+    def test_steady_state_allocations_are_zero(self, overlap, layout):
         """After the warmup iteration the pool must satisfy every weight
-        buffer from its free list: the allocation counter stops moving."""
+        buffer from its free list: the allocation counter stops moving —
+        for both posting placements and across a group boundary."""
         spec = _spec(iters=5)
         fab = Fabric(4)
-        result = train_weipipe(spec, 4, mode="interleave", fabric=fab, overlap=True)
+        result = train_weipipe(spec, 4, mode="interleave", fabric=fab,
+                               overlap=overlap, topology=_topo(layout))
         allocs = result.extra["pool_allocs_by_iter"]
         assert len(allocs) == 5
         assert allocs[0] > 0  # warmup actually allocated
@@ -82,13 +128,6 @@ class TestAllocationRegression:
         # a real leak (>= 1 buffer/iteration) still blows the bound.
         assert allocs == sorted(allocs), allocs  # counter is cumulative
         assert allocs[-1] - allocs[0] <= 2, allocs
-
-    def test_sync_engine_reports_no_pool(self):
-        spec = _spec(iters=2)
-        result = train_weipipe(
-            spec, 4, mode="interleave", fabric=Fabric(4), overlap=False
-        )
-        assert result.extra["pool_allocs_by_iter"] == []
 
     def test_wire_wait_telemetry_present(self):
         spec = _spec(iters=2)

@@ -73,19 +73,29 @@ class TestReconcileGate:
         assert verdict["gate"] == "reconcile"
         assert verdict["passed"] is True
 
-    def test_hier_pick_runs_with_topology(self):
+    @staticmethod
+    def _hier_verdict():
         spec = PlanSpec(
             model=_spec().model, cluster=_spec().cluster,
             space=_spec().space,
             validation=ValidationSpec(world_cap=4, iters=2),
         )
-        verdict = validate_candidate(
+        return validate_candidate(
             _evaluated("weipipe-hier", 8, 1, grouping="hier"), spec
         )
+
+    def test_hier_pick_runs_with_topology(self):
+        verdict = self._hier_verdict()
         assert verdict["strategy"] == "weipipe-hier"
         assert verdict["world"] == 4
         assert verdict["gate"] == "reconcile"
-        assert verdict["passed"] is True
+        assert verdict["trace_schema_ok"] is True
+        ht = verdict["reconcile"]["hier_traffic"]
+        assert ht["within_tolerance"], ht
+
+    @pytest.mark.timing
+    def test_hier_pick_passes_wall_gate(self):
+        assert self._hier_verdict()["passed"] is True
 
     def test_pipeline_pick_reconciles(self):
         verdict = validate_candidate(_evaluated("1f1b", 8, 1), _spec())

@@ -241,7 +241,9 @@ class TestChaosLinkDelay:
         b = pol.decide(0, 1, ("F", 0, 1), 0)
         assert a == b  # pure in message identity; nbytes is not an input
 
-    def test_messages_arrive_later_over_slow_links(self):
+    def _slow_link_exchange(self):
+        """One 10 kB message over a 20 ms + 1 MB/s link: returns the
+        fabric, the received payload and the receiver's blocked time."""
         topo = Topology.grid(2, "2x1", intra=FAST,
                              inter=LinkSpec("s", bandwidth=1e6, latency=0.02),
                              allow_singleton=True)
@@ -251,14 +253,25 @@ class TestChaosLinkDelay:
         def worker(comm):
             if comm.rank == 0:
                 comm.send(b"x" * 10_000, 1, ("t",))
-                return 0.0
+                return None
             import time
             t0 = time.perf_counter()
-            comm.recv(0, ("t",))
-            return time.perf_counter() - t0
+            got = comm.recv(0, ("t",))
+            return got, time.perf_counter() - t0
 
-        waited = run_workers(2, worker, fabric=fab)[1]
-        # latency 20 ms + 10 ms serialization must be visible in wall time
+        got, waited = run_workers(2, worker, fabric=fab)[1]
+        return fab, got, waited
+
+    def test_slow_link_delivers_with_the_priced_delay(self):
+        fab, got, _ = self._slow_link_exchange()
+        assert got == b"x" * 10_000
+        # latency 20 ms + 10 ms serialization is what the wire charges
+        assert fab.link_delay(0, 1, 10_000) == pytest.approx(0.03)
+
+    @pytest.mark.timing
+    def test_messages_arrive_later_over_slow_links(self):
+        _, _, waited = self._slow_link_exchange()
+        # ... and must be visible in wall time
         assert waited >= 0.02
 
 
