@@ -43,7 +43,11 @@ def layer_fwd_flops(
     ffn = 2 * tokens * h * f * 3
     attn = 2 * 2 * g * cfg.n_heads * cfg.seq_len**2 * cfg.head_dim
     if causal:
-        attn /= 2  # only the lower triangle is computed (flash) / useful
+        # only the lower triangle is useful, and the streaming kernel
+        # computes only that (it skips query rows above each key block;
+        # the diagonal tiles, ~block/S of the panel work, are computed in
+        # full).  The materialised core still computes the whole square.
+        attn /= 2
     return {
         "attention_projections": float(qkvo),
         "ffn": float(ffn),

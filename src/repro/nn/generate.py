@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
+from .attention import _softmax_scale
 from .layer import _from_heads, _to_heads
 from .model import ModelConfig, model_fwd
 from .params import ParamStruct
@@ -76,8 +77,7 @@ def _layer_step(
     k = rope_apply(k, cos, sin)
     k_all, v_all = cache.append(layer, k, v)
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    scores = (q @ np.swapaxes(k_all, -1, -2)) * scale
+    scores = (q @ np.swapaxes(k_all, -1, -2)) * _softmax_scale(cfg.head_dim)
     t_new, t_all = q.shape[-2], k_all.shape[-2]
     if t_new > 1:
         rows = past + np.arange(t_new)[:, None]
