@@ -21,7 +21,6 @@ from ..parallel.common import TrainResult, TrainSpec
 from ..parallel.data_parallel import train_data_parallel
 from ..parallel.fsdp import train_fsdp
 from ..parallel.pipeline import train_pipeline
-from ..parallel.pipeline_zb import train_pipeline_zb
 from ..parallel.serial import train_serial
 from ..parallel.sequence_parallel import train_sequence_parallel
 from ..parallel.tensor_parallel import train_tensor_parallel
@@ -44,8 +43,8 @@ STRATEGIES: Dict[str, Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]]
     "fsdp": lambda s, w, f: train_fsdp(s, w, fabric=f),
     "gpipe": lambda s, w, f: train_pipeline(s, w, schedule="gpipe", fabric=f),
     "1f1b": lambda s, w, f: train_pipeline(s, w, schedule="1f1b", fabric=f),
-    "zb1": lambda s, w, f: train_pipeline_zb(s, w, variant="zb1", fabric=f),
-    "zb2": lambda s, w, f: train_pipeline_zb(s, w, variant="zb2", fabric=f),
+    "zb1": lambda s, w, f: train_pipeline(s, w, schedule="zb1", fabric=f),
+    "zb2": lambda s, w, f: train_pipeline(s, w, schedule="zb2", fabric=f),
     "tp": lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
     "sp": lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
     "weipipe-naive": lambda s, w, f: train_weipipe(s, w, mode="naive", fabric=f),

@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from ..sim.costmodel import ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster, nvlink_cluster, pcie_ethernet_cluster
+from ..sim.runner import NO_RECOMPUTE_STRATEGIES
 
 __all__ = [
     "STRATEGY_ORDER",
@@ -117,7 +118,7 @@ def make_dims(
 
 def exec_for(strategy: str) -> ExecConfig:
     """Per-strategy execution config (see module docstring)."""
-    recompute = strategy not in ("zb1", "zb2", "weipipe-wzb1", "weipipe-wzb2")
+    recompute = strategy not in NO_RECOMPUTE_STRATEGIES
     overlap = strategy.startswith("weipipe")
     return ExecConfig(recompute=recompute, overlap=overlap)
 

@@ -4,8 +4,7 @@ from .common import TrainResult, TrainSpec, microbatch
 from .data_parallel import train_data_parallel
 from .elastic import ELASTIC_STRATEGIES, ElasticState, step_engine_for, train_elastic
 from .fsdp import train_fsdp
-from .pipeline import stage_chunk_range, train_pipeline
-from .pipeline_zb import train_pipeline_zb
+from .pipeline import stage_chunk_range, stage_program, train_pipeline
 from .sequence_parallel import train_sequence_parallel
 from .serial import train_serial
 from .tensor_parallel import train_tensor_parallel
@@ -17,12 +16,12 @@ __all__ = [
     "TrainSpec",
     "microbatch",
     "stage_chunk_range",
+    "stage_program",
     "step_engine_for",
     "train_data_parallel",
     "train_elastic",
     "train_fsdp",
     "train_pipeline",
-    "train_pipeline_zb",
     "train_sequence_parallel",
     "train_serial",
     "train_tensor_parallel",

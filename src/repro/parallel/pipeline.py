@@ -1,4 +1,4 @@
-"""Activation-passing pipeline parallelism: GPipe and 1F1B.
+"""Activation-passing pipeline parallelism: GPipe, 1F1B, ZB1, ZB2.
 
 The classical pipelines the paper compares against.  The model's layer
 chunks are split into ``P`` contiguous *stages*; microbatch activations
@@ -6,25 +6,47 @@ travel ``stage s -> s+1`` in the forward pass and their gradients travel
 back, so the per-hop message size is ``G * S * H`` elements — the volume
 that explodes with context length and motivates WeiPipe.
 
-Both schedules compute identical numbers; they differ in *when* each
-stage runs which pass, i.e. in bubbles and activation-liveness:
+There is one stage worker.  It interprets a per-rank *program* — a list
+of ``("F" | "B" | "W", microbatch)`` ops from :func:`stage_program` —
+and the four schedules are the four rows of :data:`PIPELINE_SCHEDULES`:
+how many forwards a stage runs before its first backward (warmup depth)
+and how many finished B passes it lets pile up before it runs the oldest
+W pass (W lag; ``None`` = the backward is fused and there are no W ops).
+All four compute bit-identical numbers; they differ in *when* each stage
+runs which pass, i.e. in bubbles and liveness:
 
-* **GPipe**: all ``N`` forwards, then all ``N`` backwards (peak ``N``
+* **GPipe** — all ``N`` forwards, then all ``N`` backwards (peak ``N``
   in-flight activation sets per stage).
-* **1F1B** (Dapple/Megatron): ``P - 1 - rank`` warmup forwards, then a
-  steady one-forward-one-backward rhythm (peak ``P - rank`` in-flight).
+* **1F1B** (Dapple/Megatron) — ``P - 1 - rank`` warmup forwards, then a
+  one-forward-one-backward rhythm (peak ``min(N, P - rank)`` in-flight).
+* **ZB1 / ZB2** (zero bubble, Qi et al.) — the backward is split into a
+  **B pass** (gradient w.r.t. activations; unblocks the upstream stage
+  at once) and a **W pass** (gradient w.r.t. weights; local GEMMs,
+  freely deferrable) that fills bubbles.  ZB1 warms up ``P - rank``
+  deep and runs each W right after the next B; ZB2 warms up
+  ``2(P - rank) - 1`` deep and defers W passes by as much, buying a
+  smaller bubble (in time; see ``repro.sim``) at about double the
+  liveness.
 
-The worker records its peak number of in-flight microbatch states in
-``TrainResult.extra["peak_inflight"]`` so tests can verify the memory
-claim that distinguishes the schedules.
+Between a microbatch's B pass and its W pass the stage holds both the
+forward cache and the B-pass gradient bundle.  The paper's Table 2
+finding — ZB1/ZB2 go OOM where 1F1B does not, once Flash Attention makes
+FFN activations dominant — is driven by that window, so every result
+carries ``extra["peak_inflight"]`` and ``extra["peak_pending_w"]``
+(rank -> peak count; the latter 0 for fused schedules).  Split schedules
+reject recomputation, mirroring the paper: the forward cache must
+survive until the W pass anyway, so checkpointing saves nothing and
+only adds compute.
+
+The same program is what ``repro.sim.schedules.pipeline`` turns into a
+task graph and the same table is where ``repro.sim.memory`` reads its
+warmup depths (DESIGN §18).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn import functional as F
@@ -32,7 +54,65 @@ from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_gather, run_workers
 from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
 
-__all__ = ["train_pipeline", "stage_chunk_range"]
+__all__ = [
+    "PIPELINE_SCHEDULES",
+    "splits_backward",
+    "stage_chunk_range",
+    "stage_program",
+    "train_pipeline",
+]
+
+#: schedule -> (warmup depth, W lag) of stage ``r`` of ``P`` running ``n``
+#: microbatches.  The depth is capped at ``n`` by its readers; lag
+#: ``None`` = fused backward.
+PIPELINE_SCHEDULES = {
+    "gpipe": (lambda P, r, n: n, None),
+    "1f1b": (lambda P, r, n: P - 1 - r, None),
+    "zb1": (lambda P, r, n: P - r, lambda P, r, n: 1),
+    "zb2": (lambda P, r, n: 2 * (P - r) - 1, lambda P, r, n: 2 * (P - r) - 1),
+}
+
+
+def _row(schedule: str) -> tuple:
+    try:
+        return PIPELINE_SCHEDULES[schedule]
+    except KeyError:
+        raise ValueError(
+            f"unknown pipeline schedule {schedule!r}; "
+            f"choose from {sorted(PIPELINE_SCHEDULES)}"
+        ) from None
+
+
+def splits_backward(schedule: str) -> bool:
+    """Does ``schedule`` run B and W as separate ops?  Such a schedule
+    keeps every forward cache until its W pass, so it cannot recompute."""
+    return _row(schedule)[1] is not None
+
+
+def stage_program(
+    schedule: str, world: int, rank: int, n_mb: int
+) -> List[Tuple[str, int]]:
+    """Stage ``rank``'s straight-line op sequence as ``(kind, mb)`` pairs.
+
+    Three phases: ``warmup`` forwards; then per microbatch one forward
+    (while any remain), its B, and — once more than ``lag`` B passes
+    await their W — the oldest W; then the remaining W passes.
+    """
+    depth, lag = _row(schedule)
+    warmup = min(n_mb, depth(world, rank, n_mb))
+    w_lag = None if lag is None else lag(world, rank, n_mb)
+    ops = [("F", mb) for mb in range(warmup)]
+    w = 0
+    for b in range(n_mb):
+        if warmup + b < n_mb:
+            ops.append(("F", warmup + b))
+        ops.append(("B", b))
+        if w_lag is not None and b + 1 - w > w_lag:
+            ops.append(("W", w))
+            w += 1
+    if w_lag is not None:
+        ops += [("W", mb) for mb in range(w, n_mb)]
+    return ops
 
 
 def stage_chunk_range(n_layers: int, world_size: int, rank: int) -> range:
@@ -44,12 +124,13 @@ def stage_chunk_range(n_layers: int, world_size: int, rank: int) -> range:
 
 
 class _StageWorker:
-    """One pipeline stage: forward/backward plumbing shared by schedules."""
+    """One pipeline stage: three op bodies and the loop that runs them."""
 
-    def __init__(self, comm: Communicator, spec: TrainSpec):
+    def __init__(self, comm: Communicator, spec: TrainSpec, schedule: str):
         self.comm = comm
         self.spec = spec
         self.cfg = spec.cfg
+        self.schedule = schedule
         self.rank = comm.rank
         self.world = comm.world_size
         self.is_first = self.rank == 0
@@ -68,15 +149,21 @@ class _StageWorker:
         self.act_wire = spec.precision.act_bytes
         self.bgrad_wire = spec.precision.act_grad_bytes
         self.scale = 1.0 / spec.n_microbatches
-        # per-microbatch in-flight state: mb -> list of per-chunk fwd states
+        self.split = splits_backward(schedule)
+        self.program = stage_program(
+            schedule, self.world, self.rank, spec.n_microbatches
+        )
+        # mb -> per-chunk forward states, alive from F to B
         self.inflight: Dict[int, list] = {}
+        # mb -> [(chunk id, cache, wcache), ...], alive from B to W
+        self.pending_w: Dict[int, list] = {}
         self.loss_caches: Dict[int, tuple] = {}
-        self.targets: Dict[int, np.ndarray] = {}
         self.peak_inflight = 0
+        self.peak_pending_w = 0
         self.local_losses: Dict[int, float] = {}
         self.trace = comm.trace
 
-    # -- one microbatch's passes ---------------------------------------------
+    # -- the three ops --------------------------------------------------------
 
     def forward(self, it: int, mb: int) -> None:
         if self.is_first:
@@ -109,18 +196,29 @@ class _StageWorker:
             )
 
     def backward(self, it: int, mb: int, accum: Dict[int, ParamStruct]) -> None:
+        """Fused schedules: B + W per chunk, accumulated at once.  Split
+        schedules: the activation-gradient half only; each chunk's
+        ``(cache, wcache)`` is parked for the microbatch's W op."""
         if self.is_last:
             dy = F.cross_entropy_bwd(1.0, self.loss_caches.pop(mb))
         else:
             dy = self.comm.recv(self.rank + 1, ("bgrad", it, mb))
         c0 = perf_counter()
         states = self.inflight.pop(mb)
+        parked = []
         for pos in range(len(self.chunk_ids) - 1, -1, -1):
             i = self.chunk_ids[pos]
-            dy, g = self.ck.bwd(i, self.chunks[i], dy, states[pos])
+            if self.split:
+                dy, cache, wcache = self.ck.bwd_input(i, self.chunks[i], dy, states[pos])
+                parked.append((i, cache, wcache))
+            else:
+                dy, g = self.ck.bwd(i, self.chunks[i], dy, states[pos])
+                accum[i].add_(quantize_grads(g, self.spec.precision), scale=self.scale)
             if dy is not None:
                 dy = self.q_bgrad(dy)
-            accum[i].add_(quantize_grads(g, self.spec.precision), scale=self.scale)
+        if self.split:
+            self.pending_w[mb] = parked
+            self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
         if self.trace.enabled:
             self.trace.complete("B", "compute", c0, perf_counter() - c0,
                                 {"mb": mb, "it": it})
@@ -132,37 +230,36 @@ class _StageWorker:
                 nbytes=int(dy.size * self.bgrad_wire),
             )
 
+    def w_pass(self, it: int, mb: int, accum: Dict[int, ParamStruct]) -> None:
+        """Weight-gradient half of a parked microbatch."""
+        c0 = perf_counter()
+        for i, cache, wcache in self.pending_w.pop(mb):
+            g = self.ck.bwd_weight(i, cache, wcache)
+            accum[i].add_(quantize_grads(g, self.spec.precision), scale=self.scale)
+        if self.trace.enabled:
+            self.trace.complete("W", "compute", c0, perf_counter() - c0,
+                                {"mb": mb, "it": it})
+
     # -- iteration ------------------------------------------------------------
 
-    def run_iteration(self, it: int, schedule: str) -> float:
+    def run_iteration(self, it: int) -> float:
         if not self.trace.enabled:
-            return self._run_iteration(it, schedule)
+            return self._run_iteration(it)
         t0 = perf_counter()
-        loss = self._run_iteration(it, schedule)
+        loss = self._run_iteration(it)
         self.trace.complete("iteration", "iteration", t0, perf_counter() - t0,
-                            {"it": it, "schedule": schedule})
+                            {"it": it, "schedule": self.schedule})
         return loss
 
-    def _run_iteration(self, it: int, schedule: str) -> float:
-        n = self.spec.n_microbatches
+    def _run_iteration(self, it: int) -> float:
         accum = {i: self.chunks[i].zeros_like() for i in self.chunk_ids}
-
-        if schedule == "gpipe":
-            for mb in range(n):
+        for kind, mb in self.program:
+            if kind == "F":
                 self.forward(it, mb)
-            for mb in range(n):
+            elif kind == "B":
                 self.backward(it, mb, accum)
-        elif schedule == "1f1b":
-            warmup = min(n, self.world - 1 - self.rank)
-            for mb in range(warmup):
-                self.forward(it, mb)
-            for i in range(n - warmup):
-                self.forward(it, warmup + i)
-                self.backward(it, i, accum)
-            for mb in range(n - warmup, n):
-                self.backward(it, mb, accum)
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
+            else:
+                self.w_pass(it, mb, accum)
 
         pre_update(
             self.spec, it, self.opt, [accum[i] for i in self.chunk_ids],
@@ -176,16 +273,20 @@ class _StageWorker:
             self.comm, sum(self.local_losses.values()), tag=("pp-loss", it)
         )
         self.local_losses.clear()
-        return sum(losses) / n
+        return sum(losses) / self.spec.n_microbatches
 
 
 def _worker(comm: Communicator, spec: TrainSpec, schedule: str) -> TrainResult:
-    w = _StageWorker(comm, spec)
-    losses = [w.run_iteration(it, schedule) for it in range(spec.iters)]
+    w = _StageWorker(comm, spec, schedule)
+    losses = [w.run_iteration(it) for it in range(spec.iters)]
     return TrainResult(
         losses=losses,
         chunks=[w.chunks[i] for i in w.chunk_ids],
-        extra={"peak_inflight": w.peak_inflight, "rank": w.rank},
+        extra={
+            "rank": w.rank,
+            "peak_inflight": w.peak_inflight,
+            "peak_pending_w": w.peak_pending_w,
+        },
     )
 
 
@@ -195,18 +296,33 @@ def train_pipeline(
     schedule: str = "1f1b",
     fabric: Optional[Fabric] = None,
 ) -> TrainResult:
-    """Run an activation-passing pipeline (``schedule`` in {"gpipe","1f1b"}).
+    """Run an activation-passing pipeline (``schedule`` names a row of
+    :data:`PIPELINE_SCHEDULES`).
 
     Returns losses plus the *full* model (stage chunk lists concatenated
-    in order).  ``extra["peak_inflight"]`` maps rank -> peak in-flight
-    microbatch count.
+    in order).  ``extra["peak_inflight"]`` / ``extra["peak_pending_w"]``
+    map rank -> peak count of microbatches between F and B / B and W.
+    Configuration errors raise ``ValueError`` here, before any worker is
+    launched.
     """
     stage_chunk_range(spec.cfg.n_layers, world_size, 0)  # validate divisibility
+    if splits_backward(schedule) and spec.recompute:
+        raise ValueError(
+            f"schedule {schedule!r} splits the backward into B and W and does "
+            "not support recomputation (the forward cache must live until "
+            "the W pass; see paper §5)"
+        )
     results = run_workers(
         world_size, lambda comm: _worker(comm, spec, schedule), fabric=fabric
     )
     chunks: List[ParamStruct] = []
     for r in results:
         chunks.extend(r.chunks)
-    peaks = {r.extra["rank"]: r.extra["peak_inflight"] for r in results}
-    return TrainResult(losses=results[0].losses, chunks=chunks, extra={"peak_inflight": peaks})
+    return TrainResult(
+        losses=results[0].losses,
+        chunks=chunks,
+        extra={
+            key: {r.extra["rank"]: r.extra[key] for r in results}
+            for key in ("peak_inflight", "peak_pending_w")
+        },
+    )

@@ -21,17 +21,26 @@ transient working set     one layer's full cache + B-grad bundle + chunked
                           logits during loss
 ========================  ====================================================
 
-Liveness counts come from the *functional* implementations (verified by
-``tests/parallel/test_pipeline_behaviour.py``): GPipe holds ``N``
-microbatches, 1F1B ``P - rank``, ZB1/ZB2 their warmup depth plus the
-deferred-W window, WeiPipe-Interleave a constant ``~(P+1)/P`` model's
-worth of boundaries regardless of ``P``.
+Pipeline liveness is read from the schedule table the functional stage
+worker executes (:data:`repro.parallel.pipeline.PIPELINE_SCHEDULES`),
+not restated: fused schedules (GPipe, 1F1B) are charged the walked peak
+in-flight count of their :func:`~repro.parallel.pipeline.stage_program`
+(``N`` resp. ``min(N, P - rank)``), split schedules (ZB1, ZB2) their
+table warmup depth in full caches plus a fixed two-microbatch B-to-W
+window.  ``tests/parallel/test_pipeline_program.py`` asserts both
+readings against the walked programs.  The ZB terms are *calibrated to
+Table 2, not to the walk*: a walked ZB program holds more than they
+charge (e.g. ZB2 rank 0 at P=4, N=8 peaks at 8 pending W passes, not
+2) — the residual table is in DESIGN §18, owed to ROADMAP 5(b).
+WeiPipe-Interleave holds a constant ``~(P+1)/P`` model's worth of
+boundaries regardless of ``P``.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -71,58 +80,38 @@ def _pipeline_common(cost: CostModel, dims: WorkloadDims, world: int, rank: int)
     return total
 
 
-def _mem_gpipe(dims, cluster, cost) -> List[float]:
-    world = cluster.world_size
-    lps = dims.n_layers // world
-    act = _act_per_layer(cost)
-    out = []
-    for r in range(world):
-        inflight = dims.n_microbatches
-        m = _pipeline_common(cost, dims, world, r)
-        m += inflight * lps * act
-        m += _working_set(cost, with_logits=(r == world - 1))
-        out.append(m)
-    return out
+def _stored_microbatches(schedule: str, world: int, rank: int, n_mb: int) -> int:
+    """Forward-activation sets charged to pipeline stage ``rank``.
+
+    A split schedule is charged its warmup depth; a fused one peaks one
+    higher, because the first steady-state forward lands before the
+    first backward frees anything.
+    """
+    depth, _ = PIPELINE_SCHEDULES[schedule]
+    warmup = min(n_mb, depth(world, rank, n_mb))
+    return warmup if splits_backward(schedule) else min(n_mb, warmup + 1)
 
 
-def _mem_1f1b(dims, cluster, cost) -> List[float]:
-    world = cluster.world_size
-    lps = dims.n_layers // world
-    act = _act_per_layer(cost)
-    out = []
-    for r in range(world):
-        inflight = min(dims.n_microbatches, world - r)
-        m = _pipeline_common(cost, dims, world, r)
-        m += inflight * lps * act
-        m += _working_set(cost, with_logits=(r == world - 1))
-        out.append(m)
-    return out
+def _mem_pipeline(dims, cluster, cost, schedule: str) -> List[float]:
+    """GPipe / 1F1B / ZB1 / ZB2: stage state + stored activations.
 
-
-def _mem_zb(dims, cluster, cost, variant: str) -> List[float]:
-    """Zero-bubble: full caches (no recompute) + deferred-W windows.
-
-    Between a B pass and its W pass both the forward cache and the
-    B-grad bundle stay alive; ZB2's deferral window is ``2(P-r) - 1``
-    microbatches deep vs ZB1's 1.
+    Split schedules cannot recompute, so they store full caches, and
+    between a B pass and its W pass both the forward cache and the
+    B-grad bundle stay alive.  ZB2's extra memory is modelled as its
+    ~2x-deeper warmup only; the B-to-W window is a fixed 2 microbatches
+    for both (see the module docstring for the residual this leaves).
     """
     world = cluster.world_size
     lps = dims.n_layers // world
-    act_full = cost.act_full_cache_bytes()
-    bgrad = cost.bgrad_cache_bytes()
+    n_mb = dims.n_microbatches
+    split = splits_backward(schedule)
+    act = cost.act_full_cache_bytes() if split else _act_per_layer(cost)
     out = []
     for r in range(world):
-        # ZB2's extra memory comes from its ~2x-deeper warmup (forward
-        # caches); its W passes still trail B passes by a small window,
-        # so the B-grad liveness term matches ZB1's.
-        if variant == "zb1":
-            warmup = min(dims.n_microbatches, world - r)
-        else:
-            warmup = min(dims.n_microbatches, 2 * (world - r) - 1)
-        w_window = 2
         m = _pipeline_common(cost, dims, world, r)
-        m += warmup * lps * act_full  # all warmup caches alive at once
-        m += min(w_window, dims.n_microbatches) * lps * (act_full + bgrad) * 0.5
+        m += _stored_microbatches(schedule, world, r, n_mb) * lps * act
+        if split:
+            m += min(2, n_mb) * lps * (act + cost.bgrad_cache_bytes()) * 0.5
         m += _working_set(cost, with_logits=(r == world - 1))
         out.append(m)
     return out
@@ -252,10 +241,10 @@ def _mem_weipipe_hier(dims, cluster, cost) -> List[float]:
 
 
 MEMORY_MODELS = {
-    "gpipe": lambda d, c, m: _mem_gpipe(d, c, m),
-    "1f1b": lambda d, c, m: _mem_1f1b(d, c, m),
-    "zb1": lambda d, c, m: _mem_zb(d, c, m, "zb1"),
-    "zb2": lambda d, c, m: _mem_zb(d, c, m, "zb2"),
+    "gpipe": lambda d, c, m: _mem_pipeline(d, c, m, "gpipe"),
+    "1f1b": lambda d, c, m: _mem_pipeline(d, c, m, "1f1b"),
+    "zb1": lambda d, c, m: _mem_pipeline(d, c, m, "zb1"),
+    "zb2": lambda d, c, m: _mem_pipeline(d, c, m, "zb2"),
     "fsdp": lambda d, c, m: _mem_fsdp(d, c, m),
     "dp": lambda d, c, m: _mem_dp(d, c, m),
     "tp": lambda d, c, m: _mem_tp(d, c, m),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict
 
+from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
 from .costmodel import ExecConfig, WorkloadDims
 from .hardware import Cluster
 from .metrics import SimReport, evaluate
@@ -40,8 +41,12 @@ SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSch
 }
 
 #: zero-bubble schedules keep forward caches until the W pass, so
-#: recomputation is forced off for them (paper §5).
-NO_RECOMPUTE_STRATEGIES = {"zb1", "zb2", "weipipe-wzb1", "weipipe-wzb2"}
+#: recomputation is forced off for them (paper §5).  The pipeline half is
+#: whatever the schedule table says splits B from W.
+NO_RECOMPUTE_STRATEGIES = {s for s in PIPELINE_SCHEDULES if splits_backward(s)} | {
+    "weipipe-wzb1",
+    "weipipe-wzb2",
+}
 
 
 def run_cell(

@@ -2,15 +2,15 @@
 
 Stage ``s`` owns layers ``[s L/P, (s+1) L/P)``.  Forward activations hop
 ``s -> s+1`` (size ``G*S*H``), activation gradients hop back.  The four
-schedules differ only in per-stage op ordering:
-
-* **GPipe** — all forwards, then all backwards.
-* **1F1B** — ``P-1-s`` warmup forwards, then one-forward-one-backward.
-* **ZB1 / ZB2** — 1F1B-like with the backward split into B (critical
-  path) and W (bubble filler); ZB2 warms up deeper and defers W passes
-  further, trading memory for bubble (Qi et al., adopted as the paper's
-  zero-bubble baselines).  Per the paper, recomputation is forced off
-  for these.
+schedules differ only in per-stage op ordering, and that ordering is not
+restated here: :func:`build_pipeline` walks the very
+:func:`~repro.parallel.pipeline.stage_program` the functional stage
+worker executes (one table row per schedule — warmup depth and W lag;
+see that module and DESIGN §18), pricing each ``F`` / ``B`` / ``W`` op
+with the cost model.  Schedules that split the backward (ZB1 / ZB2) run
+without recomputation, per the paper; the rejection uses the same
+:func:`~repro.parallel.pipeline.splits_backward` predicate as the
+runtime.
 
 Dependencies: ``F(s,mb)`` needs the activation from ``s-1``;
 ``B(s,mb)`` needs the gradient from ``s+1`` and its own forward; W
@@ -22,51 +22,13 @@ receive does *not* opportunistically run a later op.
 
 from __future__ import annotations
 
+from ...parallel.pipeline import splits_backward, stage_program
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
 from .base import BuiltSchedule, comm_resource, validate_divisible
 
 __all__ = ["build_pipeline"]
-
-
-def _stage_ops(schedule: str, world: int, rank: int, n_mb: int):
-    """Per-stage op sequence as (kind, microbatch) pairs."""
-    ops = []
-    if schedule == "gpipe":
-        ops += [("F", mb) for mb in range(n_mb)]
-        ops += [("B", mb) for mb in range(n_mb)]
-    elif schedule == "1f1b":
-        warmup = min(n_mb, world - 1 - rank)
-        ops += [("F", mb) for mb in range(warmup)]
-        for i in range(n_mb - warmup):
-            ops.append(("F", warmup + i))
-            ops.append(("B", i))
-        ops += [("B", mb) for mb in range(n_mb - warmup, n_mb)]
-    elif schedule in ("zb1", "zb2"):
-        if schedule == "zb1":
-            warmup = min(n_mb, world - rank)
-            w_lag = 1
-        else:
-            warmup = min(n_mb, 2 * (world - rank) - 1)
-            w_lag = 2 * (world - rank) - 1
-        ops += [("F", mb) for mb in range(warmup)]
-        b = w = 0
-        pending = 0
-        for i in range(n_mb - warmup):
-            ops.append(("F", warmup + i))
-            ops.append(("B", b)); b += 1; pending += 1
-            if pending > w_lag:
-                ops.append(("W", w)); w += 1; pending -= 1
-        while b < n_mb:
-            ops.append(("B", b)); b += 1; pending += 1
-            if pending > w_lag:
-                ops.append(("W", w)); w += 1; pending -= 1
-        while w < n_mb:
-            ops.append(("W", w)); w += 1
-    else:
-        raise ValueError(f"unknown pipeline schedule {schedule!r}")
-    return ops
 
 
 def build_pipeline(
@@ -79,16 +41,21 @@ def build_pipeline(
     world = cluster.world_size
     validate_divisible(dims.n_layers, world, "layers per stage")
     lps = dims.n_layers // world
-    if schedule in ("zb1", "zb2") and exec_cfg.recompute:
-        raise ValueError("zero-bubble schedules run without recomputation")
+    split = splits_backward(schedule)
+    if split and exec_cfg.recompute:
+        raise ValueError(
+            f"schedule {schedule!r} splits the backward and runs without recomputation"
+        )
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     n_mb = dims.n_microbatches
     g = TaskGraph()
 
-    t_f = lps * cost.t_fwd_layer()
-    t_bw = lps * cost.t_bwd_layer()  # fused backward incl. recompute
-    t_b = lps * cost.t_b_layer()
-    t_w = lps * cost.t_w_layer()
+    dur = {
+        "F": lps * cost.t_fwd_layer(),
+        # fused backward incl. recompute, or the activation-gradient half
+        "B": lps * (cost.t_b_layer() if split else cost.t_bwd_layer()),
+        "W": lps * cost.t_w_layer(),
+    }
     act_bytes = cost.act_message_bytes()
     bgrad_bytes = cost.bgrad_message_bytes()
 
@@ -118,43 +85,28 @@ def build_pipeline(
                 g.add(("CGr", s + 1, mb), ("compute", s), t_link_b,
                       deps=(("B", s + 1, mb),), kind="recv-stall")
 
+    def hop(name, src, mb):
+        """The inbound transfer an op waits for (plus its receive stall)."""
+        return [(name, src, mb)] + ([] if exec_cfg.overlap else [(name + "r", src, mb)])
+
     # compute ops run in strict per-stage program order (these schedules
     # are straight-line programs issued by one Python loop per rank, not
     # dynamic work-stealing executors), so each op depends on its
     # predecessor on the same stage.
-    prev_op = {}
     for s in range(world):
-        for kind, mb in _stage_ops(schedule, world, s, n_mb):
+        prev = None
+        for kind, mb in stage_program(schedule, world, s, n_mb):
             if kind == "F":
-                deps = []
-                if s > 0:
-                    deps.append(("CA", s - 1, mb))
-                    if not exec_cfg.overlap:
-                        deps.append(("CAr", s - 1, mb))
-                if s in prev_op:
-                    deps.append(prev_op[s])
-                g.add(("F", s, mb), ("compute", s), t_f, deps=tuple(deps),
-                      kind="F", worker=s, mb=mb)
-                prev_op[s] = ("F", s, mb)
+                deps = hop("CA", s - 1, mb) if s > 0 else []
             elif kind == "B":
-                deps = [("F", s, mb)]
-                if s < world - 1:
-                    deps.append(("CG", s + 1, mb))
-                    if not exec_cfg.overlap:
-                        deps.append(("CGr", s + 1, mb))
-                if s in prev_op:
-                    deps.append(prev_op[s])
-                dur = t_b if schedule in ("zb1", "zb2") else t_bw
-                g.add(("B", s, mb), ("compute", s), dur, deps=tuple(deps),
-                      kind="B", worker=s, mb=mb)
-                prev_op[s] = ("B", s, mb)
-            elif kind == "W":
+                deps = [("F", s, mb)] + (hop("CG", s + 1, mb) if s < world - 1 else [])
+            else:
                 deps = [("B", s, mb)]
-                if s in prev_op:
-                    deps.append(prev_op[s])
-                g.add(("W", s, mb), ("compute", s), t_w, deps=tuple(deps),
-                      kind="W", worker=s, mb=mb)
-                prev_op[s] = ("W", s, mb)
+            if prev is not None:
+                deps.append(prev)
+            prev = (kind, s, mb)
+            g.add(prev, ("compute", s), dur[kind], deps=tuple(deps),
+                  kind=kind, worker=s, mb=mb)
     return BuiltSchedule(
         name=schedule, graph=g, dims=dims, cluster=cluster, cost=cost,
         exec_cfg=exec_cfg, compute_workers=list(range(world)),

@@ -571,59 +571,24 @@ def run_backend_differential(
     :class:`DifferentialReport`, with the precision recorded in the cell
     message and the chaos seed in the report's ``seeds``.
     """
-    from dataclasses import replace as _replace
-
-    from .core.api import STRATEGIES
-    from .nn.precision import FP32, FP64
     from .runtime import ChaosFabric, ChaosPolicy, ProcessTransport
 
-    if strategies is None:
-        strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
-    if spec is None:
-        spec = default_differential_spec()
     policy = ChaosPolicy(
         seed=chaos_seed, delay_prob=1.0, max_delay=link_delay_s,
         drop_prob=0.0, duplicate_prob=0.0,
     )
-    prec_map = {"fp64": FP64, "fp32": FP32}
-    worlds = list(worlds)
-    precisions = list(precisions)
 
-    report = DifferentialReport(
-        strategies=dict(strategies), seeds=[chaos_seed]
+    def cell(name, runner, cell_spec, world):
+        thread = runner(
+            cell_spec, world, ChaosFabric(world, policy=policy, timeout=120.0)
+        )
+        proc = runner(cell_spec, world, ProcessTransport(policy=policy))
+        return _diff_bitwise(thread, proc)
+
+    return _bitwise_matrix(
+        strategies, worlds, precisions, spec, chaos_seed, cell,
+        raise_on_failure, progress,
     )
-    for name, max_world in strategies.items():
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}")
-        runner = STRATEGIES[name]
-        for world in worlds:
-            if world > max_world:
-                continue
-            for prec in precisions:
-                cell_spec = _replace(spec, precision=prec_map[prec])
-                report.runs += 1
-                failure: Optional[str] = None
-                try:
-                    thread = runner(
-                        cell_spec, world,
-                        ChaosFabric(world, policy=policy, timeout=120.0),
-                    )
-                    proc = runner(
-                        cell_spec, world, ProcessTransport(policy=policy)
-                    )
-                    failure = _diff_bitwise(thread, proc)
-                except Exception as exc:  # noqa: BLE001 - report, don't abort
-                    first = (str(exc).splitlines() or [""])[0]
-                    failure = f"{type(exc).__name__}: {first}"
-                if failure is not None:
-                    report.failures.append(DifferentialFailure(
-                        name, world, chaos_seed, f"[{prec}] {failure}"
-                    ))
-                if progress is not None:
-                    progress(f"{name}/P{world}/{prec}", chaos_seed, failure)
-    if raise_on_failure:
-        report.raise_if_failed()
-    return report
 
 
 def run_traced_backend_differential(
@@ -648,12 +613,44 @@ def run_traced_backend_differential(
     :data:`DEFAULT_DIFFERENTIAL_STRATEGIES`); worlds beyond a strategy's
     cap are skipped, exactly as in :func:`run_backend_differential`.
     """
+    from .obs import Tracer, validate_chrome_trace
+    from .runtime import ProcessTransport
+
+    def cell(name, runner, cell_spec, world):
+        bare = runner(cell_spec, world, ProcessTransport())
+        tracer = Tracer(metadata={"strategy": name, "world": world})
+        traced = runner(cell_spec, world, ProcessTransport(tracer=tracer))
+        failure = _diff_bitwise(bare, traced)
+        if failure is not None:
+            return failure
+        doc = tracer.chrome_trace()
+        problems = validate_chrome_trace(doc)
+        if problems:
+            return f"trace schema: {problems[0]}"
+        pids = {e["pid"] for e in doc["traceEvents"] if e.get("ph") != "M"}
+        if pids != set(range(world)):
+            return (
+                f"merged trace covers pids {sorted(pids)}"
+                f", expected 0..{world - 1}"
+            )
+        return None
+
+    return _bitwise_matrix(
+        strategies, worlds, precisions, spec, 0, cell, raise_on_failure, progress
+    )
+
+
+def _bitwise_matrix(
+    strategies, worlds, precisions, spec, seed, cell, raise_on_failure, progress
+) -> DifferentialReport:
+    """The strategy x world x precision sweep both bitwise differentials
+    share.  ``cell(name, runner, cell_spec, world)`` trains its two arms
+    and returns a failure message or ``None``; an exception it raises is
+    recorded as that cell's failure rather than aborting the sweep."""
     from dataclasses import replace as _replace
 
     from .core.api import STRATEGIES
     from .nn.precision import FP32, FP64
-    from .obs import Tracer, validate_chrome_trace
-    from .runtime import ProcessTransport
 
     if strategies is None:
         strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
@@ -663,7 +660,7 @@ def run_traced_backend_differential(
     worlds = list(worlds)
     precisions = list(precisions)
 
-    report = DifferentialReport(strategies=dict(strategies), seeds=[0])
+    report = DifferentialReport(strategies=dict(strategies), seeds=[seed])
     for name, max_world in strategies.items():
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
@@ -674,38 +671,17 @@ def run_traced_backend_differential(
             for prec in precisions:
                 cell_spec = _replace(spec, precision=prec_map[prec])
                 report.runs += 1
-                failure: Optional[str] = None
                 try:
-                    bare = runner(cell_spec, world, ProcessTransport())
-                    tracer = Tracer(metadata={"strategy": name, "world": world})
-                    traced = runner(
-                        cell_spec, world, ProcessTransport(tracer=tracer)
-                    )
-                    failure = _diff_bitwise(bare, traced)
-                    if failure is None:
-                        doc = tracer.chrome_trace()
-                        problems = validate_chrome_trace(doc)
-                        if problems:
-                            failure = f"trace schema: {problems[0]}"
-                        else:
-                            pids = {
-                                e["pid"] for e in doc["traceEvents"]
-                                if e.get("ph") != "M"
-                            }
-                            if pids != set(range(world)):
-                                failure = (
-                                    f"merged trace covers pids {sorted(pids)}"
-                                    f", expected 0..{world - 1}"
-                                )
+                    failure = cell(name, runner, cell_spec, world)
                 except Exception as exc:  # noqa: BLE001 - report, don't abort
                     first = (str(exc).splitlines() or [""])[0]
                     failure = f"{type(exc).__name__}: {first}"
                 if failure is not None:
                     report.failures.append(DifferentialFailure(
-                        name, world, 0, f"[{prec}] {failure}"
+                        name, world, seed, f"[{prec}] {failure}"
                     ))
                 if progress is not None:
-                    progress(f"{name}/P{world}/{prec}", 0, failure)
+                    progress(f"{name}/P{world}/{prec}", seed, failure)
     if raise_on_failure:
         report.raise_if_failed()
     return report

@@ -1,9 +1,12 @@
 """Schedule-specific behaviour of the pipeline baselines."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import FP64, ModelConfig, TrainSpec, train
-from repro.parallel.pipeline import stage_chunk_range
+from repro import FP32, FP64, ModelConfig, TrainSpec, train
+from repro.parallel.pipeline import PIPELINE_SCHEDULES, stage_chunk_range
+from repro.testing import _diff_bitwise
 
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
 
@@ -59,6 +62,30 @@ class TestZeroBubbleLiveness:
         assert z >= f
 
 
+class TestOneEngineFourPrograms:
+    """The four schedules are one stage worker running four op orders:
+    same GEMMs, same accumulation order per chunk, so the same bits — the
+    machine-independent oracle for the shared engine."""
+
+    @pytest.mark.parametrize(
+        "backend, world, precision",
+        [
+            ("thread", 2, "fp64"),
+            ("thread", 2, "fp32"),
+            ("thread", 4, "fp64"),
+            ("thread", 4, "fp32"),
+            ("process", 4, "fp32"),
+        ],
+    )
+    def test_schedules_agree_bit_for_bit(self, backend, world, precision):
+        policy = {"fp64": FP64, "fp32": FP32}[precision]
+        spec = replace(_spec(n_mb=8), precision=policy, iters=3)
+        ref = train(spec, "1f1b", world, backend=backend)
+        for schedule in PIPELINE_SCHEDULES:
+            got = train(spec, schedule, world, backend=backend)
+            assert _diff_bitwise(ref, got) is None, schedule
+
+
 class TestWeiPipeLiveness:
     def test_interleave_holds_at_most_two_microbatches(self):
         """Steady state: one forwarding + one backwarding microbatch."""
@@ -72,9 +99,9 @@ class TestWeiPipeLiveness:
 
 class TestValidation:
     def test_weipipe_layer_divisibility(self):
-        cfg = CFG.with_(n_layers=6)
-        with pytest.raises(Exception):
-            train(_spec(cfg=cfg), "weipipe-interleave", 4)
+        spec = replace(_spec(), cfg=CFG.with_(n_layers=6))
+        with pytest.raises(ValueError, match="divisible"):
+            train(spec, "weipipe-interleave", 4)
 
     def test_weipipe_microbatch_divisibility(self):
         with pytest.raises(ValueError):
@@ -92,8 +119,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             train(_spec(), "serial", 4)
 
-    def test_bad_pipeline_schedule(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "schedule, spec_kw, match",
+        [
+            ("2f2b", {}, "unknown"),
+            ("zb1", {"recompute": True}, "recomputation"),
+            ("zb2", {"recompute": True}, "recomputation"),
+            ("1f1b", {"cfg": CFG.with_(n_layers=6)}, "divisible"),
+        ],
+    )
+    def test_bad_pipeline_config_fails_before_launch(
+        self, monkeypatch, backend, schedule, spec_kw, match
+    ):
+        """Configuration errors are the parent's plain ``ValueError``:
+        no thread started, no process forked, no shm segment created."""
         from repro.parallel.pipeline import train_pipeline
+        from repro.runtime import resolve_transport
 
-        with pytest.raises(Exception):
-            train_pipeline(_spec(), 4, schedule="2f2b")
+        transport = resolve_transport(None, backend)
+        launches = []
+        monkeypatch.setattr(
+            transport, "launch", lambda *a, **kw: launches.append(a) or ([], [])
+        )
+        with pytest.raises(ValueError, match=match):
+            train_pipeline(
+                replace(_spec(), **spec_kw), 4, schedule=schedule, fabric=transport
+            )
+        assert launches == []

@@ -1,0 +1,172 @@
+"""Properties of the pipeline stage programs, and their three consumers.
+
+``stage_program`` is a pure function, so — like ``tests/core/test_schedule.py``
+does for the ring — we verify exhaustively what the stage worker relies on:
+
+* completeness — every microbatch gets exactly one ``F``, one ``B``, and
+  one ``W`` iff the schedule splits its backward;
+* ordering — ``F < B < W`` per microbatch, and each kind in microbatch
+  order (the ``("act", it, mb)`` / ``("bgrad", it, mb)`` channels are FIFO);
+* liveness — the ``P`` programs run to completion under the fabric's
+  semantics (buffered send, blocking receive);
+* the documented peak in-flight closed forms.
+
+Then that the runtime, the DES builder and the memory model all read this
+description rather than a copy of it.
+"""
+
+from itertools import product
+
+import pytest
+
+from repro import FP64, ModelConfig, Tracer, TrainSpec, train
+from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
+from repro.runtime import Fabric
+from repro.sim.costmodel import ExecConfig, WorkloadDims
+from repro.sim.engine import simulate
+from repro.sim.hardware import nvlink_cluster
+from repro.sim.memory import _stored_microbatches
+from repro.sim.schedules.pipeline import build_pipeline
+
+SCHEDULES = list(PIPELINE_SCHEDULES)
+#: every test below also sweeps N in 1..12 (and every rank) per cell.
+GRID = list(product(SCHEDULES, range(1, 7)))
+N_MBS = range(1, 13)
+CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
+
+
+def walk(program):
+    """(peak in-flight, peak pending-W, peak live caches) of one program:
+    a microbatch is in flight from F to B and pending from B to W."""
+    has_w = any(kind == "W" for kind, _ in program)
+    inflight = pending = 0
+    peak_inflight = peak_pending = peak_live = 0
+    for kind, _ in program:
+        if kind == "F":
+            inflight += 1
+        elif kind == "B":
+            inflight -= 1
+            if has_w:
+                pending += 1
+        else:
+            pending -= 1
+        peak_inflight = max(peak_inflight, inflight)
+        peak_pending = max(peak_pending, pending)
+        peak_live = max(peak_live, inflight + pending)
+    assert inflight == pending == 0
+    return peak_inflight, peak_pending, peak_live
+
+
+def run_programs(schedule, world, n_mb):
+    """Execute the ``world`` programs together: a send is buffered, ``F``
+    on stage ``r > 0`` blocks until stage ``r-1`` ran that ``F``, ``B`` on
+    stage ``r < P-1`` until stage ``r+1`` ran that ``B``.  Returns False on
+    deadlock."""
+    programs = [stage_program(schedule, world, r, n_mb) for r in range(world)]
+    pc = [0] * world
+    done = set()
+    progressed = True
+    while progressed:
+        progressed = False
+        for r, prog in enumerate(programs):
+            while pc[r] < len(prog):
+                kind, mb = prog[pc[r]]
+                if kind == "F" and r > 0 and ("F", r - 1, mb) not in done:
+                    break
+                if kind == "B" and r < world - 1 and ("B", r + 1, mb) not in done:
+                    break
+                done.add((kind, r, mb))
+                pc[r] += 1
+                progressed = True
+    return all(pc[r] == len(programs[r]) for r in range(world))
+
+
+class TestProgramProperties:
+    @pytest.mark.parametrize("schedule, world", GRID)
+    def test_complete_and_ordered(self, schedule, world):
+        kinds = "FBW" if splits_backward(schedule) else "FB"
+        for n_mb, rank in product(N_MBS, range(world)):
+            prog = stage_program(schedule, world, rank, n_mb)
+            for kind in "FBW":
+                mbs = [mb for k, mb in prog if k == kind]
+                # exactly once each, in microbatch order
+                assert mbs == (list(range(n_mb)) if kind in kinds else []), (n_mb, rank)
+            pos = {op: i for i, op in enumerate(prog)}
+            for mb in range(n_mb):
+                order = [pos[(kind, mb)] for kind in kinds]
+                assert order == sorted(order), (n_mb, rank, mb)
+
+    @pytest.mark.parametrize("schedule, world", GRID)
+    def test_no_deadlock(self, schedule, world):
+        for n_mb in N_MBS:
+            assert run_programs(schedule, world, n_mb), n_mb
+
+    @pytest.mark.parametrize("schedule, world", GRID)
+    def test_walked_liveness_matches_closed_forms_and_memory_model(self, schedule, world):
+        for n_mb, rank in product(N_MBS, range(world)):
+            prog = stage_program(schedule, world, rank, n_mb)
+            peak_inflight, peak_pending, _ = walk(prog)
+            stored = _stored_microbatches(schedule, world, rank, n_mb)
+            if schedule == "gpipe":
+                assert peak_inflight == n_mb, (n_mb, rank)
+            if schedule == "1f1b":
+                assert peak_inflight == min(n_mb, world - rank), (n_mb, rank)
+            if splits_backward(schedule):
+                # the memory model charges the walked warmup depth: the
+                # forwards before the first B, less the steady-state one
+                leading_f = next(i for i, (kind, _) in enumerate(prog) if kind != "F")
+                assert leading_f == min(n_mb, stored + 1), (n_mb, rank)
+            else:
+                assert peak_pending == 0, (n_mb, rank)
+                assert stored == peak_inflight, (n_mb, rank)
+
+    def test_unknown_schedule(self):
+        with pytest.raises(ValueError, match="unknown pipeline schedule"):
+            stage_program("2f2b", 4, 0, 8)
+
+
+class TestConsumersReadTheProgram:
+    @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_runtime_ledgers_and_span_order(self, schedule, world, n_mb):
+        spec = TrainSpec(
+            cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
+        )
+        tracer = Tracer()
+        result = train(spec, schedule, world, fabric=Fabric(world, tracer=tracer))
+        events = list(tracer.events())
+        for rank in range(world):
+            prog = stage_program(schedule, world, rank, n_mb)
+            peak_inflight, peak_pending, _ = walk(prog)
+            assert result.extra["peak_inflight"][rank] == peak_inflight
+            assert result.extra["peak_pending_w"][rank] == peak_pending
+            spans = [
+                (e["args"]["it"], e["name"], e["args"]["mb"])
+                for e in events
+                if e["pid"] == rank and e["cat"] == "compute"
+            ]
+            assert spans == [
+                (it, kind, mb) for it in range(spec.iters) for kind, mb in prog
+            ]
+        iterations = [e for e in events if e["name"] == "iteration"]
+        assert len(iterations) == world * spec.iters
+        assert all(e["args"]["schedule"] == schedule for e in iterations)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("world, n_mb", [(1, 3), (2, 4), (4, 8), (6, 5)])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_des_stage_order(self, schedule, world, n_mb, overlap):
+        dims = WorkloadDims(
+            hidden=64, n_layers=world, seq_len=128, microbatch=1, n_microbatches=n_mb
+        )
+        exec_cfg = ExecConfig(recompute=not splits_backward(schedule), overlap=overlap)
+        built = build_pipeline(schedule, dims, nvlink_cluster(world, world), exec_cfg)
+        sim = simulate(built.graph)
+        for rank in range(world):
+            ran = sorted(
+                (t for t in built.graph.tasks.values() if t.meta.get("worker") == rank),
+                key=lambda t: sim.start[t.id],
+            )
+            assert [(t.meta["kind"], t.meta["mb"]) for t in ran] == stage_program(
+                schedule, world, rank, n_mb
+            )
