@@ -775,6 +775,14 @@ def _cmd_train(args) -> int:
           f"model={sum(c.numel for c in spec.init_chunks()):,} params")
     for i, loss in enumerate(result.losses):
         print(f"iter {spec.start_iteration + i:>4}: loss {loss:.6f}")
+    allocs = result.extra.get("pool_allocs_by_iter")
+    if allocs and "arena_overflow_allocs" in result.extra:
+        # the ring's pool ledger: on --backend process a non-zero
+        # overflow means slots fell out of the arena and moved by copy.
+        steady = allocs[-1] - allocs[-2] if len(allocs) > 1 else 0
+        print(f"pool: steady_allocs_per_iter={steady} "
+              f"arena_overflow_allocs={result.extra['arena_overflow_allocs']} "
+              f"arena_overflow_bytes={result.extra['arena_overflow_bytes']}")
     if topo is not None and fabric is not None and hasattr(fabric, "link_traffic"):
         print(f"topology={args.groups} gateways={list(topo.gateways())}")
         for cls, t in fabric.link_traffic().items():

@@ -55,6 +55,7 @@ import numpy as np
 
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn import functional as F
+from ..nn.model import chunk_param_count
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
 from ..optim.optimizer import clone_opt_state
@@ -73,6 +74,7 @@ from ..runtime import (
     all_gather,
     run_workers,
 )
+from ..runtime.transport.shm import ShmArena
 from .schedule import (
     TurnTask,
     bwd_slot_held,
@@ -84,7 +86,10 @@ from .schedule import (
     zero_bubble_schedule,
 )
 
-__all__ = ["train_weipipe", "weipipe_step", "slot_chunk_ids", "WREF_MARK"]
+__all__ = [
+    "train_weipipe", "weipipe_step", "slot_chunk_ids", "ring_pool_bytes",
+    "WREF_MARK",
+]
 
 SlotWeights = Dict[int, ParamStruct]  # chunk id -> weights
 
@@ -99,6 +104,36 @@ def slot_chunk_ids(slot: int, world: int, n_layers: int) -> List[int]:
         raise ValueError("n_layers must be divisible by world size")
     per = n_layers // world
     return list(range(slot * per, (slot + 1) * per))
+
+
+def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
+    """Shared-arena bytes ``rank``'s worker draws from the fabric pool.
+
+    The ring engine states this before fork so the process transport can
+    size each rank's arena region from the spec instead of a constant:
+    every slot then crosses the wire as a descriptor at any ``H``.  The
+    draws are the same for every mode and topology — at init the F slot
+    ``-rank``, the B slot ``rank - 1`` and its zeroed D, and in the first
+    update pass one inject clone of the B slot.  Later updates clone into
+    the forward copy retired an iteration earlier, which recycles as long
+    as mirror slots ``j`` and ``P-1-j`` land in the same span classes
+    (the embedding and head chunks differ by ``H`` elements).
+
+    Budgeting rule: the arena reserves a power-of-two span per buffer
+    (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
+    over spans, not payload bytes.  Untouched tail pages of a span are
+    never committed, so the reservation costs address space only.
+    """
+    cfg = spec.cfg
+    itemsize = np.dtype(cfg.dtype).itemsize
+
+    def slot_span(slot: int) -> int:
+        return sum(
+            ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
+            for i in slot_chunk_ids(slot, world, cfg.n_layers)
+        )
+
+    return slot_span(-rank % world) + 3 * slot_span((rank - 1) % world)
 
 
 class _MicrobatchState:
@@ -727,10 +762,13 @@ def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
             topology: Optional[Topology]) -> TrainResult:
     w = _WeiPipeWorker(comm, spec, mode, overlap=overlap, topology=topology)
     losses = [w.run_iteration(it) for it in range(spec.iters)]
+    # final weights: every worker's owned (updated) slot.  All ranks take
+    # part in the gather; only rank 0's copy is read (train_weipipe), so
+    # the others do not ship theirs back to the launcher.
+    chunks = w.gather_owned(("wp-final",))
     return TrainResult(
         losses=losses,
-        # final weights: every worker's owned (updated) slot.
-        chunks=w.gather_owned(("wp-final",)),
+        chunks=chunks if w.rank == 0 else None,
         extra={
             "rank": w.rank,
             "peak_inflight": w.peak_inflight,
@@ -741,6 +779,8 @@ def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
             "pool_allocs_by_iter": list(w.pool_allocs_by_iter),
             "inter_full_sends": w.inter_full_sends,
             "inter_ref_sends": w.inter_ref_sends,
+            "arena_overflow_allocs": w.pool.arena_overflow_allocs,
+            "arena_overflow_bytes": w.pool.arena_overflow_bytes,
         },
     )
 
@@ -779,6 +819,9 @@ def train_weipipe(
         world_size,
         lambda comm: _worker(comm, spec, mode, overlap, topology),
         fabric=fabric,
+        pool_bytes=max(
+            ring_pool_bytes(spec, world_size, r) for r in range(world_size)
+        ),
     )
     by_rank = {r.extra["rank"]: r.extra for r in results}
     extra: Dict[str, object] = {
@@ -786,6 +829,7 @@ def train_weipipe(
         for key in ("peak_inflight", "peak_pending_w", "wire_wait_s", "compute_s")
     }
     extra["pool_allocs_by_iter"] = results[0].extra["pool_allocs_by_iter"]
-    for key in ("inter_full_sends", "inter_ref_sends"):
+    for key in ("inter_full_sends", "inter_ref_sends",
+                "arena_overflow_allocs", "arena_overflow_bytes"):
         extra[key] = sum(e[key] for e in by_rank.values())
     return TrainResult(losses=results[0].losses, chunks=results[0].chunks, extra=extra)

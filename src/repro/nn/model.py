@@ -37,6 +37,7 @@ __all__ = [
     "default_ffn",
     "rope_tables",
     "init_model",
+    "chunk_param_count",
     "model_param_count",
     "chunk_fwd",
     "chunk_bwd",
@@ -119,11 +120,21 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> List[ParamStruct]:
     return chunks
 
 
+def chunk_param_count(cfg: ModelConfig, idx: int) -> int:
+    """Parameter count of chunk ``idx`` as :func:`init_model` builds it:
+    one layer, plus the embedding on the first chunk and the final norm
+    and head on the last."""
+    n = layer_param_count(cfg.hidden, cfg.ffn)
+    if idx == 0:
+        n += cfg.vocab * cfg.hidden
+    if idx == cfg.n_layers - 1:
+        n += cfg.hidden + cfg.hidden * cfg.vocab
+    return n
+
+
 def model_param_count(cfg: ModelConfig) -> int:
     """Total parameter count including embedding and head."""
-    per_layer = layer_param_count(cfg.hidden, cfg.ffn)
-    extras = cfg.vocab * cfg.hidden * 2 + cfg.hidden  # embed + head + norm
-    return per_layer * cfg.n_layers + extras
+    return sum(chunk_param_count(cfg, i) for i in range(cfg.n_layers))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ class BufferPool:
 
     __slots__ = (
         "_lock", "_free", "hits", "misses", "releases", "bytes_allocated",
-        "backend", "allocator",
+        "arena_overflow_allocs", "arena_overflow_bytes", "backend", "allocator",
     )
 
     def __init__(self) -> None:
@@ -52,6 +52,10 @@ class BufferPool:
         self.misses = 0
         self.releases = 0
         self.bytes_allocated = 0
+        #: misses the ``allocator`` declined (arena exhausted): those
+        #: buffers are private memory and cross the process wire by copy.
+        self.arena_overflow_allocs = 0
+        self.arena_overflow_bytes = 0
         #: which transport this pool serves ("thread" in-process; the shm
         #: fabric stamps "process") — carried into ``as_dict`` so bench
         #: artefacts attribute pool behaviour to a backend.
@@ -82,6 +86,9 @@ class BufferPool:
             buf = alloc(key[0], key[1])
             if buf is not None:
                 return buf
+            with self._lock:
+                self.arena_overflow_allocs += 1
+                self.arena_overflow_bytes += key[0] * key[1].itemsize
         return np.empty(key[0], dtype=key[1])
 
     def release(self, buf: np.ndarray) -> None:
@@ -100,6 +107,8 @@ class BufferPool:
             "allocations": self.misses,
             "releases": self.releases,
             "bytes_allocated": self.bytes_allocated,
+            "arena_overflow_allocs": self.arena_overflow_allocs,
+            "arena_overflow_bytes": self.arena_overflow_bytes,
             "free_buffers": free,
         }
 

@@ -192,10 +192,11 @@ def pre_update(
 @dataclass
 class TrainResult:
     """What every strategy returns: per-iteration mean losses and the
-    final weight chunks (fp32-master values where applicable)."""
+    final weight chunks (fp32-master values where applicable).  Inside a
+    ring launch, workers other than rank 0 report ``chunks=None``."""
 
     losses: List[float]
-    chunks: List[ParamStruct]
+    chunks: Optional[List[ParamStruct]]
     extra: Dict = field(default_factory=dict)
 
     def final_loss(self) -> float:

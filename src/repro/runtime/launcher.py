@@ -81,6 +81,7 @@ def run_workers(
     timeout: float = 120.0,
     fabric: Any = None,
     backend: Union[str, Transport, None] = None,
+    pool_bytes: Optional[int] = None,
 ) -> List[Any]:
     """Run ``fn(comm)`` on ``world_size`` ranks; return per-rank results.
 
@@ -89,10 +90,14 @@ def run_workers(
     hangs.  Pass a pre-built ``fabric`` to inspect traffic stats after
     the run (thread backend), or ``backend="process"`` to fork one
     process per rank.  Any worker exception aborts the whole group
-    (fail-fast).
+    (fail-fast).  ``pool_bytes`` states the largest per-rank working set
+    ``fn`` draws from the fabric's buffer pool, when the caller knows it
+    (see :meth:`Transport.launch`).
     """
     transport = resolve_transport(fabric, backend)
-    results, errors = transport.launch(world_size, fn, timeout, elastic=False)
+    results, errors = transport.launch(
+        world_size, fn, timeout, elastic=False, pool_bytes=pool_bytes
+    )
     for err in errors:
         if err is not None:
             raise err

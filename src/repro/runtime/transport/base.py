@@ -4,8 +4,8 @@ A :class:`Transport` owns the *execution substrate* of one worker group —
 threads of this interpreter, or forked processes talking over shared
 memory — behind one contract:
 
-``launch(world_size, fn, timeout, elastic, detector)`` runs ``fn(comm)``
-once per rank and returns ``(results, errors)`` indexed by rank, where
+``launch(world_size, fn, timeout, elastic, detector, pool_bytes)`` runs
+``fn(comm)`` once per rank and returns ``(results, errors)`` indexed by rank, where
 ``errors[r]`` is a :class:`WorkerError` wrapping whatever rank ``r``
 raised (``None`` when it returned).  Non-elastic callers raise the first
 error; elastic callers treat a dead rank as a fail-stop event that the
@@ -131,5 +131,11 @@ class Transport:
         timeout: float,
         elastic: bool,
         detector: Any = None,
+        pool_bytes: Optional[int] = None,
     ) -> Tuple[List[Any], List[Optional[WorkerError]]]:
+        """``pool_bytes`` is a hint: the per-rank bytes ``fn`` will draw
+        from ``fabric.shared_pool`` (max over ranks), stated by callers
+        that can derive it before launch.  A transport whose pool is
+        backed by pre-sized shared memory reserves for it; one whose
+        pool is the heap ignores it."""
         raise NotImplementedError

@@ -47,6 +47,19 @@ Payload transfer has two modes, chosen per-buffer at encode time:
   arena disabled ``wire_copies`` is True and received buffers are owned
   by the receiver alone, so the ring engines retire replaced slots into
   the pool, keeping the steady state allocation-free.
+
+Who sizes the arena: the launch.  A caller that knows its per-rank pool
+working set states it (``pool_bytes``, e.g. the ring engine's
+:func:`~repro.core.weipipe.ring_pool_bytes`) and each rank's region is
+that plus ``DEFAULT_ARENA_BYTES`` of headroom; a launch that states
+nothing gets the constant alone, and an explicit ``arena_bytes`` wins
+over both.  An exhausted region is loud: one ``RuntimeWarning`` in the
+rank and ``arena_overflow_*`` counts in the pool ledger.
+
+Results come back by mapping too: a worker's return value is split by
+the same descriptor codec as a frame, only the small blob travels up
+the result pipe, and the launcher copies arena-resident bodies out of
+the segment once, before unlinking it.
 """
 
 from __future__ import annotations
@@ -82,20 +95,22 @@ from .shm import (
     ShmRing,
     arena_offset,
     encode_frame,
+    load_mapped,
     ring_offset,
-    ring_segment_size,
+    split_payload,
 )
 
 __all__ = ["ProcessTransport", "ShmFabric", "validate_process_policy"]
 
-#: default per-directed-link ring capacity; sized to hold several of the
-#: reference config's weight slots so the steady-state ring never stalls.
+#: per-directed-link ring capacity.  The ring carries frame headers,
+#: descriptors and whatever payload is not arena-resident; a frame
+#: larger than this streams through in pieces, at memcpy cost.
 DEFAULT_LINK_BYTES = 1 << 20
-#: default per-rank shared arena region backing the worker's BufferPool;
-#: the pool free-list recycles, so this bounds *peak live* buffers, not
-#: cumulative traffic (allocations reserve pow2 spans, so budget up to
-#: 2x the live payload bytes).  0 disables the arena (pure copy
-#: transport).
+#: per-rank arena region for launches that state no pool working set,
+#: and the headroom added to the ones that do (it absorbs the pool's
+#: unstated draws: wire landing buffers of small private payloads).  The
+#: pool free-list recycles, so a region bounds *peak live* buffers, not
+#: cumulative traffic.
 DEFAULT_ARENA_BYTES = 1 << 25
 #: how often a blocked receiver re-polls its inbound rings.  Processes
 #: wake at OS-scheduler granularity (no interpreter switch interval), so
@@ -131,6 +146,18 @@ def validate_process_policy(policy: Any) -> None:
             f"unsupported knobs set: {', '.join(sorted(unsupported))} "
             "(use the thread backend for the full chaos wire)"
         )
+
+
+def _arena_regions(
+    segment: memoryview, world: int, control_bytes: int, link_bytes: int,
+    arena_bytes: int,
+) -> List[memoryview]:
+    """Every rank's arena region, as slices of the mapped segment."""
+    bounds = [
+        arena_offset(r, world, control_bytes, link_bytes, arena_bytes)
+        for r in range(world + 1)
+    ]
+    return [segment[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 _ARENA_POOL_CLS = None
@@ -257,16 +284,11 @@ class ShmFabric(Fabric):
         # required to keep the steady state allocation-free.
         self._arena: Optional[ShmArena] = None
         if arena_bytes:
-            regions = [
-                segment[
-                    arena_offset(r, world_size, control_bytes, link_bytes,
-                                 arena_bytes):
-                    arena_offset(r + 1, world_size, control_bytes, link_bytes,
-                                 arena_bytes)
-                ]
-                for r in range(world_size)
-            ]
-            self._arena = ShmArena(regions, rank)
+            self._arena = ShmArena(
+                _arena_regions(segment, world_size, control_bytes, link_bytes,
+                               arena_bytes),
+                rank,
+            )
         self.wire_copies = self._arena is None
         self._out: Dict[int, ShmRing] = {}
         self._decoders: Dict[int, FrameDecoder] = {}
@@ -632,7 +654,12 @@ def _child_main(
     try:
         result = fn(comm)
         _spill_trace()
-        conn.send(("ok", result, None, _stats_bundle(fabric)))
+        # arena-resident bodies go up as descriptors; the launcher maps
+        # them (it owns the segment), so no rank pickles its weights.
+        blob, specs, _ = split_payload(
+            result, fabric._arena, private_out_of_band=False
+        )
+        conn.send(("ok", (blob, specs), None, _stats_bundle(fabric)))
     except BaseException as exc:  # noqa: BLE001 - must report everything
         tb = traceback.format_exc()
         fabric.flight.rings[rank].record(_flight.EV_WORKER_ERROR, rank)
@@ -711,7 +738,7 @@ class ProcessTransport(Transport):
         policy: Any = None,
         integrity: bool = True,
         link_bytes: int = DEFAULT_LINK_BYTES,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
+        arena_bytes: Optional[int] = None,
         poll_interval: float = DEFAULT_POLL_S,
         topology: Any = None,
         tracer: Any = None,
@@ -721,6 +748,9 @@ class ProcessTransport(Transport):
         self.policy = policy
         self.integrity = integrity
         self.link_bytes = link_bytes
+        #: per-rank arena region: None sizes it per launch (the stated
+        #: ``pool_bytes`` plus ``DEFAULT_ARENA_BYTES``), an integer is
+        #: used as given, 0 disables the arena (pure copy transport).
         self.arena_bytes = arena_bytes
         self.poll_interval = poll_interval
         self.topology = topology
@@ -753,6 +783,7 @@ class ProcessTransport(Transport):
         timeout: float,
         elastic: bool,
         detector: Any = None,
+        pool_bytes: Optional[int] = None,
     ) -> Tuple[List[Any], List[Optional[WorkerError]]]:
         if detector is not None:
             raise ValueError(
@@ -779,11 +810,15 @@ class ProcessTransport(Transport):
             return out
         ctx = get_context("fork")
         control_bytes = (ControlBlock.size(world_size) + 63) & ~63
-        total = (
-            ring_segment_size(world_size, control_bytes, self.link_bytes)
-            + world_size * self.arena_bytes
+        arena_bytes = self.arena_bytes
+        if arena_bytes is None:
+            # pages are committed on touch: the headroom is address space
+            arena_bytes = (pool_bytes or 0) + DEFAULT_ARENA_BYTES
+        shm = mp_shm.SharedMemory(
+            create=True,
+            size=arena_offset(world_size, world_size, control_bytes,
+                              self.link_bytes, arena_bytes),
         )
-        shm = mp_shm.SharedMemory(create=True, size=total)
         self.stats = TrafficStats()
         self.pool = None
         self.pools_by_rank = [None] * world_size
@@ -796,6 +831,7 @@ class ProcessTransport(Transport):
         results: List[Any] = [None] * world_size
         errors: List[Optional[WorkerError]] = [None] * world_size
         control: Optional[ControlBlock] = None
+        arena: Optional[ShmArena] = None
         trace_dir: Optional[str] = None
         try:
             control = ControlBlock(shm.buf, world_size, create=True)
@@ -824,7 +860,7 @@ class ProcessTransport(Transport):
             fabric_kw = dict(
                 control_bytes=control_bytes,
                 link_bytes=self.link_bytes,
-                arena_bytes=self.arena_bytes,
+                arena_bytes=arena_bytes,
                 policy=self.policy,
                 integrity=self.integrity,
                 poll_interval=self.poll_interval,
@@ -920,6 +956,12 @@ class ProcessTransport(Transport):
                     p.join(timeout=2.0)
 
             self._observe_clock(world_size, control, clock_obs, parent_epoch)
+            if arena_bytes:
+                arena = ShmArena(
+                    _arena_regions(shm.buf, world_size, control_bytes,
+                                   self.link_bytes, arena_bytes),
+                    0,
+                )
             for r in range(world_size):
                 report = reports.get(r)
                 if report is None:
@@ -933,7 +975,7 @@ class ProcessTransport(Transport):
                 status, result, err, bundle = report
                 self._merge_stats(r, bundle)
                 if status == "ok":
-                    results[r] = result
+                    results[r] = load_mapped(*result, arena)
                 else:
                     shipped, tb = err
                     errors[r] = WorkerError(r, _revive_exception(shipped), tb)
@@ -954,15 +996,19 @@ class ProcessTransport(Transport):
                     reason = {"kind": "abort", "detail": aborted_reason}
                 self._build_postmortem(world_size, reason, control)
         finally:
-            # every live slice of the segment must be dropped before
-            # close() — an exported memoryview makes the munmap raise.
-            if control is not None:
-                control.release()
-            shm.close()
+            # the name goes first, so nothing below can leave a segment
+            # behind in /dev/shm.  Then every live slice of the mapping
+            # must be dropped before close() — an exported memoryview
+            # makes the munmap raise.
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+            if control is not None:
+                control.release()
+            if arena is not None:
+                arena.release()
+            shm.close()
             if trace_dir is not None:
                 shutil.rmtree(trace_dir, ignore_errors=True)
         return results, errors

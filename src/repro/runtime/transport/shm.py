@@ -27,6 +27,8 @@ they can be unit-tested in isolation:
   acquired from the receiving rank's :class:`BufferPool`, the same
   ``(numel, dtype)`` keys the ring engines later release, so the
   zero-steady-state-allocation property survives the backend switch.
+  The same split (:func:`split_payload` / :func:`load_mapped`) carries
+  worker results back to the launcher, which owns the segment.
 
 * :class:`ShmArena` — per-rank bump regions of the same segment that
   back the :class:`BufferPool` miss allocator in each worker, making
@@ -58,6 +60,7 @@ from __future__ import annotations
 import pickle
 import struct
 import threading
+import warnings
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -71,8 +74,10 @@ __all__ = [
     "ShmRing",
     "arena_offset",
     "encode_frame",
+    "load_mapped",
     "ring_segment_size",
     "ring_offset",
+    "split_payload",
 ]
 
 _HEADER = struct.Struct("<IIIIII")
@@ -192,8 +197,8 @@ class ShmArena:
     ``alloc`` never recycles — the :class:`~repro.nn.params.BufferPool`
     free-list is the recycler, so a region's high-water mark is the peak
     number of live buffers, not cumulative traffic.  Exhaustion returns
-    ``None`` and the caller falls back to private memory (which simply
-    travels by copy).
+    ``None`` (with one ``RuntimeWarning`` per arena, at the first time)
+    and the caller falls back to private memory, which travels by copy.
 
     Every allocation reserves a power-of-two *span* (``span_nbytes``)
     even though the returned array is exact-sized.  Ring slots wander
@@ -217,6 +222,7 @@ class ShmArena:
         self._regions = regions
         self._own = own
         self._off = 0
+        self._overflowed = False
         self._lock = threading.Lock()
         spans: List[Tuple[int, int, int]] = []
         for idx, region in enumerate(regions):
@@ -248,9 +254,25 @@ class ShmArena:
         with self._lock:
             start = (self._off + self.ALIGN - 1) & ~(self.ALIGN - 1)
             if start + span > len(region):
+                if not self._overflowed:
+                    self._overflowed = True
+                    warnings.warn(
+                        f"rank {self._own}: shared arena exhausted "
+                        f"({self._off} of {len(region)} bytes used, "
+                        f"{span}-byte span requested); this and later "
+                        f"buffers fall back to private memory and cross "
+                        f"the wire by copy",
+                        RuntimeWarning, stacklevel=2,
+                    )
                 return None
             self._off = start + span
         return np.frombuffer(region[start : start + nbytes], dtype=dt)
+
+    def release(self) -> None:
+        """Drop this arena's views of the segment (the segment owner must
+        release every live slice before ``SharedMemory.close``)."""
+        for region in self._regions:
+            region.release()
 
     def locate(self, raw: memoryview) -> Optional[Tuple[int, int]]:
         """``(region, offset)`` when ``raw`` lies wholly inside a shared
@@ -300,6 +322,52 @@ class Frame:
         self.payload = payload
 
 
+def split_payload(
+    payload: Any, arena: Optional[ShmArena], private_out_of_band: bool = True
+) -> Tuple[bytes, List[Tuple], List[memoryview]]:
+    """Pickle-5 ``payload`` into ``(blob, specs, raws)``.
+
+    Contiguous array bodies are elided from the blob.  A body that lives
+    inside a shared arena region becomes a 4-tuple *descriptor* spec
+    ``(region, offset, nbytes, fmt)`` — zero bytes moved, whoever maps
+    the segment re-wraps the same memory.  A private body becomes a
+    2-tuple copy spec ``(nbytes, fmt)`` with its bytes in ``raws`` (the
+    wire appends them after the blob), or stays inside the blob when
+    ``private_out_of_band`` is off (the result pipe, which has no
+    out-of-band lane of its own).
+    """
+    specs: List[Tuple] = []
+    raws: List[memoryview] = []
+
+    def on_buffer(pb: pickle.PickleBuffer):
+        raw = pb.raw()
+        fmt = memoryview(pb).format or "B"
+        loc = arena.locate(raw) if arena is not None else None
+        if loc is not None:
+            specs.append((loc[0], loc[1], raw.nbytes, fmt))
+        elif private_out_of_band:
+            specs.append((raw.nbytes, fmt))
+            raws.append(raw)
+        return loc is None and not private_out_of_band  # true: keep in band
+
+    blob = pickle.dumps(payload, protocol=5, buffer_callback=on_buffer)
+    return blob, specs, raws
+
+
+def _map_descriptor(arena: ShmArena, spec: Tuple) -> np.ndarray:
+    region, offset, nbytes, fmt = spec
+    return arena.view(region, offset, nbytes, _dtype_for(fmt, nbytes))
+
+
+def load_mapped(blob: bytes, specs: List[Tuple], arena: Optional[ShmArena]) -> Any:
+    """Rebuild a ``split_payload(..., private_out_of_band=False)`` value,
+    copying every descriptor's bytes out of the segment once — the
+    result owns its memory and outlives the mapping."""
+    return pickle.loads(
+        blob, buffers=[_map_descriptor(arena, spec).copy() for spec in specs]
+    )
+
+
 def encode_frame(
     payload: Any,
     tag: Tuple,
@@ -310,33 +378,15 @@ def encode_frame(
 ) -> List[memoryview]:
     """Serialize one message into an ordered list of byte chunks.
 
-    Contiguous array bodies are elided from the pickle blob
-    (``buffer_callback``).  A body that lives inside a shared arena
-    region becomes a 4-tuple *descriptor* spec ``(region, offset,
-    nbytes, fmt)`` — zero bytes on the wire, the receiver re-maps the
-    same memory.  Anything else becomes a 2-tuple copy spec ``(nbytes,
-    fmt)`` with the raw bytes appended after the blob, so a private
-    buffer still crosses as exactly one memcpy into the ring.  With
-    ``integrity`` the header carries a CRC32 over every chunk after the
-    header itself — for descriptor payloads that is the descriptor, not
-    the mapped bytes, mirroring the thread wire's by-reference handoff.
+    The payload is split by :func:`split_payload`: arena-resident bodies
+    cross as descriptors, anything else is appended raw after the blob,
+    so a private buffer still crosses as exactly one memcpy into the
+    ring.  With ``integrity`` the header carries a CRC32 over every
+    chunk after the header itself — for descriptor payloads that is the
+    descriptor, not the mapped bytes, mirroring the thread wire's
+    by-reference handoff.
     """
-    bufs: List[pickle.PickleBuffer] = []
-    blob = pickle.dumps(payload, protocol=5, buffer_callback=bufs.append)
-    raws: List[memoryview] = []
-    specs: List[Tuple] = []
-    for pb in bufs:
-        raw = pb.raw()
-        try:
-            fmt = memoryview(pb).format or "B"
-        except BufferError:  # pragma: no cover - non-contiguous never raw()s
-            fmt = "B"
-        loc = arena.locate(raw) if arena is not None else None
-        if loc is not None:
-            specs.append((loc[0], loc[1], raw.nbytes, fmt))
-        else:
-            specs.append((raw.nbytes, fmt))
-            raws.append(raw)
+    blob, specs, raws = split_payload(payload, arena)
     meta = pickle.dumps((tag, nbytes, specs), protocol=4)
     payload_len = sum(r.nbytes for r in raws)
     crc = 0
@@ -428,16 +478,12 @@ class FrameDecoder:
                 )
                 for spec in specs:
                     if len(spec) == 4:  # arena descriptor: re-map, no read
-                        region, offset, buf_nbytes, fmt = spec
                         if self._arena is None:
                             raise RuntimeError(
                                 "arena descriptor received on a link "
                                 "decoded without an arena"
                             )
-                        dt = _dtype_for(fmt, buf_nbytes)
-                        self._dests.append(
-                            self._arena.view(region, offset, buf_nbytes, dt)
-                        )
+                        self._dests.append(_map_descriptor(self._arena, spec))
                         continue
                     buf_nbytes, fmt = spec
                     dt = _dtype_for(fmt, buf_nbytes)

@@ -49,6 +49,7 @@ class ThreadTransport(Transport):
         timeout: float,
         elastic: bool,
         detector: Any = None,
+        pool_bytes: Optional[int] = None,  # the pool is the heap: unused
     ) -> Tuple[List[Any], List[Optional[WorkerError]]]:
         from ..communicator import Fabric
 

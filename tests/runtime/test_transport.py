@@ -7,6 +7,7 @@ FIFO per link, CRC-checked frames, zero-copy arena descriptors, abort
 poisoning and ``PeerFailed`` fail-stop events across real processes.
 """
 
+import os
 import time
 
 import numpy as np
@@ -37,6 +38,17 @@ from repro.runtime.transport.shm import (
     ring_segment_size,
 )
 from repro.runtime.chaos import ChaosPolicy
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_segment():
+    """Every test in this module must leave ``/dev/shm`` as it found it:
+    the launcher owns one segment per launch and unlinks it on every
+    exit path (clean, ``WorkerError``, abort, parent join timeout)."""
+    before = set(os.listdir("/dev/shm"))
+    yield
+    leaked = sorted(set(os.listdir("/dev/shm")) - before)
+    assert not leaked, f"left /dev/shm segment(s): {leaked}"
 
 
 # -- ShmRing -----------------------------------------------------------------
@@ -158,7 +170,8 @@ def test_arena_exhaustion_returns_none():
     arena = _arena(nbytes=256)
     assert arena.alloc(16, np.float64) is not None  # 128-byte span
     assert arena.alloc(16, np.float64) is not None  # region now full
-    assert arena.alloc(1, np.float64) is None
+    with pytest.warns(RuntimeWarning, match="256 of 256 bytes"):
+        assert arena.alloc(1, np.float64) is None
 
 
 def test_arena_view_out_of_range_raises():
@@ -408,6 +421,20 @@ def test_process_worker_exception_becomes_worker_error():
         run_workers(2, _raise_on_rank_one, timeout=60.0, backend="process")
     assert ei.value.rank == 1
     assert "boom on rank 1" in str(ei.value)
+
+
+def _never_returns(comm: Communicator):
+    comm.recv(1 - comm.rank, tag=("never",), timeout=30.0)
+
+
+def test_process_join_timeout_aborts_and_cleans_up():
+    pt = ProcessTransport()
+    t0 = time.perf_counter()
+    with pytest.raises(TimeoutError, match="worker-0, worker-1"):
+        run_workers(2, _never_returns, timeout=0.5, backend=pt)
+    # the abort wakes the blocked receives: no 2 s grace, no terminate()
+    assert time.perf_counter() - t0 < 5.0
+    assert pt.last_postmortem["reason"]["kind"] == "timeout"
 
 
 def _abort_or_hang(comm: Communicator):
