@@ -15,21 +15,44 @@ Two numerically equivalent implementations of
   block-streaming version modelled on FlashAttention-2.  The forward
   keeps only the output and the per-row log-sum-exp ``L`` (cache
   ``O(S)``), and the backward recomputes each probability block from
-  ``q``, ``k`` and ``L``.  It does the causal half of the work only:
+  ``q``, ``k`` and ``L``.  Both do the causal half of the work only, on
+  contiguous panels, with every per-row term folded into a GEMM:
 
-  - *row skipping*: for key block ``[j0, j1)`` only query rows ``j0:``
-    are touched.  Rows above are fully masked — their rescale factor is
-    1 and their probabilities 0 — so leaving them alone is exact, and
-    every row that is touched sees at least key ``j0``, so the running
-    max is finite and no ``-inf - -inf`` can arise;
-  - *diagonal-only mask*: of the ``(S - j0, block)`` panel only the
-    ``block x block`` tile on the diagonal straddles the causal
-    boundary; it is masked with one ``triu`` built once per call;
-  - *scratch buffers*: two panel scratches (scores/probabilities, and
-    in the backward ``dout v^T``), one ``(S, head_dim)`` scratch for the
-    panel GEMM results and two length-``S`` row scratches are allocated
-    once per call; every elementwise step (scale, running max, ``exp``,
-    row sum, rescale, ``dq``/``dk``/``dv``) runs in place via ``out=``.
+  - *forward, by query block*: block ``[i0, i1)`` meets its whole
+    causal key prefix ``[:i1]`` in one ``(block, i1)`` panel — keys
+    after ``i1`` are never computed.  Seeing all its keys at once, a
+    block is a plain softmax, not an online one: no running max, no
+    rescale of earlier partial sums, and its ``out`` rows and ``L`` are
+    produced exactly once.  The row max runs over ``block`` long
+    contiguous rows; every row sees key 0, so it is finite and no
+    ``-inf - -inf`` can arise.  The normaliser rides the second GEMM as
+    a ones column, ``p @ [v | 1]``, and one divide per group writes
+    ``out``;
+  - *backward, by key block*: for keys ``[j0, j1)`` only query rows
+    ``j0:`` are touched (rows above are fully masked: ``p = 0``), so
+    each ``dk``/``dv`` block is written once by its GEMM and only ``dq``
+    accumulates.  The two per-row shifts ride the score GEMMs as one
+    extra column: ``[q | -L] @ [k * scale | 1]^T`` is
+    ``scale * q k^T - L`` and ``[dout | -delta] @ [v | 1]^T`` is
+    ``dout v^T - delta``, so no elementwise scale or subtract pass
+    touches a panel;
+  - *diagonal-only mask*: only the ``block x block`` tile on the
+    diagonal straddles the causal boundary; an additive ``0 / -inf``
+    tile built once per call is added to it — in the backward too,
+    before the ``exp``, so a future key's score cannot overflow;
+  - *bounded scratch, a group of heads at a time*: the cores walk the
+    leading ``(B, n_heads)`` axes in groups of heads whose score panels
+    fit a fixed byte budget (:data:`_PANEL_BYTES`: one head at the
+    long-context shape, every head of a sample at toy shapes), so the
+    scratch does not grow with ``B * n_heads``; it is allocated once per
+    call and reused by every group and block.  Panels are contiguous
+    ``(group, rows, cols)`` views of the head of one flat buffer (two
+    in the backward) sized for the largest panel; the operands widened
+    by a column, the ``(S, head_dim + 1)`` GEMM result and the
+    contiguous ``dq`` accumulator are ``O(S * head_dim)`` per head of
+    the group.  The scale is applied once per group, to ``k``.  Nothing
+    is kept between calls — both pipeline stages of the thread backend
+    run these functions in one interpreter.
 
 Every core preserves the dtype of its inputs.  The trap it avoids: under
 NumPy >= 2 promotion (NEP 50) ``float32_array * np.float64(x)`` is
@@ -136,35 +159,43 @@ def attention_bwd(
 # streaming (Flash-style) implementation
 
 
-def _scratch(q: np.ndarray, block: int, n_panels: int):
-    """Per-call scratch of the streaming cores, sized for the first (the
-    tallest) block: ``n_panels`` score panels ``(S, block)`` and one
-    ``(S, head_dim)`` GEMM result — plus the strictly-upper triangle
-    (key ``j`` > query ``i``) of a diagonal tile.  The block loop slices
-    these; it allocates nothing."""
-    lead, (seq, head_dim) = q.shape[:-2], q.shape[-2:]
-    width = min(block, seq)
-    panels = [np.empty(lead + (seq, width), q.dtype) for _ in range(n_panels)]
-    acc = np.empty(lead + (seq, head_dim), q.dtype)
-    future = np.triu(np.ones((width, width), dtype=bool), k=1)
-    return panels, acc, future
+#: Byte budget of one score panel.  The streaming cores take as many heads
+#: at a time as fit it, so their scratch is bounded by this constant
+#: instead of growing with ``B * n_heads``: one head of the long-context
+#: ``(128, 1024)`` fp32 panel, which stays L2-resident with its operands;
+#: toy shapes fit whole and run as one batched group.
+_PANEL_BYTES = 1 << 19
 
 
-def _masked_scores(
-    q: np.ndarray, k: np.ndarray, j0: int, j1: int, scale: float,
-    panel: np.ndarray, future: np.ndarray,
-) -> np.ndarray:
-    """Scaled scores of query rows ``j0:`` against key block ``[j0, j1)``,
-    written into ``panel`` with the future keys at ``-inf``."""
-    w = j1 - j0
-    s = panel[..., : q.shape[-2] - j0, :w]
-    np.matmul(
-        q[..., j0:, :], np.swapaxes(k[..., j0:j1, :], -1, -2), out=s
-    )
-    s *= scale
-    # rows j0:j1 are the only ones with a masked key in this block.
-    np.copyto(s[..., :w, :], -np.inf, where=future[:w, :w])
-    return s
+def _head_groups(lead: tuple, panel_nbytes: int) -> Tuple[int, list]:
+    """Split the leading ``(B, n_heads)`` axes into groups of heads whose
+    panels fit :data:`_PANEL_BYTES`: ``(heads per group, selections)``,
+    each selection indexing one ``(group, S, head_dim)`` view.  The group
+    size divides ``n_heads``, so every group is full."""
+    if not lead:  # a bare (S, head_dim) head: one group of one
+        return 1, [(None,)]
+    heads = lead[-1]
+    fit = max(1, _PANEL_BYTES // panel_nbytes)
+    group = max(d for d in range(1, heads + 1) if heads % d == 0 and d <= fit)
+    return group, [
+        idx + (slice(h0, h0 + group),)
+        for idx in np.ndindex(*lead[:-1])
+        for h0 in range(0, heads, group)
+    ]
+
+
+def _future_tile(width: int, dtype) -> np.ndarray:
+    """Additive causal mask of a diagonal tile: ``-inf`` where the key is
+    after the query (strictly above the diagonal), ``0`` elsewhere."""
+    return np.triu(np.full((width, width), -np.inf, dtype), k=1)
+
+
+def _panel(flat: np.ndarray, group: int, rows: int, cols: int) -> np.ndarray:
+    """The head of the flat scratch as a *contiguous* ``(group, rows,
+    cols)`` panel.  Slicing a fixed ``(group, block, S)`` array instead
+    would leave an ``S``-element row stride — 4096 bytes at ``S = 1024``
+    fp32, which aliases in the cache on every elementwise pass."""
+    return flat[: group * rows * cols].reshape(group, rows, cols)
 
 
 def flash_attention_fwd(
@@ -173,49 +204,55 @@ def flash_attention_fwd(
     v: np.ndarray,
     block: int = 128,
 ) -> Tuple[np.ndarray, tuple]:
-    """Causal attention streamed over key blocks.
+    """Causal attention streamed over query blocks, a group of heads at
+    a time.
 
-    Keeps a running row-max ``m`` and normaliser ``l``; never holds more
-    than one ``(S - j0, block)`` score panel at a time, and for key
-    block ``[j0, j1)`` touches only query rows ``j0:`` (see the module
-    docstring).  The cache stores only ``q, k, v, out`` and the per-row
-    log-sum-exp — the ``O(S)`` footprint Flash Attention is prized for.
+    Query block ``[i0, i1)`` meets its whole causal key prefix ``[:i1]``
+    in one ``(block, i1)`` panel, so each block is a plain softmax: one
+    row max, one ``exp``, and ``p @ [v | 1]`` yields the unnormalised
+    output and the normaliser together (see the module docstring).  The
+    cache stores only ``q, k, v, out`` and the per-row log-sum-exp — the
+    ``O(S)`` footprint Flash Attention is prized for.
     """
-    seq = q.shape[-2]
-    scale = _softmax_scale(q.shape[-1])
-    lead = q.shape[:-2]
-    (panel,), acc, future = _scratch(q, block, n_panels=1)
+    if block < 1:
+        raise ValueError(f"flash block must be >= 1, got {block}")
+    lead, (seq, head_dim) = q.shape[:-2], q.shape[-2:]
+    scale = _softmax_scale(head_dim)
+    width = min(block, seq)
+    group, selections = _head_groups(lead, width * seq * q.itemsize)
 
-    out = np.zeros_like(q)
-    m = np.full(lead + (seq,), -np.inf, dtype=q.dtype)
-    l = np.zeros(lead + (seq,), dtype=q.dtype)
-    row_a, row_b = np.empty_like(m), np.empty_like(m)
+    out = np.empty_like(q)
+    logsumexp = np.empty(lead + (seq,), q.dtype)
 
-    for j0 in range(0, seq, block):
-        j1 = min(j0 + block, seq)
-        n = seq - j0
-        p = _masked_scores(q, k, j0, j1, scale, panel, future)
-        m_j, l_j, out_j = m[..., j0:], l[..., j0:], out[..., j0:, :]
+    # one group's scratch, reused by every group and every block.
+    k_s = np.empty((group, seq, head_dim), q.dtype)
+    k_t = np.swapaxes(k_s, -1, -2)
+    v_1 = np.empty((group, seq, head_dim + 1), q.dtype)
+    v_1[..., -1] = 1.0
+    flat = np.empty(group * width * seq, q.dtype)
+    future = _future_tile(width, q.dtype)
+    m = np.empty((group, seq, 1), q.dtype)
+    pv = np.empty((group, seq, head_dim + 1), q.dtype)
 
-        # every row here sees key j0, so m_new is finite; rows meeting
-        # their first block have m == -inf and alpha == exp(-inf) == 0.
-        m_new = np.max(p, axis=-1, out=row_a[..., :n])
-        np.maximum(m_new, m_j, out=m_new)
-        alpha = np.subtract(m_j, m_new, out=m_j)
-        np.exp(alpha, out=alpha)
-        p -= m_new[..., None]
-        np.exp(p, out=p)  # masked entries: exp(-inf) == 0
-
-        l_j *= alpha
-        l_j += np.sum(p, axis=-1, out=row_b[..., :n])
-        out_j *= alpha[..., None]
-        out_j += np.matmul(p, v[..., j0:j1, :], out=acc[..., :n, :])
-        m_j[...] = m_new
-
-    # every causal row attends to at least itself, so l > 0.
-    out /= l[..., None]
-    logsumexp = np.log(l, out=l)
-    logsumexp += m
+    for sel in selections:
+        q_g = q[sel]
+        np.multiply(k[sel], scale, out=k_s)
+        v_1[..., :-1] = v[sel]
+        for i0 in range(0, seq, block):
+            i1 = min(i0 + block, seq)
+            b = i1 - i0
+            p = _panel(flat, group, b, i1)
+            np.matmul(q_g[:, i0:i1], k_t[..., :i1], out=p)
+            # only the diagonal tile straddles the causal boundary.
+            p[..., i0:] += future[:b, :b]
+            # every row sees key 0, so its max is finite.
+            p -= np.max(p, axis=-1, keepdims=True, out=m[:, i0:i1])
+            np.exp(p, out=p)  # masked entries: exp(-inf) == 0
+            np.matmul(p, v_1[:, :i1], out=pv[:, i0:i1])
+        # every causal row attends to at least itself, so l > 0.
+        np.divide(pv[..., :-1], pv[..., -1:], out=out[sel])
+        lse_g = np.log(pv[..., -1], out=logsumexp[sel])
+        lse_g += m[..., 0]
     return out, (q, k, v, out, logsumexp, scale, block)
 
 
@@ -226,41 +263,67 @@ def flash_attention_bwd(
 
     Uses the FlashAttention-2 identity: with ``delta = rowsum(dout*out)``,
     ``dscores = p * (dout @ v^T - delta)`` where ``p`` is rebuilt per block
-    from the stored log-sum-exp.  Like the forward it visits only query
-    rows ``j0:`` of key block ``[j0, j1)``; each ``dk``/``dv`` block is
-    therefore written exactly once and ``dq`` rows ``j0:`` accumulate.
+    from the stored log-sum-exp.  It walks key blocks ``[j0, j1)`` against
+    query rows ``j0:`` (rows above are fully masked), so each ``dk``/``dv``
+    block is written exactly once by its GEMM and ``dq`` rows ``j0:``
+    accumulate.  Both per-row shifts ride the score GEMMs as one extra
+    column: ``[q | -L] @ [k*scale | 1]^T`` and ``[dout | -delta] @ [v | 1]^T``.
     """
     q, k, v, out, logsumexp, scale, block = cache
-    seq = q.shape[-2]
-    (panel, dpanel), acc, future = _scratch(q, block, n_panels=2)
-    delta = np.sum(np.multiply(dout, out, out=acc), axis=-1)
+    lead, (seq, head_dim) = q.shape[:-2], q.shape[-2:]
+    width = min(block, seq)
+    group, selections = _head_groups(lead, seq * width * q.itemsize)
 
-    dq = np.zeros_like(q)
+    dq = np.empty_like(q)
     dk = np.empty_like(k)
     dv = np.empty_like(v)
 
-    for j0 in range(0, seq, block):
-        j1 = min(j0 + block, seq)
-        n, w = seq - j0, j1 - j0
-        q_j, dout_j = q[..., j0:, :], dout[..., j0:, :]
-        kb, vb = k[..., j0:j1, :], v[..., j0:j1, :]
-        dk_b, dv_b = dk[..., j0:j1, :], dv[..., j0:j1, :]
+    # one group's scratch, reused by every group and every block.
+    wide = (group, seq, head_dim + 1)
+    q_l, k_1, do_d, v_1 = (np.empty(wide, q.dtype) for _ in range(4))
+    k_1[..., -1] = 1.0
+    v_1[..., -1] = 1.0
+    k_s = k_1[..., :-1]
+    flat_p = np.empty(group * seq * width, q.dtype)
+    flat_ds = np.empty_like(flat_p)
+    future = _future_tile(width, q.dtype)
+    # dq accumulates contiguously and takes q's layout once per group.
+    dq_g = np.empty((group, seq, head_dim), q.dtype)
+    dq_j = np.empty_like(dq_g)
 
-        p = _masked_scores(q, k, j0, j1, scale, panel, future)
-        p -= logsumexp[..., j0:, None]
-        np.exp(p, out=p)  # masked entries: exp(-inf) == 0
+    for sel in selections:
+        q_g, dout_g, dk_g, dv_g = q[sel], dout[sel], dk[sel], dv[sel]
+        q_l[..., :-1] = q_g
+        np.negative(logsumexp[sel], out=q_l[..., -1])
+        np.multiply(k[sel], scale, out=k_s)
+        do_d[..., :-1] = dout_g
+        delta = np.einsum("hsd,hsd->hs", dout_g, out[sel], out=do_d[..., -1])
+        np.negative(delta, out=delta)
+        v_1[..., :-1] = v[sel]
+        dq_g.fill(0.0)
 
-        np.matmul(np.swapaxes(p, -1, -2), dout_j, out=dv_b)
-        dscores = np.matmul(
-            dout_j, np.swapaxes(vb, -1, -2), out=dpanel[..., :n, :w]
-        )
-        dscores -= delta[..., j0:, None]
-        dscores *= p
+        for j0 in range(0, seq, block):
+            j1 = min(j0 + block, seq)
+            n, w = seq - j0, j1 - j0
+            p = _panel(flat_p, group, n, w)
+            dscores = _panel(flat_ds, group, n, w)
+            k_b = np.swapaxes(k_1[:, j0:j1], -1, -2)
+            v_b = np.swapaxes(v_1[:, j0:j1], -1, -2)
+            dk_b = dk_g[:, j0:j1]
 
-        dq_j = np.matmul(dscores, kb, out=acc[..., :n, :])
-        dq_j *= scale
-        dq[..., j0:, :] += dq_j
-        np.matmul(np.swapaxes(dscores, -1, -2), q_j, out=dk_b)
-        dk_b *= scale
+            # scale * q k^T - L; rows j0:j1 alone have a masked key here,
+            # and the mask lands before the exp so a future score cannot
+            # overflow.
+            np.matmul(q_l[:, j0:], k_b, out=p)
+            p[:, :w] += future[:w, :w]
+            np.exp(p, out=p)  # masked entries: exp(-inf) == 0
 
+            np.matmul(np.swapaxes(p, -1, -2), dout_g[:, j0:], out=dv_g[:, j0:j1])
+            np.matmul(do_d[:, j0:], v_b, out=dscores)  # dout v^T - delta
+            dscores *= p
+
+            dq_g[:, j0:] += np.matmul(dscores, k_s[:, j0:j1], out=dq_j[:, :n])
+            np.matmul(np.swapaxes(dscores, -1, -2), q_g[:, j0:], out=dk_b)
+            dk_b *= scale
+        dq[sel] = dq_g
     return dq, dk, dv

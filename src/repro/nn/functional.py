@@ -154,8 +154,9 @@ def cross_entropy_fwd(
     """
     flat = logits.reshape(-1, logits.shape[-1])
     tgt = targets.reshape(-1)
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + flat.max(axis=-1)
+    row_max = flat.max(axis=-1)
+    shifted = flat - row_max[:, None]
+    logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + row_max
     picked = flat[np.arange(flat.shape[0]), tgt]
     losses = logsumexp - picked
     loss = float(losses.mean())

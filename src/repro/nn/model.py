@@ -84,6 +84,10 @@ class ModelConfig:
             raise ValueError("hidden must be divisible by n_heads")
         if (self.hidden // self.n_heads) % 2 != 0:
             raise ValueError("head dimension must be even (RoPE)")
+        if self.flash_block < 1:
+            raise ValueError(
+                f"flash_block must be >= 1, got {self.flash_block}"
+            )
         if self.ffn is None:
             object.__setattr__(self, "ffn", default_ffn(self.hidden))
 

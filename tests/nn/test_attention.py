@@ -13,7 +13,7 @@ from repro.nn.attention import (
     flash_attention_bwd,
     flash_attention_fwd,
 )
-from repro.nn.layer import _to_heads
+from repro.nn.layer import _from_heads, _to_heads
 from repro.testing import assert_grad_close, numerical_grad
 
 RNG = np.random.default_rng(11)
@@ -114,23 +114,43 @@ class TestMaterialisedAttention:
                 np.testing.assert_array_equal(got, ref)
 
 
+_TOY_HEADS = (2, 3, 8)  # (G, heads, head_dim)
+
+
 def _stream_grid():
-    """(S, block) pairs around every block boundary, plus block > S."""
-    cases = {(7, 4096)}
+    """``(S, block, (G, heads, head_dim), dtype, rtol)`` cases.
+
+    At a toy head size, in both dtypes: ``S`` on every side of a block
+    boundary, plus ``block > S``.  In fp32: the benchmark's own
+    long-context family (``head_dim`` 32 and 64, ``S = 1024``,
+    ``block = 128``) and one ``S`` just past its last block boundary,
+    where the flat-scratch panel of the partial block is reshaped."""
+    toy = {(7, 4096)}
     for block in (1, 16, 128):
         for s in (1, 7, block - 1, block, block + 1, 3 * block + 5):
             if s >= 1:
-                cases.add((s, block))
-    return sorted(cases)
+                toy.add((s, block))
+    cases = [
+        (s, block, _TOY_HEADS, dtype, rtol)
+        for s, block in sorted(toy)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5))
+    ]
+    cases += [
+        (s, 128, (1, 2, hd), np.float32, 1e-5)
+        for s, hd in ((1024, 32), (1024, 64), (1025, 32))
+    ]
+    # two of four heads fit the panel budget: neither one group nor one head
+    cases.append((300, 128, (2, 4, 8), np.float32, 1e-5))
+    return cases
 
 
 class TestFlashAttention:
-    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("s,block", _stream_grid())
-    def test_streaming_equals_materialised(self, s, block, dtype, rtol):
+    @pytest.mark.parametrize("s,block,heads,dtype,rtol", _stream_grid())
+    def test_streaming_equals_materialised(self, s, block, heads, dtype, rtol):
         """Forward, log-sum-exp and backward against the oracle, on the
-        non-contiguous head views the layer passes, with G > 1."""
-        q, k, v, dout = _head_views(4, 2, s, 3, 8, dtype)
+        non-contiguous head views the layer passes, with G * heads > 1."""
+        g, nh, hd = heads
+        q, k, v, dout = _head_views(4, g, s, nh, hd, dtype)
         ref_out, c_ref = attention_fwd(q, k, v)
         ref_grads = attention_bwd(dout, c_ref)
         out, cache = flash_attention_fwd(q, k, v, block=block)
@@ -145,6 +165,48 @@ class TestFlashAttention:
             assert arr.dtype == dtype
         assert cache[3] is out and cache[6] == block
         assert type(cache[5]) is float
+
+    @pytest.mark.parametrize("block", [2, 128])
+    def test_results_keep_the_layout_of_q(self, block):
+        """``out`` and the three gradients come back in ``q``'s memory
+        layout, so ``_from_heads`` of each is a view, not a copy."""
+        q, k, v, dout = _head_views(4, 2, 9, 3, 8, np.float32)
+        out, cache = flash_attention_fwd(q, k, v, block=block)
+        for arr in (out, *flash_attention_bwd(dout, cache)):
+            assert arr.strides == q.strides
+            assert np.shares_memory(_from_heads(arr), arr)
+
+    def test_head_groups_bound_the_scratch(self):
+        """Heads are taken in the largest full groups whose panels fit
+        the byte budget: whole samples when everything fits, one head
+        when nothing does, never a partial group."""
+        from repro.nn.attention import _PANEL_BYTES, _head_groups
+
+        group, selections = _head_groups((2, 4), _PANEL_BYTES // 3)
+        assert group == 2  # three fit, two divides four
+        assert selections == [
+            (0, slice(0, 2)), (0, slice(2, 4)), (1, slice(0, 2)), (1, slice(2, 4))
+        ]
+        assert _head_groups((2, 4), 2 * _PANEL_BYTES)[0] == 1
+        assert _head_groups((2, 4), 1) == (4, [(0, slice(0, 4)), (1, slice(0, 4))])
+        assert _head_groups((), 1) == (1, [(None,)])
+
+    def test_a_bare_head_is_accepted(self):
+        """``(S, head_dim)`` inputs with no leading axes still stream."""
+        q, k, v = (x[0, 0] for x in _qkv(s=9))
+        dout = RNG.normal(size=q.shape)
+        ref_out, c_ref = attention_fwd(q, k, v)
+        out, cache = flash_attention_fwd(q, k, v, block=4)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        grads, ref_grads = flash_attention_bwd(dout, cache), attention_bwd(dout, c_ref)
+        for got, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [0, -4])
+    def test_block_must_be_positive(self, block):
+        q, k, v = _qkv()
+        with pytest.raises(ValueError, match="flash block must be >= 1"):
+            flash_attention_fwd(q, k, v, block=block)
 
     def test_backward_matches_finite_differences(self):
         # contiguous inputs: numerical_grad perturbs through a flat view
@@ -187,6 +249,26 @@ class TestFlashAttention:
         ceiling = out.nbytes + cache[4].nbytes + 2 * panel + 4 * q.nbytes
         assert peak <= ceiling, (peak, ceiling)
 
+    def test_backward_allocates_no_per_block_panels(self):
+        """The backward's ceiling: gradients + one head's two panels
+        (probabilities, ``dscores``; at this shape the panel budget
+        admits one head at a time) + O(S * head_dim) — that head's
+        operands widened by a column, the ``dq`` accumulator and its
+        addend.  The scratch is reused by every head and block."""
+        seq, hd, block = 1024, 32, 128
+        q, k, v, dout = _head_views(4, 1, seq, 2, hd, np.float32)
+        _, cache = flash_attention_fwd(q, k, v, block=block)
+        flash_attention_bwd(dout, cache)  # warm any lazy imports
+        tracemalloc.start()
+        try:
+            grads = flash_attention_bwd(dout, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        head_panel = seq * block * q.itemsize
+        ceiling = sum(g.nbytes for g in grads) + 2 * head_panel + 4 * q.nbytes
+        assert peak <= ceiling, (peak, ceiling)
+
     def test_cache_has_no_quadratic_tensor(self):
         """The flash cache must not contain any (S, S) tensor."""
         q, k, v = _qkv(s=12)
@@ -201,3 +283,23 @@ class TestFlashAttention:
         q, k, v = _qkv(s=8)
         out, _ = flash_attention_fwd(q * 30, k * 30, v, block=2)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("block", [2, 128])
+    def test_backward_with_large_scores_matches_oracle(self, block):
+        """The backward folds ``-logsumexp`` and ``-delta`` into its score
+        GEMMs; with scores in the hundreds both are differences of large
+        numbers, and must still be finite and agree with the oracle."""
+        q, k, v = _qkv(s=8)
+        q, k = q * 30, k * 30
+        dout = RNG.normal(size=q.shape)
+        ref_out, c_ref = attention_fwd(q, k, v)
+        ref_grads = attention_bwd(dout, c_ref)
+        out, cache = flash_attention_fwd(q, k, v, block=block)
+        grads = flash_attention_bwd(dout, cache)
+        assert np.abs(cache[4]).max() > 100  # the shifts are large
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+        for got, ref, name in zip(grads, ref_grads, "qkv"):
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-12, atol=1e-12, err_msg=f"d{name}"
+            )

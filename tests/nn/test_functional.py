@@ -138,6 +138,21 @@ class TestCrossEntropy:
         loss, _ = F.cross_entropy_fwd(logits, targets)
         assert loss < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_max_is_bitwise_the_two_max_formula(self, dtype):
+        """The row max is taken once and reused for the shift and the
+        log-sum-exp; loss and cached log-sum-exp must not move a bit."""
+        logits = (_rand(3, 64, 256) * 4).astype(dtype)
+        targets = RNG.integers(0, 256, size=(3, 64))
+        flat = logits.reshape(-1, 256)
+        shifted = flat - flat.max(axis=-1, keepdims=True)
+        ref_lse = np.log(np.exp(shifted).sum(axis=-1)) + flat.max(axis=-1)
+        picked = flat[np.arange(flat.shape[0]), targets.reshape(-1)]
+        loss, cache = F.cross_entropy_fwd(logits, targets)
+        assert loss == float((ref_lse - picked).mean())
+        np.testing.assert_array_equal(cache[2], ref_lse)
+        assert cache[2].dtype == dtype
+
     def test_grad(self):
         logits = _rand(2, 3, 7)
         targets = RNG.integers(0, 7, size=(2, 3))

@@ -40,6 +40,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             # odd head dim breaks RoPE
             ModelConfig(hidden=6, n_layers=1, n_heads=2, seq_len=4, vocab=7)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="flash_block"):
+                CFG.with_(flash_block=bad)
 
     def test_param_count_12h2(self):
         """Per-layer parameters land within 1% of the paper's 12 H^2."""

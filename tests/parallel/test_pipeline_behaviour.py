@@ -147,3 +147,23 @@ class TestValidation:
                 replace(_spec(), **spec_kw), 4, schedule=schedule, fabric=transport
             )
         assert launches == []
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("flash_block", [0, -128])
+    def test_bad_flash_block_fails_before_launch(
+        self, monkeypatch, backend, flash_block
+    ):
+        """A block the streaming core cannot loop over is rejected where
+        the config is built, not as a ``WorkerError`` out of ``P``
+        launched ranks."""
+        from repro.runtime import resolve_transport
+
+        transport = resolve_transport(None, backend)
+        launches = []
+        monkeypatch.setattr(
+            transport, "launch", lambda *a, **kw: launches.append(a) or ([], [])
+        )
+        with pytest.raises(ValueError, match="flash_block must be >= 1"):
+            cfg = CFG.with_(flash_attention=True, flash_block=flash_block)
+            train(replace(_spec(), cfg=cfg), "1f1b", 4, fabric=transport)
+        assert launches == []
