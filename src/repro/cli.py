@@ -638,6 +638,7 @@ def _cmd_train(args) -> int:
     )
     from .data import MarkovCorpus
     from .io import load_checkpoint_state, save_checkpoint
+    from .nn.model import model_param_count
 
     cfg = ModelConfig(
         hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
@@ -772,7 +773,7 @@ def _cmd_train(args) -> int:
     else:
         result = train(spec, args.strategy, args.world, fabric=fabric)
     print(f"strategy={args.strategy} world={args.world} dp={args.dp} "
-          f"model={sum(c.numel for c in spec.init_chunks()):,} params")
+          f"model={model_param_count(cfg):,} params")
     for i, loss in enumerate(result.losses):
         print(f"iter {spec.start_iteration + i:>4}: loss {loss:.6f}")
     allocs = result.extra.get("pool_allocs_by_iter")

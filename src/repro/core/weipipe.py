@@ -18,6 +18,9 @@ activations never leave the worker — while the weights rotate past:
   owns a slot (holds its optimizer state, which never travels) applies
   the update and re-injects fresh weights into both flows for the next
   iteration.
+* A worker initialises only the slot it owns.  Turn-0 placement of the
+  forward flow is that same inject, run once at construction, so no
+  worker ever draws or holds the whole model.
 
 There is one ring engine (DESIGN.md §10): every turn waits F and B,
 computes, waits D, adds the turn's weight grads into it and sends it
@@ -112,12 +115,14 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     The ring engine states this before fork so the process transport can
     size each rank's arena region from the spec instead of a constant:
     every slot then crosses the wire as a descriptor at any ``H``.  The
-    draws are the same for every mode and topology — at init the F slot
-    ``-rank``, the B slot ``rank - 1`` and its zeroed D, and in the first
-    update pass one inject clone of the B slot.  Later updates clone into
-    the forward copy retired an iteration earlier, which recycles as long
-    as mirror slots ``j`` and ``P-1-j`` land in the same span classes
-    (the embedding and head chunks differ by ``H`` elements).
+    draws are the same for every mode and topology, and all of them are
+    of the owned slot ``rank - 1`` — at construction the B slot, its
+    zeroed D and the clone injected into the forward flow (the forward
+    copy a rank *holds* lives in its owner's region), and in the first
+    update pass one more inject clone.  Later updates clone into the
+    forward copy retired an iteration earlier, which recycles as long as
+    mirror slots ``j`` and ``P-1-j`` land in the same span classes (the
+    embedding and head chunks differ by ``H`` elements).
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
     (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
@@ -126,14 +131,10 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     """
     cfg = spec.cfg
     itemsize = np.dtype(cfg.dtype).itemsize
-
-    def slot_span(slot: int) -> int:
-        return sum(
-            ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
-            for i in slot_chunk_ids(slot, world, cfg.n_layers)
-        )
-
-    return slot_span(-rank % world) + 3 * slot_span((rank - 1) % world)
+    return 4 * sum(
+        ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
+        for i in slot_chunk_ids((rank - 1) % world, world, cfg.n_layers)
+    )
 
 
 class _MicrobatchState:
@@ -186,20 +187,20 @@ class _WeiPipeWorker:
         #: identity wire format for D => skip the quantise round trips.
         self._d_exact = is_exact(spec.precision.weight_grads, self.cfg.dtype)
 
-        chunks_all = spec.init_chunks()
-
-        # flow holdings at turn 0 (see schedule.py for the placement law).
-        self.fwd_slot: SlotWeights = self._slot_view(chunks_all, self._initial_fwd_slot())
-        self.bwd_slot: SlotWeights = self._slot_view(chunks_all, self._initial_bwd_slot())
+        # this worker owns the slot whose backward flow starts (and ends)
+        # here: its optimizer state stays put for the whole training run,
+        # and it is the only slot the worker initialises.  See schedule.py
+        # for the placement law.
+        self.owned_slot = (self.rank - 1) % self.world
+        owned_ids = slot_chunk_ids(self.owned_slot, self.world, self.cfg.n_layers)
+        owned = dict(zip(owned_ids, spec.init_chunks(owned_ids)))
+        self.bwd_slot: SlotWeights = {
+            i: self._clone_chunk(c) for i, c in owned.items()
+        }
         self.grad_slot: SlotWeights = {
             i: w.zeros_like(self.pool) for i, w in self.bwd_slot.items()
         }
-
-        # this worker owns the slot whose backward flow starts here: its
-        # optimizer state stays put for the whole training run.
-        self.owned_slot = (self.rank - 1) % self.world
         self.opt = spec.make_optimizer()
-        owned_ids = slot_chunk_ids(self.owned_slot, self.world, self.cfg.n_layers)
         if spec.initial_opt_state is not None:
             if len(spec.initial_opt_state) != self.cfg.n_layers:
                 raise ValueError(
@@ -211,8 +212,11 @@ class _WeiPipeWorker:
             }
         else:
             self.opt_states = {
-                i: self.opt.init_state(chunks_all[i]) for i in owned_ids
+                i: self.opt.init_state(c) for i, c in owned.items()
             }
+        #: forward-flow holding; empty until the construction-time inject
+        #: at the end of ``__init__`` delivers slot ``-rank``.
+        self.fwd_slot: SlotWeights = {}
 
         self.inflight: Dict[int, _MicrobatchState] = {}
         self.losses_by_mb: Dict[int, float] = {}
@@ -263,23 +267,15 @@ class _WeiPipeWorker:
         # microbatch's backward), so retired F slots park here until the
         # update pass, by which point every backward has consumed them.
         self._retired_fwd: List[SlotWeights] = []
+        # turn-0 placement of the forward flow is the first inject: every
+        # owner ships a copy of its slot to that slot's forward home, the
+        # way each update pass will (DESIGN.md §10).
+        self._inject_forward(-1)
 
     # -- helpers ---------------------------------------------------------------
 
-    def _initial_fwd_slot(self) -> int:
-        return (-self.rank) % self.world  # fwd_home(j) == rank  <=>  j == -rank
-
-    def _initial_bwd_slot(self) -> int:
-        return (self.rank - 1) % self.world
-
     def _clone_chunk(self, c: ParamStruct) -> ParamStruct:
         return c.clone(self.pool) if c.common_dtype is not None else c.clone()
-
-    def _slot_view(self, chunks_all: List[ParamStruct], slot: int) -> SlotWeights:
-        return {
-            i: self._clone_chunk(chunks_all[i])
-            for i in slot_chunk_ids(slot, self.world, self.cfg.n_layers)
-        }
 
     def _slot_nbytes(self, slot: SlotWeights, wire: int) -> int:
         return sum(w.numel for w in slot.values()) * wire
@@ -423,11 +419,12 @@ class _WeiPipeWorker:
         """Add one chunk contribution into the circulating D at wire
         precision: the running sum itself lives in the (emulated) fp16
         buffer."""
-        # g is scratch so it is quantised in place, and the identity
-        # formats (fp32/fp64 policies) skip the round trips.
+        # g is scratch so it is quantised and scaled in place (the same
+        # rounding as ``+= scale * g``, without the weight-sized product),
+        # and the identity formats (fp32/fp64 policies) skip the round trips.
         if not self._d_exact:
             quantize_grads_(g, self.spec.precision)
-        self.grad_slot[i].add_(g, scale=self.scale)
+        self.grad_slot[i].add_(g.scale_(self.scale))
         if not self._d_exact:
             quantize_grads_(self.grad_slot[i], self.spec.precision)
 
@@ -648,14 +645,9 @@ class _WeiPipeWorker:
         """Owner updates its slot and re-injects weights into both flows.
 
         The backward flow is home at the owner, so the update is local;
-        the forward-flow copy lives at ``fwd_home`` and is refreshed with
-        one extra P2P message (its peer is symmetric: worker ``p``
-        exchanges with worker ``(1 - p) mod P``).
+        the forward-flow copy lives at ``fwd_home`` and is refreshed by
+        :meth:`_inject_forward`.
         """
-        held_bwd = self._initial_bwd_slot()
-        if held_bwd != self.owned_slot:  # pragma: no cover - invariant
-            raise AssertionError("backward flow did not come home")
-
         if self.dp_comm is not None and self.dp_comm.world_size > 1:
             # hybrid mode: average the owned slot's D across replicas
             # (each replica accumulated its 1/dp share of microbatches).
@@ -686,24 +678,38 @@ class _WeiPipeWorker:
         for i, w in self.bwd_slot.items():
             self.opt.step(w, self.grad_slot[i], self.opt_states[i])
             self.grad_slot[i].zero_()
+        self._inject_forward(it)
 
+    def _inject_forward(self, it: int) -> None:
+        """Put a copy of the owned slot into the forward flow and take
+        delivery of the forward slot that starts here.
+
+        The owned slot sits in this worker's backward flow; its
+        forward-flow copy lives at ``fwd_home`` and is refreshed with one
+        extra P2P message (the peer is symmetric: worker ``p`` exchanges
+        with worker ``(1 - p) mod P``).  Called with ``it = -1`` at
+        construction — the turn-0 placement — and with ``it`` after each
+        update, so the sender always allocates the forward copy and a
+        worker never materialises a slot it does not own.
+        """
         target = fwd_home(self.owned_slot, self.world)
         old_fwd = self.fwd_slot
+        inject = {i: self._clone_chunk(w) for i, w in self.bwd_slot.items()}
         if target == self.rank:
-            self.fwd_slot = {i: self._clone_chunk(w) for i, w in self.bwd_slot.items()}
+            self.fwd_slot = inject
         else:
-            inject = {i: self._clone_chunk(w) for i, w in self.bwd_slot.items()}
             self.comm.send(
                 inject,
                 target,
                 ("inject", it),
-                nbytes=self._slot_nbytes(self.bwd_slot, self.w_wire),
+                nbytes=self._slot_nbytes(inject, self.w_wire),
             )
             if self._wire_copies:
                 # the receiver got its own copy off the wire; the local
                 # clone served only serialization and is garbage now.
                 self._release_slot(inject)
-            source = slot_owner(self._initial_fwd_slot(), self.world)
+            # fwd_home(j) == rank  <=>  j == -rank
+            source = slot_owner(-self.rank % self.world, self.world)
             self.fwd_slot = self.comm.recv(source, ("inject", it))
         # the retired forward-flow copy is sole-owned here (the final D
         # wait proved its last reader finished) — recycle it.
@@ -733,9 +739,10 @@ def weipipe_step(
     owned optimizer state are seeded from ``chunks``/``opt_states``, run
     one ring iteration, then all-gather every owner's updated slot so
     each rank returns the complete ``(loss, chunks, states)``.  Inputs
-    are cloned (by the worker's init path), never mutated, and chaining
-    steps is bit-identical to a persistent-worker run — the flows a
-    fresh worker builds from the updated chunks are exactly what
+    are never mutated: each rank clones the slot it owns (the worker's
+    init path — ``1/P`` of the replicated state, not all of it), and
+    chaining steps is bit-identical to a persistent-worker run — the
+    flows a fresh worker builds from the updated chunks are exactly what
     ``_update_pass`` left in circulation.  A fresh worker also starts
     with empty gateway caches, so with a ``topology`` a weight reference
     issued under one ring layout can never resolve against a slot cached

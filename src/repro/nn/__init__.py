@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`~repro.nn.model.ModelConfig` — model hyper-parameters,
-* :func:`~repro.nn.model.init_model` — deterministic chunked weights,
+* :func:`~repro.nn.model.init_model` — deterministic chunked weights, the
+  list of :func:`~repro.nn.model.init_chunk` over every index: chunk ``i``
+  has its own stream ``(seed, i)``, so a worker draws only what it holds,
 * chunk-level fwd/bwd (joint and decoupled B/W) in :mod:`repro.nn.model`,
 * :class:`~repro.nn.checkpoint.CheckpointedChunk` — recomputation,
 * :class:`~repro.nn.params.ParamStruct` — named tensors + flat packing,
@@ -18,6 +20,7 @@ from .model import (
     chunk_bwd_weight,
     chunk_fwd,
     default_ffn,
+    init_chunk,
     init_model,
     model_fwd,
     model_loss_and_grads,
@@ -41,6 +44,7 @@ __all__ = [
     "chunk_bwd_weight",
     "chunk_fwd",
     "default_ffn",
+    "init_chunk",
     "init_model",
     "model_fwd",
     "model_loss_and_grads",

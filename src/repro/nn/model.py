@@ -36,6 +36,7 @@ __all__ = [
     "ModelConfig",
     "default_ffn",
     "rope_tables",
+    "init_chunk",
     "init_model",
     "chunk_param_count",
     "model_param_count",
@@ -104,28 +105,36 @@ def rope_tables(cfg: ModelConfig) -> Tuple[np.ndarray, np.ndarray]:
     return rope_angles(cfg.seq_len, cfg.head_dim, cfg.rope_base, cfg.dtype)
 
 
-def init_model(cfg: ModelConfig, seed: int = 0) -> List[ParamStruct]:
-    """Initialise all chunks deterministically from ``seed``."""
-    rng = np.random.default_rng(seed)
+def init_chunk(cfg: ModelConfig, seed: int, idx: int) -> ParamStruct:
+    """Initialise chunk ``idx`` alone, from its own stream ``(seed, idx)``.
+
+    A chunk's layer matrices depend only on ``(seed, idx)`` and the layer
+    shape — not on ``n_layers`` or on which other chunks were drawn — so a
+    worker that holds ``1/P`` of the model draws ``1/P`` of it.
+    """
+    rng = np.random.default_rng((seed, idx))
     std = 0.02
-    chunks: List[ParamStruct] = []
-    for i in range(cfg.n_layers):
-        w = init_layer_weights(cfg.hidden, cfg.ffn, rng, cfg.dtype)
-        if i == 0:
-            w["embed"] = rng.normal(
-                0.0, std, size=(cfg.vocab, cfg.hidden)
-            ).astype(cfg.dtype)
-        if i == cfg.n_layers - 1:
-            w["final_norm"] = np.ones(cfg.hidden, dtype=cfg.dtype)
-            w["head"] = rng.normal(
-                0.0, std, size=(cfg.hidden, cfg.vocab)
-            ).astype(cfg.dtype)
-        chunks.append(w)
-    return chunks
+    w = init_layer_weights(cfg.hidden, cfg.ffn, rng, cfg.dtype)
+    if idx == 0:
+        w["embed"] = rng.normal(
+            0.0, std, size=(cfg.vocab, cfg.hidden)
+        ).astype(cfg.dtype)
+    if idx == cfg.n_layers - 1:
+        w["final_norm"] = np.ones(cfg.hidden, dtype=cfg.dtype)
+        w["head"] = rng.normal(
+            0.0, std, size=(cfg.hidden, cfg.vocab)
+        ).astype(cfg.dtype)
+    return w
+
+
+def init_model(cfg: ModelConfig, seed: int = 0) -> List[ParamStruct]:
+    """Initialise all chunks deterministically from ``seed``: the list of
+    :func:`init_chunk` over every index."""
+    return [init_chunk(cfg, seed, i) for i in range(cfg.n_layers)]
 
 
 def chunk_param_count(cfg: ModelConfig, idx: int) -> int:
-    """Parameter count of chunk ``idx`` as :func:`init_model` builds it:
+    """Parameter count of chunk ``idx`` as :func:`init_chunk` builds it:
     one layer, plus the embedding on the first chunk and the final norm
     and head on the last."""
     n = layer_param_count(cfg.hidden, cfg.ffn)

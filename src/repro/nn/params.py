@@ -320,7 +320,8 @@ class ParamStruct:
         if self._data.keys() != other._data.keys():
             raise KeyError("ParamStruct key mismatch in add_")
         for k, v in self._data.items():
-            v += scale * other._data[k]
+            o = other._data[k]
+            v += o if scale == 1.0 else scale * o
         return self
 
     def scale_(self, scale: float) -> "ParamStruct":

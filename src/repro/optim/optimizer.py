@@ -128,24 +128,50 @@ class Adam(Optimizer):
         return True  # Adam: L2 goes through the moments
 
     def step(self, params: ParamStruct, grads: ParamStruct, state: Dict) -> None:
+        """The textbook update — ``m = b1 m + (1-b1) g``,
+        ``v = b2 v + (1-b2) g^2``, ``p -= lr (m/bc1) / (sqrt(v/bc2) + eps)``
+        — with every operation and its order kept, so the result is
+        bit-identical to the one-temporary-per-operation form, but run
+        over two scratch arrays per parameter instead of nine."""
         state["t"] += 1
         t = state["t"]
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        decay_grad = bool(self.weight_decay) and self._decay_into_grad()
+        decay_update = bool(self.weight_decay) and not decay_grad
         for name in params.keys():
+            p = params[name]
             g = grads[name]
-            if self.weight_decay and self._decay_into_grad():
-                g = g + self.weight_decay * params[name]
             m = state["m"][name]
             v = state["v"][name]
+            # gradient-side terms carry the wider of the two dtypes (fp64
+            # grads onto an fp32 master copy), update-side terms p's own.
+            wide = np.result_type(g, p)
+            a = np.empty(p.shape, dtype=wide)
+            b = np.empty(p.shape, dtype=wide)
+            if decay_grad:
+                np.multiply(p, self.weight_decay, out=b)
+                g = np.add(g, b, out=b)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and not self._decay_into_grad():
-                update = update + self.weight_decay * params[name]
-            params[name] -= self.lr * update
+            np.square(g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            if wide != p.dtype:
+                a = np.empty_like(p)
+                b = np.empty_like(p)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b /= a
+            if decay_update:
+                np.multiply(p, self.weight_decay, out=a)
+                b += a
+            b *= self.lr
+            p -= b
 
 
 class AdamW(Adam):

@@ -15,11 +15,11 @@ strategies honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.model import ModelConfig, init_model, rope_tables
+from ..nn.model import ModelConfig, init_chunk, rope_tables
 from ..nn.params import ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
@@ -41,7 +41,10 @@ class TrainSpec:
     ``n_microbatches`` is the paper's ``N`` (per iteration) and
     ``microbatch_size`` its ``G``.  ``recompute`` toggles gradient
     checkpointing (the paper enables it for 1F1B/FSDP/WeiPipe, disables
-    it for the ZB baselines).
+    it for the ZB baselines).  ``seed`` names the weight-init streams —
+    chunk ``i`` is drawn from ``(seed, i)``, as microbatch ``i`` of
+    iteration ``t`` is from ``(data_seed, t, i)`` — so any worker can
+    materialise exactly the chunks it holds (:meth:`init_chunks`).
     """
 
     cfg: ModelConfig
@@ -85,16 +88,25 @@ class TrainSpec:
         if self.iters < 1:
             raise ValueError("need at least one iteration")
 
-    def init_chunks(self) -> List[ParamStruct]:
+    def init_chunks(self, ids: Optional[Sequence[int]] = None) -> List[ParamStruct]:
         """Starting weight chunks, quantised to the storage precision so
         all strategies start identically: either a deterministic fresh
-        init from ``seed`` or the ``initial_chunks`` override (resume)."""
+        init from ``seed`` or the ``initial_chunks`` override (resume).
+
+        ``ids`` names the chunks wanted, returned in that order (default:
+        all ``n_layers``).  Only those are drawn — every chunk has its own
+        init stream (:func:`~repro.nn.model.init_chunk`) — or cloned, so a
+        worker that holds ``1/P`` of the model pays for ``1/P`` of it and
+        never aliases the caller's ``initial_chunks``.
+        """
+        if ids is None:
+            ids = range(self.cfg.n_layers)
         if self.initial_chunks is not None:
             if len(self.initial_chunks) != self.cfg.n_layers:
                 raise ValueError("initial_chunks do not match the model config")
-            chunks = [c.clone() for c in self.initial_chunks]
+            chunks = [self.initial_chunks[i].clone() for i in ids]
         else:
-            chunks = init_model(self.cfg, self.seed)
+            chunks = [init_chunk(self.cfg, self.seed, i) for i in ids]
         q = self.precision.q_weight
         return [c.map(lambda a: q(a).astype(a.dtype, copy=False)) for c in chunks]
 

@@ -138,8 +138,7 @@ class _StageWorker:
         self.chunk_ids = list(
             stage_chunk_range(self.cfg.n_layers, self.world, self.rank)
         )
-        all_chunks = spec.init_chunks()
-        self.chunks = {i: all_chunks[i] for i in self.chunk_ids}
+        self.chunks = dict(zip(self.chunk_ids, spec.init_chunks(self.chunk_ids)))
         self.cos, self.sin = spec.rope()
         self.ck = CheckpointedChunk(self.cfg, recompute=spec.recompute)
         self.opt = spec.make_optimizer()

@@ -808,6 +808,9 @@ class ProcessTransport(Transport):
             if fab is not None:
                 self.metrics = fab.metrics
             return out
+        # loaded here, not at import: a serial run never forks
+        from multiprocessing.connection import wait as mp_wait
+
         ctx = get_context("fork")
         control_bytes = (ControlBlock.size(world_size) + 63) & ~63
         arena_bytes = self.arena_bytes
@@ -921,7 +924,14 @@ class ProcessTransport(Transport):
                                 f"rank {r} worker process died (exit code {code})"
                             )
                 if pending and not progressed:
-                    time.sleep(0.005)
+                    # a report or an exit wakes the loop at once; the
+                    # timeout keeps the clock-handshake and deadline polls
+                    # at their 5 ms cadence.
+                    mp_wait(
+                        [pipes[r][0] for r in pending]
+                        + [procs[r].sentinel for r in pending],
+                        timeout=0.005,
+                    )
 
             if pending:
                 control.abort("join timeout")

@@ -60,6 +60,28 @@ def test_arena_used_equals_prediction(world, per_slot, mode, dtype):
     assert allocs[-1] - allocs[0] == 0, allocs
 
 
+@pytest.mark.parametrize("world", [2, 4])
+def test_every_draw_is_of_the_owned_slot(world):
+    # vocab 70 puts the embedding chunk exactly on a power-of-two span
+    # (4096 fp64 elements) and the head chunk, H elements larger, in the
+    # next class — so a formula that still charged the forward slot
+    # ``-rank`` to its holder instead of its owner is off on every rank
+    # that owns either.  One iteration: mirror slots in different span
+    # classes do not recycle (see ring_pool_bytes), which is not under
+    # test here.
+    cfg = ModelConfig(hidden=16, n_layers=world, n_heads=2, seq_len=8,
+                      vocab=70, dtype=np.float64)
+    spec = TrainSpec(cfg=cfg, n_microbatches=world, microbatch_size=1,
+                     iters=1, precision=FP64)
+    predicted = [ring_pool_bytes(spec, world, r) for r in range(world)]
+    small, large = 4 * (32 << 10), 4 * (64 << 10)
+    assert predicted[0] == large and predicted[1] == small  # head, embedding
+    pt = ProcessTransport()
+    res = train_weipipe(spec, world, fabric=pt)
+    assert [p["arena_used"] for p in pt.pools_by_rank] == predicted
+    assert res.extra["arena_overflow_allocs"] == 0
+
+
 def test_hier_ring_draws_the_same_working_set():
     from repro.parallel.weipipe_hier import train_weipipe_hier
     from repro.runtime import Topology

@@ -10,6 +10,7 @@ from repro.nn import (
     chunk_bwd_weight,
     chunk_fwd,
     default_ffn,
+    init_chunk,
     init_model,
     model_fwd,
     model_loss_and_grads,
@@ -75,6 +76,36 @@ class TestInit:
     def test_model_param_count(self):
         chunks = init_model(CFG)
         assert sum(c.numel for c in chunks) == model_param_count(CFG)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_is_the_list_of_chunks(self, dtype):
+        """Every chunk has its own stream: drawing chunk ``i`` alone gives
+        bit for bit what ``init_model`` holds at ``i``."""
+        cfg = CFG.with_(dtype=dtype)
+        model = init_model(cfg, 7)
+        assert len(model) == cfg.n_layers
+        for i, whole in enumerate(model):
+            alone = init_chunk(cfg, 7, i)
+            assert alone.keys() == whole.keys()
+            for k in whole.keys():
+                assert alone[k].dtype == np.dtype(dtype)
+                assert np.array_equal(alone[k], whole[k]), (i, k)
+
+    def test_layer_matrices_do_not_depend_on_depth(self):
+        """Chunk ``i``'s layer weights are a function of ``(seed, i)`` and
+        the layer shape: a deeper model only moves the final norm / head."""
+        layer_keys = init_chunk(CFG, 3, 1).keys()  # an interior chunk
+        deep = CFG.with_(n_layers=CFG.n_layers + 2)
+        for i in range(CFG.n_layers):
+            a, b = init_chunk(CFG, 3, i), init_chunk(deep, 3, i)
+            for k in layer_keys:
+                assert np.array_equal(a[k], b[k]), (i, k)
+        assert "head" in init_chunk(CFG, 3, CFG.n_layers - 1)
+        assert "head" not in init_chunk(deep, 3, CFG.n_layers - 1)
+
+    def test_chunks_of_one_model_differ(self):
+        a, b = init_chunk(CFG, 3, 1), init_chunk(CFG, 3, 2)
+        assert not np.array_equal(a["wq"], b["wq"])
 
 
 class TestForward:

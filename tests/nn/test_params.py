@@ -40,6 +40,24 @@ class TestArithmetic:
         a.add_(b, scale=0.5)
         np.testing.assert_array_equal(a["x"], np.full(3, 2.0))
 
+    @pytest.mark.parametrize("arena", [False, True], ids=["per-key", "arena"])
+    def test_add_unscaled_equals_scale_one(self, arena):
+        """``scale == 1.0`` skips the product on both paths — same values."""
+        rng = np.random.default_rng(0)
+        make = lambda: ParamStruct({  # noqa: E731
+            "x": rng.normal(size=(5, 3)).astype(np.float32),
+            "y": rng.normal(size=4).astype(np.float32),
+        })
+        a, b = make(), make()
+        if arena:
+            a, b = a.to_arena(), b.to_arena()
+        want = {k: a[k] + np.float32(1.0) * b[k] for k in a.keys()}
+        b_before = b.clone()
+        a.add_(b)
+        for k in a.keys():
+            assert np.array_equal(a[k], want[k])
+            assert np.array_equal(b[k], b_before[k])
+
     def test_add_key_mismatch(self):
         a = ParamStruct({"x": np.ones(3)})
         b = ParamStruct({"y": np.ones(3)})

@@ -95,6 +95,76 @@ class TestAdam:
         assert np.abs(p["x"]).max() < 1e-3
 
 
+def _textbook_adam_step(opt, params, grads, state):
+    """The update as it is usually written — one temporary per operation.
+    ``Adam.step`` runs these operations in this order over two scratch
+    arrays and must agree with it bit for bit."""
+    state["t"] += 1
+    t = state["t"]
+    bc1 = 1.0 - opt.beta1**t
+    bc2 = 1.0 - opt.beta2**t
+    for name in params.keys():
+        g = grads[name]
+        if opt.weight_decay and opt._decay_into_grad():
+            g = g + opt.weight_decay * params[name]
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        if opt.weight_decay and not opt._decay_into_grad():
+            update = update + opt.weight_decay * params[name]
+        params[name] -= opt.lr * update
+
+
+class TestAdamScratchIsBitIdentical:
+    """weight decay off / L2 (Adam) / decoupled (AdamW), ``t = 1`` and
+    ``t > 1``, fp32 and fp64 — and fp64 grads onto an fp32 master copy,
+    which is what ``MasterWeightOptimizer`` hands the inner Adam."""
+
+    @pytest.mark.parametrize(
+        "p_dtype,g_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64),
+         (np.float32, np.float64)],
+        ids=["fp32", "fp64", "fp32-master-fp64-grads"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Adam(lr=1e-3), lambda: Adam(lr=1e-3, weight_decay=0.01),
+         lambda: AdamW(lr=1e-3, weight_decay=0.01)],
+        ids=["no-decay", "l2", "decoupled"],
+    )
+    def test_matches_textbook_lines(self, make, p_dtype, g_dtype):
+        rng = np.random.default_rng(11)
+        start = ParamStruct({
+            "w": rng.normal(size=(37, 19)).astype(p_dtype),
+            "gain": np.ones(19, dtype=p_dtype),
+        })
+        ours, ref = start.clone(), start.clone()
+        opt, opt_ref = make(), make()
+        st, st_ref = opt.init_state(ours), opt_ref.init_state(ref)
+        for t in (1, 2, 3):
+            # wide magnitude range so the rounding of every step matters
+            g = ParamStruct({
+                k: (rng.normal(size=v.shape) * 10.0 ** rng.integers(-4, 3))
+                .astype(g_dtype)
+                for k, v in start.items()
+            })
+            g_before = g.clone()
+            opt.step(ours, g, st)
+            _textbook_adam_step(opt_ref, ref, g, st_ref)
+            assert st["t"] == st_ref["t"] == t
+            for k in start.keys():
+                assert ours[k].dtype == np.dtype(p_dtype)
+                assert np.array_equal(ours[k], ref[k]), (t, k)
+                assert np.array_equal(st["m"][k], st_ref["m"][k]), (t, k)
+                assert np.array_equal(st["v"][k], st_ref["v"][k]), (t, k)
+                # the gradient is the caller's: never scratch
+                assert np.array_equal(g[k], g_before[k])
+
+
 class TestAdamW:
     def test_decay_is_decoupled(self):
         """AdamW decay must not pass through the moment estimates."""
