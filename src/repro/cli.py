@@ -514,9 +514,10 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend", choices=["thread", "process"], default="thread",
         help="execution backend: thread (every rank a thread of this "
-             "interpreter; full chaos, detectors) or process (one "
-             "process per rank over shared-memory rings; delay-only "
-             "chaos; tracing and metrics are merged across ranks)",
+             "interpreter; the only one with failure detectors and "
+             "rejoin) or process (one process per rank over "
+             "shared-memory rings; same chaos, tracing and metrics, "
+             "merged across ranks)",
     )
 
 
@@ -977,53 +978,27 @@ def _cmd_chaos_sweep(args) -> int:
     tracer = None
     metrics = None
     fabric_factory = None
-    if args.backend == "process":
-        from .runtime import ProcessTransport
-        from .runtime.transport.process import validate_process_policy
-
-        try:
-            validate_process_policy(policy)
-        except ValueError as e:
-            raise SystemExit(
-                f"{e}\nhint: pass --drop-prob 0 --dup-prob 0 (and no "
-                "--faults) for a process-backend sweep"
-            ) from None
-
-        if args.trace_out is not None:
-            from .obs import Tracer
-
-            # one shared tracer: every launch merges its per-rank spills
-            # onto the same pid-r timelines, in sweep order.
-            tracer = Tracer(metadata={
-                "command": "chaos-sweep", "backend": "process",
-                "seeds": list(seeds), "strategies": sorted(strategies),
-            })
-        if args.metrics_out is not None:
-            from .obs import MetricsRegistry
-
-            metrics = MetricsRegistry()
-        transports = []
-
-        def fabric_factory(world, pol):
-            t = ProcessTransport(policy=pol, tracer=tracer)
-            transports.append(t)
-            return t
-
-    elif args.trace_out is not None or args.metrics_out is not None:
+    process = args.backend == "process"
+    if process or args.trace_out is not None or args.metrics_out is not None:
         from .obs import MetricsRegistry, Tracer
-        from .runtime import ChaosFabric as _CF
+        from .runtime import ChaosFabric, ProcessTransport
 
         metrics = MetricsRegistry()
         if args.trace_out is not None:
             # one shared tracer: every sweep point's rank-r events land
-            # on the same pid-r timeline, in sweep order.
+            # on the same pid-r timeline, in sweep order (on the process
+            # backend each launch merges its per-rank spills into it).
             tracer = Tracer(metadata={
-                "command": "chaos-sweep", "seeds": list(seeds),
-                "strategies": sorted(strategies),
+                "command": "chaos-sweep", "backend": args.backend,
+                "seeds": list(seeds), "strategies": sorted(strategies),
             })
+        transports = []
 
         def fabric_factory(world, pol):
-            return _CF(world, pol, tracer=tracer, metrics=metrics)
+            if not process:
+                return ChaosFabric(world, pol, tracer=tracer, metrics=metrics)
+            transports.append(ProcessTransport(policy=pol, tracer=tracer))
+            return transports[-1]
 
     def progress(name: str, seed: int, failure: Optional[str]) -> None:
         status = "PASS" if failure is None else f"FAIL ({failure})"
@@ -1034,7 +1009,7 @@ def _cmd_chaos_sweep(args) -> int:
         fabric_factory=fabric_factory, progress=progress,
     )
     print(report.summary())
-    if args.backend == "process" and metrics is not None:
+    if process:
         # each launch merged its children into its transport's registry;
         # fold the per-launch registries into the sweep-wide one.
         for t in transports:

@@ -113,6 +113,7 @@ CHAOS_EVENT_OF = {
     "duplicate": EV_CHAOS_DUP,
     "bitflip": EV_CHAOS_BITFLIP,
     "flap": EV_CHAOS_FLAP,
+    "rank-flap": EV_CHAOS_FLAP,  # b = -1: every link of the rank
     "stall": EV_CHAOS_STALL,
     "crash": EV_CHAOS_CRASH,
 }
@@ -188,9 +189,10 @@ class FlightBox:
     """The per-fabric registry: one ring per rank, plus snapshot glue.
 
     Thread fabrics hold all ``world`` rings (one writer thread each);
-    a process fabric holds the full set too but only its own rank's
-    ring ever records — the parent reassembles the box from per-child
-    snapshots at join time.
+    a process fabric holds the full set too, records its own rank's
+    events on its own ring and the chaos events it injects on the ring
+    of the sender they are about — the parent reassembles the box from
+    per-child snapshots at join time, merging by timestamp.
     """
 
     __slots__ = ("world", "rings")

@@ -6,7 +6,7 @@ per-pair traffic accounting.  See DESIGN.md §2 for the substitution
 argument.
 """
 
-from .chaos import ChaosCrash, ChaosFabric, ChaosPolicy, ChaosStats
+from .chaos import ChaosCrash, ChaosFabric, ChaosLayer, ChaosPolicy, ChaosStats
 from .collectives import (
     all_gather,
     all_reduce,
@@ -37,9 +37,9 @@ from .subgroup import SubCommunicator, split_grid
 from .transport import (
     Deadline,
     ProcessTransport,
-    ShmFabric,
     ThreadTransport,
     Transport,
+    Wire,
 )
 from .topology import (
     DEFAULT_INTER,
@@ -54,6 +54,7 @@ from .topology import (
 __all__ = [
     "ChaosCrash",
     "ChaosFabric",
+    "ChaosLayer",
     "ChaosPolicy",
     "ChaosStats",
     "Communicator",
@@ -80,9 +81,9 @@ __all__ = [
     "WorkerError",
     "Deadline",
     "ProcessTransport",
-    "ShmFabric",
     "ThreadTransport",
     "Transport",
+    "Wire",
     "parse_group_shape",
     "resolve_transport",
     "all_gather",

@@ -1,14 +1,18 @@
-"""Chaos engineering for the in-process fabric.
+"""Chaos engineering for the fabric: one layer, both wires.
 
-The plain :class:`~repro.runtime.Fabric` delivers every message the
-instant it is posted, so the test suite only ever exercises *one* legal
-delivery order — the happy path.  Real transports (NCCL over NVLink,
-RDMA, TCP) delay, reorder across flows, duplicate at the transport
-layer and lose packets; schedule bugs of the kind zero-bubble pipelines
-are famous for hide exactly in those rare orderings.
+A :class:`~repro.runtime.Fabric` without a policy delivers every
+message as soon as its wire hands it over, so the test suite only ever
+exercises *one* legal delivery order — the happy path.  Real transports
+(NCCL over NVLink, RDMA, TCP) delay, reorder across flows, duplicate at
+the transport layer and lose packets; schedule bugs of the kind
+zero-bubble pipelines are famous for hide exactly in those rare
+orderings.
 
-:class:`ChaosFabric` wraps the mailbox with a *seeded* adversarial
-transport:
+``Fabric(world, policy=ChaosPolicy(...))`` — or the historical
+``ChaosFabric(world, policy)``, or ``ProcessTransport(policy=...)`` —
+attaches a :class:`ChaosLayer` between the fabric and its wire: a
+*seeded* adversarial transport that every arriving message passes
+through, whichever wire carried it:
 
 * **delay** — a message becomes visible to ``recv``/``poll`` only after
   a per-message hold-back interval;
@@ -17,7 +21,7 @@ transport:
   each other freely.  Within one channel delivery stays FIFO (enforced
   by per-channel sequence numbers), exactly the guarantee MPI/NCCL give
   and the strongest reordering a correct program may be exposed to;
-* **drop with retry** — the first transmission is lost and a sender-side
+* **drop with retry** — the first transmission is lost and a
   retransmission is scheduled ``retry_delay`` later (at-least-once
   transport);
 * **duplicate delivery** — a second copy is put on the wire; the
@@ -27,8 +31,8 @@ transport:
   N-th ``send``, driving the launcher's ``abort()``/poison path so peers
   must fail fast with ``FabricAborted``;
 * **payload bit-flip (SDC)** — a *copy* of the payload with one flipped
-  bit rides the wire instead of the original; the CRC32 frame stamped at
-  post time catches it on delivery and drives NACK + retransmit with
+  bit rides the wire instead of the original; the structural CRC32 of
+  the pristine payload catches it on delivery and drives NACK + retransmit with
   capped exponential backoff.  Only when a flow exhausts its retransmit
   budget does the receiver raise
   :class:`~repro.runtime.integrity.CorruptFrameError` — a persistently
@@ -41,7 +45,8 @@ transport:
   detector's suspect path without any crash;
 * **rank flap (NIC outage)** — one rank's links go down entirely for a
   bounded window *and* its heartbeats are suppressed, which is the
-  deterministic way to drive suspect → confirm → shrink → rejoin.
+  deterministic way to drive suspect → confirm → shrink → rejoin
+  (thread backend only: heartbeats do not cross processes yet).
 
 Every per-message decision is a pure function of ``(policy.seed, src,
 dst, tag, per-channel sequence number)`` — *not* of wall-clock time or
@@ -49,6 +54,11 @@ thread interleaving — so a failing chaos seed names a reproducible
 adversary even though the OS scheduler stays nondeterministic.  (Link
 flaps extend the scheme with the per-directed-link post index as the
 sequence, and stalls with the per-rank post index; both stay pure.)
+Purity is also why one layer serves both wires: frames arrive per link
+in post order, so the *receiving* endpoint counts the same sequence
+numbers the sender would and can take every per-message decision
+itself; only what depends on the sender's own post count (crash,
+stall) runs at the sending endpoint.
 Logical traffic accounting (:class:`~repro.runtime.TrafficStats`)
 records each message once; retransmitted and duplicated bytes are
 tallied separately in :class:`ChaosStats` so the communication-volume
@@ -61,17 +71,16 @@ import heapq
 import itertools
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..obs import flight as _flight
-from .communicator import Fabric, _now
 from .integrity import CorruptFrameError, corrupt_copy, payload_crc32
 from .message import Message
 
-__all__ = ["ChaosPolicy", "ChaosStats", "ChaosCrash", "ChaosFabric"]
+__all__ = ["ChaosPolicy", "ChaosStats", "ChaosCrash", "ChaosFabric", "ChaosLayer"]
 
 
 class ChaosCrash(RuntimeError):
@@ -246,64 +255,57 @@ class ChaosStats:
     stall_time_s: float = 0.0
     #: NIC outages triggered (see ChaosPolicy.flap_rank).
     rank_flaps: int = 0
+    #: posts attempted per sending rank (the crash / flap harnesses pick
+    #: their injection point from a probe run's count).
+    posts_by_rank: Dict[int, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, float]:
+        """The scalar counters."""
         return {
-            "posts": self.posts,
-            "delayed": self.delayed,
-            "dropped": self.dropped,
-            "retransmits": self.retransmits,
-            "duplicates": self.duplicates,
-            "duplicates_discarded": self.duplicates_discarded,
-            "crashes": self.crashes,
-            "delivered": self.delivered,
-            "extra_wire_bytes": self.extra_wire_bytes,
-            "bitflips": self.bitflips,
-            "corrupt_frames": self.corrupt_frames,
-            "nacks": self.nacks,
-            "flapped": self.flapped,
-            "stalls": self.stalls,
-            "stall_time_s": self.stall_time_s,
-            "rank_flaps": self.rank_flaps,
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "posts_by_rank"
         }
 
+    def merge(self, other: "ChaosStats") -> "ChaosStats":
+        """Fold another endpoint's tallies into this one (in place).
+        Every decision is taken at exactly one endpoint — the sender's
+        for crashes and stalls, the receiver's for the rest — so the
+        per-process ledgers of the shm wire sum to what one shared
+        thread fabric would have counted."""
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
+        for rank, n in other.posts_by_rank.items():
+            self.posts_by_rank[rank] = self.posts_by_rank.get(rank, 0) + n
+        return self
 
-class ChaosFabric(Fabric):
-    """A :class:`Fabric` whose wire misbehaves according to a seeded policy.
 
-    Drop-in everywhere a ``Fabric`` is accepted (``run_workers``,
-    ``train(..., fabric=...)``).  Semantics visible to a *correct*
-    program are unchanged: per-channel FIFO, tag matching, exactly-once
-    delivery, poison-on-abort.  Only the *timing* and cross-channel
-    interleaving of deliveries differ — which is precisely the space the
-    differential harness (:func:`repro.testing.run_differential`)
-    explores.
+class ChaosLayer:
+    """The seeded adversary as one layer of a :class:`Fabric`.
+
+    The fabric calls three stages, all with its lock held, on either
+    wire: :meth:`on_post` at the *sending* endpoint, before the message
+    leaves (crash, stall, NIC-outage trigger — functions of the sender's
+    own post count); :meth:`admit` at the *receiving* endpoint, for every
+    message the wire hands over (sequence numbers, delay / drop /
+    duplicate / bit-flip / flap decisions, the link clock — functions of
+    the message identity and of per-link arrival order, which is post
+    order on both wires); and :meth:`release` from every pump, which
+    lands due copies in per-channel FIFO order after CRC verification,
+    NACKing and retransmitting the corrupt ones.  On the thread wire
+    both endpoints are this one object; on the shm wire each process
+    has its own, and their :class:`ChaosStats` sum.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        policy: Optional[ChaosPolicy] = None,
-        timeout: float = 60.0,
-        tracer=None,
-        metrics=None,
-        topology=None,
-        detector=None,
-        integrity: bool = True,
-    ):
-        super().__init__(world_size, timeout=timeout, tracer=tracer,
-                         metrics=metrics, topology=topology,
-                         detector=detector, integrity=integrity)
-        self.policy = policy if policy is not None else ChaosPolicy()
-        self.chaos = ChaosStats()
+    def __init__(self, fabric, policy: ChaosPolicy):
+        self.fabric = fabric
+        self.policy = policy
+        self.stats = ChaosStats()
         # registry mirrors of the injection tallies (ChaosStats stays the
         # exact-count source of truth for the differential tests).
         self._m_injected = {
-            fault: self.metrics.counter("chaos_injections_total", fault=fault)
-            for fault in ("delay", "drop", "duplicate", "crash",
-                          "bitflip", "flap", "stall", "rank-flap")
+            fault: fabric.metrics.counter("chaos_injections_total", fault=fault)
+            for fault in _flight.CHAOS_EVENT_OF
         }
-        # wire state, all guarded by self._cond's lock:
         # heap of (arrival, tie, chan, seq, msg, is_retransmit)
         self._limbo: List[Tuple[float, int, Tuple, int, Message, bool]] = []
         self._tie = itertools.count()
@@ -314,10 +316,9 @@ class ChaosFabric(Fabric):
         # hierarchical ring exploits by replacing full weight slots with
         # 24-byte references on the slow boundary links.
         self._link_busy: Dict[Tuple[int, int], float] = {}
-        self._chan_send_seq: Dict[Tuple, int] = {}
+        self._chan_seq: Dict[Tuple, int] = {}
         self._chan_next: Dict[Tuple, int] = {}
         self._chan_pending: Dict[Tuple, Dict[int, Message]] = {}
-        self._posts_by_rank: Dict[int, int] = {}
         # integrity/NACK state: pristine copies of corrupted frames, the
         # per-frame attempt count, in-flight retransmissions (dedupes the
         # NACK a corrupt duplicate would trigger), per-flow budget use,
@@ -327,166 +328,142 @@ class ChaosFabric(Fabric):
         self._retx_inflight: Set[Tuple[Tuple, int]] = set()
         self._flow_retx: Dict[Tuple, int] = {}
         self._corrupt_flows: Dict[Tuple, str] = {}
-        # per-directed-link post counters (flap windows index into these)
-        # and active NIC outages: rank -> monotonic "links down until".
+        # per-directed-link arrival counters (flap windows index into
+        # these) and active NIC outages: rank -> "links down until".
         self._link_posts: Dict[Tuple[int, int], int] = {}
         self._nic_down_until: Dict[int, float] = {}
 
-    # -- wire ------------------------------------------------------------------
+    def _inject(self, fault: str, msg: Message, b: Optional[int] = None) -> None:
+        """Tally one injection in the registry and on the flight ring of
+        the rank it is about (the sender)."""
+        self._m_injected[fault].add(1)
+        self.fabric.flight.rings[msg.src].record(
+            _flight.CHAOS_EVENT_OF[fault], msg.src, msg.dst if b is None else b
+        )
 
-    def post(self, msg: Message) -> None:
-        self._check_rank(msg.src)
-        self._check_rank(msg.dst)
-        pol = self.policy
-        if self.integrity and msg.crc is None:
-            msg.crc = payload_crc32(msg.payload)
-        stall = 0.0
-        with self._cond:
-            self._check_disturbed(msg.src)
-            n = self._posts_by_rank.get(msg.src, 0) + 1
-            self._posts_by_rank[msg.src] = n
-            if pol.crash_rank == msg.src and pol.crash_at_post == n:
-                self.chaos.crashes += 1
-                self._m_injected["crash"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_CRASH, msg.src, n
-                )
-                raise ChaosCrash(
-                    f"injected crash: rank {msg.src} killed at its "
-                    f"{n}th send (tag={msg.tag})"
-                )
-            if self.detector is not None:
-                self._heartbeat_locked(msg.src, _now())
-            chan = (msg.src, msg.dst, msg.tag)
-            seq = self._chan_send_seq.get(chan, 0)
-            self._chan_send_seq[chan] = seq + 1
-            lp = self._link_posts.get((msg.src, msg.dst), 0)
-            self._link_posts[(msg.src, msg.dst)] = lp + 1
-            self._record_traffic_locked(msg)  # logical traffic: once per message
-            self.chaos.posts += 1
+    # -- sending endpoint --------------------------------------------------------
 
-            # transient rank stall: the sender freezes (outside the lock,
-            # below) and its message only leaves when it unfreezes.
-            stall = pol.stall_at(msg.src, n)
-            if stall > 0.0:
-                self.chaos.stalls += 1
-                self.chaos.stall_time_s += stall
-                self._m_injected["stall"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_STALL, msg.src, n
-                )
-            # NIC outage trigger: from this post on, everything touching
-            # the rank queues until the outage ends, and the rank's
-            # heartbeats are suppressed (see _heartbeat_locked).
-            if pol.flap_rank == msg.src and pol.flap_rank_at_post == n:
-                self._nic_down_until[msg.src] = _now() + pol.flap_rank_duration
-                self.chaos.rank_flaps += 1
-                self._m_injected["rank-flap"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_FLAP, msg.src, -1
-                )
-
-            d = pol.decide(msg.src, msg.dst, msg.tag, seq)
-            # Topology serialization is deterministic in (src, dst,
-            # nbytes) and additive with the seeded jitter: the chaos
-            # decision itself never looks at message size, so two runs
-            # that differ only in payload bytes face the *same* adversary
-            # on a faster or slower wire — exactly what the
-            # hierarchical-vs-flat differential needs.  The link clock
-            # below adds queueing on top: messages sharing a directed
-            # link transmit one after another (retransmissions pay only
-            # the extra retry latency, not a second occupancy slot).
-            arrival = self._occupy_locked(msg) + d.delay + stall
-            if d.delay > 0.0:
-                self.chaos.delayed += 1
-                self._m_injected["delay"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_DELAY, msg.src, msg.dst
-                )
-            if d.dropped:
-                self.chaos.dropped += 1
-                self.chaos.retransmits += 1
-                self.chaos.extra_wire_bytes += msg.nbytes
-                self._m_injected["drop"].add(1)
-                self._m_heal["fabric_retransmits"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_DROP, msg.src, msg.dst
-                )
-                arrival += pol.retry_delay
-            hold = pol.flap_hold(msg.src, msg.dst, lp)
-            if hold > 0.0:
-                self.chaos.flapped += 1
-                self._m_injected["flap"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_FLAP, msg.src, msg.dst
-                )
-                arrival += hold
-            # messages to or from a flapped rank queue until its NIC is up.
-            mute = max(self._nic_down_until.get(msg.src, 0.0),
-                       self._nic_down_until.get(msg.dst, 0.0))
-            if mute > arrival:
-                arrival = mute
-            wire = msg
-            if d.bitflip:
-                # the wire carries a corrupted *copy* stamped with the
-                # original CRC; the sender's payload (often the sender's
-                # own live weights) is never touched.
-                rng = pol.flip_rng(msg.src, msg.dst, msg.tag, seq, 0)
-                bad = corrupt_copy(msg.payload, rng)
-                if bad is not None:
-                    wire = Message(msg.src, msg.dst, msg.tag, bad,
-                                   msg.nbytes, crc=msg.crc)
-                    self._pristine[(chan, seq)] = msg
-                    self.chaos.bitflips += 1
-                    self._m_injected["bitflip"].add(1)
-                    self.flight.rings[msg.src].record(
-                        _flight.EV_CHAOS_BITFLIP, msg.src, msg.dst
-                    )
-            heapq.heappush(
-                self._limbo, (arrival, next(self._tie), chan, seq, wire, False)
+    def on_post(self, msg: Message) -> float:
+        """Count the post; raise the injected crash, or return how long
+        the sender must freeze before the message leaves (0 = not)."""
+        pol, stats = self.policy, self.stats
+        n = stats.posts_by_rank.get(msg.src, 0) + 1
+        stats.posts_by_rank[msg.src] = n
+        if pol.crash_rank == msg.src and pol.crash_at_post == n:
+            stats.crashes += 1
+            self._inject("crash", msg, n)
+            raise ChaosCrash(
+                f"injected crash: rank {msg.src} killed at its "
+                f"{n}th send (tag={msg.tag})"
             )
-            if d.duplicated:
-                self.chaos.duplicates += 1
-                self.chaos.extra_wire_bytes += msg.nbytes
-                self._m_injected["duplicate"].add(1)
-                self.flight.rings[msg.src].record(
-                    _flight.EV_CHAOS_DUP, msg.src, msg.dst
-                )
-                heapq.heappush(
-                    self._limbo,
-                    (self._occupy_locked(msg) + d.dup_delay + stall,
-                     next(self._tie), chan, seq, wire, False),
-                )
-            self._pump_locked()
-            self._cond.notify_all()
+        stats.posts += 1
+        # transient rank stall: the sender freezes (outside the lock) and
+        # its message only leaves when it unfreezes.
+        stall = pol.stall_at(msg.src, n)
         if stall > 0.0:
-            # freeze the sender *outside* the lock: the rest of the group
-            # keeps running (and its failure detector keeps judging us).
-            time.sleep(stall)
-            with self._cond:
-                # a long stall may have gotten this rank confirmed dead —
-                # surface DeclaredDead / PeerFailed here, at a fabric
-                # operation, like any other disturbance.
-                self._check_disturbed(msg.src)
+            stats.stalls += 1
+            stats.stall_time_s += stall
+            self._inject("stall", msg, n)
+        # NIC outage trigger: from this post on, everything touching
+        # the rank queues until the outage ends, and the rank's
+        # heartbeats are suppressed (see nic_down).
+        if pol.flap_rank == msg.src and pol.flap_rank_at_post == n:
+            self._nic_down_until[msg.src] = (
+                time.monotonic() + pol.flap_rank_duration
+            )
+            stats.rank_flaps += 1
+            self._inject("rank-flap", msg, -1)
+        return stall
 
-    def link_delay(self, src: int, dst: int, nbytes: int) -> float:
-        """Deterministic per-link serialization delay (0 without topology).
+    def nic_down(self, rank: int, now: float) -> bool:
+        """A flapped NIC also cuts the rank's heartbeats — that silence
+        is what the failure detector is *supposed* to see."""
+        return now < self._nic_down_until.get(rank, 0.0)
 
-        Pure in ``(src, dst, nbytes)`` — exposed so the latency-ordering
-        property tests can check it without racing the wall clock."""
-        if self.topology is None:
-            return 0.0
-        return self.topology.wire_time(src, dst, nbytes)
+    # -- receiving endpoint ------------------------------------------------------
 
-    def _occupy_locked(self, msg: Message) -> float:
+    def admit(self, msg: Message) -> None:
+        """Decide the message's fate and park its wire copies in limbo."""
+        pol, stats = self.policy, self.stats
+        chan = (msg.src, msg.dst, msg.tag)
+        seq = self._chan_seq.get(chan, 0)
+        self._chan_seq[chan] = seq + 1
+        lp = self._link_posts.get((msg.src, msg.dst), 0)
+        self._link_posts[(msg.src, msg.dst)] = lp + 1
+
+        d = pol.decide(msg.src, msg.dst, msg.tag, seq)
+        # Topology serialization is deterministic in (src, dst,
+        # nbytes) and additive with the seeded jitter: the chaos
+        # decision itself never looks at message size, so two runs
+        # that differ only in payload bytes face the *same* adversary
+        # on a faster or slower wire — exactly what the
+        # hierarchical-vs-flat differential needs.  The link clock
+        # below adds queueing on top: messages sharing a directed
+        # link transmit one after another (retransmissions pay only
+        # the extra retry latency, not a second occupancy slot).
+        arrival = self._occupy(msg) + d.delay
+        if d.delay > 0.0:
+            stats.delayed += 1
+            self._inject("delay", msg)
+        if d.dropped:
+            stats.dropped += 1
+            stats.retransmits += 1
+            stats.extra_wire_bytes += msg.nbytes
+            self.fabric._m_heal["fabric_retransmits"].add(1)
+            self._inject("drop", msg)
+            arrival += pol.retry_delay
+        hold = pol.flap_hold(msg.src, msg.dst, lp)
+        if hold > 0.0:
+            stats.flapped += 1
+            self._inject("flap", msg)
+            arrival += hold
+        # messages to or from a flapped rank queue until its NIC is up.
+        arrival = max(arrival, self._nic_down_until.get(msg.src, 0.0),
+                      self._nic_down_until.get(msg.dst, 0.0))
+        wire = msg
+        if d.bitflip:
+            bad = self._corrupt(msg, pol.flip_rng(*chan, seq, 0))
+            if bad is not None:
+                wire = bad
+                self._pristine[(chan, seq)] = msg
+                self._inject("bitflip", msg)
+        heapq.heappush(
+            self._limbo, (arrival, next(self._tie), chan, seq, wire, False)
+        )
+        if d.duplicated:
+            stats.duplicates += 1
+            stats.extra_wire_bytes += msg.nbytes
+            self._inject("duplicate", msg)
+            heapq.heappush(
+                self._limbo,
+                (self._occupy(msg) + d.dup_delay,
+                 next(self._tie), chan, seq, wire, False),
+            )
+
+    def _corrupt(self, msg: Message, rng) -> Optional[Message]:
+        """A wire copy of ``msg`` with one flipped bit, stamped with the
+        pristine digest (``None`` when there is no array data to flip).
+        The sender's payload — often its own live weights — is never
+        touched.  A message from a wire that verifies its own frames
+        arrives unstamped; its structural digest is taken here, only
+        for the frames that get corrupted."""
+        bad = corrupt_copy(msg.payload, rng)
+        if bad is None:
+            return None
+        if msg.crc is None and self.fabric.integrity:
+            msg.crc = payload_crc32(msg.payload)
+        self.stats.bitflips += 1
+        return Message(msg.src, msg.dst, msg.tag, bad, msg.nbytes, crc=msg.crc)
+
+    def _occupy(self, msg: Message) -> float:
         """Reserve the message's directed link; return transmit-done time.
 
         A link is serial: transmission starts at ``max(now, link busy
-        until)`` and holds the link for :meth:`link_delay` seconds.
+        until)`` and holds the link for ``fabric.link_delay`` seconds.
         Without a topology there is no serialization and this is simply
-        ``now``.  Caller holds the fabric lock."""
-        now = _now()
-        wire = self.link_delay(msg.src, msg.dst, msg.nbytes)
+        ``now``."""
+        now = time.monotonic()
+        wire = self.fabric.link_delay(msg.src, msg.dst, msg.nbytes)
         if wire <= 0.0:
             return now
         key = (msg.src, msg.dst)
@@ -494,8 +471,12 @@ class ChaosFabric(Fabric):
         self._link_busy[key] = done
         return done
 
-    def _pump_locked(self) -> int:
-        """Move every due limbo message into the mailbox (caller holds lock).
+    def next_event(self) -> Optional[float]:
+        """Monotonic time the earliest limbo copy lands, or ``None``."""
+        return self._limbo[0][0] if self._limbo else None
+
+    def release(self, now: float) -> None:
+        """Move every due limbo message into the mailbox.
 
         Per-channel sequence numbers gate delivery: a copy whose seq was
         already delivered is a duplicate and is discarded; a copy due
@@ -505,7 +486,6 @@ class ChaosFabric(Fabric):
         mailbox — it is NACKed and retransmitted (with capped exponential
         backoff) until it lands clean or the flow's budget is exhausted.
         """
-        now = _now()
         delivered = 0
         while self._limbo and self._limbo[0][0] <= now:
             _, _, chan, seq, msg, is_retx = heapq.heappop(self._limbo)
@@ -514,10 +494,10 @@ class ChaosFabric(Fabric):
             nxt = self._chan_next.get(chan, 0)
             pending = self._chan_pending.setdefault(chan, {})
             if seq < nxt or seq in pending:
-                self.chaos.duplicates_discarded += 1
+                self.stats.duplicates_discarded += 1
                 continue
             if msg.crc is not None and payload_crc32(msg.payload) != msg.crc:
-                self._handle_corrupt_locked(chan, seq, msg, now)
+                self._nack(chan, seq, msg, now)
                 continue
             key = (chan, seq)
             if key in self._pristine:  # recovered: drop the NACK state
@@ -525,35 +505,30 @@ class ChaosFabric(Fabric):
                 self._frame_attempts.pop(key, None)
             pending[seq] = msg
             while nxt in pending:
-                m = pending.pop(nxt)
-                self._mail[m.dst][(m.src, m.tag)].append(m)
-                self._drain_locked((m.dst, m.src, m.tag))
+                self.fabric._deliver_locked(pending.pop(nxt))
                 nxt += 1
                 delivered += 1
             self._chan_next[chan] = nxt
         if delivered:
-            self.chaos.delivered += delivered
-            self._cond.notify_all()
-        return delivered
+            self.stats.delivered += delivered
+            self.fabric._cond.notify_all()
 
-    def _handle_corrupt_locked(
-        self, chan: Tuple, seq: int, msg: Message, now: float
-    ) -> None:
+    def _nack(self, chan: Tuple, seq: int, msg: Message, now: float) -> None:
         """A frame failed CRC on delivery: NACK it and schedule the
-        sender-side retransmission (caller holds the lock).
+        retransmission.
 
-        The retransmission resends the pristine copy the sender kept, but
-        rides the same lossy wire — it may be corrupted again, decided by
+        The retransmission resends the pristine copy kept at admission,
+        but rides the same lossy wire — it may be corrupted again, decided by
         the same pure RNG keyed on the frame identity and attempt number.
         Each flow has a cumulative retransmit budget; exhausting it
         poisons the flow and the blocked receiver raises
         :class:`CorruptFrameError` (a permanent failure, handed to the
         elastic shrink path by the worker driver).
         """
-        pol = self.policy
-        self.chaos.corrupt_frames += 1
-        self._m_heal["fabric_corrupt_frames"].add(1)
-        self.flight.rings[chan[1]].record(_flight.EV_CORRUPT_FRAME, chan[0], seq)
+        pol, stats, fab = self.policy, self.stats, self.fabric
+        stats.corrupt_frames += 1
+        fab._m_heal["fabric_corrupt_frames"].add(1)
+        fab.flight.rings[chan[1]].record(_flight.EV_CORRUPT_FRAME, chan[0], seq)
         key = (chan, seq)
         if key in self._retx_inflight:
             # a corrupt *duplicate* of a frame already being recovered:
@@ -565,30 +540,25 @@ class ChaosFabric(Fabric):
                 f"frame seq={seq} keeps failing CRC and the flow's "
                 f"retransmit budget ({pol.retransmit_budget}) is exhausted"
             )
-            self._cond.notify_all()
+            fab._cond.notify_all()
             return
         self._flow_retx[chan] = used + 1
         attempt = self._frame_attempts.get(key, 0) + 1
         self._frame_attempts[key] = attempt
-        self.chaos.nacks += 1
-        self.chaos.retransmits += 1
-        self.chaos.extra_wire_bytes += msg.nbytes
-        self._m_heal["fabric_retransmits"].add(1)
-        self.flight.rings[chan[1]].record(_flight.EV_NACK, chan[0], attempt)
-        self.flight.rings[chan[0]].record(_flight.EV_RETRANSMIT, chan[1], attempt)
+        stats.nacks += 1
+        stats.retransmits += 1
+        stats.extra_wire_bytes += msg.nbytes
+        fab._m_heal["fabric_retransmits"].add(1)
+        fab.flight.rings[chan[1]].record(_flight.EV_NACK, chan[0], attempt)
+        fab.flight.rings[chan[0]].record(_flight.EV_RETRANSMIT, chan[1], attempt)
         backoff = min(pol.retry_delay * (2 ** (attempt - 1)), pol.max_backoff)
-        pristine = self._pristine.get(key, msg)
-        resend = pristine
+        resend = self._pristine.get(key, msg)
         if pol.bitflip_prob > 0.0:
-            rng = pol.flip_rng(pristine.src, pristine.dst, pristine.tag,
-                               seq, attempt)
+            rng = pol.flip_rng(*chan, seq, attempt)
             if rng.random() < pol.bitflip_prob:
-                bad = corrupt_copy(pristine.payload, rng)
+                bad = self._corrupt(resend, rng)
                 if bad is not None:
-                    resend = Message(pristine.src, pristine.dst,
-                                     pristine.tag, bad, pristine.nbytes,
-                                     crc=pristine.crc)
-                    self.chaos.bitflips += 1
+                    resend = bad
                     self._m_injected["bitflip"].add(1)
         self._retx_inflight.add(key)
         heapq.heappush(
@@ -596,26 +566,21 @@ class ChaosFabric(Fabric):
             (now + backoff, next(self._tie), chan, seq, resend, True),
         )
 
-    def _check_flow_locked(self, dst: int, src: int, tag: Tuple) -> None:
+    def check_flow(self, dst: int, src: int, tag: Tuple) -> None:
+        """Raise if the ``src -> dst, tag`` flow exhausted its budget."""
         reason = self._corrupt_flows.get((src, dst, tag))
         if reason is not None:
             raise CorruptFrameError(
                 f"rank {dst} receiving from rank {src} tag={tag}: {reason}"
             )
 
-    def _heartbeat_locked(self, rank: int, now: float) -> None:
-        # a flapped NIC also cuts the rank's heartbeats — that silence is
-        # what the failure detector is *supposed* to see.
-        if now < self._nic_down_until.get(rank, 0.0):
-            return
-        super()._heartbeat_locked(rank, now)
 
-    # -- delivery-aware blocking hooks -----------------------------------------
-    # take/poll/irecv themselves come from Fabric: its blocking loop calls
-    # _pump_locked before matching and _next_event_locked to bound waits.
+def ChaosFabric(world_size: int, policy: Optional[ChaosPolicy] = None, **kw):
+    """A :class:`Fabric` with the chaos layer attached (default policy
+    when none is given) — the historical spelling of ``Fabric(world,
+    policy=...)``, accepted everywhere a ``Fabric`` is."""
+    from .communicator import Fabric
 
-    def _next_event_locked(self) -> Optional[float]:
-        return self._limbo[0][0] if self._limbo else None
-
-    def _timeout_context(self) -> str:
-        return f" under chaos seed {self.policy.seed}"
+    return Fabric(
+        world_size, policy=policy if policy is not None else ChaosPolicy(), **kw
+    )

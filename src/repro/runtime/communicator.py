@@ -1,6 +1,8 @@
-"""In-process message-passing fabric with an MPI/NCCL-flavoured API.
+"""The message-passing fabric, with an MPI/NCCL-flavoured API.
 
-:class:`Fabric` owns one mailbox per destination rank; workers interact
+:class:`Fabric` — the only fabric class; backends differ in the
+:class:`~repro.runtime.transport.base.Wire` under it — owns one mailbox
+per destination rank; workers interact
 through per-rank :class:`Communicator` views offering ``send`` /
 ``recv`` / ``isend`` / ``irecv`` with ``(phase, ...)`` tags, mirroring
 the ``batch_isend_irecv`` pattern the paper's PyTorch implementation
@@ -43,10 +45,12 @@ from ..obs import flight as _flight
 from ..obs.flight import FlightBox
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER
+from .chaos import ChaosLayer, ChaosPolicy
 from .integrity import payload_crc32
 from .message import Message, TrafficStats, payload_nbytes, tag_kind
 from .topology import Topology
-from .transport.base import Deadline
+from .transport.base import Deadline, Wire
+from .transport.thread import LocalWire
 
 __all__ = [
     "Fabric",
@@ -56,6 +60,17 @@ __all__ = [
     "PeerFailed",
     "DeclaredDead",
 ]
+
+
+#: counters every fabric creates eagerly (quiet runs must export zeros).
+HEAL_COUNTERS = (
+    "fabric_retransmits",
+    "fabric_corrupt_frames",
+    "detector_suspicions",
+    "detector_suspicions_cleared",
+    "detector_confirms",
+    "ring_rejoins",
+)
 
 
 class RecvTimeout(RuntimeError):
@@ -103,15 +118,19 @@ class PeerFailed(RuntimeError):
 
 
 class Fabric:
-    """Shared state for one group of communicating workers."""
+    """Shared state for one group of communicating workers.
 
-    #: whether payloads cross a wire by value.  The in-process fabric
-    #: delivers by *reference* (sender and receiver share one buffer, so
-    #: a replaced ring slot may still be aliased elsewhere and must not
-    #: be recycled); the shm process fabric sets True (a received buffer
-    #: has exactly one owner, so the ring engines retire replaced slots
-    #: into the pool).
-    wire_copies = False
+    There is one fabric class.  It owns everything with message-passing
+    *semantics* — rank checks, disturbance (abort, fail epochs, acks),
+    detector heartbeats and verdicts, rejoin, traffic + metrics + the
+    flight recorder, mailboxes, posted receives, the deadline-checked
+    wait loop and the shared pool — over a
+    :class:`~repro.runtime.transport.base.Wire` that only moves
+    messages between endpoints (in this object for threads, through
+    shared-memory rings for processes).  ``policy`` attaches the
+    :class:`~repro.runtime.chaos.ChaosLayer` between the two: every
+    arriving message passes through it on either wire.
+    """
 
     def __init__(
         self,
@@ -122,6 +141,8 @@ class Fabric:
         topology: Optional[Topology] = None,
         detector=None,
         integrity: bool = True,
+        policy: Optional[ChaosPolicy] = None,
+        wire: Optional[Wire] = None,
     ):
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
@@ -133,9 +154,9 @@ class Fabric:
         self.world_size = world_size
         self.timeout = timeout
         #: optional per-link topology; when set, traffic is additionally
-        #: ledgered per link class (intra/inter) and the chaos wire adds a
-        #: deterministic serialization delay per link.  The plain fabric
-        #: still delivers instantly — topology here is accounting-only.
+        #: ledgered per link class (intra/inter) and the chaos layer adds a
+        #: deterministic serialization delay per link.  Without a policy
+        #: delivery stays instant — topology is then accounting-only.
         self.topology = topology
         #: per-rank timeline recorder; NULL_TRACER (allocation-free
         #: no-ops) unless a real one is attached — see repro.obs.
@@ -149,21 +170,14 @@ class Fabric:
         #: failures feed the fail_rank / PeerFailed elastic path, and a
         #: falsely-confirmed (still running) rank gets DeclaredDead.
         self.detector = detector
-        #: frame every posted message with a payload CRC32 (the chaos
-        #: wire verifies on delivery; the plain wire is trusted).
+        #: frame every posted message with a payload CRC32 (verified by
+        #: the chaos layer on delivery; a wire that checksums its own
+        #: frames does it instead, a quiet in-process wire is trusted).
         self.integrity = integrity
         # heal telemetry: created eagerly so quiet runs export explicit
         # zeros (the CI quiet-wire control asserts on them).
         self._m_heal = {
-            name: self.metrics.counter(name)
-            for name in (
-                "fabric_retransmits",
-                "fabric_corrupt_frames",
-                "detector_suspicions",
-                "detector_suspicions_cleared",
-                "detector_confirms",
-                "ring_rejoins",
-            )
+            name: self.metrics.counter(name) for name in HEAL_COUNTERS
         }
         #: always-on black-box flight recorder: one bounded ring per
         #: rank holding the most recent fabric/control/integrity events
@@ -201,12 +215,53 @@ class Fabric:
         self._posted: Dict[Tuple[int, int, Tuple], Deque["_RecvHandle"]] = {}
         self._shared_pool: Any = None
         self.stats = TrafficStats()
+        #: the seeded adversary, when a policy is attached; ``chaos`` is
+        #: then its :class:`~repro.runtime.chaos.ChaosStats`.
+        self.policy = policy
+        self._layer = ChaosLayer(self, policy) if policy is not None else None
+        self.chaos = self._layer.stats if self._layer is not None else None
+        # where the wire hands arrived messages: the chaos layer's
+        # admission when there is one, the mailbox otherwise.
+        self._arrive_locked = (
+            self._layer.admit if self._layer is not None else self._deliver_locked
+        )
+        self._wire = wire if wire is not None else LocalWire()
+        self._wire.attach(self)
+
+    @property
+    def wire_copies(self) -> bool:
+        """Whether payloads cross the wire by value (see ``Wire.copies``):
+        the ring engines retire replaced slots into the pool only then."""
+        return self._wire.copies
 
     # -- internal ------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.world_size):
             raise ValueError(f"rank {rank} out of range 0..{self.world_size - 1}")
+
+    def _check_endpoint(self, rank: int) -> None:
+        if rank not in self._wire.ranks:
+            self._check_rank(rank)
+            raise ValueError(
+                f"this endpoint owns rank(s) {list(self._wire.ranks)}; "
+                f"rank {rank} lives in another process"
+            )
+
+    def _sync_locked(self) -> None:
+        """Fold what peers outside this object published (abort, fail
+        records) into the local disturbance state (caller holds lock)."""
+        news = self._wire.sync()
+        if news is None:
+            return
+        aborted, failed = news
+        if aborted and not self._aborted:
+            self._aborted = aborted
+        for r, v in failed.items():
+            if r not in self._failed:
+                self._failed[r] = v
+                self._fail_epoch += 1
+        self._cond.notify_all()
 
     def _check_disturbed(self, rank: int) -> None:
         """Raise if the fabric was poisoned or a peer failure is unacked.
@@ -219,6 +274,7 @@ class Fabric:
         (its gateway into the rejoin protocol) instead of being left to
         time out.
         """
+        self._sync_locked()
         if self._aborted:
             raise FabricAborted(self._aborted)
         if self._failed:
@@ -236,20 +292,14 @@ class Fabric:
                     {r: v for r, v in self._failed.items() if r != rank}
                 )
 
-    def _check_flow_locked(self, dst: int, src: int, tag: Tuple) -> None:
-        """Raise if the ``src -> dst, tag`` flow is poisoned (caller holds
-        the lock).  The plain wire never poisons flows; the chaos wire
-        overrides this to surface CorruptFrameError when a flow's
-        retransmit budget is exhausted."""
-
-    def _heartbeat_locked(self, rank: int, now: float) -> None:
-        """Record liveness evidence for ``rank`` (caller holds the lock).
-
-        The chaos wire overrides this to *suppress* heartbeats from a
-        rank whose NIC is flapped — that suppression is exactly what lets
-        tests drive the suspect/confirm path deterministically."""
-        det = self.detector
-        if det is not None and det.heartbeat(rank, now):
+    def _beat_locked(self, rank: int, now: float) -> None:
+        """Record liveness evidence for ``rank`` (caller holds the lock)
+        — unless the chaos layer has its NIC flapped: that suppression is
+        exactly what lets tests drive the suspect/confirm path
+        deterministically."""
+        if self._layer is not None and self._layer.nic_down(rank, now):
+            return
+        if self.detector.heartbeat(rank, now):
             self._m_heal["detector_suspicions_cleared"].add(1)
             self.flight.rings[rank].record(_flight.EV_SUSPECT_CLEAR, rank)
 
@@ -257,11 +307,10 @@ class Fabric:
         """Account one *logical* message, exactly once, for both the
         legacy :class:`TrafficStats` view and the metrics registry.
 
-        This is the single choke point for traffic accounting: every
-        post path (blocking or nonblocking, plain or chaos wire) must go
-        through here so the per-kind ledgers cannot drift apart.  Caller
-        holds the fabric lock, which is what makes the shared counter
-        handles safe.
+        This is the single choke point for traffic accounting, called
+        from the one ``post``, so the per-kind ledgers cannot drift
+        apart.  Caller holds the fabric lock, which is what makes the
+        shared counter handles safe.
         """
         self.stats.record(msg)
         self.flight.rings[msg.src].record(_flight.EV_SEND, msg.dst, msg.nbytes)
@@ -299,35 +348,32 @@ class Fabric:
                 for cls in sorted(set(self._link_bytes) | set(self._link_msgs))
             }
 
-    # hooks the chaos wire overrides -------------------------------------------
+    def link_delay(self, src: int, dst: int, nbytes: int) -> float:
+        """Deterministic per-link serialization delay (0 without topology)
+        the chaos layer charges on the link clock.
 
-    def _pump_locked(self) -> int:
-        """Move in-flight wire state into mailboxes (caller holds lock).
-
-        The plain fabric delivers at ``post`` time, so there is nothing
-        to pump; :class:`~repro.runtime.chaos.ChaosFabric` overrides this
-        to land due limbo messages.
-        """
-        return 0
-
-    def _next_event_locked(self) -> Optional[float]:
-        """Monotonic time of the next wire event, or ``None`` (used to
-        bound condition waits so delayed deliveries wake blocked
-        receivers promptly)."""
-        return None
-
-    def _timeout_context(self) -> str:
-        """Extra text for RecvTimeout messages (chaos names its seed)."""
-        return ""
-
-    def _idle_wait_locked(self, wait_for: float) -> None:
-        """Block until notified or ``wait_for`` elapses (caller holds the
-        lock).  Single-process transport endpoints override this: no peer
-        thread can ever notify their condvar, so they yield/poll on their
-        own clock instead of sleeping the full timeout."""
-        self._cond.wait(timeout=wait_for)
+        Pure in ``(src, dst, nbytes)`` — exposed so the latency-ordering
+        property tests can check it without racing the wall clock."""
+        if self.topology is None:
+            return 0.0
+        return self.topology.wire_time(src, dst, nbytes)
 
     # -- delivery --------------------------------------------------------------
+
+    def _land_locked(self) -> None:
+        """Move in-flight wire state into mailboxes (caller holds lock):
+        whatever the wire has received arrives, then the chaos layer
+        lands the copies that are due."""
+        self._wire.poll()
+        if self._layer is not None:
+            self._layer.release(_now())
+
+    def _deliver_locked(self, msg: Message) -> None:
+        """Put ``msg`` in its mailbox and fulfil posted receives."""
+        self._mail[msg.dst][(msg.src, msg.tag)].append(msg)
+        key = (msg.dst, msg.src, msg.tag)
+        if key in self._posted:
+            self._drain_locked(key)
 
     def _drain_locked(self, key: Tuple[int, int, Tuple]) -> None:
         """Fulfil posted receives on ``key`` from its mailbox, in posting
@@ -347,18 +393,38 @@ class Fabric:
             del self._posted[key]
 
     def post(self, msg: Message) -> None:
-        self._check_rank(msg.src)
+        """The one send path: prologue (endpoint and disturbance checks,
+        CRC stamp, heartbeat, traffic ledger), the chaos layer's
+        sender-side stage, then the wire."""
+        self._check_endpoint(msg.src)
         self._check_rank(msg.dst)
-        if self.integrity and msg.crc is None:
+        wire, layer = self._wire, self._layer
+        if self.integrity and msg.crc is None and not wire.verifies:
             msg.crc = payload_crc32(msg.payload)
         with self._cond:
             self._check_disturbed(msg.src)
             if self.detector is not None:
-                self._heartbeat_locked(msg.src, _now())
-            self._mail[msg.dst][(msg.src, msg.tag)].append(msg)
-            self._record_traffic_locked(msg)
-            self._drain_locked((msg.dst, msg.src, msg.tag))
+                self._beat_locked(msg.src, _now())
+            stall = layer.on_post(msg) if layer is not None else 0.0
+            self._record_traffic_locked(msg)  # logical traffic: once per message
+            if stall:
+                # an injected stall freezes the sender before its message
+                # leaves, *outside* the lock: the rest of the group keeps
+                # running (and its failure detector keeps judging us).
+                self._lock.release()
+                try:
+                    time.sleep(stall)
+                finally:
+                    self._lock.acquire()
+            wire.send(msg)
+            if layer is not None:
+                layer.release(_now())
             self._cond.notify_all()
+            if stall:
+                # a long stall may have gotten this rank confirmed dead —
+                # surface DeclaredDead / PeerFailed here, at a fabric
+                # operation, like any other disturbance.
+                self._check_disturbed(msg.src)
 
     def _post_recv_locked(self, dst: int, src: int, tag: Tuple) -> "_RecvHandle":
         # failure/abort checks come before consuming available messages
@@ -368,7 +434,7 @@ class Fabric:
         h = _RecvHandle(self, dst, src, tag)
         key = (dst, src, tag)
         self._posted.setdefault(key, deque()).append(h)
-        self._pump_locked()
+        self._land_locked()
         self._drain_locked(key)
         return h
 
@@ -392,12 +458,13 @@ class Fabric:
 
     def _wait_locked(self, h: "_RecvHandle", timeout: Optional[float]) -> Any:
         deadline = Deadline(timeout if timeout is not None else self.timeout)
+        layer = self._layer
         while True:
             if h._done:
                 return h._value
             try:
                 self._check_disturbed(h._dst)
-                self._pump_locked()
+                self._land_locked()
                 self._drain_locked((h._dst, h._src, h._tag))
                 if h._done:
                     return h._value
@@ -406,10 +473,11 @@ class Fabric:
                 # the notify_all it issued can't wake the thread that holds
                 # the lock — re-checking here avoids sleeping a full
                 # timeout on a flow already known dead.
-                self._check_flow_locked(h._dst, h._src, h._tag)
+                if layer is not None:
+                    layer.check_flow(h._dst, h._src, h._tag)
                 # re-derive the budget from the deadline each pass: spurious
                 # wakeups (notify_all for a different channel) must neither
-                # shrink the budget below zero nor hand Condition.wait a
+                # shrink the budget below zero nor hand the wait a
                 # negative timeout.
                 now = _now()
                 det = self.detector
@@ -419,7 +487,7 @@ class Fabric:
                     # waits on gets re-judged — suspicion first, and only
                     # a suspicion that outlives the confirmation window
                     # triggers the fail-stop shrink path.
-                    self._heartbeat_locked(h._dst, now)
+                    self._beat_locked(h._dst, now)
                     if h._src != h._dst and h._src not in self._failed:
                         verdict = det.evaluate(h._src, now)
                         if verdict == "suspect":
@@ -451,14 +519,18 @@ class Fabric:
                             )
                             continue  # next pass raises PeerFailed
                 if deadline.expired():
+                    seed = (
+                        f" under chaos seed {self.policy.seed}"
+                        if layer is not None else ""
+                    )
                     raise RecvTimeout(
                         f"rank {h._dst} timed out waiting for msg from rank "
                         f"{h._src} tag={h._tag} after {deadline.elapsed():.3f}s "
-                        f"(timeout {deadline.limit}s{self._timeout_context()}; "
+                        f"(timeout {deadline.limit}s{seed}; "
                         f"likely a schedule deadlock)"
                     )
                 wait_for = deadline.remaining()
-                nxt = self._next_event_locked()
+                nxt = layer.next_event() if layer is not None else None
                 if nxt is not None:
                     # wake when the earliest in-flight message lands
                     wait_for = min(wait_for, max(nxt - now, 0.0) + 1e-4)
@@ -466,7 +538,7 @@ class Fabric:
                     # re-judge peers at the detector's cadence even when
                     # no wire event is due.
                     wait_for = min(wait_for, det.poll_interval)
-                self._idle_wait_locked(wait_for)
+                self._wire.wait(wait_for)
             except BaseException:
                 # an abandoned posted receive must not swallow a later
                 # message on its channel: unpost before propagating.
@@ -480,7 +552,7 @@ class Fabric:
     def test_handle(self, h: "_RecvHandle") -> bool:
         with self._cond:
             if not h._done:
-                self._pump_locked()
+                self._land_locked()
                 self._drain_locked((h._dst, h._src, h._tag))
             return h._done
 
@@ -495,24 +567,29 @@ class Fabric:
         """True when an *unclaimed* matching message is deliverable now
         (messages already claimed by posted receives don't count)."""
         with self._cond:
-            self._pump_locked()
+            self._land_locked()
             self._drain_locked((dst, src, tag))
             return bool(self._mail[dst][(src, tag)])
 
-    def shared_pool(self, factory) -> Any:
-        """The fabric-wide buffer pool, lazily created by ``factory()``.
+    def _pool_locked(self, factory) -> Any:
+        if self._shared_pool is None:
+            self._shared_pool = self._wire.make_pool(factory)
+        return self._shared_pool
 
-        All ranks of one fabric share it, so a buffer released by one
+    def shared_pool(self, factory) -> Any:
+        """The endpoint's buffer pool, lazily created from ``factory``.
+
+        All ranks of one endpoint share it, so a buffer released by one
         worker is recycled by its neighbour — exactly the lifecycle of a
         circulating weight slot."""
         with self._lock:
-            if self._shared_pool is None:
-                self._shared_pool = factory()
-            return self._shared_pool
+            return self._pool_locked(factory)
 
     def abort(self, reason: str) -> None:
         with self._cond:
-            self.flight.rings[0].record(_flight.EV_ABORT)
+            home = self._wire.ranks[0]
+            self.flight.rings[home].record(_flight.EV_ABORT, home)
+            self._wire.publish_abort(reason)
             self._aborted = reason
             self._cond.notify_all()
 
@@ -543,6 +620,7 @@ class Fabric:
         self.flight.rings[rank].record(
             _flight.EV_FAIL, rank, step if step is not None else -1
         )
+        self._wire.publish_fail(rank, reason, step)
         self._failed[rank] = (reason, step)
         self._fail_epoch += 1
         self._cond.notify_all()
@@ -550,6 +628,7 @@ class Fabric:
     def failed_ranks(self) -> Dict[int, Tuple[str, Optional[int]]]:
         """Dead ranks so far: ``{rank: (reason, step)}``."""
         with self._lock:
+            self._sync_locked()
             return dict(self._failed)
 
     # -- ring re-grow (rank rejoin) -------------------------------------------
@@ -614,7 +693,7 @@ class Fabric:
                         f"{deadline.limit}s "
                         f"(survivors finished or rejected the rejoin)"
                     )
-                self._cond.wait(timeout=deadline.remaining())
+                self._wire.wait(deadline.remaining())
             return self._admitted.pop(rank)
 
     def acknowledge_failures(self, rank: int) -> None:
@@ -630,13 +709,10 @@ class Fabric:
         with self._lock:
             self.flight.rings[rank].record(_flight.EV_PROGRESS, rank, step)
             self._progress[rank] = step
-
-    def progress_of(self, rank: int) -> Optional[int]:
-        with self._lock:
-            return self._progress.get(rank)
+            self._wire.publish_progress(rank, step)
 
     def communicator(self, rank: int) -> "Communicator":
-        self._check_rank(rank)
+        self._check_endpoint(rank)
         return Communicator(self, rank)
 
 

@@ -15,11 +15,12 @@ shrink the group and keep training (:mod:`repro.runtime.recovery`).
 (:mod:`repro.runtime.transport`):
 
 * ``backend="thread"`` (default) — daemon threads of this interpreter
-  on one shared zero-copy fabric; full chaos / integrity / detector /
-  rejoin machinery; the semantic oracle,
-* ``backend="process"`` — one forked process per rank over
-  shared-memory rings; genuinely parallel compute, same semantics,
-  bit-exact results (``repro.testing.run_backend_differential``).
+  on one shared zero-copy fabric; the only backend with the failure
+  detector and rejoin; the semantic oracle,
+* ``backend="process"`` — one forked process per rank, each with the
+  same fabric over shared-memory rings; genuinely parallel compute,
+  same semantics (chaos and integrity included), bit-exact results
+  (``repro.testing.run_backend_differential``).
 
 Passing a pre-built ``fabric`` (to inspect traffic afterwards) implies
 the thread backend; a :class:`~repro.runtime.transport.Transport`

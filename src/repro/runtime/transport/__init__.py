@@ -2,13 +2,15 @@
 
 ``backend="thread"`` (default) runs every rank as a daemon thread on
 one shared in-process :class:`~repro.runtime.communicator.Fabric` —
-zero-copy, full chaos/integrity/detector machinery, the semantic
-oracle.  ``backend="process"`` forks one process per rank and ships
-frames through shared-memory rings — genuinely parallel compute, same
-tag/FIFO/abort/fail-stop semantics, bit-exact with the thread backend.
+zero-copy, failure detector and rejoin available, the semantic
+oracle.  ``backend="process"`` forks one process per rank, each with
+the same ``Fabric`` over a :class:`ShmWire`, and ships frames through
+shared-memory rings — genuinely parallel compute, same
+tag/FIFO/abort/fail-stop/chaos semantics, bit-exact with the thread
+backend.
 """
 
-from .base import Deadline, Transport, WorkerError, join_group
+from .base import Deadline, Transport, Wire, WorkerError, join_group
 from .shm import (
     ControlBlock,
     Frame,
@@ -18,30 +20,31 @@ from .shm import (
     ring_offset,
     ring_segment_size,
 )
-from .thread import ThreadTransport
+from .thread import LocalWire, ThreadTransport
 
 __all__ = [
     "ControlBlock",
     "Deadline",
     "Frame",
     "FrameDecoder",
+    "LocalWire",
     "ProcessTransport",
-    "ShmFabric",
     "ShmRing",
+    "ShmWire",
     "ThreadTransport",
     "Transport",
+    "Wire",
     "WorkerError",
     "encode_frame",
     "join_group",
     "ring_offset",
     "ring_segment_size",
-    "validate_process_policy",
 ]
 
-# the process transport imports the communicator (its fabric subclasses
+# the process transport imports the communicator (its children build a
 # Fabric), which itself imports .base above — resolve lazily so merely
 # importing the communicator cannot recurse into this package.
-_LAZY = {"ProcessTransport", "ShmFabric", "validate_process_policy"}
+_LAZY = {"ProcessTransport", "ShmWire"}
 
 
 def __getattr__(name: str):

@@ -23,19 +23,28 @@ agreement):
 * one *group-wide* join deadline — joining P ranks in sequence must not
   stretch the worst case to ``P x timeout`` (:class:`Deadline`).
 
-Capability flags tell callers which optional machinery a backend
-supports (``supports_detector``, ``supports_tracer``,
-``chaos="full"|"delay-only"|None``); asking for an unsupported feature
-is a loud ``ValueError`` at launch, never a silent downgrade.
+Underneath, both transports run the *same*
+:class:`~repro.runtime.communicator.Fabric` — matching, disturbance
+epochs, integrity, chaos, metrics and the flight recorder exist once —
+over a :class:`Wire`, the small part that really differs: how a message
+reaches the peer's fabric object and how a blocked rank waits.  There
+are no capability flags: every :class:`~repro.runtime.chaos.ChaosPolicy`
+knob, the tracer and the metrics work on either backend.  The one thing
+still thread-only is the heartbeat failure detector (and what is defined
+in terms of heartbeats: rejoin, ``flap_rank``); asking the process
+backend for it is a loud ``ValueError`` at launch, never a silent
+downgrade.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Deadline", "Transport", "WorkerError", "join_group"]
+from ...obs import flight as _flight
+
+__all__ = ["Deadline", "Transport", "Wire", "WorkerError", "join_group"]
 
 
 class WorkerError(RuntimeError):
@@ -110,19 +119,73 @@ def join_group(
             )
 
 
+class Wire:
+    """What one backend does differently under the one ``Fabric``.
+
+    The fabric calls every method with its lock held.  The defaults
+    describe a wire with nothing in flight and no group state outside
+    the fabric object itself; ``send``, ``wait`` and ``make_pool`` have
+    no default.  DESIGN.md §14 has the contract as a table.
+    """
+
+    #: the ranks whose endpoint this is (first one = where rank-less
+    #: events such as ``abort`` are recorded).
+    ranks: Sequence[int] = ()
+    #: whether a delivered payload is a private copy (so a replaced ring
+    #: slot has one owner and may be retired into the pool) or shared
+    #: with the sender (by reference, or by arena mapping).
+    copies: bool = False
+    #: whether frames carry their own byte-level digest; the fabric then
+    #: stamps no structural CRC and arrived messages carry ``crc=None``.
+    verifies: bool = False
+
+    def attach(self, fabric: Any) -> None:
+        """Bind to the fabric whose ``_arrive_locked`` takes arrivals."""
+        raise NotImplementedError
+
+    def send(self, msg: Any) -> None:
+        """Put ``msg`` on the wire; may block on back-pressure."""
+        raise NotImplementedError
+
+    def poll(self) -> None:
+        """Hand every message that has arrived to the fabric."""
+
+    def wait(self, wait_for: float) -> None:
+        """Idle up to ``wait_for`` seconds or until something may have
+        changed, whichever is first."""
+        raise NotImplementedError
+
+    def sync(self) -> Optional[Tuple[Optional[str], Dict[int, Tuple]]]:
+        """``(abort reason, failed records)`` when peers outside this
+        object published news since the last call, else ``None``."""
+        return None
+
+    def publish_abort(self, reason: str) -> None:
+        """Make an abort visible to peers outside this object."""
+
+    def publish_fail(self, rank: int, reason: str, step: Optional[int]) -> None:
+        """Make a fail-stop record visible to peers outside this object."""
+
+    def publish_progress(self, rank: int, step: int) -> None:
+        """Make a progress report visible outside this object."""
+
+    def make_pool(self, factory: Callable[[], Any]) -> Any:
+        """The buffer pool the endpoint's ranks share."""
+        raise NotImplementedError
+
+
 class Transport:
     """Execution backend for one worker group (see module docstring)."""
 
     #: short name used by CLI flags, metrics labels and artefacts.
     name: str = "abstract"
-    #: whether a heartbeat failure detector (and the rejoin protocol it
-    #: gates) can be attached.
-    supports_detector: bool = False
-    #: whether per-rank tracing is available.
-    supports_tracer: bool = False
-    #: chaos support: "full" (every ChaosPolicy knob), "delay-only"
-    #: (seeded hold-backs only), or None.
-    chaos: Optional[str] = None
+    #: explicit post-mortem dump directory (falls back to the
+    #: ``REPRO_POSTMORTEM_DIR`` environment variable).
+    postmortem_to: Optional[str] = None
+    #: post-mortem bundle of the most recent *failed* launch (None
+    #: after a clean one), and where it was written (if anywhere).
+    last_postmortem: Optional[Dict] = None
+    last_postmortem_path: Optional[str] = None
 
     def launch(
         self,
@@ -139,3 +202,52 @@ class Transport:
         backed by pre-sized shared memory reserves for it; one whose
         pool is the heap ignores it."""
         raise NotImplementedError
+
+    def _postmortem(
+        self,
+        world: int,
+        errors: Sequence[Optional[WorkerError]],
+        flights: Callable[[], Dict[str, Dict]],
+        failed: Callable[[], Dict],
+        aborted: Optional[str],
+        clock: Optional[Dict] = None,
+        stuck: Sequence[int] = (),
+        timeout: float = 0.0,
+    ) -> None:
+        """The epilogue of every launch: build, keep and dump the bundle
+        of a failed one.  The first :class:`WorkerError` names the
+        failure, else the abort string; a launch with neither leaves no
+        bundle (and calls neither ``flights`` nor ``failed``, which
+        snapshot every rank's flight ring and the fail records).  After
+        a join timeout, ``stuck`` lists the ranks still running: they
+        are named in the bundle and in the ``TimeoutError`` raised from
+        here."""
+        self.last_postmortem = self.last_postmortem_path = None
+        first = next((e for e in errors if e is not None), None)
+        if stuck:
+            detail = (
+                ", ".join(f"worker-{r}" for r in stuck)
+                + f" did not finish within the group deadline ({timeout}s"
+            )
+            reason = {"kind": "timeout", "detail": detail + ")"}
+        elif first is not None:
+            reason = {
+                "kind": type(first.original).__name__,
+                "detail": str(first.original),
+                "rank": first.rank,
+            }
+        elif aborted:
+            reason = {"kind": "abort", "detail": aborted}
+        else:
+            return
+        self.last_postmortem = _flight.build_postmortem(
+            self.name, world, reason, flights(),
+            failed=failed(), aborted=aborted, clock=clock,
+        )
+        directory = self.postmortem_to or _flight.postmortem_dir()
+        if directory:
+            self.last_postmortem_path = _flight.dump_postmortem(
+                self.last_postmortem, directory
+            )
+        if stuck:
+            raise TimeoutError(detail + " shared across all ranks)")

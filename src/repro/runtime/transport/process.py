@@ -8,16 +8,20 @@ Ranks communicate over one shared-memory segment holding a full mesh of
 directed pair) plus a :class:`ControlBlock` for abort / fail-stop
 state.
 
-:class:`ShmFabric` is the per-process fabric endpoint: a
-:class:`~repro.runtime.communicator.Fabric` subclass whose mailbox,
-posted-receive matching and wait loops are reused verbatim, but whose
-``post`` serializes the message into the outbound ring (pickle-5 frame,
-array bodies out of band — see :mod:`.shm`) and whose pump decodes
-inbound frames straight into the receiving rank's buffer pool.  The
-PR-7 integrity frame carries over: the structural CRC32 stamped at post
-time travels in the frame header and is re-verified after decode.
+Each child runs the one :class:`~repro.runtime.communicator.Fabric` —
+the same mailboxes, posted-receive matching, wait loop, disturbance
+epochs, chaos layer, metrics and flight recorder as the thread backend —
+over a :class:`ShmWire`, the endpoint of one rank: ``send`` serializes
+the message into the outbound ring (pickle-5 frame, array bodies out of
+band — see :mod:`.shm`), ``poll`` decodes inbound frames straight into
+the receiving rank's buffer pool, ``sync`` / ``publish_*`` mirror abort,
+fail-stop and progress state through the control block, and ``wait``
+yields and then sleeps because no peer can notify a condvar across a
+process boundary.  Frames carry byte-level CRC32s (header, meta + blob,
+payload) the decoder checks as they stream in, so the fabric stamps no
+structural digest on this wire.
 
-What carries over from the thread backend, and what does not:
+What differs from the thread backend is therefore only the wire:
 
 * tag namespaces, FIFO per channel, posted-receive matching — identical
   (frames on one link arrive in post order; the per-link sequence
@@ -25,11 +29,14 @@ What carries over from the thread backend, and what does not:
 * ``abort`` poison and ``fail_rank`` / ``PeerFailed`` epochs — shared
   through the control block; acknowledgements stay rank-local exactly
   as in the thread fabric;
-* chaos — **delay-only** policies (seeded hold-backs, applied at the
-  receiver from the same per-channel decision function), because
-  drops/duplicates/bit-flips/NACK exercise wire machinery the shm
-  stream does not emulate; asking for them raises at launch;
-* failure detector, rejoin protocol, tracer — thread backend only.
+* chaos — every :class:`~repro.runtime.chaos.ChaosPolicy` knob: the
+  layer runs at the receiving endpoint of each message (and at the
+  sending one for crashes and stalls), its decisions are pure in the
+  message identity and per-link arrival order, and the per-rank
+  :class:`~repro.runtime.chaos.ChaosStats` sum into ``transport.chaos``;
+* the failure detector — and rejoin and ``flap_rank``, which are
+  defined in terms of heartbeats — is the one refusal (``launch``
+  raises ``ValueError``) until heartbeats live in the control block.
 
 Payload transfer has two modes, chosen per-buffer at encode time:
 
@@ -64,7 +71,6 @@ the segment once, before unlinking it.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import shutil
@@ -84,10 +90,12 @@ from ...obs.merge import (
 )
 from ...obs.metrics import MetricsRegistry
 from ...obs.tracer import Tracer
+from ..chaos import ChaosStats
+from ..communicator import HEAL_COUNTERS as _EAGER_COUNTERS  # tests/obs name
 from ..communicator import Fabric, FabricAborted, PeerFailed, RecvTimeout
-from ..integrity import CorruptFrameError, payload_crc32
+from ..integrity import CorruptFrameError
 from ..message import Message, TrafficStats
-from .base import Deadline, Transport, WorkerError
+from .base import Deadline, Transport, Wire, WorkerError
 from .shm import (
     ControlBlock,
     FrameDecoder,
@@ -100,7 +108,7 @@ from .shm import (
     split_payload,
 )
 
-__all__ = ["ProcessTransport", "ShmFabric", "validate_process_policy"]
+__all__ = ["ProcessTransport", "ShmWire"]
 
 #: per-directed-link ring capacity.  The ring carries frame headers,
 #: descriptors and whatever payload is not arena-resident; a frame
@@ -116,36 +124,6 @@ DEFAULT_ARENA_BYTES = 1 << 25
 #: wake at OS-scheduler granularity (no interpreter switch interval), so
 #: this — not the GIL — bounds the hop latency.
 DEFAULT_POLL_S = 2e-4
-
-
-def validate_process_policy(policy: Any) -> None:
-    """Reject chaos knobs the shm wire cannot reproduce.
-
-    Delay-only policies are deterministic receiver-side because frames
-    arrive per link in post order, so the per-channel sequence numbers
-    driving :meth:`ChaosPolicy.decide` match the thread wire exactly.
-    Everything else (drops, duplicates, SDC + NACK/retransmit, flaps,
-    stalls, crashes) manipulates the in-process wire itself — those
-    stay thread-backend features.
-    """
-    if policy is None:
-        return
-    unsupported = []
-    for knob in ("drop_prob", "duplicate_prob", "bitflip_prob",
-                 "flap_prob", "stall_prob", "max_stall"):
-        if getattr(policy, knob, 0):
-            unsupported.append(knob)
-    for knob in ("crash_rank", "stall_rank", "flap_rank"):
-        if getattr(policy, knob, None) is not None:
-            unsupported.append(knob)
-    if getattr(policy, "flaps", ()):
-        unsupported.append("flaps")
-    if unsupported:
-        raise ValueError(
-            "process backend supports delay-only chaos policies; "
-            f"unsupported knobs set: {', '.join(sorted(unsupported))} "
-            "(use the thread backend for the full chaos wire)"
-        )
 
 
 def _arena_regions(
@@ -228,14 +206,14 @@ def _arena_pool(arena: ShmArena) -> Any:
     return _ARENA_POOL_CLS(arena)
 
 
-class ShmFabric(Fabric):
-    """Per-process fabric endpoint over a shared ring segment.
+class ShmWire(Wire):
+    """One rank's endpoint of the shared ring segment.
 
-    One instance lives in each worker process and only its own rank may
-    post/receive through it; the base class supplies mailboxes, posted
-    receives and the deadline-checked wait loop, while this subclass
-    swaps the by-reference delivery for framed ring streams.
+    One instance lives in each worker process, under that process's
+    ``Fabric``; only its own rank may post or receive through it.
     """
+
+    verifies = True
 
     def __init__(
         self,
@@ -246,23 +224,15 @@ class ShmFabric(Fabric):
         control_bytes: int,
         link_bytes: int = DEFAULT_LINK_BYTES,
         arena_bytes: int = DEFAULT_ARENA_BYTES,
-        timeout: float = 60.0,
-        policy: Any = None,
-        integrity: bool = True,
         poll_interval: float = DEFAULT_POLL_S,
-        topology: Any = None,
-        trace: bool = False,
     ):
-        validate_process_policy(policy)
-        super().__init__(
-            world_size, timeout=timeout, integrity=integrity, topology=topology,
-            tracer=Tracer() if trace else None,
-        )
-        self._check_rank(rank)
         self.rank = rank
+        self.ranks = (rank,)
         self._poll = poll_interval
-        self._policy = policy
         self._control = ControlBlock(segment, world_size)
+        self.publish_abort = self._control.abort
+        self.publish_fail = self._control.fail
+        self.publish_progress = self._control.set_progress
         # seeded all-clear, not from the live block: an abort or fail-stop
         # published before this (later-forked) rank mapped the segment
         # must still differ from the cache, or it is never noticed.
@@ -270,10 +240,10 @@ class ShmFabric(Fabric):
         # clock-alignment handshake: the launcher published its epoch
         # before forking; answer with our own clock sample so the parent
         # can bound the skew between the two timelines (repro.obs.merge).
-        self._clock_sample: Optional[float] = None
+        self.clock_sample: Optional[float] = None
         if self._control.epoch() is not None:
-            self._clock_sample = perf_counter()
-            self._control.set_clock(rank, self._clock_sample)
+            self.clock_sample = perf_counter()
+            self._control.set_clock(rank, self.clock_sample)
         # Shared arena: pooled buffers live in the segment and ship as
         # descriptors (by-mapping — the cross-process twin of the thread
         # wire's by-reference handoff), so the engines must follow the
@@ -282,14 +252,14 @@ class ShmFabric(Fabric):
         # arena every payload is copied through the ring and a received
         # buffer has exactly one owner, so retirement is both safe and
         # required to keep the steady state allocation-free.
-        self._arena: Optional[ShmArena] = None
+        self.arena: Optional[ShmArena] = None
         if arena_bytes:
-            self._arena = ShmArena(
+            self.arena = ShmArena(
                 _arena_regions(segment, world_size, control_bytes, link_bytes,
                                arena_bytes),
                 rank,
             )
-        self.wire_copies = self._arena is None
+        self.copies = self.arena is None
         self._out: Dict[int, ShmRing] = {}
         self._decoders: Dict[int, FrameDecoder] = {}
         self._send_seq: Dict[int, int] = {}
@@ -306,153 +276,62 @@ class ShmFabric(Fabric):
                 ShmRing(
                     segment[off : off + ShmRing.HEADER + link_bytes], link_bytes
                 ),
-                self._acquire_wire_buffer,
-                arena=self._arena,
+                self._landing_buffer,
+                arena=self.arena,
             )
             self._send_seq[peer] = 0
             self._recv_seq[peer] = 0
-        # receiver-side limbo for seeded delay-only chaos: (due, tiebreak,
-        # Message), per-channel sequence counters matching the thread wire.
-        self._limbo: List[Tuple[float, int, Message]] = []
-        self._limbo_seq = 0
-        self._chan_seq: Dict[Tuple[int, int, Tuple], int] = {}
         # adaptive wait: yield the core for this many empty polls after
         # the last delivered frame before falling back to real sleeps.
         self._idle_passes = 0
         self._spin_passes = 200
-        self._m_delays = self.metrics.counter(
-            "chaos_injections_total", fault="delay"
-        ) if policy is not None else None
+
+    def attach(self, fabric: Fabric) -> None:
+        self._fabric = fabric
 
     # -- pool ----------------------------------------------------------------
 
-    def _make_pool(self, factory) -> Any:
-        if self._arena is not None:
-            return _arena_pool(self._arena)
+    def make_pool(self, factory) -> Any:
+        if self.arena is not None:
+            return _arena_pool(self.arena)
         pool = factory()
         if hasattr(pool, "backend"):
             pool.backend = "process"
         return pool
 
-    def _acquire_wire_buffer(self, numel: int, dtype) -> Any:
-        # called from _pump_locked with the fabric lock held — must not
-        # re-enter shared_pool()'s own lock acquisition.
-        pool = self._shared_pool
-        if pool is None:
-            from ...nn.params import BufferPool
+    def _landing_buffer(self, numel: int, dtype) -> Any:
+        # called from poll, i.e. with the fabric lock held.
+        from ...nn.params import BufferPool
 
-            pool = self._shared_pool = self._make_pool(BufferPool)
-        return pool.acquire(numel, dtype)
-
-    def shared_pool(self, factory) -> Any:
-        with self._lock:
-            if self._shared_pool is None:
-                self._shared_pool = self._make_pool(factory)
-            return self._shared_pool
+        return self._fabric._pool_locked(BufferPool).acquire(numel, dtype)
 
     # -- control-block fail-stop state ---------------------------------------
 
-    def _sync_control_locked(self) -> None:
+    def sync(self):
         token = self._control.disturb_token()
         if token == self._ctrl_token:
-            return
+            return None
         self._ctrl_token = token
-        if token[0] and not self._aborted:
-            self._aborted = self._control.aborted() or "aborted"
-        for r, v in self._control.failed().items():
-            if r not in self._failed:
-                self._failed[r] = v
-                self._fail_epoch += 1
-        self._cond.notify_all()
+        aborted = (self._control.aborted() or "aborted") if token[0] else None
+        return aborted, self._control.failed()
 
-    def _check_disturbed(self, rank: int) -> None:
-        self._sync_control_locked()
-        super()._check_disturbed(rank)
+    # -- send: serialize into the outbound ring --------------------------------
 
-    def abort(self, reason: str) -> None:
-        self.flight.rings[self.rank].record(_flight.EV_ABORT, self.rank)
-        self._control.abort(reason)
-        with self._cond:
-            self._sync_control_locked()
-
-    def fail_rank(self, rank: int, reason: str, step: Optional[int] = None) -> None:
-        self._check_rank(rank)
-        if step is None:
-            step = self._control.progress(rank)
-        self.flight.rings[self.rank].record(
-            _flight.EV_FAIL, rank, step if step is not None else -1
-        )
-        self._control.fail(rank, reason, step)
-        with self._cond:
-            self._sync_control_locked()
-
-    def failed_ranks(self) -> Dict[int, Tuple[str, Optional[int]]]:
-        with self._lock:
-            self._sync_control_locked()
-            return dict(self._failed)
-
-    def report_progress(self, rank: int, step: int) -> None:
-        self._control.set_progress(rank, step)
-        with self._lock:
-            self.flight.rings[self.rank].record(_flight.EV_PROGRESS, rank, step)
-            self._progress[rank] = step
-
-    def progress_of(self, rank: int) -> Optional[int]:
-        return self._control.progress(rank)
-
-    def request_rejoin(self, rank: int) -> None:
-        raise NotImplementedError(
-            "rank rejoin requires the failure detector (thread backend only)"
-        )
-
-    # -- endpoint discipline --------------------------------------------------
-
-    def communicator(self, rank: int):
-        if rank != self.rank:
-            raise ValueError(
-                f"this process owns the rank-{self.rank} endpoint; "
-                f"cannot build a communicator for rank {rank}"
-            )
-        return super().communicator(rank)
-
-    # -- post: serialize into the outbound ring --------------------------------
-
-    def post(self, msg: Message) -> None:
-        self._check_rank(msg.src)
-        self._check_rank(msg.dst)
-        if msg.src != self.rank:
-            raise ValueError(
-                f"rank-{self.rank} endpoint cannot post as rank {msg.src}"
-            )
-        with self._cond:
-            self._check_disturbed(msg.src)
-            self._record_traffic_locked(msg)
-            if msg.dst == self.rank:
-                # loopback never crosses the wire; keep the structural
-                # digest so the message looks like any other framed one.
-                if self.integrity and msg.crc is None:
-                    msg.crc = payload_crc32(msg.payload)
-                self._deliver_locked(msg)
-            else:
-                # remote sends are protected by a CRC32 over the frame
-                # *bytes* (computed inside encode_frame at zlib speed, and
-                # re-accumulated by the decoder as chunks land) — the
-                # structural payload walk is too slow to pay per message.
-                seq = self._send_seq[msg.dst]
-                self._send_seq[msg.dst] = seq + 1
-                chunks = encode_frame(
-                    msg.payload, msg.tag, msg.nbytes, seq,
-                    integrity=self.integrity, arena=self._arena,
-                )
-                self._stream_out_locked(msg.dst, chunks)
-            self._cond.notify_all()
-
-    def _stream_out_locked(self, dst: int, chunks: List[memoryview]) -> None:
-        ring = self._out[dst]
+    def send(self, msg: Message) -> None:
+        fab = self._fabric
+        if msg.dst == self.rank:
+            fab._arrive_locked(msg)  # loopback never crosses the wire
+            return
+        # remote sends are protected by CRC32s over the frame *bytes*
+        # (computed inside encode_frame at zlib speed, and re-accumulated
+        # by the decoder as chunks land) — the structural payload walk is
+        # too slow to pay per message.
+        seq = self._send_seq[msg.dst]
+        self._send_seq[msg.dst] = seq + 1
+        ring = self._out[msg.dst]
         deadline: Optional[Deadline] = None
-        for mv in chunks:
-            if mv.nbytes == 0:
-                continue
+        for mv in encode_frame(msg.payload, msg.tag, msg.nbytes, seq,
+                               integrity=fab.integrity, arena=self.arena):
             pos = 0
             end = mv.nbytes
             while pos < end:
@@ -463,105 +342,60 @@ class ShmFabric(Fabric):
                 # receiver's ring is full.  Drain our own inbound links so
                 # two mutually-blocked writers cannot deadlock, then
                 # re-check for aborts / a dead receiver before sleeping.
-                self._pump_locked()
-                self._sync_control_locked()
-                if self._aborted:
-                    raise FabricAborted(self._aborted)
-                if self._control.is_failed(dst):
+                fab._land_locked()
+                fab._sync_locked()
+                if fab._aborted:
+                    raise FabricAborted(fab._aborted)
+                if msg.dst in fab._failed:
                     raise PeerFailed(
-                        {r: v for r, v in self._failed.items() if r != self.rank}
+                        {r: v for r, v in fab._failed.items() if r != self.rank}
                     )
                 if deadline is None:
-                    deadline = Deadline(self.timeout)
+                    deadline = Deadline(fab.timeout)
                 elif deadline.expired():
                     raise RecvTimeout(
-                        f"rank {self.rank} stalled {self.timeout}s streaming "
-                        f"to rank {dst} (ring full; receiver not draining — "
-                        f"likely a schedule deadlock)"
+                        f"rank {self.rank} stalled {fab.timeout}s streaming "
+                        f"to rank {msg.dst} (ring full; receiver not draining "
+                        f"— likely a schedule deadlock)"
                     )
-                self._idle_wait_locked(self._poll)
+                self.wait(self._poll)
 
-    # -- pump: decode inbound rings -------------------------------------------
+    # -- poll: decode inbound rings --------------------------------------------
 
-    def _deliver_locked(self, msg: Message) -> None:
-        if self._policy is not None:
-            key = (msg.src, msg.dst, msg.tag)
-            seq = self._chan_seq.get(key, 0)
-            self._chan_seq[key] = seq + 1
-            decision = self._policy.decide(msg.src, msg.dst, msg.tag, seq)
-            if decision.delay > 0.0:
-                heapq.heappush(
-                    self._limbo,
-                    (time.monotonic() + decision.delay, self._limbo_seq, msg),
-                )
-                self._limbo_seq += 1
-                self._m_delays.add(1)
-                self.flight.rings[self.rank].record(
-                    _flight.EV_CHAOS_DELAY, msg.src, msg.dst
-                )
-                return
-        self._mail[msg.dst][(msg.src, msg.tag)].append(msg)
-        self._drain_locked((msg.dst, msg.src, msg.tag))
-
-    def _on_frame_locked(self, src: int, frame) -> None:
-        expected = self._recv_seq[src]
-        if frame.seq != expected:
-            raise RuntimeError(
-                f"shm stream corruption on link {src}->{self.rank}: "
-                f"frame seq {frame.seq}, expected {expected}"
-            )
-        self._recv_seq[src] = expected + 1
-        if self.integrity and frame.crc is not None:
-            if frame.crc_actual != frame.crc:
-                self.metrics.counter("fabric_corrupt_frames").add(1)
-                self.flight.rings[self.rank].record(
-                    _flight.EV_CORRUPT_FRAME, src, frame.seq
-                )
-                raise CorruptFrameError(
-                    f"frame CRC mismatch on link {src}->{self.rank} "
-                    f"tag={frame.tag} (shared memory is a reliable wire; "
-                    f"this is a codec bug or genuine memory corruption)"
-                )
-        self._deliver_locked(
-            Message(
-                src=src, dst=self.rank, tag=frame.tag,
-                payload=frame.payload, nbytes=frame.nbytes, crc=frame.crc,
-            )
-        )
-
-    def _pump_locked(self) -> int:
-        delivered = 0
+    def poll(self) -> None:
+        fab = self._fabric
         for src, dec in self._decoders.items():
             while True:
-                frame = dec.poll()
+                expected = self._recv_seq[src]
+                try:
+                    frame = dec.poll()
+                except CorruptFrameError as exc:
+                    fab._m_heal["fabric_corrupt_frames"].add(1)
+                    fab.flight.rings[self.rank].record(
+                        _flight.EV_CORRUPT_FRAME, src, expected
+                    )
+                    raise CorruptFrameError(
+                        f"link {src}->{self.rank}: {exc} (shared memory is "
+                        f"a reliable wire; this is a codec bug or genuine "
+                        f"memory corruption)"
+                    ) from exc
                 if frame is None:
                     break
-                self._on_frame_locked(src, frame)
-                delivered += 1
-        if self._limbo:
-            now = time.monotonic()
-            while self._limbo and self._limbo[0][0] <= now:
-                _, _, msg = heapq.heappop(self._limbo)
-                self._mail[msg.dst][(msg.src, msg.tag)].append(msg)
-                self._drain_locked((msg.dst, msg.src, msg.tag))
-                delivered += 1
-        if delivered:
-            self._idle_passes = 0
-        return delivered
+                if frame.seq != expected:
+                    raise RuntimeError(
+                        f"shm stream corruption on link {src}->{self.rank}: "
+                        f"frame seq {frame.seq}, expected {expected}"
+                    )
+                self._recv_seq[src] = expected + 1
+                self._idle_passes = 0
+                # the frame was verified byte for byte: no structural CRC.
+                fab._arrive_locked(Message(
+                    src, self.rank, frame.tag, frame.payload, frame.nbytes
+                ))
 
-    def _next_event_locked(self) -> Optional[float]:
-        # poll cadence: inbound ring writes happen in another process, so
-        # a blocked receiver must wake on its own clock rather than wait
-        # for a notify that can never come.
-        nxt = time.monotonic() + self._poll
-        if self._limbo and self._limbo[0][0] < nxt:
-            nxt = self._limbo[0][0]
-        return nxt
-
-    def _idle_wait_locked(self, wait_for: float) -> None:
-        # The condvar can never be notified from outside this process, so
-        # waiting on it burns the whole timeout.  For a while after the
-        # last delivered frame, yield the core instead — the scheduler
+    def wait(self, wait_for: float) -> None:
+        # No peer can notify a condvar in this process.  For a while after
+        # the last delivered frame, yield the core instead — the scheduler
         # hands it back almost immediately when peers are blocked on the
         # wire, giving hop latencies at syscall rather than sleep-quantum
         # granularity — then fall back to real sleeps at the poll cadence.
@@ -572,9 +406,6 @@ class ShmFabric(Fabric):
             os.sched_yield()
         else:
             time.sleep(min(wait_for, self._poll))
-
-    def _timeout_context(self) -> str:
-        return "; shm process wire"
 
 
 # -- child process entry ------------------------------------------------------
@@ -602,17 +433,20 @@ def _revive_exception(shipped) -> BaseException:
     return RuntimeError(f"{name}: {text}")
 
 
-def _stats_bundle(fabric: ShmFabric) -> Dict:
+def _stats_bundle(fabric: Fabric, wire: ShmWire) -> Dict:
     pool = fabric._shared_pool
     bundle = {
         "traffic": fabric.stats,
         "pool": pool.as_dict() if pool is not None else None,
         "metrics": fabric.metrics.as_dict(),
-        "flight": fabric.flight.rings[fabric.rank].snapshot(),
+        # every ring this process wrote: its own rank's, plus the chaos
+        # events it recorded about the senders of what it received.
+        "flight": [r.snapshot() for r in fabric.flight.rings if len(r)],
+        "chaos": fabric.chaos,
     }
-    if fabric._arena is not None and bundle["pool"] is not None:
-        bundle["pool"]["arena_used"] = fabric._arena.used
-        bundle["pool"]["arena_capacity"] = fabric._arena.capacity
+    if wire.arena is not None and bundle["pool"] is not None:
+        bundle["pool"]["arena_used"] = wire.arena.used
+        bundle["pool"]["arena_capacity"] = wire.arena.capacity
     return bundle
 
 
@@ -622,17 +456,17 @@ def _child_main(
     segment: memoryview,
     conn,
     fn: Callable,
-    timeout: float,
     elastic: bool,
+    wire_kw: Dict,
     fabric_kw: Dict,
+    trace_dir: Optional[str],
 ) -> None:
     import traceback
 
-    fabric_kw = dict(fabric_kw)
-    trace_dir = fabric_kw.pop("trace_dir", None)
-    fabric = ShmFabric(
-        world, rank, segment, timeout=timeout,
-        trace=trace_dir is not None, **fabric_kw
+    wire = ShmWire(world, rank, segment, **wire_kw)
+    fabric = Fabric(
+        world, wire=wire, tracer=Tracer() if trace_dir is not None else None,
+        **fabric_kw,
     )
     comm = fabric.communicator(rank)
 
@@ -646,7 +480,7 @@ def _child_main(
                 fabric.tracer,
                 os.path.join(trace_dir, f"trace-rank{rank}.jsonl"),
                 rank,
-                fabric._clock_sample,
+                wire.clock_sample,
             )
         except Exception:  # pragma: no cover - diagnostics must not mask
             pass
@@ -657,9 +491,9 @@ def _child_main(
         # arena-resident bodies go up as descriptors; the launcher maps
         # them (it owns the segment), so no rank pickles its weights.
         blob, specs, _ = split_payload(
-            result, fabric._arena, private_out_of_band=False
+            result, wire.arena, private_out_of_band=False
         )
-        conn.send(("ok", (blob, specs), None, _stats_bundle(fabric)))
+        conn.send(("ok", (blob, specs), None, _stats_bundle(fabric, wire)))
     except BaseException as exc:  # noqa: BLE001 - must report everything
         tb = traceback.format_exc()
         fabric.flight.rings[rank].record(_flight.EV_WORKER_ERROR, rank)
@@ -671,23 +505,12 @@ def _child_main(
         finally:
             _spill_trace()
             conn.send(("err", None, (_ship_exception(exc), tb),
-                       _stats_bundle(fabric)))
+                       _stats_bundle(fabric, wire)))
     finally:
         conn.close()
 
 
 # -- the transport ------------------------------------------------------------
-
-
-#: counters every fabric creates eagerly (quiet runs must export zeros).
-_EAGER_COUNTERS = (
-    "fabric_retransmits",
-    "fabric_corrupt_frames",
-    "detector_suspicions",
-    "detector_suspicions_cleared",
-    "detector_confirms",
-    "ring_rejoins",
-)
 
 
 def _eager_registry() -> MetricsRegistry:
@@ -707,12 +530,15 @@ def _eager_registry() -> MetricsRegistry:
 class ProcessTransport(Transport):
     """Fork one worker process per rank over a shared ring segment.
 
-    After a launch, ``stats`` / ``pool`` / ``metrics`` hold the merged
-    per-rank telemetry (each message is posted by exactly one rank, so
-    summing child ledgers reproduces the global traffic exactly; the
+    After a launch, ``stats`` / ``pool`` / ``metrics`` / ``chaos`` hold
+    the merged per-rank telemetry (each message is posted by exactly one
+    rank and admitted by exactly one, so summing child ledgers
+    reproduces the global traffic and injection counts exactly; the
     ``metrics`` registry is a full label-aware merge — counters sum,
-    gauges max-reduce, histograms combine).  A transport may be launched
-    repeatedly; the merged views describe the most recent launch.
+    gauges max-reduce, histograms combine).  ``chaos`` is ``None``
+    without a policy — the same attribute, with the same meaning, a
+    ``Fabric`` carries.  A transport may be launched repeatedly; the
+    merged views describe the most recent launch.
 
     Pass a real ``tracer`` to trace across the process boundary: each
     child records into its own per-rank buffers, spills them as raw
@@ -729,9 +555,6 @@ class ProcessTransport(Transport):
     """
 
     name = "process"
-    supports_detector = False
-    supports_tracer = True
-    chaos = "delay-only"
 
     def __init__(
         self,
@@ -744,7 +567,6 @@ class ProcessTransport(Transport):
         tracer: Any = None,
         postmortem_to: Optional[str] = None,
     ):
-        validate_process_policy(policy)
         self.policy = policy
         self.integrity = integrity
         self.link_bytes = link_bytes
@@ -758,23 +580,21 @@ class ProcessTransport(Transport):
         #: disabled tracer = untraced run, zero child-side overhead).
         self.tracer = tracer if (tracer is not None and
                                  getattr(tracer, "enabled", False)) else None
-        #: explicit post-mortem dump directory (falls back to the
-        #: ``REPRO_POSTMORTEM_DIR`` environment variable).
         self.postmortem_to = postmortem_to
+        self._reset_telemetry(0)
+
+    def _reset_telemetry(self, world_size: int) -> None:
         #: merged per-rank telemetry of the most recent launch.
         self.stats = TrafficStats()
+        self.chaos = ChaosStats() if self.policy is not None else None
         self.pool: Optional[Dict] = None
-        self.pools_by_rank: List[Optional[Dict]] = []
-        self.metrics_by_rank: List[Optional[Dict]] = []
+        self.pools_by_rank: List[Optional[Dict]] = [None] * world_size
+        self.metrics_by_rank: List[Optional[Dict]] = [None] * world_size
         self.metrics: MetricsRegistry = _eager_registry()
         #: per-rank flight-recorder snapshots of the most recent launch.
         self.flights_by_rank: Dict[str, Dict] = {}
         #: per-rank clock alignment of the most recent launch.
         self.clock: Dict[str, Dict] = {}
-        #: post-mortem bundle of the most recent *failed* launch (None
-        #: after a clean one), and where it was written (if anywhere).
-        self.last_postmortem: Optional[Dict] = None
-        self.last_postmortem_path: Optional[str] = None
 
     def launch(
         self,
@@ -785,29 +605,33 @@ class ProcessTransport(Transport):
         detector: Any = None,
         pool_bytes: Optional[int] = None,
     ) -> Tuple[List[Any], List[Optional[WorkerError]]]:
-        if detector is not None:
+        if detector is not None or getattr(self.policy, "flap_rank", None) is not None:
             raise ValueError(
-                "process backend does not support a failure detector "
-                "(heartbeats and rejoin are thread-backend features)"
+                "the process backend has no failure detector yet: heartbeats "
+                "— and with them rejoin and ChaosPolicy.flap_rank — live on "
+                "the thread backend until they move into the control block"
             )
+        self._reset_telemetry(world_size)
+        fabric_kw = dict(
+            timeout=timeout, policy=self.policy, integrity=self.integrity,
+            topology=self.topology,
+        )
         if world_size == 1:
-            # degenerate group: no peers, no rings — run inline on the
-            # thread transport so serial baselines behave identically
-            # (with the parent tracer attached directly: one process,
-            # no spill/merge needed).
+            # degenerate group: no peers, no rings — the same fabric,
+            # inline on the thread transport (with the parent tracer
+            # attached directly: one process, no spill/merge needed).
             from .thread import ThreadTransport
 
-            fab = None
-            if self.tracer is not None:
-                fab = Fabric(
-                    1, timeout=timeout, tracer=self.tracer,
-                    topology=self.topology, integrity=self.integrity,
+            fab = Fabric(1, tracer=self.tracer, **fabric_kw)
+            inline = ThreadTransport(fab, self.postmortem_to)
+            try:
+                return inline.launch(world_size, fn, timeout, elastic)
+            finally:
+                self.stats, self.metrics, self.chaos = (
+                    fab.stats, fab.metrics, fab.chaos
                 )
-            tt = ThreadTransport(fab)
-            out = tt.launch(world_size, fn, timeout, elastic, detector)
-            if fab is not None:
-                self.metrics = fab.metrics
-            return out
+                self.last_postmortem = inline.last_postmortem
+                self.last_postmortem_path = inline.last_postmortem_path
         # loaded here, not at import: a serial run never forks
         from multiprocessing.connection import wait as mp_wait
 
@@ -822,15 +646,6 @@ class ProcessTransport(Transport):
             size=arena_offset(world_size, world_size, control_bytes,
                               self.link_bytes, arena_bytes),
         )
-        self.stats = TrafficStats()
-        self.pool = None
-        self.pools_by_rank = [None] * world_size
-        self.metrics_by_rank = [None] * world_size
-        self.metrics = _eager_registry()
-        self.flights_by_rank = {}
-        self.clock = {}
-        self.last_postmortem = None
-        self.last_postmortem_path = None
         results: List[Any] = [None] * world_size
         errors: List[Optional[WorkerError]] = [None] * world_size
         control: Optional[ControlBlock] = None
@@ -860,22 +675,18 @@ class ProcessTransport(Transport):
                         self.link_bytes,
                         create=True,
                     )
-            fabric_kw = dict(
+            wire_kw = dict(
                 control_bytes=control_bytes,
                 link_bytes=self.link_bytes,
                 arena_bytes=arena_bytes,
-                policy=self.policy,
-                integrity=self.integrity,
                 poll_interval=self.poll_interval,
-                topology=self.topology,
-                trace_dir=trace_dir,
             )
             pipes = [ctx.Pipe(duplex=False) for _ in range(world_size)]
             procs = [
                 ctx.Process(
                     target=_child_main,
-                    args=(r, world_size, shm.buf, pipes[r][1], fn, timeout,
-                          elastic, fabric_kw),
+                    args=(r, world_size, shm.buf, pipes[r][1], fn, elastic,
+                          wire_kw, fabric_kw, trace_dir),
                     name=f"worker-{r}",
                     daemon=True,
                 )
@@ -942,23 +753,6 @@ class ProcessTransport(Transport):
                     if p.is_alive():
                         p.terminate()
                         p.join(timeout=2.0)
-                stuck = ", ".join(f"worker-{r}" for r in sorted(pending))
-                for r, report in reports.items():
-                    if report:
-                        self._merge_stats(r, report[3])
-                self._observe_clock(world_size, control, clock_obs,
-                                    parent_epoch)
-                self._build_postmortem(
-                    world_size,
-                    {"kind": "timeout",
-                     "detail": f"{stuck} did not finish within the group "
-                               f"deadline ({timeout}s)"},
-                    control,
-                )
-                raise TimeoutError(
-                    f"{stuck} did not finish within the group deadline "
-                    f"({timeout}s shared across all ranks)"
-                )
             for p in procs:
                 p.join(timeout=max(deadline.budget(), 2.0))
                 if p.is_alive():  # pragma: no cover - reported but stuck
@@ -972,7 +766,7 @@ class ProcessTransport(Transport):
                                    self.link_bytes, arena_bytes),
                     0,
                 )
-            for r in range(world_size):
+            for r in sorted(set(range(world_size)) - pending):
                 report = reports.get(r)
                 if report is None:
                     code = procs[r].exitcode
@@ -993,18 +787,18 @@ class ProcessTransport(Transport):
             if self.tracer is not None and trace_dir is not None:
                 self._merge_traces(world_size, trace_dir)
 
-            aborted_reason = control.aborted()
-            first = next((e for e in errors if e is not None), None)
-            if first is not None or aborted_reason:
-                if first is not None:
-                    reason = {
-                        "kind": type(first.original).__name__,
-                        "detail": str(first.original),
-                        "rank": first.rank,
-                    }
-                else:  # pragma: no cover - abort without a worker error
-                    reason = {"kind": "abort", "detail": aborted_reason}
-                self._build_postmortem(world_size, reason, control)
+            def flights() -> Dict[str, Dict]:
+                silent = {"capacity": 0, "recorded": 0, "dropped": 0, "events": []}
+                return {
+                    str(r): self.flights_by_rank.get(str(r), {"rank": r, **silent})
+                    for r in range(world_size)
+                }
+
+            self._postmortem(
+                world_size, errors, flights, control.failed,
+                control.aborted(), self.clock,
+                stuck=sorted(pending), timeout=timeout,
+            )
         finally:
             # the name goes first, so nothing below can leave a segment
             # behind in /dev/shm.  Then every live slice of the mapping
@@ -1055,37 +849,26 @@ class ProcessTransport(Transport):
             )
             merge_trace_spill(self.tracer, load_trace_spill(path), alignment)
 
-    def _build_postmortem(
-        self, world: int, reason: Dict, control: ControlBlock
-    ) -> Dict:
-        flights = dict(self.flights_by_rank)
-        for r in range(world):
-            flights.setdefault(str(r), {
-                "rank": r, "capacity": 0, "recorded": 0, "dropped": 0,
-                "events": [],
-            })
-        bundle = _flight.build_postmortem(
-            self.name, world, reason, flights,
-            failed=control.failed(), aborted=control.aborted(),
-            clock=self.clock,
-        )
-        self.last_postmortem = bundle
-        directory = self.postmortem_to or _flight.postmortem_dir()
-        if directory:
-            self.last_postmortem_path = _flight.dump_postmortem(
-                bundle, directory
-            )
-        return bundle
-
     def _merge_stats(self, rank: int, bundle: Optional[Dict]) -> None:
         if not bundle:
             return
         self.stats.merge(bundle["traffic"])
+        if bundle["chaos"] is not None:
+            self.chaos.merge(bundle["chaos"])
         self.pools_by_rank[rank] = bundle["pool"]
         self.metrics_by_rank[rank] = bundle["metrics"]
         self.metrics.merge(bundle["metrics"])
-        if bundle.get("flight"):
-            self.flights_by_rank[str(rank)] = bundle["flight"]
+        for snap in bundle["flight"]:
+            # a rank's ring is its own events plus what its receivers
+            # recorded about it (chaos injections): one timeline, bounded
+            # like the ring it came from.
+            mine = self.flights_by_rank.setdefault(str(snap["rank"]), snap)
+            if mine is not snap:
+                events = sorted(mine["events"] + snap["events"],
+                                key=lambda e: e["ts"])
+                mine["events"] = events[-mine["capacity"]:]
+                mine["recorded"] += snap["recorded"]
+                mine["dropped"] = mine["recorded"] - len(mine["events"])
         if bundle["pool"]:
             if self.pool is None:
                 self.pool = dict(bundle["pool"])

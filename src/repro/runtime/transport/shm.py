@@ -13,13 +13,18 @@ they can be unit-tested in isolation:
   ends stream partial chunks.
 
 * the **frame codec** (:func:`encode_frame` / :class:`FrameDecoder`) —
-  one fabric message per frame.  The header carries the per-link
-  sequence number and a CRC32 over every frame byte after the header
-  (meta + pickle blob + out-of-band payload), accumulated by the
-  decoder as the bytes stream in — the PR-7 integrity frame, but
-  priced at ``zlib.crc32`` memory bandwidth on the serialized bytes
-  instead of a per-leaf structural walk, and covering exactly what the
-  wire carried.  Payloads are pickled with protocol 5: array bodies
+  one fabric message per frame, checked in three stages so that no
+  byte is trusted before its digest: the header carries a CRC32 of
+  itself (verified before any length is used to allocate), a CRC32 of
+  ``meta + blob`` (verified before ``pickle.loads`` sees them) and a
+  CRC32 over every frame byte after the header, accumulated by the
+  decoder as the out-of-band payload streams in — the PR-7 integrity
+  frame, but priced at ``zlib.crc32`` memory bandwidth on the
+  serialized bytes instead of a per-leaf structural walk, and covering
+  exactly what the wire carried.  A frame that fails any of the three
+  is a :class:`~repro.runtime.integrity.CorruptFrameError` raised by
+  the decoder — never a hang on a garbled length, never whatever
+  ``pickle`` makes of garbage.  Payloads are pickled with protocol 5: array bodies
   travel *out of band*.  A body resident in a :class:`ShmArena` region
   crosses as a ``(region, offset, nbytes, fmt)`` descriptor — zero
   bytes moved, the receiver wraps the same shared pages — while private
@@ -46,13 +51,15 @@ they can be unit-tested in isolation:
 
 Frame layout (little-endian)::
 
-    u32 seq        per-link frame counter (gap = stream corruption)
-    u32 crc        CRC32 of all frame bytes after the header
-                   (valid when flags bit 0)
-    u32 flags      bit 0: crc present
-    u32 meta_len   pickled (tag, logical_nbytes, buffer_specs)
-    u32 blob_len   pickle-5 payload blob (out-of-band buffers elided)
+    u32 seq          per-link frame counter (gap = stream corruption)
+    u32 flags        bit 0: body_crc and crc present
+    u32 meta_len     pickled (tag, logical_nbytes, buffer_specs)
+    u32 blob_len     pickle-5 payload blob (out-of-band buffers elided)
     u32 payload_len  total out-of-band bytes following the blob
+    u32 body_crc     CRC32 of meta + blob
+    u32 crc          CRC32 of all frame bytes after the header
+                     (body_crc continued over the payload)
+    u32 header_crc   CRC32 of the seven words above (always present)
 """
 
 from __future__ import annotations
@@ -65,6 +72,8 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from ..integrity import CorruptFrameError
 
 __all__ = [
     "ControlBlock",
@@ -80,7 +89,9 @@ __all__ = [
     "split_payload",
 ]
 
-_HEADER = struct.Struct("<IIIIII")
+_FIELDS = struct.Struct("<IIIIIII")  # every header word but header_crc
+_U32 = struct.Struct("<I")
+_HEADER_BYTES = _FIELDS.size + _U32.size
 FLAG_CRC = 1
 
 _U64 = struct.Struct("<Q")
@@ -384,19 +395,21 @@ def encode_frame(
     ring.  With ``integrity`` the header carries a CRC32 over every
     chunk after the header itself — for descriptor payloads that is the
     descriptor, not the mapped bytes, mirroring the thread wire's
-    by-reference handoff.
+    by-reference handoff.  The header's own digest is always present.
     """
     blob, specs, raws = split_payload(payload, arena)
     meta = pickle.dumps((tag, nbytes, specs), protocol=4)
     payload_len = sum(r.nbytes for r in raws)
-    crc = 0
-    flags = 0
+    body_crc = crc = flags = 0
     if integrity:
-        crc = zlib.crc32(blob, zlib.crc32(meta))
+        body_crc = crc = zlib.crc32(blob, zlib.crc32(meta))
         for r in raws:
             crc = zlib.crc32(r, crc)
         flags = FLAG_CRC
-    header = _HEADER.pack(seq, crc, flags, len(meta), len(blob), payload_len)
+    fields = _FIELDS.pack(
+        seq, flags, len(meta), len(blob), payload_len, body_crc, crc
+    )
+    header = fields + _U32.pack(zlib.crc32(fields))
     return [memoryview(header), memoryview(meta), memoryview(blob)] + raws
 
 
@@ -419,7 +432,10 @@ class FrameDecoder:
     stages, keeping partial state between ``poll`` calls so a frame
     larger than the ring (or arriving in pieces) is reassembled without
     ever blocking the pump.  ``acquire(numel, dtype)`` supplies payload
-    destinations — wire bytes land straight in pool buffers.
+    destinations — wire bytes land straight in pool buffers.  Each stage
+    ends with its digest check (see the module docstring); a mismatch
+    raises :class:`CorruptFrameError` and the stream is dead — there is
+    no resynchronising a byte stream whose lengths cannot be trusted.
     """
 
     def __init__(
@@ -431,16 +447,18 @@ class FrameDecoder:
         self._ring = ring
         self._acquire = acquire
         self._arena = arena
-        self._hdr = memoryview(bytearray(_HEADER.size))
+        self._hdr = memoryview(bytearray(_HEADER_BYTES))
         self._reset()
 
     def _reset(self) -> None:
         self._stage = 0  # 0 = header, 1 = meta+blob, 2 = payload
         self._have = 0
         self._seq = 0
+        self._body_crc = 0
         self._crc: Optional[int] = None
         self._acc = 0  # running CRC32 over post-header bytes
         self._meta_len = 0
+        self._payload_len = 0
         self._body: Optional[memoryview] = None
         self._tag: Tuple = ()
         self._nbytes = 0
@@ -456,13 +474,13 @@ class FrameDecoder:
                 self._have += self._ring.read_into(self._hdr[self._have :])
                 if self._have < len(self._hdr):
                     return None
-                seq, crc, flags, meta_len, blob_len, _payload_len = _HEADER.unpack(
-                    self._hdr
-                )
-                self._seq = seq
+                fields = self._hdr[: _FIELDS.size]
+                if zlib.crc32(fields) != _U32.unpack_from(self._hdr, _FIELDS.size)[0]:
+                    raise CorruptFrameError("frame header fails its own CRC")
+                (self._seq, flags, self._meta_len, blob_len, self._payload_len,
+                 self._body_crc, crc) = _FIELDS.unpack(fields)
                 self._crc = crc if flags & FLAG_CRC else None
-                self._meta_len = meta_len
-                self._body = memoryview(bytearray(meta_len + blob_len))
+                self._body = memoryview(bytearray(self._meta_len + blob_len))
                 self._have = 0
                 self._stage = 1
             if self._stage == 1:
@@ -473,9 +491,14 @@ class FrameDecoder:
                         return None
                 if self._crc is not None:
                     self._acc = zlib.crc32(body)
+                    if self._acc != self._body_crc:
+                        raise CorruptFrameError(
+                            f"frame seq {self._seq}: meta/blob CRC mismatch"
+                        )
                 self._tag, self._nbytes, specs = pickle.loads(
                     body[: self._meta_len]
                 )
+                copied = 0
                 for spec in specs:
                     if len(spec) == 4:  # arena descriptor: re-map, no read
                         if self._arena is None:
@@ -486,10 +509,16 @@ class FrameDecoder:
                         self._dests.append(_map_descriptor(self._arena, spec))
                         continue
                     buf_nbytes, fmt = spec
+                    copied += buf_nbytes
                     dt = _dtype_for(fmt, buf_nbytes)
                     arr = self._acquire(buf_nbytes // dt.itemsize, dt)
                     self._dests.append(arr)
                     self._dest_views.append(memoryview(arr).cast("B"))
+                if copied != self._payload_len:
+                    raise CorruptFrameError(
+                        f"frame seq {self._seq}: header announces "
+                        f"{self._payload_len} payload bytes, meta {copied}"
+                    )
                 self._have = 0
                 self._di = 0
                 self._stage = 2
@@ -507,6 +536,11 @@ class FrameDecoder:
                     return None
                 self._have = 0
                 self._di += 1
+            if self._crc is not None and self._acc != self._crc:
+                raise CorruptFrameError(
+                    f"frame seq {self._seq} tag={self._tag}: payload CRC "
+                    f"mismatch"
+                )
             payload = pickle.loads(
                 self._body[self._meta_len :],
                 buffers=[memoryview(a) for a in self._dests],

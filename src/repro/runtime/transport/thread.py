@@ -1,11 +1,12 @@
 """The in-process thread transport: the default and the oracle.
 
 Every rank is a daemon thread of this interpreter sharing one
-:class:`~repro.runtime.communicator.Fabric`, so payloads move by
-reference (zero copies), the full chaos wire / integrity / failure
-detector / rejoin machinery applies, and results are deterministic
-enough to serve as the bit-exactness oracle the process backend is
-differentially tested against.
+:class:`~repro.runtime.communicator.Fabric` over a :class:`LocalWire`,
+so payloads move by reference (zero copies), the failure detector and
+rejoin protocol are available (the only machinery the process backend
+still lacks), and results are deterministic enough to serve as the
+bit-exactness oracle the process backend is differentially tested
+against.
 
 Threads trade wall-clock parallelism for semantics: compute serializes
 on the GIL, which is exactly what the shared-memory process transport
@@ -15,32 +16,39 @@ on the GIL, which is exactly what the shared-memory process transport
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ...obs import flight as _flight
-from .base import Deadline, Transport, WorkerError, join_group
+from .base import Deadline, Transport, Wire, WorkerError, join_group
 
-__all__ = ["ThreadTransport"]
+__all__ = ["LocalWire", "ThreadTransport"]
+
+
+class LocalWire(Wire):
+    """Every rank's endpoint is the same ``Fabric`` object: a message
+    arrives the moment it is sent, group state is the fabric's own
+    dicts (nothing to publish or sync), a blocked rank sleeps on the
+    fabric's condition variable and any peer's post wakes it, and the
+    pool is the heap."""
+
+    def attach(self, fabric: Any) -> None:
+        self.ranks = range(fabric.world_size)
+        self.send = fabric._arrive_locked
+        self.wait = fabric._cond.wait
+
+    def make_pool(self, factory: Callable[[], Any]) -> Any:
+        return factory()
 
 
 class ThreadTransport(Transport):
     """Run every rank as a thread of this process on one shared fabric."""
 
     name = "thread"
-    supports_detector = True
-    supports_tracer = True
-    chaos = "full"
 
     def __init__(self, fabric: Any = None, postmortem_to: Optional[str] = None):
         #: the fabric all ranks share; built at launch when not supplied.
         self.fabric = fabric
-        #: explicit post-mortem dump directory (falls back to the
-        #: ``REPRO_POSTMORTEM_DIR`` environment variable).
         self.postmortem_to = postmortem_to
-        #: post-mortem bundle of the most recent *failed* launch (None
-        #: after a clean one), and where it was written (if anywhere).
-        self.last_postmortem: Optional[Dict] = None
-        self.last_postmortem_path: Optional[str] = None
 
     def launch(
         self,
@@ -89,36 +97,19 @@ class ThreadTransport(Transport):
         ]
         for t in threads:
             t.start()
-        join_group(
-            threads,
-            Deadline(timeout),
-            on_timeout=lambda: fab.abort("join timeout"),
+        stuck: List[int] = []
+
+        def on_timeout() -> None:
+            stuck.extend(r for r, t in enumerate(threads) if t.is_alive())
+            fab.abort("join timeout")
+
+        try:
+            join_group(threads, Deadline(timeout), on_timeout)
+        except TimeoutError:
+            pass  # re-raised by the epilogue, naming every stuck worker
+        self._postmortem(
+            world_size, errors, fab.flight.snapshot,
+            failed=fab.failed_ranks, aborted=fab._aborted,
+            stuck=stuck, timeout=timeout,
         )
-        self.last_postmortem = None
-        self.last_postmortem_path = None
-        first = next((e for e in errors if e is not None), None)
-        aborted = fab._aborted
-        if first is not None or aborted:
-            if first is not None:
-                reason = {
-                    "kind": type(first.original).__name__,
-                    "detail": str(first.original),
-                    "rank": first.rank,
-                }
-            else:
-                reason = {"kind": "abort", "detail": aborted}
-            bundle = _flight.build_postmortem(
-                self.name,
-                world_size,
-                reason,
-                fab.flight.snapshot(),
-                failed=fab.failed_ranks(),
-                aborted=aborted,
-            )
-            self.last_postmortem = bundle
-            directory = self.postmortem_to or _flight.postmortem_dir()
-            if directory:
-                self.last_postmortem_path = _flight.dump_postmortem(
-                    bundle, directory
-                )
         return results, errors

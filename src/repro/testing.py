@@ -379,7 +379,7 @@ def run_crash_recovery(
         if crash_rank is None:
             crash_rank = int(rng.integers(0, world))
         if crash_at_post is None:
-            total = probe_fab._posts_by_rank.get(crash_rank, 0)
+            total = probe_fab.chaos.posts_by_rank.get(crash_rank, 0)
             # keep the crash inside the active phase: late enough that
             # at least one step committed, early enough that survivors
             # are still communicating and must recover.
@@ -578,14 +578,14 @@ def run_backend_differential(
         drop_prob=0.0, duplicate_prob=0.0,
     )
 
-    def cell(name, runner, cell_spec, world):
+    def cell(name, runner, cell_spec, world, _variant):
         thread = runner(
             cell_spec, world, ChaosFabric(world, policy=policy, timeout=120.0)
         )
         proc = runner(cell_spec, world, ProcessTransport(policy=policy))
         return _diff_bitwise(thread, proc)
 
-    return _bitwise_matrix(
+    return _differential_matrix(
         strategies, worlds, precisions, spec, chaos_seed, cell,
         raise_on_failure, progress,
     )
@@ -616,7 +616,7 @@ def run_traced_backend_differential(
     from .obs import Tracer, validate_chrome_trace
     from .runtime import ProcessTransport
 
-    def cell(name, runner, cell_spec, world):
+    def cell(name, runner, cell_spec, world, _variant):
         bare = runner(cell_spec, world, ProcessTransport())
         tracer = Tracer(metadata={"strategy": name, "world": world})
         traced = runner(cell_spec, world, ProcessTransport(tracer=tracer))
@@ -635,53 +635,71 @@ def run_traced_backend_differential(
             )
         return None
 
-    return _bitwise_matrix(
+    return _differential_matrix(
         strategies, worlds, precisions, spec, 0, cell, raise_on_failure, progress
     )
 
 
 def _bitwise_matrix(
-    strategies, worlds, precisions, spec, seed, cell, raise_on_failure, progress
-) -> DifferentialReport:
-    """The strategy x world x precision sweep both bitwise differentials
-    share.  ``cell(name, runner, cell_spec, world)`` trains its two arms
-    and returns a failure message or ``None``; an exception it raises is
-    recorded as that cell's failure rather than aborting the sweep."""
+    strategies, worlds, precisions, spec, cell, record, variants=(None,)
+) -> None:
+    """The strategy x world x precision (x variant) sweep every bitwise
+    differential shares.  ``strategies`` maps name -> maximum world;
+    ``cell(name, runner, cell_spec, world, variant)`` trains its arms and
+    returns a failure message or ``None`` — an exception it raises is
+    that cell's failure rather than the end of the sweep — and
+    ``record(name, world, precision, variant, failure)`` is the calling
+    report's bookkeeping."""
     from dataclasses import replace as _replace
 
     from .core.api import STRATEGIES
     from .nn.precision import FP32, FP64
 
-    if strategies is None:
-        strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
     if spec is None:
         spec = default_differential_spec()
     prec_map = {"fp64": FP64, "fp32": FP32}
     worlds = list(worlds)
     precisions = list(precisions)
-
-    report = DifferentialReport(strategies=dict(strategies), seeds=[seed])
+    for prec in precisions:
+        if prec not in prec_map:
+            raise ValueError(f"precision must be fp32 or fp64, got {prec!r}")
     for name, max_world in strategies.items():
         if name not in STRATEGIES:
             raise ValueError(f"unknown strategy {name!r}")
-        runner = STRATEGIES[name]
         for world in worlds:
             if world > max_world:
                 continue
             for prec in precisions:
                 cell_spec = _replace(spec, precision=prec_map[prec])
-                report.runs += 1
-                try:
-                    failure = cell(name, runner, cell_spec, world)
-                except Exception as exc:  # noqa: BLE001 - report, don't abort
-                    first = (str(exc).splitlines() or [""])[0]
-                    failure = f"{type(exc).__name__}: {first}"
-                if failure is not None:
-                    report.failures.append(DifferentialFailure(
-                        name, world, seed, f"[{prec}] {failure}"
-                    ))
-                if progress is not None:
-                    progress(f"{name}/P{world}/{prec}", seed, failure)
+                for variant in variants:
+                    try:
+                        failure = cell(
+                            name, STRATEGIES[name], cell_spec, world, variant
+                        )
+                    except Exception as exc:  # noqa: BLE001 - report, don't abort
+                        first = (str(exc).splitlines() or [""])[0]
+                        failure = f"{type(exc).__name__}: {first}"
+                    record(name, world, prec, variant, failure)
+
+
+def _differential_matrix(
+    strategies, worlds, precisions, spec, seed, cell, raise_on_failure, progress
+) -> DifferentialReport:
+    """:func:`_bitwise_matrix` kept on a :class:`DifferentialReport`."""
+    if strategies is None:
+        strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
+    report = DifferentialReport(strategies=dict(strategies), seeds=[seed])
+
+    def record(name, world, prec, _variant, failure):
+        report.runs += 1
+        if failure is not None:
+            report.failures.append(DifferentialFailure(
+                name, world, seed, f"[{prec}] {failure}"
+            ))
+        if progress is not None:
+            progress(f"{name}/P{world}/{prec}", seed, failure)
+
+    _bitwise_matrix(strategies, worlds, precisions, spec, cell, record)
     if raise_on_failure:
         report.raise_if_failed()
     return report
@@ -822,14 +840,19 @@ def run_heal_differential(
     flaps and stalls are pure latency and prove the schedule has no
     timing dependence.
 
-    The report also aggregates what each schedule actually injected and
-    fails any schedule that injected nothing — a sweep that quietly
-    tested the no-fault path would otherwise read as coverage.
+    Every cell trains the faulted run twice — on the thread wire
+    (:class:`~repro.runtime.ChaosFabric`) and on the process wire
+    (``ProcessTransport(policy=...)``): the chaos layer is the same
+    object on both, and both must equal the clean run.
+
+    The report also aggregates what each schedule actually injected (on
+    both wires) and fails any schedule that injected nothing — a sweep
+    that quietly tested the no-fault path would otherwise read as
+    coverage.
     """
     from dataclasses import replace as _replace
 
-    from .core.api import STRATEGIES
-    from .runtime import ChaosFabric, ChaosPolicy
+    from .runtime import ChaosFabric, ChaosPolicy, ProcessTransport
 
     if schedules is None:
         schedules = HEAL_SCHEDULES
@@ -840,66 +863,41 @@ def run_heal_differential(
         modes=modes, worlds=worlds, precisions=precisions,
         schedules=list(schedules),
     )
-    for name in schedules:
-        report.injected[name] = {}
+    report.injected = {name: {} for name in schedules}
+    seed_of = {name: seed + i for i, name in enumerate(schedules)}
 
-    from .nn.precision import FP32, FP64
+    def cell(mode, runner, cell_spec, world, sched):
+        clean = runner(cell_spec, world, None)
+        pol = _replace(ChaosPolicy.quiet(seed_of[sched]), **dict(schedules[sched]))
+        wires = {
+            "thread": ChaosFabric(world, pol),
+            "process": ProcessTransport(policy=pol),
+        }
+        try:
+            for label, wire in wires.items():
+                failure = _diff_bitwise(clean, runner(cell_spec, world, wire))
+                if failure is not None:
+                    return f"on the {label} wire: {failure}"
+        finally:
+            agg = report.injected[sched]
+            for wire in wires.values():
+                for k, v in wire.chaos.as_dict().items():
+                    agg[k] = agg.get(k, 0.0) + float(v)
+        return None
 
-    policy_of = {"fp32": FP32, "fp64": FP64}
-    for precision in precisions:
-        if precision not in policy_of:
-            raise ValueError(f"precision must be fp32 or fp64, got {precision!r}")
-        base_spec = (
-            default_differential_spec(precision=policy_of[precision])
-            if spec is None
-            else _replace(spec, precision=policy_of[precision])
-        )
-        for mode in modes:
-            if mode not in STRATEGIES:
-                raise ValueError(f"unknown strategy {mode!r}")
-            runner = STRATEGIES[mode]
-            for world in worlds:
-                clean = runner(base_spec, world, None)
-                for i, (sched, knobs) in enumerate(schedules.items()):
-                    report.runs += 1
-                    cell = f"{mode}/P{world}/{precision}/{sched}"
-                    pol = _replace(
-                        ChaosPolicy.quiet(seed + i), **dict(knobs)
-                    )
-                    failure: Optional[str] = None
-                    fabric = ChaosFabric(world, pol)
-                    try:
-                        result = runner(base_spec, world, fabric)
-                        if list(map(float, result.losses)) != list(
-                            map(float, clean.losses)
-                        ):
-                            failure = (
-                                f"loss curve not bit-identical: "
-                                f"{result.losses} vs {clean.losses}"
-                            )
-                        else:
-                            for ci, (a, b) in enumerate(
-                                zip(result.chunks, clean.chunks)
-                            ):
-                                err = a.max_abs_diff(b)
-                                if err != 0.0:
-                                    failure = (
-                                        f"final weights differ at chunk {ci}: "
-                                        f"max |err|={err:.3e}"
-                                    )
-                                    break
-                    except Exception as exc:  # noqa: BLE001 - budget exhaustion etc.
-                        first = (str(exc).splitlines() or [""])[0]
-                        failure = f"{type(exc).__name__}: {first}"
-                    agg = report.injected[sched]
-                    for k, v in fabric.chaos.as_dict().items():
-                        agg[k] = agg.get(k, 0.0) + float(v)
-                    if failure is not None:
-                        report.failures.append(
-                            HealFailure(mode, world, precision, sched, seed + i, failure)
-                        )
-                    if progress is not None:
-                        progress(cell, sched, failure)
+    def record(mode, world, precision, sched, failure):
+        report.runs += 1
+        if failure is not None:
+            report.failures.append(HealFailure(
+                mode, world, precision, sched, seed_of[sched], failure
+            ))
+        if progress is not None:
+            progress(f"{mode}/P{world}/{precision}/{sched}", sched, failure)
+
+    _bitwise_matrix(
+        dict.fromkeys(modes, max(worlds, default=0)), worlds, precisions, spec,
+        cell, record, variants=list(schedules),
+    )
     # honesty check: a schedule that injected no faults anywhere tested
     # nothing — surface it as a failure, not silent green.
     for sched in schedules:
@@ -1034,7 +1032,7 @@ def run_self_heal(
     if flap_rank is None:
         flap_rank = int(rng.integers(0, world))
     report.flap_rank = int(flap_rank)
-    total_posts = probe_fab._posts_by_rank.get(report.flap_rank, 0)
+    total_posts = probe_fab.chaos.posts_by_rank.get(report.flap_rank, 0)
 
     fractions = (0.35, 0.55, 0.75)
     last_error = ""

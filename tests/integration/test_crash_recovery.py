@@ -21,7 +21,7 @@ from repro.optim import Adam
 from repro.core.api import train
 from repro.io import load_checkpoint_state, save_checkpoint
 from repro.parallel.elastic import ELASTIC_STRATEGIES, train_elastic
-from repro.runtime import PeerFailed
+from repro.runtime import ChaosFabric, ChaosPolicy, PeerFailed, ProcessTransport
 from repro.testing import default_crash_spec, run_crash_recovery
 
 
@@ -78,9 +78,31 @@ class TestCrashRecovery:
         assert report.recovered, report.summary()
         report.raise_if_failed()
 
+    @pytest.mark.parametrize("wire_chaos", [False, True])
+    def test_pinned_crash_recovers_identically_on_both_wires(self, wire_chaos):
+        """The crash is a function of the victim's own post count and the
+        chaos layer is the same object on both wires: the same pinned
+        crash — under a quiet and under a fully chaotic wire — shrinks
+        to the same survivors from the same step and continues
+        bit-identically on processes and on threads."""
+        spec = default_crash_spec()
+        base = ChaosPolicy(seed=0) if wire_chaos else ChaosPolicy.quiet(0)
+        policy = replace(base, crash_rank=2, crash_at_post=40)
+        thread = train_elastic(
+            spec, "weipipe-interleave", 4,
+            fabric=ChaosFabric(4, policy, timeout=60.0),
+        )
+        transport = ProcessTransport(policy=policy)
+        process = train_elastic(spec, "weipipe-interleave", 4, fabric=transport)
+        assert transport.chaos.crashes == 1
+        assert process.extra["survivors"] == thread.extra["survivors"] == [0, 1, 3]
+        assert [e.describe() for e in process.extra["recovery_events"]] == [
+            e.describe() for e in thread.extra["recovery_events"]
+        ]
+        _assert_same(process, thread)
+
     def test_max_recoveries_zero_propagates(self):
         spec = default_crash_spec(iters=2)
-        from repro.runtime import ChaosFabric, ChaosPolicy
 
         policy = replace(
             ChaosPolicy.quiet(0), crash_rank=1, crash_at_post=40

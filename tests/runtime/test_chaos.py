@@ -70,7 +70,7 @@ class TestLegalSemanticsUnderChaos:
         # give every duplicate time to land, then confirm it was discarded
         deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline:
-            if not fab.poll(1, 0, ("t",)) and not fab._limbo:
+            if not fab.poll(1, 0, ("t",)) and not fab._layer._limbo:
                 break
             time.sleep(0.005)
         assert not fab.poll(1, 0, ("t",))

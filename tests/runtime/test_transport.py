@@ -3,8 +3,11 @@ control block, backend resolution, and the process transport end to end.
 
 The thread transport is the semantic oracle; everything here checks that
 the shared-memory machinery under ``ProcessTransport`` preserves it —
-FIFO per link, CRC-checked frames, zero-copy arena descriptors, abort
-poisoning and ``PeerFailed`` fail-stop events across real processes.
+FIFO per link, CRC-checked frames, zero-copy arena descriptors, the one
+chaos layer.  Failure paths (abort, peer death, join timeout, corrupt
+flows, killed children) are tested once over both wires in
+``test_failure_paths.py``; the codec's stateful fuzz and bit sweep live
+in ``test_shm_fuzz.py``.
 """
 
 import os
@@ -14,19 +17,18 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    ChaosFabric,
     Communicator,
-    FabricAborted,
-    PeerFailed,
+    CorruptFrameError,
+    FailureDetector,
     ProcessTransport,
     ThreadTransport,
     Transport,
     run_workers,
-    run_workers_elastic,
 )
 from repro.runtime.communicator import Fabric
 from repro.runtime.launcher import resolve_transport
-from repro.runtime.transport.base import Deadline, WorkerError, join_group
-from repro.runtime.transport.process import validate_process_policy
+from repro.runtime.transport.base import Deadline, join_group
 from repro.runtime.transport.shm import (
     ControlBlock,
     FrameDecoder,
@@ -230,9 +232,8 @@ def test_codec_detects_corrupted_wire_bytes():
     ring = _ring(1 << 11)
     dec = FrameDecoder(ring, _pool_acquire)
     _pump(chunks, ring)
-    frame = dec.poll()
-    assert frame is not None
-    assert frame.crc != frame.crc_actual
+    with pytest.raises(CorruptFrameError, match="payload CRC"):
+        dec.poll()
 
 
 def test_codec_streams_frame_larger_than_ring():
@@ -326,30 +327,38 @@ def test_resolve_transport_combinations():
         resolve_transport(backend="carrier-pigeon")
 
 
-def test_validate_process_policy_gates_unsupported_knobs():
-    validate_process_policy(None)
-    validate_process_policy(
-        ChaosPolicy(seed=0, delay_prob=1.0, max_delay=0.001,
-                    drop_prob=0.0, duplicate_prob=0.0)
-    )
-    with pytest.raises(ValueError, match="drop_prob"):
-        validate_process_policy(ChaosPolicy(seed=0, drop_prob=0.5))
-    with pytest.raises(ValueError):
-        ProcessTransport(policy=ChaosPolicy(seed=0, drop_prob=0.5))
+def test_process_takes_any_policy_but_refuses_heartbeats(monkeypatch):
+    """One fabric, one refusal: every chaos knob is accepted, and the
+    failure detector — with ``flap_rank``, which is defined in terms of
+    heartbeats — raises from ``launch`` before anything is forked or any
+    segment created."""
+    import multiprocessing.context as mp_context
 
-
-def test_transport_capability_flags():
     assert ProcessTransport.name == "process"
     assert ThreadTransport.name == "thread"
     assert issubclass(ProcessTransport, Transport)
-    assert ProcessTransport.chaos == "delay-only"
-    assert not ProcessTransport.supports_detector
-    # cross-process tracing: per-rank spill buffers merged in the parent.
-    assert ProcessTransport.supports_tracer
-    assert ThreadTransport.supports_tracer
-    with pytest.raises(ValueError, match="failure detector"):
-        ProcessTransport().launch(2, lambda comm: None, 10.0, False,
-                                  detector=object())
+    everything = ChaosPolicy(
+        seed=0, bitflip_prob=0.5, flap_prob=0.5, stall_prob=0.5,
+        max_stall=0.001, crash_rank=1, crash_at_post=99,
+        flaps=((0, 1, 0, 2),),
+    )
+    assert ProcessTransport(policy=everything).policy is everything
+
+    forked = []
+    monkeypatch.setattr(
+        mp_context.ForkProcess, "start", lambda self: forked.append(self)
+    )
+    flapping = ChaosPolicy(
+        seed=0, flap_rank=1, flap_rank_at_post=1, flap_rank_duration=0.1
+    )
+    for transport, detector in (
+        (ProcessTransport(), FailureDetector()),
+        (ProcessTransport(policy=flapping), None),
+    ):
+        with pytest.raises(ValueError, match="failure detector"):
+            transport.launch(2, lambda comm: None, 10.0, True,
+                             detector=detector)
+    assert not forked  # and the autouse fixture checks /dev/shm
 
 
 # -- Deadline / join_group ---------------------------------------------------
@@ -410,92 +419,66 @@ def test_process_world_one_falls_back_inline():
     assert results == [0]
 
 
-def _raise_on_rank_one(comm: Communicator):
-    if comm.rank == 1:
-        raise RuntimeError("boom on rank 1")
-    return "ok"
+def test_process_world_one_keeps_policy_integrity_and_telemetry():
+    """The inline world-1 path runs the same fabric the transport was
+    configured for — it used to drop ``policy`` and ``integrity`` (and
+    the topology unless traced), a silent downgrade."""
+    from repro.obs import Tracer
 
-
-def test_process_worker_exception_becomes_worker_error():
-    with pytest.raises(WorkerError) as ei:
-        run_workers(2, _raise_on_rank_one, timeout=60.0, backend="process")
-    assert ei.value.rank == 1
-    assert "boom on rank 1" in str(ei.value)
-
-
-def _never_returns(comm: Communicator):
-    comm.recv(1 - comm.rank, tag=("never",), timeout=30.0)
-
-
-def test_process_join_timeout_aborts_and_cleans_up():
-    pt = ProcessTransport()
-    t0 = time.perf_counter()
-    with pytest.raises(TimeoutError, match="worker-0, worker-1"):
-        run_workers(2, _never_returns, timeout=0.5, backend=pt)
-    # the abort wakes the blocked receives: no 2 s grace, no terminate()
-    assert time.perf_counter() - t0 < 5.0
-    assert pt.last_postmortem["reason"]["kind"] == "timeout"
-
-
-def _abort_or_hang(comm: Communicator):
-    if comm.rank == 0:
-        comm.fabric.abort("pulling the plug")
-        return "aborted"
-    try:
-        comm.recv(0, tag=("never",), timeout=30.0)
-    except FabricAborted:
-        return "poisoned"
-    return "unreachable"
-
-
-def test_process_abort_poisons_blocked_peers():
-    # world 4: later-forked ranks map the control block after rank 0 has
-    # already published the abort, and must still see it — promptly, not
-    # when their 30 s recv times out.
-    t0 = time.perf_counter()
-    results, errors = run_workers_elastic(
-        4, _abort_or_hang, timeout=60.0, backend="process"
-    )
-    elapsed = time.perf_counter() - t0
-    assert errors == [None] * 4
-    assert results == ["aborted", "poisoned", "poisoned", "poisoned"]
-    assert elapsed < 5.0, elapsed
-
-
-def _die_or_observe(comm: Communicator):
-    if comm.rank == 1:
-        raise RuntimeError("fail-stop")
-    try:
-        comm.recv(1, tag=("w",), timeout=30.0)
-    except PeerFailed as exc:
-        return ("peer-failed", sorted(comm.fabric.failed_ranks()))
-    return "unreachable"
-
-
-def test_process_peer_failure_interrupts_survivors():
-    t0 = time.perf_counter()
-    results, errors = run_workers_elastic(
-        2, _die_or_observe, timeout=60.0, backend="process"
-    )
-    elapsed = time.perf_counter() - t0
-    assert errors[1] is not None and "fail-stop" in str(errors[1])
-    assert results[0] == ("peer-failed", [1])
-    assert elapsed < 5.0, elapsed
-
-
-def _seeded_delay_exchange(comm: Communicator):
-    peer = 1 - comm.rank
-    out = np.arange(64, dtype=np.float64) + comm.rank
-    comm.send(out, peer, tag=("w",))
-    return float(comm.recv(peer, tag=("w",)).sum())
-
-
-def test_process_delay_only_chaos_matches_thread():
-    policy = ChaosPolicy(seed=3, delay_prob=1.0, max_delay=0.002,
+    policy = ChaosPolicy(seed=0, delay_prob=1.0, max_delay=0.2,
                          drop_prob=0.0, duplicate_prob=0.0)
-    via_process = run_workers(
-        2, _seeded_delay_exchange, timeout=60.0,
-        backend=ProcessTransport(policy=policy),
-    )
-    via_thread = run_workers(2, _seeded_delay_exchange, timeout=60.0)
-    assert via_process == via_thread
+
+    def loopback(comm: Communicator):
+        comm.send(np.ones(4), 0, tag=("self",))
+        comm.recv(0, tag=("self",))
+        return comm.fabric.integrity, type(comm.fabric).__name__
+
+    oracle = ChaosFabric(1, policy, integrity=False)
+    t0 = time.perf_counter()
+    run_workers(1, loopback, fabric=oracle)
+    oracle_s = time.perf_counter() - t0
+    assert oracle.chaos.delayed == 1
+
+    for tracer in (None, Tracer()):
+        pt = ProcessTransport(policy=policy, integrity=False, tracer=tracer)
+        t0 = time.perf_counter()
+        results = run_workers(1, loopback, fabric=pt)
+        elapsed = time.perf_counter() - t0
+        assert results == [(False, "Fabric")]
+        assert pt.chaos.delayed == 1 and pt.chaos.posts == 1
+        # the seeded hold-back is pure in the message identity: the same
+        # delay as on the thread oracle, not a 1 ms plain-fabric return.
+        assert elapsed > 0.5 * oracle_s > 0.0
+        assert pt.stats.messages == 1
+        assert pt.metrics.total("fabric_messages_total") == 1
+        assert pt.metrics.total("chaos_injections_total") == 1
+
+
+def _seeded_exchange(comm: Communicator):
+    peer = 1 - comm.rank
+    got = []
+    for i in range(24):
+        out = np.arange(64, dtype=np.float64) + comm.rank + i
+        comm.send(out, peer, tag=("w", i % 3))
+        got.append(float(comm.recv(peer, tag=("w", i % 3)).sum()))
+    return got
+
+
+def test_process_default_chaos_matches_thread():
+    """The default policy (delay .5, drop .05, dup .05) plus bit-flips:
+    the same seeded adversary on both wires, the same values delivered,
+    and the same identity-pure injection counts."""
+    policy = ChaosPolicy(seed=3, bitflip_prob=0.1)
+    pt = ProcessTransport(policy=policy)
+    via_process = run_workers(2, _seeded_exchange, timeout=60.0, backend=pt)
+    fab = ChaosFabric(2, policy)
+    via_thread = run_workers(2, _seeded_exchange, timeout=60.0, fabric=fab)
+    assert via_process == via_thread == run_workers(2, _seeded_exchange)
+    pure = ("posts", "delayed", "dropped", "duplicates", "flapped",
+            "stalls", "crashes")
+    thread, process = fab.chaos.as_dict(), pt.chaos.as_dict()
+    assert {k: process[k] for k in pure} == {k: thread[k] for k in pure}
+    assert thread["delayed"] and thread["dropped"] and thread["duplicates"]
+    assert thread["bitflips"] and process["bitflips"]
+    assert process["delivered"] == thread["delivered"] == 48
+    assert pt.chaos.posts_by_rank == fab.chaos.posts_by_rank == {0: 24, 1: 24}
