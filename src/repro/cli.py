@@ -777,6 +777,9 @@ def _cmd_train(args) -> int:
           f"model={model_param_count(cfg):,} params")
     for i, loss in enumerate(result.losses):
         print(f"iter {spec.start_iteration + i:>4}: loss {loss:.6f}")
+    if args.recompute and "recompute" in result.extra:
+        print("recompute: replayed={replayed} kept={kept}".format(
+            **result.extra["recompute"]))
     allocs = result.extra.get("pool_allocs_by_iter")
     if allocs and "arena_overflow_allocs" in result.extra:
         # the ring's pool ledger: on --backend process a non-zero

@@ -68,6 +68,8 @@ from ..parallel.common import (
     microbatch,
     pre_update,
     quantize_grads_,
+    recompute_ledger,
+    sum_recompute,
 )
 from ..runtime import (
     WREF_NBYTES,
@@ -193,10 +195,9 @@ class _WeiPipeWorker:
         # for the placement law.
         self.owned_slot = (self.rank - 1) % self.world
         owned_ids = slot_chunk_ids(self.owned_slot, self.world, self.cfg.n_layers)
-        owned = dict(zip(owned_ids, spec.init_chunks(owned_ids)))
-        self.bwd_slot: SlotWeights = {
-            i: self._clone_chunk(c) for i, c in owned.items()
-        }
+        self.bwd_slot: SlotWeights = dict(
+            zip(owned_ids, spec.init_chunks(owned_ids, pool=self.pool))
+        )
         self.grad_slot: SlotWeights = {
             i: w.zeros_like(self.pool) for i, w in self.bwd_slot.items()
         }
@@ -212,7 +213,7 @@ class _WeiPipeWorker:
             }
         else:
             self.opt_states = {
-                i: self.opt.init_state(c) for i, c in owned.items()
+                i: self.opt.init_state(c) for i, c in self.bwd_slot.items()
             }
         #: forward-flow holding; empty until the construction-time inject
         #: at the end of ``__init__`` delivers slot ``-rank``.
@@ -273,9 +274,6 @@ class _WeiPipeWorker:
         self._inject_forward(-1)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _clone_chunk(self, c: ParamStruct) -> ParamStruct:
-        return c.clone(self.pool) if c.common_dtype is not None else c.clone()
 
     def _slot_nbytes(self, slot: SlotWeights, wire: int) -> int:
         return sum(w.numel for w in slot.values()) * wire
@@ -471,11 +469,13 @@ class _WeiPipeWorker:
                 f"schedule/flow mismatch: {kind} slot {slot} but holding {expected}"
             )
 
-    def _run_bwd(self, it: int, slot: int, mb: int) -> None:
+    def _run_bwd(self, it: int, slot: int, mb: int) -> Dict:
+        replayed = self.ck.replayed
         if self.mode == "zero-bubble":
             self._b_pass_slot(it, slot, mb)
         else:
             self._backward_slot(it, slot, mb)
+        return {"replayed": self.ck.replayed - replayed}
 
     # -- the turn loop -----------------------------------------------------------
 
@@ -501,12 +501,8 @@ class _WeiPipeWorker:
 
         self._ring_turns(it, total, task_fn)
 
-        u0 = perf_counter()
-        self._update_pass(it)
-        if self.trace.enabled:
-            self.trace.complete(
-                "update", "compute", u0, perf_counter() - u0, {"it": it}
-            )
+        self._timed(self._h_compute, "update", "compute", {"it": it},
+                    self._update_pass, it)
 
         losses = all_gather(self.comm, dict(self.losses_by_mb), tag=("wp-loss", it))
         self.losses_by_mb.clear()
@@ -527,13 +523,14 @@ class _WeiPipeWorker:
 
     def _timed(self, hist, name: str, cat: str, args: Dict, fn, *fargs) -> None:
         """Run ``fn(*fargs)``, observe its wall time on ``hist`` and, when
-        tracing, record it as one complete span."""
+        tracing, record it as one complete span; a dict ``fn`` returns
+        joins the span's args."""
         t0 = perf_counter()
-        fn(*fargs)
+        more = fn(*fargs)
         dt = perf_counter() - t0
         hist.observe(dt)
         if self.trace.enabled:
-            self.trace.complete(name, cat, t0, dt, args)
+            self.trace.complete(name, cat, t0, dt, {**args, **more} if more else args)
 
     def _take_w(self, nf, nb, it: int, turn: int) -> None:
         old_f, old_b = self.fwd_slot, self.bwd_slot
@@ -557,7 +554,7 @@ class _WeiPipeWorker:
     def _ring_turns(self, it: int, total: int, task_fn) -> None:
         """The one ring loop.  Every turn:
 
-            wait F,B -> [F] -> [B / W, grads parked] -> wait D -> drain -> send D
+            wait F,B -> [B] -> [F] -> [W] -> wait D -> drain -> send D
 
         and the final hop (``t == total``, no task) is the same body up to
         the drain: it brings every slot back to its home position.
@@ -603,9 +600,15 @@ class _WeiPipeWorker:
                 if early:  # posting point (early)
                     posted = post(t + 1)
                     forward_w(t + 1)
+                # B first: the turn's tasks belong to different
+                # microbatches and both slots have landed, so the order is
+                # free — and B(slot P-1, m) then directly follows last
+                # turn's F(slot P-1, m), whose cache the checkpoint still
+                # holds (nn/checkpoint.py), and frees its stash before F
+                # allocates.
                 for name, job, run in (
-                    ("F", task.fwd, self._forward_slot),
                     ("B", task.bwd, self._run_bwd),
+                    ("F", task.fwd, self._forward_slot),
                     # rides the backward flow, which loops every P turns
                     ("W", task.wpass, self._w_pass_slot),
                 ):
@@ -694,7 +697,7 @@ class _WeiPipeWorker:
         """
         target = fwd_home(self.owned_slot, self.world)
         old_fwd = self.fwd_slot
-        inject = {i: self._clone_chunk(w) for i, w in self.bwd_slot.items()}
+        inject = {i: w.clone(self.pool) for i, w in self.bwd_slot.items()}
         if target == self.rank:
             self.fwd_slot = inject
         else:
@@ -788,6 +791,7 @@ def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
             "inter_ref_sends": w.inter_ref_sends,
             "arena_overflow_allocs": w.pool.arena_overflow_allocs,
             "arena_overflow_bytes": w.pool.arena_overflow_bytes,
+            "recompute": recompute_ledger(w.ck),
         },
     )
 
@@ -839,4 +843,5 @@ def train_weipipe(
     for key in ("inter_full_sends", "inter_ref_sends",
                 "arena_overflow_allocs", "arena_overflow_bytes"):
         extra[key] = sum(e[key] for e in by_rank.values())
+    extra["recompute"] = sum_recompute(results)
     return TrainResult(losses=results[0].losses, chunks=results[0].chunks, extra=extra)

@@ -67,7 +67,10 @@ def training_step_flops(cfg: ModelConfig, g: int, recompute: bool) -> float:
     """One microbatch's forward+backward (+recompute) FLOPs.
 
     Backward costs ~2x forward (one dgrad + one wgrad GEMM per forward
-    GEMM); recomputation replays the forward.
+    GEMM); recomputation replays the forward.  Factor 4 is the paper's
+    system, where every backward replays; this runtime keeps the cache
+    of the one chunk per microbatch whose backward comes next
+    (:mod:`repro.nn.checkpoint`) and so executes ``4 - 1/L``.
     """
     fwd = model_fwd_flops(cfg, g)
     factor = 4.0 if recompute else 3.0

@@ -7,6 +7,16 @@ compute — see Section 5).  Recomputation stores only each chunk's
 backward to rebuild the cache, trading one extra forward for an
 ``O(caches)`` → ``O(boundary activations)`` memory reduction.
 
+One replay buys no memory: the one whose backward is the worker's very
+next checkpointed op.  Read off the op sequence the way *Pipeline
+Parallelism with Controllable Memory* reads peak memory off each
+microbatch's lifespan, dropping that cache and rebuilding it
+materialises the same bytes at the same moment.  So the newest
+forward's cache is kept until the next checkpointed op — the last chunk
+of a serial / DP / FSDP microbatch, every microbatch of 1F1B's last
+stage, slot ``P - 1`` on the weight ring — and every other backward
+replays as before (DESIGN.md §17).
+
 :class:`CheckpointedChunk` wraps the chunk-level fwd/bwd of
 :mod:`repro.nn.model` behind the same interface, so strategies toggle
 recomputation with a flag instead of branching.
@@ -37,6 +47,18 @@ class CheckpointedChunk:
     behaviour).  With ``recompute=True`` only the chunk input is kept and
     the cache is rebuilt on demand in :meth:`bwd` / :meth:`bwd_input`.
 
+    The exception is one *warm* entry: the newest forward's
+    ``(state, cache)``.  It is dropped on entry to every :meth:`fwd` and
+    every backward, before anything is allocated, so it never coexists
+    with a cache the plain scheme would not also hold; a backward that
+    is handed the warm state itself takes the cache instead of replaying.
+    The match is by identity, not equality: a state is the tuple one
+    ``fwd`` call returned, so an entry left behind by an aborted step, or
+    another microbatch with equal inputs, can never be mistaken for it.
+    The kept cache is the tuple the replay would rebuild from the same
+    inputs with the same calls, so results are bit-identical either way;
+    ``replayed`` / ``kept`` count which way each backward went.
+
     Note the cache rebuilt during backward needs the *same weights* the
     forward used.  WeiPipe guarantees this because the backward weight
     flow delivers exactly the pre-update weights; classical pipelines
@@ -46,6 +68,10 @@ class CheckpointedChunk:
     def __init__(self, cfg: ModelConfig, recompute: bool = False):
         self.cfg = cfg
         self.recompute = recompute
+        self._warm: Optional[Tuple[tuple, tuple]] = None
+        #: backwards that re-ran their forward / took the warm cache.
+        self.replayed = 0
+        self.kept = 0
 
     def fwd(
         self,
@@ -56,16 +82,25 @@ class CheckpointedChunk:
         sin: np.ndarray,
     ) -> Tuple[np.ndarray, tuple]:
         """Forward chunk ``idx``; the returned state feeds :meth:`bwd`."""
+        self._warm = None
         y, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin)
         if self.recompute:
-            # keep only the boundary input; drop the heavy cache.
-            return y, ("recompute", x, cos, sin)
+            # the state keeps only the boundary input; the heavy cache
+            # lives on until the next checkpointed op and no longer.
+            state = ("recompute", x, cos, sin)
+            self._warm = (state, cache)
+            return y, state
         return y, ("full", cache)
 
     def _materialize(self, idx: int, w: ParamStruct, state: tuple) -> tuple:
-        kind = state[0]
-        if kind == "full":
+        warm, self._warm = self._warm, None
+        if state[0] == "full":
             return state[1]
+        if warm is not None and warm[0] is state:
+            self.kept += 1
+            return warm[1]
+        warm = None  # a stale cache is gone before the replay allocates
+        self.replayed += 1
         _, x, cos, sin = state
         _, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin)
         return cache

@@ -28,7 +28,7 @@ Layer structure (pre-norm Llama):
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +39,12 @@ from .attention import (
     flash_attention_bwd,
     flash_attention_fwd,
 )
-from .params import ParamStruct
+from .params import BufferPool, ParamStruct
 from .rope import rope_apply, rope_apply_bwd
 
 __all__ = [
+    "layer_layout",
+    "init_params",
     "init_layer_weights",
     "layer_param_count",
     "layer_fwd",
@@ -52,28 +54,69 @@ __all__ = [
 ]
 
 
+#: standard deviation of the scaled-normal weight init.
+INIT_STD = 0.02
+#: float64 draws per block of :func:`init_params`: what lives between the
+#: generator and the weights, whatever the matrix size.
+_DRAW_BLOCK = 1 << 15
+
+Layout = Sequence[Tuple[str, Tuple[int, ...]]]
+
+
+def layer_layout(hidden: int, ffn: int) -> List[Tuple[str, Tuple[int, ...]]]:
+    """``(name, shape)`` of one decoder layer's parameters, in storage
+    (and draw) order."""
+    return [
+        ("attn_norm", (hidden,)),
+        ("wq", (hidden, hidden)),
+        ("wk", (hidden, hidden)),
+        ("wv", (hidden, hidden)),
+        ("wo", (hidden, hidden)),
+        ("ffn_norm", (hidden,)),
+        ("w_gate", (hidden, ffn)),
+        ("w_up", (hidden, ffn)),
+        ("w_down", (ffn, hidden)),
+    ]
+
+
+def init_params(
+    layout: Layout,
+    rng: np.random.Generator,
+    dtype=np.float64,
+    pool: Optional[BufferPool] = None,
+) -> ParamStruct:
+    """Scaled-normal init of ``layout`` into one arena-backed struct,
+    on a buffer acquired from ``pool`` when there is one.
+
+    Vectors are norm gains and start at 1; matrices are drawn
+    ``N(0, INIT_STD^2)`` in layout order.  The draws are float64 whatever
+    ``dtype`` is — block by block through one scratch array and cast on
+    the store into the struct's buffer — which is the stream
+    ``rng.normal(0.0, INIT_STD, shape).astype(dtype)`` per matrix reads,
+    without a float64 copy of any matrix.
+    """
+    n = sum(int(np.prod(shape)) for _, shape in layout)
+    buf = pool.acquire(n, dtype) if pool is not None else np.empty(n, dtype=dtype)
+    w = ParamStruct.from_arena(layout, buf)
+    scratch = np.empty(_DRAW_BLOCK)
+    for name, shape in layout:
+        flat = w[name].reshape(-1)
+        if len(shape) == 1:
+            flat[...] = 1.0
+            continue
+        for i in range(0, flat.size, _DRAW_BLOCK):
+            z = scratch[: flat.size - i]
+            rng.standard_normal(out=z)
+            z *= INIT_STD
+            flat[i : i + z.size] = z
+    return w
+
+
 def init_layer_weights(
     hidden: int, ffn: int, rng: np.random.Generator, dtype=np.float64
 ) -> ParamStruct:
     """Initialise one decoder layer (scaled-normal init, Llama-style)."""
-    std = 0.02
-
-    def normal(*shape):
-        return rng.normal(0.0, std, size=shape).astype(dtype)
-
-    return ParamStruct(
-        {
-            "attn_norm": np.ones(hidden, dtype=dtype),
-            "wq": normal(hidden, hidden),
-            "wk": normal(hidden, hidden),
-            "wv": normal(hidden, hidden),
-            "wo": normal(hidden, hidden),
-            "ffn_norm": np.ones(hidden, dtype=dtype),
-            "w_gate": normal(hidden, ffn),
-            "w_up": normal(hidden, ffn),
-            "w_down": normal(ffn, hidden),
-        }
-    )
+    return init_params(layer_layout(hidden, ffn), rng, dtype)
 
 
 def layer_param_count(hidden: int, ffn: int) -> int:

@@ -22,14 +22,15 @@ import numpy as np
 
 from . import functional as F
 from .layer import (
-    init_layer_weights,
+    init_params,
     layer_bwd,
     layer_bwd_input,
     layer_bwd_weight,
     layer_fwd,
+    layer_layout,
     layer_param_count,
 )
-from .params import ParamStruct
+from .params import BufferPool, ParamStruct
 from .rope import rope_angles
 
 __all__ = [
@@ -105,26 +106,25 @@ def rope_tables(cfg: ModelConfig) -> Tuple[np.ndarray, np.ndarray]:
     return rope_angles(cfg.seq_len, cfg.head_dim, cfg.rope_base, cfg.dtype)
 
 
-def init_chunk(cfg: ModelConfig, seed: int, idx: int) -> ParamStruct:
+def init_chunk(
+    cfg: ModelConfig, seed: int, idx: int, pool: Optional[BufferPool] = None
+) -> ParamStruct:
     """Initialise chunk ``idx`` alone, from its own stream ``(seed, idx)``.
 
     A chunk's layer matrices depend only on ``(seed, idx)`` and the layer
     shape — not on ``n_layers`` or on which other chunks were drawn — so a
-    worker that holds ``1/P`` of the model draws ``1/P`` of it.
+    worker that holds ``1/P`` of the model draws ``1/P`` of it, straight
+    into a buffer of its ``pool`` if it hands one in.
     """
-    rng = np.random.default_rng((seed, idx))
-    std = 0.02
-    w = init_layer_weights(cfg.hidden, cfg.ffn, rng, cfg.dtype)
+    layout = layer_layout(cfg.hidden, cfg.ffn)
     if idx == 0:
-        w["embed"] = rng.normal(
-            0.0, std, size=(cfg.vocab, cfg.hidden)
-        ).astype(cfg.dtype)
+        layout.append(("embed", (cfg.vocab, cfg.hidden)))
     if idx == cfg.n_layers - 1:
-        w["final_norm"] = np.ones(cfg.hidden, dtype=cfg.dtype)
-        w["head"] = rng.normal(
-            0.0, std, size=(cfg.hidden, cfg.vocab)
-        ).astype(cfg.dtype)
-    return w
+        layout.append(("final_norm", (cfg.hidden,)))
+        layout.append(("head", (cfg.hidden, cfg.vocab)))
+    return init_params(
+        layout, np.random.default_rng((seed, idx)), cfg.dtype, pool
+    )
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> List[ParamStruct]:

@@ -151,6 +151,13 @@ class ParamStruct:
         ps._layout = layout
         return ps
 
+    @classmethod
+    def from_arena(cls, layout, arena: np.ndarray) -> "ParamStruct":
+        """An arena-backed struct of ``layout`` — ``(name, shape)`` pairs
+        in storage order — whose arrays are views into the flat buffer
+        ``arena``; the caller hands over ownership of it."""
+        return _rebuild_arena_ps(tuple((k, tuple(s)) for k, s in layout), arena)
+
     # -- pickling (process-transport wire format) ---------------------------
 
     def __reduce__(self):
@@ -267,7 +274,10 @@ class ParamStruct:
         return ParamStruct._from_parts(views, buf, self._layout_key())
 
     def clone(self, pool: Optional[BufferPool] = None) -> "ParamStruct":
-        if pool is not None:
+        """A deep copy; with ``pool``, arena-backed on a buffer acquired
+        from it — unless the arrays differ in dtype, which has no flat
+        form and is copied array by array."""
+        if pool is not None and self.common_dtype is not None:
             return self.to_arena(pool)
         if self._arena is not None:
             buf = self._arena.copy()

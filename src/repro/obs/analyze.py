@@ -479,6 +479,12 @@ def reconcile(
     asked to predict (a) the backward/forward time ratio and (b) the
     iteration wall clock on a zero-latency wire — which for this
     GIL-serialised runtime is the total compute across all ranks.
+
+    Both predictions price the replays that *ran*: B spans carry how
+    many chunk forwards they re-ran (``args["replayed"]``), which is
+    fewer than the model's every-backward-replays wherever the
+    checkpoint kept the newest cache (:mod:`repro.nn.checkpoint`).  A
+    trace whose B spans carry no count is priced at the model's.
     """
     from ..sim.costmodel import CostModel, ExecConfig, WorkloadDims
 
@@ -517,9 +523,29 @@ def reconcile(
 
     cfg = ExecConfig(recompute=recompute, overlap=bool(meta.get("overlap", True)))
     model = CostModel.calibrated(dims, t_fwd_layer_measured, cfg)
+    t_fwd = model.t_fwd_layer()
+    iters = max(
+        analysis["per_rank"][p]["iterations"] for p in analysis["per_rank"]
+    )
 
-    # (a) backward/forward ratio: the model says 2x (3x when recomputing);
-    # a decoupled W pass rides separately and is excluded from B.
+    # chunk forwards re-run per B span and per iteration: as the spans
+    # report them, else the model's (every backward replays its layers).
+    replays = [
+        (ev.get("args") or {}).get("replayed") for ev in events
+        if ev.get("ph") == "X" and ev["name"] == "B"
+    ]
+    if replays and None not in replays:
+        replays_per_b = sum(replays) / len(replays)
+        replays_per_iter = sum(replays) / max(iters, 1)
+    elif recompute:
+        replays_per_b = layers_per_span
+        replays_per_iter = dims.n_microbatches * dims.n_layers
+    else:
+        replays_per_b = replays_per_iter = 0
+
+    # (a) backward/forward ratio: the model says 2x plus one forward per
+    # replayed layer (3x when every backward replays); a decoupled W pass
+    # rides separately and is excluded from B.
     result: Dict = {
         "calibration": {
             "t_fwd_layer_measured_s": t_fwd_layer_measured,
@@ -530,11 +556,9 @@ def reconcile(
     if b_us is not None:
         measured_b_over_f = b_us / f_us
         zb = w_us is not None  # decoupled backward: B is only the B half
-        predicted_b_over_f = (
-            model.t_b_layer() / model.t_fwd_layer()
-            if zb
-            else model.t_bwd_layer() / model.t_fwd_layer()
-        )
+        t_b = model.t_b_layer() + (0.0 if zb else model.t_w_layer())
+        t_b += replays_per_b / layers_per_span * t_fwd
+        predicted_b_over_f = t_b / t_fwd
         rel_err = abs(measured_b_over_f - predicted_b_over_f) / predicted_b_over_f
         result["b_over_f"] = {
             "predicted": predicted_b_over_f,
@@ -548,10 +572,9 @@ def reconcile(
     # the full model forwards+backwards L layers; the threaded runtime
     # serialises compute on the interpreter lock, so the predicted wall
     # is the *total* compute across ranks, not the per-rank share.
-    t_layer = model.t_fwd_layer() + model.t_bwd_layer()
-    predicted_wall = dims.n_microbatches * dims.n_layers * t_layer
-    iters = max(
-        analysis["per_rank"][p]["iterations"] for p in analysis["per_rank"]
+    t_layer = t_fwd + model.t_b_layer() + model.t_w_layer()
+    predicted_wall = (
+        dims.n_microbatches * dims.n_layers * t_layer + replays_per_iter * t_fwd
     )
     measured_wall = analysis["summary"]["wall_s_max"] / max(iters, 1)
     ratio = measured_wall / predicted_wall if predicted_wall else float("inf")

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+#: elements per :meth:`Adam.step` block: four operands and two scratch
+#: arrays of it fit a 1-2 MiB L2 in fp32 and fp64.
+_BLOCK = 1 << 15
+
+
 def map_opt_state(state, fn):
     """Structurally transform every :class:`ParamStruct` leaf of an
     optimizer state.
@@ -132,46 +137,61 @@ class Adam(Optimizer):
         ``v = b2 v + (1-b2) g^2``, ``p -= lr (m/bc1) / (sqrt(v/bc2) + eps)``
         — with every operation and its order kept, so the result is
         bit-identical to the one-temporary-per-operation form, but run
-        over two scratch arrays per parameter instead of nine."""
+        block by block over the flattened tensors: a block's four
+        operands and the two scratch arrays stay in cache for its
+        fourteen passes instead of streaming each tensor through memory
+        fourteen times."""
         state["t"] += 1
         t = state["t"]
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         decay_grad = bool(self.weight_decay) and self._decay_into_grad()
         decay_update = bool(self.weight_decay) and not decay_grad
+        scratch: Dict[np.dtype, tuple] = {}
+
+        def pair(dtype) -> tuple:
+            if dtype not in scratch:
+                scratch[dtype] = (np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype))
+            return scratch[dtype]
+
         for name in params.keys():
-            p = params[name]
-            g = grads[name]
-            m = state["m"][name]
-            v = state["v"][name]
+            whole = params[name], state["m"][name], state["v"][name]
+            # views for the contiguous tensors every strategy holds; any
+            # other layout is copied here and written back below.
+            p_all, m_all, v_all = flat = [x.reshape(-1) for x in whole]
+            g_all = grads[name].reshape(-1)
             # gradient-side terms carry the wider of the two dtypes (fp64
             # grads onto an fp32 master copy), update-side terms p's own.
-            wide = np.result_type(g, p)
-            a = np.empty(p.shape, dtype=wide)
-            b = np.empty(p.shape, dtype=wide)
-            if decay_grad:
-                np.multiply(p, self.weight_decay, out=b)
-                g = np.add(g, b, out=b)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.square(g, out=a)
-            a *= 1.0 - self.beta2
-            v += a
-            if wide != p.dtype:
-                a = np.empty_like(p)
-                b = np.empty_like(p)
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, bc1, out=b)
-            b /= a
-            if decay_update:
-                np.multiply(p, self.weight_decay, out=a)
-                b += a
-            b *= self.lr
-            p -= b
+            wide = pair(np.result_type(g_all, p_all))
+            own = pair(p_all.dtype)
+            for i in range(0, p_all.size, _BLOCK):
+                j = i + _BLOCK
+                p, m, v, g = p_all[i:j], m_all[i:j], v_all[i:j], g_all[i:j]
+                a, b = wide[0][:p.size], wide[1][:p.size]
+                if decay_grad:
+                    np.multiply(p, self.weight_decay, out=b)
+                    g = np.add(g, b, out=b)
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.square(g, out=a)
+                a *= 1.0 - self.beta2
+                v += a
+                a, b = own[0][:p.size], own[1][:p.size]
+                np.divide(v, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m, bc1, out=b)
+                b /= a
+                if decay_update:
+                    np.multiply(p, self.weight_decay, out=a)
+                    b += a
+                b *= self.lr
+                p -= b
+            for x, x_flat in zip(whole, flat):
+                if not x.flags.c_contiguous:
+                    x[...] = x_flat.reshape(x.shape)
 
 
 class AdamW(Adam):

@@ -19,9 +19,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.checkpoint import CheckpointedChunk
 from ..nn.model import ModelConfig, init_chunk, rope_tables
-from ..nn.params import ParamStruct
-from ..nn.precision import FP32, PrecisionPolicy
+from ..nn.params import BufferPool, ParamStruct
+from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
     "quantize_grads",
     "quantize_grads_",
     "init_opt_states",
+    "recompute_ledger",
+    "sum_recompute",
 ]
 
 
@@ -88,7 +91,11 @@ class TrainSpec:
         if self.iters < 1:
             raise ValueError("need at least one iteration")
 
-    def init_chunks(self, ids: Optional[Sequence[int]] = None) -> List[ParamStruct]:
+    def init_chunks(
+        self,
+        ids: Optional[Sequence[int]] = None,
+        pool: Optional[BufferPool] = None,
+    ) -> List[ParamStruct]:
         """Starting weight chunks, quantised to the storage precision so
         all strategies start identically: either a deterministic fresh
         init from ``seed`` or the ``initial_chunks`` override (resume).
@@ -97,18 +104,26 @@ class TrainSpec:
         all ``n_layers``).  Only those are drawn — every chunk has its own
         init stream (:func:`~repro.nn.model.init_chunk`) — or cloned, so a
         worker that holds ``1/P`` of the model pays for ``1/P`` of it and
-        never aliases the caller's ``initial_chunks``.
+        never aliases the caller's ``initial_chunks``.  With ``pool`` the
+        chunks are drawn (or cloned) into buffers acquired from it, for a
+        worker whose slots must live there.
         """
         if ids is None:
             ids = range(self.cfg.n_layers)
         if self.initial_chunks is not None:
             if len(self.initial_chunks) != self.cfg.n_layers:
                 raise ValueError("initial_chunks do not match the model config")
-            chunks = [self.initial_chunks[i].clone() for i in ids]
+            chunks = [self.initial_chunks[i].clone(pool) for i in ids]
         else:
-            chunks = [init_chunk(self.cfg, self.seed, i) for i in ids]
-        q = self.precision.q_weight
-        return [c.map(lambda a: q(a).astype(a.dtype, copy=False)) for c in chunks]
+            chunks = [init_chunk(self.cfg, self.seed, i, pool) for i in ids]
+        # in place (the chunks are ours, and a pooled buffer stays one),
+        # and not at all where the storage format is the array's own.
+        q, fmt = self.precision.q_weight, self.precision.weights
+        for c in chunks:
+            for a in c.values():
+                if not is_exact(fmt, a.dtype):
+                    a[...] = q(a)
+        return chunks
 
     def rope(self) -> Tuple[np.ndarray, np.ndarray]:
         return rope_tables(self.cfg)
@@ -213,3 +228,18 @@ class TrainResult:
 
     def final_loss(self) -> float:
         return self.losses[-1]
+
+
+def recompute_ledger(ck: CheckpointedChunk) -> Dict[str, int]:
+    """One worker's ``extra["recompute"]``: how many of its backwards
+    re-ran their forward and how many took the cache the checkpoint had
+    kept (both 0 without ``spec.recompute``)."""
+    return {"replayed": ck.replayed, "kept": ck.kept}
+
+
+def sum_recompute(results: Sequence[TrainResult]) -> Dict[str, int]:
+    """A launch's ``extra["recompute"]``: its ranks' ledgers summed."""
+    return {
+        key: sum(r.extra["recompute"][key] for r in results)
+        for key in ("replayed", "kept")
+    }

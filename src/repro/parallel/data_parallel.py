@@ -30,6 +30,8 @@ from .common import (
     microbatch,
     pre_update,
     quantize_grads,
+    recompute_ledger,
+    sum_recompute,
 )
 
 __all__ = ["train_data_parallel", "dp_step"]
@@ -41,20 +43,23 @@ def dp_step(
     iteration: int,
     chunks: List[ParamStruct],
     opt_states: List[Dict],
+    ck: Optional[CheckpointedChunk] = None,
 ) -> Tuple[float, List[ParamStruct], List[Dict]]:
     """One DP iteration from explicit replicated state.
 
     Inputs are cloned, never mutated; every rank returns the identical
     updated ``(loss, chunks, states)`` (replicas stay in lockstep by
     construction).  Runs on any world size that divides
-    ``spec.n_microbatches``, including 1.
+    ``spec.n_microbatches``, including 1.  ``ck`` lets a caller that
+    runs many steps read one replay ledger.
     """
     cfg = spec.cfg
     rank, p = comm.rank, comm.world_size
     chunks = [c.clone() for c in chunks]
     states = [clone_opt_state(s) for s in opt_states]
     cos, sin = spec.rope()
-    ck = CheckpointedChunk(cfg, recompute=spec.recompute)
+    if ck is None:
+        ck = CheckpointedChunk(cfg, recompute=spec.recompute)
     opt = spec.make_optimizer()
     q_act = spec.precision.q_act
     q_bgrad = spec.precision.q_act_grad
@@ -103,11 +108,15 @@ def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
     chunks = spec.init_chunks()
     opt = spec.make_optimizer()
     states = init_opt_states(spec, opt, chunks)
+    ck = CheckpointedChunk(spec.cfg, recompute=spec.recompute)
     losses: List[float] = []
     for it in range(spec.iters):
-        loss, chunks, states = dp_step(comm, spec, it, chunks, states)
+        loss, chunks, states = dp_step(comm, spec, it, chunks, states, ck=ck)
         losses.append(loss)
-    return TrainResult(losses=losses, chunks=chunks, extra={"opt_state": states})
+    return TrainResult(
+        losses=losses, chunks=chunks,
+        extra={"opt_state": states, "recompute": recompute_ledger(ck)},
+    )
 
 
 def train_data_parallel(
@@ -120,4 +129,5 @@ def train_data_parallel(
     results = run_workers(
         world_size, lambda comm: _worker(comm, spec), fabric=fabric
     )
+    results[0].extra["recompute"] = sum_recompute(results)
     return results[0]

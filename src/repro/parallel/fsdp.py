@@ -40,6 +40,7 @@ from ..runtime import (
     split_chunks,
 )
 from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
+from .common import recompute_ledger, sum_recompute
 
 __all__ = ["train_fsdp", "fsdp_step"]
 
@@ -256,7 +257,9 @@ def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
         _gather_chunk(comm, shards[i], templates[i], ("fsdp-final", i), w_wire)
         for i in range(cfg.n_layers)
     ]
-    return TrainResult(losses=losses, chunks=final)
+    return TrainResult(
+        losses=losses, chunks=final, extra={"recompute": recompute_ledger(ck)}
+    )
 
 
 def train_fsdp(
@@ -268,4 +271,5 @@ def train_fsdp(
     results = run_workers(
         world_size, lambda comm: _worker(comm, spec), fabric=fabric
     )
+    results[0].extra["recompute"] = sum_recompute(results)
     return results[0]

@@ -53,6 +53,7 @@ from ..nn import functional as F
 from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_gather, run_workers
 from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
+from .common import recompute_ledger, sum_recompute
 
 __all__ = [
     "PIPELINE_SCHEDULES",
@@ -203,6 +204,7 @@ class _StageWorker:
         else:
             dy = self.comm.recv(self.rank + 1, ("bgrad", it, mb))
         c0 = perf_counter()
+        replayed = self.ck.replayed
         states = self.inflight.pop(mb)
         parked = []
         for pos in range(len(self.chunk_ids) - 1, -1, -1):
@@ -220,7 +222,8 @@ class _StageWorker:
             self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
         if self.trace.enabled:
             self.trace.complete("B", "compute", c0, perf_counter() - c0,
-                                {"mb": mb, "it": it})
+                                {"mb": mb, "it": it,
+                                 "replayed": self.ck.replayed - replayed})
         if not self.is_first:
             self.comm.send(
                 dy,
@@ -285,6 +288,7 @@ def _worker(comm: Communicator, spec: TrainSpec, schedule: str) -> TrainResult:
             "rank": w.rank,
             "peak_inflight": w.peak_inflight,
             "peak_pending_w": w.peak_pending_w,
+            "recompute": recompute_ledger(w.ck),
         },
     )
 
@@ -300,7 +304,8 @@ def train_pipeline(
 
     Returns losses plus the *full* model (stage chunk lists concatenated
     in order).  ``extra["peak_inflight"]`` / ``extra["peak_pending_w"]``
-    map rank -> peak count of microbatches between F and B / B and W.
+    map rank -> peak count of microbatches between F and B / B and W;
+    ``extra["recompute"]`` is the stages' replayed / kept backward count.
     Configuration errors raise ``ValueError`` here, before any worker is
     launched.
     """
@@ -321,7 +326,10 @@ def train_pipeline(
         losses=results[0].losses,
         chunks=chunks,
         extra={
-            key: {r.extra["rank"]: r.extra[key] for r in results}
-            for key in ("peak_inflight", "peak_pending_w")
+            **{
+                key: {r.extra["rank"]: r.extra[key] for r in results}
+                for key in ("peak_inflight", "peak_pending_w")
+            },
+            "recompute": sum_recompute(results),
         },
     )

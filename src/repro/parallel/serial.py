@@ -14,7 +14,7 @@ to, and the unit checkpoint/resume must reproduce bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn import functional as F
@@ -27,6 +27,7 @@ from .common import (
     microbatch,
     pre_update,
     quantize_grads,
+    recompute_ledger,
 )
 
 __all__ = ["train_serial", "serial_step"]
@@ -37,6 +38,7 @@ def serial_step(
     iteration: int,
     chunks: List[ParamStruct],
     opt_states: List[Dict],
+    ck: Optional[CheckpointedChunk] = None,
 ) -> Tuple[float, List[ParamStruct], List[Dict]]:
     """One full training iteration from explicit state.
 
@@ -44,12 +46,14 @@ def serial_step(
     cloned, updated copies are returned alongside the iteration's mean
     loss.  ``iteration`` is relative to ``spec.start_iteration`` (the
     data/LR offset is applied inside ``microbatch``/``pre_update``).
+    ``ck`` lets a caller that runs many steps read one replay ledger.
     """
     cfg = spec.cfg
     chunks = [c.clone() for c in chunks]
     states = [clone_opt_state(s) for s in opt_states]
     cos, sin = spec.rope()
-    ck = CheckpointedChunk(cfg, recompute=spec.recompute)
+    if ck is None:
+        ck = CheckpointedChunk(cfg, recompute=spec.recompute)
     opt = spec.make_optimizer()
     q_act = spec.precision.q_act
     q_bgrad = spec.precision.q_act_grad
@@ -84,8 +88,12 @@ def train_serial(spec: TrainSpec) -> TrainResult:
     chunks = spec.init_chunks()
     opt = spec.make_optimizer()
     states = init_opt_states(spec, opt, chunks)
+    ck = CheckpointedChunk(spec.cfg, recompute=spec.recompute)
     losses: List[float] = []
     for it in range(spec.iters):
-        loss, chunks, states = serial_step(spec, it, chunks, states)
+        loss, chunks, states = serial_step(spec, it, chunks, states, ck=ck)
         losses.append(loss)
-    return TrainResult(losses=losses, chunks=chunks, extra={"opt_state": states})
+    return TrainResult(
+        losses=losses, chunks=chunks,
+        extra={"opt_state": states, "recompute": recompute_ledger(ck)},
+    )

@@ -137,3 +137,20 @@ class TestAllocationRegression:
         assert set(result.extra["wire_wait_s"]) == {0, 1, 2, 3}
         assert all(v >= 0.0 for v in result.extra["wire_wait_s"].values())
         assert all(v > 0.0 for v in result.extra["compute_s"].values())
+
+    def test_compute_ledger_and_trace_agree_on_what_compute_is(self):
+        """Every ``compute`` span — the update pass included — is in the
+        worker's ``compute_s`` ledger, and nothing else is."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        result = train_weipipe(_spec(iters=2), 2, fabric=Fabric(2, tracer=tracer))
+        spans = {0: 0.0, 1: 0.0}
+        names = set()
+        for ev in tracer.chrome_trace()["traceEvents"]:
+            if ev.get("ph") == "X" and ev.get("cat") == "compute":
+                spans[ev["pid"]] += ev["dur"] / 1e6
+                names.add(ev["name"])
+        assert {"F", "B", "accum", "update"} <= names
+        for rank, total in spans.items():
+            assert result.extra["compute_s"][rank] == pytest.approx(total, rel=1e-6)

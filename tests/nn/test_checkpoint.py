@@ -1,7 +1,11 @@
 """Recomputation must be numerically invisible and actually drop caches."""
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+import repro.nn.checkpoint as checkpoint_mod
 from repro.nn import CheckpointedChunk, ModelConfig, init_model, rope_tables
 from repro.nn import functional as F
 
@@ -85,3 +89,137 @@ class TestCheckpoint:
             for name in gf.keys():
                 np.testing.assert_array_equal(gr[name], gf[name])
             dy = dxr
+
+
+# -- the newest forward's cache is kept until the next checkpointed op --------
+
+def _same(a, b):
+    """Bit-for-bit equality of nested caches (tuples / dicts / arrays)."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if hasattr(a, "keys"):  # ParamStruct
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a.keys())
+    return a == b
+
+
+def _copy_of(state):
+    """An equal state tuple that is not the one ``fwd`` returned."""
+    other = tuple(list(state))
+    assert other is not state and _same(other, state)
+    return other
+
+
+def _setup(dtype, flash, hidden=16, seq=8, layers=2, vocab=11, g=2):
+    cfg = ModelConfig(hidden=hidden, n_layers=layers, n_heads=2, seq_len=seq,
+                      vocab=vocab, dtype=dtype, flash_attention=flash,
+                      flash_block=4 if seq <= 8 else 128)
+    chunks = init_model(cfg, seed=2)
+    cos, sin = rope_tables(cfg)
+    tokens = np.random.default_rng(5).integers(0, vocab, size=(g, seq))
+    return cfg, chunks, cos, sin, tokens, np.roll(tokens, -1, axis=1)
+
+
+def _fwd_loss_bwd(ck, cfg, chunks, cos, sin, tokens, targets, forced=False,
+                  split=False):
+    """forward-all -> loss -> backward-all, as a serial microbatch runs
+    it; ``forced`` hands every backward a copy of its state, which must
+    miss the warm entry and replay."""
+    x = tokens
+    states = []
+    for i in range(cfg.n_layers):
+        x, st = ck.fwd(i, chunks[i], x, cos, sin)
+        states.append(st)
+    loss, c_loss = F.cross_entropy_fwd(x, targets)
+    del x
+    dy = F.cross_entropy_bwd(1.0, c_loss)
+    out = []
+    for i in range(cfg.n_layers - 1, -1, -1):
+        st = _copy_of(states[i]) if forced else states[i]
+        if split:
+            dy, cache, wcache = ck.bwd_input(i, chunks[i], dy, st)
+            out.append((dy, cache, wcache, ck.bwd_weight(i, cache, wcache)))
+        else:
+            dy, g = ck.bwd(i, chunks[i], dy, st)
+            out.append((dy, g))
+    return loss, out
+
+
+@pytest.mark.parametrize("flash", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestWarmCache:
+    @pytest.mark.parametrize("split", [False, True])
+    def test_warm_path_is_bit_identical_to_forced_replay(self, dtype, flash, split):
+        args = _setup(dtype, flash)
+        warm = CheckpointedChunk(args[0], recompute=True)
+        cold = CheckpointedChunk(args[0], recompute=True)
+        loss_w, out_w = _fwd_loss_bwd(warm, *args, split=split)
+        loss_c, out_c = _fwd_loss_bwd(cold, *args, forced=True, split=split)
+        assert loss_w == loss_c
+        # dx, grads and, on the split path, (cache, wcache) themselves
+        assert _same(out_w, out_c)
+        n = args[0].n_layers
+        assert (warm.kept, warm.replayed) == (1, n - 1)
+        assert (cold.kept, cold.replayed) == (0, n)
+
+    def test_warm_entry_is_gone_before_any_forward_allocates(
+        self, dtype, flash, monkeypatch
+    ):
+        args = _setup(dtype, flash, layers=3)
+        ck = CheckpointedChunk(args[0], recompute=True)
+        entries = []
+        real = checkpoint_mod.chunk_fwd
+
+        def spy(*a, **k):
+            entries.append(ck._warm)
+            return real(*a, **k)
+
+        monkeypatch.setattr(checkpoint_mod, "chunk_fwd", spy)
+        _fwd_loss_bwd(ck, *args)
+        _fwd_loss_bwd(ck, *args, forced=True)
+        assert len(entries) == 3 + 2 + 3 + 3
+        assert all(e is None for e in entries)
+        assert ck._warm is None  # the last backward dropped it too
+
+    def test_second_microbatch_evicts_the_first(self, dtype, flash):
+        cfg, chunks, cos, sin, tokens, _ = _setup(dtype, flash, layers=1)
+        ck = CheckpointedChunk(cfg, recompute=True)
+        _, st_a = ck.fwd(0, chunks[0], tokens, cos, sin)
+        y, st_b = ck.fwd(0, chunks[0], tokens[::-1], cos, sin)
+        dy = np.ones_like(y)
+        ck.bwd(0, chunks[0], dy, st_a)  # not the newest forward: replays
+        assert (ck.kept, ck.replayed) == (0, 1)
+        ck.bwd(0, chunks[0], dy, st_b)  # a's backward dropped b's entry
+        assert (ck.kept, ck.replayed) == (0, 2)
+
+    def test_full_cache_mode_counts_nothing(self, dtype, flash):
+        args = _setup(dtype, flash)
+        ck = CheckpointedChunk(args[0], recompute=False)
+        _fwd_loss_bwd(ck, *args)
+        assert (ck.kept, ck.replayed, ck._warm) == (0, 0, None)
+
+
+@pytest.mark.parametrize("vocab", [256, 4096])
+@pytest.mark.parametrize("flash", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_warm_path_peak_memory_is_the_replay_paths(dtype, flash, vocab):
+    """Keeping the newest cache across the loss costs no peak: the
+    replay would hold the same bytes at the moment the peak is set (the
+    last chunk's backward)."""
+    args = _setup(dtype, flash, hidden=64, seq=256, layers=3, vocab=vocab, g=1)
+
+    def peak(forced):
+        ck = CheckpointedChunk(args[0], recompute=True)
+        _fwd_loss_bwd(ck, *args, forced=forced)  # warm the heap and BLAS
+        tracemalloc.start()
+        try:
+            _fwd_loss_bwd(ck, *args, forced=forced)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(forced=False) <= 1.02 * peak(forced=True)

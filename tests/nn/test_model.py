@@ -107,6 +107,60 @@ class TestInit:
         a, b = init_chunk(CFG, 3, 1), init_chunk(CFG, 3, 2)
         assert not np.array_equal(a["wq"], b["wq"])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_block_drawn_chunk_is_the_whole_matrix_draw(self, dtype, n_layers):
+        """``init_chunk`` draws through a block-sized float64 scratch into
+        one buffer; that is the stream — values, key order, dtypes — of
+        the one-``rng.normal``-per-matrix form it replaced (kept below),
+        at a hidden size whose matrices end mid-block and span several."""
+        cfg = ModelConfig(hidden=96, n_layers=n_layers, n_heads=2, seq_len=6,
+                          vocab=401, dtype=dtype)
+        for i in range(n_layers):
+            ours, ref = init_chunk(cfg, 9, i), _whole_matrix_init_chunk(cfg, 9, i)
+            assert ours.keys() == ref.keys()
+            assert ours.arena is not None and ours.arena.dtype == np.dtype(dtype)
+            for k in ref.keys():
+                assert ours[k].dtype == ref[k].dtype and ours[k].shape == ref[k].shape
+                assert ours[k].tobytes() == ref[k].tobytes(), (i, k)
+
+
+def _whole_matrix_init_chunk(cfg, seed, idx):
+    """``init_chunk`` + ``init_layer_weights`` as they were before the
+    block draw, verbatim: the reference the new draw must reproduce."""
+    from repro.nn.params import ParamStruct
+
+    rng = np.random.default_rng((seed, idx))
+    std = 0.02
+    hidden, ffn, dtype = cfg.hidden, cfg.ffn, cfg.dtype
+
+    def normal(*shape):
+        return rng.normal(0.0, std, size=shape).astype(dtype)
+
+    w = ParamStruct(
+        {
+            "attn_norm": np.ones(hidden, dtype=dtype),
+            "wq": normal(hidden, hidden),
+            "wk": normal(hidden, hidden),
+            "wv": normal(hidden, hidden),
+            "wo": normal(hidden, hidden),
+            "ffn_norm": np.ones(hidden, dtype=dtype),
+            "w_gate": normal(hidden, ffn),
+            "w_up": normal(hidden, ffn),
+            "w_down": normal(ffn, hidden),
+        }
+    )
+    if idx == 0:
+        w["embed"] = rng.normal(
+            0.0, std, size=(cfg.vocab, cfg.hidden)
+        ).astype(cfg.dtype)
+    if idx == cfg.n_layers - 1:
+        w["final_norm"] = np.ones(cfg.hidden, dtype=cfg.dtype)
+        w["head"] = rng.normal(
+            0.0, std, size=(cfg.hidden, cfg.vocab)
+        ).astype(cfg.dtype)
+    return w
+
 
 class TestForward:
     def test_logits_shape(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.params import ParamStruct
+from repro.nn.params import BufferPool, ParamStruct
 
 
 def _struct(shapes, rng=None):
@@ -168,6 +168,18 @@ class TestArena:
         })
         with pytest.raises(TypeError):
             p.to_arena()
+
+    def test_clone_into_pool_falls_back_for_mixed_dtypes(self):
+        pool = BufferPool()
+        mixed = ParamStruct({
+            "a": np.ones(2, dtype=np.float64),
+            "b": np.ones(2, dtype=np.float32),
+        })
+        c = mixed.clone(pool)
+        assert c.arena is None and pool.allocations == 0
+        assert c["b"].dtype == np.float32 and c["b"] is not mixed["b"]
+        uniform = _struct([(2, 2), (3,)]).clone(pool)
+        assert uniform.arena is not None and pool.allocations == 1
 
     def test_pack_is_zero_copy_for_arena_struct(self):
         p = _struct([(2, 2), (3,)]).to_arena()

@@ -204,6 +204,50 @@ class TestMeasuredProperties:
         assert bf["within_tolerance"], bf
         assert bf["tolerance"] == RATIO_TOL
 
+    def test_reconcile_prices_the_replays_that_ran(self):
+        """B spans say how many chunk forwards they re-ran; the predicted
+        B/F ratio and wall follow that count, not the model's
+        every-backward-replays, so a kept cache is not a model error."""
+        from repro.core.weipipe import train_weipipe
+
+        world, iters, n_mb, n_layers = 2, 2, 4, 4
+        cfg = ModelConfig(hidden=16, n_layers=n_layers, n_heads=2, seq_len=8,
+                          vocab=17)
+        spec = TrainSpec(cfg=cfg, n_microbatches=n_mb, microbatch_size=1,
+                         iters=iters, recompute=True)
+        tracer = Tracer(metadata={
+            "strategy": "weipipe-interleave", "world": world,
+            "recompute": True, "overlap": True,
+            "dims": {"hidden": cfg.hidden, "n_layers": n_layers,
+                     "seq_len": cfg.seq_len, "microbatch": 1,
+                     "n_microbatches": n_mb, "n_heads": 2, "vocab": cfg.vocab},
+        })
+        res = train_weipipe(spec, world, fabric=Fabric(world, tracer=tracer))
+        doc = tracer.chrome_trace()
+        b_spans = [ev for ev in doc["traceEvents"]
+                   if ev.get("ph") == "X" and ev["name"] == "B"]
+        ledger = res.extra["recompute"]
+        assert ledger == {"replayed": iters * n_mb * (n_layers - 1),
+                          "kept": iters * n_mb}
+        assert sum(ev["args"]["replayed"] for ev in b_spans) == ledger["replayed"]
+
+        rec = reconcile(doc)
+        t_fwd = rec["calibration"]["t_fwd_layer_model_s"]
+        per_span = ledger["replayed"] / len(b_spans)
+        assert rec["b_over_f"]["predicted"] == pytest.approx(
+            2.0 + per_span / (n_layers // world))
+        every_backward_replays = n_mb * n_layers * 4.0 * t_fwd
+        assert rec["iteration_wall"]["predicted_s"] == pytest.approx(
+            every_backward_replays - ledger["kept"] / iters * t_fwd)
+
+        # a trace from before the count existed is priced at the model's
+        for ev in b_spans:
+            del ev["args"]["replayed"]
+        old = reconcile(doc)
+        assert old["b_over_f"]["predicted"] == pytest.approx(3.0)
+        assert old["iteration_wall"]["predicted_s"] == pytest.approx(
+            every_backward_replays)
+
     def test_reconcile_needs_metadata(self):
         doc, _ = _traced_run("interleave")
         doc["metadata"].pop("dims")

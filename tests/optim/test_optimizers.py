@@ -164,6 +164,53 @@ class TestAdamScratchIsBitIdentical:
                 # the gradient is the caller's: never scratch
                 assert np.array_equal(g[k], g_before[k])
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Adam(lr=1e-3, weight_decay=0.01),
+         lambda: AdamW(lr=1e-3, weight_decay=0.01)],
+        ids=["l2", "decoupled"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_tails_and_odd_shapes(self, make, dtype):
+        """``step`` walks the flattened tensors in blocks: a tensor that
+        ends mid-block, one that spans several, a scalar, an empty one and
+        one whose memory is not contiguous all take the textbook values."""
+        from repro.optim.optimizer import _BLOCK
+
+        rng = np.random.default_rng(12)
+        start = ParamStruct({
+            "spans": rng.normal(size=(3, _BLOCK - 5)).astype(dtype),
+            "tail": rng.normal(size=_BLOCK + 77).astype(dtype),
+            "scalar": np.array(0.5, dtype=dtype),
+            "empty": np.zeros((0, 4), dtype=dtype),
+            "strided": rng.normal(size=(23, 41)).astype(dtype),
+        })
+
+        def clone():
+            c = start.clone()
+            # same values, column-major memory: no flat view exists
+            c["strided"] = np.asfortranarray(c["strided"])
+            assert not c["strided"].flags.c_contiguous
+            return c
+
+        ours, ref = clone(), clone()
+        opt, opt_ref = make(), make()
+        st, st_ref = opt.init_state(ours), opt_ref.init_state(ref)
+        for t in (1, 2, 3):
+            g = ParamStruct({
+                k: (rng.normal(size=v.shape) * 10.0 ** rng.integers(-4, 3))
+                .astype(dtype)
+                for k, v in start.items()
+            })
+            opt.step(ours, g, st)
+            _textbook_adam_step(opt_ref, ref, g, st_ref)
+            for k in start.keys():
+                assert ours[k].shape == start[k].shape
+                assert np.array_equal(ours[k], ref[k]), (t, k)
+                assert np.array_equal(st["m"][k], st_ref["m"][k]), (t, k)
+                assert np.array_equal(st["v"][k], st_ref["v"][k]), (t, k)
+        assert not np.array_equal(ours["scalar"], start["scalar"])
+
 
 class TestAdamW:
     def test_decay_is_decoupled(self):

@@ -39,10 +39,10 @@ def drawn(monkeypatch):
     counts: Counter = Counter()
     lock = threading.Lock()
 
-    def counting(cfg, seed, idx):
+    def counting(cfg, seed, idx, *pool):
         with lock:
             counts[idx] += 1
-        return init_chunk(cfg, seed, idx)
+        return init_chunk(cfg, seed, idx, *pool)
 
     monkeypatch.setattr(common, "init_chunk", counting)
     return counts

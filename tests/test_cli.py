@@ -51,6 +51,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "iter    1" in out
 
+    @pytest.mark.parametrize("strategy", ["weipipe-interleave", "1f1b", "gpipe"])
+    def test_train_recompute_prints_the_replay_ledger(self, strategy, capsys):
+        argv = [
+            "train", "--iters", "2", "--world", "2", "--hidden", "16",
+            "--layers", "4", "--heads", "2", "--seq", "8", "--vocab", "16",
+            "--microbatches", "4", "--strategy", strategy,
+        ]
+        assert main(argv + ["--recompute"]) == 0
+        # 2 iterations x N=4 backwards of L=4 chunks; one per microbatch
+        # takes the cache its forward left, except on gpipe.
+        want = {"gpipe": "recompute: replayed=32 kept=0"}.get(
+            strategy, "recompute: replayed=24 kept=8")
+        assert want in capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        assert "recompute:" not in capsys.readouterr().out
+
     def test_train_process_backend_traces_and_merges_metrics(self, tmp_path, capsys):
         import json
 
