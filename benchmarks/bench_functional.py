@@ -101,16 +101,3 @@ def test_weipipe_zb_functional_iteration(benchmark):
         _weipipe_zb_functional_iteration, rounds=3, iterations=1
     )
     assert len(result.losses) == 1
-
-
-def test_kv_cache_generation(benchmark):
-    from repro import generate
-    from repro.nn import init_model
-
-    cfg = ModelConfig(hidden=32, n_layers=4, n_heads=4, seq_len=64, vocab=64)
-    chunks = init_model(cfg, seed=0)
-    prompt = RNG.integers(0, 64, size=(2, 8))
-    out = benchmark.pedantic(
-        lambda: generate(cfg, chunks, prompt, n_new=24), rounds=3, iterations=1
-    )
-    assert out.shape == (2, 32)

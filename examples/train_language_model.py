@@ -4,17 +4,15 @@ Uses the Markov-chain corpus (known entropy rate = the information-
 theoretic loss floor), trains with the paper's recipe — WeiPipe-
 Interleave on a 4-worker ring, AdamW, cosine LR schedule with warmup,
 global-norm gradient clipping, recomputation — then evaluates held-out
-perplexity against the floor and generates a few continuations with the
-KV-cache decoder.
+perplexity against the floor.
 
     python examples/train_language_model.py
 """
 
 import numpy as np
 
-from repro import FP64, AdamW, ModelConfig, TrainSpec, train
+from repro import FP64, AdamW, ModelConfig, TrainSpec, perplexity, train
 from repro.data import MarkovCorpus
-from repro.nn.generate import generate, perplexity
 from repro.optim import cosine_with_warmup
 
 WORLD = 4
@@ -56,21 +54,6 @@ def main() -> None:
     ppl = perplexity(cfg, result.chunks, held_tokens, held_targets)
     print(f"\nheld-out perplexity: {ppl:.2f} "
           f"(floor e^H = {np.exp(floor):.2f}, untrained ~ {cfg.vocab})")
-
-    # generate continuations with the KV-cache decoder and check they
-    # follow the chain's legal transitions
-    prompt = held_tokens[:2, :4]
-    out = generate(cfg, result.chunks, prompt, n_new=12)
-    print("\ngreedy continuations (prompt | generated):")
-    legal = 0
-    total = 0
-    for row in out:
-        text = " ".join(map(str, row[:4])) + " | " + " ".join(map(str, row[4:]))
-        print(f"  {text}")
-        for a, b in zip(row[3:], row[4:]):
-            total += 1
-            legal += corpus.transition[a, b] > 0
-    print(f"\n{legal}/{total} generated transitions are legal chain moves")
 
     assert result.losses[-1] < result.losses[0] - 0.3, "training must learn"
     assert ppl < cfg.vocab * 0.8, "perplexity must beat the unigram bar"

@@ -14,11 +14,10 @@ from .io import (
     save_checkpoint,
 )
 from .nn import FP32, FP64, MIXED, ModelConfig, ParamStruct, PrecisionPolicy
-from .nn.generate import generate, perplexity
+from .nn.model import perplexity
 from .obs import MetricsRegistry, Tracer, analyze_trace, load_trace
 from .optim import SGD, Adam, AdamW, MasterWeightOptimizer
 from .parallel import ELASTIC_STRATEGIES, TrainResult, TrainSpec, train_elastic
-from .parallel.weipipe_hier import train_weipipe_hier
 from .runtime import ChaosFabric, ChaosPolicy, LinkSpec, PeerFailed, Topology
 from .testing import run_crash_recovery, run_differential
 
@@ -40,7 +39,6 @@ __all__ = [
     "Topology",
     "MarkovCorpus",
     "UniformCorpus",
-    "generate",
     "load_checkpoint",
     "load_checkpoint_state",
     "perplexity",
@@ -64,6 +62,5 @@ __all__ = [
     "train_elastic",
     "train_weipipe",
     "train_weipipe_dp",
-    "train_weipipe_hier",
     "__version__",
 ]

@@ -499,10 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl = sub.add_parser("timeline", help="render a schedule timeline")
     p_tl.add_argument(
         "schedule",
-        choices=[
-            "weipipe-naive", "weipipe-interleave", "wzb1", "wzb2",
-            "1f1b", "gpipe", "zb1", "zb2",
-        ],
+        help="a ring or pipeline strategy (see `repro strategies`), or one "
+             "of the paper's conceptual Figure 3 / 4 diagrams: wzb1, wzb2",
     )
     p_tl.add_argument("--world", type=int, default=4)
     p_tl.add_argument("--microbatches", type=int, default=8)
@@ -869,8 +867,16 @@ def _cmd_trace(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .experiments.configs import exec_for
-    from .sim import WorkloadDims, nvlink_cluster, pcie_ethernet_cluster, run_cell
+    from .sim import (
+        SIM_STRATEGIES, WorkloadDims, nvlink_cluster, pcie_ethernet_cluster,
+        run_cell,
+    )
 
+    if args.strategy not in SIM_STRATEGIES:
+        raise SystemExit(
+            f"simulate: unknown strategy {args.strategy!r}; "
+            f"choose from {sorted(SIM_STRATEGIES)}"
+        )
     if args.cluster == "nvlink":
         cluster = nvlink_cluster(args.world, gpus_per_node=args.gpus_per_node or 8)
     elif args.cluster == "pcie-eth":
@@ -1256,25 +1262,32 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from .sim import WorkloadDims, nvlink_cluster, render_timeline
+    from .core import RING_STRATEGIES
+    from .parallel.pipeline import PIPELINE_SCHEDULES
+    from .sim import (
+        NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, WorkloadDims, nvlink_cluster,
+        render_timeline,
+    )
     from .sim.costmodel import ExecConfig
-    from .sim.schedules import build_pipeline, build_weipipe, build_weipipe_zb
+    from .sim.schedules import RING_FIGURES, build_ring_figure
 
+    name = args.schedule
+    choices = [*RING_STRATEGIES, *PIPELINE_SCHEDULES, *RING_FIGURES]
+    if name not in choices:
+        raise SystemExit(
+            f"timeline: unknown schedule {name!r}; choose from {choices}"
+        )
     dims = WorkloadDims(
         hidden=1024, n_layers=args.world, seq_len=4096, microbatch=4,
         n_microbatches=args.microbatches,
     )
     cluster = nvlink_cluster(args.world, gpus_per_node=args.world)
-    norec = ExecConfig(recompute=False)
-    name = args.schedule
-    if name.startswith("weipipe-"):
-        built = build_weipipe(name.split("-", 1)[1], dims, cluster)
-    elif name in ("wzb1", "wzb2"):
-        built = build_weipipe_zb(name, dims, cluster, norec)
-    elif name in ("zb1", "zb2"):
-        built = build_pipeline(name, dims, cluster, norec)
+    if name in RING_FIGURES:
+        built = build_ring_figure(name, dims, cluster, ExecConfig(recompute=False))
     else:
-        built = build_pipeline(name, dims, cluster)
+        built = SIM_STRATEGIES[name](
+            dims, cluster, ExecConfig(recompute=name not in NO_RECOMPUTE_STRATEGIES)
+        )
     print(render_timeline(built, width=args.width, title=name))
     return 0
 

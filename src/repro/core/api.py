@@ -15,7 +15,7 @@ string must not change the numbers (see ``tests/integration``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..parallel.common import TrainResult, TrainSpec
 from ..parallel.data_parallel import train_data_parallel
@@ -24,17 +24,40 @@ from ..parallel.pipeline import train_pipeline
 from ..parallel.serial import train_serial
 from ..parallel.sequence_parallel import train_sequence_parallel
 from ..parallel.tensor_parallel import train_tensor_parallel
-from ..parallel.weipipe_hier import train_weipipe_hier
-from ..runtime import Fabric
+from ..runtime import Fabric, Topology, default_groups
 from .weipipe import train_weipipe
 
-__all__ = ["train", "STRATEGIES", "strategy_names"]
+__all__ = ["train", "STRATEGIES", "RING_STRATEGIES", "strategy_names"]
+
+#: ring strategy -> (``core.schedule.RING_SCHEDULES`` mode, two-level
+#: ring?).  The one statement of it: the elastic step engines, the
+#: simulator, the memory model and the CLI read this table.
+RING_STRATEGIES: Dict[str, Tuple[str, bool]] = {
+    "weipipe-naive": ("naive", False),
+    "weipipe-interleave": ("interleave", False),
+    "weipipe-zb": ("zero-bubble", False),
+    "weipipe-hier": ("interleave", True),
+}
 
 
 def _serial(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
     if world != 1:
         raise ValueError("serial strategy runs on exactly one worker")
     return train_serial(spec)
+
+
+def _ring(mode: str, hier: bool):
+    def run(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
+        topo = None
+        if hier:
+            # group layout: the fabric's topology when it has one, else
+            # the default grid.
+            topo = getattr(fabric, "topology", None) or Topology.grid(
+                world, default_groups(world)
+            )
+        return train_weipipe(spec, world, mode=mode, fabric=fabric, topology=topo)
+
+    return run
 
 
 STRATEGIES: Dict[str, Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]] = {
@@ -47,14 +70,7 @@ STRATEGIES: Dict[str, Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]]
     "zb2": lambda s, w, f: train_pipeline(s, w, schedule="zb2", fabric=f),
     "tp": lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
     "sp": lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
-    "weipipe-naive": lambda s, w, f: train_weipipe(s, w, mode="naive", fabric=f),
-    "weipipe-zb": lambda s, w, f: train_weipipe(s, w, mode="zero-bubble", fabric=f),
-    "weipipe-interleave": lambda s, w, f: train_weipipe(
-        s, w, mode="interleave", fabric=f
-    ),
-    # two-level ring; group layout comes from the fabric's topology when
-    # it has one, else the default grid (see weipipe_hier.default_groups).
-    "weipipe-hier": lambda s, w, f: train_weipipe_hier(s, w, fabric=f),
+    **{name: _ring(*row) for name, row in RING_STRATEGIES.items()},
 }
 
 

@@ -32,15 +32,25 @@ The schedule functions below say *what to compute* with those slots:
   forward flow) and one backward (of the previous round's, using the
   backward flow) per turn, so both flows are busy every turn and the
   only bubbles are the pipeline fill/drain ramps.
+* :func:`zero_bubble_schedule` (§4.3) — interleave with the backward
+  split: B on the critical path, W one ring revolution later.
 
 Total turns are padded to a multiple of ``P`` so every slot finishes at
 its home worker, where the update pass runs.
+
+:data:`RING_SCHEDULES` is the one table of them — the ring twin of
+:data:`repro.parallel.pipeline.PIPELINE_SCHEDULES` — and its readers go
+through :func:`ring_schedule` (mode -> turns + task function),
+:func:`ring_splits_backward` and :func:`turn_ops` (a turn's ops in the
+order the engine runs them): the ring worker, the DES builder, the
+planner's time walk and the memory model (DESIGN §19).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
     "TurnTask",
@@ -52,6 +62,11 @@ __all__ = [
     "naive_schedule",
     "interleave_schedule",
     "zero_bubble_schedule",
+    "RING_SCHEDULES",
+    "ring_schedule",
+    "ring_splits_backward",
+    "turn_ops",
+    "ring_liveness",
 ]
 
 
@@ -193,3 +208,79 @@ def zero_bubble_schedule(world: int, n_microbatches: int) -> Tuple[int, Schedule
         return TurnTask(fwd=base.fwd, bwd=base.bwd, wpass=deferred)
 
     return total, task
+
+
+#: mode -> (schedule function, does it split the backward into B and W).
+RING_SCHEDULES: Dict[str, Tuple[Callable[[int, int], Tuple[int, ScheduleFn]], bool]] = {
+    "naive": (naive_schedule, False),
+    "interleave": (interleave_schedule, False),
+    "zero-bubble": (zero_bubble_schedule, True),
+}
+
+
+def _row(mode: str) -> tuple:
+    try:
+        return RING_SCHEDULES[mode]
+    except KeyError:
+        raise ValueError(
+            f"unknown WeiPipe mode {mode!r}; choose from {sorted(RING_SCHEDULES)}"
+        ) from None
+
+
+def ring_schedule(mode: str, world: int, n_microbatches: int) -> Tuple[int, ScheduleFn]:
+    """``(total_turns, task_fn)`` of ring mode ``mode``."""
+    return _row(mode)[0](world, n_microbatches)
+
+
+def ring_splits_backward(mode: str) -> bool:
+    """Is ``mode``'s ``bwd`` entry only the B pass, its W a ``wpass``
+    later?  Such a schedule keeps forward caches until the W pass."""
+    return _row(mode)[1]
+
+
+def turn_ops(task: TurnTask) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
+    """The ops of one turn as ``(kind, (slot, microbatch))``, in the order
+    the engine runs them: B, F, W.
+
+    B first: the turn's tasks belong to different microbatches and both
+    slots have landed, so the order is free — and ``B(slot P-1, m)`` then
+    directly follows last turn's ``F(slot P-1, m)``, whose cache the
+    checkpoint still holds (``nn/checkpoint.py``), and frees its stash
+    before F allocates.  W rides the backward flow, which loops every
+    ``P`` turns.
+    """
+    return tuple(
+        (kind, job)
+        for kind, job in (("B", task.bwd), ("F", task.fwd), ("W", task.wpass))
+        if job is not None
+    )
+
+
+@lru_cache(maxsize=None)
+def ring_liveness(mode: str, world: int, n_microbatches: int) -> Tuple[Tuple[int, int], ...]:
+    """Per worker, the walked peaks ``(in-flight microbatches, pending-W
+    slot passes)`` — what the ring worker's ``peak_inflight`` and
+    ``peak_pending_w`` ledgers read (the latter per layer chunk).  Cached:
+    the planner's memory model asks once per candidate.
+
+    A microbatch is in flight from its slot-0 forward to its slot-0
+    backward; on a split row a slot pass is pending from its B to its W.
+    """
+    total, task_fn = ring_schedule(mode, world, n_microbatches)
+    split = ring_splits_backward(mode)
+    peaks = []
+    for p in range(world):
+        inflight = pending = peak_inflight = peak_pending = 0
+        for t in range(total):
+            for kind, (slot, _) in turn_ops(task_fn(p, t)):
+                if kind == "W":
+                    pending -= 1
+                elif kind == "B":
+                    inflight -= slot == 0
+                    pending += split
+                else:
+                    inflight += slot == 0
+                peak_inflight = max(peak_inflight, inflight)
+                peak_pending = max(peak_pending, pending)
+        peaks.append((peak_inflight, peak_pending))
+    return tuple(peaks)

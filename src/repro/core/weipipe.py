@@ -8,9 +8,10 @@ activations never leave the worker — while the weights rotate past:
   predecessor: a forward-flow weight slot, a backward-flow weight slot
   and the gradient accumulator ``D`` riding with it (the paper's
   ``2 W + 1 D = 36 H^2`` per-turn volume for Llama layers).
-* The schedule (:mod:`repro.core.schedule`) says what to compute with
-  them: forward some slot of a new microbatch, fused-backward some slot
-  of an old one, or just pass the cargo on (a bubble).
+* The schedule (a :data:`repro.core.schedule.RING_SCHEDULES` row) says
+  what to compute with them: forward some slot of a new microbatch,
+  backward some slot of an old one (fused, or split into a B pass and a
+  W pass one revolution later), or just pass the cargo on (a bubble).
 * Backward contributions are accumulated *into the circulating D*
   (quantised to the wire format each hop), replacing DP's all-reduce —
   the "update pass" of Section 3.
@@ -85,10 +86,10 @@ from .schedule import (
     bwd_slot_held,
     fwd_home,
     fwd_slot_held,
-    interleave_schedule,
-    naive_schedule,
+    ring_schedule,
+    ring_splits_backward,
     slot_owner,
-    zero_bubble_schedule,
+    turn_ops,
 )
 
 __all__ = [
@@ -159,11 +160,6 @@ class _WeiPipeWorker:
                  topology: Optional[Topology] = None):
         # group layout: the flat ring is the one-group (1xP) hierarchy.
         topo = topology if topology is not None else Topology.flat(comm.world_size)
-        if topo.world_size != comm.world_size:
-            raise ValueError(
-                f"topology is for world_size {topo.world_size}, "
-                f"ring runs on {comm.world_size}"
-            )
         self.comm = comm
         #: replica group for 2-D hybrids (repro.core.hybrid): the owners
         #: of the same slot across data-parallel rings sync D here.
@@ -173,6 +169,8 @@ class _WeiPipeWorker:
         self.rank = comm.rank
         self.world = comm.world_size
         self.mode = mode
+        #: ``bwd`` entries are B passes whose W rides a later ``wpass``.
+        self._split = ring_splits_backward(mode)
         self.overlap = overlap
         #: weight-buffer recycler, shared by all ranks of the fabric so a
         #: slot released at its owner's update is reused by the next
@@ -471,7 +469,7 @@ class _WeiPipeWorker:
 
     def _run_bwd(self, it: int, slot: int, mb: int) -> Dict:
         replayed = self.ck.replayed
-        if self.mode == "zero-bubble":
+        if self._split:
             self._b_pass_slot(it, slot, mb)
         else:
             self._backward_slot(it, slot, mb)
@@ -490,16 +488,9 @@ class _WeiPipeWorker:
         return loss
 
     def _run_iteration(self, it: int) -> float:
-        if self.mode == "interleave":
-            total, task_fn = interleave_schedule(self.world, self.spec.n_microbatches)
-        elif self.mode == "naive":
-            total, task_fn = naive_schedule(self.world, self.spec.n_microbatches)
-        elif self.mode == "zero-bubble":
-            total, task_fn = zero_bubble_schedule(self.world, self.spec.n_microbatches)
-        else:
-            raise ValueError(f"unknown WeiPipe mode {self.mode!r}")
-
-        self._ring_turns(it, total, task_fn)
+        self._ring_turns(
+            it, *ring_schedule(self.mode, self.world, self.spec.n_microbatches)
+        )
 
         self._timed(self._h_compute, "update", "compute", {"it": it},
                     self._update_pass, it)
@@ -554,7 +545,7 @@ class _WeiPipeWorker:
     def _ring_turns(self, it: int, total: int, task_fn) -> None:
         """The one ring loop.  Every turn:
 
-            wait F,B -> [B] -> [F] -> [W] -> wait D -> drain -> send D
+            wait F,B -> turn_ops (B, F, W) -> wait D -> drain -> send D
 
         and the final hop (``t == total``, no task) is the same body up to
         the drain: it brings every slot back to its home position.
@@ -587,6 +578,7 @@ class _WeiPipeWorker:
         # slots are stepped (and forward copies re-injected) between
         # iterations, so cached slots never outlive their iteration.
         self._wcache = {"F": {}, "B": {}}
+        run = {"B": self._run_bwd, "F": self._forward_slot, "W": self._w_pass_slot}
         posted = None
         for t in range(total + 1):
             tt0 = perf_counter()
@@ -600,24 +592,11 @@ class _WeiPipeWorker:
                 if early:  # posting point (early)
                     posted = post(t + 1)
                     forward_w(t + 1)
-                # B first: the turn's tasks belong to different
-                # microbatches and both slots have landed, so the order is
-                # free — and B(slot P-1, m) then directly follows last
-                # turn's F(slot P-1, m), whose cache the checkpoint still
-                # holds (nn/checkpoint.py), and frees its stash before F
-                # allocates.
-                for name, job, run in (
-                    ("B", task.bwd, self._run_bwd),
-                    ("F", task.fwd, self._forward_slot),
-                    # rides the backward flow, which loops every P turns
-                    ("W", task.wpass, self._w_pass_slot),
-                ):
-                    if job is not None:
-                        slot, mb = job
-                        self._check_slot(name, slot, self._slot_id_at(name, self.rank, t))
-                        self._timed(h_compute, name, "compute",
-                                    {"turn": t, "slot": slot, "mb": mb},
-                                    run, it, slot, mb)
+                for name, (slot, mb) in turn_ops(task):
+                    self._check_slot(name, slot, self._slot_id_at(name, self.rank, t))
+                    self._timed(h_compute, name, "compute",
+                                {"turn": t, "slot": slot, "mb": mb},
+                                run[name], it, slot, mb)
             if nd is not None:
                 # consume point of the circulating accumulator: its sender
                 # posts D only after finishing the turn that read the
@@ -804,11 +783,12 @@ def train_weipipe(
     overlap: bool = True,
     topology: Optional[Topology] = None,
 ) -> TrainResult:
-    """Train with WeiPipe (``mode`` in {"interleave", "naive",
-    "zero-bubble"}).
+    """Train with WeiPipe (``mode`` a
+    :data:`~repro.core.schedule.RING_SCHEDULES` row: "interleave",
+    "naive", "zero-bubble").
 
     ``zero-bubble`` is this repository's functional realisation of the
-    paper's conceptual WZB schedules (§4.3): B passes on the critical
+    paper's conceptual zero-bubble ring (§4.3): B passes on the critical
     path, W passes deferred one ring revolution to when the slot's
     gradient accumulator next passes through.
 
@@ -817,15 +797,22 @@ def train_weipipe(
     consuming turn / after compute (the ``bench-overlap`` baseline).
     ``topology`` groups the ranks: weight slots cross each group
     boundary in full once per iteration and as 24-byte references
-    afterwards (:mod:`repro.parallel.weipipe_hier`).  Neither changes
-    what is computed — results are bit-identical across all four.
+    afterwards (DESIGN.md §12; the ``weipipe-hier`` strategy), and the
+    result's ``extra`` names the ``groups`` and ``gateways``.  Neither
+    changes what is computed — results are bit-identical across all four.
 
     Requires ``n_layers % world_size == 0`` and
     ``n_microbatches % world_size == 0`` (the paper's setting).
     """
+    ring_splits_backward(mode)  # validates the mode
     slot_chunk_ids(0, world_size, spec.cfg.n_layers)  # validates divisibility
     if spec.n_microbatches % world_size != 0:
         raise ValueError("n_microbatches must be divisible by world_size")
+    if topology is not None and topology.world_size != world_size:
+        raise ValueError(
+            f"topology is for world_size {topology.world_size}, "
+            f"training uses {world_size}"
+        )
     results = run_workers(
         world_size,
         lambda comm: _worker(comm, spec, mode, overlap, topology),
@@ -844,4 +831,7 @@ def train_weipipe(
                 "arena_overflow_allocs", "arena_overflow_bytes"):
         extra[key] = sum(e[key] for e in by_rank.values())
     extra["recompute"] = sum_recompute(results)
+    if topology is not None:
+        extra["groups"] = [list(g) for g in topology.groups]
+        extra["gateways"] = list(topology.gateways())
     return TrainResult(losses=results[0].losses, chunks=results[0].chunks, extra=extra)

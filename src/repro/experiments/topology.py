@@ -1,7 +1,7 @@
 """``bench-topology``: flat vs hierarchical WeiPipe on an asymmetric wire.
 
 Measures the flat weight ring against the two-level hierarchical ring
-(:func:`repro.parallel.weipipe_hier.train_weipipe_hier`) on the *same
+(:func:`repro.core.weipipe.train_weipipe` given a ``topology``) on the *same
 seeded asymmetric wire* — a :class:`~repro.runtime.ChaosFabric` carrying
 a :class:`~repro.runtime.Topology` whose inter-group links are orders of
 magnitude slower than the intra-group ones (fast-intra / slow-inter,
@@ -135,7 +135,6 @@ def run_topology_comparison(
     check cross-group traffic); the timed runs stay untraced.
     """
     from ..core.weipipe import train_weipipe
-    from ..parallel.weipipe_hier import train_weipipe_hier
 
     cfg = ModelConfig(
         hidden=hidden, n_layers=n_layers, n_heads=n_heads,
@@ -183,8 +182,7 @@ def run_topology_comparison(
     )
     hier = _measure(
         spec, wire,
-        lambda s, f: train_weipipe_hier(s, world, topology=topo, mode=mode,
-                                        fabric=f),
+        lambda s, f: train_weipipe(s, world, mode=mode, fabric=f, topology=topo),
         reps,
     )
     report["flat"] = flat
@@ -225,7 +223,7 @@ def run_topology_comparison(
             },
         }) if trace_path is not None else None
         fabric = wire(tracer=tracer)
-        train_weipipe_hier(spec, world, topology=topo, mode=mode, fabric=fabric)
+        train_weipipe(spec, world, mode=mode, fabric=fabric, topology=topo)
         if trace_path is not None:
             tracer.dump(trace_path)
             report["trace_path"] = trace_path

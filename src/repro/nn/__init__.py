@@ -25,7 +25,9 @@ from .model import (
     model_fwd,
     model_loss_and_grads,
     model_param_count,
+    perplexity,
     rope_tables,
+    sequence_logprobs,
 )
 from .params import BufferPool, ParamStruct
 from .precision import FP32, FP64, MIXED, PrecisionPolicy
@@ -49,5 +51,7 @@ __all__ = [
     "model_fwd",
     "model_loss_and_grads",
     "model_param_count",
+    "perplexity",
     "rope_tables",
+    "sequence_logprobs",
 ]

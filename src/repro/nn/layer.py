@@ -8,7 +8,7 @@ uses), and its backward is available in two forms:
   (compute ``dx`` and all weight gradients together),
 * :func:`layer_bwd_input` (the **B pass**) + :func:`layer_bwd_weight`
   (the **W pass**) — the decoupled form required by zero-bubble
-  schedules (ZB1/ZB2/WZB1/WZB2).  The B pass produces ``dx`` plus a
+  schedules (ZB1/ZB2, weipipe-zb).  The B pass produces ``dx`` plus a
   *W-cache* of (input, upstream-gradient) pairs; the W pass later turns
   the W-cache into weight gradients with pure GEMMs and needs **no
   weights at all** — the property that lets zero-bubble schedules defer

@@ -47,6 +47,8 @@ __all__ = [
     "chunk_bwd_weight",
     "model_fwd",
     "model_loss_and_grads",
+    "sequence_logprobs",
+    "perplexity",
 ]
 
 
@@ -291,3 +293,36 @@ def model_loss_and_grads(
         dy, g = chunk_bwd(cfg, i, chunks[i], dy, caches[i])
         grads[i] = g
     return loss, grads  # type: ignore[return-value]
+
+
+def sequence_logprobs(
+    cfg: ModelConfig,
+    chunks: List[ParamStruct],
+    tokens: np.ndarray,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """Per-position log-probabilities of ``targets`` given ``tokens``
+    (one full forward; shape (G, S))."""
+    tokens = np.atleast_2d(tokens)
+    targets = np.atleast_2d(targets)
+    cos, sin = rope_angles(
+        tokens.shape[1], cfg.head_dim, cfg.rope_base, cfg.dtype
+    )
+    logits, _ = model_fwd(cfg, chunks, tokens, cos, sin)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return picked - logz
+
+
+def perplexity(
+    cfg: ModelConfig,
+    chunks: List[ParamStruct],
+    tokens: np.ndarray,
+    targets: np.ndarray,
+) -> float:
+    """``exp`` of the mean next-token cross entropy — the standard eval
+    metric; pairs with :meth:`repro.data.MarkovCorpus.entropy_rate` to
+    measure how close a trained model is to the data's floor."""
+    lp = sequence_logprobs(cfg, chunks, tokens, targets)
+    return float(np.exp(-lp.mean()))

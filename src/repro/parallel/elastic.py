@@ -36,7 +36,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..nn.params import ParamStruct
-from ..runtime import Fabric, SubCommunicator, Topology, run_workers_elastic
+from ..runtime import (
+    Fabric,
+    SubCommunicator,
+    Topology,
+    default_groups,
+    run_workers_elastic,
+)
 from ..runtime.communicator import Communicator
 from ..runtime.recovery import ElasticResult, elastic_worker
 from .common import TrainResult, TrainSpec, init_opt_states
@@ -74,12 +80,14 @@ ELASTIC_STRATEGIES: Tuple[str, ...] = (
     "weipipe-hier",
 )
 
-_WEIPIPE_MODES = {
-    "weipipe-naive": "naive",
-    "weipipe-interleave": "interleave",
-    "weipipe-zb": "zero-bubble",
-    "weipipe-hier": "interleave",
-}
+
+def _ring_row(strategy: str) -> Optional[Tuple[str, bool]]:
+    """``(mode, hier)`` of a ring strategy, else None (imported late:
+    ``core.api`` imports this package)."""
+    from ..core.api import RING_STRATEGIES
+
+    return RING_STRATEGIES.get(strategy)
+
 
 #: a strategy's core compute: one iteration on a compute subgroup.
 _ComputeFn = Callable[
@@ -102,7 +110,7 @@ def _compute_world_fn(strategy: str, spec: TrainSpec) -> Callable[[int], int]:
         return lambda available: _largest_world(
             available, lambda w: spec.n_microbatches % w == 0
         )
-    if strategy in _WEIPIPE_MODES:
+    if _ring_row(strategy) is not None:
         return lambda available: _largest_world(
             available,
             lambda w: spec.cfg.n_layers % w == 0 and spec.n_microbatches % w == 0,
@@ -126,9 +134,8 @@ def _compute_fn(strategy: str, spec: TrainSpec) -> _ComputeFn:
         from .fsdp import fsdp_step
 
         return lambda csub, it, st: fsdp_step(csub, spec, it, st.chunks, st.opt_state)
-    if strategy in _WEIPIPE_MODES:
+    if _ring_row(strategy) is not None:
         from ..core.weipipe import weipipe_step
-        from .weipipe_hier import default_groups
 
         # the overlap placement (double-buffered nonblocking ring, pooled
         # arenas) is bit-identical to the late one, so elastic recovery
@@ -136,8 +143,7 @@ def _compute_fn(strategy: str, spec: TrainSpec) -> _ComputeFn:
         # step can never cross-match a retry because every step runs in
         # its own ("compute", global_step) tag namespace inside the
         # recovery epoch's namespace.
-        mode = _WEIPIPE_MODES[strategy]
-        hier = strategy == "weipipe-hier"
+        mode, hier = _ring_row(strategy)
 
         def ring_step(csub, it, st):
             # a fresh worker per step re-derives the group layout from the

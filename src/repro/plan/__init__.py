@@ -32,12 +32,11 @@ from .spec import (
     ValidationSpec,
     load_spec,
 )
-from .validate import FUNCTIONAL_STRATEGY, RECONCILE_GATED, validate_candidate
+from .validate import RECONCILE_GATED, validate_candidate
 
 __all__ = [
     "PLAN_SCHEMA",
     "DEFAULT_STRATEGIES",
-    "FUNCTIONAL_STRATEGY",
     "RECONCILE_GATED",
     "Candidate",
     "ClusterSpec",

@@ -4,9 +4,10 @@ Everything here is closed-form on top of :mod:`repro.sim.costmodel` and
 :mod:`repro.sim.analytic` — no discrete-event simulation — so the
 enumerator can price hundreds of configurations in milliseconds.  The
 formulas are the planner's *ranking* model (DESIGN.md §15): per-strategy
-iteration times built from the calibrated per-layer compute times, the
-topology wire model (slowest ring link / boundary link), and the
-WeiPipe turn analytics ``weipipe_turn_time`` / ``weipipe_hier_turn_time``.
+iteration times built from the calibrated per-layer compute times and
+the topology wire model (slowest ring link / boundary link); the weight
+rings are priced by walking the turn table they execute
+(:data:`repro.core.schedule.RING_SCHEDULES`).
 Data-parallel replicas add a ring all-reduce of the gradient volume on
 the slowest cluster link.
 
@@ -20,12 +21,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..sim.analytic import (
-    bubble_ratio_weipipe_interleave,
-    bubble_ratio_weipipe_naive,
-    weipipe_hier_turn_time,
-    weipipe_turn_time,
-)
+from ..core.api import RING_STRATEGIES
+from ..core.schedule import ring_schedule, ring_splits_backward, turn_ops
+from ..sim.analytic import HIER_REF_BYTES
 from ..sim.costmodel import CostModel, ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster
 
@@ -74,28 +72,38 @@ def _weipipe_iteration_s(
     mode: str,
     hier: bool,
 ) -> float:
-    """WeiPipe rings: ``N`` steady turns at the analytic turn time (wire
-    paced by the slowest ring link — or the boundary hop's steady
-    ``1 D + 2 ref`` volume for the hierarchical ring), stretched by the
-    closed-form fill/drain bubble.  The hierarchical ring's first
-    revolution still crosses in full (``steady=False``)."""
+    """WeiPipe rings: a walk of the turn table the runtime executes.  The
+    ring moves in lock step, so a turn costs its slowest worker's ops
+    (priced as the DES prices them) overlapped with its slowest hop's
+    ``2 W + 1 D`` — on the hierarchical ring a boundary hop carries
+    ``1 D + 2 ref`` once the first revolution is over."""
     p = cluster.world_size
-    n = dims.n_microbatches
     lps = dims.n_layers // p
-    t_f = lps * cost.t_fwd_layer()
-    t_b = lps * cost.t_bwd_layer()
-    if hier:
-        steady = weipipe_hier_turn_time(dims, cluster, cost.cfg, steady=True)
-        first = weipipe_hier_turn_time(dims, cluster, cost.cfg, steady=False)
-        first_turns = min(p, n)
-        work = first_turns * first + (n - first_turns) * steady
-    else:
-        work = n * weipipe_turn_time(dims, cluster, cost.cfg)
-    if mode == "naive":
-        bubble = bubble_ratio_weipipe_naive(p, n, t_f, t_b)
-    else:
-        bubble = bubble_ratio_weipipe_interleave(p, n, t_f, t_b)
-    return work / max(1.0 - bubble, 1e-9)
+    total, task_fn = ring_schedule(mode, p, dims.n_microbatches)
+    op_time = cost.op_times(lps, ring_splits_backward(mode))
+    full = cost.weipipe_turn_bytes(lps)
+    refs = cost.hier_boundary_turn_bytes(lps, HIER_REF_BYTES) if hier else full
+    hops = [(i, (i + 1) % p) for i in range(p)]
+
+    def wire(boundary_bytes: int) -> float:
+        return max(
+            cluster.link(a, b).time(
+                full if cluster.node_of(a) == cluster.node_of(b) else boundary_bytes
+            )
+            for a, b in hops
+        )
+
+    first, steady = wire(full), wire(refs)
+    return sum(
+        cost.overlapped(
+            max(
+                sum(op_time[kind] for kind, _ in turn_ops(task_fn(w, t)))
+                for w in range(p)
+            ),
+            first if t < p else steady,
+        )
+        for t in range(total)
+    )
 
 
 def _fsdp_iteration_s(
@@ -169,12 +177,8 @@ def predict_iteration_s(
         t = _pipeline_iteration_s(dims, cluster, cost, zero_bubble=False)
     elif strategy in ("zb1", "zb2"):
         t = _pipeline_iteration_s(dims, cluster, cost, zero_bubble=True)
-    elif strategy == "weipipe-naive":
-        t = _weipipe_iteration_s(dims, cluster, cost, "naive", hier=False)
-    elif strategy in ("weipipe-interleave", "weipipe-wzb1", "weipipe-wzb2"):
-        t = _weipipe_iteration_s(dims, cluster, cost, "interleave", hier=False)
-    elif strategy == "weipipe-hier":
-        t = _weipipe_iteration_s(dims, cluster, cost, "interleave", hier=True)
+    elif strategy in RING_STRATEGIES:
+        t = _weipipe_iteration_s(dims, cluster, cost, *RING_STRATEGIES[strategy])
     elif strategy == "fsdp":
         t = _fsdp_iteration_s(dims, cluster, cost)
     elif strategy == "dp":

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..core.api import RING_STRATEGIES
+from ..parallel.pipeline import PIPELINE_SCHEDULES
 from ..sim.costmodel import ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster
 from ..sim.memory import MEMORY_MODELS, peak_memory
@@ -44,15 +46,10 @@ from .spec import PlanSpec
 __all__ = ["Candidate", "Evaluated", "SearchResult", "enumerate_candidates",
            "search"]
 
+#: ring strategies need N divisible by the ring size.
+_RING = frozenset(RING_STRATEGIES)
 #: strategies whose inner dimension is a pipeline/ring over layers.
-_LAYER_PARALLEL = (
-    "gpipe", "1f1b", "zb1", "zb2",
-    "weipipe-naive", "weipipe-interleave", "weipipe-wzb1", "weipipe-wzb2",
-)
-#: ring strategies additionally need N divisible by the ring size.
-_RING = (
-    "weipipe-naive", "weipipe-interleave", "weipipe-wzb1", "weipipe-wzb2",
-)
+_LAYER_PARALLEL = _RING | frozenset(PIPELINE_SCHEDULES)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,9 @@ __all__ = [
     "DEFAULT_STRATEGIES",
 ]
 
-#: the searchable strategy zoo: every simulated strategy plus the
-#: hierarchical ring (a grouping of weipipe-interleave, priced by
-#: ``sim.analytic.weipipe_hier_turn_time``).
+#: the searchable strategy zoo — every name is one ``repro.train``
+#: runs; the hierarchical ring enters as the ``hier`` grouping of
+#: weipipe-interleave.
 DEFAULT_STRATEGIES = (
     "1f1b",
     "gpipe",
@@ -64,8 +64,7 @@ DEFAULT_STRATEGIES = (
     "sp",
     "weipipe-naive",
     "weipipe-interleave",
-    "weipipe-wzb1",
-    "weipipe-wzb2",
+    "weipipe-zb",
 )
 
 

@@ -26,24 +26,7 @@ from typing import Dict
 
 from .search import Evaluated
 
-__all__ = ["FUNCTIONAL_STRATEGY", "RECONCILE_GATED", "validate_candidate"]
-
-#: sim/search strategy name -> functional runtime strategy name.
-FUNCTIONAL_STRATEGY = {
-    "gpipe": "gpipe",
-    "1f1b": "1f1b",
-    "zb1": "zb1",
-    "zb2": "zb2",
-    "fsdp": "fsdp",
-    "dp": "dp",
-    "tp": "tp",
-    "sp": "sp",
-    "weipipe-naive": "weipipe-naive",
-    "weipipe-interleave": "weipipe-interleave",
-    "weipipe-wzb1": "weipipe-zb",
-    "weipipe-wzb2": "weipipe-zb",
-    "weipipe-hier": "weipipe-hier",
-}
+__all__ = ["RECONCILE_GATED", "validate_candidate"]
 
 #: functional strategies whose traces carry F spans (PR-4 instrumented
 #: the pipeline schedules and every WeiPipe turn engine) — these get the
@@ -77,10 +60,8 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
     from ..obs import analyze_trace, reconcile, validate_chrome_trace
 
     v = spec.validation
-    functional = FUNCTIONAL_STRATEGY[ev.candidate.strategy]
+    functional = ev.candidate.strategy  # the planner speaks train()'s names
     world = _validation_world(ev, v.world_cap)
-    if functional == "serial":  # pragma: no cover - defensive
-        world = 1
 
     # keep the runtime's divisibility contracts at toy scale: layers and
     # microbatch count tile the (clamped) world.
@@ -155,10 +136,10 @@ def _build_fabric(functional: str, world: int, traced: bool, metadata: Dict):
     from ..runtime import Fabric
 
     topo = None
-    if functional == "weipipe-hier" and world >= 4 and world % 2 == 0:
-        from ..runtime import Topology
+    if functional == "weipipe-hier":
+        from ..runtime import Topology, default_groups
 
-        topo = Topology.grid(world, f"2x{world // 2}")
+        topo = Topology.grid(world, default_groups(world))
         metadata = dict(metadata)
         metadata["topology"] = topo.as_dict()
     tracer = Tracer(metadata=metadata)

@@ -48,6 +48,7 @@ from .topology import (
     LinkSpec,
     Topology,
     TopologyError,
+    default_groups,
     parse_group_shape,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "ThreadTransport",
     "Transport",
     "Wire",
+    "default_groups",
     "parse_group_shape",
     "resolve_transport",
     "all_gather",

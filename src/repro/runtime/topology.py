@@ -30,9 +30,9 @@ Consumers:
   serialization delay ``latency + nbytes/bandwidth`` per message on top
   of the seeded jitter, so a slow inter-group link actually *is* slow
   in wall-clock terms and a bench can measure the win;
-* :func:`repro.core.weipipe.train_weipipe` (``topology=``; layout
-  resolution in :mod:`repro.parallel.weipipe_hier`) — group membership
-  decides which ring hops are boundary hops, where the ring worker's
+* :func:`repro.core.weipipe.train_weipipe` (``topology=``; the
+  ``weipipe-hier`` strategy passes the fabric's, else
+  :func:`default_groups`) — group membership decides which ring hops are boundary hops, where the ring worker's
   weight-flow hooks ship references instead of slots, and which rank
   fronts each group (the *gateway*, lowest rank by convention).
 
@@ -56,6 +56,7 @@ __all__ = [
     "Topology",
     "TopologyError",
     "parse_group_shape",
+    "default_groups",
     "WREF_NBYTES",
     "DEFAULT_INTRA",
     "DEFAULT_INTER",
@@ -125,6 +126,14 @@ def parse_group_shape(shape: str) -> Tuple[int, int]:
     if g < 1 or r < 1:
         raise TopologyError(f"group shape {shape!r} must have positive factors")
     return g, r
+
+
+def default_groups(world_size: int) -> str:
+    """The default ``GxR`` layout: two equal groups when the world splits
+    evenly into non-singleton halves, otherwise one flat group."""
+    if world_size >= 4 and world_size % 2 == 0:
+        return f"2x{world_size // 2}"
+    return f"1x{world_size}"
 
 
 class Topology:

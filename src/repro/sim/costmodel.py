@@ -41,7 +41,7 @@ materialise at full ``G*S*V``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, Optional
 
 from .hardware import GPU
 
@@ -240,6 +240,16 @@ class CostModel:
     def t_w_layer(self) -> float:
         """W half of a decoupled backward (weight grads)."""
         return self.t_fwd_layer()
+
+    def op_times(self, layers: int, split: bool) -> Dict[str, float]:
+        """Seconds of an ``F`` / ``B`` / ``W`` op over ``layers`` layers:
+        ``B`` is the fused backward (incl. recompute), or only the
+        activation-gradient half when the schedule ``split``s off ``W``."""
+        return {
+            "F": layers * self.t_fwd_layer(),
+            "B": layers * (self.t_b_layer() if split else self.t_bwd_layer()),
+            "W": layers * self.t_w_layer(),
+        }
 
     def overlapped(self, compute: float, comm: float) -> float:
         """Combine a turn's compute and wire legs per the exec config.

@@ -33,13 +33,17 @@ Table 2, not to the walk*: a walked ZB program holds more than they
 charge (e.g. ZB2 rank 0 at P=4, N=8 peaks at 8 pending W passes, not
 2) — the residual table is in DESIGN §18, owed to ROADMAP 5(b).
 WeiPipe-Interleave holds a constant ``~(P+1)/P`` model's worth of
-boundaries regardless of ``P``.
+boundaries regardless of ``P``; the ring row that splits its backward
+(``weipipe-zb``) is charged the peaks walked off its turn table
+(:func:`repro.core.schedule.ring_liveness`).
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from ..core.api import RING_STRATEGIES
+from ..core.schedule import ring_liveness, ring_splits_backward
 from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
@@ -210,31 +214,38 @@ def _mem_weipipe(dims, cluster, cost, mode: str) -> List[float]:
     return [m] * world
 
 
-def _mem_weipipe_zb(dims, cluster, cost, variant: str) -> List[float]:
-    """WZB liveness per paper §4.4: WZB1 peaks near ``1.5 G M_A``; WZB2
-    nearly doubles ZB1-like storage."""
+def _mem_weipipe_split(dims, cluster, cost, mode: str) -> List[float]:
+    """A ring row that splits its backward: interleave's slots and state,
+    every stored activation a full cache (the forward cache must outlive
+    the B pass), charged at the liveness *walked* off the turn table —
+    the runtime's own ``peak_inflight`` / ``peak_pending_w`` ledgers.
+    In-flight microbatches pair up as interleave's do (one forwarding,
+    one backwarding: ``(P+1)/P`` models of caches per pair); a slot pass
+    pending its W holds the cache and the B-grad bundle of its layers."""
     world = cluster.world_size
     lps = dims.n_layers // world
+    # the worst worker's peaks decide OOM
+    inflight, pending = map(max, zip(*ring_liveness(mode, world, dims.n_microbatches)))
     base = _mem_weipipe(dims, cluster, cost, "interleave")[0]
-    act_full = cost.act_full_cache_bytes() * dims.n_layers
-    bgrad = cost.bgrad_cache_bytes() * dims.n_layers
-    # replace the recompute-boundary activation term with full caches.
+    full = cost.act_full_cache_bytes()
+    # replace the (possibly boundary-only) interleave activation term.
     boundary_term = (world + 1) / world * dims.n_layers * _act_per_layer(cost)
-    if variant == "wzb1":
-        act_live = 1.5 * act_full + 0.5 * bgrad
-    else:
-        act_live = 2.0 * act_full + bgrad
+    act_live = inflight / 2 * (world + 1) / world * dims.n_layers * full
+    act_live += pending * lps * (full + cost.bgrad_cache_bytes())
     m = base - boundary_term + act_live
     return [m] * world
 
 
-def _mem_weipipe_hier(dims, cluster, cost) -> List[float]:
-    """Hierarchical (two-level) ring: the flat interleave liveness plus
-    the gateway weight caches that resolve 24-byte references back into
-    full slots.  A gateway pins one cached copy per weight flow (2) of a
-    slot's layers; non-gateway ranks carry nothing extra, but the *peak*
-    worker is a gateway, which is what decides OOM."""
-    base = _mem_weipipe(dims, cluster, cost, "interleave")
+def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
+    """One :data:`~repro.core.api.RING_STRATEGIES` row.  The two-level
+    ring adds the gateway weight caches that resolve 24-byte references
+    back into full slots: a gateway pins one cached copy per weight flow
+    (2) of a slot's layers; non-gateway ranks carry nothing extra, but
+    the *peak* worker is a gateway, which is what decides OOM."""
+    model = _mem_weipipe_split if ring_splits_backward(mode) else _mem_weipipe
+    base = model(dims, cluster, cost, mode)
+    if not hier:
+        return base
     lps = dims.n_layers // cluster.world_size
     gateway_cache = 2 * dims.layer_params * lps * cost.cfg.weight_bytes
     return [m + gateway_cache for m in base]
@@ -249,11 +260,10 @@ MEMORY_MODELS = {
     "dp": lambda d, c, m: _mem_dp(d, c, m),
     "tp": lambda d, c, m: _mem_tp(d, c, m),
     "sp": lambda d, c, m: _mem_sp(d, c, m),
-    "weipipe-naive": lambda d, c, m: _mem_weipipe(d, c, m, "naive"),
-    "weipipe-interleave": lambda d, c, m: _mem_weipipe(d, c, m, "interleave"),
-    "weipipe-hier": lambda d, c, m: _mem_weipipe_hier(d, c, m),
-    "weipipe-wzb1": lambda d, c, m: _mem_weipipe_zb(d, c, m, "wzb1"),
-    "weipipe-wzb2": lambda d, c, m: _mem_weipipe_zb(d, c, m, "wzb2"),
+    **{
+        name: lambda d, c, m, row=row: _mem_ring(d, c, m, *row)
+        for name, row in RING_STRATEGIES.items()
+    },
 }
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict
 
+from ..core.api import RING_STRATEGIES
+from ..core.schedule import ring_splits_backward
 from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
 from .costmodel import ExecConfig, WorkloadDims
 from .hardware import Cluster
@@ -21,7 +23,6 @@ from .schedules.pipeline import build_pipeline
 from .schedules.seqpar import build_sp
 from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
-from .schedules.weipipe_zb import build_weipipe_zb
 
 __all__ = ["run_cell", "SIM_STRATEGIES", "NO_RECOMPUTE_STRATEGIES"]
 
@@ -34,18 +35,20 @@ SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSch
     "dp": lambda d, c, e: build_dp(d, c, e),
     "tp": lambda d, c, e: build_tp(d, c, e),
     "sp": lambda d, c, e: build_sp(d, c, e),
-    "weipipe-naive": lambda d, c, e: build_weipipe("naive", d, c, e),
-    "weipipe-interleave": lambda d, c, e: build_weipipe("interleave", d, c, e),
-    "weipipe-wzb1": lambda d, c, e: build_weipipe_zb("wzb1", d, c, e),
-    "weipipe-wzb2": lambda d, c, e: build_weipipe_zb("wzb2", d, c, e),
+    # every runnable ring, by the runtime's name
+    **{
+        name: lambda d, c, e, name=name, mode=mode, hier=hier: build_weipipe(
+            mode, d, c, e, hier=hier, name=name
+        )
+        for name, (mode, hier) in RING_STRATEGIES.items()
+    },
 }
 
 #: zero-bubble schedules keep forward caches until the W pass, so
-#: recomputation is forced off for them (paper §5).  The pipeline half is
-#: whatever the schedule table says splits B from W.
+#: recomputation is forced off for them (paper §5): whatever the two
+#: schedule tables say splits B from W.
 NO_RECOMPUTE_STRATEGIES = {s for s in PIPELINE_SCHEDULES if splits_backward(s)} | {
-    "weipipe-wzb1",
-    "weipipe-wzb2",
+    name for name, (mode, _) in RING_STRATEGIES.items() if ring_splits_backward(mode)
 }
 
 

@@ -5,17 +5,17 @@ from .fsdp import build_dp, build_fsdp, ring_collective_time
 from .pipeline import build_pipeline
 from .seqpar import build_sp
 from .tensor import build_tp
-from .weipipe import build_weipipe
-from .weipipe_zb import build_weipipe_zb
+from .weipipe import RING_FIGURES, build_ring_figure, build_weipipe
 
 __all__ = [
     "BuiltSchedule",
+    "RING_FIGURES",
     "build_dp",
     "build_fsdp",
     "build_pipeline",
+    "build_ring_figure",
     "build_sp",
     "build_tp",
     "build_weipipe",
-    "build_weipipe_zb",
     "ring_collective_time",
 ]

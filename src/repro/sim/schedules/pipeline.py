@@ -50,12 +50,7 @@ def build_pipeline(
     n_mb = dims.n_microbatches
     g = TaskGraph()
 
-    dur = {
-        "F": lps * cost.t_fwd_layer(),
-        # fused backward incl. recompute, or the activation-gradient half
-        "B": lps * (cost.t_b_layer() if split else cost.t_bwd_layer()),
-        "W": lps * cost.t_w_layer(),
-    }
+    dur = cost.op_times(lps, split)
     act_bytes = cost.act_message_bytes()
     bgrad_bytes = cost.bgrad_message_bytes()
 

@@ -4,7 +4,7 @@ Renders one row per worker, one column per time bucket, with a letter
 for the dominant compute kind in that bucket:
 
 * ``F`` forward, ``B`` backward (or B pass), ``W`` W pass,
-* ``*`` a WeiPipe turn doing both a forward and a backward,
+* ``*`` a WeiPipe turn doing more than one op (forward + backward),
 * ``.`` idle (a bubble).
 
 ``render_timeline(built)`` simulates the schedule if needed and returns
@@ -28,16 +28,11 @@ _KIND_CHAR = {"F": "F", "B": "B", "W": "W", "BW": "B", "update": "U"}
 def _task_char(meta: dict) -> str:
     kind = meta.get("kind")
     if kind == "turn":
-        fwd, bwd = meta.get("fwd"), meta.get("bwd")
-        if fwd is not None and bwd is not None:
+        ops = [c for c, key in (("F", "fwd"), ("B", "bwd"), ("W", "wpass"))
+               if meta.get(key) is not None]
+        if len(ops) > 1 or meta.get("busy"):
             return "*"
-        if fwd is not None:
-            return "F"
-        if bwd is not None:
-            return "B"
-        if meta.get("busy"):
-            return "*"
-        return "."
+        return ops[0] if ops else "."
     return _KIND_CHAR.get(kind, "?")
 
 

@@ -83,12 +83,12 @@ def test_every_draw_is_of_the_owned_slot(world):
 
 
 def test_hier_ring_draws_the_same_working_set():
-    from repro.parallel.weipipe_hier import train_weipipe_hier
     from repro.runtime import Topology
 
     spec = _spec(4, 1, np.float64, microbatches=4)
-    pt = ProcessTransport(topology=Topology.grid(4, "2x2"))
-    res = train_weipipe_hier(spec, 4, fabric=pt)
+    topo = Topology.grid(4, "2x2")
+    pt = ProcessTransport(topology=topo)
+    res = train_weipipe(spec, 4, fabric=pt, topology=topo)
     assert [p["arena_used"] for p in pt.pools_by_rank] == [
         ring_pool_bytes(spec, 4, r) for r in range(4)
     ]

@@ -1,0 +1,318 @@
+"""Properties of the ring turn table, and its consumers.
+
+The ring twin of ``tests/parallel/test_pipeline_program.py``.  Every row
+of ``RING_SCHEDULES`` is *symbolically executed* the way the one ring
+engine runs it (``_WeiPipeWorker._ring_turns``): ``P`` straight-line
+per-rank programs of blocking waits, buffered sends and the turn's ops in
+``turn_ops`` order, with the slots tracked as the objects that actually
+travel — not through the placement law — so what is checked is what the
+engine relies on:
+
+* no deadlock under buffered-send / blocking-consume, at either posting
+  point (``overlap`` early or late);
+* exactly ``2 W + 1 D`` per hop per turn;
+* every op finds the slot it names in its hands, and the circulating
+  ``D`` of that slot under every weight-gradient contribution;
+* F before B per (microbatch, chunk), forwards in layer order, backwards
+  in reverse; on split rows each B has exactly one W, on the same worker
+  and slot, exactly ``P`` turns later (Zero Bubble's B-before-W);
+* every slot home at iteration end, each ``D`` holding one contribution
+  per microbatch per chunk.
+
+Then that the runtime, the DES builder, the memory walk and the planner
+all read this table rather than a copy of it.
+"""
+
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from repro import FP64, ModelConfig, Tracer, TrainSpec, train
+from repro.core.api import RING_STRATEGIES
+from repro.core.schedule import (
+    RING_SCHEDULES,
+    TurnTask,
+    bwd_home,
+    bwd_slot_held,
+    fwd_home,
+    fwd_slot_held,
+    ring_liveness,
+    ring_schedule,
+    ring_splits_backward,
+    turn_ops,
+)
+from repro.core.weipipe import slot_chunk_ids
+from repro.experiments.configs import (
+    TABLE2_ROWS,
+    TABLE3_ROWS,
+    exec_for,
+    make_dims,
+    table2_cluster,
+    table3_cluster,
+)
+from repro.plan.predict import predict_iteration_s
+from repro.runtime import Fabric
+from repro.sim import SIM_STRATEGIES, run_cell
+from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
+from repro.sim.engine import simulate
+from repro.sim.hardware import pcie_ethernet_cluster
+
+MODES = list(RING_SCHEDULES)
+#: mode x P <= 5 x L/P <= 2; every test sweeps N in {P, 2P, 3P} per cell.
+GRID = list(product(MODES, range(1, 6), (1, 2)))
+
+
+def table_ops(mode, world, n_mb, worker):
+    """Worker's flat op sequence ``(turn, kind, slot, mb)`` off the table."""
+    total, task_fn = ring_schedule(mode, world, n_mb)
+    return [
+        (t, kind, slot, mb)
+        for t in range(total)
+        for kind, (slot, mb) in turn_ops(task_fn(worker, t))
+    ]
+
+
+def execute(mode, world, lps, n_mb, early):
+    """Run the ``world`` rank programs together; returns the ledgers, or
+    None on deadlock.
+
+    A rank's program per turn ``t`` is the engine's: wait F and B (tag
+    ``t``), [early: forward the held F and B as tag ``t + 1``], the
+    turn's ops, wait D, add the turn's weight grads into it, [late:
+    forward F and B], send D — and the final hop ``t == total`` only
+    waits.  A send is buffered; a wait blocks until its message exists.
+    """
+    total, task_fn = ring_schedule(mode, world, n_mb)
+    split = ring_splits_backward(mode)
+    n_layers = world * lps
+    # what each rank holds: slot ids travel, D is a Counter of chunk ids.
+    held = [
+        {"F": fwd_slot_held(p, 0, world), "B": bwd_slot_held(p, 0, world)}
+        for p in range(world)
+    ]
+    for p in range(world):
+        held[p]["D"] = (held[p]["B"], Counter())
+    mailbox = {}  # (dst, flow, turn) -> payload
+    sent = Counter()  # (src, dst, turn) -> flows
+    done = [set() for _ in range(world)]  # (kind, mb, chunk)
+    b_turn, w_turn = {}, {}
+
+    def send(p, flow, t):
+        dst = (p + 1) % world
+        mailbox[(dst, flow, t)] = held[p][flow]
+        sent[(p, dst, t, flow)] += 1
+
+    def run_ops(p, t):
+        grads = []
+        for kind, (slot, mb) in turn_ops(task_fn(p, t)):
+            flow = "F" if kind == "F" else "B"
+            assert held[p][flow] == slot, (p, t, kind, slot, held[p])
+            assert mb % world == p  # a microbatch never leaves its worker
+            ids = slot_chunk_ids(slot, world, n_layers)
+            for i in ids if kind == "F" else reversed(ids):
+                if kind == "F":
+                    assert i == 0 or ("F", mb, i - 1) in done[p]
+                elif kind == "B":
+                    assert ("F", mb, i) in done[p]
+                    assert i == n_layers - 1 or ("B", mb, i + 1) in done[p]
+                else:
+                    assert ("B", mb, i) in done[p]
+                assert (kind, mb, i) not in done[p]
+                done[p].add((kind, mb, i))
+                if kind == ("W" if split else "B"):
+                    grads.append(i)
+            if kind == "B":
+                b_turn[(p, slot, mb)] = t
+            if kind == "W":
+                w_turn[(p, slot, mb)] = t
+        return grads
+
+    def program(p):
+        for t in range(total + 1):
+            if t > 0:
+                for flow in "FB":
+                    yield (p, flow, t)
+                    held[p][flow] = mailbox.pop((p, flow, t))
+            last = t == total
+            if early and not last:
+                send(p, "F", t + 1)
+                send(p, "B", t + 1)
+            grads = [] if last else run_ops(p, t)
+            if t > 0:
+                yield (p, "D", t)
+                held[p]["D"] = mailbox.pop((p, "D", t))
+            d_slot, d_sum = held[p]["D"]
+            assert d_slot == held[p]["B"]  # D rides with its backward slot
+            for i in grads:
+                assert i in slot_chunk_ids(d_slot, world, n_layers)
+                d_sum[i] += 1
+            if last:
+                return
+            if not early:
+                send(p, "F", t + 1)
+                send(p, "B", t + 1)
+            send(p, "D", t + 1)
+
+    progs = [program(p) for p in range(world)]
+    waiting = [next(g, None) for g in progs]
+    progressed = True
+    while progressed:
+        progressed = False
+        for p in range(world):
+            while waiting[p] is not None and waiting[p] in mailbox:
+                waiting[p] = next(progs[p], None)
+                progressed = True
+    if any(w is not None for w in waiting):
+        return None
+    assert not mailbox
+    return {"held": held, "sent": sent, "done": done, "total": total,
+            "b_turn": b_turn, "w_turn": w_turn}
+
+
+class TestTableProperties:
+    @pytest.mark.parametrize("early", [True, False], ids=["early", "late"])
+    @pytest.mark.parametrize("mode, world, lps", GRID)
+    def test_symbolic_execution(self, mode, world, lps, early):
+        n_layers = world * lps
+        split = ring_splits_backward(mode)
+        for n_mb in (world, 2 * world, 3 * world):
+            out = execute(mode, world, lps, n_mb, early)
+            assert out is not None, f"deadlock at N={n_mb}"
+            total = out["total"]
+            # exactly 2 W + 1 D per hop per turn
+            assert out["sent"] == Counter(
+                {(p, (p + 1) % world, t, flow): 1
+                 for p in range(world) for t in range(1, total + 1)
+                 for flow in "FBD"}
+            )
+            # every slot home, every D complete
+            assert total % world == 0
+            for p, h in enumerate(out["held"]):
+                assert fwd_home(h["F"], world) == p
+                assert bwd_home(h["B"], world) == p
+                d_slot, d_sum = h["D"]
+                assert d_slot == h["B"]
+                assert d_sum == Counter(
+                    {i: n_mb for i in slot_chunk_ids(d_slot, world, n_layers)}
+                )
+            # every (microbatch, chunk) forwarded and backwarded once
+            kinds = "FBW" if split else "FB"
+            everything = set().union(*out["done"])
+            assert everything == {
+                (kind, mb, i)
+                for kind in kinds for mb in range(n_mb) for i in range(n_layers)
+            }
+            # split rows: one W per B, same worker and slot, P turns on
+            assert set(out["w_turn"]) == (set(out["b_turn"]) if split else set())
+            for key, t in out["w_turn"].items():
+                assert t == out["b_turn"][key] + world
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_turn_ops_order_is_b_f_w(self, mode):
+        full = TurnTask(fwd=(0, 1), bwd=(2, 3), wpass=(2, 4))
+        assert [k for k, _ in turn_ops(full)] == ["B", "F", "W"]
+        assert turn_ops(TurnTask()) == ()
+        assert turn_ops(TurnTask(fwd=(0, 1))) == (("F", (0, 1)),)
+
+    def test_unknown_mode(self):
+        for reader in (lambda m: ring_schedule(m, 2, 4), ring_splits_backward,
+                       lambda m: ring_liveness(m, 2, 4)):
+            with pytest.raises(ValueError, match="unknown WeiPipe mode.*interleave"):
+                reader("turbo")
+
+    def test_ring_strategies_name_table_rows(self):
+        assert {mode for mode, _ in RING_STRATEGIES.values()} == set(RING_SCHEDULES)
+
+
+CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
+
+
+class TestConsumersReadTheTable:
+    @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
+    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    def test_runtime_span_order_and_ledgers(self, strategy, world, n_mb):
+        mode, _ = RING_STRATEGIES[strategy]
+        spec = TrainSpec(
+            cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
+        )
+        tracer = Tracer()
+        result = train(spec, strategy, world, fabric=Fabric(world, tracer=tracer))
+        lps = CFG.n_layers // world
+        events = list(tracer.events())
+        walked = ring_liveness(mode, world, n_mb)
+        for rank in range(world):
+            spans = [
+                (e["args"]["turn"], e["name"], e["args"]["slot"], e["args"]["mb"])
+                for e in events
+                if e["pid"] == rank and e["cat"] == "compute" and e["name"] in "FBW"
+            ]
+            assert spans == table_ops(mode, world, n_mb, rank) * spec.iters
+            inflight, pending = walked[rank]
+            assert result.extra["peak_inflight"][rank] == inflight
+            # the runtime parks one entry per layer chunk of a slot pass
+            assert result.extra["peak_pending_w"][rank] == pending * lps
+
+    def test_unknown_mode_is_a_plain_value_error_from_the_parent(self):
+        from repro.core.weipipe import train_weipipe
+
+        spec = TrainSpec(cfg=CFG, n_microbatches=4, microbatch_size=1, iters=1)
+        with pytest.raises(ValueError, match="unknown WeiPipe mode 'turbo'"):
+            train_weipipe(spec, 2, mode="turbo")
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("world, gpn, n_mb", [(2, 2, 4), (4, 2, 8), (4, 4, 12), (6, 3, 6)])
+    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    def test_des_turn_order_and_prices(self, strategy, world, gpn, n_mb, overlap):
+        mode, hier = RING_STRATEGIES[strategy]
+        split = ring_splits_backward(mode)
+        dims = WorkloadDims(
+            hidden=64, n_layers=2 * world, seq_len=128, microbatch=1, n_microbatches=n_mb
+        )
+        exec_cfg = ExecConfig(recompute=not split, overlap=overlap)
+        cluster = pcie_ethernet_cluster(world, gpus_per_node=gpn)
+        built = SIM_STRATEGIES[strategy](dims, cluster, exec_cfg)
+        assert built.name == strategy
+        sim = simulate(built.graph)
+        op_time = CostModel(dims, cluster.gpu, exec_cfg).op_times(2, split)
+        for rank in range(world):
+            ran = sorted(
+                (t for t in built.graph.tasks.values()
+                 if t.meta.get("kind") == "turn" and t.meta["worker"] == rank),
+                key=lambda t: sim.start[t.id],
+            )
+            ops = [
+                (t.meta["turn"], kind, slot, mb)
+                for t in ran
+                for kind, (slot, mb) in turn_ops(TurnTask(
+                    fwd=t.meta["fwd"], bwd=t.meta["bwd"], wpass=t.meta.get("wpass")
+                ))
+            ]
+            assert ops == table_ops(mode, world, n_mb, rank)
+            for t in ran:
+                priced = Counter(k for tt, k, _, _ in ops if tt == t.meta["turn"])
+                assert t.duration == pytest.approx(
+                    sum(op_time[k] * n for k, n in priced.items())
+                )
+        # the hier rule is the runtime's: on a hop that leaves a node a
+        # weight slot crosses in full while the tag's turn is <= P
+        for t in built.graph.tasks.values():
+            if t.id[0] != "AW":
+                continue
+            crosses = cluster.node_of(t.meta["src"]) != cluster.node_of(t.meta["dst"])
+            full = 2 * built.cost.weight_chunk_bytes(2)
+            is_ref = hier and crosses and t.id[2] > world
+            assert t.meta["nbytes"] == (48 if is_ref else full)
+
+    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    def test_planner_walk_within_ten_percent_of_the_des(self, strategy):
+        """The 15 Table 2 / Table 3 cells.  The parent's closed forms read
+        0.57-0.99x (naive) and 0.85-1.00x (interleave) here."""
+        cells = [(table2_cluster(), r) for r in TABLE2_ROWS]
+        cells += [(table3_cluster(), r) for r in TABLE3_ROWS]
+        exec_cfg = exec_for(strategy)
+        for cluster, (hidden, seq, g) in cells:
+            dims = make_dims(hidden, seq, g, cluster.world_size)
+            des = run_cell(strategy, dims, cluster, exec_cfg).makespan
+            predicted = predict_iteration_s(strategy, dims, cluster, exec_cfg)
+            assert 0.90 <= predicted / des <= 1.10, (hidden, seq, g, predicted / des)

@@ -1,4 +1,4 @@
-"""Properties of the WeiPipe turn schedules (Figures 1 & 2).
+"""Properties of the WeiPipe turn schedules (Figures 1 & 2, §4.3).
 
 These are pure functions, so we can exhaustively verify the invariants
 the worker engine relies on:
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import (
+    RING_SCHEDULES,
     bwd_home,
     bwd_slot_held,
     fwd_home,
@@ -26,7 +27,9 @@ from repro.core.schedule import (
     slot_owner,
 )
 
-SCHEDULES = {"naive": naive_schedule, "interleave": interleave_schedule}
+#: every row of the table (the split row's W passes have their own
+#: properties in tests/core/test_ring_program.py).
+SCHEDULES = {mode: fn for mode, (fn, _) in RING_SCHEDULES.items()}
 
 
 def collect(schedule, world, n_mb):

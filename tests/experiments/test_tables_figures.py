@@ -168,4 +168,4 @@ class TestConfigHelpers:
         assert not exec_for("zb1").recompute
         assert exec_for("weipipe-interleave").overlap
         assert exec_for("weipipe-interleave").recompute
-        assert not exec_for("weipipe-wzb2").recompute
+        assert not exec_for("weipipe-zb").recompute

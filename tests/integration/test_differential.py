@@ -27,12 +27,13 @@ from repro.testing import (
 
 
 class TestAllStrategiesUnderChaos:
-    def test_twenty_seeds_across_the_whole_zoo(self):
-        """The acceptance sweep: 8 strategies x 20 chaos seeds, all
+    def test_five_seeds_across_the_whole_zoo(self):
+        """Tier-1's cell of the acceptance sweep — every strategy x 5
+        chaos seeds (the nightly ``extended`` job runs all 20), all
         equivalent to serial in losses, final weights and accumulated
         weight updates."""
-        report = run_differential(chaos_seeds=range(20))
-        assert report.runs == len(DEFAULT_DIFFERENTIAL_STRATEGIES) * 20
+        report = run_differential(chaos_seeds=range(5))
+        assert report.runs == len(DEFAULT_DIFFERENTIAL_STRATEGIES) * 5
         assert report.ok, report.summary()
 
     def test_aggressive_wire_smaller_sweep(self):

@@ -102,7 +102,10 @@ class TestBitExactness:
         _assert_identical(flat.chunks, one.chunks)
         assert f_flat.stats.by_kind == f_one.stats.by_kind
         assert f_flat.stats.messages == f_one.stats.messages
-        assert set(flat.extra) == set(one.extra)
+        # same ledger, plus the layout a topology-given run names
+        assert set(one.extra) - set(flat.extra) == {"groups", "gateways"}
+        assert set(flat.extra) <= set(one.extra)
+        assert one.extra["groups"] == [[0, 1, 2, 3]]
         for result in (flat, one):
             assert result.extra["inter_full_sends"] == 0
             assert result.extra["inter_ref_sends"] == 0

@@ -18,8 +18,7 @@ import pytest
 from repro.core.api import train
 from repro.core.weipipe import train_weipipe
 from repro.parallel.elastic import train_elastic
-from repro.parallel.weipipe_hier import train_weipipe_hier
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric
+from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology
 from repro.testing import (
     HEAL_SCHEDULES,
     default_differential_spec,
@@ -92,7 +91,7 @@ class TestQuietWireCost:
 class TestHierElasticRegistration:
     def test_elastic_hier_bit_equal_to_direct(self):
         spec = default_differential_spec()
-        direct = train_weipipe_hier(spec, 4)
+        direct = train_weipipe(spec, 4, topology=Topology.grid(4, "2x2"))
         elastic = train_elastic(spec, "weipipe-hier", 4)
         assert elastic.losses == direct.losses
         for ce, cd in zip(elastic.chunks, direct.chunks):

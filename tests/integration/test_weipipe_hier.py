@@ -1,7 +1,7 @@
 """Differential + traffic gates for the hierarchical (two-level) ring.
 
-The contract (ISSUE 6): ``train_weipipe_hier`` is bit-exact with the
-flat ring and with serial under every wire — the hierarchy changes what
+The contract (ISSUE 6): ``train_weipipe`` given a ``topology`` is
+bit-exact with the flat ring and with serial under every wire — the hierarchy changes what
 crosses slow links, never what is computed — while crossing *strictly*
 fewer bytes between groups and exactly the same bytes within them.
 Degenerate group shapes must reduce exactly: ``1xP`` is the flat ring
@@ -15,8 +15,7 @@ import pytest
 from repro.core import strategy_names, train
 from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64
-from repro.parallel.weipipe_hier import default_groups, train_weipipe_hier
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology, TopologyError
+from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology, default_groups
 from repro.testing import default_differential_spec, run_differential
 
 WORLD = 4
@@ -34,7 +33,7 @@ def _assert_identical(chunks_a, chunks_b):
 
 
 def _hier_runner(topo):
-    return lambda spec, world, fabric: train_weipipe_hier(
+    return lambda spec, world, fabric: train_weipipe(
         spec, world, topology=topo, fabric=fabric
     )
 
@@ -45,7 +44,7 @@ class TestBitExactVsFlat:
     def test_plain_wire(self, shape, precision):
         spec = default_differential_spec(precision=precision)
         flat = train_weipipe(spec, WORLD, fabric=Fabric(WORLD))
-        hier = train_weipipe_hier(
+        hier = train_weipipe(
             spec, WORLD, topology=SHAPES[shape], fabric=Fabric(WORLD)
         )
         assert flat.losses == hier.losses
@@ -61,7 +60,7 @@ class TestBitExactVsFlat:
             spec, WORLD,
             fabric=ChaosFabric(WORLD, policy=policy, timeout=60.0),
         )
-        hier = train_weipipe_hier(
+        hier = train_weipipe(
             spec, WORLD, topology=topo,
             fabric=ChaosFabric(WORLD, policy=policy, topology=topo,
                                timeout=60.0),
@@ -73,14 +72,14 @@ class TestBitExactVsFlat:
     def test_all_modes(self, mode):
         spec = default_differential_spec()
         flat = train_weipipe(spec, WORLD, mode=mode)
-        hier = train_weipipe_hier(spec, WORLD, groups="2x2", mode=mode)
+        hier = train_weipipe(spec, WORLD, topology=SHAPES["2x2"], mode=mode)
         assert flat.losses == hier.losses
         _assert_identical(flat.chunks, hier.chunks)
 
     def test_sync_engine(self):
         spec = default_differential_spec()
         flat = train_weipipe(spec, WORLD, overlap=False)
-        hier = train_weipipe_hier(spec, WORLD, groups="2x2", overlap=False)
+        hier = train_weipipe(spec, WORLD, topology=SHAPES["2x2"], overlap=False)
         assert flat.losses == hier.losses
         _assert_identical(flat.chunks, hier.chunks)
 
@@ -131,13 +130,13 @@ class TestDegenerateShapes:
         spec = default_differential_spec()
         f_flat, f_hier = Fabric(WORLD), Fabric(WORLD)
         train_weipipe(spec, WORLD, fabric=f_flat)
-        train_weipipe_hier(spec, WORLD, topology=SHAPES["1x4"], fabric=f_hier)
+        train_weipipe(spec, WORLD, topology=SHAPES["1x4"], fabric=f_hier)
         assert f_hier.stats.messages == f_flat.stats.messages
         assert f_hier.stats.bytes_total == f_flat.stats.bytes_total
         assert f_hier.stats.by_kind == f_flat.stats.by_kind
 
     def test_one_group_sends_no_references(self):
-        result = train_weipipe_hier(
+        result = train_weipipe(
             default_differential_spec(), WORLD, topology=SHAPES["1x4"]
         )
         assert result.extra["inter_full_sends"] == 0
@@ -145,19 +144,11 @@ class TestDegenerateShapes:
         assert result.extra["gateways"] == [0]
 
     def test_all_singletons_every_rank_is_gateway(self):
-        result = train_weipipe_hier(
+        result = train_weipipe(
             default_differential_spec(), WORLD, topology=SHAPES["4x1"]
         )
         assert result.extra["gateways"] == [0, 1, 2, 3]
         assert result.extra["inter_full_sends"] > 0
-
-    def test_px1_needs_explicit_singleton_topology(self):
-        """The groups= string path keeps the validation default: the
-        degenerate layout must be requested via an explicit Topology."""
-        with pytest.raises(TopologyError, match="allow_singleton"):
-            train_weipipe_hier(
-                default_differential_spec(), WORLD, groups="4x1"
-            )
 
 
 class TestTrafficAccounting:
@@ -174,7 +165,7 @@ class TestTrafficAccounting:
             lambda spec, fab, topo: train_weipipe(spec, WORLD, fabric=fab)
         )
         hier = self._traffic(
-            lambda spec, fab, topo: train_weipipe_hier(
+            lambda spec, fab, topo: train_weipipe(
                 spec, WORLD, topology=topo, fabric=fab
             )
         )
@@ -188,7 +179,7 @@ class TestTrafficAccounting:
             lambda spec, fab, topo: train_weipipe(spec, WORLD, fabric=fab)
         )
         hier = self._traffic(
-            lambda spec, fab, topo: train_weipipe_hier(
+            lambda spec, fab, topo: train_weipipe(
                 spec, WORLD, topology=topo, fabric=fab
             )
         )
@@ -198,7 +189,7 @@ class TestTrafficAccounting:
         """Each slot crosses each boundary in full exactly once per flow
         per iteration; every other weight crossing is a reference."""
         spec = default_differential_spec()
-        result = train_weipipe_hier(spec, WORLD, topology=SHAPES["2x2"])
+        result = train_weipipe(spec, WORLD, topology=SHAPES["2x2"])
         boundaries = len(SHAPES["2x2"].ring_boundaries())
         rounds = spec.n_microbatches // WORLD
         turns = (rounds + 2) * WORLD  # interleave schedule length
@@ -210,7 +201,7 @@ class TestTrafficAccounting:
     def test_hier_metrics_counters_exported(self):
         topo = SHAPES["2x2"]
         fabric = Fabric(WORLD, topology=topo)
-        train_weipipe_hier(
+        train_weipipe(
             default_differential_spec(), WORLD, topology=topo, fabric=fabric
         )
         dump = fabric.metrics.as_dict()
@@ -248,20 +239,13 @@ class TestStrategyRegistration:
 
 
 class TestValidation:
-    def test_topology_and_groups_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            train_weipipe_hier(
-                default_differential_spec(), WORLD,
-                topology=SHAPES["2x2"], groups="2x2",
-            )
-
     def test_topology_world_mismatch(self):
         with pytest.raises(ValueError, match="world_size"):
-            train_weipipe_hier(
+            train_weipipe(
                 default_differential_spec(), 2, topology=SHAPES["2x2"]
             )
 
     def test_microbatch_divisibility(self):
         spec = default_differential_spec(n_microbatches=3, microbatch_size=2)
         with pytest.raises(ValueError, match="divisible"):
-            train_weipipe_hier(spec, WORLD, groups="2x2")
+            train_weipipe(spec, WORLD, topology=SHAPES["2x2"])

@@ -13,9 +13,7 @@ import pytest
 
 from repro import FP32, FP64, Adam, TrainSpec, train
 from repro.nn import ModelConfig, init_model, model_loss_and_grads, rope_tables
-from repro.nn.generate import KVCache, _decode_step
 from repro.nn.layer import layer_bwd_input, layer_bwd_weight, layer_fwd
-from repro.nn.rope import rope_angles
 from repro.parallel import serial
 from repro.parallel.sequence_parallel import _SPWorker
 from repro.parallel.tensor_parallel import _TPWorker
@@ -107,19 +105,6 @@ def test_tensor_and_sequence_parallel_layers_preserve_dtype(dtype, flash):
 
     for found in run_workers(2, probe):
         assert found == {np.dtype(dtype)}
-
-
-@DTYPES
-def test_decode_logits_preserve_dtype(dtype):
-    cfg = _cfg(dtype, flash=False)
-    chunks = init_model(cfg, seed=1)
-    cos, sin = rope_angles(6, cfg.head_dim, cfg.rope_base, cfg.dtype)
-    cache = KVCache(cfg.n_layers)
-    prompt = RNG.integers(0, cfg.vocab, size=(2, 4))
-    for tokens in (prompt, prompt[:, :1]):  # block ingestion, then one step
-        logits = _decode_step(cfg, chunks, tokens, cache, cos, sin)
-        assert logits.dtype == dtype
-    assert float_dtypes((cache.k, cache.v)) == {np.dtype(dtype)}
 
 
 def test_fp32_serial_training_stays_fp32(monkeypatch):

@@ -10,6 +10,7 @@ HIER_TRAFFIC_TOL envelopes end to end.
 
 import pytest
 
+from repro.core.weipipe import train_weipipe
 from repro.nn import ModelConfig
 from repro.obs import (
     HIER_TRAFFIC_TOL,
@@ -21,7 +22,6 @@ from repro.obs import (
     reconcile,
 )
 from repro.parallel.common import TrainSpec
-from repro.parallel.weipipe_hier import train_weipipe_hier
 from repro.runtime import Fabric, Topology
 
 US = 1e6  # seconds -> trace microseconds
@@ -209,7 +209,7 @@ def _traced_hier_run(iters=2):
                  "n_heads": cfg.n_heads, "vocab": cfg.vocab},
     })
     fabric = Fabric(4, tracer=tracer, topology=topo)
-    train_weipipe_hier(spec, 4, topology=topo, fabric=fabric)
+    train_weipipe(spec, 4, topology=topo, fabric=fabric)
     return tracer.chrome_trace(), fabric
 
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro import FP32, FP64, MIXED, ModelConfig, ParamStruct, TrainSpec, train
+from repro.core.weipipe import train_weipipe
 from repro.nn.model import init_chunk
 from repro.parallel import common
-from repro.parallel.weipipe_hier import train_weipipe_hier
+from repro.runtime import Topology
 
 WORLD, LAYERS = 4, 8
 
@@ -60,7 +61,7 @@ class TestEveryChunkIsDrawnOnce:
         assert dict(drawn) == ONCE_EACH
 
     def test_hier_ring(self, drawn):
-        train_weipipe_hier(_spec(), WORLD, groups="2x2")
+        train_weipipe(_spec(), WORLD, topology=Topology.grid(WORLD, "2x2"))
         assert dict(drawn) == ONCE_EACH
 
     def test_serial_draws_the_model_once(self, drawn):

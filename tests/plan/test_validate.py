@@ -3,7 +3,7 @@
 import pytest
 
 from repro.plan import (
-    FUNCTIONAL_STRATEGY,
+    DEFAULT_STRATEGIES,
     RECONCILE_GATED,
     PlanSpec,
     search,
@@ -37,14 +37,20 @@ def _evaluated(strategy, degree, dp, grouping="flat"):
     )
 
 
-class TestStrategyMap:
-    def test_every_searchable_strategy_maps(self):
-        from repro.core.api import STRATEGIES
+class TestStrategyNames:
+    def test_simulator_and_planner_speak_the_runtimes_names(self):
+        """No name map: whatever can be simulated, charged memory or
+        searched is something ``train`` runs."""
+        from repro.core.api import RING_STRATEGIES, STRATEGIES
+        from repro.sim import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES
         from repro.sim.memory import MEMORY_MODELS
 
-        for name in MEMORY_MODELS:
-            assert name in FUNCTIONAL_STRATEGY
-            assert FUNCTIONAL_STRATEGY[name] in STRATEGIES
+        for table in (SIM_STRATEGIES, MEMORY_MODELS, DEFAULT_STRATEGIES,
+                      NO_RECOMPUTE_STRATEGIES, RECONCILE_GATED):
+            assert set(table) <= set(STRATEGIES)
+        # and every runnable ring has a simulator and a memory row
+        assert set(RING_STRATEGIES) <= set(SIM_STRATEGIES) & set(MEMORY_MODELS)
+        assert "weipipe-zb" in DEFAULT_STRATEGIES
 
     def test_gated_set_is_traceable_families(self):
         assert "weipipe-hier" in RECONCILE_GATED
@@ -67,8 +73,8 @@ class TestReconcileGate:
         wall = verdict["reconcile"]["iteration_wall"]
         assert wall["within_tolerance"] is True
 
-    def test_wzb_maps_to_functional_zb_ring(self):
-        verdict = validate_candidate(_evaluated("weipipe-wzb1", 8, 1), _spec())
+    def test_zb_ring_pick_reconciles(self):
+        verdict = validate_candidate(_evaluated("weipipe-zb", 8, 1), _spec())
         assert verdict["strategy"] == "weipipe-zb"
         assert verdict["gate"] == "reconcile"
         assert verdict["passed"] is True

@@ -116,9 +116,24 @@ class TestOrderings:
         with pytest.raises(ValueError):
             peak_memory("unknown", self.DIMS, CLUSTER)
 
-    def test_wzb_between_and_above(self):
+    def test_split_ring_charges_the_walked_liveness(self):
+        """weipipe-zb cannot recompute and parks a cache + B-grad bundle
+        per slot pass awaiting its W: the peaks walked off the turn table
+        (2 microbatches in flight, P + 1 passes pending) put it above the
+        no-recompute interleave ring by exactly the pending term."""
+        from repro.core.schedule import ring_liveness
+        from repro.sim.costmodel import CostModel
+
         norec = ExecConfig(recompute=False)
-        w1 = peak_memory("weipipe-wzb1", self.DIMS, CLUSTER, norec)
-        w2 = peak_memory("weipipe-wzb2", self.DIMS, CLUSTER, norec)
-        wi = peak_memory("weipipe-interleave", self.DIMS, CLUSTER, ExecConfig(recompute=True))
-        assert wi < w1 < w2
+        world = CLUSTER.world_size
+        assert ring_liveness("zero-bubble", world, self.DIMS.n_microbatches) == (
+            (2, world + 1),
+        ) * world
+        zb = peak_memory("weipipe-zb", self.DIMS, CLUSTER, norec)
+        wi = peak_memory("weipipe-interleave", self.DIMS, CLUSTER, norec)
+        cost = CostModel(self.DIMS, CLUSTER.gpu, norec)
+        pending = (world + 1) * (self.DIMS.n_layers // world) * (
+            cost.act_full_cache_bytes() + cost.bgrad_cache_bytes()
+        )
+        assert zb == pytest.approx(wi + pending)
+        assert peak_memory("weipipe-interleave", self.DIMS, CLUSTER) < wi < zb

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.sim import WorkloadDims, evaluate, nvlink_cluster, pcie_ethernet_cluster, simulate
+from repro.core.api import RING_STRATEGIES
+from repro.sim import WorkloadDims, evaluate, run_cell, nvlink_cluster, pcie_ethernet_cluster, simulate
 from repro.sim.costmodel import ExecConfig
 from repro.sim.schedules import (
     build_tp,
     build_dp,
     build_fsdp,
     build_pipeline,
+    build_ring_figure,
     build_weipipe,
-    build_weipipe_zb,
     ring_collective_time,
 )
 
@@ -25,6 +26,14 @@ def _report(builder, *args, **kw):
     return evaluate(builder(*args, **kw))
 
 
+def _figure(variant):
+    """Figures 3-4 are diagrams, not strategies: the ring that runs with a
+    split backward lends them its memory row."""
+    return evaluate(
+        build_ring_figure(variant, DIMS, CLUSTER, NOREC), memory_strategy="weipipe-zb"
+    )
+
+
 class TestBuildersSimulate:
     @pytest.mark.parametrize("name", ["gpipe", "1f1b"])
     def test_pipeline_builds(self, name):
@@ -36,15 +45,14 @@ class TestBuildersSimulate:
         rep = _report(build_pipeline, name, DIMS, CLUSTER, NOREC)
         assert rep.makespan > 0
 
-    @pytest.mark.parametrize("mode", ["naive", "interleave"])
-    def test_weipipe_builds(self, mode):
-        rep = _report(build_weipipe, mode, DIMS, CLUSTER)
-        assert rep.makespan > 0
+    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    def test_weipipe_builds(self, strategy):
+        rep = run_cell(strategy, DIMS, CLUSTER)
+        assert rep.makespan > 0 and rep.strategy == strategy
 
     @pytest.mark.parametrize("variant", ["wzb1", "wzb2"])
     def test_wzb_builds(self, variant):
-        rep = _report(build_weipipe_zb, variant, DIMS, CLUSTER, NOREC)
-        assert rep.makespan > 0
+        assert _figure(variant).makespan > 0
 
     def test_fsdp_and_dp_build(self):
         assert _report(build_fsdp, DIMS, CLUSTER).makespan > 0
@@ -63,7 +71,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="recomput"):
             build_pipeline("zb1", DIMS, CLUSTER, ExecConfig(recompute=True))
         with pytest.raises(ValueError, match="recomput"):
-            build_weipipe_zb("wzb1", DIMS, CLUSTER, ExecConfig(recompute=True))
+            build_ring_figure("wzb1", DIMS, CLUSTER, ExecConfig(recompute=True))
+        with pytest.raises(ValueError, match="recomput"):
+            build_weipipe("zero-bubble", DIMS, CLUSTER, ExecConfig(recompute=True))
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
@@ -71,7 +81,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_weipipe("turbo", DIMS, CLUSTER)
         with pytest.raises(ValueError):
-            build_weipipe_zb("wzb3", DIMS, CLUSTER, NOREC)
+            build_ring_figure("wzb3", DIMS, CLUSTER, NOREC)
 
 
 class TestComparativeShapes:
@@ -95,18 +105,33 @@ class TestComparativeShapes:
         assert z.bubble_ratio < f.bubble_ratio
 
     def test_wzb2_nearly_zero_bubble(self):
-        rep = _report(build_weipipe_zb, "wzb2", DIMS, CLUSTER, NOREC)
-        assert rep.bubble_ratio < 0.08
+        assert _figure("wzb2").bubble_ratio < 0.08
 
     def test_wzb1_bubble_below_interleave(self):
         inter = _report(build_weipipe, "interleave", DIMS, CLUSTER, NOREC)
-        w1 = _report(build_weipipe_zb, "wzb1", DIMS, CLUSTER, NOREC)
-        assert w1.bubble_ratio < inter.bubble_ratio
+        assert _figure("wzb1").bubble_ratio < inter.bubble_ratio
 
     def test_wzb2_more_comm_per_compute_than_wzb1(self):
-        w1 = _report(build_weipipe_zb, "wzb1", DIMS, CLUSTER, NOREC)
-        w2 = _report(build_weipipe_zb, "wzb2", DIMS, CLUSTER, NOREC)
-        assert w2.comm_bytes_total > w1.comm_bytes_total
+        assert _figure("wzb2").comm_bytes_total > _figure("wzb1").comm_bytes_total
+
+    def test_split_ring_moves_work_without_adding_any(self):
+        """The ring that executes with a split backward defers each W one
+        revolution: the same compute per worker as interleave's fused
+        backward, and a makespan no longer than interleave's."""
+        inter = _report(build_weipipe, "interleave", DIMS, CLUSTER, NOREC)
+        zb = _report(build_weipipe, "zero-bubble", DIMS, CLUSTER, NOREC,
+                     name="weipipe-zb")
+        assert zb.makespan <= inter.makespan * (1 + 1e-9)
+        assert zb.bubble_ratio == pytest.approx(inter.bubble_ratio)
+
+    def test_hier_moves_fewer_bytes_only_across_nodes(self):
+        multi = pcie_ethernet_cluster(4, gpus_per_node=2)
+        for cluster, fewer in ((CLUSTER, False), (multi, True)):
+            flat = _report(build_weipipe, "interleave", DIMS, cluster)
+            hier = _report(build_weipipe, "interleave", DIMS, cluster, hier=True,
+                           name="weipipe-hier")
+            assert (hier.comm_bytes_total < flat.comm_bytes_total) == fewer
+            assert hier.makespan <= flat.makespan
 
     def test_more_microbatches_shrink_bubble(self):
         small = _report(build_weipipe, "interleave", DIMS, CLUSTER)

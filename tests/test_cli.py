@@ -28,8 +28,14 @@ class TestCommands:
     def test_strategies(self, capsys):
         assert main(["strategies"]) == 0
         out = capsys.readouterr().out
-        assert "weipipe-interleave" in out
-        assert "weipipe-wzb1" in out
+        functional, simulated = (
+            line.split(": ")[1].split(", ") for line in out.strip().splitlines()
+        )
+        assert "weipipe-interleave" in functional
+        # the simulator speaks the runtime's names: no figure-only entry,
+        # and every ring that trains can be simulated
+        assert set(simulated) <= set(functional)
+        assert {s for s in functional if s.startswith("weipipe-")} <= set(simulated)
 
     def test_train_tiny(self, capsys):
         rc = main([
@@ -125,6 +131,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tokens/s/GPU" in out
 
+    #: a workload small enough that the no-recompute ring fits 80 GB
+    SMALL = ["--world", "8", "--hidden", "1024", "--layers", "8", "--seq", "2048",
+             "--microbatch", "1", "--microbatches", "16"]
+
+    @pytest.mark.parametrize("cluster, gpn", [("nvlink", "8"), ("pcie-eth", "4")])
+    def test_simulate_and_timeline_every_ring_the_runtime_lists(self, cluster, gpn, capsys):
+        from repro.core import RING_STRATEGIES
+
+        for strategy in RING_STRATEGIES:
+            rc = main(["simulate", "--strategy", strategy, "--cluster", cluster,
+                       "--gpus-per-node", gpn, *self.SMALL])
+            assert rc == 0, strategy
+            assert f": {strategy}\n" in capsys.readouterr().out
+            assert main(["timeline", strategy, "--width", "40"]) == 0
+            assert "worker  0" in capsys.readouterr().out
+
+    def test_simulate_unknown_strategy_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--strategy", "weipipe-wzb1"])
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "weipipe-wzb1" in message and "weipipe-zb" in message
+
+    def test_timeline_unknown_schedule_is_one_line(self):
+        with pytest.raises(SystemExit, match="choose from.*weipipe-zb.*wzb1"):
+            main(["timeline", "weipipe-wzb1"])
+
     def test_simulate_oom_exit_code(self, capsys):
         rc = main([
             "simulate", "--strategy", "zb2", "--world", "16",
@@ -135,7 +168,7 @@ class TestCommands:
         assert "OOM" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "schedule", ["weipipe-interleave", "weipipe-naive", "wzb2", "1f1b", "zb1"]
+        "schedule", ["weipipe-interleave", "weipipe-naive", "wzb1", "wzb2", "1f1b", "zb1"]
     )
     def test_timeline(self, schedule, capsys):
         rc = main(["timeline", schedule, "--width", "40", "--microbatches", "4"])
