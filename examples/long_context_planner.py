@@ -5,9 +5,9 @@ parameter model with a long context on whatever cluster you have, and
 the right parallelism strategy depends on where the communication
 bottleneck sits.  This example drives the real planner (``repro.plan``,
 the engine behind ``python -m repro plan``): it enumerates the full
-strategy × degree × microbatch × overlap × grouping space for one
-workload on three cluster types, prunes on the analytic memory model,
-ranks by predicted tokens/s, and — for the slow-wire cluster, where the
+strategy × degree × microbatch space for one workload on three cluster
+types, prunes on the analytic memory model, ranks by the simulator's
+tokens/s, and — for the slow-wire cluster, where the
 answer is interesting — validates the top pick with a live traced run
 gated by the cost-model reconciliation.
 

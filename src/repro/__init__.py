@@ -18,7 +18,7 @@ from .nn.model import perplexity
 from .obs import MetricsRegistry, Tracer, analyze_trace, load_trace
 from .optim import SGD, Adam, AdamW, MasterWeightOptimizer
 from .parallel import ELASTIC_STRATEGIES, TrainResult, TrainSpec, train_elastic
-from .runtime import ChaosFabric, ChaosPolicy, LinkSpec, PeerFailed, Topology
+from .runtime import ChaosPolicy, LinkSpec, PeerFailed, Topology
 from .testing import run_crash_recovery, run_differential
 
 __version__ = "1.0.0"
@@ -26,7 +26,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Adam",
     "AdamW",
-    "ChaosFabric",
     "ChaosPolicy",
     "Checkpoint",
     "CheckpointError",

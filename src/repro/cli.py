@@ -12,11 +12,10 @@ Commands:
 * ``figure`` — regenerate paper Figure 6, 7, 8 or 9;
 * ``timeline`` — render a schedule as an ASCII Gantt chart;
 * ``plan`` — auto-parallelism planner: enumerate the strategy × degree
-  × microbatch × precision × overlap × grouping × backend space for a
-  model/cluster spec, prune on the analytic memory model, rank by
-  predicted tokens/s, then run the top pick live and gate
-  predicted-vs-measured wall clock through ``reconcile()``
-  (the ``repro.plan/v1`` report records the verdict);
+  × microbatch × precision space for a model/cluster spec, prune on the
+  analytic memory model, rank by the simulator's tokens/s, then run the
+  top pick live and gate predicted-vs-measured wall clock through
+  ``reconcile()`` (the ``repro.plan/v2`` report records the verdict);
 * ``trace`` — run a small traced training job and write a Chrome
   trace-event JSON (Perfetto / ``chrome://tracing``), printing the
   analyzer's measured bubble ratio, overlap fraction, per-turn chunk
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the repro.plan/v1 report JSON here",
+        help="write the repro.plan/v2 report JSON here",
     )
 
     p_pm = sub.add_parser(
@@ -990,7 +989,7 @@ def _cmd_chaos_sweep(args) -> int:
     process = args.backend == "process"
     if process or args.trace_out is not None or args.metrics_out is not None:
         from .obs import MetricsRegistry, Tracer
-        from .runtime import ChaosFabric, ProcessTransport
+        from .runtime import Fabric, ProcessTransport
 
         metrics = MetricsRegistry()
         if args.trace_out is not None:
@@ -1005,7 +1004,7 @@ def _cmd_chaos_sweep(args) -> int:
 
         def fabric_factory(world, pol):
             if not process:
-                return ChaosFabric(world, pol, tracer=tracer, metrics=metrics)
+                return Fabric(world, policy=pol, tracer=tracer, metrics=metrics)
             transports.append(ProcessTransport(policy=pol, tracer=tracer))
             return transports[-1]
 
@@ -1099,11 +1098,11 @@ def _cmd_self_heal(args) -> int:
 
     print("\n== quiet-wire control (integrity framing must be free) ==")
     from . import train
-    from .runtime import ChaosFabric, ChaosPolicy
+    from .runtime import ChaosPolicy, Fabric
     from .testing import default_differential_spec
 
-    fabric = ChaosFabric(args.world, ChaosPolicy.quiet(args.seed),
-                         tracer=tracer, metrics=metrics)
+    fabric = Fabric(args.world, policy=ChaosPolicy.quiet(args.seed),
+                    tracer=tracer, metrics=metrics)
     train(default_differential_spec(), args.strategy, args.world, fabric=fabric)
     retx = fabric._m_heal["fabric_retransmits"].value
     corrupt = fabric._m_heal["fabric_corrupt_frames"].value

@@ -9,24 +9,17 @@ Microbatch sizes follow the paper exactly: ``G`` as listed per row for
 when ``S=4096`` and ``G=1`` otherwise, with ``N`` scaled so every
 strategy sees the same global batch.
 
-Per-strategy execution rules (Section 5 + observed baseline behaviour):
-
-* recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for all
-  zero-bubble variants (it buys them nothing);
-* communication/compute overlap ON for WeiPipe (the contribution: W/D
-  prefetch via ``batch_isend_irecv``) and OFF for the baselines, whose
-  stock implementations issue synchronous P2P (Megatron 1F1B/ZB) or
-  per-layer blocking gathers (the authors' DeepSpeed ZeRO-3 config).
+The per-strategy execution rules (recomputation, overlap) are
+:func:`repro.sim.runner.exec_for`, re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..sim.costmodel import ExecConfig, WorkloadDims
+from ..sim.costmodel import WorkloadDims
 from ..sim.hardware import Cluster, nvlink_cluster, pcie_ethernet_cluster
-from ..sim.runner import NO_RECOMPUTE_STRATEGIES
+from ..sim.runner import exec_for
 
 __all__ = [
     "STRATEGY_ORDER",
@@ -114,13 +107,6 @@ def make_dims(
         microbatch=g,
         n_microbatches=n_mb,
     )
-
-
-def exec_for(strategy: str) -> ExecConfig:
-    """Per-strategy execution config (see module docstring)."""
-    recompute = strategy not in NO_RECOMPUTE_STRATEGIES
-    overlap = strategy.startswith("weipipe")
-    return ExecConfig(recompute=recompute, overlap=overlap)
 
 
 def table2_cluster() -> Cluster:

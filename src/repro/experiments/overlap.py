@@ -19,7 +19,7 @@ pooled buffers on both sides — and emits one JSON artefact
 
 Two wires are measured:
 
-* the **reference wire** — a :class:`~repro.runtime.ChaosFabric` with a
+* the **reference wire** — a :class:`~repro.runtime.Fabric` with a
   seeded delay-only policy (no drops, no duplicates), emulating the
   communication-bound links the paper targets.  Here late posting
   exposes the full link delay plus the sender's compute on every hop of
@@ -52,7 +52,7 @@ from typing import Callable, Dict, Optional
 from ..nn import FP32, FP64, ModelConfig
 from ..nn.params import BufferPool
 from ..parallel.common import TrainSpec
-from ..runtime import ChaosFabric, ChaosPolicy, Fabric
+from ..runtime import ChaosPolicy, Fabric
 
 __all__ = [
     "SCHEMA",
@@ -218,9 +218,7 @@ def run_backend_comparison(
         )
 
     def thread_wire() -> Fabric:
-        if policy is None:
-            return Fabric(world, timeout=240.0)
-        return ChaosFabric(world, policy=policy, timeout=240.0)
+        return Fabric(world, policy=policy, timeout=240.0)
 
     thread = _measure(spec, world, mode, True, thread_wire, reps)
     proc = _measure(
@@ -300,7 +298,7 @@ def run_overlap_comparison(
     )
 
     def delay_wire() -> Fabric:
-        return ChaosFabric(world, policy=policy, timeout=120.0)
+        return Fabric(world, policy=policy, timeout=120.0)
 
     report: Dict = {
         "schema": SCHEMA,
@@ -358,9 +356,7 @@ def run_overlap_comparison(
                 "n_heads": n_heads, "vocab": vocab,
             },
         }) if trace_path is not None else None
-        fabric = ChaosFabric(
-            world, policy=policy, timeout=120.0, tracer=tracer
-        )
+        fabric = Fabric(world, policy=policy, timeout=120.0, tracer=tracer)
         train_weipipe(spec, world, mode=mode, fabric=fabric, overlap=True)
         if trace_path is not None:
             tracer.dump(trace_path)

@@ -2,7 +2,7 @@
 
 Measures the flat weight ring against the two-level hierarchical ring
 (:func:`repro.core.weipipe.train_weipipe` given a ``topology``) on the *same
-seeded asymmetric wire* — a :class:`~repro.runtime.ChaosFabric` carrying
+seeded asymmetric wire* — a chaos :class:`~repro.runtime.Fabric` carrying
 a :class:`~repro.runtime.Topology` whose inter-group links are orders of
 magnitude slower than the intra-group ones (fast-intra / slow-inter,
 the paper's PCIe+Ethernet shape).  Each message pays a deterministic
@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 
 from ..nn import FP32, FP64, ModelConfig
 from ..parallel.common import TrainSpec
-from ..runtime import ChaosFabric, ChaosPolicy, Fabric, LinkSpec, Topology
+from ..runtime import ChaosPolicy, Fabric, LinkSpec, Topology
 
 __all__ = ["SCHEMA", "REFERENCE_CONFIG", "run_topology_comparison"]
 
@@ -155,9 +155,9 @@ def run_topology_comparison(
         drop_prob=0.0, duplicate_prob=0.0,
     )
 
-    def wire(tracer=None) -> ChaosFabric:
-        return ChaosFabric(world, policy=policy, timeout=120.0,
-                           topology=topo, tracer=tracer)
+    def wire(tracer=None) -> Fabric:
+        return Fabric(world, policy=policy, timeout=120.0,
+                      topology=topo, tracer=tracer)
 
     report: Dict = {
         "schema": SCHEMA,

@@ -1,13 +1,13 @@
 """Auto-parallelism planner: ``python -m repro plan``.
 
 Given a model / context / cluster spec, enumerate the parallelism
-config space, prune on the analytic memory model, rank by predicted
-tokens/s from the calibrated cost model, and validate the top pick with
-a live traced run gated by ``repro.obs.analyze.reconcile`` — the
-predict-then-validate loop of DESIGN.md §15.
+config space, prune on the analytic memory model, rank by the tokens/s
+the discrete-event simulator (``repro.sim.run_cell``) gives each
+survivor, and validate the top pick with a live traced run gated by
+``repro.obs.analyze.reconcile`` — the predict-then-validate loop of
+DESIGN.md §15.
 """
 
-from .predict import predict_iteration_s, predict_tokens_per_s_per_gpu
 from .report import (
     PLAN_SCHEMA,
     build_report,
@@ -52,8 +52,6 @@ __all__ = [
     "evaluate_candidate",
     "format_report",
     "load_spec",
-    "predict_iteration_s",
-    "predict_tokens_per_s_per_gpu",
     "search",
     "validate_candidate",
     "validate_plan_report",

@@ -1,11 +1,13 @@
-"""The ``repro.plan/v1`` report: build, validate, render.
+"""The ``repro.plan/v2`` report: build, validate, render.
 
 The report is the planner's single artefact: the spec it searched, the
-pruning ledger, every ranked feasible candidate with its predicted
-numbers, a sample of the memory-rejected configs (with the predicted
-peak that killed them), and — when the predict-then-validate loop ran —
-the live validation verdict of the top pick, including the full
-``reconcile()`` output it was gated on.
+pruning ledger (and what the search took), every ranked feasible
+candidate with its simulated numbers, a sample of the memory-rejected
+configs (with the predicted peak that killed them), and — when the
+predict-then-validate loop ran — the live validation verdict of the top
+pick, including the full ``reconcile()`` output it was gated on.  A
+ranked row is one configuration — (strategy, degree, dp, microbatch,
+precision) — and no two rows share one (DESIGN.md §15).
 
 :func:`validate_plan_report` is the CI smoke gate: structural checks in
 the style of :func:`repro.obs.schema.validate_chrome_trace`, returning a
@@ -22,7 +24,7 @@ from .spec import PlanSpec
 __all__ = ["PLAN_SCHEMA", "build_report", "validate_plan_report",
            "format_report"]
 
-PLAN_SCHEMA = "repro.plan/v1"
+PLAN_SCHEMA = "repro.plan/v2"
 
 #: how many memory-rejected configs the report keeps (the count is
 #: always exact; the list is a worst-offenders sample).
@@ -30,9 +32,10 @@ _REJECTED_SAMPLE = 16
 
 _CANDIDATE_KEYS = (
     "rank", "strategy", "world", "degree", "dp", "microbatch",
-    "n_microbatches", "precision", "overlap", "recompute", "grouping",
-    "backend", "predicted",
+    "n_microbatches", "precision", "recompute", "predicted",
 )
+#: what makes two ranked rows the same configuration.
+_CONFIG_KEYS = ("strategy", "degree", "dp", "microbatch", "precision")
 _PREDICTED_KEYS = (
     "tokens_per_s_per_gpu", "tokens_per_s", "iteration_s",
     "peak_memory_bytes",
@@ -44,7 +47,7 @@ def build_report(
     result: SearchResult,
     validation: Optional[Dict] = None,
 ) -> Dict:
-    """Assemble the ``repro.plan/v1`` document."""
+    """Assemble the ``repro.plan/v2`` document."""
     candidates = []
     for rank, ev in enumerate(result.feasible, start=1):
         entry = dict(rank=rank, **ev.candidate.as_dict())
@@ -76,6 +79,7 @@ def build_report(
             "memory_rejected": len(result.memory_rejected),
             "shape_rejected": result.shape_rejected,
             "memory_budget_bytes": result.budget_bytes,
+            "wall_s": result.wall_s,
         },
         "candidates": candidates,
         "rejected_sample": rejected,
@@ -102,7 +106,7 @@ def validate_plan_report(report: Dict, max_errors: int = 20) -> List[str]:
     search = report.get("search", {})
     if isinstance(search, dict):
         for key in ("total", "feasible", "memory_rejected", "shape_rejected",
-                    "memory_budget_bytes"):
+                    "memory_budget_bytes", "wall_s"):
             if key not in search:
                 err(f"search: missing {key!r}")
     else:
@@ -111,6 +115,7 @@ def validate_plan_report(report: Dict, max_errors: int = 20) -> List[str]:
     if not isinstance(cands, list):
         return errors + ["candidates is not a list"]
     prev = float("inf")
+    seen = set()
     for i, c in enumerate(cands):
         if not isinstance(c, dict):
             if err(f"candidates[{i}]: not an object"):
@@ -124,6 +129,11 @@ def validate_plan_report(report: Dict, max_errors: int = 20) -> List[str]:
         if c["rank"] != i + 1:
             if err(f"candidates[{i}]: rank {c['rank']} != {i + 1}"):
                 break
+        config = tuple(c[k] for k in _CONFIG_KEYS)
+        if config in seen:
+            if err(f"candidates[{i}]: duplicate configuration {config}"):
+                break
+        seen.add(config)
         pred = c["predicted"]
         miss = [k for k in _PREDICTED_KEYS if k not in pred]
         if miss:
@@ -156,24 +166,21 @@ def format_report(report: Dict, top: int = 10) -> str:
     """Human-readable plan summary for the CLI."""
     search = report["search"]
     lines = [
-        f"searched {search['total']} configs: "
+        f"searched {search['total']} configs in {search['wall_s']:.2f} s: "
         f"{search['feasible']} feasible, "
         f"{search['memory_rejected']} over the "
         f"{search['memory_budget_bytes'] / 2**30:.0f} GiB budget, "
         f"{search['shape_rejected']} unbuildable",
         "",
         f"{'#':>3} {'strategy':<20} {'deg':>4} {'dp':>3} {'G':>4} "
-        f"{'N':>5} {'prec':>5} {'ovl':>4} {'grp':>5} {'bck':>8} "
-        f"{'tok/s/GPU':>11} {'mem GB':>7}",
+        f"{'N':>5} {'prec':>5} {'tok/s/GPU':>11} {'mem GB':>7}",
     ]
     for c in report["candidates"][:top]:
         p = c["predicted"]
         lines.append(
             f"{c['rank']:>3} {c['strategy']:<20} {c['degree']:>4} "
             f"{c['dp']:>3} {c['microbatch']:>4} {c['n_microbatches']:>5} "
-            f"{c['precision']:>5} {str(c['overlap'])[0]:>4} "
-            f"{c['grouping']:>5} {c['backend']:>8} "
-            f"{p['tokens_per_s_per_gpu']:>11,.1f} "
+            f"{c['precision']:>5} {p['tokens_per_s_per_gpu']:>11,.1f} "
             f"{p['peak_memory_bytes'] / 2**30:>7.1f}"
         )
     if len(report["candidates"]) > top:

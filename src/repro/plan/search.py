@@ -2,15 +2,21 @@
 
 The search walks the cross product
 
-    strategy x inner degree x dp x microbatch x precision x overlap
-             x (flat | hier) grouping x backend,
+    strategy x inner degree (dp fills the world) x microbatch x precision,
 
-rejects shapes the runtime could not even build (layer/hidden/sequence
+rejects shapes the runtime could not even build (layer/head/sequence
 divisibility, ring round counts), prunes every buildable candidate whose
 analytic peak memory (:func:`repro.sim.memory.peak_memory`) exceeds the
 budget — the pruning predicate is exact at the boundary, see
-:func:`repro.sim.memory.fits_memory` — and ranks the survivors by the
-predicted tokens/s of :mod:`repro.plan.predict`.
+:func:`repro.sim.memory.fits_memory` — and ranks the survivors on the
+one time model the repository has: the inner group is simulated by
+:func:`repro.sim.runner.run_cell`, the discrete-event builder behind the
+tables, the figures and ``repro simulate``, under the tables' execution
+rule (:func:`repro.sim.runner.exec_for`), so a plan at ``degree = world,
+dp = 1`` *is* a Table 2 / 3 cell.  The only term added on top is the one
+the simulator has no graph for: the ``dp`` replicas' gradient
+all-reduce.  Pruning comes first because a graph is ``O(P N L)`` tasks —
+the large-``N`` cells that take seconds to simulate die on memory.
 
 Shape rules (DESIGN.md §15):
 
@@ -20,18 +26,19 @@ Shape rules (DESIGN.md §15):
   ``dp``'s only shape *is* ``degree == 1``.
 * pipelines and rings need ``n_layers % degree == 0``; rings also need
   the per-replica microbatch count divisible by the ring size; ``tp``
-  needs ``hidden % degree``, ``sp`` needs ``seq_len % degree``, and
-  ``fsdp`` needs ``n_microbatches % degree`` (it splits them).
+  needs ``n_heads % degree``, ``sp`` needs ``seq_len % degree``, and
+  ``fsdp`` needs ``n_microbatches % degree`` (it splits them) — what
+  the simulator's builders refuse.
 * the inner group must tile the node structure: ``degree`` is either a
   divisor of ``gpus_per_node`` or a multiple of it.
-* ``hier`` grouping applies to ``weipipe-interleave`` only, needs the
-  inner ring to span >1 node, and takes the whole world (``dp == 1``);
-  it is reported as the ``weipipe-hier`` strategy.
+* ``weipipe-hier`` needs its ring to span >1 node (on one node it *is*
+  ``weipipe-interleave``) and takes the whole world (``dp == 1``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.api import RING_STRATEGIES
@@ -39,12 +46,12 @@ from ..parallel.pipeline import PIPELINE_SCHEDULES
 from ..sim.costmodel import ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster
 from ..sim.memory import MEMORY_MODELS, peak_memory
-from ..sim.runner import NO_RECOMPUTE_STRATEGIES
-from .predict import predict_tokens_per_s_per_gpu
+from ..sim.runner import exec_for, run_cell
+from ..sim.schedules import ring_collective_time
 from .spec import PlanSpec
 
 __all__ = ["Candidate", "Evaluated", "SearchResult", "enumerate_candidates",
-           "search"]
+           "evaluate_candidate", "search"]
 
 #: ring strategies need N divisible by the ring size.
 _RING = frozenset(RING_STRATEGIES)
@@ -52,42 +59,23 @@ _RING = frozenset(RING_STRATEGIES)
 _LAYER_PARALLEL = _RING | frozenset(PIPELINE_SCHEDULES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Candidate:
     """One point of the config space (per-replica workload attached)."""
 
-    strategy: str  # reported name (weipipe-hier for the hier grouping)
+    strategy: str  # a ``repro.train`` / ``SIM_STRATEGIES`` name
     world: int  # total GPUs = dp * degree
     degree: int  # inner parallel width (ring/pipeline/shard)
     dp: int  # data-parallel replicas
     microbatch: int  # G
     n_microbatches: int  # N per replica per iteration
     precision: str
-    overlap: bool
-    recompute: bool
-    grouping: str  # flat | hier
-    backend: str
-
-    @property
-    def mem_key(self) -> str:
-        """The :data:`repro.sim.memory.MEMORY_MODELS` key."""
-        return self.strategy
 
     def exec_cfg(self) -> ExecConfig:
-        return ExecConfig.for_precision(
-            self.precision, recompute=self.recompute, overlap=self.overlap
-        )
+        return exec_for(self.strategy, self.precision)
 
     def as_dict(self) -> Dict:
-        return {
-            "strategy": self.strategy, "world": self.world,
-            "degree": self.degree, "dp": self.dp,
-            "microbatch": self.microbatch,
-            "n_microbatches": self.n_microbatches,
-            "precision": self.precision, "overlap": self.overlap,
-            "recompute": self.recompute, "grouping": self.grouping,
-            "backend": self.backend,
-        }
+        return {**asdict(self), "recompute": self.exec_cfg().recompute}
 
 
 @dataclass(frozen=True)
@@ -110,6 +98,7 @@ class SearchResult:
     memory_rejected: List[Evaluated]
     shape_rejected: int  # configs that could not even be built
     budget_bytes: float
+    wall_s: float = 0.0  # what enumerating, pruning and pricing took
 
     @property
     def total(self) -> int:
@@ -151,8 +140,6 @@ def _replica_microbatches(spec: PlanSpec, g: int, dp: int, ring: int) -> int:
 
 def enumerate_candidates(spec: PlanSpec) -> Tuple[List[Candidate], int]:
     """All buildable candidates plus the count of shape-rejected configs."""
-    model = spec.model
-    world = spec.cluster.world
     cluster = spec.cluster.build()
     out: List[Candidate] = []
     shape_rejected = 0
@@ -163,67 +150,64 @@ def enumerate_candidates(spec: PlanSpec) -> Tuple[List[Candidate], int]:
                 f"choose from {sorted(MEMORY_MODELS)}"
             )
         for degree in _degrees(spec):
-            dp = world // degree
             for g in spec.space.microbatch_sizes:
                 for precision in spec.space.precisions:
-                    for overlap in spec.space.overlap:
-                        for grouping in spec.space.groupings:
-                            for backend in spec.space.backends:
-                                cand, ok = _build(
-                                    spec, cluster, strategy, degree, dp, g,
-                                    precision, overlap, grouping, backend,
-                                )
-                                if cand is not None:
-                                    out.append(cand)
-                                elif not ok:
-                                    shape_rejected += 1
+                    cand, ok = _build(spec, cluster, strategy, degree, g, precision)
+                    if cand is not None:
+                        out.append(cand)
+                    elif not ok:
+                        shape_rejected += 1
     return out, shape_rejected
 
 
 def _build(
-    spec, cluster, strategy, degree, dp, g, precision, overlap, grouping,
-    backend,
+    spec, cluster, strategy, degree, g, precision
 ) -> Tuple[Optional[Candidate], bool]:
     """One cell -> (Candidate, True) when buildable, (None, True) when the
     cell is a *duplicate* of another enumeration (skip silently), or
     (None, False) when its shape cannot be built (counts as rejected)."""
     model = spec.model
     world = spec.cluster.world
+    dp = world // degree
     # degree 1 is pure DP however you spell it: only "dp" enumerates it.
-    if strategy == "dp":
-        if degree != 1:
-            return None, True
-    elif degree == 1:
+    if (strategy == "dp") != (degree == 1):
         return None, True
-    # hier is a grouping of the interleave ring across >1 node, whole
-    # world only; everything else enumerates the flat grouping once.
-    if grouping == "hier":
-        if strategy != "weipipe-interleave" or dp != 1:
-            return None, True
     sub = _sub_cluster(cluster, degree)
+    # the two-level ring takes the whole world, and on one node it is
+    # weipipe-interleave.
+    if strategy == "weipipe-hier" and (dp != 1 or sub.nodes < 2):
+        return None, True
     if sub is None:
         return None, False
-    if grouping == "hier" and sub.nodes < 2:
-        return None, True
     if strategy in _LAYER_PARALLEL and model.n_layers % degree != 0:
         return None, False
-    if strategy == "tp" and model.hidden % degree != 0:
+    if strategy == "tp" and model.n_heads % degree != 0:
         return None, False
     if strategy == "sp" and model.seq_len % degree != 0:
         return None, False
-    ring = degree if strategy in _RING or grouping == "hier" else 1
+    ring = degree if strategy in _RING else 1
     n = _replica_microbatches(spec, g, dp, ring)
-    if n < max(ring, 1) or (strategy == "fsdp" and n % degree != 0) or (
+    if n < ring or (strategy == "fsdp" and n % degree != 0) or (
         strategy == "dp" and n < dp
     ):
         return None, False
-    name = "weipipe-hier" if grouping == "hier" else strategy
-    recompute = strategy not in NO_RECOMPUTE_STRATEGIES
     return Candidate(
-        strategy=name, world=world, degree=degree, dp=dp, microbatch=g,
-        n_microbatches=n, precision=precision, overlap=overlap,
-        recompute=recompute, grouping=grouping, backend=backend,
+        strategy=strategy, world=world, degree=degree, dp=dp, microbatch=g,
+        n_microbatches=n, precision=precision,
     ), True
+
+
+def _replica_allreduce_s(
+    dims: WorkloadDims, cluster: Cluster, cfg: ExecConfig, dp: int
+) -> float:
+    """Ring all-reduce (reduce-scatter + all-gather) of the full gradient
+    over one rank per replica, on the slowest link of ``cluster`` — priced
+    by the collective formula the simulator's own dp / fsdp graphs use."""
+    ring = (
+        replace(cluster, nodes=dp, gpus_per_node=1) if cluster.nodes > 1
+        else replace(cluster, gpus_per_node=dp)
+    )
+    return 2.0 * ring_collective_time(ring, dims.model_params * cfg.wgrad_bytes)
 
 
 def evaluate_candidate(
@@ -231,27 +215,29 @@ def evaluate_candidate(
     cluster: Optional[Cluster] = None,
 ) -> Evaluated:
     """Memory verdict (exact at the budget edge) and, when the candidate
-    fits, the predicted throughput."""
+    fits, its simulated throughput.  ``dims`` is one replica's workload;
+    the job's tokens per iteration are ``dp`` replicas' worth and the GPU
+    count is the full ``dp * degree`` world."""
     cluster = cluster if cluster is not None else spec.cluster.build()
     sub = _sub_cluster(cluster, cand.degree)
     dims = spec.model.dims(cand.microbatch, cand.n_microbatches)
     cfg = cand.exec_cfg()
-    peak = peak_memory(cand.mem_key, dims, sub, cfg)
+    peak = peak_memory(cand.strategy, dims, sub, cfg)
     if peak > budget_bytes:
         return Evaluated(candidate=cand, peak_memory_bytes=peak, fits=False)
-    pred = predict_tokens_per_s_per_gpu(
-        cand.strategy, dims, sub, cfg, dp=cand.dp, outer_cluster=cluster
-    )
+    it_s = run_cell(cand.strategy, dims, sub, cfg).makespan
+    it_s += _replica_allreduce_s(dims, cluster, cfg, cand.dp)
+    tokens_per_s = cand.dp * dims.tokens_per_iteration / it_s
     return Evaluated(
-        candidate=cand, peak_memory_bytes=peak, fits=True,
-        iteration_s=pred["iteration_s"],
-        tokens_per_s=pred["tokens_per_s"],
-        tokens_per_s_per_gpu=pred["tokens_per_s_per_gpu"],
+        candidate=cand, peak_memory_bytes=peak, fits=True, iteration_s=it_s,
+        tokens_per_s=tokens_per_s,
+        tokens_per_s_per_gpu=tokens_per_s / cand.world,
     )
 
 
 def search(spec: PlanSpec) -> SearchResult:
-    """Enumerate, prune on memory, rank by predicted tokens/s/GPU."""
+    """Enumerate, prune on memory, rank by simulated tokens/s/GPU."""
+    t0 = time.perf_counter()
     cluster = spec.cluster.build()
     budget = spec.cluster.budget_bytes(cluster)
     candidates, shape_rejected = enumerate_candidates(spec)
@@ -260,17 +246,10 @@ def search(spec: PlanSpec) -> SearchResult:
     for cand in candidates:
         ev = evaluate_candidate(cand, spec, budget, cluster=cluster)
         (feasible if ev.fits else rejected).append(ev)
-    # deterministic total order: throughput, then thread-first (the
-    # validation runner uses the thread transport; results are bit-exact
-    # across transports anyway), then the config repr.
-    feasible.sort(
-        key=lambda e: (
-            -e.tokens_per_s_per_gpu,
-            e.candidate.backend != "thread",
-            repr(e.candidate.as_dict()),
-        )
-    )
+    # deterministic total order: throughput, then the config itself.
+    feasible.sort(key=lambda e: (-e.tokens_per_s_per_gpu, e.candidate))
     return SearchResult(
         feasible=feasible, memory_rejected=rejected,
         shape_rejected=shape_rejected, budget_bytes=budget,
+        wall_s=time.perf_counter() - t0,
     )

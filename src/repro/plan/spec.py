@@ -11,8 +11,7 @@ A :class:`PlanSpec` is everything ``python -m repro plan`` needs:
   per-worker memory budget the pruner enforces;
 * **space** — which dimensions to enumerate: strategies, inner parallel
   degrees (ring / pipeline / shard width; data-parallel replicas fill
-  the rest of the world), microbatch sizes, precisions, overlap on/off,
-  flat vs hierarchical ring grouping, execution backends;
+  the rest of the world), microbatch sizes, precisions;
 * **validation** — the scaled-down dims of the live predict-then-validate
   run of the top pick (the functional runtime is threaded NumPy, so the
   validation preserves the pick's *shape* — strategy, schedule, relative
@@ -38,6 +37,7 @@ from ..sim.hardware import (
     nvlink_cluster,
     pcie_ethernet_cluster,
 )
+from ..sim.runner import SIM_STRATEGIES
 
 __all__ = [
     "ModelSpec",
@@ -50,22 +50,9 @@ __all__ = [
     "DEFAULT_STRATEGIES",
 ]
 
-#: the searchable strategy zoo — every name is one ``repro.train``
-#: runs; the hierarchical ring enters as the ``hier`` grouping of
-#: weipipe-interleave.
-DEFAULT_STRATEGIES = (
-    "1f1b",
-    "gpipe",
-    "zb1",
-    "zb2",
-    "fsdp",
-    "dp",
-    "tp",
-    "sp",
-    "weipipe-naive",
-    "weipipe-interleave",
-    "weipipe-zb",
-)
+#: the searchable strategy zoo: everything the simulator prices — each
+#: name is also one ``repro.train`` runs.
+DEFAULT_STRATEGIES = tuple(SIM_STRATEGIES)
 
 
 class PlanSpecError(ValueError):
@@ -185,9 +172,6 @@ class SearchSpace:
     degrees: Optional[Tuple[int, ...]] = None
     microbatch_sizes: Tuple[int, ...] = (1, 4, 16)
     precisions: Tuple[str, ...] = ("fp16",)
-    overlap: Tuple[bool, ...] = (True, False)
-    groupings: Tuple[str, ...] = ("flat", "hier")
-    backends: Tuple[str, ...] = ("thread",)
 
     def __post_init__(self):
         for p in self.precisions:
@@ -195,16 +179,6 @@ class SearchSpace:
                 raise PlanSpecError(
                     f"space.precisions: unknown precision {p!r}; choose "
                     f"from {sorted(PRECISION_WIDTHS)}"
-                )
-        for g in self.groupings:
-            if g not in ("flat", "hier"):
-                raise PlanSpecError(
-                    f"space.groupings: {g!r} is not one of flat, hier"
-                )
-        for b in self.backends:
-            if b not in ("thread", "process"):
-                raise PlanSpecError(
-                    f"space.backends: {b!r} is not one of thread, process"
                 )
         if not self.strategies:
             raise PlanSpecError("space.strategies must not be empty")

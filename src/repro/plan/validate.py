@@ -1,6 +1,6 @@
 """Predict-then-validate: run the plan's top pick for real and gate it.
 
-The planner's ranking is analytic; this module closes the loop by
+The planner's ranking is simulated; this module closes the loop by
 executing the winning candidate on the functional runtime with tracing
 on and gating predicted-vs-measured wall clock through PR-4's
 ``repro.obs.analyze.reconcile`` tolerances (``WALL_TOL`` /

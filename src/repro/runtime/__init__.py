@@ -6,7 +6,7 @@ per-pair traffic accounting.  See DESIGN.md §2 for the substitution
 argument.
 """
 
-from .chaos import ChaosCrash, ChaosFabric, ChaosLayer, ChaosPolicy, ChaosStats
+from .chaos import ChaosCrash, ChaosLayer, ChaosPolicy, ChaosStats
 from .collectives import (
     all_gather,
     all_reduce,
@@ -54,7 +54,6 @@ from .topology import (
 
 __all__ = [
     "ChaosCrash",
-    "ChaosFabric",
     "ChaosLayer",
     "ChaosPolicy",
     "ChaosStats",

@@ -8,11 +8,10 @@ the transport layer and lose packets; schedule bugs of the kind
 zero-bubble pipelines are famous for hide exactly in those rare
 orderings.
 
-``Fabric(world, policy=ChaosPolicy(...))`` — or the historical
-``ChaosFabric(world, policy)``, or ``ProcessTransport(policy=...)`` —
-attaches a :class:`ChaosLayer` between the fabric and its wire: a
-*seeded* adversarial transport that every arriving message passes
-through, whichever wire carried it:
+``Fabric(world, policy=ChaosPolicy(...))`` — or
+``ProcessTransport(policy=...)`` — attaches a :class:`ChaosLayer`
+between the fabric and its wire: a *seeded* adversarial transport that
+every arriving message passes through, whichever wire carried it:
 
 * **delay** — a message becomes visible to ``recv``/``poll`` only after
   a per-message hold-back interval;
@@ -80,7 +79,7 @@ from ..obs import flight as _flight
 from .integrity import CorruptFrameError, corrupt_copy, payload_crc32
 from .message import Message
 
-__all__ = ["ChaosPolicy", "ChaosStats", "ChaosCrash", "ChaosFabric", "ChaosLayer"]
+__all__ = ["ChaosPolicy", "ChaosStats", "ChaosCrash", "ChaosLayer"]
 
 
 class ChaosCrash(RuntimeError):
@@ -573,14 +572,3 @@ class ChaosLayer:
             raise CorruptFrameError(
                 f"rank {dst} receiving from rank {src} tag={tag}: {reason}"
             )
-
-
-def ChaosFabric(world_size: int, policy: Optional[ChaosPolicy] = None, **kw):
-    """A :class:`Fabric` with the chaos layer attached (default policy
-    when none is given) — the historical spelling of ``Fabric(world,
-    policy=...)``, accepted everywhere a ``Fabric`` is."""
-    from .communicator import Fabric
-
-    return Fabric(
-        world_size, policy=policy if policy is not None else ChaosPolicy(), **kw
-    )

@@ -26,7 +26,7 @@ Consumers:
   (``fabric_link_bytes_total{link=intra|inter}``) on top of the
   per-kind ledger, the measurement the hierarchical ring's
   cross-group-traffic claim is tested against;
-* :class:`~repro.runtime.chaos.ChaosFabric` — a deterministic
+* :class:`~repro.runtime.chaos.ChaosLayer` — a deterministic
   serialization delay ``latency + nbytes/bandwidth`` per message on top
   of the seeded jitter, so a slow inter-group link actually *is* slow
   in wall-clock terms and a bench can measure the win;

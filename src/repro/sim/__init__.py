@@ -30,7 +30,7 @@ from .hardware import (
 )
 from .memory import fits_memory, peak_memory, peak_memory_per_worker
 from .metrics import SimReport, evaluate
-from .runner import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, run_cell
+from .runner import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, exec_for, run_cell
 from .timeline import render_timeline
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "bubble_ratio_weipipe_interleave",
     "bubble_ratio_weipipe_naive",
     "evaluate",
+    "exec_for",
     "fits_memory",
     "ideal_iteration_time",
     "nvlink_cluster",

@@ -12,6 +12,7 @@ per-stage (or per-slot) forward/backward times, with ``T_B ~= 2 T_F``
 
 from __future__ import annotations
 
+from ..runtime.topology import WREF_NBYTES
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -28,10 +29,6 @@ __all__ = [
     "weipipe_cross_bytes",
     "activation_pp_bandwidth",
 ]
-
-#: wire size of a hierarchical weight-reference token — must match
-#: repro.runtime.topology.WREF_NBYTES (pinned by tests/sim).
-HIER_REF_BYTES = 24
 
 
 def ideal_iteration_time(t_f: float, t_b: float, n_mb: int) -> float:
@@ -147,11 +144,7 @@ def weipipe_hier_turn_time(
     full = cost.weipipe_turn_bytes(lps)
     legs = [cluster.intra.time(full)] if cluster.gpus_per_node > 1 else []
     if cluster.nodes > 1:
-        boundary = (
-            cost.hier_boundary_turn_bytes(lps, ref_bytes=HIER_REF_BYTES)
-            if steady
-            else full
-        )
+        boundary = cost.hier_boundary_turn_bytes(lps) if steady else full
         legs.append(cluster.inter.time(boundary))
     wire = max(legs) if legs else 0.0
     return cost.overlapped(compute, wire)
@@ -185,7 +178,7 @@ def weipipe_hier_cross_bytes(
     lps = dims.n_layers // p
     hops = total_turns + 1  # ring turns + the final homing hop
     full_w = 2 * p * cost.weight_chunk_bytes(lps)
-    refs = 2 * (hops - p) * HIER_REF_BYTES
+    refs = 2 * (hops - p) * WREF_NBYTES
     d = hops * cost.wgrad_chunk_bytes(lps)
     return full_w + refs + d
 

@@ -1,9 +1,17 @@
 """One-call simulation of a strategy on a workload and cluster.
 
-``run_cell`` is the unit of every table/figure bench: it applies the
-paper's per-strategy execution rules (recomputation on for
-1F1B/GPipe/FSDP/DP/WeiPipe, off for all zero-bubble variants), builds
-the schedule, simulates it, and returns a :class:`SimReport`.
+``run_cell`` is the unit of every table/figure bench and of the planner's
+ranking: it builds the schedule, simulates it, and returns a
+:class:`SimReport`.  ``exec_for`` is the paper's per-strategy execution
+rule (Section 5 + observed baseline behaviour) that all of them apply:
+
+* recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for all
+  zero-bubble variants (it buys them nothing);
+* communication/compute overlap ON for the WeiPipe rings (the
+  contribution: W/D prefetch via ``batch_isend_irecv`` — the ring engine
+  posts early) and OFF for the baselines, whose stock implementations
+  issue synchronous P2P (Megatron 1F1B/ZB) or per-layer blocking gathers
+  (the authors' DeepSpeed ZeRO-3 config).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .schedules.seqpar import build_sp
 from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
 
-__all__ = ["run_cell", "SIM_STRATEGIES", "NO_RECOMPUTE_STRATEGIES"]
+__all__ = ["run_cell", "exec_for", "SIM_STRATEGIES", "NO_RECOMPUTE_STRATEGIES"]
 
 SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
     "gpipe": lambda d, c, e: build_pipeline("gpipe", d, c, e),
@@ -50,6 +58,15 @@ SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSch
 NO_RECOMPUTE_STRATEGIES = {s for s in PIPELINE_SCHEDULES if splits_backward(s)} | {
     name for name, (mode, _) in RING_STRATEGIES.items() if ring_splits_backward(mode)
 }
+
+
+def exec_for(strategy: str, precision: str = "fp16") -> ExecConfig:
+    """Per-strategy execution config (see module docstring)."""
+    return ExecConfig.for_precision(
+        precision,
+        recompute=strategy not in NO_RECOMPUTE_STRATEGIES,
+        overlap=strategy in RING_STRATEGIES,
+    )
 
 
 def run_cell(

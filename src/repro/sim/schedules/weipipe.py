@@ -44,7 +44,7 @@ import math
 from typing import Callable, Tuple
 
 from ...core.schedule import ring_schedule, ring_splits_backward, turn_ops
-from ..analytic import HIER_REF_BYTES
+from ...runtime.topology import WREF_NBYTES
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -163,7 +163,7 @@ def build_weipipe(
 
     def hop_w_bytes(left: int, p: int, t: int) -> float:
         if hier and t > world and cluster.node_of(left) != cluster.node_of(p):
-            return 2 * HIER_REF_BYTES
+            return 2 * WREF_NBYTES
         return 2 * w_bytes
 
     g = _ring_graph(cluster, exec_cfg, total, turn, hop_w_bytes, d_bytes)

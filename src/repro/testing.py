@@ -5,7 +5,7 @@ Two layers of defence keep the reproduction honest:
 * :func:`numerical_grad` / :func:`assert_grad_close` validate every
   manual backward in :mod:`repro.nn` against central differences;
 * :func:`run_differential` trains *the same seeded problem* under every
-  parallel strategy on a :class:`~repro.runtime.ChaosFabric` — a seeded
+  parallel strategy on a chaos :class:`~repro.runtime.Fabric` — a seeded
   adversarial transport that delays, reorders (across channels),
   duplicates and drops-with-retry — and asserts loss curves, final
   weights and accumulated weight updates (the integrated weight-grads)
@@ -347,8 +347,8 @@ def run_crash_recovery(
 
     Three phases:
 
-    1. **Probe** — run the elastic job once on a quiet
-       :class:`~repro.runtime.ChaosFabric` to count how many messages
+    1. **Probe** — run the elastic job once on a quiet-policy
+       :class:`~repro.runtime.Fabric` to count how many messages
        each rank sends, then (seeded by ``seed``) pick a victim rank and
        a crash point inside the active phase of the run — unless both
        are pinned explicitly.
@@ -367,14 +367,14 @@ def run_crash_recovery(
     from dataclasses import replace as _replace
 
     from .parallel.elastic import train_elastic
-    from .runtime import ChaosFabric, ChaosPolicy
+    from .runtime import ChaosPolicy, Fabric
 
     if spec is None:
         spec = default_crash_spec()
 
     rng = np.random.default_rng((abs(int(seed)), 0xC4A54))
     if crash_rank is None or crash_at_post is None:
-        probe_fab = ChaosFabric(world, ChaosPolicy.quiet(seed), timeout=timeout)
+        probe_fab = Fabric(world, policy=ChaosPolicy.quiet(seed), timeout=timeout)
         train_elastic(spec, strategy, world, fabric=probe_fab, timeout=timeout)
         if crash_rank is None:
             crash_rank = int(rng.integers(0, world))
@@ -393,8 +393,8 @@ def run_crash_recovery(
     policy = _replace(base, crash_rank=crash_rank, crash_at_post=crash_at_post)
     # only the crash run is observed: the probe and the clean verify run
     # are scaffolding, and tracing them would bury the interesting events.
-    fabric = ChaosFabric(world, policy, timeout=timeout, tracer=tracer,
-                         metrics=metrics)
+    fabric = Fabric(world, policy=policy, timeout=timeout, tracer=tracer,
+                    metrics=metrics)
     result = train_elastic(spec, strategy, world, fabric=fabric, timeout=timeout)
 
     events = result.extra["recovery_events"]
@@ -486,7 +486,7 @@ def run_differential(
     its (strategy, seed) cell rather than aborting the sweep.
     """
     from .core.api import STRATEGIES, train
-    from .runtime import ChaosFabric, ChaosPolicy
+    from .runtime import ChaosPolicy, Fabric
 
     if strategies is None:
         strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
@@ -495,7 +495,7 @@ def run_differential(
     if policy is None:
         policy = ChaosPolicy()
     if fabric_factory is None:
-        fabric_factory = lambda world, pol: ChaosFabric(world, pol)
+        fabric_factory = lambda world, pol: Fabric(world, policy=pol)
 
     norm: Dict[str, Tuple[int, Callable]] = {}
     for name, entry in strategies.items():
@@ -559,7 +559,7 @@ def run_backend_differential(
     under one interpreter vs shared-memory rings between processes —
     never what is computed, so the loss curves and final weights must
     match bit for bit, not merely to tolerance.  Each cell trains under a
-    seeded delay-only wire on the thread backend (:class:`ChaosFabric`)
+    seeded delay-only wire on the thread backend (``Fabric(policy=...)``)
     and the process backend (:class:`~repro.runtime.ProcessTransport`)
     with identical seeds and compares the two runs directly.
 
@@ -571,7 +571,7 @@ def run_backend_differential(
     :class:`DifferentialReport`, with the precision recorded in the cell
     message and the chaos seed in the report's ``seeds``.
     """
-    from .runtime import ChaosFabric, ChaosPolicy, ProcessTransport
+    from .runtime import ChaosPolicy, Fabric, ProcessTransport
 
     policy = ChaosPolicy(
         seed=chaos_seed, delay_prob=1.0, max_delay=link_delay_s,
@@ -580,7 +580,7 @@ def run_backend_differential(
 
     def cell(name, runner, cell_spec, world, _variant):
         thread = runner(
-            cell_spec, world, ChaosFabric(world, policy=policy, timeout=120.0)
+            cell_spec, world, Fabric(world, policy=policy, timeout=120.0)
         )
         proc = runner(cell_spec, world, ProcessTransport(policy=policy))
         return _diff_bitwise(thread, proc)
@@ -841,7 +841,7 @@ def run_heal_differential(
     timing dependence.
 
     Every cell trains the faulted run twice — on the thread wire
-    (:class:`~repro.runtime.ChaosFabric`) and on the process wire
+    (``Fabric(policy=...)``) and on the process wire
     (``ProcessTransport(policy=...)``): the chaos layer is the same
     object on both, and both must equal the clean run.
 
@@ -852,7 +852,7 @@ def run_heal_differential(
     """
     from dataclasses import replace as _replace
 
-    from .runtime import ChaosFabric, ChaosPolicy, ProcessTransport
+    from .runtime import ChaosPolicy, Fabric, ProcessTransport
 
     if schedules is None:
         schedules = HEAL_SCHEDULES
@@ -870,7 +870,7 @@ def run_heal_differential(
         clean = runner(cell_spec, world, None)
         pol = _replace(ChaosPolicy.quiet(seed_of[sched]), **dict(schedules[sched]))
         wires = {
-            "thread": ChaosFabric(world, pol),
+            "thread": Fabric(world, policy=pol),
             "process": ProcessTransport(policy=pol),
         }
         try:
@@ -1017,7 +1017,7 @@ def run_self_heal(
     from dataclasses import replace as _replace
 
     from .parallel.elastic import train_elastic
-    from .runtime import ChaosFabric, ChaosPolicy, FailureDetector
+    from .runtime import ChaosPolicy, Fabric, FailureDetector
 
     if spec is None:
         spec = default_crash_spec(iters=8)
@@ -1027,7 +1027,7 @@ def run_self_heal(
     )
     rng = np.random.default_rng((abs(int(seed)), 0x5E1F))
 
-    probe_fab = ChaosFabric(world, ChaosPolicy.quiet(seed), timeout=timeout)
+    probe_fab = Fabric(world, policy=ChaosPolicy.quiet(seed), timeout=timeout)
     clean = train_elastic(spec, strategy, world, fabric=probe_fab, timeout=timeout)
     if flap_rank is None:
         flap_rank = int(rng.integers(0, world))
@@ -1052,8 +1052,8 @@ def run_self_heal(
             min_confirm_s=min_confirm_s,
             poll_interval=0.01,
         )
-        fabric = ChaosFabric(world, policy, timeout=timeout, detector=detector,
-                             tracer=tracer, metrics=metrics)
+        fabric = Fabric(world, policy=policy, timeout=timeout, detector=detector,
+                        tracer=tracer, metrics=metrics)
         try:
             result = train_elastic(
                 spec, strategy, world, fabric=fabric, timeout=timeout

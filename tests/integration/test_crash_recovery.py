@@ -21,7 +21,7 @@ from repro.optim import Adam
 from repro.core.api import train
 from repro.io import load_checkpoint_state, save_checkpoint
 from repro.parallel.elastic import ELASTIC_STRATEGIES, train_elastic
-from repro.runtime import ChaosFabric, ChaosPolicy, PeerFailed, ProcessTransport
+from repro.runtime import ChaosPolicy, Fabric, PeerFailed, ProcessTransport
 from repro.testing import default_crash_spec, run_crash_recovery
 
 
@@ -90,7 +90,7 @@ class TestCrashRecovery:
         policy = replace(base, crash_rank=2, crash_at_post=40)
         thread = train_elastic(
             spec, "weipipe-interleave", 4,
-            fabric=ChaosFabric(4, policy, timeout=60.0),
+            fabric=Fabric(4, policy=policy, timeout=60.0),
         )
         transport = ProcessTransport(policy=policy)
         process = train_elastic(spec, "weipipe-interleave", 4, fabric=transport)
@@ -112,7 +112,7 @@ class TestCrashRecovery:
                 spec,
                 "weipipe-interleave",
                 4,
-                fabric=ChaosFabric(4, policy, timeout=60.0),
+                fabric=Fabric(4, policy=policy, timeout=60.0),
                 max_recoveries=0,
             )
         # every survivor re-raised PeerFailed; the driver surfaces one.

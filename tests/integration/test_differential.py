@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.common import TrainResult, microbatch, pre_update
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, run_workers
+from repro.runtime import ChaosPolicy, Fabric, run_workers
 from repro.testing import (
     DEFAULT_DIFFERENTIAL_STRATEGIES,
     DifferentialMismatch,

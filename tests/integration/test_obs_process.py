@@ -16,7 +16,7 @@ import pytest
 from repro.core.api import STRATEGIES
 from repro.obs import Tracer, validate_chrome_trace
 from repro.obs.flight import load_postmortem, render_postmortem
-from repro.runtime import ChaosFabric, ChaosPolicy, ProcessTransport
+from repro.runtime import ChaosPolicy, Fabric, ProcessTransport
 from repro.runtime.launcher import run_workers
 from repro.runtime.transport.thread import ThreadTransport
 from repro.testing import default_differential_spec
@@ -244,7 +244,7 @@ def test_zero_steady_state_allocs_with_tracer_and_recorder_process():
 
 def test_zero_steady_state_allocs_with_tracer_and_recorder_thread():
     tracer = Tracer(metadata={"gate": "alloc"})
-    fabric = ChaosFabric(2, ChaosPolicy.quiet(0), tracer=tracer)
+    fabric = Fabric(2, policy=ChaosPolicy.quiet(0), tracer=tracer)
     assert _steady_state_allocs(fabric) == 0
 
 

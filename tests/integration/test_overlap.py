@@ -13,7 +13,7 @@ import pytest
 from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64, ModelConfig
 from repro.parallel.common import TrainSpec
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology
+from repro.runtime import ChaosPolicy, Fabric, Topology
 
 MODES = ["naive", "interleave", "zero-bubble"]
 #: group layout is one more input of the one ring engine.
@@ -67,11 +67,11 @@ class TestBitExactness:
         topo = _topo(layout)
         sync = train_weipipe(
             spec, 4, mode=mode, overlap=False, topology=topo,
-            fabric=ChaosFabric(4, policy=policy, timeout=60.0),
+            fabric=Fabric(4, policy=policy, timeout=60.0),
         )
         ovl = train_weipipe(
             spec, 4, mode=mode, overlap=True, topology=topo,
-            fabric=ChaosFabric(4, policy=policy, timeout=60.0),
+            fabric=Fabric(4, policy=policy, timeout=60.0),
         )
         assert sync.losses == ovl.losses
         _assert_identical(sync.chunks, ovl.chunks)

@@ -18,7 +18,7 @@ import pytest
 from repro.core.api import train
 from repro.core.weipipe import train_weipipe
 from repro.parallel.elastic import train_elastic
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology
+from repro.runtime import ChaosPolicy, Fabric, Topology
 from repro.testing import (
     HEAL_SCHEDULES,
     default_differential_spec,
@@ -82,7 +82,7 @@ class TestQuietWireCost:
         assert fab._m_heal["fabric_corrupt_frames"].value == 0
 
     def test_quiet_chaos_fabric_control(self):
-        fab = ChaosFabric(4, ChaosPolicy.quiet(0))
+        fab = Fabric(4, policy=ChaosPolicy.quiet(0))
         train(default_differential_spec(), "weipipe-interleave", 4, fabric=fab)
         s = fab.chaos
         assert (s.retransmits, s.nacks, s.bitflips, s.corrupt_frames) == (0,) * 4

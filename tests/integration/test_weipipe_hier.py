@@ -15,7 +15,7 @@ import pytest
 from repro.core import strategy_names, train
 from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, Topology, default_groups
+from repro.runtime import ChaosPolicy, Fabric, Topology, default_groups
 from repro.testing import default_differential_spec, run_differential
 
 WORLD = 4
@@ -58,12 +58,12 @@ class TestBitExactVsFlat:
         topo = SHAPES[shape]
         flat = train_weipipe(
             spec, WORLD,
-            fabric=ChaosFabric(WORLD, policy=policy, timeout=60.0),
+            fabric=Fabric(WORLD, policy=policy, timeout=60.0),
         )
         hier = train_weipipe(
             spec, WORLD, topology=topo,
-            fabric=ChaosFabric(WORLD, policy=policy, topology=topo,
-                               timeout=60.0),
+            fabric=Fabric(WORLD, policy=policy, topology=topo,
+                          timeout=60.0),
         )
         assert flat.losses == hier.losses
         _assert_identical(flat.chunks, hier.chunks)
@@ -115,8 +115,8 @@ class TestDifferentialSweep:
         report = run_differential(
             strategies={f"weipipe-hier-{shape}": (WORLD, _hier_runner(topo))},
             chaos_seeds=range(4),
-            fabric_factory=lambda world, pol: ChaosFabric(
-                world, pol, topology=topo, timeout=60.0
+            fabric_factory=lambda world, pol: Fabric(
+                world, policy=pol, topology=topo, timeout=60.0
             ),
         )
         report.raise_if_failed()

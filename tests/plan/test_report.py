@@ -1,6 +1,7 @@
-"""The repro.plan/v1 report: build, schema gate, rendering."""
+"""The repro.plan/v2 report: build, schema gate, rendering."""
 
 import copy
+import functools
 
 from repro.plan import (
     PLAN_SCHEMA,
@@ -13,15 +14,20 @@ from repro.plan import (
 from repro.plan.spec import ClusterSpec, ModelSpec, SearchSpace
 
 
-def _report():
+@functools.lru_cache(maxsize=None)
+def _searched():
     spec = PlanSpec(
         model=ModelSpec(hidden=512, n_layers=8, seq_len=2048, n_heads=4,
                         vocab=1024, global_batch_sequences=64),
         cluster=ClusterSpec(preset="pcie-eth", world=8, gpus_per_node=4,
                             memory_budget_bytes=2**30),
-        space=SearchSpace(microbatch_sizes=(1, 2), overlap=(True,)),
+        space=SearchSpace(microbatch_sizes=(1, 2)),
     )
     return build_report(spec, search(spec))
+
+
+def _report():
+    return copy.deepcopy(_searched())
 
 
 class TestBuild:
@@ -62,6 +68,27 @@ class TestSchemaGate:
         report = _report()
         report["schema"] = "repro.plan/v0"
         assert any("schema" in p for p in validate_plan_report(report))
+
+    def test_v1_report_is_rejected_by_name(self):
+        report = _report()
+        report["schema"] = "repro.plan/v1"
+        assert any(
+            "'repro.plan/v1'" in p and PLAN_SCHEMA in p
+            for p in validate_plan_report(report)
+        )
+
+    def test_rows_carry_no_label_axes(self):
+        for c in _report()["candidates"]:
+            assert not {"overlap", "grouping", "backend"} & set(c)
+
+    def test_duplicate_configuration(self):
+        report = _report()
+        first, second = report["candidates"][:2]
+        second.update({
+            k: first[k]
+            for k in ("strategy", "degree", "dp", "microbatch", "precision")
+        })
+        assert any("duplicate" in p for p in validate_plan_report(report))
 
     def test_missing_top_level_key(self):
         report = _report()
@@ -105,6 +132,7 @@ class TestFormat:
         report = _report()
         text = format_report(report, top=3)
         assert "feasible" in text
+        assert f"in {report['search']['wall_s']:.2f} s" in text
         assert report["candidates"][0]["strategy"] in text
         assert "validation: not run" in text
 

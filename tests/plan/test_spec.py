@@ -30,7 +30,7 @@ class TestDefaults:
         spec = PlanSpec.from_dict({
             "model": {"hidden": 512, "seq_len": 2048},
             "cluster": {"preset": "pcie-eth", "world": 8},
-            "space": {"microbatch_sizes": [1, 2], "backends": ["thread"]},
+            "space": {"microbatch_sizes": [1, 2], "precisions": ["fp32"]},
             "validation": {"world_cap": 2},
         })
         again = PlanSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -58,11 +58,13 @@ class TestRejection:
         with pytest.raises(PlanSpecError, match="preset"):
             PlanSpec.from_dict({"cluster": {"preset": "quantum"}})
 
-    def test_bad_grouping_and_backend(self):
-        with pytest.raises(PlanSpecError, match="groupings"):
-            SearchSpace(groupings=("nested",))
-        with pytest.raises(PlanSpecError, match="backends"):
-            SearchSpace(backends=("mpi",))
+    @pytest.mark.parametrize("axis", ["overlap", "groupings", "backends"])
+    def test_deleted_axes_are_unknown_keys(self, axis):
+        """A v1 spec fails loudly, naming the key that decides nothing."""
+        with pytest.raises(PlanSpecError, match=f"unknown keys.*{axis}"):
+            PlanSpec.from_dict({"space": {axis: []}})
+        with pytest.raises(TypeError, match=axis):
+            SearchSpace(**{axis: ()})
 
     def test_nonpositive_model_dims(self):
         with pytest.raises(PlanSpecError, match="must be positive"):

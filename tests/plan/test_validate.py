@@ -14,7 +14,7 @@ from repro.plan.spec import ClusterSpec, ModelSpec, SearchSpace, ValidationSpec
 
 
 def _spec(**space_over):
-    space = dict(microbatch_sizes=(1,), overlap=(True,), backends=("thread",))
+    space = dict(microbatch_sizes=(1,))
     space.update(space_over)
     return PlanSpec(
         model=ModelSpec(hidden=512, n_layers=8, seq_len=2048, n_heads=4,
@@ -25,12 +25,11 @@ def _spec(**space_over):
     )
 
 
-def _evaluated(strategy, degree, dp, grouping="flat"):
+def _evaluated(strategy, degree, dp):
     return Evaluated(
         candidate=Candidate(
             strategy=strategy, world=degree * dp, degree=degree, dp=dp,
-            microbatch=1, n_microbatches=8, precision="fp16", overlap=True,
-            recompute=True, grouping=grouping, backend="thread",
+            microbatch=1, n_microbatches=8, precision="fp16",
         ),
         peak_memory_bytes=1.0, fits=True,
         iteration_s=1.0, tokens_per_s=1.0, tokens_per_s_per_gpu=1.0,
@@ -50,7 +49,8 @@ class TestStrategyNames:
             assert set(table) <= set(STRATEGIES)
         # and every runnable ring has a simulator and a memory row
         assert set(RING_STRATEGIES) <= set(SIM_STRATEGIES) & set(MEMORY_MODELS)
-        assert "weipipe-zb" in DEFAULT_STRATEGIES
+        # the planner searches exactly what the simulator prices
+        assert set(DEFAULT_STRATEGIES) == set(SIM_STRATEGIES)
 
     def test_gated_set_is_traceable_families(self):
         assert "weipipe-hier" in RECONCILE_GATED
@@ -87,7 +87,7 @@ class TestReconcileGate:
             validation=ValidationSpec(world_cap=4, iters=2),
         )
         return validate_candidate(
-            _evaluated("weipipe-hier", 8, 1, grouping="hier"), spec
+            _evaluated("weipipe-hier", 8, 1), spec
         )
 
     def test_hier_pick_runs_with_topology(self):

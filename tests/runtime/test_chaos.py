@@ -1,4 +1,4 @@
-"""ChaosFabric unit tests: the adversary must stay within legal semantics.
+"""Chaos-layer unit tests: the adversary must stay within legal semantics.
 
 Whatever the seed, a correct program must observe exactly the MPI/NCCL
 contract the plain Fabric gives: per-(src, dst, tag) FIFO, tag-match
@@ -14,7 +14,6 @@ import pytest
 
 from repro.runtime import (
     ChaosCrash,
-    ChaosFabric,
     ChaosPolicy,
     Fabric,
     FabricAborted,
@@ -32,7 +31,7 @@ AGGRESSIVE = dict(
 class TestLegalSemanticsUnderChaos:
     @pytest.mark.parametrize("seed", range(8))
     def test_fifo_per_channel_and_exactly_once(self, seed):
-        fab = ChaosFabric(2, ChaosPolicy(seed=seed, **AGGRESSIVE))
+        fab = Fabric(2, policy=ChaosPolicy(seed=seed, **AGGRESSIVE))
         n = 40
 
         def fn(comm):
@@ -55,7 +54,7 @@ class TestLegalSemanticsUnderChaos:
     @pytest.mark.parametrize("seed", range(4))
     def test_no_ghost_deliveries(self, seed):
         """After draining, duplicates must not linger as extra messages."""
-        fab = ChaosFabric(2, ChaosPolicy(seed=seed, duplicate_prob=1.0,
+        fab = Fabric(2, policy=ChaosPolicy(seed=seed, duplicate_prob=1.0,
                                          delay_prob=1.0, max_delay=0.002))
 
         def fn(comm):
@@ -80,7 +79,7 @@ class TestLegalSemanticsUnderChaos:
     def test_drop_with_retry_still_delivers_everything(self):
         """drop_prob=1: every first transmission is lost, every message
         still arrives via the sender-side retransmission."""
-        fab = ChaosFabric(2, ChaosPolicy(seed=7, drop_prob=1.0, delay_prob=0.0,
+        fab = Fabric(2, policy=ChaosPolicy(seed=7, drop_prob=1.0, delay_prob=0.0,
                                          retry_delay=0.001))
 
         def fn(comm):
@@ -96,7 +95,7 @@ class TestLegalSemanticsUnderChaos:
         assert fab.chaos.retransmits == 15
 
     def test_quiet_policy_injects_nothing(self):
-        fab = ChaosFabric(2, ChaosPolicy.quiet())
+        fab = Fabric(2, policy=ChaosPolicy.quiet())
 
         def fn(comm):
             if comm.rank == 0:
@@ -113,7 +112,7 @@ class TestLegalSemanticsUnderChaos:
         regardless of thread timing."""
 
         def run(seed):
-            fab = ChaosFabric(2, ChaosPolicy(seed=seed, **AGGRESSIVE))
+            fab = Fabric(2, policy=ChaosPolicy(seed=seed, **AGGRESSIVE))
 
             def fn(comm):
                 if comm.rank == 0:
@@ -134,7 +133,7 @@ class TestLegalSemanticsUnderChaos:
         assert run(11) != run(12)
 
     def test_poll_and_ready_consistent_with_recv(self):
-        fab = ChaosFabric(2, ChaosPolicy(seed=3, delay_prob=1.0, max_delay=0.005))
+        fab = Fabric(2, policy=ChaosPolicy(seed=3, delay_prob=1.0, max_delay=0.005))
 
         def fn(comm):
             if comm.rank == 0:
@@ -153,7 +152,7 @@ class TestLegalSemanticsUnderChaos:
 
 class TestCrashInjection:
     def test_crash_raises_on_nth_post(self):
-        fab = ChaosFabric(2, ChaosPolicy(seed=0, crash_rank=0, crash_at_post=3,
+        fab = Fabric(2, policy=ChaosPolicy(seed=0, crash_rank=0, crash_at_post=3,
                                          delay_prob=0.0, drop_prob=0.0,
                                          duplicate_prob=0.0))
         comm = fab.communicator(0)
@@ -167,9 +166,9 @@ class TestCrashInjection:
         """The injected crash must drive the abort path: every peer blocked
         in recv fails with FabricAborted, never RecvTimeout."""
         world = 4
-        fab = ChaosFabric(
+        fab = Fabric(
             world,
-            ChaosPolicy(seed=0, crash_rank=2, crash_at_post=4),
+            policy=ChaosPolicy(seed=0, crash_rank=2, crash_at_post=4),
             timeout=10.0,
         )
         outcomes = {}
@@ -202,7 +201,7 @@ class TestTimeoutBookkeeping:
 
     @pytest.mark.parametrize("make_fabric", [
         lambda: Fabric(2, timeout=0.25),
-        lambda: ChaosFabric(2, ChaosPolicy(seed=0), timeout=0.25),
+        lambda: Fabric(2, policy=ChaosPolicy(seed=0), timeout=0.25),
     ])
     def test_recv_timeout_survives_notification_storm(self, make_fabric):
         fab = make_fabric()

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ChaosFabric,
     ChaosPolicy,
+    Fabric,
     FailureDetector,
     PeerFailed,
     run_workers_elastic,
@@ -113,7 +113,7 @@ class TestFabricIntegration:
         det = FailureDetector(
             min_suspect_s=0.02, min_confirm_s=0.05, poll_interval=0.005
         )
-        fab = ChaosFabric(2, ChaosPolicy.quiet(0), detector=det)
+        fab = Fabric(2, policy=ChaosPolicy.quiet(0), detector=det)
 
         def fn(comm):
             if comm.rank == 1:
@@ -135,7 +135,7 @@ class TestFabricIntegration:
         det = FailureDetector(
             min_suspect_s=0.02, min_confirm_s=0.5, poll_interval=0.005
         )
-        fab = ChaosFabric(2, ChaosPolicy.quiet(0), detector=det)
+        fab = Fabric(2, policy=ChaosPolicy.quiet(0), detector=det)
 
         def fn(comm):
             if comm.rank == 1:

@@ -2,7 +2,7 @@
 
 Each property is checked on the plain instant-delivery :class:`Fabric`
 and (where it must survive an adversarial wire) on seeded
-:class:`ChaosFabric` instances — the fabric contract is seed-invariant.
+``Fabric(policy=...)`` instances — the fabric contract is seed-invariant.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import ChaosFabric, ChaosPolicy, Fabric, all_reduce, run_workers
+from repro.runtime import ChaosPolicy, Fabric, all_reduce, run_workers
 
 CHAOTIC = dict(delay_prob=0.8, max_delay=0.002, drop_prob=0.2, duplicate_prob=0.2,
                retry_delay=0.001)
@@ -20,7 +20,7 @@ def _fabric_for(world, chaos_seed):
     """chaos_seed None -> plain fabric, else a seeded adversary."""
     if chaos_seed is None:
         return Fabric(world)
-    return ChaosFabric(world, ChaosPolicy(seed=chaos_seed, **CHAOTIC))
+    return Fabric(world, policy=ChaosPolicy(seed=chaos_seed, **CHAOTIC))
 
 
 @given(

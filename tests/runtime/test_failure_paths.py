@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ChaosFabric,
     ChaosPolicy,
     Communicator,
     CorruptFrameError,
+    Fabric,
     FabricAborted,
     PeerFailed,
     ProcessTransport,
@@ -52,7 +52,7 @@ def prompt_and_leak_free():
 def _transport(backend, world, policy=None):
     if backend == "process":
         return ProcessTransport(policy=policy)
-    return ThreadTransport(None if policy is None else ChaosFabric(world, policy))
+    return ThreadTransport(None if policy is None else Fabric(world, policy=policy))
 
 
 def _blocked_recv(comm: Communicator, src: int):

@@ -11,9 +11,9 @@ import pytest
 
 from repro.nn.params import ParamStruct
 from repro.runtime import (
-    ChaosFabric,
     ChaosPolicy,
     CorruptFrameError,
+    Fabric,
     WorkerError,
     corrupt_copy,
     payload_crc32,
@@ -106,7 +106,7 @@ class TestGarbledFramesNeverDeliverSilently:
             seed=seed, delay_prob=0.0, drop_prob=0.0, duplicate_prob=0.0,
             bitflip_prob=0.7, retransmit_budget=64,
         )
-        fab = ChaosFabric(2, policy)
+        fab = Fabric(2, policy=policy)
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal(16) for _ in range(12)]
 
@@ -129,7 +129,7 @@ class TestGarbledFramesNeverDeliverSilently:
             seed=3, delay_prob=0.0, drop_prob=0.0, duplicate_prob=0.0,
             bitflip_prob=1.0, retransmit_budget=3,
         )
-        fab = ChaosFabric(2, policy)
+        fab = Fabric(2, policy=policy)
 
         def fn(comm):
             if comm.rank == 0:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ChaosFabric,
     ChaosPolicy,
     Fabric,
     PeerFailed,
@@ -177,7 +176,7 @@ class TestChaosFifo:
             seed=seed, delay_prob=0.8, max_delay=0.002,
             drop_prob=0.2, duplicate_prob=0.3,
         )
-        fab = ChaosFabric(2, policy=policy, timeout=30.0)
+        fab = Fabric(2, policy=policy, timeout=30.0)
         n = 20
 
         def fn(comm):
@@ -200,7 +199,7 @@ class TestChaosFifo:
             seed=seed, delay_prob=1.0, max_delay=0.003,
             drop_prob=0.1, duplicate_prob=0.2,
         )
-        fab = ChaosFabric(3, policy=policy, timeout=30.0)
+        fab = Fabric(3, policy=policy, timeout=30.0)
 
         def fn(comm):
             if comm.rank == 0:

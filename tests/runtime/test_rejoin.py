@@ -9,7 +9,6 @@ rank — including the one that died and came back.
 import pytest
 
 from repro.runtime import (
-    ChaosFabric,
     ChaosPolicy,
     DeclaredDead,
     Fabric,
@@ -108,7 +107,7 @@ class TestElasticRejoinEndToEnd:
             det = FailureDetector(
                 min_suspect_s=0.05, min_confirm_s=0.25, poll_interval=0.01
             )
-            fab = ChaosFabric(4, policy, timeout=60.0, detector=det)
+            fab = Fabric(4, policy=policy, timeout=60.0, detector=det)
             results, errors = run_workers_elastic(
                 4, worker, timeout=60.0, fabric=fab
             )

@@ -14,7 +14,6 @@ import pytest
 from repro.runtime import (
     DEFAULT_INTER,
     DEFAULT_INTRA,
-    ChaosFabric,
     ChaosPolicy,
     Fabric,
     LinkSpec,
@@ -212,11 +211,11 @@ class TestChaosLinkDelay:
     """Seeded chaos delays must respect per-link ordering (satellite 2)."""
 
     def _fabric(self, topo):
-        return ChaosFabric(topo.world_size, policy=ChaosPolicy.quiet(),
-                           topology=topo)
+        return Fabric(topo.world_size, policy=ChaosPolicy.quiet(),
+                      topology=topo)
 
     def test_link_delay_zero_without_topology(self):
-        fab = ChaosFabric(2, policy=ChaosPolicy.quiet())
+        fab = Fabric(2, policy=ChaosPolicy.quiet())
         assert fab.link_delay(0, 1, 1 << 20) == 0.0
 
     def test_link_delay_orders_by_link_class(self):
@@ -247,8 +246,8 @@ class TestChaosLinkDelay:
         topo = Topology.grid(2, "2x1", intra=FAST,
                              inter=LinkSpec("s", bandwidth=1e6, latency=0.02),
                              allow_singleton=True)
-        fab = ChaosFabric(2, policy=ChaosPolicy.quiet(), topology=topo,
-                          timeout=10.0)
+        fab = Fabric(2, policy=ChaosPolicy.quiet(), topology=topo,
+                     timeout=10.0)
 
         def worker(comm):
             if comm.rank == 0:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import ChaosFabric, ChaosPolicy, run_workers
+from repro.runtime import ChaosPolicy, Fabric, run_workers
 
 
 def _ring_exchange(rounds=6, size=32):
@@ -52,7 +52,7 @@ class TestDeterminism:
         )
         runs = []
         for _ in range(2):
-            fab = ChaosFabric(3, policy)
+            fab = Fabric(3, policy=policy)
             res = run_workers(3, _ring_exchange(), fabric=fab)
             runs.append((_stats_tuple(fab), res))
         assert runs[0][0] == runs[1][0]
@@ -62,7 +62,7 @@ class TestDeterminism:
                 assert np.array_equal(a0, a1)
 
     def test_quiet_wire_injects_nothing(self):
-        fab = ChaosFabric(3, ChaosPolicy.quiet(0))
+        fab = Fabric(3, policy=ChaosPolicy.quiet(0))
         run_workers(3, _ring_exchange(), fabric=fab)
         s = fab.chaos
         assert (s.bitflips, s.corrupt_frames, s.nacks, s.retransmits,
@@ -81,7 +81,7 @@ class TestDirectedLinkFlap:
             seed=0, delay_prob=0.0, drop_prob=0.0, duplicate_prob=0.0,
             flaps=((0, 1, 1, 3),), flap_delay=0.005,
         )
-        fab = ChaosFabric(2, policy)
+        fab = Fabric(2, policy=policy)
 
         def fn(comm):
             if comm.rank == 0:
@@ -102,7 +102,7 @@ class TestDirectedLinkFlap:
         )
         counts = []
         for _ in range(2):
-            fab = ChaosFabric(3, policy)
+            fab = Fabric(3, policy=policy)
             run_workers(3, _ring_exchange(rounds=8), fabric=fab)
             counts.append(fab.chaos.flapped)
         assert counts[0] == counts[1]
@@ -115,7 +115,7 @@ class TestTransientStall:
             seed=0, delay_prob=0.0, drop_prob=0.0, duplicate_prob=0.0,
             stall_rank=0, stall_at_post=2, stall_duration=0.05,
         )
-        fab = ChaosFabric(2, policy)
+        fab = Fabric(2, policy=policy)
         t0 = time.monotonic()
         res = run_workers(2, _ring_exchange(rounds=4), fabric=fab)
         elapsed = time.monotonic() - t0
@@ -134,14 +134,14 @@ class TestNicOutageRankFlap:
             seed=0, delay_prob=0.0, drop_prob=0.0, duplicate_prob=0.0,
             flap_rank=1, flap_rank_at_post=1, flap_rank_duration=0.15,
         )
-        fab = ChaosFabric(3, policy)
+        fab = Fabric(3, policy=policy)
         t0 = time.monotonic()
         res = run_workers(3, _ring_exchange(rounds=3), fabric=fab)
         elapsed = time.monotonic() - t0
         assert fab.chaos.rank_flaps == 1
         assert elapsed >= 0.1
         # values survive the outage bit-exact
-        clean_fab = ChaosFabric(3, ChaosPolicy.quiet(0))
+        clean_fab = Fabric(3, policy=ChaosPolicy.quiet(0))
         clean = run_workers(3, _ring_exchange(rounds=3), fabric=clean_fab)
         for r_got, r_want in zip(res, clean):
             for a, b in zip(r_got, r_want):
@@ -150,7 +150,7 @@ class TestNicOutageRankFlap:
 
 class TestStatsSurface:
     def test_as_dict_has_transient_fields(self):
-        fab = ChaosFabric(2, ChaosPolicy.quiet(0))
+        fab = Fabric(2, policy=ChaosPolicy.quiet(0))
         d = fab.chaos.as_dict()
         for key in ("bitflips", "corrupt_frames", "nacks", "flapped",
                     "stalls", "stall_time_s", "rank_flaps"):

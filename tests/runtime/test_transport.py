@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    ChaosFabric,
     Communicator,
     CorruptFrameError,
+    Fabric,
     FailureDetector,
     ProcessTransport,
     ThreadTransport,
@@ -433,7 +433,7 @@ def test_process_world_one_keeps_policy_integrity_and_telemetry():
         comm.recv(0, tag=("self",))
         return comm.fabric.integrity, type(comm.fabric).__name__
 
-    oracle = ChaosFabric(1, policy, integrity=False)
+    oracle = Fabric(1, policy=policy, integrity=False)
     t0 = time.perf_counter()
     run_workers(1, loopback, fabric=oracle)
     oracle_s = time.perf_counter() - t0
@@ -471,7 +471,7 @@ def test_process_default_chaos_matches_thread():
     policy = ChaosPolicy(seed=3, bitflip_prob=0.1)
     pt = ProcessTransport(policy=policy)
     via_process = run_workers(2, _seeded_exchange, timeout=60.0, backend=pt)
-    fab = ChaosFabric(2, policy)
+    fab = Fabric(2, policy=policy)
     via_thread = run_workers(2, _seeded_exchange, timeout=60.0, fabric=fab)
     assert via_process == via_thread == run_workers(2, _seeded_exchange)
     pure = ("posts", "delayed", "dropped", "duplicates", "flapped",

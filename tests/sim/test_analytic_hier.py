@@ -21,7 +21,6 @@ from repro.sim import (
     weipipe_hier_turn_time,
     weipipe_turn_time,
 )
-from repro.sim.analytic import HIER_REF_BYTES
 
 DIMS = WorkloadDims(
     hidden=1024, n_layers=32, seq_len=4096, microbatch=4,
@@ -31,13 +30,6 @@ DIMS = WorkloadDims(
 
 def _cost(cluster):
     return CostModel(DIMS, cluster.gpu, ExecConfig())
-
-
-class TestRefBytesPin:
-    def test_sim_and_runtime_agree_on_reference_size(self):
-        """The analytic model and the engine must not drift apart on
-        what a weight-reference token weighs on the wire."""
-        assert HIER_REF_BYTES == WREF_NBYTES
 
 
 class TestHierTurnTime:
@@ -69,7 +61,7 @@ class TestHierTurnTime:
         expected_wire = max(
             cluster.intra.time(cost.weipipe_turn_bytes(lps)),
             cluster.inter.time(
-                cost.hier_boundary_turn_bytes(lps, ref_bytes=HIER_REF_BYTES)
+                cost.hier_boundary_turn_bytes(lps)
             ),
         )
         assert weipipe_hier_turn_time(DIMS, cluster) == pytest.approx(
@@ -94,7 +86,7 @@ class TestCrossBytes:
         hops = self.TURNS + 1
         expected = (
             2 * 16 * cost.weight_chunk_bytes(lps)  # P fulls per flow
-            + 2 * (hops - 16) * HIER_REF_BYTES  # refs afterwards
+            + 2 * (hops - 16) * WREF_NBYTES  # refs afterwards
             + hops * cost.wgrad_chunk_bytes(lps)  # D crosses every hop
         )
         assert weipipe_hier_cross_bytes(DIMS, cluster, self.TURNS) == expected
@@ -115,7 +107,7 @@ class TestCrossBytes:
             2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
         )
         assert cost.hier_boundary_turn_bytes(lps) == (
-            cost.wgrad_chunk_bytes(lps) + 2 * HIER_REF_BYTES
+            cost.wgrad_chunk_bytes(lps) + 2 * WREF_NBYTES
         )
         assert (cost.hier_boundary_turn_bytes(lps)
                 < cost.weipipe_turn_bytes(lps))

@@ -92,8 +92,7 @@ class TestSearchPruningMatchesModel:
                             vocab=1024, global_batch_sequences=64),
             cluster=ClusterSpec(preset="single-node", world=4,
                                 memory_budget_bytes=budget_bytes),
-            space=SearchSpace(microbatch_sizes=(1, 2), overlap=(True,),
-                              groupings=("flat",)),
+            space=SearchSpace(microbatch_sizes=(1, 2)),
         )
         return search(spec)
 
