@@ -538,6 +538,7 @@ def _trace_metadata(strategy: str, world: int, spec, overlap: bool = True) -> di
         "strategy": strategy,
         "world": world,
         "recompute": spec.recompute,
+        "flash_attention": cfg.flash_attention,
         "overlap": overlap,
         "iters": spec.iters,
         "dims": {

@@ -348,6 +348,7 @@ def run_overlap_comparison(
         tracer = Tracer(metadata={
             "strategy": f"weipipe-{mode}", "mode": mode, "world": world,
             "recompute": spec.recompute, "overlap": True,
+            "flash_attention": spec.cfg.flash_attention,
             "iters": iters, "wire": report["wire"],
             "dims": {
                 "hidden": hidden, "n_layers": n_layers, "seq_len": seq_len,

@@ -212,6 +212,7 @@ def run_topology_comparison(
         tracer = Tracer(metadata={
             "strategy": "weipipe-hier", "mode": mode, "world": world,
             "recompute": spec.recompute, "overlap": True,
+            "flash_attention": spec.cfg.flash_attention,
             "iters": iters, "topology": topo.as_dict(),
             "wire": {"kind": "seeded-asymmetric", "jitter_s": jitter_s,
                      "chaos_seed": chaos_seed},

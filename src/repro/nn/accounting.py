@@ -68,9 +68,11 @@ def training_step_flops(cfg: ModelConfig, g: int, recompute: bool) -> float:
 
     Backward costs ~2x forward (one dgrad + one wgrad GEMM per forward
     GEMM); recomputation replays the forward.  Factor 4 is the paper's
-    system, where every backward replays; this runtime keeps the cache
-    of the one chunk per microbatch whose backward comes next
-    (:mod:`repro.nn.checkpoint`) and so executes ``4 - 1/L``.
+    system, where every backward replays a whole forward.  This runtime
+    executes less (:mod:`repro.nn.checkpoint`): the chunk per microbatch
+    whose backward comes next replays nothing, and every other replay
+    skips the down projection and — with the streaming core — the
+    ``attention_scores`` term of :func:`layer_fwd_flops`.
     """
     fwd = model_fwd_flops(cfg, g)
     factor = 4.0 if recompute else 3.0

@@ -82,6 +82,8 @@ __all__ = [
     "attention_bwd",
     "flash_attention_fwd",
     "flash_attention_bwd",
+    "flash_attention_kept",
+    "flash_attention_resume",
     "attention_block_fwd",
     "attention_block_bwd",
 ]
@@ -254,6 +256,30 @@ def flash_attention_fwd(
         lse_g = np.log(pv[..., -1], out=logsumexp[sel])
         lse_g += m[..., 0]
     return out, (q, k, v, out, logsumexp, scale, block)
+
+
+def flash_attention_kept(cache: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """What a checkpoint keeps of a :func:`flash_attention_fwd` cache:
+    ``(out, logsumexp)``, everything the core computed and
+    ``S * (head_dim + 1)`` elements per head.  ``q, k, v`` are its inputs
+    and are cheap to rebuild (thin GEMMs and RoPE); these two are the
+    core's whole ``O(S^2)`` work."""
+    _q, _k, _v, out, logsumexp, _scale, _block = cache
+    return out, logsumexp
+
+
+def flash_attention_resume(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    kept: Tuple[np.ndarray, np.ndarray],
+    block: int = 128,
+) -> Tuple[np.ndarray, tuple]:
+    """:func:`flash_attention_fwd` of ``q, k, v`` given the
+    :func:`flash_attention_kept` pair of an earlier call on equal
+    inputs: the same ``(out, cache)``, and no score panel computed."""
+    out, logsumexp = kept
+    return out, (q, k, v, out, logsumexp, _softmax_scale(q.shape[-1]), block)
 
 
 def flash_attention_bwd(

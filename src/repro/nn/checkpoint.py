@@ -2,10 +2,28 @@
 
 The paper enables recomputation for 1F1B, FSDP and WeiPipe (but *not*
 for the zero-bubble baselines, where it saves nothing and only adds
-compute — see Section 5).  Recomputation stores only each chunk's
-*input* during the forward pass and re-runs the forward inside the
-backward to rebuild the cache, trading one extra forward for an
-``O(caches)`` → ``O(boundary activations)`` memory reduction.
+compute — see Section 5).  Recomputation stores each chunk's *input*
+during the forward pass and replays the forward inside the backward to
+rebuild the cache, trading the replay for an ``O(caches)`` →
+``O(boundary activations)`` memory reduction.
+
+A replay is not a forward.  With the streaming attention core the state
+also keeps the core's ``out`` and ``logsumexp`` — in the paper's regime
+(``G S > 12 H``) about two thirds of a layer forward's time, and all it
+leaves the backward is that pair: ``G S H (1 + 1/head_dim)`` elements,
+one more boundary activation, with exactly the checkpoint's lifespan.
+So the checkpoint term is ``2 G S H + G S n_heads`` elements per layer
+per in-flight microbatch (twice the boundary the paper's memory model
+charges), against a cache some 25x that.  ``q, k, v`` are *not* kept:
+that is three more boundaries to save three thin GEMMs and two RoPE
+passes.  The materialised core keeps nothing — its cache is the
+``O(S^2)`` recomputation exists to drop.  The replay then runs the same
+``chunk_fwd`` body handed what was kept: it rebuilds the attention cache
+around the recomputed ``q, k, v`` without the core, and skips the GEMM
+whose result only the chunk's *output* needs (the down projection; on
+the last chunk, whose final norm reads the layer output, the logits).
+The cache it returns is the one a whole second forward builds from the
+same arrays, entry for entry.
 
 One replay buys no memory: the one whose backward is the worker's very
 next checkpointed op.  Read off the op sequence the way *Pipeline
@@ -34,6 +52,7 @@ from .model import (
     chunk_bwd_input,
     chunk_bwd_weight,
     chunk_fwd,
+    chunk_kept,
 )
 from .params import ParamStruct
 
@@ -44,8 +63,10 @@ class CheckpointedChunk:
     """Uniform chunk fwd/bwd with optional recomputation.
 
     With ``recompute=False`` the full forward cache is kept (classical
-    behaviour).  With ``recompute=True`` only the chunk input is kept and
-    the cache is rebuilt on demand in :meth:`bwd` / :meth:`bwd_input`.
+    behaviour).  With ``recompute=True`` the state is the chunk input
+    plus :func:`~repro.nn.model.chunk_kept` of the cache — the streaming
+    attention core's ``(out, logsumexp)``, else nothing — and the cache
+    is rebuilt on demand in :meth:`bwd` / :meth:`bwd_input`.
 
     The exception is one *warm* entry: the newest forward's
     ``(state, cache)``.  It is dropped on entry to every :meth:`fwd` and
@@ -85,9 +106,10 @@ class CheckpointedChunk:
         self._warm = None
         y, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin)
         if self.recompute:
-            # the state keeps only the boundary input; the heavy cache
-            # lives on until the next checkpointed op and no longer.
-            state = ("recompute", x, cos, sin)
+            # the state keeps the boundary input and what the attention
+            # core leaves of its work; the heavy cache lives on until the
+            # next checkpointed op and no longer.
+            state = ("recompute", x, cos, sin, chunk_kept(cache))
             self._warm = (state, cache)
             return y, state
         return y, ("full", cache)
@@ -101,8 +123,8 @@ class CheckpointedChunk:
             return warm[1]
         warm = None  # a stale cache is gone before the replay allocates
         self.replayed += 1
-        _, x, cos, sin = state
-        _, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin)
+        _, x, cos, sin, kept = state
+        _, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin, replay=kept)
         return cache
 
     def bwd(

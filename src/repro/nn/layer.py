@@ -38,6 +38,8 @@ from .attention import (
     attention_fwd,
     flash_attention_bwd,
     flash_attention_fwd,
+    flash_attention_kept,
+    flash_attention_resume,
 )
 from .params import BufferPool, ParamStruct
 from .rope import rope_apply, rope_apply_bwd
@@ -48,6 +50,7 @@ __all__ = [
     "init_layer_weights",
     "layer_param_count",
     "layer_fwd",
+    "layer_kept",
     "layer_bwd",
     "layer_bwd_input",
     "layer_bwd_weight",
@@ -148,12 +151,22 @@ def layer_fwd(
     sin: np.ndarray,
     flash: bool = False,
     flash_block: int = 128,
-) -> Tuple[np.ndarray, tuple]:
+    kept: tuple = (),
+    cache_only: bool = False,
+) -> Tuple[Optional[np.ndarray], tuple]:
     """Forward one decoder layer.  ``x: (G, S, H)``.
 
     Returns ``(y, cache)`` where ``cache`` holds the tensors the backward
     needs.  With ``flash=True`` the attention cache is ``O(S)`` per row
     instead of ``O(S^2)``.
+
+    A replay (:mod:`repro.nn.checkpoint`) runs this same body for less.
+    ``kept`` — the :func:`layer_kept` of an earlier forward of the same
+    ``w`` and ``x`` — stands in for the attention core, whose cache is
+    resumed around the recomputed ``q, k, v``.  ``cache_only`` says
+    nobody reads ``y``: the layer stops at ``silu(gate) * up``, skipping
+    the down projection and the residual add, and returns ``y = None``.
+    The cache is the one the plain call builds, entry for entry.
     """
     h1, c_norm1 = F.rmsnorm_fwd(x, w["attn_norm"])
     q, c_q = F.linear_fwd(h1, w["wq"])
@@ -164,7 +177,9 @@ def layer_fwd(
     kh = rope_apply(_to_heads(k, n_heads), cos, sin)
     vh = _to_heads(v, n_heads)
 
-    if flash:
+    if kept:
+        attn, c_attn = flash_attention_resume(qh, kh, vh, kept, flash_block)
+    elif flash:
         attn, c_attn = flash_attention_fwd(qh, kh, vh, block=flash_block)
     else:
         attn, c_attn = attention_fwd(qh, kh, vh)
@@ -177,8 +192,11 @@ def layer_fwd(
     up, c_up = F.linear_fwd(h2, w["w_up"])
     act, c_act = F.silu_fwd(gate)
     f = act * up
-    d, c_down = F.linear_fwd(f, w["w_down"])
-    y = x2 + d
+    if cache_only:
+        y, c_down = None, (f, w["w_down"])  # linear_fwd's cache, no GEMM
+    else:
+        d, c_down = F.linear_fwd(f, w["w_down"])
+        y = x2 + d
 
     cache = (
         n_heads,
@@ -200,6 +218,15 @@ def layer_fwd(
         c_down,
     )
     return y, cache
+
+
+def layer_kept(cache: tuple) -> tuple:
+    """What a checkpoint keeps of a :func:`layer_fwd` cache beside the
+    layer input, to hand back as ``layer_fwd(..., kept=)``: the streaming
+    core's output pair, or nothing — the materialised core's cache is the
+    ``O(S^2)`` recomputation exists to drop."""
+    _n_heads, _cos, _sin, flash, _c_norm1, _c_q, _c_k, _c_v, c_attn, *_ = cache
+    return flash_attention_kept(c_attn) if flash else ()
 
 
 def layer_bwd_input(

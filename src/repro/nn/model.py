@@ -27,6 +27,7 @@ from .layer import (
     layer_bwd_input,
     layer_bwd_weight,
     layer_fwd,
+    layer_kept,
     layer_layout,
     layer_param_count,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "chunk_param_count",
     "model_param_count",
     "chunk_fwd",
+    "chunk_kept",
     "chunk_bwd",
     "chunk_bwd_input",
     "chunk_bwd_weight",
@@ -163,30 +165,49 @@ def chunk_fwd(
     x: np.ndarray,
     cos: np.ndarray,
     sin: np.ndarray,
-) -> Tuple[np.ndarray, tuple]:
+    replay: Optional[tuple] = None,
+) -> Tuple[Optional[np.ndarray], tuple]:
     """Forward chunk ``idx``.
 
     Chunk 0 receives integer tokens ``(G, S)`` and embeds them; the last
     chunk emits logits ``(G, S, V)``.  Interior chunks map hidden states
     to hidden states.
+
+    ``replay`` is ``None`` for a forward.  A replay passes the
+    :func:`chunk_kept` of the forward it rebuilds (``()`` when that kept
+    nothing) and gets ``(None, cache)``: the same cache, without the
+    attention core where its output was kept and without the GEMMs only
+    the chunk's output needs — the down projection, or on the last chunk
+    (whose final norm reads the layer output) the logits.
     """
+    replaying = replay is not None
+    last = idx == cfg.n_layers - 1
     caches: list = []
     if idx == 0:
         x, c_embed = F.embedding_fwd(x, w["embed"])
         caches.append(("embed", c_embed))
 
     y, c_layer = layer_fwd(
-        w, x, cfg.n_heads, cos, sin, cfg.flash_attention, cfg.flash_block
+        w, x, cfg.n_heads, cos, sin, cfg.flash_attention, cfg.flash_block,
+        kept=replay or (), cache_only=replaying and not last,
     )
     caches.append(("layer", c_layer))
 
-    if idx == cfg.n_layers - 1:
+    if last:
         h, c_norm = F.rmsnorm_fwd(y, w["final_norm"])
-        logits, c_head = F.linear_fwd(h, w["head"])
+        if replaying:
+            y, c_head = None, (h, w["head"])  # linear_fwd's cache, no GEMM
+        else:
+            y, c_head = F.linear_fwd(h, w["head"])
         caches.append(("final_norm", c_norm))
         caches.append(("head", c_head))
-        y = logits
     return y, tuple(caches)
+
+
+def chunk_kept(cache: tuple) -> tuple:
+    """What a checkpoint keeps of a :func:`chunk_fwd` cache beside the
+    chunk input — its layer's :func:`~repro.nn.layer.layer_kept`."""
+    return layer_kept(dict(cache)["layer"])
 
 
 def chunk_bwd_input(

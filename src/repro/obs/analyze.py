@@ -483,8 +483,13 @@ def reconcile(
     Both predictions price the replays that *ran*: B spans carry how
     many chunk forwards they re-ran (``args["replayed"]``), which is
     fewer than the model's every-backward-replays wherever the
-    checkpoint kept the newest cache (:mod:`repro.nn.checkpoint`).  A
-    trace whose B spans carry no count is priced at the model's.
+    checkpoint kept the newest cache (:mod:`repro.nn.checkpoint`), and
+    each is priced at what a replay re-runs
+    (``CostModel.flops_replay_layer``: no down projection and, with the
+    ``flash_attention`` the metadata states — on when it does not — no
+    attention core), not at a whole forward.  A trace whose B spans
+    carry no count is priced at the model's: every backward replays a
+    whole forward.
     """
     from ..sim.costmodel import CostModel, ExecConfig, WorkloadDims
 
@@ -521,15 +526,20 @@ def reconcile(
     layers_per_span = max(dims.n_layers // world, 1)
     t_fwd_layer_measured = (f_us / 1e6) / layers_per_span
 
-    cfg = ExecConfig(recompute=recompute, overlap=bool(meta.get("overlap", True)))
+    cfg = ExecConfig(
+        recompute=recompute,
+        overlap=bool(meta.get("overlap", True)),
+        flash_attention=bool(meta.get("flash_attention", True)),
+    )
     model = CostModel.calibrated(dims, t_fwd_layer_measured, cfg)
     t_fwd = model.t_fwd_layer()
     iters = max(
         analysis["per_rank"][p]["iterations"] for p in analysis["per_rank"]
     )
 
-    # chunk forwards re-run per B span and per iteration: as the spans
-    # report them, else the model's (every backward replays its layers).
+    # chunk forwards re-run per B span and per iteration, and what one
+    # costs: as the spans report them, at a replay's share of the forward;
+    # else the model's (every backward replays its layers' whole forward).
     replays = [
         (ev.get("args") or {}).get("replayed") for ev in events
         if ev.get("ph") == "X" and ev["name"] == "B"
@@ -537,15 +547,17 @@ def reconcile(
     if replays and None not in replays:
         replays_per_b = sum(replays) / len(replays)
         replays_per_iter = sum(replays) / max(iters, 1)
+        t_replay = t_fwd * model.flops_replay_layer() / model.flops_fwd_layer()
     elif recompute:
         replays_per_b = layers_per_span
         replays_per_iter = dims.n_microbatches * dims.n_layers
+        t_replay = t_fwd
     else:
-        replays_per_b = replays_per_iter = 0
+        replays_per_b = replays_per_iter = t_replay = 0
 
-    # (a) backward/forward ratio: the model says 2x plus one forward per
-    # replayed layer (3x when every backward replays); a decoupled W pass
-    # rides separately and is excluded from B.
+    # (a) backward/forward ratio: the model says 2x plus one replay per
+    # replayed layer (3x when every backward replays a whole forward); a
+    # decoupled W pass rides separately and is excluded from B.
     result: Dict = {
         "calibration": {
             "t_fwd_layer_measured_s": t_fwd_layer_measured,
@@ -557,7 +569,7 @@ def reconcile(
         measured_b_over_f = b_us / f_us
         zb = w_us is not None  # decoupled backward: B is only the B half
         t_b = model.t_b_layer() + (0.0 if zb else model.t_w_layer())
-        t_b += replays_per_b / layers_per_span * t_fwd
+        t_b += replays_per_b / layers_per_span * t_replay
         predicted_b_over_f = t_b / t_fwd
         rel_err = abs(measured_b_over_f - predicted_b_over_f) / predicted_b_over_f
         result["b_over_f"] = {
@@ -574,7 +586,8 @@ def reconcile(
     # is the *total* compute across ranks, not the per-rank share.
     t_layer = t_fwd + model.t_b_layer() + model.t_w_layer()
     predicted_wall = (
-        dims.n_microbatches * dims.n_layers * t_layer + replays_per_iter * t_fwd
+        dims.n_microbatches * dims.n_layers * t_layer
+        + replays_per_iter * t_replay
     )
     measured_wall = analysis["summary"]["wall_s_max"] / max(iters, 1)
     ratio = measured_wall / predicted_wall if predicted_wall else float("inf")

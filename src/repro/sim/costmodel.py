@@ -216,11 +216,30 @@ class CostModel:
         gs = self.dims.tokens_per_microbatch
         return EFF_MAX * (h / (h + H_HALF)) * (gs / (gs + TOK_HALF))
 
+    def flops_attention_core(self) -> float:
+        """The score and value products of one layer's causal attention."""
+        d = self.dims
+        return 2.0 * d.microbatch * d.seq_len**2 * d.hidden  # causal half
+
     def flops_fwd_layer(self) -> float:
         d = self.dims
         gemm = 2.0 * d.layer_params * d.tokens_per_microbatch
-        attn = 2.0 * d.microbatch * d.seq_len**2 * d.hidden  # causal half
-        return gemm + attn
+        return gemm + self.flops_attention_core()
+
+    def flops_replay_layer(self) -> float:
+        """What the functional runtime's replay of one layer re-runs
+        (:mod:`repro.nn.checkpoint`): the forward without the down
+        projection, and with Flash Attention without the attention core,
+        whose output the checkpoint kept.  Nothing in the simulator reads
+        this — its recompute is the paper's whole second forward
+        (:meth:`t_bwd_layer`); the trace analyzer prices measured
+        replays with it."""
+        d = self.dims
+        flops = self.flops_fwd_layer()
+        flops -= 2.0 * d.hidden * d.ffn * d.tokens_per_microbatch
+        if self.cfg.flash_attention:
+            flops -= self.flops_attention_core()
+        return flops
 
     def t_fwd_layer(self) -> float:
         """Seconds to forward one layer for one microbatch."""

@@ -207,17 +207,19 @@ class TestMeasuredProperties:
     def test_reconcile_prices_the_replays_that_ran(self):
         """B spans say how many chunk forwards they re-ran; the predicted
         B/F ratio and wall follow that count, not the model's
-        every-backward-replays, so a kept cache is not a model error."""
+        every-backward-replays, so a kept cache is not a model error —
+        and a replay's price: the forward's FLOPs less the down
+        projection and, with the streaming core, the attention core."""
         from repro.core.weipipe import train_weipipe
 
         world, iters, n_mb, n_layers = 2, 2, 4, 4
         cfg = ModelConfig(hidden=16, n_layers=n_layers, n_heads=2, seq_len=8,
-                          vocab=17)
+                          vocab=17, flash_attention=True)
         spec = TrainSpec(cfg=cfg, n_microbatches=n_mb, microbatch_size=1,
                          iters=iters, recompute=True)
         tracer = Tracer(metadata={
             "strategy": "weipipe-interleave", "world": world,
-            "recompute": True, "overlap": True,
+            "recompute": True, "overlap": True, "flash_attention": True,
             "dims": {"hidden": cfg.hidden, "n_layers": n_layers,
                      "seq_len": cfg.seq_len, "microbatch": 1,
                      "n_microbatches": n_mb, "n_heads": 2, "vocab": cfg.vocab},
@@ -234,11 +236,22 @@ class TestMeasuredProperties:
         rec = reconcile(doc)
         t_fwd = rec["calibration"]["t_fwd_layer_model_s"]
         per_span = ledger["replayed"] / len(b_spans)
+        # the cost model's forward: 2 * params * tokens + the causal core
+        h, s_, ffn = cfg.hidden, cfg.seq_len, round(8 * cfg.hidden / 3)
+        core, down = 2.0 * s_**2 * h, 2.0 * h * ffn * s_
+        fwd = 2.0 * (4 * h * h + 3 * h * ffn + 2 * h) * s_ + core
+        share = (fwd - down - core) / fwd
         assert rec["b_over_f"]["predicted"] == pytest.approx(
-            2.0 + per_span / (n_layers // world))
-        every_backward_replays = n_mb * n_layers * 4.0 * t_fwd
+            2.0 + share * per_span / (n_layers // world))
+        no_replays = n_mb * n_layers * 3.0 * t_fwd
         assert rec["iteration_wall"]["predicted_s"] == pytest.approx(
-            every_backward_replays - ledger["kept"] / iters * t_fwd)
+            no_replays + ledger["replayed"] / iters * share * t_fwd)
+
+        # the materialised core leaves a replay nothing to resume from
+        doc["metadata"]["flash_attention"] = False
+        assert reconcile(doc)["b_over_f"]["predicted"] == pytest.approx(
+            2.0 + (fwd - down) / fwd * per_span / (n_layers // world))
+        every_backward_replays = n_mb * n_layers * 4.0 * t_fwd
 
         # a trace from before the count existed is priced at the model's
         for ev in b_spans:

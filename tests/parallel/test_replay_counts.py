@@ -7,12 +7,20 @@ strategy whose newest forward is also its next backward — all but
 GPipe, whose first backward is microbatch 0.  The counts are exact, and
 ``TrainResult.extra["recompute"]`` must agree with a spy on the one
 function a replay calls.
+
+A replay is also smaller than a forward: the checkpoint kept the
+streaming attention core's output, so the core runs in forwards only,
+and the GEMM whose result only the chunk output needs is not issued.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 import repro.nn.checkpoint as checkpoint_mod
+import repro.nn.functional as functional_mod
+import repro.nn.layer as layer_mod
 from repro import FP64, ModelConfig, TrainSpec, train
 
 L, N = 4, 4
@@ -47,8 +55,9 @@ def forwards(monkeypatch):
     return calls
 
 
-def _train(strategy, world, recompute):
-    cfg = ModelConfig(hidden=16, n_layers=L, n_heads=2, seq_len=8, vocab=17)
+def _train(strategy, world, recompute, flash=False):
+    cfg = ModelConfig(hidden=16, n_layers=L, n_heads=2, seq_len=8, vocab=17,
+                      flash_attention=flash)
     spec = TrainSpec(cfg=cfg, n_microbatches=N, microbatch_size=1, iters=1,
                      recompute=recompute, precision=FP64)
     return train(spec, strategy, world)
@@ -68,3 +77,51 @@ def test_without_recompute_every_chunk_forwards_once(strategy, world, forwards):
     res = _train(strategy, world, recompute=False)
     assert len(forwards) == N * L
     assert res.extra["recompute"] == {"replayed": 0, "kept": 0}
+
+
+@pytest.mark.parametrize("strategy,world", CELLS)
+def test_a_replay_skips_the_attention_core_and_the_output_gemm(
+    strategy, world, monkeypatch
+):
+    """Counts, no clock: the streaming core runs ``N L`` times a step
+    (it was once more per replay), and per chunk forward ``linear_fwd``
+    is issued 7 times (q k v o gate up down; +1 for the logits on the
+    last chunk), per replay 6 — no down projection — or on the last
+    chunk, whose final norm reads the layer output, 7: no logits."""
+    here = threading.local()  # the thread backend's ranks share the module
+    cores, gemms = [], []
+
+    real_core = layer_mod.flash_attention_fwd
+    real_linear = functional_mod.linear_fwd
+    real_chunk = checkpoint_mod.chunk_fwd
+
+    def core(*a, **k):
+        cores.append(1)
+        return real_core(*a, **k)
+
+    def linear(*a, **k):
+        here.n = getattr(here, "n", 0) + 1
+        return real_linear(*a, **k)
+
+    def chunk(cfg, idx, *a, replay=None):
+        before = getattr(here, "n", 0)
+        out = real_chunk(cfg, idx, *a, replay=replay)
+        gemms.append((idx == L - 1, replay is not None, here.n - before))
+        return out
+
+    monkeypatch.setattr(layer_mod, "flash_attention_fwd", core)
+    monkeypatch.setattr(functional_mod, "linear_fwd", linear)
+    monkeypatch.setattr(checkpoint_mod, "chunk_fwd", chunk)
+
+    res = _train(strategy, world, recompute=True, flash=True)
+    kept = 0 if strategy == "gpipe" else N
+    assert res.extra["recompute"] == {"replayed": N * L - kept, "kept": kept}
+    assert len(cores) == N * L
+    issued = {(last, replayed): set() for last in (0, 1) for replayed in (0, 1)}
+    for last, replayed, n in gemms:
+        issued[last, replayed].add(n)
+    assert issued[False, False] == {7} and issued[True, False] == {8}
+    assert issued[False, True] == {6}
+    # only GPipe ever replays the last chunk: elsewhere it is the kept one
+    assert issued[True, True] == ({7} if strategy == "gpipe" else set())
+    assert sum(r for _, r, _ in gemms) == N * L - kept
