@@ -119,13 +119,11 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     size each rank's arena region from the spec instead of a constant:
     every slot then crosses the wire as a descriptor at any ``H``.  The
     draws are the same for every mode and topology, and all of them are
-    of the owned slot ``rank - 1`` — at construction the B slot, its
+    of the owned slot ``rank - 1``, at construction: the B slot, its
     zeroed D and the clone injected into the forward flow (the forward
-    copy a rank *holds* lives in its owner's region), and in the first
-    update pass one more inject clone.  Later updates clone into the
-    forward copy retired an iteration earlier, which recycles as long as
-    mirror slots ``j`` and ``P-1-j`` land in the same span classes (the
-    embedding and head chunks differ by ``H`` elements).
+    copy a rank *holds* lives in its owner's region).  An update pass
+    refreshes that copy in place (:meth:`_WeiPipeWorker._inject_forward`)
+    and draws nothing.
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
     (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
@@ -134,7 +132,7 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     """
     cfg = spec.cfg
     itemsize = np.dtype(cfg.dtype).itemsize
-    return 4 * sum(
+    return 3 * sum(
         ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
         for i in slot_chunk_ids((rank - 1) % world, world, cfg.n_layers)
     )
@@ -173,8 +171,9 @@ class _WeiPipeWorker:
         self._split = ring_splits_backward(mode)
         self.overlap = overlap
         #: weight-buffer recycler, shared by all ranks of the fabric so a
-        #: slot released at its owner's update is reused by the next
-        #: inject — the zero-allocation steady state the benchmark gates.
+        #: slot one worker releases (retired off a copying wire, or at the
+        #: end of a step-scoped worker) serves the next draw — the
+        #: zero-allocation steady state the benchmark gates.
         self.pool: BufferPool = comm.fabric.shared_pool(BufferPool)
         self.last_slot = self.world - 1
         self.cos, self.sin = spec.rope()
@@ -670,15 +669,26 @@ class _WeiPipeWorker:
         forward-flow copy lives at ``fwd_home`` and is refreshed with one
         extra P2P message (the peer is symmetric: worker ``p`` exchanges
         with worker ``(1 - p) mod P``).  Called with ``it = -1`` at
-        construction — the turn-0 placement — and with ``it`` after each
-        update, so the sender always allocates the forward copy and a
-        worker never materialises a slot it does not own.
+        construction — the turn-0 placement, where the owner sends a clone
+        of its slot — and with ``it`` after each update, where it sends
+        the slot itself and the receiver copies it into the forward copy
+        it holds.  So the sender allocates each forward copy once, a
+        worker never materialises a slot it does not own, and no update
+        draws from the pool (a copy retired there would be of the mirror
+        slot ``P-1-j``, possibly in another span class of the process
+        arena's pool than the one drawn).
         """
         target = fwd_home(self.owned_slot, self.world)
-        old_fwd = self.fwd_slot
-        inject = {i: w.clone(self.pool) for i, w in self.bwd_slot.items()}
+        first = it < 0
+        # after an update the slot itself ships: nobody writes it before
+        # this worker's next update pass, a ring revolution that the
+        # receiver joins only once it has copied it.
+        inject = (
+            {i: w.clone(self.pool) for i, w in self.bwd_slot.items()}
+            if first else self.bwd_slot
+        )
         if target == self.rank:
-            self.fwd_slot = inject
+            fresh = inject
         else:
             self.comm.send(
                 inject,
@@ -686,16 +696,24 @@ class _WeiPipeWorker:
                 ("inject", it),
                 nbytes=self._slot_nbytes(inject, self.w_wire),
             )
-            if self._wire_copies:
+            if first and self._wire_copies:
                 # the receiver got its own copy off the wire; the local
                 # clone served only serialization and is garbage now.
                 self._release_slot(inject)
             # fwd_home(j) == rank  <=>  j == -rank
             source = slot_owner(-self.rank % self.world, self.world)
-            self.fwd_slot = self.comm.recv(source, ("inject", it))
-        # the retired forward-flow copy is sole-owned here (the final D
-        # wait proved its last reader finished) — recycle it.
-        self._release_slot(old_fwd)
+            fresh = self.comm.recv(source, ("inject", it))
+        if first:
+            self.fwd_slot = fresh
+        else:
+            # the held forward copy is sole-owned here (the final D wait
+            # proved its last reader finished): refresh it in place, so
+            # it stays one buffer for the whole run.
+            for i, w in self.fwd_slot.items():
+                for name, v in w.items():
+                    np.copyto(v, fresh[i][name])
+            if fresh is not self.bwd_slot and self._wire_copies:
+                self._release_slot(fresh)  # the wire's private copy
         if self._retired_fwd:
             # wire-copies mode: every backward (and deferred W pass) that
             # could read a parked F slot's weights has run by now.

@@ -4,6 +4,17 @@ RoPE rotates each consecutive pair of channels of q and k by a
 position-dependent angle.  It is a per-position orthogonal linear map, so
 its backward is rotation by the negative angle and it needs no cached
 activations — only the (cheap, recomputable) angle tables.
+
+Rotating the pair ``(a, b)`` by ``theta`` is multiplying ``a + i b`` by
+``e^{i theta}``, so an operand whose last axis is stride-1 is read as
+``head_dim // 2`` complex pairs per row (complex64 for fp32, complex128
+for fp64) and rotated by one elementwise multiply with a ``cos + i sin``
+table: one stride-1 pass instead of six passes over stride-2 views.  The
+product is elementwise, so its bits do not depend on the operand's
+layout — a head slice, a sequence slice or a strided view rotates to
+exactly the bytes of its contiguous copy.  The result is a new
+C-contiguous (head-major) array, which the attention cores read without
+a row stride.
 """
 
 from __future__ import annotations
@@ -33,11 +44,14 @@ def rope_angles(
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate channel pairs of ``x``: shape (..., S, head_dim)."""
-    x_even = x[..., 0::2]
-    x_odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x_even * cos - x_odd * sin
-    out[..., 1::2] = x_even * sin + x_odd * cos
+    pair = np.result_type(x.dtype, np.complex64)  # complex64 | complex128
+    if x.strides[-1] != x.itemsize:
+        x = x.copy()
+    turn = np.empty(cos.shape, pair)
+    turn.real = cos
+    turn.imag = sin
+    out = np.empty(x.shape, x.dtype)
+    np.multiply(x.view(pair), turn, out=out.view(pair))
     return out
 
 

@@ -27,10 +27,11 @@ from repro.testing import _diff_bitwise
 PRECISION = {np.float32: FP32, np.float64: FP64}
 
 
-def _spec(world, per_slot, dtype, hidden=16, seq=8, microbatches=None, iters=3):
+def _spec(world, per_slot, dtype, hidden=16, seq=8, microbatches=None, iters=3,
+          vocab=29):
     cfg = ModelConfig(
         hidden=hidden, n_layers=world * per_slot, n_heads=2, seq_len=seq,
-        vocab=29, dtype=dtype,
+        vocab=vocab, dtype=dtype,
     )
     return TrainSpec(
         cfg=cfg, n_microbatches=microbatches or world, microbatch_size=1,
@@ -41,12 +42,22 @@ def _spec(world, per_slot, dtype, hidden=16, seq=8, microbatches=None, iters=3):
 # -- (a) the working-set formula is what the workers draw ---------------------
 
 
+#: ``(hidden, vocab)``: the differential shape, and one whose embedding
+#: chunk (1024 elements) and head chunk (1032) straddle a power of two in
+#: either dtype, so mirror slots ``j`` and ``P-1-j`` sit in different span
+#: classes of the arena pool — an inject that retired one and drew the
+#: other grew the arena by one span per iteration.
+SHAPES = {"plain": (16, 29), "straddle": (8, 46)}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["naive", "interleave", "zero-bubble"])
 @pytest.mark.parametrize("per_slot", [1, 2])
 @pytest.mark.parametrize("world", [2, 4])
-def test_arena_used_equals_prediction(world, per_slot, mode, dtype):
-    spec = _spec(world, per_slot, dtype)
+def test_arena_used_equals_prediction(world, per_slot, mode, dtype, shape):
+    hidden, vocab = SHAPES[shape]
+    spec = _spec(world, per_slot, dtype, hidden=hidden, vocab=vocab)
     pt = ProcessTransport()
     res = train_weipipe(spec, world, mode=mode, fabric=pt)
     predicted = [ring_pool_bytes(spec, world, r) for r in range(world)]
@@ -66,15 +77,13 @@ def test_every_draw_is_of_the_owned_slot(world):
     # (4096 fp64 elements) and the head chunk, H elements larger, in the
     # next class — so a formula that still charged the forward slot
     # ``-rank`` to its holder instead of its owner is off on every rank
-    # that owns either.  One iteration: mirror slots in different span
-    # classes do not recycle (see ring_pool_bytes), which is not under
-    # test here.
+    # that owns either.
     cfg = ModelConfig(hidden=16, n_layers=world, n_heads=2, seq_len=8,
                       vocab=70, dtype=np.float64)
     spec = TrainSpec(cfg=cfg, n_microbatches=world, microbatch_size=1,
                      iters=1, precision=FP64)
     predicted = [ring_pool_bytes(spec, world, r) for r in range(world)]
-    small, large = 4 * (32 << 10), 4 * (64 << 10)
+    small, large = 3 * (32 << 10), 3 * (64 << 10)
     assert predicted[0] == large and predicted[1] == small  # head, embedding
     pt = ProcessTransport()
     res = train_weipipe(spec, world, fabric=pt)
@@ -99,12 +108,11 @@ def test_hier_ring_draws_the_same_working_set():
 
 
 def test_wide_slot_trains_by_descriptor_bit_identically():
-    # 9.8 MB slot -> 16 MiB span; four of them are twice the 32 MiB
-    # constant every launch used to get (8 extra allocations per steady
-    # iteration and by-copy slots at the parent commit).  The same shape
-    # in fp32 is 4 x 8 MiB and filled the constant exactly.
+    # 9.8 MB slot -> 16 MiB span; three of them are 1.5x the 32 MiB
+    # constant every launch used to get (which once meant 8 extra
+    # allocations per steady iteration and by-copy slots).
     spec = _spec(2, 1, np.float64, hidden=320, microbatches=2, iters=2)
-    assert ring_pool_bytes(spec, 2, 0) == 4 * (16 << 20) > DEFAULT_ARENA_BYTES
+    assert ring_pool_bytes(spec, 2, 0) == 3 * (16 << 20) > DEFAULT_ARENA_BYTES
     pt = ProcessTransport()
     proc = train_weipipe(spec, 2, fabric=pt)
     thread = train_weipipe(spec, 2)
