@@ -68,6 +68,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.schedule import RING_SCHEDULES
+    from .testing import DEFAULT_HEAL_MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="WeiPipe reproduction: functional training + cluster simulation",
@@ -252,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
              "control",
     )
     p_sh.add_argument(
-        "--modes", default=",".join(
-            ("weipipe-naive", "weipipe-interleave", "weipipe-zb",
-             "weipipe-hier")
-        ),
+        "--modes", default=",".join(DEFAULT_HEAL_MODES),
         help="comma-separated WeiPipe modes for the heal differential",
     )
     p_sh.add_argument(
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bo.add_argument("--seed", type=int, default=7)
     p_bo.add_argument(
         "--mode", default="interleave",
-        choices=["naive", "interleave", "zero-bubble"],
+        choices=sorted(RING_SCHEDULES),
     )
     p_bo.add_argument("--precision", default="fp64", choices=["fp32", "fp64"])
     p_bo.add_argument(
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--seed", type=int, default=7)
     p_bt.add_argument(
         "--mode", default="interleave",
-        choices=["naive", "interleave", "zero-bubble"],
+        choices=sorted(RING_SCHEDULES),
     )
     p_bt.add_argument("--precision", default="fp64", choices=["fp32", "fp64"])
     p_bt.add_argument(
@@ -1011,7 +1011,7 @@ def _cmd_chaos_sweep(args) -> int:
 
     def progress(name: str, seed: int, failure: Optional[str]) -> None:
         status = "PASS" if failure is None else f"FAIL ({failure})"
-        print(f"seed {seed:>4}  {name:<20} {status}")
+        print(f"seed {seed:>4}  {name:<24} {status}")
 
     report = run_differential(
         strategies=strategies, chaos_seeds=seeds, spec=spec, policy=policy,
@@ -1055,7 +1055,7 @@ def _cmd_crash_recovery(args) -> int:
     )
     print(report.summary())
     _dump_obs_pair(tracer, metrics, args)
-    return 1 if report.verified is False else 0
+    return 0 if report.ok else 1
 
 
 def _cmd_self_heal(args) -> int:
@@ -1068,7 +1068,7 @@ def _cmd_self_heal(args) -> int:
         print("== heal differential "
               "(transient faults must be bit-invisible) ==")
 
-        def progress(cell: str, sched: str, failure) -> None:
+        def progress(cell: str, seed: int, failure) -> None:
             status = "PASS" if failure is None else f"FAIL ({failure})"
             print(f"  {cell:<40} {status}")
 

@@ -604,8 +604,8 @@ def reconcile(
     # compute calibration: W/D chunk sizes are read off the trace's own
     # intra-hop sends, and the cost model contributes only the
     # steady-state *shape* — a boundary hop carries 1 D + 2 reference
-    # tokens while an intra hop carries the full 2 W + 1 D
-    # (CostModel.hier_boundary_turn_bytes).  Measured per-turn boundary
+    # tokens while an intra hop carries the full 2 W + 1 D (DESIGN §12's
+    # boundary rule).  Measured per-turn boundary
     # bytes sit above that floor by the amortised first-revolution full
     # crossings, bounded by HIER_TRAFFIC_TOL.
     lt = link_traffic(doc)

@@ -5,13 +5,8 @@ with calibrated A800/NVLink/PCIe/Ethernet cost models."""
 from .analytic import (
     activation_pp_bandwidth,
     bubble_ratio_1f1b,
-    bubble_ratio_gpipe,
     bubble_ratio_weipipe_interleave,
     bubble_ratio_weipipe_naive,
-    ideal_iteration_time,
-    weipipe_cross_bytes,
-    weipipe_hier_cross_bytes,
-    weipipe_hier_turn_time,
     weipipe_turn_bandwidth,
     weipipe_turn_time,
 )
@@ -52,13 +47,11 @@ __all__ = [
     "WorkloadDims",
     "activation_pp_bandwidth",
     "bubble_ratio_1f1b",
-    "bubble_ratio_gpipe",
     "bubble_ratio_weipipe_interleave",
     "bubble_ratio_weipipe_naive",
     "evaluate",
     "exec_for",
     "fits_memory",
-    "ideal_iteration_time",
     "nvlink_cluster",
     "pcie_ethernet_cluster",
     "peak_memory",
@@ -66,9 +59,6 @@ __all__ = [
     "render_timeline",
     "run_cell",
     "simulate",
-    "weipipe_cross_bytes",
-    "weipipe_hier_cross_bytes",
-    "weipipe_hier_turn_time",
     "weipipe_turn_bandwidth",
     "weipipe_turn_time",
 ]

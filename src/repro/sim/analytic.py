@@ -12,39 +12,24 @@ per-stage (or per-slot) forward/backward times, with ``T_B ~= 2 T_F``
 
 from __future__ import annotations
 
-from ..runtime.topology import WREF_NBYTES
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
 __all__ = [
     "bubble_ratio_1f1b",
-    "bubble_ratio_gpipe",
     "bubble_ratio_weipipe_interleave",
     "bubble_ratio_weipipe_naive",
-    "ideal_iteration_time",
     "weipipe_turn_bandwidth",
     "weipipe_turn_time",
-    "weipipe_hier_turn_time",
-    "weipipe_hier_cross_bytes",
-    "weipipe_cross_bytes",
     "activation_pp_bandwidth",
 ]
 
 
-def ideal_iteration_time(t_f: float, t_b: float, n_mb: int) -> float:
-    """Perfect pipelining: every worker busy for all N microbatches."""
-    return n_mb * (t_f + t_b)
-
-
-def bubble_ratio_gpipe(world: int, n_mb: int, t_f: float, t_b: float) -> float:
-    """GPipe: ``(P-1)(T_F + T_B)`` of ramp per iteration."""
-    bubble = (world - 1) * (t_f + t_b)
-    return bubble / (bubble + ideal_iteration_time(t_f, t_b, n_mb))
-
-
 def bubble_ratio_1f1b(world: int, n_mb: int, t_f: float, t_b: float) -> float:
-    """1F1B has the same fill/drain ramp as GPipe (it wins on memory)."""
-    return bubble_ratio_gpipe(world, n_mb, t_f, t_b)
+    """1F1B and GPipe: ``(P-1)(T_F + T_B)`` of fill/drain ramp against
+    ``N (T_F + T_B)`` of work (1F1B wins on memory, not on bubbles)."""
+    bubble = (world - 1) * (t_f + t_b)
+    return bubble / (bubble + n_mb * (t_f + t_b))
 
 
 def bubble_ratio_weipipe_interleave(
@@ -117,70 +102,6 @@ def weipipe_turn_time(
     per_turn_bytes = 2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
     wire = max(link.time(per_turn_bytes) for link in cluster.ring_links())
     return cost.overlapped(compute, wire)
-
-
-def weipipe_hier_turn_time(
-    dims: WorkloadDims,
-    cluster: Cluster,
-    exec_cfg: ExecConfig = ExecConfig(),
-    steady: bool = True,
-) -> float:
-    """Steady-state turn time of the *hierarchical* (two-level) ring.
-
-    Intra-group hops still move the full ``2 W + 1 D``; a boundary hop
-    moves only ``1 D + 2 ref`` once the first revolution has carried
-    every weight slot across (``steady=True``).  The wire leg is paced by
-    the slower of the two hop classes — on an asymmetric fabric that is
-    the boundary hop, whose volume the hierarchy just cut ~3x, which is
-    the whole win.  ``steady=False`` gives the first-revolution turn
-    (full weights still crossing): identical to the flat ring.
-
-    A single-node cluster has no boundary hops and reduces to
-    :func:`weipipe_turn_time` exactly; so does ``steady=False``.
-    """
-    cost = CostModel(dims, cluster.gpu, exec_cfg)
-    lps = dims.n_layers // cluster.world_size
-    compute = lps * (cost.t_fwd_layer() + cost.t_bwd_layer())
-    full = cost.weipipe_turn_bytes(lps)
-    legs = [cluster.intra.time(full)] if cluster.gpus_per_node > 1 else []
-    if cluster.nodes > 1:
-        boundary = cost.hier_boundary_turn_bytes(lps) if steady else full
-        legs.append(cluster.inter.time(boundary))
-    wire = max(legs) if legs else 0.0
-    return cost.overlapped(compute, wire)
-
-
-def weipipe_cross_bytes(
-    dims: WorkloadDims,
-    cluster: Cluster,
-    total_turns: int,
-    exec_cfg: ExecConfig = ExecConfig(),
-) -> int:
-    """Flat-ring bytes crossing *one* node boundary per iteration: the
-    full ``2 W + 1 D`` every turn, plus the final homing hop."""
-    cost = CostModel(dims, cluster.gpu, exec_cfg)
-    lps = dims.n_layers // cluster.world_size
-    return (total_turns + 1) * cost.weipipe_turn_bytes(lps)
-
-
-def weipipe_hier_cross_bytes(
-    dims: WorkloadDims,
-    cluster: Cluster,
-    total_turns: int,
-    exec_cfg: ExecConfig = ExecConfig(),
-) -> int:
-    """Hierarchical-ring bytes crossing one node boundary per iteration:
-    each of the ``P`` slots crosses once in full per weight flow, the D
-    accumulator crosses every turn (and the final homing hop), and every
-    later weight crossing is a reference token."""
-    cost = CostModel(dims, cluster.gpu, exec_cfg)
-    p = cluster.world_size
-    lps = dims.n_layers // p
-    hops = total_turns + 1  # ring turns + the final homing hop
-    full_w = 2 * p * cost.weight_chunk_bytes(lps)
-    refs = 2 * (hops - p) * WREF_NBYTES
-    d = hops * cost.wgrad_chunk_bytes(lps)
-    return full_w + refs + d
 
 
 def activation_pp_bandwidth(

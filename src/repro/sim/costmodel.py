@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from ..runtime.topology import WREF_NBYTES
 from .hardware import GPU
 
 __all__ = ["WorkloadDims", "ExecConfig", "CostModel", "PRECISION_WIDTHS"]
@@ -299,18 +298,6 @@ class CostModel:
 
     def wgrad_chunk_bytes(self, layers: int = 1) -> int:
         return self.dims.layer_params * layers * self.cfg.wgrad_bytes
-
-    def weipipe_turn_bytes(self, layers: int = 1) -> int:
-        """Flat-ring per-turn volume over every hop: ``2 W + 1 D``."""
-        return 2 * self.weight_chunk_bytes(layers) + self.wgrad_chunk_bytes(layers)
-
-    def hier_boundary_turn_bytes(self, layers: int = 1) -> int:
-        """Steady-state per-turn volume over a *group-boundary* hop of the
-        hierarchical ring: the D accumulator still crosses in full (its
-        accumulation order is the bit-exactness contract) but both weight
-        flows have already crossed during the first revolution, so each
-        degrades to a ``WREF_NBYTES`` reference."""
-        return self.wgrad_chunk_bytes(layers) + 2 * WREF_NBYTES
 
     # -- per-layer memory ----------------------------------------------------------
 

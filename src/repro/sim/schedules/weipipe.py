@@ -22,9 +22,10 @@ dependency structure exists once, in :func:`_ring_graph`:
 * a worker's turn compute depends on its previous turn and on the
   arrivals it consumes.
 
-At iteration end the owner applies the update (a small compute task) and
-re-injects weights (one extra hop), matching the functional engine's
-update pass.
+At iteration end one homing hop brings every slot, and the last turn's
+gradients in ``D``, back to its owner; the owner then applies the update
+(a small compute task) and re-injects weights (one extra hop), matching
+the functional engine's ``t == total`` turn and update pass.
 
 ``hier=True`` is the runtime's boundary rule (DESIGN §12) on the hops
 that leave a node: a weight slot crosses in full while the tag's turn is
@@ -64,11 +65,14 @@ def _ring_graph(
     turn: _TurnFn,
     w_bytes: Callable[[int, int, int], float],
     d_bytes: float,
+    homing: bool = False,
 ) -> TaskGraph:
     """Compute and arrival tasks of ``total`` ring turns.
 
     ``w_bytes(left, p, t)`` is the weight payload of the hop into ``p``
-    consumed at turn ``t``.
+    consumed at turn ``t``.  ``homing`` adds the arrivals at ``t =
+    total``: the hop after the last turn that brings every slot, and the
+    last turn's gradients in D, back to its owner.
     """
     world = cluster.world_size
     g = TaskGraph()
@@ -93,7 +97,7 @@ def _ring_graph(
         left = (p - 1) % world
         res = comm_resource(cluster, left, p, exec_cfg.overlap)
         link = cluster.link(left, p)
-        for t in range(1, total):
+        for t in range(1, total + homing):
             # both weight flows aggregated into one transfer (they travel
             # together).  The sender posts this isend at the start of its
             # turn t-1 (i.e. once its turn t-2 completed) and the payload
@@ -166,15 +170,19 @@ def build_weipipe(
             return 2 * WREF_NBYTES
         return 2 * w_bytes
 
-    g = _ring_graph(cluster, exec_cfg, total, turn, hop_w_bytes, d_bytes)
+    g = _ring_graph(
+        cluster, exec_cfg, total, turn, hop_w_bytes, d_bytes, homing=True
+    )
 
     # update pass: owner updates its slot after its last turn and the
-    # final D arrival, then re-injects the fwd-flow copy (one extra hop).
+    # homing hop's arrivals (the runtime's ``t == total`` turn), then
+    # re-injects the fwd-flow copy (one extra hop).
     t_update = 0.05 * lps * cost.t_fwd_layer()  # elementwise optimizer math
     for p in range(world):
         g.add(
             ("U", p), ("compute", p), t_update,
-            deps=(("T", p, total - 1),), kind="update", worker=p,
+            deps=(("T", p, total - 1), ("AW", p, total), ("AD", p, total)),
+            kind="update", worker=p,
         )
         target = (1 - p) % world
         if target != p:

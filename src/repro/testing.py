@@ -1,18 +1,31 @@
-"""Test utilities: gradient checking and the differential chaos harness.
+"""Test utilities: gradient checking and the one differential harness.
 
 Two layers of defence keep the reproduction honest:
 
 * :func:`numerical_grad` / :func:`assert_grad_close` validate every
   manual backward in :mod:`repro.nn` against central differences;
-* :func:`run_differential` trains *the same seeded problem* under every
-  parallel strategy on a chaos :class:`~repro.runtime.Fabric` — a seeded
-  adversarial transport that delays, reorders (across channels),
-  duplicates and drops-with-retry — and asserts loss curves, final
-  weights and accumulated weight updates (the integrated weight-grads)
-  agree with the serial baseline for every chaos seed.  A strategy that
-  "passes once" on the instant fabric but depends on a lucky delivery
-  order fails here with the offending seed named, and
-  ``python -m repro chaos-sweep --seed-start S --seeds 1`` replays it.
+* every equivalence gate is a cell of one matrix — strategy x world x
+  precision x variant — walked by one driver.  A cell trains a reference
+  and one or more arms; :func:`compare_train_results` checks each arm
+  against the reference (tolerance zero is bitwise); a disagreement, or
+  a worker crash, is a :class:`DifferentialFailure` naming the cell, its
+  chaos seed and the ``python -m repro`` command that replays it, kept
+  on a :class:`DifferentialReport`.  The matrices:
+
+  - :func:`run_differential` (variant = chaos seed): every strategy on a
+    seeded adversarial :class:`~repro.runtime.Fabric` — delays, reorders
+    across channels, duplicates, drops-with-retry — against serial, at
+    :data:`SERIAL_TOL`.  A strategy that "passes once" on the instant
+    fabric but depends on a lucky delivery order fails here;
+  - :func:`run_backend_differential`: thread vs process transport, bitwise;
+  - :func:`run_traced_backend_differential`: traced vs bare process run,
+    bitwise;
+  - :func:`run_heal_differential` (variant = transient-fault schedule):
+    faulted vs clean run, on both wires, bitwise.
+
+  The two fault scenarios, :func:`run_crash_recovery` and
+  :func:`run_self_heal`, are two callers of one probe -> inject ->
+  verify skeleton and fill one :class:`ScenarioReport`.
 
 Exported publicly so downstream users extending the layer zoo or the
 strategy zoo can check their own ops and schedules.
@@ -21,31 +34,28 @@ strategy zoo can check their own ops and schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from dataclasses import replace as _replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from .core.api import STRATEGIES, train
+from .nn.model import ModelConfig
+from .nn.precision import FP32, FP64
+from .obs import Tracer, validate_chrome_trace
+from .parallel.common import TrainResult, TrainSpec
+from .parallel.elastic import train_elastic
+from .runtime import ChaosPolicy, Fabric, FailureDetector, ProcessTransport
+
 __all__ = [
-    "numerical_grad",
-    "assert_grad_close",
-    "DifferentialFailure",
-    "DifferentialMismatch",
-    "DifferentialReport",
-    "DEFAULT_DIFFERENTIAL_STRATEGIES",
-    "compare_train_results",
-    "default_differential_spec",
-    "run_differential",
-    "run_backend_differential",
+    "numerical_grad", "assert_grad_close",
+    "SERIAL_TOL", "compare_train_results",
+    "DifferentialFailure", "DifferentialMismatch", "DifferentialReport",
+    "DEFAULT_DIFFERENTIAL_STRATEGIES", "default_differential_spec",
+    "run_differential", "run_backend_differential",
     "run_traced_backend_differential",
-    "CrashRecoveryReport",
-    "default_crash_spec",
-    "run_crash_recovery",
-    "HEAL_SCHEDULES",
-    "DEFAULT_HEAL_MODES",
-    "HealFailure",
-    "HealDifferentialReport",
-    "run_heal_differential",
-    "SelfHealReport",
+    "HEAL_SCHEDULES", "DEFAULT_HEAL_MODES", "run_heal_differential",
+    "ScenarioReport", "default_crash_spec", "run_crash_recovery",
     "run_self_heal",
 ]
 
@@ -99,7 +109,67 @@ def assert_grad_close(
 
 
 # ---------------------------------------------------------------------------
-# differential chaos harness
+# the one comparator
+# ---------------------------------------------------------------------------
+
+#: the tolerance against serial, ``(rtol, atol)`` on the loss curve and
+#: the final weights, then on the accumulated weight updates.  Serial
+#: sums the microbatch gradients in another order than a distributed
+#: strategy does, so that comparison is a tolerance call; every other
+#: gate compares two runs of one strategy, at ``tol=0``: bitwise.
+SERIAL_TOL: Tuple[float, float, float, float] = (1e-9, 1e-11, 1e-6, 1e-12)
+
+
+def compare_train_results(result, ref, spec=None, tol=SERIAL_TOL) -> Optional[str]:
+    """The one comparator: ``result`` against the reference ``ref``.
+
+    Checks the loss curve, the number of weight chunks, every final
+    weight tensor and — when ``spec`` is given and ``tol`` is not zero —
+    the accumulated weight updates (init - final: the integral of the
+    weight gradients the optimizer consumed).  ``tol`` is
+    ``(rtol, atol, delta_rtol, delta_atol)``; ``0`` demands bitwise
+    equality.  A NaN fails at any tolerance.  Returns ``None`` on
+    agreement, else the first divergence.
+    """
+    rtol, atol, d_rtol, d_atol = tol or (0.0,) * 4
+    how = f"rtol={rtol}, atol={atol}" if tol else "bitwise"
+    a_l = np.asarray(result.losses, dtype=np.float64)
+    r_l = np.asarray(ref.losses, dtype=np.float64)
+    if a_l.shape != r_l.shape:
+        return f"loss curve length {a_l.shape} vs reference {r_l.shape}"
+    if not np.allclose(a_l, r_l, rtol=rtol, atol=atol):
+        i = int(np.argmin(np.isclose(a_l, r_l, rtol=rtol, atol=atol)))
+        return (
+            f"loss curve diverges at iter {i}: {a_l[i]!r} vs reference "
+            f"{r_l[i]!r} ({how})"
+        )
+    if len(result.chunks) != len(ref.chunks):
+        return f"{len(result.chunks)} weight chunks vs reference {len(ref.chunks)}"
+    deltas = spec is not None and bool(tol)
+    init = spec.init_chunks() if deltas else ref.chunks
+    for i, (a, b, c0) in enumerate(zip(result.chunks, ref.chunks, init)):
+        if set(a.keys()) != set(b.keys()):
+            return f"chunk {i} parameter names differ"
+        for name in a.keys():
+            av, bv = np.asarray(a[name]), np.asarray(b[name])
+            if not np.allclose(av, bv, rtol=rtol, atol=atol):
+                return (
+                    f"final weights diverge: chunk {i} param {name!r} "
+                    f"max |err|={np.max(np.abs(av - bv)):.3e} ({how})"
+                )
+            if deltas:
+                c = np.asarray(c0[name])
+                if not np.allclose(c - av, c - bv, rtol=d_rtol, atol=d_atol):
+                    return (
+                        f"accumulated weight updates diverge: chunk {i} "
+                        f"param {name!r} max |err|={np.max(np.abs(av - bv)):.3e} "
+                        f"(rtol={d_rtol}, atol={d_atol})"
+                    )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the one matrix
 # ---------------------------------------------------------------------------
 
 #: strategy -> world size trained by default: every distributed strategy
@@ -122,6 +192,8 @@ DEFAULT_DIFFERENTIAL_STRATEGIES: Dict[str, int] = {
 #: use to demonstrate that intentionally broken schedules are caught.
 StrategyEntry = Union[int, Tuple[int, Callable]]
 
+_PRECISIONS = {"fp64": FP64, "fp32": FP32}
+
 
 class DifferentialMismatch(AssertionError):
     """Raised by :meth:`DifferentialReport.raise_if_failed`."""
@@ -129,48 +201,135 @@ class DifferentialMismatch(AssertionError):
 
 @dataclass(frozen=True)
 class DifferentialFailure:
-    """One (strategy, chaos seed) cell that diverged from serial."""
+    """One cell that disagreed with its reference: its label
+    (``strategy/P<world>[/precision][/variant]``), the chaos seed its
+    wire ran, what diverged, and the ``python -m repro`` arguments that
+    replay it."""
 
-    strategy: str
-    world: int
+    cell: str
     seed: int
     message: str
+    replay: str
 
     def __str__(self) -> str:
         return (
-            f"strategy={self.strategy!r} world={self.world} "
-            f"chaos_seed={self.seed}: {self.message}\n"
-            f"  reproduce: python -m repro chaos-sweep --strategies "
-            f"{self.strategy} --seed-start {self.seed} --seeds 1"
+            f"{self.cell} chaos_seed={self.seed}: {self.message}\n"
+            f"  reproduce: python -m repro {self.replay}"
         )
 
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one :func:`run_differential` sweep."""
+    """Outcome of one matrix sweep.  ``injected`` (fault-schedule cells
+    only) aggregates what each schedule's wires injected across the
+    sweep; a schedule that injected nothing is a failure."""
 
-    strategies: Dict[str, int]
-    seeds: List[int]
+    title: str
     runs: int = 0
     failures: List[DifferentialFailure] = field(default_factory=list)
+    injected: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
-        head = (
-            f"differential sweep: {len(self.strategies)} strategies x "
-            f"{len(self.seeds)} chaos seeds = {self.runs} runs, "
-            f"{len(self.failures)} failure(s)"
-        )
+        lines = [f"{self.title}: {self.runs} runs, {len(self.failures)} failure(s)"]
+        for name, agg in self.injected.items():
+            shown = {k: int(v) for k, v in agg.items() if v}
+            lines.append(f"  {name}: injected {shown or 'nothing'}")
         if self.ok:
-            return head + " — all strategies equivalent to serial"
-        return head + "\n" + "\n".join(str(f) for f in self.failures)
+            lines.append("  every cell matches its reference")
+        return "\n".join(lines + [str(f) for f in self.failures])
 
     def raise_if_failed(self) -> None:
         if not self.ok:
             raise DifferentialMismatch(self.summary())
+
+
+def _first_line(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
+
+
+def _sweep(
+    report: DifferentialReport,
+    strategies: Mapping[str, StrategyEntry],
+    worlds: Optional[Iterable[int]],
+    precisions: Optional[Iterable[str]],
+    variants: List[Tuple[str, int]],
+    spec,
+    cell: Callable,
+    tol,
+    replay: Callable[..., str],
+    progress: Optional[Callable[[str, int, Optional[str]], None]],
+    raise_on_failure: bool,
+) -> DifferentialReport:
+    """The one driver: walks strategy x world x precision x variant.
+
+    ``strategies`` maps a name to its largest world; ``worlds=None`` runs
+    each at exactly that world.  ``precisions=None`` keeps ``spec``'s.
+    ``variants`` are ``(tag, chaos seed)`` pairs.  ``cell(name, runner,
+    spec, world, tag, seed)`` trains ``(reference, {arm: result})``;
+    every arm is compared with the reference at ``tol``, and an
+    exception is that cell's failure rather than the end of the sweep.
+    ``replay(name, world, precision, seed)`` is the command line (after
+    ``python -m repro``) that reruns a cell.
+    """
+    spec = spec or default_differential_spec()
+    precisions = [None] if precisions is None else list(precisions)
+    for prec in precisions:
+        if prec is not None and prec not in _PRECISIONS:
+            raise ValueError(f"precision must be fp32 or fp64, got {prec!r}")
+    runners = {}
+    for name, entry in strategies.items():
+        if isinstance(entry, int):
+            if name not in STRATEGIES:
+                raise ValueError(f"unknown strategy {name!r}")
+            entry = (entry, STRATEGIES[name])
+        runners[name] = entry
+    replays: Dict[str, str] = {}
+    for name, (cap, runner) in runners.items():
+        for world in [cap] if worlds is None else [w for w in worlds if w <= cap]:
+            for prec in precisions:
+                cell_spec = spec if prec is None else _replace(
+                    spec, precision=_PRECISIONS[prec]
+                )
+                for tag, seed in variants:
+                    label = "/".join(filter(None, (name, f"P{world}", prec, tag)))
+                    failure = None
+                    try:
+                        ref, arms = cell(name, runner, cell_spec, world, tag, seed)
+                        for arm, res in arms.items():
+                            diff = compare_train_results(res, ref, cell_spec, tol)
+                            if diff is not None:
+                                failure = f"{arm}: {diff}" if arm else diff
+                                break
+                    except Exception as exc:  # noqa: BLE001 - report, don't abort
+                        failure = _first_line(exc)
+                    report.runs += 1
+                    line = replay(name, world, prec, seed)
+                    replays.setdefault(tag, line)
+                    if failure is not None:
+                        report.failures.append(
+                            DifferentialFailure(label, seed, failure, line)
+                        )
+                    if progress is not None:
+                        progress(label, seed, failure)
+    # honesty check: a fault schedule that injected nothing anywhere
+    # tested nothing — surface it as a failure, not silent green.
+    for tag, seed in variants:
+        agg = report.injected.get(tag)
+        if agg is not None and not any(
+            agg.get(k) for k in ("bitflips", "flapped", "stalls", "delayed", "dropped")
+        ):
+            report.failures.append(DifferentialFailure(
+                f"*/{tag}", seed, "schedule injected no faults across the "
+                "whole sweep (knobs too weak for this problem size)",
+                replays.get(tag, ""),
+            ))
+    if raise_on_failure:
+        report.raise_if_failed()
+    return report
 
 
 def default_differential_spec(**overrides):
@@ -179,10 +338,6 @@ def default_differential_spec(**overrides):
     Small enough that a full 8-strategy x 20-seed sweep stays in CI
     budget; fp64 so any divergence is a scheduling bug, never rounding.
     """
-    from .nn.precision import FP64
-    from .nn.model import ModelConfig
-    from .parallel.common import TrainSpec
-
     cfg = overrides.pop(
         "cfg", ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=29)
     )
@@ -193,270 +348,13 @@ def default_differential_spec(**overrides):
     return TrainSpec(**base)
 
 
-def _weight_deltas(spec, chunks) -> List[Dict[str, np.ndarray]]:
-    """Per-parameter accumulated update (init - final): the integral of
-    the weight gradients the optimizer consumed, used to compare
-    "weight-grads" across strategies without exporting per-step grads."""
-    init = spec.init_chunks()
-    out = []
-    for c0, c1 in zip(init, chunks):
-        out.append({name: np.asarray(c0[name]) - np.asarray(c1[name]) for name in c0.keys()})
-    return out
-
-
-def compare_train_results(
-    result,
-    ref,
-    spec=None,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-    delta_rtol: float = 1e-6,
-    delta_atol: float = 1e-12,
-) -> Optional[str]:
-    """Compare a strategy run against the serial reference.
-
-    Checks the per-iteration loss curve, every final weight tensor and
-    (when ``spec`` is given) the accumulated weight updates.  Returns
-    ``None`` on agreement, else a human-readable description of the
-    first divergence.
-    """
-    a_l, r_l = np.asarray(result.losses), np.asarray(ref.losses)
-    if a_l.shape != r_l.shape:
-        return f"loss curve length {a_l.shape} vs serial {r_l.shape}"
-    if not np.allclose(a_l, r_l, rtol=rtol, atol=atol):
-        i = int(np.argmax(np.abs(a_l - r_l)))
-        return (
-            f"loss curve diverges at iter {i}: {a_l[i]!r} vs serial "
-            f"{r_l[i]!r} (|err|={abs(a_l[i] - r_l[i]):.3e})"
-        )
-    if len(result.chunks) != len(ref.chunks):
-        return f"{len(result.chunks)} weight chunks vs serial {len(ref.chunks)}"
-    for i, (a, b) in enumerate(zip(result.chunks, ref.chunks)):
-        if set(a.keys()) != set(b.keys()):
-            return f"chunk {i} parameter names differ"
-        for name in a.keys():
-            av, bv = np.asarray(a[name]), np.asarray(b[name])
-            if not np.allclose(av, bv, rtol=rtol, atol=atol):
-                err = np.max(np.abs(av - bv))
-                return (
-                    f"final weights diverge: chunk {i} param {name!r} "
-                    f"max |err|={err:.3e} (rtol={rtol}, atol={atol})"
-                )
-    if spec is not None:
-        for i, (da, db) in enumerate(
-            zip(_weight_deltas(spec, result.chunks), _weight_deltas(spec, ref.chunks))
-        ):
-            for name, va in da.items():
-                vb = db[name]
-                if not np.allclose(va, vb, rtol=delta_rtol, atol=delta_atol):
-                    err = np.max(np.abs(va - vb))
-                    return (
-                        f"accumulated weight updates diverge: chunk {i} "
-                        f"param {name!r} max |err|={err:.3e} "
-                        f"(rtol={delta_rtol}, atol={delta_atol})"
-                    )
-    return None
-
-
-# ---------------------------------------------------------------------------
-# crash-recovery differential harness
-# ---------------------------------------------------------------------------
-
-
-def default_crash_spec(**overrides):
-    """The crash harness's default problem: sized so WeiPipe's
-    divisibility constraints (``L % P == 0``, ``N % P == 0``) hold both
-    before and after a world-4 → world-3 ring shrink; fp64 so the
-    differential check below is bit-exact, never a tolerance call."""
-    from .nn.precision import FP64
-    from .nn.model import ModelConfig
-    from .parallel.common import TrainSpec
-
-    cfg = overrides.pop(
-        "cfg", ModelConfig(hidden=16, n_layers=12, n_heads=2, seq_len=8, vocab=29)
-    )
-    base = dict(
-        cfg=cfg, n_microbatches=12, microbatch_size=2, iters=4, precision=FP64
-    )
-    base.update(overrides)
-    return TrainSpec(**base)
-
-
-@dataclass
-class CrashRecoveryReport:
-    """Outcome of one :func:`run_crash_recovery` experiment."""
-
-    strategy: str
-    world: int
-    seed: int
-    crash_rank: int
-    crash_at_post: int
-    losses: List[float] = field(default_factory=list)
-    survivors: List[int] = field(default_factory=list)
-    #: ``RecoveryEvent.describe()`` per ring-shrink that happened.
-    events: List[str] = field(default_factory=list)
-    #: True/False once the differential check ran; None if it could not
-    #: (no recovery happened, or verification was disabled).
-    verified: Optional[bool] = None
-    detail: str = ""
-
-    @property
-    def recovered(self) -> bool:
-        return bool(self.events)
-
-    def summary(self) -> str:
-        head = (
-            f"crash-recovery: strategy={self.strategy} world={self.world} "
-            f"seed={self.seed} -> rank {self.crash_rank} killed at its "
-            f"{self.crash_at_post}th send"
-        )
-        lines = [head] + [f"  {e}" for e in self.events]
-        if not self.events:
-            lines.append("  no recovery event (crash landed after the last commit)")
-        if self.verified is True:
-            lines.append(
-                "  differential: post-recovery run matches a clean "
-                f"{len(self.survivors)}-rank run from the rollback snapshot "
-                "bit-for-bit"
-            )
-        elif self.verified is False:
-            lines.append(f"  differential: MISMATCH — {self.detail}")
-        elif self.detail:
-            lines.append(f"  {self.detail}")
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.verified is False:
-            raise AssertionError(self.summary())
-
-
-def run_crash_recovery(
-    spec=None,
-    strategy: str = "weipipe-interleave",
-    world: int = 4,
-    seed: int = 0,
-    crash_rank: Optional[int] = None,
-    crash_at_post: Optional[int] = None,
-    wire_chaos: bool = False,
-    verify: bool = True,
-    timeout: float = 120.0,
-    tracer=None,
-    metrics=None,
-) -> CrashRecoveryReport:
-    """Kill one worker mid-training and check elastic recovery end-to-end.
-
-    Three phases:
-
-    1. **Probe** — run the elastic job once on a quiet-policy
-       :class:`~repro.runtime.Fabric` to count how many messages
-       each rank sends, then (seeded by ``seed``) pick a victim rank and
-       a crash point inside the active phase of the run — unless both
-       are pinned explicitly.
-    2. **Crash** — rerun with :class:`~repro.runtime.ChaosPolicy`
-       injecting :class:`~repro.runtime.ChaosCrash` at that rank/post
-       (plus full wire chaos when ``wire_chaos``); the surviving ranks
-       must detect the failure, shrink the ring and finish training.
-    3. **Verify** — re-train the post-crash suffix from scratch: a clean
-       ``len(survivors)``-rank elastic run seeded from the rollback
-       snapshot must reproduce the post-recovery loss curve and final
-       weights *bit-for-bit* (the step engines are pure functions of the
-       snapshot, and fp64 makes the check exact; with reduced-precision
-       policies FSDP's float64 canonical state is re-quantised on resume,
-       so use the default fp64 spec for exact verification).
-    """
-    from dataclasses import replace as _replace
-
-    from .parallel.elastic import train_elastic
-    from .runtime import ChaosPolicy, Fabric
-
-    if spec is None:
-        spec = default_crash_spec()
-
-    rng = np.random.default_rng((abs(int(seed)), 0xC4A54))
-    if crash_rank is None or crash_at_post is None:
-        probe_fab = Fabric(world, policy=ChaosPolicy.quiet(seed), timeout=timeout)
-        train_elastic(spec, strategy, world, fabric=probe_fab, timeout=timeout)
-        if crash_rank is None:
-            crash_rank = int(rng.integers(0, world))
-        if crash_at_post is None:
-            total = probe_fab.chaos.posts_by_rank.get(crash_rank, 0)
-            # keep the crash inside the active phase: late enough that
-            # at least one step committed, early enough that survivors
-            # are still communicating and must recover.
-            lo = max(1, int(total * 0.10))
-            hi = max(lo, int(total * 0.85))
-            crash_at_post = int(rng.integers(lo, hi + 1))
-    crash_rank = int(crash_rank)
-    crash_at_post = int(crash_at_post)
-
-    base = ChaosPolicy(seed=seed) if wire_chaos else ChaosPolicy.quiet(seed)
-    policy = _replace(base, crash_rank=crash_rank, crash_at_post=crash_at_post)
-    # only the crash run is observed: the probe and the clean verify run
-    # are scaffolding, and tracing them would bury the interesting events.
-    fabric = Fabric(world, policy=policy, timeout=timeout, tracer=tracer,
-                    metrics=metrics)
-    result = train_elastic(spec, strategy, world, fabric=fabric, timeout=timeout)
-
-    events = result.extra["recovery_events"]
-    report = CrashRecoveryReport(
-        strategy=strategy,
-        world=world,
-        seed=seed,
-        crash_rank=crash_rank,
-        crash_at_post=crash_at_post,
-        losses=list(result.losses),
-        survivors=list(result.extra["survivors"]),
-        events=[e.describe() for e in events],
-    )
-    if not events:
-        report.detail = (
-            "crash fired but no survivor needed to recover "
-            "(injection point was after the last commit fence)"
-        )
-        return report
-    if not verify:
-        report.detail = "differential verification skipped"
-        return report
-
-    ev = events[-1]
-    snap = result.extra["rollback_states"][-1]
-    suffix_spec = _replace(
-        spec,
-        iters=spec.iters - ev.step,
-        start_iteration=spec.start_iteration + ev.step,
-        initial_chunks=snap.chunks,
-        initial_opt_state=snap.opt_state,
-    )
-    clean = train_elastic(
-        suffix_spec, strategy, len(ev.survivors), timeout=timeout
-    )
-    suffix = result.losses[ev.step :]
-    if list(map(float, suffix)) != list(map(float, clean.losses)):
-        report.verified = False
-        report.detail = (
-            f"post-recovery losses {suffix} != clean-run losses {clean.losses}"
-        )
-        return report
-    for i, (a, b) in enumerate(zip(result.chunks, clean.chunks)):
-        err = a.max_abs_diff(b)
-        if err != 0.0:
-            report.verified = False
-            report.detail = f"final weights differ at chunk {i}: max |err|={err:.3e}"
-            return report
-    report.verified = True
-    return report
-
-
 def run_differential(
     strategies: Optional[Mapping[str, StrategyEntry]] = None,
     chaos_seeds: Iterable[int] = range(4),
     spec=None,
     policy=None,
     fabric_factory: Optional[Callable] = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-    delta_rtol: float = 1e-6,
-    delta_atol: float = 1e-12,
+    tol=SERIAL_TOL,
     raise_on_failure: bool = False,
     progress: Optional[Callable[[str, int, Optional[str]], None]] = None,
 ) -> DifferentialReport:
@@ -471,76 +369,38 @@ def run_differential(
     chaos_seeds:
         The adversaries to sweep.  Each seed is threaded into a
         :class:`~repro.runtime.ChaosPolicy`, so a failure is replayed by
-        re-running with exactly that seed.
+        ``python -m repro chaos-sweep --seed-start S --seeds 1``.
     policy:
         Template :class:`~repro.runtime.ChaosPolicy` (its ``seed`` field
         is replaced per sweep point).  ``None`` uses the default policy.
     fabric_factory:
         ``(world, policy) -> Fabric`` override — e.g. an intentionally
         broken wire in the harness's own self-tests.
+    tol:
+        The comparator's tolerance against serial (:data:`SERIAL_TOL`).
     progress:
-        ``(strategy, seed, failure_or_None)`` callback per run (the CLI
+        ``(cell, seed, failure_or_None)`` callback per run (the CLI
         prints live PASS/FAIL lines from it).
-
-    A worker crash or deadlock under chaos is recorded as a failure for
-    its (strategy, seed) cell rather than aborting the sweep.
     """
-    from .core.api import STRATEGIES, train
-    from .runtime import ChaosPolicy, Fabric
-
-    if strategies is None:
-        strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
-    if spec is None:
-        spec = default_differential_spec()
-    if policy is None:
-        policy = ChaosPolicy()
+    spec = spec or default_differential_spec()
+    policy = policy or ChaosPolicy()
     if fabric_factory is None:
         fabric_factory = lambda world, pol: Fabric(world, policy=pol)
+    serial = train(spec, "serial", 1)
 
-    norm: Dict[str, Tuple[int, Callable]] = {}
-    for name, entry in strategies.items():
-        if isinstance(entry, int):
-            if name not in STRATEGIES:
-                raise ValueError(f"unknown strategy {name!r}")
-            norm[name] = (entry, STRATEGIES[name])
-        else:
-            world, runner = entry
-            norm[name] = (int(world), runner)
+    def cell(name, runner, cell_spec, world, _tag, seed):
+        fabric = fabric_factory(world, policy.with_seed(seed))
+        return serial, {"": runner(cell_spec, world, fabric)}
 
-    seeds = list(chaos_seeds)
-    report = DifferentialReport(
-        strategies={n: w for n, (w, _) in norm.items()}, seeds=seeds
+    return _sweep(
+        DifferentialReport("differential sweep vs serial"),
+        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, None, None,
+        [("", s) for s in chaos_seeds], spec, cell, tol,
+        lambda name, world, prec, seed: (
+            f"chaos-sweep --strategies {name} --seed-start {seed} --seeds 1"
+        ),
+        progress, raise_on_failure,
     )
-    ref = train(spec, "serial", 1)
-
-    for seed in seeds:
-        pol = policy.with_seed(seed)
-        for name, (world, runner) in norm.items():
-            report.runs += 1
-            failure: Optional[str] = None
-            try:
-                result = runner(spec, world, fabric_factory(world, pol))
-                failure = compare_train_results(
-                    result, ref, spec=spec, rtol=rtol, atol=atol,
-                    delta_rtol=delta_rtol, delta_atol=delta_atol,
-                )
-            except Exception as exc:  # noqa: BLE001 - chaos legitimately crashes workers
-                first_line = (str(exc).splitlines() or [""])[0]
-                failure = f"{type(exc).__name__}: {first_line}"
-            if failure is not None:
-                report.failures.append(
-                    DifferentialFailure(name, world, seed, failure)
-                )
-            if progress is not None:
-                progress(name, seed, failure)
-    if raise_on_failure:
-        report.raise_if_failed()
-    return report
-
-
-# ---------------------------------------------------------------------------
-# backend differential harness: thread transport vs process transport
-# ---------------------------------------------------------------------------
 
 
 def run_backend_differential(
@@ -566,28 +426,26 @@ def run_backend_differential(
     ``strategies`` maps name -> *maximum* world size (defaults to
     :data:`DEFAULT_DIFFERENTIAL_STRATEGIES`); each strategy runs at every
     world in ``worlds`` that does not exceed its maximum (TP caps at 2 on
-    the default model: world must divide ``n_heads``).  Failures are
-    reported per (strategy, world, precision) cell on a
-    :class:`DifferentialReport`, with the precision recorded in the cell
-    message and the chaos seed in the report's ``seeds``.
+    the default model: world must divide ``n_heads``).
     """
-    from .runtime import ChaosPolicy, Fabric, ProcessTransport
-
     policy = ChaosPolicy(
         seed=chaos_seed, delay_prob=1.0, max_delay=link_delay_s,
         drop_prob=0.0, duplicate_prob=0.0,
     )
 
-    def cell(name, runner, cell_spec, world, _variant):
-        thread = runner(
-            cell_spec, world, Fabric(world, policy=policy, timeout=120.0)
-        )
-        proc = runner(cell_spec, world, ProcessTransport(policy=policy))
-        return _diff_bitwise(thread, proc)
+    def cell(name, runner, cell_spec, world, _tag, _seed):
+        thread = runner(cell_spec, world, Fabric(world, policy=policy, timeout=120.0))
+        return thread, {"process": runner(cell_spec, world, ProcessTransport(policy=policy))}
 
-    return _differential_matrix(
-        strategies, worlds, precisions, spec, chaos_seed, cell,
-        raise_on_failure, progress,
+    return _sweep(
+        DifferentialReport("backend differential (thread vs process)"),
+        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
+        [("", chaos_seed)], spec, cell, 0,
+        lambda name, world, prec, seed: (
+            f"train --backend process --strategy {name} --world {world} "
+            f"--precision {prec}"
+        ),
+        progress, raise_on_failure,
     )
 
 
@@ -607,129 +465,34 @@ def run_traced_backend_differential(
     merge, clock handshake, metrics merge all active) — and demands the
     two runs agree bit for bit on losses and final weights.  The traced
     run's merged trace must also pass schema validation with one pid per
-    rank, or the cell fails.
-
-    ``strategies`` maps name -> *maximum* world size (defaults to
-    :data:`DEFAULT_DIFFERENTIAL_STRATEGIES`); worlds beyond a strategy's
-    cap are skipped, exactly as in :func:`run_backend_differential`.
+    rank, or the cell fails.  Worlds beyond a strategy's cap are skipped,
+    exactly as in :func:`run_backend_differential`.
     """
-    from .obs import Tracer, validate_chrome_trace
-    from .runtime import ProcessTransport
 
-    def cell(name, runner, cell_spec, world, _variant):
+    def cell(name, runner, cell_spec, world, _tag, _seed):
         bare = runner(cell_spec, world, ProcessTransport())
         tracer = Tracer(metadata={"strategy": name, "world": world})
         traced = runner(cell_spec, world, ProcessTransport(tracer=tracer))
-        failure = _diff_bitwise(bare, traced)
-        if failure is not None:
-            return failure
         doc = tracer.chrome_trace()
         problems = validate_chrome_trace(doc)
-        if problems:
-            return f"trace schema: {problems[0]}"
         pids = {e["pid"] for e in doc["traceEvents"] if e.get("ph") != "M"}
-        if pids != set(range(world)):
-            return (
-                f"merged trace covers pids {sorted(pids)}"
-                f", expected 0..{world - 1}"
+        if problems or pids != set(range(world)):
+            raise DifferentialMismatch(
+                f"trace schema: {problems[0]}" if problems else
+                f"merged trace covers pids {sorted(pids)}, expected 0..{world - 1}"
             )
-        return None
+        return bare, {"traced": traced}
 
-    return _differential_matrix(
-        strategies, worlds, precisions, spec, 0, cell, raise_on_failure, progress
+    return _sweep(
+        DifferentialReport("traced differential (traced vs bare process run)"),
+        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
+        [("", 0)], spec, cell, 0,
+        lambda name, world, prec, seed: (
+            f"trace {name} --backend process --world {world}"
+        ),
+        progress, raise_on_failure,
     )
 
-
-def _bitwise_matrix(
-    strategies, worlds, precisions, spec, cell, record, variants=(None,)
-) -> None:
-    """The strategy x world x precision (x variant) sweep every bitwise
-    differential shares.  ``strategies`` maps name -> maximum world;
-    ``cell(name, runner, cell_spec, world, variant)`` trains its arms and
-    returns a failure message or ``None`` — an exception it raises is
-    that cell's failure rather than the end of the sweep — and
-    ``record(name, world, precision, variant, failure)`` is the calling
-    report's bookkeeping."""
-    from dataclasses import replace as _replace
-
-    from .core.api import STRATEGIES
-    from .nn.precision import FP32, FP64
-
-    if spec is None:
-        spec = default_differential_spec()
-    prec_map = {"fp64": FP64, "fp32": FP32}
-    worlds = list(worlds)
-    precisions = list(precisions)
-    for prec in precisions:
-        if prec not in prec_map:
-            raise ValueError(f"precision must be fp32 or fp64, got {prec!r}")
-    for name, max_world in strategies.items():
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}")
-        for world in worlds:
-            if world > max_world:
-                continue
-            for prec in precisions:
-                cell_spec = _replace(spec, precision=prec_map[prec])
-                for variant in variants:
-                    try:
-                        failure = cell(
-                            name, STRATEGIES[name], cell_spec, world, variant
-                        )
-                    except Exception as exc:  # noqa: BLE001 - report, don't abort
-                        first = (str(exc).splitlines() or [""])[0]
-                        failure = f"{type(exc).__name__}: {first}"
-                    record(name, world, prec, variant, failure)
-
-
-def _differential_matrix(
-    strategies, worlds, precisions, spec, seed, cell, raise_on_failure, progress
-) -> DifferentialReport:
-    """:func:`_bitwise_matrix` kept on a :class:`DifferentialReport`."""
-    if strategies is None:
-        strategies = DEFAULT_DIFFERENTIAL_STRATEGIES
-    report = DifferentialReport(strategies=dict(strategies), seeds=[seed])
-
-    def record(name, world, prec, _variant, failure):
-        report.runs += 1
-        if failure is not None:
-            report.failures.append(DifferentialFailure(
-                name, world, seed, f"[{prec}] {failure}"
-            ))
-        if progress is not None:
-            progress(f"{name}/P{world}/{prec}", seed, failure)
-
-    _bitwise_matrix(strategies, worlds, precisions, spec, cell, record)
-    if raise_on_failure:
-        report.raise_if_failed()
-    return report
-
-
-def _diff_bitwise(thread, proc) -> Optional[str]:
-    """Bitwise comparison of two TrainResults (backend differential)."""
-    if list(thread.losses) != list(proc.losses):
-        diffs = [
-            i for i, (a, b) in enumerate(zip(thread.losses, proc.losses))
-            if a != b
-        ]
-        return f"loss curves differ bitwise at iters {diffs}"
-    if len(thread.chunks) != len(proc.chunks):
-        return (
-            f"{len(proc.chunks)} weight chunks vs thread "
-            f"{len(thread.chunks)}"
-        )
-    for i, (a, b) in enumerate(zip(thread.chunks, proc.chunks)):
-        if set(a.keys()) != set(b.keys()):
-            return f"chunk {i} parameter names differ"
-        for key in a.keys():
-            if not np.array_equal(np.asarray(a[key]), np.asarray(b[key])):
-                return f"final weights differ bitwise: chunk {i} param {key!r}"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# self-healing harnesses: transient-fault differential + rejoin scenario
-# ---------------------------------------------------------------------------
 
 #: named transient-fault schedules for :func:`run_heal_differential`.
 #: Each is a set of :class:`~repro.runtime.ChaosPolicy` overrides applied
@@ -757,66 +520,6 @@ DEFAULT_HEAL_MODES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HealFailure:
-    """One (mode, world, precision, schedule) cell that was not bit-exact."""
-
-    strategy: str
-    world: int
-    precision: str
-    schedule: str
-    seed: int
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"strategy={self.strategy!r} world={self.world} "
-            f"precision={self.precision} schedule={self.schedule!r} "
-            f"seed={self.seed}: {self.message}"
-        )
-
-
-@dataclass
-class HealDifferentialReport:
-    """Outcome of one :func:`run_heal_differential` sweep."""
-
-    modes: List[str]
-    worlds: List[int]
-    precisions: List[str]
-    schedules: List[str]
-    runs: int = 0
-    failures: List[HealFailure] = field(default_factory=list)
-    #: per-schedule aggregated fault/heal counts across the whole sweep
-    #: (bitflips, corrupt_frames, retransmits, flapped, stalls, ...).
-    injected: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        head = (
-            f"heal differential: {len(self.modes)} modes x "
-            f"{len(self.worlds)} worlds x {len(self.precisions)} precisions "
-            f"x {len(self.schedules)} fault schedules = {self.runs} runs, "
-            f"{len(self.failures)} failure(s)"
-        )
-        lines = [head]
-        for name in self.schedules:
-            agg = self.injected.get(name, {})
-            shown = {k: int(v) for k, v in agg.items() if v}
-            lines.append(f"  {name}: injected {shown or 'nothing'}")
-        if self.ok:
-            lines.append("  all runs bit-exact with their clean full-world twin")
-        else:
-            lines.extend(f"  {f}" for f in self.failures)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise DifferentialMismatch(self.summary())
-
-
 def run_heal_differential(
     modes: Iterable[str] = DEFAULT_HEAL_MODES,
     worlds: Iterable[int] = (2, 4),
@@ -825,8 +528,8 @@ def run_heal_differential(
     seed: int = 0,
     spec=None,
     raise_on_failure: bool = False,
-    progress: Optional[Callable[[str, str, Optional[str]], None]] = None,
-) -> HealDifferentialReport:
+    progress: Optional[Callable[[str, int, Optional[str]], None]] = None,
+) -> DifferentialReport:
     """Transient faults must be invisible: train under seeded bit-flips,
     link flaps and rank stalls and assert **bit-exactness** against a
     clean run of the *same* strategy at the *same* world size.
@@ -843,142 +546,243 @@ def run_heal_differential(
     Every cell trains the faulted run twice — on the thread wire
     (``Fabric(policy=...)``) and on the process wire
     (``ProcessTransport(policy=...)``): the chaos layer is the same
-    object on both, and both must equal the clean run.
+    object on both, and both must equal the clean run.  Schedule ``i``
+    runs chaos seed ``seed + i``.
 
     The report also aggregates what each schedule actually injected (on
     both wires) and fails any schedule that injected nothing — a sweep
     that quietly tested the no-fault path would otherwise read as
     coverage.
     """
-    from dataclasses import replace as _replace
-
-    from .runtime import ChaosPolicy, Fabric, ProcessTransport
-
-    if schedules is None:
-        schedules = HEAL_SCHEDULES
-    modes = list(modes)
+    schedules = HEAL_SCHEDULES if schedules is None else schedules
     worlds = [int(w) for w in worlds]
-    precisions = list(precisions)
-    report = HealDifferentialReport(
-        modes=modes, worlds=worlds, precisions=precisions,
-        schedules=list(schedules),
+    report = DifferentialReport(
+        "heal differential (faulted vs clean twin, both wires)",
+        injected={name: {} for name in schedules},
     )
-    report.injected = {name: {} for name in schedules}
-    seed_of = {name: seed + i for i, name in enumerate(schedules)}
 
-    def cell(mode, runner, cell_spec, world, sched):
+    def cell(mode, runner, cell_spec, world, sched, chaos_seed):
         clean = runner(cell_spec, world, None)
-        pol = _replace(ChaosPolicy.quiet(seed_of[sched]), **dict(schedules[sched]))
+        pol = _replace(ChaosPolicy.quiet(chaos_seed), **dict(schedules[sched]))
         wires = {
-            "thread": Fabric(world, policy=pol),
-            "process": ProcessTransport(policy=pol),
+            "on the thread wire": Fabric(world, policy=pol),
+            "on the process wire": ProcessTransport(policy=pol),
         }
         try:
-            for label, wire in wires.items():
-                failure = _diff_bitwise(clean, runner(cell_spec, world, wire))
-                if failure is not None:
-                    return f"on the {label} wire: {failure}"
+            return clean, {
+                arm: runner(cell_spec, world, wire) for arm, wire in wires.items()
+            }
         finally:
             agg = report.injected[sched]
             for wire in wires.values():
                 for k, v in wire.chaos.as_dict().items():
                     agg[k] = agg.get(k, 0.0) + float(v)
-        return None
 
-    def record(mode, world, precision, sched, failure):
-        report.runs += 1
-        if failure is not None:
-            report.failures.append(HealFailure(
-                mode, world, precision, sched, seed_of[sched], failure
-            ))
-        if progress is not None:
-            progress(f"{mode}/P{world}/{precision}/{sched}", sched, failure)
-
-    _bitwise_matrix(
-        dict.fromkeys(modes, max(worlds, default=0)), worlds, precisions, spec,
-        cell, record, variants=list(schedules),
+    return _sweep(
+        report, dict.fromkeys(modes, max(worlds, default=0)), worlds,
+        precisions, [(name, seed + i) for i, name in enumerate(schedules)],
+        spec, cell, 0,
+        lambda name, world, prec, _seed: (
+            f"self-heal --skip-rejoin --modes {name} --worlds {world} "
+            f"--precisions {prec} --seed {seed}"
+        ),
+        progress, raise_on_failure,
     )
-    # honesty check: a schedule that injected no faults anywhere tested
-    # nothing — surface it as a failure, not silent green.
-    for sched in schedules:
-        agg = report.injected[sched]
-        fired = sum(
-            agg.get(k, 0.0)
-            for k in ("bitflips", "flapped", "stalls", "delayed", "dropped")
-        )
-        if fired == 0:
-            report.failures.append(
-                HealFailure(
-                    "*", 0, "*", sched, seed,
-                    "schedule injected no faults across the whole sweep "
-                    "(knobs too weak for this problem size)",
-                )
-            )
-    if raise_on_failure:
-        report.raise_if_failed()
-    return report
+
+
+# ---------------------------------------------------------------------------
+# fault scenarios: probe -> inject -> verify
+# ---------------------------------------------------------------------------
+
+
+def default_crash_spec(**overrides):
+    """The fault scenarios' default problem: sized so WeiPipe's
+    divisibility constraints (``L % P == 0``, ``N % P == 0``) hold both
+    before and after a world-4 → world-3 ring shrink; fp64 so the
+    crash harness's check is bit-exact, never a tolerance call."""
+    cfg = overrides.pop(
+        "cfg", ModelConfig(hidden=16, n_layers=12, n_heads=2, seq_len=8, vocab=29)
+    )
+    base = dict(
+        cfg=cfg, n_microbatches=12, microbatch_size=2, iters=4, precision=FP64
+    )
+    base.update(overrides)
+    return TrainSpec(**base)
 
 
 @dataclass
-class SelfHealReport:
-    """Outcome of one :func:`run_self_heal` rejoin scenario."""
+class ScenarioReport:
+    """Outcome of one fault scenario: :func:`run_crash_recovery` (a rank
+    dies, the survivors shrink the ring and finish) or
+    :func:`run_self_heal` (a rank's NIC goes down, the rank is confirmed
+    dead, then rejoins).  ``verified`` is None when there was nothing to
+    verify."""
 
+    scenario: str
     strategy: str
     world: int
     seed: int
-    flap_rank: int = -1
-    flap_at_post: int = -1
-    flap_duration: float = 0.0
+    #: what happened to the victim, e.g. "killed" or "NIC down for 0.45s".
+    fault: str
+    victim: int = -1
+    at_post: int = -1
     attempts: int = 0
     losses: List[float] = field(default_factory=list)
-    #: ring shrinks (``RecoveryEvent.describe()``).
+    survivors: List[int] = field(default_factory=list)
+    #: ring shrinks, then ring re-growths (each event's ``describe()``).
     events: List[str] = field(default_factory=list)
-    #: ring re-growths (``RejoinEvent.describe()``).
     rejoins: List[str] = field(default_factory=list)
-    final_world: int = 0
     ring_rejoins: float = 0.0
     detector: Dict[str, float] = field(default_factory=dict)
+    #: what the faulted run was verified against.
+    reference: str = ""
     verified: Optional[bool] = None
     detail: str = ""
 
     @property
-    def healed(self) -> bool:
-        return bool(self.rejoins) and self.final_world == self.world
+    def recovered(self) -> bool:
+        return bool(self.events)
+
+    @property
+    def final_world(self) -> int:
+        return len(self.survivors)
 
     @property
     def ok(self) -> bool:
-        return self.healed and self.ring_rejoins >= 1 and self.verified is True
+        return self.verified is not False
 
     def summary(self) -> str:
-        head = (
-            f"self-heal: strategy={self.strategy} world={self.world} "
-            f"seed={self.seed} -> rank {self.flap_rank} NIC down for "
-            f"{self.flap_duration:.2f}s at its {self.flap_at_post}th send "
-            f"({self.attempts} attempt(s))"
-        )
-        lines = [head]
-        lines += [f"  {e}" for e in self.events]
-        lines += [f"  {e}" for e in self.rejoins]
-        if self.healed:
+        lines = [
+            f"{self.scenario}: strategy={self.strategy} world={self.world} "
+            f"seed={self.seed} -> rank {self.victim} {self.fault} at its "
+            f"{self.at_post}th send ({self.attempts} attempt(s))"
+        ]
+        lines += [f"  {e}" for e in self.events + self.rejoins]
+        if self.rejoins:
             lines.append(
-                f"  ring re-grew to the full world of {self.final_world} "
-                f"rank(s); ring_rejoins={self.ring_rejoins:.0f}, "
+                f"  ring re-grew to {self.final_world} rank(s); "
+                f"ring_rejoins={self.ring_rejoins:.0f}, "
                 f"detector={ {k: int(v) for k, v in self.detector.items() if v} }"
             )
         if self.verified is True:
-            lines.append(
-                "  differential: healed run matches the clean full-world "
-                "run (losses, final weights, accumulated updates)"
-            )
-        elif self.verified is False:
-            lines.append(f"  differential: MISMATCH — {self.detail}")
+            lines.append(f"  differential: matches {self.reference}")
         elif self.detail:
-            lines.append(f"  {self.detail}")
+            failed = "FAILED: " if self.verified is False else ""
+            lines.append(f"  {failed}{self.detail}")
         return "\n".join(lines)
 
     def raise_if_failed(self) -> None:
         if not self.ok:
             raise AssertionError(self.summary())
+
+
+def _probe(report: ScenarioReport, spec, rng, timeout: float):
+    """Probe: a quiet run of the scenario's job (the clean reference),
+    counting the victim's sends; a victim < 0 is drawn from the seed."""
+    fab = Fabric(report.world, policy=ChaosPolicy.quiet(report.seed), timeout=timeout)
+    clean = train_elastic(spec, report.strategy, report.world, fabric=fab, timeout=timeout)
+    if report.victim < 0:
+        report.victim = int(rng.integers(0, report.world))
+    return clean, fab.chaos.posts_by_rank.get(report.victim, 0)
+
+
+def _inject(report: ScenarioReport, spec, policy, timeout: float, **fabric_kw):
+    """Inject: train under ``policy`` and record what the ring did."""
+    report.attempts += 1
+    fabric = Fabric(report.world, policy=policy, timeout=timeout, **fabric_kw)
+    result = train_elastic(
+        spec, report.strategy, report.world, fabric=fabric, timeout=timeout
+    )
+    report.losses = list(result.losses)
+    report.survivors = list(result.extra["survivors"])
+    report.events = [e.describe() for e in result.extra["recovery_events"]]
+    report.rejoins = [e.describe() for e in result.extra.get("rejoin_events", ())]
+    return result, fabric
+
+
+def _verdict(report: ScenarioReport, failure: Optional[str]) -> ScenarioReport:
+    """Verify: record the comparator's (or the scenario's) verdict."""
+    report.verified = failure is None
+    report.detail = failure or ""
+    return report
+
+
+def run_crash_recovery(
+    spec=None,
+    strategy: str = "weipipe-interleave",
+    world: int = 4,
+    seed: int = 0,
+    crash_rank: Optional[int] = None,
+    crash_at_post: Optional[int] = None,
+    wire_chaos: bool = False,
+    verify: bool = True,
+    timeout: float = 120.0,
+    tracer=None,
+    metrics=None,
+) -> ScenarioReport:
+    """Kill one worker mid-training and check elastic recovery end-to-end.
+
+    1. **Probe** — unless the victim rank and its crash point are both
+       pinned, a quiet run counts the victim's sends and (seeded by
+       ``seed``) picks a crash point inside the active phase.
+    2. **Inject** — rerun with :class:`~repro.runtime.ChaosPolicy`
+       injecting :class:`~repro.runtime.ChaosCrash` at that rank/post
+       (plus full wire chaos when ``wire_chaos``); the surviving ranks
+       must detect the failure, shrink the ring and finish training.
+       Only this run is observed by ``tracer`` / ``metrics``.
+    3. **Verify** — re-train the post-crash suffix from scratch: a clean
+       ``len(survivors)``-rank elastic run seeded from the rollback
+       snapshot must reproduce the post-recovery loss curve and final
+       weights *bit-for-bit* (the step engines are pure functions of the
+       snapshot, and fp64 makes the check exact; with reduced-precision
+       policies FSDP's float64 canonical state is re-quantised on resume,
+       so use the default fp64 spec for exact verification).
+    """
+    spec = spec or default_crash_spec()
+    report = ScenarioReport(
+        "crash-recovery", strategy, world, seed, "killed",
+        victim=-1 if crash_rank is None else int(crash_rank),
+    )
+    rng = np.random.default_rng((abs(int(seed)), 0xC4A54))
+    if crash_rank is None or crash_at_post is None:
+        _, sends = _probe(report, spec, rng, timeout)
+        if crash_at_post is None:
+            # keep the crash inside the active phase: late enough that
+            # at least one step committed, early enough that survivors
+            # are still communicating and must recover.
+            lo = max(1, int(sends * 0.10))
+            hi = max(lo, int(sends * 0.85))
+            crash_at_post = int(rng.integers(lo, hi + 1))
+    report.at_post = int(crash_at_post)
+    base = ChaosPolicy(seed=seed) if wire_chaos else ChaosPolicy.quiet(seed)
+    policy = _replace(base, crash_rank=report.victim, crash_at_post=report.at_post)
+    result, _ = _inject(report, spec, policy, timeout, tracer=tracer, metrics=metrics)
+    if not report.events:
+        report.detail = (
+            "crash fired but no survivor needed to recover "
+            "(injection point was after the last commit fence)"
+        )
+        return report
+    if not verify:
+        report.detail = "differential verification skipped"
+        return report
+
+    ev = result.extra["recovery_events"][-1]
+    snap = result.extra["rollback_states"][-1]
+    suffix_spec = _replace(
+        spec,
+        iters=spec.iters - ev.step,
+        start_iteration=spec.start_iteration + ev.step,
+        initial_chunks=snap.chunks,
+        initial_opt_state=snap.opt_state,
+    )
+    clean = train_elastic(suffix_spec, strategy, len(ev.survivors), timeout=timeout)
+    report.reference = (
+        f"a clean {len(ev.survivors)}-rank run from the rollback snapshot "
+        "bit-for-bit"
+    )
+    suffix = TrainResult(losses=result.losses[ev.step:], chunks=result.chunks)
+    return _verdict(report, compare_train_results(suffix, clean, tol=0))
 
 
 def run_self_heal(
@@ -994,7 +798,7 @@ def run_self_heal(
     max_attempts: int = 3,
     tracer=None,
     metrics=None,
-) -> SelfHealReport:
+) -> ScenarioReport:
     """Knock a rank's NIC out mid-training and check the full heal cycle.
 
     The scenario: one rank's links go silent for ``flap_duration``
@@ -1004,86 +808,60 @@ def run_self_heal(
     training; when the NIC comes back the declared-dead rank requests
     readmission, receives the committed state from the leader at a step
     boundary, and the ring re-grows to the full world.  The healed run
-    must match a clean full-world run (the step engines are pure
-    functions of the committed state, so the loss curve is independent
-    of the detour through the shrunken ring).
+    must match the probe's clean full-world run at :data:`SERIAL_TOL`
+    (the step engines are pure functions of the committed state, so the
+    loss curve is independent of the detour through the shrunken ring).
 
     Wall-clock timing is real here (the flap races actual training
-    progress), so the harness probes the victim's send count first and
-    retries the injection point up to ``max_attempts`` times — later in
-    the run each time — until the outage lands inside the active phase
-    and a rejoin actually happens.
+    progress), so the harness retries the injection point up to
+    ``max_attempts`` times — later in the run each time — until the
+    outage lands inside the active phase and a rejoin actually happens.
     """
-    from dataclasses import replace as _replace
-
-    from .parallel.elastic import train_elastic
-    from .runtime import ChaosPolicy, Fabric, FailureDetector
-
-    if spec is None:
-        spec = default_crash_spec(iters=8)
-
-    report = SelfHealReport(
-        strategy=strategy, world=world, seed=seed, flap_duration=flap_duration
+    spec = spec or default_crash_spec(iters=8)
+    report = ScenarioReport(
+        "self-heal", strategy, world, seed, f"NIC down for {flap_duration:.2f}s",
+        victim=-1 if flap_rank is None else int(flap_rank),
+        reference="the clean full-world run (losses, final weights, "
+                  "accumulated updates)",
     )
     rng = np.random.default_rng((abs(int(seed)), 0x5E1F))
-
-    probe_fab = Fabric(world, policy=ChaosPolicy.quiet(seed), timeout=timeout)
-    clean = train_elastic(spec, strategy, world, fabric=probe_fab, timeout=timeout)
-    if flap_rank is None:
-        flap_rank = int(rng.integers(0, world))
-    report.flap_rank = int(flap_rank)
-    total_posts = probe_fab.chaos.posts_by_rank.get(report.flap_rank, 0)
-
-    fractions = (0.35, 0.55, 0.75)
+    clean, sends = _probe(report, spec, rng, timeout)
     last_error = ""
     for attempt in range(max_attempts):
-        report.attempts = attempt + 1
-        frac = fractions[min(attempt, len(fractions) - 1)]
-        at_post = max(1, int(total_posts * frac))
-        report.flap_at_post = at_post
+        report.at_post = max(1, int(sends * (0.35, 0.55, 0.75)[min(attempt, 2)]))
         policy = _replace(
-            ChaosPolicy.quiet(seed),
-            flap_rank=report.flap_rank,
-            flap_rank_at_post=at_post,
-            flap_rank_duration=flap_duration,
+            ChaosPolicy.quiet(seed), flap_rank=report.victim,
+            flap_rank_at_post=report.at_post, flap_rank_duration=flap_duration,
         )
         detector = FailureDetector(
-            min_suspect_s=min_suspect_s,
-            min_confirm_s=min_confirm_s,
+            min_suspect_s=min_suspect_s, min_confirm_s=min_confirm_s,
             poll_interval=0.01,
         )
-        fabric = Fabric(world, policy=policy, timeout=timeout, detector=detector,
-                        tracer=tracer, metrics=metrics)
         try:
-            result = train_elastic(
-                spec, strategy, world, fabric=fabric, timeout=timeout
+            result, fabric = _inject(
+                report, spec, policy, timeout, detector=detector,
+                tracer=tracer, metrics=metrics,
             )
         except Exception as exc:  # noqa: BLE001 - retry a lost race
-            last_error = f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
+            last_error = _first_line(exc)
             continue
-        errors = result.extra["worker_errors"]
-        rejoins = result.extra["rejoin_events"]
-        if any(errors) or not rejoins:
-            last_error = (
+        errors = [e for e in result.extra["worker_errors"] if e]
+        if errors or not report.rejoins:
+            last_error = f"worker errors: {errors}" if errors else (
                 "no rejoin happened (outage landed outside the active phase)"
-                if not rejoins
-                else f"worker errors: {[e for e in errors if e]}"
             )
             continue
-        report.losses = list(result.losses)
-        report.events = [e.describe() for e in result.extra["recovery_events"]]
-        report.rejoins = [e.describe() for e in rejoins]
-        report.final_world = len(result.extra["survivors"])
         report.ring_rejoins = fabric._m_heal["ring_rejoins"].value
         report.detector = {
             k: float(v) for k, v in detector.as_dict().items()
             if isinstance(v, (int, float))
         }
-        diff = compare_train_results(result, clean, spec=spec)
-        report.verified = diff is None
-        report.detail = diff or ""
-        return report
-    report.detail = (
-        f"no successful heal in {max_attempts} attempt(s); last: {last_error}"
+        if report.final_world != world or report.ring_rejoins < 1:
+            return _verdict(report, (
+                f"the ring re-grew to {report.final_world} of {world} rank(s), "
+                f"ring_rejoins={report.ring_rejoins:.0f}"
+            ))
+        return _verdict(report, compare_train_results(result, clean, spec=spec))
+    return _verdict(
+        report, f"no successful heal in {max_attempts} attempt(s); last: {last_error}"
     )
-    return report

@@ -22,7 +22,7 @@ from repro.runtime import Communicator, ProcessTransport, run_workers
 from repro.runtime.transport.base import WorkerError
 from repro.runtime.transport.process import DEFAULT_ARENA_BYTES, _arena_pool
 from repro.runtime.transport.shm import ShmArena
-from repro.testing import _diff_bitwise
+from repro.testing import compare_train_results
 
 PRECISION = {np.float32: FP32, np.float64: FP64}
 
@@ -116,7 +116,7 @@ def test_wide_slot_trains_by_descriptor_bit_identically():
     pt = ProcessTransport()
     proc = train_weipipe(spec, 2, fabric=pt)
     thread = train_weipipe(spec, 2)
-    assert _diff_bitwise(thread, proc) is None
+    assert compare_train_results(proc, thread, tol=0) is None
     assert proc.extra["arena_overflow_allocs"] == 0
     assert proc.extra["arena_overflow_bytes"] == 0
     allocs = proc.extra["pool_allocs_by_iter"]
@@ -134,7 +134,7 @@ def test_explicit_zero_arena_is_pure_copy():
     spec = _spec(2, 1, np.float64)
     pt = ProcessTransport(arena_bytes=0)
     res = train_weipipe(spec, 2, fabric=pt)
-    assert _diff_bitwise(train_weipipe(spec, 2), res) is None
+    assert compare_train_results(res, train_weipipe(spec, 2), tol=0) is None
     assert "arena_capacity" not in pt.pool
     assert res.extra["arena_overflow_allocs"] == 0
     assert run_workers(2, _wire_copies, backend=pt) == [True, True]
@@ -145,7 +145,7 @@ def test_explicit_small_arena_overflows_loudly_and_correctly():
     need = ring_pool_bytes(spec, 2, 0)
     pt = ProcessTransport(arena_bytes=need // 2)  # the hint must not win
     res = train_weipipe(spec, 2, fabric=pt)
-    assert _diff_bitwise(train_weipipe(spec, 2), res) is None
+    assert compare_train_results(res, train_weipipe(spec, 2), tol=0) is None
     assert res.extra["arena_overflow_allocs"] > 0
     assert res.extra["arena_overflow_bytes"] > 0
     assert pt.pool["arena_overflow_allocs"] == res.extra["arena_overflow_allocs"]

@@ -20,7 +20,7 @@ from repro import FP32, FP64, Adam, ModelConfig, TrainSpec
 from repro.core.weipipe import _WeiPipeWorker, train_weipipe
 from repro.obs import Tracer
 from repro.runtime import Fabric, ProcessTransport, run_workers
-from repro.testing import _diff_bitwise
+from repro.testing import compare_train_results
 
 WORLD = 2
 
@@ -59,7 +59,7 @@ def test_process_backend_with_recompute_is_bit_identical_to_threads(dtype, arena
     spec = _spec(dtype, iters=3, recompute=True)
     thread = train_weipipe(spec, WORLD)
     proc = train_weipipe(spec, WORLD, fabric=ProcessTransport(**arena))
-    assert _diff_bitwise(thread, proc) is None
+    assert compare_train_results(proc, thread, tol=0) is None
     assert proc.extra["recompute"] == thread.extra["recompute"] == {
         "replayed": 3 * 4 * 3, "kept": 3 * 4,
     }

@@ -17,12 +17,14 @@ from dataclasses import replace
 
 import pytest
 
+import repro.testing as harness
 from repro.optim import Adam
 from repro.core.api import train
 from repro.io import load_checkpoint_state, save_checkpoint
+from repro.parallel.common import TrainResult
 from repro.parallel.elastic import ELASTIC_STRATEGIES, train_elastic
 from repro.runtime import ChaosPolicy, Fabric, PeerFailed, ProcessTransport
-from repro.testing import default_crash_spec, run_crash_recovery
+from repro.testing import compare_train_results, default_crash_spec, run_crash_recovery
 
 
 def _adam_spec(**overrides):
@@ -32,9 +34,8 @@ def _adam_spec(**overrides):
 
 
 def _assert_same(result, reference):
-    assert list(map(float, result.losses)) == list(map(float, reference.losses))
-    for i, (a, b) in enumerate(zip(result.chunks, reference.chunks)):
-        assert a.max_abs_diff(b) == 0.0, f"chunk {i} differs"
+    diff = compare_train_results(result, reference, tol=0)
+    assert diff is None, diff
 
 
 class TestElasticEqualsPlain:
@@ -101,6 +102,28 @@ class TestCrashRecovery:
         ]
         _assert_same(process, thread)
 
+    def test_verify_compares_chunk_counts(self, monkeypatch):
+        """A clean rerun that comes back one chunk short is a mismatch:
+        the verify step compares chunk counts instead of zipping the two
+        lists to the shorter one."""
+        real, calls = harness.train_elastic, []
+
+        def clean_run_one_chunk_short(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 2:  # pinned crash, no probe: call 2 is verify
+                res = TrainResult(res.losses, res.chunks[:-1], res.extra)
+            return res
+
+        monkeypatch.setattr(harness, "train_elastic", clean_run_one_chunk_short)
+        report = run_crash_recovery(
+            strategy="weipipe-interleave", world=4, crash_rank=0,
+            crash_at_post=76,
+        )
+        assert report.recovered and report.verified is False, report.summary()
+        assert "weight chunks" in report.detail
+        assert not report.ok
+
     def test_max_recoveries_zero_propagates(self):
         spec = default_crash_spec(iters=2)
 
@@ -141,11 +164,10 @@ class TestResumeDeterminism:
             strategy,
             4,
         )
-        assert list(map(float, first.losses + second.losses)) == list(
-            map(float, full.losses)
+        _assert_same(
+            TrainResult(losses=first.losses + second.losses, chunks=second.chunks),
+            full,
         )
-        for a, b in zip(second.chunks, full.chunks):
-            assert a.max_abs_diff(b) == 0.0
 
     def test_resume_through_checkpoint_file(self, tmp_path):
         """The durable v2 format preserves bit-exactness: save at the
@@ -179,8 +201,10 @@ class TestResumeDeterminism:
             strategy,
             4,
         )
-        assert list(map(float, ckpt.train_state["losses"] + second.losses)) == list(
-            map(float, full.losses)
+        _assert_same(
+            TrainResult(
+                losses=ckpt.train_state["losses"] + second.losses,
+                chunks=second.chunks,
+            ),
+            full,
         )
-        for a, b in zip(second.chunks, full.chunks):
-            assert a.max_abs_diff(b) == 0.0

@@ -9,20 +9,31 @@ Two obligations:
   swapped ring tags, and a racy gradient exchange that trusts
   ``ready()`` — are caught, with the failing chaos seed named so
   ``python -m repro chaos-sweep`` can replay it.
+
+The one comparator and every matrix's replay line are pinned here too.
 """
 
+import shlex
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.core.api as api
+from repro.cli import build_parser
 from repro.parallel.common import TrainResult, microbatch, pre_update
 from repro.runtime import ChaosPolicy, Fabric, run_workers
 from repro.testing import (
     DEFAULT_DIFFERENTIAL_STRATEGIES,
+    HEAL_SCHEDULES,
+    SERIAL_TOL,
     DifferentialMismatch,
+    compare_train_results,
     default_differential_spec,
+    run_backend_differential,
     run_differential,
+    run_heal_differential,
+    run_traced_backend_differential,
 )
 
 
@@ -70,6 +81,90 @@ class TestAllStrategiesUnderChaos:
         assert "chaos-sweep" in msg  # the replay hint
 
 
+class TestOneComparator:
+    """Every gate's comparator; ``tol=0`` is bitwise."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        spec = default_differential_spec(iters=1)
+        return spec, _train_builtin(spec, "serial", 1)
+
+    def test_one_chunk_fewer_fails_at_every_tolerance(self, serial):
+        spec, ref = serial
+        short = TrainResult(losses=ref.losses, chunks=ref.chunks[:-1])
+        for tol in (SERIAL_TOL, 0):
+            assert "weight chunks" in compare_train_results(short, ref, spec, tol)
+
+    def test_one_ulp_passes_the_serial_tolerance_not_bitwise(self, serial):
+        spec, ref = serial
+        chunks = [c.clone() for c in ref.chunks]
+        w = chunks[0][chunks[0].keys()[0]]
+        w.flat[0] = np.nextafter(w.flat[0], np.inf)
+        nudged = TrainResult(losses=ref.losses, chunks=chunks)
+        assert compare_train_results(nudged, ref, spec) is None
+        assert "bitwise" in compare_train_results(nudged, ref, spec, tol=0)
+
+    def test_nan_loss_fails_at_every_tolerance(self, serial):
+        spec, ref = serial
+        bad = TrainResult(losses=[float("nan")] + ref.losses[1:], chunks=ref.chunks)
+        for tol in (SERIAL_TOL, 0):
+            diff = compare_train_results(bad, ref, spec, tol)
+            assert "loss curve diverges at iter 0" in diff
+
+
+def _boom(spec, world, fabric):
+    raise RuntimeError("forced failure")
+
+
+class TestReplayLines:
+    """A failure's replay line is a command the CLI parses, naming the
+    subcommand of the matrix that produced it and the failing cell."""
+
+    MATRICES = {
+        "chaos": (
+            lambda: run_differential(strategies={"boom": 2}, chaos_seeds=[7]),
+            dict(command="chaos-sweep", strategies="boom", seed_start=7, seeds=1),
+        ),
+        "backend": (
+            lambda: run_backend_differential(
+                strategies={"boom": 2}, worlds=(2,), precisions=("fp32",)
+            ),
+            dict(command="train", strategy="boom", world=2, precision="fp32",
+                 backend="process"),
+        ),
+        "traced": (
+            lambda: run_traced_backend_differential(
+                strategies={"boom": 2}, worlds=(2,), precisions=("fp32",)
+            ),
+            dict(command="trace", strategy="boom", world=2, backend="process"),
+        ),
+        "heal": (
+            lambda: run_heal_differential(
+                modes=("boom",), worlds=(2,), precisions=("fp32",),
+                schedules={"flap": HEAL_SCHEDULES["flap"]}, seed=3,
+            ),
+            dict(command="self-heal", modes="boom", worlds="2",
+                 precisions="fp32", seed=3, skip_rejoin=True),
+        ),
+    }
+
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    def test_forced_failure_replays_through_its_own_subcommand(
+        self, matrix, monkeypatch
+    ):
+        monkeypatch.setitem(api.STRATEGIES, "boom", _boom)
+        run, expected = self.MATRICES[matrix]
+        report = run()
+        assert report.runs == 1 and not report.ok
+        assert "RuntimeError: forced failure" in report.failures[0].message
+        for failure in report.failures:
+            line = str(failure).splitlines()[-1]
+            prefix = "  reproduce: python -m repro "
+            assert line.startswith(prefix), line
+            args = build_parser().parse_args(shlex.split(line[len(prefix):]))
+            assert {k: getattr(args, k) for k in expected} == expected
+
+
 def _train_builtin(spec, strategy, world, fabric=None):
     from repro import train
 
@@ -105,7 +200,7 @@ class TestBrokenSchedulesAreCaught:
         assert not report.ok
         assert len(report.failures) >= 1
         f = report.failures[0]
-        assert f.strategy == "weipipe-interleave"
+        assert f.cell == "weipipe-interleave/P4"
         assert "chaos_seed" in str(f)
         assert "chaos-sweep" in str(f)
 

@@ -14,6 +14,7 @@ from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64, ModelConfig
 from repro.parallel.common import TrainSpec
 from repro.runtime import ChaosPolicy, Fabric, Topology
+from repro.testing import compare_train_results
 
 MODES = ["naive", "interleave", "zero-bubble"]
 #: group layout is one more input of the one ring engine.
@@ -25,9 +26,9 @@ def _topo(layout):
     return None if layout is None else Topology.grid(4, layout)
 
 
-def _assert_identical(chunks_a, chunks_b):
-    for a, b in zip(chunks_a, chunks_b):
-        assert a.max_abs_diff(b) == 0.0
+def _assert_identical(result, reference):
+    diff = compare_train_results(result, reference, tol=0)
+    assert diff is None, diff
 
 
 def _spec(precision=FP64, iters=2, nmb=4):
@@ -49,15 +50,13 @@ class TestBitExactness:
                              overlap=False, topology=topo)
         ovl = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4),
                             overlap=True, topology=topo)
-        assert sync.losses == ovl.losses
-        _assert_identical(sync.chunks, ovl.chunks)
+        _assert_identical(ovl, sync)
         if topo is not None:
             # hier == flat closes the square: the sync flat ring is the
             # reference every other (overlap, layout) cell is diffed against.
             flat = train_weipipe(spec, 4, mode=mode, fabric=Fabric(4),
                                  overlap=False)
-            assert flat.losses == ovl.losses
-            _assert_identical(flat.chunks, ovl.chunks)
+            _assert_identical(ovl, flat)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=_layout_ids)
     @pytest.mark.parametrize("mode", MODES)
@@ -73,8 +72,7 @@ class TestBitExactness:
             spec, 4, mode=mode, overlap=True, topology=topo,
             fabric=Fabric(4, policy=policy, timeout=60.0),
         )
-        assert sync.losses == ovl.losses
-        _assert_identical(sync.chunks, ovl.chunks)
+        _assert_identical(ovl, sync)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=_layout_ids)
     def test_overlap_traffic_matches_sync(self, layout):
@@ -98,8 +96,7 @@ class TestBitExactness:
         flat = train_weipipe(spec, 4, fabric=f_flat, topology=None)
         one = train_weipipe(spec, 4, fabric=f_one,
                             topology=Topology.grid(4, "1x4"))
-        assert flat.losses == one.losses
-        _assert_identical(flat.chunks, one.chunks)
+        _assert_identical(one, flat)
         assert f_flat.stats.by_kind == f_one.stats.by_kind
         assert f_flat.stats.messages == f_one.stats.messages
         # same ledger, plus the layout a topology-given run names

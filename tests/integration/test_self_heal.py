@@ -21,6 +21,7 @@ from repro.parallel.elastic import train_elastic
 from repro.runtime import ChaosPolicy, Fabric, Topology
 from repro.testing import (
     HEAL_SCHEDULES,
+    compare_train_results,
     default_differential_spec,
     run_crash_recovery,
     run_heal_differential,
@@ -93,9 +94,8 @@ class TestHierElasticRegistration:
         spec = default_differential_spec()
         direct = train_weipipe(spec, 4, topology=Topology.grid(4, "2x2"))
         elastic = train_elastic(spec, "weipipe-hier", 4)
-        assert elastic.losses == direct.losses
-        for ce, cd in zip(elastic.chunks, direct.chunks):
-            assert ce.max_abs_diff(cd) == 0.0
+        diff = compare_train_results(elastic, direct, tol=0)
+        assert diff is None, diff
 
     def test_hier_crash_recovery_shrink_then_verify(self):
         report = run_crash_recovery(strategy="weipipe-hier", seed=1)

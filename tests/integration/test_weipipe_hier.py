@@ -16,7 +16,11 @@ from repro.core import strategy_names, train
 from repro.core.weipipe import train_weipipe
 from repro.nn import FP32, FP64
 from repro.runtime import ChaosPolicy, Fabric, Topology, default_groups
-from repro.testing import default_differential_spec, run_differential
+from repro.testing import (
+    compare_train_results,
+    default_differential_spec,
+    run_differential,
+)
 
 WORLD = 4
 
@@ -27,9 +31,9 @@ SHAPES = {
 }
 
 
-def _assert_identical(chunks_a, chunks_b):
-    for a, b in zip(chunks_a, chunks_b):
-        assert a.max_abs_diff(b) == 0.0
+def _assert_identical(result, reference):
+    diff = compare_train_results(result, reference, tol=0)
+    assert diff is None, diff
 
 
 def _hier_runner(topo):
@@ -47,8 +51,7 @@ class TestBitExactVsFlat:
         hier = train_weipipe(
             spec, WORLD, topology=SHAPES[shape], fabric=Fabric(WORLD)
         )
-        assert flat.losses == hier.losses
-        _assert_identical(flat.chunks, hier.chunks)
+        _assert_identical(hier, flat)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES), ids=sorted(SHAPES))
     @pytest.mark.parametrize("seed", range(3))
@@ -65,23 +68,20 @@ class TestBitExactVsFlat:
             fabric=Fabric(WORLD, policy=policy, topology=topo,
                           timeout=60.0),
         )
-        assert flat.losses == hier.losses
-        _assert_identical(flat.chunks, hier.chunks)
+        _assert_identical(hier, flat)
 
     @pytest.mark.parametrize("mode", ["naive", "interleave", "zero-bubble"])
     def test_all_modes(self, mode):
         spec = default_differential_spec()
         flat = train_weipipe(spec, WORLD, mode=mode)
         hier = train_weipipe(spec, WORLD, topology=SHAPES["2x2"], mode=mode)
-        assert flat.losses == hier.losses
-        _assert_identical(flat.chunks, hier.chunks)
+        _assert_identical(hier, flat)
 
     def test_sync_engine(self):
         spec = default_differential_spec()
         flat = train_weipipe(spec, WORLD, overlap=False)
         hier = train_weipipe(spec, WORLD, topology=SHAPES["2x2"], overlap=False)
-        assert flat.losses == hier.losses
-        _assert_identical(flat.chunks, hier.chunks)
+        _assert_identical(hier, flat)
 
 
 class TestDifferentialSweep:
@@ -93,9 +93,7 @@ class TestDifferentialSweep:
         # vs-serial tolerances are precision-bound: fp32 ring accumulation
         # legitimately rounds ~1e-10 away from serial (the flat ring does
         # too); hier-vs-flat stays exactly bit-equal (TestBitExactVsFlat).
-        tol = {} if precision is FP64 else dict(
-            rtol=1e-5, atol=1e-7, delta_rtol=1e-4, delta_atol=1e-7
-        )
+        tol = {} if precision is FP64 else dict(tol=(1e-5, 1e-7, 1e-4, 1e-7))
         report = run_differential(
             strategies={
                 f"weipipe-hier-{shape}": (WORLD, _hier_runner(topo))

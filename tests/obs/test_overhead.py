@@ -22,6 +22,7 @@ from repro.nn import FP32, FP64, ModelConfig
 from repro.obs import NULL_RANK_TRACER, NULL_TRACER, Tracer
 from repro.parallel.common import TrainSpec
 from repro.runtime import Fabric
+from repro.testing import compare_train_results
 
 
 def _spec(precision=FP64, iters=2):
@@ -33,9 +34,8 @@ def _spec(precision=FP64, iters=2):
 
 
 def _assert_identical(a, b):
-    assert a.losses == b.losses
-    for ca, cb in zip(a.chunks, b.chunks):
-        assert ca.max_abs_diff(cb) == 0.0
+    diff = compare_train_results(b, a, tol=0)
+    assert diff is None, diff
 
 
 class TestBitExactness:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import FP32, FP64, ModelConfig, TrainSpec, train
 from repro.parallel.pipeline import PIPELINE_SCHEDULES, stage_chunk_range
-from repro.testing import _diff_bitwise
+from repro.testing import compare_train_results
 
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
 
@@ -83,7 +83,7 @@ class TestOneEngineFourPrograms:
         ref = train(spec, "1f1b", world, backend=backend)
         for schedule in PIPELINE_SCHEDULES:
             got = train(spec, schedule, world, backend=backend)
-            assert _diff_bitwise(ref, got) is None, schedule
+            assert compare_train_results(got, ref, tol=0) is None, schedule
 
 
 class TestWeiPipeLiveness:

@@ -1,8 +1,19 @@
 """CLI smoke and behaviour tests (invoked in-process via main())."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.schedule import RING_SCHEDULES
+from repro.testing import DEFAULT_HEAL_MODES
+
+
+def _option(command, dest):
+    """The parser's action for ``command``'s ``dest`` option."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
 
 
 class TestParser:
@@ -22,6 +33,13 @@ class TestParser:
     def test_table_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "5"])
+
+    @pytest.mark.parametrize("command", ["bench-overlap", "bench-topology"])
+    def test_ring_modes_are_the_turn_table(self, command):
+        assert _option(command, "mode").choices == sorted(RING_SCHEDULES)
+
+    def test_self_heal_modes_default_to_the_heal_matrix(self):
+        assert _option("self-heal", "modes").default == ",".join(DEFAULT_HEAL_MODES)
 
 
 class TestCommands:
