@@ -44,13 +44,15 @@ through :func:`ring_schedule` (mode -> turns + task function),
 :func:`ring_splits_backward` and :func:`turn_ops` (a turn's ops in the
 order the engine runs them): the ring worker, the DES builder, the
 planner's time walk and the memory model (DESIGN §19).
+:func:`liveness` is the one walk of a rank's op list — a ring row's
+:func:`ring_program` or a pipeline's ``stage_program`` — that the memory
+model charges and the runtime's ledgers are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TurnTask",
@@ -66,7 +68,8 @@ __all__ = [
     "ring_schedule",
     "ring_splits_backward",
     "turn_ops",
-    "ring_liveness",
+    "ring_program",
+    "liveness",
 ]
 
 
@@ -256,31 +259,36 @@ def turn_ops(task: TurnTask) -> Tuple[Tuple[str, Tuple[int, int]], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def ring_liveness(mode: str, world: int, n_microbatches: int) -> Tuple[Tuple[int, int], ...]:
-    """Per worker, the walked peaks ``(in-flight microbatches, pending-W
-    slot passes)`` — what the ring worker's ``peak_inflight`` and
-    ``peak_pending_w`` ledgers read (the latter per layer chunk).  Cached:
-    the planner's memory model asks once per candidate.
-
-    A microbatch is in flight from its slot-0 forward to its slot-0
-    backward; on a split row a slot pass is pending from its B to its W.
-    """
+def ring_program(
+    mode: str, world: int, rank: int, n_microbatches: int
+) -> List[Tuple[str, Tuple[int, int]]]:
+    """Worker ``rank``'s straight-line op list: every turn's
+    :func:`turn_ops`, in turn order — the ring twin of
+    :func:`repro.parallel.pipeline.stage_program`."""
     total, task_fn = ring_schedule(mode, world, n_microbatches)
-    split = ring_splits_backward(mode)
-    peaks = []
-    for p in range(world):
-        inflight = pending = peak_inflight = peak_pending = 0
-        for t in range(total):
-            for kind, (slot, _) in turn_ops(task_fn(p, t)):
-                if kind == "W":
-                    pending -= 1
-                elif kind == "B":
-                    inflight -= slot == 0
-                    pending += split
-                else:
-                    inflight += slot == 0
-                peak_inflight = max(peak_inflight, inflight)
-                peak_pending = max(peak_pending, pending)
-        peaks.append((peak_inflight, peak_pending))
-    return tuple(peaks)
+    return [op for t in range(total) for op in turn_ops(task_fn(rank, t))]
+
+
+def liveness(ops: Sequence[Tuple[str, object]]) -> Iterator[Tuple[int, int]]:
+    """The ``(held, pending)`` state after each op of one rank's program —
+    a :func:`~repro.parallel.pipeline.stage_program` (a unit is the
+    stage's layers) or a :func:`ring_program` (a unit is a slot's).
+
+    ``F`` adds a held unit: its stored activations.  ``B`` frees it — or,
+    in a program that splits its backward (one with ``W`` ops), moves it
+    to pending: the forward cache plus the B pass's gradient bundle, until
+    ``W`` frees it.  The runtime's ``peak_inflight`` / ``peak_pending_w``
+    ledgers are the per-field maxima; :mod:`repro.sim.memory` charges the
+    byte-weighted maximum.
+    """
+    split = any(kind == "W" for kind, _ in ops)
+    held = pending = 0
+    for kind, _ in ops:
+        if kind == "F":
+            held += 1
+        elif kind == "B":
+            held -= 1
+            pending += split
+        else:
+            pending -= 1
+        yield held, pending

@@ -218,10 +218,14 @@ class _WeiPipeWorker:
 
         self.inflight: Dict[int, _MicrobatchState] = {}
         self.losses_by_mb: Dict[int, float] = {}
+        # slot passes forwarded and not yet backwarded (``liveness``'s
+        # held units), and their peak
+        self.held = 0
         self.peak_inflight = 0
-        # zero-bubble mode: (mb, chunk id) -> (cache, wcache) between the
-        # B pass and its deferred W pass one ring revolution later.
-        self.pending_w: Dict[tuple, tuple] = {}
+        # zero-bubble mode: (mb, slot) -> {chunk id: (cache, wcache)}
+        # between the B pass and its deferred W pass one ring revolution
+        # later.
+        self.pending_w: Dict[tuple, dict] = {}
         self.peak_pending_w = 0
         # telemetry: this rank's timeline buffer plus wire-wait/compute
         # histograms and turn counters on the fabric's metrics registry.
@@ -394,7 +398,8 @@ class _WeiPipeWorker:
         if slot == 0:
             tokens, targets = microbatch(self.spec, it, mb)
             self.inflight[mb] = _MicrobatchState(tokens, targets)
-            self.peak_inflight = max(self.peak_inflight, len(self.inflight))
+        self.held += 1
+        self.peak_inflight = max(self.peak_inflight, self.held)
         state = self.inflight[mb]
         x = state.x
         for i in ids:
@@ -435,6 +440,7 @@ class _WeiPipeWorker:
                 dy = self.q_bgrad(dy)
             self._deferred.append((i, g))
         state.dy = dy
+        self.held -= 1
         if slot == 0:
             del self.inflight[mb]  # microbatch fully retired
 
@@ -443,22 +449,25 @@ class _WeiPipeWorker:
         ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
         state = self.inflight[mb]
         dy = state.dy
+        parked = {}
         for i in reversed(ids):
             w = self.bwd_slot[i]
             dy, cache, wcache = self.ck.bwd_input(i, w, dy, state.fwd_states.pop(i))
             if dy is not None:
                 dy = self.q_bgrad(dy)
-            self.pending_w[(mb, i)] = (cache, wcache)
+            parked[i] = (cache, wcache)
+        self.pending_w[(mb, slot)] = parked
         self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
         state.dy = dy
+        self.held -= 1
         if slot == 0:
             del self.inflight[mb]
 
     def _w_pass_slot(self, it: int, slot: int, mb: int) -> None:
         """Zero-bubble W pass: runs when the slot's D comes around again."""
+        parked = self.pending_w.pop((mb, slot))
         for i in slot_chunk_ids(slot, self.world, self.cfg.n_layers):
-            cache, wcache = self.pending_w.pop((mb, i))
-            self._deferred.append((i, self.ck.bwd_weight(i, cache, wcache)))
+            self._deferred.append((i, self.ck.bwd_weight(i, *parked[i])))
 
     def _check_slot(self, kind: str, slot: int, expected: int) -> None:
         if slot != expected:
@@ -818,6 +827,9 @@ def train_weipipe(
     afterwards (DESIGN.md §12; the ``weipipe-hier`` strategy), and the
     result's ``extra`` names the ``groups`` and ``gateways``.  Neither
     changes what is computed — results are bit-identical across all four.
+
+    ``extra["peak_inflight"]`` / ``extra["peak_pending_w"]`` map rank ->
+    peak count of slot passes between F and B / B and W.
 
     Requires ``n_layers % world_size == 0`` and
     ``n_microbatches % world_size == 0`` (the paper's setting).

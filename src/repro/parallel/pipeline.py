@@ -10,10 +10,10 @@ There is one stage worker.  It interprets a per-rank *program* — a list
 of ``("F" | "B" | "W", microbatch)`` ops from :func:`stage_program` —
 and the four schedules are the four rows of :data:`PIPELINE_SCHEDULES`:
 how many forwards a stage runs before its first backward (warmup depth)
-and how many finished B passes it lets pile up before it runs the oldest
-W pass (W lag; ``None`` = the backward is fused and there are no W ops).
-All four compute bit-identical numbers; they differ in *when* each stage
-runs which pass, i.e. in bubbles and liveness:
+and whether the backward is split into B and W ops.  A split schedule
+runs each W one B behind.  All four compute bit-identical numbers; they
+differ in *when* each stage runs which pass, i.e. in bubbles and
+liveness:
 
 * **GPipe** — all ``N`` forwards, then all ``N`` backwards (peak ``N``
   in-flight activation sets per stage).
@@ -23,24 +23,24 @@ runs which pass, i.e. in bubbles and liveness:
   **B pass** (gradient w.r.t. activations; unblocks the upstream stage
   at once) and a **W pass** (gradient w.r.t. weights; local GEMMs,
   freely deferrable) that fills bubbles.  ZB1 warms up ``P - rank``
-  deep and runs each W right after the next B; ZB2 warms up
-  ``2(P - rank) - 1`` deep and defers W passes by as much, buying a
-  smaller bubble (in time; see ``repro.sim``) at about double the
-  liveness.
+  deep; ZB2 warms up ``2(P - rank) - 1`` deep, buying a smaller bubble
+  (in time; see ``repro.sim``) with about twice the in-flight caches.
+  Both run each W one B behind, in ZB-H2's steady ``F B W`` rhythm.
 
 Between a microbatch's B pass and its W pass the stage holds both the
 forward cache and the B-pass gradient bundle.  The paper's Table 2
 finding — ZB1/ZB2 go OOM where 1F1B does not, once Flash Attention makes
-FFN activations dominant — is driven by that window, so every result
+FFN activations dominant — is driven by those caches, so every result
 carries ``extra["peak_inflight"]`` and ``extra["peak_pending_w"]``
-(rank -> peak count; the latter 0 for fused schedules).  Split schedules
-reject recomputation, mirroring the paper: the forward cache must
-survive until the W pass anyway, so checkpointing saves nothing and
-only adds compute.
+(rank -> peak count of microbatches between F and B / B and W; the
+latter 0 for fused schedules): the per-field maxima of the program's
+:func:`~repro.core.schedule.liveness` walk.  Split schedules reject
+recomputation, mirroring the paper: the forward cache must survive
+until the W pass anyway, so checkpointing saves nothing and only adds
+compute.
 
 The same program is what ``repro.sim.schedules.pipeline`` turns into a
-task graph and the same table is where ``repro.sim.memory`` reads its
-warmup depths (DESIGN §18).
+task graph and what ``repro.sim.memory`` walks (DESIGN §18).
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ __all__ = [
     "train_pipeline",
 ]
 
-#: schedule -> (warmup depth, W lag) of stage ``r`` of ``P`` running ``n``
-#: microbatches.  The depth is capped at ``n`` by its readers; lag
-#: ``None`` = fused backward.
+#: schedule -> (warmup depth of stage ``r`` of ``P`` running ``n``
+#: microbatches, does it split the backward into B and W).  The depth is
+#: capped at ``n`` by :func:`stage_program`.
 PIPELINE_SCHEDULES = {
-    "gpipe": (lambda P, r, n: n, None),
-    "1f1b": (lambda P, r, n: P - 1 - r, None),
-    "zb1": (lambda P, r, n: P - r, lambda P, r, n: 1),
-    "zb2": (lambda P, r, n: 2 * (P - r) - 1, lambda P, r, n: 2 * (P - r) - 1),
+    "gpipe": (lambda P, r, n: n, False),
+    "1f1b": (lambda P, r, n: P - 1 - r, False),
+    "zb1": (lambda P, r, n: P - r, True),
+    "zb2": (lambda P, r, n: 2 * (P - r) - 1, True),
 }
 
 
@@ -87,7 +87,7 @@ def _row(schedule: str) -> tuple:
 def splits_backward(schedule: str) -> bool:
     """Does ``schedule`` run B and W as separate ops?  Such a schedule
     keeps every forward cache until its W pass, so it cannot recompute."""
-    return _row(schedule)[1] is not None
+    return _row(schedule)[1]
 
 
 def stage_program(
@@ -96,23 +96,20 @@ def stage_program(
     """Stage ``rank``'s straight-line op sequence as ``(kind, mb)`` pairs.
 
     Three phases: ``warmup`` forwards; then per microbatch one forward
-    (while any remain), its B, and — once more than ``lag`` B passes
-    await their W — the oldest W; then the remaining W passes.
+    (while any remain), its B, and — on a split schedule — the W of the
+    B before it; then the last W.
     """
-    depth, lag = _row(schedule)
+    depth, split = _row(schedule)
     warmup = min(n_mb, depth(world, rank, n_mb))
-    w_lag = None if lag is None else lag(world, rank, n_mb)
     ops = [("F", mb) for mb in range(warmup)]
-    w = 0
     for b in range(n_mb):
         if warmup + b < n_mb:
             ops.append(("F", warmup + b))
         ops.append(("B", b))
-        if w_lag is not None and b + 1 - w > w_lag:
-            ops.append(("W", w))
-            w += 1
-    if w_lag is not None:
-        ops += [("W", mb) for mb in range(w, n_mb)]
+        if split and b > 0:
+            ops.append(("W", b - 1))
+    if split and n_mb:
+        ops.append(("W", n_mb - 1))
     return ops
 
 

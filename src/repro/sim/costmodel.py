@@ -337,12 +337,12 @@ class CostModel:
         """fp32 master + Adam moments for the layers this worker updates."""
         return self.dims.layer_params * layers * self.cfg.optimizer_bytes_per_param
 
+    def state_bytes_per_param(self) -> int:
+        """A parameter's full state: weight + grad buffer + optimizer."""
+        c = self.cfg
+        return c.weight_bytes + c.wgrad_bytes + c.optimizer_bytes_per_param
+
     def embedding_bytes(self) -> float:
         """Embedding + head storage (weights+grad+optimizer) where resident."""
         d = self.dims
-        per_param = (
-            self.cfg.weight_bytes
-            + self.cfg.wgrad_bytes
-            + self.cfg.optimizer_bytes_per_param
-        )
-        return 2.0 * d.vocab * d.hidden * per_param
+        return 2.0 * d.vocab * d.hidden * self.state_bytes_per_param()

@@ -16,35 +16,29 @@ weights + grad buffers    fp16 + fp16, for the layers resident on the worker
 optimizer states          fp32 master + Adam moments, for the layers *owned*
 embedding / head          on stage 0 / P-1 for pipelines; riding the ring
                           (plus owner's optimizer) for WeiPipe
-activation storage        schedule-dependent liveness x per-layer size
+activation storage        the walked liveness of the worker's program
 transient working set     one layer's full cache + B-grad bundle + chunked
                           logits during loss
 ========================  ====================================================
 
-Pipeline liveness is read from the schedule table the functional stage
-worker executes (:data:`repro.parallel.pipeline.PIPELINE_SCHEDULES`),
-not restated: fused schedules (GPipe, 1F1B) are charged the walked peak
-in-flight count of their :func:`~repro.parallel.pipeline.stage_program`
-(``N`` resp. ``min(N, P - rank)``), split schedules (ZB1, ZB2) their
-table warmup depth in full caches plus a fixed two-microbatch B-to-W
-window.  ``tests/parallel/test_pipeline_program.py`` asserts both
-readings against the walked programs.  The ZB terms are *calibrated to
-Table 2, not to the walk*: a walked ZB program holds more than they
-charge (e.g. ZB2 rank 0 at P=4, N=8 peaks at 8 pending W passes, not
-2) — the residual table is in DESIGN §18, owed to ROADMAP 5(b).
-WeiPipe-Interleave holds a constant ``~(P+1)/P`` model's worth of
-boundaries regardless of ``P``; the ring row that splits its backward
-(``weipipe-zb``) is charged the peaks walked off its turn table
-(:func:`repro.core.schedule.ring_liveness`).
+Pipelines and rings store activations exactly as their programs say:
+each rank's :func:`~repro.parallel.pipeline.stage_program` or
+:func:`~repro.core.schedule.ring_program` — the op lists the runtime
+executes — is walked by :func:`~repro.core.schedule.liveness`, and the
+rank is charged the maximum over the walk of ``held`` units of stored
+activations plus ``pending`` units of full cache + B-grad bundle (a unit
+is a stage's or a slot's ``L / P`` layers).  No schedule has a liveness
+formula of its own (DESIGN §18, §19).
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import Callable, FrozenSet, List, Tuple
 
 from ..core.api import RING_STRATEGIES
-from ..core.schedule import ring_liveness, ring_splits_backward
-from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
+from ..core.schedule import liveness, ring_program, ring_splits_backward
+from ..parallel.pipeline import splits_backward, stage_program
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -61,6 +55,31 @@ def _act_per_layer(cost: CostModel) -> float:
     if cost.cfg.recompute:
         return cost.act_boundary_bytes()
     return cost.act_full_cache_bytes()
+
+
+@lru_cache(maxsize=1024)
+def _walks(program: Callable, name: str, world: int, n_mb: int) -> Tuple[FrozenSet, ...]:
+    """Per rank, the distinct ``(held, pending)`` states the liveness walk
+    of ``program(name, world, rank, n_mb)`` passes through.  Cached: the
+    planner charges every candidate."""
+    return tuple(
+        frozenset(liveness(program(name, world, r, n_mb))) for r in range(world)
+    )
+
+
+def _act_live(cost: CostModel, walks: Tuple[FrozenSet, ...], lps: int, split: bool) -> List[float]:
+    """Per rank, the byte-weighted peak of its program's liveness walk.
+
+    A held unit is ``lps`` layers of stored activations — full caches on a
+    split program, which cannot recompute.  A pending unit keeps its full
+    cache and adds the B-grad bundle.
+    """
+    act = cost.act_full_cache_bytes() if split else _act_per_layer(cost)
+    pend = cost.act_full_cache_bytes() + cost.bgrad_cache_bytes()
+    return [
+        max((h * lps * act + p * lps * pend for h, p in states), default=0.0)
+        for states in walks
+    ]
 
 
 def _working_set(cost: CostModel, with_logits: bool) -> float:
@@ -84,51 +103,24 @@ def _pipeline_common(cost: CostModel, dims: WorkloadDims, world: int, rank: int)
     return total
 
 
-def _stored_microbatches(schedule: str, world: int, rank: int, n_mb: int) -> int:
-    """Forward-activation sets charged to pipeline stage ``rank``.
-
-    A split schedule is charged its warmup depth; a fused one peaks one
-    higher, because the first steady-state forward lands before the
-    first backward frees anything.
-    """
-    depth, _ = PIPELINE_SCHEDULES[schedule]
-    warmup = min(n_mb, depth(world, rank, n_mb))
-    return warmup if splits_backward(schedule) else min(n_mb, warmup + 1)
-
-
 def _mem_pipeline(dims, cluster, cost, schedule: str) -> List[float]:
-    """GPipe / 1F1B / ZB1 / ZB2: stage state + stored activations.
-
-    Split schedules cannot recompute, so they store full caches, and
-    between a B pass and its W pass both the forward cache and the
-    B-grad bundle stay alive.  ZB2's extra memory is modelled as its
-    ~2x-deeper warmup only; the B-to-W window is a fixed 2 microbatches
-    for both (see the module docstring for the residual this leaves).
-    """
+    """GPipe / 1F1B / ZB1 / ZB2: stage state + the walked activations of
+    each stage's program + the working set."""
     world = cluster.world_size
     lps = dims.n_layers // world
-    n_mb = dims.n_microbatches
-    split = splits_backward(schedule)
-    act = cost.act_full_cache_bytes() if split else _act_per_layer(cost)
-    out = []
-    for r in range(world):
-        m = _pipeline_common(cost, dims, world, r)
-        m += _stored_microbatches(schedule, world, r, n_mb) * lps * act
-        if split:
-            m += min(2, n_mb) * lps * (act + cost.bgrad_cache_bytes()) * 0.5
-        m += _working_set(cost, with_logits=(r == world - 1))
-        out.append(m)
-    return out
+    walks = _walks(stage_program, schedule, world, dims.n_microbatches)
+    acts = _act_live(cost, walks, lps, splits_backward(schedule))
+    return [
+        _pipeline_common(cost, dims, world, r)
+        + act
+        + _working_set(cost, with_logits=(r == world - 1))
+        for r, act in enumerate(acts)
+    ]
 
 
 def _mem_fsdp(dims, cluster, cost) -> List[float]:
     world = cluster.world_size
-    per_param = (
-        cost.cfg.weight_bytes
-        + cost.cfg.wgrad_bytes
-        + cost.cfg.optimizer_bytes_per_param
-    )
-    shard = dims.model_params * per_param / world
+    shard = dims.model_params * cost.state_bytes_per_param() / world
     gathered = 2 * dims.layer_params * cost.cfg.weight_bytes  # prefetch depth 2
     grad_transient = dims.layer_params * cost.cfg.wgrad_bytes
     act = _act_per_layer(cost) * dims.n_layers  # one local microbatch
@@ -142,11 +134,7 @@ def _mem_tp(dims, cluster, cost) -> List[float]:
     (queries are not sharded: activation memory is NOT divided by P,
     TP's well-known weakness at long context)."""
     world = cluster.world_size
-    per_param = (
-        cost.cfg.weight_bytes
-        + cost.cfg.wgrad_bytes
-        + cost.cfg.optimizer_bytes_per_param
-    )
+    per_param = cost.state_bytes_per_param()
     split = dims.layer_params * dims.n_layers * per_param / world
     replicated = 2 * dims.vocab * dims.hidden * per_param
     act = _act_per_layer(cost) * dims.n_layers
@@ -158,15 +146,10 @@ def _mem_sp(dims, cluster, cost) -> List[float]:
     """SP: full model replica (DP-style states) but activations divided
     by P (the technique's purpose), plus the transient gathered K/V."""
     world = cluster.world_size
-    per_param = (
-        cost.cfg.weight_bytes
-        + cost.cfg.wgrad_bytes
-        + cost.cfg.optimizer_bytes_per_param
-    )
     act = _act_per_layer(cost) * dims.n_layers / world
     kv_transient = 2 * cost.act_message_bytes()
     m = (
-        dims.model_params * per_param
+        dims.model_params * cost.state_bytes_per_param()
         + act
         + kv_transient
         + _working_set(cost, True) / world
@@ -175,80 +158,39 @@ def _mem_sp(dims, cluster, cost) -> List[float]:
 
 
 def _mem_dp(dims, cluster, cost) -> List[float]:
-    per_param = (
-        cost.cfg.weight_bytes
-        + cost.cfg.wgrad_bytes
-        + cost.cfg.optimizer_bytes_per_param
-    )
     act = _act_per_layer(cost) * dims.n_layers
-    m = dims.model_params * per_param + act + _working_set(cost, True)
+    m = dims.model_params * cost.state_bytes_per_param() + act + _working_set(cost, True)
     return [m] * cluster.world_size
 
 
-def _mem_weipipe(dims, cluster, cost, mode: str) -> List[float]:
-    """WeiPipe: three circulating slots (2 W + D), double-buffered, plus
-    owner-local optimizer state, plus the steady-state activation load.
+def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
+    """One :data:`~repro.core.api.RING_STRATEGIES` row: three circulating
+    slots (2 W + D), double-buffered, plus owner-local optimizer state,
+    plus the walked activations of each worker's turn program.  Embedding
+    and head weights ride the ring, so every worker transiently holds
+    copies; their optimizer state sits on their owners.
 
-    Interleave keeps one forwarding and one backwarding microbatch whose
-    combined boundary count is ``(P+1)/P`` models' worth; Naive keeps a
-    single microbatch's.  Embedding and head weights ride the ring, so
-    every worker transiently holds copies; their optimizer state sits on
-    their owners.
-    """
+    The two-level ring adds the gateway weight caches that resolve
+    24-byte references back into full slots: a gateway pins one cached
+    copy per weight flow (2) of a slot's layers; non-gateway ranks carry
+    nothing extra, but the *peak* worker is a gateway, which is what
+    decides OOM."""
     world = cluster.world_size
     lps = dims.n_layers // world
-    wire = cost.cfg.weight_bytes + cost.cfg.wgrad_bytes
     slots = 2 * cost.weights_resident_bytes(lps)  # 2 W flows (w+d wire pair)
     slots += cost.wgrad_chunk_bytes(lps)
     slots *= 2  # double buffering for the prefetched next turn
     opt = cost.optimizer_bytes(lps)
     embed_ride = 2 * dims.vocab * dims.hidden * cost.cfg.weight_bytes * 2
     embed_opt = cost.embedding_bytes() / world  # owners share the extras
-
-    act = _act_per_layer(cost)
-    if mode == "interleave":
-        act_live = (world + 1) / world * dims.n_layers * act
-    else:
-        act_live = dims.n_layers * act
-    m = slots + opt + embed_ride + embed_opt + act_live + _working_set(cost, True)
-    return [m] * world
-
-
-def _mem_weipipe_split(dims, cluster, cost, mode: str) -> List[float]:
-    """A ring row that splits its backward: interleave's slots and state,
-    every stored activation a full cache (the forward cache must outlive
-    the B pass), charged at the liveness *walked* off the turn table —
-    the runtime's own ``peak_inflight`` / ``peak_pending_w`` ledgers.
-    In-flight microbatches pair up as interleave's do (one forwarding,
-    one backwarding: ``(P+1)/P`` models of caches per pair); a slot pass
-    pending its W holds the cache and the B-grad bundle of its layers."""
-    world = cluster.world_size
-    lps = dims.n_layers // world
-    # the worst worker's peaks decide OOM
-    inflight, pending = map(max, zip(*ring_liveness(mode, world, dims.n_microbatches)))
-    base = _mem_weipipe(dims, cluster, cost, "interleave")[0]
-    full = cost.act_full_cache_bytes()
-    # replace the (possibly boundary-only) interleave activation term.
-    boundary_term = (world + 1) / world * dims.n_layers * _act_per_layer(cost)
-    act_live = inflight / 2 * (world + 1) / world * dims.n_layers * full
-    act_live += pending * lps * (full + cost.bgrad_cache_bytes())
-    m = base - boundary_term + act_live
-    return [m] * world
-
-
-def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
-    """One :data:`~repro.core.api.RING_STRATEGIES` row.  The two-level
-    ring adds the gateway weight caches that resolve 24-byte references
-    back into full slots: a gateway pins one cached copy per weight flow
-    (2) of a slot's layers; non-gateway ranks carry nothing extra, but
-    the *peak* worker is a gateway, which is what decides OOM."""
-    model = _mem_weipipe_split if ring_splits_backward(mode) else _mem_weipipe
-    base = model(dims, cluster, cost, mode)
-    if not hier:
-        return base
-    lps = dims.n_layers // cluster.world_size
-    gateway_cache = 2 * dims.layer_params * lps * cost.cfg.weight_bytes
-    return [m + gateway_cache for m in base]
+    gateway_cache = 2 * dims.layer_params * lps * cost.cfg.weight_bytes if hier else 0
+    walks = _walks(ring_program, mode, world, dims.n_microbatches)
+    acts = _act_live(cost, walks, lps, ring_splits_backward(mode))
+    return [
+        slots + opt + embed_ride + embed_opt + act + _working_set(cost, True)
+        + gateway_cache
+        for act in acts
+    ]
 
 
 MEMORY_MODELS = {

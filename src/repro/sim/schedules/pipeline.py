@@ -5,9 +5,10 @@ Stage ``s`` owns layers ``[s L/P, (s+1) L/P)``.  Forward activations hop
 schedules differ only in per-stage op ordering, and that ordering is not
 restated here: :func:`build_pipeline` walks the very
 :func:`~repro.parallel.pipeline.stage_program` the functional stage
-worker executes (one table row per schedule — warmup depth and W lag;
-see that module and DESIGN §18), pricing each ``F`` / ``B`` / ``W`` op
-with the cost model.  Schedules that split the backward (ZB1 / ZB2) run
+worker executes (one table row per schedule — warmup depth and whether
+the backward splits; see that module and DESIGN §18), pricing each
+``F`` / ``B`` / ``W`` op with the cost model.  Schedules that split the
+backward (ZB1 / ZB2) run
 without recomputation, per the paper; the rejection uses the same
 :func:`~repro.parallel.pipeline.splits_backward` predicate as the
 runtime.

@@ -41,7 +41,8 @@ from repro.core.schedule import (
     bwd_slot_held,
     fwd_home,
     fwd_slot_held,
-    ring_liveness,
+    liveness,
+    ring_program,
     ring_schedule,
     ring_splits_backward,
     turn_ops,
@@ -222,7 +223,7 @@ class TestTableProperties:
 
     def test_unknown_mode(self):
         for reader in (lambda m: ring_schedule(m, 2, 4), ring_splits_backward,
-                       lambda m: ring_liveness(m, 2, 4)):
+                       lambda m: ring_program(m, 2, 0, 4)):
             with pytest.raises(ValueError, match="unknown WeiPipe mode.*interleave"):
                 reader("turbo")
 
@@ -243,9 +244,7 @@ class TestConsumersReadTheTable:
         )
         tracer = Tracer()
         result = train(spec, strategy, world, fabric=Fabric(world, tracer=tracer))
-        lps = CFG.n_layers // world
         events = list(tracer.events())
-        walked = ring_liveness(mode, world, n_mb)
         for rank in range(world):
             spans = [
                 (e["args"]["turn"], e["name"], e["args"]["slot"], e["args"]["mb"])
@@ -253,10 +252,14 @@ class TestConsumersReadTheTable:
                 if e["pid"] == rank and e["cat"] == "compute" and e["name"] in "FBW"
             ]
             assert spans == table_ops(mode, world, n_mb, rank) * spec.iters
-            inflight, pending = walked[rank]
-            assert result.extra["peak_inflight"][rank] == inflight
-            # the runtime parks one entry per layer chunk of a slot pass
-            assert result.extra["peak_pending_w"][rank] == pending * lps
+            program = ring_program(mode, world, rank, n_mb)
+            assert [(k, s, mb) for _, k, s, mb in table_ops(mode, world, n_mb, rank)] == [
+                (k, s, mb) for k, (s, mb) in program
+            ]
+            # the ledgers count slot passes: the walk's per-field maxima
+            held, pending = zip(*liveness(program))
+            assert result.extra["peak_inflight"][rank] == max(held)
+            assert result.extra["peak_pending_w"][rank] == max(pending)
 
     def test_unknown_mode_is_a_plain_value_error_from_the_parent(self):
         from repro.core.weipipe import train_weipipe

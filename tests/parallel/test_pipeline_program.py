@@ -9,10 +9,10 @@ does for the ring — we verify exhaustively what the stage worker relies on:
   order (the ``("act", it, mb)`` / ``("bgrad", it, mb)`` channels are FIFO);
 * liveness — the ``P`` programs run to completion under the fabric's
   semantics (buffered send, blocking receive);
-* the documented peak in-flight closed forms.
+* the documented peaks of the one liveness walk.
 
-Then that the runtime, the DES builder and the memory model all read this
-description rather than a copy of it.
+Then that the runtime and the DES builder read this description rather
+than a copy of it (the memory model's reading is ``tests/sim/test_memory.py``).
 """
 
 from itertools import product
@@ -20,12 +20,12 @@ from itertools import product
 import pytest
 
 from repro import FP64, ModelConfig, Tracer, TrainSpec, train
+from repro.core.schedule import liveness
 from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
 from repro.runtime import Fabric
 from repro.sim.costmodel import ExecConfig, WorkloadDims
 from repro.sim.engine import simulate
 from repro.sim.hardware import nvlink_cluster
-from repro.sim.memory import _stored_microbatches
 from repro.sim.schedules.pipeline import build_pipeline
 
 SCHEDULES = list(PIPELINE_SCHEDULES)
@@ -35,26 +35,10 @@ N_MBS = range(1, 13)
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
 
 
-def walk(program):
-    """(peak in-flight, peak pending-W, peak live caches) of one program:
-    a microbatch is in flight from F to B and pending from B to W."""
-    has_w = any(kind == "W" for kind, _ in program)
-    inflight = pending = 0
-    peak_inflight = peak_pending = peak_live = 0
-    for kind, _ in program:
-        if kind == "F":
-            inflight += 1
-        elif kind == "B":
-            inflight -= 1
-            if has_w:
-                pending += 1
-        else:
-            pending -= 1
-        peak_inflight = max(peak_inflight, inflight)
-        peak_pending = max(peak_pending, pending)
-        peak_live = max(peak_live, inflight + pending)
-    assert inflight == pending == 0
-    return peak_inflight, peak_pending, peak_live
+def peaks(program):
+    """Per-field maxima ``(held, pending)`` of the program's walk."""
+    held, pending = zip(*liveness(program))
+    return max(held), max(pending)
 
 
 def run_programs(schedule, world, n_mb):
@@ -102,23 +86,24 @@ class TestProgramProperties:
             assert run_programs(schedule, world, n_mb), n_mb
 
     @pytest.mark.parametrize("schedule, world", GRID)
-    def test_walked_liveness_matches_closed_forms_and_memory_model(self, schedule, world):
+    def test_walked_liveness_matches_closed_forms(self, schedule, world):
+        depth, _ = PIPELINE_SCHEDULES[schedule]
         for n_mb, rank in product(N_MBS, range(world)):
             prog = stage_program(schedule, world, rank, n_mb)
-            peak_inflight, peak_pending, _ = walk(prog)
-            stored = _stored_microbatches(schedule, world, rank, n_mb)
+            walked = list(liveness(prog))
+            assert walked[-1] == (0, 0), (n_mb, rank)
+            held, pending = peaks(prog)
             if schedule == "gpipe":
-                assert peak_inflight == n_mb, (n_mb, rank)
+                assert held == n_mb, (n_mb, rank)
             if schedule == "1f1b":
-                assert peak_inflight == min(n_mb, world - rank), (n_mb, rank)
+                assert held == min(n_mb, world - rank), (n_mb, rank)
             if splits_backward(schedule):
-                # the memory model charges the walked warmup depth: the
-                # forwards before the first B, less the steady-state one
-                leading_f = next(i for i, (kind, _) in enumerate(prog) if kind != "F")
-                assert leading_f == min(n_mb, stored + 1), (n_mb, rank)
+                # the warmup, one steady-state forward, and each W one B
+                # behind
+                assert held == min(n_mb, depth(world, rank, n_mb) + 1), (n_mb, rank)
+                assert pending == min(n_mb, 2), (n_mb, rank)
             else:
-                assert peak_pending == 0, (n_mb, rank)
-                assert stored == peak_inflight, (n_mb, rank)
+                assert pending == 0, (n_mb, rank)
 
     def test_unknown_schedule(self):
         with pytest.raises(ValueError, match="unknown pipeline schedule"):
@@ -137,9 +122,10 @@ class TestConsumersReadTheProgram:
         events = list(tracer.events())
         for rank in range(world):
             prog = stage_program(schedule, world, rank, n_mb)
-            peak_inflight, peak_pending, _ = walk(prog)
-            assert result.extra["peak_inflight"][rank] == peak_inflight
-            assert result.extra["peak_pending_w"][rank] == peak_pending
+            assert (
+                result.extra["peak_inflight"][rank],
+                result.extra["peak_pending_w"][rank],
+            ) == peaks(prog)
             spans = [
                 (e["args"]["it"], e["name"], e["args"]["mb"])
                 for e in events

@@ -1,10 +1,15 @@
-"""Analytic memory model: Table 2's memory column and OOM pattern."""
+"""Analytic memory model: Table 2's memory column and OOM pattern, and
+the one liveness walk it charges."""
 
 import pytest
 
+import repro.sim.memory as memory_mod
+from repro.core.api import RING_STRATEGIES
+from repro.core.schedule import RING_SCHEDULES, liveness, ring_program, ring_splits_backward
 from repro.experiments.configs import exec_for, make_dims, table2_cluster
+from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
 from repro.sim import WorkloadDims, peak_memory, peak_memory_per_worker
-from repro.sim.costmodel import ExecConfig
+from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.hardware import nvlink_cluster
 
 CLUSTER = table2_cluster()
@@ -103,8 +108,9 @@ class TestOrderings:
         assert max(per) == pytest.approx(min(per))
 
     def test_weipipe_independent_of_world_in_activations(self):
-        """WeiPipe's activation liveness is (P+1)/P models' worth: nearly
-        constant in P (the paper's 'balanced memory' claim)."""
+        """WeiPipe's walked activation liveness is one model's worth of
+        boundaries (``P`` held slot passes of ``L / P`` layers): constant in
+        P (the paper's 'balanced memory' claim)."""
         cfg = ExecConfig(recompute=True)
         m8 = peak_memory("weipipe-interleave", self.DIMS, nvlink_cluster(8), cfg)
         m16 = peak_memory("weipipe-interleave", self.DIMS, nvlink_cluster(16), cfg)
@@ -118,17 +124,19 @@ class TestOrderings:
 
     def test_split_ring_charges_the_walked_liveness(self):
         """weipipe-zb cannot recompute and parks a cache + B-grad bundle
-        per slot pass awaiting its W: the peaks walked off the turn table
-        (2 microbatches in flight, P + 1 passes pending) put it above the
-        no-recompute interleave ring by exactly the pending term."""
-        from repro.core.schedule import ring_liveness
-        from repro.sim.costmodel import CostModel
-
+        per slot pass awaiting its W.  Every worker's walk peaks with P
+        slot passes held — interleave's — and P + 1 pending at once, which
+        puts it above the no-recompute interleave ring by exactly the
+        pending term."""
         norec = ExecConfig(recompute=False)
         world = CLUSTER.world_size
-        assert ring_liveness("zero-bubble", world, self.DIMS.n_microbatches) == (
-            (2, world + 1),
-        ) * world
+        for rank in range(world):
+            walked = set(liveness(
+                ring_program("zero-bubble", world, rank, self.DIMS.n_microbatches)
+            ))
+            assert (world, world + 1) in walked
+            assert max(h for h, _ in walked) == world
+            assert max(p for _, p in walked) == world + 1
         zb = peak_memory("weipipe-zb", self.DIMS, CLUSTER, norec)
         wi = peak_memory("weipipe-interleave", self.DIMS, CLUSTER, norec)
         cost = CostModel(self.DIMS, CLUSTER.gpu, norec)
@@ -137,3 +145,62 @@ class TestOrderings:
         )
         assert zb == pytest.approx(wi + pending)
         assert peak_memory("weipipe-interleave", self.DIMS, CLUSTER) < wi < zb
+
+
+#: each row of the two program tables as (strategy, program of (P, rank, N),
+#: splits?): the flat ring strategy that runs each ring row.
+ROWS = [
+    (s, lambda P, r, n, s=s: stage_program(s, P, r, n), splits_backward(s))
+    for s in PIPELINE_SCHEDULES
+] + [
+    (name, lambda P, r, n, m=mode: ring_program(m, P, r, n), ring_splits_backward(mode))
+    for name, (mode, hier) in RING_STRATEGIES.items()
+    if not hier
+]
+
+
+class TestTheModelChargesTheWalk:
+    def test_rows_cover_every_ring_row(self):
+        modes = {RING_STRATEGIES[name][0] for name, _, _ in ROWS if name in RING_STRATEGIES}
+        assert modes == set(RING_SCHEDULES)
+
+    def test_zb2_holds_its_warmup_and_two_pending(self):
+        """ZB2 runs each W one B behind: at P=16, N=512 a rank holds its
+        ``2(P - r) - 1`` warmup plus one steady forward in flight and at
+        most two B passes awaiting their W.  A W lag as deep as the warmup
+        held as many pending as well — 63 live caches at once at rank 0."""
+        world, n_mb = 16, 512
+        for rank in range(world):
+            for held, pending in liveness(stage_program("zb2", world, rank, n_mb)):
+                assert held + pending <= 2 * (world - rank) + 2, (rank, held, pending)
+
+    @pytest.mark.parametrize("world", [2, 4, 8])
+    @pytest.mark.parametrize("strategy, program, split", ROWS, ids=[r[0] for r in ROWS])
+    def test_activation_term_is_the_walks_byte_weighted_peak(
+        self, monkeypatch, strategy, program, split, world
+    ):
+        """Per rank, what the model charges for activations is the
+        maximum over the walk of ``held`` units of stored activations
+        plus ``pending`` units of full cache + B-grad bundle, a unit
+        being ``L / P`` layers."""
+        cluster = nvlink_cluster(world, gpus_per_node=world)
+        cfg = ExecConfig(recompute=not split)
+        for n_mb in (world, 2 * world, 4 * world):
+            dims = WorkloadDims(
+                hidden=256, n_layers=16, seq_len=512, microbatch=2, n_microbatches=n_mb
+            )
+            cost = CostModel(dims, cluster.gpu, cfg)
+            lps = dims.n_layers // world
+            act = cost.act_full_cache_bytes() if split else cost.act_boundary_bytes()
+            pend = cost.act_full_cache_bytes() + cost.bgrad_cache_bytes()
+            walked = [
+                max(lps * (h * act + p * pend) for h, p in liveness(program(world, r, n_mb)))
+                for r in range(world)
+            ]
+            charged = peak_memory_per_worker(strategy, dims, cluster, cfg)
+            with monkeypatch.context() as m:
+                # no op to walk: everything the model charges but activations
+                for name in ("stage_program", "ring_program"):
+                    m.setattr(memory_mod, name, lambda *args: [])
+                rest = peak_memory_per_worker(strategy, dims, cluster, cfg)
+            assert [c - r for c, r in zip(charged, rest)] == pytest.approx(walked, rel=1e-9)
