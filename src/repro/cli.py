@@ -6,6 +6,10 @@ Commands:
   simulator can run;
 * ``train`` — train a small model on simulated workers and print the
   loss trajectory (functional layer; numerically real);
+* ``explain`` — read a trace a run recorded with ``--trace``: validate
+  it and print the analyzer's measured bubble ratio, overlap fraction,
+  per-turn chunk accounting, the per-rank clock alignment of a
+  process-backend run and the cost-model reconciliation;
 * ``simulate`` — price one workload/strategy/cluster cell with the
   discrete-event simulator (throughput, memory, bubbles);
 * ``table`` — regenerate paper Table 2, 3 or 4;
@@ -16,12 +20,6 @@ Commands:
   analytic memory model, rank by the simulator's tokens/s, then run the
   top pick live and gate predicted-vs-measured wall clock through
   ``reconcile()`` (the ``repro.plan/v2`` report records the verdict);
-* ``trace`` — run a small traced training job and write a Chrome
-  trace-event JSON (Perfetto / ``chrome://tracing``), printing the
-  analyzer's measured bubble ratio, overlap fraction, per-turn chunk
-  accounting and cost-model reconciliation; ``--backend process`` runs
-  the same pipeline across real processes (per-rank spill buffers are
-  merged onto one clock through the launch-time alignment handshake);
 * ``postmortem`` — render the flight-recorder bundle a failed launch
   left behind (reason, per-rank event rings, merged causal timeline);
 * ``chaos-sweep`` — differential equivalence sweep: every strategy vs
@@ -38,17 +36,22 @@ Commands:
   suspected, confirmed dead, the ring shrinks, then re-grows to the
   full world when the rank returns), and (3) a quiet-wire control
   (CRC framing on a clean wire must cause zero retransmits).
-  ``chaos-sweep --faults bitflip,flap,stall`` adds the same transient
-  faults to the classic serial-equivalence sweep.
+  ``chaos-sweep --faults storm`` adds the same transient faults (rows
+  of :data:`repro.testing.HEAL_SCHEDULES`) to the classic
+  serial-equivalence sweep.
 
-``train``, ``bench-overlap``, ``bench-topology``, ``chaos-sweep``,
-``self-heal`` and ``crash-recovery`` accept ``--trace PATH`` (write a
-Chrome trace of the run) and ``--metrics-out PATH`` (dump the run's
-:class:`~repro.obs.MetricsRegistry` as JSON).  Tracing is opt-in;
-without the flags the observability layer stays in its null, zero-cost
-configuration.  On ``--backend process`` both artefacts are merged
-across the worker processes (one trace pid per rank, label-aware
-metric reduction).
+There is one way to record a trace and one way to read it.  Every run
+command — ``train``, ``chaos-sweep``, ``self-heal``, ``crash-recovery``,
+``bench-overlap`` and ``bench-topology`` — accepts ``--trace PATH``
+(write a Chrome trace of the run, for Perfetto / ``chrome://tracing``)
+and ``--metrics-out PATH`` (dump the run's
+:class:`~repro.obs.MetricsRegistry` as JSON); ``explain PATH`` reads the
+trace.  Tracing is opt-in; without the flags the observability layer
+stays in its null, zero-cost configuration.  On ``--backend process``
+both artefacts are merged across the worker processes (one trace pid
+per rank on one clock, label-aware metric reduction).  ``train``,
+``chaos-sweep`` and the bench commands share one set of model flags
+(:data:`_MODEL_FLAGS`).
 
 ``train`` additionally supports durable fault-tolerant runs:
 ``--checkpoint-every N`` writes atomic, checksummed checkpoints from the
@@ -64,12 +67,44 @@ import json
 import sys
 from typing import List, Optional
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "model_argv"]
+
+#: the model flags ``train``, ``chaos-sweep`` and the bench commands
+#: share, as ``(flag, owner, field)``: ``owner`` is ``cfg`` for a
+#: ``ModelConfig`` field and ``spec`` for a ``TrainSpec`` one.  The
+#: parser reads it (``_add_model_flags``), ``_spec`` builds from it and
+#: :func:`model_argv` renders a spec back into it, so a replay line
+#: parses back to the spec it came from.
+_MODEL_FLAGS = (
+    ("--hidden", "cfg", "hidden"),
+    ("--layers", "cfg", "n_layers"),
+    ("--heads", "cfg", "n_heads"),
+    ("--seq", "cfg", "seq_len"),
+    ("--vocab", "cfg", "vocab"),
+    ("--iters", "spec", "iters"),
+    ("--microbatches", "spec", "n_microbatches"),
+    ("--microbatch-size", "spec", "microbatch_size"),
+)
+
+
+def _owner(spec, owner: str):
+    return spec.cfg if owner == "cfg" else spec
+
+
+def model_argv(spec) -> str:
+    """``spec``'s model as the flags ``train`` / ``chaos-sweep`` parse."""
+    return " ".join(
+        f"{flag} {getattr(_owner(spec, owner), name)}"
+        for flag, owner, name in _MODEL_FLAGS
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import ModelConfig, TrainSpec
     from .core.schedule import RING_SCHEDULES
-    from .testing import DEFAULT_HEAL_MODES
+    from .testing import (
+        DEFAULT_HEAL_MODES, HEAL_SCHEDULES, default_differential_spec,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -94,14 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="data-parallel replicas of the WeiPipe ring (2-D hybrid; "
              "ring size = world / dp, weipipe strategies only)",
     )
-    p_train.add_argument("--hidden", type=int, default=32)
-    p_train.add_argument("--layers", type=int, default=4)
-    p_train.add_argument("--heads", type=int, default=4)
-    p_train.add_argument("--seq", type=int, default=32)
-    p_train.add_argument("--vocab", type=int, default=64)
-    p_train.add_argument("--iters", type=int, default=5)
-    p_train.add_argument("--microbatches", type=int, default=8)
-    p_train.add_argument("--microbatch-size", type=int, default=2)
+    _add_model_flags(p_train, TrainSpec(
+        ModelConfig(hidden=32, n_layers=4, n_heads=4, seq_len=32, vocab=64),
+        n_microbatches=8, microbatch_size=2, iters=5,
+    ))
     p_train.add_argument("--lr", type=float, default=1e-2)
     p_train.add_argument("--clip-norm", type=float, default=None)
     p_train.add_argument(
@@ -131,45 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(p_train)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run a small traced training job and write a Chrome trace "
-             "(open in Perfetto or chrome://tracing)",
+    p_ex = sub.add_parser(
+        "explain",
+        help="analyze a trace a run recorded with --trace: measured "
+             "bubble, 2W+1D per-turn traffic, cost-model reconciliation",
     )
-    p_trace.add_argument(
-        "strategy", nargs="?", default="weipipe-interleave",
-        help="functional strategy to trace (see `repro strategies`)",
-    )
-    p_trace.add_argument("--world", type=int, default=4)
-    p_trace.add_argument("--hidden", type=int, default=32)
-    p_trace.add_argument("--layers", type=int, default=4)
-    p_trace.add_argument("--heads", type=int, default=4)
-    p_trace.add_argument("--seq", type=int, default=32)
-    p_trace.add_argument("--vocab", type=int, default=64)
-    p_trace.add_argument("--iters", type=int, default=2)
-    p_trace.add_argument("--microbatches", type=int, default=8)
-    p_trace.add_argument("--microbatch-size", type=int, default=2)
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--recompute", action="store_true")
-    _add_backend_flag(p_trace)
-    p_trace.add_argument(
-        "--out", default="trace.json", help="Chrome trace output path"
-    )
-    p_trace.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="also write the compact JSONL event stream here",
-    )
-    p_trace.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="dump the run's metrics registry as JSON",
-    )
-    p_trace.add_argument(
+    p_ex.add_argument("trace", help="a Chrome trace written by --trace")
+    p_ex.add_argument(
         "--analysis-out", default=None, metavar="PATH",
         help="dump the analyzer + reconciliation report as JSON",
-    )
-    p_trace.add_argument(
-        "--no-analyze", action="store_true",
-        help="only record and dump the trace; skip the analyzer",
     )
 
     p_sim = sub.add_parser("simulate", help="price one workload on a cluster")
@@ -212,38 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--world", type=int, default=4,
         help="world size for strategies not in the default table",
     )
-    p_ch.add_argument("--hidden", type=int, default=16)
-    p_ch.add_argument("--layers", type=int, default=4)
-    p_ch.add_argument("--heads", type=int, default=2)
-    p_ch.add_argument("--seq", type=int, default=8)
-    p_ch.add_argument("--vocab", type=int, default=29)
-    p_ch.add_argument("--iters", type=int, default=2)
-    p_ch.add_argument("--microbatches", type=int, default=4)
-    p_ch.add_argument("--microbatch-size", type=int, default=2)
-    p_ch.add_argument("--delay-prob", type=float, default=0.5)
-    p_ch.add_argument("--max-delay", type=float, default=0.001)
-    p_ch.add_argument("--drop-prob", type=float, default=0.05)
-    p_ch.add_argument("--dup-prob", type=float, default=0.05)
-    p_ch.add_argument("--retry-delay", type=float, default=0.001)
+    _add_model_flags(p_ch, default_differential_spec())
     p_ch.add_argument(
         "--quiet-wire", action="store_true",
         help="disable all fault injection (control run on a clean wire)",
     )
     p_ch.add_argument(
-        "--faults", default=None, metavar="LIST",
-        help="comma-separated transient faults to add: bitflip (payload "
-             "SDC, recovered via CRC+NACK), flap (directed-link outage "
-             "windows), stall (transient rank freezes)",
-    )
-    p_ch.add_argument("--bitflip-prob", type=float, default=0.05)
-    p_ch.add_argument("--flap-prob", type=float, default=0.05)
-    p_ch.add_argument("--flap-len", type=int, default=3)
-    p_ch.add_argument("--flap-delay", type=float, default=0.002)
-    p_ch.add_argument("--stall-prob", type=float, default=0.03)
-    p_ch.add_argument("--max-stall", type=float, default=0.008)
-    p_ch.add_argument(
-        "--retransmit-budget", type=int, default=16,
-        help="per-flow cap on CRC-driven retransmissions",
+        "--faults", type=_fault_rows, default=(), metavar="LIST",
+        help="comma-separated rows of the heal differential's fault "
+             f"table, merged left to right: {', '.join(HEAL_SCHEDULES)}",
     )
     _add_backend_flag(p_ch)
     _add_obs_flags(p_ch)
@@ -326,15 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="microbenchmark the double-buffered ring vs the synchronous "
              "ring and write BENCH_overlap.json",
     )
-    p_bo.add_argument("--hidden", type=int, default=16)
-    p_bo.add_argument("--layers", type=int, default=16)
-    p_bo.add_argument("--heads", type=int, default=2)
-    p_bo.add_argument("--seq", type=int, default=16)
-    p_bo.add_argument("--vocab", type=int, default=16)
+    bench_spec = TrainSpec(
+        ModelConfig(hidden=16, n_layers=16, n_heads=2, seq_len=16, vocab=16),
+        n_microbatches=16, microbatch_size=1, iters=3,
+    )
+    _add_model_flags(p_bo, bench_spec)
     p_bo.add_argument("--world", type=int, default=2)
-    p_bo.add_argument("--microbatches", type=int, default=16)
-    p_bo.add_argument("--microbatch-size", type=int, default=1)
-    p_bo.add_argument("--iters", type=int, default=3)
     p_bo.add_argument("--seed", type=int, default=7)
     p_bo.add_argument(
         "--mode", default="interleave",
@@ -376,20 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the hierarchical weight ring vs the flat ring on "
              "a seeded asymmetric wire and write BENCH_topology.json",
     )
-    p_bt.add_argument("--hidden", type=int, default=16)
-    p_bt.add_argument("--layers", type=int, default=16)
-    p_bt.add_argument("--heads", type=int, default=2)
-    p_bt.add_argument("--seq", type=int, default=16)
-    p_bt.add_argument("--vocab", type=int, default=16)
+    _add_model_flags(p_bt, bench_spec)
     p_bt.add_argument("--world", type=int, default=4)
     p_bt.add_argument(
         "--groups", default="2x2", metavar="GxR",
         help="topology group shape (world = G*R); gateways are the "
              "lowest rank of each group",
     )
-    p_bt.add_argument("--microbatches", type=int, default=16)
-    p_bt.add_argument("--microbatch-size", type=int, default=1)
-    p_bt.add_argument("--iters", type=int, default=3)
     p_bt.add_argument("--seed", type=int, default=7)
     p_bt.add_argument(
         "--mode", default="interleave",
@@ -518,11 +486,73 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_model_flags(p: argparse.ArgumentParser, defaults) -> None:
+    """The model flags, defaulting to ``defaults`` (a ``TrainSpec``)."""
+    for flag, owner, name in _MODEL_FLAGS:
+        p.add_argument(
+            flag, type=int, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+            default=getattr(_owner(defaults, owner), name),
+        )
+
+
+def _model_kwargs(args, owner: Optional[str] = None) -> dict:
+    """The model flags' values by field name (``owner`` picks one side)."""
+    return {
+        name: getattr(args, name)
+        for _, o, name in _MODEL_FLAGS if owner in (None, o)
+    }
+
+
+def _spec(args):
+    """The ``TrainSpec`` a command's flags describe: the model flags, and
+    ``--precision`` / ``--seed`` / ``--recompute`` where the command has
+    them (fp64, seed 0 and no recompute where it does not)."""
+    from . import FP32, FP64, MIXED, ModelConfig, TrainSpec
+
+    precision = {"fp64": FP64, "fp32": FP32, "mixed": MIXED}
+    return TrainSpec(
+        cfg=ModelConfig(**_model_kwargs(args, "cfg")),
+        precision=precision[getattr(args, "precision", "fp64")],
+        seed=getattr(args, "seed", 0),
+        recompute=getattr(args, "recompute", False),
+        **_model_kwargs(args, "spec"),
+    )
+
+
+def _fault_rows(text: str) -> List[str]:
+    """``--faults``: comma-separated rows of ``HEAL_SCHEDULES``."""
+    from .testing import HEAL_SCHEDULES
+
+    rows = [r.strip() for r in text.split(",") if r.strip()]
+    for row in rows:
+        if row not in HEAL_SCHEDULES:
+            raise argparse.ArgumentTypeError(
+                f"unknown fault schedule {row!r}; choose from "
+                f"{', '.join(HEAL_SCHEDULES)}"
+            )
+    return rows
+
+
+def _chaos_policy(args):
+    """The sweep's template policy: ``ChaosPolicy()`` (``--quiet-wire``:
+    the quiet one) with the ``--faults`` rows merged left to right."""
+    from dataclasses import replace
+
+    from .runtime import ChaosPolicy
+    from .testing import HEAL_SCHEDULES
+
+    policy = ChaosPolicy.quiet() if args.quiet_wire else ChaosPolicy()
+    for row in args.faults:
+        policy = replace(policy, **HEAL_SCHEDULES[row])
+    return policy
+
+
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace", default=None, metavar="PATH", dest="trace_out",
         help="record a Chrome trace of the run and write it here "
-             "(open in Perfetto or chrome://tracing)",
+             "(open in Perfetto or chrome://tracing; `repro explain` "
+             "analyzes it)",
     )
     p.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -530,24 +560,29 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _trace_metadata(strategy: str, world: int, spec, overlap: bool = True) -> dict:
-    """Trace metadata the analyzer needs to reconcile against the cost
-    model (``repro.obs.analyze.reconcile``)."""
-    cfg = spec.cfg
-    return {
-        "strategy": strategy,
-        "world": world,
-        "recompute": spec.recompute,
-        "flash_attention": cfg.flash_attention,
-        "overlap": overlap,
-        "iters": spec.iters,
-        "dims": {
-            "hidden": cfg.hidden, "n_layers": cfg.n_layers,
-            "seq_len": cfg.seq_len, "microbatch": spec.microbatch_size,
-            "n_microbatches": spec.n_microbatches,
-            "n_heads": cfg.n_heads, "vocab": cfg.vocab,
-        },
-    }
+def _obs(args, **metadata):
+    """The ``(tracer, metrics)`` pair ``--trace`` / ``--metrics-out`` ask
+    for, each ``None`` when not asked for."""
+    from .obs import MetricsRegistry, Tracer
+
+    return (
+        Tracer(metadata=metadata) if args.trace_out is not None else None,
+        MetricsRegistry() if args.metrics_out is not None else None,
+    )
+
+
+def _dump(args, tracer, metrics, transports=()) -> None:
+    """Write what :func:`_obs` recorded.  A process transport keeps its
+    own registry (its ranks', merged): each of ``transports`` folds into
+    ``metrics`` first."""
+    if tracer is not None:
+        tracer.dump(args.trace_out)
+        print(f"[trace written to {args.trace_out}]")
+    if metrics is not None:
+        for t in transports:
+            metrics.merge(t.metrics.as_dict())
+        metrics.dump(args.metrics_out)
+        print(f"[metrics written to {args.metrics_out}]")
 
 
 def _print_analysis(analysis: dict, reconciliation: Optional[dict]) -> None:
@@ -583,43 +618,7 @@ def _print_analysis(analysis: dict, reconciliation: Optional[dict]) -> None:
                   f"({'OK' if bf['within_tolerance'] else 'OUT OF TOLERANCE'})")
 
 
-def _dump_obs(fabric, tracer, args) -> None:
-    """Write the --trace / --metrics-out artefacts a command recorded."""
-    if tracer is not None and args.trace_out is not None:
-        tracer.dump(args.trace_out)
-        print(f"[trace written to {args.trace_out}]")
-    if args.metrics_out is not None and fabric is not None:
-        fabric.metrics.dump(args.metrics_out)
-        print(f"[metrics written to {args.metrics_out}]")
-
-
-def _make_obs(args, command: str):
-    """Build the (tracer, metrics) pair the --trace/--metrics-out flags ask
-    for, for commands whose harness takes them as explicit arguments."""
-    tracer = None
-    metrics = None
-    if args.trace_out is not None:
-        from .obs import Tracer
-
-        tracer = Tracer(metadata={"command": command})
-    if args.metrics_out is not None:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    return tracer, metrics
-
-
-def _dump_obs_pair(tracer, metrics, args) -> None:
-    """Artefact writer for commands holding a bare (tracer, metrics) pair."""
-    if tracer is not None and args.trace_out is not None:
-        tracer.dump(args.trace_out)
-        print(f"[trace written to {args.trace_out}]")
-    if metrics is not None and args.metrics_out is not None:
-        metrics.dump(args.metrics_out)
-        print(f"[metrics written to {args.metrics_out}]")
-
-
-def _cmd_strategies() -> int:
+def _cmd_strategies(args) -> int:
     from .core import strategy_names
     from .sim.runner import SIM_STRATEGIES
 
@@ -632,32 +631,27 @@ def _cmd_train(args) -> int:
     from dataclasses import replace
 
     from . import (
-        ELASTIC_STRATEGIES, FP32, FP64, MIXED, Adam, MasterWeightOptimizer,
-        ModelConfig, TrainSpec, train, train_elastic,
+        ELASTIC_STRATEGIES, MIXED, Adam, MasterWeightOptimizer, train,
+        train_elastic,
     )
     from .data import MarkovCorpus
     from .io import load_checkpoint_state, save_checkpoint
     from .nn.model import model_param_count
+    from .obs import trace_metadata
 
-    cfg = ModelConfig(
-        hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
-        seq_len=args.seq, vocab=args.vocab,
-    )
-    precision = {"fp64": FP64, "fp32": FP32, "mixed": MIXED}[args.precision]
+    spec = _spec(args)
+    cfg = spec.cfg
     if args.precision == "mixed":
         make_opt = lambda: MasterWeightOptimizer(Adam(lr=args.lr), MIXED)
     else:
         make_opt = lambda: Adam(lr=args.lr)
     data = (
-        MarkovCorpus(vocab=args.vocab, seed=args.seed)
+        MarkovCorpus(vocab=cfg.vocab, seed=args.seed)
         if args.data == "markov"
         else None
     )
-    spec = TrainSpec(
-        cfg=cfg, n_microbatches=args.microbatches,
-        microbatch_size=args.microbatch_size, iters=args.iters,
-        seed=args.seed, precision=precision, recompute=args.recompute,
-        make_optimizer=make_opt, clip_norm=args.clip_norm, data=data,
+    spec = replace(
+        spec, make_optimizer=make_opt, clip_norm=args.clip_norm, data=data
     )
 
     durable = args.checkpoint_every is not None or args.resume is not None
@@ -721,56 +715,52 @@ def _cmd_train(args) -> int:
         except TopologyError as e:
             raise SystemExit(str(e)) from None
 
+    process = args.backend == "process"
+    if process and durable:
+        raise SystemExit(
+            "--checkpoint-every/--resume require --backend thread "
+            "(the commit hook runs in the driver's process)"
+        )
+    if process and args.dp > 1:
+        raise SystemExit(
+            "--dp > 1 requires --backend thread (the hybrid driver "
+            "shares one in-process fabric across rings)"
+        )
+    tracer, metrics = _obs(args, **trace_metadata(
+        args.strategy, args.world, spec, backend=args.backend,
+        **({"topology": topo.as_dict()} if topo is not None else {}),
+    ))
     fabric = None
-    tracer = None
-    if args.backend == "process":
-        if durable:
-            raise SystemExit(
-                "--checkpoint-every/--resume require --backend thread "
-                "(the commit hook runs in the driver's process)"
-            )
-        if args.dp > 1:
-            raise SystemExit(
-                "--dp > 1 requires --backend thread (the hybrid driver "
-                "shares one in-process fabric across rings)"
-            )
+    if process:
         from .runtime import ProcessTransport
 
-        if args.trace_out is not None:
-            from .obs import Tracer
-
-            meta = _trace_metadata(args.strategy, args.world, spec)
-            if topo is not None:
-                meta["topology"] = topo.as_dict()
-            tracer = Tracer(metadata=meta)
         fabric = ProcessTransport(topology=topo, tracer=tracer)
-    elif args.trace_out is not None or args.metrics_out is not None or topo is not None:
-        from .obs import Tracer
+    elif tracer is not None or metrics is not None or topo is not None:
         from .runtime import Fabric
 
-        if args.trace_out is not None:
-            meta = _trace_metadata(args.strategy, args.world, spec)
-            if topo is not None:
-                meta["topology"] = topo.as_dict()
-            tracer = Tracer(metadata=meta)
-        fabric = Fabric(args.world, tracer=tracer, topology=topo)
+        fabric = Fabric(args.world, tracer=tracer, metrics=metrics, topology=topo)
 
-    if args.dp > 1:
-        if args.strategy != "weipipe-interleave":
-            raise SystemExit("--dp > 1 requires --strategy weipipe-interleave")
-        from .core.hybrid import train_weipipe_dp
+    if args.dp > 1 and args.strategy != "weipipe-interleave":
+        raise SystemExit("--dp > 1 requires --strategy weipipe-interleave")
+    try:
+        if args.dp > 1:
+            from .core.hybrid import train_weipipe_dp
 
-        result = train_weipipe_dp(
-            spec, ring_size=args.world // args.dp, dp_degree=args.dp,
-            fabric=fabric,
-        )
-    elif durable and args.strategy in ELASTIC_STRATEGIES:
-        result = train_elastic(
-            spec, args.strategy, args.world, fabric=fabric,
-            on_commit=on_commit if args.checkpoint_every is not None else None,
-        )
-    else:
-        result = train(spec, args.strategy, args.world, fabric=fabric)
+            result = train_weipipe_dp(
+                spec, ring_size=args.world // args.dp, dp_degree=args.dp,
+                fabric=fabric,
+            )
+        elif durable and args.strategy in ELASTIC_STRATEGIES:
+            result = train_elastic(
+                spec, args.strategy, args.world, fabric=fabric,
+                on_commit=on_commit if args.checkpoint_every is not None else None,
+            )
+        else:
+            result = train(spec, args.strategy, args.world, fabric=fabric)
+    except ValueError as e:
+        # a configuration the strategy rejects before any worker starts
+        print(f"train: {e}", file=sys.stderr)
+        return 2
     print(f"strategy={args.strategy} world={args.world} dp={args.dp} "
           f"model={model_param_count(cfg):,} params")
     for i, loss in enumerate(result.losses):
@@ -793,61 +783,31 @@ def _cmd_train(args) -> int:
                   "messages")
     if args.checkpoint_every is not None:
         print(f"checkpoint written to {args.checkpoint_path}")
-    _dump_obs(fabric, tracer, args)
+    _dump(args, tracer, metrics, [fabric] if process else ())
     return 0
 
 
-def _cmd_trace(args) -> int:
-    import json
+def _cmd_explain(args) -> int:
+    from .obs import analyze_trace, load_trace, reconcile, validate_chrome_trace
 
-    from . import FP64, ModelConfig, TrainSpec, train
-    from .obs import Tracer, analyze_trace, reconcile, validate_chrome_trace
-    from .runtime import Fabric
-
-    cfg = ModelConfig(
-        hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
-        seq_len=args.seq, vocab=args.vocab,
-    )
-    spec = TrainSpec(
-        cfg=cfg, n_microbatches=args.microbatches,
-        microbatch_size=args.microbatch_size, iters=args.iters,
-        seed=args.seed, precision=FP64, recompute=args.recompute,
-    )
-    tracer = Tracer(metadata=_trace_metadata(args.strategy, args.world, spec))
-    if args.backend == "process":
-        from .runtime import ProcessTransport
-
-        fabric = ProcessTransport(tracer=tracer)
-    else:
-        fabric = Fabric(args.world, tracer=tracer)
     try:
-        train(spec, args.strategy, args.world, fabric=fabric)
-    except ValueError as e:
+        doc = load_trace(args.trace)
+        problems = validate_chrome_trace(doc)
+        analysis = None if problems else analyze_trace(doc)
+    except (OSError, ValueError) as e:
         raise SystemExit(str(e)) from None
-
-    doc = tracer.chrome_trace()
-    problems = validate_chrome_trace(doc)
-    if problems:  # pragma: no cover - exporter bug guard
+    if problems:
         for p in problems:
             print(f"schema error: {p}", file=sys.stderr)
         return 1
-    tracer.dump(args.out)
-    if args.jsonl is not None:
-        tracer.dump_jsonl(args.jsonl)
-    if args.metrics_out is not None:
-        fabric.metrics.dump(args.metrics_out)
-
-    print(f"strategy={args.strategy} world={args.world} "
-          f"backend={args.backend} events={len(doc['traceEvents'])}")
-    if args.backend == "process":
-        for r, info in sorted(getattr(fabric, "clock", {}).items()):
-            print(f"clock rank {r}: offset {info['offset_s'] * 1e6:+.1f}us "
-                  f"+-{info['skew_bound_s'] * 1e6:.1f}us ({info['method']})")
-    print(f"[trace written to {args.out} — open in Perfetto or "
-          "chrome://tracing]")
-    if args.no_analyze:
-        return 0
-    analysis = analyze_trace(doc)
+    meta = doc.get("metadata", {})
+    shown = "".join(
+        f"{k}={meta[k]} " for k in ("strategy", "world", "backend") if k in meta
+    )
+    print(f"{args.trace}: {shown}events={len(doc['traceEvents'])}")
+    for r, info in sorted(meta.get("clock", {}).items(), key=lambda kv: int(kv[0])):
+        print(f"clock rank {r}: offset {info['offset_s'] * 1e6:+.1f}us "
+              f"+-{info['skew_bound_s'] * 1e6:.1f}us ({info['method']})")
     reconciliation = None
     try:
         reconciliation = reconcile(doc, analysis)
@@ -923,55 +883,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_chaos_sweep(args) -> int:
-    from . import FP64, ModelConfig, TrainSpec
-    from .runtime import ChaosPolicy
+    from .runtime import Fabric, ProcessTransport
     from .testing import DEFAULT_DIFFERENTIAL_STRATEGIES, run_differential
 
-    cfg = ModelConfig(
-        hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
-        seq_len=args.seq, vocab=args.vocab,
-    )
-    spec = TrainSpec(
-        cfg=cfg, n_microbatches=args.microbatches,
-        microbatch_size=args.microbatch_size, iters=args.iters,
-        precision=FP64,
-    )
-    if args.quiet_wire:
-        policy = ChaosPolicy.quiet()
-    else:
-        policy = ChaosPolicy(
-            delay_prob=args.delay_prob, max_delay=args.max_delay,
-            drop_prob=args.drop_prob, duplicate_prob=args.dup_prob,
-            retry_delay=args.retry_delay,
-        )
-    if args.faults:
-        from dataclasses import replace as _replace
-
-        known = {
-            "bitflip": dict(
-                bitflip_prob=args.bitflip_prob,
-                retransmit_budget=args.retransmit_budget,
-            ),
-            "flap": dict(
-                flap_prob=args.flap_prob, flap_len=args.flap_len,
-                flap_delay=args.flap_delay,
-            ),
-            "stall": dict(
-                stall_prob=args.stall_prob, max_stall=args.max_stall,
-            ),
-        }
-        overrides = {}
-        for fault in args.faults.split(","):
-            fault = fault.strip()
-            if not fault:
-                continue
-            if fault not in known:
-                raise SystemExit(
-                    f"unknown fault {fault!r}; choose from "
-                    f"{', '.join(known)}"
-                )
-            overrides.update(known[fault])
-        policy = _replace(policy, **overrides)
     if args.strategies is None:
         strategies = dict(DEFAULT_DIFFERENTIAL_STRATEGIES)
     else:
@@ -983,54 +897,35 @@ def _cmd_chaos_sweep(args) -> int:
             if name.strip()
         }
     seeds = range(args.seed_start, args.seed_start + args.seeds)
+    # one shared tracer: every sweep point's rank-r events land on the
+    # same pid-r timeline, in sweep order (on the process backend each
+    # launch merges its per-rank spills into it).
+    tracer, metrics = _obs(
+        args, command="chaos-sweep", backend=args.backend,
+        seeds=list(seeds), strategies=sorted(strategies),
+    )
+    transports = []
 
-    tracer = None
-    metrics = None
-    fabric_factory = None
-    process = args.backend == "process"
-    if process or args.trace_out is not None or args.metrics_out is not None:
-        from .obs import MetricsRegistry, Tracer
-        from .runtime import Fabric, ProcessTransport
-
-        metrics = MetricsRegistry()
-        if args.trace_out is not None:
-            # one shared tracer: every sweep point's rank-r events land
-            # on the same pid-r timeline, in sweep order (on the process
-            # backend each launch merges its per-rank spills into it).
-            tracer = Tracer(metadata={
-                "command": "chaos-sweep", "backend": args.backend,
-                "seeds": list(seeds), "strategies": sorted(strategies),
-            })
-        transports = []
-
-        def fabric_factory(world, pol):
-            if not process:
-                return Fabric(world, policy=pol, tracer=tracer, metrics=metrics)
-            transports.append(ProcessTransport(policy=pol, tracer=tracer))
-            return transports[-1]
+    def fabric_factory(world, pol):
+        if args.backend == "thread":
+            return Fabric(world, policy=pol, tracer=tracer, metrics=metrics)
+        transports.append(ProcessTransport(policy=pol, tracer=tracer))
+        return transports[-1]
 
     def progress(name: str, seed: int, failure: Optional[str]) -> None:
         status = "PASS" if failure is None else f"FAIL ({failure})"
         print(f"seed {seed:>4}  {name:<24} {status}")
 
     report = run_differential(
-        strategies=strategies, chaos_seeds=seeds, spec=spec, policy=policy,
-        fabric_factory=fabric_factory, progress=progress,
+        strategies=strategies, chaos_seeds=seeds, spec=_spec(args),
+        policy=_chaos_policy(args), fabric_factory=fabric_factory,
+        progress=progress,
     )
     print(report.summary())
-    if process:
-        # each launch merged its children into its transport's registry;
-        # fold the per-launch registries into the sweep-wide one.
-        for t in transports:
-            metrics.merge(t.metrics.as_dict())
-    if tracer is not None and args.trace_out is not None:
-        tracer.dump(args.trace_out)
-        print(f"[trace written to {args.trace_out}]")
-    if metrics is not None and args.metrics_out is not None:
-        metrics.dump(args.metrics_out)
+    _dump(args, tracer, metrics, transports)
+    if metrics is not None:
         injected = metrics.total("chaos_injections_total", label="fault")
-        print(f"[metrics written to {args.metrics_out}; "
-              f"injections: {injected}]")
+        print(f"injections: {injected}")
     return 0 if report.ok else 1
 
 
@@ -1040,7 +935,7 @@ def _cmd_crash_recovery(args) -> int:
     spec = None
     if args.iters is not None:
         spec = default_crash_spec(iters=args.iters)
-    tracer, metrics = _make_obs(args, command="crash-recovery")
+    tracer, metrics = _obs(args, command="crash-recovery")
     report = run_crash_recovery(
         spec=spec,
         strategy=args.strategy,
@@ -1054,7 +949,7 @@ def _cmd_crash_recovery(args) -> int:
         metrics=metrics,
     )
     print(report.summary())
-    _dump_obs_pair(tracer, metrics, args)
+    _dump(args, tracer, metrics)
     return 0 if report.ok else 1
 
 
@@ -1062,7 +957,7 @@ def _cmd_self_heal(args) -> int:
     from .testing import default_crash_spec, run_heal_differential, run_self_heal
 
     failed = False
-    tracer, metrics = _make_obs(args, command="self-heal")
+    tracer, metrics = _obs(args, command="self-heal")
 
     if not args.skip_differential:
         print("== heal differential "
@@ -1114,21 +1009,16 @@ def _cmd_self_heal(args) -> int:
               "free on a clean wire")
         failed = True
 
-    _dump_obs_pair(tracer, metrics, args)
+    _dump(args, tracer, metrics)
     return 1 if failed else 0
 
 
 def _cmd_bench_overlap(args) -> int:
-    import json
-
     from .experiments.overlap import run_overlap_comparison
 
     report = run_overlap_comparison(
-        hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
-        seq_len=args.seq, vocab=args.vocab, world=args.world,
-        n_microbatches=args.microbatches,
-        microbatch_size=args.microbatch_size, iters=args.iters,
-        seed=args.seed, mode=args.mode, precision=args.precision,
+        **_model_kwargs(args), world=args.world, seed=args.seed,
+        mode=args.mode, precision=args.precision,
         link_delay_s=args.link_delay, chaos_seed=args.chaos_seed,
         reps=args.reps, zero_latency_control=not args.no_control,
         backend=args.backend,
@@ -1193,15 +1083,10 @@ def _cmd_bench_overlap(args) -> int:
 
 
 def _cmd_bench_topology(args) -> int:
-    import json
-
     from .experiments.topology import run_topology_comparison
 
     report = run_topology_comparison(
-        hidden=args.hidden, n_layers=args.layers, n_heads=args.heads,
-        seq_len=args.seq, vocab=args.vocab, world=args.world,
-        groups=args.groups, n_microbatches=args.microbatches,
-        microbatch_size=args.microbatch_size, iters=args.iters,
+        **_model_kwargs(args), world=args.world, groups=args.groups,
         seed=args.seed, mode=args.mode, precision=args.precision,
         intra_bandwidth=args.intra_bandwidth,
         intra_latency_s=args.intra_latency,
@@ -1370,23 +1255,8 @@ def _cmd_plan(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "strategies": lambda: _cmd_strategies(),
-        "train": lambda: _cmd_train(args),
-        "trace": lambda: _cmd_trace(args),
-        "simulate": lambda: _cmd_simulate(args),
-        "table": lambda: _cmd_table(args),
-        "figure": lambda: _cmd_figure(args),
-        "timeline": lambda: _cmd_timeline(args),
-        "plan": lambda: _cmd_plan(args),
-        "postmortem": lambda: _cmd_postmortem(args),
-        "chaos-sweep": lambda: _cmd_chaos_sweep(args),
-        "crash-recovery": lambda: _cmd_crash_recovery(args),
-        "self-heal": lambda: _cmd_self_heal(args),
-        "bench-overlap": lambda: _cmd_bench_overlap(args),
-        "bench-topology": lambda: _cmd_bench_topology(args),
-    }
-    return handlers[args.command]()
+    # subcommand ``foo-bar`` runs ``_cmd_foo_bar(args)``
+    return globals()["_cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -343,20 +343,11 @@ def run_overlap_comparison(
 
     if trace_path is not None or metrics_path is not None:
         from ..core.weipipe import train_weipipe
-        from ..obs import Tracer
+        from ..obs import Tracer, trace_metadata
 
-        tracer = Tracer(metadata={
-            "strategy": f"weipipe-{mode}", "mode": mode, "world": world,
-            "recompute": spec.recompute, "overlap": True,
-            "flash_attention": spec.cfg.flash_attention,
-            "iters": iters, "wire": report["wire"],
-            "dims": {
-                "hidden": hidden, "n_layers": n_layers, "seq_len": seq_len,
-                "microbatch": microbatch_size,
-                "n_microbatches": n_microbatches,
-                "n_heads": n_heads, "vocab": vocab,
-            },
-        }) if trace_path is not None else None
+        tracer = Tracer(metadata=trace_metadata(
+            f"weipipe-{mode}", world, spec, mode=mode, wire=report["wire"],
+        )) if trace_path is not None else None
         fabric = Fabric(world, policy=policy, timeout=120.0, tracer=tracer)
         train_weipipe(spec, world, mode=mode, fabric=fabric, overlap=True)
         if trace_path is not None:

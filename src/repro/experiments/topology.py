@@ -207,22 +207,13 @@ def run_topology_comparison(
     }
 
     if trace_path is not None or metrics_path is not None:
-        from ..obs import Tracer
+        from ..obs import Tracer, trace_metadata
 
-        tracer = Tracer(metadata={
-            "strategy": "weipipe-hier", "mode": mode, "world": world,
-            "recompute": spec.recompute, "overlap": True,
-            "flash_attention": spec.cfg.flash_attention,
-            "iters": iters, "topology": topo.as_dict(),
-            "wire": {"kind": "seeded-asymmetric", "jitter_s": jitter_s,
-                     "chaos_seed": chaos_seed},
-            "dims": {
-                "hidden": hidden, "n_layers": n_layers, "seq_len": seq_len,
-                "microbatch": microbatch_size,
-                "n_microbatches": n_microbatches,
-                "n_heads": n_heads, "vocab": vocab,
-            },
-        }) if trace_path is not None else None
+        tracer = Tracer(metadata=trace_metadata(
+            "weipipe-hier", world, spec, mode=mode, topology=topo.as_dict(),
+            wire={"kind": "seeded-asymmetric", "jitter_s": jitter_s,
+                  "chaos_seed": chaos_seed},
+        )) if trace_path is not None else None
         fabric = wire(tracer=tracer)
         train_weipipe(spec, world, mode=mode, fabric=fabric, topology=topo)
         if trace_path is not None:

@@ -4,7 +4,8 @@ The layer is always importable and near-free when off (the default):
 runtime call sites hold :data:`NULL_TRACER` handles whose methods are
 allocation-free no-ops.  Opt in by constructing a
 :class:`~repro.runtime.communicator.Fabric` with ``tracer=Tracer(...)``,
-or via the CLI's ``trace`` command / ``--trace`` flags.
+or via the CLI's ``--trace`` flags (``python -m repro explain`` reads
+the file).
 
 * :mod:`repro.obs.tracer` — per-rank event buffers, Chrome trace export.
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms.
@@ -27,6 +28,7 @@ from .analyze import (
     load_trace,
     per_turn_chunks,
     reconcile,
+    trace_metadata,
 )
 from .flight import (
     EVENT_NAMES,
@@ -78,6 +80,7 @@ __all__ = [
     "heal_events",
     "per_turn_chunks",
     "reconcile",
+    "trace_metadata",
     "validate_chrome_trace",
     "WALL_TOL",
     "RATIO_TOL",

@@ -58,6 +58,7 @@ __all__ = [
     "per_turn_chunks",
     "link_traffic",
     "reconcile",
+    "trace_metadata",
     "WALL_TOL",
     "RATIO_TOL",
     "HIER_TRAFFIC_TOL",
@@ -78,12 +79,17 @@ WEIPIPE_FLOWS = ("F", "B", "D")
 
 
 def load_trace(path: str) -> Dict:
-    """Load a Chrome trace JSON document (object or bare-array form)."""
+    """Load a Chrome trace JSON document (object or bare-array form).
+    A file that is not JSON, or not a trace, is a ``ValueError`` naming
+    ``path``."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: not JSON ({e})") from None
     if isinstance(doc, list):
         doc = {"traceEvents": doc, "metadata": {}}
-    if "traceEvents" not in doc:
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError(f"{path}: not a Chrome trace document")
     return doc
 
@@ -464,6 +470,29 @@ def _mean_span_us(events: List[Dict], name: str) -> Optional[float]:
     return (sum(durs) / len(durs)) if durs else None
 
 
+def trace_metadata(strategy: str, world: int, spec, **extra) -> Dict:
+    """The trace metadata :func:`reconcile` reads: the run's strategy,
+    world, recompute / flash-attention / overlap settings, iterations and
+    workload dims, all from ``spec`` (a ``TrainSpec``); ``extra`` adds
+    or overrides keys (``topology``, ``mode``, ``wire``, ...)."""
+    cfg = spec.cfg
+    return {
+        "strategy": strategy,
+        "world": world,
+        "recompute": spec.recompute,
+        "flash_attention": cfg.flash_attention,
+        "overlap": True,
+        "iters": spec.iters,
+        "dims": {
+            "hidden": cfg.hidden, "n_layers": cfg.n_layers,
+            "seq_len": cfg.seq_len, "microbatch": spec.microbatch_size,
+            "n_microbatches": spec.n_microbatches,
+            "n_heads": cfg.n_heads, "vocab": cfg.vocab,
+        },
+        **extra,
+    }
+
+
 def reconcile(
     doc: Dict,
     analysis: Optional[Dict] = None,
@@ -473,12 +502,13 @@ def reconcile(
     """Predicted-vs-measured deltas against :mod:`repro.sim.costmodel`.
 
     Requires trace ``metadata`` carrying ``dims`` (the workload) plus
-    ``world``/``recompute``/``mode`` — the CLI's ``trace`` command and
-    the ``--trace`` flags record them.  The model is *calibrated* on the
-    trace's own mean forward-span time (``CostModel.calibrated``), then
-    asked to predict (a) the backward/forward time ratio and (b) the
-    iteration wall clock on a zero-latency wire — which for this
-    GIL-serialised runtime is the total compute across all ranks.
+    ``world``/``recompute``/``mode`` — :func:`trace_metadata` writes
+    them (the CLI's ``--trace`` flags use it).  The model is
+    *calibrated* on the trace's own mean forward-span time
+    (``CostModel.calibrated``), then asked to predict (a) the
+    backward/forward time ratio and (b) the iteration wall clock on a
+    zero-latency wire — which for this GIL-serialised runtime is the
+    total compute across all ranks.
 
     Both predictions price the replays that *ran*: B spans carry how
     many chunk forwards they re-ran (``args["replayed"]``), which is
@@ -497,8 +527,8 @@ def reconcile(
     dims_meta = meta.get("dims")
     if not dims_meta:
         raise ValueError(
-            "trace metadata carries no workload dims; record the trace via "
-            "`python -m repro trace ...` or the --trace flags"
+            "trace metadata carries no workload dims; record the trace "
+            "with `python -m repro train ... --trace PATH`"
         )
     dims = WorkloadDims(
         hidden=int(dims_meta["hidden"]),

@@ -24,19 +24,14 @@ Event model (the *stable* schema — see DESIGN.md §11):
   injections, recovery milestones).
 * **counters** (``ph: "C"``) — numeric series (pool allocations).
 
-Export formats:
-
-* :meth:`Tracer.chrome_trace` / :meth:`Tracer.dump` — Chrome
-  trace-event JSON (object form, ``{"traceEvents": [...]}``) loadable in
-  Perfetto / ``chrome://tracing``.  One *pid* per rank, with process
-  name metadata ``rank <r>``; timestamps are microseconds relative to
-  the trace epoch.
-* :meth:`Tracer.dump_jsonl` — one compact JSON event per line, for
-  streaming/appending consumers that don't want the enclosing object.
-
-Both carry ``metadata`` (workload dimensions, strategy, wire) so the
-analyzer (:mod:`repro.obs.analyze`) can reconcile a trace against
-:mod:`repro.sim.costmodel` without side-channel configuration.
+Export: :meth:`Tracer.chrome_trace` / :meth:`Tracer.dump` — Chrome
+trace-event JSON (object form, ``{"traceEvents": [...]}``) loadable in
+Perfetto / ``chrome://tracing``.  One *pid* per rank, with process name
+metadata ``rank <r>``; timestamps are microseconds relative to the
+trace epoch.  The document carries ``metadata`` (workload dimensions,
+strategy, wire) so the analyzer (:mod:`repro.obs.analyze`) can
+reconcile a trace against :mod:`repro.sim.costmodel` without
+side-channel configuration.
 """
 
 from __future__ import annotations
@@ -208,15 +203,6 @@ class Tracer:
         with open(path, "w") as f:
             json.dump(self.chrome_trace(), f, separators=(",", ":"))
             f.write("\n")
-
-    def dump_jsonl(self, path: str) -> None:
-        """Write one compact JSON event per line (no enclosing object);
-        line 1 is a header record carrying schema + metadata."""
-        with open(path, "w") as f:
-            header = {"schema": TRACE_SCHEMA, "metadata": _jsonable(self.metadata)}
-            f.write(json.dumps(header, separators=(",", ":")) + "\n")
-            for ev in self.events():
-                f.write(json.dumps(ev, separators=(",", ":")) + "\n")
 
 
 class NullRankTracer:

@@ -57,7 +57,9 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
     full ``reconcile`` output when the reconcile gate applied.
     """
     from .. import FP64, ModelConfig, TrainSpec, train
-    from ..obs import analyze_trace, reconcile, validate_chrome_trace
+    from ..obs import (
+        analyze_trace, reconcile, trace_metadata, validate_chrome_trace,
+    )
 
     v = spec.validation
     functional = ev.candidate.strategy  # the planner speaks train()'s names
@@ -78,25 +80,18 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
         cfg=cfg, n_microbatches=n_mb, microbatch_size=v.microbatch_size,
         iters=v.iters, seed=v.seed, precision=FP64,
     )
-    dims_meta = {
-        "hidden": cfg.hidden, "n_layers": cfg.n_layers,
-        "seq_len": cfg.seq_len, "microbatch": v.microbatch_size,
-        "n_microbatches": n_mb, "n_heads": cfg.n_heads, "vocab": cfg.vocab,
-    }
+    meta = trace_metadata(functional, world, train_spec)
     verdict: Dict = {
         "ran": True,
         "strategy": functional,
         "planned": ev.candidate.as_dict(),
         "world": world,
-        "dims": dims_meta,
+        "dims": meta["dims"],
         "iters": v.iters,
     }
 
     gate_reconcile = functional in RECONCILE_GATED and world > 1
-    fabric, tracer = _build_fabric(functional, world, gate_reconcile, {
-        "strategy": functional, "world": world, "recompute": False,
-        "overlap": True, "iters": v.iters, "dims": dims_meta,
-    })
+    fabric, tracer = _build_fabric(functional, world, gate_reconcile, meta)
     result = train(train_spec, functional, world, fabric=fabric)
     losses_finite = all(math.isfinite(l) for l in result.losses)
     verdict["losses"] = [float(l) for l in result.losses]

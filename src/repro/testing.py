@@ -247,6 +247,15 @@ class DifferentialReport:
             raise DifferentialMismatch(self.summary())
 
 
+def _model_argv(spec) -> str:
+    """``spec`` as the CLI's model flags (:func:`repro.cli.model_argv`),
+    for replay lines; imported on use so that ``import repro`` does not
+    load the CLI."""
+    from .cli import model_argv
+
+    return model_argv(spec)
+
+
 def _first_line(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {(str(exc).splitlines() or [''])[0]}"
 
@@ -272,8 +281,8 @@ def _sweep(
     spec, world, tag, seed)`` trains ``(reference, {arm: result})``;
     every arm is compared with the reference at ``tol``, and an
     exception is that cell's failure rather than the end of the sweep.
-    ``replay(name, world, precision, seed)`` is the command line (after
-    ``python -m repro``) that reruns a cell.
+    ``replay(name, world, precision, seed, spec)`` is the command line
+    (after ``python -m repro``) that reruns a cell.
     """
     spec = spec or default_differential_spec()
     precisions = [None] if precisions is None else list(precisions)
@@ -307,7 +316,7 @@ def _sweep(
                     except Exception as exc:  # noqa: BLE001 - report, don't abort
                         failure = _first_line(exc)
                     report.runs += 1
-                    line = replay(name, world, prec, seed)
+                    line = replay(name, world, prec, seed, cell_spec)
                     replays.setdefault(tag, line)
                     if failure is not None:
                         report.failures.append(
@@ -396,8 +405,9 @@ def run_differential(
         DifferentialReport("differential sweep vs serial"),
         strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, None, None,
         [("", s) for s in chaos_seeds], spec, cell, tol,
-        lambda name, world, prec, seed: (
-            f"chaos-sweep --strategies {name} --seed-start {seed} --seeds 1"
+        lambda name, world, prec, seed, spec: (
+            f"chaos-sweep --strategies {name} --seed-start {seed} --seeds 1 "
+            + _model_argv(spec)
         ),
         progress, raise_on_failure,
     )
@@ -441,9 +451,9 @@ def run_backend_differential(
         DifferentialReport("backend differential (thread vs process)"),
         strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
         [("", chaos_seed)], spec, cell, 0,
-        lambda name, world, prec, seed: (
+        lambda name, world, prec, seed, spec: (
             f"train --backend process --strategy {name} --world {world} "
-            f"--precision {prec}"
+            f"--precision {prec} {_model_argv(spec)}"
         ),
         progress, raise_on_failure,
     )
@@ -487,8 +497,9 @@ def run_traced_backend_differential(
         DifferentialReport("traced differential (traced vs bare process run)"),
         strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
         [("", 0)], spec, cell, 0,
-        lambda name, world, prec, seed: (
-            f"trace {name} --backend process --world {world}"
+        lambda name, world, prec, seed, spec: (
+            f"train --backend process --strategy {name} --world {world} "
+            f"--precision {prec} --trace trace.json {_model_argv(spec)}"
         ),
         progress, raise_on_failure,
     )
@@ -582,7 +593,7 @@ def run_heal_differential(
         report, dict.fromkeys(modes, max(worlds, default=0)), worlds,
         precisions, [(name, seed + i) for i, name in enumerate(schedules)],
         spec, cell, 0,
-        lambda name, world, prec, _seed: (
+        lambda name, world, prec, _seed, _spec: (
             f"self-heal --skip-rejoin --modes {name} --worlds {world} "
             f"--precisions {prec} --seed {seed}"
         ),

@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 import repro.core.api as api
-from repro.cli import build_parser
+from repro.cli import _spec, build_parser
+from repro.nn.model import ModelConfig
+from repro.nn.precision import FP32
 from repro.parallel.common import TrainResult, microbatch, pre_update
 from repro.runtime import ChaosPolicy, Fabric, run_workers
 from repro.testing import (
@@ -118,12 +120,15 @@ def _boom(spec, world, fabric):
 
 class TestReplayLines:
     """A failure's replay line is a command the CLI parses, naming the
-    subcommand of the matrix that produced it and the failing cell."""
+    subcommand of the matrix that produced it and the failing cell —
+    down to its model and precision (``_spec`` of the parsed line is the
+    cell's spec)."""
 
     MATRICES = {
         "chaos": (
             lambda: run_differential(strategies={"boom": 2}, chaos_seeds=[7]),
             dict(command="chaos-sweep", strategies="boom", seed_start=7, seeds=1),
+            default_differential_spec(),
         ),
         "backend": (
             lambda: run_backend_differential(
@@ -131,12 +136,15 @@ class TestReplayLines:
             ),
             dict(command="train", strategy="boom", world=2, precision="fp32",
                  backend="process"),
+            default_differential_spec(precision=FP32),
         ),
         "traced": (
             lambda: run_traced_backend_differential(
                 strategies={"boom": 2}, worlds=(2,), precisions=("fp32",)
             ),
-            dict(command="trace", strategy="boom", world=2, backend="process"),
+            dict(command="train", strategy="boom", world=2, precision="fp32",
+                 backend="process", trace_out="trace.json"),
+            default_differential_spec(precision=FP32),
         ),
         "heal": (
             lambda: run_heal_differential(
@@ -145,6 +153,7 @@ class TestReplayLines:
             ),
             dict(command="self-heal", modes="boom", worlds="2",
                  precisions="fp32", seed=3, skip_rejoin=True),
+            None,  # self-heal trains its own default problem
         ),
     }
 
@@ -153,7 +162,7 @@ class TestReplayLines:
         self, matrix, monkeypatch
     ):
         monkeypatch.setitem(api.STRATEGIES, "boom", _boom)
-        run, expected = self.MATRICES[matrix]
+        run, expected, cell_spec = self.MATRICES[matrix]
         report = run()
         assert report.runs == 1 and not report.ok
         assert "RuntimeError: forced failure" in report.failures[0].message
@@ -163,6 +172,25 @@ class TestReplayLines:
             assert line.startswith(prefix), line
             args = build_parser().parse_args(shlex.split(line[len(prefix):]))
             assert {k: getattr(args, k) for k in expected} == expected
+            if cell_spec is not None:
+                assert _dims(_spec(args)) == _dims(cell_spec)
+
+    def test_a_non_default_cell_replays_its_own_model(self, monkeypatch):
+        monkeypatch.setitem(api.STRATEGIES, "boom", _boom)
+        spec = default_differential_spec(
+            cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2, seq_len=4, vocab=11),
+            n_microbatches=2, microbatch_size=1, iters=3,
+        )
+        report = run_backend_differential(
+            strategies={"boom": 2}, worlds=(2,), precisions=("fp64",), spec=spec
+        )
+        line = report.failures[0].replay
+        assert _dims(_spec(build_parser().parse_args(shlex.split(line)))) == _dims(spec)
+
+
+def _dims(spec):
+    return (spec.cfg, spec.n_microbatches, spec.microbatch_size, spec.iters,
+            spec.precision)
 
 
 def _train_builtin(spec, strategy, world, fabric=None):

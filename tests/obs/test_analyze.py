@@ -21,6 +21,7 @@ from repro.obs import (
     load_trace,
     per_turn_chunks,
     reconcile,
+    trace_metadata,
 )
 from repro.parallel.common import TrainSpec
 from repro.runtime import Fabric
@@ -138,6 +139,43 @@ class TestGoldenTrace:
             analyze_trace({"traceEvents": [], "metadata": {}})
 
 
+class TestTraceMetadata:
+    def test_round_trips_to_the_specs_workload_dims(self, monkeypatch):
+        """What :func:`trace_metadata` writes is what :func:`reconcile`
+        prices: the spec's workload dims and its exec settings."""
+        from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
+
+        cfg = ModelConfig(hidden=24, n_layers=6, n_heads=3, seq_len=12,
+                          vocab=40, flash_attention=True)
+        spec = TrainSpec(cfg=cfg, n_microbatches=5, microbatch_size=3,
+                         iters=2, recompute=True)
+        doc = golden_trace()
+        doc["metadata"].update(trace_metadata("weipipe-interleave", 2, spec))
+        seen = []
+        calibrated = CostModel.calibrated.__func__
+
+        def spy(cls, dims, t_fwd, exec_cfg):
+            seen.append((dims, exec_cfg))
+            return calibrated(cls, dims, t_fwd, exec_cfg)
+
+        monkeypatch.setattr(CostModel, "calibrated", classmethod(spy))
+        reconcile(doc)
+        assert seen == [(
+            WorkloadDims(hidden=24, n_layers=6, seq_len=12, microbatch=3,
+                         n_microbatches=5, n_heads=3, vocab=40),
+            ExecConfig(recompute=True, overlap=True, flash_attention=True),
+        )]
+
+    def test_extra_keys_add_and_override(self):
+        spec = TrainSpec(cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2,
+                                         seq_len=4, vocab=8))
+        meta = trace_metadata("weipipe-hier", 4, spec, overlap=False,
+                              topology={"groups": [[0, 1], [2, 3]]})
+        assert meta["overlap"] is False and meta["topology"]["groups"]
+        assert (meta["strategy"], meta["world"], meta["iters"]) == (
+            "weipipe-hier", 4, 1)
+
+
 def _traced_run(mode, iters=2, n_layers=4, world=2):
     from repro.core.weipipe import train_weipipe
 
@@ -148,14 +186,9 @@ def _traced_run(mode, iters=2, n_layers=4, world=2):
                       vocab=64)
     spec = TrainSpec(cfg=cfg, n_microbatches=8, microbatch_size=2,
                      iters=iters, seed=3)
-    tracer = Tracer(metadata={
-        "strategy": f"weipipe-{mode}", "mode": mode, "world": world,
-        "recompute": spec.recompute, "overlap": True,
-        "dims": {"hidden": cfg.hidden, "n_layers": cfg.n_layers,
-                 "seq_len": cfg.seq_len, "microbatch": spec.microbatch_size,
-                 "n_microbatches": spec.n_microbatches,
-                 "n_heads": cfg.n_heads, "vocab": cfg.vocab},
-    })
+    tracer = Tracer(
+        metadata=trace_metadata(f"weipipe-{mode}", world, spec, mode=mode)
+    )
     train_weipipe(spec, world, mode=mode, fabric=Fabric(world, tracer=tracer))
     return tracer.chrome_trace(), spec
 

@@ -92,16 +92,6 @@ class TestExport:
         doc = json.loads(path.read_text())
         assert validate_chrome_trace(doc) == []
 
-    def test_dump_jsonl_header_plus_events(self, tmp_path):
-        tr = Tracer(metadata={"k": "v"})
-        tr.rank(0).instant("send", "comm")
-        path = tmp_path / "t.jsonl"
-        tr.dump_jsonl(str(path))
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0] == {"schema": TRACE_SCHEMA, "metadata": {"k": "v"}}
-        assert len(lines) == 2
-        assert lines[1]["name"] == "send"
-
     def test_validator_flags_bad_documents(self):
         assert validate_chrome_trace({"traceEvents": "nope"})
         bad = {

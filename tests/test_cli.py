@@ -1,12 +1,17 @@
 """CLI smoke and behaviour tests (invoked in-process via main())."""
 
 import argparse
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import FP32
+from repro.cli import _chaos_policy, _spec, build_parser, main
 from repro.core.schedule import RING_SCHEDULES
-from repro.testing import DEFAULT_HEAL_MODES
+from repro.runtime import ChaosPolicy
+from repro.testing import (
+    DEFAULT_HEAL_MODES, HEAL_SCHEDULES, default_differential_spec,
+)
 
 
 def _option(command, dest):
@@ -40,6 +45,43 @@ class TestParser:
 
     def test_self_heal_modes_default_to_the_heal_matrix(self):
         assert _option("self-heal", "modes").default == ",".join(DEFAULT_HEAL_MODES)
+
+    def test_fault_names_are_the_heal_table(self):
+        """``--faults`` takes exactly the rows of HEAL_SCHEDULES, each
+        merged onto the sweep's default wire, left to right."""
+        parse = _option("chaos-sweep", "faults").type
+        for name, row in HEAL_SCHEDULES.items():
+            args = build_parser().parse_args(["chaos-sweep", "--faults", name])
+            assert _chaos_policy(args) == replace(ChaosPolicy(), **row)
+        assert parse("bitflip, flap") == ["bitflip", "flap"]
+        with pytest.raises(argparse.ArgumentTypeError, match="storm"):
+            parse("bitflip,frobnicate")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos-sweep", "--faults", "frobnicate"])
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_sweep_policy_without_faults_is_the_default_wire(self, seed):
+        """Every seed replays exactly: no flags is ``ChaosPolicy(seed=s)``
+        and ``--quiet-wire`` is ``ChaosPolicy.quiet(s)``."""
+        args = build_parser().parse_args(["chaos-sweep"])
+        assert _chaos_policy(args).with_seed(seed) == ChaosPolicy(seed=seed)
+        args = build_parser().parse_args(["chaos-sweep", "--quiet-wire"])
+        assert _chaos_policy(args).with_seed(seed) == ChaosPolicy.quiet(seed)
+
+    def test_merged_fault_rows_apply_left_to_right(self):
+        args = build_parser().parse_args(["chaos-sweep", "--faults", "storm,flap"])
+        want = replace(ChaosPolicy(), **HEAL_SCHEDULES["storm"])
+        assert _chaos_policy(args) == replace(want, **HEAL_SCHEDULES["flap"])
+
+    def test_model_flags_default_to_each_commands_spec(self):
+        def dims(spec):
+            return (spec.cfg, spec.n_microbatches, spec.microbatch_size,
+                    spec.iters, spec.precision, spec.seed, spec.recompute)
+
+        sweep = _spec(build_parser().parse_args(["chaos-sweep"]))
+        assert dims(sweep) == dims(default_differential_spec())
+        train = _spec(build_parser().parse_args(["train", "--precision", "fp32"]))
+        assert (train.cfg.hidden, train.iters, train.precision) == (32, 5, FP32)
 
 
 class TestCommands:
@@ -129,6 +171,18 @@ class TestCommands:
                 "--checkpoint-every", "1",
                 "--checkpoint-path", str(tmp_path / "ckpt.npz"),
             ])
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--strategy", "frobnicate"], "unknown strategy 'frobnicate'"),
+        (["--world", "3"], "divisible"),
+    ])
+    def test_train_config_error_exits_2_with_one_line(self, argv, why, capsys):
+        rc = main(["train", "--iters", "1", "--hidden", "16", "--heads", "2",
+                   "--seq", "8", "--vocab", "17", "--microbatches", "4", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("train: ") and why in err
+        assert len(err.splitlines()) == 1
 
     def test_train_markov_with_clip(self, capsys):
         rc = main([
@@ -384,82 +438,74 @@ class TestBenchOverlapCLI:
         assert "zero_latency" not in json.loads(out.read_text())
 
 
-class TestTraceCLI:
-    def test_trace_writes_valid_chrome_trace_and_analysis(self, capsys, tmp_path):
+class TestExplainCLI:
+    """One run surface: any run command records with ``--trace`` and
+    ``explain`` reads the file."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_train_trace_then_explain(self, backend, capsys, tmp_path):
         import json
 
         from repro.obs import validate_chrome_trace
 
-        out = tmp_path / "trace.json"
-        jsonl = tmp_path / "trace.jsonl"
+        trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
         analysis = tmp_path / "analysis.json"
-        rc = main([
-            "trace", "weipipe-interleave", "--world", "2", "--layers", "4",
-            "--iters", "1", "--microbatches", "4",
-            "--out", str(out), "--jsonl", str(jsonl),
-            "--metrics-out", str(metrics), "--analysis-out", str(analysis),
-        ])
-        assert rc == 0
-        doc = json.loads(out.read_text())
+        assert main([
+            "train", "--strategy", "weipipe-interleave", "--world", "2",
+            "--layers", "4", "--iters", "1", "--microbatches", "4",
+            "--backend", backend, "--trace", str(trace),
+            "--metrics-out", str(metrics),
+        ]) == 0
+        doc = json.loads(trace.read_text())
         assert validate_chrome_trace(doc) == []
         assert doc["metadata"]["strategy"] == "weipipe-interleave"
-        # jsonl: header + one line per event
-        lines = jsonl.read_text().splitlines()
-        assert len(lines) == 1 + sum(
-            1 for e in doc["traceEvents"] if e["ph"] != "M"
-        )
-        m = json.loads(metrics.read_text())
-        names = {x["name"] for x in m["metrics"]}
+        names = {x["name"] for x in json.loads(metrics.read_text())["metrics"]}
         assert "fabric_bytes_total" in names
-        assert "weipipe_wire_wait_seconds" in names
-        a = json.loads(analysis.read_text())
-        assert a["analysis"]["per_turn"]["uniform_2w_1d"] is True
-        assert a["reconciliation"]["iteration_wall"]["within_tolerance"]
+        capsys.readouterr()
+
+        assert main(["explain", str(trace), "--analysis-out", str(analysis)]) == 0
         printed = capsys.readouterr().out
         assert "bubble ratio" in printed
         assert "2W+1D" in printed
-
-    def test_trace_process_backend_runs_full_pipeline(self, capsys, tmp_path):
-        import json
-
-        from repro.obs import validate_chrome_trace
-
-        out = tmp_path / "trace.json"
-        analysis = tmp_path / "analysis.json"
-        rc = main([
-            "trace", "weipipe-interleave", "--world", "2", "--layers", "4",
-            "--iters", "1", "--microbatches", "4", "--backend", "process",
-            "--out", str(out), "--analysis-out", str(analysis),
-        ])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert validate_chrome_trace(doc) == []
-        pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] != "M"}
-        assert pids == {0, 1}
-        # per-rank clock alignment is recorded in the trace metadata.
-        clock = doc["metadata"]["clock"]
-        assert sorted(clock) == ["0", "1"]
+        wall = next(l for l in printed.splitlines()
+                    if l.startswith("cost model (wall)"))
+        assert wall.endswith("OK)"), wall
+        assert ("clock rank 0" in printed) == (backend == "process")
         a = json.loads(analysis.read_text())
         assert a["analysis"]["summary"]["ranks"] == 2
+        assert a["analysis"]["per_turn"]["uniform_2w_1d"] is True
         assert a["reconciliation"]["iteration_wall"]["within_tolerance"]
+
+    def test_explain_without_dims_skips_reconciliation(self, tmp_path, capsys):
+        trace = tmp_path / "sweep.json"
+        assert main([
+            "chaos-sweep", "--seeds", "1", "--strategies", "weipipe-interleave",
+            "--iters", "1", "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["explain", str(trace)]) == 0
         printed = capsys.readouterr().out
-        assert "backend=process" in printed
-        assert "clock rank 0" in printed
+        assert "reconciliation skipped" in printed
+        assert "bubble ratio" in printed and "cost model" not in printed
 
-    def test_trace_default_strategy_and_no_analyze(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        rc = main([
-            "trace", "--world", "2", "--layers", "2", "--iters", "1",
-            "--microbatches", "2", "--no-analyze", "--out", str(out),
-        ])
-        assert rc == 0
-        assert out.exists()
-        assert "bubble ratio" not in capsys.readouterr().out
+    @pytest.mark.parametrize("content", [None, "{not json", '{"a": 1}'])
+    def test_explain_bad_file_is_one_line(self, content, tmp_path):
+        path = tmp_path / "t.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", str(path)])
+        message = str(exc.value)
+        assert str(path) in message and "\n" not in message
 
-    def test_trace_unknown_strategy_exits_cleanly(self, tmp_path):
+    def test_trace_command_is_gone(self):
         with pytest.raises(SystemExit):
-            main(["trace", "frobnicate", "--out", str(tmp_path / "t.json")])
+            build_parser().parse_args(["trace", "weipipe-interleave"])
+
+
+class TestTraceCLI:
+    """``--trace`` / ``--metrics-out`` on the run commands."""
 
     def test_train_trace_flag(self, tmp_path, capsys):
         import json
