@@ -22,11 +22,10 @@ from repro.sim.analytic import (
 from repro.sim.costmodel import CostModel
 
 
-def _run(overlap_enabled: bool = True):
+def _run():
     cluster = table2_cluster()
-    mode = "overlap" if overlap_enabled else "no-overlap"
     lines = [
-        f"Analytic comparison (paper section 4.4) [turn model: {mode}]",
+        "Analytic comparison (paper section 4.4)",
         f"{'H':>5} {'S':>6} | {'bub 1F1B':>9} {'bub WPi':>9} {'bub WPn':>9}"
         f" | {'BW act MB/s':>12} {'BW ring MB/s':>12}"
         f" | {'turn ovl ms':>11} {'turn ser ms':>11}",
@@ -36,8 +35,7 @@ def _run(overlap_enabled: bool = True):
         dims = make_dims(h, s, g, cluster.world_size)
         exec_cfg = exec_for("weipipe-interleave")
         cm = CostModel(dims, cluster.gpu, exec_cfg)
-        lps = dims.n_layers // cluster.world_size
-        t_f, t_b = lps * cm.t_fwd_layer(), lps * cm.t_bwd_layer()
+        t_f, t_b = cm.op_means("weipipe-interleave", cluster.world_size)
         b_f1 = bubble_ratio_1f1b(cluster.world_size, dims.n_microbatches, t_f, t_b)
         b_wi = bubble_ratio_weipipe_interleave(cluster.world_size, dims.n_microbatches, t_f, t_b)
         b_wn = bubble_ratio_weipipe_naive(cluster.world_size, dims.n_microbatches, t_f, t_b)
@@ -56,10 +54,8 @@ def _run(overlap_enabled: bool = True):
     return "\n".join(lines), checks
 
 
-def test_analytic_comparison(benchmark, results_dir, overlap_enabled):
-    text, checks = benchmark.pedantic(
-        _run, args=(overlap_enabled,), rounds=1, iterations=1
-    )
+def test_analytic_comparison(benchmark, results_dir):
+    text, checks = benchmark.pedantic(_run, rounds=1, iterations=1)
     save_and_print(results_dir, "analytic", text)
     for b_f1, b_wi, b_wn, bw_a, bw_w, t_ovl, t_ser, compute in checks:
         # paper: 1F1B ~= Interleave << Naive

@@ -12,22 +12,6 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--no-overlap",
-        action="store_true",
-        default=False,
-        help="price communication as blocking (compute + comm per turn) "
-        "instead of overlapped (max(compute, comm)) in the analytic "
-        "benches — an A/B knob for the cost model's overlap term",
-    )
-
-
-@pytest.fixture(scope="session")
-def overlap_enabled(request) -> bool:
-    return not request.config.getoption("--no-overlap")
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)

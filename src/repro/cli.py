@@ -1150,8 +1150,7 @@ def _cmd_timeline(args) -> int:
     from .core import RING_STRATEGIES
     from .parallel.pipeline import PIPELINE_SCHEDULES
     from .sim import (
-        NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, WorkloadDims, nvlink_cluster,
-        render_timeline,
+        SIM_STRATEGIES, WorkloadDims, exec_for, nvlink_cluster, render_timeline,
     )
     from .sim.costmodel import ExecConfig
     from .sim.schedules import RING_FIGURES, build_ring_figure
@@ -1171,7 +1170,7 @@ def _cmd_timeline(args) -> int:
         built = build_ring_figure(name, dims, cluster, ExecConfig(recompute=False))
     else:
         built = SIM_STRATEGIES[name](
-            dims, cluster, ExecConfig(recompute=name not in NO_RECOMPUTE_STRATEGIES)
+            dims, cluster, ExecConfig(recompute=exec_for(name).recompute)
         )
     print(render_timeline(built, width=args.width, title=name))
     return 0

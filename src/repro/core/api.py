@@ -15,19 +15,21 @@ string must not change the numbers (see ``tests/integration``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..parallel.common import TrainResult, TrainSpec
 from ..parallel.data_parallel import train_data_parallel
 from ..parallel.fsdp import train_fsdp
-from ..parallel.pipeline import train_pipeline
+from ..parallel.pipeline import PIPELINE_SCHEDULES, stage_program, train_pipeline
 from ..parallel.serial import train_serial
 from ..parallel.sequence_parallel import train_sequence_parallel
 from ..parallel.tensor_parallel import train_tensor_parallel
 from ..runtime import Fabric, Topology, default_groups
+from .schedule import ring_program
 from .weipipe import train_weipipe
 
-__all__ = ["train", "STRATEGIES", "RING_STRATEGIES", "strategy_names"]
+__all__ = ["train", "STRATEGIES", "RING_STRATEGIES", "FULL_CACHE_STRATEGIES",
+           "strategy_names", "rank_programs"]
 
 #: ring strategy -> (``core.schedule.RING_SCHEDULES`` mode, two-level
 #: ring?).  The one statement of it: the elastic step engines, the
@@ -73,10 +75,28 @@ STRATEGIES: Dict[str, Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]]
     **{name: _ring(*row) for name, row in RING_STRATEGIES.items()},
 }
 
+#: the runtimes above that refuse ``recompute`` and keep full caches.
+FULL_CACHE_STRATEGIES = frozenset({"tp", "sp"})
+
 
 def strategy_names() -> list:
     """All registered strategy names."""
     return sorted(STRATEGIES)
+
+
+def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int]:
+    """Every rank's op program under ``strategy`` — ``(kind, unit)`` pairs,
+    what ``nn.checkpoint.replayed_chunks`` reads — and how many units the
+    model's layers split into.  A pipeline stage or a ring slot is one of
+    ``world`` units; serial, DP, FSDP, TP and SP run the whole model as one
+    unit, the program ``[F(mb), B(mb)]*`` over the rank's microbatches."""
+    if strategy in RING_STRATEGIES:
+        mode = RING_STRATEGIES[strategy][0]
+        return [ring_program(mode, world, r, n_mb) for r in range(world)], world
+    if strategy in PIPELINE_SCHEDULES:
+        return [stage_program(strategy, world, r, n_mb) for r in range(world)], world
+    local = n_mb // world if strategy in ("dp", "fsdp") else n_mb
+    return [[op for mb in range(local) for op in (("F", mb), ("B", mb))]] * world, 1
 
 
 def train(

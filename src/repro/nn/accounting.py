@@ -5,7 +5,8 @@ Two purposes:
 * analytic FLOP counts (:func:`layer_fwd_flops`,
   :func:`training_step_flops`) matching the actual matmuls the layer
   executes — the ground truth the simulator's cost model
-  (:mod:`repro.sim.costmodel`) is tested against;
+  (:mod:`repro.sim.costmodel`) is tested against; recomputation is
+  counted by the checkpoint rule of :mod:`repro.nn.checkpoint`;
 * empirical cache measurement (:func:`tensor_bytes`) — walks a forward
   cache and sums the *unique* ndarray payloads, giving the real
   activation footprint the memory model's ``ACT_FULL_COEF`` must match.
@@ -17,6 +18,7 @@ from typing import Any, Dict
 
 import numpy as np
 
+from .checkpoint import ONE_UNIT_STEP, replay_flops, replayed_chunks
 from .model import ModelConfig
 
 __all__ = [
@@ -64,19 +66,18 @@ def model_fwd_flops(cfg: ModelConfig, g: int) -> float:
 
 
 def training_step_flops(cfg: ModelConfig, g: int, recompute: bool) -> float:
-    """One microbatch's forward+backward (+recompute) FLOPs.
+    """One microbatch's forward+backward (+recompute) FLOPs, run as the
+    one-unit program ``F, B`` over all ``n_layers`` chunks.
 
     Backward costs ~2x forward (one dgrad + one wgrad GEMM per forward
-    GEMM); recomputation replays the forward.  Factor 4 is the paper's
-    system, where every backward replays a whole forward.  This runtime
-    executes less (:mod:`repro.nn.checkpoint`): the chunk per microbatch
-    whose backward comes next replays nothing, and every other replay
-    skips the down projection and — with the streaming core — the
-    ``attention_scores`` term of :func:`layer_fwd_flops`.
+    GEMM).  Recomputation adds what the checkpoint rule prices: the
+    replays :func:`~repro.nn.checkpoint.replayed_chunks` counts — every
+    chunk but the last, whose cache the checkpoint kept — each at
+    :func:`~repro.nn.checkpoint.replay_flops`.
     """
-    fwd = model_fwd_flops(cfg, g)
-    factor = 4.0 if recompute else 3.0
-    return factor * fwd
+    replays = sum(replayed_chunks(ONE_UNIT_STEP, cfg.n_layers)) if recompute else 0
+    replay = replay_flops(layer_fwd_flops(cfg, g), cfg.flash_attention)
+    return 3.0 * model_fwd_flops(cfg, g) + replays * replay
 
 
 def tensor_bytes(obj: Any) -> int:

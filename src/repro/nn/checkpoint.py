@@ -13,8 +13,8 @@ also keeps the core's ``out`` and ``logsumexp`` — in the paper's regime
 leaves the backward is that pair: ``G S H (1 + 1/head_dim)`` elements,
 one more boundary activation, with exactly the checkpoint's lifespan.
 So the checkpoint term is ``2 G S H + G S n_heads`` elements per layer
-per in-flight microbatch (twice the boundary the paper's memory model
-charges), against a cache some 25x that.  ``q, k, v`` are *not* kept:
+per in-flight microbatch (twice the paper's boundary), against a cache
+some 25x that.  ``q, k, v`` are *not* kept:
 that is three more boundaries to save three thin GEMMs and two RoPE
 passes.  The materialised core keeps nothing — its cache is the
 ``O(S^2)`` recomputation exists to drop.  The replay then runs the same
@@ -33,16 +33,23 @@ materialises the same bytes at the same moment.  So the newest
 forward's cache is kept until the next checkpointed op — the last chunk
 of a serial / DP / FSDP microbatch, every microbatch of 1F1B's last
 stage, slot ``P - 1`` on the weight ring — and every other backward
-replays as before (DESIGN.md §17).
+replays as before (DESIGN.md §17).  A split backward recomputes the
+same way: its B pass rebuilds the cache and parks it for the W pass.
 
 :class:`CheckpointedChunk` wraps the chunk-level fwd/bwd of
 :mod:`repro.nn.model` behind the same interface, so strategies toggle
 recomputation with a flag instead of branching.
+
+The rule is stated once, beside the class, in three parts that the
+simulator's cost model, the memory model, the FLOP count and the trace
+analyzer's ``reconcile()`` all read: :func:`checkpoint_elements` (bytes
+kept), :func:`replay_flops` (what a replay re-runs) and
+:func:`replayed_chunks` (which backward replays).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +63,45 @@ from .model import (
 )
 from .params import ParamStruct
 
-__all__ = ["CheckpointedChunk"]
+__all__ = ["CheckpointedChunk", "ONE_UNIT_STEP", "checkpoint_elements", "replay_flops",
+           "replayed_chunks"]
+
+#: one microbatch on a rank that runs the whole model as one unit (serial,
+#: DP, FSDP, TP, SP): its forward, then its backward.
+ONE_UNIT_STEP = (("F", 0), ("B", 0))
+
+
+def checkpoint_elements(tokens: int, hidden: int, n_heads: int, flash: bool) -> int:
+    """Elements one layer's checkpoint keeps for a microbatch of
+    ``tokens`` positions: the layer input and, with the streaming core,
+    the core's ``out`` and ``logsumexp`` (``2 G S H + G S n_heads``)."""
+    x = tokens * hidden
+    return x + (x + tokens * n_heads if flash else 0)
+
+
+def replay_flops(fwd: Mapping[str, float], flash: bool) -> float:
+    """FLOPs one layer's replay re-runs, from its forward's breakdown (the
+    keys of :func:`repro.nn.accounting.layer_fwd_flops`): the forward
+    without the down projection — one of the three ``ffn`` GEMMs — and,
+    with the streaming core, without ``attention_scores``.  (The last
+    chunk keeps its down projection and skips the logits instead.)"""
+    core = fwd["attention_scores"] if flash else 0.0
+    return fwd["total"] - fwd["ffn"] / 3.0 - core
+
+
+def replayed_chunks(ops: Sequence[Tuple[str, object]], layers: int) -> List[int]:
+    """Per op of one rank's program — ``(kind, unit)`` pairs, a unit being
+    ``layers`` chunks — how many chunk forwards it replays under
+    recomputation.  A ``B`` replays all its chunks except one when the
+    rank's latest checkpointed op is the ``F`` of the same unit (that
+    forward's newest cache is kept); ``W`` is no checkpointed op, it runs
+    on the cache its ``B`` rebuilt.  ``F`` and ``W`` replay nothing."""
+    counts, latest = [], None
+    for kind, unit in ops:
+        counts.append(layers - (latest == ("F", unit)) if kind == "B" else 0)
+        if kind != "W":
+            latest = (kind, unit)
+    return counts
 
 
 class CheckpointedChunk:

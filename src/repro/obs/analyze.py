@@ -510,17 +510,16 @@ def reconcile(
     zero-latency wire — which for this GIL-serialised runtime is the
     total compute across all ranks.
 
-    Both predictions price the replays that *ran*: B spans carry how
-    many chunk forwards they re-ran (``args["replayed"]``), which is
-    fewer than the model's every-backward-replays wherever the
-    checkpoint kept the newest cache (:mod:`repro.nn.checkpoint`), and
-    each is priced at what a replay re-runs
-    (``CostModel.flops_replay_layer``: no down projection and, with the
-    ``flash_attention`` the metadata states — on when it does not — no
-    attention core), not at a whole forward.  A trace whose B spans
-    carry no count is priced at the model's: every backward replays a
-    whole forward.
+    Both predictions price recomputation by the runtime's checkpoint rule
+    (:mod:`repro.nn.checkpoint`): the replays ``replayed_chunks`` counts
+    on the traced strategy's rank programs (``core.api.rank_programs``),
+    each at what a replay re-runs (``CostModel.flops_replay_layer``: no
+    down projection and, with the ``flash_attention`` the metadata states
+    — on when it does not — no attention core).  ``replays`` checks the
+    rule's count against the B spans' ``args["replayed"]``.
     """
+    from ..core.api import rank_programs
+    from ..nn.checkpoint import replayed_chunks
     from ..sim.costmodel import CostModel, ExecConfig, WorkloadDims
 
     meta = doc.get("metadata", {})
@@ -549,11 +548,12 @@ def reconcile(
     if f_us is None:
         raise ValueError("trace has no forward ('F') spans to calibrate on")
     b_us = _mean_span_us(events, "B")
-    w_us = _mean_span_us(events, "W")
 
-    # a WeiPipe F span covers one slot = L/P layers; classic PP's F span
-    # covers a stage of the same L/P layers.
-    layers_per_span = max(dims.n_layers // world, 1)
+    # one span is one op of a rank's program: a ring slot's or a pipeline
+    # stage's L/P layers, the whole model for one-unit programs.
+    strategy = str(meta.get("strategy"))
+    programs, units = rank_programs(strategy, world, dims.n_microbatches)
+    layers_per_span = max(dims.n_layers // units, 1)
     t_fwd_layer_measured = (f_us / 1e6) / layers_per_span
 
     cfg = ExecConfig(
@@ -562,45 +562,31 @@ def reconcile(
         flash_attention=bool(meta.get("flash_attention", True)),
     )
     model = CostModel.calibrated(dims, t_fwd_layer_measured, cfg)
-    t_fwd = model.t_fwd_layer()
     iters = max(
         analysis["per_rank"][p]["iterations"] for p in analysis["per_rank"]
     )
-
-    # chunk forwards re-run per B span and per iteration, and what one
-    # costs: as the spans report them, at a replay's share of the forward;
-    # else the model's (every backward replays its layers' whole forward).
-    replays = [
-        (ev.get("args") or {}).get("replayed") for ev in events
-        if ev.get("ph") == "X" and ev["name"] == "B"
-    ]
-    if replays and None not in replays:
-        replays_per_b = sum(replays) / len(replays)
-        replays_per_iter = sum(replays) / max(iters, 1)
-        t_replay = t_fwd * model.flops_replay_layer() / model.flops_fwd_layer()
-    elif recompute:
-        replays_per_b = layers_per_span
-        replays_per_iter = dims.n_microbatches * dims.n_layers
-        t_replay = t_fwd
-    else:
-        replays_per_b = replays_per_iter = t_replay = 0
-
-    # (a) backward/forward ratio: the model says 2x plus one replay per
-    # replayed layer (3x when every backward replays a whole forward); a
-    # decoupled W pass rides separately and is excluded from B.
+    replays = recompute * sum(sum(replayed_chunks(ops, layers_per_span)) for ops in programs)
     result: Dict = {
         "calibration": {
             "t_fwd_layer_measured_s": t_fwd_layer_measured,
             "t_fwd_layer_model_s": model.t_fwd_layer(),
             "layers_per_span": layers_per_span,
-        }
+        },
+        "replays": {
+            "predicted": replays * iters,
+            "measured": sum(
+                (ev.get("args") or {}).get("replayed", 0) for ev in events
+                if ev.get("ph") == "X" and ev["name"] == "B"
+            ),
+        },
     }
+
+    # (a) backward/forward ratio of the mean spans: a B with the replays
+    # the rule counts for it, and without a decoupled W, which rides apart.
     if b_us is not None:
         measured_b_over_f = b_us / f_us
-        zb = w_us is not None  # decoupled backward: B is only the B half
-        t_b = model.t_b_layer() + (0.0 if zb else model.t_w_layer())
-        t_b += replays_per_b / layers_per_span * t_replay
-        predicted_b_over_f = t_b / t_fwd
+        t_f, t_b = model.op_means(strategy, world)
+        predicted_b_over_f = t_b / t_f
         rel_err = abs(measured_b_over_f - predicted_b_over_f) / predicted_b_over_f
         result["b_over_f"] = {
             "predicted": predicted_b_over_f,
@@ -610,15 +596,11 @@ def reconcile(
             "tolerance": ratio_tol,
         }
 
-    # (b) iteration wall clock on the zero-latency wire.  Per microbatch
-    # the full model forwards+backwards L layers; the threaded runtime
-    # serialises compute on the interpreter lock, so the predicted wall
-    # is the *total* compute across ranks, not the per-rank share.
-    t_layer = t_fwd + model.t_b_layer() + model.t_w_layer()
-    predicted_wall = (
-        dims.n_microbatches * dims.n_layers * t_layer
-        + replays_per_iter * t_replay
-    )
+    # (b) iteration wall clock on the zero-latency wire.  The threaded
+    # runtime serialises compute on the interpreter lock, so the predicted
+    # wall is the *total* compute across ranks, not the per-rank share:
+    # every op of every rank's program at its price.
+    predicted_wall = sum(t for _, t in model.program_times(strategy, world))
     measured_wall = analysis["summary"]["wall_s_max"] / max(iters, 1)
     ratio = measured_wall / predicted_wall if predicted_wall else float("inf")
     result["iteration_wall"] = {

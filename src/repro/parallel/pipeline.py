@@ -34,10 +34,9 @@ FFN activations dominant — is driven by those caches, so every result
 carries ``extra["peak_inflight"]`` and ``extra["peak_pending_w"]``
 (rank -> peak count of microbatches between F and B / B and W; the
 latter 0 for fused schedules): the per-field maxima of the program's
-:func:`~repro.core.schedule.liveness` walk.  Split schedules reject
-recomputation, mirroring the paper: the forward cache must survive
-until the W pass anyway, so checkpointing saves nothing and only adds
-compute.
+:func:`~repro.core.schedule.liveness` walk.  With recomputation a split
+schedule's B pass rebuilds the cache and parks it for the W pass; the
+paper runs ZB without it (§5), a policy ``repro.sim.exec_for`` keeps.
 
 The same program is what ``repro.sim.schedules.pipeline`` turns into a
 task graph and what ``repro.sim.memory`` walks (DESIGN §18).
@@ -86,7 +85,7 @@ def _row(schedule: str) -> tuple:
 
 def splits_backward(schedule: str) -> bool:
     """Does ``schedule`` run B and W as separate ops?  Such a schedule
-    keeps every forward cache until its W pass, so it cannot recompute."""
+    keeps each B pass's cache until its W pass."""
     return _row(schedule)[1]
 
 
@@ -307,12 +306,7 @@ def train_pipeline(
     launched.
     """
     stage_chunk_range(spec.cfg.n_layers, world_size, 0)  # validate divisibility
-    if splits_backward(schedule) and spec.recompute:
-        raise ValueError(
-            f"schedule {schedule!r} splits the backward into B and W and does "
-            "not support recomputation (the forward cache must live until "
-            "the W pass; see paper §5)"
-        )
+    _row(schedule)  # validate the schedule name
     results = run_workers(
         world_size, lambda comm: _worker(comm, spec, schedule), fabric=fabric
     )

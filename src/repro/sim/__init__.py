@@ -25,7 +25,7 @@ from .hardware import (
 )
 from .memory import fits_memory, peak_memory, peak_memory_per_worker
 from .metrics import SimReport, evaluate
-from .runner import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, exec_for, run_cell
+from .runner import SIM_STRATEGIES, exec_for, run_cell
 from .timeline import render_timeline
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ExecConfig",
     "GPU",
     "Link",
-    "NO_RECOMPUTE_STRATEGIES",
     "NVLINK",
     "PCIE",
     "SIM_STRATEGIES",

@@ -7,7 +7,8 @@ the schedule builders and the engine (``tests/sim/test_analytic.py``).
 
 Notation: ``P`` workers, ``N`` microbatches, ``T_F``/``T_B`` the
 per-stage (or per-slot) forward/backward times, with ``T_B ~= 2 T_F``
-(+``T_F`` when recomputing).
+plus, when recomputing, the replays the checkpoint rule counts
+(:meth:`~repro.sim.costmodel.CostModel.op_means`).
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def weipipe_turn_bandwidth(
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     lps = dims.n_layers // cluster.world_size
     per_turn_bytes = 2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
-    turn_time = lps * (cost.t_fwd_layer() + cost.t_bwd_layer())
-    return per_turn_bytes / turn_time
+    return per_turn_bytes / sum(cost.op_means("weipipe-interleave", cluster.world_size))
 
 
 def weipipe_turn_time(
@@ -98,7 +98,7 @@ def weipipe_turn_time(
     legs serialise."""
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     lps = dims.n_layers // cluster.world_size
-    compute = lps * (cost.t_fwd_layer() + cost.t_bwd_layer())
+    compute = sum(cost.op_means("weipipe-interleave", cluster.world_size))
     per_turn_bytes = 2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
     wire = max(link.time(per_turn_bytes) for link in cluster.ring_links())
     return cost.overlapped(compute, wire)
@@ -111,7 +111,5 @@ def activation_pp_bandwidth(
     and one gradient up per microbatch per steady period ``T_F + T_B``
     of a stage."""
     cost = CostModel(dims, cluster.gpu, exec_cfg)
-    lps = dims.n_layers // cluster.world_size
     per_mb_bytes = cost.act_message_bytes() + cost.bgrad_message_bytes()
-    period = lps * (cost.t_fwd_layer() + cost.t_bwd_layer())
-    return per_mb_bytes / period
+    return per_mb_bytes / sum(cost.op_means("1f1b", cluster.world_size))

@@ -11,8 +11,12 @@ Dense-GEMM forward FLOPs per layer are ``2 * params * G * S`` with
 ``params = 12 H^2`` (Llama: ``4H^2`` attention + ``8H^2`` SwiGLU), plus
 causal attention score/value FLOPs ``2 G S^2 H``.  Backward costs twice
 the forward (the paper's "backward takes approximately twice as long"),
-split evenly between its B and W halves for zero-bubble schedules;
-recomputation adds one forward on top.
+split evenly between its B and W halves for zero-bubble schedules.
+Recomputation is priced by the runtime's checkpoint rule
+(:mod:`repro.nn.checkpoint`): :meth:`CostModel.op_times` charges each
+``B`` op of a rank's program the replays ``replayed_chunks`` counts for
+it, each at ``replay_flops`` — no down projection and, with Flash
+Attention, no attention core.
 
 Realised throughput is ``peak_flops * efficiency`` where the efficiency
 curve saturates in both GEMM width and token count::
@@ -32,7 +36,8 @@ Per-layer fp16 activation-cache coefficients (with Flash Attention; the
   (8 hidden-wide + 4 FFN-wide at F=8H/3) => ~37 bytes/token/H in fp16;
 * ``BGRAD_PER_TOKEN``     — B-pass gradient bundle, ~= the forward
   activations (the paper's ``M_B ~= M_A`` assumption);
-* boundary input for recomputation — exactly ``2 G S H`` bytes.
+* the recompute checkpoint — ``checkpoint_elements`` per layer (the
+  layer input, plus the streaming core's ``out`` and ``logsumexp``).
 
 The loss is computed in row chunks (standard practice) so logits never
 materialise at full ``G*S*V``.
@@ -40,9 +45,12 @@ materialise at full ``G*S*V``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from statistics import fmean
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.api import rank_programs
+from ..nn.checkpoint import checkpoint_elements, replay_flops, replayed_chunks
 from .hardware import GPU
 
 __all__ = ["WorkloadDims", "ExecConfig", "CostModel", "PRECISION_WIDTHS"]
@@ -215,60 +223,65 @@ class CostModel:
         gs = self.dims.tokens_per_microbatch
         return EFF_MAX * (h / (h + H_HALF)) * (gs / (gs + TOK_HALF))
 
-    def flops_attention_core(self) -> float:
-        """The score and value products of one layer's causal attention."""
+    def flops_fwd_terms(self) -> Dict[str, float]:
+        """One layer forward's FLOPs, in the terms of
+        :func:`repro.nn.accounting.layer_fwd_flops`: ``2 * params * G S``
+        of GEMMs (``ffn`` of them the SwiGLU's) plus the causal half of the
+        attention core's score and value products."""
         d = self.dims
-        return 2.0 * d.microbatch * d.seq_len**2 * d.hidden  # causal half
+        core = 2.0 * d.microbatch * d.seq_len**2 * d.hidden
+        return {
+            "total": 2.0 * d.layer_params * d.tokens_per_microbatch + core,
+            "ffn": 6.0 * d.hidden * d.ffn * d.tokens_per_microbatch,
+            "attention_scores": core,
+        }
 
     def flops_fwd_layer(self) -> float:
-        d = self.dims
-        gemm = 2.0 * d.layer_params * d.tokens_per_microbatch
-        return gemm + self.flops_attention_core()
+        return self.flops_fwd_terms()["total"]
 
     def flops_replay_layer(self) -> float:
-        """What the functional runtime's replay of one layer re-runs
-        (:mod:`repro.nn.checkpoint`): the forward without the down
-        projection, and with Flash Attention without the attention core,
-        whose output the checkpoint kept.  Nothing in the simulator reads
-        this — its recompute is the paper's whole second forward
-        (:meth:`t_bwd_layer`); the trace analyzer prices measured
-        replays with it."""
-        d = self.dims
-        flops = self.flops_fwd_layer()
-        flops -= 2.0 * d.hidden * d.ffn * d.tokens_per_microbatch
-        if self.cfg.flash_attention:
-            flops -= self.flops_attention_core()
-        return flops
+        """What one layer's replay re-runs: the checkpoint rule's
+        :func:`~repro.nn.checkpoint.replay_flops` of this forward."""
+        return replay_flops(self.flops_fwd_terms(), self.cfg.flash_attention)
+
+    def _flop_time(self, flops: float) -> float:
+        return flops / (self.gpu.flops * self.efficiency()) + self.op_overhead
 
     def t_fwd_layer(self) -> float:
-        """Seconds to forward one layer for one microbatch."""
-        flop_time = self.flops_fwd_layer() / (self.gpu.flops * self.efficiency())
-        return flop_time + self.op_overhead
+        """Seconds to forward one layer for one microbatch; the B and W
+        halves of its backward cost one each (the paper's 2x)."""
+        return self._flop_time(self.flops_fwd_layer())
 
-    def t_bwd_layer(self) -> float:
-        """Full backward (B+W), ~2x forward; + recompute forward if on."""
-        t = 2.0 * self.t_fwd_layer()
-        if self.cfg.recompute:
-            t += self.t_fwd_layer()
-        return t
+    def t_replay_layer(self) -> float:
+        """Seconds to replay one layer's forward (:meth:`flops_replay_layer`)."""
+        return self._flop_time(self.flops_replay_layer())
 
-    def t_b_layer(self) -> float:
-        """B half of a decoupled backward (activation grads)."""
-        return self.t_fwd_layer()
+    def op_times(self, ops: Sequence[Tuple[str, object]], layers: int) -> List[float]:
+        """Seconds of each op of one rank's program over ``layers``-layer
+        units: ``F`` and ``W`` one forward each; ``B`` two, or one in a
+        program with ``W`` ops, plus — when recomputing — the replays
+        :func:`~repro.nn.checkpoint.replayed_chunks` counts for it."""
+        b = 1.0 if any(kind == "W" for kind, _ in ops) else 2.0
+        replays = replayed_chunks(ops, layers) if self.cfg.recompute else [0] * len(ops)
+        t_f, t_replay = self.t_fwd_layer(), self.t_replay_layer()
+        return [
+            layers * t_f * (b if kind == "B" else 1.0) + n * t_replay
+            for (kind, _), n in zip(ops, replays)
+        ]
 
-    def t_w_layer(self) -> float:
-        """W half of a decoupled backward (weight grads)."""
-        return self.t_fwd_layer()
+    def program_times(self, strategy: str, world: int) -> List[Tuple[str, float]]:
+        """``(kind, seconds)`` of every op of every rank's program under
+        ``strategy`` (:func:`~repro.core.api.rank_programs`), by :meth:`op_times`."""
+        programs, units = rank_programs(strategy, world, self.dims.n_microbatches)
+        layers = self.dims.n_layers // units
+        return [(k, t) for ops in programs for (k, _), t in zip(ops, self.op_times(ops, layers))]
 
-    def op_times(self, layers: int, split: bool) -> Dict[str, float]:
-        """Seconds of an ``F`` / ``B`` / ``W`` op over ``layers`` layers:
-        ``B`` is the fused backward (incl. recompute), or only the
-        activation-gradient half when the schedule ``split``s off ``W``."""
-        return {
-            "F": layers * self.t_fwd_layer(),
-            "B": layers * (self.t_b_layer() if split else self.t_bwd_layer()),
-            "W": layers * self.t_w_layer(),
-        }
+    def op_means(self, strategy: str, world: int) -> Tuple[float, float]:
+        """``(T_F, T_B)`` of one unit — a stage's, a slot's or the whole
+        model's layers — averaged over :meth:`program_times`: what the
+        §4.4 closed forms (:mod:`repro.sim.analytic`) take per op."""
+        priced = self.program_times(strategy, world)
+        return tuple(fmean(t for k, t in priced if k == kind) for kind in "FB")
 
     def overlapped(self, compute: float, comm: float) -> float:
         """Combine a turn's compute and wire legs per the exec config.
@@ -311,10 +324,13 @@ class CostModel:
             )
         return base
 
-    def act_boundary_bytes(self) -> float:
-        """Recompute mode: only the layer input survives the forward."""
+    def checkpoint_bytes(self) -> float:
+        """Recompute mode: what one layer's checkpoint keeps
+        (:func:`~repro.nn.checkpoint.checkpoint_elements`)."""
         d = self.dims
-        return d.tokens_per_microbatch * d.hidden * self.cfg.act_bytes
+        return checkpoint_elements(
+            d.tokens_per_microbatch, d.hidden, d.n_heads, self.cfg.flash_attention
+        ) * self.cfg.act_bytes
 
     def bgrad_cache_bytes(self) -> float:
         """B-pass gradient bundle alive until the matching W pass."""

@@ -3,11 +3,11 @@
 Each function returns per-worker peak bytes; the max decides OOM against
 the GPU's 80 GB.  The decisive paper finding this model must reproduce
 (§6.1): with Flash Attention removing the ``S^2`` attention matrices,
-*FFN activations dominate*, so the zero-bubble baselines — which cannot
-recompute and must keep both the full forward caches and the B-pass
-gradient bundles alive until their deferred W passes — blow past 80 GB
-at ``H >= 2048`` while 1F1B/FSDP/WeiPipe (recompute on, boundary-only
-storage) stay under 20 GB.
+*FFN activations dominate*, so the zero-bubble baselines — which run
+without recomputation (``exec_for``) and keep both the full forward
+caches and the B-pass gradient bundles alive until their deferred W
+passes — blow past 80 GB at ``H >= 2048`` while 1F1B/FSDP/WeiPipe
+(recompute on, checkpoint-only storage) stay well under it.
 
 Components (see :class:`~repro.sim.costmodel.CostModel` for sizes):
 
@@ -28,7 +28,11 @@ executes — is walked by :func:`~repro.core.schedule.liveness`, and the
 rank is charged the maximum over the walk of ``held`` units of stored
 activations plus ``pending`` units of full cache + B-grad bundle (a unit
 is a stage's or a slot's ``L / P`` layers).  No schedule has a liveness
-formula of its own (DESIGN §18, §19).
+formula of its own (DESIGN §18, §19).  A stored activation is a full
+cache, or under recomputation what the runtime's checkpoint keeps
+(:meth:`~repro.sim.costmodel.CostModel.checkpoint_bytes`, read off
+:mod:`repro.nn.checkpoint`) — on a split program too, whose B pass
+rebuilds the cache it parks for W.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from functools import lru_cache
 from typing import Callable, FrozenSet, List, Tuple
 
 from ..core.api import RING_STRATEGIES
-from ..core.schedule import liveness, ring_program, ring_splits_backward
-from ..parallel.pipeline import splits_backward, stage_program
+from ..core.schedule import liveness, ring_program
+from ..parallel.pipeline import stage_program
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -52,9 +56,7 @@ __all__ = [
 
 def _act_per_layer(cost: CostModel) -> float:
     """Stored bytes per layer per in-flight microbatch."""
-    if cost.cfg.recompute:
-        return cost.act_boundary_bytes()
-    return cost.act_full_cache_bytes()
+    return cost.checkpoint_bytes() if cost.cfg.recompute else cost.act_full_cache_bytes()
 
 
 @lru_cache(maxsize=1024)
@@ -67,14 +69,13 @@ def _walks(program: Callable, name: str, world: int, n_mb: int) -> Tuple[FrozenS
     )
 
 
-def _act_live(cost: CostModel, walks: Tuple[FrozenSet, ...], lps: int, split: bool) -> List[float]:
+def _act_live(cost: CostModel, walks: Tuple[FrozenSet, ...], lps: int) -> List[float]:
     """Per rank, the byte-weighted peak of its program's liveness walk.
 
-    A held unit is ``lps`` layers of stored activations — full caches on a
-    split program, which cannot recompute.  A pending unit keeps its full
-    cache and adds the B-grad bundle.
+    A held unit is ``lps`` layers of stored activations.  A pending unit
+    keeps its full cache and adds the B-grad bundle.
     """
-    act = cost.act_full_cache_bytes() if split else _act_per_layer(cost)
+    act = _act_per_layer(cost)
     pend = cost.act_full_cache_bytes() + cost.bgrad_cache_bytes()
     return [
         max((h * lps * act + p * lps * pend for h, p in states), default=0.0)
@@ -109,7 +110,7 @@ def _mem_pipeline(dims, cluster, cost, schedule: str) -> List[float]:
     world = cluster.world_size
     lps = dims.n_layers // world
     walks = _walks(stage_program, schedule, world, dims.n_microbatches)
-    acts = _act_live(cost, walks, lps, splits_backward(schedule))
+    acts = _act_live(cost, walks, lps)
     return [
         _pipeline_common(cost, dims, world, r)
         + act
@@ -185,7 +186,7 @@ def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     embed_opt = cost.embedding_bytes() / world  # owners share the extras
     gateway_cache = 2 * dims.layer_params * lps * cost.cfg.weight_bytes if hier else 0
     walks = _walks(ring_program, mode, world, dims.n_microbatches)
-    acts = _act_live(cost, walks, lps, ring_splits_backward(mode))
+    acts = _act_live(cost, walks, lps)
     return [
         slots + opt + embed_ride + embed_opt + act + _working_set(cost, True)
         + gateway_cache

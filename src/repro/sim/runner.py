@@ -5,8 +5,11 @@ ranking: it builds the schedule, simulates it, and returns a
 :class:`SimReport`.  ``exec_for`` is the paper's per-strategy execution
 rule (Section 5 + observed baseline behaviour) that all of them apply:
 
-* recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for all
-  zero-bubble variants (it buys them nothing);
+* recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for every
+  schedule that splits B from W (paper §5: the zero-bubble variants keep
+  caches for their W passes, so it buys them little — a policy: their
+  runtimes can recompute) and for TP / SP, whose runtimes keep full
+  caches;
 * communication/compute overlap ON for the WeiPipe rings (the
   contribution: W/D prefetch via ``batch_isend_irecv`` — the ring engine
   posts early) and OFF for the baselines, whose stock implementations
@@ -16,10 +19,9 @@ rule (Section 5 + observed baseline behaviour) that all of them apply:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict
 
-from ..core.api import RING_STRATEGIES
+from ..core.api import FULL_CACHE_STRATEGIES, RING_STRATEGIES
 from ..core.schedule import ring_splits_backward
 from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
 from .costmodel import ExecConfig, WorkloadDims
@@ -32,7 +34,7 @@ from .schedules.seqpar import build_sp
 from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
 
-__all__ = ["run_cell", "exec_for", "SIM_STRATEGIES", "NO_RECOMPUTE_STRATEGIES"]
+__all__ = ["run_cell", "exec_for", "SIM_STRATEGIES"]
 
 SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
     "gpipe": lambda d, c, e: build_pipeline("gpipe", d, c, e),
@@ -52,19 +54,15 @@ SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSch
     },
 }
 
-#: zero-bubble schedules keep forward caches until the W pass, so
-#: recomputation is forced off for them (paper §5): whatever the two
-#: schedule tables say splits B from W.
-NO_RECOMPUTE_STRATEGIES = {s for s in PIPELINE_SCHEDULES if splits_backward(s)} | {
-    name for name, (mode, _) in RING_STRATEGIES.items() if ring_splits_backward(mode)
-}
-
-
 def exec_for(strategy: str, precision: str = "fp16") -> ExecConfig:
     """Per-strategy execution config (see module docstring)."""
+    if strategy in RING_STRATEGIES:
+        split = ring_splits_backward(RING_STRATEGIES[strategy][0])
+    else:
+        split = strategy in PIPELINE_SCHEDULES and splits_backward(strategy)
     return ExecConfig.for_precision(
         precision,
-        recompute=strategy not in NO_RECOMPUTE_STRATEGIES,
+        recompute=not split and strategy not in FULL_CACHE_STRATEGIES,
         overlap=strategy in RING_STRATEGIES,
     )
 
@@ -83,7 +81,4 @@ def run_cell(
             f"unknown simulated strategy {strategy!r}; "
             f"choose from {sorted(SIM_STRATEGIES)}"
         ) from None
-    if strategy in NO_RECOMPUTE_STRATEGIES and exec_cfg.recompute:
-        exec_cfg = replace(exec_cfg, recompute=False)
-    built = builder(dims, cluster, exec_cfg)
-    return evaluate(built)
+    return evaluate(builder(dims, cluster, exec_cfg))

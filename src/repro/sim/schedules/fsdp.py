@@ -24,6 +24,7 @@ then one all-reduce of the full gradients (2x the reduce-scatter time).
 
 from __future__ import annotations
 
+from ...nn.checkpoint import ONE_UNIT_STEP
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -60,14 +61,13 @@ def build_fsdp(
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     g = TaskGraph()
 
-    t_f = cost.t_fwd_layer()
-    t_bw = cost.t_bwd_layer()
+    layers = dims.n_layers
+    t_f, t_bw = (t / layers for t in cost.op_times(ONE_UNIT_STEP, layers))
     w_bytes = cost.weight_chunk_bytes(1)
     d_bytes = cost.wgrad_chunk_bytes(1)
     t_ag = ring_collective_time(cluster, w_bytes)
     t_rs = ring_collective_time(cluster, d_bytes)
     net = ("net",) if exec_cfg.overlap else ("compute", 0)
-    layers = dims.n_layers
 
     prev_compute = None
     for k in range(local_mbs):
@@ -119,8 +119,7 @@ def build_dp(
     local_mbs = dims.n_microbatches // world
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     g = TaskGraph()
-    t_f = cost.t_fwd_layer() * dims.n_layers
-    t_bw = cost.t_bwd_layer() * dims.n_layers
+    t_f, t_bw = cost.op_times(ONE_UNIT_STEP, dims.n_layers)
     prev = None
     for k in range(local_mbs):
         g.add(("F", k), ("compute", 0), t_f,

@@ -7,11 +7,9 @@ restated here: :func:`build_pipeline` walks the very
 :func:`~repro.parallel.pipeline.stage_program` the functional stage
 worker executes (one table row per schedule — warmup depth and whether
 the backward splits; see that module and DESIGN §18), pricing each
-``F`` / ``B`` / ``W`` op with the cost model.  Schedules that split the
-backward (ZB1 / ZB2) run
-without recomputation, per the paper; the rejection uses the same
-:func:`~repro.parallel.pipeline.splits_backward` predicate as the
-runtime.
+``F`` / ``B`` / ``W`` op with the cost model — a ``B`` with the replays
+the checkpoint rule counts for it in that program
+(:meth:`~repro.sim.costmodel.CostModel.op_times`).
 
 Dependencies: ``F(s,mb)`` needs the activation from ``s-1``;
 ``B(s,mb)`` needs the gradient from ``s+1`` and its own forward; W
@@ -23,7 +21,7 @@ receive does *not* opportunistically run a later op.
 
 from __future__ import annotations
 
-from ...parallel.pipeline import splits_backward, stage_program
+from ...parallel.pipeline import stage_program
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -42,16 +40,10 @@ def build_pipeline(
     world = cluster.world_size
     validate_divisible(dims.n_layers, world, "layers per stage")
     lps = dims.n_layers // world
-    split = splits_backward(schedule)
-    if split and exec_cfg.recompute:
-        raise ValueError(
-            f"schedule {schedule!r} splits the backward and runs without recomputation"
-        )
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     n_mb = dims.n_microbatches
     g = TaskGraph()
 
-    dur = cost.op_times(lps, split)
     act_bytes = cost.act_message_bytes()
     bgrad_bytes = cost.bgrad_message_bytes()
 
@@ -91,7 +83,8 @@ def build_pipeline(
     # predecessor on the same stage.
     for s in range(world):
         prev = None
-        for kind, mb in stage_program(schedule, world, s, n_mb):
+        program = stage_program(schedule, world, s, n_mb)
+        for (kind, mb), dur in zip(program, cost.op_times(program, lps)):
             if kind == "F":
                 deps = hop("CA", s - 1, mb) if s > 0 else []
             elif kind == "B":
@@ -101,7 +94,7 @@ def build_pipeline(
             if prev is not None:
                 deps.append(prev)
             prev = (kind, s, mb)
-            g.add(prev, ("compute", s), dur[kind], deps=tuple(deps),
+            g.add(prev, ("compute", s), dur, deps=tuple(deps),
                   kind=kind, worker=s, mb=mb)
     return BuiltSchedule(
         name=schedule, graph=g, dims=dims, cluster=cluster, cost=cost,

@@ -18,6 +18,7 @@ and the crossover benches surface.
 
 from __future__ import annotations
 
+from ...nn.checkpoint import ONE_UNIT_STEP
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -38,13 +39,12 @@ def build_sp(
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     g = TaskGraph()
 
-    t_f = cost.t_fwd_layer() / world
-    t_bw = cost.t_bwd_layer() / world
+    layers = dims.n_layers
+    t_f, t_bw = (t / (layers * world) for t in cost.op_times(ONE_UNIT_STEP, layers))
     kv_bytes = 2 * cost.act_message_bytes()  # K and V, full sequence
     t_ag = ring_collective_time(cluster, kv_bytes)
     t_rs = ring_collective_time(cluster, kv_bytes)
     net = ("net",) if exec_cfg.overlap else ("compute", 0)
-    layers = dims.n_layers
 
     prev = None
     for mb in range(dims.n_microbatches):

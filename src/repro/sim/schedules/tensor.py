@@ -5,13 +5,13 @@ timeline suffices: per layer and microbatch, each worker computes
 ``1/P`` of the layer's GEMMs (attention FLOPs also split by heads) and
 the group pays **two all-reduces of a full G*S*H activation** in the
 forward pass plus two in the backward — the "frequent and fine-grained
-collective communication" the paper's related work cites.  TP pairs
-with recomputation like the other non-ZB strategies (the replayed
-forward repeats its all-reduces too).
+collective communication" the paper's related work cites.  The runtime
+keeps full caches (it does not recompute), and so does ``exec_for``.
 """
 
 from __future__ import annotations
 
+from ...nn.checkpoint import ONE_UNIT_STEP
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -33,13 +33,11 @@ def build_tp(
     g = TaskGraph()
 
     # per-rank compute: 1/P of every GEMM and attention product.
-    t_f = cost.t_fwd_layer() / world
-    t_bw = cost.t_bwd_layer() / world
+    layers = dims.n_layers
+    t_f, t_bw = (t / (layers * world) for t in cost.op_times(ONE_UNIT_STEP, layers))
     act_bytes = cost.act_message_bytes()
     t_ar = 2.0 * ring_collective_time(cluster, act_bytes)  # rs + ag
     net = ("net",) if exec_cfg.overlap else ("compute", 0)
-    layers = dims.n_layers
-    fwd_ars = 3 if exec_cfg.recompute else 2  # the replayed fwd pays again
 
     prev = None
     for mb in range(dims.n_microbatches):
@@ -56,9 +54,8 @@ def build_tp(
                 deps.append(("ARF", mb, i))  # fwd reduce must have landed
             g.add(("B", mb, i), ("compute", 0), t_bw, deps=tuple(deps),
                   kind="B", worker=0, mb=mb, layer=i)
-            n_ar = fwd_ars - 1  # backward (+ recompute) all-reduces
-            g.add(("ARB", mb, i), net, n_ar * t_ar, deps=(("B", mb, i),),
-                  kind="comm", nbytes=n_ar * act_bytes, collective="all-reduce")
+            g.add(("ARB", mb, i), net, 2 * t_ar, deps=(("B", mb, i),),
+                  kind="comm", nbytes=2 * act_bytes, collective="all-reduce")
             prev = ("ARB", mb, i) if not exec_cfg.overlap else ("B", mb, i)
 
     return BuiltSchedule(

@@ -125,14 +125,10 @@ def _ring_graph(
     return g
 
 
-def _ring_setup(dims: WorkloadDims, cluster: Cluster, exec_cfg: ExecConfig, split: bool):
+def _ring_setup(dims: WorkloadDims, cluster: Cluster, exec_cfg: ExecConfig):
     world = cluster.world_size
     validate_divisible(dims.n_layers, world, "layers per slot")
     validate_divisible(dims.n_microbatches, world, "microbatches per round")
-    if split and exec_cfg.recompute:
-        raise ValueError(
-            "a ring that splits the backward runs without recomputation"
-        )
     return dims.n_layers // world, CostModel(dims, cluster.gpu, exec_cfg)
 
 
@@ -148,22 +144,26 @@ def build_weipipe(
     :data:`~repro.core.schedule.RING_SCHEDULES` row); ``name`` is the
     strategy it is reported (and charged memory) as."""
     world = cluster.world_size
-    split = ring_splits_backward(mode)
-    lps, cost = _ring_setup(dims, cluster, exec_cfg, split)
+    lps, cost = _ring_setup(dims, cluster, exec_cfg)
     total, task_fn = ring_schedule(mode, world, dims.n_microbatches)
 
-    op_time = cost.op_times(lps, split)
-    wgrad_op = "W" if split else "B"
+    wgrad_op = "W" if ring_splits_backward(mode) else "B"
     w_bytes = cost.weight_chunk_bytes(lps)
     d_bytes = cost.wgrad_chunk_bytes(lps)
+
+    # each rank's turns priced op by op along its whole program, so a B
+    # pays the replays the checkpoint rule counts for it there.
+    turn_secs = []
+    for p in range(world):
+        turns = [turn_ops(task_fn(p, t)) for t in range(total)]
+        secs = iter(cost.op_times([op for ops in turns for op in ops], lps))
+        turn_secs.append([sum(next(secs) for _ in ops) for ops in turns])
 
     def turn(p: int, t: int):
         task = task_fn(p, t)
         kinds = [kind for kind, _ in turn_ops(task)]
-        meta = {"fwd": task.fwd, "bwd": task.bwd}
-        if split:
-            meta["wpass"] = task.wpass
-        return sum(op_time[k] for k in kinds), wgrad_op in kinds, meta
+        meta = {"fwd": task.fwd, "bwd": task.bwd, "wpass": task.wpass}
+        return turn_secs[p][t], wgrad_op in kinds, meta
 
     def hop_w_bytes(left: int, p: int, t: int) -> float:
         if hier and t > world and cluster.node_of(left) != cluster.node_of(p):
@@ -227,7 +227,7 @@ def build_ring_figure(
             f"unknown ring figure {variant!r}; choose from {sorted(RING_FIGURES)}"
         ) from None
     world = cluster.world_size
-    lps, cost = _ring_setup(dims, cluster, exec_cfg, split=True)
+    lps, cost = _ring_setup(dims, cluster, exec_cfg)
     steady = dims.n_microbatches // world * turns_per_round(world)
     total = steady + (world - 1) + drain(world)  # fill ramp + drain tail
     turn_time = ops * lps * cost.t_fwd_layer()

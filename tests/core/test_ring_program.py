@@ -273,16 +273,15 @@ class TestConsumersReadTheTable:
     @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
     def test_des_turn_order_and_prices(self, strategy, world, gpn, n_mb, overlap):
         mode, hier = RING_STRATEGIES[strategy]
-        split = ring_splits_backward(mode)
         dims = WorkloadDims(
             hidden=64, n_layers=2 * world, seq_len=128, microbatch=1, n_microbatches=n_mb
         )
-        exec_cfg = ExecConfig(recompute=not split, overlap=overlap)
+        exec_cfg = ExecConfig(overlap=overlap)
         cluster = pcie_ethernet_cluster(world, gpus_per_node=gpn)
         built = SIM_STRATEGIES[strategy](dims, cluster, exec_cfg)
         assert built.name == strategy
         sim = simulate(built.graph)
-        op_time = CostModel(dims, cluster.gpu, exec_cfg).op_times(2, split)
+        cost = CostModel(dims, cluster.gpu, exec_cfg)
         for rank in range(world):
             ran = sorted(
                 (t for t in built.graph.tasks.values()
@@ -297,11 +296,13 @@ class TestConsumersReadTheTable:
                 ))
             ]
             assert ops == table_ops(mode, world, n_mb, rank)
+            # each op at its program-position price (a B with the replays
+            # the checkpoint rule counts for it there)
+            secs = cost.op_times(ring_program(mode, world, rank, n_mb), 2)
             for t in ran:
-                priced = Counter(k for tt, k, _, _ in ops if tt == t.meta["turn"])
-                assert t.duration == pytest.approx(
-                    sum(op_time[k] * n for k, n in priced.items())
-                )
+                assert t.duration == pytest.approx(sum(
+                    sec for (tt, *_), sec in zip(ops, secs) if tt == t.meta["turn"]
+                ))
         # the hier rule is the runtime's: on a hop that leaves a node a
         # weight slot crosses in full while the tag's turn is <= P
         for t in built.graph.tasks.values():

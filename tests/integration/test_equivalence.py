@@ -69,8 +69,9 @@ class TestEquivalenceWithRecompute:
 
     @pytest.mark.parametrize(
         "strategy,world",
-        [("dp", 2), ("fsdp", 4), ("1f1b", 4), ("gpipe", 2),
-         ("weipipe-naive", 4), ("weipipe-interleave", 4)],
+        [("dp", 2), ("fsdp", 4), ("1f1b", 4), ("gpipe", 2), ("zb1", 4),
+         ("zb2", 4), ("weipipe-naive", 4), ("weipipe-interleave", 4),
+         ("weipipe-zb", 4)],
     )
     def test_matches_serial(self, strategy, world):
         ref = train(_spec(recompute=True), "serial", 1)
@@ -80,10 +81,6 @@ class TestEquivalenceWithRecompute:
         a = train(_spec(recompute=False), "weipipe-interleave", 4)
         b = train(_spec(recompute=True), "weipipe-interleave", 4)
         assert_matches(a, b, rtol=0, atol=0)
-
-    def test_zb_rejects_recompute(self):
-        with pytest.raises(Exception, match="recomputation"):
-            train(_spec(recompute=True), "zb1", 4)
 
 
 class TestEquivalenceFlashAttention:

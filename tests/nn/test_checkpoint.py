@@ -19,6 +19,10 @@ from repro.nn import (
     rope_tables,
 )
 from repro.nn import functional as F
+from repro.nn.accounting import tensor_bytes
+from repro.nn.checkpoint import checkpoint_elements
+from repro.sim import A800, WorkloadDims
+from repro.sim.costmodel import CostModel, ExecConfig
 
 CFG = ModelConfig(hidden=16, n_layers=2, n_heads=2, seq_len=5, vocab=11)
 RNG = np.random.default_rng(9)
@@ -208,6 +212,24 @@ class TestCheckpointState:
             assert tag == "recompute" and x is x_in and kept == ()
             assert sorted(map(id, _arrays(state))) == sorted(
                 map(id, [x, cos, sin]))
+
+    @pytest.mark.parametrize("flash", [False, True])
+    def test_the_rules_bytes_are_what_a_state_pins(self, dtype, flash):
+        """``checkpoint_elements`` — what the memory model charges per
+        layer — is what a state pins beside the shared RoPE tables."""
+        g = 2
+        for cfg, i, _x, state, _cache in self._states(dtype, flash, g):
+            if i == 0:
+                continue  # chunk 0's x is the (G, S) token ids
+            pinned = tensor_bytes(state) - tensor_bytes(state[2:4])
+            dims = WorkloadDims(hidden=cfg.hidden, n_layers=cfg.n_layers,
+                                seq_len=cfg.seq_len, microbatch=g, n_microbatches=1,
+                                n_heads=cfg.n_heads, vocab=cfg.vocab)
+            exec_cfg = ExecConfig(flash_attention=flash,
+                                  act_bytes=np.dtype(dtype).itemsize)
+            assert CostModel(dims, A800, exec_cfg).checkpoint_bytes() == pinned == (
+                checkpoint_elements(g * cfg.seq_len, cfg.hidden, cfg.n_heads, flash)
+                * np.dtype(dtype).itemsize)
 
 
 @pytest.mark.parametrize("idx", [0, 1, 2], ids=["first", "interior", "last"])

@@ -147,7 +147,7 @@ class TestTraceMetadata:
 
         cfg = ModelConfig(hidden=24, n_layers=6, n_heads=3, seq_len=12,
                           vocab=40, flash_attention=True)
-        spec = TrainSpec(cfg=cfg, n_microbatches=5, microbatch_size=3,
+        spec = TrainSpec(cfg=cfg, n_microbatches=6, microbatch_size=3,
                          iters=2, recompute=True)
         doc = golden_trace()
         doc["metadata"].update(trace_metadata("weipipe-interleave", 2, spec))
@@ -162,7 +162,7 @@ class TestTraceMetadata:
         reconcile(doc)
         assert seen == [(
             WorkloadDims(hidden=24, n_layers=6, seq_len=12, microbatch=3,
-                         n_microbatches=5, n_heads=3, vocab=40),
+                         n_microbatches=6, n_heads=3, vocab=40),
             ExecConfig(recompute=True, overlap=True, flash_attention=True),
         )]
 
@@ -237,12 +237,12 @@ class TestMeasuredProperties:
         assert bf["within_tolerance"], bf
         assert bf["tolerance"] == RATIO_TOL
 
-    def test_reconcile_prices_the_replays_that_ran(self):
-        """B spans say how many chunk forwards they re-ran; the predicted
-        B/F ratio and wall follow that count, not the model's
-        every-backward-replays, so a kept cache is not a model error —
-        and a replay's price: the forward's FLOPs less the down
-        projection and, with the streaming core, the attention core."""
+    def test_reconcile_prices_the_rules_replays(self):
+        """The predicted B/F ratio and wall price the replays the
+        checkpoint rule counts on the strategy's programs — what the B
+        spans report, so a kept cache is not a model error — each at a
+        replay's price: the forward's FLOPs less the down projection and,
+        with the streaming core, the attention core."""
         from repro.core.weipipe import train_weipipe
 
         world, iters, n_mb, n_layers = 2, 2, 4, 4
@@ -267,6 +267,8 @@ class TestMeasuredProperties:
         assert sum(ev["args"]["replayed"] for ev in b_spans) == ledger["replayed"]
 
         rec = reconcile(doc)
+        assert rec["replays"] == {"predicted": ledger["replayed"],
+                                  "measured": ledger["replayed"]}
         t_fwd = rec["calibration"]["t_fwd_layer_model_s"]
         per_span = ledger["replayed"] / len(b_spans)
         # the cost model's forward: 2 * params * tokens + the causal core
@@ -284,15 +286,36 @@ class TestMeasuredProperties:
         doc["metadata"]["flash_attention"] = False
         assert reconcile(doc)["b_over_f"]["predicted"] == pytest.approx(
             2.0 + (fwd - down) / fwd * per_span / (n_layers // world))
-        every_backward_replays = n_mb * n_layers * 4.0 * t_fwd
 
-        # a trace from before the count existed is priced at the model's
+        # spans without the count are priced by the rule all the same,
+        # and the check reports what they did not say
         for ev in b_spans:
             del ev["args"]["replayed"]
-        old = reconcile(doc)
-        assert old["b_over_f"]["predicted"] == pytest.approx(3.0)
-        assert old["iteration_wall"]["predicted_s"] == pytest.approx(
-            every_backward_replays)
+        bare = reconcile(doc)
+        assert bare["b_over_f"]["predicted"] == pytest.approx(
+            2.0 + (fwd - down) / fwd * per_span / (n_layers // world))
+        assert bare["replays"] == {"predicted": ledger["replayed"], "measured": 0}
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    @pytest.mark.parametrize("strategy, world", [
+        ("gpipe", 2), ("1f1b", 2), ("zb1", 2), ("zb2", 2), ("weipipe-naive", 2),
+        ("weipipe-interleave", 2), ("weipipe-zb", 2), ("weipipe-hier", 4),
+    ])
+    def test_the_rule_counts_every_traced_runs_replays(self, strategy, world,
+                                                       recompute):
+        """Every strategy whose ops emit spans: the rule's count on its
+        programs is what the B spans and the runtime's ledger report."""
+        from repro import train
+
+        cfg = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=17)
+        spec = TrainSpec(cfg=cfg, n_microbatches=4, microbatch_size=1, iters=2,
+                         recompute=recompute)
+        tracer = Tracer(metadata=trace_metadata(strategy, world, spec))
+        res = train(spec, strategy, world, fabric=Fabric(world, tracer=tracer))
+        replays = reconcile(tracer.chrome_trace())["replays"]
+        assert replays == {"predicted": res.extra["recompute"]["replayed"],
+                           "measured": res.extra["recompute"]["replayed"]}
+        assert (replays["predicted"] > 0) == recompute
 
     def test_reconcile_needs_metadata(self):
         doc, _ = _traced_run("interleave")

@@ -3,10 +3,12 @@
 With recomputation on, a backward whose forward was the worker's very
 previous checkpointed op takes the cache that forward left instead of
 replaying it (``repro.nn.checkpoint``): once per microbatch on every
-strategy whose newest forward is also its next backward — all but
-GPipe, whose first backward is microbatch 0.  The counts are exact, and
-``TrainResult.extra["recompute"]`` must agree with a spy on the one
-function a replay calls.
+strategy whose newest forward is also its next backward — not GPipe,
+whose first backward is microbatch 0, nor ZB1 / ZB2, whose last stage
+forwards the next microbatch before each B.  The checkpoint rule
+(``replayed_chunks`` over ``rank_programs``) predicts the counts
+exactly, and ``TrainResult.extra["recompute"]`` must agree with it and
+with a spy on the one function a replay calls.
 
 A replay is also smaller than a forward: the checkpoint kept the
 streaming attention core's output, so the core runs in forwards only,
@@ -22,6 +24,9 @@ import repro.nn.checkpoint as checkpoint_mod
 import repro.nn.functional as functional_mod
 import repro.nn.layer as layer_mod
 from repro import FP64, ModelConfig, TrainSpec, train
+from repro.core.api import FULL_CACHE_STRATEGIES, rank_programs
+from repro.nn.checkpoint import replayed_chunks
+from repro.sim.runner import exec_for
 
 L, N = 4, 4
 
@@ -37,7 +42,20 @@ CELLS = [
     ("weipipe-zb", 2),
     ("weipipe-hier", 4),  # 2x2 groups
     ("gpipe", 2),
+    ("zb1", 2),
+    ("zb2", 4),
 ]
+
+#: the cells' kept caches, by hand: one per microbatch but where the
+#: newest forward is never the next backward's.
+KEPT = {"gpipe": 0, "zb1": 0, "zb2": 0}
+
+
+def rule(strategy, world):
+    """The checkpoint rule's ledger for one iteration of ``strategy``."""
+    programs, units = rank_programs(strategy, world, N)
+    replayed = sum(sum(replayed_chunks(ops, L // units)) for ops in programs)
+    return {"replayed": replayed, "kept": N * L - replayed}
 
 
 @pytest.fixture
@@ -66,10 +84,20 @@ def _train(strategy, world, recompute, flash=False):
 @pytest.mark.parametrize("strategy,world", CELLS)
 def test_recompute_replays_all_but_the_newest_forward(strategy, world, forwards):
     res = _train(strategy, world, recompute=True)
-    kept = 0 if strategy == "gpipe" else N
+    kept = KEPT.get(strategy, N)
     assert len(forwards) == 2 * N * L - kept
     assert res.extra["recompute"] == {"replayed": N * L - kept, "kept": kept}
+    assert res.extra["recompute"] == rule(strategy, world)
     assert np.isfinite(res.losses[0])
+
+
+@pytest.mark.parametrize("strategy", sorted(FULL_CACHE_STRATEGIES))
+def test_full_cache_runtimes_are_priced_without_recompute(strategy):
+    """TP and SP keep full caches: their runtimes refuse ``recompute``, and
+    the simulator's policy runs them without it."""
+    with pytest.raises(ValueError, match="recomputation"):
+        _train(strategy, 2, recompute=True)
+    assert not exec_for(strategy).recompute
 
 
 @pytest.mark.parametrize("strategy,world", CELLS)
@@ -114,7 +142,7 @@ def test_a_replay_skips_the_attention_core_and_the_output_gemm(
     monkeypatch.setattr(checkpoint_mod, "chunk_fwd", chunk)
 
     res = _train(strategy, world, recompute=True, flash=True)
-    kept = 0 if strategy == "gpipe" else N
+    kept = KEPT.get(strategy, N)
     assert res.extra["recompute"] == {"replayed": N * L - kept, "kept": kept}
     assert len(cores) == N * L
     issued = {(last, replayed): set() for last in (0, 1) for replayed in (0, 1)}
@@ -122,6 +150,7 @@ def test_a_replay_skips_the_attention_core_and_the_output_gemm(
         issued[last, replayed].add(n)
     assert issued[False, False] == {7} and issued[True, False] == {8}
     assert issued[False, True] == {6}
-    # only GPipe ever replays the last chunk: elsewhere it is the kept one
-    assert issued[True, True] == ({7} if strategy == "gpipe" else set())
+    # the last chunk replays only where no cache is kept: elsewhere it is
+    # the kept one
+    assert issued[True, True] == ({7} if strategy in KEPT else set())
     assert sum(r for _, r, _ in gemms) == N * L - kept

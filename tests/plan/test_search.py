@@ -5,7 +5,7 @@ from dataclasses import replace
 from repro.plan import PlanSpec, enumerate_candidates, search
 from repro.plan.search import _sub_cluster
 from repro.plan.spec import ClusterSpec, ModelSpec, SearchSpace
-from repro.sim.runner import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES, exec_for, run_cell
+from repro.sim.runner import SIM_STRATEGIES, exec_for, run_cell
 from repro.sim.schedules import ring_collective_time
 
 
@@ -93,9 +93,7 @@ class TestShapeRules:
         cands, _ = enumerate_candidates(_spec())
         for c in cands:
             assert c.exec_cfg() == exec_for(c.strategy)
-            assert c.as_dict()["recompute"] == (
-                c.strategy not in NO_RECOMPUTE_STRATEGIES
-            )
+            assert c.as_dict()["recompute"] == exec_for(c.strategy).recompute
 
     def test_explicit_degrees_filtered_to_divisors(self):
         spec = _spec(space=SearchSpace(degrees=(2, 3, 8),
@@ -137,16 +135,17 @@ def _config(ev):
 
 class TestReferenceSpec:
     """The CI acceptance assertions, pinned here too: the reference
-    cluster spec ranks 10 distinct feasible configurations, rejects at
-    least one on memory, and puts a reconcile-gated strategy on top."""
+    cluster spec ranks 7 distinct feasible configurations within the
+    GPU's memory, rejects at least one on memory, and puts a
+    reconcile-gated strategy on top."""
 
     def test_reference_plan_shape(self):
         from repro.plan import RECONCILE_GATED, load_spec
 
         spec = load_spec("examples/specs/reference_cluster.json")
         result = search(spec)
-        assert len({_config(ev) for ev in result.feasible}) == 10
-        assert len(result.feasible) == 10
+        assert len({_config(ev) for ev in result.feasible}) == 7
+        assert len(result.feasible) == 7
         assert len(result.memory_rejected) >= 1
         assert result.wall_s > 0
         top = result.feasible[0].candidate

@@ -41,11 +41,11 @@ class TestStrategyNames:
         """No name map: whatever can be simulated, charged memory or
         searched is something ``train`` runs."""
         from repro.core.api import RING_STRATEGIES, STRATEGIES
-        from repro.sim import NO_RECOMPUTE_STRATEGIES, SIM_STRATEGIES
+        from repro.sim import SIM_STRATEGIES
         from repro.sim.memory import MEMORY_MODELS
 
         for table in (SIM_STRATEGIES, MEMORY_MODELS, DEFAULT_STRATEGIES,
-                      NO_RECOMPUTE_STRATEGIES, RECONCILE_GATED):
+                      RECONCILE_GATED):
             assert set(table) <= set(STRATEGIES)
         # and every runnable ring has a simulator and a memory row
         assert set(RING_STRATEGIES) <= set(SIM_STRATEGIES) & set(MEMORY_MODELS)

@@ -9,6 +9,7 @@ pin the cost model to the implementation instead of to folklore.
 import numpy as np
 import pytest
 
+from repro import TrainSpec, train
 from repro.nn import ModelConfig, init_model, rope_tables
 from repro.nn.accounting import (
     layer_fwd_flops,
@@ -16,6 +17,7 @@ from repro.nn.accounting import (
     tensor_bytes,
     training_step_flops,
 )
+from repro.nn.checkpoint import replay_flops, replayed_chunks
 from repro.nn.layer import layer_bwd_input, layer_fwd
 from repro.sim import A800, WorkloadDims
 from repro.sim.costmodel import CostModel, ExecConfig
@@ -47,11 +49,30 @@ class TestFlopsAgreement:
         )
         assert share(cfg_l) > 4 * share(cfg_s)
 
-    def test_training_step_factors(self):
-        cfg = ModelConfig(hidden=64, n_layers=2, n_heads=4, seq_len=32, vocab=100)
+    @pytest.mark.parametrize("flash", [False, True])
+    def test_training_step_is_the_rules_op_sum(self, flash):
+        """One microbatch of the one-unit program ``F, B``: the forward,
+        a 2x backward, and the replays the checkpoint rule counts for the
+        ``B`` — as many as the runtime runs — each at ``replay_flops``."""
+        cfg = ModelConfig(hidden=64, n_layers=3, n_heads=4, seq_len=32, vocab=100,
+                          flash_attention=flash)
         fwd = model_fwd_flops(cfg, 2)
+        replays = replayed_chunks([("F", 0), ("B", 0)], cfg.n_layers)
+        ops = [fwd, 2 * fwd + replays[1] * replay_flops(layer_fwd_flops(cfg, 2), flash)]
+        assert training_step_flops(cfg, 2, recompute=True) == pytest.approx(sum(ops))
         assert training_step_flops(cfg, 2, recompute=False) == pytest.approx(3 * fwd)
-        assert training_step_flops(cfg, 2, recompute=True) == pytest.approx(4 * fwd)
+        spec = TrainSpec(cfg=cfg, n_microbatches=1, microbatch_size=2, recompute=True)
+        assert train(spec, "serial", 1).extra["recompute"]["replayed"] == replays[1]
+
+    @pytest.mark.parametrize("flash", [False, True])
+    def test_replay_price_matches_functional_accounting(self, flash):
+        cfg = ModelConfig(hidden=1024, n_layers=32, n_heads=32, seq_len=4096,
+                          vocab=32000)
+        dims = WorkloadDims(hidden=1024, n_layers=32, seq_len=4096, microbatch=16,
+                            n_microbatches=32)
+        cm = CostModel(dims, A800, ExecConfig(flash_attention=flash))
+        functional = replay_flops(layer_fwd_flops(cfg, 16), flash)
+        assert cm.flops_replay_layer() == pytest.approx(functional, rel=0.02)
 
 
 class TestMemoryAgreement:

@@ -95,18 +95,34 @@ class TestCostModel:
 
     def test_backward_twice_forward(self):
         cm = CostModel(DIMS, A800, ExecConfig(recompute=False))
-        assert cm.t_bwd_layer() == pytest.approx(2 * cm.t_fwd_layer())
+        t_f, t_b = cm.op_times([("F", 0), ("B", 0)], 1)
+        assert t_b == pytest.approx(2 * t_f)
 
-    def test_recompute_adds_one_forward(self):
+    def test_recompute_adds_a_replay_not_a_forward(self):
         base = CostModel(DIMS, A800, ExecConfig(recompute=False))
         rec = CostModel(DIMS, A800, ExecConfig(recompute=True))
-        assert rec.t_bwd_layer() == pytest.approx(
-            base.t_bwd_layer() + base.t_fwd_layer()
+        ops = [("F", 0), ("B", 1)]
+        assert rec.op_times(ops, 1)[1] == pytest.approx(
+            base.op_times(ops, 1)[1] + rec.t_replay_layer()
+        )
+        assert rec.t_replay_layer() < rec.t_fwd_layer()
+
+    def test_op_times_price_the_replays_the_rule_counts(self):
+        """Per op of a program: a ``B`` right after its unit's ``F`` keeps
+        one layer's cache, any other ``B`` replays all its layers."""
+        base = CostModel(DIMS, A800, ExecConfig(recompute=False))
+        rec = CostModel(DIMS, A800, ExecConfig(recompute=True))
+        ops = [("F", 0), ("B", 0), ("F", 1), ("F", 2), ("B", 1), ("W", 1), ("B", 2)]
+        extra = [r - b for r, b in zip(rec.op_times(ops, 2), base.op_times(ops, 2))]
+        assert extra == pytest.approx(
+            [n * rec.t_replay_layer() for n in (0, 1, 0, 0, 2, 0, 2)]
         )
 
     def test_b_plus_w_equals_plain_backward(self):
         cm = CostModel(DIMS, A800, ExecConfig(recompute=False))
-        assert cm.t_b_layer() + cm.t_w_layer() == pytest.approx(cm.t_bwd_layer())
+        fused, split = cm.op_times([("B", 0)], 1), cm.op_times([("B", 0), ("W", 0)], 1)
+        assert fused == [pytest.approx(2 * cm.t_fwd_layer())]
+        assert split == [pytest.approx(cm.t_fwd_layer())] * 2
 
     def test_act_message_scales_with_g_s_h(self):
         cm = CostModel(DIMS, A800)

@@ -1,13 +1,15 @@
 """Analytic memory model: Table 2's memory column and OOM pattern, and
 the one liveness walk it charges."""
 
+from itertools import product
+
 import pytest
 
 import repro.sim.memory as memory_mod
 from repro.core.api import RING_STRATEGIES
-from repro.core.schedule import RING_SCHEDULES, liveness, ring_program, ring_splits_backward
+from repro.core.schedule import RING_SCHEDULES, liveness, ring_program
 from repro.experiments.configs import exec_for, make_dims, table2_cluster
-from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
+from repro.parallel.pipeline import PIPELINE_SCHEDULES, stage_program
 from repro.sim import WorkloadDims, peak_memory, peak_memory_per_worker
 from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.hardware import nvlink_cluster
@@ -22,8 +24,11 @@ def cell_memory(strategy, h, s, g):
 
 
 class TestTable2MemoryColumn:
-    """Within ~35% of every measured non-OOM GB in Table 2, and exact
-    reproduction of the OOM pattern."""
+    """Within 40% of every measured non-OOM GB in Table 2 where nothing
+    recomputes, and exact reproduction of the OOM pattern.  Where the
+    strategy recomputes, the model charges this runtime's checkpoint —
+    the layer input plus the streaming core's output and log-sum-exp, 2x
+    the paper's boundary — so it reads above the paper, by under 60%."""
 
     PAPER = {
         # (H, S, G): strategy -> GB, None = OOM (paper Table 2)
@@ -41,6 +46,8 @@ class TestTable2MemoryColumn:
             mine = cell_memory(strat, *row)
             if paper_gb is None:
                 assert mine > 80, f"{strat} {row}: expected OOM, got {mine:.1f} GB"
+            elif exec_for(strat).recompute:
+                assert paper_gb < mine < 1.6 * paper_gb, f"{strat} {row}"
             else:
                 assert mine == pytest.approx(paper_gb, rel=0.40), f"{strat} {row}"
 
@@ -90,7 +97,7 @@ class TestOrderings:
         cfg = ExecConfig(recompute=True)
         dp = peak_memory("dp", self.DIMS, CLUSTER, cfg)
         fsdp = peak_memory("fsdp", self.DIMS, CLUSTER, cfg)
-        assert dp > 2 * fsdp
+        assert dp > 1.8 * fsdp
         p = CLUSTER.world_size
         states_gap = (1 - 1 / p) * self.DIMS.model_params * 16
         assert dp - fsdp == pytest.approx(states_gap, rel=0.15)
@@ -123,7 +130,7 @@ class TestOrderings:
             peak_memory("unknown", self.DIMS, CLUSTER)
 
     def test_split_ring_charges_the_walked_liveness(self):
-        """weipipe-zb cannot recompute and parks a cache + B-grad bundle
+        """weipipe-zb without recompute parks a cache + B-grad bundle
         per slot pass awaiting its W.  Every worker's walk peaks with P
         slot passes held — interleave's — and P + 1 pending at once, which
         puts it above the no-recompute interleave ring by exactly the
@@ -147,13 +154,12 @@ class TestOrderings:
         assert peak_memory("weipipe-interleave", self.DIMS, CLUSTER) < wi < zb
 
 
-#: each row of the two program tables as (strategy, program of (P, rank, N),
-#: splits?): the flat ring strategy that runs each ring row.
+#: each row of the two program tables as (strategy, program of (P, rank, N)):
+#: the flat ring strategy that runs each ring row.
 ROWS = [
-    (s, lambda P, r, n, s=s: stage_program(s, P, r, n), splits_backward(s))
-    for s in PIPELINE_SCHEDULES
+    (s, lambda P, r, n, s=s: stage_program(s, P, r, n)) for s in PIPELINE_SCHEDULES
 ] + [
-    (name, lambda P, r, n, m=mode: ring_program(m, P, r, n), ring_splits_backward(mode))
+    (name, lambda P, r, n, m=mode: ring_program(m, P, r, n))
     for name, (mode, hier) in RING_STRATEGIES.items()
     if not hier
 ]
@@ -161,7 +167,7 @@ ROWS = [
 
 class TestTheModelChargesTheWalk:
     def test_rows_cover_every_ring_row(self):
-        modes = {RING_STRATEGIES[name][0] for name, _, _ in ROWS if name in RING_STRATEGIES}
+        modes = {RING_STRATEGIES[name][0] for name, _ in ROWS if name in RING_STRATEGIES}
         assert modes == set(RING_SCHEDULES)
 
     def test_zb2_holds_its_warmup_and_two_pending(self):
@@ -175,23 +181,26 @@ class TestTheModelChargesTheWalk:
                 assert held + pending <= 2 * (world - rank) + 2, (rank, held, pending)
 
     @pytest.mark.parametrize("world", [2, 4, 8])
-    @pytest.mark.parametrize("strategy, program, split", ROWS, ids=[r[0] for r in ROWS])
+    @pytest.mark.parametrize("strategy, program", ROWS, ids=[r[0] for r in ROWS])
     def test_activation_term_is_the_walks_byte_weighted_peak(
-        self, monkeypatch, strategy, program, split, world
+        self, monkeypatch, strategy, program, world
     ):
         """Per rank, what the model charges for activations is the
-        maximum over the walk of ``held`` units of stored activations
+        maximum over the walk of ``held`` units of stored activations —
+        the checkpoint under recomputation, on a split program too —
         plus ``pending`` units of full cache + B-grad bundle, a unit
         being ``L / P`` layers."""
         cluster = nvlink_cluster(world, gpus_per_node=world)
-        cfg = ExecConfig(recompute=not split)
-        for n_mb in (world, 2 * world, 4 * world):
+        for cfg, n_mb in product(
+            (ExecConfig(recompute=True), ExecConfig(recompute=False)),
+            (world, 2 * world, 4 * world),
+        ):
             dims = WorkloadDims(
                 hidden=256, n_layers=16, seq_len=512, microbatch=2, n_microbatches=n_mb
             )
             cost = CostModel(dims, cluster.gpu, cfg)
             lps = dims.n_layers // world
-            act = cost.act_full_cache_bytes() if split else cost.act_boundary_bytes()
+            act = cost.checkpoint_bytes() if cfg.recompute else cost.act_full_cache_bytes()
             pend = cost.act_full_cache_bytes() + cost.bgrad_cache_bytes()
             walked = [
                 max(lps * (h * act + p * pend) for h, p in liveness(program(world, r, n_mb)))

@@ -67,13 +67,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_weipipe("interleave", bad, CLUSTER)
 
-    def test_zb_rejects_recompute(self):
-        with pytest.raises(ValueError, match="recomput"):
-            build_pipeline("zb1", DIMS, CLUSTER, ExecConfig(recompute=True))
-        with pytest.raises(ValueError, match="recomput"):
-            build_ring_figure("wzb1", DIMS, CLUSTER, ExecConfig(recompute=True))
-        with pytest.raises(ValueError, match="recomput"):
-            build_weipipe("zero-bubble", DIMS, CLUSTER, ExecConfig(recompute=True))
+    def test_split_backward_prices_recompute(self):
+        """A split backward recomputes like the runtime's: its B passes
+        pay the replays; the figures do not read the flag."""
+        rec = ExecConfig(recompute=True)
+        for name in ("zb1", "zb2", "weipipe-zb"):
+            on = run_cell(name, DIMS, CLUSTER, rec).makespan
+            assert on > run_cell(name, DIMS, CLUSTER, NOREC).makespan, name
+        assert _figure("wzb1").makespan == evaluate(
+            build_ring_figure("wzb1", DIMS, CLUSTER, rec), memory_strategy="weipipe-zb"
+        ).makespan
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
@@ -94,9 +97,11 @@ class TestComparativeShapes:
         assert inter.bubble_ratio < naive.bubble_ratio
 
     def test_1f1b_and_gpipe_same_bubble(self):
-        """Same fill/drain ramp; 1F1B wins on memory, not time."""
-        f = _report(build_pipeline, "1f1b", DIMS, CLUSTER)
-        g = _report(build_pipeline, "gpipe", DIMS, CLUSTER)
+        """Same fill/drain ramp; 1F1B wins on memory, not time.  (Without
+        recompute: with it 1F1B's last stage keeps its caches and runs
+        lighter B ops than the stages it waits on.)"""
+        f = _report(build_pipeline, "1f1b", DIMS, CLUSTER, NOREC)
+        g = _report(build_pipeline, "gpipe", DIMS, CLUSTER, NOREC)
         assert f.bubble_ratio == pytest.approx(g.bubble_ratio, rel=0.05)
 
     def test_zb1_lower_bubble_than_1f1b(self):
