@@ -119,11 +119,10 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     size each rank's arena region from the spec instead of a constant:
     every slot then crosses the wire as a descriptor at any ``H``.  The
     draws are the same for every mode and topology, and all of them are
-    of the owned slot ``rank - 1``, at construction: the B slot, its
-    zeroed D and the clone injected into the forward flow (the forward
-    copy a rank *holds* lives in its owner's region).  An update pass
-    refreshes that copy in place (:meth:`_WeiPipeWorker._inject_forward`)
-    and draws nothing.
+    of the owned slot ``rank - 1``, at construction: the B slot and its
+    zeroed D.  The forward flow carries that B slot itself
+    (:meth:`_WeiPipeWorker._inject_forward`), so the forward slot a rank
+    holds is a view of its owner's buffer and nobody draws a copy.
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
     (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
@@ -132,7 +131,7 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     """
     cfg = spec.cfg
     itemsize = np.dtype(cfg.dtype).itemsize
-    return 3 * sum(
+    return 2 * sum(
         ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
         for i in slot_chunk_ids((rank - 1) % world, world, cfg.n_layers)
     )
@@ -213,7 +212,8 @@ class _WeiPipeWorker:
                 i: self.opt.init_state(c) for i, c in self.bwd_slot.items()
             }
         #: forward-flow holding; empty until the construction-time inject
-        #: at the end of ``__init__`` delivers slot ``-rank``.
+        #: at the end of ``__init__`` delivers slot ``-rank`` (its owner's
+        #: B slot, or a private copy of it on a copying wire).
         self.fwd_slot: SlotWeights = {}
 
         self.inflight: Dict[int, _MicrobatchState] = {}
@@ -267,10 +267,11 @@ class _WeiPipeWorker:
         # F slots cannot be recycled at replacement: forward caches hold
         # views into their weights (the norm gains read again by each
         # microbatch's backward), so retired F slots park here until the
-        # update pass, by which point every backward has consumed them.
+        # iteration's ring turns end, by which point every backward has
+        # consumed them.
         self._retired_fwd: List[SlotWeights] = []
         # turn-0 placement of the forward flow is the first inject: every
-        # owner ships a copy of its slot to that slot's forward home, the
+        # owner ships its B slot itself to that slot's forward home, the
         # way each update pass will (DESIGN.md §10).
         self._inject_forward(-1)
 
@@ -347,8 +348,8 @@ class _WeiPipeWorker:
         live object), so this is a no-op there.  B and D slots have no
         outstanding readers once replaced — their sends fully serialized
         before returning, and backward caches hold no B-weight views —
-        and are released immediately; F slots are parked until the
-        update pass (see ``_retired_fwd``).
+        and are released immediately; F slots are parked until the ring
+        turns end (see ``_retired_fwd``).
         """
         if not self._wire_copies:
             return
@@ -371,9 +372,12 @@ class _WeiPipeWorker:
                 self.pool.release(a)
 
     def release_buffers(self) -> None:
-        """Recycle the fwd/grad slot arenas (end of a step-scoped worker;
-        the bwd slots escape as the returned canonical state)."""
-        self._release_slot(self.fwd_slot)
+        """Recycle the grad slot arenas, and the forward slot's when it is
+        this rank's private copy off a copying wire (end of a step-scoped
+        worker).  Any other forward slot is its owner's B slot, and the B
+        slots escape as the returned canonical state."""
+        if self._wire_copies and self.fwd_slot is not self.bwd_slot:
+            self._release_slot(self.fwd_slot)
         self._release_slot(self.grad_slot)
 
     def gather_owned(self, tag: Tuple, with_opt_state: bool = False) -> List:
@@ -499,14 +503,25 @@ class _WeiPipeWorker:
         self._ring_turns(
             it, *ring_schedule(self.mode, self.world, self.spec.n_microbatches)
         )
+        if self._wire_copies:
+            # this rank's last backward (and W pass) has read the parked F
+            # slots, and the one the final hop brought home is replaced by
+            # the inject: recycle them before the next iteration can land.
+            for slot in self._retired_fwd + [self.fwd_slot]:
+                self._release_slot(slot)
+            self._retired_fwd.clear()
+            self.fwd_slot = {}
+        # the loss gather is the iteration's barrier: past it every rank
+        # has taken its last forward-flow slot, which on a shared wire is
+        # the very buffer its owner's update pass writes in place.
+        losses = all_gather(self.comm, dict(self.losses_by_mb), tag=("wp-loss", it))
+        self.losses_by_mb.clear()
 
         self._timed(self._h_compute, "update", "compute", {"it": it},
                     self._update_pass, it)
-
-        losses = all_gather(self.comm, dict(self.losses_by_mb), tag=("wp-loss", it))
-        self.losses_by_mb.clear()
-        # post-gather: every rank's update pass (and its pool traffic)
-        # for this iteration is complete, so the counter is a clean
+        # every rank's ring turns and this rank's update pass (the only
+        # pool traffic left: a copying wire's landing buffers, in this
+        # process's own pool) are complete, so the counter is a clean
         # per-iteration snapshot for the allocation-regression gate.
         self.pool_allocs_by_iter.append(self.pool.allocations)
         pool = self.pool.as_dict()
@@ -536,7 +551,8 @@ class _WeiPipeWorker:
         self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, turn)
         self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, turn)
         self._retire_wslot("F", old_f)
-        self._retire_wslot("B", old_b)
+        if old_b is not old_f:  # an owner that is its own fwd_home (odd P)
+            self._retire_wslot("B", old_b)
 
     def _take_d(self, nd) -> None:
         old_d = self.grad_slot
@@ -635,8 +651,8 @@ class _WeiPipeWorker:
         """Owner updates its slot and re-injects weights into both flows.
 
         The backward flow is home at the owner, so the update is local;
-        the forward-flow copy lives at ``fwd_home`` and is refreshed by
-        :meth:`_inject_forward`.
+        the forward flow restarts at ``fwd_home`` with the updated slot
+        itself (:meth:`_inject_forward`).
         """
         if self.dp_comm is not None and self.dp_comm.world_size > 1:
             # hybrid mode: average the owned slot's D across replicas
@@ -671,64 +687,36 @@ class _WeiPipeWorker:
         self._inject_forward(it)
 
     def _inject_forward(self, it: int) -> None:
-        """Put a copy of the owned slot into the forward flow and take
-        delivery of the forward slot that starts here.
+        """Ship the owned slot into the forward flow and adopt the forward
+        slot that starts here.
 
-        The owned slot sits in this worker's backward flow; its
-        forward-flow copy lives at ``fwd_home`` and is refreshed with one
-        extra P2P message (the peer is symmetric: worker ``p`` exchanges
-        with worker ``(1 - p) mod P``).  Called with ``it = -1`` at
-        construction — the turn-0 placement, where the owner sends a clone
-        of its slot — and with ``it`` after each update, where it sends
-        the slot itself and the receiver copies it into the forward copy
-        it holds.  So the sender allocates each forward copy once, a
-        worker never materialises a slot it does not own, and no update
-        draws from the pool (a copy retired there would be of the mirror
-        slot ``P-1-j``, possibly in another span class of the process
-        arena's pool than the one drawn).
+        The owned slot sits in this worker's backward flow; the forward
+        flow starts it at ``fwd_home`` with one extra P2P message (the
+        peer is symmetric: worker ``p`` exchanges with worker
+        ``(1 - p) mod P``).  Called with ``it = -1`` at construction — the
+        turn-0 placement — and with ``it`` after each update.  The slot
+        itself ships, and the receiver adopts whatever arrives: the
+        owner's object on the thread wire, a descriptor view of the
+        owner's arena buffer on the process wire, or a private copy on a
+        copying wire (its predecessor went back to the pool when the ring
+        turns ended, :meth:`_run_iteration`).  So a slot has one copy per
+        host, a worker never materialises a slot it does not own, and an
+        inject draws nothing but a copying wire's landing buffer.  The
+        owner next writes the buffer in its next update pass, after the
+        next loss gather: by then every rank has read it for the last
+        time.
         """
         target = fwd_home(self.owned_slot, self.world)
-        first = it < 0
-        # after an update the slot itself ships: nobody writes it before
-        # this worker's next update pass, a ring revolution that the
-        # receiver joins only once it has copied it.
-        inject = (
-            {i: w.clone(self.pool) for i, w in self.bwd_slot.items()}
-            if first else self.bwd_slot
-        )
         if target == self.rank:
-            fresh = inject
-        else:
-            self.comm.send(
-                inject,
-                target,
-                ("inject", it),
-                nbytes=self._slot_nbytes(inject, self.w_wire),
-            )
-            if first and self._wire_copies:
-                # the receiver got its own copy off the wire; the local
-                # clone served only serialization and is garbage now.
-                self._release_slot(inject)
-            # fwd_home(j) == rank  <=>  j == -rank
-            source = slot_owner(-self.rank % self.world, self.world)
-            fresh = self.comm.recv(source, ("inject", it))
-        if first:
-            self.fwd_slot = fresh
-        else:
-            # the held forward copy is sole-owned here (the final D wait
-            # proved its last reader finished): refresh it in place, so
-            # it stays one buffer for the whole run.
-            for i, w in self.fwd_slot.items():
-                for name, v in w.items():
-                    np.copyto(v, fresh[i][name])
-            if fresh is not self.bwd_slot and self._wire_copies:
-                self._release_slot(fresh)  # the wire's private copy
-        if self._retired_fwd:
-            # wire-copies mode: every backward (and deferred W pass) that
-            # could read a parked F slot's weights has run by now.
-            for slot in self._retired_fwd:
-                self._release_slot(slot)
-            self._retired_fwd.clear()
+            self.fwd_slot = self.bwd_slot
+            return
+        self.comm.send(
+            self.bwd_slot, target, ("inject", it),
+            nbytes=self._slot_nbytes(self.bwd_slot, self.w_wire),
+        )
+        # fwd_home(j) == rank  <=>  j == -rank
+        source = slot_owner(-self.rank % self.world, self.world)
+        self.fwd_slot = self.comm.recv(source, ("inject", it))
 
 
 def weipipe_step(

@@ -198,6 +198,8 @@ class Fabric:
             r: defaultdict(deque) for r in range(world_size)
         }
         self._aborted: Optional[str] = None
+        #: the rank whose failure the first abort names (see ``abort``).
+        self.abort_rank: Optional[int] = None
         # fail-stop bookkeeping (elastic mode): dead rank -> (reason, step);
         # each failure bumps the epoch, and every surviving rank raises
         # PeerFailed once per epoch until it acknowledges.
@@ -585,12 +587,17 @@ class Fabric:
         with self._lock:
             return self._pool_locked(factory)
 
-    def abort(self, reason: str) -> None:
+    def abort(self, reason: str, rank: Optional[int] = None) -> None:
+        """Poison the group.  ``rank`` is the rank whose failure this is
+        (``None``: no rank's, e.g. a join timeout).  The first abort is
+        the record: the ranks it poisons abort in turn and must not
+        overwrite its cause."""
         with self._cond:
             home = self._wire.ranks[0]
             self.flight.rings[home].record(_flight.EV_ABORT, home)
-            self._wire.publish_abort(reason)
-            self._aborted = reason
+            if not self._aborted:
+                self._wire.publish_abort(reason, rank)
+                self._aborted, self.abort_rank = reason, rank
             self._cond.notify_all()
 
     # -- fail-stop failure detection (elastic mode) ---------------------------

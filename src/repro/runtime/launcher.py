@@ -4,7 +4,8 @@
 ``fn(comm)`` runs once per rank, return values come back indexed by
 rank, and the first exception anywhere aborts the whole group (peers
 blocked in ``recv`` are woken with ``FabricAborted``) and is re-raised
-in the caller with its original traceback.
+in the caller with its original traceback — that exception, not a
+peer's ``FabricAborted``, whatever the ranks.
 
 ``run_workers_elastic`` is the fault-tolerant variant: a worker's death
 marks only *that rank* failed (:meth:`Fabric.fail_rank`) so survivors —
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from .communicator import Communicator
-from .transport.base import Transport, WorkerError
+from .transport.base import Transport, WorkerError, cause
 
 __all__ = ["run_workers", "run_workers_elastic", "resolve_transport", "WorkerError"]
 
@@ -99,9 +100,9 @@ def run_workers(
     results, errors = transport.launch(
         world_size, fn, timeout, elastic=False, pool_bytes=pool_bytes
     )
-    for err in errors:
-        if err is not None:
-            raise err
+    err = cause(errors, transport.abort_origin)
+    if err is not None:
+        raise err
     return results
 
 

@@ -7,9 +7,9 @@ memory — behind one contract:
 ``launch(world_size, fn, timeout, elastic, detector, pool_bytes)`` runs
 ``fn(comm)`` once per rank and returns ``(results, errors)`` indexed by rank, where
 ``errors[r]`` is a :class:`WorkerError` wrapping whatever rank ``r``
-raised (``None`` when it returned).  Non-elastic callers raise the first
-error; elastic callers treat a dead rank as a fail-stop event that the
-survivors observed as ``PeerFailed``.
+raised (``None`` when it returned).  Non-elastic callers raise the
+launch's :func:`cause`; elastic callers treat a dead rank as a fail-stop
+event that the survivors observed as ``PeerFailed``.
 
 Semantics every transport must preserve (the thread transport is the
 oracle; ``repro.testing.run_backend_differential`` enforces bit-exact
@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...obs import flight as _flight
 
-__all__ = ["Deadline", "Transport", "Wire", "WorkerError", "join_group"]
+__all__ = ["Deadline", "Transport", "Wire", "WorkerError", "cause", "join_group"]
 
 
 class WorkerError(RuntimeError):
@@ -59,6 +59,20 @@ class WorkerError(RuntimeError):
     def capture(cls, rank: int, exc: BaseException) -> "WorkerError":
         """Wrap a live exception with its current traceback."""
         return cls(rank, exc, traceback.format_exc())
+
+
+def cause(
+    errors: Sequence[Optional[WorkerError]], origin: Optional[int] = None
+) -> Optional[WorkerError]:
+    """The error a failed launch is blamed on: the one raised by the rank
+    the group's abort names (``origin``), else the lowest-ranked one.
+
+    A rank that raises aborts the group, so the peers it poisons raise
+    ``FabricAborted`` (or ``PeerFailed``) too — consequences, whatever
+    their rank."""
+    if origin is not None and errors[origin] is not None:
+        return errors[origin]
+    return next((e for e in errors if e is not None), None)
 
 
 class Deadline:
@@ -160,8 +174,9 @@ class Wire:
         object published news since the last call, else ``None``."""
         return None
 
-    def publish_abort(self, reason: str) -> None:
-        """Make an abort visible to peers outside this object."""
+    def publish_abort(self, reason: str, rank: Optional[int]) -> None:
+        """Make an abort, and the rank it names, visible to peers outside
+        this object."""
 
     def publish_fail(self, rank: int, reason: str, step: Optional[int]) -> None:
         """Make a fail-stop record visible to peers outside this object."""
@@ -186,6 +201,9 @@ class Transport:
     #: after a clean one), and where it was written (if anywhere).
     last_postmortem: Optional[Dict] = None
     last_postmortem_path: Optional[str] = None
+    #: the rank the most recent launch's abort names (``None``: no abort,
+    #: or one no rank caused); :func:`cause` reads it.
+    abort_origin: Optional[int] = None
 
     def launch(
         self,
@@ -215,15 +233,16 @@ class Transport:
         timeout: float = 0.0,
     ) -> None:
         """The epilogue of every launch: build, keep and dump the bundle
-        of a failed one.  The first :class:`WorkerError` names the
-        failure, else the abort string; a launch with neither leaves no
+        of a failed one.  The launch's :func:`cause` (read through
+        ``abort_origin``, which the launch sets first) names the failure,
+        else the abort string; a launch with neither leaves no
         bundle (and calls neither ``flights`` nor ``failed``, which
         snapshot every rank's flight ring and the fail records).  After
         a join timeout, ``stuck`` lists the ranks still running: they
         are named in the bundle and in the ``TimeoutError`` raised from
         here."""
         self.last_postmortem = self.last_postmortem_path = None
-        first = next((e for e in errors if e is not None), None)
+        first = cause(errors, self.abort_origin)
         if stuck:
             detail = (
                 ", ".join(f"worker-{r}" for r in stuck)

@@ -48,12 +48,16 @@ Payload transfer has two modes, chosen per-buffer at encode time:
   whether the model is 1 MB or 1 GB.  Delivery is by reference into the
   shared mapping, so ``wire_copies`` is False and the ring engines keep
   the thread backend's turn-taking ownership discipline (never recycle
-  a buffer that may still be read downstream).
+  a buffer that may still be read downstream).  The weight ring's
+  forward slot is then a view of its owner's B slot: each slot exists
+  once in the segment, in its owner's region.
 * **by copy** (fallback, and the whole story when ``arena_bytes=0``):
   buffers outside the arena are serialized through the ring.  With the
   arena disabled ``wire_copies`` is True and received buffers are owned
   by the receiver alone, so the ring engines retire replaced slots into
-  the pool, keeping the steady state allocation-free.
+  the pool and draw nothing themselves after construction; what the
+  pool still allocates are landing buffers, as many as the frames a
+  faster neighbour has in flight at the peak.
 
 Who sizes the arena: the launch.  A caller that knows its per-rank pool
 working set states it (``pool_bytes``, e.g. the ring engine's
@@ -501,7 +505,7 @@ def _child_main(
             if elastic:
                 fabric.fail_rank(rank, f"raised {exc!r}")
             else:
-                fabric.abort(f"rank {rank} raised {exc!r}")
+                fabric.abort(f"rank {rank} raised {exc!r}", rank)
         finally:
             _spill_trace()
             conn.send(("err", None, (_ship_exception(exc), tb),
@@ -732,7 +736,8 @@ class ProcessTransport(Transport):
                             )
                         else:
                             control.abort(
-                                f"rank {r} worker process died (exit code {code})"
+                                f"rank {r} worker process died (exit code {code})",
+                                r,
                             )
                 if pending and not progressed:
                     # a report or an exit wakes the loop at once; the
@@ -794,6 +799,7 @@ class ProcessTransport(Transport):
                     for r in range(world_size)
                 }
 
+            self.abort_origin = control.abort_rank()
             self._postmortem(
                 world_size, errors, flights, control.failed,
                 control.aborted(), self.clock,

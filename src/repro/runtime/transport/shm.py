@@ -43,11 +43,12 @@ they can be unit-tested in isolation:
   slot hop moves a ~hundred-byte frame regardless of model size.
 
 * :class:`ControlBlock` — the shared fail-stop state: one abort flag +
-  reason and a per-rank failed/reason/step record, written before the
-  flag that publishes them.  Every fabric operation on every rank
-  reads one small contiguous *disturb token* (abort byte + fail flags)
-  and compares it against its cached copy, so the hot path costs one
-  slice read, not a parse.
+  reason + originating rank (the first abort's) and a per-rank
+  failed/reason/step record, written before the flag that publishes
+  them.  Every fabric operation on every rank reads one small
+  contiguous *disturb token* (abort byte + fail flags) and compares it
+  against its cached copy, so the hot path costs one slice read, not a
+  parse.
 
 Frame layout (little-endian)::
 
@@ -557,7 +558,7 @@ class FrameDecoder:
 # -- shared fail-stop control state ------------------------------------------
 
 _MAGIC = 0x57E1FE08  # "WeiPipe", PR 8
-_ABORT_REASON_MAX = 254
+_ABORT_REASON_MAX = 252
 _RANK_REASON_MAX = 144
 _RANK_STRIDE = 176
 
@@ -583,7 +584,7 @@ class ControlBlock:
     @staticmethod
     def size(world: int) -> int:
         reason_off = (16 + world + 7) & ~7
-        ranks_end = reason_off + 2 + _ABORT_REASON_MAX + world * _RANK_STRIDE
+        ranks_end = reason_off + 4 + _ABORT_REASON_MAX + world * _RANK_STRIDE
         return ranks_end + 16 * (world + 1)
 
     def __init__(self, buf: memoryview, world: int, create: bool = False):
@@ -594,7 +595,7 @@ class ControlBlock:
         self.world = world
         self._flags_off = 16
         self._reason_off = (16 + world + 7) & ~7
-        self._ranks_off = self._reason_off + 2 + _ABORT_REASON_MAX
+        self._ranks_off = self._reason_off + 4 + _ABORT_REASON_MAX
         self._clock_off = self._ranks_off + world * _RANK_STRIDE
         if create:
             self._mv[:] = b"\x00" * need
@@ -606,19 +607,32 @@ class ControlBlock:
 
     # -- abort ---------------------------------------------------------------
 
-    def abort(self, reason: str) -> None:
+    def abort(self, reason: str, rank: Optional[int] = None) -> None:
+        """Publish an abort and the rank whose failure caused it (``None``:
+        no rank, e.g. a join timeout).  The first abort's record wins: the
+        ranks it poisons abort in turn, and must not overwrite the cause."""
+        if self._mv[8]:
+            return
         raw = reason.encode("utf-8", "replace")[:_ABORT_REASON_MAX]
-        struct.pack_into("<H", self._mv, self._reason_off, len(raw))
-        self._mv[self._reason_off + 2 : self._reason_off + 2 + len(raw)] = raw
+        struct.pack_into("<hH", self._mv, self._reason_off,
+                         -1 if rank is None else rank, len(raw))
+        self._mv[self._reason_off + 4 : self._reason_off + 4 + len(raw)] = raw
         self._mv[8] = 1
 
     def aborted(self) -> Optional[str]:
         if not self._mv[8]:
             return None
-        (n,) = struct.unpack_from("<H", self._mv, self._reason_off)
+        (n,) = struct.unpack_from("<H", self._mv, self._reason_off + 2)
         return bytes(
-            self._mv[self._reason_off + 2 : self._reason_off + 2 + n]
+            self._mv[self._reason_off + 4 : self._reason_off + 4 + n]
         ).decode("utf-8", "replace")
+
+    def abort_rank(self) -> Optional[int]:
+        """The rank the published abort names, if any."""
+        if not self._mv[8]:
+            return None
+        (rank,) = struct.unpack_from("<h", self._mv, self._reason_off)
+        return None if rank < 0 else rank
 
     # -- fail-stop records ---------------------------------------------------
 

@@ -89,7 +89,7 @@ class ThreadTransport(Transport):
                     # notified at their next fabric op and may recover.
                     fab.fail_rank(rank, f"raised {exc!r}")
                 else:
-                    fab.abort(f"rank {rank} raised {exc!r}")
+                    fab.abort(f"rank {rank} raised {exc!r}", rank)
 
         threads = [
             threading.Thread(target=target, args=(r,), name=f"worker-{r}", daemon=True)
@@ -107,6 +107,7 @@ class ThreadTransport(Transport):
             join_group(threads, Deadline(timeout), on_timeout)
         except TimeoutError:
             pass  # re-raised by the epilogue, naming every stuck worker
+        self.abort_origin = fab.abort_rank
         self._postmortem(
             world_size, errors, fab.flight.snapshot,
             failed=fab.failed_ranks, aborted=fab._aborted,

@@ -83,7 +83,7 @@ def test_every_draw_is_of_the_owned_slot(world):
     spec = TrainSpec(cfg=cfg, n_microbatches=world, microbatch_size=1,
                      iters=1, precision=FP64)
     predicted = [ring_pool_bytes(spec, world, r) for r in range(world)]
-    small, large = 3 * (32 << 10), 3 * (64 << 10)
+    small, large = 2 * (32 << 10), 2 * (64 << 10)
     assert predicted[0] == large and predicted[1] == small  # head, embedding
     pt = ProcessTransport()
     res = train_weipipe(spec, world, fabric=pt)
@@ -108,11 +108,11 @@ def test_hier_ring_draws_the_same_working_set():
 
 
 def test_wide_slot_trains_by_descriptor_bit_identically():
-    # 9.8 MB slot -> 16 MiB span; three of them are 1.5x the 32 MiB
-    # constant every launch used to get (which once meant 8 extra
-    # allocations per steady iteration and by-copy slots).
-    spec = _spec(2, 1, np.float64, hidden=320, microbatches=2, iters=2)
-    assert ring_pool_bytes(spec, 2, 0) == 3 * (16 << 20) > DEFAULT_ARENA_BYTES
+    # 19.4 MB slot -> 32 MiB span; the two a rank draws (B slot and D)
+    # are 2x the 32 MiB constant every launch used to get (which once
+    # meant extra allocations per steady iteration and by-copy slots).
+    spec = _spec(2, 1, np.float64, hidden=448, microbatches=2, iters=2)
+    assert ring_pool_bytes(spec, 2, 0) == 2 * (32 << 20) > DEFAULT_ARENA_BYTES
     pt = ProcessTransport()
     proc = train_weipipe(spec, 2, fabric=pt)
     thread = train_weipipe(spec, 2)
@@ -170,7 +170,115 @@ def test_first_overflow_warns_once_with_the_numbers():
     assert ledger["arena_overflow_bytes"] == 128 + 32
 
 
-# -- (d) results return by mapping --------------------------------------------
+# -- (d) one copy of each slot ------------------------------------------------
+
+
+def _slots_after_an_update(spec):
+    """Each rank's forward and B slots after one iteration (update and
+    inject included), as objects and as arena locations."""
+    from repro.core.weipipe import _WeiPipeWorker
+
+    def fn(comm):
+        w = _WeiPipeWorker(comm, spec, "interleave")
+        w.run_iteration(0)
+        arena = getattr(comm.fabric._wire, "arena", None)
+
+        def where(slot):
+            if arena is None:
+                return None
+            return {i: arena.locate(memoryview(ps.arena).cast("B"))
+                    for i, ps in slot.items()}
+
+        return {"fwd": w.fwd_slot, "bwd": w.bwd_slot,
+                "fwd_at": where(w.fwd_slot), "bwd_at": where(w.bwd_slot)}
+    return fn
+
+
+@pytest.mark.parametrize("world", [2, 3, 4])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_the_forward_slot_is_its_owners_b_slot(world, backend):
+    from repro.core.schedule import fwd_home, slot_owner
+
+    spec = _spec(world, 1, np.float64, microbatches=world, iters=1)
+    ranks = run_workers(world, _slots_after_an_update(spec), backend=backend)
+    for slot in range(world):
+        held, owner = ranks[fwd_home(slot, world)], ranks[slot_owner(slot, world)]
+        if backend == "thread":
+            assert held["fwd"] is owner["bwd"]
+        else:  # same region (the owner's) and offset, not just equal bytes
+            assert held["fwd_at"] == owner["bwd_at"]
+            assert {r for r, _ in owner["bwd_at"].values()} == {
+                slot_owner(slot, world)
+            }
+
+
+#: pool misses of this process's wire landing buffers (each forked rank
+#: counts its own).
+_LANDED = [0]
+
+
+def _draws_per_iteration(spec, world, mode, iters):
+    """Per iteration, the pool misses a copying wire's worker makes
+    outside the wire's landing buffers, whose count depends on how far a
+    neighbour runs ahead and so is timing-dependent on any design."""
+    from repro.core.weipipe import _WeiPipeWorker
+
+    def fn(comm):
+        pool = comm.fabric.shared_pool(BufferPool)
+        w = _WeiPipeWorker(comm, spec, mode)
+        draws = [pool.misses - _LANDED[0]]
+        for it in range(iters):
+            w.run_iteration(it)
+            draws.append(pool.misses - _LANDED[0])
+        return draws
+
+    return run_workers(world, fn, backend=ProcessTransport(arena_bytes=0))
+
+
+@pytest.mark.parametrize("mode", ["interleave", "zero-bubble"])
+@pytest.mark.parametrize("world", [2, 3, 4])
+def test_copying_wire_adopts_private_copies_bit_exactly(world, mode,
+                                                          monkeypatch):
+    from repro.runtime.transport.process import ShmWire
+
+    # world 3 has an owner that is its own forward home: one object in
+    # both flows, which a copying wire must retire once, not twice.
+    spec = _spec(world, 1, np.float64, microbatches=world, iters=3)
+    proc = train_weipipe(spec, world, mode=mode,
+                         fabric=ProcessTransport(arena_bytes=0))
+    assert compare_train_results(proc, train_weipipe(spec, world, mode=mode),
+                                 tol=0) is None
+    assert proc.extra["arena_overflow_allocs"] == 0
+
+    land = ShmWire._landing_buffer
+
+    def counting(self, numel, dtype):
+        pool = self._fabric._pool_locked(BufferPool)
+        misses = pool.misses
+        buf = land(self, numel, dtype)
+        _LANDED[0] += pool.misses - misses
+        return buf
+
+    monkeypatch.setattr(ShmWire, "_landing_buffer", counting)
+    # the worker draws its B slot and D at construction and nothing
+    # after: every later slot is a landed copy, adopted or recycled.
+    for draws in _draws_per_iteration(spec, world, mode, iters=3):
+        assert draws == [2] * 4, draws
+
+
+@pytest.mark.parametrize("world", [2, 3, 4])
+def test_no_rank_draws_a_forward_copy(world):
+    from repro.runtime import Fabric
+
+    spec = _spec(world, 1, np.float64, microbatches=world, iters=2)
+    fabric = Fabric(world)
+    train_weipipe(spec, world, fabric=fabric)
+    model = sum(c.numel for c in spec.init_chunks()) * 8
+    # every rank draws its owned B slot and its D, nothing else.
+    assert fabric.shared_pool(BufferPool).bytes_allocated == 2 * model
+
+
+# -- (e) results return by mapping --------------------------------------------
 
 
 def _mixed_result(comm: Communicator):

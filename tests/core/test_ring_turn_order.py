@@ -7,10 +7,10 @@ which is what lets the checkpoint hand it the cache that forward left
 (``repro.nn.checkpoint``).  That cache holds views into the forward-flow
 slot of the turn before, which the worker has forwarded and replaced by
 then.  Where slots travel by reference (threads, the shared arena) a
-slot's buffer is only recycled by its owner's update pass; on a wire
-that copies the receiver recycles it — and there the park-until-update
-rule of ``_retired_fwd`` is what keeps the kept cache valid, so it is
-pinned across a fork.
+slot's buffer is its owner's and is never recycled; on a wire that
+copies the receiver recycles it — and there the rule that parks it in
+``_retired_fwd`` until the ring turns end is what keeps the kept cache
+valid, so it is pinned across a fork.
 """
 
 import numpy as np
@@ -96,4 +96,4 @@ def test_kept_cache_reads_a_parked_forward_slot_never_a_recycled_one():
         assert kept == 2  # this rank's two microbatches
         assert len(seen) >= kept
         assert all(held and not free for held, free in seen), seen
-        assert still_parked == 0  # the update pass recycled them
+        assert still_parked == 0  # recycled when the ring turns ended

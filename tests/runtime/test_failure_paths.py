@@ -21,6 +21,8 @@ import time
 import numpy as np
 import pytest
 
+from repro import train
+from repro.core.weipipe import _WeiPipeWorker
 from repro.runtime import (
     ChaosPolicy,
     Communicator,
@@ -30,7 +32,10 @@ from repro.runtime import (
     PeerFailed,
     ProcessTransport,
     ThreadTransport,
+    WorkerError,
+    run_workers,
 )
+from repro.testing import default_differential_spec
 
 RECV_TIMEOUT_S = 30.0
 PROMPT_S = 5.0
@@ -106,6 +111,52 @@ def test_raising_rank_interrupts_survivors(backend, elastic):
     assert errors[1].rank == 1 and "fail-stop" in str(errors[1])
     assert results[0] == (("peer-failed", [1]) if elastic else "poisoned")
     assert transport.last_postmortem["reason"]["kind"] == "RuntimeError"
+
+
+# -- one failure, one cause ---------------------------------------------------
+
+
+def _blocked_on_the_raiser(comm: Communicator):
+    """Rank 0 blocks in ``recv`` from rank 1 and lets the abort surface;
+    rank 1 raises once rank 0 is on its way there.  Rank 0's
+    ``FabricAborted`` is a consequence, whatever its rank."""
+    if comm.rank == 0:
+        comm.send("ready", 1, tag=("ready",))
+        return comm.recv(1, tag=("never",), timeout=RECV_TIMEOUT_S)
+    comm.recv(0, tag=("ready",), timeout=RECV_TIMEOUT_S)
+    raise RuntimeError("the user's error")
+
+
+@BACKENDS
+def test_the_raising_rank_is_blamed_not_the_rank_it_poisoned(backend):
+    transport = _transport(backend, 2)
+    with pytest.raises(WorkerError) as ei:
+        run_workers(2, _blocked_on_the_raiser, timeout=60.0, backend=transport)
+    assert ei.value.rank == 1
+    assert isinstance(ei.value.original, RuntimeError)
+    assert transport.abort_origin == 1
+    assert transport.last_postmortem["reason"]["kind"] == "RuntimeError"
+    assert transport.last_postmortem["reason"]["rank"] == 1
+    assert transport.last_postmortem["aborted"].startswith("rank 1 raised")
+
+
+@BACKENDS
+def test_train_re_raises_the_users_error(backend, monkeypatch):
+    # rank 1 raises in its update pass while rank 0 waits for rank 1's
+    # inject: rank 0 unwinds with FabricAborted, the launch names rank 1.
+    update = _WeiPipeWorker._update_pass
+
+    def failing_update(self, it):
+        if self.rank == 1:
+            raise KeyError("the user's error")
+        return update(self, it)
+
+    monkeypatch.setattr(_WeiPipeWorker, "_update_pass", failing_update)
+    spec = default_differential_spec()
+    with pytest.raises(WorkerError) as ei:
+        train(spec, "weipipe-interleave", 2, backend=backend)
+    assert ei.value.rank == 1
+    assert isinstance(ei.value.original, KeyError)
 
 
 # -- parent join timeout ------------------------------------------------------

@@ -305,6 +305,21 @@ def test_control_block_abort_and_fail():
     assert again.failed() == {1: ("worker died", 7)}
 
 
+def test_control_block_keeps_the_first_abort_and_its_rank():
+    ctrl = ControlBlock(memoryview(bytearray(ControlBlock.size(2))), 2,
+                        create=True)
+    assert ctrl.abort_rank() is None
+    ctrl.abort("rank 1 raised RuntimeError()", 1)
+    ctrl.abort("rank 0 raised FabricAborted()", 0)  # a consequence
+    assert ctrl.aborted() == "rank 1 raised RuntimeError()"
+    assert ctrl.abort_rank() == 1
+    timeout = ControlBlock(memoryview(bytearray(ControlBlock.size(2))), 2,
+                           create=True)
+    timeout.abort("join timeout")
+    assert timeout.aborted() == "join timeout"
+    assert timeout.abort_rank() is None
+
+
 # -- backend resolution and policy gate --------------------------------------
 
 
