@@ -38,20 +38,23 @@ Commands:
   (CRC framing on a clean wire must cause zero retransmits).
   ``chaos-sweep --faults storm`` adds the same transient faults (rows
   of :data:`repro.testing.HEAL_SCHEDULES`) to the classic
-  serial-equivalence sweep.
+  serial-equivalence sweep;
+* ``bench-crossover`` — the paper's crossover on the runtime: WeiPipe,
+  1F1B and FSDP raced on a priced wire, with early vs late posting,
+  flat vs hierarchical ring and thread vs process as cells of the same
+  table (:mod:`repro.experiments.crossover`).
 
 There is one way to record a trace and one way to read it.  Every run
-command — ``train``, ``chaos-sweep``, ``self-heal``, ``crash-recovery``,
-``bench-overlap`` and ``bench-topology`` — accepts ``--trace PATH``
+command — ``train``, ``chaos-sweep``, ``self-heal``, ``crash-recovery``
+and ``bench-crossover`` — accepts ``--trace PATH``
 (write a Chrome trace of the run, for Perfetto / ``chrome://tracing``)
 and ``--metrics-out PATH`` (dump the run's
 :class:`~repro.obs.MetricsRegistry` as JSON); ``explain PATH`` reads the
 trace.  Tracing is opt-in; without the flags the observability layer
 stays in its null, zero-cost configuration.  On ``--backend process``
 both artefacts are merged across the worker processes (one trace pid
-per rank on one clock, label-aware metric reduction).  ``train``,
-``chaos-sweep`` and the bench commands share one set of model flags
-(:data:`_MODEL_FLAGS`).
+per rank on one clock, label-aware metric reduction).  ``train`` and
+``chaos-sweep`` share one set of model flags (:data:`_MODEL_FLAGS`).
 
 ``train`` additionally supports durable fault-tolerant runs:
 ``--checkpoint-every N`` writes atomic, checksummed checkpoints from the
@@ -69,10 +72,10 @@ from typing import List, Optional
 
 __all__ = ["main", "build_parser", "model_argv"]
 
-#: the model flags ``train``, ``chaos-sweep`` and the bench commands
-#: share, as ``(flag, owner, field)``: ``owner`` is ``cfg`` for a
-#: ``ModelConfig`` field and ``spec`` for a ``TrainSpec`` one.  The
-#: parser reads it (``_add_model_flags``), ``_spec`` builds from it and
+#: the model flags ``train`` and ``chaos-sweep`` share, as
+#: ``(flag, owner, field)``: ``owner`` is ``cfg`` for a ``ModelConfig``
+#: field and ``spec`` for a ``TrainSpec`` one.  The parser reads it
+#: (``_add_model_flags``), ``_spec`` builds from it and
 #: :func:`model_argv` renders a spec back into it, so a replay line
 #: parses back to the spec it came from.
 _MODEL_FLAGS = (
@@ -101,7 +104,6 @@ def model_argv(spec) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     from . import ModelConfig, TrainSpec
-    from .core.schedule import RING_SCHEDULES
     from .testing import (
         DEFAULT_HEAL_MODES, HEAL_SCHEDULES, default_differential_spec,
     )
@@ -299,105 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--iters", type=int, default=None)
     _add_obs_flags(p_cr)
 
-    p_bo = sub.add_parser(
-        "bench-overlap",
-        help="microbenchmark the double-buffered ring vs the synchronous "
-             "ring and write BENCH_overlap.json",
+    p_cx = sub.add_parser(
+        "bench-crossover",
+        help="race WeiPipe, 1F1B and FSDP on a priced wire, with early vs "
+             "late posting, flat vs hierarchical ring and thread vs process "
+             "as cells of the same table; writes one JSON artefact",
     )
-    bench_spec = TrainSpec(
-        ModelConfig(hidden=16, n_layers=16, n_heads=2, seq_len=16, vocab=16),
-        n_microbatches=16, microbatch_size=1, iters=3,
+    p_cx.add_argument(
+        "--reps", type=int, default=None,
+        help="alternating repetitions per cell (default 10; 2 with --quick)",
     )
-    _add_model_flags(p_bo, bench_spec)
-    p_bo.add_argument("--world", type=int, default=2)
-    p_bo.add_argument("--seed", type=int, default=7)
-    p_bo.add_argument(
-        "--mode", default="interleave",
-        choices=sorted(RING_SCHEDULES),
+    p_cx.add_argument(
+        "--quick", action="store_true",
+        help="toy shapes: structural checks only, no timed verdicts",
     )
-    p_bo.add_argument("--precision", default="fp64", choices=["fp32", "fp64"])
-    p_bo.add_argument(
-        "--link-delay", type=float, default=0.006,
-        help="reference wire: max per-message hold-back in seconds "
-             "(uniform in [0, d], deterministic per message in the seed)",
-    )
-    p_bo.add_argument(
-        "--chaos-seed", type=int, default=1,
-        help="seed of the reference wire's delay schedule",
-    )
-    p_bo.add_argument(
-        "--reps", type=int, default=3,
-        help="best-of-N wall-clock per engine per wire",
-    )
-    p_bo.add_argument(
-        "--no-control", action="store_true",
-        help="skip the zero-latency control runs (plain fabric)",
-    )
-    p_bo.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="process: also measure the thread-vs-process backend "
-             "comparison on the P>=4 weak-scaling configuration and "
-             "attach it to the artefact (the process backend must be "
-             "bit-exact and strictly faster there)",
-    )
-    p_bo.add_argument(
-        "--out", default="BENCH_overlap.json",
+    p_cx.add_argument(
+        "--out", default="BENCH_crossover.json",
         help="path of the JSON artefact",
     )
-    _add_obs_flags(p_bo)
-
-    p_bt = sub.add_parser(
-        "bench-topology",
-        help="benchmark the hierarchical weight ring vs the flat ring on "
-             "a seeded asymmetric wire and write BENCH_topology.json",
-    )
-    _add_model_flags(p_bt, bench_spec)
-    p_bt.add_argument("--world", type=int, default=4)
-    p_bt.add_argument(
-        "--groups", default="2x2", metavar="GxR",
-        help="topology group shape (world = G*R); gateways are the "
-             "lowest rank of each group",
-    )
-    p_bt.add_argument("--seed", type=int, default=7)
-    p_bt.add_argument(
-        "--mode", default="interleave",
-        choices=sorted(RING_SCHEDULES),
-    )
-    p_bt.add_argument("--precision", default="fp64", choices=["fp32", "fp64"])
-    p_bt.add_argument(
-        "--intra-bandwidth", type=float, default=2e9, metavar="B/S",
-        help="bandwidth of links inside a group",
-    )
-    p_bt.add_argument(
-        "--intra-latency", type=float, default=2e-6, metavar="S",
-        help="latency of links inside a group",
-    )
-    p_bt.add_argument(
-        "--inter-bandwidth", type=float, default=2e7, metavar="B/S",
-        help="bandwidth of links between groups (the slow boundary)",
-    )
-    p_bt.add_argument(
-        "--inter-latency", type=float, default=2e-4, metavar="S",
-        help="latency of links between groups",
-    )
-    p_bt.add_argument(
-        "--jitter", type=float, default=0.0005,
-        help="max seeded per-message hold-back in seconds (uniform in "
-             "[0, j], deterministic per message in the chaos seed)",
-    )
-    p_bt.add_argument(
-        "--chaos-seed", type=int, default=1,
-        help="seed of the wire's jitter schedule",
-    )
-    p_bt.add_argument(
-        "--reps", type=int, default=2,
-        help="best-of-N wall-clock per ring",
-    )
-    p_bt.add_argument(
-        "--out", default="BENCH_topology.json",
-        help="path of the JSON artefact",
-    )
-    _add_obs_flags(p_bt)
+    _add_obs_flags(p_cx)
 
     p_plan = sub.add_parser(
         "plan",
@@ -776,11 +698,13 @@ def _cmd_train(args) -> int:
         print(f"pool: steady_allocs_per_iter={steady} "
               f"arena_overflow_allocs={result.extra['arena_overflow_allocs']} "
               f"arena_overflow_bytes={result.extra['arena_overflow_bytes']}")
-    if topo is not None and fabric is not None and hasattr(fabric, "link_traffic"):
+    if topo is not None:
         print(f"topology={args.groups} gateways={list(topo.gateways())}")
-        for cls, t in fabric.link_traffic().items():
-            print(f"  {cls:<6}: {t['bytes']:,} bytes in {t['messages']:,} "
-                  "messages")
+        nbytes = fabric.metrics.total("fabric_link_bytes_total", label="link")
+        msgs = fabric.metrics.total("fabric_link_messages_total", label="link")
+        for cls in sorted(nbytes):
+            print(f"  {cls:<6}: {int(nbytes[cls]):,} bytes in "
+                  f"{int(msgs[cls]):,} messages")
     if args.checkpoint_every is not None:
         print(f"checkpoint written to {args.checkpoint_path}")
     _dump(args, tracer, metrics, [fabric] if process else ())
@@ -1013,124 +937,20 @@ def _cmd_self_heal(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_overlap(args) -> int:
-    from .experiments.overlap import run_overlap_comparison
+def _cmd_bench_crossover(args) -> int:
+    from .experiments.crossover import format_report, run_crossover
 
-    report = run_overlap_comparison(
-        **_model_kwargs(args), world=args.world, seed=args.seed,
-        mode=args.mode, precision=args.precision,
-        link_delay_s=args.link_delay, chaos_seed=args.chaos_seed,
-        reps=args.reps, zero_latency_control=not args.no_control,
-        backend=args.backend,
-        trace_path=args.trace_out, metrics_path=args.metrics_out,
-    )
+    tracer, metrics = _obs(args)
+    reps = args.reps if args.reps is not None else (2 if args.quick else 10)
+    report = run_crossover(reps=reps, quick=args.quick, tracer=tracer,
+                           metrics=metrics)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-
-    sync, ovl = report["sync"], report["overlap"]
-    print(f"wire                : seeded-delay <= {args.link_delay * 1e3:.1f} ms "
-          f"(chaos seed {args.chaos_seed})")
-    print(f"sync ring           : {sync['tokens_per_s']:,.0f} tokens/s "
-          f"({sync['wall_s'] * 1e3:,.0f} ms, "
-          f"wire-wait/compute {sync['wire_wait_per_compute']:.2f})")
-    print(f"overlap ring        : {ovl['tokens_per_s']:,.0f} tokens/s "
-          f"({ovl['wall_s'] * 1e3:,.0f} ms, "
-          f"wire-wait/compute {ovl['wire_wait_per_compute']:.2f})")
-    print(f"speedup             : {report['speedup_tokens_per_s']:.2f}x")
-    if "zero_latency" in report:
-        print(f"zero-latency control: "
-              f"{report['zero_latency']['speedup_tokens_per_s']:.2f}x "
-              "(compute-bound on the in-process fabric)")
-    print(f"bytes moved         : {ovl['bytes_moved']:,} "
-          f"(equal across engines: {report['bytes_equal']})")
-    print(f"pool                : {ovl['pool']}")
-    print(f"steady-state allocs : {ovl['steady_state_allocs_per_iter']} "
-          "new buffers/iteration after warmup")
-    print(f"losses bit-equal    : {report['losses_equal']}")
-    if "backends" in report:
-        b = report["backends"]
-        bc = b["config"]
-        print(f"backend comparison  : world={bc['world']} "
-              f"hidden={bc['hidden']} layers={bc['n_layers']} "
-              f"delay<={bc['link_delay_s'] * 1e3:.1f}ms (overlap engine)")
-        print(f"  thread            : {b['thread']['tokens_per_s']:,.0f} "
-              "tokens/s")
-        print(f"  process           : {b['process']['tokens_per_s']:,.0f} "
-              "tokens/s")
-        print(f"  process/thread    : "
-              f"{b['process_over_thread_tokens_per_s']:.2f}x "
-              f"(bit-equal: {b['losses_equal']}, "
-              f"traffic-equal: {b['bytes_equal']})")
+    print(format_report(report))
     print(f"[saved to {args.out}]")
-    if "trace_path" in report:
-        print(f"[trace written to {report['trace_path']}]")
-    if "metrics_path" in report:
-        print(f"[metrics written to {report['metrics_path']}]")
-    if not report["losses_equal"]:
-        return 1
-    if ovl["steady_state_allocs_per_iter"] != 0:
-        return 1
-    if "backends" in report:
-        b = report["backends"]
-        if not (b["losses_equal"] and b["bytes_equal"]):
-            return 1
-        if b["process_over_thread_tokens_per_s"] <= 1.0:
-            print("FAIL: process backend not strictly faster than thread "
-                  "on the weak-scaling configuration")
-            return 1
-    return 0
-
-
-def _cmd_bench_topology(args) -> int:
-    from .experiments.topology import run_topology_comparison
-
-    report = run_topology_comparison(
-        **_model_kwargs(args), world=args.world, groups=args.groups,
-        seed=args.seed, mode=args.mode, precision=args.precision,
-        intra_bandwidth=args.intra_bandwidth,
-        intra_latency_s=args.intra_latency,
-        inter_bandwidth=args.inter_bandwidth,
-        inter_latency_s=args.inter_latency,
-        jitter_s=args.jitter, chaos_seed=args.chaos_seed, reps=args.reps,
-        trace_path=args.trace_out, metrics_path=args.metrics_out,
-    )
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-
-    flat, hier = report["flat"], report["hier"]
-    cg, ig = report["cross_group"], report["intra_group"]
-    print(f"wire                : intra {args.intra_bandwidth / 1e9:.1f} GB/s, "
-          f"inter {args.inter_bandwidth / 1e6:.0f} MB/s, "
-          f"jitter <= {args.jitter * 1e3:.1f} ms "
-          f"(chaos seed {args.chaos_seed})")
-    print(f"groups              : {report['config']['groups']} "
-          f"(gateways {hier['extra'].get('gateways')})")
-    print(f"flat ring           : {flat['tokens_per_s']:,.0f} tokens/s "
-          f"({flat['wall_s'] * 1e3:,.0f} ms)")
-    print(f"hierarchical ring   : {hier['tokens_per_s']:,.0f} tokens/s "
-          f"({hier['wall_s'] * 1e3:,.0f} ms)")
-    print(f"speedup             : {report['speedup_tokens_per_s']:.2f}x")
-    if cg["reduction_factor"] is not None:
-        print(f"cross-group bytes   : flat {cg['flat_bytes']:,} -> "
-              f"hier {cg['hier_bytes']:,} "
-              f"({cg['reduction_factor']:.2f}x fewer: {cg['hier_lt_flat']})")
-    print(f"intra-group bytes   : conserved: {ig['equal']} "
-          f"({ig['hier_bytes']:,})")
-    print(f"boundary crossings  : {hier['extra']['inter_full_sends']} full, "
-          f"{hier['extra']['inter_ref_sends']} by reference")
-    print(f"losses bit-equal    : {report['losses_equal']}")
-    print(f"[saved to {args.out}]")
-    if "trace_path" in report:
-        print(f"[trace written to {report['trace_path']}]")
-    if "metrics_path" in report:
-        print(f"[metrics written to {report['metrics_path']}]")
-    if not report["losses_equal"]:
-        return 1
-    if not cg["hier_lt_flat"] or not ig["equal"]:
-        return 1
-    return 0
+    _dump(args, tracer, metrics)
+    return 0 if report["ok"] else 1
 
 
 def _cmd_postmortem(args) -> int:

@@ -36,7 +36,7 @@ what a hop does, never what is computed:
   this turn's compute, so the only wire wait left on the critical path
   is the consume point.  ``False`` posts the receives at the top of the
   turn that consumes them and forwards W *after* compute — the
-  unhidden-wire baseline the ``bench-overlap`` harness compares against;
+  unhidden-wire baseline ``bench-crossover``'s posting cell races;
 * ``topology`` (DESIGN.md §12) makes the weight-flow hooks
   boundary-aware: on a ring hop that crosses a group boundary a slot
   travels in full only during the first revolution and as a 24-byte
@@ -809,7 +809,7 @@ def train_weipipe(
 
     ``overlap`` places the ring's posts: next-turn receives and the W
     forward before this turn's compute (default), or at the top of the
-    consuming turn / after compute (the ``bench-overlap`` baseline).
+    consuming turn / after compute (the ``bench-crossover`` baseline).
     ``topology`` groups the ranks: weight slots cross each group
     boundary in full once per iteration and as 24-byte references
     afterwards (DESIGN.md §12; the ``weipipe-hier`` strategy), and the

@@ -22,7 +22,6 @@ from .figures import (
     run_figure9,
     run_scaling,
 )
-from .overlap import REFERENCE_CONFIG, run_overlap_comparison
 from .tables import TableResult, run_table, run_table2, run_table3, run_table4
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "TABLE2_ROWS",
     "TABLE3_ROWS",
     "TABLE4_ROWS",
-    "REFERENCE_CONFIG",
     "TableResult",
     "exec_for",
     "make_dims",
@@ -41,7 +39,6 @@ __all__ = [
     "run_figure7",
     "run_figure8",
     "run_figure9",
-    "run_overlap_comparison",
     "run_scaling",
     "run_table",
     "run_table2",

@@ -33,10 +33,10 @@ from ..sim.hardware import (
     A800,
     Cluster,
     GPU,
-    Link,
     nvlink_cluster,
     pcie_ethernet_cluster,
 )
+from ..runtime.topology import LinkSpec
 from ..sim.runner import SIM_STRATEGIES
 
 __all__ = [
@@ -149,10 +149,10 @@ class ClusterSpec:
                     memory=self.gpu_memory_bytes),
             nodes=self.world // gpn,
             gpus_per_node=gpn,
-            intra=Link(name="custom-intra", bandwidth=self.intra_bandwidth,
-                       latency=self.intra_latency_s),
-            inter=Link(name="custom-inter", bandwidth=self.inter_bandwidth,
-                       latency=self.inter_latency_s),
+            intra=LinkSpec("custom-intra", bandwidth=self.intra_bandwidth,
+                           latency=self.intra_latency_s),
+            inter=LinkSpec("custom-inter", bandwidth=self.inter_bandwidth,
+                           latency=self.inter_latency_s),
         )
 
     def budget_bytes(self, cluster: Optional[Cluster] = None) -> float:

@@ -77,9 +77,9 @@ class TopologyError(ValueError):
 class LinkSpec:
     """One directed point-to-point link: effective bandwidth + latency.
 
-    Mirrors :class:`repro.sim.hardware.Link` (same ``time`` contract) but
-    lives in the runtime so ``repro.runtime`` keeps zero dependencies on
-    the simulator package.
+    The one link type: the runtime's priced wire and the simulator's
+    :class:`~repro.sim.hardware.Cluster` both read it.  It lives here so
+    ``repro.runtime`` keeps zero dependencies on the simulator package.
     """
 
     name: str

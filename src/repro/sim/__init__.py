@@ -19,7 +19,6 @@ from .hardware import (
     PCIE,
     Cluster,
     GPU,
-    Link,
     nvlink_cluster,
     pcie_ethernet_cluster,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ETHERNET_10G",
     "ExecConfig",
     "GPU",
-    "Link",
     "NVLINK",
     "PCIE",
     "SIM_STRATEGIES",

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..runtime.topology import LinkSpec
+
 __all__ = [
     "GPU",
-    "Link",
     "Cluster",
     "A800",
     "NVLINK",
@@ -55,36 +56,23 @@ class GPU:
     memory: float  # bytes of HBM
 
 
-@dataclass(frozen=True)
-class Link:
-    """Directed point-to-point connection."""
-
-    name: str
-    bandwidth: float  # effective bytes/s
-    latency: float  # seconds per message
-
-    def time(self, nbytes: float) -> float:
-        """Transfer time for one message of ``nbytes``."""
-        return self.latency + nbytes / self.bandwidth
-
-
 A800 = GPU(name="A800-80GB", flops=312e12, memory=80e9)
 
 #: NVLink capped at 400 GB/s on the A800; ~80% achievable on ring traffic.
-NVLINK = Link(name="nvlink-400", bandwidth=320e9, latency=8e-6)
+NVLINK = LinkSpec("nvlink-400", bandwidth=320e9, latency=8e-6)
 
 #: PCIe 4.0 x16 (32 GB/s peak), ~2/3 effective under bidirectional load.
-PCIE = Link(name="pcie4-x16", bandwidth=22e9, latency=10e-6)
+PCIE = LinkSpec("pcie4-x16", bandwidth=22e9, latency=10e-6)
 
 #: 10 Gb Ethernet between servers: ~1.05 GB/s effective, ~50 us latency.
-ETHERNET_10G = Link(name="eth-10g", bandwidth=1.05e9, latency=5e-5)
+ETHERNET_10G = LinkSpec("eth-10g", bandwidth=1.05e9, latency=5e-5)
 
 #: the NVLink testbed's inter-server fabric (Table 2): the paper never
 #: names it, but its measured numbers bound it — WeiPipe's 2.4 GB/turn
 #: ring stays compute-bound at H=4096 (needs >~1.3 GB/s) while 134 MB
 #: activation hops still visibly hurt 1F1B at H=1024 (needs <~5 GB/s).
 #: A bonded/25GbE-class link at ~1.6 GB/s effective fits all three.
-INTER_SERVER = Link(name="inter-server", bandwidth=1.6e9, latency=3e-5)
+INTER_SERVER = LinkSpec("inter-server", bandwidth=1.6e9, latency=3e-5)
 
 
 @dataclass(frozen=True)
@@ -95,8 +83,8 @@ class Cluster:
     gpu: GPU
     nodes: int
     gpus_per_node: int
-    intra: Link
-    inter: Link
+    intra: LinkSpec
+    inter: LinkSpec
 
     @property
     def world_size(self) -> int:
@@ -107,7 +95,7 @@ class Cluster:
             raise ValueError(f"rank {rank} out of range")
         return rank // self.gpus_per_node
 
-    def link(self, src: int, dst: int) -> Link:
+    def link(self, src: int, dst: int) -> LinkSpec:
         """The link used by a message from ``src`` to ``dst``."""
         if src == dst:
             raise ValueError("no self-link")
@@ -118,7 +106,7 @@ class Cluster:
         p = self.world_size
         return [self.link(i, (i + 1) % p) for i in range(p)]
 
-    def slowest_ring_link(self) -> Link:
+    def slowest_ring_link(self) -> LinkSpec:
         return min(self.ring_links(), key=lambda l: l.bandwidth)
 
     def crossing_hops(self) -> int:
@@ -135,7 +123,7 @@ def nvlink_cluster(
     world_size: int,
     gpus_per_node: int = 8,
     gpu: GPU = A800,
-    inter: Link = INTER_SERVER,
+    inter: LinkSpec = INTER_SERVER,
 ) -> Cluster:
     """The paper's Table 2 environment: NVLink *within* each server.
 

@@ -9,11 +9,12 @@ zero-steady-state-allocation gate: after warmup neither backend's
 BufferPool may keep allocating.
 """
 
-import numpy as np
-
-from repro.experiments.overlap import run_backend_comparison
+from repro import FP64, ModelConfig, TrainSpec, train
+from repro.nn.params import BufferPool
+from repro.runtime import Fabric, ProcessTransport
 from repro.testing import (
     DEFAULT_DIFFERENTIAL_STRATEGIES,
+    compare_train_results,
     run_backend_differential,
 )
 
@@ -62,25 +63,33 @@ def test_backend_differential_reports_divergence():
 
 
 def test_backend_pools_reach_steady_state():
-    # small, zero-delay configuration: the gate is about allocation
-    # behaviour, not throughput, so no wire latency is injected.
-    section = run_backend_comparison(
-        hidden=16, n_layers=4, seq_len=8, vocab=16, world=4,
-        n_microbatches=8, microbatch_size=1, iters=6,
-        link_delay_s=0.0, reps=1,
+    # small configuration on a quiet wire: the gate is about allocation
+    # behaviour, not throughput.
+    spec = TrainSpec(
+        cfg=ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=16),
+        n_microbatches=8, microbatch_size=1, iters=6, seed=7, precision=FP64,
     )
-    assert section["losses_equal"]
-    assert section["bytes_equal"]
+    wires = {"thread": Fabric(4), "process": ProcessTransport()}
+    results = {
+        name: train(spec, "weipipe-interleave", 4, fabric=wire)
+        for name, wire in wires.items()
+    }
+    assert compare_train_results(results["process"], results["thread"], tol=0) is None
+    assert (wires["thread"].metrics.total("fabric_bytes_total")
+            == wires["process"].metrics.total("fabric_bytes_total"))
+    pools = {
+        "thread": wires["thread"].shared_pool(BufferPool).as_dict(),
+        "process": wires["process"].pool,
+    }
     # the ring draws its slots from the pool at construction and refreshes
     # forward copies in place: zero allocations per iteration once warm.
     # the thread pool may demand a few stragglers while ranks interleave
     # (see tests/integration/test_overlap.py).
-    assert section["process"]["steady_state_allocs_per_iter"] == 0
+    allocs = {name: r.extra["pool_allocs_by_iter"] for name, r in results.items()}
+    assert allocs["process"][-1] - allocs["process"][-2] == 0
     for name in ("thread", "process"):
-        allocs = section[name]["pool_allocs_by_iter"]
-        assert allocs[-1] - allocs[0] <= 4, (name, allocs)
-        pool = section[name]["pool"]
-        assert pool["backend"] == name
-        assert pool["allocations"] > 0
+        assert allocs[name][-1] - allocs[name][0] <= 4, (name, allocs[name])
+        assert pools[name]["backend"] == name
+        assert pools[name]["allocations"] > 0
     # the process pool draws its buffers from the shared arena.
-    assert section["process"]["pool"].get("arena_used", 0) > 0
+    assert pools["process"].get("arena_used", 0) > 0

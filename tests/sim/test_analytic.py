@@ -7,6 +7,7 @@ joint property test of the schedule builders and the engine.
 
 import pytest
 
+from repro.runtime import LinkSpec
 from repro.sim import WorkloadDims, evaluate
 from repro.sim.analytic import (
     activation_pp_bandwidth,
@@ -16,10 +17,10 @@ from repro.sim.analytic import (
     weipipe_turn_bandwidth,
 )
 from repro.sim.costmodel import CostModel, ExecConfig
-from repro.sim.hardware import A800, Cluster, Link
+from repro.sim.hardware import A800, Cluster
 from repro.sim.schedules import build_pipeline, build_weipipe
 
-FREE = Link(name="free", bandwidth=1e18, latency=0.0)
+FREE = LinkSpec("free", bandwidth=1e18, latency=0.0)
 
 
 def free_cluster(world: int) -> Cluster:

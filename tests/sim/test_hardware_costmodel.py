@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.runtime import LinkSpec
 from repro.sim import A800, ETHERNET_10G, NVLINK, PCIE, WorkloadDims
 from repro.sim.costmodel import CostModel, ExecConfig
-from repro.sim.hardware import Link, nvlink_cluster, pcie_ethernet_cluster
+from repro.sim.hardware import nvlink_cluster, pcie_ethernet_cluster
 
 
 class TestLinks:
     def test_link_time(self):
-        link = Link("x", bandwidth=1e9, latency=1e-5)
+        link = LinkSpec("x", bandwidth=1e9, latency=1e-5)
         assert link.time(1e9) == pytest.approx(1.0 + 1e-5)
 
     def test_catalogue_ordering(self):

@@ -7,7 +7,6 @@ import pytest
 
 from repro import FP32
 from repro.cli import _chaos_policy, _spec, build_parser, main
-from repro.core.schedule import RING_SCHEDULES
 from repro.runtime import ChaosPolicy
 from repro.testing import (
     DEFAULT_HEAL_MODES, HEAL_SCHEDULES, default_differential_spec,
@@ -38,10 +37,6 @@ class TestParser:
     def test_table_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "5"])
-
-    @pytest.mark.parametrize("command", ["bench-overlap", "bench-topology"])
-    def test_ring_modes_are_the_turn_table(self, command):
-        assert _option(command, "mode").choices == sorted(RING_SCHEDULES)
 
     def test_self_heal_modes_default_to_the_heal_matrix(self):
         assert _option("self-heal", "modes").default == ",".join(DEFAULT_HEAL_MODES)
@@ -400,44 +395,6 @@ class TestHybridCLI:
             ])
 
 
-class TestBenchOverlapCLI:
-    def test_smoke_writes_schema_tagged_json(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_overlap.json"
-        rc = main([
-            "bench-overlap", "--world", "2", "--layers", "4", "--hidden", "8",
-            "--heads", "2", "--seq", "8", "--vocab", "16",
-            "--microbatches", "4", "--iters", "2", "--reps", "1",
-            "--link-delay", "0.0005", "--out", str(out),
-        ])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro.bench_overlap/v2"
-        # no --backend process: the per-backend section is not included.
-        assert "backends" not in report
-        assert report["losses_equal"] is True
-        assert report["bytes_equal"] is True
-        assert report["overlap"]["steady_state_allocs_per_iter"] == 0
-        assert report["overlap"]["tokens_per_s"] > 0
-        assert report["zero_latency"]["losses_equal"] is True
-        printed = capsys.readouterr().out
-        assert "speedup" in printed and "losses bit-equal    : True" in printed
-
-    def test_no_control_skips_zero_latency(self, tmp_path):
-        import json
-
-        out = tmp_path / "b.json"
-        rc = main([
-            "bench-overlap", "--world", "2", "--layers", "2", "--hidden", "8",
-            "--heads", "2", "--seq", "8", "--vocab", "16",
-            "--microbatches", "2", "--iters", "2", "--reps", "1",
-            "--link-delay", "0.0", "--no-control", "--out", str(out),
-        ])
-        assert rc == 0
-        assert "zero_latency" not in json.loads(out.read_text())
-
-
 class TestExplainCLI:
     """One run surface: any run command records with ``--trace`` and
     ``explain`` reads the file."""
@@ -535,24 +492,6 @@ class TestTraceCLI:
         names = {x["name"] for x in m["metrics"]}
         assert "chaos_injections_total" in names
 
-    def test_bench_overlap_trace_flag(self, tmp_path):
-        import json
-
-        from repro.obs import validate_chrome_trace
-
-        out = tmp_path / "b.json"
-        trace = tmp_path / "t.json"
-        rc = main([
-            "bench-overlap", "--world", "2", "--layers", "2", "--hidden", "8",
-            "--heads", "2", "--seq", "8", "--vocab", "16",
-            "--microbatches", "2", "--iters", "2", "--reps", "1",
-            "--link-delay", "0.0", "--no-control", "--out", str(out),
-            "--trace", str(trace),
-        ])
-        assert rc == 0
-        assert json.loads(out.read_text())["trace_path"] == str(trace)
-        assert validate_chrome_trace(json.loads(trace.read_text())) == []
-
 
 class TestTopologyCLI:
     TINY = [
@@ -560,13 +499,15 @@ class TestTopologyCLI:
         "--seq", "8", "--vocab", "17", "--microbatches", "4", "--iters", "2",
     ]
 
-    def test_train_hier_with_groups(self, capsys):
-        rc = main(["train", "--strategy", "weipipe-hier",
-                   "--groups", "2x2", *self.TINY])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_train_hier_with_groups(self, backend, capsys):
+        """Both wires report the per-class traffic from their metrics."""
+        rc = main(["train", "--strategy", "weipipe-hier", "--groups", "2x2",
+                   "--backend", backend, *self.TINY])
         assert rc == 0
         out = capsys.readouterr().out
         assert "topology=2x2 gateways=[0, 2]" in out
-        assert "inter" in out and "intra" in out
+        assert "  inter : " in out and "  intra : " in out
 
     def test_train_flat_on_topology_fabric(self, capsys):
         """--groups without --strategy weipipe-hier still builds the
@@ -580,41 +521,58 @@ class TestTopologyCLI:
             main(["train", "--strategy", "weipipe-hier",
                   "--groups", "3x3", *self.TINY])
 
-    def test_bench_topology_smoke(self, capsys, tmp_path):
+
+class TestBenchCrossoverCLI:
+    """One priced-wire experiment: ``bench-crossover --quick`` checks the
+    structural invariants of every cell and gates no wall clock."""
+
+    def test_five_options(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["bench-crossover"]._actions}
+        assert dests - {"help"} == {
+            "reps", "quick", "out", "trace_out", "metrics_out",
+        }
+
+    def test_quick_run_keeps_every_invariant(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "BENCH_topology.json"
-        rc = main([
-            "bench-topology", "--world", "4", "--groups", "2x2",
-            "--hidden", "8", "--layers", "4", "--heads", "2", "--seq", "8",
-            "--vocab", "16", "--microbatches", "4", "--iters", "1",
-            "--reps", "1", "--jitter", "0.0001", "--out", str(out),
-        ])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro.bench_topology/v1"
-        assert report["losses_equal"] is True
-        assert report["cross_group"]["hier_lt_flat"] is True
-        assert report["intra_group"]["equal"] is True
-        printed = capsys.readouterr().out
-        assert "cross-group" in printed and "speedup" in printed
-
-    def test_bench_topology_trace_flag(self, tmp_path):
-        import json
-
+        from repro.experiments.crossover import SCHEMA
         from repro.obs import reconcile, validate_chrome_trace
 
-        out = tmp_path / "b.json"
-        trace = tmp_path / "t.json"
-        rc = main([
-            "bench-topology", "--world", "4", "--groups", "2x2",
-            "--hidden", "8", "--layers", "4", "--heads", "2", "--seq", "8",
-            "--vocab", "16", "--microbatches", "4", "--iters", "1",
-            "--reps", "1", "--jitter", "0.0001", "--out", str(out),
-            "--trace", str(trace),
-        ])
-        assert rc == 0
-        assert json.loads(out.read_text())["trace_path"] == str(trace)
+        out, trace = tmp_path / "x.json", tmp_path / "t.json"
+        assert main(["bench-crossover", "--quick", "--reps", "1",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == SCHEMA and report["ok"] is True
+        cells = {c["name"]: c for c in report["cells"]}
+        ledgers = {
+            name: [s["ledger"] for s in cells[name]["sides"]]
+            for name in ("posting slow", "ring 2x2", "backend fast")
+        }
+        # placement, grouping and backend change when and how frames
+        # move, never what is computed ...
+        for a, b in ledgers.values():
+            assert a["losses"] == b["losses"]
+        # ... and placement and backend not what crosses the wire.
+        for name in ("posting slow", "backend fast"):
+            a, b = ledgers[name]
+            assert (a["bytes"], a["messages"]) == (b["bytes"], b["messages"])
+        hier, flat = (l["link_bytes"] for l in ledgers["ring 2x2"])
+        assert hier["inter"] < flat["inter"]
+        assert hier["intra"] == flat["intra"]
+        steady = [
+            s["ledger"]["steady_allocs_per_iter"]
+            for c in report["cells"] for s in c["sides"]
+            if s["backend"] == "process" and s["strategy"].startswith("weipipe")
+        ]
+        assert len(steady) == 11 and set(steady) == {0}
+        # every side carries its DES prediction on the same link.
+        assert all(s["sim"]["over_measured"] > 0
+                   for c in report["cells"] for s in c["sides"])
+        assert "sim/meas" in capsys.readouterr().out
+
         doc = json.loads(trace.read_text())
         assert validate_chrome_trace(doc) == []
-        assert "hier_traffic" in reconcile(doc)
+        assert doc["metadata"]["strategy"] == "weipipe-hier"
+        assert reconcile(doc)["hier_traffic"]["within_tolerance"]
