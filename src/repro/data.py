@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 __all__ = ["UniformCorpus", "MarkovCorpus"]
 
@@ -38,7 +39,7 @@ class UniformCorpus:
     def microbatch(
         self, iteration: int, index: int, g: int, s: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng((self.seed, iteration, index))
+        rng = default_rng((self.seed, iteration, index))
         stream = rng.integers(0, self.vocab, size=(g, s + 1))
         return stream[:, :-1], stream[:, 1:]
 
@@ -68,7 +69,7 @@ class MarkovCorpus:
         self.vocab = vocab
         self.seed = seed
         self.branching = branching
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         self.transition = np.zeros((vocab, vocab))
         for t in range(vocab):
             succ = rng.choice(vocab, size=branching, replace=False)
@@ -93,7 +94,7 @@ class MarkovCorpus:
         self, iteration: int, index: int, g: int, s: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Deterministic batch: ``g`` independent chains of ``s+1`` tokens."""
-        rng = np.random.default_rng((self.seed, iteration, index))
+        rng = default_rng((self.seed, iteration, index))
         stream = np.stack([self._sample_stream(rng, s + 1) for _ in range(g)])
         return stream[:, :-1], stream[:, 1:]
 

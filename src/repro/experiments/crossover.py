@@ -37,6 +37,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..core.api import RING_STRATEGIES, train
 from ..core.weipipe import train_weipipe
@@ -164,7 +165,7 @@ def cells(quick: bool = False) -> List[Cell]:
 def _forward_s(spec: TrainSpec) -> float:
     """Median wall of one layer forward at ``spec``'s ``(G, S, H)``."""
     cfg = spec.cfg
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     w = init_layer_weights(cfg.hidden, cfg.ffn, rng, cfg.dtype)
     x = rng.standard_normal(
         (spec.microbatch_size, cfg.seq_len, cfg.hidden)).astype(cfg.dtype)

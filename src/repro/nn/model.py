@@ -19,6 +19,9 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+# bound at import: NumPy 2 loads numpy.random lazily, and a forked
+# rank that drew first would import it again on every launch.
+from numpy.random import default_rng
 
 from . import functional as F
 from .layer import (
@@ -127,7 +130,7 @@ def init_chunk(
         layout.append(("final_norm", (cfg.hidden,)))
         layout.append(("head", (cfg.hidden, cfg.vocab)))
     return init_params(
-        layout, np.random.default_rng((seed, idx)), cfg.dtype, pool
+        layout, default_rng((seed, idx)), cfg.dtype, pool
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn.model import ModelConfig, init_chunk, rope_tables
@@ -151,7 +152,7 @@ def microbatch(
         if tokens.max() >= v or targets.max() >= v:
             raise ValueError("data source produced token ids >= vocab")
         return tokens, targets
-    rng = np.random.default_rng((spec.data_seed, iteration, index))
+    rng = default_rng((spec.data_seed, iteration, index))
     stream = rng.integers(0, v, size=(g, s + 1))
     return stream[:, :-1], stream[:, 1:]
 

@@ -74,6 +74,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..obs import flight as _flight
 from .integrity import CorruptFrameError, corrupt_copy, payload_crc32
@@ -163,7 +164,7 @@ class ChaosPolicy:
             zlib.crc32(repr(tag).encode()),
             seq,
         )
-        rng = np.random.default_rng(key)
+        rng = default_rng(key)
         delay = float(rng.random() * self.max_delay) if rng.random() < self.delay_prob else 0.0
         dropped = bool(rng.random() < self.drop_prob)
         duplicated = bool(rng.random() < self.duplicate_prob)
@@ -182,7 +183,7 @@ class ChaosPolicy:
     def flip_rng(self, src: int, dst: int, tag: Tuple, seq: int, attempt: int) -> np.random.Generator:
         """RNG choosing *where* an SDC lands (and whether a retransmit is
         corrupted again) — pure in the frame identity plus attempt."""
-        return np.random.default_rng(
+        return default_rng(
             (abs(int(self.seed)), 0xB17F11B, src, dst,
              zlib.crc32(repr(tag).encode()), seq, attempt)
         )
@@ -196,7 +197,7 @@ class ChaosPolicy:
         if self.flap_prob > 0.0 and self.flap_len > 0:
             lo = max(0, link_post - self.flap_len + 1)
             for start in range(lo, link_post + 1):
-                rng = np.random.default_rng(
+                rng = default_rng(
                     (abs(int(self.seed)), 0xF1A9, src, dst, start)
                 )
                 if rng.random() < self.flap_prob:
@@ -209,7 +210,7 @@ class ChaosPolicy:
         if self.stall_rank == rank and self.stall_at_post == post_index:
             return self.stall_duration
         if self.stall_prob > 0.0 and self.max_stall > 0.0:
-            rng = np.random.default_rng(
+            rng = default_rng(
                 (abs(int(self.seed)), 0x57A11, rank, post_index)
             )
             if rng.random() < self.stall_prob:

@@ -67,21 +67,27 @@ nothing gets the constant alone, and an explicit ``arena_bytes`` wins
 over both.  An exhausted region is loud: one ``RuntimeWarning`` in the
 rank and ``arena_overflow_*`` counts in the pool ledger.
 
+The segment is one anonymous ``MAP_SHARED`` mapping the launcher
+creates before the fork and every rank inherits: it has no name, so
+nothing can leak into ``/dev/shm`` and no resource tracker is needed.
 Results come back by mapping too: a worker's return value is split by
-the same descriptor codec as a frame, only the small blob travels up
-the result pipe, and the launcher copies arena-resident bodies out of
-the segment once, before unlinking it.
+the same descriptor codec as a frame and only the small blob travels up
+the result pipe.  The launcher rebuilds each arena-resident body as a
+view of the segment — the final model is never copied — and then frees
+every page no result view covers (rings, control block, pool buffers)
+before it returns.  The mapping itself goes away with the last view.
 """
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
 import pickle
 import shutil
 import tempfile
 import time
 from multiprocessing import get_context
-from multiprocessing import shared_memory as mp_shm
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -107,7 +113,6 @@ from .shm import (
     ShmRing,
     arena_offset,
     encode_frame,
-    load_mapped,
     ring_offset,
     split_payload,
 )
@@ -128,6 +133,16 @@ DEFAULT_ARENA_BYTES = 1 << 25
 #: wake at OS-scheduler granularity (no interpreter switch interval), so
 #: this — not the GIL — bounds the hop latency.
 DEFAULT_POLL_S = 2e-4
+#: glibc's ``mallopt`` parameter numbers.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+#: the allocator settings a rank starts with: glibc's 64-bit ceiling for
+#: the mmap threshold (32 MiB) and a trim threshold of twice that, where
+#: glibc's own dynamic rule moves them after its first large free.
+#: Inherited instead, a rank's allocator depends on the launcher's
+#: history: from a launcher that never freed a large block, every
+#: multi-MB temporary of the rank is a fresh mmap whose pages fault in
+#: anew.
+_RANK_MALLOPT = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
 
 
 def _arena_regions(
@@ -140,6 +155,19 @@ def _arena_regions(
         for r in range(world + 1)
     ]
     return [segment[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _free_pages_outside(mapping: mmap.mmap, held: List[Tuple[int, int]]) -> None:
+    """Give back every page of ``mapping`` that no ``(offset, nbytes)``
+    range in ``held`` touches; the held pages stay with their views."""
+    page = mmap.PAGESIZE
+    end = -(-len(mapping) // page) * page
+    pos = 0
+    for lo, nbytes in sorted(held) + [(end, 0)]:
+        start = lo // page * page
+        if start > pos:
+            mapping.madvise(mmap.MADV_REMOVE, pos, start - pos)
+        pos = max(pos, -(-(lo + nbytes) // page) * page)
 
 
 _ARENA_POOL_CLS = None
@@ -454,6 +482,16 @@ def _stats_bundle(fabric: Fabric, wire: ShmWire) -> Dict:
     return bundle
 
 
+def _pin_malloc() -> None:
+    """Apply ``_RANK_MALLOPT`` (a no-op outside glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    for param, value in _RANK_MALLOPT:
+        mallopt(param, value)
+
+
 def _child_main(
     rank: int,
     world: int,
@@ -467,6 +505,7 @@ def _child_main(
 ) -> None:
     import traceback
 
+    _pin_malloc()
     wire = ShmWire(world, rank, segment, **wire_kw)
     fabric = Fabric(
         world, wire=wire, tracer=Tracer() if trace_dir is not None else None,
@@ -645,18 +684,19 @@ class ProcessTransport(Transport):
         if arena_bytes is None:
             # pages are committed on touch: the headroom is address space
             arena_bytes = (pool_bytes or 0) + DEFAULT_ARENA_BYTES
-        shm = mp_shm.SharedMemory(
-            create=True,
-            size=arena_offset(world_size, world_size, control_bytes,
-                              self.link_bytes, arena_bytes),
-        )
+        # anonymous and shared: the forked ranks inherit it, it has no
+        # name to leak, and it unmaps when its last view is dropped.
+        mapping = mmap.mmap(-1, arena_offset(
+            world_size, world_size, control_bytes, self.link_bytes, arena_bytes
+        ))
+        segment = memoryview(mapping)
         results: List[Any] = [None] * world_size
         errors: List[Optional[WorkerError]] = [None] * world_size
-        control: Optional[ControlBlock] = None
-        arena: Optional[ShmArena] = None
+        # the (offset, nbytes) segment ranges the results are views of.
+        held: List[Tuple[int, int]] = []
         trace_dir: Optional[str] = None
         try:
-            control = ControlBlock(shm.buf, world_size, create=True)
+            control = ControlBlock(segment, world_size, create=True)
             # clock handshake, half 1: publish the parent epoch before
             # any child can fork, so every child's sample is bracketed
             # by [epoch, first parent observation].
@@ -675,7 +715,7 @@ class ProcessTransport(Transport):
                         src, dst, world_size, control_bytes, self.link_bytes
                     )
                     ShmRing(
-                        shm.buf[off : off + ShmRing.HEADER + self.link_bytes],
+                        segment[off : off + ShmRing.HEADER + self.link_bytes],
                         self.link_bytes,
                         create=True,
                     )
@@ -689,7 +729,7 @@ class ProcessTransport(Transport):
             procs = [
                 ctx.Process(
                     target=_child_main,
-                    args=(r, world_size, shm.buf, pipes[r][1], fn, elastic,
+                    args=(r, world_size, segment, pipes[r][1], fn, elastic,
                           wire_kw, fabric_kw, trace_dir),
                     name=f"worker-{r}",
                     daemon=True,
@@ -765,12 +805,8 @@ class ProcessTransport(Transport):
                     p.join(timeout=2.0)
 
             self._observe_clock(world_size, control, clock_obs, parent_epoch)
-            if arena_bytes:
-                arena = ShmArena(
-                    _arena_regions(shm.buf, world_size, control_bytes,
-                                   self.link_bytes, arena_bytes),
-                    0,
-                )
+            arena_base = arena_offset(0, world_size, control_bytes,
+                                      self.link_bytes, arena_bytes)
             for r in sorted(set(range(world_size)) - pending):
                 report = reports.get(r)
                 if report is None:
@@ -784,7 +820,15 @@ class ProcessTransport(Transport):
                 status, result, err, bundle = report
                 self._merge_stats(r, bundle)
                 if status == "ok":
-                    results[r] = load_mapped(*result, arena)
+                    # arena-resident bodies come back as views of the
+                    # segment: the result holds its pages, nothing is copied.
+                    blob, specs = result
+                    spans = [(arena_base + region * arena_bytes + offset, nbytes)
+                             for region, offset, nbytes, _ in specs]
+                    results[r] = pickle.loads(blob, buffers=[
+                        segment[lo : lo + nbytes] for lo, nbytes in spans
+                    ])
+                    held += spans
                 else:
                     shipped, tb = err
                     errors[r] = WorkerError(r, _revive_exception(shipped), tb)
@@ -806,19 +850,8 @@ class ProcessTransport(Transport):
                 stuck=sorted(pending), timeout=timeout,
             )
         finally:
-            # the name goes first, so nothing below can leave a segment
-            # behind in /dev/shm.  Then every live slice of the mapping
-            # must be dropped before close() — an exported memoryview
-            # makes the munmap raise.
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            if control is not None:
-                control.release()
-            if arena is not None:
-                arena.release()
-            shm.close()
+            # the call frees what it used: only the results' pages outlive it.
+            _free_pages_outside(mapping, held)
             if trace_dir is not None:
                 shutil.rmtree(trace_dir, ignore_errors=True)
         return results, errors

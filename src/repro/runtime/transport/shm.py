@@ -32,8 +32,9 @@ they can be unit-tested in isolation:
   acquired from the receiving rank's :class:`BufferPool`, the same
   ``(numel, dtype)`` keys the ring engines later release, so the
   zero-steady-state-allocation property survives the backend switch.
-  The same split (:func:`split_payload` / :func:`load_mapped`) carries
-  worker results back to the launcher, which owns the segment.
+  The same split (:func:`split_payload`) carries worker results back
+  to the launcher, which rebuilds their arena-resident bodies as views
+  of the segment it mapped — the final model is never copied.
 
 * :class:`ShmArena` — per-rank bump regions of the same segment that
   back the :class:`BufferPool` miss allocator in each worker, making
@@ -84,7 +85,6 @@ __all__ = [
     "ShmRing",
     "arena_offset",
     "encode_frame",
-    "load_mapped",
     "ring_segment_size",
     "ring_offset",
     "split_payload",
@@ -280,12 +280,6 @@ class ShmArena:
             self._off = start + span
         return np.frombuffer(region[start : start + nbytes], dtype=dt)
 
-    def release(self) -> None:
-        """Drop this arena's views of the segment (the segment owner must
-        release every live slice before ``SharedMemory.close``)."""
-        for region in self._regions:
-            region.release()
-
     def locate(self, raw: memoryview) -> Optional[Tuple[int, int]]:
         """``(region, offset)`` when ``raw`` lies wholly inside a shared
         arena region (any rank's), else ``None``."""
@@ -342,11 +336,12 @@ def split_payload(
     Contiguous array bodies are elided from the blob.  A body that lives
     inside a shared arena region becomes a 4-tuple *descriptor* spec
     ``(region, offset, nbytes, fmt)`` — zero bytes moved, whoever maps
-    the segment re-wraps the same memory.  A private body becomes a
-    2-tuple copy spec ``(nbytes, fmt)`` with its bytes in ``raws`` (the
-    wire appends them after the blob), or stays inside the blob when
-    ``private_out_of_band`` is off (the result pipe, which has no
-    out-of-band lane of its own).
+    the segment re-wraps the same memory (a receiving rank, or the
+    launcher rebuilding a result as a view of the segment).  A private
+    body becomes a 2-tuple copy spec ``(nbytes, fmt)`` with its bytes in
+    ``raws`` (the wire appends them after the blob), or stays inside the
+    blob when ``private_out_of_band`` is off (the result pipe, which has
+    no out-of-band lane of its own).
     """
     specs: List[Tuple] = []
     raws: List[memoryview] = []
@@ -369,15 +364,6 @@ def split_payload(
 def _map_descriptor(arena: ShmArena, spec: Tuple) -> np.ndarray:
     region, offset, nbytes, fmt = spec
     return arena.view(region, offset, nbytes, _dtype_for(fmt, nbytes))
-
-
-def load_mapped(blob: bytes, specs: List[Tuple], arena: Optional[ShmArena]) -> Any:
-    """Rebuild a ``split_payload(..., private_out_of_band=False)`` value,
-    copying every descriptor's bytes out of the segment once — the
-    result owns its memory and outlives the mapping."""
-    return pickle.loads(
-        blob, buffers=[_map_descriptor(arena, spec).copy() for spec in specs]
-    )
 
 
 def encode_frame(
@@ -676,11 +662,6 @@ class ControlBlock:
     def disturb_token(self) -> bytes:
         """Abort byte + fail flags, for the cached hot-path compare."""
         return bytes(self._mv[8 : self._flags_off + self.world])
-
-    def release(self) -> None:
-        """Drop this block's view of the segment (the segment owner must
-        release every live slice before ``SharedMemory.close``)."""
-        self._mv.release()
 
     # -- progress ------------------------------------------------------------
 

@@ -9,6 +9,7 @@ constant arena), keep the explicit ``arena_bytes`` modes honest, and
 round-trip results through the descriptor codec.
 """
 
+import gc
 import os
 import warnings
 
@@ -295,21 +296,34 @@ def _mixed_result(comm: Communicator):
     }
 
 
-def test_result_roundtrip_outlives_the_segment():
-    before = set(os.listdir("/dev/shm"))
-    results = run_workers(2, _mixed_result, backend="process")
-    assert set(os.listdir("/dev/shm")) == before  # segment already unlinked
+def _check_mixed(results, bump):
     for rank, res in enumerate(results):
         assert res["rank"] == rank
-        want = np.arange(1000, dtype=np.float32) + rank
+        want = np.arange(1000, dtype=np.float32) + rank + bump
         assert res["resident"].dtype == np.float32
         assert np.array_equal(res["resident"], want)
         assert res["struct"].arena is not None
         assert np.array_equal(res["struct"]["w"], np.full((3, 4), float(rank)))
         assert np.array_equal(res["private"], np.arange(7) * rank)
         assert res["leaves"] == ("text", 3.5, None, [1, 2])
-        res["resident"] += 1.0  # owned, writable memory
-        assert np.array_equal(res["resident"], want + 1.0)
+
+
+def test_result_roundtrip_outlives_the_segment():
+    before = set(os.listdir("/dev/shm"))
+    results = run_workers(2, _mixed_result, backend="process")
+    assert set(os.listdir("/dev/shm")) == before  # the segment has no name
+    _check_mixed(results, 0.0)
+    for res in results:
+        res["resident"] += 1.0  # held, writable memory
+    _check_mixed(results, 1.0)
+    # a second launch maps a segment of its own: the first one's results
+    # are neither reused nor freed by it, nor by a collection.
+    _check_mixed(run_workers(2, _mixed_result, backend="process"), 0.0)
+    gc.collect()
+    _check_mixed(results, 1.0)
+    for res in results:
+        res["resident"] -= 1.0
+    _check_mixed(results, 0.0)
 
 
 def _resident_then_raise(comm: Communicator):

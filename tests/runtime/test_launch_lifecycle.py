@@ -1,0 +1,131 @@
+"""What a process launch leaves behind, and what its ranks inherit.
+
+A launch maps one anonymous shared segment before the fork.  It has no
+name, so nothing appears in ``/dev/shm`` and multiprocessing's resource
+tracker never starts.  The results come back as views of that segment,
+and every page they do not cover is freed before the launch returns:
+while a result is held, the segment costs its bytes and no more, and
+dropping the result gives those back too.  A rank also starts with
+its own allocator settings rather than whatever the launcher's
+allocation history left it.
+
+``Shmem`` in ``/proc/meminfo`` counts every shared page of the machine,
+so the memory checks allow 1 MiB for whatever else moves meanwhile.
+"""
+
+import gc
+import mmap
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import repro
+from repro import FP32, ModelConfig, TrainSpec
+from repro.core.weipipe import train_weipipe
+from repro.runtime import ProcessTransport
+from repro.testing import compare_train_results
+
+SLACK = 1 << 20
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``repro``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _shmem() -> int:
+    with open("/proc/meminfo") as f:
+        for line in f:
+            if line.startswith("Shmem:"):
+                return int(line.split()[1]) * 1024
+    pytest.skip("no Shmem line in /proc/meminfo")
+
+
+def _backing(arr: np.ndarray):
+    """The object at the bottom of an array's ``base`` chain."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_a_launch_names_nothing_and_starts_no_tracker():
+    done = _python("""
+        import os
+        from multiprocessing import resource_tracker
+        from repro.runtime import run_workers
+
+        before = sorted(os.listdir("/dev/shm"))
+        seen = run_workers(
+            2, lambda comm: sorted(os.listdir("/dev/shm")), backend="process"
+        )
+        assert seen == [before, before], (before, seen)
+        assert resource_tracker._resource_tracker._fd is None
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_held_memory_is_only_the_results():
+    # H=512, L=2 in fp32: a 25 MB model comes back from rank 0.
+    cfg = ModelConfig(hidden=512, n_layers=2, n_heads=8, seq_len=8, vocab=256,
+                      dtype=np.float32)
+    spec = TrainSpec(cfg=cfg, n_microbatches=2, microbatch_size=1, iters=1,
+                     precision=FP32)
+    gc.collect()
+    base = _shmem()
+    proc = train_weipipe(spec, 2, fabric=ProcessTransport())
+    held = _shmem() - base
+    result_bytes = sum(c.arena.nbytes for c in proc.chunks)
+    assert result_bytes > 24 << 20
+    assert all(isinstance(_backing(c.arena), mmap.mmap) for c in proc.chunks)
+    assert held <= result_bytes + SLACK, (held, result_bytes)
+    assert compare_train_results(proc, train_weipipe(spec, 2), tol=0) is None
+    del proc
+    gc.collect()
+    assert abs(_shmem() - base) <= SLACK
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="ranks pin glibc's malloc thresholds")
+def test_a_rank_reuses_what_it_freed_whatever_the_launcher_freed():
+    # a fresh launcher has never freed a large block: a rank that kept
+    # glibc's inherited thresholds would mmap a 16 MiB block afresh on
+    # every allocation and fault it in again (hundreds of faults, not a
+    # handful).
+    done = _python("""
+        import resource
+
+        import numpy as np
+
+        from repro.runtime import run_workers
+
+        def refaults(comm):
+            np.ones(16 << 20, np.uint8)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            np.ones(16 << 20, np.uint8)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults = run_workers(2, refaults, backend="process")
+        assert max(faults) < 64, faults
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_repro_loads_numpy_random():
+    # NumPy 2 imports numpy.random on first use; a rank forked before
+    # that would import it again on every launch.
+    done = _python("""
+        import sys
+        import repro
+        assert "numpy.random" in sys.modules
+    """)
+    assert done.returncode == 0, done.stderr
