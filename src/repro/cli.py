@@ -649,8 +649,7 @@ def _cmd_train(args) -> int:
             "shares one in-process fabric across rings)"
         )
     tracer, metrics = _obs(args, **trace_metadata(
-        args.strategy, args.world, spec, backend=args.backend,
-        **({"topology": topo.as_dict()} if topo is not None else {}),
+        args.strategy, args.world, spec, topology=topo, backend=args.backend,
     ))
     fabric = None
     if process:

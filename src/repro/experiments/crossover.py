@@ -15,10 +15,10 @@ vs the process backend.
 Each cell runs its sides in alternation ``reps`` times; a pair is one
 repetition, and a ratio is the first side's tokens/s over another's in
 the same pair.  Every side carries its byte ledger (read from the wire's
-metrics registry) and the DES prediction on the same link:
-``sim.run_cell`` on a :class:`~repro.sim.Cluster` whose links are the
-cell's and whose GPU is fitted by ``CostModel.calibrated`` to a layer
-forward timed at the cell's shape.
+metrics registry) and the DES prediction on the same links:
+``sim.predict_run``, the one wall model ``obs.reconcile`` also prices
+traced runs with, its GPU fitted to a layer forward timed at the cell's
+shape.
 
 The sweep was chosen from the byte ledger, not the closed form: on
 :data:`SHAPE` a two-iteration WeiPipe call moves 5.78 MB whatever ``G``
@@ -31,7 +31,7 @@ about one iteration's compute (0.22 s on two cores).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -46,7 +46,7 @@ from ..nn.layer import init_layer_weights, layer_fwd
 from ..obs import trace_metadata
 from ..parallel.common import TrainSpec
 from ..runtime import ChaosPolicy, Fabric, LinkSpec, ProcessTransport, Topology
-from ..sim import Cluster, CostModel, WorkloadDims, exec_for, run_cell
+from ..sim import predict_run
 
 __all__ = ["SCHEMA", "SHAPE", "POINTS", "LINKS", "run_crossover", "format_report"]
 
@@ -179,25 +179,11 @@ def _forward_s(spec: TrainSpec) -> float:
 
 
 def _predict(side: Side, t_fwd_layer: float) -> Dict:
-    """The DES on ``side``'s wire, its GPU fitted to ``t_fwd_layer``."""
-    cfg, spec = side.spec.cfg, side.spec
-    dims = WorkloadDims(
-        hidden=cfg.hidden, n_layers=cfg.n_layers, seq_len=cfg.seq_len,
-        microbatch=spec.microbatch_size, n_microbatches=spec.n_microbatches,
-        n_heads=cfg.n_heads, vocab=cfg.vocab,
-    )
-    exec_cfg = exec_for(side.strategy, "fp32")
-    exec_cfg = replace(
-        exec_cfg, recompute=spec.recompute, flash_attention=cfg.flash_attention,
-        overlap=exec_cfg.overlap and side.overlap,
-    )
-    topo = side.topology
-    cluster = Cluster(
-        gpu=CostModel.calibrated(dims, t_fwd_layer, exec_cfg).gpu,
-        nodes=topo.n_groups, gpus_per_node=topo.group_size,
-        intra=topo.intra, inter=topo.inter,
-    )
-    rep = run_cell(side.strategy, dims, cluster, exec_cfg)
+    """The DES of ``side`` on its priced wire (``sim.predict_run``)."""
+    _, _, rep = predict_run(trace_metadata(
+        side.strategy, side.world, side.spec, topology=side.topology,
+        priced=True, overlap=side.overlap,
+    ), t_fwd_layer)
     return {"t_fwd_layer_s": t_fwd_layer, "iteration_s": rep.makespan,
             "bytes": rep.comm_bytes_total}
 
@@ -307,8 +293,8 @@ def run_crossover(
         hier = next(c for c in table if c.name == "ring 2x2").sides[0]
         if tracer is not None:
             tracer.metadata.update(trace_metadata(
-                hier.strategy, hier.world, hier.spec, backend=hier.backend,
-                topology=hier.topology.as_dict(),
+                hier.strategy, hier.world, hier.spec, topology=hier.topology,
+                priced=True, backend=hier.backend,
             ))
         fabric = hier.fabric(tracer)
         hier.train(fabric)

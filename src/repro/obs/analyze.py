@@ -14,10 +14,11 @@ Input is a Chrome trace-event document produced by
   turn) must ship exactly one F + one B + one D chunk — the paper's
   ``2 W + 1 D`` claim, checked against the wire rather than a byte
   ledger.
-* :func:`reconcile` — fit :class:`repro.sim.costmodel.CostModel` to the
-  trace (calibrating effective throughput from the measured forward
-  spans, see ``CostModel.calibrated``) and report predicted-vs-measured
-  deltas for the backward/forward ratio and the iteration wall clock.
+* :func:`reconcile` — price the traced run on the simulator
+  (:func:`repro.sim.runner.predict_run`: the strategy's DES schedule on a
+  GPU calibrated from the measured forward spans, over the links the
+  wire charged) and report predicted-vs-measured deltas for the
+  backward/forward ratio and the iteration wall clock.
 
 Definitions (documented as part of the schema, DESIGN.md §11):
 
@@ -33,16 +34,17 @@ Definitions (documented as part of the schema, DESIGN.md §11):
   threaded runtime a blocked receiver releases the interpreter, so this
   measures how much of the wait was hidden behind peers' useful work.
 
-The reconciliation tolerances are deliberately loose and documented
-(DESIGN.md §11): the runtime is threaded NumPy — op dispatch dominates
-at test scale and BLAS kernels release the interpreter lock — so the
-model's serialised-compute wall prediction brackets the measurement
-within a factor ``WALL_TOL`` (default 3x) rather than matching it, and
-the measured backward/forward span ratio lands near ~1.1x instead of
-the flop-proportional 2x, inside ``RATIO_TOL`` (default 75%) relative
-error.  The point of the gate is catching *structural* drift (a span
-covering the wrong work, a calibration bug producing orders-of-magnitude
-error), not validating the A800 constants on a laptop.
+The reconciliation tolerances are loose and documented (DESIGN.md
+§11): the predicted wall is the makespan of the schedule the runtime
+ran, every rank on its own compute stream, so it brackets the
+measurement within a factor ``WALL_TOL`` (3x) — a backward that does
+not cost the modelled two forwards, and per-op interpreter overhead the
+calibration cannot see, keep it from matching — and the measured
+backward/forward span ratio lands near ~1.1x instead of the
+flop-proportional 2x, inside ``RATIO_TOL`` (75%) relative error.  The
+point of the gate is catching *structural* drift (a span covering the
+wrong work, a calibration bug producing orders-of-magnitude error), not
+validating the A800 constants on a laptop.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "load_trace",
@@ -470,15 +474,21 @@ def _mean_span_us(events: List[Dict], name: str) -> Optional[float]:
     return (sum(durs) / len(durs)) if durs else None
 
 
-def trace_metadata(strategy: str, world: int, spec, **extra) -> Dict:
+def trace_metadata(strategy: str, world: int, spec, topology=None,
+                   priced: bool = False, **extra) -> Dict:
     """The trace metadata :func:`reconcile` reads: the run's strategy,
-    world, recompute / flash-attention / overlap settings, iterations and
-    workload dims, all from ``spec`` (a ``TrainSpec``); ``extra`` adds
-    or overrides keys (``topology``, ``mode``, ``wire``, ...)."""
+    world, precision (its arrays' width), recompute / flash-attention /
+    overlap settings, iterations and workload dims, all from ``spec`` (a
+    ``TrainSpec``).  ``topology`` (a :class:`~repro.runtime.Topology`)
+    records the run's groups; ``priced`` says a ``ChaosPolicy`` charged
+    its links, which ``links`` then records — without one the wire
+    delivers instantly and the topology is accounting-only.  ``extra``
+    adds or overrides keys (``mode``, ``backend``, ...)."""
     cfg = spec.cfg
-    return {
+    meta = {
         "strategy": strategy,
         "world": world,
+        "precision": f"fp{8 * np.dtype(cfg.dtype).itemsize}",
         "recompute": spec.recompute,
         "flash_attention": cfg.flash_attention,
         "overlap": True,
@@ -489,57 +499,50 @@ def trace_metadata(strategy: str, world: int, spec, **extra) -> Dict:
             "n_microbatches": spec.n_microbatches,
             "n_heads": cfg.n_heads, "vocab": cfg.vocab,
         },
-        **extra,
     }
+    if topology is not None:
+        meta["topology"] = topology.as_dict()
+        if priced:
+            meta["links"] = {"intra": topology.intra.as_dict(),
+                             "inter": topology.inter.as_dict()}
+    return {**meta, **extra}
 
 
-def reconcile(
-    doc: Dict,
-    analysis: Optional[Dict] = None,
-    wall_tol: float = WALL_TOL,
-    ratio_tol: float = RATIO_TOL,
-) -> Dict:
-    """Predicted-vs-measured deltas against :mod:`repro.sim.costmodel`.
+def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
+    """Predicted-vs-measured deltas against the simulator.
 
     Requires trace ``metadata`` carrying ``dims`` (the workload) plus
-    ``world``/``recompute``/``mode`` — :func:`trace_metadata` writes
-    them (the CLI's ``--trace`` flags use it).  The model is
-    *calibrated* on the trace's own mean forward-span time
-    (``CostModel.calibrated``), then asked to predict (a) the
-    backward/forward time ratio and (b) the iteration wall clock on a
-    zero-latency wire — which for this GIL-serialised runtime is the
-    total compute across all ranks.
+    ``strategy`` / ``world`` / ``recompute`` — :func:`trace_metadata`
+    writes them (the CLI's ``--trace`` flags use it); ``precision``
+    (fp32 when absent), ``flash_attention`` / ``overlap`` (on when
+    absent) and ``links`` are read when present.  Both predictions come
+    from :func:`repro.sim.runner.predict_run`: the traced strategy's own
+    DES schedule on a GPU *calibrated* on the trace's mean forward-span
+    time, over the links the wire charged (``metadata["links"]``; free
+    links when no ``ChaosPolicy`` priced them).  It predicts (a) the
+    backward/forward time ratio of the rank programs' ops and (b) the
+    iteration wall clock, the DES makespan.
 
-    Both predictions price recomputation by the runtime's checkpoint rule
+    Both price recomputation by the runtime's checkpoint rule
     (:mod:`repro.nn.checkpoint`): the replays ``replayed_chunks`` counts
     on the traced strategy's rank programs (``core.api.rank_programs``),
     each at what a replay re-runs (``CostModel.flops_replay_layer``: no
-    down projection and, with the ``flash_attention`` the metadata states
-    — on when it does not — no attention core).  ``replays`` checks the
-    rule's count against the B spans' ``args["replayed"]``.
+    down projection and, with flash attention, no attention core).
+    ``replays`` checks the rule's count against the B spans'
+    ``args["replayed"]``.
     """
     from ..core.api import rank_programs
     from ..nn.checkpoint import replayed_chunks
-    from ..sim.costmodel import CostModel, ExecConfig, WorkloadDims
+    from ..sim.runner import predict_run
 
     meta = doc.get("metadata", {})
-    dims_meta = meta.get("dims")
-    if not dims_meta:
+    dims = meta.get("dims")
+    if not dims:
         raise ValueError(
             "trace metadata carries no workload dims; record the trace "
             "with `python -m repro train ... --trace PATH`"
         )
-    dims = WorkloadDims(
-        hidden=int(dims_meta["hidden"]),
-        n_layers=int(dims_meta["n_layers"]),
-        seq_len=int(dims_meta["seq_len"]),
-        microbatch=int(dims_meta["microbatch"]),
-        n_microbatches=int(dims_meta["n_microbatches"]),
-        n_heads=int(dims_meta.get("n_heads", 1)),
-        vocab=int(dims_meta.get("vocab", 1)),
-    )
     world = int(meta.get("world", 1))
-    recompute = bool(meta.get("recompute", False))
     if analysis is None:
         analysis = analyze_trace(doc)
 
@@ -552,20 +555,16 @@ def reconcile(
     # one span is one op of a rank's program: a ring slot's or a pipeline
     # stage's L/P layers, the whole model for one-unit programs.
     strategy = str(meta.get("strategy"))
-    programs, units = rank_programs(strategy, world, dims.n_microbatches)
-    layers_per_span = max(dims.n_layers // units, 1)
+    programs, units = rank_programs(strategy, world, int(dims["n_microbatches"]))
+    layers_per_span = max(int(dims["n_layers"]) // units, 1)
     t_fwd_layer_measured = (f_us / 1e6) / layers_per_span
+    model, cluster, sim = predict_run(meta, t_fwd_layer_measured)
 
-    cfg = ExecConfig(
-        recompute=recompute,
-        overlap=bool(meta.get("overlap", True)),
-        flash_attention=bool(meta.get("flash_attention", True)),
-    )
-    model = CostModel.calibrated(dims, t_fwd_layer_measured, cfg)
     iters = max(
         analysis["per_rank"][p]["iterations"] for p in analysis["per_rank"]
     )
-    replays = recompute * sum(sum(replayed_chunks(ops, layers_per_span)) for ops in programs)
+    replays = model.cfg.recompute * sum(
+        sum(replayed_chunks(ops, layers_per_span)) for ops in programs)
     result: Dict = {
         "calibration": {
             "t_fwd_layer_measured_s": t_fwd_layer_measured,
@@ -592,23 +591,22 @@ def reconcile(
             "predicted": predicted_b_over_f,
             "measured": measured_b_over_f,
             "rel_err": rel_err,
-            "within_tolerance": rel_err <= ratio_tol,
-            "tolerance": ratio_tol,
+            "within_tolerance": rel_err <= RATIO_TOL,
+            "tolerance": RATIO_TOL,
         }
 
-    # (b) iteration wall clock on the zero-latency wire.  The threaded
-    # runtime serialises compute on the interpreter lock, so the predicted
-    # wall is the *total* compute across ranks, not the per-rank share:
-    # every op of every rank's program at its price.
-    predicted_wall = sum(t for _, t in model.program_times(strategy, world))
+    # (b) iteration wall clock: the makespan of the schedule the runtime
+    # ran, every rank on its own compute stream, on the run's wire.
+    predicted_wall = sim.makespan
     measured_wall = analysis["summary"]["wall_s_max"] / max(iters, 1)
     ratio = measured_wall / predicted_wall if predicted_wall else float("inf")
     result["iteration_wall"] = {
         "predicted_s": predicted_wall,
         "measured_s": measured_wall,
         "ratio": ratio,
-        "within_tolerance": (1.0 / wall_tol) <= ratio <= wall_tol,
-        "tolerance_factor": wall_tol,
+        "within_tolerance": (1.0 / WALL_TOL) <= ratio <= WALL_TOL,
+        "tolerance_factor": WALL_TOL,
+        "links": {"intra": cluster.intra.name, "inter": cluster.inter.name},
     }
 
     # (c) cross-group traffic of a hierarchical (two-level ring) trace.

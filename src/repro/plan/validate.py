@@ -2,17 +2,19 @@
 
 The planner's ranking is simulated; this module closes the loop by
 executing the winning candidate on the functional runtime with tracing
-on and gating predicted-vs-measured wall clock through PR-4's
-``repro.obs.analyze.reconcile`` tolerances (``WALL_TOL`` /
+on and gating predicted-vs-measured wall clock through
+``repro.obs.analyze.reconcile``'s tolerances (``WALL_TOL`` /
 ``RATIO_TOL``, DESIGN.md §11).
 
-The functional runtime is threaded NumPy, so the validation run keeps
-the pick's *shape* — strategy, schedule, ring/pipeline structure, and
-(clamped) parallel degree — at the scaled-down dims of the spec's
-``validation`` section.  The gate is structural, exactly like the trace
-smoke gates: the cost model is re-calibrated on the run's own forward
-spans, so a pass means "the schedule the planner priced is the schedule
-that actually executed", not "a laptop reproduces A800 seconds".
+The functional runtime is NumPy on CPU threads, so the validation run
+keeps the pick's *shape* — strategy, schedule, ring/pipeline structure,
+and (clamped) parallel degree — at the scaled-down dims of the spec's
+``validation`` section.  The prediction is the planner's own simulator
+(``sim.runner.predict_run``): the pick's DES schedule, re-calibrated on
+the run's own forward spans, on the unpriced wire's free links.  A pass
+means "the schedule the planner priced is the schedule that actually
+executed, at the speed its forward spans imply", not "a laptop
+reproduces A800 seconds".
 
 Strategies the tracer does not instrument with forward spans (pure
 dp/fsdp/tp/sp) fall back to a run-only smoke gate: the run must finish

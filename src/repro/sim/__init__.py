@@ -24,7 +24,7 @@ from .hardware import (
 )
 from .memory import fits_memory, peak_memory, peak_memory_per_worker
 from .metrics import SimReport, evaluate
-from .runner import SIM_STRATEGIES, exec_for, run_cell
+from .runner import SIM_STRATEGIES, exec_for, predict_run, run_cell
 from .timeline import render_timeline
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "pcie_ethernet_cluster",
     "peak_memory",
     "peak_memory_per_worker",
+    "predict_run",
     "render_timeline",
     "run_cell",
     "simulate",

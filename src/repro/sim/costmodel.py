@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.api import rank_programs
 from ..nn.checkpoint import checkpoint_elements, replay_flops, replayed_chunks
@@ -61,10 +61,6 @@ __all__ = ["WorkloadDims", "ExecConfig", "CostModel", "PRECISION_WIDTHS"]
 EFF_MAX = 0.55
 H_HALF = 1500.0
 TOK_HALF = 800.0
-#: fixed per layer-op cost (kernel launches, scheduling) — weighs 4x
-#: heavier when OOM pressure forces G from 16 down to 4, the reason the
-#: paper's ZB baselines trail 1F1B despite near-zero bubbles (§6.1).
-OP_OVERHEAD = 1.5e-3
 
 #: fp16 bytes/token/hidden-unit of a full layer activation cache (flash on).
 ACT_FULL_COEF = 37.0
@@ -116,7 +112,8 @@ class WorkloadDims:
 
 #: per-precision storage/wire widths for :meth:`ExecConfig.for_precision`.
 #: fp16 trains with an fp32 master + Adam moments (12 B/param of
-#: optimizer state); fp32 needs no separate master, only the moments.
+#: optimizer state); fp32 and fp64 need no separate master, only the
+#: moments.  A traced run names its arrays' width (``trace_metadata``).
 PRECISION_WIDTHS = {
     "fp16": dict(
         act_bytes=2, bgrad_bytes=2, weight_bytes=2, wgrad_bytes=2,
@@ -125,6 +122,10 @@ PRECISION_WIDTHS = {
     "fp32": dict(
         act_bytes=4, bgrad_bytes=4, weight_bytes=4, wgrad_bytes=4,
         optimizer_bytes_per_param=8,
+    ),
+    "fp64": dict(
+        act_bytes=8, bgrad_bytes=8, weight_bytes=8, wgrad_bytes=8,
+        optimizer_bytes_per_param=16,
     ),
 }
 
@@ -168,9 +169,9 @@ class ExecConfig:
 class CostModel:
     """Times and sizes for one workload on one GPU model.
 
-    ``op_overhead`` (fixed seconds per layer-op) defaults to the
-    GPU-calibrated :data:`OP_OVERHEAD` constant; calibrated models
-    (below) override it per instance.
+    An op costs its FLOPs at the GPU's realised throughput plus the
+    GPU's fixed ``op_overhead`` (:class:`~repro.sim.hardware.GPU`), so a
+    model built on any cluster's ``gpu`` prices ops the same way.
     """
 
     def __init__(
@@ -178,12 +179,10 @@ class CostModel:
         dims: WorkloadDims,
         gpu: GPU,
         exec_cfg: ExecConfig = ExecConfig(),
-        op_overhead: Optional[float] = None,
     ):
         self.dims = dims
         self.gpu = gpu
         self.cfg = exec_cfg
-        self.op_overhead = OP_OVERHEAD if op_overhead is None else op_overhead
 
     @classmethod
     def calibrated(
@@ -198,22 +197,21 @@ class CostModel:
 
         This is how the trace analyzer (:mod:`repro.obs.analyze`)
         reconciles the functional runtime against the model: the runtime
-        is NumPy on CPU threads, nowhere near the A800 constants, so the
-        GPU-flops knob is re-fit from the trace's forward spans and
-        ``op_overhead`` is zeroed (the measured span already contains
+        is NumPy on CPU, nowhere near the A800 constants, so the
+        GPU-flops knob is re-fit from the trace's forward spans and the
+        GPU's ``op_overhead`` is 0 (the measured span already contains
         the real dispatch overhead).  Everything derived — the 2x
-        backward, recompute, bubble formulas — then predicts in the
-        measured time base.
+        backward, recompute, the DES on any cluster of this ``gpu`` —
+        then predicts in the measured time base.
         """
         if t_fwd_layer_measured <= 0.0:
             raise ValueError("t_fwd_layer_measured must be positive")
-        probe = cls(dims, GPU(name="calibrated", flops=1.0, memory=0.0),
-                    exec_cfg, op_overhead=0.0)
+        probe = cls(dims, GPU(name="calibrated", flops=1.0, memory=0.0,
+                              op_overhead=0.0), exec_cfg)
         flops = probe.flops_fwd_layer() / (
             t_fwd_layer_measured * probe.efficiency()
         )
-        return cls(dims, GPU(name="calibrated", flops=flops, memory=0.0),
-                   exec_cfg, op_overhead=0.0)
+        return cls(dims, replace(probe.gpu, flops=flops), exec_cfg)
 
     # -- compute ---------------------------------------------------------------
 
@@ -245,7 +243,7 @@ class CostModel:
         return replay_flops(self.flops_fwd_terms(), self.cfg.flash_attention)
 
     def _flop_time(self, flops: float) -> float:
-        return flops / (self.gpu.flops * self.efficiency()) + self.op_overhead
+        return flops / (self.gpu.flops * self.efficiency()) + self.gpu.op_overhead
 
     def t_fwd_layer(self) -> float:
         """Seconds to forward one layer for one microbatch; the B and W
@@ -269,18 +267,16 @@ class CostModel:
             for (kind, _), n in zip(ops, replays)
         ]
 
-    def program_times(self, strategy: str, world: int) -> List[Tuple[str, float]]:
-        """``(kind, seconds)`` of every op of every rank's program under
-        ``strategy`` (:func:`~repro.core.api.rank_programs`), by :meth:`op_times`."""
-        programs, units = rank_programs(strategy, world, self.dims.n_microbatches)
-        layers = self.dims.n_layers // units
-        return [(k, t) for ops in programs for (k, _), t in zip(ops, self.op_times(ops, layers))]
-
     def op_means(self, strategy: str, world: int) -> Tuple[float, float]:
         """``(T_F, T_B)`` of one unit — a stage's, a slot's or the whole
-        model's layers — averaged over :meth:`program_times`: what the
-        §4.4 closed forms (:mod:`repro.sim.analytic`) take per op."""
-        priced = self.program_times(strategy, world)
+        model's layers — averaged over every op of every rank's program
+        under ``strategy`` (:func:`~repro.core.api.rank_programs`) at
+        :meth:`op_times`: what the §4.4 closed forms
+        (:mod:`repro.sim.analytic`) take per op."""
+        programs, units = rank_programs(strategy, world, self.dims.n_microbatches)
+        layers = self.dims.n_layers // units
+        priced = [(k, t) for ops in programs
+                  for (k, _), t in zip(ops, self.op_times(ops, layers))]
         return tuple(fmean(t for k, t in priced if k == kind) for kind in "FB")
 
     def overlapped(self, compute: float, comm: float) -> float:

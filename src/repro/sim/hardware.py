@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+#: fixed per layer-op cost (kernel launches, scheduling) — weighs 4x
+#: heavier when OOM pressure forces G from 16 down to 4, the reason the
+#: paper's ZB baselines trail 1F1B despite near-zero bubbles (§6.1).
+OP_OVERHEAD = 1.5e-3
+
+
 @dataclass(frozen=True)
 class GPU:
     """Compute device model.
@@ -49,11 +55,19 @@ class GPU:
     :mod:`repro.sim.costmodel` (small per-op workloads do not saturate
     the tensor cores — the effect that punishes the ZB baselines when
     memory pressure forces their microbatch size down to 1).
+
+    ``op_overhead`` is the fixed seconds every layer-op pays on top of
+    its FLOPs (kernel launches, scheduling): :data:`OP_OVERHEAD` for the
+    catalogue's devices, 0 for one ``CostModel.calibrated`` fits to
+    measured spans, which already contain the real dispatch cost.  It
+    rides on the device, so every schedule builder that prices ops on
+    ``cluster.gpu`` charges the same overhead.
     """
 
     name: str
     flops: float  # peak fp16 FLOP/s
     memory: float  # bytes of HBM
+    op_overhead: float = OP_OVERHEAD
 
 
 A800 = GPU(name="A800-80GB", flops=312e12, memory=80e9)

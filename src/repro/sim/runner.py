@@ -15,16 +15,24 @@ rule (Section 5 + observed baseline behaviour) that all of them apply:
   posts early) and OFF for the baselines, whose stock implementations
   issue synchronous P2P (Megatron 1F1B/ZB) or per-layer blocking gathers
   (the authors' DeepSpeed ZeRO-3 config).
+
+``predict_run`` is the one wall model of a run measured on the runtime:
+``run_cell`` on a GPU fitted to the run's measured layer forward, over
+the links the run's wire charged.  ``repro.obs.reconcile`` prices a
+traced run with it and ``bench-crossover`` each of its sides.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import math
+from dataclasses import replace
+from typing import Callable, Dict, Tuple
 
 from ..core.api import FULL_CACHE_STRATEGIES, RING_STRATEGIES
 from ..core.schedule import ring_splits_backward
 from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
-from .costmodel import ExecConfig, WorkloadDims
+from ..runtime.topology import LinkSpec
+from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 from .metrics import SimReport, evaluate
 from .schedules.base import BuiltSchedule
@@ -34,7 +42,11 @@ from .schedules.seqpar import build_sp
 from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
 
-__all__ = ["run_cell", "exec_for", "SIM_STRATEGIES"]
+__all__ = ["run_cell", "exec_for", "predict_run", "FREE_LINK", "SIM_STRATEGIES"]
+
+#: the link of a wire no ``ChaosPolicy`` prices: a message arrives the
+#: moment it is sent (``Fabric.topology`` is then accounting-only).
+FREE_LINK = LinkSpec("free", bandwidth=math.inf)
 
 SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
     "gpipe": lambda d, c, e: build_pipeline("gpipe", d, c, e),
@@ -82,3 +94,36 @@ def run_cell(
             f"choose from {sorted(SIM_STRATEGIES)}"
         ) from None
     return evaluate(builder(dims, cluster, exec_cfg))
+
+
+def predict_run(run: Dict, t_fwd_layer: float) -> Tuple[CostModel, Cluster, SimReport]:
+    """The DES of a run measured on the runtime; the report's
+    ``makespan`` is the predicted iteration.
+
+    ``run`` describes the run as :func:`repro.obs.trace_metadata`
+    records it: ``strategy``, ``world``, ``dims``, ``recompute``;
+    ``precision`` (fp32 when absent), ``flash_attention`` / ``overlap``
+    (on when absent), the ``topology`` groups and the ``links`` its wire
+    charged when present.  The strategy's own schedule runs on a GPU
+    fitted to the run's measured layer forward of ``t_fwd_layer``
+    seconds (:meth:`CostModel.calibrated`, no per-op overhead), over the
+    charged links — :data:`FREE_LINK` where no ``ChaosPolicy`` priced
+    them.  The exec config is :func:`exec_for`'s with the run's settings;
+    it overlaps the wire where both the strategy and the run
+    (``overlap=False``: the ring's late posting) do.
+    """
+    strategy, world = str(run.get("strategy")), int(run.get("world", 1))
+    dims = WorkloadDims(**{k: int(v) for k, v in run["dims"].items()})
+    base = exec_for(strategy, run.get("precision", "fp32"))
+    exec_cfg = replace(
+        base, recompute=bool(run.get("recompute", False)),
+        flash_attention=bool(run.get("flash_attention", True)),
+        overlap=base.overlap and bool(run.get("overlap", True)),
+    )
+    links = {k: LinkSpec(**v) for k, v in (run.get("links") or {}).items()}
+    groups = len((run.get("topology") or {}).get("groups") or [()])
+    model = CostModel.calibrated(dims, t_fwd_layer, exec_cfg)
+    cluster = Cluster(gpu=model.gpu, nodes=groups, gpus_per_node=world // groups,
+                      intra=links.get("intra", FREE_LINK),
+                      inter=links.get("inter", FREE_LINK))
+    return model, cluster, run_cell(strategy, dims, cluster, exec_cfg)

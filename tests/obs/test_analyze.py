@@ -24,7 +24,7 @@ from repro.obs import (
     trace_metadata,
 )
 from repro.parallel.common import TrainSpec
-from repro.runtime import Fabric
+from repro.runtime import ChaosPolicy, Fabric, LinkSpec, Topology
 
 US = 1e6  # seconds -> trace microseconds
 
@@ -142,7 +142,8 @@ class TestGoldenTrace:
 class TestTraceMetadata:
     def test_round_trips_to_the_specs_workload_dims(self, monkeypatch):
         """What :func:`trace_metadata` writes is what :func:`reconcile`
-        prices: the spec's workload dims and its exec settings."""
+        prices: the spec's workload dims, its arrays' width (the default
+        ``ModelConfig`` computes in fp64) and its exec settings."""
         from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
 
         cfg = ModelConfig(hidden=24, n_layers=6, n_heads=3, seq_len=12,
@@ -163,17 +164,33 @@ class TestTraceMetadata:
         assert seen == [(
             WorkloadDims(hidden=24, n_layers=6, seq_len=12, microbatch=3,
                          n_microbatches=6, n_heads=3, vocab=40),
-            ExecConfig(recompute=True, overlap=True, flash_attention=True),
+            ExecConfig.for_precision("fp64", recompute=True, overlap=True,
+                                     flash_attention=True),
         )]
 
     def test_extra_keys_add_and_override(self):
         spec = TrainSpec(cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2,
                                          seq_len=4, vocab=8))
         meta = trace_metadata("weipipe-hier", 4, spec, overlap=False,
-                              topology={"groups": [[0, 1], [2, 3]]})
-        assert meta["overlap"] is False and meta["topology"]["groups"]
+                              topology=Topology.grid(4, "2x2"))
+        assert meta["overlap"] is False
+        assert meta["topology"]["groups"] == [[0, 1], [2, 3]]
         assert (meta["strategy"], meta["world"], meta["iters"]) == (
             "weipipe-hier", 4, 1)
+
+    def test_only_a_priced_wire_records_links(self):
+        """A topology without a ``ChaosPolicy`` only accounts traffic, so
+        its links are recorded only when the wire charged them."""
+        spec = TrainSpec(cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2,
+                                         seq_len=4, vocab=8))
+        topo = Topology.grid(4, "2x2", inter=LinkSpec("slow", bandwidth=6e6))
+        assert "links" not in trace_metadata("weipipe-hier", 4, spec,
+                                             topology=topo)
+        links = trace_metadata("weipipe-hier", 4, spec, topology=topo,
+                               priced=True)["links"]
+        assert links["inter"] == {"name": "slow", "bandwidth": 6e6,
+                                  "latency": 0.0}
+        assert links["intra"] == topo.intra.as_dict()
 
 
 def _traced_run(mode, iters=2, n_layers=4, world=2):
@@ -244,6 +261,8 @@ class TestMeasuredProperties:
         replay's price: the forward's FLOPs less the down projection and,
         with the streaming core, the attention core."""
         from repro.core.weipipe import train_weipipe
+        from repro.sim import Cluster, CostModel, ExecConfig, WorkloadDims, run_cell
+        from repro.sim.runner import FREE_LINK
 
         world, iters, n_mb, n_layers = 2, 2, 4, 4
         cfg = ModelConfig(hidden=16, n_layers=n_layers, n_heads=2, seq_len=8,
@@ -278,9 +297,22 @@ class TestMeasuredProperties:
         share = (fwd - down - core) / fwd
         assert rec["b_over_f"]["predicted"] == pytest.approx(
             2.0 + share * per_span / (n_layers // world))
-        no_replays = n_mb * n_layers * 3.0 * t_fwd
-        assert rec["iteration_wall"]["predicted_s"] == pytest.approx(
-            no_replays + ledger["replayed"] / iters * share * t_fwd)
+        # the wall is the DES makespan of the same schedule: every rank
+        # on its own compute stream, so under the summed work of all
+        # ranks and over a perfectly balanced split of it.
+        summed = (n_mb * n_layers * 3.0 * t_fwd
+                  + ledger["replayed"] / iters * share * t_fwd)
+        dims = WorkloadDims(hidden=cfg.hidden, n_layers=n_layers,
+                            seq_len=cfg.seq_len, microbatch=1,
+                            n_microbatches=n_mb, n_heads=2, vocab=cfg.vocab)
+        exec_cfg = ExecConfig.for_precision("fp32", recompute=True)
+        gpu = CostModel.calibrated(dims, t_fwd, exec_cfg).gpu
+        sim = run_cell("weipipe-interleave", dims, Cluster(
+            gpu=gpu, nodes=1, gpus_per_node=world, intra=FREE_LINK,
+            inter=FREE_LINK), exec_cfg)
+        wall = rec["iteration_wall"]["predicted_s"]
+        assert wall == pytest.approx(sim.makespan)
+        assert summed / world < wall < summed
 
         # the materialised core leaves a replay nothing to resume from
         doc["metadata"]["flash_attention"] = False
@@ -316,6 +348,42 @@ class TestMeasuredProperties:
         assert replays == {"predicted": res.extra["recompute"]["replayed"],
                            "measured": res.extra["recompute"]["replayed"]}
         assert (replays["predicted"] > 0) == recompute
+
+    def test_a_priced_wire_predicts_a_longer_wall(self):
+        """A trace whose wire charged a slow link is priced on that link:
+        the same trace without the ``links`` record is priced on free
+        links and predicts a shorter wall."""
+        from repro.core.weipipe import train_weipipe
+
+        cfg = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8,
+                          vocab=17)
+        spec = TrainSpec(cfg=cfg, n_microbatches=4, microbatch_size=1,
+                         iters=2)
+        topo = Topology.flat(2, LinkSpec("slow", bandwidth=6e6, latency=5e-5))
+        tracer = Tracer(metadata=trace_metadata(
+            "weipipe-interleave", 2, spec, topology=topo, priced=True))
+        train_weipipe(spec, 2, fabric=Fabric(
+            2, tracer=tracer, topology=topo, policy=ChaosPolicy.quiet()))
+        doc = tracer.chrome_trace()
+        priced = reconcile(doc)["iteration_wall"]
+        assert priced["links"] == {"intra": "slow", "inter": "slow"}
+        del doc["metadata"]["links"]
+        free = reconcile(doc)["iteration_wall"]
+        assert free["links"] == {"intra": "free", "inter": "free"}
+        assert priced["predicted_s"] > free["predicted_s"]
+        assert priced["measured_s"] == free["measured_s"]
+
+    def test_the_suites_metadata_reconciles(self):
+        """The benchmark suite writes only the keys reconcile requires —
+        no precision, flash-attention setting or links — and still gets
+        a wall prediction, on free links."""
+        doc, _ = _traced_run("interleave", iters=1)
+        meta = doc["metadata"]
+        doc["metadata"] = {k: meta[k] for k in (
+            "strategy", "world", "recompute", "overlap", "iters", "dims")}
+        wall = reconcile(doc)["iteration_wall"]
+        assert wall["predicted_s"] > 0.0 and wall["measured_s"] > 0.0
+        assert wall["links"] == {"intra": "free", "inter": "free"}
 
     def test_reconcile_needs_metadata(self):
         doc, _ = _traced_run("interleave")
