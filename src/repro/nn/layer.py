@@ -41,11 +41,12 @@ from .attention import (
     flash_attention_kept,
     flash_attention_resume,
 )
-from .params import BufferPool, ParamStruct
+from .params import ParamStruct
 from .rope import rope_apply, rope_apply_bwd
 
 __all__ = [
     "layer_layout",
+    "draw_scratch",
     "init_params",
     "init_layer_weights",
     "layer_param_count",
@@ -82,26 +83,29 @@ def layer_layout(hidden: int, ffn: int) -> List[Tuple[str, Tuple[int, ...]]]:
     ]
 
 
+def draw_scratch() -> np.ndarray:
+    """The float64 block :func:`init_params` draws through."""
+    return np.empty(_DRAW_BLOCK)
+
+
 def init_params(
     layout: Layout,
     rng: np.random.Generator,
-    dtype=np.float64,
-    pool: Optional[BufferPool] = None,
+    buf: np.ndarray,
+    scratch: np.ndarray,
 ) -> ParamStruct:
-    """Scaled-normal init of ``layout`` into one arena-backed struct,
-    on a buffer acquired from ``pool`` when there is one.
+    """Scaled-normal init of ``layout`` into the caller's flat ``buf``
+    (its dtype is the weights'), as one arena-backed struct.
 
     Vectors are norm gains and start at 1; matrices are drawn
     ``N(0, INIT_STD^2)`` in layout order.  The draws are float64 whatever
-    ``dtype`` is — block by block through one scratch array and cast on
-    the store into the struct's buffer — which is the stream
-    ``rng.normal(0.0, INIT_STD, shape).astype(dtype)`` per matrix reads,
-    without a float64 copy of any matrix.
+    the weights' dtype is — block by block through ``scratch``, a
+    :func:`draw_scratch`, and cast on the store into ``buf`` — which is
+    the stream ``rng.normal(0.0, INIT_STD, shape).astype(dtype)`` per
+    matrix reads, without a float64 copy of any matrix.  Both arrays come
+    from the caller, so a thread that runs this fills and never allocates.
     """
-    n = sum(int(np.prod(shape)) for _, shape in layout)
-    buf = pool.acquire(n, dtype) if pool is not None else np.empty(n, dtype=dtype)
     w = ParamStruct.from_arena(layout, buf)
-    scratch = np.empty(_DRAW_BLOCK)
     for name, shape in layout:
         flat = w[name].reshape(-1)
         if len(shape) == 1:
@@ -119,7 +123,8 @@ def init_layer_weights(
     hidden: int, ffn: int, rng: np.random.Generator, dtype=np.float64
 ) -> ParamStruct:
     """Initialise one decoder layer (scaled-normal init, Llama-style)."""
-    return init_params(layer_layout(hidden, ffn), rng, dtype)
+    buf = np.empty(layer_param_count(hidden, ffn), dtype=dtype)
+    return init_params(layer_layout(hidden, ffn), rng, buf, draw_scratch())
 
 
 def layer_param_count(hidden: int, ffn: int) -> int:

@@ -25,6 +25,7 @@ from numpy.random import default_rng
 
 from . import functional as F
 from .layer import (
+    draw_scratch,
     init_params,
     layer_bwd,
     layer_bwd_input,
@@ -34,7 +35,7 @@ from .layer import (
     layer_layout,
     layer_param_count,
 )
-from .params import BufferPool, ParamStruct
+from .params import ParamStruct
 from .rope import rope_angles
 
 __all__ = [
@@ -114,14 +115,20 @@ def rope_tables(cfg: ModelConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def init_chunk(
-    cfg: ModelConfig, seed: int, idx: int, pool: Optional[BufferPool] = None
+    cfg: ModelConfig,
+    seed: int,
+    idx: int,
+    buf: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> ParamStruct:
     """Initialise chunk ``idx`` alone, from its own stream ``(seed, idx)``.
 
     A chunk's layer matrices depend only on ``(seed, idx)`` and the layer
     shape — not on ``n_layers`` or on which other chunks were drawn — so a
-    worker that holds ``1/P`` of the model draws ``1/P`` of it, straight
-    into a buffer of its ``pool`` if it hands one in.
+    worker that holds ``1/P`` of the model draws ``1/P`` of it.  ``buf``
+    (:func:`chunk_param_count` elements of ``cfg.dtype``, e.g. a pool's)
+    and ``scratch`` (a :func:`~repro.nn.layer.draw_scratch`) are the
+    caller's when it hands them in, else allocated here.
     """
     layout = layer_layout(cfg.hidden, cfg.ffn)
     if idx == 0:
@@ -129,9 +136,11 @@ def init_chunk(
     if idx == cfg.n_layers - 1:
         layout.append(("final_norm", (cfg.hidden,)))
         layout.append(("head", (cfg.hidden, cfg.vocab)))
-    return init_params(
-        layout, default_rng((seed, idx)), cfg.dtype, pool
-    )
+    if buf is None:
+        buf = np.empty(chunk_param_count(cfg, idx), dtype=cfg.dtype)
+    if scratch is None:
+        scratch = draw_scratch()
+    return init_params(layout, default_rng((seed, idx)), buf, scratch)
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> List[ParamStruct]:

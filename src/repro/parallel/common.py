@@ -14,6 +14,8 @@ strategies honest.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +23,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from ..nn.checkpoint import CheckpointedChunk
-from ..nn.model import ModelConfig, init_chunk, rope_tables
+from ..nn.layer import draw_scratch
+from ..nn.model import ModelConfig, chunk_param_count, init_chunk, rope_tables
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
@@ -36,6 +39,22 @@ __all__ = [
     "recompute_ledger",
     "sum_recompute",
 ]
+
+
+#: the smallest chunk, in elements, that :meth:`TrainSpec.init_chunks`
+#: draws on more than one thread.  A thread start costs ~0.1-0.3 ms and
+#: 2^20 float64 normals ~15 ms, so from here on the start is lost in the
+#: draw; the suite's long-context chunks (~65 k) stay sequential.
+CONCURRENT_DRAW_MIN = 1 << 20
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, or the
+    machine's count where there is none (macOS)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -107,7 +126,8 @@ class TrainSpec:
         worker that holds ``1/P`` of the model pays for ``1/P`` of it and
         never aliases the caller's ``initial_chunks``.  With ``pool`` the
         chunks are drawn (or cloned) into buffers acquired from it, for a
-        worker whose slots must live there.
+        worker whose slots must live there.  Large draws run on every core
+        (:meth:`_draw`).
         """
         if ids is None:
             ids = range(self.cfg.n_layers)
@@ -116,7 +136,7 @@ class TrainSpec:
                 raise ValueError("initial_chunks do not match the model config")
             chunks = [self.initial_chunks[i].clone(pool) for i in ids]
         else:
-            chunks = [init_chunk(self.cfg, self.seed, i, pool) for i in ids]
+            chunks = self._draw(list(ids), pool)
         # in place (the chunks are ours, and a pooled buffer stays one),
         # and not at all where the storage format is the array's own.
         q, fmt = self.precision.q_weight, self.precision.weights
@@ -124,6 +144,59 @@ class TrainSpec:
             for a in c.values():
                 if not is_exact(fmt, a.dtype):
                     a[...] = q(a)
+        return chunks
+
+    def _draw(
+        self, ids: List[int], pool: Optional[BufferPool]
+    ) -> List[ParamStruct]:
+        """Fresh chunks ``ids`` from their own streams.
+
+        Two or more chunks of at least :data:`CONCURRENT_DRAW_MIN`
+        elements are drawn on ``min(len(ids), usable_cores())`` threads,
+        this one among them; each chunk reads only its own stream, so the
+        result is the sequential draw's, byte for byte.  Every buffer
+        (``pool``'s, else ``np.empty``) and every float64 scratch is
+        acquired here, on the calling thread, before any draw: a thread
+        that allocated its chunk itself would leave the block cached in
+        its own glibc arena, tens of MB of RSS in every rank forked later.
+        The threads are joined before return, so a launch that forks next
+        forks no thread.
+        """
+        cfg = self.cfg
+        sizes = [chunk_param_count(cfg, i) for i in ids]
+        bufs = [
+            pool.acquire(n, cfg.dtype) if pool is not None
+            else np.empty(n, dtype=cfg.dtype)
+            for n in sizes
+        ]
+        n_threads = 1
+        if len(ids) > 1 and min(sizes) >= CONCURRENT_DRAW_MIN:
+            n_threads = min(len(ids), usable_cores())
+        scratches = [draw_scratch() for _ in range(n_threads)]
+        chunks: List[Optional[ParamStruct]] = [None] * len(ids)
+        errors: List[BaseException] = []
+
+        def draw(k: int) -> None:
+            try:
+                for j in range(k, len(ids), n_threads):
+                    chunks[j] = init_chunk(
+                        cfg, self.seed, ids[j], bufs[j], scratches[k]
+                    )
+            except BaseException as e:  # re-raised on the calling thread
+                errors.append(e)
+
+        threads: List[threading.Thread] = []
+        try:
+            for k in range(1, n_threads):
+                t = threading.Thread(target=draw, args=(k,))
+                t.start()
+                threads.append(t)
+            draw(0)
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
         return chunks
 
     def rope(self) -> Tuple[np.ndarray, np.ndarray]:
