@@ -76,11 +76,27 @@ the result pipe.  The launcher rebuilds each arena-resident body as a
 view of the segment — the final model is never copied — and then frees
 every page no result view covers (rings, control block, pool buffers)
 before it returns.  The mapping itself goes away with the last view.
+
+A launch waits for its ranks' reports, not their exits.  It forks the
+ranks one after another; each starts up (copy-on-write faults, its
+allocator settings, its wire and fabric), runs ``fn`` and sends its
+report, and the launch returns once the last report is in and the pages
+are freed.  A rank that reported, whatever it reported, is not joined:
+ranks are daemons, multiprocessing reaps an exited one at the next
+``Process.start()`` or ``active_children()``, and terminates any still
+running at interpreter exit.  Until it exits a reported rank still maps
+the segment, so a dropped result's pages are freed when both are gone.
+A launch in which a rank died or never reported joins every rank, as
+before: the dead rank's exit code names it, and a failed launch leaves
+no rank behind.  glibc's ``mallopt``, which a rank calls to set its
+allocator thresholds, is looked up once in the launcher before the
+fork, so no rank repeats the lookup.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 import os
 import pickle
@@ -482,11 +498,26 @@ def _stats_bundle(fabric: Fabric, wire: ShmWire) -> Dict:
     return bundle
 
 
-def _pin_malloc() -> None:
-    """Apply ``_RANK_MALLOPT`` (a no-op outside glibc)."""
+@functools.cache
+def _glibc_mallopt() -> Optional[Callable[[int, int], int]]:
+    """glibc's ``mallopt``, or ``None`` outside glibc.
+
+    The launcher resolves it once, before its first fork, and every rank
+    calls the inherited pointer: a lookup inside a rank would
+    copy-on-write fault in the loader state it walks, ~0.4 ms a rank.
+    """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except AttributeError:
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _pin_malloc(mallopt: Optional[Callable[[int, int], int]]) -> None:
+    """Apply ``_RANK_MALLOPT`` through ``mallopt`` (a no-op without one)."""
+    if mallopt is None:
         return
     for param, value in _RANK_MALLOPT:
         mallopt(param, value)
@@ -502,10 +533,11 @@ def _child_main(
     wire_kw: Dict,
     fabric_kw: Dict,
     trace_dir: Optional[str],
+    mallopt: Optional[Callable[[int, int], int]],
 ) -> None:
     import traceback
 
-    _pin_malloc()
+    _pin_malloc(mallopt)
     wire = ShmWire(world, rank, segment, **wire_kw)
     fabric = Fabric(
         world, wire=wire, tracer=Tracer() if trace_dir is not None else None,
@@ -725,12 +757,13 @@ class ProcessTransport(Transport):
                 arena_bytes=arena_bytes,
                 poll_interval=self.poll_interval,
             )
+            mallopt = _glibc_mallopt()
             pipes = [ctx.Pipe(duplex=False) for _ in range(world_size)]
             procs = [
                 ctx.Process(
                     target=_child_main,
                     args=(r, world_size, segment, pipes[r][1], fn, elastic,
-                          wire_kw, fabric_kw, trace_dir),
+                          wire_kw, fabric_kw, trace_dir, mallopt),
                     name=f"worker-{r}",
                     daemon=True,
                 )
@@ -798,11 +831,17 @@ class ProcessTransport(Transport):
                     if p.is_alive():
                         p.terminate()
                         p.join(timeout=2.0)
-            for p in procs:
-                p.join(timeout=max(deadline.budget(), 2.0))
-                if p.is_alive():  # pragma: no cover - reported but stuck
-                    p.terminate()
-                    p.join(timeout=2.0)
+            # once every rank has reported, nothing waits for the exits:
+            # the ranks are daemons, reaped by the next Process.start(),
+            # by active_children() or at exit.  If any rank died or never
+            # reported, every rank is joined, so a failed launch leaves
+            # no rank behind.
+            if None in reports.values() or pending:
+                for p in procs:
+                    p.join(timeout=max(deadline.budget(), 2.0))
+                    if p.is_alive():  # pragma: no cover - reported but stuck
+                        p.terminate()
+                        p.join(timeout=2.0)
 
             self._observe_clock(world_size, control, clock_obs, parent_epoch)
             arena_base = arena_offset(0, world_size, control_bytes,

@@ -13,6 +13,7 @@ to prompt unwinding is the full 30 s.  ``/dev/shm`` is listed before and
 after every test, on every exit path.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -232,7 +233,10 @@ def _die_mid_frame_or_block(comm: Communicator):
 @pytest.mark.parametrize("elastic", [True, False])
 def test_sigkilled_child_interrupts_its_peer(worker, elastic):
     transport = ProcessTransport()
+    before = set(multiprocessing.active_children())
     results, errors = transport.launch(2, worker, 60.0, elastic)
+    # a launch with a rank that never reported joins every rank.
+    assert not set(multiprocessing.active_children()) - before
     assert "worker process died (exit code -9)" in str(errors[0])
     assert errors[1] is None
     assert results[1] == (("peer-failed", [0]) if elastic else "poisoned")

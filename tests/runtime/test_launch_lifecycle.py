@@ -5,21 +5,31 @@ name, so nothing appears in ``/dev/shm`` and multiprocessing's resource
 tracker never starts.  The results come back as views of that segment,
 and every page they do not cover is freed before the launch returns:
 while a result is held, the segment costs its bytes and no more, and
-dropping the result gives those back too.  A rank also starts with
-its own allocator settings rather than whatever the launcher's
-allocation history left it.
+dropping the result gives those back too.  A launch returns on its
+ranks' last report, not on their exits: a rank that reported is a
+daemon that multiprocessing reaps later, so back-to-back launches hold
+at most one launch's ranks, and their fds, at a time.  A rank also
+starts with its own allocator settings rather than whatever the
+launcher's allocation history left it.
 
 ``Shmem`` in ``/proc/meminfo`` counts every shared page of the machine,
-so the memory checks allow 1 MiB for whatever else moves meanwhile.
+so the memory checks allow 1 MiB for whatever else moves meanwhile.  A
+rank that has reported still maps the segment until it exits, so the
+result's pages leave ``Shmem`` only once the result is dropped *and*
+the launch's ranks are gone.
 """
 
 import gc
 import mmap
+import multiprocessing
+import multiprocessing.util
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +37,7 @@ import pytest
 import repro
 from repro import FP32, ModelConfig, TrainSpec
 from repro.core.weipipe import train_weipipe
-from repro.runtime import ProcessTransport
+from repro.runtime import ProcessTransport, run_workers
 from repro.testing import compare_train_results
 
 SLACK = 1 << 20
@@ -49,6 +59,12 @@ def _shmem() -> int:
             if line.startswith("Shmem:"):
                 return int(line.split()[1]) * 1024
     pytest.skip("no Shmem line in /proc/meminfo")
+
+
+def _open_fds() -> int:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    return len(os.listdir("/proc/self/fd"))
 
 
 def _backing(arr: np.ndarray):
@@ -88,10 +104,64 @@ def test_the_held_memory_is_only_the_results():
     assert result_bytes > 24 << 20
     assert all(isinstance(_backing(c.arena), mmap.mmap) for c in proc.chunks)
     assert held <= result_bytes + SLACK, (held, result_bytes)
+    # the thread-backend run also gives the launch's ranks, which still
+    # map the segment after reporting, the time to exit.
     assert compare_train_results(proc, train_weipipe(spec, 2), tol=0) is None
     del proc
     gc.collect()
     assert abs(_shmem() - base) <= SLACK
+
+
+LINGER_S = 5.0
+
+
+def _report_then_linger(comm):
+    # a child-side exit hook: the rank reports, then takes LINGER_S to exit.
+    multiprocessing.util.Finalize(None, time.sleep, (LINGER_S,), exitpriority=0)
+    return os.getpid()
+
+
+def _reaped(pids, within_s: float = 10.0) -> bool:
+    """Whether every pid has left ``active_children()``, which reaps."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline:
+        live = {p.pid for p in multiprocessing.active_children()}
+        if not live & set(pids):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def test_a_launch_returns_on_the_last_report_not_the_last_exit():
+    t0 = time.perf_counter()
+    pids = run_workers(2, _report_then_linger, backend="process")
+    elapsed = time.perf_counter() - t0
+    live = {p.pid for p in multiprocessing.active_children()}
+    try:
+        assert elapsed < LINGER_S / 2, elapsed
+        assert set(pids) <= live, (pids, live)
+    finally:
+        for pid in set(pids) & live:
+            os.kill(pid, signal.SIGKILL)  # cut the linger short
+    assert _reaped(pids)
+    for pid in pids:  # no zombie is left: neither pid is our child any more
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_back_to_back_launches_hold_one_launchs_ranks_at_most():
+    world = 2
+    for p in multiprocessing.active_children():  # earlier tests' ranks
+        p.join(timeout=10.0)
+    fds = _open_fds()
+    for _ in range(20):
+        run_workers(world, lambda comm: None, backend="process")
+        pids = [p.pid for p in multiprocessing.active_children()]
+        assert len(pids) <= world, pids
+        # a rank not yet reaped keeps its sentinel pipe open: two fds.
+        assert _open_fds() - fds <= 2 * len(pids)
+    assert _reaped(pids)
+    assert _open_fds() <= fds
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
