@@ -3,7 +3,7 @@
 Top-level convenience exports; see README.md for the tour.
 """
 
-from .core import strategy_names, train, train_weipipe, train_weipipe_dp
+from .core import ZOO, Strategy, strategy_names, train, train_weipipe, train_weipipe_dp
 from .data import MarkovCorpus, UniformCorpus
 from .io import (
     Checkpoint,
@@ -17,7 +17,7 @@ from .nn import FP32, FP64, MIXED, ModelConfig, ParamStruct, PrecisionPolicy
 from .nn.model import perplexity
 from .obs import MetricsRegistry, Tracer, analyze_trace, load_trace
 from .optim import SGD, Adam, AdamW, MasterWeightOptimizer
-from .parallel import ELASTIC_STRATEGIES, TrainResult, TrainSpec, train_elastic
+from .parallel import TrainResult, TrainSpec, train_elastic
 from .runtime import ChaosPolicy, LinkSpec, PeerFailed, Topology
 from .testing import run_crash_recovery, run_differential
 
@@ -30,7 +30,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CorruptCheckpointError",
-    "ELASTIC_STRATEGIES",
     "PeerFailed",
     "FP32",
     "FP64",
@@ -49,6 +48,7 @@ __all__ = [
     "ParamStruct",
     "PrecisionPolicy",
     "SGD",
+    "Strategy",
     "TrainResult",
     "TrainSpec",
     "Tracer",
@@ -61,5 +61,6 @@ __all__ = [
     "train_elastic",
     "train_weipipe",
     "train_weipipe_dp",
+    "ZOO",
     "__version__",
 ]

@@ -2,8 +2,8 @@
 
 Commands:
 
-* ``strategies`` — list everything the functional runtime and the
-  simulator can run;
+* ``strategies`` — one row per strategy record: its family / schedule
+  and whether it is simulated, elastic, reconcile-gated and full-cache;
 * ``train`` — train a small model on simulated workers and print the
   loss trajectory (functional layer; numerically real);
 * ``explain`` — read a trace a run recorded with ``--trace``: validate
@@ -541,11 +541,17 @@ def _print_analysis(analysis: dict, reconciliation: Optional[dict]) -> None:
 
 
 def _cmd_strategies(args) -> int:
-    from .core import strategy_names
-    from .sim.runner import SIM_STRATEGIES
+    from .core import ZOO
 
-    print("functional (train):", ", ".join(strategy_names()))
-    print("simulated (simulate):", ", ".join(sorted(SIM_STRATEGIES)))
+    rows = [("strategy", "family/schedule", "simulated", "elastic",
+             "reconcile-gated", "full-cache")]
+    for s in ZOO.values():
+        kind = filter(None, (s.family, s.schedule, "two-level" if s.hier else None))
+        flags = (s.simulated, s.elastic, s.reconcile_gated, s.full_cache)
+        rows.append((s.name, "/".join(kind), *("yes" if f else "no" for f in flags)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return 0
 
 
@@ -553,7 +559,7 @@ def _cmd_train(args) -> int:
     from dataclasses import replace
 
     from . import (
-        ELASTIC_STRATEGIES, MIXED, Adam, MasterWeightOptimizer, train,
+        ZOO, MIXED, Adam, MasterWeightOptimizer, strategy_names, train,
         train_elastic,
     )
     from .data import MarkovCorpus
@@ -581,10 +587,12 @@ def _cmd_train(args) -> int:
         raise SystemExit(
             "--checkpoint-every/--resume are not supported with --dp > 1"
         )
-    if args.checkpoint_every is not None and args.strategy not in ELASTIC_STRATEGIES:
+    elastic = args.strategy in ZOO and ZOO[args.strategy].elastic
+    if args.checkpoint_every is not None and not elastic:
         raise SystemExit(
             f"--checkpoint-every needs an elastic strategy "
-            f"({', '.join(ELASTIC_STRATEGIES)}); {args.strategy!r} is not one"
+            f"({', '.join(strategy_names(elastic=True))}); "
+            f"{args.strategy!r} is not one"
         )
 
     prior_losses: List[float] = []
@@ -671,7 +679,7 @@ def _cmd_train(args) -> int:
                 spec, ring_size=args.world // args.dp, dp_degree=args.dp,
                 fabric=fabric,
             )
-        elif durable and args.strategy in ELASTIC_STRATEGIES:
+        elif durable and elastic:
             result = train_elastic(
                 spec, args.strategy, args.world, fabric=fabric,
                 on_commit=on_commit if args.checkpoint_every is not None else None,
@@ -749,16 +757,14 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .core import strategy_names
     from .experiments.configs import exec_for
-    from .sim import (
-        SIM_STRATEGIES, WorkloadDims, nvlink_cluster, pcie_ethernet_cluster,
-        run_cell,
-    )
+    from .sim import WorkloadDims, nvlink_cluster, pcie_ethernet_cluster, run_cell
 
-    if args.strategy not in SIM_STRATEGIES:
+    if args.strategy not in strategy_names(simulated=True):
         raise SystemExit(
             f"simulate: unknown strategy {args.strategy!r}; "
-            f"choose from {sorted(SIM_STRATEGIES)}"
+            f"choose from {strategy_names(simulated=True)}"
         )
     if args.cluster == "nvlink":
         cluster = nvlink_cluster(args.world, gpus_per_node=args.gpus_per_node or 8)
@@ -807,15 +813,14 @@ def _cmd_figure(args) -> int:
 
 def _cmd_chaos_sweep(args) -> int:
     from .runtime import Fabric, ProcessTransport
-    from .testing import DEFAULT_DIFFERENTIAL_STRATEGIES, run_differential
+    from .testing import default_differential_strategies, run_differential
 
+    defaults = default_differential_strategies()
     if args.strategies is None:
-        strategies = dict(DEFAULT_DIFFERENTIAL_STRATEGIES)
+        strategies = defaults
     else:
         strategies = {
-            name.strip(): DEFAULT_DIFFERENTIAL_STRATEGIES.get(
-                name.strip(), args.world
-            )
+            name.strip(): defaults.get(name.strip(), args.world)
             for name in args.strategies.split(",")
             if name.strip()
         }
@@ -966,16 +971,16 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from .core import RING_STRATEGIES
-    from .parallel.pipeline import PIPELINE_SCHEDULES
+    from .core import ZOO
     from .sim import (
-        SIM_STRATEGIES, WorkloadDims, exec_for, nvlink_cluster, render_timeline,
+        WorkloadDims, build_schedule, exec_for, nvlink_cluster, render_timeline,
     )
     from .sim.costmodel import ExecConfig
     from .sim.schedules import RING_FIGURES, build_ring_figure
 
     name = args.schedule
-    choices = [*RING_STRATEGIES, *PIPELINE_SCHEDULES, *RING_FIGURES]
+    programs = [s.name for s in ZOO.values() if s.family in ("pipeline", "ring")]
+    choices = [*programs, *RING_FIGURES]
     if name not in choices:
         raise SystemExit(
             f"timeline: unknown schedule {name!r}; choose from {choices}"
@@ -988,8 +993,8 @@ def _cmd_timeline(args) -> int:
     if name in RING_FIGURES:
         built = build_ring_figure(name, dims, cluster, ExecConfig(recompute=False))
     else:
-        built = SIM_STRATEGIES[name](
-            dims, cluster, ExecConfig(recompute=exec_for(name).recompute)
+        built = build_schedule(
+            name, dims, cluster, ExecConfig(recompute=exec_for(name).recompute)
         )
     print(render_timeline(built, width=args.width, title=name))
     return 0

@@ -1,6 +1,6 @@
 """WeiPipe core: the weight-pipeline strategies and the training API."""
 
-from .api import RING_STRATEGIES, STRATEGIES, strategy_names, train
+from .api import ZOO, Strategy, strategy_names, train
 from .hybrid import train_weipipe_dp
 from .schedule import (
     RING_SCHEDULES,
@@ -19,8 +19,7 @@ from .weipipe import slot_chunk_ids, train_weipipe
 
 __all__ = [
     "RING_SCHEDULES",
-    "RING_STRATEGIES",
-    "STRATEGIES",
+    "Strategy",
     "TurnTask",
     "bwd_home",
     "bwd_slot_held",
@@ -36,4 +35,5 @@ __all__ = [
     "train_weipipe",
     "train_weipipe_dp",
     "turn_ops",
+    "ZOO",
 ]

@@ -15,31 +15,87 @@ string must not change the numbers (see ``tests/integration``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..parallel.common import TrainResult, TrainSpec
 from ..parallel.data_parallel import train_data_parallel
 from ..parallel.fsdp import train_fsdp
-from ..parallel.pipeline import PIPELINE_SCHEDULES, stage_program, train_pipeline
+from ..parallel.pipeline import splits_backward, stage_program, train_pipeline
 from ..parallel.serial import train_serial
 from ..parallel.sequence_parallel import train_sequence_parallel
 from ..parallel.tensor_parallel import train_tensor_parallel
 from ..runtime import Fabric, Topology, default_groups
-from .schedule import ring_program
+from .schedule import ring_program, ring_splits_backward
 from .weipipe import train_weipipe
 
-__all__ = ["train", "STRATEGIES", "RING_STRATEGIES", "FULL_CACHE_STRATEGIES",
-           "strategy_names", "rank_programs"]
+__all__ = ["train", "Strategy", "ZOO", "strategy_names", "rank_programs"]
 
-#: ring strategy -> (``core.schedule.RING_SCHEDULES`` mode, two-level
-#: ring?).  The one statement of it: the elastic step engines, the
-#: simulator, the memory model and the CLI read this table.
-RING_STRATEGIES: Dict[str, Tuple[str, bool]] = {
-    "weipipe-naive": ("naive", False),
-    "weipipe-interleave": ("interleave", False),
-    "weipipe-zb": ("zero-bubble", False),
-    "weipipe-hier": ("interleave", True),
-}
+Runner = Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the strategy zoo: what a strategy *is*, for every reader.
+
+    ``run(spec, world, fabric)`` trains it.  ``family`` (serial / dp /
+    fsdp / pipeline / ring / tp / sp) selects the per-family machinery the
+    other layers keep beside their own code — the DES builder
+    (``sim.runner``), the memory model (``sim.memory``) and the elastic
+    step engine (``parallel.elastic``) — so ``core`` never imports
+    ``sim``.  ``schedule`` is the family's row: a ``PIPELINE_SCHEDULES``
+    schedule or a ``RING_SCHEDULES`` mode; ``hier`` marks the two-level
+    ring.  ``divides`` names the sizes the parallel degree must divide
+    (``layers`` / ``heads`` / ``seq`` / ``microbatches``).
+    """
+
+    name: str
+    family: str
+    run: Runner
+    schedule: Optional[str] = None
+    hier: bool = False
+    divides: Tuple[str, ...] = ()
+    #: ``train_elastic`` has a step engine for it.
+    elastic: bool = False
+    #: the runtime keeps full caches and refuses ``recompute``.
+    full_cache: bool = False
+    #: its traces carry F spans, so a plan's live validation gates it
+    #: with ``reconcile()``; the others get the run-only smoke gate.
+    reconcile_gated: bool = False
+    #: the world :func:`repro.testing.run_differential` trains it at by
+    #: default; ``None`` leaves it out of the default matrix.  The four
+    #: left out are checked against serial elsewhere: ``gpipe``, ``zb2``
+    #: and ``dp`` in ``tests/integration/test_equivalence.py``,
+    #: ``weipipe-hier`` in ``tests/integration/test_weipipe_hier.py``.
+    differential_world: Optional[int] = None
+
+    @property
+    def simulated(self) -> bool:
+        """The DES and the memory model price every family but serial."""
+        return self.family != "serial"
+
+    @property
+    def split_backward(self) -> bool:
+        """Does its program run W apart from B?"""
+        if self.family == "ring":
+            return ring_splits_backward(self.schedule)
+        return self.family == "pipeline" and splits_backward(self.schedule)
+
+    @property
+    def recompute(self) -> bool:
+        """The execution rule (``sim.runner.exec_for``): recompute unless
+        the backward is split (paper §5) or the runtime keeps full caches."""
+        return not (self.split_backward or self.full_cache)
+
+    @property
+    def overlap(self) -> bool:
+        """Only the weight rings post their wire ahead of the compute."""
+        return self.family == "ring"
+
+    def divisible(self, degree: int, **sizes: int) -> bool:
+        """Does ``degree`` divide each of ``sizes`` (keyed ``layers`` /
+        ``heads`` / ``seq`` / ``microbatches``) this strategy splits?"""
+        return all(sizes[dim] % degree == 0 for dim in self.divides)
 
 
 def _serial(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
@@ -48,7 +104,15 @@ def _serial(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResul
     return train_serial(spec)
 
 
-def _ring(mode: str, hier: bool):
+def _pipeline(schedule: str, **flags) -> Strategy:
+    return Strategy(
+        schedule, "pipeline",
+        lambda s, w, f: train_pipeline(s, w, schedule=schedule, fabric=f),
+        schedule=schedule, divides=("layers",), reconcile_gated=True, **flags,
+    )
+
+
+def _ring(name: str, mode: str, hier: bool = False, **flags) -> Strategy:
     def run(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
         topo = None
         if hier:
@@ -59,29 +123,42 @@ def _ring(mode: str, hier: bool):
             )
         return train_weipipe(spec, world, mode=mode, fabric=fabric, topology=topo)
 
-    return run
+    return Strategy(
+        name, "ring", run, schedule=mode, hier=hier,
+        divides=("layers", "microbatches"), elastic=True, reconcile_gated=True,
+        **flags,
+    )
 
 
-STRATEGIES: Dict[str, Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]] = {
-    "serial": _serial,
-    "dp": lambda s, w, f: train_data_parallel(s, w, fabric=f),
-    "fsdp": lambda s, w, f: train_fsdp(s, w, fabric=f),
-    "gpipe": lambda s, w, f: train_pipeline(s, w, schedule="gpipe", fabric=f),
-    "1f1b": lambda s, w, f: train_pipeline(s, w, schedule="1f1b", fabric=f),
-    "zb1": lambda s, w, f: train_pipeline(s, w, schedule="zb1", fabric=f),
-    "zb2": lambda s, w, f: train_pipeline(s, w, schedule="zb2", fabric=f),
-    "tp": lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
-    "sp": lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
-    **{name: _ring(*row) for name, row in RING_STRATEGIES.items()},
-}
+#: every strategy, by the name ``train`` takes — the one statement of each.
+ZOO: Dict[str, Strategy] = {s.name: s for s in (
+    Strategy("serial", "serial", _serial, elastic=True),
+    _pipeline("gpipe"),
+    _pipeline("1f1b", differential_world=4),
+    _pipeline("zb1", differential_world=4),
+    _pipeline("zb2"),
+    Strategy("fsdp", "fsdp", lambda s, w, f: train_fsdp(s, w, fabric=f),
+             divides=("microbatches",), elastic=True, differential_world=4),
+    Strategy("dp", "dp", lambda s, w, f: train_data_parallel(s, w, fabric=f),
+             divides=("microbatches",), elastic=True),
+    Strategy("tp", "tp", lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
+             divides=("heads",), full_cache=True, differential_world=2),
+    Strategy("sp", "sp", lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
+             divides=("seq",), full_cache=True, differential_world=4),
+    _ring("weipipe-naive", "naive", differential_world=4),
+    _ring("weipipe-interleave", "interleave", differential_world=4),
+    _ring("weipipe-zb", "zero-bubble", differential_world=4),
+    _ring("weipipe-hier", "interleave", hier=True),
+)}
 
-#: the runtimes above that refuse ``recompute`` and keep full caches.
-FULL_CACHE_STRATEGIES = frozenset({"tp", "sp"})
 
-
-def strategy_names() -> list:
-    """All registered strategy names."""
-    return sorted(STRATEGIES)
+def strategy_names(**where) -> List[str]:
+    """Sorted names of the records whose fields equal ``where``
+    (``strategy_names(elastic=True)``); every name without."""
+    return sorted(
+        name for name, s in ZOO.items()
+        if all(getattr(s, k) == v for k, v in where.items())
+    )
 
 
 def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int]:
@@ -90,12 +167,12 @@ def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int
     model's layers split into.  A pipeline stage or a ring slot is one of
     ``world`` units; serial, DP, FSDP, TP and SP run the whole model as one
     unit, the program ``[F(mb), B(mb)]*`` over the rank's microbatches."""
-    if strategy in RING_STRATEGIES:
-        mode = RING_STRATEGIES[strategy][0]
-        return [ring_program(mode, world, r, n_mb) for r in range(world)], world
-    if strategy in PIPELINE_SCHEDULES:
-        return [stage_program(strategy, world, r, n_mb) for r in range(world)], world
-    local = n_mb // world if strategy in ("dp", "fsdp") else n_mb
+    s = ZOO[strategy]
+    if s.family == "ring":
+        return [ring_program(s.schedule, world, r, n_mb) for r in range(world)], world
+    if s.family == "pipeline":
+        return [stage_program(s.schedule, world, r, n_mb) for r in range(world)], world
+    local = n_mb // world if "microbatches" in s.divides else n_mb
     return [[op for mb in range(local) for op in (("F", mb), ("B", mb))]] * world, 1
 
 
@@ -113,12 +190,10 @@ def train(
     fork one worker process per rank over shared memory — every strategy
     is transport-agnostic, and results are bit-exact across backends.
     """
-    try:
-        fn = STRATEGIES[strategy]
-    except KeyError:
+    if strategy not in ZOO:
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {strategy_names()}"
-        ) from None
+        )
     if backend is not None and backend != "thread":
         if fabric is not None:
             raise ValueError("pass either fabric= or backend=, not both")
@@ -127,4 +202,4 @@ def train(
         from ..runtime import resolve_transport
 
         fabric = resolve_transport(None, backend)
-    return fn(spec, world_size, fabric)
+    return ZOO[strategy].run(spec, world_size, fabric)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy.random import default_rng
 
-from ..core.api import RING_STRATEGIES, train
+from ..core.api import ZOO, train
 from ..core.weipipe import train_weipipe
 from ..nn import ModelConfig
 from ..nn.layer import init_layer_weights, layer_fwd
@@ -99,9 +99,8 @@ class Side:
     def train(self, fabric):
         if self.overlap:
             return train(self.spec, self.strategy, self.world, fabric=fabric)
-        mode, _ = RING_STRATEGIES[self.strategy]
-        return train_weipipe(self.spec, self.world, mode=mode, fabric=fabric,
-                             overlap=False)
+        return train_weipipe(self.spec, self.world, mode=ZOO[self.strategy].schedule,
+                             fabric=fabric, overlap=False)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from .common import TrainResult, TrainSpec, microbatch
 from .data_parallel import train_data_parallel
-from .elastic import ELASTIC_STRATEGIES, ElasticState, step_engine_for, train_elastic
+from .elastic import ElasticState, step_engine_for, train_elastic
 from .fsdp import train_fsdp
 from .pipeline import stage_chunk_range, stage_program, train_pipeline
 from .sequence_parallel import train_sequence_parallel
@@ -10,7 +10,6 @@ from .serial import train_serial
 from .tensor_parallel import train_tensor_parallel
 
 __all__ = [
-    "ELASTIC_STRATEGIES",
     "ElasticState",
     "TrainResult",
     "TrainSpec",

@@ -46,10 +46,12 @@ from ..runtime import (
 from ..runtime.communicator import Communicator
 from ..runtime.recovery import ElasticResult, elastic_worker
 from .common import TrainResult, TrainSpec, init_opt_states
+from .data_parallel import dp_step
+from .fsdp import fsdp_step
+from .serial import serial_step
 
 __all__ = [
     "ElasticState",
-    "ELASTIC_STRATEGIES",
     "step_engine_for",
     "train_elastic",
 ]
@@ -69,30 +71,24 @@ class ElasticState:
     opt_state: List[Dict]
 
 
-#: strategies with a registered step engine (the fault-tolerant subset).
-ELASTIC_STRATEGIES: Tuple[str, ...] = (
-    "serial",
-    "dp",
-    "fsdp",
-    "weipipe-naive",
-    "weipipe-interleave",
-    "weipipe-zb",
-    "weipipe-hier",
-)
-
-
-def _ring_row(strategy: str) -> Optional[Tuple[str, bool]]:
-    """``(mode, hier)`` of a ring strategy, else None (imported late:
-    ``core.api`` imports this package)."""
-    from ..core.api import RING_STRATEGIES
-
-    return RING_STRATEGIES.get(strategy)
-
-
 #: a strategy's core compute: one iteration on a compute subgroup.
 _ComputeFn = Callable[
     [Communicator, int, ElasticState], Tuple[float, List[ParamStruct], List[Dict]]
 ]
+
+
+def _record(strategy: str):
+    """The record of ``strategy`` when its family has a step engine
+    (imported late: ``core.api`` imports this package)."""
+    from ..core.api import ZOO, strategy_names
+
+    s = ZOO.get(strategy)
+    if s is None or s.family not in _STEPS:
+        raise ValueError(
+            f"strategy {strategy!r} has no elastic step engine; "
+            f"choose from {strategy_names(elastic=True)}"
+        )
+    return s
 
 
 def _largest_world(available: int, usable: Callable[[int], bool]) -> int:
@@ -102,65 +98,51 @@ def _largest_world(available: int, usable: Callable[[int], bool]) -> int:
     raise AssertionError("world size 1 must always be usable")  # pragma: no cover
 
 
-def _compute_world_fn(strategy: str, spec: TrainSpec) -> Callable[[int], int]:
-    """How many of the available ranks a strategy can actually use."""
-    if strategy == "serial":
+def _compute_world_fn(s, spec: TrainSpec) -> Callable[[int], int]:
+    """How many of the available ranks a strategy can actually use: the
+    largest world dividing every size its record ``divides``."""
+    if s.family == "serial":
         return lambda available: 1
-    if strategy in ("dp", "fsdp"):
-        return lambda available: _largest_world(
-            available, lambda w: spec.n_microbatches % w == 0
+    cfg = spec.cfg
+    return lambda available: _largest_world(available, lambda w: s.divisible(
+        w, layers=cfg.n_layers, heads=cfg.n_heads, seq=cfg.seq_len,
+        microbatches=spec.n_microbatches,
+    ))
+
+
+def _ring_step(s, spec: TrainSpec) -> _ComputeFn:
+    from ..core.weipipe import weipipe_step
+
+    # the overlap placement (double-buffered nonblocking ring, pooled
+    # arenas) is bit-identical to the late one, so elastic recovery
+    # gets the fast path too: abandoned posted receives from a failed
+    # step can never cross-match a retry because every step runs in
+    # its own ("compute", global_step) tag namespace inside the
+    # recovery epoch's namespace.
+    def ring_step(csub, it, st):
+        # a fresh worker per step re-derives the group layout from the
+        # *current* compute world and starts with empty gateway caches
+        # — every shrink or rejoin therefore invalidates all cached
+        # weight slots by construction.
+        w = csub.world_size
+        topo = Topology.grid(w, default_groups(w)) if s.hier else None
+        return weipipe_step(
+            csub, spec, it, st.chunks, st.opt_state, mode=s.schedule, topology=topo
         )
-    if _ring_row(strategy) is not None:
-        return lambda available: _largest_world(
-            available,
-            lambda w: spec.cfg.n_layers % w == 0 and spec.n_microbatches % w == 0,
-        )
-    raise ValueError(
-        f"strategy {strategy!r} has no elastic step engine; "
-        f"choose from {list(ELASTIC_STRATEGIES)}"
-    )
+
+    return ring_step
 
 
-def _compute_fn(strategy: str, spec: TrainSpec) -> _ComputeFn:
-    if strategy == "serial":
-        from .serial import serial_step
-
-        return lambda csub, it, st: serial_step(spec, it, st.chunks, st.opt_state)
-    if strategy == "dp":
-        from .data_parallel import dp_step
-
-        return lambda csub, it, st: dp_step(csub, spec, it, st.chunks, st.opt_state)
-    if strategy == "fsdp":
-        from .fsdp import fsdp_step
-
-        return lambda csub, it, st: fsdp_step(csub, spec, it, st.chunks, st.opt_state)
-    if _ring_row(strategy) is not None:
-        from ..core.weipipe import weipipe_step
-
-        # the overlap placement (double-buffered nonblocking ring, pooled
-        # arenas) is bit-identical to the late one, so elastic recovery
-        # gets the fast path too: abandoned posted receives from a failed
-        # step can never cross-match a retry because every step runs in
-        # its own ("compute", global_step) tag namespace inside the
-        # recovery epoch's namespace.
-        mode, hier = _ring_row(strategy)
-
-        def ring_step(csub, it, st):
-            # a fresh worker per step re-derives the group layout from the
-            # *current* compute world and starts with empty gateway caches
-            # — every shrink or rejoin therefore invalidates all cached
-            # weight slots by construction.
-            w = csub.world_size
-            topo = Topology.grid(w, default_groups(w)) if hier else None
-            return weipipe_step(
-                csub, spec, it, st.chunks, st.opt_state, mode=mode, topology=topo
-            )
-
-        return ring_step
-    raise ValueError(
-        f"strategy {strategy!r} has no elastic step engine; "
-        f"choose from {list(ELASTIC_STRATEGIES)}"
-    )
+#: family -> the step engine's core compute for an elastic record.
+_STEPS: Dict[str, Callable[..., _ComputeFn]] = {
+    "serial": lambda s, spec: lambda csub, it, st: serial_step(
+        spec, it, st.chunks, st.opt_state),
+    "dp": lambda s, spec: lambda csub, it, st: dp_step(
+        csub, spec, it, st.chunks, st.opt_state),
+    "fsdp": lambda s, spec: lambda csub, it, st: fsdp_step(
+        csub, spec, it, st.chunks, st.opt_state),
+    "ring": _ring_step,
+}
 
 
 def step_engine_for(strategy: str, spec: TrainSpec):
@@ -172,8 +154,9 @@ def step_engine_for(strategy: str, spec: TrainSpec):
     sub-ring the strategy's divisibility constraints allow, computes,
     and forwards the committed ``(loss, state)`` to any idle ranks.
     """
-    compute = _compute_fn(strategy, spec)
-    compute_world = _compute_world_fn(strategy, spec)
+    s = _record(strategy)
+    compute = _STEPS[s.family](s, spec)
+    compute_world = _compute_world_fn(s, spec)
 
     def run_step(
         sub: Communicator, global_step: int, state: ElasticState
@@ -234,11 +217,6 @@ def train_elastic(
     boundary — the ring re-grows toward the full world
     (:mod:`repro.runtime.recovery`).
     """
-    if strategy not in ELASTIC_STRATEGIES:
-        raise ValueError(
-            f"strategy {strategy!r} has no elastic step engine; "
-            f"choose from {list(ELASTIC_STRATEGIES)}"
-        )
     engine = step_engine_for(strategy, spec)
     chunks = spec.init_chunks()
     opt = spec.make_optimizer()

@@ -23,7 +23,6 @@ from .search import (
     search,
 )
 from .spec import (
-    DEFAULT_STRATEGIES,
     ClusterSpec,
     ModelSpec,
     PlanSpec,
@@ -32,12 +31,10 @@ from .spec import (
     ValidationSpec,
     load_spec,
 )
-from .validate import RECONCILE_GATED, validate_candidate
+from .validate import validate_candidate
 
 __all__ = [
     "PLAN_SCHEMA",
-    "DEFAULT_STRATEGIES",
-    "RECONCILE_GATED",
     "Candidate",
     "ClusterSpec",
     "Evaluated",

@@ -24,15 +24,16 @@ Shape rules (DESIGN.md §15):
 * ``degree == 1`` collapses every strategy to pure DP, so only the
   ``dp`` strategy enumerates it (no duplicate candidates); conversely
   ``dp``'s only shape *is* ``degree == 1``.
-* pipelines and rings need ``n_layers % degree == 0``; rings also need
-  the per-replica microbatch count divisible by the ring size; ``tp``
-  needs ``n_heads % degree``, ``sp`` needs ``seq_len % degree``, and
-  ``fsdp`` needs ``n_microbatches % degree`` (it splits them) — what
-  the simulator's builders refuse.
+* ``degree`` divides every size the strategy's record ``divides``
+  (:class:`repro.core.api.Strategy`): layers for pipelines and rings,
+  heads for ``tp``, the sequence for ``sp``, and the per-replica
+  microbatch count for ``fsdp`` and the rings (a ring floors it to a
+  multiple of its size) — what the simulator's builders refuse.
 * the inner group must tile the node structure: ``degree`` is either a
   divisor of ``gpus_per_node`` or a multiple of it.
-* ``weipipe-hier`` needs its ring to span >1 node (on one node it *is*
-  ``weipipe-interleave``) and takes the whole world (``dp == 1``).
+* the two-level ring (``hier``) needs its ring to span >1 node (on one
+  node it *is* ``weipipe-interleave``) and takes the whole world
+  (``dp == 1``).
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.api import RING_STRATEGIES
-from ..parallel.pipeline import PIPELINE_SCHEDULES
+from ..core.api import ZOO, strategy_names
 from ..sim.costmodel import ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster
-from ..sim.memory import MEMORY_MODELS, peak_memory
+from ..sim.memory import peak_memory
 from ..sim.runner import exec_for, run_cell
 from ..sim.schedules import ring_collective_time
 from .spec import PlanSpec
@@ -53,17 +53,11 @@ from .spec import PlanSpec
 __all__ = ["Candidate", "Evaluated", "SearchResult", "enumerate_candidates",
            "evaluate_candidate", "search"]
 
-#: ring strategies need N divisible by the ring size.
-_RING = frozenset(RING_STRATEGIES)
-#: strategies whose inner dimension is a pipeline/ring over layers.
-_LAYER_PARALLEL = _RING | frozenset(PIPELINE_SCHEDULES)
-
-
 @dataclass(frozen=True, order=True)
 class Candidate:
     """One point of the config space (per-replica workload attached)."""
 
-    strategy: str  # a ``repro.train`` / ``SIM_STRATEGIES`` name
+    strategy: str  # a simulated ``repro.core.ZOO`` name
     world: int  # total GPUs = dp * degree
     degree: int  # inner parallel width (ring/pipeline/shard)
     dp: int  # data-parallel replicas
@@ -144,10 +138,10 @@ def enumerate_candidates(spec: PlanSpec) -> Tuple[List[Candidate], int]:
     out: List[Candidate] = []
     shape_rejected = 0
     for strategy in spec.space.strategies:
-        if strategy not in MEMORY_MODELS:
+        if strategy not in strategy_names(simulated=True):
             raise ValueError(
                 f"space.strategies: no memory model for {strategy!r}; "
-                f"choose from {sorted(MEMORY_MODELS)}"
+                f"choose from {strategy_names(simulated=True)}"
             )
         for degree in _degrees(spec):
             for g in spec.space.microbatch_sizes:
@@ -169,26 +163,22 @@ def _build(
     model = spec.model
     world = spec.cluster.world
     dp = world // degree
+    s = ZOO[strategy]
     # degree 1 is pure DP however you spell it: only "dp" enumerates it.
-    if (strategy == "dp") != (degree == 1):
+    if (s.family == "dp") != (degree == 1):
         return None, True
     sub = _sub_cluster(cluster, degree)
     # the two-level ring takes the whole world, and on one node it is
-    # weipipe-interleave.
-    if strategy == "weipipe-hier" and (dp != 1 or sub.nodes < 2):
+    # its one-level twin.
+    if s.hier and (dp != 1 or sub.nodes < 2):
         return None, True
     if sub is None:
         return None, False
-    if strategy in _LAYER_PARALLEL and model.n_layers % degree != 0:
-        return None, False
-    if strategy == "tp" and model.n_heads % degree != 0:
-        return None, False
-    if strategy == "sp" and model.seq_len % degree != 0:
-        return None, False
-    ring = degree if strategy in _RING else 1
+    ring = degree if s.family == "ring" else 1
     n = _replica_microbatches(spec, g, dp, ring)
-    if n < ring or (strategy == "fsdp" and n % degree != 0) or (
-        strategy == "dp" and n < dp
+    if n < ring or (s.family == "dp" and n < dp) or not s.divisible(
+        degree, layers=model.n_layers, heads=model.n_heads, seq=model.seq_len,
+        microbatches=n,
     ):
         return None, False
     return Candidate(

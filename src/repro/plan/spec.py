@@ -37,7 +37,7 @@ from ..sim.hardware import (
     pcie_ethernet_cluster,
 )
 from ..runtime.topology import LinkSpec
-from ..sim.runner import SIM_STRATEGIES
+from ..core.api import ZOO
 
 __all__ = [
     "ModelSpec",
@@ -47,12 +47,7 @@ __all__ = [
     "PlanSpec",
     "PlanSpecError",
     "load_spec",
-    "DEFAULT_STRATEGIES",
 ]
-
-#: the searchable strategy zoo: everything the simulator prices — each
-#: name is also one ``repro.train`` runs.
-DEFAULT_STRATEGIES = tuple(SIM_STRATEGIES)
 
 
 class PlanSpecError(ValueError):
@@ -165,7 +160,10 @@ class ClusterSpec:
 class SearchSpace:
     """Which dimensions the enumerator sweeps."""
 
-    strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
+    #: default: every strategy the simulator prices, in zoo order.
+    strategies: Tuple[str, ...] = field(default_factory=lambda: tuple(
+        s.name for s in ZOO.values() if s.simulated
+    ))
     #: inner parallel degrees (ring size / pipeline depth / shard width);
     #: None = every divisor of the world size.  Data-parallel replicas
     #: make up the difference: ``dp = world // degree``.

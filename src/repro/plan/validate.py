@@ -16,9 +16,10 @@ means "the schedule the planner priced is the schedule that actually
 executed, at the speed its forward spans imply", not "a laptop
 reproduces A800 seconds".
 
-Strategies the tracer does not instrument with forward spans (pure
-dp/fsdp/tp/sp) fall back to a run-only smoke gate: the run must finish
-with finite losses.  The verdict records which gate applied.
+Strategies whose traces carry no forward spans (the record's
+``reconcile_gated`` is off: pure dp/fsdp/tp/sp) fall back to a run-only
+smoke gate: the run must finish with finite losses.  The verdict records
+which gate applied.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ from __future__ import annotations
 import math
 from typing import Dict
 
+from ..core.api import ZOO
 from .search import Evaluated
 
-__all__ = ["RECONCILE_GATED", "validate_candidate"]
-
-#: functional strategies whose traces carry F spans (PR-4 instrumented
-#: the pipeline schedules and every WeiPipe turn engine) — these get the
-#: full reconcile gate.
-RECONCILE_GATED = frozenset((
-    "gpipe", "1f1b", "zb1", "zb2",
-    "weipipe-naive", "weipipe-zb", "weipipe-interleave", "weipipe-hier",
-))
+__all__ = ["validate_candidate"]
 
 
 def _validation_world(ev: Evaluated, cap: int) -> int:
@@ -65,14 +59,16 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
 
     v = spec.validation
     functional = ev.candidate.strategy  # the planner speaks train()'s names
+    strategy = ZOO[functional]
     world = _validation_world(ev, v.world_cap)
 
     # keep the runtime's divisibility contracts at toy scale: layers and
-    # microbatch count tile the (clamped) world.
+    # microbatch count tile the (clamped) world, and so do the hidden
+    # width of a head-sharding strategy and a sequence-sharding one's seq.
     n_layers = _round_up(max(v.n_layers, world), world)
     n_mb = _round_up(max(v.n_microbatches, world), world)
-    hidden = _round_up(v.hidden, world) if functional == "tp" else v.hidden
-    seq = _round_up(v.seq_len, world) if functional == "sp" else v.seq_len
+    hidden = _round_up(v.hidden, world) if "heads" in strategy.divides else v.hidden
+    seq = _round_up(v.seq_len, world) if "seq" in strategy.divides else v.seq_len
 
     cfg = ModelConfig(
         hidden=hidden, n_layers=n_layers, n_heads=v.n_heads,
@@ -92,8 +88,8 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
         "iters": v.iters,
     }
 
-    gate_reconcile = functional in RECONCILE_GATED and world > 1
-    fabric, tracer = _build_fabric(functional, world, gate_reconcile, meta)
+    gate_reconcile = strategy.reconcile_gated and world > 1
+    fabric, tracer = _build_fabric(strategy.hier, world, gate_reconcile, meta)
     result = train(train_spec, functional, world, fabric=fabric)
     losses_finite = all(math.isfinite(l) for l in result.losses)
     verdict["losses"] = [float(l) for l in result.losses]
@@ -124,7 +120,7 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
     return verdict
 
 
-def _build_fabric(functional: str, world: int, traced: bool, metadata: Dict):
+def _build_fabric(hier: bool, world: int, traced: bool, metadata: Dict):
     """A traced fabric for the validation run (topology-carrying for the
     hierarchical ring so its gateway path actually executes)."""
     if not traced:
@@ -133,7 +129,7 @@ def _build_fabric(functional: str, world: int, traced: bool, metadata: Dict):
     from ..runtime import Fabric
 
     topo = None
-    if functional == "weipipe-hier":
+    if hier:
         from ..runtime import Topology, default_groups
 
         topo = Topology.grid(world, default_groups(world))

@@ -24,7 +24,7 @@ from .hardware import (
 )
 from .memory import fits_memory, peak_memory, peak_memory_per_worker
 from .metrics import SimReport, evaluate
-from .runner import SIM_STRATEGIES, exec_for, predict_run, run_cell
+from .runner import build_schedule, exec_for, predict_run, run_cell
 from .timeline import render_timeline
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "GPU",
     "NVLINK",
     "PCIE",
-    "SIM_STRATEGIES",
     "SimReport",
     "SimResult",
     "Task",
@@ -46,6 +45,7 @@ __all__ = [
     "bubble_ratio_1f1b",
     "bubble_ratio_weipipe_interleave",
     "bubble_ratio_weipipe_naive",
+    "build_schedule",
     "evaluate",
     "exec_for",
     "fits_memory",

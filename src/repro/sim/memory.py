@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, FrozenSet, List, Tuple
 
-from ..core.api import RING_STRATEGIES
+from ..core.api import ZOO
 from ..core.schedule import liveness, ring_program
 from ..parallel.pipeline import stage_program
 from .costmodel import CostModel, ExecConfig, WorkloadDims
@@ -50,7 +50,6 @@ __all__ = [
     "peak_memory_per_worker",
     "peak_memory",
     "fits_memory",
-    "MEMORY_MODELS",
 ]
 
 
@@ -165,7 +164,7 @@ def _mem_dp(dims, cluster, cost) -> List[float]:
 
 
 def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
-    """One :data:`~repro.core.api.RING_STRATEGIES` row: three circulating
+    """One weight ring (a ``ring`` family record): three circulating
     slots (2 W + D), double-buffered, plus owner-local optimizer state,
     plus the walked activations of each worker's turn program.  Embedding
     and head weights ride the ring, so every worker transiently holds
@@ -194,19 +193,14 @@ def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     ]
 
 
-MEMORY_MODELS = {
-    "gpipe": lambda d, c, m: _mem_pipeline(d, c, m, "gpipe"),
-    "1f1b": lambda d, c, m: _mem_pipeline(d, c, m, "1f1b"),
-    "zb1": lambda d, c, m: _mem_pipeline(d, c, m, "zb1"),
-    "zb2": lambda d, c, m: _mem_pipeline(d, c, m, "zb2"),
-    "fsdp": lambda d, c, m: _mem_fsdp(d, c, m),
-    "dp": lambda d, c, m: _mem_dp(d, c, m),
-    "tp": lambda d, c, m: _mem_tp(d, c, m),
-    "sp": lambda d, c, m: _mem_sp(d, c, m),
-    **{
-        name: lambda d, c, m, row=row: _mem_ring(d, c, m, *row)
-        for name, row in RING_STRATEGIES.items()
-    },
+#: family -> per-worker peak bytes of a :class:`~repro.core.api.Strategy`.
+_MODELS = {
+    "pipeline": lambda s, d, c, m: _mem_pipeline(d, c, m, s.schedule),
+    "ring": lambda s, d, c, m: _mem_ring(d, c, m, s.schedule, s.hier),
+    "fsdp": lambda s, d, c, m: _mem_fsdp(d, c, m),
+    "dp": lambda s, d, c, m: _mem_dp(d, c, m),
+    "tp": lambda s, d, c, m: _mem_tp(d, c, m),
+    "sp": lambda s, d, c, m: _mem_sp(d, c, m),
 }
 
 
@@ -217,12 +211,10 @@ def peak_memory_per_worker(
     exec_cfg: ExecConfig = ExecConfig(),
 ) -> List[float]:
     """Peak bytes per worker for ``strategy`` on this workload."""
-    try:
-        fn = MEMORY_MODELS[strategy]
-    except KeyError:
-        raise ValueError(f"no memory model for strategy {strategy!r}") from None
-    cost = CostModel(dims, cluster.gpu, exec_cfg)
-    return fn(dims, cluster, cost)
+    s = ZOO.get(strategy)
+    if s is None or not s.simulated:
+        raise ValueError(f"no memory model for strategy {strategy!r}")
+    return _MODELS[s.family](s, dims, cluster, CostModel(dims, cluster.gpu, exec_cfg))
 
 
 def peak_memory(

@@ -1,9 +1,11 @@
 """One-call simulation of a strategy on a workload and cluster.
 
 ``run_cell`` is the unit of every table/figure bench and of the planner's
-ranking: it builds the schedule, simulates it, and returns a
+ranking: it builds the schedule (``build_schedule``: the strategy's
+record picks its family's builder), simulates it, and returns a
 :class:`SimReport`.  ``exec_for`` is the paper's per-strategy execution
-rule (Section 5 + observed baseline behaviour) that all of them apply:
+rule (Section 5 + observed baseline behaviour), read off the record's
+``recompute`` / ``overlap``, that all of them apply:
 
 * recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for every
   schedule that splits B from W (paper §5: the zero-bubble variants keep
@@ -28,9 +30,7 @@ import math
 from dataclasses import replace
 from typing import Callable, Dict, Tuple
 
-from ..core.api import FULL_CACHE_STRATEGIES, RING_STRATEGIES
-from ..core.schedule import ring_splits_backward
-from ..parallel.pipeline import PIPELINE_SCHEDULES, splits_backward
+from ..core.api import ZOO, Strategy, strategy_names
 from ..runtime.topology import LinkSpec
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
@@ -42,41 +42,45 @@ from .schedules.seqpar import build_sp
 from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
 
-__all__ = ["run_cell", "exec_for", "predict_run", "FREE_LINK", "SIM_STRATEGIES"]
+__all__ = ["run_cell", "build_schedule", "exec_for", "predict_run", "FREE_LINK"]
 
 #: the link of a wire no ``ChaosPolicy`` prices: a message arrives the
 #: moment it is sent (``Fabric.topology`` is then accounting-only).
 FREE_LINK = LinkSpec("free", bandwidth=math.inf)
 
-SIM_STRATEGIES: Dict[str, Callable[[WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
-    "gpipe": lambda d, c, e: build_pipeline("gpipe", d, c, e),
-    "1f1b": lambda d, c, e: build_pipeline("1f1b", d, c, e),
-    "zb1": lambda d, c, e: build_pipeline("zb1", d, c, e),
-    "zb2": lambda d, c, e: build_pipeline("zb2", d, c, e),
-    "fsdp": lambda d, c, e: build_fsdp(d, c, e),
-    "dp": lambda d, c, e: build_dp(d, c, e),
-    "tp": lambda d, c, e: build_tp(d, c, e),
-    "sp": lambda d, c, e: build_sp(d, c, e),
-    # every runnable ring, by the runtime's name
-    **{
-        name: lambda d, c, e, name=name, mode=mode, hier=hier: build_weipipe(
-            mode, d, c, e, hier=hier, name=name
-        )
-        for name, (mode, hier) in RING_STRATEGIES.items()
-    },
+#: family -> the DES builder of a :class:`~repro.core.api.Strategy`.
+_BUILDERS: Dict[str, Callable[[Strategy, WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
+    "pipeline": lambda s, d, c, e: build_pipeline(s.schedule, d, c, e),
+    "ring": lambda s, d, c, e: build_weipipe(
+        s.schedule, d, c, e, hier=s.hier, name=s.name
+    ),
+    "fsdp": lambda s, d, c, e: build_fsdp(d, c, e),
+    "dp": lambda s, d, c, e: build_dp(d, c, e),
+    "tp": lambda s, d, c, e: build_tp(d, c, e),
+    "sp": lambda s, d, c, e: build_sp(d, c, e),
 }
+
 
 def exec_for(strategy: str, precision: str = "fp16") -> ExecConfig:
     """Per-strategy execution config (see module docstring)."""
-    if strategy in RING_STRATEGIES:
-        split = ring_splits_backward(RING_STRATEGIES[strategy][0])
-    else:
-        split = strategy in PIPELINE_SCHEDULES and splits_backward(strategy)
-    return ExecConfig.for_precision(
-        precision,
-        recompute=not split and strategy not in FULL_CACHE_STRATEGIES,
-        overlap=strategy in RING_STRATEGIES,
-    )
+    s = ZOO[strategy]
+    return ExecConfig.for_precision(precision, recompute=s.recompute, overlap=s.overlap)
+
+
+def build_schedule(
+    strategy: str,
+    dims: WorkloadDims,
+    cluster: Cluster,
+    exec_cfg: ExecConfig = ExecConfig(),
+) -> BuiltSchedule:
+    """The DES task graph of ``strategy`` on one evaluation cell."""
+    s = ZOO.get(strategy)
+    if s is None or not s.simulated:
+        raise ValueError(
+            f"unknown simulated strategy {strategy!r}; "
+            f"choose from {strategy_names(simulated=True)}"
+        )
+    return _BUILDERS[s.family](s, dims, cluster, exec_cfg)
 
 
 def run_cell(
@@ -86,14 +90,7 @@ def run_cell(
     exec_cfg: ExecConfig = ExecConfig(),
 ) -> SimReport:
     """Simulate ``strategy`` for one evaluation cell."""
-    try:
-        builder = SIM_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown simulated strategy {strategy!r}; "
-            f"choose from {sorted(SIM_STRATEGIES)}"
-        ) from None
-    return evaluate(builder(dims, cluster, exec_cfg))
+    return evaluate(build_schedule(strategy, dims, cluster, exec_cfg))
 
 
 def predict_run(run: Dict, t_fwd_layer: float) -> Tuple[CostModel, Cluster, SimReport]:

@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 
 import numpy as np
 
-from .core.api import STRATEGIES, train
+from .core.api import ZOO, train
 from .nn.model import ModelConfig
 from .nn.precision import FP32, FP64
 from .obs import Tracer, validate_chrome_trace
@@ -51,7 +51,7 @@ __all__ = [
     "numerical_grad", "assert_grad_close",
     "SERIAL_TOL", "compare_train_results",
     "DifferentialFailure", "DifferentialMismatch", "DifferentialReport",
-    "DEFAULT_DIFFERENTIAL_STRATEGIES", "default_differential_spec",
+    "default_differential_strategies", "default_differential_spec",
     "run_differential", "run_backend_differential",
     "run_traced_backend_differential",
     "HEAL_SCHEDULES", "DEFAULT_HEAL_MODES", "run_heal_differential",
@@ -172,22 +172,17 @@ def compare_train_results(result, ref, spec=None, tol=SERIAL_TOL) -> Optional[st
 # the one matrix
 # ---------------------------------------------------------------------------
 
-#: strategy -> world size trained by default: every distributed strategy
-#: in the zoo, at the world size the equivalence suite uses (TP needs
-#: world | n_heads, hence 2 on the tiny default model).
-DEFAULT_DIFFERENTIAL_STRATEGIES: Dict[str, int] = {
-    "1f1b": 4,
-    "zb1": 4,
-    "fsdp": 4,
-    "tp": 2,
-    "sp": 4,
-    "weipipe-naive": 4,
-    "weipipe-interleave": 4,
-    "weipipe-zb": 4,
-}
+def default_differential_strategies() -> Dict[str, int]:
+    """strategy -> world size the matrices train by default: every record
+    with a ``differential_world`` (:class:`repro.core.api.Strategy`, whose
+    field says where the rest are checked against serial), in zoo order."""
+    return {
+        s.name: s.differential_world for s in ZOO.values() if s.differential_world
+    }
+
 
 #: a strategy entry is either a world size (name resolved through
-#: repro.core.STRATEGIES) or (world, runner) with a custom
+#: repro.core.ZOO) or (world, runner) with a custom
 #: ``runner(spec, world, fabric) -> TrainResult`` — the hook the tests
 #: use to demonstrate that intentionally broken schedules are caught.
 StrategyEntry = Union[int, Tuple[int, Callable]]
@@ -292,9 +287,9 @@ def _sweep(
     runners = {}
     for name, entry in strategies.items():
         if isinstance(entry, int):
-            if name not in STRATEGIES:
+            if name not in ZOO:
                 raise ValueError(f"unknown strategy {name!r}")
-            entry = (entry, STRATEGIES[name])
+            entry = (entry, ZOO[name].run)
         runners[name] = entry
     replays: Dict[str, str] = {}
     for name, (cap, runner) in runners.items():
@@ -372,9 +367,9 @@ def run_differential(
     Parameters
     ----------
     strategies:
-        ``{name: world}`` (resolved through :data:`repro.core.STRATEGIES`)
+        ``{name: world}`` (resolved through :data:`repro.core.ZOO`)
         or ``{name: (world, runner)}`` for custom runners; defaults to
-        :data:`DEFAULT_DIFFERENTIAL_STRATEGIES`.
+        :func:`default_differential_strategies`.
     chaos_seeds:
         The adversaries to sweep.  Each seed is threaded into a
         :class:`~repro.runtime.ChaosPolicy`, so a failure is replayed by
@@ -403,7 +398,7 @@ def run_differential(
 
     return _sweep(
         DifferentialReport("differential sweep vs serial"),
-        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, None, None,
+        strategies or default_differential_strategies(), None, None,
         [("", s) for s in chaos_seeds], spec, cell, tol,
         lambda name, world, prec, seed, spec: (
             f"chaos-sweep --strategies {name} --seed-start {seed} --seeds 1 "
@@ -434,7 +429,7 @@ def run_backend_differential(
     with identical seeds and compares the two runs directly.
 
     ``strategies`` maps name -> *maximum* world size (defaults to
-    :data:`DEFAULT_DIFFERENTIAL_STRATEGIES`); each strategy runs at every
+    :func:`default_differential_strategies`); each strategy runs at every
     world in ``worlds`` that does not exceed its maximum (TP caps at 2 on
     the default model: world must divide ``n_heads``).
     """
@@ -449,7 +444,7 @@ def run_backend_differential(
 
     return _sweep(
         DifferentialReport("backend differential (thread vs process)"),
-        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
+        strategies or default_differential_strategies(), worlds, precisions,
         [("", chaos_seed)], spec, cell, 0,
         lambda name, world, prec, seed, spec: (
             f"train --backend process --strategy {name} --world {world} "
@@ -495,7 +490,7 @@ def run_traced_backend_differential(
 
     return _sweep(
         DifferentialReport("traced differential (traced vs bare process run)"),
-        strategies or DEFAULT_DIFFERENTIAL_STRATEGIES, worlds, precisions,
+        strategies or default_differential_strategies(), worlds, precisions,
         [("", 0)], spec, cell, 0,
         lambda name, world, prec, seed, spec: (
             f"train --backend process --strategy {name} --world {world} "
@@ -522,12 +517,9 @@ HEAL_SCHEDULES: Dict[str, Dict[str, float]] = {
     ),
 }
 
-#: the WeiPipe modes the heal differential covers by default.
-DEFAULT_HEAL_MODES: Tuple[str, ...] = (
-    "weipipe-naive",
-    "weipipe-interleave",
-    "weipipe-zb",
-    "weipipe-hier",
+#: the heal differential covers every weight ring by default.
+DEFAULT_HEAL_MODES: Tuple[str, ...] = tuple(
+    s.name for s in ZOO.values() if s.family == "ring"
 )
 
 

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import FP64, ModelConfig, Tracer, TrainSpec, train
-from repro.core.api import RING_STRATEGIES
+from repro.core.api import ZOO
 from repro.core.schedule import (
     RING_SCHEDULES,
     TurnTask,
@@ -59,12 +59,13 @@ from repro.experiments.configs import (
 from repro.plan import ClusterSpec, ModelSpec, PlanSpec, evaluate_candidate
 from repro.plan.search import Candidate
 from repro.runtime import WREF_NBYTES, Fabric
-from repro.sim import SIM_STRATEGIES, run_cell
+from repro.sim import build_schedule, run_cell
 from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
 from repro.sim.engine import simulate
 from repro.sim.hardware import pcie_ethernet_cluster
 
 MODES = list(RING_SCHEDULES)
+RINGS = [s.name for s in ZOO.values() if s.family == "ring"]
 #: mode x P <= 5 x L/P <= 2; every test sweeps N in {P, 2P, 3P} per cell.
 GRID = list(product(MODES, range(1, 6), (1, 2)))
 
@@ -227,18 +228,15 @@ class TestTableProperties:
             with pytest.raises(ValueError, match="unknown WeiPipe mode.*interleave"):
                 reader("turbo")
 
-    def test_ring_strategies_name_table_rows(self):
-        assert {mode for mode, _ in RING_STRATEGIES.values()} == set(RING_SCHEDULES)
-
 
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
 
 
 class TestConsumersReadTheTable:
     @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
-    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    @pytest.mark.parametrize("strategy", RINGS)
     def test_runtime_span_order_and_ledgers(self, strategy, world, n_mb):
-        mode, _ = RING_STRATEGIES[strategy]
+        mode = ZOO[strategy].schedule
         spec = TrainSpec(
             cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
         )
@@ -270,15 +268,15 @@ class TestConsumersReadTheTable:
 
     @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("world, gpn, n_mb", [(2, 2, 4), (4, 2, 8), (4, 4, 12), (6, 3, 6)])
-    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    @pytest.mark.parametrize("strategy", RINGS)
     def test_des_turn_order_and_prices(self, strategy, world, gpn, n_mb, overlap):
-        mode, hier = RING_STRATEGIES[strategy]
+        mode, hier = ZOO[strategy].schedule, ZOO[strategy].hier
         dims = WorkloadDims(
             hidden=64, n_layers=2 * world, seq_len=128, microbatch=1, n_microbatches=n_mb
         )
         exec_cfg = ExecConfig(overlap=overlap)
         cluster = pcie_ethernet_cluster(world, gpus_per_node=gpn)
-        built = SIM_STRATEGIES[strategy](dims, cluster, exec_cfg)
+        built = build_schedule(strategy, dims, cluster, exec_cfg)
         assert built.name == strategy
         sim = simulate(built.graph)
         cost = CostModel(dims, cluster.gpu, exec_cfg)
@@ -346,7 +344,7 @@ def plan_whole_world(strategy, cluster_spec, dims):
     return evaluate_candidate(cand, spec, float("inf"))
 
 
-@pytest.mark.parametrize("strategy", list(SIM_STRATEGIES))
+@pytest.mark.parametrize("strategy", [s.name for s in ZOO.values() if s.simulated])
 class TestThePlannerPricesOnTheSimulator:
     """A plan at ``degree = world, dp = 1`` and a Table 2 / 3 cell are the
     same number by construction: the planner hands ``run_cell`` the

@@ -13,8 +13,8 @@ from repro import FP64, ModelConfig, TrainSpec, train
 from repro.nn.params import BufferPool
 from repro.runtime import Fabric, ProcessTransport
 from repro.testing import (
-    DEFAULT_DIFFERENTIAL_STRATEGIES,
     compare_train_results,
+    default_differential_strategies,
     run_backend_differential,
 )
 
@@ -25,7 +25,7 @@ def test_backend_differential_all_strategies_bitwise():
     # TP capped at P=2 on the default 2-head model -> 30 cells.
     expected = sum(
         len([w for w in (2, 4) if w <= cap]) * 2
-        for cap in DEFAULT_DIFFERENTIAL_STRATEGIES.values()
+        for cap in default_differential_strategies().values()
     )
     assert report.runs == expected
     assert report.ok, report.summary()
@@ -40,24 +40,24 @@ def test_backend_differential_reports_divergence():
     spec = default_differential_spec()
 
     def lying_runner(cell_spec, world, fabric):
-        from repro.core.api import STRATEGIES
+        from repro.core.api import ZOO
         from repro.runtime.transport import ProcessTransport
 
         if isinstance(fabric, ProcessTransport):
             from dataclasses import replace
 
             cell_spec = replace(cell_spec, data_seed=cell_spec.data_seed + 1)
-        return STRATEGIES["1f1b"](cell_spec, world, fabric)
+        return ZOO["1f1b"].run(cell_spec, world, fabric)
 
     import repro.core.api as api
 
-    api.STRATEGIES["_lying"] = lying_runner
+    api.ZOO["_lying"] = api.Strategy("_lying", "pipeline", lying_runner)
     try:
         report = run_backend_differential(
             strategies={"_lying": 2}, worlds=(2,), precisions=("fp64",)
         )
     finally:
-        del api.STRATEGIES["_lying"]
+        del api.ZOO["_lying"]
     assert not report.ok
     assert "bitwise" in report.failures[0].message
 

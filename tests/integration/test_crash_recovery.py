@@ -19,10 +19,10 @@ import pytest
 
 import repro.testing as harness
 from repro.optim import Adam
-from repro.core.api import train
+from repro.core.api import strategy_names, train
 from repro.io import load_checkpoint_state, save_checkpoint
 from repro.parallel.common import TrainResult
-from repro.parallel.elastic import ELASTIC_STRATEGIES, train_elastic
+from repro.parallel.elastic import train_elastic
 from repro.runtime import ChaosPolicy, Fabric, PeerFailed, ProcessTransport
 from repro.testing import compare_train_results, default_crash_spec, run_crash_recovery
 
@@ -39,7 +39,7 @@ def _assert_same(result, reference):
 
 
 class TestElasticEqualsPlain:
-    @pytest.mark.parametrize("strategy", ELASTIC_STRATEGIES)
+    @pytest.mark.parametrize("strategy", strategy_names(elastic=True))
     def test_no_failure_matches_plain_train(self, strategy):
         spec = default_crash_spec(iters=2)
         world = 1 if strategy == "serial" else 4

@@ -26,12 +26,12 @@ from repro.nn.precision import FP32
 from repro.parallel.common import TrainResult, microbatch, pre_update
 from repro.runtime import ChaosPolicy, Fabric, run_workers
 from repro.testing import (
-    DEFAULT_DIFFERENTIAL_STRATEGIES,
     HEAL_SCHEDULES,
     SERIAL_TOL,
     DifferentialMismatch,
     compare_train_results,
     default_differential_spec,
+    default_differential_strategies,
     run_backend_differential,
     run_differential,
     run_heal_differential,
@@ -46,7 +46,7 @@ class TestAllStrategiesUnderChaos:
         equivalent to serial in losses, final weights and accumulated
         weight updates."""
         report = run_differential(chaos_seeds=range(5))
-        assert report.runs == len(DEFAULT_DIFFERENTIAL_STRATEGIES) * 5
+        assert report.runs == len(default_differential_strategies()) * 5
         assert report.ok, report.summary()
 
     def test_aggressive_wire_smaller_sweep(self):
@@ -161,7 +161,7 @@ class TestReplayLines:
     def test_forced_failure_replays_through_its_own_subcommand(
         self, matrix, monkeypatch
     ):
-        monkeypatch.setitem(api.STRATEGIES, "boom", _boom)
+        monkeypatch.setitem(api.ZOO, "boom", api.Strategy("boom", "dp", _boom))
         run, expected, cell_spec = self.MATRICES[matrix]
         report = run()
         assert report.runs == 1 and not report.ok
@@ -176,7 +176,7 @@ class TestReplayLines:
                 assert _dims(_spec(args)) == _dims(cell_spec)
 
     def test_a_non_default_cell_replays_its_own_model(self, monkeypatch):
-        monkeypatch.setitem(api.STRATEGIES, "boom", _boom)
+        monkeypatch.setitem(api.ZOO, "boom", api.Strategy("boom", "dp", _boom))
         spec = default_differential_spec(
             cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2, seq_len=4, vocab=11),
             n_microbatches=2, microbatch_size=1, iters=3,

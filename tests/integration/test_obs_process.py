@@ -13,7 +13,7 @@ with the recorder and the tracer both live.
 import numpy as np
 import pytest
 
-from repro.core.api import STRATEGIES
+from repro.core.api import ZOO
 from repro.obs import Tracer, validate_chrome_trace
 from repro.obs.flight import load_postmortem, render_postmortem
 from repro.runtime import ChaosPolicy, Fabric, ProcessTransport
@@ -26,7 +26,7 @@ def _traced_run(world=2, strategy="weipipe-interleave"):
     spec = default_differential_spec()
     tracer = Tracer(metadata={"strategy": strategy, "world": world})
     transport = ProcessTransport(tracer=tracer)
-    result = STRATEGIES[strategy](spec, world, transport)
+    result = ZOO[strategy].run(spec, world, transport)
     return tracer, transport, result
 
 
@@ -114,7 +114,7 @@ def test_merged_metrics_eagerly_zeroed_on_quiet_run():
 def test_untraced_process_run_merges_metrics_too():
     spec = default_differential_spec()
     transport = ProcessTransport()
-    STRATEGIES["weipipe-interleave"](spec, 2, transport)
+    ZOO["weipipe-interleave"].run(spec, 2, transport)
     assert transport.metrics.value("fabric_retransmits") == 0.0
     assert transport.tracer is None
 
@@ -124,7 +124,7 @@ def test_untraced_process_run_merges_metrics_too():
 
 def test_tracing_is_bitwise_invisible_on_process_backend():
     from repro.testing import (
-        DEFAULT_DIFFERENTIAL_STRATEGIES,
+        default_differential_strategies,
         run_traced_backend_differential,
     )
 
@@ -133,7 +133,7 @@ def test_tracing_is_bitwise_invisible_on_process_backend():
     # <= its cap x fp64/fp32, traced vs untraced, all bit-identical.
     expected = sum(
         len([w for w in (2, 4) if w <= cap]) * 2
-        for cap in DEFAULT_DIFFERENTIAL_STRATEGIES.values()
+        for cap in default_differential_strategies().values()
     )
     assert report.runs == expected
     assert report.ok, report.summary()
@@ -184,7 +184,7 @@ def test_clean_process_run_leaves_no_bundle(tmp_path):
     transport = ProcessTransport(postmortem_to=str(tmp_path))
     _, _, result = (None, None, None)
     spec = default_differential_spec()
-    STRATEGIES["weipipe-interleave"](spec, 2, transport)
+    ZOO["weipipe-interleave"].run(spec, 2, transport)
     assert transport.last_postmortem is None
     assert transport.last_postmortem_path is None
 
@@ -251,7 +251,7 @@ def test_zero_steady_state_allocs_with_tracer_and_recorder_thread():
 def test_flight_recorder_ring_stays_bounded_after_training():
     transport = ProcessTransport()
     spec = default_differential_spec()
-    STRATEGIES["weipipe-interleave"](spec, 2, transport)
+    ZOO["weipipe-interleave"].run(spec, 2, transport)
     for snap in transport.flights_by_rank.values():
         assert len(snap["events"]) <= snap["capacity"]
         assert snap["recorded"] == snap["dropped"] + len(snap["events"])

@@ -24,7 +24,7 @@ import repro.nn.checkpoint as checkpoint_mod
 import repro.nn.functional as functional_mod
 import repro.nn.layer as layer_mod
 from repro import FP64, ModelConfig, TrainSpec, train
-from repro.core.api import FULL_CACHE_STRATEGIES, rank_programs
+from repro.core.api import rank_programs, strategy_names
 from repro.nn.checkpoint import replayed_chunks
 from repro.sim.runner import exec_for
 
@@ -91,7 +91,7 @@ def test_recompute_replays_all_but_the_newest_forward(strategy, world, forwards)
     assert np.isfinite(res.losses[0])
 
 
-@pytest.mark.parametrize("strategy", sorted(FULL_CACHE_STRATEGIES))
+@pytest.mark.parametrize("strategy", strategy_names(full_cache=True))
 def test_full_cache_runtimes_are_priced_without_recompute(strategy):
     """TP and SP keep full caches: their runtimes refuse ``recompute``, and
     the simulator's policy runs them without it."""

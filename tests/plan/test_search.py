@@ -5,7 +5,7 @@ from dataclasses import replace
 from repro.plan import PlanSpec, enumerate_candidates, search
 from repro.plan.search import _sub_cluster
 from repro.plan.spec import ClusterSpec, ModelSpec, SearchSpace
-from repro.sim.runner import SIM_STRATEGIES, exec_for, run_cell
+from repro.sim.runner import build_schedule, exec_for, run_cell
 from repro.sim.schedules import ring_collective_time
 
 
@@ -78,8 +78,8 @@ class TestShapeRules:
             cands, _ = enumerate_candidates(spec)
             assert {c.strategy for c in cands} >= {"tp", "sp", "fsdp", "dp"}
             for c in cands:
-                SIM_STRATEGIES[c.strategy](
-                    model.dims(c.microbatch, c.n_microbatches),
+                build_schedule(
+                    c.strategy, model.dims(c.microbatch, c.n_microbatches),
                     _sub_cluster(cluster, c.degree), c.exec_cfg(),
                 )
 
@@ -140,7 +140,8 @@ class TestReferenceSpec:
     reconcile-gated strategy on top."""
 
     def test_reference_plan_shape(self):
-        from repro.plan import RECONCILE_GATED, load_spec
+        from repro.core import ZOO
+        from repro.plan import load_spec
 
         spec = load_spec("examples/specs/reference_cluster.json")
         result = search(spec)
@@ -149,7 +150,7 @@ class TestReferenceSpec:
         assert len(result.memory_rejected) >= 1
         assert result.wall_s > 0
         top = result.feasible[0].candidate
-        assert top.strategy in RECONCILE_GATED
+        assert ZOO[top.strategy].reconcile_gated
         # the paper's claim at long context on a slow wire: the
         # hierarchical weight ring wins
         assert (top.strategy, top.degree) == ("weipipe-hier", 16)

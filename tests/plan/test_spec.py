@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.plan import (
-    DEFAULT_STRATEGIES,
     ClusterSpec,
     ModelSpec,
     PlanSpec,
@@ -21,10 +20,15 @@ class TestDefaults:
         assert PlanSpec.from_dict({}) == PlanSpec()
 
     def test_default_space_covers_the_strategy_zoo(self):
-        from repro.sim.memory import MEMORY_MODELS
+        from repro.core import strategy_names
+        from repro.sim import WorkloadDims, nvlink_cluster, peak_memory
 
-        for s in DEFAULT_STRATEGIES:
-            assert s in MEMORY_MODELS
+        space = SearchSpace()
+        assert sorted(space.strategies) == strategy_names(simulated=True)
+        dims = WorkloadDims(hidden=64, n_layers=4, seq_len=128, microbatch=1,
+                            n_microbatches=4)
+        for s in space.strategies:
+            assert peak_memory(s, dims, nvlink_cluster(4, gpus_per_node=4)) > 0
 
     def test_round_trip(self):
         spec = PlanSpec.from_dict({

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.plan import (
-    DEFAULT_STRATEGIES,
-    RECONCILE_GATED,
     PlanSpec,
     search,
     validate_candidate,
@@ -34,29 +32,6 @@ def _evaluated(strategy, degree, dp):
         peak_memory_bytes=1.0, fits=True,
         iteration_s=1.0, tokens_per_s=1.0, tokens_per_s_per_gpu=1.0,
     )
-
-
-class TestStrategyNames:
-    def test_simulator_and_planner_speak_the_runtimes_names(self):
-        """No name map: whatever can be simulated, charged memory or
-        searched is something ``train`` runs."""
-        from repro.core.api import RING_STRATEGIES, STRATEGIES
-        from repro.sim import SIM_STRATEGIES
-        from repro.sim.memory import MEMORY_MODELS
-
-        for table in (SIM_STRATEGIES, MEMORY_MODELS, DEFAULT_STRATEGIES,
-                      RECONCILE_GATED):
-            assert set(table) <= set(STRATEGIES)
-        # and every runnable ring has a simulator and a memory row
-        assert set(RING_STRATEGIES) <= set(SIM_STRATEGIES) & set(MEMORY_MODELS)
-        # the planner searches exactly what the simulator prices
-        assert set(DEFAULT_STRATEGIES) == set(SIM_STRATEGIES)
-
-    def test_gated_set_is_traceable_families(self):
-        assert "weipipe-hier" in RECONCILE_GATED
-        assert "1f1b" in RECONCILE_GATED
-        assert "fsdp" not in RECONCILE_GATED
-        assert "dp" not in RECONCILE_GATED
 
 
 class TestReconcileGate:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import repro.sim.memory as memory_mod
-from repro.core.api import RING_STRATEGIES
+from repro.core.api import ZOO
 from repro.core.schedule import RING_SCHEDULES, liveness, ring_program
 from repro.experiments.configs import exec_for, make_dims, table2_cluster
 from repro.parallel.pipeline import PIPELINE_SCHEDULES, stage_program
@@ -159,15 +159,15 @@ class TestOrderings:
 ROWS = [
     (s, lambda P, r, n, s=s: stage_program(s, P, r, n)) for s in PIPELINE_SCHEDULES
 ] + [
-    (name, lambda P, r, n, m=mode: ring_program(m, P, r, n))
-    for name, (mode, hier) in RING_STRATEGIES.items()
-    if not hier
+    (s.name, lambda P, r, n, m=s.schedule: ring_program(m, P, r, n))
+    for s in ZOO.values()
+    if s.family == "ring" and not s.hier
 ]
 
 
 class TestTheModelChargesTheWalk:
     def test_rows_cover_every_ring_row(self):
-        modes = {RING_STRATEGIES[name][0] for name, _ in ROWS if name in RING_STRATEGIES}
+        modes = {ZOO[name].schedule for name, _ in ROWS if ZOO[name].family == "ring"}
         assert modes == set(RING_SCHEDULES)
 
     def test_zb2_holds_its_warmup_and_two_pending(self):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from repro.sim import fits_memory, peak_memory
 from repro.sim.costmodel import ExecConfig, WorkloadDims
 from repro.sim.hardware import nvlink_cluster, pcie_ethernet_cluster
-from repro.sim.memory import MEMORY_MODELS
+from repro.core.api import strategy_names
 
-STRATEGIES = sorted(MEMORY_MODELS)
+STRATEGIES = strategy_names(simulated=True)
 
 
 def _dims(h, s, g, n_mb):

@@ -10,7 +10,7 @@ priced ``OP_OVERHEAD`` above the measurement it was fitted to.
 import pytest
 
 from repro.runtime import LinkSpec
-from repro.sim import A800, SIM_STRATEGIES, Cluster, WorkloadDims, run_cell
+from repro.sim import A800, Cluster, WorkloadDims, build_schedule, run_cell
 from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.hardware import OP_OVERHEAD
 from repro.sim.runner import FREE_LINK, predict_run
@@ -30,7 +30,7 @@ def _calibrated_cluster(world: int) -> Cluster:
 @pytest.mark.parametrize("schedule", ["gpipe", "1f1b"])
 def test_a_calibrated_gpu_keeps_its_calibration_through_the_builder(
         schedule, world):
-    built = SIM_STRATEGIES[schedule](DIMS, _calibrated_cluster(world), NOREC)
+    built = build_schedule(schedule, DIMS, _calibrated_cluster(world), NOREC)
     layers = DIMS.n_layers // world
     forwards = [t for t in built.graph.tasks.values() if t.meta.get("kind") == "F"]
     assert len(forwards) == world * DIMS.n_microbatches

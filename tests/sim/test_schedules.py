@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import RING_STRATEGIES
+from repro.core.api import ZOO
 from repro.sim import WorkloadDims, evaluate, run_cell, nvlink_cluster, pcie_ethernet_cluster, simulate
 from repro.sim.costmodel import ExecConfig
 from repro.sim.schedules import (
@@ -45,7 +45,9 @@ class TestBuildersSimulate:
         rep = _report(build_pipeline, name, DIMS, CLUSTER, NOREC)
         assert rep.makespan > 0
 
-    @pytest.mark.parametrize("strategy", list(RING_STRATEGIES))
+    @pytest.mark.parametrize(
+        "strategy", [s.name for s in ZOO.values() if s.family == "ring"]
+    )
     def test_weipipe_builds(self, strategy):
         rep = run_cell(strategy, DIMS, CLUSTER)
         assert rep.makespan > 0 and rep.strategy == strategy

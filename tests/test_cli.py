@@ -81,16 +81,20 @@ class TestParser:
 
 class TestCommands:
     def test_strategies(self, capsys):
+        """One printed row per record: name, family / schedule, flags."""
+        from repro.core import ZOO
+
         assert main(["strategies"]) == 0
-        out = capsys.readouterr().out
-        functional, simulated = (
-            line.split(": ")[1].split(", ") for line in out.strip().splitlines()
-        )
-        assert "weipipe-interleave" in functional
-        # the simulator speaks the runtime's names: no figure-only entry,
-        # and every ring that trains can be simulated
-        assert set(simulated) <= set(functional)
-        assert {s for s in functional if s.startswith("weipipe-")} <= set(simulated)
+        header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
+        assert header == ["strategy", "family/schedule", "simulated", "elastic",
+                          "reconcile-gated", "full-cache"]
+        assert [row[0] for row in rows] == list(ZOO)
+        for name, kind, *flags in rows:
+            s = ZOO[name]
+            assert kind.split("/") == [s.family, *([s.schedule] if s.schedule else []),
+                                       *(["two-level"] if s.hier else [])]
+            assert flags == ["yes" if f else "no" for f in (
+                s.simulated, s.elastic, s.reconcile_gated, s.full_cache)]
 
     def test_train_tiny(self, capsys):
         rc = main([
@@ -204,9 +208,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("cluster, gpn", [("nvlink", "8"), ("pcie-eth", "4")])
     def test_simulate_and_timeline_every_ring_the_runtime_lists(self, cluster, gpn, capsys):
-        from repro.core import RING_STRATEGIES
+        from repro.core import ZOO
 
-        for strategy in RING_STRATEGIES:
+        for strategy in (s.name for s in ZOO.values() if s.family == "ring"):
             rc = main(["simulate", "--strategy", strategy, "--cluster", cluster,
                        "--gpus-per-node", gpn, *self.SMALL])
             assert rc == 0, strategy
