@@ -46,7 +46,7 @@ class Strategy:
     ``sim``.  ``schedule`` is the family's row: a ``PIPELINE_SCHEDULES``
     schedule or a ``RING_SCHEDULES`` mode; ``hier`` marks the two-level
     ring.  ``divides`` names the sizes the parallel degree must divide
-    (``layers`` / ``heads`` / ``seq`` / ``microbatches``).
+    (``layers`` / ``heads`` / ``ffn`` / ``seq`` / ``microbatches``).
     """
 
     name: str
@@ -94,7 +94,8 @@ class Strategy:
 
     def divisible(self, degree: int, **sizes: int) -> bool:
         """Does ``degree`` divide each of ``sizes`` (keyed ``layers`` /
-        ``heads`` / ``seq`` / ``microbatches``) this strategy splits?"""
+        ``heads`` / ``ffn`` / ``seq`` / ``microbatches``) this strategy
+        splits?"""
         return all(sizes[dim] % degree == 0 for dim in self.divides)
 
 
@@ -142,7 +143,7 @@ ZOO: Dict[str, Strategy] = {s.name: s for s in (
     Strategy("dp", "dp", lambda s, w, f: train_data_parallel(s, w, fabric=f),
              divides=("microbatches",), elastic=True),
     Strategy("tp", "tp", lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
-             divides=("heads",), full_cache=True, differential_world=2),
+             divides=("heads", "ffn"), full_cache=True, differential_world=2),
     Strategy("sp", "sp", lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
              divides=("seq",), full_cache=True, differential_world=4),
     _ring("weipipe-naive", "naive", differential_world=4),

@@ -45,6 +45,7 @@ from .params import ParamStruct
 from .rope import rope_apply, rope_apply_bwd
 
 __all__ = [
+    "Seam",
     "layer_layout",
     "draw_scratch",
     "init_params",
@@ -148,6 +149,35 @@ def _from_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(g, s, nh * hd)
 
 
+class Seam:
+    """Where one layer's shard meets the other ranks' shards.
+
+    A layer split across ranks runs this module's one body; the split
+    shows only at four fixed points, where the layer calls its seam:
+    :meth:`row_out` on the outputs of the row-parallel ``wo`` and
+    ``w_down`` GEMMs (sites ``"o"`` / ``"d"``) and :meth:`col_grad` on
+    the input gradients of the column-parallel ``q/k/v`` and
+    ``gate/up`` GEMMs (``"dh1"`` / ``"dh2"``).  ``n_heads`` is the head
+    count the shard runs.  With ``attention_core`` set,
+    ``attention_fwd(qh, kh, vh) -> (attn, cache)`` and
+    ``attention_bwd(dattn, cache) -> (dq, dk, dv)`` replace the
+    attention core.  This base is the identity at every point; the
+    subclasses in :mod:`repro.parallel` carry the collectives, so this
+    package never talks to a wire.
+    """
+
+    attention_core = False
+
+    def __init__(self, n_heads: int):
+        self.n_heads = n_heads
+
+    def row_out(self, y: np.ndarray, site: str) -> np.ndarray:
+        return y
+
+    def col_grad(self, dx: np.ndarray, site: str) -> np.ndarray:
+        return dx
+
+
 def layer_fwd(
     w: ParamStruct,
     x: np.ndarray,
@@ -158,6 +188,7 @@ def layer_fwd(
     flash_block: int = 128,
     kept: tuple = (),
     cache_only: bool = False,
+    seam: Optional[Seam] = None,
 ) -> Tuple[Optional[np.ndarray], tuple]:
     """Forward one decoder layer.  ``x: (G, S, H)``.
 
@@ -172,7 +203,12 @@ def layer_fwd(
     nobody reads ``y``: the layer stops at ``silu(gate) * up``, skipping
     the down projection and the residual add, and returns ``y = None``.
     The cache is the one the plain call builds, entry for entry.
+
+    ``seam`` (a :class:`Seam`) runs the layer as one rank's shard; it
+    rides in the cache, so the backward meets the forward's seam.
     """
+    if seam is not None:
+        n_heads = seam.n_heads
     h1, c_norm1 = F.rmsnorm_fwd(x, w["attn_norm"])
     q, c_q = F.linear_fwd(h1, w["wq"])
     k, c_k = F.linear_fwd(h1, w["wk"])
@@ -182,7 +218,9 @@ def layer_fwd(
     kh = rope_apply(_to_heads(k, n_heads), cos, sin)
     vh = _to_heads(v, n_heads)
 
-    if kept:
+    if seam is not None and seam.attention_core:
+        attn, c_attn = seam.attention_fwd(qh, kh, vh)
+    elif kept:
         attn, c_attn = flash_attention_resume(qh, kh, vh, kept, flash_block)
     elif flash:
         attn, c_attn = flash_attention_fwd(qh, kh, vh, block=flash_block)
@@ -190,6 +228,8 @@ def layer_fwd(
         attn, c_attn = attention_fwd(qh, kh, vh)
     attn_flat = _from_heads(attn)
     o, c_o = F.linear_fwd(attn_flat, w["wo"])
+    if seam is not None:
+        o = seam.row_out(o, "o")
     x2 = x + o
 
     h2, c_norm2 = F.rmsnorm_fwd(x2, w["ffn_norm"])
@@ -201,6 +241,8 @@ def layer_fwd(
         y, c_down = None, (f, w["w_down"])  # linear_fwd's cache, no GEMM
     else:
         d, c_down = F.linear_fwd(f, w["w_down"])
+        if seam is not None:
+            d = seam.row_out(d, "d")
         y = x2 + d
 
     cache = (
@@ -221,6 +263,7 @@ def layer_fwd(
         up,
         act,
         c_down,
+        seam,
     )
     return y, cache
 
@@ -261,6 +304,7 @@ def layer_bwd_input(
         up,
         act,
         c_down,
+        seam,
     ) = cache
 
     # FFN branch: y = x2 + (silu(h2 Wg) * (h2 Wu)) Wd
@@ -272,13 +316,17 @@ def layer_bwd_input(
     dh2 = F.linear_bwd_input(dgate, w["w_gate"]) + F.linear_bwd_input(
         dup, w["w_up"]
     )
+    if seam is not None:
+        dh2 = seam.col_grad(dh2, "dh2")
     dx2 = dy + F.rmsnorm_bwd_input(dh2, c_norm2)
 
     # attention branch: x2 = x + attn(h1) Wo
     do = dx2
     dattn_flat = F.linear_bwd_input(do, w["wo"])
     dattn = _to_heads(dattn_flat, n_heads)
-    if flash:
+    if seam is not None and seam.attention_core:
+        dqh, dkh, dvh = seam.attention_bwd(dattn, c_attn)
+    elif flash:
         dqh, dkh, dvh = flash_attention_bwd(dattn, c_attn)
     else:
         dqh, dkh, dvh = attention_bwd(dattn, c_attn)
@@ -290,6 +338,8 @@ def layer_bwd_input(
         + F.linear_bwd_input(dk, w["wk"])
         + F.linear_bwd_input(dv, w["wv"])
     )
+    if seam is not None:
+        dh1 = seam.col_grad(dh1, "dh1")
     dx = dx2 + F.rmsnorm_bwd_input(dh1, c_norm1)
 
     wcache = {
@@ -330,6 +380,7 @@ def layer_bwd_weight(cache: tuple, wcache: dict) -> ParamStruct:
         _up,
         _act,
         c_down,
+        _seam,
     ) = cache
 
     return ParamStruct(

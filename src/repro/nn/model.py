@@ -25,6 +25,7 @@ from numpy.random import default_rng
 
 from . import functional as F
 from .layer import (
+    Seam,
     draw_scratch,
     init_params,
     layer_bwd,
@@ -59,7 +60,8 @@ __all__ = [
 
 
 def default_ffn(hidden: int) -> int:
-    """Llama FFN width: ``8H/3`` rounded up to a multiple of 8.
+    """Llama FFN width: ``8H/3`` rounded up, then down to a multiple of
+    8 (86 -> 80 at ``H = 32``), and at least 8.
 
     Chosen so the three FFN matrices total ~``8 H^2`` parameters and the
     full layer ~``12 H^2`` — the figure the paper's analysis uses.
@@ -178,6 +180,7 @@ def chunk_fwd(
     cos: np.ndarray,
     sin: np.ndarray,
     replay: Optional[tuple] = None,
+    seam: Optional[Seam] = None,
 ) -> Tuple[Optional[np.ndarray], tuple]:
     """Forward chunk ``idx``.
 
@@ -191,6 +194,11 @@ def chunk_fwd(
     attention core where its output was kept and without the GEMMs only
     the chunk's output needs — the down projection, or on the last chunk
     (whose final norm reads the layer output) the logits.
+
+    ``seam`` runs the layer as one rank's shard
+    (:class:`~repro.nn.layer.Seam`); the embedding, final norm and head
+    stay whole.  It rides in the cache, so :func:`chunk_bwd_input` and
+    :func:`chunk_bwd` take none.
     """
     replaying = replay is not None
     last = idx == cfg.n_layers - 1
@@ -201,7 +209,7 @@ def chunk_fwd(
 
     y, c_layer = layer_fwd(
         w, x, cfg.n_heads, cos, sin, cfg.flash_attention, cfg.flash_block,
-        kept=replay or (), cache_only=replaying and not last,
+        kept=replay or (), cache_only=replaying and not last, seam=seam,
     )
     caches.append(("layer", c_layer))
 

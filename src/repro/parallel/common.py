@@ -22,9 +22,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random import default_rng
 
+from ..nn import functional as F
 from ..nn.checkpoint import CheckpointedChunk
-from ..nn.layer import draw_scratch
-from ..nn.model import ModelConfig, chunk_param_count, init_chunk, rope_tables
+from ..nn.layer import Seam, draw_scratch
+from ..nn.model import (
+    ModelConfig, chunk_bwd, chunk_fwd, chunk_param_count, init_chunk, rope_tables,
+)
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
@@ -36,6 +39,7 @@ __all__ = [
     "quantize_grads",
     "quantize_grads_",
     "init_opt_states",
+    "sharded_microbatch",
     "recompute_ledger",
     "sum_recompute",
 ]
@@ -288,6 +292,41 @@ def pre_update(
             comm, local_sumsq(grads, count), spec.clip_norm, tag=tag
         )
         apply_scale(grads, scale)
+
+
+def sharded_microbatch(
+    spec: "TrainSpec",
+    chunks: List[ParamStruct],
+    accum: List[ParamStruct],
+    tokens: np.ndarray,
+    targets: np.ndarray,
+    cos: np.ndarray,
+    sin: np.ndarray,
+    seam: Callable[[int], Seam],
+    share: float = 1.0,
+) -> float:
+    """One microbatch through every chunk on a rank that holds a shard of
+    each layer (TP, SP): :func:`~repro.parallel.serial.serial_step`'s body
+    without recomputation, chunk ``i`` running through ``seam(i)``.
+
+    Folds the scaled, quantised gradients into ``accum`` and returns the
+    loss over ``targets``; ``share`` is that loss's weight in the
+    microbatch's (1 unless the rank holds part of the positions).
+    """
+    cfg, p = spec.cfg, spec.precision
+    x, caches = tokens, []
+    for i, w in enumerate(chunks):
+        x, cache = chunk_fwd(cfg, i, w, x, cos, sin, seam=seam(i))
+        x = p.q_act(x)
+        caches.append(cache)
+    loss, c_loss = F.cross_entropy_fwd(x, targets)
+    dy = F.cross_entropy_bwd(share, c_loss)
+    for i in range(cfg.n_layers - 1, -1, -1):
+        dy, g = chunk_bwd(cfg, i, chunks[i], dy, caches[i])
+        if dy is not None:
+            dy = p.q_act_grad(dy)
+        accum[i].add_(quantize_grads(g, p), scale=1.0 / spec.n_microbatches)
+    return loss
 
 
 @dataclass

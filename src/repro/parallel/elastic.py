@@ -105,8 +105,8 @@ def _compute_world_fn(s, spec: TrainSpec) -> Callable[[int], int]:
         return lambda available: 1
     cfg = spec.cfg
     return lambda available: _largest_world(available, lambda w: s.divisible(
-        w, layers=cfg.n_layers, heads=cfg.n_heads, seq=cfg.seq_len,
-        microbatches=spec.n_microbatches,
+        w, layers=cfg.n_layers, heads=cfg.n_heads, ffn=cfg.ffn,
+        seq=cfg.seq_len, microbatches=spec.n_microbatches,
     ))
 
 

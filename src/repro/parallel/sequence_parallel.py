@@ -23,68 +23,69 @@ elements of collective traffic — like activation-passing PP, it scales
 with context length, which is exactly the contrast with WeiPipe's
 ``O(H²)`` ring that the comparison tests measure.
 
-Numerical contract: identical to the serial baseline
+Each rank runs the shared chunk code (:func:`repro.nn.model.chunk_fwd` /
+``chunk_bwd``) on its block through an :class:`SPSeam`, which stands in
+for the attention core; there is no second copy of the layer here.
+
+Numerical contract: bit-identical to the serial baseline at world 1
+(``tests/parallel/test_seam_equivalence.py``); at world ``P`` equal to
+it up to the collectives' summation order
 (``tests/parallel/test_sequence_parallel.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.attention import attention_block_bwd, attention_block_fwd
-from ..nn.layer import _from_heads, _to_heads
-from ..nn.params import ParamStruct
-from ..nn.rope import rope_apply, rope_apply_bwd
+from ..nn.layer import Seam
 from ..runtime import Communicator, Fabric, all_gather, all_reduce, reduce_scatter, run_workers
-from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
+from .common import TrainResult, TrainSpec, microbatch, pre_update, sharded_microbatch
 
-__all__ = ["train_sequence_parallel"]
+__all__ = ["train_sequence_parallel", "SPSeam"]
 
 
-class _SPWorker:
-    def __init__(self, comm: Communicator, spec: TrainSpec):
-        cfg = spec.cfg
-        if cfg.seq_len % comm.world_size != 0:
-            raise ValueError("seq_len must be divisible by the SP world size")
-        if spec.recompute:
-            raise ValueError(
-                "the SP baseline does not implement recomputation "
-                "(it would re-gather K/V in the backward)"
-            )
-        self.comm = comm
-        self.spec = spec
-        self.cfg = cfg
-        self.rank = comm.rank
-        self.world = comm.world_size
-        self.block = cfg.seq_len // self.world
-        self.offset = self.rank * self.block
-        cos, sin = spec.rope()
-        self.cos_local = cos[self.offset : self.offset + self.block]
-        self.sin_local = sin[self.offset : self.offset + self.block]
-        self.chunks = spec.init_chunks()
-        self.opt = spec.make_optimizer()
-        self.opt_states = [self.opt.init_state(c) for c in self.chunks]
-        self.q_act = spec.precision.q_act
-        self.q_bgrad = spec.precision.q_act_grad
+class SPSeam(Seam):
+    """Context parallelism's seam on one SP rank: the attention core of
+    the rank's query block against the whole sequence.  The forward
+    all-gathers K and V (``("sp-f", it, mb, i, "k" | "v")``) and runs
+    block-causal attention at the block's offset; the backward routes the
+    dK / dV every rank produced for every position home with a
+    reduce-scatter (``("sp-b", ..., "dk" | "dv")``).  Everything else in
+    the layer is position-local, so the other seam points are identities.
+    """
+
+    attention_core = True
+
+    def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):
+        super().__init__(spec.cfg.n_heads)
+        self.comm, self.key, self.world = comm, key, comm.world_size
+        self.block = spec.cfg.seq_len // self.world
+        self.offset = comm.rank * self.block
         self.act_wire = spec.precision.act_bytes
         self.bgrad_wire = spec.precision.act_grad_bytes
-        self.grad_wire = spec.precision.weight_grad_bytes
-        self.scale = 1.0 / spec.n_microbatches
 
-    # -- gathered attention ---------------------------------------------------
+    def attention_fwd(self, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray):
+        k_full = self._gather(kh, ("sp-f",) + self.key + ("k",))
+        v_full = self._gather(vh, ("sp-f",) + self.key + ("v",))
+        return attention_block_fwd(qh, k_full, v_full, self.offset)
 
-    def _gather_heads(self, local: np.ndarray, tag: Tuple) -> np.ndarray:
+    def attention_bwd(self, dattn: np.ndarray, cache: tuple):
+        dqh, dk_full, dv_full = attention_block_bwd(dattn, cache)
+        dkh = self._scatter(dk_full, ("sp-b",) + self.key + ("dk",))
+        dvh = self._scatter(dv_full, ("sp-b",) + self.key + ("dv",))
+        return dqh, dkh, dvh
+
+    def _gather(self, local: np.ndarray, tag: Tuple) -> np.ndarray:
         """All-gather (G, nh, S/P, hd) blocks into the full sequence."""
         blocks = all_gather(
-            self.comm, local, tag=tag,
-            nbytes=int(local.size * self.act_wire),
+            self.comm, local, tag=tag, nbytes=int(local.size * self.act_wire)
         )
         return np.concatenate(blocks, axis=2)
 
-    def _scatter_heads(self, full_grad: np.ndarray, tag: Tuple) -> np.ndarray:
+    def _scatter(self, full_grad: np.ndarray, tag: Tuple) -> np.ndarray:
         """Reduce-scatter (G, nh, S, hd) position grads to their owners.
 
         ``reduce_scatter`` partitions the *flat* buffer into P contiguous
@@ -101,147 +102,45 @@ class _SPWorker:
         )
         return flat.reshape(g, nh, self.block, hd)
 
-    # -- one layer ---------------------------------------------------------------
 
-    def _layer_fwd(self, w: ParamStruct, x: np.ndarray, tag: Tuple):
-        nh = self.cfg.n_heads
-        h1, c_norm1 = F.rmsnorm_fwd(x, w["attn_norm"])
-        q, c_q = F.linear_fwd(h1, w["wq"])
-        k, c_k = F.linear_fwd(h1, w["wk"])
-        v, c_v = F.linear_fwd(h1, w["wv"])
-        qh = rope_apply(_to_heads(q, nh), self.cos_local, self.sin_local)
-        kh = rope_apply(_to_heads(k, nh), self.cos_local, self.sin_local)
-        vh = _to_heads(v, nh)
-        k_full = self._gather_heads(kh, tag + ("k",))
-        v_full = self._gather_heads(vh, tag + ("v",))
-        attn, c_attn = attention_block_fwd(qh, k_full, v_full, self.offset)
-        attn_flat = _from_heads(attn)
-        o, c_o = F.linear_fwd(attn_flat, w["wo"])
-        x2 = x + o
-        h2, c_norm2 = F.rmsnorm_fwd(x2, w["ffn_norm"])
-        gate, c_gate = F.linear_fwd(h2, w["w_gate"])
-        up, c_up = F.linear_fwd(h2, w["w_up"])
-        act, c_act = F.silu_fwd(gate)
-        f = act * up
-        d, c_down = F.linear_fwd(f, w["w_down"])
-        y = x2 + d
-        cache = (
-            c_norm1, c_q, c_k, c_v, c_attn, c_o,
-            c_norm2, c_gate, c_up, c_act, up, act, c_down,
-        )
-        return y, cache
+def _sp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
+    """One SP rank: its position block of every microbatch, then a DP-style
+    all-reduce of the position-partial weight gradients."""
+    world = comm.world_size
+    block = spec.cfg.seq_len // world
+    sl = slice(comm.rank * block, (comm.rank + 1) * block)
+    chunks = spec.init_chunks()
+    opt = spec.make_optimizer()
+    states = [opt.init_state(c) for c in chunks]
+    cos, sin = spec.rope()
+    cos, sin = cos[sl], sin[sl]
+    losses: List[float] = []
+    for it in range(spec.iters):
+        accum = [c.zeros_like() for c in chunks]
+        total = 0.0
+        for mb in range(spec.n_microbatches):
+            tokens, targets = microbatch(spec, it, mb)
+            # the block's loss is 1/P of the microbatch's mean.
+            total += sharded_microbatch(
+                spec, chunks, accum, tokens[:, sl], targets[:, sl], cos, sin,
+                lambda i: SPSeam(comm, spec, (it, mb, i)), share=1.0 / world,
+            ) / world
 
-    def _layer_bwd(self, w: ParamStruct, dy: np.ndarray, cache, tag: Tuple):
-        (
-            c_norm1, c_q, c_k, c_v, c_attn, c_o,
-            c_norm2, c_gate, c_up, c_act, up, act, c_down,
-        ) = cache
-        nh = self.cfg.n_heads
-        grads: Dict[str, np.ndarray] = {}
+        # weight grads are partial over positions: all-reduce like DP.
+        for i, g in enumerate(accum):
+            flat = all_reduce(
+                comm, g.pack(np.float64), tag=("sp-grad", it, i),
+                nbytes_per_element=spec.precision.weight_grad_bytes,
+            )
+            accum[i] = g.unpack_from(flat)
+        loss_sum = all_reduce(comm, np.array([total]), tag=("sp-loss", it))[0]
 
-        df = F.linear_bwd_input(dy, w["w_down"])
-        grads["w_down"] = F.linear_bwd_weight(c_down[0], dy)
-        dact = df * up
-        dup = df * act
-        dgate = F.silu_bwd(dact, c_act)
-        grads["w_gate"] = F.linear_bwd_weight(c_gate[0], dgate)
-        grads["w_up"] = F.linear_bwd_weight(c_up[0], dup)
-        dh2 = F.linear_bwd_input(dgate, w["w_gate"]) + F.linear_bwd_input(
-            dup, w["w_up"]
-        )
-        grads["ffn_norm"] = F.rmsnorm_bwd_weight(dh2, c_norm2)
-        dx2 = dy + F.rmsnorm_bwd_input(dh2, c_norm2)
-
-        dattn_flat = F.linear_bwd_input(dx2, w["wo"])
-        grads["wo"] = F.linear_bwd_weight(c_o[0], dx2)
-        dattn = _to_heads(dattn_flat, nh)
-        dqh, dk_full, dv_full = attention_block_bwd(dattn, c_attn)
-        # every worker contributed grads to every position: route them home.
-        dkh = self._scatter_heads(dk_full, tag + ("dk",))
-        dvh = self._scatter_heads(dv_full, tag + ("dv",))
-        dq = _from_heads(rope_apply_bwd(dqh, self.cos_local, self.sin_local))
-        dk = _from_heads(rope_apply_bwd(dkh, self.cos_local, self.sin_local))
-        dv = _from_heads(dvh)
-        grads["wq"] = F.linear_bwd_weight(c_q[0], dq)
-        grads["wk"] = F.linear_bwd_weight(c_k[0], dk)
-        grads["wv"] = F.linear_bwd_weight(c_v[0], dv)
-        dh1 = (
-            F.linear_bwd_input(dq, w["wq"])
-            + F.linear_bwd_input(dk, w["wk"])
-            + F.linear_bwd_input(dv, w["wv"])
-        )
-        grads["attn_norm"] = F.rmsnorm_bwd_weight(dh1, c_norm1)
-        dx = dx2 + F.rmsnorm_bwd_input(dh1, c_norm1)
-        return dx, ParamStruct(grads)
-
-    # -- training -------------------------------------------------------------
-
-    def run(self) -> TrainResult:
-        spec, cfg = self.spec, self.cfg
-        sl = slice(self.offset, self.offset + self.block)
-        losses: List[float] = []
-        for it in range(spec.iters):
-            accum = [c.zeros_like() for c in self.chunks]
-            total_loss = 0.0
-            for mb in range(spec.n_microbatches):
-                tokens, targets = microbatch(spec, it, mb)
-                tokens, targets = tokens[:, sl], targets[:, sl]
-                x, c_embed = F.embedding_fwd(tokens, self.chunks[0]["embed"])
-                caches = []
-                for i in range(cfg.n_layers):
-                    x, cache = self._layer_fwd(
-                        self.chunks[i], x, ("sp-f", it, mb, i)
-                    )
-                    if i < cfg.n_layers - 1:
-                        x = self.q_act(x)
-                    caches.append(cache)
-                h, c_fnorm = F.rmsnorm_fwd(x, self.chunks[-1]["final_norm"])
-                logits, c_head = F.linear_fwd(h, self.chunks[-1]["head"])
-                logits = self.q_act(logits)
-                block_loss, c_loss = F.cross_entropy_fwd(logits, targets)
-                total_loss += block_loss / self.world  # mean of block means
-
-                # d(total)/d(block logits): the block is 1/P of the mean.
-                dy = F.cross_entropy_bwd(1.0 / self.world, c_loss)
-                dh = F.linear_bwd_input(dy, self.chunks[-1]["head"])
-                self._accumulate(accum[-1], {
-                    "head": F.linear_bwd_weight(c_head[0], dy),
-                    "final_norm": F.rmsnorm_bwd_weight(dh, c_fnorm),
-                })
-                dy = self.q_bgrad(F.rmsnorm_bwd_input(dh, c_fnorm))
-                for i in range(cfg.n_layers - 1, -1, -1):
-                    dy, g = self._layer_bwd(
-                        self.chunks[i], dy, caches[i], ("sp-b", it, mb, i)
-                    )
-                    dy = self.q_bgrad(dy)
-                    self._accumulate(accum[i], dict(g.items()))
-                self._accumulate(
-                    accum[0], {"embed": F.embedding_bwd(dy, c_embed)}
-                )
-
-            # weight grads are partial over positions: all-reduce like DP.
-            for i, g in enumerate(accum):
-                flat = all_reduce(
-                    self.comm, g.pack(np.float64), tag=("sp-grad", it, i),
-                    nbytes_per_element=self.grad_wire,
-                )
-                accum[i] = g.unpack_from(flat)
-            loss_sum = all_reduce(
-                self.comm, np.array([total_loss]), tag=("sp-loss", it)
-            )[0]
-
-            # grads are complete replicas now: clipping is local.
-            pre_update(spec, it, self.opt, accum)
-            for i, c in enumerate(self.chunks):
-                self.opt.step(c, accum[i], self.opt_states[i])
-            # loss_sum = sum over mbs of (mean over blocks) already
-            losses.append(loss_sum / spec.n_microbatches)
-        return TrainResult(losses=losses, chunks=self.chunks)
-
-    def _accumulate(self, accum: ParamStruct, grads: Dict[str, np.ndarray]) -> None:
-        q = quantize_grads(ParamStruct(grads), self.spec.precision)
-        for name in q.keys():
-            accum[name] += self.scale * q[name]
+        # grads are complete replicas now: clipping is local.
+        pre_update(spec, it, opt, accum)
+        for i, c in enumerate(chunks):
+            opt.step(c, accum[i], states[i])
+        losses.append(loss_sum / spec.n_microbatches)
+    return TrainResult(losses=losses, chunks=chunks)
 
 
 def train_sequence_parallel(
@@ -255,7 +154,4 @@ def train_sequence_parallel(
             "the SP baseline does not implement recomputation "
             "(it would re-gather K/V in the backward)"
         )
-    results = run_workers(
-        world_size, lambda comm: _SPWorker(comm, spec).run(), fabric=fabric
-    )
-    return results[0]
+    return run_workers(world_size, lambda comm: _sp_rank(comm, spec), fabric=fabric)[0]

@@ -23,8 +23,14 @@ parameters compute identical gradients everywhere — no gradient
 synchronisation step is needed at all; the price has already been paid
 inside the layers.
 
-Numerical contract: identical to the serial baseline; validated by
-``tests/parallel/test_tensor_parallel.py``.
+Each rank runs the shared chunk code (:func:`repro.nn.model.chunk_fwd` /
+``chunk_bwd``) through a :class:`TPSeam`, which all-reduces at the
+layer's four seam points; there is no second copy of the layer here.
+
+Numerical contract: bit-identical to the serial baseline at world 1
+(``tests/parallel/test_seam_equivalence.py``); at world ``P`` equal to
+it up to the all-reduces' summation order
+(``tests/parallel/test_tensor_parallel.py``).
 """
 
 from __future__ import annotations
@@ -33,21 +39,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import functional as F
-from ..nn.attention import (
-    attention_bwd,
-    attention_fwd,
-    flash_attention_bwd,
-    flash_attention_fwd,
-)
-from ..nn.layer import _from_heads, _to_heads
-from ..nn.model import ModelConfig
+from ..nn.layer import Seam
 from ..nn.params import ParamStruct
-from ..nn.rope import rope_apply, rope_apply_bwd
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
+from .common import TrainResult, TrainSpec, microbatch, pre_update, sharded_microbatch
 
-__all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads"]
+__all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads", "TPSeam"]
 
 
 def _col_slice(w: np.ndarray, rank: int, world: int) -> np.ndarray:
@@ -118,208 +115,73 @@ def merge_layer_grads(
     return out
 
 
-class _TPWorker:
-    def __init__(self, comm: Communicator, spec: TrainSpec):
-        cfg = spec.cfg
-        if cfg.n_heads % comm.world_size != 0:
-            raise ValueError("n_heads must be divisible by the TP world size")
-        if cfg.ffn % comm.world_size != 0:
-            raise ValueError("ffn width must be divisible by the TP world size")
-        self.comm = comm
-        self.spec = spec
-        self.cfg = cfg
-        self.rank = comm.rank
-        self.world = comm.world_size
-        self.local_heads = cfg.n_heads // self.world
-        self.cos, self.sin = spec.rope()
-        full = spec.init_chunks()
-        self.templates = [c.zeros_like() for c in full]
-        self.shards = [
-            split_layer_weights(c, self.rank, self.world) for c in full
-        ]
-        self.opt = spec.make_optimizer()
-        self.opt_states = [self.opt.init_state(s) for s in self.shards]
-        self.q_act = spec.precision.q_act
-        self.q_bgrad = spec.precision.q_act_grad
-        self.act_wire = spec.precision.act_bytes
-        self.scale = 1.0 / spec.n_microbatches
+class TPSeam(Seam):
+    """Megatron's split of one layer on one TP rank: ``n_heads / P`` local
+    heads, and an all-reduce of a full ``G*S*H`` activation at each of
+    the layer's four seam points (the TP tax) — its row-parallel outputs
+    in the forward, tagged ``("tp-f", it, mb, i, site)``, and its
+    column-parallel input gradients in the backward (``"tp-b"``)."""
 
-    # -- one layer ---------------------------------------------------------------
+    def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):
+        super().__init__(spec.cfg.n_heads // comm.world_size)
+        self.comm, self.key = comm, key
+        self.wire = spec.precision.act_bytes
 
-    def _layer_fwd(self, idx: int, w: ParamStruct, x: np.ndarray, tag: Tuple):
-        """TP forward of one decoder layer; returns (y, cache)."""
-        h1, c_norm1 = F.rmsnorm_fwd(x, w["attn_norm"])
-        q, c_q = F.linear_fwd(h1, w["wq"])
-        k, c_k = F.linear_fwd(h1, w["wk"])
-        v, c_v = F.linear_fwd(h1, w["wv"])
-        qh = rope_apply(_to_heads(q, self.local_heads), self.cos, self.sin)
-        kh = rope_apply(_to_heads(k, self.local_heads), self.cos, self.sin)
-        vh = _to_heads(v, self.local_heads)
-        if self.cfg.flash_attention:
-            attn, c_attn = flash_attention_fwd(qh, kh, vh, self.cfg.flash_block)
-        else:
-            attn, c_attn = attention_fwd(qh, kh, vh)
-        attn_flat = _from_heads(attn)
-        o_partial, c_o = F.linear_fwd(attn_flat, w["wo"])
-        o = self._reduce(o_partial, tag + ("o",))
-        x2 = x + o
+    def row_out(self, y: np.ndarray, site: str) -> np.ndarray:
+        return self._reduce(y, ("tp-f",) + self.key + (site,))
 
-        h2, c_norm2 = F.rmsnorm_fwd(x2, w["ffn_norm"])
-        gate, c_gate = F.linear_fwd(h2, w["w_gate"])
-        up, c_up = F.linear_fwd(h2, w["w_up"])
-        act, c_act = F.silu_fwd(gate)
-        f = act * up
-        d_partial, c_down = F.linear_fwd(f, w["w_down"])
-        d = self._reduce(d_partial, tag + ("d",))
-        y = x2 + d
-        cache = (
-            c_norm1, c_q, c_k, c_v, c_attn, c_o,
-            c_norm2, c_gate, c_up, c_act, up, act, c_down,
-        )
-        return y, cache
-
-    def _layer_bwd(self, idx: int, w: ParamStruct, dy: np.ndarray, cache, tag: Tuple):
-        (
-            c_norm1, c_q, c_k, c_v, c_attn, c_o,
-            c_norm2, c_gate, c_up, c_act, up, act, c_down,
-        ) = cache
-        grads: Dict[str, np.ndarray] = {}
-
-        # FFN: down is row-parallel (bwd local), gate/up column-parallel
-        # (their input grads are partial sums -> all-reduce).
-        df = F.linear_bwd_input(dy, w["w_down"])
-        grads["w_down"] = F.linear_bwd_weight(c_down[0], dy)
-        dact = df * up
-        dup = df * act
-        dgate = F.silu_bwd(dact, c_act)
-        grads["w_gate"] = F.linear_bwd_weight(c_gate[0], dgate)
-        grads["w_up"] = F.linear_bwd_weight(c_up[0], dup)
-        dh2_partial = F.linear_bwd_input(dgate, w["w_gate"]) + F.linear_bwd_input(
-            dup, w["w_up"]
-        )
-        dh2 = self._reduce(dh2_partial, tag + ("dh2",))
-        grads["ffn_norm"] = F.rmsnorm_bwd_weight(dh2, c_norm2)
-        dx2 = dy + F.rmsnorm_bwd_input(dh2, c_norm2)
-
-        # attention: o row-parallel (bwd local), qkv column-parallel.
-        dattn_flat = F.linear_bwd_input(dx2, w["wo"])
-        grads["wo"] = F.linear_bwd_weight(c_o[0], dx2)
-        dattn = _to_heads(dattn_flat, self.local_heads)
-        if self.cfg.flash_attention:
-            dqh, dkh, dvh = flash_attention_bwd(dattn, c_attn)
-        else:
-            dqh, dkh, dvh = attention_bwd(dattn, c_attn)
-        dq = _from_heads(rope_apply_bwd(dqh, self.cos, self.sin))
-        dk = _from_heads(rope_apply_bwd(dkh, self.cos, self.sin))
-        dv = _from_heads(dvh)
-        grads["wq"] = F.linear_bwd_weight(c_q[0], dq)
-        grads["wk"] = F.linear_bwd_weight(c_k[0], dk)
-        grads["wv"] = F.linear_bwd_weight(c_v[0], dv)
-        dh1_partial = (
-            F.linear_bwd_input(dq, w["wq"])
-            + F.linear_bwd_input(dk, w["wk"])
-            + F.linear_bwd_input(dv, w["wv"])
-        )
-        dh1 = self._reduce(dh1_partial, tag + ("dh1",))
-        grads["attn_norm"] = F.rmsnorm_bwd_weight(dh1, c_norm1)
-        dx = dx2 + F.rmsnorm_bwd_input(dh1, c_norm1)
-        return dx, ParamStruct(grads)
+    def col_grad(self, dx: np.ndarray, site: str) -> np.ndarray:
+        return self._reduce(dx, ("tp-b",) + self.key + (site,))
 
     def _reduce(self, partial: np.ndarray, tag: Tuple) -> np.ndarray:
-        """All-reduce a full-size activation (the TP tax)."""
         flat = all_reduce(
-            self.comm,
-            partial.reshape(-1),
-            tag=tag,
-            nbytes_per_element=self.act_wire,
+            self.comm, partial.reshape(-1), tag=tag, nbytes_per_element=self.wire
         )
         return flat.reshape(partial.shape)
 
-    def _accumulate(self, accum: ParamStruct, grads: Dict[str, np.ndarray]) -> None:
-        """Scaled, quantised accumulation of a *subset* of a chunk's
-        parameters (layer grads never include the embed/head extras)."""
-        q = quantize_grads(ParamStruct(grads), self.spec.precision)
-        for name in q.keys():
-            accum[name] += self.scale * q[name]
 
-    # -- training -------------------------------------------------------------
-
-    def run(self) -> TrainResult:
-        spec, cfg = self.spec, self.cfg
-        losses: List[float] = []
-        for it in range(spec.iters):
-            accum = [s.zeros_like() for s in self.shards]
-            total_loss = 0.0
-            for mb in range(spec.n_microbatches):
-                tokens, targets = microbatch(spec, it, mb)
-                x, c_embed = F.embedding_fwd(tokens, self.shards[0]["embed"])
-                caches = []
-                for i in range(cfg.n_layers):
-                    x, cache = self._layer_fwd(
-                        i, self.shards[i], x, ("tp-f", it, mb, i)
-                    )
-                    # quantise at the same chunk boundaries as every
-                    # other strategy (serial quantises each chunk output)
-                    if i < cfg.n_layers - 1:
-                        x = self.q_act(x)
-                    caches.append(cache)
-                h, c_fnorm = F.rmsnorm_fwd(x, self.shards[-1]["final_norm"])
-                logits, c_head = F.linear_fwd(h, self.shards[-1]["head"])
-                logits = self.q_act(logits)
-                loss, c_loss = F.cross_entropy_fwd(logits, targets)
-                total_loss += loss
-
-                dy = F.cross_entropy_bwd(1.0, c_loss)
-                dh = F.linear_bwd_input(dy, self.shards[-1]["head"])
-                self._accumulate(
-                    accum[-1],
-                    {
-                        "head": F.linear_bwd_weight(c_head[0], dy),
-                        "final_norm": F.rmsnorm_bwd_weight(dh, c_fnorm),
-                    },
-                )
-                dy = self.q_bgrad(F.rmsnorm_bwd_input(dh, c_fnorm))
-
-                for i in range(cfg.n_layers - 1, -1, -1):
-                    dy, g = self._layer_bwd(
-                        i, self.shards[i], dy, caches[i], ("tp-b", it, mb, i)
-                    )
-                    dy = self.q_bgrad(dy)
-                    self._accumulate(accum[i], dict(g.items()))
-                self._accumulate(
-                    accum[0], {"embed": F.embedding_bwd(dy, c_embed)}
-                )
-
-            # replicated tensors exist on every rank: count their squared
-            # norm on rank 0 only, split tensors everywhere they live.
-            count = (
-                lambda name: _PARTITION[name] != "replicated" or self.rank == 0
+def _tp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
+    """One TP rank: every microbatch through its shards, no gradient sync."""
+    full = spec.init_chunks()
+    shards = [split_layer_weights(c, comm.rank, comm.world_size) for c in full]
+    opt = spec.make_optimizer()
+    states = [opt.init_state(s) for s in shards]
+    cos, sin = spec.rope()
+    # replicated tensors exist on every rank: count their squared norm on
+    # rank 0 only, split tensors everywhere they live.
+    count = lambda name: _PARTITION[name] != "replicated" or comm.rank == 0
+    losses: List[float] = []
+    for it in range(spec.iters):
+        accum = [s.zeros_like() for s in shards]
+        total = 0.0
+        for mb in range(spec.n_microbatches):
+            tokens, targets = microbatch(spec, it, mb)
+            total += sharded_microbatch(
+                spec, shards, accum, tokens, targets, cos, sin,
+                lambda i: TPSeam(comm, spec, (it, mb, i)),
             )
-            pre_update(
-                spec, it, self.opt, accum,
-                comm=self.comm, count=count, tag=("tp-clip", it),
-            )
-            for i, s in enumerate(self.shards):
-                self.opt.step(s, accum[i], self.opt_states[i])
-            losses.append(total_loss / spec.n_microbatches)
-
-        final = [
-            merge_layer_grads(self.comm, self.templates[i], self.shards[i], ("tp-final", i))
-            for i in range(cfg.n_layers)
-        ]
-        return TrainResult(losses=losses, chunks=final)
+        pre_update(spec, it, opt, accum, comm=comm, count=count, tag=("tp-clip", it))
+        for i, s in enumerate(shards):
+            opt.step(s, accum[i], states[i])
+        losses.append(total / spec.n_microbatches)
+    final = [
+        merge_layer_grads(comm, full[i], shards[i], ("tp-final", i))
+        for i in range(spec.cfg.n_layers)
+    ]
+    return TrainResult(losses=losses, chunks=final)
 
 
 def train_tensor_parallel(
     spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
 ) -> TrainResult:
     """Train with pure tensor parallelism across ``world_size`` workers."""
+    if spec.cfg.n_heads % world_size != 0:
+        raise ValueError("n_heads must be divisible by the TP world size")
+    if spec.cfg.ffn % world_size != 0:
+        raise ValueError("ffn width must be divisible by the TP world size")
     if spec.recompute:
         raise ValueError(
             "the TP baseline does not implement recomputation "
             "(full caches are kept; combine with pipeline stages for that)"
         )
-    results = run_workers(
-        world_size, lambda comm: _TPWorker(comm, spec).run(), fabric=fabric
-    )
-    return results[0]
+    return run_workers(world_size, lambda comm: _tp_rank(comm, spec), fabric=fabric)[0]

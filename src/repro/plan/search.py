@@ -26,9 +26,10 @@ Shape rules (DESIGN.md §15):
   ``dp``'s only shape *is* ``degree == 1``.
 * ``degree`` divides every size the strategy's record ``divides``
   (:class:`repro.core.api.Strategy`): layers for pipelines and rings,
-  heads for ``tp``, the sequence for ``sp``, and the per-replica
-  microbatch count for ``fsdp`` and the rings (a ring floors it to a
-  multiple of its size) — what the simulator's builders refuse.
+  heads and the runtime's ffn width (``default_ffn(hidden)``) for
+  ``tp``, the sequence for ``sp``, and the per-replica microbatch count
+  for ``fsdp`` and the rings (a ring floors it to a multiple of its
+  size) — what the simulator's builders and the runtime refuse.
 * the inner group must tile the node structure: ``degree`` is either a
   divisor of ``gpus_per_node`` or a multiple of it.
 * the two-level ring (``hier``) needs its ring to span >1 node (on one
@@ -43,6 +44,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.api import ZOO, strategy_names
+from ..nn.model import default_ffn
 from ..sim.costmodel import ExecConfig, WorkloadDims
 from ..sim.hardware import Cluster
 from ..sim.memory import peak_memory
@@ -177,8 +179,8 @@ def _build(
     ring = degree if s.family == "ring" else 1
     n = _replica_microbatches(spec, g, dp, ring)
     if n < ring or (s.family == "dp" and n < dp) or not s.divisible(
-        degree, layers=model.n_layers, heads=model.n_heads, seq=model.seq_len,
-        microbatches=n,
+        degree, layers=model.n_layers, heads=model.n_heads,
+        ffn=default_ffn(model.hidden), seq=model.seq_len, microbatches=n,
     ):
         return None, False
     return Candidate(

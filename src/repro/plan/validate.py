@@ -28,6 +28,7 @@ import math
 from typing import Dict
 
 from ..core.api import ZOO
+from ..nn.model import default_ffn
 from .search import Evaluated
 
 __all__ = ["validate_candidate"]
@@ -63,16 +64,18 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
     world = _validation_world(ev, v.world_cap)
 
     # keep the runtime's divisibility contracts at toy scale: layers and
-    # microbatch count tile the (clamped) world, and so do the hidden
-    # width of a head-sharding strategy and a sequence-sharding one's seq.
+    # microbatch count tile the (clamped) world, and so do the hidden and
+    # ffn widths of a head-sharding strategy and a sequence-sharding one's
+    # seq.
     n_layers = _round_up(max(v.n_layers, world), world)
     n_mb = _round_up(max(v.n_microbatches, world), world)
     hidden = _round_up(v.hidden, world) if "heads" in strategy.divides else v.hidden
     seq = _round_up(v.seq_len, world) if "seq" in strategy.divides else v.seq_len
+    ffn = _round_up(default_ffn(hidden), world) if "ffn" in strategy.divides else None
 
     cfg = ModelConfig(
         hidden=hidden, n_layers=n_layers, n_heads=v.n_heads,
-        seq_len=seq, vocab=v.vocab,
+        seq_len=seq, vocab=v.vocab, ffn=ffn,
     )
     train_spec = TrainSpec(
         cfg=cfg, n_microbatches=n_mb, microbatch_size=v.microbatch_size,

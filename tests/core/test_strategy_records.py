@@ -14,7 +14,7 @@ from repro import ModelConfig, TrainSpec, train, train_elastic
 from repro.core import RING_SCHEDULES, ZOO
 from repro.obs import Tracer
 from repro.parallel.pipeline import PIPELINE_SCHEDULES
-from repro.runtime import Fabric, WorkerError
+from repro.runtime import Fabric
 from repro.sim import WorkloadDims, exec_for, nvlink_cluster, run_cell
 
 CFG = ModelConfig(hidden=8, n_layers=2, n_heads=2, seq_len=4, vocab=11)
@@ -23,6 +23,7 @@ SPEC = TrainSpec(cfg=CFG, n_microbatches=2, microbatch_size=1, iters=1)
 ODD = {
     "layers": replace(SPEC, cfg=replace(CFG, n_layers=3)),
     "heads": replace(SPEC, cfg=replace(CFG, hidden=12, n_heads=3)),
+    "ffn": replace(SPEC, cfg=replace(CFG, ffn=15)),
     "seq": replace(SPEC, cfg=replace(CFG, seq_len=5)),
     "microbatches": replace(SPEC, n_microbatches=3),
 }
@@ -60,10 +61,10 @@ def test_record_flags_match_the_code(name):
     assert ("F" in spans) == s.reconcile_gated
 
     # divides <=> the runtime refuses a world that does not divide the
-    # size (in the parent, or in a worker as it builds its shard)
+    # size, in the parent, before any worker starts
     for dim, spec in ODD.items():
         if dim in s.divides:
-            with pytest.raises((ValueError, WorkerError), match="divisible"):
+            with pytest.raises(ValueError, match="divisible"):
                 train(spec, name, world)
         else:
             assert train(spec, name, world).losses

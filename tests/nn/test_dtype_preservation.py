@@ -14,9 +14,10 @@ import pytest
 from repro import FP32, FP64, Adam, TrainSpec, train
 from repro.nn import ModelConfig, init_model, model_loss_and_grads, rope_tables
 from repro.nn.layer import layer_bwd_input, layer_bwd_weight, layer_fwd
+from repro.nn.model import chunk_bwd, chunk_fwd
 from repro.parallel import serial
-from repro.parallel.sequence_parallel import _SPWorker
-from repro.parallel.tensor_parallel import _TPWorker
+from repro.parallel.sequence_parallel import SPSeam
+from repro.parallel.tensor_parallel import TPSeam, split_layer_weights
 from repro.runtime.launcher import run_workers
 
 RNG = np.random.default_rng(5)
@@ -84,24 +85,37 @@ def test_model_loss_and_grads_preserve_dtype(dtype, flash):
 @DTYPES
 @FLASH
 def test_tensor_and_sequence_parallel_layers_preserve_dtype(dtype, flash):
-    """The TP and SP workers carry their own copies of the layer body."""
-    # SP has no streaming attention; flash only selects the TP kernel.
+    """The TP and SP seams on the shared chunk code: a forward and a
+    backward of every chunk through each seam, on two ranks."""
+    # SP's seam owns the attention core; flash only selects TP's kernel.
     policy = FP32 if dtype == np.float32 else FP64
     spec = TrainSpec(cfg=_cfg(dtype, flash), precision=policy)
     cfg = spec.cfg
+    tokens = RNG.integers(0, cfg.vocab, size=(2, cfg.seq_len))
+    cos, sin = spec.rope()
+
+    def passes(chunks, x, cos, sin, seam):
+        caches, outs = [], []
+        for i, w in enumerate(chunks):
+            x, cache = chunk_fwd(cfg, i, w, x, cos, sin, seam=seam(i))
+            caches.append(cache)
+        dy = np.ones_like(x)
+        for i in reversed(range(cfg.n_layers)):
+            dy, grads = chunk_bwd(cfg, i, chunks[i], dy, caches[i])
+            outs.append((dy, grads))
+        return float_dtypes((x, caches, outs))
 
     def probe(comm):
-        x = np.ones((2, cfg.seq_len, cfg.hidden), dtype=dtype)
-        tp = _TPWorker(comm, spec)
-        y, cache = tp._layer_fwd(0, tp.shards[0], x, ("f",))
-        dx, grads = tp._layer_bwd(0, tp.shards[0], np.ones_like(y), cache, ("b",))
-        found = float_dtypes((y, cache, dx, grads))
-
-        sp = _SPWorker(comm, spec)
-        x_local = x[:, : sp.block]
-        y, cache = sp._layer_fwd(sp.chunks[0], x_local, ("sf",))
-        dx, grads = sp._layer_bwd(sp.chunks[0], np.ones_like(y), cache, ("sb",))
-        return found | float_dtypes((y, cache, dx, grads))
+        full = init_model(cfg, seed=1)
+        shards = [split_layer_weights(c, comm.rank, comm.world_size) for c in full]
+        found = passes(
+            shards, tokens, cos, sin, lambda i: TPSeam(comm, spec, (0, 0, i))
+        )
+        sl = slice(comm.rank * cfg.seq_len // 2, (comm.rank + 1) * cfg.seq_len // 2)
+        return found | passes(
+            full, tokens[:, sl], cos[sl], sin[sl],
+            lambda i: SPSeam(comm, spec, (0, 0, i)),
+        )
 
     for found in run_workers(2, probe):
         assert found == {np.dtype(dtype)}

@@ -174,6 +174,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv, why", [
         (["--strategy", "frobnicate"], "unknown strategy 'frobnicate'"),
         (["--world", "3"], "divisible"),
+        (["--strategy", "tp", "--world", "3"], "divisible"),
     ])
     def test_train_config_error_exits_2_with_one_line(self, argv, why, capsys):
         rc = main(["train", "--iters", "1", "--hidden", "16", "--heads", "2",
