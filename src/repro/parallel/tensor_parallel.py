@@ -97,22 +97,21 @@ def split_layer_weights(w: ParamStruct, rank: int, world: int) -> ParamStruct:
 
 def merge_layer_grads(
     comm: Communicator, full_template: ParamStruct, shard: ParamStruct, tag: Tuple
-) -> ParamStruct:
-    """Reassemble a full chunk from per-rank shards (for result export)."""
-    from ..runtime import all_gather
-
-    gathered = all_gather(comm, dict(shard.items()), tag=tag)
-    out = full_template.zeros_like()
-    world = comm.world_size
-    for name, arr in full_template.items():
-        kind = _PARTITION[name]
-        if kind == "replicated":
-            out[name] = gathered[comm.rank][name].copy()
-        elif kind == "column":
-            out[name] = np.concatenate([g[name] for g in gathered], axis=1)
-        else:
-            out[name] = np.concatenate([g[name] for g in gathered], axis=0)
-    return out
+) -> Optional[ParamStruct]:
+    """Reassemble a full chunk on rank 0 (for result export): every other
+    rank sends it its column- and row-split tensors point to point and
+    returns ``None``; rank 0 keeps its own replicated tensors."""
+    split = {n: a for n, a in shard.items() if _PARTITION[n] != "replicated"}
+    if comm.rank != 0:
+        comm.send(split, 0, tag)
+        return None
+    parts = [split] + [comm.recv(r, tag) for r in range(1, comm.world_size)]
+    axis = {"column": 1, "row": 0}
+    return ParamStruct({
+        name: shard[name].copy() if _PARTITION[name] == "replicated"
+        else np.concatenate([p[name] for p in parts], axis=axis[_PARTITION[name]])
+        for name in full_template.keys()
+    })
 
 
 class TPSeam(Seam):

@@ -16,6 +16,7 @@ list of human-readable problems (empty = valid).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from .search import SearchResult
@@ -195,16 +196,21 @@ def format_report(report: Dict, top: int = 10) -> str:
         )
     val = report.get("validation", {})
     if val.get("ran"):
-        verdict = "PASS" if val["passed"] else "FAIL"
-        wall = val["reconcile"].get("iteration_wall", {})
-        lines.append(
-            f"\nvalidation ({val['strategy']} @ world {val['world']}): "
-            f"{verdict} — wall predicted "
-            f"{wall.get('predicted_s', 0) * 1e3:.1f} ms vs measured "
-            f"{wall.get('measured_s', 0) * 1e3:.1f} ms "
-            f"(ratio {wall.get('ratio', 0):.2f}, "
-            f"tol {wall.get('tolerance_factor', 0):.0f}x)"
-        )
+        head = (f"\nvalidation ({val['strategy']} @ world {val['world']}): "
+                f"{'PASS' if val['passed'] else 'FAIL'} — ")
+        if val["reconcile"] is None:
+            finite = all(math.isfinite(l) for l in val["losses"])
+            lines.append(f"{head}{val['gate']} gate, losses "
+                         f"{'finite' if finite else 'NOT finite'}")
+        else:
+            wall = val["reconcile"].get("iteration_wall", {})
+            lines.append(
+                f"{head}wall predicted "
+                f"{wall.get('predicted_s', 0) * 1e3:.1f} ms vs measured "
+                f"{wall.get('measured_s', 0) * 1e3:.1f} ms "
+                f"(ratio {wall.get('ratio', 0):.2f}, "
+                f"tol {wall.get('tolerance_factor', 0):.0f}x)"
+            )
     else:
         lines.append("\nvalidation: not run (--no-validate)")
     return "\n".join(lines)

@@ -2,10 +2,14 @@
 
 ``run_cell`` is the unit of every table/figure bench and of the planner's
 ranking: it builds the schedule (``build_schedule``: the strategy's
-record picks its family's builder), simulates it, and returns a
-:class:`SimReport`.  ``exec_for`` is the paper's per-strategy execution
-rule (Section 5 + observed baseline behaviour), read off the record's
-``recompute`` / ``overlap``, that all of them apply:
+record picks its family's builder — ``build_pipeline`` and
+``build_weipipe`` walk every rank's stage / ring program, and the
+rank-symmetric dp, fsdp, tp and sp share ``build_collective``, which
+walks rank 0's program and wraps it in the family's row of
+collectives), simulates it, and returns a :class:`SimReport`.
+``exec_for`` is the paper's per-strategy execution rule (Section 5 +
+observed baseline behaviour), read off the record's ``recompute`` /
+``overlap``, that all of them apply:
 
 * recomputation ON for 1F1B/GPipe/FSDP/DP/WeiPipe, OFF for every
   schedule that splits B from W (paper §5: the zero-bubble variants keep
@@ -36,10 +40,8 @@ from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 from .metrics import SimReport, evaluate
 from .schedules.base import BuiltSchedule
-from .schedules.fsdp import build_dp, build_fsdp
+from .schedules.collective import build_collective
 from .schedules.pipeline import build_pipeline
-from .schedules.seqpar import build_sp
-from .schedules.tensor import build_tp
 from .schedules.weipipe import build_weipipe
 
 __all__ = ["run_cell", "build_schedule", "exec_for", "predict_run", "FREE_LINK"]
@@ -54,10 +56,7 @@ _BUILDERS: Dict[str, Callable[[Strategy, WorkloadDims, Cluster, ExecConfig], Bui
     "ring": lambda s, d, c, e: build_weipipe(
         s.schedule, d, c, e, hier=s.hier, name=s.name
     ),
-    "fsdp": lambda s, d, c, e: build_fsdp(d, c, e),
-    "dp": lambda s, d, c, e: build_dp(d, c, e),
-    "tp": lambda s, d, c, e: build_tp(d, c, e),
-    "sp": lambda s, d, c, e: build_sp(d, c, e),
+    **dict.fromkeys(("dp", "fsdp", "tp", "sp"), build_collective),
 }
 
 

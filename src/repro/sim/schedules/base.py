@@ -10,6 +10,9 @@ Conventions:
 * compute resources are ``("compute", worker)``;
 * ring messages use ``("link", src, dst)`` with the link chosen by the
   cluster topology; collectives use the shared ``("net",)`` resource;
+* pipelines and rings build every rank's timeline; the rank-symmetric
+  families (dp / fsdp / tp / sp, :mod:`.collective`) build rank 0's
+  alone and set ``compute_workers=[0]``, which the metrics scale up;
 * compute tasks set ``kind`` in {"F", "B", "W", "BW", "turn"}, plus
   ``worker``; comm tasks set ``kind="comm"`` and ``nbytes``.
 * With ``overlap=False`` builders route comm through the *sender's*

@@ -30,7 +30,7 @@ def test_world_one_is_serial_bit_for_bit(strategy, precision):
 
 
 @pytest.mark.parametrize("strategy, nbytes, messages", [
-    ("tp", 452_864, 390),
+    ("tp", 414_720, 387),
     ("sp", 401_952, 224),
 ])
 def test_wire_ledger_at_world_two(strategy, nbytes, messages):

@@ -83,3 +83,11 @@ class TestPlanCommand:
         rc = main(_flags("--strategies", "warp-drive"))
         assert rc == 2
         assert "no memory model" in capsys.readouterr().err
+
+    def test_smoke_gated_pick_prints_its_verdict(self, capsys):
+        """A pick without F spans (fsdp) takes the run-only smoke gate."""
+        rc = main(_flags("--strategies", "fsdp"))
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "validation (fsdp @ world " in out
+        assert "PASS — smoke gate, losses finite" in out

@@ -5,10 +5,8 @@ import pytest
 from repro.core.api import ZOO
 from repro.sim import WorkloadDims, evaluate, run_cell, nvlink_cluster, pcie_ethernet_cluster, simulate
 from repro.sim.costmodel import ExecConfig
+from repro.sim.runner import build_schedule, exec_for
 from repro.sim.schedules import (
-    build_tp,
-    build_dp,
-    build_fsdp,
     build_pipeline,
     build_ring_figure,
     build_weipipe,
@@ -57,8 +55,8 @@ class TestBuildersSimulate:
         assert _figure(variant).makespan > 0
 
     def test_fsdp_and_dp_build(self):
-        assert _report(build_fsdp, DIMS, CLUSTER).makespan > 0
-        assert _report(build_dp, DIMS, CLUSTER).makespan > 0
+        assert _report(build_schedule, "fsdp", DIMS, CLUSTER).makespan > 0
+        assert _report(build_schedule, "dp", DIMS, CLUSTER).makespan > 0
 
 
 class TestValidation:
@@ -202,23 +200,84 @@ class TestRingCollective:
 
 class TestTensorParallelSim:
     def test_builds_and_simulates(self):
-        rep = _report(build_tp, DIMS, CLUSTER)
+        rep = _report(build_schedule, "tp", DIMS, CLUSTER)
         assert rep.makespan > 0
 
     def test_heads_divisibility(self):
         with pytest.raises(ValueError):
-            build_tp(DIMS.with_(n_heads=6), CLUSTER)
+            build_schedule("tp", DIMS.with_(n_heads=6), CLUSTER)
 
     def test_tp_collapses_across_nodes(self):
         """Cross-node TP is communication-bound by orders of magnitude —
         the reason real systems keep TP inside a server."""
         single = nvlink_cluster(4, gpus_per_node=4)
         multi = pcie_ethernet_cluster(4, gpus_per_node=2)
-        fast = _report(build_tp, DIMS, single)
-        slow = _report(build_tp, DIMS, multi)
+        fast = _report(build_schedule, "tp", DIMS, single)
+        slow = _report(build_schedule, "tp", DIMS, multi)
         assert slow.makespan > 5 * fast.makespan
 
     def test_tp_comm_scales_with_tokens_not_params(self):
-        a = _report(build_tp, DIMS, CLUSTER)
-        b = _report(build_tp, DIMS.with_(seq_len=8192), CLUSTER)
+        a = _report(build_schedule, "tp", DIMS, CLUSTER)
+        b = _report(build_schedule, "tp", DIMS.with_(seq_len=8192), CLUSTER)
         assert b.comm_bytes_total == pytest.approx(2 * a.comm_bytes_total, rel=0.01)
+
+
+#: the collective families' DES at ``exec_for`` on DIMS, recorded from
+#: the per-family graphs ``build_collective`` replaced:
+#: ``(makespan, comm_bytes_total)`` per cluster, exact.
+COLLECTIVE_PINS = {
+    "nvlink": {
+        "dp": (2.0054027702124007, 805502976.0),
+        "fsdp": (2.0155250102124, 9666035712.0),
+        "tp": (1.9904648060240522, 137438953472.0),
+        "sp": (1.8394363260240651, 138244456448.0),
+    },
+    "pcie": {
+        "dp": (1.5619678277728668, 1611005952.0),
+        "fsdp": (2.6968219611061994, 9666035712.0),
+        "tp": (96.65084436390148, 274877906944.0),
+        "sp": (49.22026258612287, 276488912896.0),
+    },
+}
+
+
+class TestCollectiveFamilies:
+    """dp, fsdp, tp and sp: one builder over rank 0's program."""
+
+    @pytest.mark.parametrize("cluster", ["nvlink", "pcie"])
+    @pytest.mark.parametrize("strategy", ["dp", "fsdp", "tp", "sp"])
+    def test_pinned_at_exec_for(self, strategy, cluster):
+        c = {"nvlink": CLUSTER, "pcie": pcie_ethernet_cluster(8, gpus_per_node=4)}[cluster]
+        rep = run_cell(strategy, DIMS, c, exec_for(strategy))
+        assert (rep.makespan, rep.comm_bytes_total) == COLLECTIVE_PINS[cluster][strategy]
+
+    def test_fsdp_gathers_keep_the_prefetch_window(self):
+        """Two gathered layers at most (what ``sim.memory`` charges): under
+        overlap no gather starts before the compute two ops back ends."""
+        dims = DIMS.with_(seq_len=16384, microbatch=4)
+        built = build_schedule("fsdp", dims, pcie_ethernet_cluster(8, gpus_per_node=4),
+                               ExecConfig(overlap=True))
+        sim = simulate(built.graph)
+        computes, gathers = [], 0
+        for tid, task in built.graph.tasks.items():
+            if task.meta["kind"] in ("F", "B"):
+                computes.append(tid)
+            elif task.meta["collective"] == "all-gather":
+                gathers += 1
+                if len(computes) >= 2:
+                    assert sim.start[tid] >= sim.finish[computes[-2]], tid
+        assert gathers == 2 * dims.n_layers * dims.n_microbatches // 8
+
+    def test_dp_runs_each_op_as_one_task(self):
+        built = build_schedule("dp", DIMS, CLUSTER)
+        kinds = [t.meta["kind"] for t in built.graph.tasks.values()]
+        assert kinds == ["F", "B"] * (DIMS.n_microbatches // 4) + ["comm"]
+
+    @pytest.mark.parametrize("strategy, dims", [
+        ("dp", DIMS.with_(n_microbatches=6)),
+        ("fsdp", DIMS.with_(n_microbatches=6)),
+        ("sp", DIMS.with_(seq_len=4094)),
+    ])
+    def test_divisibility(self, strategy, dims):
+        with pytest.raises(ValueError, match="per rank"):
+            build_schedule(strategy, dims, CLUSTER)
