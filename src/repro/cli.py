@@ -3,7 +3,7 @@
 Commands:
 
 * ``strategies`` — one row per strategy record: its family / schedule
-  and whether it is simulated, elastic, reconcile-gated and full-cache;
+  and whether it is simulated, elastic and full-cache;
 * ``train`` — train a small model on simulated workers and print the
   loss trajectory (functional layer; numerically real);
 * ``explain`` — read a trace a run recorded with ``--trace``: validate
@@ -543,11 +543,10 @@ def _print_analysis(analysis: dict, reconciliation: Optional[dict]) -> None:
 def _cmd_strategies(args) -> int:
     from .core import ZOO
 
-    rows = [("strategy", "family/schedule", "simulated", "elastic",
-             "reconcile-gated", "full-cache")]
+    rows = [("strategy", "family/schedule", "simulated", "elastic", "full-cache")]
     for s in ZOO.values():
         kind = filter(None, (s.family, s.schedule, "two-level" if s.hier else None))
-        flags = (s.simulated, s.elastic, s.reconcile_gated, s.full_cache)
+        flags = (s.simulated, s.elastic, s.full_cache)
         rows.append((s.name, "/".join(kind), *("yes" if f else "no" for f in flags)))
     widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:

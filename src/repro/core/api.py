@@ -59,9 +59,6 @@ class Strategy:
     elastic: bool = False
     #: the runtime keeps full caches and refuses ``recompute``.
     full_cache: bool = False
-    #: its traces carry F spans, so a plan's live validation gates it
-    #: with ``reconcile()``; the others get the run-only smoke gate.
-    reconcile_gated: bool = False
     #: the world :func:`repro.testing.run_differential` trains it at by
     #: default; ``None`` leaves it out of the default matrix.  The four
     #: left out are checked against serial elsewhere: ``gpipe``, ``zb2``
@@ -109,7 +106,7 @@ def _pipeline(schedule: str, **flags) -> Strategy:
     return Strategy(
         schedule, "pipeline",
         lambda s, w, f: train_pipeline(s, w, schedule=schedule, fabric=f),
-        schedule=schedule, divides=("layers",), reconcile_gated=True, **flags,
+        schedule=schedule, divides=("layers",), **flags,
     )
 
 
@@ -126,8 +123,7 @@ def _ring(name: str, mode: str, hier: bool = False, **flags) -> Strategy:
 
     return Strategy(
         name, "ring", run, schedule=mode, hier=hier,
-        divides=("layers", "microbatches"), elastic=True, reconcile_gated=True,
-        **flags,
+        divides=("layers", "microbatches"), elastic=True, **flags,
     )
 
 

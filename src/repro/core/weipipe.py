@@ -62,10 +62,10 @@ from ..nn import functional as F
 from ..nn.model import chunk_param_count
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
-from ..optim.optimizer import clone_opt_state
 from ..parallel.common import (
     TrainResult,
     TrainSpec,
+    init_opt_states,
     microbatch,
     pre_update,
     quantize_grads_,
@@ -198,19 +198,8 @@ class _WeiPipeWorker:
             i: w.zeros_like(self.pool) for i, w in self.bwd_slot.items()
         }
         self.opt = spec.make_optimizer()
-        if spec.initial_opt_state is not None:
-            if len(spec.initial_opt_state) != self.cfg.n_layers:
-                raise ValueError(
-                    f"initial_opt_state has {len(spec.initial_opt_state)} "
-                    f"entries, expected {self.cfg.n_layers}"
-                )
-            self.opt_states = {
-                i: clone_opt_state(spec.initial_opt_state[i]) for i in owned_ids
-            }
-        else:
-            self.opt_states = {
-                i: self.opt.init_state(c) for i, c in self.bwd_slot.items()
-            }
+        self.opt_states = dict(zip(owned_ids, init_opt_states(
+            spec, self.opt, list(self.bwd_slot.values()), owned_ids)))
         #: forward-flow holding; empty until the construction-time inject
         #: at the end of ``__init__`` delivers slot ``-rank`` (its owner's
         #: B slot, or a private copy of it on a copying wire).

@@ -53,6 +53,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .layer import Seam
 from .model import (
     ModelConfig,
     chunk_bwd,
@@ -146,15 +147,18 @@ class CheckpointedChunk:
         x: np.ndarray,
         cos: np.ndarray,
         sin: np.ndarray,
+        seam: Optional[Seam] = None,
     ) -> Tuple[np.ndarray, tuple]:
-        """Forward chunk ``idx``; the returned state feeds :meth:`bwd`."""
+        """Forward chunk ``idx``; the returned state feeds :meth:`bwd`.
+        ``seam`` passes through to :func:`~repro.nn.model.chunk_fwd` and
+        rides in the state, so a replay meets the forward's seam."""
         self._warm = None
-        y, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin)
+        y, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin, seam=seam)
         if self.recompute:
             # the state keeps the boundary input and what the attention
             # core leaves of its work; the heavy cache lives on until the
             # next checkpointed op and no longer.
-            state = ("recompute", x, cos, sin, chunk_kept(cache))
+            state = ("recompute", x, cos, sin, chunk_kept(cache), seam)
             self._warm = (state, cache)
             return y, state
         return y, ("full", cache)
@@ -168,8 +172,8 @@ class CheckpointedChunk:
             return warm[1]
         warm = None  # a stale cache is gone before the replay allocates
         self.replayed += 1
-        _, x, cos, sin, kept = state
-        _, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin, replay=kept)
+        _, x, cos, sin, kept, seam = state
+        _, cache = chunk_fwd(self.cfg, idx, w, x, cos, sin, replay=kept, seam=seam)
         return cache
 
     def bwd(

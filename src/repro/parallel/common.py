@@ -2,14 +2,18 @@
 
 A :class:`TrainSpec` pins down everything that defines a training run —
 model, data, optimizer, precision, recomputation, microbatching — so
-that every strategy (serial, DP, FSDP, GPipe, 1F1B, ZB, WeiPipe) trains
-*the same problem* and can be compared for numerical equivalence.
+that every strategy (serial, DP, FSDP, TP, SP, GPipe, 1F1B, ZB, WeiPipe)
+trains *the same problem* and can be compared for numerical equivalence.
 
 Data is synthetic next-token prediction over random token streams
 (:func:`microbatch`): a pure function of ``(data_seed, iteration,
 microbatch index)``, so any worker can materialise any microbatch
 without a shared data loader — exactly how the equivalence tests keep
 strategies honest.
+
+The five rank-symmetric strategies — serial, DP, FSDP, TP and SP, each
+rank running the whole model once per microbatch — share one iteration,
+:meth:`RankLoop.step`; each keeps only where it departs from serial.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +30,10 @@ from numpy.random import default_rng
 from ..nn import functional as F
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn.layer import Seam, draw_scratch
-from ..nn.model import (
-    ModelConfig, chunk_bwd, chunk_fwd, chunk_param_count, init_chunk, rope_tables,
-)
+from ..nn.model import ModelConfig, chunk_param_count, init_chunk, rope_tables
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
+from ..obs.tracer import NULL_RANK_TRACER
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
 
 __all__ = [
@@ -39,7 +43,8 @@ __all__ = [
     "quantize_grads",
     "quantize_grads_",
     "init_opt_states",
-    "sharded_microbatch",
+    "ChunkSeam",
+    "RankLoop",
     "recompute_ledger",
     "sum_recompute",
 ]
@@ -98,8 +103,8 @@ class TrainSpec:
     initial_chunks: Optional[List[ParamStruct]] = None
     #: optional per-chunk optimizer states to resume from (canonical
     #: full-tensor layout, as produced by ``opt.init_state(chunk)``);
-    #: None means fresh zero state.  Strategies that shard state (FSDP)
-    #: re-shard it on entry.
+    #: None means fresh zero state.  Strategies that shard state (FSDP,
+    #: TP) re-shard it on entry (:func:`init_opt_states`).
     initial_opt_state: Optional[List[Dict]] = None
     #: global iteration this run starts at (resume offset).  Applied
     #: centrally in :func:`microbatch` (data selection) and
@@ -234,17 +239,26 @@ def microbatch(
     return stream[:, :-1], stream[:, 1:]
 
 
-def init_opt_states(spec: TrainSpec, opt: Optimizer, chunks: List[ParamStruct]) -> List[Dict]:
-    """Per-chunk optimizer states: fresh, or cloned from
-    ``spec.initial_opt_state`` (checkpoint / elastic-snapshot resume)."""
-    if spec.initial_opt_state is not None:
-        if len(spec.initial_opt_state) != len(chunks):
-            raise ValueError(
-                f"initial_opt_state has {len(spec.initial_opt_state)} "
-                f"entries, expected {len(chunks)}"
-            )
-        return [clone_opt_state(s) for s in spec.initial_opt_state]
-    return [opt.init_state(c) for c in chunks]
+def init_opt_states(
+    spec: TrainSpec,
+    opt: Optimizer,
+    chunks: List[ParamStruct],
+    ids: Optional[Sequence[int]] = None,
+    shard: Callable[[Dict], Dict] = clone_opt_state,
+) -> List[Dict]:
+    """Optimizer states of ``chunks``, the model's chunks ``ids`` (default
+    all): fresh, or — on a checkpoint / elastic-snapshot resume — each
+    chunk's ``spec.initial_opt_state`` entry, copied by ``shard`` (which
+    also cuts it to the rank's shard where the rank holds one)."""
+    if spec.initial_opt_state is None:
+        return [opt.init_state(c) for c in chunks]
+    if len(spec.initial_opt_state) != spec.cfg.n_layers:
+        raise ValueError(
+            f"initial_opt_state has {len(spec.initial_opt_state)} "
+            f"entries, expected {spec.cfg.n_layers}"
+        )
+    ids = range(len(chunks)) if ids is None else ids
+    return [shard(spec.initial_opt_state[i]) for i in ids]
 
 
 def quantize_grads(grads: ParamStruct, policy: PrecisionPolicy) -> ParamStruct:
@@ -294,39 +308,127 @@ def pre_update(
         apply_scale(grads, scale)
 
 
-def sharded_microbatch(
-    spec: "TrainSpec",
-    chunks: List[ParamStruct],
-    accum: List[ParamStruct],
-    tokens: np.ndarray,
-    targets: np.ndarray,
-    cos: np.ndarray,
-    sin: np.ndarray,
-    seam: Callable[[int], Seam],
-    share: float = 1.0,
-) -> float:
-    """One microbatch through every chunk on a rank that holds a shard of
-    each layer (TP, SP): :func:`~repro.parallel.serial.serial_step`'s body
-    without recomputation, chunk ``i`` running through ``seam(i)``.
+class ChunkSeam(Seam):
+    """A layer :class:`~repro.nn.layer.Seam` that also meets the other
+    ranks around one chunk's ops in :meth:`RankLoop.step`: :meth:`gather`
+    hands the ``"F"`` or ``"B"`` op the weights it runs, :meth:`reduce`
+    takes the chunk's quantised gradient to what the rank accumulates.
+    This base is the identity everywhere — a rank that holds the whole
+    chunk and keeps its whole gradient."""
 
-    Folds the scaled, quantised gradients into ``accum`` and returns the
-    loss over ``targets``; ``share`` is that loss's weight in the
-    microbatch's (1 unless the rank holds part of the positions).
+    def gather(self, w: ParamStruct, op: str) -> ParamStruct:
+        return w
+
+    def reduce(self, g: ParamStruct) -> ParamStruct:
+        return g
+
+
+class RankLoop:
+    """One rank of a rank-symmetric strategy: serial, DP, FSDP, TP or SP.
+
+    They share one iteration, :meth:`step`.  Per microbatch it runs every
+    chunk's forward (one ``F`` span), then every backward (one ``B`` span,
+    its ``args["replayed"]`` the replays it ran), each chunk through its
+    :class:`ChunkSeam`; then the end-of-iteration sync, clipping and the
+    optimizer step (the whole in one ``iteration`` span) — the
+    ``[F(mb), B(mb)]*`` program ``core.api.rank_programs`` gives these
+    families.  This base is serial; a strategy overrides only where it
+    departs from it: the microbatches it runs (:meth:`microbatches`), the
+    seam of each chunk (:meth:`seam`), the share of each microbatch's
+    positions (``positions`` of ``parts``), the sync (:meth:`sync`) and
+    the clipping norm's collective (:meth:`clip_args`).
     """
-    cfg, p = spec.cfg, spec.precision
-    x, caches = tokens, []
-    for i, w in enumerate(chunks):
-        x, cache = chunk_fwd(cfg, i, w, x, cos, sin, seam=seam(i))
-        x = p.q_act(x)
-        caches.append(cache)
-    loss, c_loss = F.cross_entropy_fwd(x, targets)
-    dy = F.cross_entropy_bwd(share, c_loss)
-    for i in range(cfg.n_layers - 1, -1, -1):
-        dy, g = chunk_bwd(cfg, i, chunks[i], dy, caches[i])
-        if dy is not None:
-            dy = p.q_act_grad(dy)
-        accum[i].add_(quantize_grads(g, p), scale=1.0 / spec.n_microbatches)
-    return loss
+
+    #: each microbatch's positions are split this many ways; the rank
+    #: runs ``positions`` of them.
+    parts = 1
+    positions = slice(None)
+
+    def __init__(self, spec: TrainSpec, comm=None):
+        self.spec, self.comm = spec, comm
+        self.rank, self.world = (0, 1) if comm is None else (comm.rank, comm.world_size)
+        self.trace = NULL_RANK_TRACER if comm is None else comm.trace
+        self.ck = CheckpointedChunk(spec.cfg, recompute=spec.recompute)
+        self.opt = spec.make_optimizer()
+        self.cos, self.sin = spec.rope()
+        self._whole = ChunkSeam(spec.cfg.n_heads)
+
+    def microbatches(self) -> Sequence[int]:
+        return range(self.spec.n_microbatches)
+
+    def seam(self, key: Tuple[int, int, int]) -> ChunkSeam:
+        """The seam of chunk ``i`` for the rank's ``k``-th microbatch of
+        iteration ``it``, ``key = (it, k, i)`` (the collectives' tags)."""
+        return self._whole
+
+    def sync(self, it: int, grads: List[ParamStruct], loss: float) -> float:
+        """End-of-iteration collectives over the accumulated ``grads`` (in
+        place) and the rank's ``loss`` sum; returns the sum over ranks."""
+        return loss
+
+    def clip_args(self, it: int) -> Dict:
+        """:func:`pre_update`'s collective keywords, for a rank whose
+        gradients are shards (TP, FSDP)."""
+        return {}
+
+    def train(
+        self, chunks: List[ParamStruct], shard: Callable[[Dict], Dict] = clone_opt_state
+    ) -> Tuple[List[float], List[Dict]]:
+        """Every iteration of the spec in place over the rank's ``chunks``,
+        from :func:`init_opt_states` (``shard`` as there); returns the
+        losses and the final optimizer states."""
+        states = init_opt_states(self.spec, self.opt, chunks, shard=shard)
+        return [self.step(it, chunks, states) for it in range(self.spec.iters)], states
+
+    def pure_step(
+        self, it: int, chunks: List[ParamStruct], states: List[Dict]
+    ) -> Tuple[float, List[ParamStruct], List[Dict]]:
+        """:meth:`step` on copies of ``chunks`` and ``states``: the loss and
+        the updated copies; the inputs are never mutated."""
+        chunks = [c.clone() for c in chunks]
+        states = [clone_opt_state(s) for s in states]
+        return self.step(it, chunks, states), chunks, states
+
+    def step(self, it: int, chunks: List[ParamStruct], states: List[Dict]) -> float:
+        """Iteration ``it`` in place over the rank's ``chunks`` and their
+        optimizer ``states``; returns its mean loss over every rank."""
+        spec, p, ck, trace = self.spec, self.spec.precision, self.ck, self.trace
+        t0 = perf_counter()
+        scale = 1.0 / spec.n_microbatches
+        grads = [c.zeros_like() for c in chunks]
+        loss = 0.0
+        for k, mb in enumerate(self.microbatches()):
+            tokens, targets = microbatch(spec, it, mb)
+            seams = [self.seam((it, k, i)) for i in range(len(chunks))]
+            f0 = perf_counter()
+            x, fwd = tokens[:, self.positions], []
+            for i, seam in enumerate(seams):
+                w = seam.gather(chunks[i], "F")
+                x, st = ck.fwd(i, w, x, self.cos, self.sin, seam=seam)
+                x = p.q_act(x)
+                fwd.append(st)
+                del w  # a gathered chunk is freed at once
+            mb_loss, c_loss = F.cross_entropy_fwd(x, targets[:, self.positions])
+            loss += mb_loss / self.parts
+            b0, replayed = perf_counter(), ck.replayed
+            if trace.enabled:
+                trace.complete("F", "compute", f0, b0 - f0, {"mb": mb, "it": it})
+            dy = F.cross_entropy_bwd(1.0 / self.parts, c_loss)
+            for i in range(len(chunks) - 1, -1, -1):
+                dy, g = ck.bwd(i, seams[i].gather(chunks[i], "B"), dy, fwd[i])
+                if dy is not None:
+                    dy = p.q_act_grad(dy)
+                grads[i].add_(seams[i].reduce(quantize_grads(g, p)), scale=scale)
+            if trace.enabled:
+                trace.complete("B", "compute", b0, perf_counter() - b0,
+                               {"mb": mb, "it": it, "replayed": ck.replayed - replayed})
+        loss = self.sync(it, grads, loss)
+        pre_update(spec, it, self.opt, grads, **self.clip_args(it))
+        for c, g, s in zip(chunks, grads, states):
+            self.opt.step(c, g, s)
+        if trace.enabled:
+            trace.complete("iteration", "iteration", t0, perf_counter() - t0, {"it": it})
+        return float(loss) / spec.n_microbatches
 
 
 @dataclass

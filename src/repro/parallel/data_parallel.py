@@ -18,23 +18,38 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.checkpoint import CheckpointedChunk
-from ..nn import functional as F
 from ..nn.params import ParamStruct
-from ..optim.optimizer import clone_opt_state
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import (
-    TrainResult,
-    TrainSpec,
-    init_opt_states,
-    microbatch,
-    pre_update,
-    quantize_grads,
-    recompute_ledger,
-    sum_recompute,
-)
+from .common import RankLoop, TrainResult, TrainSpec, recompute_ledger, sum_recompute
 
-__all__ = ["train_data_parallel", "dp_step"]
+__all__ = ["train_data_parallel", "dp_step", "all_reduce_grads"]
+
+
+def all_reduce_grads(
+    comm: Communicator, spec: TrainSpec, name: str, it: int,
+    grads: List[ParamStruct], loss: float,
+) -> float:
+    """Sum every rank's gradients (in place) and loss: one ring all-reduce
+    per chunk, tagged ``(name + "-grad", it, i)``, then the loss's.  The
+    gradients are complete replicas afterwards, so clipping is local."""
+    for i, g in enumerate(grads):
+        flat = all_reduce(
+            comm, g.pack(dtype=np.float64), tag=(f"{name}-grad", it, i),
+            nbytes_per_element=spec.precision.weight_grad_bytes,
+        )
+        grads[i] = g.unpack_from(flat)
+    return all_reduce(comm, np.array([loss]), tag=(f"{name}-loss", it))[0]
+
+
+class DPLoop(RankLoop):
+    """A DP rank: microbatches ``{rank, rank+P, ...}`` on its replica,
+    then :func:`all_reduce_grads`."""
+
+    def microbatches(self):
+        return range(self.rank, self.spec.n_microbatches, self.world)
+
+    def sync(self, it, grads, loss):
+        return all_reduce_grads(self.comm, self.spec, "dp", it, grads, loss)
 
 
 def dp_step(
@@ -43,79 +58,24 @@ def dp_step(
     iteration: int,
     chunks: List[ParamStruct],
     opt_states: List[Dict],
-    ck: Optional[CheckpointedChunk] = None,
 ) -> Tuple[float, List[ParamStruct], List[Dict]]:
     """One DP iteration from explicit replicated state.
 
     Inputs are cloned, never mutated; every rank returns the identical
     updated ``(loss, chunks, states)`` (replicas stay in lockstep by
     construction).  Runs on any world size that divides
-    ``spec.n_microbatches``, including 1.  ``ck`` lets a caller that
-    runs many steps read one replay ledger.
+    ``spec.n_microbatches``, including 1.
     """
-    cfg = spec.cfg
-    rank, p = comm.rank, comm.world_size
-    chunks = [c.clone() for c in chunks]
-    states = [clone_opt_state(s) for s in opt_states]
-    cos, sin = spec.rope()
-    if ck is None:
-        ck = CheckpointedChunk(cfg, recompute=spec.recompute)
-    opt = spec.make_optimizer()
-    q_act = spec.precision.q_act
-    q_bgrad = spec.precision.q_act_grad
-    scale = 1.0 / spec.n_microbatches
-    grad_wire = spec.precision.weight_grad_bytes
-
-    accum = [c.zeros_like() for c in chunks]
-    local_loss = 0.0
-    for mb in range(rank, spec.n_microbatches, p):
-        tokens, targets = microbatch(spec, iteration, mb)
-        x = tokens
-        fwd_states = []
-        for i in range(cfg.n_layers):
-            x, st = ck.fwd(i, chunks[i], x, cos, sin)
-            x = q_act(x)
-            fwd_states.append(st)
-        loss, c_loss = F.cross_entropy_fwd(x, targets)
-        local_loss += loss
-        dy = F.cross_entropy_bwd(1.0, c_loss)
-        for i in range(cfg.n_layers - 1, -1, -1):
-            dy, g = ck.bwd(i, chunks[i], dy, fwd_states[i])
-            if dy is not None:
-                dy = q_bgrad(dy)
-            accum[i].add_(quantize_grads(g, spec.precision), scale=scale)
-
-    # synchronise: one ring all-reduce per chunk (flat).
-    for i, g in enumerate(accum):
-        flat = g.pack(dtype=np.float64)
-        reduced = all_reduce(
-            comm, flat, tag=("dp-grad", iteration, i), nbytes_per_element=grad_wire
-        )
-        accum[i] = g.unpack_from(reduced)
-
-    loss_sum = all_reduce(
-        comm, np.array([local_loss]), tag=("dp-loss", iteration)
-    )[0]
-    # grads are complete replicas after the all-reduce: the global
-    # norm is local, no extra collective needed.
-    pre_update(spec, iteration, opt, accum)
-    for i, c in enumerate(chunks):
-        opt.step(c, accum[i], states[i])
-    return float(loss_sum) / spec.n_microbatches, chunks, states
+    return DPLoop(spec, comm).pure_step(iteration, chunks, opt_states)
 
 
 def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
     chunks = spec.init_chunks()
-    opt = spec.make_optimizer()
-    states = init_opt_states(spec, opt, chunks)
-    ck = CheckpointedChunk(spec.cfg, recompute=spec.recompute)
-    losses: List[float] = []
-    for it in range(spec.iters):
-        loss, chunks, states = dp_step(comm, spec, it, chunks, states, ck=ck)
-        losses.append(loss)
+    loop = DPLoop(spec, comm)
+    losses, states = loop.train(chunks)
     return TrainResult(
         losses=losses, chunks=chunks,
-        extra={"opt_state": states, "recompute": recompute_ledger(ck)},
+        extra={"opt_state": states, "recompute": recompute_ledger(loop.ck)},
     )
 
 

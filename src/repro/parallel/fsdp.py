@@ -9,7 +9,9 @@ iteration each worker therefore moves ``3 (P-1)/P`` of the model per
 microbatch group, the collective-communication load the paper contrasts
 with WeiPipe's weight ring.
 
-Data is split like DP: worker ``r`` runs microbatches ``{r, r+P, ...}``.
+Data is split like DP: worker ``r`` runs microbatches ``{r, r+P, ...}``
+in the shared iteration (:class:`~repro.parallel.common.RankLoop`), each
+chunk through an :class:`FSDPSeam` that holds those collectives.
 
 :func:`fsdp_step` exposes one iteration as a pure function of the
 *canonical* (unsharded) ``(weights, optimizer state)``: shard on entry,
@@ -26,10 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.checkpoint import CheckpointedChunk
-from ..nn import functional as F
 from ..nn.params import ParamStruct
-from ..optim.optimizer import Optimizer, map_opt_state
+from ..optim.optimizer import map_opt_state
 from ..runtime import (
     Communicator,
     Fabric,
@@ -39,10 +39,10 @@ from ..runtime import (
     run_workers,
     split_chunks,
 )
-from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
-from .common import recompute_ledger, sum_recompute
+from .common import ChunkSeam, TrainResult, TrainSpec, recompute_ledger, sum_recompute
+from .data_parallel import DPLoop
 
-__all__ = ["train_fsdp", "fsdp_step"]
+__all__ = ["train_fsdp", "fsdp_step", "FSDPSeam"]
 
 
 def _gather_chunk(
@@ -59,6 +59,13 @@ def _gather_chunk(
     return template.unpack_from(np.concatenate(shards))
 
 
+def _shard(chunk: ParamStruct, p: int, rank: int) -> ParamStruct:
+    """This rank's flat float64 shard of ``chunk``."""
+    return ParamStruct(
+        {"flat": split_chunks(chunk.pack(dtype=np.float64), p)[rank].copy()}
+    )
+
+
 def _shard_opt_state(state: Dict, p: int, rank: int) -> Dict:
     """Slice a canonical optimizer state to this rank's flat shard.
 
@@ -66,12 +73,7 @@ def _shard_opt_state(state: Dict, p: int, rank: int) -> Dict:
     the exact layout ``opt.init_state`` produces for a fresh FSDP run —
     while scalar leaves (step counters) pass through.
     """
-    return map_opt_state(
-        state,
-        lambda ps: ParamStruct(
-            {"flat": split_chunks(ps.pack(dtype=np.float64), p)[rank].copy()}
-        ),
-    )
+    return map_opt_state(state, lambda ps: _shard(ps, p, rank))
 
 
 def _gather_opt_state(comm: Communicator, shard_state, template, tag: tuple):
@@ -94,73 +96,51 @@ def _gather_opt_state(comm: Communicator, shard_state, template, tag: tuple):
     return shard_state
 
 
-def _fsdp_iteration(
-    comm: Communicator,
-    spec: TrainSpec,
-    it: int,
-    shards: List[np.ndarray],
-    templates: List[ParamStruct],
-    opt: Optimizer,
-    states: List[Dict],
-    ck: CheckpointedChunk,
-    cos: np.ndarray,
-    sin: np.ndarray,
-) -> float:
-    """One FSDP iteration over persistent flat shards (mutated in place)."""
-    cfg = spec.cfg
-    rank, p = comm.rank, comm.world_size
-    q_act = spec.precision.q_act
-    q_bgrad = spec.precision.q_act_grad
-    w_wire = spec.precision.weight_bytes
-    d_wire = spec.precision.weight_grad_bytes
-    scale = 1.0 / spec.n_microbatches
+class FSDPSeam(ChunkSeam):
+    """ZeRO-3 around one chunk of one microbatch, ``key = (it, k, i)``:
+    the chunk's full weights are all-gathered before its F and again
+    before its B (``("fsdp-agf" | "fsdp-agb",) + key``), and its gradient
+    leaves by a reduce-scatter to this rank's flat shard
+    (``("fsdp-rs",) + key``).  ``k`` is the rank's local microbatch
+    ordinal, identical on every rank, unlike the global microbatch id."""
 
-    grad_shards = [np.zeros_like(s) for s in shards]
-    local_loss = 0.0
-    for k, mb in enumerate(range(rank, spec.n_microbatches, p)):
-        # collective tags use the local ordinal k (identical on every
-        # rank), not the global microbatch id (which differs per rank).
-        tokens, targets = microbatch(spec, it, mb)
-        x = tokens
-        fwd_states = []
-        for i in range(cfg.n_layers):
-            w = _gather_chunk(
-                comm, shards[i], templates[i], ("fsdp-agf", it, k, i), w_wire
-            )
-            x, st = ck.fwd(i, w, x, cos, sin)
-            x = q_act(x)
-            fwd_states.append(st)
-            del w  # freed immediately, as FSDP does
+    def __init__(self, comm: Communicator, spec: TrainSpec,
+                 template: ParamStruct, key: Tuple):
+        super().__init__(spec.cfg.n_heads)
+        self.comm, self.template, self.key = comm, template, key
+        self.w_wire = spec.precision.weight_bytes
+        self.d_wire = spec.precision.weight_grad_bytes
 
-        loss, c_loss = F.cross_entropy_fwd(x, targets)
-        local_loss += loss
-        dy = F.cross_entropy_bwd(1.0, c_loss)
+    def gather(self, w: ParamStruct, op: str) -> ParamStruct:
+        tag = ("fsdp-ag" + op.lower(),) + self.key
+        return _gather_chunk(self.comm, w["flat"], self.template, tag, self.w_wire)
 
-        for i in range(cfg.n_layers - 1, -1, -1):
-            w = _gather_chunk(
-                comm, shards[i], templates[i], ("fsdp-agb", it, k, i), w_wire
-            )
-            dy, g = ck.bwd(i, w, dy, fwd_states[i])
-            del w
-            if dy is not None:
-                dy = q_bgrad(dy)
-            flat_g = quantize_grads(g, spec.precision).pack(dtype=np.float64)
-            mine = reduce_scatter(
-                comm,
-                flat_g,
-                tag=("fsdp-rs", it, k, i),
-                nbytes_per_element=d_wire,
-            )
-            grad_shards[i] += scale * mine
+    def reduce(self, g: ParamStruct) -> ParamStruct:
+        mine = reduce_scatter(
+            self.comm, g.pack(dtype=np.float64), tag=("fsdp-rs",) + self.key,
+            nbytes_per_element=self.d_wire,
+        )
+        return ParamStruct({"flat": mine})
 
-    loss_sum = all_reduce(comm, np.array([local_loss]), tag=("fsdp-loss", it))[0]
-    grad_structs = [ParamStruct({"flat": g}) for g in grad_shards]
-    pre_update(spec, it, opt, grad_structs, comm=comm, tag=("fsdp-clip", it))
-    for i, s in enumerate(shards):
-        ps = ParamStruct({"flat": s})
-        opt.step(ps, grad_structs[i], states[i])
-        shards[i] = ps["flat"]
-    return float(loss_sum) / spec.n_microbatches
+
+class FSDPLoop(DPLoop):
+    """An FSDP rank: DP's microbatches over flat weight shards, each chunk
+    through an :class:`FSDPSeam`; the gradients arrive reduce-scattered,
+    so the sync sums only the loss and clipping sums the shards' norms."""
+
+    def __init__(self, spec: TrainSpec, comm: Communicator,
+                 templates: List[ParamStruct]):
+        super().__init__(spec, comm)
+        self.templates = templates
+
+    def seam(self, key):
+        return FSDPSeam(self.comm, self.spec, self.templates[key[2]], key)
+
+    def sync(self, it, grads, loss):
+        return all_reduce(self.comm, np.array([loss]), tag=("fsdp-loss", it))[0]
+
+    def clip_args(self, it):
+        return {"comm": self.comm, "tag": ("fsdp-clip", it)}
 
 
 def fsdp_step(
@@ -177,88 +157,46 @@ def fsdp_step(
     tensors are float64 so the shard → gather → shard round trip is
     lossless; every rank returns the identical full state.
     """
-    cfg = spec.cfg
     rank, p = comm.rank, comm.world_size
-    cos, sin = spec.rope()
-    ck = CheckpointedChunk(cfg, recompute=spec.recompute)
     templates = [c.zeros_like() for c in chunks]
-    shards = [
-        split_chunks(c.pack(dtype=np.float64), p)[rank].copy() for c in chunks
-    ]
-    opt = spec.make_optimizer()
+    shards = [_shard(c, p, rank) for c in chunks]
+    loop = FSDPLoop(spec, comm, templates)
     states = [_shard_opt_state(s, p, rank) for s in opt_states]
-
-    loss = _fsdp_iteration(
-        comm, spec, iteration, shards, templates, opt, states, cos=cos, sin=sin, ck=ck
-    )
+    loss = loop.step(iteration, shards, states)
 
     w_wire = spec.precision.weight_bytes
     new_chunks = [
-        templates[i]
-        .astype(np.float64)
-        .unpack_from(
-            np.concatenate(
-                all_gather(
-                    comm,
-                    shards[i],
-                    tag=("fsdp-state-w", iteration, i),
-                    nbytes=int(shards[i].size * w_wire),
-                )
-            )
-        )
-        for i in range(cfg.n_layers)
+        _gather_chunk(comm, s["flat"], t.astype(np.float64),
+                      ("fsdp-state-w", iteration, i), w_wire)
+        for i, (s, t) in enumerate(zip(shards, templates))
     ]
-    state_templates = [opt.init_state(templates[i]) for i in range(cfg.n_layers)]
     new_states = [
-        _gather_opt_state(
-            comm, states[i], state_templates[i], ("fsdp-state-opt", iteration, i)
-        )
-        for i in range(cfg.n_layers)
+        _gather_opt_state(comm, states[i], loop.opt.init_state(t),
+                          ("fsdp-state-opt", iteration, i))
+        for i, t in enumerate(templates)
     ]
     return loss, new_chunks, new_states
 
 
 def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    cfg = spec.cfg
     rank, p = comm.rank, comm.world_size
-    cos, sin = spec.rope()
-    ck = CheckpointedChunk(cfg, recompute=spec.recompute)
-    w_wire = spec.precision.weight_bytes
-
     # shard the deterministically initialised model; drop the full copy.
     full = spec.init_chunks()
     templates = [c.zeros_like() for c in full]
-    shards: List[np.ndarray] = [
-        split_chunks(c.pack(dtype=np.float64), p)[rank].copy() for c in full
-    ]
+    shards = [_shard(c, p, rank) for c in full]
     del full
 
-    opt = spec.make_optimizer()
-    if spec.initial_opt_state is not None:
-        if len(spec.initial_opt_state) != cfg.n_layers:
-            raise ValueError(
-                f"initial_opt_state has {len(spec.initial_opt_state)} "
-                f"entries, expected {cfg.n_layers}"
-            )
-        states = [_shard_opt_state(s, p, rank) for s in spec.initial_opt_state]
-    else:
-        states = [opt.init_state(ParamStruct({"flat": s})) for s in shards]
-
-    losses: List[float] = []
-    for it in range(spec.iters):
-        losses.append(
-            _fsdp_iteration(
-                comm, spec, it, shards, templates, opt, states, cos=cos, sin=sin, ck=ck
-            )
-        )
+    loop = FSDPLoop(spec, comm, templates)
+    losses, _ = loop.train(shards, shard=lambda s: _shard_opt_state(s, p, rank))
 
     # reassemble full weights once, for result comparison.
+    w_wire = spec.precision.weight_bytes
     final = [
-        _gather_chunk(comm, shards[i], templates[i], ("fsdp-final", i), w_wire)
-        for i in range(cfg.n_layers)
+        _gather_chunk(comm, s["flat"], t, ("fsdp-final", i), w_wire)
+        for i, (s, t) in enumerate(zip(shards, templates))
     ]
     return TrainResult(
-        losses=losses, chunks=final, extra={"recompute": recompute_ledger(ck)}
+        losses=losses, chunks=final, extra={"recompute": recompute_ledger(loop.ck)}
     )
 
 

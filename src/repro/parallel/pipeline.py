@@ -51,8 +51,8 @@ from ..nn.checkpoint import CheckpointedChunk
 from ..nn import functional as F
 from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_gather, run_workers
-from .common import TrainResult, TrainSpec, microbatch, pre_update, quantize_grads
-from .common import recompute_ledger, sum_recompute
+from .common import TrainResult, TrainSpec, init_opt_states, microbatch, pre_update
+from .common import quantize_grads, recompute_ledger, sum_recompute
 
 __all__ = [
     "PIPELINE_SCHEDULES",
@@ -139,7 +139,8 @@ class _StageWorker:
         self.cos, self.sin = spec.rope()
         self.ck = CheckpointedChunk(self.cfg, recompute=spec.recompute)
         self.opt = spec.make_optimizer()
-        self.opt_states = {i: self.opt.init_state(self.chunks[i]) for i in self.chunk_ids}
+        self.opt_states = dict(zip(self.chunk_ids, init_opt_states(
+            spec, self.opt, list(self.chunks.values()), self.chunk_ids)))
         self.q_act = spec.precision.q_act
         self.q_bgrad = spec.precision.q_act_grad
         self.act_wire = spec.precision.act_bytes

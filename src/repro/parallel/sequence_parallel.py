@@ -23,9 +23,10 @@ elements of collective traffic — like activation-passing PP, it scales
 with context length, which is exactly the contrast with WeiPipe's
 ``O(H²)`` ring that the comparison tests measure.
 
-Each rank runs the shared chunk code (:func:`repro.nn.model.chunk_fwd` /
-``chunk_bwd``) on its block through an :class:`SPSeam`, which stands in
-for the attention core; there is no second copy of the layer here.
+Each rank runs the shared iteration
+(:class:`~repro.parallel.common.RankLoop`) and the shared chunk code on
+its block through an :class:`SPSeam`, which stands in for the attention
+core; there is no second copy of the loop or the layer here.
 
 Numerical contract: bit-identical to the serial baseline at world 1
 (``tests/parallel/test_seam_equivalence.py``); at world ``P`` equal to
@@ -35,19 +36,19 @@ it up to the collectives' summation order
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..nn.attention import attention_block_bwd, attention_block_fwd
-from ..nn.layer import Seam
-from ..runtime import Communicator, Fabric, all_gather, all_reduce, reduce_scatter, run_workers
-from .common import TrainResult, TrainSpec, microbatch, pre_update, sharded_microbatch
+from ..runtime import Communicator, Fabric, all_gather, reduce_scatter, run_workers
+from .common import ChunkSeam, RankLoop, TrainResult, TrainSpec
+from .data_parallel import all_reduce_grads
 
 __all__ = ["train_sequence_parallel", "SPSeam"]
 
 
-class SPSeam(Seam):
+class SPSeam(ChunkSeam):
     """Context parallelism's seam on one SP rank: the attention core of
     the rank's query block against the whole sequence.  The forward
     all-gathers K and V (``("sp-f", it, mb, i, "k" | "v")``) and runs
@@ -103,43 +104,28 @@ class SPSeam(Seam):
         return flat.reshape(g, nh, self.block, hd)
 
 
+class SPLoop(RankLoop):
+    """An SP rank: its position block of every microbatch (its loss 1/P
+    of the microbatch's mean), then DP's all-reduce of the
+    position-partial weight gradients."""
+
+    def __init__(self, spec: TrainSpec, comm: Communicator):
+        super().__init__(spec, comm)
+        self.parts = self.world
+        block = spec.cfg.seq_len // self.world
+        self.positions = slice(self.rank * block, (self.rank + 1) * block)
+        self.cos, self.sin = self.cos[self.positions], self.sin[self.positions]
+
+    def seam(self, key):
+        return SPSeam(self.comm, self.spec, key)
+
+    def sync(self, it, grads, loss):
+        return all_reduce_grads(self.comm, self.spec, "sp", it, grads, loss)
+
+
 def _sp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    """One SP rank: its position block of every microbatch, then a DP-style
-    all-reduce of the position-partial weight gradients."""
-    world = comm.world_size
-    block = spec.cfg.seq_len // world
-    sl = slice(comm.rank * block, (comm.rank + 1) * block)
     chunks = spec.init_chunks()
-    opt = spec.make_optimizer()
-    states = [opt.init_state(c) for c in chunks]
-    cos, sin = spec.rope()
-    cos, sin = cos[sl], sin[sl]
-    losses: List[float] = []
-    for it in range(spec.iters):
-        accum = [c.zeros_like() for c in chunks]
-        total = 0.0
-        for mb in range(spec.n_microbatches):
-            tokens, targets = microbatch(spec, it, mb)
-            # the block's loss is 1/P of the microbatch's mean.
-            total += sharded_microbatch(
-                spec, chunks, accum, tokens[:, sl], targets[:, sl], cos, sin,
-                lambda i: SPSeam(comm, spec, (it, mb, i)), share=1.0 / world,
-            ) / world
-
-        # weight grads are partial over positions: all-reduce like DP.
-        for i, g in enumerate(accum):
-            flat = all_reduce(
-                comm, g.pack(np.float64), tag=("sp-grad", it, i),
-                nbytes_per_element=spec.precision.weight_grad_bytes,
-            )
-            accum[i] = g.unpack_from(flat)
-        loss_sum = all_reduce(comm, np.array([total]), tag=("sp-loss", it))[0]
-
-        # grads are complete replicas now: clipping is local.
-        pre_update(spec, it, opt, accum)
-        for i, c in enumerate(chunks):
-            opt.step(c, accum[i], states[i])
-        losses.append(loss_sum / spec.n_microbatches)
+    losses, _ = SPLoop(spec, comm).train(chunks)
     return TrainResult(losses=losses, chunks=chunks)
 
 

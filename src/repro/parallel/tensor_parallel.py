@@ -23,9 +23,10 @@ parameters compute identical gradients everywhere — no gradient
 synchronisation step is needed at all; the price has already been paid
 inside the layers.
 
-Each rank runs the shared chunk code (:func:`repro.nn.model.chunk_fwd` /
-``chunk_bwd``) through a :class:`TPSeam`, which all-reduces at the
-layer's four seam points; there is no second copy of the layer here.
+Each rank runs the shared iteration
+(:class:`~repro.parallel.common.RankLoop`) and the shared chunk code
+through a :class:`TPSeam`, which all-reduces at the layer's four seam
+points; there is no second copy of the loop or the layer here.
 
 Numerical contract: bit-identical to the serial baseline at world 1
 (``tests/parallel/test_seam_equivalence.py``); at world ``P`` equal to
@@ -35,14 +36,14 @@ it up to the all-reduces' summation order
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layer import Seam
 from ..nn.params import ParamStruct
+from ..optim.optimizer import map_opt_state
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import TrainResult, TrainSpec, microbatch, pre_update, sharded_microbatch
+from .common import ChunkSeam, RankLoop, TrainResult, TrainSpec
 
 __all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads", "TPSeam"]
 
@@ -114,7 +115,7 @@ def merge_layer_grads(
     })
 
 
-class TPSeam(Seam):
+class TPSeam(ChunkSeam):
     """Megatron's split of one layer on one TP rank: ``n_heads / P`` local
     heads, and an all-reduce of a full ``G*S*H`` activation at each of
     the layer's four seam points (the TP tax) — its row-parallel outputs
@@ -139,30 +140,25 @@ class TPSeam(Seam):
         return flat.reshape(partial.shape)
 
 
+class TPLoop(RankLoop):
+    """A TP rank: every microbatch through its shards, no gradient sync;
+    replicated tensors exist on every rank, so clipping counts their
+    squared norm on rank 0 only and split tensors everywhere they live."""
+
+    def seam(self, key):
+        return TPSeam(self.comm, self.spec, key)
+
+    def clip_args(self, it):
+        count = lambda name: _PARTITION[name] != "replicated" or self.rank == 0
+        return {"comm": self.comm, "count": count, "tag": ("tp-clip", it)}
+
+
 def _tp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    """One TP rank: every microbatch through its shards, no gradient sync."""
+    rank, world = comm.rank, comm.world_size
     full = spec.init_chunks()
-    shards = [split_layer_weights(c, comm.rank, comm.world_size) for c in full]
-    opt = spec.make_optimizer()
-    states = [opt.init_state(s) for s in shards]
-    cos, sin = spec.rope()
-    # replicated tensors exist on every rank: count their squared norm on
-    # rank 0 only, split tensors everywhere they live.
-    count = lambda name: _PARTITION[name] != "replicated" or comm.rank == 0
-    losses: List[float] = []
-    for it in range(spec.iters):
-        accum = [s.zeros_like() for s in shards]
-        total = 0.0
-        for mb in range(spec.n_microbatches):
-            tokens, targets = microbatch(spec, it, mb)
-            total += sharded_microbatch(
-                spec, shards, accum, tokens, targets, cos, sin,
-                lambda i: TPSeam(comm, spec, (it, mb, i)),
-            )
-        pre_update(spec, it, opt, accum, comm=comm, count=count, tag=("tp-clip", it))
-        for i, s in enumerate(shards):
-            opt.step(s, accum[i], states[i])
-        losses.append(total / spec.n_microbatches)
+    shards = [split_layer_weights(c, rank, world) for c in full]
+    losses, _ = TPLoop(spec, comm).train(shards, shard=lambda s: map_opt_state(
+        s, lambda ps: split_layer_weights(ps, rank, world)))
     final = [
         merge_layer_grads(comm, full[i], shards[i], ("tp-final", i))
         for i in range(spec.cfg.n_layers)

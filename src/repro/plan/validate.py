@@ -16,10 +16,12 @@ means "the schedule the planner priced is the schedule that actually
 executed, at the speed its forward spans imply", not "a laptop
 reproduces A800 seconds".
 
-Strategies whose traces carry no forward spans (the record's
-``reconcile_gated`` is off: pure dp/fsdp/tp/sp) fall back to a run-only
-smoke gate: the run must finish with finite losses.  The verdict records
-which gate applied.
+Every simulated strategy's trace carries the ``F`` / ``B`` /
+``iteration`` spans ``reconcile()`` reads, so every pick is gated the
+same way — except on a one-worker validation run (``world_cap=1``),
+which the ring's DES cannot price (it has no self-link): that run takes
+a run-only smoke gate, finite losses.  The verdict records which gate
+applied.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def validate_candidate(ev: Evaluated, spec) -> Dict:
         "iters": v.iters,
     }
 
-    gate_reconcile = strategy.reconcile_gated and world > 1
+    gate_reconcile = world > 1
     fabric, tracer = _build_fabric(strategy.hier, world, gate_reconcile, meta)
     result = train(train_spec, functional, world, fabric=fabric)
     losses_finite = all(math.isfinite(l) for l in result.losses)

@@ -184,8 +184,9 @@ class TestCheckpointState:
     def test_flash_state_is_input_plus_attention_output_and_lse(self, dtype):
         g = 2
         for cfg, i, x_in, state, cache in self._states(dtype, True, g):
-            tag, x, cos, sin, kept = state
+            tag, x, cos, sin, kept, seam = state
             assert tag == "recompute" and x is x_in and len(kept) == 2
+            assert seam is None
             out, lse = kept
             assert out.shape == (g, cfg.n_heads, cfg.seq_len, cfg.head_dim)
             assert lse.shape == (g, cfg.n_heads, cfg.seq_len)
@@ -208,8 +209,8 @@ class TestCheckpointState:
 
     def test_materialised_state_is_the_input_alone(self, dtype):
         for _cfg, _i, x_in, state, _cache in self._states(dtype, False):
-            tag, x, cos, sin, kept = state
-            assert tag == "recompute" and x is x_in and kept == ()
+            tag, x, cos, sin, kept, seam = state
+            assert tag == "recompute" and x is x_in and kept == () and seam is None
             assert sorted(map(id, _arrays(state))) == sorted(
                 map(id, [x, cos, sin]))
 
@@ -352,9 +353,9 @@ def test_warm_path_peak_memory_is_the_replay_paths(
     stash = cfg.n_layers * gs * (cfg.hidden + cfg.n_heads) * flash
     stash *= np.dtype(dtype).itemsize
     monkeypatch.setattr(checkpoint_mod, "chunk_kept", lambda cache: ())
-    monkeypatch.setattr(
+    monkeypatch.setattr(  # the whole forward again
         checkpoint_mod, "chunk_fwd",
-        lambda *a, replay=None: chunk_fwd(*a))  # the whole forward again
+        lambda *a, replay=None, seam=None: chunk_fwd(*a, seam=seam))
     # tracemalloc also counts the state tuples: a page of slack
     assert selective <= peak(forced=True) + stash + 4096
 

@@ -15,7 +15,7 @@ from repro import FP32, FP64, Adam, TrainSpec, train
 from repro.nn import ModelConfig, init_model, model_loss_and_grads, rope_tables
 from repro.nn.layer import layer_bwd_input, layer_bwd_weight, layer_fwd
 from repro.nn.model import chunk_bwd, chunk_fwd
-from repro.parallel import serial
+from repro.parallel import common
 from repro.parallel.sequence_parallel import SPSeam
 from repro.parallel.tensor_parallel import TPSeam, split_layer_weights
 from repro.runtime.launcher import run_workers
@@ -126,13 +126,13 @@ def test_fp32_serial_training_stays_fp32(monkeypatch):
     they are folded into the fp32 accumulator, which would hide a
     promotion) and the final weights are all float32."""
     seen = set()
-    quantize_grads = serial.quantize_grads
+    quantize_grads = common.quantize_grads
 
     def spy(grads, policy):
         seen.update(float_dtypes(grads))
         return quantize_grads(grads, policy)
 
-    monkeypatch.setattr(serial, "quantize_grads", spy)
+    monkeypatch.setattr(common, "quantize_grads", spy)
     spec = TrainSpec(
         cfg=_cfg(np.float32, flash=True), n_microbatches=2, iters=2,
         precision=FP32, make_optimizer=lambda: Adam(lr=1e-3),

@@ -63,7 +63,8 @@ class TestBitExactness:
 
     @pytest.mark.parametrize(
         "strategy,world",
-        [("1f1b", 4), ("gpipe", 4), ("zb1", 4), ("fsdp", 4), ("serial", 1)],
+        [("1f1b", 4), ("gpipe", 4), ("zb1", 4), ("fsdp", 4), ("serial", 1),
+         ("dp", 4), ("tp", 2), ("sp", 4)],
     )
     def test_traced_equals_untraced_other_strategies(self, strategy, world):
         from repro import train

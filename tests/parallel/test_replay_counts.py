@@ -131,9 +131,9 @@ def test_a_replay_skips_the_attention_core_and_the_output_gemm(
         here.n = getattr(here, "n", 0) + 1
         return real_linear(*a, **k)
 
-    def chunk(cfg, idx, *a, replay=None):
+    def chunk(cfg, idx, *a, replay=None, **k):
         before = getattr(here, "n", 0)
-        out = real_chunk(cfg, idx, *a, replay=replay)
+        out = real_chunk(cfg, idx, *a, replay=replay, **k)
         gemms.append((idx == L - 1, replay is not None, here.n - before))
         return out
 

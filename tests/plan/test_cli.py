@@ -84,10 +84,11 @@ class TestPlanCommand:
         assert rc == 2
         assert "no memory model" in capsys.readouterr().err
 
-    def test_smoke_gated_pick_prints_its_verdict(self, capsys):
-        """A pick without F spans (fsdp) takes the run-only smoke gate."""
+    def test_fsdp_pick_prints_its_reconcile_verdict(self, capsys):
+        """An fsdp pick's trace carries F / B spans: its live run is gated
+        by reconcile() and the report prints that verdict."""
         rc = main(_flags("--strategies", "fsdp"))
         out = capsys.readouterr().out
         assert rc == 0
         assert "validation (fsdp @ world " in out
-        assert "PASS — smoke gate, losses finite" in out
+        assert "PASS — wall predicted" in out

@@ -136,11 +136,10 @@ def _config(ev):
 class TestReferenceSpec:
     """The CI acceptance assertions, pinned here too: the reference
     cluster spec ranks 7 distinct feasible configurations within the
-    GPU's memory, rejects at least one on memory, and puts a
-    reconcile-gated strategy on top."""
+    GPU's memory, rejects at least one on memory, and puts the
+    hierarchical weight ring on top."""
 
     def test_reference_plan_shape(self):
-        from repro.core import ZOO
         from repro.plan import load_spec
 
         spec = load_spec("examples/specs/reference_cluster.json")
@@ -150,7 +149,6 @@ class TestReferenceSpec:
         assert len(result.memory_rejected) >= 1
         assert result.wall_s > 0
         top = result.feasible[0].candidate
-        assert ZOO[top.strategy].reconcile_gated
         # the paper's claim at long context on a slow wire: the
         # hierarchical weight ring wins
         assert (top.strategy, top.degree) == ("weipipe-hier", 16)

@@ -84,19 +84,38 @@ class TestReconcileGate:
         assert verdict["passed"] is True
 
 
+class TestRankSymmetricPicksReconcile:
+    """fsdp, dp, tp and sp run the shared traced loop: their picks are
+    gated by reconcile() like the rings and pipelines."""
+
+    @pytest.mark.parametrize("strategy,degree,dp,world", [
+        ("fsdp", 8, 1, 2),
+        ("dp", 1, 8, 2),  # pure dp validates its replica fan-out, capped
+        ("tp", 8, 1, 2),
+        ("sp", 8, 1, 2),
+    ])
+    def test_pick_reconciles(self, strategy, degree, dp, world):
+        verdict = validate_candidate(_evaluated(strategy, degree, dp), _spec())
+        assert verdict["strategy"] == strategy
+        assert verdict["world"] == world
+        assert verdict["gate"] == "reconcile"
+        assert verdict["trace_schema_ok"] is True
+        assert verdict["passed"] is True, verdict["reconcile"]
+
+
 class TestSmokeGate:
-    def test_fsdp_pick_smoke_gates(self):
-        verdict = validate_candidate(_evaluated("fsdp", 8, 1), _spec())
+    def test_one_worker_run_takes_the_smoke_gate(self):
+        """The ring's DES has no self-link to price a world of 1."""
+        spec = PlanSpec(
+            model=_spec().model, cluster=_spec().cluster, space=_spec().space,
+            validation=ValidationSpec(world_cap=1, iters=2),
+        )
+        verdict = validate_candidate(_evaluated("weipipe-interleave", 8, 1), spec)
+        assert verdict["world"] == 1
         assert verdict["gate"] == "smoke"
         assert verdict["reconcile"] is None
         assert verdict["passed"] is True
         assert all(l == l for l in verdict["losses"])  # finite
-
-    def test_pure_dp_validates_its_replica_fanout(self):
-        verdict = validate_candidate(_evaluated("dp", 1, 8), _spec())
-        assert verdict["gate"] == "smoke"
-        assert verdict["world"] == 2  # dp fan-out clamped by cap
-        assert verdict["passed"] is True
 
 
 class TestEndToEnd:

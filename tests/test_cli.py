@@ -87,14 +87,14 @@ class TestCommands:
         assert main(["strategies"]) == 0
         header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
         assert header == ["strategy", "family/schedule", "simulated", "elastic",
-                          "reconcile-gated", "full-cache"]
+                          "full-cache"]
         assert [row[0] for row in rows] == list(ZOO)
         for name, kind, *flags in rows:
             s = ZOO[name]
             assert kind.split("/") == [s.family, *([s.schedule] if s.schedule else []),
                                        *(["two-level"] if s.hier else [])]
             assert flags == ["yes" if f else "no" for f in (
-                s.simulated, s.elastic, s.reconcile_gated, s.full_cache)]
+                s.simulated, s.elastic, s.full_cache)]
 
     def test_train_tiny(self, capsys):
         rc = main([
