@@ -70,6 +70,7 @@ from ..parallel.common import (
     pre_update,
     quantize_grads_,
     recompute_ledger,
+    slot_chunk_ids,
     sum_recompute,
 )
 from ..runtime import (
@@ -102,14 +103,6 @@ SlotWeights = Dict[int, ParamStruct]  # chunk id -> weights
 #: first element of a weight-reference payload; the tuple is
 #: ``(WREF_MARK, flow, slot_id)`` and is ledgered at WREF_NBYTES.
 WREF_MARK = "hier-wref"
-
-
-def slot_chunk_ids(slot: int, world: int, n_layers: int) -> List[int]:
-    """Chunk indices carried by ``slot`` (contiguous, ``L/P`` per slot)."""
-    if n_layers % world != 0:
-        raise ValueError("n_layers must be divisible by world size")
-    per = n_layers // world
-    return list(range(slot * per, (slot + 1) * per))
 
 
 def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
@@ -421,40 +414,32 @@ class _WeiPipeWorker:
         if not self._d_exact:
             quantize_grads_(self.grad_slot[i], self.spec.precision)
 
-    def _backward_slot(self, it: int, slot: int, mb: int) -> None:
-        """Fused backward (Naive/Interleave modes)."""
+    def _backward_slot(self, it: int, slot: int, mb: int) -> Dict:
+        """Backward of one slot pass: fused, its weight grads deferred to
+        the turn's drain, or on a split mode the input grads only, each
+        chunk's ``(cache, wcache)`` parked for the W pass one ring
+        revolution later."""
         ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
         state = self.inflight[mb]
-        dy = state.dy
+        replayed, dy, parked = self.ck.replayed, state.dy, {}
         for i in reversed(ids):
-            w = self.bwd_slot[i]
-            dy, g = self.ck.bwd(i, w, dy, state.fwd_states.pop(i))
+            w, st = self.bwd_slot[i], state.fwd_states.pop(i)
+            if self._split:
+                dy, cache, wcache = self.ck.bwd_input(i, w, dy, st)
+                parked[i] = (cache, wcache)
+            else:
+                dy, g = self.ck.bwd(i, w, dy, st)
+                self._deferred.append((i, g))
             if dy is not None:
                 dy = self.q_bgrad(dy)
-            self._deferred.append((i, g))
+        if self._split:
+            self.pending_w[(mb, slot)] = parked
+            self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
         state.dy = dy
         self.held -= 1
         if slot == 0:
             del self.inflight[mb]  # microbatch fully retired
-
-    def _b_pass_slot(self, it: int, slot: int, mb: int) -> None:
-        """Zero-bubble B pass: input grads now, weight grads deferred."""
-        ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
-        state = self.inflight[mb]
-        dy = state.dy
-        parked = {}
-        for i in reversed(ids):
-            w = self.bwd_slot[i]
-            dy, cache, wcache = self.ck.bwd_input(i, w, dy, state.fwd_states.pop(i))
-            if dy is not None:
-                dy = self.q_bgrad(dy)
-            parked[i] = (cache, wcache)
-        self.pending_w[(mb, slot)] = parked
-        self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
-        state.dy = dy
-        self.held -= 1
-        if slot == 0:
-            del self.inflight[mb]
+        return {"replayed": self.ck.replayed - replayed}
 
     def _w_pass_slot(self, it: int, slot: int, mb: int) -> None:
         """Zero-bubble W pass: runs when the slot's D comes around again."""
@@ -467,14 +452,6 @@ class _WeiPipeWorker:
             raise AssertionError(
                 f"schedule/flow mismatch: {kind} slot {slot} but holding {expected}"
             )
-
-    def _run_bwd(self, it: int, slot: int, mb: int) -> Dict:
-        replayed = self.ck.replayed
-        if self._split:
-            self._b_pass_slot(it, slot, mb)
-        else:
-            self._backward_slot(it, slot, mb)
-        return {"replayed": self.ck.replayed - replayed}
 
     # -- the turn loop -----------------------------------------------------------
 
@@ -591,7 +568,7 @@ class _WeiPipeWorker:
         # slots are stepped (and forward copies re-injected) between
         # iterations, so cached slots never outlive their iteration.
         self._wcache = {"F": {}, "B": {}}
-        run = {"B": self._run_bwd, "F": self._forward_slot, "W": self._w_pass_slot}
+        run = {"B": self._backward_slot, "F": self._forward_slot, "W": self._w_pass_slot}
         posted = None
         for t in range(total + 1):
             tt0 = perf_counter()

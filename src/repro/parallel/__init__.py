@@ -4,7 +4,7 @@ from .common import TrainResult, TrainSpec, microbatch
 from .data_parallel import train_data_parallel
 from .elastic import ElasticState, step_engine_for, train_elastic
 from .fsdp import train_fsdp
-from .pipeline import stage_chunk_range, stage_program, train_pipeline
+from .pipeline import stage_program, train_pipeline
 from .sequence_parallel import train_sequence_parallel
 from .serial import train_serial
 from .tensor_parallel import train_tensor_parallel
@@ -14,7 +14,6 @@ __all__ = [
     "TrainResult",
     "TrainSpec",
     "microbatch",
-    "stage_chunk_range",
     "stage_program",
     "step_engine_for",
     "train_data_parallel",

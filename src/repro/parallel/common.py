@@ -11,9 +11,10 @@ microbatch index)``, so any worker can materialise any microbatch
 without a shared data loader — exactly how the equivalence tests keep
 strategies honest.
 
-The five rank-symmetric strategies — serial, DP, FSDP, TP and SP, each
-rank running the whole model once per microbatch — share one iteration,
-:meth:`RankLoop.step`; each keeps only where it departs from serial.
+Every strategy but the weight ring — serial, DP, FSDP, TP, SP and the
+pipeline stage — runs one iteration, :meth:`RankLoop.step`: the rank's
+program of ``F`` / ``B`` / ``W`` ops, each with one body.  Each keeps
+only where it departs from serial.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "init_opt_states",
     "ChunkSeam",
     "RankLoop",
+    "slot_chunk_ids",
     "recompute_ledger",
     "sum_recompute",
 ]
@@ -55,6 +57,15 @@ __all__ = [
 #: 2^20 float64 normals ~15 ms, so from here on the start is lost in the
 #: draw; the suite's long-context chunks (~65 k) stay sequential.
 CONCURRENT_DRAW_MIN = 1 << 20
+
+
+def slot_chunk_ids(slot: int, world: int, n_layers: int) -> List[int]:
+    """Chunk indices of unit ``slot`` of ``world`` — a pipeline stage or
+    a weight-ring slot: contiguous, ``L/P`` each."""
+    if n_layers % world != 0:
+        raise ValueError("n_layers must be divisible by world size")
+    per = n_layers // world
+    return list(range(slot * per, (slot + 1) * per))
 
 
 def usable_cores() -> int:
@@ -324,42 +335,84 @@ class ChunkSeam(Seam):
 
 
 class RankLoop:
-    """One rank of a rank-symmetric strategy: serial, DP, FSDP, TP or SP.
+    """One rank's program of ``F`` / ``B`` / ``W`` ops: serial, DP, FSDP,
+    TP, SP or a pipeline stage.
 
-    They share one iteration, :meth:`step`.  Per microbatch it runs every
-    chunk's forward (one ``F`` span), then every backward (one ``B`` span,
-    its ``args["replayed"]`` the replays it ran), each chunk through its
-    :class:`ChunkSeam`; then the end-of-iteration sync, clipping and the
-    optimizer step (the whole in one ``iteration`` span) — the
-    ``[F(mb), B(mb)]*`` program ``core.api.rank_programs`` gives these
-    families.  This base is serial; a strategy overrides only where it
-    departs from it: the microbatches it runs (:meth:`microbatches`), the
-    seam of each chunk (:meth:`seam`), the share of each microbatch's
-    positions (``positions`` of ``parts``), the sync (:meth:`sync`) and
-    the clipping norm's collective (:meth:`clip_args`).
+    They share one iteration, :meth:`step`, which runs the rank's
+    :meth:`program` — ``(kind, mb)`` ops — over the chunks it holds
+    (``ids``), each chunk through its :class:`ChunkSeam`.  ``F`` runs
+    every chunk's forward and, where the rank holds the targets, the loss
+    (one ``F`` span).  ``B`` runs every backward (one ``B`` span, its
+    ``args["replayed"]`` the replays it ran): fused, or on a ``split``
+    program the input-gradient half only, parking each chunk's ``(cache,
+    wcache)`` for the microbatch's ``W`` op (one ``W`` span).  Then the
+    end-of-iteration sync, clipping and the optimizer step, the whole in
+    one ``iteration`` span.  ``peak_inflight`` / ``peak_pending_w`` count
+    the most microbatches held between F and B / B and W.
+
+    This base is serial: the whole model, and the program ``[F(mb),
+    B(mb)]*`` that ``core.api.rank_programs`` gives the rank-symmetric
+    families.  A strategy overrides only where it departs from it: the
+    microbatches it runs (:meth:`microbatches`), the seam of each chunk
+    (:meth:`seam`), the share of each microbatch's positions
+    (``positions`` of ``parts``), the sync (:meth:`sync`) and the
+    clipping norm's collective (:meth:`clip_args`); a pipeline stage
+    also its ``ids``, its :meth:`program` and where a forward's input
+    and a backward's gradient come from and go (:meth:`x_in`,
+    :meth:`x_out`, :meth:`dy_in`, :meth:`dy_out`).
     """
 
     #: each microbatch's positions are split this many ways; the rank
     #: runs ``positions`` of them.
     parts = 1
     positions = slice(None)
+    #: does the program run each backward's W apart from its B?
+    split = False
 
     def __init__(self, spec: TrainSpec, comm=None):
         self.spec, self.comm = spec, comm
         self.rank, self.world = (0, 1) if comm is None else (comm.rank, comm.world_size)
         self.trace = NULL_RANK_TRACER if comm is None else comm.trace
+        self.ids: Sequence[int] = range(spec.cfg.n_layers)
         self.ck = CheckpointedChunk(spec.cfg, recompute=spec.recompute)
         self.opt = spec.make_optimizer()
         self.cos, self.sin = spec.rope()
         self._whole = ChunkSeam(spec.cfg.n_heads)
+        #: the ``iteration`` span's args beside ``it``.
+        self.span_args: Dict = {}
+        # mb -> (seams, forward states, loss cache), alive from F to B
+        self.inflight: Dict[int, tuple] = {}
+        # mb -> (seams, [(chunk position, cache, wcache), ...]), B to W
+        self.pending_w: Dict[int, tuple] = {}
+        self.peak_inflight = self.peak_pending_w = 0
 
     def microbatches(self) -> Sequence[int]:
         return range(self.spec.n_microbatches)
+
+    def program(self) -> List[Tuple[str, int]]:
+        """The rank's ops of one iteration, ``(kind, mb)`` pairs."""
+        return [(kind, mb) for mb in self.microbatches() for kind in "FB"]
 
     def seam(self, key: Tuple[int, int, int]) -> ChunkSeam:
         """The seam of chunk ``i`` for the rank's ``k``-th microbatch of
         iteration ``it``, ``key = (it, k, i)`` (the collectives' tags)."""
         return self._whole
+
+    def x_in(self, it: int, mb: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The forward's input and, where the rank computes the loss, the
+        targets (else ``None``)."""
+        tokens, targets = microbatch(self.spec, it, mb)
+        return tokens[:, self.positions], targets[:, self.positions]
+
+    def x_out(self, it: int, mb: int, x: np.ndarray) -> None:
+        """Where the forward's output goes on a rank without the loss."""
+
+    def dy_in(self, it: int, mb: int) -> np.ndarray:
+        """The backward's output gradient on a rank without the loss."""
+
+    def dy_out(self, it: int, mb: int, dy: np.ndarray) -> None:
+        """Where the backward's input gradient goes on a rank without the
+        first chunk (whose backward leaves none)."""
 
     def sync(self, it: int, grads: List[ParamStruct], loss: float) -> float:
         """End-of-iteration collectives over the accumulated ``grads`` (in
@@ -368,7 +421,7 @@ class RankLoop:
 
     def clip_args(self, it: int) -> Dict:
         """:func:`pre_update`'s collective keywords, for a rank whose
-        gradients are shards (TP, FSDP)."""
+        gradients are shards (TP, FSDP) or a part of the model (a stage)."""
         return {}
 
     def train(
@@ -377,7 +430,7 @@ class RankLoop:
         """Every iteration of the spec in place over the rank's ``chunks``,
         from :func:`init_opt_states` (``shard`` as there); returns the
         losses and the final optimizer states."""
-        states = init_opt_states(self.spec, self.opt, chunks, shard=shard)
+        states = init_opt_states(self.spec, self.opt, chunks, self.ids, shard)
         return [self.step(it, chunks, states) for it in range(self.spec.iters)], states
 
     def pure_step(
@@ -392,43 +445,105 @@ class RankLoop:
     def step(self, it: int, chunks: List[ParamStruct], states: List[Dict]) -> float:
         """Iteration ``it`` in place over the rank's ``chunks`` and their
         optimizer ``states``; returns its mean loss over every rank."""
-        spec, p, ck, trace = self.spec, self.spec.precision, self.ck, self.trace
         t0 = perf_counter()
-        scale = 1.0 / spec.n_microbatches
         grads = [c.zeros_like() for c in chunks]
         loss = 0.0
-        for k, mb in enumerate(self.microbatches()):
-            tokens, targets = microbatch(spec, it, mb)
-            seams = [self.seam((it, k, i)) for i in range(len(chunks))]
-            f0 = perf_counter()
-            x, fwd = tokens[:, self.positions], []
-            for i, seam in enumerate(seams):
-                w = seam.gather(chunks[i], "F")
-                x, st = ck.fwd(i, w, x, self.cos, self.sin, seam=seam)
-                x = p.q_act(x)
-                fwd.append(st)
-                del w  # a gathered chunk is freed at once
-            mb_loss, c_loss = F.cross_entropy_fwd(x, targets[:, self.positions])
-            loss += mb_loss / self.parts
-            b0, replayed = perf_counter(), ck.replayed
-            if trace.enabled:
-                trace.complete("F", "compute", f0, b0 - f0, {"mb": mb, "it": it})
-            dy = F.cross_entropy_bwd(1.0 / self.parts, c_loss)
-            for i in range(len(chunks) - 1, -1, -1):
-                dy, g = ck.bwd(i, seams[i].gather(chunks[i], "B"), dy, fwd[i])
-                if dy is not None:
-                    dy = p.q_act_grad(dy)
-                grads[i].add_(seams[i].reduce(quantize_grads(g, p)), scale=scale)
-            if trace.enabled:
-                trace.complete("B", "compute", b0, perf_counter() - b0,
-                               {"mb": mb, "it": it, "replayed": ck.replayed - replayed})
+        for kind, mb in self.program():
+            if kind == "F":
+                loss += self.forward(it, mb, chunks)
+            elif kind == "B":
+                self.backward(it, mb, chunks, grads)
+            else:
+                self.weight(it, mb, grads)
         loss = self.sync(it, grads, loss)
-        pre_update(spec, it, self.opt, grads, **self.clip_args(it))
+        pre_update(self.spec, it, self.opt, grads, **self.clip_args(it))
         for c, g, s in zip(chunks, grads, states):
             self.opt.step(c, g, s)
-        if trace.enabled:
-            trace.complete("iteration", "iteration", t0, perf_counter() - t0, {"it": it})
-        return float(loss) / spec.n_microbatches
+        if self.trace.enabled:
+            self.trace.complete("iteration", "iteration", t0, perf_counter() - t0,
+                                {"it": it, **self.span_args})
+        return float(loss) / self.spec.n_microbatches
+
+    def forward(self, it: int, mb: int, chunks: List[ParamStruct]) -> float:
+        """Op ``F``; returns the rank's share of the microbatch's loss."""
+        ck, q_act = self.ck, self.spec.precision.q_act
+        x, targets = self.x_in(it, mb)
+        k = self.microbatches().index(mb)  # the rank's k-th microbatch
+        seams = [self.seam((it, k, i)) for i in self.ids]
+        f0 = perf_counter()
+        fwd = []
+        for i, seam, c in zip(self.ids, seams, chunks):
+            w = seam.gather(c, "F")
+            x, st = ck.fwd(i, w, x, self.cos, self.sin, seam=seam)
+            x = q_act(x)
+            fwd.append(st)
+            del w  # a gathered chunk is freed at once
+        loss, c_loss = 0.0, None
+        if targets is not None:
+            loss, c_loss = F.cross_entropy_fwd(x, targets)
+            loss /= self.parts
+        if self.trace.enabled:
+            self.trace.complete("F", "compute", f0, perf_counter() - f0,
+                                {"mb": mb, "it": it})
+        self.inflight[mb] = (seams, fwd, c_loss)
+        self.peak_inflight = max(self.peak_inflight, len(self.inflight))
+        if c_loss is None:
+            self.x_out(it, mb, x)
+        return loss
+
+    def backward(
+        self, it: int, mb: int, chunks: List[ParamStruct], grads: List[ParamStruct]
+    ) -> None:
+        """Op ``B``: fused, accumulating each chunk's gradient, or on a
+        split program parking each chunk's ``(cache, wcache)``."""
+        ck, q_act_grad = self.ck, self.spec.precision.q_act_grad
+        seams, fwd, c_loss = self.inflight.pop(mb)
+        dy = None if c_loss is not None else self.dy_in(it, mb)
+        b0, replayed = perf_counter(), ck.replayed
+        if c_loss is not None:
+            dy = F.cross_entropy_bwd(1.0 / self.parts, c_loss)
+            # kept until the next backward: freed here, it lets glibc trim
+            # the heap top and the next forward fault it back in (+55 %
+            # minor faults, 6 % of a serial-long-ctx call)
+            self._loss_cache = c_loss
+        parked = []
+        for pos in range(len(chunks) - 1, -1, -1):
+            i, seam = self.ids[pos], seams[pos]
+            w = seam.gather(chunks[pos], "B")
+            if self.split:
+                dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
+                parked.append((pos, cache, wcache))
+            else:
+                dy, g = ck.bwd(i, w, dy, fwd[pos])
+                self._accumulate(grads, pos, seam, g)
+            del w
+            if dy is not None:
+                dy = q_act_grad(dy)
+        if self.split:
+            self.pending_w[mb] = (seams, parked)
+            self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
+        if self.trace.enabled:
+            self.trace.complete("B", "compute", b0, perf_counter() - b0,
+                                {"mb": mb, "it": it, "replayed": ck.replayed - replayed})
+        if dy is not None:
+            self.dy_out(it, mb, dy)
+
+    def weight(self, it: int, mb: int, grads: List[ParamStruct]) -> None:
+        """Op ``W``: the weight-gradient half of a parked microbatch."""
+        w0 = perf_counter()
+        seams, parked = self.pending_w.pop(mb)
+        for pos, cache, wcache in parked:
+            g = self.ck.bwd_weight(self.ids[pos], cache, wcache)
+            self._accumulate(grads, pos, seams[pos], g)
+        if self.trace.enabled:
+            self.trace.complete("W", "compute", w0, perf_counter() - w0,
+                                {"mb": mb, "it": it})
+
+    def _accumulate(
+        self, grads: List[ParamStruct], pos: int, seam: ChunkSeam, g: ParamStruct
+    ) -> None:
+        g = seam.reduce(quantize_grads(g, self.spec.precision))
+        grads[pos].add_(g, scale=1.0 / self.spec.n_microbatches)
 
 
 @dataclass

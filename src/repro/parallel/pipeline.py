@@ -6,9 +6,13 @@ travel ``stage s -> s+1`` in the forward pass and their gradients travel
 back, so the per-hop message size is ``G * S * H`` elements — the volume
 that explodes with context length and motivates WeiPipe.
 
-There is one stage worker.  It interprets a per-rank *program* — a list
-of ``("F" | "B" | "W", microbatch)`` ops from :func:`stage_program` —
-and the four schedules are the four rows of :data:`PIPELINE_SCHEDULES`:
+A stage is one more subclass of the shared loop,
+:class:`~repro.parallel.common.RankLoop` (:class:`StageLoop`): it runs a
+per-rank *program* — a list of ``("F" | "B" | "W", microbatch)`` ops from
+:func:`stage_program` — with the loop's one body per op kind, and keeps
+only its chunk ids, its program, its wire (activations in and out, their
+gradients back) and its two collectives.  The four schedules are the
+four rows of :data:`PIPELINE_SCHEDULES`:
 how many forwards a stage runs before its first backward (warmup depth)
 and whether the backward is split into B and W ops.  A split schedule
 runs each W one B behind.  All four compute bit-identical numbers; they
@@ -44,20 +48,16 @@ task graph and what ``repro.sim.memory`` walks (DESIGN §18).
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..nn.checkpoint import CheckpointedChunk
-from ..nn import functional as F
 from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_gather, run_workers
-from .common import TrainResult, TrainSpec, init_opt_states, microbatch, pre_update
-from .common import quantize_grads, recompute_ledger, sum_recompute
+from .common import RankLoop, TrainResult, TrainSpec, microbatch, recompute_ledger
+from .common import slot_chunk_ids, sum_recompute
 
 __all__ = [
     "PIPELINE_SCHEDULES",
     "splits_backward",
-    "stage_chunk_range",
     "stage_program",
     "train_pipeline",
 ]
@@ -112,182 +112,59 @@ def stage_program(
     return ops
 
 
-def stage_chunk_range(n_layers: int, world_size: int, rank: int) -> range:
-    """Chunk indices owned by pipeline stage ``rank`` (contiguous split)."""
-    if n_layers % world_size != 0:
-        raise ValueError("n_layers must be divisible by the number of stages")
-    per = n_layers // world_size
-    return range(rank * per, (rank + 1) * per)
+class StageLoop(RankLoop):
+    """Pipeline stage ``rank``: the shared loop over the stage's chunks
+    (:func:`~repro.parallel.common.slot_chunk_ids`) running its
+    :func:`stage_program`.  Stage 0 reads the tokens and every other stage
+    receives its input from the stage before (``("act", it, mb)``); the
+    last stage holds the loss and every other one sends its output on.
+    The gradients flow back the same way (``("bgrad", it, mb)``).  The
+    stages clip by the ``("pp-clip", it)`` all-reduce, and the
+    ``("pp-loss", it)`` all-gather shares the last stage's loss."""
 
-
-class _StageWorker:
-    """One pipeline stage: three op bodies and the loop that runs them."""
-
-    def __init__(self, comm: Communicator, spec: TrainSpec, schedule: str):
-        self.comm = comm
-        self.spec = spec
-        self.cfg = spec.cfg
-        self.schedule = schedule
-        self.rank = comm.rank
-        self.world = comm.world_size
-        self.is_first = self.rank == 0
-        self.is_last = self.rank == self.world - 1
-        self.chunk_ids = list(
-            stage_chunk_range(self.cfg.n_layers, self.world, self.rank)
-        )
-        self.chunks = dict(zip(self.chunk_ids, spec.init_chunks(self.chunk_ids)))
-        self.cos, self.sin = spec.rope()
-        self.ck = CheckpointedChunk(self.cfg, recompute=spec.recompute)
-        self.opt = spec.make_optimizer()
-        self.opt_states = dict(zip(self.chunk_ids, init_opt_states(
-            spec, self.opt, list(self.chunks.values()), self.chunk_ids)))
-        self.q_act = spec.precision.q_act
-        self.q_bgrad = spec.precision.q_act_grad
-        self.act_wire = spec.precision.act_bytes
-        self.bgrad_wire = spec.precision.act_grad_bytes
-        self.scale = 1.0 / spec.n_microbatches
+    def __init__(self, spec: TrainSpec, comm: Communicator, schedule: str):
+        super().__init__(spec, comm)
+        self.ids = slot_chunk_ids(self.rank, self.world, spec.cfg.n_layers)
         self.split = splits_backward(schedule)
-        self.program = stage_program(
-            schedule, self.world, self.rank, spec.n_microbatches
-        )
-        # mb -> per-chunk forward states, alive from F to B
-        self.inflight: Dict[int, list] = {}
-        # mb -> [(chunk id, cache, wcache), ...], alive from B to W
-        self.pending_w: Dict[int, list] = {}
-        self.loss_caches: Dict[int, tuple] = {}
-        self.peak_inflight = 0
-        self.peak_pending_w = 0
-        self.local_losses: Dict[int, float] = {}
-        self.trace = comm.trace
+        self._program = stage_program(schedule, self.world, self.rank, spec.n_microbatches)
+        self.span_args = {"schedule": schedule}
 
-    # -- the three ops --------------------------------------------------------
+    def program(self):
+        return self._program
 
-    def forward(self, it: int, mb: int) -> None:
-        if self.is_first:
-            tokens, targets = microbatch(self.spec, it, mb)
-            x = tokens
-        else:
-            x = self.comm.recv(self.rank - 1, ("act", it, mb))
-            _, targets = microbatch(self.spec, it, mb)
-        c0 = perf_counter()
-        states = []
-        for i in self.chunk_ids:
-            x, st = self.ck.fwd(i, self.chunks[i], x, self.cos, self.sin)
-            x = self.q_act(x)
-            states.append(st)
-        self.inflight[mb] = states
-        self.peak_inflight = max(self.peak_inflight, len(self.inflight))
-        if self.is_last:
-            loss, c_loss = F.cross_entropy_fwd(x, targets)
-            self.local_losses[mb] = loss
-            self.loss_caches[mb] = c_loss
-        if self.trace.enabled:
-            self.trace.complete("F", "compute", c0, perf_counter() - c0,
-                                {"mb": mb, "it": it})
-        if not self.is_last:
-            self.comm.send(
-                x,
-                self.rank + 1,
-                ("act", it, mb),
-                nbytes=int(x.size * self.act_wire),
-            )
+    def x_in(self, it, mb):
+        tokens, targets = microbatch(self.spec, it, mb)
+        if self.rank > 0:
+            tokens = self.comm.recv(self.rank - 1, ("act", it, mb))
+        return tokens, targets if self.rank == self.world - 1 else None
 
-    def backward(self, it: int, mb: int, accum: Dict[int, ParamStruct]) -> None:
-        """Fused schedules: B + W per chunk, accumulated at once.  Split
-        schedules: the activation-gradient half only; each chunk's
-        ``(cache, wcache)`` is parked for the microbatch's W op."""
-        if self.is_last:
-            dy = F.cross_entropy_bwd(1.0, self.loss_caches.pop(mb))
-        else:
-            dy = self.comm.recv(self.rank + 1, ("bgrad", it, mb))
-        c0 = perf_counter()
-        replayed = self.ck.replayed
-        states = self.inflight.pop(mb)
-        parked = []
-        for pos in range(len(self.chunk_ids) - 1, -1, -1):
-            i = self.chunk_ids[pos]
-            if self.split:
-                dy, cache, wcache = self.ck.bwd_input(i, self.chunks[i], dy, states[pos])
-                parked.append((i, cache, wcache))
-            else:
-                dy, g = self.ck.bwd(i, self.chunks[i], dy, states[pos])
-                accum[i].add_(quantize_grads(g, self.spec.precision), scale=self.scale)
-            if dy is not None:
-                dy = self.q_bgrad(dy)
-        if self.split:
-            self.pending_w[mb] = parked
-            self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
-        if self.trace.enabled:
-            self.trace.complete("B", "compute", c0, perf_counter() - c0,
-                                {"mb": mb, "it": it,
-                                 "replayed": self.ck.replayed - replayed})
-        if not self.is_first:
-            self.comm.send(
-                dy,
-                self.rank - 1,
-                ("bgrad", it, mb),
-                nbytes=int(dy.size * self.bgrad_wire),
-            )
+    def x_out(self, it, mb, x):
+        nbytes = int(x.size * self.spec.precision.act_bytes)
+        self.comm.send(x, self.rank + 1, ("act", it, mb), nbytes=nbytes)
 
-    def w_pass(self, it: int, mb: int, accum: Dict[int, ParamStruct]) -> None:
-        """Weight-gradient half of a parked microbatch."""
-        c0 = perf_counter()
-        for i, cache, wcache in self.pending_w.pop(mb):
-            g = self.ck.bwd_weight(i, cache, wcache)
-            accum[i].add_(quantize_grads(g, self.spec.precision), scale=self.scale)
-        if self.trace.enabled:
-            self.trace.complete("W", "compute", c0, perf_counter() - c0,
-                                {"mb": mb, "it": it})
+    def dy_in(self, it, mb):
+        return self.comm.recv(self.rank + 1, ("bgrad", it, mb))
 
-    # -- iteration ------------------------------------------------------------
+    def dy_out(self, it, mb, dy):
+        nbytes = int(dy.size * self.spec.precision.act_grad_bytes)
+        self.comm.send(dy, self.rank - 1, ("bgrad", it, mb), nbytes=nbytes)
 
-    def run_iteration(self, it: int) -> float:
-        if not self.trace.enabled:
-            return self._run_iteration(it)
-        t0 = perf_counter()
-        loss = self._run_iteration(it)
-        self.trace.complete("iteration", "iteration", t0, perf_counter() - t0,
-                            {"it": it, "schedule": self.schedule})
-        return loss
+    def sync(self, it, grads, loss):
+        return sum(all_gather(self.comm, loss, tag=("pp-loss", it)))
 
-    def _run_iteration(self, it: int) -> float:
-        accum = {i: self.chunks[i].zeros_like() for i in self.chunk_ids}
-        for kind, mb in self.program:
-            if kind == "F":
-                self.forward(it, mb)
-            elif kind == "B":
-                self.backward(it, mb, accum)
-            else:
-                self.w_pass(it, mb, accum)
+    def clip_args(self, it):
+        return {"comm": self.comm, "tag": ("pp-clip", it)}
 
-        pre_update(
-            self.spec, it, self.opt, [accum[i] for i in self.chunk_ids],
-            comm=self.comm, tag=("pp-clip", it),
-        )
-        for i in self.chunk_ids:
-            self.opt.step(self.chunks[i], accum[i], self.opt_states[i])
-
-        # mean loss lives on the last stage; share it for reporting.
-        losses = all_gather(
-            self.comm, sum(self.local_losses.values()), tag=("pp-loss", it)
-        )
-        self.local_losses.clear()
-        return sum(losses) / self.spec.n_microbatches
-
-
-def _worker(comm: Communicator, spec: TrainSpec, schedule: str) -> TrainResult:
-    w = _StageWorker(comm, spec, schedule)
-    losses = [w.run_iteration(it) for it in range(spec.iters)]
-    return TrainResult(
-        losses=losses,
-        chunks=[w.chunks[i] for i in w.chunk_ids],
-        extra={
-            "rank": w.rank,
-            "peak_inflight": w.peak_inflight,
-            "peak_pending_w": w.peak_pending_w,
-            "recompute": recompute_ledger(w.ck),
-        },
-    )
+    def run(self) -> TrainResult:
+        """Train the stage's chunks, drawn here; its result and ledgers."""
+        chunks = self.spec.init_chunks(self.ids)
+        losses, _ = self.train(chunks)
+        return TrainResult(losses, chunks, extra={
+            "rank": self.rank,
+            "peak_inflight": self.peak_inflight,
+            "peak_pending_w": self.peak_pending_w,
+            "recompute": recompute_ledger(self.ck),
+        })
 
 
 def train_pipeline(
@@ -306,10 +183,10 @@ def train_pipeline(
     Configuration errors raise ``ValueError`` here, before any worker is
     launched.
     """
-    stage_chunk_range(spec.cfg.n_layers, world_size, 0)  # validate divisibility
+    slot_chunk_ids(0, world_size, spec.cfg.n_layers)  # validate divisibility
     _row(schedule)  # validate the schedule name
     results = run_workers(
-        world_size, lambda comm: _worker(comm, spec, schedule), fabric=fabric
+        world_size, lambda comm: StageLoop(spec, comm, schedule).run(), fabric=fabric
     )
     chunks: List[ParamStruct] = []
     for r in results:

@@ -71,7 +71,7 @@ def test_kept_cache_reads_a_parked_forward_slot_never_a_recycled_one():
     def worker(comm):
         w = _WeiPipeWorker(comm, spec, "interleave")
         seen = []
-        run_bwd = w._run_bwd
+        run_bwd = w._backward_slot
 
         def checked(it, slot, mb):
             warm = w.ck._warm
@@ -86,7 +86,7 @@ def test_kept_cache_reads_a_parked_forward_slot_never_a_recycled_one():
                 ))
             return run_bwd(it, slot, mb)
 
-        w._run_bwd = checked
+        w._backward_slot = checked
         w.run_iteration(0)
         return seen, w.ck.kept, len(w._retired_fwd)
 

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro import FP32, FP64, ModelConfig, TrainSpec, train
-from repro.parallel.pipeline import PIPELINE_SCHEDULES, stage_chunk_range
+from repro.parallel.common import slot_chunk_ids
+from repro.parallel.pipeline import PIPELINE_SCHEDULES
 from repro.testing import compare_train_results
 
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
@@ -20,12 +21,12 @@ def _spec(n_mb=8, **kw):
 
 class TestStagePartition:
     def test_contiguous_cover(self):
-        ids = [list(stage_chunk_range(8, 4, r)) for r in range(4)]
+        ids = [list(slot_chunk_ids(r, 4, 8)) for r in range(4)]
         assert ids == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            stage_chunk_range(6, 4, 0)
+            slot_chunk_ids(0, 4, 6)
 
 
 class TestInflightLiveness:

@@ -12,7 +12,9 @@ does for the ring — we verify exhaustively what the stage worker relies on:
 * the documented peaks of the one liveness walk.
 
 Then that the runtime and the DES builder read this description rather
-than a copy of it (the memory model's reading is ``tests/sim/test_memory.py``).
+than a copy of it (the memory model's reading is ``tests/sim/test_memory.py``),
+and that every other record the shared loop runs traces its own
+``core.api.rank_programs`` program.
 """
 
 from itertools import product
@@ -20,6 +22,7 @@ from itertools import product
 import pytest
 
 from repro import FP64, ModelConfig, Tracer, TrainSpec, train
+from repro.core.api import ZOO, rank_programs
 from repro.core.schedule import liveness
 from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
 from repro.runtime import Fabric
@@ -32,7 +35,11 @@ SCHEDULES = list(PIPELINE_SCHEDULES)
 #: every test below also sweeps N in 1..12 (and every rank) per cell.
 GRID = list(product(SCHEDULES, range(1, 7)))
 N_MBS = range(1, 13)
-CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
+CFG = ModelConfig(hidden=16, n_layers=4, n_heads=4, seq_len=8, vocab=23)
+#: the records the shared loop runs on a fabric: all but the rings, and
+#: serial, which trains on none (so traces nothing); dp at world 1 is its
+#: loop.
+LOOPED = [name for name, s in ZOO.items() if s.family not in ("ring", "serial")]
 
 
 def peaks(program):
@@ -112,20 +119,27 @@ class TestProgramProperties:
 
 class TestConsumersReadTheProgram:
     @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_runtime_ledgers_and_span_order(self, schedule, world, n_mb):
+    @pytest.mark.parametrize("name", LOOPED)
+    def test_runtime_ledgers_and_span_order(self, name, world, n_mb):
+        """Every rank of every record the shared loop runs traces the ops
+        of its ``core.api.rank_programs`` program in order."""
         spec = TrainSpec(
             cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
         )
         tracer = Tracer()
-        result = train(spec, schedule, world, fabric=Fabric(world, tracer=tracer))
+        result = train(spec, name, world, fabric=Fabric(world, tracer=tracer))
         events = list(tracer.events())
-        for rank in range(world):
-            prog = stage_program(schedule, world, rank, n_mb)
-            assert (
-                result.extra["peak_inflight"][rank],
-                result.extra["peak_pending_w"][rank],
-            ) == peaks(prog)
+        record = ZOO[name]
+        programs, _ = rank_programs(name, world, n_mb)
+        for rank, prog in enumerate(programs):
+            if record.family == "pipeline":
+                assert (
+                    result.extra["peak_inflight"][rank],
+                    result.extra["peak_pending_w"][rank],
+                ) == peaks(prog)
+            elif "microbatches" in record.divides:
+                # a dp / fsdp rank's unit k is its microbatch r + kP
+                prog = [(kind, rank + k * world) for kind, k in prog]
             spans = [
                 (e["args"]["it"], e["name"], e["args"]["mb"])
                 for e in events
@@ -136,7 +150,8 @@ class TestConsumersReadTheProgram:
             ]
         iterations = [e for e in events if e["name"] == "iteration"]
         assert len(iterations) == world * spec.iters
-        assert all(e["args"]["schedule"] == schedule for e in iterations)
+        if record.family == "pipeline":
+            assert all(e["args"]["schedule"] == record.schedule for e in iterations)
 
     @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("world, n_mb", [(1, 3), (2, 4), (4, 8), (6, 5)])
