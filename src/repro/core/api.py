@@ -99,7 +99,7 @@ class Strategy:
 def _serial(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
     if world != 1:
         raise ValueError("serial strategy runs on exactly one worker")
-    return train_serial(spec)
+    return train_serial(spec, fabric)
 
 
 def _pipeline(schedule: str, **flags) -> Strategy:

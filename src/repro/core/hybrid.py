@@ -11,10 +11,11 @@ ring:
 * each replica ring runs standard WeiPipe-Interleave over its ``1/dp``
   share of the microbatches (round-robin by global index, so any world
   shape sees the same data);
-* at the update pass, each slot owner all-reduces its accumulated ``D``
-  across the ``dp`` replicas of the same ring position (one small
-  weight-sized collective per slot — still no activation traffic), then
-  every replica applies the identical update.
+* at the end of the ring turns (``RingLoop.sync``, beside the loss
+  all-gather), each slot owner all-reduces its accumulated ``D`` across
+  the ``dp`` replicas of the same ring position (one small weight-sized
+  collective per slot — still no activation traffic), then every
+  replica applies the identical update.
 
 Numerical contract: identical to serial and to a pure WeiPipe ring of
 any size (``tests/core/test_hybrid.py``).
@@ -30,7 +31,7 @@ import numpy as np
 from ..parallel.common import TrainResult, TrainSpec, microbatch
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
 from ..runtime.subgroup import split_grid
-from .weipipe import _WeiPipeWorker
+from .weipipe import RingLoop
 
 __all__ = ["train_weipipe_dp"]
 
@@ -75,7 +76,7 @@ def train_weipipe_dp(
             n_microbatches=spec.n_microbatches // dp_degree,
             data=_ShardedData(spec, dp_idx, dp_degree),
         )
-        w = _WeiPipeWorker(ring_comm, local_spec, "interleave", dp_comm=dp_comm)
+        w = RingLoop(ring_comm, local_spec, "interleave", dp_comm=dp_comm)
         losses = []
         for it in range(spec.iters):
             ring_mean = w.run_iteration(it)

@@ -23,12 +23,16 @@ activations never leave the worker — while the weights rotate past:
   forward flow is that same inject, run once at construction, so no
   worker ever draws or holds the whole model.
 
-There is one ring engine (DESIGN.md §10): every turn waits F and B,
-computes, waits D, adds the turn's weight grads into it and sends it
-on.  Slots are arena-backed (:class:`~repro.nn.params.ParamStruct`) and
-a fabric-wide :class:`~repro.nn.params.BufferPool` recycles weight
-buffers so the steady-state turn allocates nothing.  Two inputs vary
-what a hop does, never what is computed:
+The worker is :class:`RingLoop`, a subclass of the loop every other
+strategy runs (:class:`~repro.parallel.common.RankLoop`, DESIGN.md §22):
+its turns' ``F`` / ``B`` / ``W`` ops — units ``(slot, mb)`` over the
+held slot's chunks — are that loop's bodies.  There is one ring engine
+(DESIGN.md §10): every turn waits F and B, computes, waits D, adds the
+turn's weight grads into it and sends it on.  Slots are arena-backed
+(:class:`~repro.nn.params.ParamStruct`) and a fabric-wide
+:class:`~repro.nn.params.BufferPool` recycles weight buffers so the
+steady-state turn allocates nothing.  Two inputs vary what a hop does,
+never what is computed:
 
 * ``overlap`` places the turn's posts.  ``True`` (default) double-buffers
   the wire the way the paper's ``batch_isend_irecv`` prefetch does:
@@ -57,12 +61,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.checkpoint import CheckpointedChunk
-from ..nn import functional as F
 from ..nn.model import chunk_param_count
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
 from ..parallel.common import (
+    RankLoop,
     TrainResult,
     TrainSpec,
     init_opt_states,
@@ -79,6 +82,7 @@ from ..runtime import (
     Fabric,
     Topology,
     all_gather,
+    all_reduce,
     run_workers,
 )
 from ..runtime.transport.shm import ShmArena
@@ -95,7 +99,7 @@ from .schedule import (
 
 __all__ = [
     "train_weipipe", "weipipe_step", "slot_chunk_ids", "ring_pool_bytes",
-    "WREF_MARK",
+    "RingLoop", "WREF_MARK",
 ]
 
 SlotWeights = Dict[int, ParamStruct]  # chunk id -> weights
@@ -114,7 +118,7 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     draws are the same for every mode and topology, and all of them are
     of the owned slot ``rank - 1``, at construction: the B slot and its
     zeroed D.  The forward flow carries that B slot itself
-    (:meth:`_WeiPipeWorker._inject_forward`), so the forward slot a rank
+    (:meth:`RingLoop._inject_forward`), so the forward slot a rank
     holds is a view of its owner's buffer and nobody draws a copy.
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
@@ -130,37 +134,34 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     )
 
 
-class _MicrobatchState:
-    """Everything a worker keeps for one in-flight microbatch."""
+class RingLoop(RankLoop):
+    """Weight-ring worker ``comm.rank``: :class:`RankLoop`'s ``F`` / ``B`` /
+    ``W`` bodies, run from the ring's own turn loop (:meth:`_ring_turns`).
 
-    __slots__ = ("x", "dy", "targets", "fwd_states", "loss")
+    A unit is ``(slot, mb)``, the unit of
+    :func:`~repro.core.schedule.ring_program`; an op runs the chunks of
+    the slot held on its flow (``fwd_slot`` for F, ``bwd_slot`` for B).
+    A microbatch stays on the rank: slot 0 reads its tokens, the last
+    slot holds its targets and in between its activation, then its
+    gradient, waits in a local dict (:meth:`x_in` .. :meth:`dy_out`) —
+    the stage's wire without the wire.  A weight gradient is parked until
+    the turn's circulating ``D`` lands (:meth:`_accumulate`).
+    """
 
-    def __init__(self, tokens: np.ndarray, targets: np.ndarray):
-        self.x: Optional[np.ndarray] = tokens
-        self.dy: Optional[np.ndarray] = None
-        self.targets = targets
-        self.fwd_states: Dict[int, tuple] = {}
-        self.loss: Optional[float] = None
-
-
-class _WeiPipeWorker:
     def __init__(self, comm: Communicator, spec: TrainSpec, mode: str,
                  dp_comm: Optional[Communicator] = None,
                  overlap: bool = True,
                  topology: Optional[Topology] = None):
+        super().__init__(spec, comm)
         # group layout: the flat ring is the one-group (1xP) hierarchy.
-        topo = topology if topology is not None else Topology.flat(comm.world_size)
-        self.comm = comm
+        topo = topology if topology is not None else Topology.flat(self.world)
         #: replica group for 2-D hybrids (repro.core.hybrid): the owners
         #: of the same slot across data-parallel rings sync D here.
         self.dp_comm = dp_comm
-        self.spec = spec
         self.cfg = spec.cfg
-        self.rank = comm.rank
-        self.world = comm.world_size
         self.mode = mode
         #: ``bwd`` entries are B passes whose W rides a later ``wpass``.
-        self._split = ring_splits_backward(mode)
+        self.split = ring_splits_backward(mode)
         self.overlap = overlap
         #: weight-buffer recycler, shared by all ranks of the fabric so a
         #: slot one worker releases (retired off a copying wire, or at the
@@ -168,10 +169,6 @@ class _WeiPipeWorker:
         #: zero-allocation steady state the benchmark gates.
         self.pool: BufferPool = comm.fabric.shared_pool(BufferPool)
         self.last_slot = self.world - 1
-        self.cos, self.sin = spec.rope()
-        self.ck = CheckpointedChunk(self.cfg, recompute=spec.recompute)
-        self.q_act = spec.precision.q_act
-        self.q_bgrad = spec.precision.q_act_grad
         self.w_wire = spec.precision.weight_bytes
         self.d_wire = spec.precision.weight_grad_bytes
         self.scale = 1.0 / spec.n_microbatches
@@ -183,36 +180,30 @@ class _WeiPipeWorker:
         # and it is the only slot the worker initialises.  See schedule.py
         # for the placement law.
         self.owned_slot = (self.rank - 1) % self.world
-        owned_ids = slot_chunk_ids(self.owned_slot, self.world, self.cfg.n_layers)
+        self.ids = slot_chunk_ids(self.owned_slot, self.world, self.cfg.n_layers)
         self.bwd_slot: SlotWeights = dict(
-            zip(owned_ids, spec.init_chunks(owned_ids, pool=self.pool))
+            zip(self.ids, spec.init_chunks(self.ids, pool=self.pool))
         )
         self.grad_slot: SlotWeights = {
             i: w.zeros_like(self.pool) for i, w in self.bwd_slot.items()
         }
-        self.opt = spec.make_optimizer()
-        self.opt_states = dict(zip(owned_ids, init_opt_states(
-            spec, self.opt, list(self.bwd_slot.values()), owned_ids)))
+        self.opt_states = dict(zip(self.ids, init_opt_states(
+            spec, self.opt, list(self.bwd_slot.values()), self.ids)))
         #: forward-flow holding; empty until the construction-time inject
         #: at the end of ``__init__`` delivers slot ``-rank`` (its owner's
         #: B slot, or a private copy of it on a copying wire).
         self.fwd_slot: SlotWeights = {}
 
-        self.inflight: Dict[int, _MicrobatchState] = {}
         self.losses_by_mb: Dict[int, float] = {}
-        # slot passes forwarded and not yet backwarded (``liveness``'s
-        # held units), and their peak
-        self.held = 0
-        self.peak_inflight = 0
-        # zero-bubble mode: (mb, slot) -> {chunk id: (cache, wcache)}
-        # between the B pass and its deferred W pass one ring revolution
-        # later.
-        self.pending_w: Dict[tuple, dict] = {}
-        self.peak_pending_w = 0
-        # telemetry: this rank's timeline buffer plus wire-wait/compute
-        # histograms and turn counters on the fabric's metrics registry.
-        # Handles carry a rank label, so each has exactly one writer.
-        self.trace = comm.trace
+        # mb -> its activation between F passes, then its gradient between
+        # B passes; mb -> its targets, from slot 0 to the last slot.
+        self._carried: Dict[int, np.ndarray] = {}
+        self._targets: Dict[int, np.ndarray] = {}
+        #: the turn the ring loop is running (the op spans' ``turn``).
+        self.turn = 0
+        # telemetry: wire-wait/compute histograms and turn counters on the
+        # fabric's metrics registry.  Handles carry a rank label, so each
+        # has exactly one writer.
         m = comm.fabric.metrics
         self._h_wire = m.histogram("weipipe_wire_wait_seconds", rank=self.rank)
         self._h_compute = m.histogram("weipipe_compute_seconds", rank=self.rank)
@@ -377,29 +368,38 @@ class _WeiPipeWorker:
             merged.update(d)
         return [merged[i] for i in range(self.cfg.n_layers)]
 
-    # -- compute ---------------------------------------------------------------
+    # -- RankLoop's hooks -------------------------------------------------------
 
-    def _forward_slot(self, it: int, slot: int, mb: int) -> None:
-        ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
+    def x_in(self, it: int, unit: Tuple[int, int]):
+        slot, mb = unit
         if slot == 0:
-            tokens, targets = microbatch(self.spec, it, mb)
-            self.inflight[mb] = _MicrobatchState(tokens, targets)
-        self.held += 1
-        self.peak_inflight = max(self.peak_inflight, self.held)
-        state = self.inflight[mb]
-        x = state.x
-        for i in ids:
-            w = self.fwd_slot[i]
-            x, st = self.ck.fwd(i, w, x, self.cos, self.sin)
-            x = self.q_act(x)
-            state.fwd_states[i] = st
-        state.x = x
-        if slot == self.last_slot:
-            loss, c_loss = F.cross_entropy_fwd(x, state.targets)
-            state.loss = loss
-            self.losses_by_mb[mb] = loss
-            state.dy = F.cross_entropy_bwd(1.0, c_loss)
-            state.x = None  # logits no longer needed
+            x, self._targets[mb] = microbatch(self.spec, it, mb)
+        else:
+            x = self._carried.pop(mb)
+        return x, self._targets.pop(mb) if slot == self.last_slot else None
+
+    def x_out(self, it: int, unit: Tuple[int, int], x: np.ndarray) -> None:
+        self._carried[unit[1]] = x
+
+    def dy_in(self, it: int, unit: Tuple[int, int]) -> np.ndarray:
+        return self._carried.pop(unit[1])
+
+    def dy_out(self, it: int, unit: Tuple[int, int], dy: np.ndarray) -> None:
+        self._carried[unit[1]] = dy
+
+    def span(self, op: str, t0: float, it: int, unit: Tuple[int, int], **args) -> None:
+        """The op's ``compute`` span, args ``{turn, slot, mb}``, and its
+        time on ``weipipe_compute_seconds``."""
+        dt = perf_counter() - t0
+        self._h_compute.observe(dt)
+        if self.trace.enabled:
+            slot, mb = unit
+            self.trace.complete(op, "compute", t0, dt,
+                                {"turn": self.turn, "slot": slot, "mb": mb, **args})
+
+    def _accumulate(self, grads, pos: int, i: int, seam, g: ParamStruct) -> None:
+        """Park chunk ``i``'s gradient for the turn's drain into ``D``."""
+        self._deferred.append((i, g))
 
     def _accumulate_grad(self, i: int, g: ParamStruct) -> None:
         """Add one chunk contribution into the circulating D at wire
@@ -414,38 +414,35 @@ class _WeiPipeWorker:
         if not self._d_exact:
             quantize_grads_(self.grad_slot[i], self.spec.precision)
 
-    def _backward_slot(self, it: int, slot: int, mb: int) -> Dict:
-        """Backward of one slot pass: fused, its weight grads deferred to
-        the turn's drain, or on a split mode the input grads only, each
-        chunk's ``(cache, wcache)`` parked for the W pass one ring
-        revolution later."""
-        ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
-        state = self.inflight[mb]
-        replayed, dy, parked = self.ck.replayed, state.dy, {}
-        for i in reversed(ids):
-            w, st = self.bwd_slot[i], state.fwd_states.pop(i)
-            if self._split:
-                dy, cache, wcache = self.ck.bwd_input(i, w, dy, st)
-                parked[i] = (cache, wcache)
-            else:
-                dy, g = self.ck.bwd(i, w, dy, st)
-                self._deferred.append((i, g))
-            if dy is not None:
-                dy = self.q_bgrad(dy)
-        if self._split:
-            self.pending_w[(mb, slot)] = parked
-            self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
-        state.dy = dy
-        self.held -= 1
-        if slot == 0:
-            del self.inflight[mb]  # microbatch fully retired
-        return {"replayed": self.ck.replayed - replayed}
+    def sync(self, it: int, grads: SlotWeights, loss: Dict[int, float]) -> float:
+        """The ``("wp-loss", it)`` all-gather of every rank's per-microbatch
+        ``loss`` — summed in rank, then microbatch order — and, on a
+        hybrid, the owned slot's ``D`` (``grads``, in place) averaged over
+        the replicas by one ``("wp-dp", it, i)`` all-reduce per chunk
+        (each replica accumulated its ``1/dp`` share of microbatches)."""
+        merged: Dict[int, float] = {}
+        for d in all_gather(self.comm, dict(loss), tag=("wp-loss", it)):
+            merged.update(d)
+        if self.dp_comm is not None and self.dp_comm.world_size > 1:
+            for i, g in grads.items():
+                buf = self._dp_flat.get(i)
+                if buf is None:
+                    dtype = g.common_dtype
+                    buf = self._dp_flat[i] = np.empty(
+                        g.numel, dtype=dtype if dtype is not None else np.float64
+                    )
+                flat = all_reduce(
+                    self.dp_comm, g.pack_into(buf), tag=("wp-dp", it, i),
+                    nbytes_per_element=self.d_wire,
+                )
+                flat /= self.dp_comm.world_size
+                grads[i] = g.unpack_from(flat)
+                if grads[i] is not g:
+                    self._release_slot({i: g})
+        return sum(merged.values())
 
-    def _w_pass_slot(self, it: int, slot: int, mb: int) -> None:
-        """Zero-bubble W pass: runs when the slot's D comes around again."""
-        parked = self.pending_w.pop((mb, slot))
-        for i in slot_chunk_ids(slot, self.world, self.cfg.n_layers):
-            self._deferred.append((i, self.ck.bwd_weight(i, *parked[i])))
+    def clip_args(self, it: int) -> Dict:
+        return {"comm": self.comm, "tag": ("wp-clip", it)}
 
     def _check_slot(self, kind: str, slot: int, expected: int) -> None:
         if slot != expected:
@@ -480,7 +477,7 @@ class _WeiPipeWorker:
         # the loss gather is the iteration's barrier: past it every rank
         # has taken its last forward-flow slot, which on a shared wire is
         # the very buffer its owner's update pass writes in place.
-        losses = all_gather(self.comm, dict(self.losses_by_mb), tag=("wp-loss", it))
+        loss = self.sync(it, self.grad_slot, self.losses_by_mb)
         self.losses_by_mb.clear()
 
         self._timed(self._h_compute, "update", "compute", {"it": it},
@@ -496,21 +493,17 @@ class _WeiPipeWorker:
             m.gauge(f"pool_{key}").set(pool[key])
         if self.trace.enabled:
             self.trace.counter("pool_allocations", pool["allocations"])
-        merged: Dict[int, float] = {}
-        for d in losses:
-            merged.update(d)
-        return sum(merged.values()) / self.spec.n_microbatches
+        return loss / self.spec.n_microbatches
 
     def _timed(self, hist, name: str, cat: str, args: Dict, fn, *fargs) -> None:
         """Run ``fn(*fargs)``, observe its wall time on ``hist`` and, when
-        tracing, record it as one complete span; a dict ``fn`` returns
-        joins the span's args."""
+        tracing, record it as one complete span."""
         t0 = perf_counter()
-        more = fn(*fargs)
+        fn(*fargs)
         dt = perf_counter() - t0
         hist.observe(dt)
         if self.trace.enabled:
-            self.trace.complete(name, cat, t0, dt, {**args, **more} if more else args)
+            self.trace.complete(name, cat, t0, dt, args)
 
     def _take_w(self, nf, nb, it: int, turn: int) -> None:
         old_f, old_b = self.fwd_slot, self.bwd_slot
@@ -568,10 +561,10 @@ class _WeiPipeWorker:
         # slots are stepped (and forward copies re-injected) between
         # iterations, so cached slots never outlive their iteration.
         self._wcache = {"F": {}, "B": {}}
-        run = {"B": self._backward_slot, "F": self._forward_slot, "W": self._w_pass_slot}
         posted = None
         for t in range(total + 1):
             tt0 = perf_counter()
+            self.turn = t
             task: Optional[TurnTask] = task_fn(self.rank, t) if t < total else None
             nd = None
             if t > 0:
@@ -582,11 +575,18 @@ class _WeiPipeWorker:
                 if early:  # posting point (early)
                     posted = post(t + 1)
                     forward_w(t + 1)
-                for name, (slot, mb) in turn_ops(task):
-                    self._check_slot(name, slot, self._slot_id_at(name, self.rank, t))
-                    self._timed(h_compute, name, "compute",
-                                {"turn": t, "slot": slot, "mb": mb},
-                                run[name], it, slot, mb)
+                for kind, unit in turn_ops(task):
+                    slot, mb = unit
+                    self._check_slot(kind, slot, self._slot_id_at(kind, self.rank, t))
+                    ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
+                    if kind == "F":
+                        loss = self.forward(it, unit, ids, [self.fwd_slot[i] for i in ids])
+                        if slot == self.last_slot:
+                            self.losses_by_mb[mb] = loss
+                    elif kind == "B":
+                        self.backward(it, unit, [self.bwd_slot[i] for i in ids], None)
+                    else:
+                        self.weight(it, unit, None)
             if nd is not None:
                 # consume point of the circulating accumulator: its sender
                 # posts D only after finishing the turn that read the
@@ -616,37 +616,13 @@ class _WeiPipeWorker:
     def _update_pass(self, it: int) -> None:
         """Owner updates its slot and re-injects weights into both flows.
 
-        The backward flow is home at the owner, so the update is local;
+        The backward flow is home at the owner, so the update is local
+        (clipped through :meth:`clip_args`, ``D`` already synced);
         the forward flow restarts at ``fwd_home`` with the updated slot
         itself (:meth:`_inject_forward`).
         """
-        if self.dp_comm is not None and self.dp_comm.world_size > 1:
-            # hybrid mode: average the owned slot's D across replicas
-            # (each replica accumulated its 1/dp share of microbatches).
-            from ..runtime import all_reduce as _all_reduce
-
-            dp = self.dp_comm.world_size
-            for i, g in self.grad_slot.items():
-                buf = self._dp_flat.get(i)
-                if buf is None:
-                    dtype = g.common_dtype
-                    buf = self._dp_flat[i] = np.empty(
-                        g.numel, dtype=dtype if dtype is not None else np.float64
-                    )
-                flat = _all_reduce(
-                    self.dp_comm, g.pack_into(buf), tag=("wp-dp", it, i),
-                    nbytes_per_element=self.d_wire,
-                )
-                flat /= dp
-                old = self.grad_slot[i]
-                self.grad_slot[i] = g.unpack_from(flat)
-                if old is not self.grad_slot[i]:
-                    self._release_slot({i: old})
-
-        pre_update(
-            self.spec, it, self.opt, list(self.grad_slot.values()),
-            comm=self.comm, tag=("wp-clip", it),
-        )
+        pre_update(self.spec, it, self.opt, list(self.grad_slot.values()),
+                   **self.clip_args(it))
         for i, w in self.bwd_slot.items():
             self.opt.step(w, self.grad_slot[i], self.opt_states[i])
             self.grad_slot[i].zero_()
@@ -718,7 +694,7 @@ def weipipe_step(
         initial_chunks=chunks,
         initial_opt_state=opt_states,
     )
-    w = _WeiPipeWorker(comm, step_spec, mode, overlap=overlap, topology=topology)
+    w = RingLoop(comm, step_spec, mode, overlap=overlap, topology=topology)
     loss = w.run_iteration(0)
     pairs = w.gather_owned(("wp-state", iteration), with_opt_state=True)
     # the gather is a step-boundary barrier: the worker's fwd/grad slots
@@ -730,7 +706,7 @@ def weipipe_step(
 
 def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
             topology: Optional[Topology]) -> TrainResult:
-    w = _WeiPipeWorker(comm, spec, mode, overlap=overlap, topology=topology)
+    w = RingLoop(comm, spec, mode, overlap=overlap, topology=topology)
     losses = [w.run_iteration(it) for it in range(spec.iters)]
     # final weights: every worker's owned (updated) slot.  All ranks take
     # part in the gather; only rank 0's copy is read (train_weipipe), so

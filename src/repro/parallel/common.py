@@ -11,10 +11,10 @@ microbatch index)``, so any worker can materialise any microbatch
 without a shared data loader — exactly how the equivalence tests keep
 strategies honest.
 
-Every strategy but the weight ring — serial, DP, FSDP, TP, SP and the
-pipeline stage — runs one iteration, :meth:`RankLoop.step`: the rank's
-program of ``F`` / ``B`` / ``W`` ops, each with one body.  Each keeps
-only where it departs from serial.
+Every strategy — serial, DP, FSDP, TP, SP, the pipeline stage and the
+weight ring — runs the rank's program of ``F`` / ``B`` / ``W`` ops
+through :class:`RankLoop`'s one body per op.  Each keeps only where it
+departs from serial.
 """
 
 from __future__ import annotations
@@ -336,19 +336,19 @@ class ChunkSeam(Seam):
 
 class RankLoop:
     """One rank's program of ``F`` / ``B`` / ``W`` ops: serial, DP, FSDP,
-    TP, SP or a pipeline stage.
+    TP, SP, a pipeline stage or a weight-ring worker.
 
-    They share one iteration, :meth:`step`, which runs the rank's
+    They share one body per op.  :meth:`step` runs the rank's
     :meth:`program` — ``(kind, mb)`` ops — over the chunks it holds
     (``ids``), each chunk through its :class:`ChunkSeam`.  ``F`` runs
     every chunk's forward and, where the rank holds the targets, the loss
     (one ``F`` span).  ``B`` runs every backward (one ``B`` span, its
     ``args["replayed"]`` the replays it ran): fused, or on a ``split``
     program the input-gradient half only, parking each chunk's ``(cache,
-    wcache)`` for the microbatch's ``W`` op (one ``W`` span).  Then the
+    wcache)`` for the unit's ``W`` op (one ``W`` span).  Then the
     end-of-iteration sync, clipping and the optimizer step, the whole in
     one ``iteration`` span.  ``peak_inflight`` / ``peak_pending_w`` count
-    the most microbatches held between F and B / B and W.
+    the most units held between F and B / B and W.
 
     This base is serial: the whole model, and the program ``[F(mb),
     B(mb)]*`` that ``core.api.rank_programs`` gives the rank-symmetric
@@ -359,7 +359,11 @@ class RankLoop:
     clipping norm's collective (:meth:`clip_args`); a pipeline stage
     also its ``ids``, its :meth:`program` and where a forward's input
     and a backward's gradient come from and go (:meth:`x_in`,
-    :meth:`x_out`, :meth:`dy_in`, :meth:`dy_out`).
+    :meth:`x_out`, :meth:`dy_in`, :meth:`dy_out`).  The weight ring
+    (``core.weipipe.RingLoop``) runs the three ops from its own turn
+    loop, on units ``(slot, mb)`` over the held slot's chunks, and also
+    overrides the op spans (:meth:`span`) and where a gradient goes
+    (:meth:`_accumulate`).
     """
 
     #: each microbatch's positions are split this many ways; the rank
@@ -380,10 +384,10 @@ class RankLoop:
         self._whole = ChunkSeam(spec.cfg.n_heads)
         #: the ``iteration`` span's args beside ``it``.
         self.span_args: Dict = {}
-        # mb -> (seams, forward states, loss cache), alive from F to B
-        self.inflight: Dict[int, tuple] = {}
-        # mb -> (seams, [(chunk position, cache, wcache), ...]), B to W
-        self.pending_w: Dict[int, tuple] = {}
+        # unit -> (ids, seams, forward states, loss cache), from F to B
+        self.inflight: Dict[object, tuple] = {}
+        # unit -> (ids, seams, [(chunk position, cache, wcache), ...]), B to W
+        self.pending_w: Dict[object, tuple] = {}
         self.peak_inflight = self.peak_pending_w = 0
 
     def microbatches(self) -> Sequence[int]:
@@ -394,8 +398,8 @@ class RankLoop:
         return [(kind, mb) for mb in self.microbatches() for kind in "FB"]
 
     def seam(self, key: Tuple[int, int, int]) -> ChunkSeam:
-        """The seam of chunk ``i`` for the rank's ``k``-th microbatch of
-        iteration ``it``, ``key = (it, k, i)`` (the collectives' tags)."""
+        """The seam of chunk ``i`` for microbatch ``mb`` of iteration
+        ``it``, ``key = (it, mb, i)``."""
         return self._whole
 
     def x_in(self, it: int, mb: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -450,7 +454,7 @@ class RankLoop:
         loss = 0.0
         for kind, mb in self.program():
             if kind == "F":
-                loss += self.forward(it, mb, chunks)
+                loss += self.forward(it, mb, self.ids, chunks)
             elif kind == "B":
                 self.backward(it, mb, chunks, grads)
             else:
@@ -464,15 +468,18 @@ class RankLoop:
                                 {"it": it, **self.span_args})
         return float(loss) / self.spec.n_microbatches
 
-    def forward(self, it: int, mb: int, chunks: List[ParamStruct]) -> float:
-        """Op ``F``; returns the rank's share of the microbatch's loss."""
+    def forward(
+        self, it: int, mb: int, ids: Sequence[int], chunks: List[ParamStruct]
+    ) -> float:
+        """Op ``F`` of unit ``mb`` over chunks ``ids`` (weights ``chunks``);
+        returns the rank's share of the microbatch's loss.  The unit's
+        ``B`` and ``W`` run the same chunks."""
         ck, q_act = self.ck, self.spec.precision.q_act
         x, targets = self.x_in(it, mb)
-        k = self.microbatches().index(mb)  # the rank's k-th microbatch
-        seams = [self.seam((it, k, i)) for i in self.ids]
+        seams = [self.seam((it, mb, i)) for i in ids]
         f0 = perf_counter()
         fwd = []
-        for i, seam, c in zip(self.ids, seams, chunks):
+        for i, seam, c in zip(ids, seams, chunks):
             w = seam.gather(c, "F")
             x, st = ck.fwd(i, w, x, self.cos, self.sin, seam=seam)
             x = q_act(x)
@@ -482,10 +489,8 @@ class RankLoop:
         if targets is not None:
             loss, c_loss = F.cross_entropy_fwd(x, targets)
             loss /= self.parts
-        if self.trace.enabled:
-            self.trace.complete("F", "compute", f0, perf_counter() - f0,
-                                {"mb": mb, "it": it})
-        self.inflight[mb] = (seams, fwd, c_loss)
+        self.span("F", f0, it, mb)
+        self.inflight[mb] = (ids, seams, fwd, c_loss)
         self.peak_inflight = max(self.peak_inflight, len(self.inflight))
         if c_loss is None:
             self.x_out(it, mb, x)
@@ -497,7 +502,7 @@ class RankLoop:
         """Op ``B``: fused, accumulating each chunk's gradient, or on a
         split program parking each chunk's ``(cache, wcache)``."""
         ck, q_act_grad = self.ck, self.spec.precision.q_act_grad
-        seams, fwd, c_loss = self.inflight.pop(mb)
+        ids, seams, fwd, c_loss = self.inflight.pop(mb)
         dy = None if c_loss is not None else self.dy_in(it, mb)
         b0, replayed = perf_counter(), ck.replayed
         if c_loss is not None:
@@ -508,40 +513,44 @@ class RankLoop:
             self._loss_cache = c_loss
         parked = []
         for pos in range(len(chunks) - 1, -1, -1):
-            i, seam = self.ids[pos], seams[pos]
+            i, seam = ids[pos], seams[pos]
             w = seam.gather(chunks[pos], "B")
             if self.split:
                 dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
                 parked.append((pos, cache, wcache))
             else:
                 dy, g = ck.bwd(i, w, dy, fwd[pos])
-                self._accumulate(grads, pos, seam, g)
+                self._accumulate(grads, pos, i, seam, g)
             del w
             if dy is not None:
                 dy = q_act_grad(dy)
         if self.split:
-            self.pending_w[mb] = (seams, parked)
+            self.pending_w[mb] = (ids, seams, parked)
             self.peak_pending_w = max(self.peak_pending_w, len(self.pending_w))
-        if self.trace.enabled:
-            self.trace.complete("B", "compute", b0, perf_counter() - b0,
-                                {"mb": mb, "it": it, "replayed": ck.replayed - replayed})
+        self.span("B", b0, it, mb, replayed=ck.replayed - replayed)
         if dy is not None:
             self.dy_out(it, mb, dy)
 
     def weight(self, it: int, mb: int, grads: List[ParamStruct]) -> None:
-        """Op ``W``: the weight-gradient half of a parked microbatch."""
+        """Op ``W``: the weight-gradient half of a parked unit."""
         w0 = perf_counter()
-        seams, parked = self.pending_w.pop(mb)
+        ids, seams, parked = self.pending_w.pop(mb)
         for pos, cache, wcache in parked:
-            g = self.ck.bwd_weight(self.ids[pos], cache, wcache)
-            self._accumulate(grads, pos, seams[pos], g)
+            g = self.ck.bwd_weight(ids[pos], cache, wcache)
+            self._accumulate(grads, pos, ids[pos], seams[pos], g)
+        self.span("W", w0, it, mb)
+
+    def span(self, op: str, t0: float, it: int, mb: int, **args) -> None:
+        """Close op ``op``'s ``compute`` span, begun at ``t0``."""
         if self.trace.enabled:
-            self.trace.complete("W", "compute", w0, perf_counter() - w0,
-                                {"mb": mb, "it": it})
+            self.trace.complete(op, "compute", t0, perf_counter() - t0,
+                                {"mb": mb, "it": it, **args})
 
     def _accumulate(
-        self, grads: List[ParamStruct], pos: int, seam: ChunkSeam, g: ParamStruct
+        self, grads: List[ParamStruct], pos: int, i: int, seam: ChunkSeam,
+        g: ParamStruct,
     ) -> None:
+        """Add chunk ``i``'s gradient ``g`` into ``grads[pos]``."""
         g = seam.reduce(quantize_grads(g, self.spec.precision))
         grads[pos].add_(g, scale=1.0 / self.spec.n_microbatches)
 

@@ -134,7 +134,9 @@ class FSDPLoop(DPLoop):
         self.templates = templates
 
     def seam(self, key):
-        return FSDPSeam(self.comm, self.spec, self.templates[key[2]], key)
+        it, mb, i = key
+        k = self.microbatches().index(mb)  # the rank's k-th microbatch
+        return FSDPSeam(self.comm, self.spec, self.templates[i], (it, k, i))
 
     def sync(self, it, grads, loss):
         return all_reduce(self.comm, np.array([loss]), tag=("fsdp-loss", it))[0]

@@ -40,10 +40,17 @@ def serial_step(
     return RankLoop(spec).pure_step(iteration, chunks, opt_states)
 
 
-def train_serial(spec: TrainSpec) -> TrainResult:
-    """Train on one worker; returns per-iteration losses and final chunks."""
+def train_serial(spec: TrainSpec, fabric=None) -> TrainResult:
+    """Train on one worker; returns per-iteration losses and final chunks.
+
+    The loop runs in this thread on no wire; a ``fabric`` (a ``Fabric``
+    or a transport) lends it only its tracer, which records the loop's
+    spans as rank 0's."""
     chunks = spec.init_chunks()
     loop = RankLoop(spec)
+    tracer = getattr(fabric, "tracer", None)
+    if tracer is not None:
+        loop.trace = tracer.rank(0)
     losses, states = loop.train(chunks)
     return TrainResult(
         losses=losses, chunks=chunks,

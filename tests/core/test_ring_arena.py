@@ -177,10 +177,10 @@ def test_first_overflow_warns_once_with_the_numbers():
 def _slots_after_an_update(spec):
     """Each rank's forward and B slots after one iteration (update and
     inject included), as objects and as arena locations."""
-    from repro.core.weipipe import _WeiPipeWorker
+    from repro.core.weipipe import RingLoop
 
     def fn(comm):
-        w = _WeiPipeWorker(comm, spec, "interleave")
+        w = RingLoop(comm, spec, "interleave")
         w.run_iteration(0)
         arena = getattr(comm.fabric._wire, "arena", None)
 
@@ -222,11 +222,11 @@ def _draws_per_iteration(spec, world, mode, iters):
     """Per iteration, the pool misses a copying wire's worker makes
     outside the wire's landing buffers, whose count depends on how far a
     neighbour runs ahead and so is timing-dependent on any design."""
-    from repro.core.weipipe import _WeiPipeWorker
+    from repro.core.weipipe import RingLoop
 
     def fn(comm):
         pool = comm.fabric.shared_pool(BufferPool)
-        w = _WeiPipeWorker(comm, spec, mode)
+        w = RingLoop(comm, spec, mode)
         draws = [pool.misses - _LANDED[0]]
         for it in range(iters):
             w.run_iteration(it)

@@ -2,7 +2,7 @@
 
 The ring twin of ``tests/parallel/test_pipeline_program.py``.  Every row
 of ``RING_SCHEDULES`` is *symbolically executed* the way the one ring
-engine runs it (``_WeiPipeWorker._ring_turns``): ``P`` straight-line
+engine runs it (``RingLoop._ring_turns``): ``P`` straight-line
 per-rank programs of blocking waits, buffered sends and the turn's ops in
 ``turn_ops`` order, with the slots tracked as the objects that actually
 travel — not through the placement law — so what is checked is what the
@@ -19,8 +19,10 @@ engine relies on:
 * every slot home at iteration end, each ``D`` holding one contribution
   per microbatch per chunk.
 
-Then that the runtime, the DES builder and the memory walk all read this
-table rather than a copy of it — and that the planner has no time model
+Then that the DES builder and the memory walk read this table rather
+than a copy of it (the runtime's reading — each rank's traced op spans
+and peak ledgers — is ``tests/parallel/test_pipeline_program.py``'s
+``test_runtime_ledgers_and_span_order``) — and that the planner has no time model
 of its own: its number for a whole-world plan is the DES's for the same
 table cell.
 """
@@ -32,7 +34,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import FP64, ModelConfig, Tracer, TrainSpec, train
+from repro import ModelConfig, TrainSpec
 from repro.core.api import ZOO
 from repro.core.schedule import (
     RING_SCHEDULES,
@@ -41,7 +43,6 @@ from repro.core.schedule import (
     bwd_slot_held,
     fwd_home,
     fwd_slot_held,
-    liveness,
     ring_program,
     ring_schedule,
     ring_splits_backward,
@@ -58,7 +59,7 @@ from repro.experiments.configs import (
 )
 from repro.plan import ClusterSpec, ModelSpec, PlanSpec, evaluate_candidate
 from repro.plan.search import Candidate
-from repro.runtime import WREF_NBYTES, Fabric
+from repro.runtime import WREF_NBYTES
 from repro.sim import build_schedule, run_cell
 from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
 from repro.sim.engine import simulate
@@ -233,32 +234,6 @@ CFG = ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=8, vocab=23)
 
 
 class TestConsumersReadTheTable:
-    @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
-    @pytest.mark.parametrize("strategy", RINGS)
-    def test_runtime_span_order_and_ledgers(self, strategy, world, n_mb):
-        mode = ZOO[strategy].schedule
-        spec = TrainSpec(
-            cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
-        )
-        tracer = Tracer()
-        result = train(spec, strategy, world, fabric=Fabric(world, tracer=tracer))
-        events = list(tracer.events())
-        for rank in range(world):
-            spans = [
-                (e["args"]["turn"], e["name"], e["args"]["slot"], e["args"]["mb"])
-                for e in events
-                if e["pid"] == rank and e["cat"] == "compute" and e["name"] in "FBW"
-            ]
-            assert spans == table_ops(mode, world, n_mb, rank) * spec.iters
-            program = ring_program(mode, world, rank, n_mb)
-            assert [(k, s, mb) for _, k, s, mb in table_ops(mode, world, n_mb, rank)] == [
-                (k, s, mb) for k, (s, mb) in program
-            ]
-            # the ledgers count slot passes: the walk's per-field maxima
-            held, pending = zip(*liveness(program))
-            assert result.extra["peak_inflight"][rank] == max(held)
-            assert result.extra["peak_pending_w"][rank] == max(pending)
-
     def test_unknown_mode_is_a_plain_value_error_from_the_parent(self):
         from repro.core.weipipe import train_weipipe
 

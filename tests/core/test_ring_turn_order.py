@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import FP32, FP64, Adam, ModelConfig, TrainSpec
-from repro.core.weipipe import _WeiPipeWorker, train_weipipe
+from repro.core.weipipe import RingLoop, train_weipipe
 from repro.obs import Tracer
 from repro.runtime import Fabric, ProcessTransport, run_workers
 from repro.testing import compare_train_results
@@ -69,11 +69,11 @@ def test_kept_cache_reads_a_parked_forward_slot_never_a_recycled_one():
     spec = _spec(recompute=True)
 
     def worker(comm):
-        w = _WeiPipeWorker(comm, spec, "interleave")
+        w = RingLoop(comm, spec, "interleave")
         seen = []
-        run_bwd = w._backward_slot
+        run_bwd = w.backward
 
-        def checked(it, slot, mb):
+        def checked(*args):
             warm = w.ck._warm
             if warm is not None:
                 gain = dict(warm[1])["layer"][4][1]  # c_norm1 = (x, g, inv)
@@ -84,9 +84,9 @@ def test_kept_cache_reads_a_parked_forward_slot_never_a_recycled_one():
                     any(np.shares_memory(gain, a) for a in held),
                     any(np.shares_memory(gain, b) for b in free),
                 ))
-            return run_bwd(it, slot, mb)
+            return run_bwd(*args)
 
-        w._backward_slot = checked
+        w.backward = checked
         w.run_iteration(0)
         return seen, w.ck.kept, len(w._retired_fwd)
 

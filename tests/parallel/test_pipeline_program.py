@@ -13,8 +13,8 @@ does for the ring — we verify exhaustively what the stage worker relies on:
 
 Then that the runtime and the DES builder read this description rather
 than a copy of it (the memory model's reading is ``tests/sim/test_memory.py``),
-and that every other record the shared loop runs traces its own
-``core.api.rank_programs`` program.
+and that every record — each runs the shared loop's op bodies — traces
+its own ``core.api.rank_programs`` program.
 """
 
 from itertools import product
@@ -23,7 +23,7 @@ import pytest
 
 from repro import FP64, ModelConfig, Tracer, TrainSpec, train
 from repro.core.api import ZOO, rank_programs
-from repro.core.schedule import liveness
+from repro.core.schedule import liveness, ring_schedule, turn_ops
 from repro.parallel.pipeline import PIPELINE_SCHEDULES, splits_backward, stage_program
 from repro.runtime import Fabric
 from repro.sim.costmodel import ExecConfig, WorkloadDims
@@ -36,10 +36,13 @@ SCHEDULES = list(PIPELINE_SCHEDULES)
 GRID = list(product(SCHEDULES, range(1, 7)))
 N_MBS = range(1, 13)
 CFG = ModelConfig(hidden=16, n_layers=4, n_heads=4, seq_len=8, vocab=23)
-#: the records the shared loop runs on a fabric: all but the rings, and
-#: serial, which trains on none (so traces nothing); dp at world 1 is its
-#: loop.
-LOOPED = [name for name, s in ZOO.items() if s.family not in ("ring", "serial")]
+#: every record on a traced fabric: serial on its one rank, the others
+#: at two world sizes.
+TRACED = [
+    (name, world, n_mb)
+    for name, s in ZOO.items()
+    for world, n_mb in ([(1, 4)] if s.family == "serial" else [(2, 4), (4, 8)])
+]
 
 
 def peaks(program):
@@ -118,11 +121,11 @@ class TestProgramProperties:
 
 
 class TestConsumersReadTheProgram:
-    @pytest.mark.parametrize("world, n_mb", [(2, 4), (4, 8)])
-    @pytest.mark.parametrize("name", LOOPED)
+    @pytest.mark.parametrize("name, world, n_mb", TRACED)
     def test_runtime_ledgers_and_span_order(self, name, world, n_mb):
-        """Every rank of every record the shared loop runs traces the ops
-        of its ``core.api.rank_programs`` program in order."""
+        """Every rank of every record traces the ops of its
+        ``core.api.rank_programs`` program in order, and a ring's each in
+        the turn the ring's table puts it."""
         spec = TrainSpec(
             cfg=CFG, n_microbatches=n_mb, microbatch_size=2, iters=2, precision=FP64
         )
@@ -132,7 +135,8 @@ class TestConsumersReadTheProgram:
         record = ZOO[name]
         programs, _ = rank_programs(name, world, n_mb)
         for rank, prog in enumerate(programs):
-            if record.family == "pipeline":
+            if record.family in ("pipeline", "ring"):
+                # the ledgers count units: the walk's per-field maxima
                 assert (
                     result.extra["peak_inflight"][rank],
                     result.extra["peak_pending_w"][rank],
@@ -140,11 +144,25 @@ class TestConsumersReadTheProgram:
             elif "microbatches" in record.divides:
                 # a dp / fsdp rank's unit k is its microbatch r + kP
                 prog = [(kind, rank + k * world) for kind, k in prog]
-            spans = [
-                (e["args"]["it"], e["name"], e["args"]["mb"])
-                for e in events
+            ops = [
+                e for e in events
                 if e["pid"] == rank and e["cat"] == "compute"
+                and e["name"] not in ("accum", "update")  # the ring's D work
             ]
+            if record.family == "ring":
+                total, task_fn = ring_schedule(record.schedule, world, n_mb)
+                turns = [
+                    (t, kind, unit)
+                    for t in range(total) for kind, unit in turn_ops(task_fn(rank, t))
+                ]
+                assert [(kind, unit) for _, kind, unit in turns] == prog
+                spans = [
+                    (e["args"]["turn"], e["name"], (e["args"]["slot"], e["args"]["mb"]))
+                    for e in ops
+                ]
+                assert spans == turns * spec.iters
+                continue
+            spans = [(e["args"]["it"], e["name"], e["args"]["mb"]) for e in ops]
             assert spans == [
                 (it, kind, mb) for it in range(spec.iters) for kind, mb in prog
             ]

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import train
-from repro.core.weipipe import _WeiPipeWorker
+from repro.core.weipipe import RingLoop
 from repro.runtime import (
     ChaosPolicy,
     Communicator,
@@ -145,14 +145,14 @@ def test_the_raising_rank_is_blamed_not_the_rank_it_poisoned(backend):
 def test_train_re_raises_the_users_error(backend, monkeypatch):
     # rank 1 raises in its update pass while rank 0 waits for rank 1's
     # inject: rank 0 unwinds with FabricAborted, the launch names rank 1.
-    update = _WeiPipeWorker._update_pass
+    update = RingLoop._update_pass
 
     def failing_update(self, it):
         if self.rank == 1:
             raise KeyError("the user's error")
         return update(self, it)
 
-    monkeypatch.setattr(_WeiPipeWorker, "_update_pass", failing_update)
+    monkeypatch.setattr(RingLoop, "_update_pass", failing_update)
     spec = default_differential_spec()
     with pytest.raises(WorkerError) as ei:
         train(spec, "weipipe-interleave", 2, backend=backend)
