@@ -29,9 +29,12 @@ its turns' ``F`` / ``B`` / ``W`` ops — units ``(slot, mb)`` over the
 held slot's chunks — are that loop's bodies.  There is one ring engine
 (DESIGN.md §10): every turn waits F and B, computes, waits D, adds the
 turn's weight grads into it and sends it on.  Slots are arena-backed
-(:class:`~repro.nn.params.ParamStruct`) and a fabric-wide
-:class:`~repro.nn.params.BufferPool` recycles weight buffers so the
-steady-state turn allocates nothing.  Two inputs vary what a hop does,
+(:class:`~repro.nn.params.ParamStruct`) buffers drawn once, at
+construction, from a fabric-wide :class:`~repro.nn.params.BufferPool`,
+and the ring has one ownership rule: a received slot is never recycled.
+Every wire shares a slot with its sender (by reference on threads, by
+mapping on processes), so a hop draws nothing and the steady-state turn
+allocates nothing.  Two inputs vary what a hop does,
 never what is computed:
 
 * ``overlap`` places the turn's posts.  ``True`` (default) double-buffers
@@ -164,9 +167,9 @@ class RingLoop(RankLoop):
         self.split = ring_splits_backward(mode)
         self.overlap = overlap
         #: weight-buffer recycler, shared by all ranks of the fabric so a
-        #: slot one worker releases (retired off a copying wire, or at the
-        #: end of a step-scoped worker) serves the next draw — the
-        #: zero-allocation steady state the benchmark gates.
+        #: slot one worker releases (at the end of a step-scoped worker)
+        #: serves the next draw — the zero-allocation steady state the
+        #: benchmark gates.
         self.pool: BufferPool = comm.fabric.shared_pool(BufferPool)
         self.last_slot = self.world - 1
         self.w_wire = spec.precision.weight_bytes
@@ -191,7 +194,7 @@ class RingLoop(RankLoop):
             spec, self.opt, list(self.bwd_slot.values()), self.ids)))
         #: forward-flow holding; empty until the construction-time inject
         #: at the end of ``__init__`` delivers slot ``-rank`` (its owner's
-        #: B slot, or a private copy of it on a copying wire).
+        #: B slot).
         self.fwd_slot: SlotWeights = {}
 
         self.losses_by_mb: Dict[int, float] = {}
@@ -229,20 +232,6 @@ class RingLoop(RankLoop):
                                  rank=self.rank)
         self._m_ref = m.counter("weipipe_hier_ref_crossings_total",
                                 rank=self.rank)
-        # wire-copies transports (the shm process backend) deliver fresh
-        # buffers every hop, so a replaced slot is garbage unless retired
-        # into the pool — except on a ring with a boundary hop, where the
-        # gateway caches keep serving received slot objects all iteration.
-        self._wire_copies = (
-            bool(getattr(comm.fabric, "wire_copies", False))
-            and not topo.ring_boundaries()
-        )
-        # F slots cannot be recycled at replacement: forward caches hold
-        # views into their weights (the norm gains read again by each
-        # microbatch's backward), so retired F slots park here until the
-        # iteration's ring turns end, by which point every backward has
-        # consumed them.
-        self._retired_fwd: List[SlotWeights] = []
         # turn-0 placement of the forward flow is the first inject: every
         # owner ships its B slot itself to that slot's forward home, the
         # way each update pass will (DESIGN.md §10).
@@ -313,24 +302,6 @@ class RingLoop(RankLoop):
         self._wcache[flow][expected] = payload
         return payload
 
-    def _retire_wslot(self, flow: str, slot: SlotWeights) -> None:
-        """Recycle a slot replaced by a newly received one.
-
-        Only meaningful on wire-copies transports: an in-process fabric
-        delivers by reference (the 'replaced' slot IS the neighbour's
-        live object), so this is a no-op there.  B and D slots have no
-        outstanding readers once replaced — their sends fully serialized
-        before returning, and backward caches hold no B-weight views —
-        and are released immediately; F slots are parked until the ring
-        turns end (see ``_retired_fwd``).
-        """
-        if not self._wire_copies:
-            return
-        if flow == "F":
-            self._retired_fwd.append(slot)
-        else:
-            self._release_slot(slot)
-
     def _release_slot(self, slot: SlotWeights) -> None:
         """Return a slot's arenas to the pool.
 
@@ -345,12 +316,9 @@ class RingLoop(RankLoop):
                 self.pool.release(a)
 
     def release_buffers(self) -> None:
-        """Recycle the grad slot arenas, and the forward slot's when it is
-        this rank's private copy off a copying wire (end of a step-scoped
-        worker).  Any other forward slot is its owner's B slot, and the B
-        slots escape as the returned canonical state."""
-        if self._wire_copies and self.fwd_slot is not self.bwd_slot:
-            self._release_slot(self.fwd_slot)
+        """Recycle the grad slot arenas (end of a step-scoped worker).  A
+        received slot is never recycled: the forward slot is its owner's
+        B slot, and the B slots escape as the returned canonical state."""
         self._release_slot(self.grad_slot)
 
     def gather_owned(self, tag: Tuple, with_opt_state: bool = False) -> List:
@@ -466,14 +434,6 @@ class RingLoop(RankLoop):
         self._ring_turns(
             it, *ring_schedule(self.mode, self.world, self.spec.n_microbatches)
         )
-        if self._wire_copies:
-            # this rank's last backward (and W pass) has read the parked F
-            # slots, and the one the final hop brought home is replaced by
-            # the inject: recycle them before the next iteration can land.
-            for slot in self._retired_fwd + [self.fwd_slot]:
-                self._release_slot(slot)
-            self._retired_fwd.clear()
-            self.fwd_slot = {}
         # the loss gather is the iteration's barrier: past it every rank
         # has taken its last forward-flow slot, which on a shared wire is
         # the very buffer its owner's update pass writes in place.
@@ -482,10 +442,9 @@ class RingLoop(RankLoop):
 
         self._timed(self._h_compute, "update", "compute", {"it": it},
                     self._update_pass, it)
-        # every rank's ring turns and this rank's update pass (the only
-        # pool traffic left: a copying wire's landing buffers, in this
-        # process's own pool) are complete, so the counter is a clean
-        # per-iteration snapshot for the allocation-regression gate.
+        # every rank's ring turns and this rank's update pass are
+        # complete, so the counter is a clean per-iteration snapshot for
+        # the allocation-regression gate.
         self.pool_allocs_by_iter.append(self.pool.allocations)
         pool = self.pool.as_dict()
         m = self.comm.fabric.metrics
@@ -506,17 +465,11 @@ class RingLoop(RankLoop):
             self.trace.complete(name, cat, t0, dt, args)
 
     def _take_w(self, nf, nb, it: int, turn: int) -> None:
-        old_f, old_b = self.fwd_slot, self.bwd_slot
         self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, turn)
         self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, turn)
-        self._retire_wslot("F", old_f)
-        if old_b is not old_f:  # an owner that is its own fwd_home (odd P)
-            self._retire_wslot("B", old_b)
 
     def _take_d(self, nd) -> None:
-        old_d = self.grad_slot
         self.grad_slot = nd.wait()
-        self._retire_wslot("D", old_d)
 
     def _drain_deferred(self) -> None:
         # chunk sums are independent and draining preserves call order,
@@ -638,12 +591,10 @@ class RingLoop(RankLoop):
         ``(1 - p) mod P``).  Called with ``it = -1`` at construction — the
         turn-0 placement — and with ``it`` after each update.  The slot
         itself ships, and the receiver adopts whatever arrives: the
-        owner's object on the thread wire, a descriptor view of the
-        owner's arena buffer on the process wire, or a private copy on a
-        copying wire (its predecessor went back to the pool when the ring
-        turns ended, :meth:`_run_iteration`).  So a slot has one copy per
-        host, a worker never materialises a slot it does not own, and an
-        inject draws nothing but a copying wire's landing buffer.  The
+        owner's object on the thread wire, or a descriptor view of the
+        owner's arena buffer on the process wire.  So a slot has one copy
+        per host, a worker never materialises a slot it does not own, and
+        an inject draws nothing.  The
         owner next writes the buffer in its next update pass, after the
         next loss gather: by then every rank has read it for the last
         time.

@@ -230,12 +230,6 @@ class Fabric:
         self._wire = wire if wire is not None else LocalWire()
         self._wire.attach(self)
 
-    @property
-    def wire_copies(self) -> bool:
-        """Whether payloads cross the wire by value (see ``Wire.copies``):
-        the ring engines retire replaced slots into the pool only then."""
-        return self._wire.copies
-
     # -- internal ------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:

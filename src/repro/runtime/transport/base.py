@@ -145,10 +145,6 @@ class Wire:
     #: the ranks whose endpoint this is (first one = where rank-less
     #: events such as ``abort`` are recorded).
     ranks: Sequence[int] = ()
-    #: whether a delivered payload is a private copy (so a replaced ring
-    #: slot has one owner and may be retired into the pool) or shared
-    #: with the sender (by reference, or by arena mapping).
-    copies: bool = False
     #: whether frames carry their own byte-level digest; the fabric then
     #: stamps no structural CRC and arrived messages carry ``crc=None``.
     verifies: bool = False

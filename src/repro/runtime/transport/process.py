@@ -13,13 +13,13 @@ the same mailboxes, posted-receive matching, wait loop, disturbance
 epochs, chaos layer, metrics and flight recorder as the thread backend —
 over a :class:`ShmWire`, the endpoint of one rank: ``send`` serializes
 the message into the outbound ring (pickle-5 frame, array bodies out of
-band — see :mod:`.shm`), ``poll`` decodes inbound frames straight into
-the receiving rank's buffer pool, ``sync`` / ``publish_*`` mirror abort,
-fail-stop and progress state through the control block, and ``wait``
-yields and then sleeps because no peer can notify a condvar across a
-process boundary.  Frames carry byte-level CRC32s (header, meta + blob,
-payload) the decoder checks as they stream in, so the fabric stamps no
-structural digest on this wire.
+band — see :mod:`.shm`), ``poll`` decodes inbound frames (mapping arena
+descriptors, landing copied bodies in private memory), ``sync`` /
+``publish_*`` mirror abort, fail-stop and progress state through the
+control block, and ``wait`` yields and then sleeps because no peer can
+notify a condvar across a process boundary.  Frames carry byte-level
+CRC32s (header, meta + blob, payload) the decoder checks as they stream
+in, so the fabric stamps no structural digest on this wire.
 
 What differs from the thread backend is therefore only the wire:
 
@@ -38,34 +38,32 @@ What differs from the thread backend is therefore only the wire:
   defined in terms of heartbeats — is the one refusal (``launch``
   raises ``ValueError``) until heartbeats live in the control block.
 
-Payload transfer has two modes, chosen per-buffer at encode time:
+Every buffer has one delivery rule, chosen at encode time by where it
+lives:
 
-* **by mapping** (the default): each rank's BufferPool is backed by a
-  pre-fork shared-memory arena region, so steady-state payload buffers
-  already live in memory every worker has mapped.  Such buffers cross
-  the wire as ~tens-of-bytes ``(region, offset, nbytes, fmt)``
-  descriptors — zero payload bytes move, and a slot hop costs the same
-  whether the model is 1 MB or 1 GB.  Delivery is by reference into the
-  shared mapping, so ``wire_copies`` is False and the ring engines keep
-  the thread backend's turn-taking ownership discipline (never recycle
-  a buffer that may still be read downstream).  The weight ring's
-  forward slot is then a view of its owner's B slot: each slot exists
-  once in the segment, in its owner's region.
-* **by copy** (fallback, and the whole story when ``arena_bytes=0``):
-  buffers outside the arena are serialized through the ring.  With the
-  arena disabled ``wire_copies`` is True and received buffers are owned
-  by the receiver alone, so the ring engines retire replaced slots into
-  the pool and draw nothing themselves after construction; what the
-  pool still allocates are landing buffers, as many as the frames a
-  faster neighbour has in flight at the peak.
+* **mapped**: each rank's BufferPool is backed by a pre-fork
+  shared-memory arena region, so every buffer an engine draws already
+  lives in memory every worker has mapped.  Such buffers cross the wire
+  as ~tens-of-bytes ``(region, offset, nbytes, fmt)`` descriptors —
+  zero payload bytes move, and a slot hop costs the same whether the
+  model is 1 MB or 1 GB.  Delivery is by reference into the shared
+  mapping, so the engines keep the thread backend's ownership rule:
+  never recycle a buffer that may still be read downstream.  The
+  weight ring's forward slot is then a view of its owner's B slot:
+  each slot exists once in the segment, in its owner's region.
+* **landed privately**: any other buffer (a collective's partial sum,
+  a slot that overflowed the arena) is serialized through the ring and
+  lands in a private ``np.empty`` array the receiver owns; the heap
+  frees it when the last reference goes.  The arena holds only what an
+  engine draws, so copied traffic can neither grow nor exhaust it.
 
 Who sizes the arena: the launch.  A caller that knows its per-rank pool
 working set states it (``pool_bytes``, e.g. the ring engine's
 :func:`~repro.core.weipipe.ring_pool_bytes`) and each rank's region is
 that plus ``DEFAULT_ARENA_BYTES`` of headroom; a launch that states
-nothing gets the constant alone, and an explicit ``arena_bytes`` wins
-over both.  An exhausted region is loud: one ``RuntimeWarning`` in the
-rank and ``arena_overflow_*`` counts in the pool ledger.
+nothing gets the constant alone.  An exhausted region is loud: one
+``RuntimeWarning`` in the rank and ``arena_overflow_*`` counts in the
+pool ledger.
 
 The segment is one anonymous ``MAP_SHARED`` mapping the launcher
 creates before the fork and every rank inherits: it has no name, so
@@ -141,9 +139,8 @@ __all__ = ["ProcessTransport", "ShmWire"]
 DEFAULT_LINK_BYTES = 1 << 20
 #: per-rank arena region for launches that state no pool working set,
 #: and the headroom added to the ones that do (it absorbs the pool's
-#: unstated draws: wire landing buffers of small private payloads).  The
-#: pool free-list recycles, so a region bounds *peak live* buffers, not
-#: cumulative traffic.
+#: unstated draws).  The pool free-list recycles, so a region bounds
+#: *peak live* buffers, not cumulative traffic.
 DEFAULT_ARENA_BYTES = 1 << 25
 #: how often a blocked receiver re-polls its inbound rings.  Processes
 #: wake at OS-scheduler granularity (no interpreter switch interval), so
@@ -294,20 +291,12 @@ class ShmWire(Wire):
             self._control.set_clock(rank, self.clock_sample)
         # Shared arena: pooled buffers live in the segment and ship as
         # descriptors (by-mapping — the cross-process twin of the thread
-        # wire's by-reference handoff), so the engines must follow the
-        # by-reference ownership protocol and must NOT retire replaced
-        # slots (the sender's next hop may still alias them).  Without an
-        # arena every payload is copied through the ring and a received
-        # buffer has exactly one owner, so retirement is both safe and
-        # required to keep the steady state allocation-free.
-        self.arena: Optional[ShmArena] = None
-        if arena_bytes:
-            self.arena = ShmArena(
-                _arena_regions(segment, world_size, control_bytes, link_bytes,
-                               arena_bytes),
-                rank,
-            )
-        self.copies = self.arena is None
+        # wire's by-reference handoff); everything else lands privately.
+        self.arena = ShmArena(
+            _arena_regions(segment, world_size, control_bytes, link_bytes,
+                           arena_bytes),
+            rank,
+        )
         self._out: Dict[int, ShmRing] = {}
         self._decoders: Dict[int, FrameDecoder] = {}
         self._send_seq: Dict[int, int] = {}
@@ -324,7 +313,6 @@ class ShmWire(Wire):
                 ShmRing(
                     segment[off : off + ShmRing.HEADER + link_bytes], link_bytes
                 ),
-                self._landing_buffer,
                 arena=self.arena,
             )
             self._send_seq[peer] = 0
@@ -340,18 +328,7 @@ class ShmWire(Wire):
     # -- pool ----------------------------------------------------------------
 
     def make_pool(self, factory) -> Any:
-        if self.arena is not None:
-            return _arena_pool(self.arena)
-        pool = factory()
-        if hasattr(pool, "backend"):
-            pool.backend = "process"
-        return pool
-
-    def _landing_buffer(self, numel: int, dtype) -> Any:
-        # called from poll, i.e. with the fabric lock held.
-        from ...nn.params import BufferPool
-
-        return self._fabric._pool_locked(BufferPool).acquire(numel, dtype)
+        return _arena_pool(self.arena)
 
     # -- control-block fail-stop state ---------------------------------------
 
@@ -482,20 +459,21 @@ def _revive_exception(shipped) -> BaseException:
 
 
 def _stats_bundle(fabric: Fabric, wire: ShmWire) -> Dict:
+    # every rank has an arena, so every rank reports a pool ledger: an
+    # untouched pool reads all zeros.
     pool = fabric._shared_pool
-    bundle = {
+    if pool is None:
+        pool = _arena_pool(wire.arena)
+    return {
         "traffic": fabric.stats,
-        "pool": pool.as_dict() if pool is not None else None,
+        "pool": {**pool.as_dict(), "arena_used": wire.arena.used,
+                 "arena_capacity": wire.arena.capacity},
         "metrics": fabric.metrics.as_dict(),
         # every ring this process wrote: its own rank's, plus the chaos
         # events it recorded about the senders of what it received.
         "flight": [r.snapshot() for r in fabric.flight.rings if len(r)],
         "chaos": fabric.chaos,
     }
-    if wire.arena is not None and bundle["pool"] is not None:
-        bundle["pool"]["arena_used"] = wire.arena.used
-        bundle["pool"]["arena_capacity"] = wire.arena.capacity
-    return bundle
 
 
 @functools.cache
@@ -636,7 +614,6 @@ class ProcessTransport(Transport):
         policy: Any = None,
         integrity: bool = True,
         link_bytes: int = DEFAULT_LINK_BYTES,
-        arena_bytes: Optional[int] = None,
         poll_interval: float = DEFAULT_POLL_S,
         topology: Any = None,
         tracer: Any = None,
@@ -645,10 +622,6 @@ class ProcessTransport(Transport):
         self.policy = policy
         self.integrity = integrity
         self.link_bytes = link_bytes
-        #: per-rank arena region: None sizes it per launch (the stated
-        #: ``pool_bytes`` plus ``DEFAULT_ARENA_BYTES``), an integer is
-        #: used as given, 0 disables the arena (pure copy transport).
-        self.arena_bytes = arena_bytes
         self.poll_interval = poll_interval
         self.topology = topology
         #: parent-side tracer the per-rank spills merge into (None or a
@@ -712,10 +685,8 @@ class ProcessTransport(Transport):
 
         ctx = get_context("fork")
         control_bytes = (ControlBlock.size(world_size) + 63) & ~63
-        arena_bytes = self.arena_bytes
-        if arena_bytes is None:
-            # pages are committed on touch: the headroom is address space
-            arena_bytes = (pool_bytes or 0) + DEFAULT_ARENA_BYTES
+        # pages are committed on touch: the headroom is address space
+        arena_bytes = (pool_bytes or 0) + DEFAULT_ARENA_BYTES
         # anonymous and shared: the forked ranks inherit it, it has no
         # name to leak, and it unmaps when its last view is dropped.
         mapping = mmap.mmap(-1, arena_offset(
@@ -947,10 +918,9 @@ class ProcessTransport(Transport):
                 mine["events"] = events[-mine["capacity"]:]
                 mine["recorded"] += snap["recorded"]
                 mine["dropped"] = mine["recorded"] - len(mine["events"])
-        if bundle["pool"]:
-            if self.pool is None:
-                self.pool = dict(bundle["pool"])
-            else:
-                for k, v in bundle["pool"].items():
-                    if isinstance(v, int):
-                        self.pool[k] = self.pool.get(k, 0) + v
+        if self.pool is None:
+            self.pool = dict(bundle["pool"])
+        else:
+            for k, v in bundle["pool"].items():
+                if isinstance(v, int):
+                    self.pool[k] = self.pool.get(k, 0) + v

@@ -28,13 +28,12 @@ they can be unit-tested in isolation:
   travel *out of band*.  A body resident in a :class:`ShmArena` region
   crosses as a ``(region, offset, nbytes, fmt)`` descriptor — zero
   bytes moved, the receiver wraps the same shared pages — while private
-  bodies are appended raw after the blob and land directly into buffers
-  acquired from the receiving rank's :class:`BufferPool`, the same
-  ``(numel, dtype)`` keys the ring engines later release, so the
-  zero-steady-state-allocation property survives the backend switch.
-  The same split (:func:`split_payload`) carries worker results back
-  to the launcher, which rebuilds their arena-resident bodies as views
-  of the segment it mapped — the final model is never copied.
+  bodies are appended raw after the blob and land in private
+  ``np.empty`` arrays the receiver owns, so copied traffic never touches
+  the receiving rank's pool or arena.  The same split
+  (:func:`split_payload`) carries worker results back to the launcher,
+  which rebuilds their arena-resident bodies as views of the segment it
+  mapped — the final model is never copied.
 
 * :class:`ShmArena` — per-rank bump regions of the same segment that
   back the :class:`BufferPool` miss allocator in each worker, making
@@ -401,8 +400,8 @@ def encode_frame(
 
 
 def _dtype_for(fmt: str, nbytes: int) -> np.dtype:
-    """Pool dtype for an out-of-band buffer; opaque formats fall back to
-    bytes so the buffer is still poolable (just under a byte key)."""
+    """Landing dtype for an out-of-band buffer; opaque formats fall back
+    to bytes."""
     try:
         dt = np.dtype(fmt)
     except TypeError:
@@ -419,7 +418,8 @@ class FrameDecoder:
     stages, keeping partial state between ``poll`` calls so a frame
     larger than the ring (or arriving in pieces) is reassembled without
     ever blocking the pump.  ``acquire(numel, dtype)`` supplies payload
-    destinations — wire bytes land straight in pool buffers.  Each stage
+    destinations (private ``np.empty`` arrays unless given), and the
+    wire bytes land straight in them.  Each stage
     ends with its digest check (see the module docstring); a mismatch
     raises :class:`CorruptFrameError` and the stream is dead — there is
     no resynchronising a byte stream whose lengths cannot be trusted.
@@ -428,7 +428,7 @@ class FrameDecoder:
     def __init__(
         self,
         ring: ShmRing,
-        acquire: Callable[[int, np.dtype], np.ndarray],
+        acquire: Callable[[int, np.dtype], np.ndarray] = np.empty,
         arena: Optional[ShmArena] = None,
     ):
         self._ring = ring

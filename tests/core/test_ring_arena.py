@@ -1,22 +1,28 @@
-"""The weight ring on the process wire never copies a slot.
+"""The weight ring on the process wire never copies a slot, and the
+arena holds only what an engine draws.
 
 The ring engine states its per-rank pool working set before fork
 (``ring_pool_bytes``), the process transport sizes each rank's shared
-arena from it, and workers return their results by mapping.  These
-tests pin the formula to what the workers really draw, cover the regime
-the differential shapes never reached (a slot larger than the old
-constant arena), keep the explicit ``arena_bytes`` modes honest, and
+arena from it, and workers return their results by mapping.  Every other
+payload — a collective's partial sum, a pipeline activation, a slot that
+overflowed the arena — is copied through the rings and lands in private
+memory the receiver owns.  These tests pin the formula to what the
+workers really draw, cover the regime the differential shapes never
+reached (a slot larger than the old constant arena), keep an undersized
+arena loud and correct and an empty one bit-exact with every slot copied,
+check that copied traffic leaves the pool and the arena flat, and
 round-trip results through the descriptor codec.
 """
 
 import gc
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import FP32, FP64, ModelConfig, TrainSpec
+from repro import FP32, FP64, ModelConfig, TrainSpec, train
 from repro.core.weipipe import ring_pool_bytes, train_weipipe
 from repro.nn.params import BufferPool, ParamStruct
 from repro.runtime import Communicator, ProcessTransport, run_workers
@@ -124,29 +130,27 @@ def test_wide_slot_trains_by_descriptor_bit_identically():
     assert allocs[-1] - allocs[-2] == 0, allocs
 
 
-# -- (c) explicit arena sizes are honoured ------------------------------------
+# -- (c) an undersized arena is loud and correct ------------------------------
 
 
-def _wire_copies(comm: Communicator):
-    return comm.fabric.wire_copies
-
-
-def test_explicit_zero_arena_is_pure_copy():
-    spec = _spec(2, 1, np.float64)
-    pt = ProcessTransport(arena_bytes=0)
-    res = train_weipipe(spec, 2, fabric=pt)
-    assert compare_train_results(res, train_weipipe(spec, 2), tol=0) is None
-    assert "arena_capacity" not in pt.pool
-    assert res.extra["arena_overflow_allocs"] == 0
-    assert run_workers(2, _wire_copies, backend=pt) == [True, True]
-
-
-def test_explicit_small_arena_overflows_loudly_and_correctly():
+def test_explicit_small_arena_overflows_loudly_and_correctly(monkeypatch):
     spec = _spec(2, 1, np.float64)
     need = ring_pool_bytes(spec, 2, 0)
-    pt = ProcessTransport(arena_bytes=need // 2)  # the hint must not win
+    thread = train_weipipe(spec, 2)
+    # the launch sizes each region as the stated working set plus the
+    # headroom: state half the working set and no headroom.
+    monkeypatch.setattr("repro.runtime.transport.process.DEFAULT_ARENA_BYTES", 0)
+    monkeypatch.setattr("repro.core.weipipe.ring_pool_bytes",
+                        lambda *a: need // 2)
+    # the ranks inherit the warning filters at fork: the first fallback
+    # comes back as the rank's error, with the numbers.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(WorkerError, match="shared arena exhausted"):
+            train_weipipe(spec, 2, fabric=ProcessTransport())
+    pt = ProcessTransport()
     res = train_weipipe(spec, 2, fabric=pt)
-    assert compare_train_results(res, train_weipipe(spec, 2), tol=0) is None
+    assert compare_train_results(res, thread, tol=0) is None
     assert res.extra["arena_overflow_allocs"] > 0
     assert res.extra["arena_overflow_bytes"] > 0
     assert pt.pool["arena_overflow_allocs"] == res.extra["arena_overflow_allocs"]
@@ -213,56 +217,45 @@ def test_the_forward_slot_is_its_owners_b_slot(world, backend):
             }
 
 
-#: pool misses of this process's wire landing buffers (each forked rank
-#: counts its own).
-_LANDED = [0]
+def _empty_arena(monkeypatch):
+    """State no working set and no headroom: every rank's arena region is
+    empty, every buffer an engine draws falls back to private memory, and
+    every slot crosses the wire by copy."""
+    monkeypatch.setattr("repro.runtime.transport.process.DEFAULT_ARENA_BYTES", 0)
+    monkeypatch.setattr("repro.core.weipipe.ring_pool_bytes", lambda *a: 0)
 
 
 def _draws_per_iteration(spec, world, mode, iters):
-    """Per iteration, the pool misses a copying wire's worker makes
-    outside the wire's landing buffers, whose count depends on how far a
-    neighbour runs ahead and so is timing-dependent on any design."""
+    """Per iteration, the pool misses of each forked rank's worker."""
     from repro.core.weipipe import RingLoop
 
     def fn(comm):
         pool = comm.fabric.shared_pool(BufferPool)
         w = RingLoop(comm, spec, mode)
-        draws = [pool.misses - _LANDED[0]]
+        draws = [pool.misses]
         for it in range(iters):
             w.run_iteration(it)
-            draws.append(pool.misses - _LANDED[0])
+            draws.append(pool.misses)
         return draws
 
-    return run_workers(world, fn, backend=ProcessTransport(arena_bytes=0))
+    return run_workers(world, fn, backend=ProcessTransport())
 
 
 @pytest.mark.parametrize("mode", ["interleave", "zero-bubble"])
 @pytest.mark.parametrize("world", [2, 3, 4])
 def test_copying_wire_adopts_private_copies_bit_exactly(world, mode,
                                                           monkeypatch):
-    from repro.runtime.transport.process import ShmWire
-
     # world 3 has an owner that is its own forward home: one object in
-    # both flows, which a copying wire must retire once, not twice.
+    # both flows, which the ring must neither recycle nor copy twice.
     spec = _spec(world, 1, np.float64, microbatches=world, iters=3)
-    proc = train_weipipe(spec, world, mode=mode,
-                         fabric=ProcessTransport(arena_bytes=0))
-    assert compare_train_results(proc, train_weipipe(spec, world, mode=mode),
-                                 tol=0) is None
-    assert proc.extra["arena_overflow_allocs"] == 0
-
-    land = ShmWire._landing_buffer
-
-    def counting(self, numel, dtype):
-        pool = self._fabric._pool_locked(BufferPool)
-        misses = pool.misses
-        buf = land(self, numel, dtype)
-        _LANDED[0] += pool.misses - misses
-        return buf
-
-    monkeypatch.setattr(ShmWire, "_landing_buffer", counting)
+    thread = train_weipipe(spec, world, mode=mode)
+    _empty_arena(monkeypatch)
+    proc = train_weipipe(spec, world, mode=mode, fabric=ProcessTransport())
+    assert compare_train_results(proc, thread, tol=0) is None
+    assert proc.extra["arena_overflow_allocs"] > 0
     # the worker draws its B slot and D at construction and nothing
-    # after: every later slot is a landed copy, adopted or recycled.
+    # after: every later slot is a copy landed in private memory, which
+    # the ring adopts and never recycles into its pool.
     for draws in _draws_per_iteration(spec, world, mode, iters=3):
         assert draws == [2] * 4, draws
 
@@ -354,3 +347,45 @@ def _ring_worker_chunks(spec):
 def test_only_rank_zero_returns_the_model(backend):
     spec = _spec(2, 1, np.float64, iters=1)
     assert run_workers(2, _ring_worker_chunks(spec), backend=backend) == [2, None]
+
+
+# -- (f) copied traffic lands in private memory -------------------------------
+
+
+def _pool_ledger(strategy, spec):
+    """Per rank, ``(allocations, arena_used, arena_overflow_allocs)`` after
+    one process launch of ``spec``, with every ``RuntimeWarning`` in a
+    rank (the arena's exhaustion warning among them) turned into that
+    rank's error."""
+    pt = ProcessTransport()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # inherited at fork
+        train(spec, strategy, 2, fabric=pt)
+    return [(p["allocations"], p["arena_used"], p["arena_overflow_allocs"])
+            for p in pt.pools_by_rank]
+
+
+@pytest.mark.parametrize("strategy", ["1f1b", "dp", "fsdp"])
+def test_copied_payloads_leave_the_pool_and_arena_flat(strategy):
+    # activations, gradient partial sums and gathered shards cross the
+    # wire by copy.  Landed in pool buffers nobody released, they grew
+    # the arena every iteration (fsdp by 28 buffers per iteration at the
+    # long-context benchmark shape) until it was exhausted.
+    k = 2
+    ledgers = [_pool_ledger(strategy, _spec(2, 2, np.float64, iters=iters))
+               for iters in (k, 2 * k)]
+    assert ledgers[0] == ledgers[1], ledgers
+    assert all(overflow == 0 for _, _, overflow in ledgers[1]), ledgers
+
+
+def test_clipped_ring_draws_nothing_per_iteration():
+    # the wp-clip all-reduce copies its partial norms through the wire;
+    # they used to land in pool buffers the ring never released (two
+    # allocations per iteration on top of the construction's two).
+    spec = replace(_spec(2, 1, np.float64, iters=4), clip_norm=0.05)
+    pt = ProcessTransport()
+    res = train_weipipe(spec, 2, fabric=pt)
+    assert compare_train_results(res, train_weipipe(spec, 2), tol=0) is None
+    allocs = res.extra["pool_allocs_by_iter"]
+    assert [b - a for a, b in zip(allocs, allocs[1:])] == [0] * 3, allocs
+    assert res.extra["arena_overflow_allocs"] == 0
