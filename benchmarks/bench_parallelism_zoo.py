@@ -26,9 +26,13 @@ def _run():
         hidden=4096, n_layers=32, seq_len=16384, microbatch=4,
         n_microbatches=128,
     )
-    rows = []
+    rows, refused = [], {}
     for strat in STRATEGIES:
-        rep = run_cell(strat, dims, cluster, exec_for(strat))
+        try:
+            rep = run_cell(strat, dims, cluster, exec_for(strat))
+        except ValueError as e:  # a split the model's sizes do not divide
+            refused[strat] = str(e)
+            continue
         rows.append((strat, rep))
     lines = [
         "Parallelism zoo: 6B model, S=16384, 16 GPUs over PCIe+10GbE",
@@ -42,12 +46,18 @@ def _run():
             f"{strat:>20} | {tput:>10} {rep.peak_memory_gb:>7.1f} "
             f"{rep.bubble_ratio:>7.3f}"
         )
-    return "\n".join(lines), dict(rows)
+    for strat, why in refused.items():
+        lines.append(f"{strat:>20} | refused: {why}")
+    return "\n".join(lines), dict(rows), refused
 
 
 def test_parallelism_zoo(benchmark, results_dir):
-    text, rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+    text, rows, refused = benchmark.pedantic(_run, rounds=1, iterations=1)
     save_and_print(results_dir, "parallelism_zoo", text)
+    # TP splits the FFN width, 10 920 at H = 4096 (the runtime's
+    # ``default_ffn``), which 16 ranks do not divide: the runtime refuses
+    # that split, and so does the DES.
+    assert refused == {"tp": "ffn per rank: 10920 not divisible by 16"}
     wp = rows["weipipe-interleave"].tokens_per_second_per_gpu
     for strat, rep in rows.items():
         if strat == "weipipe-interleave" or rep.oom:
@@ -55,5 +65,5 @@ def test_parallelism_zoo(benchmark, results_dir):
         assert wp > rep.tokens_per_second_per_gpu, strat
     # intra-layer schemes are orders of magnitude off across Ethernet
     for strat in ("tp", "sp"):
-        if not rows[strat].oom:
+        if strat in rows and not rows[strat].oom:
             assert rows[strat].tokens_per_second_per_gpu < 0.2 * wp

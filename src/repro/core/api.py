@@ -18,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..parallel.common import TrainResult, TrainSpec
-from ..parallel.data_parallel import train_data_parallel
-from ..parallel.fsdp import train_fsdp
-from ..parallel.pipeline import splits_backward, stage_program, train_pipeline
+from ..parallel.common import Post, RankLoop, TrainResult, TrainSpec
+from ..parallel.data_parallel import DPLoop, train_data_parallel
+from ..parallel.fsdp import FSDPLoop, train_fsdp
+from ..parallel.pipeline import StageLoop, splits_backward, stage_program, train_pipeline
 from ..parallel.serial import train_serial
-from ..parallel.sequence_parallel import train_sequence_parallel
-from ..parallel.tensor_parallel import train_tensor_parallel
+from ..parallel.sequence_parallel import SPLoop, train_sequence_parallel
+from ..parallel.tensor_parallel import TPLoop, train_tensor_parallel
 from ..runtime import Fabric, Topology, default_groups
 from .schedule import ring_program, ring_splits_backward
-from .weipipe import train_weipipe
+from .weipipe import RingLoop, train_weipipe
 
-__all__ = ["train", "Strategy", "ZOO", "strategy_names", "rank_programs"]
+__all__ = ["train", "Strategy", "ZOO", "strategy_names", "rank_programs", "posts"]
 
 Runner = Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]
 
@@ -171,6 +171,18 @@ def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int
         return [stage_program(s.schedule, world, r, n_mb) for r in range(world)], world
     local = n_mb // world if "microbatches" in s.divides else n_mb
     return [[op for mb in range(local) for op in (("F", mb), ("B", mb))]] * world, 1
+
+
+#: family -> the loop whose ``POSTS`` are the family's messages.
+_LOOPS = {"serial": RankLoop, "dp": DPLoop, "fsdp": FSDPLoop, "tp": TPLoop,
+          "sp": SPLoop, "pipeline": StageLoop, "ring": RingLoop}
+
+
+def posts(strategy: str) -> Tuple[Post, ...]:
+    """The message table of ``strategy`` (DESIGN §23): the rows of its
+    loop's ``POSTS``, which the DES, the closed forms, the memory model and
+    the wire gate read."""
+    return _LOOPS[ZOO[strategy].family].POSTS
 
 
 def train(

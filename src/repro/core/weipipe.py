@@ -68,6 +68,7 @@ from ..nn.model import chunk_param_count
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
 from ..parallel.common import (
+    Post,
     RankLoop,
     TrainResult,
     TrainSpec,
@@ -102,10 +103,14 @@ from .schedule import (
 
 __all__ = [
     "train_weipipe", "weipipe_step", "slot_chunk_ids", "ring_pool_bytes",
-    "RingLoop", "WREF_MARK",
+    "RingLoop", "WREF_MARK", "HELD",
 ]
 
 SlotWeights = Dict[int, ParamStruct]  # chunk id -> weights
+
+#: a flow's tag kind, or an op -> which slot a rank holds for it at a
+#: turn; ``D`` and the ``W`` pass ride with the backward flow.
+HELD = {"F": fwd_slot_held, "B": bwd_slot_held, "D": bwd_slot_held, "W": bwd_slot_held}
 
 #: first element of a weight-reference payload; the tuple is
 #: ``(WREF_MARK, flow, slot_id)`` and is ledgered at WREF_NBYTES.
@@ -149,7 +154,21 @@ class RingLoop(RankLoop):
     gradient, waits in a local dict (:meth:`x_in` .. :meth:`dy_out`) —
     the stage's wire without the wire.  A weight gradient is parked until
     the turn's circulating ``D`` lands (:meth:`_accumulate`).
+
+    Each turn a rank hops its forward slot, its backward slot and the
+    backward slot's ``D`` to its right, each the slot its flow holds
+    there (:data:`HELD`); at the end of the iteration the losses are gathered
+    and every owner injects its updated slot at the slot's forward home,
+    as it did once at construction; the call ends on gathering the model.
     """
+
+    POSTS = (Post("turn", "hop", "F", "slot", "weight", peer="right"),
+             Post("turn", "hop", "B", "slot", "weight", peer="right"),
+             Post("turn", "hop", "D", "slot", "wgrad", peer="right"),
+             Post("end", "all-gather", "wp-loss", "microbatches", "loss"),
+             Post("end", "hop", "inject", "slot", "weight", peer="home"),
+             Post("call", "hop", "inject", "slot", "weight", peer="home"),
+             Post("call", "all-gather", "wp-final", "model", "dtype"))
 
     def __init__(self, comm: Communicator, spec: TrainSpec, mode: str,
                  dp_comm: Optional[Communicator] = None,
@@ -254,8 +273,7 @@ class RingLoop(RankLoop):
         """Which slot ``rank`` holds on flow ``flow`` during ``turn`` —
         the schedule's placement law, shared with the ``_check_slot``
         asserts so a cache-resolution bug trips the same invariant."""
-        held = fwd_slot_held if flow == "F" else bwd_slot_held
-        return held(rank, turn, self.world)
+        return HELD[flow](rank, turn, self.world)
 
     def _send_wslot(self, flow: str, slot: SlotWeights, it: int, turn: int) -> None:
         """Forward one weight-flow slot to the right neighbour as tag

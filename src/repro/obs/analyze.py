@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from statistics import fmean, median
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -466,12 +467,11 @@ def per_turn_chunks(doc: Dict) -> Optional[Dict]:
 # -- cost-model reconciliation -------------------------------------------------
 
 
-def _mean_span_us(events: List[Dict], name: str) -> Optional[float]:
-    durs = [
+def _span_us(events: List[Dict], name: str) -> List[float]:
+    return [
         ev.get("dur", 0.0) for ev in events
         if ev.get("ph") == "X" and ev["name"] == name
     ]
-    return (sum(durs) / len(durs)) if durs else None
 
 
 def trace_metadata(strategy: str, world: int, spec, topology=None,
@@ -521,7 +521,11 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
     time, over the links the wire charged (``metadata["links"]``; free
     links when no ``ChaosPolicy`` priced them).  It predicts (a) the
     backward/forward time ratio of the rank programs' ops and (b) the
-    iteration wall clock, the DES makespan.
+    iteration wall clock, the DES makespan.  The calibration keeps the
+    mean: on ranks that share cores and the GIL, the spans that waited for
+    them carry the contention the measured wall holds and the DES, every
+    rank on its own stream, does not; the ratio (a) takes the medians,
+    which such spans do not move.
 
     Both price recomputation by the runtime's checkpoint rule
     (:mod:`repro.nn.checkpoint`): the replays ``replayed_chunks`` counts
@@ -547,17 +551,16 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
         analysis = analyze_trace(doc)
 
     events = doc["traceEvents"]
-    f_us = _mean_span_us(events, "F")
-    if f_us is None:
+    f_us, b_us = _span_us(events, "F"), _span_us(events, "B")
+    if not f_us:
         raise ValueError("trace has no forward ('F') spans to calibrate on")
-    b_us = _mean_span_us(events, "B")
 
     # one span is one op of a rank's program: a ring slot's or a pipeline
     # stage's L/P layers, the whole model for one-unit programs.
     strategy = str(meta.get("strategy"))
     programs, units = rank_programs(strategy, world, int(dims["n_microbatches"]))
     layers_per_span = max(int(dims["n_layers"]) // units, 1)
-    t_fwd_layer_measured = (f_us / 1e6) / layers_per_span
+    t_fwd_layer_measured = (fmean(f_us) / 1e6) / layers_per_span
     model, cluster, sim = predict_run(meta, t_fwd_layer_measured)
 
     iters = max(
@@ -580,10 +583,12 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
         },
     }
 
-    # (a) backward/forward ratio of the mean spans: a B with the replays
-    # the rule counts for it, and without a decoupled W, which rides apart.
-    if b_us is not None:
-        measured_b_over_f = b_us / f_us
+    # (a) backward/forward ratio of the median spans — a few spans that
+    # waited for a core move the mean, not the median — of a B with the
+    # replays the rule counts for it, and without a decoupled W, which
+    # rides apart.
+    if b_us:
+        measured_b_over_f = median(b_us) / median(f_us)
         t_f, t_b = model.op_means(strategy, world)
         predicted_b_over_f = t_b / t_f
         rel_err = abs(measured_b_over_f - predicted_b_over_f) / predicted_b_over_f
@@ -612,10 +617,10 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
     # (c) cross-group traffic of a hierarchical (two-level ring) trace.
     # The prediction is self-calibrating in the same spirit as the
     # compute calibration: W/D chunk sizes are read off the trace's own
-    # intra-hop sends, and the cost model contributes only the
-    # steady-state *shape* — a boundary hop carries 1 D + 2 reference
-    # tokens while an intra hop carries the full 2 W + 1 D (DESIGN §12's
-    # boundary rule).  Measured per-turn boundary
+    # intra-hop sends, and the ring's turn rows (DESIGN §23) contribute
+    # only the steady-state *shape* — on a boundary hop each weight row
+    # is a reference token while an intra hop carries every row in full
+    # (DESIGN §12's boundary rule).  Measured per-turn boundary
     # bytes sit above that floor by the amortised first-revolution full
     # crossings, bounded by HIER_TRAFFIC_TOL.
     lt = link_traffic(doc)
@@ -625,7 +630,7 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
         and lt.get("by_kind", {}).get("inter", {}).get("D", {}).get("messages")
         and lt.get("by_kind", {}).get("intra", {}).get("F", {}).get("messages")
     ):
-        from ..runtime.topology import WREF_NBYTES
+        from ..core.weipipe import RingLoop
 
         bk = lt["by_kind"]
         w_chunk = bk["intra"]["F"]["bytes"] / bk["intra"]["F"]["messages"]
@@ -637,8 +642,10 @@ def reconcile(doc: Dict, analysis: Optional[Dict] = None) -> Dict:
         # D crosses every boundary every hop, so its message count *is*
         # the number of (boundary, turn) cells to normalise by.
         measured_per_turn = measured_flow_bytes / d_msgs
-        predicted_steady = d_chunk + 2 * WREF_NBYTES
-        predicted_flat = 2 * w_chunk + d_chunk
+        chunk = {"weight": w_chunk, "wgrad": d_chunk}
+        rows = [post for post in RingLoop.POSTS if post.when == "turn"]
+        predicted_steady = sum(post.across(chunk[post.width]) for post in rows)
+        predicted_flat = sum(chunk[post.width] for post in rows)
         traffic_ratio = measured_per_turn / predicted_steady
         result["hier_traffic"] = {
             "w_chunk_bytes": w_chunk,

@@ -30,12 +30,13 @@ from numpy.random import default_rng
 
 from ..nn import functional as F
 from ..nn.checkpoint import CheckpointedChunk
-from ..nn.layer import Seam, draw_scratch
+from ..nn.layer import Seam, draw_scratch, layer_param_count
 from ..nn.model import ModelConfig, chunk_param_count, init_chunk, rope_tables
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..obs.tracer import NULL_RANK_TRACER
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
+from ..runtime.topology import WREF_NBYTES
 
 __all__ = [
     "TrainSpec",
@@ -45,6 +46,7 @@ __all__ = [
     "quantize_grads_",
     "init_opt_states",
     "ChunkSeam",
+    "Post", "Sizes", "PASSES",
     "RankLoop",
     "slot_chunk_ids",
     "recompute_ledger",
@@ -334,6 +336,81 @@ class ChunkSeam(Seam):
         return g
 
 
+#: ring passes per collective: an all-reduce is a reduce-scatter plus an
+#: all-gather.
+PASSES = {"all-gather": 1, "reduce-scatter": 1, "all-reduce": 2}
+
+#: a loss crosses the wire as a float64 scalar, whatever the precision.
+LOSS_NBYTES = 8
+
+
+@dataclass(frozen=True)
+class Post:
+    """One row of a loop's message table (``POSTS``, DESIGN §23): what the
+    loop posts, as data.
+
+    ``when`` is where its program posts it: ``"F"`` / ``"B"`` around that
+    op — a collective around each chunk (a gather before it, the rest
+    after), a hop once, with the op's output — ``"turn"`` on each ring
+    turn, ``"end"`` once per iteration, ``"call"`` once per training call.
+    ``what`` is ``"hop"``, one message to ``peer``, or a ring collective
+    (:data:`PASSES`) over a buffer; ``kind`` the tag kind the fabric
+    ledgers it under; ``unit`` and ``width`` its payload or buffer
+    (:meth:`Sizes.nbytes`); an instance posts ``count`` of them."""
+
+    when: str
+    what: str
+    kind: str
+    unit: str
+    width: str
+    count: int = 1
+    peer: str = "ring"
+
+    def across(self, nbytes: int) -> int:
+        """What a hop of ``nbytes`` carries once its slot has crossed this
+        group boundary this iteration (DESIGN §12): a weight slot hops as
+        a ``WREF_NBYTES`` reference."""
+        return WREF_NBYTES if self.width == "weight" else nbytes
+
+
+@dataclass(frozen=True)
+class Sizes:
+    """What a :class:`Post` is sized from: the model (a ``ModelConfig``, or
+    the simulator's ``WorkloadDims``), ``G``, ``N``, the world, and the
+    widths in bytes of the ``act`` / ``act_grad`` / ``weight`` / ``wgrad``
+    wire formats and of the arrays themselves (``dtype``, what a payload
+    posted without a size ledgers at)."""
+
+    cfg: ModelConfig
+    microbatch: int
+    n_microbatches: int
+    world: int
+    widths: Dict[str, int]
+
+    def nbytes(self, post: Post, i: int = 0, crossed: bool = False) -> int:
+        """Bytes of one of ``post``'s hops, or of the buffer one of its
+        collectives runs over, for chunk or slot ``i``.  A weight slot that
+        already crossed this group boundary this iteration (``crossed``,
+        DESIGN §12) hops as a reference (:meth:`Post.across`)."""
+        cfg, unit = self.cfg, post.unit
+        if unit in ("chunk", "slot", "model"):
+            ids = ({"chunk": [i], "model": range(cfg.n_layers)}.get(unit)
+                   or slot_chunk_ids(i, self.world, cfg.n_layers))
+            n = sum(chunk_param_count(cfg, j) for j in ids)
+        else:
+            layer = layer_param_count(cfg.hidden, cfg.ffn)
+            n = {
+                "act": self.microbatch * cfg.seq_len * cfg.hidden,
+                # a TP rank's column- and row-split layer tensors
+                "split": (layer - 2 * cfg.hidden) // self.world,
+                # a slot's decoder layers alone, the paper's 12 H^2 each
+                "layers": cfg.n_layers // self.world * layer,
+                "one": 1, "ranks": self.world, "microbatches": self.n_microbatches,
+            }[unit]
+        nbytes = n * (LOSS_NBYTES if post.width == "loss" else self.widths[post.width])
+        return post.across(nbytes) if crossed else nbytes
+
+
 class RankLoop:
     """One rank's program of ``F`` / ``B`` / ``W`` ops: serial, DP, FSDP,
     TP, SP, a pipeline stage or a weight-ring worker.
@@ -372,6 +449,8 @@ class RankLoop:
     positions = slice(None)
     #: does the program run each backward's W apart from its B?
     split = False
+    #: the messages the loop posts (:class:`Post`): serial posts none.
+    POSTS: Tuple[Post, ...] = ()
 
     def __init__(self, spec: TrainSpec, comm=None):
         self.spec, self.comm = spec, comm

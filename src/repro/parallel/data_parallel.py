@@ -20,7 +20,7 @@ import numpy as np
 
 from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import RankLoop, TrainResult, TrainSpec, recompute_ledger, sum_recompute
+from .common import Post, RankLoop, TrainResult, TrainSpec, recompute_ledger, sum_recompute
 
 __all__ = ["train_data_parallel", "dp_step", "all_reduce_grads"]
 
@@ -44,6 +44,9 @@ def all_reduce_grads(
 class DPLoop(RankLoop):
     """A DP rank: microbatches ``{rank, rank+P, ...}`` on its replica,
     then :func:`all_reduce_grads`."""
+
+    POSTS = (Post("end", "all-reduce", "dp-grad", "chunk", "wgrad"),
+             Post("end", "all-reduce", "dp-loss", "one", "loss"))
 
     def microbatches(self):
         return range(self.rank, self.spec.n_microbatches, self.world)

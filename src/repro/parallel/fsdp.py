@@ -39,7 +39,7 @@ from ..runtime import (
     run_workers,
     split_chunks,
 )
-from .common import ChunkSeam, TrainResult, TrainSpec, recompute_ledger, sum_recompute
+from .common import ChunkSeam, Post, TrainResult, TrainSpec, recompute_ledger, sum_recompute
 from .data_parallel import DPLoop
 
 __all__ = ["train_fsdp", "fsdp_step", "FSDPSeam"]
@@ -126,7 +126,14 @@ class FSDPSeam(ChunkSeam):
 class FSDPLoop(DPLoop):
     """An FSDP rank: DP's microbatches over flat weight shards, each chunk
     through an :class:`FSDPSeam`; the gradients arrive reduce-scattered,
-    so the sync sums only the loss and clipping sums the shards' norms."""
+    so the sync sums only the loss and clipping sums the shards' norms.
+    The full weights are gathered once more at the end of the call."""
+
+    POSTS = (Post("F", "all-gather", "fsdp-agf", "chunk", "weight"),
+             Post("B", "all-gather", "fsdp-agb", "chunk", "weight"),
+             Post("B", "reduce-scatter", "fsdp-rs", "chunk", "wgrad"),
+             Post("end", "all-reduce", "fsdp-loss", "one", "loss"),
+             Post("call", "all-gather", "fsdp-final", "chunk", "weight"))
 
     def __init__(self, spec: TrainSpec, comm: Communicator,
                  templates: List[ParamStruct]):

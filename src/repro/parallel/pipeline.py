@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 
 from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_gather, run_workers
-from .common import RankLoop, TrainResult, TrainSpec, microbatch, recompute_ledger
+from .common import Post, RankLoop, TrainResult, TrainSpec, microbatch, recompute_ledger
 from .common import slot_chunk_ids, sum_recompute
 
 __all__ = [
@@ -121,6 +121,10 @@ class StageLoop(RankLoop):
     The gradients flow back the same way (``("bgrad", it, mb)``).  The
     stages clip by the ``("pp-clip", it)`` all-reduce, and the
     ``("pp-loss", it)`` all-gather shares the last stage's loss."""
+
+    POSTS = (Post("F", "hop", "act", "act", "act", peer="next"),
+             Post("B", "hop", "bgrad", "act", "act_grad", peer="prev"),
+             Post("end", "all-gather", "pp-loss", "ranks", "loss"))
 
     def __init__(self, spec: TrainSpec, comm: Communicator, schedule: str):
         super().__init__(spec, comm)

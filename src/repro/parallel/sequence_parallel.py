@@ -42,7 +42,7 @@ import numpy as np
 
 from ..nn.attention import attention_block_bwd, attention_block_fwd
 from ..runtime import Communicator, Fabric, all_gather, reduce_scatter, run_workers
-from .common import ChunkSeam, RankLoop, TrainResult, TrainSpec
+from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec
 from .data_parallel import all_reduce_grads
 
 __all__ = ["train_sequence_parallel", "SPSeam"]
@@ -108,6 +108,11 @@ class SPLoop(RankLoop):
     """An SP rank: its position block of every microbatch (its loss 1/P
     of the microbatch's mean), then DP's all-reduce of the
     position-partial weight gradients."""
+
+    POSTS = (Post("F", "all-gather", "sp-f", "act", "act", count=2),
+             Post("B", "reduce-scatter", "sp-b", "act", "act_grad", count=2),
+             Post("end", "all-reduce", "sp-grad", "chunk", "wgrad"),
+             Post("end", "all-reduce", "sp-loss", "one", "loss"))
 
     def __init__(self, spec: TrainSpec, comm: Communicator):
         super().__init__(spec, comm)

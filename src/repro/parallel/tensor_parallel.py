@@ -43,7 +43,7 @@ import numpy as np
 from ..nn.params import ParamStruct
 from ..optim.optimizer import map_opt_state
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import ChunkSeam, RankLoop, TrainResult, TrainSpec
+from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec
 
 __all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads", "TPSeam"]
 
@@ -143,7 +143,13 @@ class TPSeam(ChunkSeam):
 class TPLoop(RankLoop):
     """A TP rank: every microbatch through its shards, no gradient sync;
     replicated tensors exist on every rank, so clipping counts their
-    squared norm on rank 0 only and split tensors everywhere they live."""
+    squared norm on rank 0 only and split tensors everywhere they live.
+    At the end of the call every other rank sends rank 0 its split
+    tensors (:func:`merge_layer_grads`)."""
+
+    POSTS = (Post("F", "all-reduce", "tp-f", "act", "act", count=2),
+             Post("B", "all-reduce", "tp-b", "act", "act", count=2),
+             Post("call", "hop", "tp-final", "split", "dtype", peer="root"))
 
     def seam(self, key):
         return TPSeam(self.comm, self.spec, key)

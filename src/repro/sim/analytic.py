@@ -8,11 +8,15 @@ the schedule builders and the engine (``tests/sim/test_analytic.py``).
 Notation: ``P`` workers, ``N`` microbatches, ``T_F``/``T_B`` the
 per-stage (or per-slot) forward/backward times, with ``T_B ~= 2 T_F``
 plus, when recomputing, the replays the checkpoint rule counts
-(:meth:`~repro.sim.costmodel.CostModel.op_means`).
+(:meth:`~repro.sim.costmodel.CostModel.op_means`).  The volumes are the
+message table's (DESIGN §23): the rows the ring posts each turn and the
+hops a stage posts per microbatch.
 """
 
 from __future__ import annotations
 
+from ..core.weipipe import RingLoop
+from ..parallel.pipeline import StageLoop
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -71,6 +75,14 @@ def bubble_ratio_weipipe_naive(
     return (total - rounds * useful) / total
 
 
+def _turn_bytes(cost: CostModel, world: int) -> float:
+    """Bytes a ring link carries per turn, over a revolution: the ring's
+    turn rows (2 W + 1 D), each slot once."""
+    sizes = cost.sizes(world)
+    rows = [post for post in RingLoop.POSTS if post.when == "turn"]
+    return sum(sizes.nbytes(post, slot) for post in rows for slot in range(world)) / world
+
+
 def weipipe_turn_bandwidth(
     dims: WorkloadDims, cluster: Cluster, exec_cfg: ExecConfig = ExecConfig()
 ) -> float:
@@ -78,9 +90,8 @@ def weipipe_turn_bandwidth(
     paper's ``36 H^2`` (2 W + 1 D chunks) every ``(T_F + T_B)/P`` —
     i.e. per turn."""
     cost = CostModel(dims, cluster.gpu, exec_cfg)
-    lps = dims.n_layers // cluster.world_size
-    per_turn_bytes = 2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
-    return per_turn_bytes / sum(cost.op_means("weipipe-interleave", cluster.world_size))
+    world = cluster.world_size
+    return _turn_bytes(cost, world) / sum(cost.op_means("weipipe-interleave", world))
 
 
 def weipipe_turn_time(
@@ -97,9 +108,8 @@ def weipipe_turn_time(
     ``overlap=False`` (blocking send/recv at each turn boundary) the
     legs serialise."""
     cost = CostModel(dims, cluster.gpu, exec_cfg)
-    lps = dims.n_layers // cluster.world_size
     compute = sum(cost.op_means("weipipe-interleave", cluster.world_size))
-    per_turn_bytes = 2 * cost.weight_chunk_bytes(lps) + cost.wgrad_chunk_bytes(lps)
+    per_turn_bytes = _turn_bytes(cost, cluster.world_size)
     wire = max(link.time(per_turn_bytes) for link in cluster.ring_links())
     return cost.overlapped(compute, wire)
 
@@ -111,5 +121,6 @@ def activation_pp_bandwidth(
     and one gradient up per microbatch per steady period ``T_F + T_B``
     of a stage."""
     cost = CostModel(dims, cluster.gpu, exec_cfg)
-    per_mb_bytes = cost.act_message_bytes() + cost.bgrad_message_bytes()
+    sizes = cost.sizes(cluster.world_size)
+    per_mb_bytes = sum(sizes.nbytes(post) for post in StageLoop.POSTS if post.what == "hop")
     return per_mb_bytes / sum(cost.op_means("1f1b", cluster.world_size))

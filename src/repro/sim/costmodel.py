@@ -51,6 +51,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.api import rank_programs
 from ..nn.checkpoint import checkpoint_elements, replay_flops, replayed_chunks
+from ..nn.layer import layer_param_count
+from ..nn.model import default_ffn, model_param_count
+from ..parallel.common import Sizes
 from .hardware import GPU
 
 __all__ = ["WorkloadDims", "ExecConfig", "CostModel", "PRECISION_WIDTHS"]
@@ -84,19 +87,17 @@ class WorkloadDims:
 
     @property
     def ffn(self) -> int:
-        return int(round(8 * self.hidden / 3))
+        """The runtime's FFN width (:func:`~repro.nn.model.default_ffn`)."""
+        return default_ffn(self.hidden)
 
     @property
     def layer_params(self) -> int:
-        return 4 * self.hidden**2 + 3 * self.hidden * self.ffn + 2 * self.hidden
+        return layer_param_count(self.hidden, self.ffn)
 
     @property
     def model_params(self) -> int:
-        return (
-            self.layer_params * self.n_layers
-            + 2 * self.vocab * self.hidden
-            + self.hidden
-        )
+        """The runtime's parameter count (:func:`~repro.nn.model.model_param_count`)."""
+        return model_param_count(self)
 
     @property
     def tokens_per_microbatch(self) -> int:
@@ -290,23 +291,15 @@ class CostModel:
             return max(compute, comm)
         return compute + comm
 
-    # -- message sizes -----------------------------------------------------------
-
-    def act_message_bytes(self) -> int:
-        """One activation boundary: what classical PP sends per hop."""
-        d = self.dims
-        return d.tokens_per_microbatch * d.hidden * self.cfg.act_bytes
-
-    def bgrad_message_bytes(self) -> int:
-        d = self.dims
-        return d.tokens_per_microbatch * d.hidden * self.cfg.bgrad_bytes
-
-    def weight_chunk_bytes(self, layers: int = 1) -> int:
-        """``layers`` layers of weights on the wire (~``12 H^2`` each)."""
-        return self.dims.layer_params * layers * self.cfg.weight_bytes
-
-    def wgrad_chunk_bytes(self, layers: int = 1) -> int:
-        return self.dims.layer_params * layers * self.cfg.wgrad_bytes
+    def sizes(self, world: int) -> Sizes:
+        """What the message table's rows are sized from on ``world`` ranks
+        (:class:`~repro.parallel.common.Sizes`): these dims at this
+        config's wire widths."""
+        c, d = self.cfg, self.dims
+        return Sizes(d, d.microbatch, d.n_microbatches, world, {
+            "act": c.act_bytes, "act_grad": c.bgrad_bytes, "weight": c.weight_bytes,
+            "wgrad": c.wgrad_bytes, "dtype": c.weight_bytes,
+        })
 
     # -- per-layer memory ----------------------------------------------------------
 

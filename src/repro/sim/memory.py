@@ -42,7 +42,9 @@ from typing import Callable, FrozenSet, List, Tuple
 
 from ..core.api import ZOO
 from ..core.schedule import liveness, ring_program
+from ..core.weipipe import RingLoop
 from ..parallel.pipeline import stage_program
+from ..parallel.sequence_parallel import SPLoop
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 
@@ -147,7 +149,9 @@ def _mem_sp(dims, cluster, cost) -> List[float]:
     by P (the technique's purpose), plus the transient gathered K/V."""
     world = cluster.world_size
     act = _act_per_layer(cost) * dims.n_layers / world
-    kv_transient = 2 * cost.act_message_bytes()
+    sizes = cost.sizes(world)  # the gathered K and V
+    kv_transient = sum(post.count * sizes.nbytes(post) for post in SPLoop.POSTS
+                       if post.when == "F")
     m = (
         dims.model_params * cost.state_bytes_per_param()
         + act
@@ -178,7 +182,9 @@ def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     world = cluster.world_size
     lps = dims.n_layers // world
     slots = 2 * cost.weights_resident_bytes(lps)  # 2 W flows (w+d wire pair)
-    slots += cost.wgrad_chunk_bytes(lps)
+    sizes = cost.sizes(world)  # the largest D that rides the ring
+    slots += max(sizes.nbytes(post, slot) for post in RingLoop.POSTS
+                 if post.when == "turn" and post.width == "wgrad" for slot in range(world))
     slots *= 2  # double buffering for the prefetched next turn
     opt = cost.optimizer_bytes(lps)
     embed_ride = 2 * dims.vocab * dims.hidden * cost.cfg.weight_bytes * 2

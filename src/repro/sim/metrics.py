@@ -81,13 +81,13 @@ def evaluate(
             nb = t.meta.get("nbytes", 0.0)
             comm_total += nb
             link_bytes[t.resource] = link_bytes.get(t.resource, 0.0) + nb
+    # a collective's task carries the whole job's bytes, which the ring
+    # spreads over its P links.
+    share = world if built.compute_workers == [0] else 1
     max_link_bw = (
-        max(link_bytes.values()) / makespan if link_bytes and makespan > 0 else 0.0
+        max(link_bytes.values()) / share / makespan
+        if link_bytes and makespan > 0 else 0.0
     )
-    # FSDP/DP model one representative rank: scale aggregate volume to
-    # the full job for apples-to-apples totals.
-    if built.compute_workers == [0] and world > 1:
-        comm_total *= world
 
     mem_key = memory_strategy or built.name
     peak = peak_memory(mem_key, dims, built.cluster, built.exec_cfg)

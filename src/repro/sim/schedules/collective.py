@@ -6,22 +6,24 @@ one shared ``("net",)`` resource carrying the collectives.  The compute
 is rank 0's own program (:func:`~repro.core.api.rank_programs`, the
 ``[F(mb), B(mb)]*`` list the runtime executes, priced by
 :meth:`~repro.sim.costmodel.CostModel.op_times`); the families differ
-only in their row of :data:`COLLECTIVES` — which collective wraps which
-op, and on how many bytes:
+only in their loop's message table (:func:`~repro.core.api.posts`,
+DESIGN §23) — which collective wraps which op, on which buffer:
 
-* dp: one all-reduce of the full weight gradients after the program;
-* fsdp (ZeRO-3): an all-gather of each layer's weights before its F and
+* dp: an all-reduce of each chunk's weight gradients and one of the
+  loss after the program;
+* fsdp (ZeRO-3): an all-gather of each chunk's weights before its F and
   again before its B (weights are freed after use), a reduce-scatter of
-  its gradients after the B;
+  its gradients after the B, the loss's all-reduce at the end;
 * tp (Megatron): two all-reduces of a ``G*S*H`` activation after each
   layer's F and two after its B;
-* sp (gather-based context parallelism): an all-gather of the layer's
-  K and V before its F, a reduce-scatter of dK / dV after its B, and
-  dp's gradient all-reduce at the end (weights are replicated).
+* sp (gather-based context parallelism): all-gathers of the layer's
+  K and V before its F, reduce-scatters of dK / dV after its B, and
+  dp's all-reduces at the end (weights are replicated).
 
 A family with a per-layer collective runs each op layer by layer (F in
 layer order, B in reverse); dp, which has none, runs each op as one
-task.  A family that splits the layer rather than the microbatches
+task.  A row posted once per call is not part of an iteration.  A
+family that splits the layer rather than the microbatches
 (``"microbatches"`` not in the record's ``divides``: tp's heads, sp's
 positions) computes ``1/P`` of each op on every rank.  Three rules make
 the dependencies:
@@ -34,31 +36,29 @@ the dependencies:
 * a reduction starts after its compute.
 
 A ring collective over ``P`` ranks of a ``b``-byte buffer costs
-``(P-1) * (latency + b / (P * bw_min))`` — paced by the *slowest* link
-in the ring, which is how 10 GbE between servers poisons FSDP in
+``(P-1) * (latency + b / (P * bw_min))`` a pass — paced by the *slowest*
+link in the ring, which is how 10 GbE between servers poisons FSDP in
 Table 3 while WeiPipe only pays Ethernet prices on the hops that
-actually cross it.
+actually cross it — and puts ``(P-1) * b`` a pass on the wire, all
+ranks together (:func:`collective_task`).
 """
 
 from __future__ import annotations
 
-from ...core.api import Strategy, rank_programs
+from ...core.api import Strategy, posts, rank_programs
+from ...parallel.common import PASSES, Post, Sizes
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
 from .base import BuiltSchedule, validate_divisible
 
-__all__ = ["COLLECTIVES", "build_collective", "ring_collective_time"]
+__all__ = ["build_collective", "collective_task", "ring_collective_time"]
 
 
 #: ring collectives lose to lockstep straggling: every step waits for the
 #: slowest of P simultaneous transfers, so realised bandwidth is well
 #: below the point-to-point figure (NCCL over TCP measures ~60-70%).
 COLLECTIVE_EFFICIENCY = 0.60
-
-#: ring passes per collective: an all-reduce is a reduce-scatter plus an
-#: all-gather.  A gather runs before its compute, a reduction after.
-_PASSES = {"all-gather": 1, "reduce-scatter": 1, "all-reduce": 2.0}
 
 
 def ring_collective_time(cluster: Cluster, nbytes: float) -> float:
@@ -71,27 +71,26 @@ def ring_collective_time(cluster: Cluster, nbytes: float) -> float:
     return (p - 1) * (slow.latency + nbytes / (p * bw))
 
 
-#: family -> (gather window ``ahead``, its collectives).  A collective is
-#: ``(op, kind, count, nbytes)``: ``count`` ring collectives of
-#: ``nbytes(cost)`` bytes each around every layer of each ``op`` ("F" /
-#: "B") of the program, or once after the program ("end").
-COLLECTIVES = {
-    "dp": (0, (("end", "all-reduce", 1, lambda c: c.wgrad_chunk_bytes(c.dims.n_layers)),)),
-    "fsdp": (2, (("F", "all-gather", 1, lambda c: c.weight_chunk_bytes(1)),
-                 ("B", "all-gather", 1, lambda c: c.weight_chunk_bytes(1)),
-                 ("B", "reduce-scatter", 1, lambda c: c.wgrad_chunk_bytes(1)))),
-    "tp": (0, (("F", "all-reduce", 2, lambda c: c.act_message_bytes()),
-               ("B", "all-reduce", 2, lambda c: c.act_message_bytes()))),
-    "sp": (1, (("F", "all-gather", 1, lambda c: 2 * c.act_message_bytes()),
-               ("B", "reduce-scatter", 1, lambda c: 2 * c.act_message_bytes()),
-               ("end", "all-reduce", 1, lambda c: c.wgrad_chunk_bytes(c.dims.n_layers)))),
-}
+def collective_task(g: TaskGraph, tid, post: Post, sizes: Sizes, cluster: Cluster,
+                    resource, deps, i: int = 0):
+    """One instance of a ring collective ``post`` (for chunk ``i``) on a
+    ``b``-byte buffer: each of its ``count * PASSES`` ring passes is
+    :func:`ring_collective_time` and puts ``(P-1) * b`` on the wire, all
+    ranks together."""
+    b, passes = sizes.nbytes(post, i), PASSES[post.what]
+    return g.add(tid, resource, post.count * (passes * ring_collective_time(cluster, b)),
+                 deps=deps, kind="comm", collective=post.what,
+                 nbytes=post.count * passes * (cluster.world_size - 1) * b)
 
-#: the sizes a record's ``divides`` may name that the DES checks.  Not
-#: ``ffn``: ``WorkloadDims.ffn`` is ``8H/3`` rounded to the nearest
-#: integer where the runtime's ``default_ffn`` also rounds down to a
-#: multiple of 8, so the DES's width is not the one a run splits.
-_SIZES = {"heads": "n_heads", "seq": "seq_len", "microbatches": "n_microbatches"}
+
+#: family -> how many compute tasks back its gathers may start: fsdp's
+#: two-layer prefetch window (what ``sim.memory`` charges), sp's K/V need
+#: the previous layer's output.
+_AHEAD = {"fsdp": 2, "sp": 1}
+
+#: the ``WorkloadDims`` field of each size a record's ``divides`` names.
+_SIZES = {"heads": "n_heads", "ffn": "ffn", "seq": "seq_len",
+          "microbatches": "n_microbatches"}
 
 
 def build_collective(
@@ -103,46 +102,42 @@ def build_collective(
     """Build the rank-symmetric timeline of a dp / fsdp / tp / sp record."""
     world = cluster.world_size
     for dim in strategy.divides:
-        if dim in _SIZES:
-            validate_divisible(getattr(dims, _SIZES[dim]), world, f"{dim} per rank")
+        validate_divisible(getattr(dims, _SIZES[dim]), world, f"{dim} per rank")
     cost = CostModel(dims, cluster.gpu, exec_cfg)
-    ahead, row = COLLECTIVES[strategy.family]
+    sizes = cost.sizes(world)
+    rows = [post for post in posts(strategy.name) if post.when != "call"]
+    ahead = _AHEAD.get(strategy.family, 0)
     layers = dims.n_layers
     # tasks per op: one per layer, or the whole op when nothing wraps a layer
-    per_op = layers if any(op != "end" for op, *_ in row) else 1
+    per_op = layers if any(post.when != "end" for post in rows) else 1
     split = 1 if "microbatches" in strategy.divides else world
     net = ("net",) if exec_cfg.overlap else ("compute", 0)
     g = TaskGraph()
 
-    priced = []  # the row as (op, kind, seconds, bytes)
-    for op, kind, count, nbytes in row:
-        size = nbytes(cost)
-        t = count * (_PASSES[kind] * ring_collective_time(cluster, size))
-        priced.append((op, kind, t, count * size))
-
-    def issue(op, kind, t, size, key, deps):
-        return g.add((kind, op, *key), net, t, deps=deps, kind="comm",
-                     nbytes=size, collective=kind)
+    def issue(post, key, deps, i=0):
+        return collective_task(g, (post.kind, *key), post, sizes, cluster, net, deps, i)
 
     program = rank_programs(strategy.name, world, dims.n_microbatches)[0][0]
     computes, issued = [], {}
     for (kind, mb), t in zip(program, cost.op_times(program, layers)):
         order = range(layers) if kind == "F" else range(layers - 1, -1, -1)
+        ops = [post for post in rows if post.when == kind]
         for key in [(mb, i) for i in order] if per_op > 1 else [(mb,)]:
             mine = issued.setdefault(key, [])
-            for op, coll, t_c, size in priced:
-                if op == kind and coll == "all-gather":
+            for post in ops:
+                if post.what == "all-gather":
                     window = (computes[-ahead],) if len(computes) >= ahead else ()
-                    mine.append(issue(op, coll, t_c, size, key, window))
+                    mine.append(issue(post, key, window, key[-1]))
             computes.append(g.add((kind, *key), ("compute", 0), t / (per_op * split),
                                   deps=tuple(computes[-1:] + mine),
                                   kind=kind, worker=0, mb=mb))
-            for op, coll, t_c, size in priced:
-                if op == kind and coll != "all-gather":
-                    mine.append(issue(op, coll, t_c, size, key, (computes[-1],)))
-    for op, coll, t_c, size in priced:
-        if op == "end":
-            issue(op, coll, t_c, size, (), (computes[-1],))
+            for post in ops:
+                if post.what != "all-gather":
+                    mine.append(issue(post, key, (computes[-1],), key[-1]))
+    for post in rows:
+        if post.when == "end":
+            for i in range(layers) if post.unit == "chunk" else [None]:
+                issue(post, () if i is None else (i,), (computes[-1],), i or 0)
     return BuiltSchedule(
         name=strategy.name, graph=g, dims=dims, cluster=cluster, cost=cost,
         exec_cfg=exec_cfg, compute_workers=[0],

@@ -1,7 +1,9 @@
 """Activation-passing pipeline schedules: GPipe, 1F1B, ZB1, ZB2.
 
 Stage ``s`` owns layers ``[s L/P, (s+1) L/P)``.  Forward activations hop
-``s -> s+1`` (size ``G*S*H``), activation gradients hop back.  The four
+``s -> s+1`` (size ``G*S*H``), activation gradients hop back, and the
+stages all-gather their losses at the end — the rows of the stage's
+message table (``StageLoop.POSTS``, DESIGN §23).  The four
 schedules differ only in per-stage op ordering, and that ordering is not
 restated here: :func:`build_pipeline` walks the very
 :func:`~repro.parallel.pipeline.stage_program` the functional stage
@@ -21,11 +23,12 @@ receive does *not* opportunistically run a later op.
 
 from __future__ import annotations
 
-from ...parallel.pipeline import stage_program
+from ...parallel.pipeline import StageLoop, stage_program
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
 from .base import BuiltSchedule, comm_resource, validate_divisible
+from .collective import collective_task
 
 __all__ = ["build_pipeline"]
 
@@ -43,9 +46,9 @@ def build_pipeline(
     cost = CostModel(dims, cluster.gpu, exec_cfg)
     n_mb = dims.n_microbatches
     g = TaskGraph()
-
-    act_bytes = cost.act_message_bytes()
-    bgrad_bytes = cost.bgrad_message_bytes()
+    sizes = cost.sizes(world)
+    hops = {post.when: post for post in StageLoop.POSTS if post.what == "hop"}
+    act_bytes, bgrad_bytes = (sizes.nbytes(hops[op]) for op in "FB")
 
     # comm tasks first (their priority only matters within a link queue,
     # where FIFO by microbatch is what a real transport gives).  With
@@ -81,6 +84,7 @@ def build_pipeline(
     # are straight-line programs issued by one Python loop per rank, not
     # dynamic work-stealing executors), so each op depends on its
     # predecessor on the same stage.
+    last = []
     for s in range(world):
         prev = None
         program = stage_program(schedule, world, s, n_mb)
@@ -96,6 +100,11 @@ def build_pipeline(
             prev = (kind, s, mb)
             g.add(prev, ("compute", s), dur, deps=tuple(deps),
                   kind=kind, worker=s, mb=mb)
+        last.append(prev)
+    net = ("net",) if exec_cfg.overlap else ("compute", 0)
+    for post in StageLoop.POSTS:
+        if post.when == "end":
+            collective_task(g, (post.kind,), post, sizes, cluster, net, tuple(last))
     return BuiltSchedule(
         name=schedule, graph=g, dims=dims, cluster=cluster, cost=cost,
         exec_cfg=exec_cfg, compute_workers=list(range(world)),

@@ -7,8 +7,11 @@ numerics are two views of one protocol, for every row of the table.
 
 Per turn a worker receives three payloads from its predecessor (forward
 weight slot, backward weight slot, gradient slot: ``2 W + 1 D``, i.e.
-``36 H^2`` per Llama layer) and computes its scheduled ops.  The
-dependency structure exists once, in :func:`_ring_graph`:
+``36 H^2`` per Llama layer) and computes its scheduled ops.  Each hop's
+bytes are the ring's turn rows (``RingLoop.POSTS``, DESIGN §23), sized
+on the slot its flow holds there — the embedding rides slot 0, the
+final norm and head the last.  The dependency structure exists once, in
+:func:`_ring_graph`:
 
 * **weight flows prefetch**: slot arrivals depend only on the previous
   hop's arrival (weights are read-only — NCCL can forward them as soon
@@ -23,9 +26,10 @@ dependency structure exists once, in :func:`_ring_graph`:
   arrivals it consumes.
 
 At iteration end one homing hop brings every slot, and the last turn's
-gradients in ``D``, back to its owner; the owner then applies the update
-(a small compute task) and re-injects weights (one extra hop), matching
-the functional engine's ``t == total`` turn and update pass.
+gradients in ``D``, back to its owner; the losses are all-gathered, and
+the owner then applies the update (a small compute task) and re-injects
+weights (one extra hop), matching the functional engine's ``t == total``
+turn, loss gather and update pass.
 
 ``hier=True`` is the runtime's boundary rule (DESIGN §12) on the hops
 that leave a node: a weight slot crosses in full while the tag's turn is
@@ -42,14 +46,17 @@ The schedule that runs with a split backward is the ``zero-bubble`` row.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Tuple
 
-from ...core.schedule import ring_schedule, ring_splits_backward, turn_ops
-from ...runtime.topology import WREF_NBYTES
+from ...core.schedule import fwd_home, ring_schedule, ring_splits_backward, turn_ops
+from ...core.weipipe import HELD, RingLoop
+from ...parallel.common import Sizes
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
 from .base import BuiltSchedule, comm_resource, validate_divisible
+from .collective import collective_task
 
 __all__ = ["build_weipipe", "build_ring_figure", "RING_FIGURES"]
 
@@ -57,20 +64,39 @@ __all__ = ["build_weipipe", "build_ring_figure", "RING_FIGURES"]
 #: weight gradient into the circulating D, and the task's metadata.
 _TurnFn = Callable[[int, int], Tuple[float, bool, dict]]
 
+#: the ring's turn rows: F and B weight slots and the D riding with B.
+_TURN_ROWS = [post for post in RingLoop.POSTS if post.when == "turn"]
+
+
+def _hops(sizes: Sizes, crossed: Callable[[int, int, int], bool]):
+    """``hop(left, p, t)``: the weight and the ``D`` bytes the ring's turn
+    rows put on the hop into ``p`` consumed at turn ``t``, each on the slot
+    its flow held at ``left`` the turn before
+    (:data:`~repro.core.weipipe.HELD`); a weight slot the hop has
+    ``crossed`` already is a reference."""
+
+    def hop(left: int, p: int, t: int) -> Tuple[int, int]:
+        nbytes = {"weight": 0, "wgrad": 0}
+        for post in _TURN_ROWS:
+            slot = HELD[post.kind](left, t - 1, sizes.world)
+            nbytes[post.width] += sizes.nbytes(post, slot, crossed(left, p, t))
+        return nbytes["weight"], nbytes["wgrad"]
+
+    return hop
+
 
 def _ring_graph(
     cluster: Cluster,
     exec_cfg: ExecConfig,
     total: int,
     turn: _TurnFn,
-    w_bytes: Callable[[int, int, int], float],
-    d_bytes: float,
+    hop_bytes: Callable[[int, int, int], Tuple[int, int]],
     homing: bool = False,
 ) -> TaskGraph:
     """Compute and arrival tasks of ``total`` ring turns.
 
-    ``w_bytes(left, p, t)`` is the weight payload of the hop into ``p``
-    consumed at turn ``t``.  ``homing`` adds the arrivals at ``t =
+    ``hop_bytes(left, p, t)`` is the weight and the ``D`` payload of the
+    hop into ``p`` consumed at turn ``t`` (:func:`_hops`).  ``homing`` adds the arrivals at ``t =
     total``: the hop after the last turn that brings every slot, and the
     last turn's gradients in D, back to its owner.
     """
@@ -108,10 +134,10 @@ def _ring_graph(
                 w_deps.append(("AW", left, t - 1))  # previous hop
             if t > 2:
                 w_deps.append(("T", left, t - 2))  # sender's turn loop
-            nbytes = w_bytes(left, p, t)
+            w_bytes, d_bytes = hop_bytes(left, p, t)
             g.add(
-                ("AW", p, t), res, link.time(nbytes), deps=tuple(w_deps),
-                kind="comm", nbytes=nbytes, src=left, dst=p,
+                ("AW", p, t), res, link.time(w_bytes), deps=tuple(w_deps),
+                kind="comm", nbytes=w_bytes, src=left, dst=p,
             )
             # the D flow leaves p-1 only after p-1's turn t-1 compute
             # (its weight-gradient contribution is in the buffer).
@@ -148,8 +174,7 @@ def build_weipipe(
     total, task_fn = ring_schedule(mode, world, dims.n_microbatches)
 
     wgrad_op = "W" if ring_splits_backward(mode) else "B"
-    w_bytes = cost.weight_chunk_bytes(lps)
-    d_bytes = cost.wgrad_chunk_bytes(lps)
+    sizes = cost.sizes(world)
 
     # each rank's turns priced op by op along its whole program, so a B
     # pays the replays the checkpoint rule counts for it there.
@@ -165,32 +190,36 @@ def build_weipipe(
         meta = {"fwd": task.fwd, "bwd": task.bwd, "wpass": task.wpass}
         return turn_secs[p][t], wgrad_op in kinds, meta
 
-    def hop_w_bytes(left: int, p: int, t: int) -> float:
-        if hier and t > world and cluster.node_of(left) != cluster.node_of(p):
-            return 2 * WREF_NBYTES
-        return 2 * w_bytes
+    # the runtime's boundary rule: a slot crosses a node boundary in full
+    # while the tag's turn is within the first revolution, then by reference
+    def crossed(left: int, p: int, t: int) -> bool:
+        return hier and t > world and cluster.node_of(left) != cluster.node_of(p)
 
-    g = _ring_graph(
-        cluster, exec_cfg, total, turn, hop_w_bytes, d_bytes, homing=True
-    )
+    g = _ring_graph(cluster, exec_cfg, total, turn, _hops(sizes, crossed), homing=True)
 
-    # update pass: owner updates its slot after its last turn and the
-    # homing hop's arrivals (the runtime's ``t == total`` turn), then
-    # re-injects the fwd-flow copy (one extra hop).
+    # update pass: every rank's last turn and the homing hop's arrivals
+    # (the runtime's ``t == total`` turn), then the end rows: the loss
+    # gather, which every update waits for, and each owner's inject of its
+    # updated slot at the slot's forward home (one extra hop).
     t_update = 0.05 * lps * cost.t_fwd_layer()  # elementwise optimizer math
+    net = ("net",) if exec_cfg.overlap else ("compute", 0)
+    ends = [post for post in RingLoop.POSTS if post.when == "end"]
+    homed = tuple(dep for p in range(world)
+                  for dep in (("T", p, total - 1), ("AW", p, total), ("AD", p, total)))
+    syncs = tuple(collective_task(g, (post.kind,), post, sizes, cluster, net, homed)
+                  for post in ends if post.what != "hop")
     for p in range(world):
-        g.add(
-            ("U", p), ("compute", p), t_update,
-            deps=(("T", p, total - 1), ("AW", p, total), ("AD", p, total)),
-            kind="update", worker=p,
-        )
-        target = (1 - p) % world
-        if target != p:
-            res = comm_resource(cluster, p, target, exec_cfg.overlap)
-            g.add(
-                ("INJ", p), res, cluster.link(p, target).time(w_bytes),
-                deps=(("U", p),), kind="comm", nbytes=w_bytes, src=p, dst=target,
-            )
+        g.add(("U", p), ("compute", p), t_update, deps=syncs, kind="update", worker=p)
+        owned = (p - 1) % world
+        target = fwd_home(owned, world)
+        for post in ends:
+            if post.what == "hop" and target != p:
+                nbytes = sizes.nbytes(post, owned)
+                g.add(
+                    ("INJ", p), comm_resource(cluster, p, target, exec_cfg.overlap),
+                    cluster.link(p, target).time(nbytes), deps=(("U", p),),
+                    kind="comm", nbytes=nbytes, src=p, dst=target,
+                )
 
     return BuiltSchedule(
         name=name or f"weipipe-{mode}", graph=g, dims=dims, cluster=cluster,
@@ -231,16 +260,20 @@ def build_ring_figure(
     steady = dims.n_microbatches // world * turns_per_round(world)
     total = steady + (world - 1) + drain(world)  # fill ramp + drain tail
     turn_time = ops * lps * cost.t_fwd_layer()
-    w_bytes = w_chunks * cost.weight_chunk_bytes(lps)
+    # the ring's turn rows as the figures draw them: ``w_chunks`` weight
+    # flows and the D, every slot its decoder layers alone
+    weights = [post for post in _TURN_ROWS if post.width == "weight"][:w_chunks]
+    rows = [replace(post, unit="layers")
+            for post in weights + [post for post in _TURN_ROWS if post.width == "wgrad"]]
+    sizes = cost.sizes(world)
+    w_bytes, d_bytes = (sum(sizes.nbytes(post) for post in rows if post.width == width)
+                        for width in ("weight", "wgrad"))
 
     def turn(p: int, t: int):
         busy = p <= t < p + steady
         return (turn_time if busy else 0.0), busy, {"busy": busy}
 
-    g = _ring_graph(
-        cluster, exec_cfg, total, turn,
-        lambda left, p, t: w_bytes, cost.wgrad_chunk_bytes(lps),
-    )
+    g = _ring_graph(cluster, exec_cfg, total, turn, lambda left, p, t: (w_bytes, d_bytes))
     return BuiltSchedule(
         name=variant, graph=g, dims=dims, cluster=cluster,
         cost=cost, exec_cfg=exec_cfg, compute_workers=list(range(world)),

@@ -17,7 +17,9 @@ Two layers of defence keep the reproduction honest:
     across channels, duplicates, drops-with-retry — against serial, at
     :data:`SERIAL_TOL`.  A strategy that "passes once" on the instant
     fabric but depends on a lucky delivery order fails here;
-  - :func:`run_backend_differential`: thread vs process transport, bitwise;
+  - :func:`run_backend_differential`: thread vs process transport, bitwise,
+    and both wires' byte ledgers against the message table
+    (:func:`table_ledger`, :func:`check_ledger`);
   - :func:`run_traced_backend_differential`: traced vs bare process run,
     bitwise;
   - :func:`run_heal_differential` (variant = transient-fault schedule):
@@ -33,19 +35,22 @@ strategy zoo can check their own ops and schedules.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from dataclasses import replace as _replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .core.api import ZOO, train
+from .core.api import ZOO, posts, rank_programs, train
+from .core.schedule import fwd_home, ring_schedule
+from .core.weipipe import HELD
 from .nn.model import ModelConfig
 from .nn.precision import FP32, FP64
 from .obs import Tracer, validate_chrome_trace
-from .parallel.common import TrainResult, TrainSpec
+from .parallel.common import PASSES, Sizes, TrainResult, TrainSpec
 from .parallel.elastic import train_elastic
-from .runtime import ChaosPolicy, Fabric, FailureDetector, ProcessTransport
+from .runtime import ChaosPolicy, Fabric, FailureDetector, ProcessTransport, split_chunks
 
 __all__ = [
     "numerical_grad", "assert_grad_close",
@@ -53,7 +58,7 @@ __all__ = [
     "DifferentialFailure", "DifferentialMismatch", "DifferentialReport",
     "default_differential_strategies", "default_differential_spec",
     "run_differential", "run_backend_differential",
-    "run_traced_backend_differential",
+    "run_traced_backend_differential", "table_ledger", "check_ledger",
     "HEAL_SCHEDULES", "DEFAULT_HEAL_MODES", "run_heal_differential",
     "ScenarioReport", "default_crash_spec", "run_crash_recovery",
     "run_self_heal",
@@ -408,6 +413,142 @@ def run_differential(
     )
 
 
+# ---------------------------------------------------------------------------
+# the message table against the wire
+# ---------------------------------------------------------------------------
+
+def _sizes(spec, world: int) -> Sizes:
+    """What ``spec``'s rows are sized from: its model at its precision's
+    wire widths, and its arrays' own width."""
+    p = spec.precision
+    return Sizes(spec.cfg, spec.microbatch_size, spec.n_microbatches, world, {
+        "act": p.act_bytes, "act_grad": p.act_grad_bytes, "weight": p.weight_bytes,
+        "wgrad": p.weight_grad_bytes, "dtype": np.dtype(spec.cfg.dtype).itemsize,
+    })
+
+
+def table_ledger(strategy: str, spec, world: int, topology=None) -> Dict:
+    """What the message table (:func:`repro.core.api.posts`) says one call
+    of ``strategy`` posts: ``{"kind": {kind: [bytes, messages]}, "link":
+    {link class: [bytes, messages]}, "iteration": bytes}`` — a call being
+    ``spec.iters`` times each ``F`` / ``B`` / ``turn`` / ``end`` row plus
+    each ``call`` row once; ``link`` only with a ``topology``;
+    ``iteration`` what the DES prices, one iteration's bytes.
+
+    Every instance of a row is expanded to its senders: a hop to its
+    ``peer``, a ring collective to each rank's right neighbour over
+    ``PASSES`` passes of ``P - 1`` messages, sending what
+    :mod:`repro.runtime.collectives` sends — the rank's own part when the
+    row states its size, what it received when the payload sizes itself
+    (``loss`` / ``dtype``).  The parts are the buffer's
+    :func:`~repro.runtime.split_chunks` split, or each owner's slot."""
+    sizes, rec, P = _sizes(spec, world), ZOO[strategy], world
+    L, iters = spec.cfg.n_layers, spec.iters
+    out = {"kind": defaultdict(lambda: [0, 0]), "link": defaultdict(lambda: [0, 0]),
+           "iteration": 0}
+
+    def tally(post, src, dst, nbytes, msgs):
+        reps = 1 if post.when == "call" else iters
+        for key, table in ((post.kind, out["kind"]),
+                           (topology and topology.link_class(src, dst), out["link"])):
+            if key:
+                table[key][0] += reps * nbytes
+                table[key][1] += reps * msgs
+        out["iteration"] += 0 if post.when == "call" else nbytes
+
+    def hop(post, i, src, dst, crossed=False):
+        tally(post, src, dst, post.count * sizes.nbytes(post, i, crossed), post.count)
+
+    def collective(post, i=0):
+        if post.unit == "model":  # each rank's owned slot
+            parts = [sizes.nbytes(_replace(post, unit="slot"), (r - 1) % P) for r in range(P)]
+        else:
+            width = sizes.nbytes(_replace(post, unit="one"))
+            n = sizes.nbytes(post, i) // width
+            parts = [c.size * width for c in split_chunks(np.empty(n, np.int8), P)]
+        total, fwd = sum(parts), post.width in ("loss", "dtype")
+        for r in range(P):
+            rs = total - parts[r]
+            ag = total - parts[(r + 1) % P] if fwd else (P - 1) * parts[r]
+            sent = {"reduce-scatter": rs, "all-gather": ag, "all-reduce": rs + ag}
+            tally(post, r, (r + 1) % P, post.count * sent[post.what],
+                  post.count * PASSES[post.what] * (P - 1))
+
+    programs, _ = rank_programs(strategy, P, spec.n_microbatches)
+    for post in posts(strategy):
+        chunks = range(L) if post.unit in ("chunk", "split") else [0]
+        if post.when == "turn":
+            cross = rec.hier and topology is not None
+            for r in range(P):
+                for t in range(ring_schedule(rec.schedule, P, spec.n_microbatches)[0]):
+                    crossed = cross and t + 1 > P and topology.link_class(
+                        r, (r + 1) % P) == "inter"
+                    hop(post, HELD[post.kind](r, t, P), r, (r + 1) % P, crossed)
+        elif post.what == "hop" and post.when in ("F", "B"):
+            step = 1 if post.peer == "next" else -1
+            for s, program in enumerate(programs):
+                if 0 <= s + step < P:
+                    for kind, _ in program:
+                        if kind == post.when:
+                            hop(post, 0, s, s + step)
+        elif post.when in ("F", "B"):
+            for kind, _ in programs[0]:
+                if kind == post.when:
+                    for i in range(L):
+                        collective(post, i)
+        elif post.peer == "home":
+            for r in range(P):
+                if fwd_home((r - 1) % P, P) != r:
+                    hop(post, (r - 1) % P, r, fwd_home((r - 1) % P, P))
+        elif post.peer == "root":
+            for i in chunks:
+                for r in range(1, P):
+                    hop(post, i, r, 0)
+        else:
+            for i in chunks:
+                collective(post, i)
+    return out
+
+
+def check_ledger(strategy: str, spec, world: int, wire, topology=None) -> Optional[str]:
+    """The message-table gate of one run on ``wire`` (a ``Fabric`` or a
+    ``ProcessTransport`` the run trained on): its ``fabric_bytes_total`` /
+    ``fabric_messages_total`` per tag kind — and per link class with a
+    ``topology`` — must equal :func:`table_ledger`'s exactly, and the
+    DES's ``comm_bytes_total`` of the same run must equal the table's
+    bytes per iteration.  Returns the first disagreement, or ``None``."""
+    from .sim.costmodel import WorkloadDims
+    from .sim.hardware import A800, Cluster
+    from .sim.runner import FREE_LINK, exec_for, run_cell
+
+    table = table_ledger(strategy, spec, world, topology)
+    m = wire.metrics
+    for label, name, want in (("kind", "fabric", table["kind"]),
+                              ("link", "fabric_link", table["link"])):
+        got = {k: [int(m.total(f"{name}_bytes_total", label=label).get(k, 0)),
+                   int(m.total(f"{name}_messages_total", label=label).get(k, 0))]
+               for k in set(m.total(f"{name}_bytes_total", label=label)) | set(want)}
+        if got != {k: list(v) for k, v in want.items()}:
+            return f"wire ledger by {label} {got} != message table {dict(want)}"
+    cfg, p = spec.cfg, spec.precision
+    dims = WorkloadDims(hidden=cfg.hidden, n_layers=cfg.n_layers, seq_len=cfg.seq_len,
+                        microbatch=spec.microbatch_size,
+                        n_microbatches=spec.n_microbatches, n_heads=cfg.n_heads,
+                        vocab=cfg.vocab)
+    exec_cfg = _replace(
+        exec_for(strategy), act_bytes=p.act_bytes, bgrad_bytes=p.act_grad_bytes,
+        weight_bytes=p.weight_bytes, wgrad_bytes=p.weight_grad_bytes,
+        recompute=spec.recompute, flash_attention=cfg.flash_attention,
+    )
+    nodes = len(topology.groups) if topology is not None else 1
+    cluster = Cluster(gpu=A800, nodes=nodes, gpus_per_node=world // nodes,
+                      intra=FREE_LINK, inter=FREE_LINK)
+    des = run_cell(strategy, dims, cluster, exec_cfg).comm_bytes_total
+    if des != table["iteration"]:
+        return f"DES comm_bytes_total {des} != message table {table['iteration']} per iteration"
+    return None
+
+
 def run_backend_differential(
     strategies: Optional[Mapping[str, int]] = None,
     worlds: Iterable[int] = (2, 4),
@@ -432,6 +573,9 @@ def run_backend_differential(
     :func:`default_differential_strategies`); each strategy runs at every
     world in ``worlds`` that does not exceed its maximum (TP caps at 2 on
     the default model: world must divide ``n_heads``).
+
+    A cell whose two runs agree is then gated on the message table: both
+    wires' ledgers, and the DES of the run, by :func:`check_ledger`.
     """
     policy = ChaosPolicy(
         seed=chaos_seed, delay_prob=1.0, max_delay=link_delay_s,
@@ -439,8 +583,15 @@ def run_backend_differential(
     )
 
     def cell(name, runner, cell_spec, world, _tag, _seed):
-        thread = runner(cell_spec, world, Fabric(world, policy=policy, timeout=120.0))
-        return thread, {"process": runner(cell_spec, world, ProcessTransport(policy=policy))}
+        wires = {"thread": Fabric(world, policy=policy, timeout=120.0),
+                 "process": ProcessTransport(policy=policy)}
+        thread, process = (runner(cell_spec, world, w) for w in wires.values())
+        if compare_train_results(process, thread, tol=0) is None:
+            for label, wire in wires.items():
+                problem = check_ledger(name, cell_spec, world, wire)
+                if problem is not None:
+                    raise DifferentialMismatch(f"{label} wire: {problem}")
+        return thread, {"process": process}
 
     return _sweep(
         DifferentialReport("backend differential (thread vs process)"),

@@ -48,7 +48,7 @@ from repro.core.schedule import (
     ring_splits_backward,
     turn_ops,
 )
-from repro.core.weipipe import slot_chunk_ids
+from repro.core.weipipe import HELD, RingLoop, slot_chunk_ids
 from repro.experiments.configs import (
     TABLE2_ROWS,
     TABLE3_ROWS,
@@ -276,14 +276,20 @@ class TestConsumersReadTheTable:
                 assert t.duration == pytest.approx(sum(
                     sec for (tt, *_), sec in zip(ops, secs) if tt == t.meta["turn"]
                 ))
-        # the hier rule is the runtime's: on a hop that leaves a node a
-        # weight slot crosses in full while the tag's turn is <= P
+        # a hop's weight bytes are the ring's F and B turn rows on the slots
+        # the sender held, and the hier rule is the runtime's: on a hop that
+        # leaves a node a weight slot crosses in full while the tag's turn
+        # is <= P
+        sizes = cost.sizes(world)
+        rows = [p for p in RingLoop.POSTS if p.when == "turn" and p.width == "weight"]
+        assert [p.kind for p in rows] == ["F", "B"]
         for t in built.graph.tasks.values():
             if t.id[0] != "AW":
                 continue
-            crosses = cluster.node_of(t.meta["src"]) != cluster.node_of(t.meta["dst"])
-            full = 2 * built.cost.weight_chunk_bytes(2)
-            is_ref = hier and crosses and t.id[2] > world
+            left, turn = t.meta["src"], t.id[2]
+            crosses = cluster.node_of(left) != cluster.node_of(t.meta["dst"])
+            full = sum(sizes.nbytes(p, HELD[p.kind](left, turn - 1, world)) for p in rows)
+            is_ref = hier and crosses and turn > world
             assert t.meta["nbytes"] == (2 * WREF_NBYTES if is_ref else full)
 
 
@@ -345,9 +351,21 @@ class TestThePlannerPricesOnTheSimulator:
         assert len(asked) == len(TABLE_CELLS) == 15
 
     def test_whole_world_plan_equals_the_des(self, strategy):
-        """And for real on the first row of each table."""
+        """And for real on the first row of each table — where the cell's
+        sizes divide the strategy's split; where they do not (tp: the
+        runtime's ffn width, 2728 at H = 1024, on 16 ranks), the DES
+        refuses the split as the runtime does, and so the planner."""
         for cluster_spec, cluster, (hidden, seq, g) in (TABLE_CELLS[0], TABLE_CELLS[9]):
             dims = make_dims(hidden, seq, g, cluster.world_size, strategy=strategy)
+            if not ZOO[strategy].divisible(
+                    cluster.world_size, layers=dims.n_layers, heads=dims.n_heads,
+                    ffn=dims.ffn, seq=dims.seq_len, microbatches=dims.n_microbatches):
+                assert strategy == "tp"
+                for price in (lambda: run_cell(strategy, dims, cluster, exec_for(strategy)),
+                              lambda: plan_whole_world(strategy, cluster_spec, dims)):
+                    with pytest.raises(ValueError, match="ffn per rank: 2728"):
+                        price()
+                continue
             des = run_cell(strategy, dims, cluster, exec_for(strategy))
             ev = plan_whole_world(strategy, cluster_spec, dims)
             assert ev.iteration_s == des.makespan

@@ -7,15 +7,28 @@ size and precision (satellite gate for the pluggable transport layer;
 see DESIGN.md §14).  The companion pool test is the per-backend
 zero-steady-state-allocation gate: after warmup neither backend's
 BufferPool may keep allocating.
+
+Every cell of the matrix is also gated on the message table (DESIGN
+§23): both wires' per-kind byte and message ledgers, and the DES's bytes
+per iteration, equal what the strategy's ``POSTS`` rows say.  The
+records the matrix leaves out get that gate on the thread wire here.
 """
 
-from repro import FP64, ModelConfig, TrainSpec, train
+from dataclasses import replace
+
+import pytest
+
+from repro import FP32, FP64, ModelConfig, TrainSpec, train
+from repro.core.api import ZOO
 from repro.nn.params import BufferPool
-from repro.runtime import Fabric, ProcessTransport
+from repro.runtime import Fabric, ProcessTransport, Topology
 from repro.testing import (
+    check_ledger,
     compare_train_results,
+    default_differential_spec,
     default_differential_strategies,
     run_backend_differential,
+    table_ledger,
 )
 
 
@@ -29,6 +42,41 @@ def test_backend_differential_all_strategies_bitwise():
     )
     assert report.runs == expected
     assert report.ok, report.summary()
+
+
+#: the simulated records the default matrix leaves out, at each world
+#: they run at; ``weipipe-hier`` at P = 4 on its 2x2 grid, checked per
+#: link class.
+LEFT_OUT = [(name, world) for name in ("gpipe", "zb2", "dp", "weipipe-hier")
+            for world in (2, 4)]
+
+
+@pytest.mark.parametrize("precision", [FP64, FP32], ids=["fp64", "fp32"])
+@pytest.mark.parametrize("name, world", LEFT_OUT)
+def test_message_table_gates_the_records_the_matrix_leaves_out(name, world, precision):
+    assert name not in default_differential_strategies()
+    spec = replace(default_differential_spec(), precision=precision)
+    topology = Topology.grid(world, "2x2") if ZOO[name].hier and world == 4 else None
+    wire = Fabric(world, topology=topology)
+    ZOO[name].run(spec, world, wire)
+    assert check_ledger(name, spec, world, wire, topology) is None
+    if topology is not None:  # both link classes carry traffic, refs cross
+        links = table_ledger(name, spec, world, topology)["link"]
+        assert set(links) == {"intra", "inter"}
+        assert links["inter"][0] < links["intra"][0]
+
+
+def test_message_table_gate_catches_a_drifted_row(monkeypatch):
+    """A row that misstates its size — the ring's D at the arrays' 8-byte
+    width, not the fp32 wire's 4 — fails the gate."""
+    from repro.core.weipipe import RingLoop
+
+    spec = replace(default_differential_spec(), precision=FP32)
+    wire = Fabric(2)
+    ZOO["weipipe-interleave"].run(spec, 2, wire)
+    rows = tuple(replace(p, width="dtype") if p.kind == "D" else p for p in RingLoop.POSTS)
+    monkeypatch.setattr(RingLoop, "POSTS", rows)
+    assert "wire ledger" in check_ledger("weipipe-interleave", spec, 2, wire)
 
 
 def test_backend_differential_reports_divergence():

@@ -290,8 +290,9 @@ class TestMeasuredProperties:
                                   "measured": ledger["replayed"]}
         t_fwd = rec["calibration"]["t_fwd_layer_model_s"]
         per_span = ledger["replayed"] / len(b_spans)
-        # the cost model's forward: 2 * params * tokens + the causal core
-        h, s_, ffn = cfg.hidden, cfg.seq_len, round(8 * cfg.hidden / 3)
+        # the cost model's forward, at the runtime's ffn width:
+        # 2 * params * tokens + the causal core
+        h, s_, ffn = cfg.hidden, cfg.seq_len, cfg.ffn
         core, down = 2.0 * s_**2 * h, 2.0 * h * ffn * s_
         fwd = 2.0 * (4 * h * h + 3 * h * ffn + 2 * h) * s_ + core
         share = (fwd - down - core) / fwd

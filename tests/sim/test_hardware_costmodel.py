@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.parallel.common import Post
 from repro.runtime import LinkSpec
 from repro.sim import A800, ETHERNET_10G, NVLINK, PCIE, WorkloadDims
 from repro.sim.costmodel import CostModel, ExecConfig
@@ -125,20 +126,25 @@ class TestCostModel:
         assert fused == [pytest.approx(2 * cm.t_fwd_layer())]
         assert split == [pytest.approx(cm.t_fwd_layer())] * 2
 
+    # the message table's sizes at the model's wire widths: an activation
+    # hop, and an interior layer chunk of weights
+    ACT = Post("F", "hop", "act", "act", "act")
+    CHUNK = Post("F", "all-gather", "w", "chunk", "weight")
+
     def test_act_message_scales_with_g_s_h(self):
         cm = CostModel(DIMS, A800)
-        assert cm.act_message_bytes() == 16 * 4096 * 1024 * 2
+        assert cm.sizes(2).nbytes(self.ACT) == 16 * 4096 * 1024 * 2
         cm2 = CostModel(DIMS.with_(seq_len=8192), A800)
-        assert cm2.act_message_bytes() == 2 * cm.act_message_bytes()
+        assert cm2.sizes(2).nbytes(self.ACT) == 2 * cm.sizes(2).nbytes(self.ACT)
 
     def test_weight_chunk_independent_of_g_s(self):
         cm = CostModel(DIMS, A800)
         cm2 = CostModel(DIMS.with_(seq_len=16384, microbatch=1), A800)
-        assert cm.weight_chunk_bytes() == cm2.weight_chunk_bytes()
+        assert cm.sizes(2).nbytes(self.CHUNK, 1) == cm2.sizes(2).nbytes(self.CHUNK, 1)
 
     def test_weight_chunk_is_12h2_fp16(self):
         cm = CostModel(DIMS, A800)
-        assert cm.weight_chunk_bytes() == pytest.approx(12 * 1024**2 * 2, rel=0.01)
+        assert cm.sizes(2).nbytes(self.CHUNK, 1) == pytest.approx(12 * 1024**2 * 2, rel=0.01)
 
     def test_flash_attention_removes_s2_term(self):
         on = CostModel(DIMS, A800, ExecConfig(flash_attention=True))

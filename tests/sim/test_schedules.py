@@ -222,21 +222,23 @@ class TestTensorParallelSim:
         assert b.comm_bytes_total == pytest.approx(2 * a.comm_bytes_total, rel=0.01)
 
 
-#: the collective families' DES at ``exec_for`` on DIMS, recorded from
-#: the per-family graphs ``build_collective`` replaced:
-#: ``(makespan, comm_bytes_total)`` per cluster, exact.
+#: the collective families' DES at ``exec_for`` on DIMS, recorded when
+#: ``build_collective`` came to price the message table (each chunk as
+#: ``chunk_param_count`` sizes it, the ring's ``(P-1)/P`` of each buffer,
+#: the loss all-reduces): ``(makespan, comm_bytes_total)`` per cluster,
+#: exact.
 COLLECTIVE_PINS = {
     "nvlink": {
-        "dp": (2.0054027702124007, 805502976.0),
-        "fsdp": (2.0155250102124, 9666035712.0),
-        "tp": (1.9904648060240522, 137438953472.0),
-        "sp": (1.8394363260240651, 138244456448.0),
+        "dp": (2.0057905567431535, 1993814064.0),
+        "fsdp": (2.020691116743153, 11962884144.0),
+        "tp": (1.989611624834678, 206158430208.0),
+        "sp": (1.8461340088971943, 105073029168.0),
     },
     "pcie": {
-        "dp": (1.5619678277728668, 1611005952.0),
-        "fsdp": (2.6968219611061994, 9666035712.0),
-        "tp": (96.65084436390148, 274877906944.0),
-        "sp": (49.22026258612287, 276488912896.0),
+        "dp": (1.9307432890069929, 4652232816.0),
+        "fsdp": (3.7880673778958815, 13956698224.0),
+        "tp": (96.65041777330659, 481036337152.0),
+        "sp": (49.678720995528565, 245170401392.0),
     },
 }
 
@@ -269,9 +271,11 @@ class TestCollectiveFamilies:
         assert gathers == 2 * dims.n_layers * dims.n_microbatches // 8
 
     def test_dp_runs_each_op_as_one_task(self):
+        """...and then all-reduces each chunk's gradients and the loss."""
         built = build_schedule("dp", DIMS, CLUSTER)
         kinds = [t.meta["kind"] for t in built.graph.tasks.values()]
-        assert kinds == ["F", "B"] * (DIMS.n_microbatches // 4) + ["comm"]
+        assert kinds == (["F", "B"] * (DIMS.n_microbatches // 4)
+                         + ["comm"] * (DIMS.n_layers + 1))
 
     @pytest.mark.parametrize("strategy, dims", [
         ("dp", DIMS.with_(n_microbatches=6)),
