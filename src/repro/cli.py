@@ -3,7 +3,7 @@
 Commands:
 
 * ``strategies`` — one row per strategy record: its family / schedule
-  and whether it is simulated, elastic and full-cache;
+  and whether it is simulated and full-cache;
 * ``train`` — train a small model on simulated workers and print the
   loss trajectory (functional layer; numerically real);
 * ``explain`` — read a trace a run recorded with ``--trace``: validate
@@ -56,11 +56,11 @@ both artefacts are merged across the worker processes (one trace pid
 per rank on one clock, label-aware metric reduction).  ``train`` and
 ``chaos-sweep`` share one set of model flags (:data:`_MODEL_FLAGS`).
 
-``train`` additionally supports durable fault-tolerant runs:
-``--checkpoint-every N`` writes atomic, checksummed checkpoints from the
-elastic driver's commit hook, and ``--resume PATH`` continues a run —
-bit-exact (weights + optimizer + data cursor) when the strategy matches
-the checkpoint, weights-only otherwise.
+``train`` additionally supports durable fault-tolerant runs under every
+strategy: ``--checkpoint-every N`` writes atomic, checksummed
+checkpoints from the elastic driver's commit hook, and ``--resume PATH``
+continues a run — bit-exact (weights + optimizer + data cursor) when the
+strategy matches the checkpoint, weights-only otherwise.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
         help="write a durable checkpoint every N committed iterations "
-             "(elastic strategies only; implies fault-tolerant training)",
+             "(implies fault-tolerant training)",
     )
     p_train.add_argument(
         "--checkpoint-path", default="checkpoint.npz",
@@ -543,10 +543,10 @@ def _print_analysis(analysis: dict, reconciliation: Optional[dict]) -> None:
 def _cmd_strategies(args) -> int:
     from .core import ZOO
 
-    rows = [("strategy", "family/schedule", "simulated", "elastic", "full-cache")]
+    rows = [("strategy", "family/schedule", "simulated", "full-cache")]
     for s in ZOO.values():
         kind = filter(None, (s.family, s.schedule, "two-level" if s.hier else None))
-        flags = (s.simulated, s.elastic, s.full_cache)
+        flags = (s.simulated, s.full_cache)
         rows.append((s.name, "/".join(kind), *("yes" if f else "no" for f in flags)))
     widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
@@ -557,14 +557,12 @@ def _cmd_strategies(args) -> int:
 def _cmd_train(args) -> int:
     from dataclasses import replace
 
-    from . import (
-        ZOO, MIXED, Adam, MasterWeightOptimizer, strategy_names, train,
-        train_elastic,
-    )
+    from . import MIXED, Adam, MasterWeightOptimizer, train, train_elastic
     from .data import MarkovCorpus
     from .io import load_checkpoint_state, save_checkpoint
     from .nn.model import model_param_count
     from .obs import trace_metadata
+    from .parallel.elastic import compute_world
 
     spec = _spec(args)
     cfg = spec.cfg
@@ -585,13 +583,6 @@ def _cmd_train(args) -> int:
     if durable and args.dp > 1:
         raise SystemExit(
             "--checkpoint-every/--resume are not supported with --dp > 1"
-        )
-    elastic = args.strategy in ZOO and ZOO[args.strategy].elastic
-    if args.checkpoint_every is not None and not elastic:
-        raise SystemExit(
-            f"--checkpoint-every needs an elastic strategy "
-            f"({', '.join(strategy_names(elastic=True))}); "
-            f"{args.strategy!r} is not one"
         )
 
     prior_losses: List[float] = []
@@ -678,7 +669,14 @@ def _cmd_train(args) -> int:
                 spec, ring_size=args.world // args.dp, dp_degree=args.dp,
                 fabric=fabric,
             )
-        elif durable and elastic:
+        elif durable:
+            # the world the plain call accepts: all of it computes until
+            # a rank is lost
+            used = compute_world(args.strategy, spec, args.world)
+            if used != args.world:
+                raise ValueError(f"{args.strategy} computes on {used} of {args.world} "
+                                 "ranks: the world must be divisible as without "
+                                 "--checkpoint-every/--resume")
             result = train_elastic(
                 spec, args.strategy, args.world, fabric=fabric,
                 on_commit=on_commit if args.checkpoint_every is not None else None,

@@ -41,12 +41,13 @@ class Strategy:
     ``run(spec, world, fabric)`` trains it.  ``family`` (serial / dp /
     fsdp / pipeline / ring / tp / sp) selects the per-family machinery the
     other layers keep beside their own code — the DES builder
-    (``sim.runner``), the memory model (``sim.memory``) and the elastic
-    step engine (``parallel.elastic``) — so ``core`` never imports
-    ``sim``.  ``schedule`` is the family's row: a ``PIPELINE_SCHEDULES``
-    schedule or a ``RING_SCHEDULES`` mode; ``hier`` marks the two-level
-    ring.  ``divides`` names the sizes the parallel degree must divide
-    (``layers`` / ``heads`` / ``ffn`` / ``seq`` / ``microbatches``).
+    (``sim.runner``), the memory model (``sim.memory``) and the loop one
+    rank runs (:data:`_LOOPS`, which ``parallel.elastic`` also builds) —
+    so ``core`` never imports ``sim``.  ``schedule`` is the family's row:
+    a ``PIPELINE_SCHEDULES`` schedule or a ``RING_SCHEDULES`` mode;
+    ``hier`` marks the two-level ring.  ``divides`` names the sizes the
+    parallel degree must divide (``layers`` / ``heads`` / ``ffn`` /
+    ``seq`` / ``microbatches``).
     """
 
     name: str
@@ -55,8 +56,6 @@ class Strategy:
     schedule: Optional[str] = None
     hier: bool = False
     divides: Tuple[str, ...] = ()
-    #: ``train_elastic`` has a step engine for it.
-    elastic: bool = False
     #: the runtime keeps full caches and refuses ``recompute``.
     full_cache: bool = False
     #: the world :func:`repro.testing.run_differential` trains it at by
@@ -123,21 +122,21 @@ def _ring(name: str, mode: str, hier: bool = False, **flags) -> Strategy:
 
     return Strategy(
         name, "ring", run, schedule=mode, hier=hier,
-        divides=("layers", "microbatches"), elastic=True, **flags,
+        divides=("layers", "microbatches"), **flags,
     )
 
 
 #: every strategy, by the name ``train`` takes — the one statement of each.
 ZOO: Dict[str, Strategy] = {s.name: s for s in (
-    Strategy("serial", "serial", _serial, elastic=True),
+    Strategy("serial", "serial", _serial),
     _pipeline("gpipe"),
     _pipeline("1f1b", differential_world=4),
     _pipeline("zb1", differential_world=4),
     _pipeline("zb2"),
     Strategy("fsdp", "fsdp", lambda s, w, f: train_fsdp(s, w, fabric=f),
-             divides=("microbatches",), elastic=True, differential_world=4),
+             divides=("microbatches",), differential_world=4),
     Strategy("dp", "dp", lambda s, w, f: train_data_parallel(s, w, fabric=f),
-             divides=("microbatches",), elastic=True),
+             divides=("microbatches",)),
     Strategy("tp", "tp", lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
              divides=("heads", "ffn"), full_cache=True, differential_world=2),
     Strategy("sp", "sp", lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
@@ -151,7 +150,7 @@ ZOO: Dict[str, Strategy] = {s.name: s for s in (
 
 def strategy_names(**where) -> List[str]:
     """Sorted names of the records whose fields equal ``where``
-    (``strategy_names(elastic=True)``); every name without."""
+    (``strategy_names(family="ring")``); every name without."""
     return sorted(
         name for name, s in ZOO.items()
         if all(getattr(s, k) == v for k, v in where.items())
@@ -173,7 +172,8 @@ def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int
     return [[op for mb in range(local) for op in (("F", mb), ("B", mb))]] * world, 1
 
 
-#: family -> the loop whose ``POSTS`` are the family's messages.
+#: family -> the loop one rank of it runs: its ``POSTS`` are the family's
+#: messages, and ``parallel.elastic`` runs it one iteration at a time.
 _LOOPS = {"serial": RankLoop, "dp": DPLoop, "fsdp": FSDPLoop, "tp": TPLoop,
           "sp": SPLoop, "pipeline": StageLoop, "ring": RingLoop}
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..parallel.common import TrainResult, TrainSpec, microbatch
+from ..parallel.common import TrainResult, TrainSpec, gather_owned, microbatch
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
 from ..runtime.subgroup import split_grid
 from .weipipe import RingLoop
@@ -84,7 +84,7 @@ def train_weipipe_dp(
             total = all_reduce(dp_comm, np.array([ring_mean]), tag=("hdp-loss", it))
             losses.append(float(total[0]) / dp_degree)
         # report replica 0's weights (asserted identical in tests).
-        chunks = w.gather_owned(("hdp-final",))
+        chunks = gather_owned(ring_comm, {i: w.bwd_slot[i] for i in w.ids}, ("hdp-final",))
         return TrainResult(losses=losses, chunks=chunks, extra={"dp": dp_idx})
 
     results = run_workers(world, worker, fabric=fabric)

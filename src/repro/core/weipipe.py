@@ -26,9 +26,12 @@ activations never leave the worker — while the weights rotate past:
 The worker is :class:`RingLoop`, a subclass of the loop every other
 strategy runs (:class:`~repro.parallel.common.RankLoop`, DESIGN.md §22):
 its turns' ``F`` / ``B`` / ``W`` ops — units ``(slot, mb)`` over the
-held slot's chunks — are that loop's bodies.  There is one ring engine
-(DESIGN.md §10): every turn waits F and B, computes, waits D, adds the
-turn's weight grads into it and sends it on.  Slots are arena-backed
+held slot's chunks — are that loop's bodies, and elastic recovery
+(:mod:`repro.parallel.elastic`) builds a fresh one per step like every
+other strategy's loop, reading the model back with
+:meth:`RingLoop.unshard`.  There is one ring engine (DESIGN.md §10):
+every turn waits F and B, computes, waits D, adds the turn's weight
+grads into it and sends it on.  Slots are arena-backed
 (:class:`~repro.nn.params.ParamStruct`) buffers drawn once, at
 construction, from a fabric-wide :class:`~repro.nn.params.BufferPool`,
 and the ring has one ownership rule: a received slot is never recycled.
@@ -58,7 +61,6 @@ enforced by ``tests/integration``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +74,7 @@ from ..parallel.common import (
     RankLoop,
     TrainResult,
     TrainSpec,
+    gather_owned,
     init_opt_states,
     microbatch,
     pre_update,
@@ -102,7 +105,7 @@ from .schedule import (
 )
 
 __all__ = [
-    "train_weipipe", "weipipe_step", "slot_chunk_ids", "ring_pool_bytes",
+    "train_weipipe", "slot_chunk_ids", "ring_pool_bytes",
     "RingLoop", "WREF_MARK", "HELD",
 ]
 
@@ -186,7 +189,7 @@ class RingLoop(RankLoop):
         self.split = ring_splits_backward(mode)
         self.overlap = overlap
         #: weight-buffer recycler, shared by all ranks of the fabric so a
-        #: slot one worker releases (at the end of a step-scoped worker)
+        #: slot one worker releases (an elastic step's :meth:`unshard`)
         #: serves the next draw — the zero-allocation steady state the
         #: benchmark gates.
         self.pool: BufferPool = comm.fabric.shared_pool(BufferPool)
@@ -333,26 +336,19 @@ class RingLoop(RankLoop):
             if a is not None:
                 self.pool.release(a)
 
-    def release_buffers(self) -> None:
-        """Recycle the grad slot arenas (end of a step-scoped worker).  A
-        received slot is never recycled: the forward slot is its owner's
-        B slot, and the B slots escape as the returned canonical state."""
-        self._release_slot(self.grad_slot)
+    def train(self):
+        """Every iteration of the spec from the slot the constructor drew;
+        the losses and the owned slot's chunks and optimizer states."""
+        losses = [self.run_iteration(it) for it in range(self.spec.iters)]
+        return losses, [self.bwd_slot[i] for i in self.ids], [self.opt_states[i] for i in self.ids]
 
-    def gather_owned(self, tag: Tuple, with_opt_state: bool = False) -> List:
-        """All-gather every owner's updated slot into one list in layer
-        order — the replicated weights at an iteration boundary, each
-        paired with its optimizer state when ``with_opt_state``."""
-        if self.pending_w:  # pragma: no cover - invariant
-            raise AssertionError("deferred W passes left undone at the boundary")
-        owned = {
-            i: (self.bwd_slot[i], st) if with_opt_state else self.bwd_slot[i]
-            for i, st in self.opt_states.items()
-        }
-        merged: Dict[int, object] = {}
-        for d in all_gather(self.comm, owned, tag=tag):
-            merged.update(d)
-        return [merged[i] for i in range(self.cfg.n_layers)]
+    def unshard(self, chunks, states):
+        """The owners' all-gather (:meth:`RankLoop.unshard`), then the D
+        slots go back to the pool: past that barrier no rank reads them,
+        and the B slots escape as the returned state."""
+        whole = super().unshard(chunks, states)
+        self._release_slot(self.grad_slot)
+        return whole
 
     # -- RankLoop's hooks -------------------------------------------------------
 
@@ -630,57 +626,14 @@ class RingLoop(RankLoop):
         self.fwd_slot = self.comm.recv(source, ("inject", it))
 
 
-def weipipe_step(
-    comm: Communicator,
-    spec: TrainSpec,
-    iteration: int,
-    chunks: List[ParamStruct],
-    opt_states: List[Dict],
-    mode: str = "interleave",
-    overlap: bool = True,
-    topology: Optional[Topology] = None,
-) -> Tuple[float, List[ParamStruct], List[Dict]]:
-    """One WeiPipe iteration from explicit full (replicated) state.
-
-    The step-boundary entry point used by elastic recovery
-    (:mod:`repro.parallel.elastic`): spin up a worker whose flows and
-    owned optimizer state are seeded from ``chunks``/``opt_states``, run
-    one ring iteration, then all-gather every owner's updated slot so
-    each rank returns the complete ``(loss, chunks, states)``.  Inputs
-    are never mutated: each rank clones the slot it owns (the worker's
-    init path — ``1/P`` of the replicated state, not all of it), and
-    chaining steps is bit-identical to a persistent-worker run — the
-    flows a fresh worker builds from the updated chunks are exactly what
-    ``_update_pass`` left in circulation.  A fresh worker also starts
-    with empty gateway caches, so with a ``topology`` a weight reference
-    issued under one ring layout can never resolve against a slot cached
-    under another (the cache-invalidation half of the rejoin protocol).
-    """
-    step_spec = replace(
-        spec,
-        iters=1,
-        start_iteration=spec.start_iteration + iteration,
-        initial_chunks=chunks,
-        initial_opt_state=opt_states,
-    )
-    w = RingLoop(comm, step_spec, mode, overlap=overlap, topology=topology)
-    loss = w.run_iteration(0)
-    pairs = w.gather_owned(("wp-state", iteration), with_opt_state=True)
-    # the gather is a step-boundary barrier: the worker's fwd/grad slots
-    # have no readers left anywhere, so their buffers go back to the
-    # fabric's pool for the next step's worker.
-    w.release_buffers()
-    return loss, [c for c, _ in pairs], [st for _, st in pairs]
-
-
 def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
             topology: Optional[Topology]) -> TrainResult:
     w = RingLoop(comm, spec, mode, overlap=overlap, topology=topology)
-    losses = [w.run_iteration(it) for it in range(spec.iters)]
+    losses, owned, _ = w.train()
     # final weights: every worker's owned (updated) slot.  All ranks take
     # part in the gather; only rank 0's copy is read (train_weipipe), so
     # the others do not ship theirs back to the launcher.
-    chunks = w.gather_owned(("wp-final",))
+    chunks = gather_owned(comm, dict(zip(w.ids, owned)), ("wp-final",))
     return TrainResult(
         losses=losses,
         chunks=chunks if w.rank == 0 else None,

@@ -13,9 +13,11 @@ same batches.
 ``TrainSpec.initial_chunks`` accepts loaded chunks, so a run can resume
 under *any* strategy — the weights are strategy-agnostic by
 construction.  Full-state resume (optimizer included) is bit-exact when
-the strategy matches; switching strategies restarts the optimizer from
-the saved canonical state, which every elastic strategy reshards on
-entry.
+the strategy matches: every strategy's loop cuts the saved canonical
+state to what its rank holds on entry
+(:meth:`~repro.parallel.common.RankLoop.init_state`), and the
+``--checkpoint-every`` commit hook runs under every strategy.  Switching
+strategies keeps the weights and restarts the optimizer.
 
 Durability (format v2):
 
@@ -143,7 +145,7 @@ def save_checkpoint(
     """Atomically write a v2 checkpoint; returns the final path.
 
     ``opt_state`` is the canonical per-chunk optimizer state (one dict
-    per chunk, as produced by the elastic engines or
+    per chunk, as produced by ``train_elastic``'s step engine or
     ``Optimizer.init_state``); ``train_state`` is an arbitrary
     JSON-serialisable dict — by convention carrying ``next_iteration``,
     ``strategy`` and ``losses`` so ``--resume`` can pick up exactly

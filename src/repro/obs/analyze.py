@@ -477,18 +477,22 @@ def _span_us(events: List[Dict], name: str) -> List[float]:
 def trace_metadata(strategy: str, world: int, spec, topology=None,
                    priced: bool = False, **extra) -> Dict:
     """The trace metadata :func:`reconcile` reads: the run's strategy,
-    world, precision (its arrays' width), recompute / flash-attention /
+    world, precision (its arrays' width), the widths in bytes its wire
+    ledgers activations, their gradients, weights and weight gradients at
+    (``widths``, its precision policy's), recompute / flash-attention /
     overlap settings, iterations and workload dims, all from ``spec`` (a
     ``TrainSpec``).  ``topology`` (a :class:`~repro.runtime.Topology`)
     records the run's groups; ``priced`` says a ``ChaosPolicy`` charged
     its links, which ``links`` then records — without one the wire
     delivers instantly and the topology is accounting-only.  ``extra``
     adds or overrides keys (``mode``, ``backend``, ...)."""
-    cfg = spec.cfg
+    cfg, p = spec.cfg, spec.precision
     meta = {
         "strategy": strategy,
         "world": world,
         "precision": f"fp{8 * np.dtype(cfg.dtype).itemsize}",
+        "widths": {"act_bytes": p.act_bytes, "bgrad_bytes": p.act_grad_bytes,
+                   "weight_bytes": p.weight_bytes, "wgrad_bytes": p.weight_grad_bytes},
         "recompute": spec.recompute,
         "flash_attention": cfg.flash_attention,
         "overlap": True,

@@ -36,6 +36,7 @@ from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..obs.tracer import NULL_RANK_TRACER
 from ..optim.optimizer import SGD, Optimizer, clone_opt_state
+from ..runtime.collectives import all_gather
 from ..runtime.topology import WREF_NBYTES
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "Post", "Sizes", "PASSES",
     "RankLoop",
     "slot_chunk_ids",
+    "gather_owned",
     "recompute_ledger",
     "sum_recompute",
 ]
@@ -68,6 +70,15 @@ def slot_chunk_ids(slot: int, world: int, n_layers: int) -> List[int]:
         raise ValueError("n_layers must be divisible by world size")
     per = n_layers // world
     return list(range(slot * per, (slot + 1) * per))
+
+
+def gather_owned(comm, owned: Dict[int, object], tag: Tuple) -> List:
+    """Every rank's ``{chunk id: value}`` of the chunks it owns,
+    all-gathered into one list in layer order on every rank."""
+    merged: Dict[int, object] = {}
+    for d in all_gather(comm, owned, tag=tag):
+        merged.update(d)
+    return [merged[i] for i in range(len(merged))]
 
 
 def usable_cores() -> int:
@@ -138,9 +149,12 @@ class TrainSpec:
         ids: Optional[Sequence[int]] = None,
         pool: Optional[BufferPool] = None,
     ) -> List[ParamStruct]:
-        """Starting weight chunks, quantised to the storage precision so
-        all strategies start identically: either a deterministic fresh
-        init from ``seed`` or the ``initial_chunks`` override (resume).
+        """Starting weight chunks: either a deterministic fresh init from
+        ``seed``, quantised to the storage precision so all strategies
+        start identically, or the ``initial_chunks`` override (resume, an
+        elastic step) as it stands, so a run continued from a saved state
+        equals the uninterrupted run (an optimizer's update under the
+        FP32 policy on float64 arrays is not an fp32 value).
 
         ``ids`` names the chunks wanted, returned in that order (default:
         all ``n_layers``).  Only those are drawn — every chunk has its own
@@ -156,9 +170,8 @@ class TrainSpec:
         if self.initial_chunks is not None:
             if len(self.initial_chunks) != self.cfg.n_layers:
                 raise ValueError("initial_chunks do not match the model config")
-            chunks = [self.initial_chunks[i].clone(pool) for i in ids]
-        else:
-            chunks = self._draw(list(ids), pool)
+            return [self.initial_chunks[i].clone(pool) for i in ids]
+        chunks = self._draw(list(ids), pool)
         # in place (the chunks are ours, and a pooled buffer stays one),
         # and not at all where the storage format is the array's own.
         q, fmt = self.precision.q_weight, self.precision.weights
@@ -469,6 +482,11 @@ class RankLoop:
         self.pending_w: Dict[object, tuple] = {}
         self.peak_inflight = self.peak_pending_w = 0
 
+    @classmethod
+    def check(cls, spec: TrainSpec, world: int) -> None:
+        """Refuse, before any worker starts, a ``spec`` the loop cannot run
+        on ``world`` ranks beyond what its record ``divides``: nothing here."""
+
     def microbatches(self) -> Sequence[int]:
         return range(self.spec.n_microbatches)
 
@@ -507,23 +525,30 @@ class RankLoop:
         gradients are shards (TP, FSDP) or a part of the model (a stage)."""
         return {}
 
-    def train(
-        self, chunks: List[ParamStruct], shard: Callable[[Dict], Dict] = clone_opt_state
-    ) -> Tuple[List[float], List[Dict]]:
-        """Every iteration of the spec in place over the rank's ``chunks``,
-        from :func:`init_opt_states` (``shard`` as there); returns the
-        losses and the final optimizer states."""
-        states = init_opt_states(self.spec, self.opt, chunks, self.ids, shard)
-        return [self.step(it, chunks, states) for it in range(self.spec.iters)], states
+    def init_state(self) -> Tuple[List[ParamStruct], List[Dict]]:
+        """The rank's chunks ``ids`` and their optimizer states, from the
+        spec (:meth:`TrainSpec.init_chunks`, :func:`init_opt_states`)."""
+        chunks = self.spec.init_chunks(self.ids)
+        return chunks, init_opt_states(self.spec, self.opt, chunks, self.ids)
 
-    def pure_step(
-        self, it: int, chunks: List[ParamStruct], states: List[Dict]
-    ) -> Tuple[float, List[ParamStruct], List[Dict]]:
-        """:meth:`step` on copies of ``chunks`` and ``states``: the loss and
-        the updated copies; the inputs are never mutated."""
-        chunks = [c.clone() for c in chunks]
-        states = [clone_opt_state(s) for s in states]
-        return self.step(it, chunks, states), chunks, states
+    def train(self) -> Tuple[List[float], List[ParamStruct], List[Dict]]:
+        """Every iteration of the spec in place from :meth:`init_state`;
+        returns the losses and the rank's final chunks and states."""
+        chunks, states = self.init_state()
+        return [self.step(it, chunks, states) for it in range(self.spec.iters)], chunks, states
+
+    def unshard(
+        self, chunks: List[ParamStruct], states: List[Dict]
+    ) -> Tuple[List[ParamStruct], List[Dict]]:
+        """The whole model's chunks and optimizer states, in layer order,
+        on every rank, from what each rank holds after :meth:`train`.
+        This base holds whole chunks ``ids``: all of them (serial, DP, SP)
+        are the whole model already; a part of them (a pipeline stage, a
+        ring slot) is all-gathered from their owners (:func:`gather_owned`)."""
+        if len(self.ids) == self.spec.cfg.n_layers:
+            return chunks, states
+        pairs = gather_owned(self.comm, dict(zip(self.ids, zip(chunks, states))), ("owned",))
+        return [c for c, _ in pairs], [s for _, s in pairs]
 
     def step(self, it: int, chunks: List[ParamStruct], states: List[Dict]) -> float:
         """Iteration ``it`` in place over the rank's ``chunks`` and their

@@ -7,14 +7,13 @@ the model per iteration per worker, the figure the paper's related-work
 discussion attributes to DP) and every replica applies the identical
 optimizer step.
 
-:func:`dp_step` exposes one iteration as a pure function of the
-replicated ``(weights, optimizer state)`` — the step-boundary snapshot
-unit used by elastic recovery (:mod:`repro.parallel.elastic`).
+The replicas are the whole state, so elastic recovery
+(:mod:`repro.parallel.elastic`) snapshots any rank's as it stands.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from ..nn.params import ParamStruct
 from ..runtime import Communicator, Fabric, all_reduce, run_workers
 from .common import Post, RankLoop, TrainResult, TrainSpec, recompute_ledger, sum_recompute
 
-__all__ = ["train_data_parallel", "dp_step", "all_reduce_grads"]
+__all__ = ["train_data_parallel", "all_reduce_grads"]
 
 
 def all_reduce_grads(
@@ -55,27 +54,9 @@ class DPLoop(RankLoop):
         return all_reduce_grads(self.comm, self.spec, "dp", it, grads, loss)
 
 
-def dp_step(
-    comm: Communicator,
-    spec: TrainSpec,
-    iteration: int,
-    chunks: List[ParamStruct],
-    opt_states: List[Dict],
-) -> Tuple[float, List[ParamStruct], List[Dict]]:
-    """One DP iteration from explicit replicated state.
-
-    Inputs are cloned, never mutated; every rank returns the identical
-    updated ``(loss, chunks, states)`` (replicas stay in lockstep by
-    construction).  Runs on any world size that divides
-    ``spec.n_microbatches``, including 1.
-    """
-    return DPLoop(spec, comm).pure_step(iteration, chunks, opt_states)
-
-
 def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    chunks = spec.init_chunks()
     loop = DPLoop(spec, comm)
-    losses, states = loop.train(chunks)
+    losses, chunks, states = loop.train()
     return TrainResult(
         losses=losses, chunks=chunks,
         extra={"opt_state": states, "recompute": recompute_ledger(loop.ck)},

@@ -1,13 +1,21 @@
-"""Elastic fault-tolerant training: strategy step engines + driver.
+"""Elastic fault-tolerant training: one step engine for every strategy.
 
 Glue between the strategy zoo and the generic ring-shrink recovery loop
-(:mod:`repro.runtime.recovery`).  Each supported strategy exposes one
-training iteration as a *step engine* — a pure function
+(:mod:`repro.runtime.recovery`).  Every strategy runs one training
+iteration as the same *step engine* — a pure function
 
     ``(subgroup, global_step, ElasticState) -> (loss, ElasticState)``
 
 over the canonical full state (all weight chunks + all per-chunk
-optimizer states, replicated on every rank at step boundaries).  That
+optimizer states, replicated on every rank at step boundaries).  The
+engine builds the loop one rank of the strategy's plain call runs
+(:data:`repro.core.api._LOOPS`) on the compute subgroup, from a
+one-iteration spec seeded with the state, so each loop's own init
+shards it (:meth:`~repro.parallel.common.RankLoop.init_state`).  After
+the iteration the loop's ``unshard`` hands every compute rank the whole
+state again: as it stands where it is replicated (serial, DP, SP), by
+FSDP's gathers, by an all-gather of TP's split tensors, and by the
+owners' all-gather for a pipeline stage or a ring slot.  That
 granularity is what makes recovery simple and exact:
 
 * a snapshot is just the engine's input — keeping the last two committed
@@ -19,11 +27,11 @@ granularity is what makes recovery simple and exact:
   bit-identical to a from-scratch run on the shrunken world seeded from
   that snapshot — the differential property
   :func:`repro.testing.run_crash_recovery` asserts;
-* WeiPipe's divisibility requirements (``L % P == 0``, ``N % P == 0``)
-  survive arbitrary shrinks: each step computes on the **largest usable
-  sub-ring** of the available ranks; ranks left outside the ring idle
-  for that step and receive the committed state from the ring's first
-  rank (so they remain valid recovery donors).
+* the sizes a strategy splits (its record's ``divides``: layers, heads,
+  ffn, sequence, microbatches) survive arbitrary shrinks: each step
+  computes on the **largest usable sub-group** of the available ranks;
+  ranks left outside it idle for that step and receive the committed
+  state from rank 0 (so they remain valid recovery donors).
 
 This trades per-step state replication for protocol simplicity — the
 honest cost of step-boundary snapshots, acceptable in the functional
@@ -32,8 +40,8 @@ runtime where semantics, not wall-clock, are under test (DESIGN.md §9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..nn.params import ParamStruct
 from ..runtime import (
@@ -46,12 +54,10 @@ from ..runtime import (
 from ..runtime.communicator import Communicator
 from ..runtime.recovery import ElasticResult, elastic_worker
 from .common import TrainResult, TrainSpec, init_opt_states
-from .data_parallel import dp_step
-from .fsdp import fsdp_step
-from .serial import serial_step
 
 __all__ = [
     "ElasticState",
+    "compute_world",
     "step_engine_for",
     "train_elastic",
 ]
@@ -63,86 +69,53 @@ class ElasticState:
 
     ``chunks`` are the per-layer weights and ``opt_state`` the matching
     per-layer optimizer states in the canonical (unsharded) layout.
-    Treated as immutable: engines clone what they update, so snapshots
-    shared between ranks of the in-process fabric stay intact.
+    Treated as immutable: each loop's init clones or shards what it
+    updates, so snapshots shared between ranks of the in-process fabric
+    stay intact.
     """
 
     chunks: List[ParamStruct]
     opt_state: List[Dict]
 
 
-#: a strategy's core compute: one iteration on a compute subgroup.
-_ComputeFn = Callable[
-    [Communicator, int, ElasticState], Tuple[float, List[ParamStruct], List[Dict]]
-]
-
-
 def _record(strategy: str):
-    """The record of ``strategy`` when its family has a step engine
-    (imported late: ``core.api`` imports this package)."""
-    from ..core.api import ZOO, strategy_names
+    """The record of ``strategy`` and the loop class one rank of it runs,
+    :data:`repro.core.api._LOOPS` (imported late: ``core.api`` imports
+    this package)."""
+    from ..core.api import _LOOPS, ZOO, strategy_names
 
-    s = ZOO.get(strategy)
-    if s is None or s.family not in _STEPS:
-        raise ValueError(
-            f"strategy {strategy!r} has no elastic step engine; "
-            f"choose from {strategy_names(elastic=True)}"
-        )
-    return s
+    if strategy not in ZOO:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {strategy_names()}")
+    return ZOO[strategy], _LOOPS[ZOO[strategy].family]
 
 
-def _largest_world(available: int, usable: Callable[[int], bool]) -> int:
-    for w in range(available, 0, -1):
-        if usable(w):
-            return w
-    raise AssertionError("world size 1 must always be usable")  # pragma: no cover
-
-
-def _compute_world_fn(s, spec: TrainSpec) -> Callable[[int], int]:
-    """How many of the available ranks a strategy can actually use: the
-    largest world dividing every size its record ``divides``."""
+def compute_world(strategy: str, spec: TrainSpec, available: int) -> int:
+    """How many of ``available`` ranks ``strategy`` computes on: the
+    largest world dividing every size its record ``divides`` (serial: 1)."""
+    s, _ = _record(strategy)
     if s.family == "serial":
-        return lambda available: 1
+        return 1
     cfg = spec.cfg
-    return lambda available: _largest_world(available, lambda w: s.divisible(
-        w, layers=cfg.n_layers, heads=cfg.n_heads, ffn=cfg.ffn,
-        seq=cfg.seq_len, microbatches=spec.n_microbatches,
-    ))
+    for w in range(available, 1, -1):
+        if s.divisible(w, layers=cfg.n_layers, heads=cfg.n_heads, ffn=cfg.ffn,
+                       seq=cfg.seq_len, microbatches=spec.n_microbatches):
+            return w
+    return 1
 
 
-def _ring_step(s, spec: TrainSpec) -> _ComputeFn:
-    from ..core.weipipe import weipipe_step
-
-    # the overlap placement (double-buffered nonblocking ring, pooled
-    # arenas) is bit-identical to the late one, so elastic recovery
-    # gets the fast path too: abandoned posted receives from a failed
-    # step can never cross-match a retry because every step runs in
-    # its own ("compute", global_step) tag namespace inside the
-    # recovery epoch's namespace.
-    def ring_step(csub, it, st):
-        # a fresh worker per step re-derives the group layout from the
-        # *current* compute world and starts with empty gateway caches
-        # — every shrink or rejoin therefore invalidates all cached
-        # weight slots by construction.
-        w = csub.world_size
-        topo = Topology.grid(w, default_groups(w)) if s.hier else None
-        return weipipe_step(
-            csub, spec, it, st.chunks, st.opt_state, mode=s.schedule, topology=topo
-        )
-
-    return ring_step
-
-
-#: family -> the step engine's core compute for an elastic record.
-_STEPS: Dict[str, Callable[..., _ComputeFn]] = {
-    "serial": lambda s, spec: lambda csub, it, st: serial_step(
-        spec, it, st.chunks, st.opt_state),
-    "dp": lambda s, spec: lambda csub, it, st: dp_step(
-        csub, spec, it, st.chunks, st.opt_state),
-    "fsdp": lambda s, spec: lambda csub, it, st: fsdp_step(
-        csub, spec, it, st.chunks, st.opt_state),
-    "ring": _ring_step,
-}
+def _loop(s, cls, spec: TrainSpec, comm: Communicator):
+    """The loop ``cls`` one rank of record ``s`` runs on ``comm``, as its
+    plain call builds it."""
+    if s.family == "ring":
+        # the group layout comes from the *current* compute world, and a
+        # fresh loop starts with empty gateway caches: every shrink or
+        # rejoin invalidates all cached weight slots by construction.
+        w = comm.world_size
+        return cls(comm, spec, s.schedule,
+                   topology=Topology.grid(w, default_groups(w)) if s.hier else None)
+    if s.family == "pipeline":
+        return cls(spec, comm, s.schedule)
+    return cls(spec, comm)
 
 
 def step_engine_for(strategy: str, spec: TrainSpec):
@@ -150,23 +123,27 @@ def step_engine_for(strategy: str, spec: TrainSpec):
 
     Every surviving rank calls the engine each step.  The engine forms a
     per-step tag namespace (so a step's traffic can never cross-match
-    another step's, even across rollbacks), shrinks to the largest
-    sub-ring the strategy's divisibility constraints allow, computes,
-    and forwards the committed ``(loss, state)`` to any idle ranks.
+    another step's, even across rollbacks: a receive a failed step left
+    posted never matches its retry), shrinks to the largest sub-group
+    the strategy's divisibility constraints allow, runs the strategy's
+    loop for one iteration from ``state``, and forwards the committed
+    ``(loss, state)`` to any idle ranks.
     """
-    s = _record(strategy)
-    compute = _STEPS[s.family](s, spec)
-    compute_world = _compute_world_fn(s, spec)
+    s, cls = _record(strategy)
 
     def run_step(
         sub: Communicator, global_step: int, state: ElasticState
     ) -> Tuple[float, ElasticState]:
         available = sub.world_size
-        w = compute_world(available)
+        w = compute_world(strategy, spec, available)
         if sub.rank < w:
             csub = SubCommunicator(sub, list(range(w)), ("compute", global_step))
-            loss, chunks, opt_state = compute(csub, global_step, state)
-            new_state = ElasticState(chunks=chunks, opt_state=opt_state)
+            loop = _loop(s, cls, replace(
+                spec, iters=1, start_iteration=spec.start_iteration + global_step,
+                initial_chunks=state.chunks, initial_opt_state=state.opt_state,
+            ), csub)
+            (loss,), chunks, states = loop.train()
+            new_state = ElasticState(*loop.unshard(chunks, states))
             if sub.rank == 0:
                 for r in range(w, available):
                     sub.send((loss, new_state), r, ("elastic-idle", global_step))
@@ -217,6 +194,10 @@ def train_elastic(
     boundary — the ring re-grows toward the full world
     (:mod:`repro.runtime.recovery`).
     """
+    _, cls = _record(strategy)
+    # what the loop refuses beyond its record's divides (TP's and SP's
+    # recompute), at the world it starts computing on
+    cls.check(spec, compute_world(strategy, spec, world_size))
     engine = step_engine_for(strategy, spec)
     chunks = spec.init_chunks()
     opt = spec.make_optimizer()

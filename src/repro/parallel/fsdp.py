@@ -13,18 +13,16 @@ Data is split like DP: worker ``r`` runs microbatches ``{r, r+P, ...}``
 in the shared iteration (:class:`~repro.parallel.common.RankLoop`), each
 chunk through an :class:`FSDPSeam` that holds those collectives.
 
-:func:`fsdp_step` exposes one iteration as a pure function of the
-*canonical* (unsharded) ``(weights, optimizer state)``: shard on entry,
-run the normal FSDP schedule, gather back on exit.  Sharding round-trips
-through float64 flats, so chaining steps is bit-identical to a
-persistent-shard run — the property elastic ring-shrink recovery
-(:mod:`repro.parallel.elastic`) relies on when it resumes the same
-problem on fewer workers.
+Elastic recovery (:mod:`repro.parallel.elastic`) runs one iteration at
+a time from the *canonical* (unsharded) state: :meth:`FSDPLoop.init_state`
+shards it, :meth:`FSDPLoop.unshard` gathers it back.  Sharding
+round-trips through float64 flats, so chaining steps is bit-identical to
+a persistent-shard run, on any number of workers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,10 +37,12 @@ from ..runtime import (
     run_workers,
     split_chunks,
 )
-from .common import ChunkSeam, Post, TrainResult, TrainSpec, recompute_ledger, sum_recompute
+from .common import (
+    ChunkSeam, Post, TrainResult, TrainSpec, init_opt_states, recompute_ledger, sum_recompute,
+)
 from .data_parallel import DPLoop
 
-__all__ = ["train_fsdp", "fsdp_step", "FSDPSeam"]
+__all__ = ["train_fsdp", "FSDPSeam"]
 
 
 def _gather_chunk(
@@ -135,10 +135,28 @@ class FSDPLoop(DPLoop):
              Post("end", "all-reduce", "fsdp-loss", "one", "loss"),
              Post("call", "all-gather", "fsdp-final", "chunk", "weight"))
 
-    def __init__(self, spec: TrainSpec, comm: Communicator,
-                 templates: List[ParamStruct]):
-        super().__init__(spec, comm)
-        self.templates = templates
+    def init_state(self):
+        """The rank's flat shard of every chunk and of its optimizer
+        state; the chunks' shapes are kept as ``templates``."""
+        p, rank = self.world, self.rank
+        full = self.spec.init_chunks()
+        self.templates = [c.zeros_like() for c in full]
+        shards = [_shard(c, p, rank) for c in full]
+        del full  # only the shards stay
+        return shards, init_opt_states(self.spec, self.opt, shards, shard=lambda s: (
+            _shard_opt_state(s, p, rank)))
+
+    def unshard(self, chunks, states):
+        """Every chunk and optimizer state all-gathered from the shards,
+        in float64, so that sharding them again is lossless."""
+        comm, w_wire = self.comm, self.spec.precision.weight_bytes
+        return [
+            _gather_chunk(comm, s["flat"], t.astype(np.float64), ("fsdp-state-w", i), w_wire)
+            for i, (s, t) in enumerate(zip(chunks, self.templates))
+        ], [
+            _gather_opt_state(comm, st, self.opt.init_state(t), ("fsdp-state-opt", i))
+            for i, (st, t) in enumerate(zip(states, self.templates))
+        ]
 
     def seam(self, key):
         it, mb, i = key
@@ -152,57 +170,15 @@ class FSDPLoop(DPLoop):
         return {"comm": self.comm, "tag": ("fsdp-clip", it)}
 
 
-def fsdp_step(
-    comm: Communicator,
-    spec: TrainSpec,
-    iteration: int,
-    chunks: List[ParamStruct],
-    opt_states: List[Dict],
-) -> Tuple[float, List[ParamStruct], List[Dict]]:
-    """One FSDP iteration from canonical (unsharded) state.
-
-    Shards ``chunks``/``opt_states`` exactly as a fresh run would, runs
-    the standard schedule, then gathers everything back.  Returned
-    tensors are float64 so the shard → gather → shard round trip is
-    lossless; every rank returns the identical full state.
-    """
-    rank, p = comm.rank, comm.world_size
-    templates = [c.zeros_like() for c in chunks]
-    shards = [_shard(c, p, rank) for c in chunks]
-    loop = FSDPLoop(spec, comm, templates)
-    states = [_shard_opt_state(s, p, rank) for s in opt_states]
-    loss = loop.step(iteration, shards, states)
-
-    w_wire = spec.precision.weight_bytes
-    new_chunks = [
-        _gather_chunk(comm, s["flat"], t.astype(np.float64),
-                      ("fsdp-state-w", iteration, i), w_wire)
-        for i, (s, t) in enumerate(zip(shards, templates))
-    ]
-    new_states = [
-        _gather_opt_state(comm, states[i], loop.opt.init_state(t),
-                          ("fsdp-state-opt", iteration, i))
-        for i, t in enumerate(templates)
-    ]
-    return loss, new_chunks, new_states
-
-
 def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    rank, p = comm.rank, comm.world_size
-    # shard the deterministically initialised model; drop the full copy.
-    full = spec.init_chunks()
-    templates = [c.zeros_like() for c in full]
-    shards = [_shard(c, p, rank) for c in full]
-    del full
-
-    loop = FSDPLoop(spec, comm, templates)
-    losses, _ = loop.train(shards, shard=lambda s: _shard_opt_state(s, p, rank))
+    loop = FSDPLoop(spec, comm)
+    losses, shards, _ = loop.train()
 
     # reassemble full weights once, for result comparison.
     w_wire = spec.precision.weight_bytes
     final = [
         _gather_chunk(comm, s["flat"], t, ("fsdp-final", i), w_wire)
-        for i, (s, t) in enumerate(zip(shards, templates))
+        for i, (s, t) in enumerate(zip(shards, loop.templates))
     ]
     return TrainResult(
         losses=losses, chunks=final, extra={"recompute": recompute_ledger(loop.ck)}

@@ -160,9 +160,8 @@ class StageLoop(RankLoop):
         return {"comm": self.comm, "tag": ("pp-clip", it)}
 
     def run(self) -> TrainResult:
-        """Train the stage's chunks, drawn here; its result and ledgers."""
-        chunks = self.spec.init_chunks(self.ids)
-        losses, _ = self.train(chunks)
+        """Train the stage's chunks; its result and ledgers."""
+        losses, chunks, _ = self.train()
         return TrainResult(losses, chunks, extra={
             "rank": self.rank,
             "peak_inflight": self.peak_inflight,

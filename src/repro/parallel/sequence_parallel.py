@@ -121,6 +121,16 @@ class SPLoop(RankLoop):
         self.positions = slice(self.rank * block, (self.rank + 1) * block)
         self.cos, self.sin = self.cos[self.positions], self.sin[self.positions]
 
+    @classmethod
+    def check(cls, spec, world):
+        if spec.cfg.seq_len % world != 0:
+            raise ValueError("seq_len must be divisible by the SP world size")
+        if spec.recompute:
+            raise ValueError(
+                "the SP baseline does not implement recomputation "
+                "(it would re-gather K/V in the backward)"
+            )
+
     def seam(self, key):
         return SPSeam(self.comm, self.spec, key)
 
@@ -129,8 +139,7 @@ class SPLoop(RankLoop):
 
 
 def _sp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    chunks = spec.init_chunks()
-    losses, _ = SPLoop(spec, comm).train(chunks)
+    losses, chunks, _ = SPLoop(spec, comm).train()
     return TrainResult(losses=losses, chunks=chunks)
 
 
@@ -138,11 +147,5 @@ def train_sequence_parallel(
     spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
 ) -> TrainResult:
     """Train with gather-based sequence parallelism."""
-    if spec.cfg.seq_len % world_size != 0:
-        raise ValueError("seq_len must be divisible by the SP world size")
-    if spec.recompute:
-        raise ValueError(
-            "the SP baseline does not implement recomputation "
-            "(it would re-gather K/V in the backward)"
-        )
+    SPLoop.check(spec, world_size)
     return run_workers(world_size, lambda comm: _sp_rank(comm, spec), fabric=fabric)[0]

@@ -36,14 +36,15 @@ it up to the all-reduces' summation order
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..nn.params import ParamStruct
 from ..optim.optimizer import map_opt_state
-from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec
+from ..runtime import Communicator, Fabric, all_gather, all_reduce, run_workers
+from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec, init_opt_states
 
 __all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads", "TPSeam"]
 
@@ -96,8 +97,19 @@ def split_layer_weights(w: ParamStruct, rank: int, world: int) -> ParamStruct:
     return ParamStruct(out)
 
 
+def _merge(parts: List[Dict[str, np.ndarray]], replicated: ParamStruct) -> ParamStruct:
+    """One chunk from every rank's split tensors (``parts``, in rank
+    order) and ``replicated``'s replicated ones."""
+    axis = {"column": 1, "row": 0}
+    return ParamStruct({
+        name: replicated[name].copy() if _PARTITION[name] == "replicated"
+        else np.concatenate([p[name] for p in parts], axis=axis[_PARTITION[name]])
+        for name in replicated.keys()
+    })
+
+
 def merge_layer_grads(
-    comm: Communicator, full_template: ParamStruct, shard: ParamStruct, tag: Tuple
+    comm: Communicator, shard: ParamStruct, tag: Tuple
 ) -> Optional[ParamStruct]:
     """Reassemble a full chunk on rank 0 (for result export): every other
     rank sends it its column- and row-split tensors point to point and
@@ -106,13 +118,7 @@ def merge_layer_grads(
     if comm.rank != 0:
         comm.send(split, 0, tag)
         return None
-    parts = [split] + [comm.recv(r, tag) for r in range(1, comm.world_size)]
-    axis = {"column": 1, "row": 0}
-    return ParamStruct({
-        name: shard[name].copy() if _PARTITION[name] == "replicated"
-        else np.concatenate([p[name] for p in parts], axis=axis[_PARTITION[name]])
-        for name in full_template.keys()
-    })
+    return _merge([split] + [comm.recv(r, tag) for r in range(1, comm.world_size)], shard)
 
 
 class TPSeam(ChunkSeam):
@@ -151,6 +157,36 @@ class TPLoop(RankLoop):
              Post("B", "all-reduce", "tp-b", "act", "act", count=2),
              Post("call", "hop", "tp-final", "split", "dtype", peer="root"))
 
+    @classmethod
+    def check(cls, spec, world):
+        if spec.cfg.n_heads % world != 0:
+            raise ValueError("n_heads must be divisible by the TP world size")
+        if spec.cfg.ffn % world != 0:
+            raise ValueError("ffn width must be divisible by the TP world size")
+        if spec.recompute:
+            raise ValueError(
+                "the TP baseline does not implement recomputation "
+                "(full caches are kept; combine with pipeline stages for that)"
+            )
+
+    def init_state(self):
+        """This rank's split of every chunk and of its optimizer state."""
+        split = lambda ps: split_layer_weights(ps, self.rank, self.world)
+        shards = [split(c) for c in self.spec.init_chunks()]
+        return shards, init_opt_states(self.spec, self.opt, shards, shard=lambda s: (
+            map_opt_state(s, split)))
+
+    def unshard(self, chunks, states):
+        """Every rank's split tensors all-gathered, of the chunks and of
+        their optimizer states; the replicated ones are rank 0's."""
+        tags = itertools.count()
+
+        def whole(shard: ParamStruct) -> ParamStruct:
+            parts = all_gather(self.comm, shard, tag=("tp-state", next(tags)))
+            return _merge(parts, parts[0])
+
+        return [whole(c) for c in chunks], [map_opt_state(s, whole) for s in states]
+
     def seam(self, key):
         return TPSeam(self.comm, self.spec, key)
 
@@ -160,14 +196,9 @@ class TPLoop(RankLoop):
 
 
 def _tp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    rank, world = comm.rank, comm.world_size
-    full = spec.init_chunks()
-    shards = [split_layer_weights(c, rank, world) for c in full]
-    losses, _ = TPLoop(spec, comm).train(shards, shard=lambda s: map_opt_state(
-        s, lambda ps: split_layer_weights(ps, rank, world)))
+    losses, shards, _ = TPLoop(spec, comm).train()
     final = [
-        merge_layer_grads(comm, full[i], shards[i], ("tp-final", i))
-        for i in range(spec.cfg.n_layers)
+        merge_layer_grads(comm, shard, ("tp-final", i)) for i, shard in enumerate(shards)
     ]
     return TrainResult(losses=losses, chunks=final)
 
@@ -176,13 +207,5 @@ def train_tensor_parallel(
     spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
 ) -> TrainResult:
     """Train with pure tensor parallelism across ``world_size`` workers."""
-    if spec.cfg.n_heads % world_size != 0:
-        raise ValueError("n_heads must be divisible by the TP world size")
-    if spec.cfg.ffn % world_size != 0:
-        raise ValueError("ffn width must be divisible by the TP world size")
-    if spec.recompute:
-        raise ValueError(
-            "the TP baseline does not implement recomputation "
-            "(full caches are kept; combine with pipeline stages for that)"
-        )
+    TPLoop.check(spec, world_size)
     return run_workers(world_size, lambda comm: _tp_rank(comm, spec), fabric=fabric)[0]

@@ -45,8 +45,8 @@ at its next fabric operation and enters the **rejoin** protocol:
    never serve a stale entry across the membership change.
 
 The loop is strategy-agnostic: a *step function* (see
-:mod:`repro.parallel.elastic` for the strategy hooks) runs exactly one
-training iteration on a given subgroup from a given snapshot and returns
+:mod:`repro.parallel.elastic` for the one every strategy runs) runs
+exactly one training iteration on a given subgroup from a given snapshot and returns
 the next snapshot.  Snapshots are opaque here; the step function must
 treat its input state as immutable.
 

@@ -43,6 +43,7 @@ from typing import Callable, FrozenSet, List, Tuple
 from ..core.api import ZOO
 from ..core.schedule import liveness, ring_program
 from ..core.weipipe import RingLoop
+from ..parallel.fsdp import FSDPLoop
 from ..parallel.pipeline import stage_program
 from ..parallel.sequence_parallel import SPLoop
 from .costmodel import CostModel, ExecConfig, WorkloadDims
@@ -121,10 +122,16 @@ def _mem_pipeline(dims, cluster, cost, schedule: str) -> List[float]:
 
 
 def _mem_fsdp(dims, cluster, cost) -> List[float]:
+    """FSDP: the rank's shard of the model's states, plus two adjacent
+    gathered chunks (prefetch depth 2) and one chunk's gradient before its
+    reduce-scatter, each sized from its ``FSDPLoop.POSTS`` row: chunk 0
+    also carries the embedding, chunk ``L-1`` the final norm and head."""
     world = cluster.world_size
     shard = dims.model_params * cost.state_bytes_per_param() / world
-    gathered = 2 * dims.layer_params * cost.cfg.weight_bytes  # prefetch depth 2
-    grad_transient = dims.layer_params * cost.cfg.wgrad_bytes
+    sizes, rows = cost.sizes(world), {post.kind: post for post in FSDPLoop.POSTS}
+    chunk = [sizes.nbytes(rows["fsdp-agf"], i) for i in range(dims.n_layers)]
+    gathered = max(sum(chunk[i:i + 2]) for i in range(dims.n_layers))
+    grad_transient = max(sizes.nbytes(rows["fsdp-rs"], i) for i in range(dims.n_layers))
     act = _act_per_layer(cost) * dims.n_layers  # one local microbatch
     m = shard + gathered + grad_transient + act + _working_set(cost, True)
     return [m] * world

@@ -97,22 +97,22 @@ def predict_run(run: Dict, t_fwd_layer: float) -> Tuple[CostModel, Cluster, SimR
     ``makespan`` is the predicted iteration.
 
     ``run`` describes the run as :func:`repro.obs.trace_metadata`
-    records it: ``strategy``, ``world``, ``dims``, ``recompute``;
-    ``precision`` (fp32 when absent), ``flash_attention`` / ``overlap``
-    (on when absent), the ``topology`` groups and the ``links`` its wire
-    charged when present.  The strategy's own schedule runs on a GPU
-    fitted to the run's measured layer forward of ``t_fwd_layer``
-    seconds (:meth:`CostModel.calibrated`, no per-op overhead), over the
-    charged links — :data:`FREE_LINK` where no ``ChaosPolicy`` priced
-    them.  The exec config is :func:`exec_for`'s with the run's settings;
-    it overlaps the wire where both the strategy and the run
-    (``overlap=False``: the ring's late posting) do.
+    records it: ``strategy``, ``world``, ``dims``, ``recompute``; the
+    wire ``widths`` (else ``precision``'s, fp32 when absent),
+    ``flash_attention`` / ``overlap`` (on when absent), the ``topology``
+    groups and the ``links`` its wire charged when present.  The
+    strategy's own schedule runs on a GPU fitted to the run's measured
+    layer forward of ``t_fwd_layer`` seconds (:meth:`CostModel.calibrated`,
+    no per-op overhead), over the charged links — :data:`FREE_LINK` where
+    no ``ChaosPolicy`` priced them.  The exec config is :func:`exec_for`'s
+    with the run's settings; it overlaps the wire where both the strategy
+    and the run (``overlap=False``: the ring's late posting) do.
     """
     strategy, world = str(run.get("strategy")), int(run.get("world", 1))
     dims = WorkloadDims(**{k: int(v) for k, v in run["dims"].items()})
     base = exec_for(strategy, run.get("precision", "fp32"))
     exec_cfg = replace(
-        base, recompute=bool(run.get("recompute", False)),
+        base, **run.get("widths", {}), recompute=bool(run.get("recompute", False)),
         flash_attention=bool(run.get("flash_attention", True)),
         overlap=base.overlap and bool(run.get("overlap", True)),
     )

@@ -517,9 +517,8 @@ def check_ledger(strategy: str, spec, world: int, wire, topology=None) -> Option
     ``topology`` — must equal :func:`table_ledger`'s exactly, and the
     DES's ``comm_bytes_total`` of the same run must equal the table's
     bytes per iteration.  Returns the first disagreement, or ``None``."""
-    from .sim.costmodel import WorkloadDims
-    from .sim.hardware import A800, Cluster
-    from .sim.runner import FREE_LINK, exec_for, run_cell
+    from .obs import trace_metadata
+    from .sim.runner import predict_run
 
     table = table_ledger(strategy, spec, world, topology)
     m = wire.metrics
@@ -530,20 +529,9 @@ def check_ledger(strategy: str, spec, world: int, wire, topology=None) -> Option
                for k in set(m.total(f"{name}_bytes_total", label=label)) | set(want)}
         if got != {k: list(v) for k, v in want.items()}:
             return f"wire ledger by {label} {got} != message table {dict(want)}"
-    cfg, p = spec.cfg, spec.precision
-    dims = WorkloadDims(hidden=cfg.hidden, n_layers=cfg.n_layers, seq_len=cfg.seq_len,
-                        microbatch=spec.microbatch_size,
-                        n_microbatches=spec.n_microbatches, n_heads=cfg.n_heads,
-                        vocab=cfg.vocab)
-    exec_cfg = _replace(
-        exec_for(strategy), act_bytes=p.act_bytes, bgrad_bytes=p.act_grad_bytes,
-        weight_bytes=p.weight_bytes, wgrad_bytes=p.weight_grad_bytes,
-        recompute=spec.recompute, flash_attention=cfg.flash_attention,
-    )
-    nodes = len(topology.groups) if topology is not None else 1
-    cluster = Cluster(gpu=A800, nodes=nodes, gpus_per_node=world // nodes,
-                      intra=FREE_LINK, inter=FREE_LINK)
-    des = run_cell(strategy, dims, cluster, exec_cfg).comm_bytes_total
+    # the DES of the same run as its trace records it; its bytes do not
+    # depend on the calibration
+    des = predict_run(trace_metadata(strategy, world, spec, topology), 1e-3)[2].comm_bytes_total
     if des != table["iteration"]:
         return f"DES comm_bytes_total {des} != message table {table['iteration']} per iteration"
     return None

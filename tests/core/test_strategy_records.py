@@ -39,20 +39,16 @@ def test_record_flags_match_the_code(name):
     world = _world(s)
     assert s.name == name
 
-    # full_cache <=> the runtime refuses recompute
-    if s.full_cache:
-        with pytest.raises(ValueError, match="does not implement recomputation"):
-            train(replace(SPEC, recompute=True), name, world)
-    else:
-        assert train(replace(SPEC, recompute=True), name, world).losses
+    # full_cache <=> the runtime and the elastic driver refuse recompute;
+    # every record trains under both
+    for run in (train, train_elastic):
+        if s.full_cache:
+            with pytest.raises(ValueError, match="does not implement recomputation"):
+                run(replace(SPEC, recompute=True), name, world)
+        else:
+            assert run(replace(SPEC, recompute=True), name, world).losses
+        assert run(SPEC, name, world).losses
     assert exec_for(name).recompute == (not s.full_cache and not s.split_backward)
-
-    # elastic <=> train_elastic has a step engine for it
-    if s.elastic:
-        assert train_elastic(SPEC, name, world).losses
-    else:
-        with pytest.raises(ValueError, match="no elastic step engine"):
-            train_elastic(SPEC, name, world)
 
     # simulated => a traced run carries the spans reconcile() reads, so a
     # plan's live validation can gate it

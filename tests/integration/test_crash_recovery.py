@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 import repro.testing as harness
+from repro.nn.precision import FP32
 from repro.optim import Adam
 from repro.core.api import strategy_names, train
 from repro.io import load_checkpoint_state, save_checkpoint
@@ -39,9 +40,22 @@ def _assert_same(result, reference):
 
 
 class TestElasticEqualsPlain:
-    @pytest.mark.parametrize("strategy", strategy_names(elastic=True))
+    @pytest.mark.parametrize("strategy", strategy_names())
     def test_no_failure_matches_plain_train(self, strategy):
-        spec = default_crash_spec(iters=2)
+        """On a 4-rank launch every record computes at its own world: the
+        largest that divides what it splits (``tp`` at 2 with 2 heads),
+        and serial at 1."""
+        spec = _adam_spec(iters=2)
+        world = {"serial": 1, "tp": 2}.get(strategy, 4)
+        _assert_same(train_elastic(spec, strategy, 4), train(spec, strategy, world))
+
+    @pytest.mark.parametrize("strategy", ["serial", "fsdp", "1f1b", "weipipe-interleave"])
+    def test_fp32_policy_steps_continue_unrounded_weights(self, strategy):
+        """Under the FP32 policy on float64 arrays an update leaves weights
+        that are not fp32 values; each elastic step takes the snapshot as
+        it stands, so it still equals the plain run, which rounds only
+        its fresh init."""
+        spec = _adam_spec(iters=2, precision=FP32)
         world = 1 if strategy == "serial" else 4
         _assert_same(train_elastic(spec, strategy, 4), train(spec, strategy, world))
 
@@ -51,7 +65,10 @@ class TestCrashRecovery:
     # skip the probe run (they were chosen from probed post counts).
     @pytest.mark.parametrize(
         "strategy,crash_rank,crash_at_post",
-        [("weipipe-interleave", 0, 76), ("fsdp", 1, 249)],
+        [("weipipe-interleave", 0, 76), ("fsdp", 1, 249),
+         # 1f1b re-partitions its 12 layers from 4 stages to 3; tp keeps
+         # computing on 2 of the 3 survivors (2 heads).
+         ("1f1b", 1, 50), ("tp", 1, 1800)],
     )
     def test_recovery_matches_clean_shrunken_run(
         self, strategy, crash_rank, crash_at_post

@@ -9,6 +9,8 @@ the calibrated cost model brackets the measured wall clock within the
 documented tolerance on the zero-latency wire.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.nn import ModelConfig
@@ -143,7 +145,8 @@ class TestTraceMetadata:
     def test_round_trips_to_the_specs_workload_dims(self, monkeypatch):
         """What :func:`trace_metadata` writes is what :func:`reconcile`
         prices: the spec's workload dims, its arrays' width (the default
-        ``ModelConfig`` computes in fp64) and its exec settings."""
+        ``ModelConfig`` computes in fp64), the widths its wire ledgers at
+        (the default FP32 policy's 4 bytes) and its exec settings."""
         from repro.sim.costmodel import CostModel, ExecConfig, WorkloadDims
 
         cfg = ModelConfig(hidden=24, n_layers=6, n_heads=3, seq_len=12,
@@ -164,8 +167,9 @@ class TestTraceMetadata:
         assert seen == [(
             WorkloadDims(hidden=24, n_layers=6, seq_len=12, microbatch=3,
                          n_microbatches=6, n_heads=3, vocab=40),
-            ExecConfig.for_precision("fp64", recompute=True, overlap=True,
-                                     flash_attention=True),
+            replace(ExecConfig.for_precision("fp64", recompute=True, overlap=True,
+                                             flash_attention=True),
+                    act_bytes=4, bgrad_bytes=4, weight_bytes=4, wgrad_bytes=4),
         )]
 
     def test_extra_keys_add_and_override(self):

@@ -71,3 +71,18 @@ def test_predict_run_fits_its_model_and_prices_the_charged_links():
     assert cluster.inter == slow
     assert priced.makespan > free.makespan
     assert priced.comm_bytes_total == free.comm_bytes_total > 0
+
+
+def test_predict_run_prices_the_bytes_a_default_spec_posts():
+    """A default ``TrainSpec`` keeps float64 arrays under the FP32 policy,
+    whose wire ledgers 4-byte activations: the trace records the policy's
+    widths, so the run's DES prices what the message table (and the
+    wire) says one iteration posts, not the arrays' 8 bytes."""
+    from repro import ModelConfig, TrainSpec
+    from repro.obs import trace_metadata
+    from repro.testing import table_ledger
+
+    spec = TrainSpec(cfg=ModelConfig(hidden=16, n_layers=4, n_heads=2, seq_len=16,
+                                     vocab=17), n_microbatches=4, microbatch_size=2)
+    rep = predict_run(trace_metadata("1f1b", 2, spec), T_FWD)[2]
+    assert rep.comm_bytes_total == table_ledger("1f1b", spec, 2)["iteration"] == 16400

@@ -13,6 +13,15 @@ from repro.testing import (
 )
 
 
+def _leaves(tree):
+    """The arrays of a weight chunk or an optimizer state, in key order."""
+    if isinstance(tree, dict):
+        return [a for k in sorted(tree) for a in _leaves(tree[k])]
+    if hasattr(tree, "values"):
+        return list(tree.values())
+    return [tree]
+
+
 def _option(command, dest):
     """The parser's action for ``command``'s ``dest`` option."""
     sub = next(a for a in build_parser()._actions
@@ -86,15 +95,13 @@ class TestCommands:
 
         assert main(["strategies"]) == 0
         header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
-        assert header == ["strategy", "family/schedule", "simulated", "elastic",
-                          "full-cache"]
+        assert header == ["strategy", "family/schedule", "simulated", "full-cache"]
         assert [row[0] for row in rows] == list(ZOO)
         for name, kind, *flags in rows:
             s = ZOO[name]
             assert kind.split("/") == [s.family, *([s.schedule] if s.schedule else []),
                                        *(["two-level"] if s.hier else [])]
-            assert flags == ["yes" if f else "no" for f in (
-                s.simulated, s.elastic, s.full_cache)]
+            assert flags == ["yes" if f else "no" for f in (s.simulated, s.full_cache)]
 
     def test_train_tiny(self, capsys):
         rc = main([
@@ -175,6 +182,10 @@ class TestCommands:
         (["--strategy", "frobnicate"], "unknown strategy 'frobnicate'"),
         (["--world", "3"], "divisible"),
         (["--strategy", "tp", "--world", "3"], "divisible"),
+        # the durable path refuses what the plain one does
+        (["--strategy", "tp", "--world", "3", "--checkpoint-every", "1"], "divisible"),
+        (["--strategy", "serial", "--world", "2", "--checkpoint-every", "1"],
+         "computes on 1 of 2"),
     ])
     def test_train_config_error_exits_2_with_one_line(self, argv, why, capsys):
         rc = main(["train", "--iters", "1", "--hidden", "16", "--heads", "2",
@@ -353,10 +364,30 @@ class TestCheckpointCLI:
         with pytest.raises(CorruptCheckpointError):
             main(["train", "--iters", "1", "--resume", str(ck), *self.TINY])
 
-    def test_checkpoint_needs_elastic_strategy(self):
-        with pytest.raises(SystemExit, match="elastic strategy"):
-            main(["train", "--iters", "1", "--strategy", "1f1b",
-                  "--checkpoint-every", "1", *self.TINY])
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    def test_pipeline_checkpoint_resume_is_bit_exact(self, tmp_path, capsys, precision):
+        """1f1b checkpoints every iteration and resumes from the file;
+        the resumed run's final checkpoint equals an unbroken run's, also
+        where fp32-policy updates leave weights that are not fp32 values."""
+        import numpy as np
+
+        from repro.io import load_checkpoint_state
+
+        run = ["train", "--strategy", "1f1b", "--precision", precision, *self.TINY]
+        half, resumed, unbroken = (str(tmp_path / f"{n}.npz") for n in "abc")
+        assert main([*run, "--iters", "2", "--checkpoint-every", "1",
+                     "--checkpoint-path", half]) == 0
+        assert main([*run, "--iters", "2", "--resume", half,
+                     "--checkpoint-every", "1", "--checkpoint-path", resumed]) == 0
+        assert main([*run, "--iters", "4", "--checkpoint-every", "1",
+                     "--checkpoint-path", unbroken]) == 0
+        assert "resuming (full state)" in capsys.readouterr().out
+        got, want = (
+            (ck.train_state, [a for t in ck.chunks + ck.opt_state for a in _leaves(t)])
+            for ck in map(load_checkpoint_state, (resumed, unbroken))
+        )
+        assert got[0] == want[0] and len(got[1]) == len(want[1])
+        assert all(np.array_equal(x, y) for x, y in zip(got[1], want[1]))
 
     def test_checkpoint_rejected_with_dp(self):
         with pytest.raises(SystemExit, match="not supported with --dp"):
