@@ -196,7 +196,6 @@ class RingLoop(RankLoop):
         self.last_slot = self.world - 1
         self.w_wire = spec.precision.weight_bytes
         self.d_wire = spec.precision.weight_grad_bytes
-        self.scale = 1.0 / spec.n_microbatches
         #: identity wire format for D => skip the quantise round trips.
         self._d_exact = is_exact(spec.precision.weight_grads, self.cfg.dtype)
 
@@ -272,12 +271,6 @@ class RingLoop(RankLoop):
     # (every rank of a flat or one-group ring) runs the plain send and the
     # identity resolve.
 
-    def _slot_id_at(self, flow: str, rank: int, turn: int) -> int:
-        """Which slot ``rank`` holds on flow ``flow`` during ``turn`` —
-        the schedule's placement law, shared with the ``_check_slot``
-        asserts so a cache-resolution bug trips the same invariant."""
-        return HELD[flow](rank, turn, self.world)
-
     def _send_wslot(self, flow: str, slot: SlotWeights, it: int, turn: int) -> None:
         """Forward one weight-flow slot to the right neighbour as tag
         ``(flow, it, turn)``."""
@@ -286,7 +279,7 @@ class RingLoop(RankLoop):
             if turn > self.world:
                 # this slot already crossed this boundary during the
                 # first revolution of iteration `it`: ship a reference.
-                sid = self._slot_id_at(flow, right, turn)
+                sid = HELD[flow](right, turn, self.world)
                 self.comm.send((WREF_MARK, flow, sid), right,
                                (flow, it, turn), nbytes=WREF_NBYTES)
                 self.inter_ref_sends += 1
@@ -304,7 +297,9 @@ class RingLoop(RankLoop):
         into the slot dict the compute code reads."""
         if not self._left_cross:
             return payload
-        expected = self._slot_id_at(flow, self.rank, turn)
+        # the schedule's placement law, which the turn loop's slot check
+        # also asserts: a cache-resolution bug trips the same invariant
+        expected = HELD[flow](self.rank, turn, self.world)
         if (isinstance(payload, tuple) and len(payload) == 3
                 and payload[0] == WREF_MARK):
             if payload[1:] != (flow, expected):
@@ -383,19 +378,6 @@ class RingLoop(RankLoop):
         """Park chunk ``i``'s gradient for the turn's drain into ``D``."""
         self._deferred.append((i, g))
 
-    def _accumulate_grad(self, i: int, g: ParamStruct) -> None:
-        """Add one chunk contribution into the circulating D at wire
-        precision: the running sum itself lives in the (emulated) fp16
-        buffer."""
-        # g is scratch so it is quantised and scaled in place (the same
-        # rounding as ``+= scale * g``, without the weight-sized product),
-        # and the identity formats (fp32/fp64 policies) skip the round trips.
-        if not self._d_exact:
-            quantize_grads_(g, self.spec.precision)
-        self.grad_slot[i].add_(g.scale_(self.scale))
-        if not self._d_exact:
-            quantize_grads_(self.grad_slot[i], self.spec.precision)
-
     def sync(self, it: int, grads: SlotWeights, loss: Dict[int, float]) -> float:
         """The ``("wp-loss", it)`` all-gather of every rank's per-microbatch
         ``loss`` — summed in rank, then microbatch order — and, on a
@@ -426,25 +408,10 @@ class RingLoop(RankLoop):
     def clip_args(self, it: int) -> Dict:
         return {"comm": self.comm, "tag": ("wp-clip", it)}
 
-    def _check_slot(self, kind: str, slot: int, expected: int) -> None:
-        if slot != expected:
-            raise AssertionError(
-                f"schedule/flow mismatch: {kind} slot {slot} but holding {expected}"
-            )
-
     # -- the turn loop -----------------------------------------------------------
 
     def run_iteration(self, it: int) -> float:
-        if not self.trace.enabled:
-            return self._run_iteration(it)
         t0 = perf_counter()
-        loss = self._run_iteration(it)
-        self.trace.complete(
-            "iteration", "iteration", t0, perf_counter() - t0, {"it": it}
-        )
-        return loss
-
-    def _run_iteration(self, it: int) -> float:
         self._ring_turns(
             it, *ring_schedule(self.mode, self.world, self.spec.n_microbatches)
         )
@@ -466,30 +433,40 @@ class RingLoop(RankLoop):
             m.gauge(f"pool_{key}").set(pool[key])
         if self.trace.enabled:
             self.trace.counter("pool_allocations", pool["allocations"])
+            self.trace.complete("iteration", "iteration", t0, perf_counter() - t0,
+                                {"it": it})
         return loss / self.spec.n_microbatches
 
-    def _timed(self, hist, name: str, cat: str, args: Dict, fn, *fargs) -> None:
+    def _timed(self, hist, name: str, cat: str, args: Dict, fn, *fargs):
         """Run ``fn(*fargs)``, observe its wall time on ``hist`` and, when
-        tracing, record it as one complete span."""
+        tracing, record it as one complete span; returns what ``fn`` did."""
         t0 = perf_counter()
-        fn(*fargs)
+        out = fn(*fargs)
         dt = perf_counter() - t0
         hist.observe(dt)
         if self.trace.enabled:
             self.trace.complete(name, cat, t0, dt, args)
+        return out
 
     def _take_w(self, nf, nb, it: int, turn: int) -> None:
         self.fwd_slot = self._resolve_wslot("F", nf.wait(), it, turn)
         self.bwd_slot = self._resolve_wslot("B", nb.wait(), it, turn)
 
-    def _take_d(self, nd) -> None:
-        self.grad_slot = nd.wait()
-
     def _drain_deferred(self) -> None:
+        """Add the turn's parked chunk contributions (already at ``1/N``:
+        the loss seed carries the mean) into the circulating D at wire
+        precision: the running sum itself lives in the (emulated) fp16
+        buffer."""
         # chunk sums are independent and draining preserves call order,
         # so the values are bit-identical to accumulating mid-backward.
+        # g is scratch so it is quantised in place, and the identity
+        # formats (fp32/fp64 policies) skip the round trips.
         for i, g in self._deferred:
-            self._accumulate_grad(i, g)
+            if not self._d_exact:
+                quantize_grads_(g, self.spec.precision)
+            self.grad_slot[i].add_(g)
+            if not self._d_exact:
+                quantize_grads_(self.grad_slot[i], self.spec.precision)
         self._deferred.clear()
 
     def _ring_turns(self, it: int, total: int, task_fn) -> None:
@@ -544,7 +521,9 @@ class RingLoop(RankLoop):
                     forward_w(t + 1)
                 for kind, unit in turn_ops(task):
                     slot, mb = unit
-                    self._check_slot(kind, slot, self._slot_id_at(kind, self.rank, t))
+                    if slot != HELD[kind](self.rank, t, self.world):
+                        raise AssertionError(f"schedule/flow mismatch: {kind} slot {slot}"
+                                             f" at turn {t} on rank {self.rank}")
                     ids = slot_chunk_ids(slot, self.world, self.cfg.n_layers)
                     if kind == "F":
                         loss = self.forward(it, unit, ids, [self.fwd_slot[i] for i in ids])
@@ -559,7 +538,7 @@ class RingLoop(RankLoop):
                 # posts D only after finishing the turn that read the
                 # W slots it forwarded, so from here on those buffers (and
                 # this D) are exclusively ours to mutate.
-                self._timed(h_wire, "wait:D", "wire", {"turn": t}, self._take_d, nd)
+                self.grad_slot = self._timed(h_wire, "wait:D", "wire", {"turn": t}, nd.wait)
             if self._deferred:
                 self._timed(h_compute, "accum", "compute", {"turn": t},
                             self._drain_deferred)
@@ -712,7 +691,7 @@ def train_weipipe(
     for key in ("inter_full_sends", "inter_ref_sends",
                 "arena_overflow_allocs", "arena_overflow_bytes"):
         extra[key] = sum(e[key] for e in by_rank.values())
-    extra["recompute"] = sum_recompute(results)
+    extra["recompute"] = sum_recompute(r.extra["recompute"] for r in results)
     if topology is not None:
         extra["groups"] = [list(g) for g in topology.groups]
         extra["gateways"] = list(topology.gateways())

@@ -56,7 +56,17 @@ def linear_fwd(x: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, tuple]:
 
 
 def linear_bwd_input(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """B-pass half: ``dx = dy @ w.T``."""
+    """B-pass half: ``dx = dy @ w.T``.
+
+    A microbatch with fewer tokens than either weight dim (a thin ``dy``
+    against a wide layer) runs as ``(w @ dy.T).T`` instead, the operand
+    orientation BLAS runs fastest at that shape (DESIGN.md §17); the
+    result is then a transposed view, equal to ``dy @ w.T`` to rounding.
+    """
+    tokens = dy.size // dy.shape[-1]
+    if tokens < min(w.shape):
+        flat = dy.reshape(tokens, dy.shape[-1])
+        return (w @ flat.T).T.reshape(*dy.shape[:-1], w.shape[0])
     return dy @ w.T
 
 

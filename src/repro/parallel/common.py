@@ -23,7 +23,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -610,7 +610,9 @@ class RankLoop:
         dy = None if c_loss is not None else self.dy_in(it, mb)
         b0, replayed = perf_counter(), ck.replayed
         if c_loss is not None:
-            dy = F.cross_entropy_bwd(1.0 / self.parts, c_loss)
+            # the microbatch mean rides the seed: every weight gradient
+            # comes out already at 1/N and accumulates with a plain add
+            dy = F.cross_entropy_bwd(1.0 / (self.parts * self.spec.n_microbatches), c_loss)
             # kept until the next backward: freed here, it lets glibc trim
             # the heap top and the next forward fault it back in (+55 %
             # minor faults, 6 % of a serial-long-ctx call)
@@ -654,9 +656,9 @@ class RankLoop:
         self, grads: List[ParamStruct], pos: int, i: int, seam: ChunkSeam,
         g: ParamStruct,
     ) -> None:
-        """Add chunk ``i``'s gradient ``g`` into ``grads[pos]``."""
-        g = seam.reduce(quantize_grads(g, self.spec.precision))
-        grads[pos].add_(g, scale=1.0 / self.spec.n_microbatches)
+        """Add chunk ``i``'s gradient ``g`` (already at ``1/N``) into
+        ``grads[pos]``."""
+        grads[pos].add_(seam.reduce(quantize_grads(g, self.spec.precision)))
 
 
 @dataclass
@@ -680,9 +682,8 @@ def recompute_ledger(ck: CheckpointedChunk) -> Dict[str, int]:
     return {"replayed": ck.replayed, "kept": ck.kept}
 
 
-def sum_recompute(results: Sequence[TrainResult]) -> Dict[str, int]:
-    """A launch's ``extra["recompute"]``: its ranks' ledgers summed."""
-    return {
-        key: sum(r.extra["recompute"][key] for r in results)
-        for key in ("replayed", "kept")
-    }
+def sum_recompute(ledgers: Iterable[Dict[str, int]]) -> Dict[str, int]:
+    """A launch's ``extra["recompute"]``: its ranks' (and an elastic
+    run's steps') ledgers summed."""
+    ledgers = list(ledgers)
+    return {key: sum(led[key] for led in ledgers) for key in ("replayed", "kept")}

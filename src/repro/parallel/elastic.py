@@ -53,7 +53,7 @@ from ..runtime import (
 )
 from ..runtime.communicator import Communicator
 from ..runtime.recovery import ElasticResult, elastic_worker
-from .common import TrainResult, TrainSpec, init_opt_states
+from .common import TrainResult, TrainSpec, init_opt_states, recompute_ledger, sum_recompute
 
 __all__ = [
     "ElasticState",
@@ -118,7 +118,7 @@ def _loop(s, cls, spec: TrainSpec, comm: Communicator):
     return cls(spec, comm)
 
 
-def step_engine_for(strategy: str, spec: TrainSpec):
+def step_engine_for(strategy: str, spec: TrainSpec, ledgers: Dict[int, Dict[str, int]]):
     """Build the ``(sub, global_step, state) -> (loss, state)`` engine.
 
     Every surviving rank calls the engine each step.  The engine forms a
@@ -127,7 +127,9 @@ def step_engine_for(strategy: str, spec: TrainSpec):
     posted never matches its retry), shrinks to the largest sub-group
     the strategy's divisibility constraints allow, runs the strategy's
     loop for one iteration from ``state``, and forwards the committed
-    ``(loss, state)`` to any idle ranks.
+    ``(loss, state)`` to any idle ranks.  It keeps in ``ledgers`` each
+    step this rank computed, mapped to its loop's recompute ledger; a
+    retried step replaces its entry.
     """
     s, cls = _record(strategy)
 
@@ -144,11 +146,13 @@ def step_engine_for(strategy: str, spec: TrainSpec):
             ), csub)
             (loss,), chunks, states = loop.train()
             new_state = ElasticState(*loop.unshard(chunks, states))
+            ledgers[global_step] = recompute_ledger(loop.ck)
             if sub.rank == 0:
                 for r in range(w, available):
                     sub.send((loss, new_state), r, ("elastic-idle", global_step))
         else:
             loss, new_state = sub.recv(0, ("elastic-idle", global_step))
+            ledgers.pop(global_step, None)
         return loss, new_state
 
     return run_step
@@ -185,7 +189,8 @@ def train_elastic(
     ``rejoin_events`` (list of
     :class:`~repro.runtime.recovery.RejoinEvent` — ring re-growths),
     ``survivors``, ``worker_errors`` (per launch rank; ``None`` for
-    survivors) and ``next_iteration`` (resume cursor).
+    survivors), ``next_iteration`` (resume cursor) and ``recompute``
+    (the survivors' recompute ledgers, summed over steps and ranks).
 
     Pass a :class:`~repro.runtime.detector.FailureDetector` as
     ``detector`` to arm suspicion-based failure handling: a transiently
@@ -198,23 +203,23 @@ def train_elastic(
     # what the loop refuses beyond its record's divides (TP's and SP's
     # recompute), at the world it starts computing on
     cls.check(spec, compute_world(strategy, spec, world_size))
-    engine = step_engine_for(strategy, spec)
     chunks = spec.init_chunks()
     opt = spec.make_optimizer()
     initial = ElasticState(
         chunks=chunks, opt_state=init_opt_states(spec, opt, chunks)
     )
 
-    def worker(comm: Communicator) -> ElasticResult:
+    def worker(comm: Communicator) -> Tuple[ElasticResult, Dict]:
+        ledgers: Dict[int, Dict[str, int]] = {}  # step -> its ledger
         return elastic_worker(
             comm,
             iters=spec.iters,
             initial_state=initial,
-            run_step=engine,
+            run_step=step_engine_for(strategy, spec, ledgers),
             on_commit=on_commit,
             max_recoveries=max_recoveries,
             rejoin_timeout=rejoin_timeout,
-        )
+        ), ledgers
 
     results, errors = run_workers_elastic(
         world_size, worker, timeout=timeout, fabric=fabric, detector=detector
@@ -222,9 +227,9 @@ def train_elastic(
     survivors = [r for r in range(world_size) if errors[r] is None]
     if not survivors:
         raise errors[0]
-    res: ElasticResult = results[survivors[0]]
+    res: ElasticResult = results[survivors[0]][0]
     for r in survivors[1:]:
-        other: ElasticResult = results[r]
+        other: ElasticResult = results[r][0]
         if other.losses != res.losses:  # pragma: no cover - invariant
             raise AssertionError(
                 f"survivors disagree on the loss curve: rank {survivors[0]} "
@@ -241,5 +246,8 @@ def train_elastic(
             "survivors": list(res.survivors),
             "worker_errors": list(errors),
             "next_iteration": spec.start_iteration + spec.iters,
+            # summed over steps and the surviving compute ranks
+            "recompute": sum_recompute(
+                led for r in survivors for led in results[r][1].values()),
         },
     )

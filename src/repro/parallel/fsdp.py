@@ -194,5 +194,5 @@ def train_fsdp(
     results = run_workers(
         world_size, lambda comm: _worker(comm, spec), fabric=fabric
     )
-    results[0].extra["recompute"] = sum_recompute(results)
+    results[0].extra["recompute"] = sum_recompute(r.extra["recompute"] for r in results)
     return results[0]

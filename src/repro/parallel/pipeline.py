@@ -202,6 +202,6 @@ def train_pipeline(
                 key: {r.extra["rank"]: r.extra[key] for r in results}
                 for key in ("peak_inflight", "peak_pending_w")
             },
-            "recompute": sum_recompute(results),
+            "recompute": sum_recompute(r.extra["recompute"] for r in results),
         },
     )

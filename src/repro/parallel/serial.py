@@ -3,8 +3,9 @@
 Every distributed strategy in this repository must reproduce this
 function's losses and final weights (exactly in fp32/fp64 policies, up
 to accumulation-order noise).  It is also the semantic spec: loss is the
-mean over the iteration's microbatches, gradients accumulate scaled by
-``1/N``, one optimizer step per iteration.
+mean over the iteration's microbatches, the loss gradient is seeded at
+``1/N`` so the microbatches' gradients simply add, one optimizer step
+per iteration.
 
 Its loop is :class:`~repro.parallel.common.RankLoop`'s base, from which
 the other strategies depart only where they must; the elastic driver

@@ -79,11 +79,15 @@ A launch waits for its ranks' reports, not their exits.  It forks the
 ranks one after another; each starts up (copy-on-write faults, its
 allocator settings, its wire and fabric), runs ``fn`` and sends its
 report, and the launch returns once the last report is in and the pages
-are freed.  A rank that reported, whatever it reported, is not joined:
-ranks are daemons, multiprocessing reaps an exited one at the next
-``Process.start()`` or ``active_children()``, and terminates any still
-running at interpreter exit.  Until it exits a reported rank still maps
-the segment, so a dropped result's pages are freed when both are gone.
+are freed.  A rank that reported, whatever it reported, is not joined by
+its own launch: ranks are daemons, multiprocessing reaps an exited one at
+the next ``Process.start()`` or ``active_children()``, and terminates any
+still running at interpreter exit.  The next launch joins them once its
+own reports are in (they have had that whole launch to exit), within
+one shared ``REAP_S`` and terminating any still running after it, so
+back-to-back launches hold one launch's ranks at most.  Until it exits
+a reported rank still maps the segment, so a dropped result's pages
+are freed when both are gone.
 A launch in which a rank died or never reported joins every rank, as
 before: the dead rank's exit code names it, and a failed launch leaves
 no rank behind.  glibc's ``mallopt``, which a rank calls to set its
@@ -100,7 +104,9 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import time
+import weakref
 from multiprocessing import get_context
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -156,6 +162,29 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 #: multi-MB temporary of the rank is a fresh mmap whose pages fault in
 #: anew.
 _RANK_MALLOPT = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+#: the last launch's ranks, left to exit after their reports; weak, so
+#: a rank multiprocessing has reaped and dropped closes its sentinel.
+_reported: List[Any] = []
+_reported_lock = threading.Lock()
+#: how long the next launch waits, in all, for those ranks to exit
+#: before it terminates the ones still running.
+REAP_S = 5.0
+
+
+def _reap_reported(procs: List[Any]) -> None:
+    """Join the ranks the launch before left to exit, within one shared
+    :data:`REAP_S`, terminate any still running after it, and leave
+    ``procs`` (this launch's reported ranks) for the next launch."""
+    with _reported_lock:
+        previous, _reported[:] = list(_reported), map(weakref.ref, procs)
+    alive = [p for p in (ref() for ref in previous) if p is not None]
+    deadline = Deadline(REAP_S)
+    for p in alive:
+        p.join(timeout=deadline.remaining())
+    for p in alive:
+        if p.is_alive():  # reported, but its exit hangs
+            p.terminate()
+            p.join(timeout=2.0)
 
 
 def _arena_regions(
@@ -807,12 +836,14 @@ class ProcessTransport(Transport):
             # by active_children() or at exit.  If any rank died or never
             # reported, every rank is joined, so a failed launch leaves
             # no rank behind.
-            if None in reports.values() or pending:
+            failed = None in reports.values() or bool(pending)
+            if failed:
                 for p in procs:
                     p.join(timeout=max(deadline.budget(), 2.0))
                     if p.is_alive():  # pragma: no cover - reported but stuck
                         p.terminate()
                         p.join(timeout=2.0)
+            _reap_reported([] if failed else procs)
 
             self._observe_clock(world_size, control, clock_obs, parent_epoch)
             arena_base = arena_offset(0, world_size, control_bytes,

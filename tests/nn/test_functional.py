@@ -49,6 +49,25 @@ class TestLinear:
         np.testing.assert_allclose(F.linear_bwd_input(dy, w), dx)
         np.testing.assert_allclose(F.linear_bwd_weight(x, dy), dw)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead,wshape", [
+        ((2, 3), (16, 24)),  # 6 tokens, below both weight dims: (w @ dy.T).T
+        ((7,), (12, 9)),     # one leading axis, below both
+        ((1, 5), (8, 5)),    # 5 tokens, not below out = 5: dy @ w.T
+        ((4, 8), (16, 24)),  # 32 tokens: dy @ w.T
+    ])
+    def test_bwd_input_is_dy_wt_on_both_sides_of_the_thin_token_rule(
+            self, lead, wshape, dtype):
+        w = _rand(*wshape).astype(dtype)
+        dy = _rand(*lead, wshape[1]).astype(dtype)
+        dx = F.linear_bwd_input(dy, w)
+        assert dx.shape == (*lead, wshape[0]) and dx.dtype == dtype
+        thin = int(np.prod(lead)) < min(wshape)
+        assert dx.flags.c_contiguous != thin  # the thin branch is a transposed view
+        # a GEMM's rounding bound: out * eps * (|dy| @ |w|.T), elementwise
+        bound = wshape[1] * np.finfo(dtype).eps * (np.abs(dy) @ np.abs(w).T)
+        assert (np.abs(dx - dy @ w.T) <= bound).all()
+
 
 class TestSilu:
     def test_forward_value(self):

@@ -26,6 +26,7 @@ import repro.nn.layer as layer_mod
 from repro import FP64, ModelConfig, TrainSpec, train
 from repro.core.api import rank_programs, strategy_names
 from repro.nn.checkpoint import replayed_chunks
+from repro.parallel.elastic import train_elastic
 from repro.sim.runner import exec_for
 
 L, N = 4, 4
@@ -89,6 +90,19 @@ def test_recompute_replays_all_but_the_newest_forward(strategy, world, forwards)
     assert res.extra["recompute"] == {"replayed": N * L - kept, "kept": kept}
     assert res.extra["recompute"] == rule(strategy, world)
     assert np.isfinite(res.losses[0])
+
+
+@pytest.mark.parametrize("strategy", ["1f1b", "weipipe-interleave"])
+def test_the_elastic_ledger_sums_its_steps_like_the_plain_call(strategy):
+    """``train_elastic`` (``--checkpoint-every`` / ``--resume``) runs one
+    loop per step: its ledger is theirs summed over steps and ranks."""
+    cfg = ModelConfig(hidden=16, n_layers=L, n_heads=2, seq_len=8, vocab=17)
+    spec = TrainSpec(cfg=cfg, n_microbatches=N, microbatch_size=1, iters=2,
+                     recompute=True, precision=FP64)
+    plain = train(spec, strategy, 2)
+    elastic = train_elastic(spec, strategy, 2)
+    assert elastic.extra["recompute"] == plain.extra["recompute"]
+    assert plain.extra["recompute"]["replayed"] > 0
 
 
 @pytest.mark.parametrize("strategy", strategy_names(full_cache=True))

@@ -164,6 +164,41 @@ def test_back_to_back_launches_hold_one_launchs_ranks_at_most():
     assert _open_fds() <= fds
 
 
+def _linger(comm):
+    """A rank whose exit, after its report, takes half a second."""
+    multiprocessing.util.Finalize(None, time.sleep, args=(0.5,), exitpriority=0)
+
+
+def test_a_launch_reaps_the_last_launchs_lingering_ranks():
+    # a loaded box can leave the last launch's reported ranks still
+    # exiting when the next launch returns: that launch joins them.
+    world = 2
+    for p in multiprocessing.active_children():  # earlier tests' ranks
+        p.join(timeout=10.0)
+    run_workers(world, _linger, backend="process")
+    run_workers(world, lambda comm: None, backend="process")
+    assert len(multiprocessing.active_children()) <= world
+
+
+def test_a_launch_terminates_the_last_launchs_ranks_past_the_reap_deadline(
+        monkeypatch):
+    # a reported rank whose exit hangs holds up the next launch for one
+    # shared REAP_S at most, then is terminated, not left running.
+    from repro.runtime.transport import process
+    monkeypatch.setattr(process, "REAP_S", 0.2)
+    for p in multiprocessing.active_children():  # earlier tests' ranks
+        p.join(timeout=10.0)
+    pids = run_workers(2, _report_then_linger, backend="process")
+    t0 = time.perf_counter()
+    run_workers(2, lambda comm: None, backend="process")
+    elapsed = time.perf_counter() - t0
+    live = {p.pid for p in multiprocessing.active_children()}
+    for pid in set(pids) & live:  # cut the linger short if the reap did not
+        os.kill(pid, signal.SIGKILL)
+    assert not set(pids) & live, (pids, live)
+    assert elapsed < LINGER_S / 2, elapsed
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="ranks pin glibc's malloc thresholds")
 def test_a_rank_reuses_what_it_freed_whatever_the_launcher_freed():
