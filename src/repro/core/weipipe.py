@@ -14,7 +14,10 @@ activations never leave the worker — while the weights rotate past:
   W pass one revolution later), or just pass the cargo on (a bubble).
 * Backward contributions are accumulated *into the circulating D*
   (quantised to the wire format each hop), replacing DP's all-reduce —
-  the "update pass" of Section 3.
+  the "update pass" of Section 3.  Below the regime boundary
+  (``G S < H / 2``, where a layer's gradient outweighs its factors) a
+  chunk's contribution is its factor bundle instead, posted once to the
+  slot's owner, which forms the gradient: no ``D`` circulates there.
 * After the final turn every slot is back at its home; the worker that
   owns a slot (holds its optimizer state, which never travels) applies
   the update and re-injects fresh weights into both flows for the next
@@ -66,7 +69,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.model import chunk_param_count
+from ..nn.model import chunk_factored, chunk_param_count, factor_numel
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
 from ..parallel.common import (
@@ -98,6 +101,7 @@ from .schedule import (
     bwd_slot_held,
     fwd_home,
     fwd_slot_held,
+    ring_program,
     ring_schedule,
     ring_splits_backward,
     slot_owner,
@@ -127,20 +131,28 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     size each rank's arena region from the spec instead of a constant:
     every slot then crosses the wire as a descriptor at any ``H``.  The
     draws are the same for every mode and topology, and all of them are
-    of the owned slot ``rank - 1``, at construction: the B slot and its
-    zeroed D.  The forward flow carries that B slot itself
-    (:meth:`RingLoop._inject_forward`), so the forward slot a rank
-    holds is a view of its owner's buffer and nobody draws a copy.
+    of the owned slot ``rank - 1``, at construction: the B slot and the
+    zeroed D of its dense chunks.  A factored chunk's gradient never
+    travels (:meth:`RingLoop._form`): it is formed in private memory, so
+    below the regime boundary the B slot is the whole draw.  The forward
+    flow carries that B slot itself (:meth:`RingLoop._inject_forward`),
+    so the forward slot a rank holds is a view of its owner's buffer and
+    nobody draws a copy.
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
     (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
     over spans, not payload bytes.  Untouched tail pages of a span are
-    never committed, so the reservation costs address space only.
+    never committed, so the reservation costs address space only; the
+    pages a span does use are faulted in on first touch, in the rank
+    that touches them (the D's zero fill at construction, the B slot's
+    draw).
     """
     cfg = spec.cfg
     itemsize = np.dtype(cfg.dtype).itemsize
-    return 2 * sum(
+    tokens = spec.microbatch_size * cfg.seq_len
+    return sum(
         ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
+        * (1 if chunk_factored(cfg, i, tokens) else 2)  # the B slot, and a dense D
         for i in slot_chunk_ids((rank - 1) % world, world, cfg.n_layers)
     )
 
@@ -155,19 +167,26 @@ class RingLoop(RankLoop):
     A microbatch stays on the rank: slot 0 reads its tokens, the last
     slot holds its targets and in between its activation, then its
     gradient, waits in a local dict (:meth:`x_in` .. :meth:`dy_out`) —
-    the stage's wire without the wire.  A weight gradient is parked until
-    the turn's circulating ``D`` lands (:meth:`_accumulate`).
+    the stage's wire without the wire.  A dense chunk's weight gradient
+    is parked until the turn's circulating ``D`` lands
+    (:meth:`_accumulate`); a factored chunk's (``factored``, DESIGN.md
+    §17) leaves as its factor bundle for the slot's owner, which forms
+    the gradient once per iteration (:meth:`_park`, :meth:`_form`).
 
     Each turn a rank hops its forward slot, its backward slot and the
-    backward slot's ``D`` to its right, each the slot its flow holds
-    there (:data:`HELD`); at the end of the iteration the losses are gathered
-    and every owner injects its updated slot at the slot's forward home,
-    as it did once at construction; the call ends on gathering the model.
+    ``D`` of the backward slot's dense chunks (none below the regime
+    boundary) to its right, each the slot its flow holds there
+    (:data:`HELD`); each backward of a slot it does not own posts one
+    ``("factors", it, slot, mb)`` hop to the owner.  At the end of the
+    iteration the losses are gathered and every owner injects its
+    updated slot at the slot's forward home, as it did once at
+    construction; the call ends on gathering the model.
     """
 
     POSTS = (Post("turn", "hop", "F", "slot", "weight", peer="right"),
              Post("turn", "hop", "B", "slot", "weight", peer="right"),
-             Post("turn", "hop", "D", "slot", "wgrad", peer="right"),
+             Post("turn", "hop", "D", "dense", "wgrad", peer="right"),
+             Post("B", "hop", "factors", "factors", "act", peer="owner"),
              Post("end", "all-gather", "wp-loss", "microbatches", "loss"),
              Post("end", "hop", "inject", "slot", "weight", peer="home"),
              Post("call", "hop", "inject", "slot", "weight", peer="home"),
@@ -208,9 +227,29 @@ class RingLoop(RankLoop):
         self.bwd_slot: SlotWeights = dict(
             zip(self.ids, spec.init_chunks(self.ids, pool=self.pool))
         )
+        # a factored chunk's gradient travels as factor bundles, not in D
         self.grad_slot: SlotWeights = {
             i: w.zeros_like(self.pool) for i, w in self.bwd_slot.items()
+            if i not in self.factored
         }
+        #: the owned slot's factored chunks' gradient, formed here each
+        #: iteration; it never travels, so it is private memory.
+        self.formed: SlotWeights = {
+            i: w.zeros_like() for i, w in self.bwd_slot.items() if i in self.factored
+        }
+        # does the slot have a D (a dense chunk)?  Unit -> its chunks'
+        # bundles, from a backward on a foreign slot to its ship; the
+        # (rank, mb) of the other ranks' bundles for the owned slot.
+        self._has_d = [any(i not in self.factored
+                           for i in slot_chunk_ids(j, self.world, self.cfg.n_layers))
+                       for j in range(self.world)]
+        self._outgoing: Dict[Tuple[int, int], SlotWeights] = {}
+        wop = "W" if self.split else "B"
+        self._sources = [
+            (r, mb) for r in range(self.world) if r != self.rank
+            for kind, (slot, mb) in ring_program(mode, self.world, r, spec.n_microbatches)
+            if kind == wop and slot == self.owned_slot and self.formed
+        ]
         self.opt_states = dict(zip(self.ids, init_opt_states(
             spec, self.opt, list(self.bwd_slot.values()), self.ids)))
         #: forward-flow holding; empty until the construction-time inject
@@ -370,7 +409,7 @@ class RingLoop(RankLoop):
         dt = perf_counter() - t0
         self._h_compute.observe(dt)
         if self.trace.enabled:
-            slot, mb = unit
+            slot, mb = unit or (self.owned_slot, None)  # a formation: the owned slot
             self.trace.complete(op, "compute", t0, dt,
                                 {"turn": self.turn, "slot": slot, "mb": mb, **args})
 
@@ -401,7 +440,7 @@ class RingLoop(RankLoop):
                 )
                 flat /= self.dp_comm.world_size
                 grads[i] = g.unpack_from(flat)
-                if grads[i] is not g:
+                if grads[i] is not g and i not in self.formed:
                     self._release_slot({i: g})
         return sum(merged.values())
 
@@ -415,6 +454,10 @@ class RingLoop(RankLoop):
         self._ring_turns(
             it, *ring_schedule(self.mode, self.world, self.spec.n_microbatches)
         )
+        self._form(it)
+        # the owned slot's whole gradient: D home, and what was formed
+        self.grad_slot = {i: self.formed[i] if i in self.formed else self.grad_slot[i]
+                          for i in self.ids}
         # the loss gather is the iteration's barrier: past it every rank
         # has taken its last forward-flow slot, which on a shared wire is
         # the very buffer its owner's update pass writes in place.
@@ -496,7 +539,10 @@ class RingLoop(RankLoop):
         h_wire, h_compute = self._h_wire, self._h_compute
 
         def post(turn):
-            return [comm.irecv(comm.left, (flow, it, turn)) for flow in "FBD"]
+            # a D only for a slot with dense chunks
+            d = self._has_d[HELD["D"](self.rank, turn, self.world)]
+            return [comm.irecv(comm.left, (flow, it, turn)) if d or flow != "D" else None
+                    for flow in "FBD"]
 
         def forward_w(turn):
             self._send_wslot("F", self.fwd_slot, it, turn)
@@ -533,12 +579,16 @@ class RingLoop(RankLoop):
                         self.backward(it, unit, [self.bwd_slot[i] for i in ids], None)
                     else:
                         self.weight(it, unit, None)
+                    if kind != "F":
+                        self._ship(it, unit)
             if nd is not None:
                 # consume point of the circulating accumulator: its sender
                 # posts D only after finishing the turn that read the
                 # W slots it forwarded, so from here on those buffers (and
                 # this D) are exclusively ours to mutate.
                 self.grad_slot = self._timed(h_wire, "wait:D", "wire", {"turn": t}, nd.wait)
+            elif t > 0:
+                self.grad_slot = {}  # the held slot has no D
             if self._deferred:
                 self._timed(h_compute, "accum", "compute", {"turn": t},
                             self._drain_deferred)
@@ -546,10 +596,11 @@ class RingLoop(RankLoop):
                 return
             if not early:
                 forward_w(t + 1)
-            comm.isend(
-                self.grad_slot, comm.right, ("D", it, t + 1),
-                nbytes=self._slot_nbytes(self.grad_slot, self.d_wire),
-            )
+            if self.grad_slot:
+                comm.isend(
+                    self.grad_slot, comm.right, ("D", it, t + 1),
+                    nbytes=self._slot_nbytes(self.grad_slot, self.d_wire),
+                )
             self._m_turns.add(1)
             if task.idle:
                 self._m_idle_turns.add(1)
@@ -557,21 +608,58 @@ class RingLoop(RankLoop):
                 self.trace.complete("turn", "turn", tt0, perf_counter() - tt0,
                                     {"turn": t, "idle": task.idle})
 
+    # -- factored gradients (DESIGN.md §10, §17) --------------------------------
+
+    def _park(self, it: int, unit: Tuple[int, int], pos: int, i: int, bundle: dict) -> None:
+        """Keep chunk ``i``'s factor bundle for the owned slot's formation,
+        or, on a slot another rank owns, for the hop to it (:meth:`_ship`)."""
+        slot, mb = unit
+        if slot == self.owned_slot:
+            self.bundles.setdefault(i, {})[mb] = bundle
+        else:
+            self._outgoing.setdefault(unit, {})[i] = bundle
+
+    def _ship(self, it: int, unit: Tuple[int, int]) -> None:
+        """Post the op's bundles for a foreign slot to its owner as one
+        ``("factors", it, slot, mb)`` hop, at the activation widths."""
+        bundles = self._outgoing.pop(unit, None)
+        if bundles is None:
+            return
+        p = self.spec.precision
+        n_in, n_grad = map(sum, zip(*(factor_numel(b) for b in bundles.values())))
+        slot, mb = unit
+        self.comm.send(bundles, slot_owner(slot, self.world), ("factors", it, slot, mb),
+                       nbytes=n_in * p.act_bytes + n_grad * p.act_grad_bytes)
+
+    def _form(self, it: int) -> None:
+        """The owned slot's factored gradients, after the turns: the bundles
+        the other ranks posted join this rank's own, and :meth:`form`
+        writes each chunk's gradient into ``formed``."""
+        for r, mb in self._sources:
+            for i, b in self.comm.recv(r, ("factors", it, self.owned_slot, mb)).items():
+                self.bundles[i][mb] = b
+        self.form(it, self.formed)
+
     # -- update pass ----------------------------------------------------------
 
     def _update_pass(self, it: int) -> None:
         """Owner updates its slot and re-injects weights into both flows.
 
         The backward flow is home at the owner, so the update is local
-        (clipped through :meth:`clip_args`, ``D`` already synced);
-        the forward flow restarts at ``fwd_home`` with the updated slot
-        itself (:meth:`_inject_forward`).
+        (clipped through :meth:`clip_args`, ``D`` already synced); the
+        ``D`` is cleared for the next iteration, and a formed gradient
+        leaves it, to be overwritten by its next formation; the forward
+        flow restarts at ``fwd_home`` with the updated slot itself
+        (:meth:`_inject_forward`).
         """
         pre_update(self.spec, it, self.opt, list(self.grad_slot.values()),
                    **self.clip_args(it))
         for i, w in self.bwd_slot.items():
             self.opt.step(w, self.grad_slot[i], self.opt_states[i])
-            self.grad_slot[i].zero_()
+            if i in self.formed:
+                self.formed[i] = self.grad_slot.pop(i)
+            else:
+                self.grad_slot[i].zero_()
         self._inject_forward(it)
 
     def _inject_forward(self, it: int) -> None:

@@ -56,6 +56,8 @@ __all__ = [
     "layer_bwd",
     "layer_bwd_input",
     "layer_bwd_weight",
+    "LINEAR_INPUTS",
+    "layer_factors",
 ]
 
 
@@ -396,6 +398,31 @@ def layer_bwd_weight(cache: tuple, wcache: dict) -> ParamStruct:
             "w_down": F.linear_bwd_weight(c_down[0], wcache["d_down"]),
         }
     )
+
+
+#: each linear's input in a layer's factor bundle (:func:`layer_factors`),
+#: by the weight's name; the output gradient rides under the weight's own.
+LINEAR_INPUTS = {"wq": "h1", "wk": "h1", "wv": "h1", "wo": "attn",
+                 "w_gate": "h2", "w_up": "h2", "w_down": "f"}
+
+
+def layer_factors(cache: tuple, wcache: dict) -> dict:
+    """The layer's *factor bundle*: what its W pass reads, without running
+    it.  Each linear's input (named in :data:`LINEAR_INPUTS`) and output
+    gradient (under the weight's name), and each norm gain's gradient,
+    a vector.  Below the regime boundary the bundle is smaller than the
+    dense gradient it factors (``repro.nn.model.chunk_factored``), and a
+    weight's gradient over many microbatches is one GEMM on their stacked
+    bundles (``repro.nn.model.chunk_form``).  Arrays are the cache's and
+    the B pass's own, not copies."""
+    _, _, _, _, c_norm1, c_q, _, _, _, c_o, c_norm2, c_gate, *_, c_down, _seam = cache
+    return {
+        "h1": c_q[0], "attn": c_o[0], "h2": c_gate[0], "f": c_down[0],
+        "wq": wcache["d_q"], "wk": wcache["d_k"], "wv": wcache["d_v"], "wo": wcache["d_o"],
+        "w_gate": wcache["d_gate"], "w_up": wcache["d_up"], "w_down": wcache["d_down"],
+        "attn_norm": F.rmsnorm_bwd_weight(wcache["d_h1"], c_norm1),
+        "ffn_norm": F.rmsnorm_bwd_weight(wcache["d_h2"], c_norm2),
+    }
 
 
 def layer_bwd(

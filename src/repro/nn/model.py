@@ -16,7 +16,7 @@ every worker runs the full model for its own microbatches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 # bound at import: NumPy 2 loads numpy.random lazily, and a forked
@@ -25,12 +25,14 @@ from numpy.random import default_rng
 
 from . import functional as F
 from .layer import (
+    LINEAR_INPUTS,
     Seam,
     draw_scratch,
     init_params,
     layer_bwd,
     layer_bwd_input,
     layer_bwd_weight,
+    layer_factors,
     layer_fwd,
     layer_kept,
     layer_layout,
@@ -52,6 +54,12 @@ __all__ = [
     "chunk_bwd",
     "chunk_bwd_input",
     "chunk_bwd_weight",
+    "chunk_factored",
+    "chunk_factors",
+    "factor_numel",
+    "chunk_factor_numel",
+    "chunk_form",
+    "FACTOR_INPUTS",
     "model_fwd",
     "model_loss_and_grads",
     "sequence_logprobs",
@@ -290,6 +298,109 @@ def chunk_bwd(
     dx, wcache = chunk_bwd_input(cfg, idx, w, dy, cache)
     grads = chunk_bwd_weight(cfg, idx, cache, wcache)
     return dx, grads
+
+
+# ---------------------------------------------------------------------------
+# factored weight gradients (DESIGN.md §17)
+
+#: each linear's input in a chunk's factor bundle: the layer's, and the
+#: head's (the final norm's output).
+_INPUTS = {**LINEAR_INPUTS, "head": "h"}
+#: the bundle's input-side entries, which cross the wire at the activation
+#: width; every other entry is a gradient, at the activation-gradient width.
+FACTOR_INPUTS = frozenset(_INPUTS.values()) | {"tokens"}
+
+
+def _linears(cfg, idx: int) -> List[Tuple[int, int]]:
+    """``(in, out)`` of every linear in chunk ``idx``."""
+    h, f = cfg.hidden, cfg.ffn
+    shapes = [(h, h)] * 4 + [(h, f), (h, f), (f, h)]
+    return shapes + [(h, cfg.vocab)] * (idx == cfg.n_layers - 1)
+
+
+def chunk_factored(cfg, idx: int, tokens: int) -> bool:
+    """Is chunk ``idx``'s gradient cheaper carried as factors?  True when,
+    for every linear in it, a microbatch of ``tokens`` positions has fewer
+    factor elements (``tokens * (in + out)``: its input and its output
+    gradient) than the dense gradient has (``in * out``) — for Llama
+    shapes ``tokens < H / 2``.  ``cfg`` is a ``ModelConfig`` or anything
+    with its ``hidden`` / ``ffn`` / ``vocab`` / ``n_layers``."""
+    return all(tokens * (i + o) < i * o for i, o in _linears(cfg, idx))
+
+
+def chunk_factors(cfg: ModelConfig, idx: int, cache: tuple, wcache: dict) -> dict:
+    """Chunk ``idx``'s factor bundle from its B pass (:func:`chunk_bwd_input`'s
+    ``cache`` and ``wcache``): the layer's
+    (:func:`~repro.nn.layer.layer_factors`), plus the token ids and their
+    gradient on chunk 0, and the head's input and output gradient and the
+    final norm's gain gradient on the last chunk.  No GEMM runs here."""
+    parts = dict(cache)
+    bundle = layer_factors(parts["layer"], wcache["layer"])
+    if idx == 0:
+        bundle["tokens"] = parts["embed"][0]
+        bundle["embed"] = wcache["d_embed"]
+    if idx == cfg.n_layers - 1:
+        bundle["h"] = parts["head"][0]
+        bundle["head"] = wcache["d_head"]
+        bundle["final_norm"] = F.rmsnorm_bwd_weight(
+            wcache["d_final_norm"], parts["final_norm"]
+        )
+    return bundle
+
+
+def factor_numel(bundle: Dict[str, np.ndarray]) -> Tuple[int, int]:
+    """``(input, gradient)`` element counts of a factor bundle."""
+    n_in = sum(a.size for k, a in bundle.items() if k in FACTOR_INPUTS)
+    return n_in, sum(a.size for a in bundle.values()) - n_in
+
+
+def chunk_factor_numel(cfg, idx: int, tokens: int) -> Tuple[int, int]:
+    """:func:`factor_numel` of chunk ``idx``'s bundle for a microbatch of
+    ``tokens`` positions, from the shapes alone."""
+    h, f = cfg.hidden, cfg.ffn
+    n_in, n_grad = tokens * (3 * h + f), tokens * (5 * h + 2 * f) + 2 * h
+    if idx == 0:
+        n_in, n_grad = n_in + tokens, n_grad + tokens * h
+    if idx == cfg.n_layers - 1:
+        n_in, n_grad = n_in + tokens * h, n_grad + tokens * cfg.vocab + h
+    return n_in, n_grad
+
+
+def chunk_form(bundles: Sequence[dict], out: ParamStruct) -> ParamStruct:
+    """A chunk's gradient, written into ``out``, from its microbatches'
+    factor bundles in the order given.
+
+    Each linear's gradient is one GEMM over every microbatch's tokens,
+    stacked in that order: ``concat(x).T @ concat(dy)``, where the
+    per-microbatch path runs one thin GEMM per microbatch and adds.  The
+    norm gains sum their vectors in order, and the embedding scatters the
+    stacked token gradients.  A stacked sum rounds differently from the
+    per-microbatch sum, so every loop that forms a chunk forms it here,
+    from bundles in microbatch order: the results stay bit-identical
+    across strategies and wires."""
+    stacked: Dict[str, List[str]] = {}
+    for name in out.keys():
+        if name in _INPUTS:
+            stacked.setdefault(_INPUTS[name], []).append(name)
+
+    def rows(key: str) -> np.ndarray:
+        return np.concatenate([b[key].reshape(-1, b[key].shape[-1]) for b in bundles])
+
+    for key, names in stacked.items():
+        x = rows(key).T
+        for name in names:
+            np.matmul(x, rows(name), out=out[name])
+        del x  # one stacked input lives at a time
+    for name, g in out.items():
+        if name == "embed":
+            g[...] = 0.0
+            tokens = np.concatenate([b["tokens"].reshape(-1) for b in bundles])
+            np.add.at(g, tokens, rows("embed"))
+        elif name not in _INPUTS:
+            g[...] = bundles[0][name]
+            for b in bundles[1:]:
+                g += b[name]
+    return out
 
 
 # ---------------------------------------------------------------------------

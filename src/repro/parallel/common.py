@@ -31,7 +31,17 @@ from numpy.random import default_rng
 from ..nn import functional as F
 from ..nn.checkpoint import CheckpointedChunk
 from ..nn.layer import Seam, draw_scratch, layer_param_count
-from ..nn.model import ModelConfig, chunk_param_count, init_chunk, rope_tables
+from ..nn.model import (
+    FACTOR_INPUTS,
+    ModelConfig,
+    chunk_factor_numel,
+    chunk_factored,
+    chunk_factors,
+    chunk_form,
+    chunk_param_count,
+    init_chunk,
+    rope_tables,
+)
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import FP32, PrecisionPolicy, is_exact
 from ..obs.tracer import NULL_RANK_TRACER
@@ -340,7 +350,12 @@ class ChunkSeam(Seam):
     hands the ``"F"`` or ``"B"`` op the weights it runs, :meth:`reduce`
     takes the chunk's quantised gradient to what the rank accumulates.
     This base is the identity everywhere — a rank that holds the whole
-    chunk and keeps its whole gradient."""
+    chunk and keeps its whole gradient.  Only such a rank may carry a
+    gradient as factors (``whole``, DESIGN.md §17): a seam that reduces
+    each microbatch's dense gradient, or splits the chunk, keeps it
+    dense."""
+
+    whole = True
 
     def gather(self, w: ParamStruct, op: str) -> ParamStruct:
         return w
@@ -369,7 +384,8 @@ class Post:
     ``what`` is ``"hop"``, one message to ``peer``, or a ring collective
     (:data:`PASSES`) over a buffer; ``kind`` the tag kind the fabric
     ledgers it under; ``unit`` and ``width`` its payload or buffer
-    (:meth:`Sizes.nbytes`); an instance posts ``count`` of them."""
+    (:meth:`Sizes.nbytes`); an instance posts ``count`` of them.  A hop
+    of no bytes is not posted."""
 
     when: str
     what: str
@@ -406,7 +422,16 @@ class Sizes:
         already crossed this group boundary this iteration (``crossed``,
         DESIGN §12) hops as a reference (:meth:`Post.across`)."""
         cfg, unit = self.cfg, post.unit
-        if unit in ("chunk", "slot", "model"):
+        tokens = self.microbatch * cfg.seq_len
+        if unit in ("dense", "factors"):
+            # a slot's chunks whose gradient is dense / carried as factors
+            ids = [j for j in slot_chunk_ids(i, self.world, cfg.n_layers)
+                   if chunk_factored(cfg, j, tokens) == (unit == "factors")]
+            if unit == "factors":  # inputs at the activation width, the rest its gradient's
+                parts = [chunk_factor_numel(cfg, j, tokens) for j in ids]
+                return sum(a * self.widths["act"] + g * self.widths["act_grad"] for a, g in parts)
+            n = sum(chunk_param_count(cfg, j) for j in ids)
+        elif unit in ("chunk", "slot", "model"):
             ids = ({"chunk": [i], "model": range(cfg.n_layers)}.get(unit)
                    or slot_chunk_ids(i, self.world, cfg.n_layers))
             n = sum(chunk_param_count(cfg, j) for j in ids)
@@ -480,6 +505,12 @@ class RankLoop:
         self.inflight: Dict[object, tuple] = {}
         # unit -> (ids, seams, [(chunk position, cache, wcache), ...]), B to W
         self.pending_w: Dict[object, tuple] = {}
+        #: chunks thin enough to carry their gradient as factors (DESIGN.md §17)
+        tokens = spec.microbatch_size * spec.cfg.seq_len
+        self.factored = {i for i in range(spec.cfg.n_layers)
+                         if chunk_factored(spec.cfg, i, tokens)}
+        # chunk position -> mb -> factor bundle, from B (or W) to form()
+        self.bundles: Dict[int, Dict[object, dict]] = {}
         self.peak_inflight = self.peak_pending_w = 0
 
     @classmethod
@@ -563,6 +594,7 @@ class RankLoop:
                 self.backward(it, mb, chunks, grads)
             else:
                 self.weight(it, mb, grads)
+        self.form(it, grads)
         loss = self.sync(it, grads, loss)
         pre_update(self.spec, it, self.opt, grads, **self.clip_args(it))
         for c, g, s in zip(chunks, grads, states):
@@ -624,6 +656,10 @@ class RankLoop:
             if self.split:
                 dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
                 parked.append((pos, cache, wcache))
+            elif self._factored(i, seam):
+                dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
+                self._park(it, mb, pos, i, self._factors(i, cache, wcache))
+                del cache, wcache
             else:
                 dy, g = ck.bwd(i, w, dy, fwd[pos])
                 self._accumulate(grads, pos, i, seam, g)
@@ -642,6 +678,9 @@ class RankLoop:
         w0 = perf_counter()
         ids, seams, parked = self.pending_w.pop(mb)
         for pos, cache, wcache in parked:
+            if self._factored(ids[pos], seams[pos]):
+                self._park(it, mb, pos, ids[pos], self._factors(ids[pos], cache, wcache))
+                continue
             g = self.ck.bwd_weight(ids[pos], cache, wcache)
             self._accumulate(grads, pos, ids[pos], seams[pos], g)
         self.span("W", w0, it, mb)
@@ -659,6 +698,49 @@ class RankLoop:
         """Add chunk ``i``'s gradient ``g`` (already at ``1/N``) into
         ``grads[pos]``."""
         grads[pos].add_(seam.reduce(quantize_grads(g, self.spec.precision)))
+
+    # -- factored gradients (DESIGN.md §17) ----------------------------------------
+
+    def _factored(self, i: int, seam: ChunkSeam) -> bool:
+        """Does chunk ``i``'s gradient leave its backward as a factor bundle
+        rather than run the weight GEMMs there?  Where the rank keeps the
+        whole gradient and the microbatch is thin enough
+        (:func:`~repro.nn.model.chunk_factored`)."""
+        return seam.whole and i in self.factored
+
+    def _factors(self, i: int, cache: tuple, wcache: dict) -> dict:
+        """Chunk ``i``'s factor bundle from its B pass, quantised to the
+        activation formats (its inputs to ``q_act``, the rest to
+        ``q_act_grad``) where they are not the arrays' own."""
+        bundle = chunk_factors(self.spec.cfg, i, cache, wcache)
+        p, dtype = self.spec.precision, self.spec.cfg.dtype
+        if is_exact(p.activations, dtype) and is_exact(p.act_grads, dtype):
+            return bundle
+        return {k: a if k == "tokens" else
+                (p.q_act if k in FACTOR_INPUTS else p.q_act_grad)(a).astype(a.dtype, copy=False)
+                for k, a in bundle.items()}
+
+    def _park(self, it: int, mb, pos: int, i: int, bundle: dict) -> None:
+        """Keep chunk ``i``'s bundle for microbatch ``mb`` until
+        :meth:`form` runs at the end of the iteration."""
+        self.bundles.setdefault(pos, {})[mb] = bundle
+
+    def form(self, it: int, grads) -> None:
+        """Each factored chunk's gradient, written into ``grads[key]`` from
+        the bundles parked under that key (a chunk position; the ring's
+        chunk id) in microbatch order — one GEMM per weight
+        (:func:`~repro.nn.model.chunk_form`) — and quantised once to the
+        gradient format (one ``W`` span)."""
+        if not self.bundles:
+            return
+        w0 = perf_counter()
+        exact = is_exact(self.spec.precision.weight_grads, self.spec.cfg.dtype)
+        for key, by_mb in self.bundles.items():
+            g = chunk_form([by_mb[mb] for mb in sorted(by_mb)], grads[key])
+            if not exact:
+                quantize_grads_(g, self.spec.precision)
+        self.bundles.clear()
+        self.span("W", w0, it, None)
 
 
 @dataclass

@@ -104,6 +104,8 @@ class FSDPSeam(ChunkSeam):
     (``("fsdp-rs",) + key``).  ``k`` is the rank's local microbatch
     ordinal, identical on every rank, unlike the global microbatch id."""
 
+    whole = False
+
     def __init__(self, comm: Communicator, spec: TrainSpec,
                  template: ParamStruct, key: Tuple):
         super().__init__(spec.cfg.n_heads)

@@ -58,6 +58,8 @@ class SPSeam(ChunkSeam):
     the layer is position-local, so the other seam points are identities.
     """
 
+    whole = False
+
     attention_core = True
 
     def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):

@@ -128,6 +128,8 @@ class TPSeam(ChunkSeam):
     in the forward, tagged ``("tp-f", it, mb, i, site)``, and its
     column-parallel input gradients in the backward (``"tp-b"``)."""
 
+    whole = False
+
     def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):
         super().__init__(spec.cfg.n_heads // comm.world_size)
         self.comm, self.key = comm, key

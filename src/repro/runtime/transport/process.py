@@ -813,13 +813,14 @@ class ProcessTransport(Transport):
                                 r,
                             )
                 if pending and not progressed:
-                    # a report or an exit wakes the loop at once; the
-                    # timeout keeps the clock-handshake and deadline polls
-                    # at their 5 ms cadence.
+                    # a report, an exit or the deadline wakes the loop at
+                    # once; until every rank's clock sample is seen, so
+                    # does a 5 ms poll, and then nothing else.
                     mp_wait(
                         [pipes[r][0] for r in pending]
                         + [procs[r].sentinel for r in pending],
-                        timeout=0.005,
+                        timeout=0.005 if len(clock_obs) < world_size
+                        else deadline.remaining(),
                     )
 
             if pending:

@@ -255,16 +255,23 @@ class CostModel:
         """Seconds to replay one layer's forward (:meth:`flops_replay_layer`)."""
         return self._flop_time(self.flops_replay_layer())
 
-    def op_times(self, ops: Sequence[Tuple[str, object]], layers: int) -> List[float]:
+    def op_times(
+        self, ops: Sequence[Tuple[str, object]], layers: int, factored: bool = False
+    ) -> List[float]:
         """Seconds of each op of one rank's program over ``layers``-layer
         units: ``F`` and ``W`` one forward each; ``B`` two, or one in a
         program with ``W`` ops, plus — when recomputing — the replays
-        :func:`~repro.nn.checkpoint.replayed_chunks` counts for it."""
-        b = 1.0 if any(kind == "W" for kind, _ in ops) else 2.0
+        :func:`~repro.nn.checkpoint.replayed_chunks` counts for it.  A
+        ``factored`` program's weight gradients are formed apart, once per
+        iteration (DESIGN.md §17): its ``B`` is the input half alone and
+        its ``W`` runs no GEMM."""
+        split = any(kind == "W" for kind, _ in ops)
+        b = 1.0 if split or factored else 2.0
+        w = 0.0 if factored else 1.0
         replays = replayed_chunks(ops, layers) if self.cfg.recompute else [0] * len(ops)
         t_f, t_replay = self.t_fwd_layer(), self.t_replay_layer()
         return [
-            layers * t_f * (b if kind == "B" else 1.0) + n * t_replay
+            layers * t_f * {"B": b, "W": w}.get(kind, 1.0) + n * t_replay
             for (kind, _), n in zip(ops, replays)
         ]
 

@@ -176,7 +176,9 @@ def _mem_dp(dims, cluster, cost) -> List[float]:
 
 def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     """One weight ring (a ``ring`` family record): three circulating
-    slots (2 W + D), double-buffered, plus owner-local optimizer state,
+    slots (2 W + D), double-buffered — the D of a slot's dense chunks,
+    and below the regime boundary the owner's factor bundles in its
+    place — plus owner-local optimizer state,
     plus the walked activations of each worker's turn program.  Embedding
     and head weights ride the ring, so every worker transiently holds
     copies; their optimizer state sits on their owners.
@@ -193,6 +195,10 @@ def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     slots += max(sizes.nbytes(post, slot) for post in RingLoop.POSTS
                  if post.when == "turn" and post.width == "wgrad" for slot in range(world))
     slots *= 2  # double buffering for the prefetched next turn
+    # below the regime boundary the owner holds every microbatch's factor
+    # bundle of its slot until it forms the gradient
+    slots += dims.n_microbatches * max(sizes.nbytes(post, slot) for post in RingLoop.POSTS
+                                       if post.peer == "owner" for slot in range(world))
     opt = cost.optimizer_bytes(lps)
     embed_ride = 2 * dims.vocab * dims.hidden * cost.cfg.weight_bytes * 2
     embed_opt = cost.embedding_bytes() / world  # owners share the extras

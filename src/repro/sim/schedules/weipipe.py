@@ -31,6 +31,13 @@ the owner then applies the update (a small compute task) and re-injects
 weights (one extra hop), matching the functional engine's ``t == total``
 turn, loss gather and update pass.
 
+Below the regime boundary (``repro.nn.model.chunk_factored``) a chunk's
+gradient rides no ``D``: the ``D`` row sizes a slot's dense chunks
+alone, and a backward on a slot another worker owns posts the
+``factors`` row to that owner, which forms the gradient (``N`` W passes
+of the slot, one compute task) before its update.  The turns' ``B`` then
+cost the input half alone (:meth:`~repro.sim.costmodel.CostModel.op_times`).
+
 ``hier=True`` is the runtime's boundary rule (DESIGN §12) on the hops
 that leave a node: a weight slot crosses in full while the tag's turn is
 within the first revolution (``turn <= P``) and as a reference after.
@@ -49,9 +56,10 @@ import math
 from dataclasses import replace
 from typing import Callable, Tuple
 
-from ...core.schedule import fwd_home, ring_schedule, ring_splits_backward, turn_ops
+from ...core.schedule import fwd_home, ring_schedule, ring_splits_backward, slot_owner, turn_ops
 from ...core.weipipe import HELD, RingLoop
-from ...parallel.common import Sizes
+from ...nn.model import chunk_factored
+from ...parallel.common import Sizes, slot_chunk_ids
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
 from ..hardware import Cluster
@@ -145,8 +153,8 @@ def _ring_graph(
             if t > 1:
                 d_deps.append(("AD", left, t - 1))
             g.add(
-                ("AD", p, t), res, link.time(d_bytes), deps=tuple(d_deps),
-                kind="comm", nbytes=d_bytes, src=left, dst=p,
+                ("AD", p, t), res, link.time(d_bytes) if d_bytes else 0.0,
+                deps=tuple(d_deps), kind="comm", nbytes=d_bytes, src=left, dst=p,
             )
     return g
 
@@ -175,13 +183,15 @@ def build_weipipe(
 
     wgrad_op = "W" if ring_splits_backward(mode) else "B"
     sizes = cost.sizes(world)
+    tokens = dims.tokens_per_microbatch
+    factored = [chunk_factored(dims, i, tokens) for i in range(dims.n_layers)]
 
     # each rank's turns priced op by op along its whole program, so a B
     # pays the replays the checkpoint rule counts for it there.
     turn_secs = []
     for p in range(world):
         turns = [turn_ops(task_fn(p, t)) for t in range(total)]
-        secs = iter(cost.op_times([op for ops in turns for op in ops], lps))
+        secs = iter(cost.op_times([op for ops in turns for op in ops], lps, all(factored)))
         turn_secs.append([sum(next(secs) for _ in ops) for ops in turns])
 
     def turn(p: int, t: int):
@@ -197,6 +207,30 @@ def build_weipipe(
 
     g = _ring_graph(cluster, exec_cfg, total, turn, _hops(sizes, crossed), homing=True)
 
+    # factor bundles: each backward on a foreign slot hops to its owner,
+    # which forms the slot's factored gradients once all are in.
+    (bundle,) = [post for post in RingLoop.POSTS if post.peer == "owner"]
+    into = {p: [] for p in range(world)}
+    for p in range(world):
+        for t in range(total):
+            for kind, (slot, _) in turn_ops(task_fn(p, t)):
+                owner, nbytes = slot_owner(slot, world), sizes.nbytes(bundle, slot)
+                if kind != wgrad_op or not nbytes:
+                    continue
+                if owner == p:
+                    into[p].append(("T", p, t))
+                    continue
+                into[owner].append(g.add(
+                    ("AX", p, t), comm_resource(cluster, p, owner, exec_cfg.overlap),
+                    cluster.link(p, owner).time(nbytes), deps=(("T", p, t),),
+                    kind="comm", nbytes=nbytes, src=p, dst=owner,
+                ))
+    for p in range(world):
+        n = sum(factored[i] for i in slot_chunk_ids((p - 1) % world, world, dims.n_layers))
+        if n:  # the W halves of every microbatch, at once
+            g.add(("FORM", p), ("compute", p), n * dims.n_microbatches * cost.t_fwd_layer(),
+                  deps=tuple(into[p]), kind="W", worker=p)
+
     # update pass: every rank's last turn and the homing hop's arrivals
     # (the runtime's ``t == total`` turn), then the end rows: the loss
     # gather, which every update waits for, and each owner's inject of its
@@ -209,7 +243,8 @@ def build_weipipe(
     syncs = tuple(collective_task(g, (post.kind,), post, sizes, cluster, net, homed)
                   for post in ends if post.what != "hop")
     for p in range(world):
-        g.add(("U", p), ("compute", p), t_update, deps=syncs, kind="update", worker=p)
+        formed = (("FORM", p),) if ("FORM", p) in g.tasks else ()
+        g.add(("U", p), ("compute", p), t_update, deps=syncs + formed, kind="update", worker=p)
         owned = (p - 1) % world
         target = fwd_home(owned, world)
         for post in ends:

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 import numpy as np
 
 from .core.api import ZOO, posts, rank_programs, train
-from .core.schedule import fwd_home, ring_schedule
+from .core.schedule import fwd_home, ring_schedule, slot_owner
 from .core.weipipe import HELD
 from .nn.model import ModelConfig
 from .nn.precision import FP32, FP64
@@ -457,7 +457,9 @@ def table_ledger(strategy: str, spec, world: int, topology=None) -> Dict:
         out["iteration"] += 0 if post.when == "call" else nbytes
 
     def hop(post, i, src, dst, crossed=False):
-        tally(post, src, dst, post.count * sizes.nbytes(post, i, crossed), post.count)
+        nbytes = sizes.nbytes(post, i, crossed)
+        if nbytes:  # a hop of nothing is not posted
+            tally(post, src, dst, post.count * nbytes, post.count)
 
     def collective(post, i=0):
         if post.unit == "model":  # each rank's owned slot
@@ -484,6 +486,12 @@ def table_ledger(strategy: str, spec, world: int, topology=None) -> Dict:
                     crossed = cross and t + 1 > P and topology.link_class(
                         r, (r + 1) % P) == "inter"
                     hop(post, HELD[post.kind](r, t, P), r, (r + 1) % P, crossed)
+        elif post.peer == "owner":  # a backward's bundles, to its slot's owner
+            wop = "W" if rec.split_backward else "B"
+            for r, program in enumerate(programs):
+                for kind, (slot, _) in program:
+                    if kind == wop and slot_owner(slot, P) != r:
+                        hop(post, slot, r, slot_owner(slot, P))
         elif post.what == "hop" and post.when in ("F", "B"):
             step = 1 if post.peer == "next" else -1
             for s, program in enumerate(programs):

@@ -17,9 +17,14 @@ def _spec(**kw):
 
 
 class TestHybridEquivalence:
-    @pytest.mark.parametrize("ring,dp", [(2, 2), (4, 2), (2, 4), (4, 1), (1, 4)])
-    def test_matches_serial(self, ring, dp):
-        spec = _spec(n_microbatches=8 if (8 % (ring * dp) == 0) else ring * dp)
+    # 16 tokens a microbatch: a D circulates at H = 16; at H = 64 every
+    # chunk is factored and each replica's formed gradient is averaged
+    @pytest.mark.parametrize("ring,dp,hidden", [
+        pytest.param(r, d, h, id=f"{r}-{d}" + ("-factored" if h == 64 else ""))
+        for h in (16, 64) for r, d in [(2, 2), (4, 2), (2, 4), (4, 1), (1, 4)]])
+    def test_matches_serial(self, ring, dp, hidden):
+        spec = _spec(cfg=CFG.with_(hidden=hidden),
+                     n_microbatches=8 if (8 % (ring * dp) == 0) else ring * dp)
         ref = train(spec, "serial", 1)
         got = train_weipipe_dp(spec, ring_size=ring, dp_degree=dp)
         np.testing.assert_allclose(got.losses, ref.losses, rtol=1e-9)

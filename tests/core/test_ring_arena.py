@@ -114,12 +114,9 @@ def test_hier_ring_draws_the_same_working_set():
 # -- (b) a slot larger than the old constant ----------------------------------
 
 
-def test_wide_slot_trains_by_descriptor_bit_identically():
-    # 19.4 MB slot -> 32 MiB span; the two a rank draws (B slot and D)
-    # are 2x the 32 MiB constant every launch used to get (which once
-    # meant extra allocations per steady iteration and by-copy slots).
-    spec = _spec(2, 1, np.float64, hidden=448, microbatches=2, iters=2)
-    assert ring_pool_bytes(spec, 2, 0) == 2 * (32 << 20) > DEFAULT_ARENA_BYTES
+def _wide_slot(microbatch):
+    spec = replace(_spec(2, 1, np.float64, hidden=448, microbatches=2, iters=2),
+                   microbatch_size=microbatch)
     pt = ProcessTransport()
     proc = train_weipipe(spec, 2, fabric=pt)
     thread = train_weipipe(spec, 2)
@@ -128,6 +125,23 @@ def test_wide_slot_trains_by_descriptor_bit_identically():
     assert proc.extra["arena_overflow_bytes"] == 0
     allocs = proc.extra["pool_allocs_by_iter"]
     assert allocs[-1] - allocs[-2] == 0, allocs
+    return spec
+
+
+def test_wide_slot_trains_by_descriptor_bit_identically():
+    # 19.4 MB slot -> 32 MiB span; the two a rank draws (B slot and D)
+    # are 2x the 32 MiB constant every launch used to get (which once
+    # meant extra allocations per steady iteration and by-copy slots).
+    # 224 tokens against H = 448: above the regime boundary, a D circulates.
+    spec = _wide_slot(28)
+    assert ring_pool_bytes(spec, 2, 0) == 2 * (32 << 20) > DEFAULT_ARENA_BYTES
+
+
+def test_a_factored_wide_slot_draws_the_b_slot_alone():
+    # 8 tokens against H = 448: the gradient is formed in private memory
+    # and the B slot's 32 MiB span is the whole draw
+    spec = _wide_slot(1)
+    assert ring_pool_bytes(spec, 2, 0) == 32 << 20
 
 
 # -- (c) an undersized arena is loud and correct ------------------------------

@@ -66,9 +66,10 @@ def test_a_nan_filled_pool_trains_every_ring_row_to_serial(
 
 
 def test_a_steady_state_drain_allocates_nothing_slot_sized(monkeypatch):
+    # 32 tokens against H = 64: the dense regime, where a D circulates
     spec = replace(default_differential_spec(precision=FP32, iters=3),
                    cfg=default_differential_spec().cfg.with_(
-                       hidden=64, n_layers=2, dtype=np.float32))
+                       hidden=64, n_layers=2, seq_len=16, dtype=np.float32))
     peaks = []
     drain = RingLoop._drain_deferred
 

@@ -149,6 +149,30 @@ def test_a_launch_returns_on_the_last_report_not_the_last_exit():
             os.waitpid(pid, os.WNOHANG)
 
 
+def _sleep(comm):
+    time.sleep(0.3)
+    return comm.rank
+
+
+def test_the_launcher_sleeps_once_the_clock_handshake_is_done(monkeypatch):
+    # the launcher used to wake every 5 ms for the whole launch (~60
+    # passes here); past the handshake only a report, an exit or the
+    # deadline wakes it.
+    import multiprocessing.connection as connection
+
+    passes = []
+    wait = connection.wait
+
+    def counted(*a, **kw):
+        if sys._getframe(1).f_code.co_name == "launch":  # not a join's wait
+            passes.append(kw.get("timeout"))
+        return wait(*a, **kw)
+
+    monkeypatch.setattr(connection, "wait", counted)
+    assert run_workers(2, _sleep, backend="process") == [0, 1]
+    assert len(passes) <= 10, passes
+
+
 def test_back_to_back_launches_hold_one_launchs_ranks_at_most():
     world = 2
     for p in multiprocessing.active_children():  # earlier tests' ranks
