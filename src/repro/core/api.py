@@ -84,6 +84,13 @@ class Strategy:
         return not (self.split_backward or self.full_cache)
 
     @property
+    def whole(self) -> bool:
+        """Does its loop keep each chunk's whole gradient, so that below
+        the regime boundary it forms it from factor bundles
+        (``RankLoop.whole``, DESIGN.md §17)?"""
+        return _LOOPS[self.family].whole
+
+    @property
     def overlap(self) -> bool:
         """Only the weight rings post their wire ahead of the compute."""
         return self.family == "ring"

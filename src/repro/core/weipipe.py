@@ -69,7 +69,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.model import chunk_factored, chunk_param_count, factor_numel
+from ..nn.model import (
+    FACTOR_INPUTS,
+    chunk_factor_numel,
+    chunk_factored,
+    chunk_param_count,
+    factor_numel,
+)
 from ..nn.params import BufferPool, ParamStruct
 from ..nn.precision import is_exact
 from ..parallel.common import (
@@ -124,20 +130,24 @@ HELD = {"F": fwd_slot_held, "B": bwd_slot_held, "D": bwd_slot_held, "W": bwd_slo
 WREF_MARK = "hier-wref"
 
 
-def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
+def ring_pool_bytes(spec: TrainSpec, world: int, rank: int, mode: str = "interleave") -> int:
     """Shared-arena bytes ``rank``'s worker draws from the fabric pool.
 
     The ring engine states this before fork so the process transport can
     size each rank's arena region from the spec instead of a constant:
-    every slot then crosses the wire as a descriptor at any ``H``.  The
-    draws are the same for every mode and topology, and all of them are
-    of the owned slot ``rank - 1``, at construction: the B slot and the
-    zeroed D of its dense chunks.  A factored chunk's gradient never
-    travels (:meth:`RingLoop._form`): it is formed in private memory, so
-    below the regime boundary the B slot is the whole draw.  The forward
-    flow carries that B slot itself (:meth:`RingLoop._inject_forward`),
-    so the forward slot a rank holds is a view of its owner's buffer and
-    nobody draws a copy.
+    every slot and every factor bundle then crosses the wire as a
+    descriptor at any ``H``.  The draws are the same for every topology.
+    At construction they are of the owned slot ``rank - 1``: the B slot
+    and the zeroed D of its dense chunks.  A factored chunk's gradient
+    never travels (:meth:`RingLoop._form`): it is formed in private
+    memory.  Instead each backward (a zero-bubble ring's W) that
+    ``mode``'s program runs on a slot another rank owns stages that
+    slot's factored bundles in one buffer (:meth:`RingLoop._stage`),
+    held until the iteration's loss gather: ``(P - 1) N / P`` of them an
+    iteration, one per foreign slot and microbatch of the rank's, the
+    same units in every mode.  The forward flow carries the B slot
+    itself (:meth:`RingLoop._inject_forward`), so the forward slot a
+    rank holds is a view of its owner's buffer and nobody draws a copy.
 
     Budgeting rule: the arena reserves a power-of-two span per buffer
     (:meth:`ShmArena.span_nbytes`), up to 2x the payload, so the sum is
@@ -150,11 +160,22 @@ def ring_pool_bytes(spec: TrainSpec, world: int, rank: int) -> int:
     cfg = spec.cfg
     itemsize = np.dtype(cfg.dtype).itemsize
     tokens = spec.microbatch_size * cfg.seq_len
+    owned = (rank - 1) % world
+
+    def staged(slot: int) -> int:
+        # the float elements of the slot's factored bundles: all but the token ids
+        return sum(sum(chunk_factor_numel(cfg, i, tokens)) - tokens * (i == 0)
+                   for i in slot_chunk_ids(slot, world, cfg.n_layers)
+                   if chunk_factored(cfg, i, tokens))
+
+    wop = "W" if ring_splits_backward(mode) else "B"
     return sum(
         ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
         * (1 if chunk_factored(cfg, i, tokens) else 2)  # the B slot, and a dense D
-        for i in slot_chunk_ids((rank - 1) % world, world, cfg.n_layers)
-    )
+        for i in slot_chunk_ids(owned, world, cfg.n_layers)
+    ) + sum(ShmArena.span_nbytes(staged(slot) * itemsize)
+            for kind, (slot, _) in ring_program(mode, world, rank, spec.n_microbatches)
+            if kind == wop and slot != owned and staged(slot))
 
 
 class RingLoop(RankLoop):
@@ -176,11 +197,13 @@ class RingLoop(RankLoop):
     Each turn a rank hops its forward slot, its backward slot and the
     ``D`` of the backward slot's dense chunks (none below the regime
     boundary) to its right, each the slot its flow holds there
-    (:data:`HELD`); each backward of a slot it does not own posts one
-    ``("factors", it, slot, mb)`` hop to the owner.  At the end of the
-    iteration the losses are gathered and every owner injects its
-    updated slot at the slot's forward home, as it did once at
-    construction; the call ends on gathering the model.
+    (:data:`HELD`); each backward of a slot it does not own stages its
+    bundles in one pool buffer and posts them as one ``("factors", it,
+    slot, mb)`` hop to the owner — by descriptor on the process wire,
+    like the slots.  At the end of the iteration the losses are gathered,
+    which frees the staged buffers (every owner formed before it), and
+    every owner injects its updated slot at the slot's forward home, as
+    it did once at construction; the call ends on gathering the model.
     """
 
     POSTS = (Post("turn", "hop", "F", "slot", "weight", peer="right"),
@@ -244,6 +267,8 @@ class RingLoop(RankLoop):
                            for i in slot_chunk_ids(j, self.world, self.cfg.n_layers))
                        for j in range(self.world)]
         self._outgoing: Dict[Tuple[int, int], SlotWeights] = {}
+        #: pool buffers the posted bundles live in, until the loss gather
+        self._staged: List[np.ndarray] = []
         wop = "W" if self.split else "B"
         self._sources = [
             (r, mb) for r in range(self.world) if r != self.rank
@@ -463,6 +488,10 @@ class RingLoop(RankLoop):
         # the very buffer its owner's update pass writes in place.
         loss = self.sync(it, self.grad_slot, self.losses_by_mb)
         self.losses_by_mb.clear()
+        # ... and every owner has formed: no rank reads a staged bundle
+        for buf in self._staged:
+            self.pool.release(buf)
+        self._staged.clear()
 
         self._timed(self._h_compute, "update", "compute", {"it": it},
                     self._update_pass, it)
@@ -611,25 +640,58 @@ class RingLoop(RankLoop):
     # -- factored gradients (DESIGN.md §10, §17) --------------------------------
 
     def _park(self, it: int, unit: Tuple[int, int], pos: int, i: int, bundle: dict) -> None:
-        """Keep chunk ``i``'s factor bundle for the owned slot's formation,
-        or, on a slot another rank owns, for the hop to it (:meth:`_ship`)."""
+        """Keep chunk ``i``'s factor bundle, quantised, for the owned slot's
+        formation, or, on a slot another rank owns, as it is for the hop
+        to it (:meth:`_ship`, whose staging copy quantises)."""
         slot, mb = unit
         if slot == self.owned_slot:
-            self.bundles.setdefault(i, {})[mb] = bundle
+            self.bundles.setdefault(i, {})[mb] = self._quantized(bundle)
         else:
             self._outgoing.setdefault(unit, {})[i] = bundle
 
     def _ship(self, it: int, unit: Tuple[int, int]) -> None:
-        """Post the op's bundles for a foreign slot to its owner as one
-        ``("factors", it, slot, mb)`` hop, at the activation widths."""
+        """Post the op's bundles for a foreign slot, staged
+        (:meth:`_stage`), to its owner as one ``("factors", it, slot,
+        mb)`` hop, at the activation widths."""
         bundles = self._outgoing.pop(unit, None)
         if bundles is None:
             return
         p = self.spec.precision
         n_in, n_grad = map(sum, zip(*(factor_numel(b) for b in bundles.values())))
         slot, mb = unit
-        self.comm.send(bundles, slot_owner(slot, self.world), ("factors", it, slot, mb),
+        self.comm.send(self._stage(bundles), slot_owner(slot, self.world),
+                       ("factors", it, slot, mb),
                        nbytes=n_in * p.act_bytes + n_grad * p.act_grad_bytes)
+
+    def _stage(self, bundles: Dict[int, dict]) -> Dict[int, dict]:
+        """The unit's bundles as views of one pool buffer per dtype, each
+        array quantised to its activation format in the copy that writes
+        it (the values :meth:`_quantized` gives); the token ids stay as
+        they are.  On the process wire the buffer is arena-resident, so
+        the bodies cross as descriptors: no link-ring copy, no body CRC,
+        no landing copy.  It is the sender's until the loss gather
+        (:meth:`run_iteration`), which every owner reaches only after
+        forming from it (DESIGN.md §10)."""
+        p, dtype = self.spec.precision, self.cfg.dtype
+        exact = is_exact(p.activations, dtype) and is_exact(p.act_grads, dtype)
+        arrays = [a for b in bundles.values() for k, a in b.items() if k != "tokens"]
+        free = {}  # dtype -> (buffer, next offset)
+        for dt in {a.dtype for a in arrays}:
+            buf = self.pool.acquire(sum(a.size for a in arrays if a.dtype == dt), dt)
+            self._staged.append(buf)
+            free[dt] = (buf, 0)
+        staged = {}
+        for i, b in bundles.items():
+            staged[i] = out = {}
+            for k, a in b.items():
+                if k == "tokens":
+                    out[k] = a
+                    continue
+                buf, off = free[a.dtype]
+                free[a.dtype] = (buf, off + a.size)
+                out[k] = view = buf[off:off + a.size].reshape(a.shape)
+                view[...] = a if exact else (p.q_act if k in FACTOR_INPUTS else p.q_act_grad)(a)
+        return staged
 
     def _form(self, it: int) -> None:
         """The owned slot's factored gradients, after the turns: the bundles
@@ -767,7 +829,7 @@ def train_weipipe(
         lambda comm: _worker(comm, spec, mode, overlap, topology),
         fabric=fabric,
         pool_bytes=max(
-            ring_pool_bytes(spec, world_size, r) for r in range(world_size)
+            ring_pool_bytes(spec, world_size, r, mode) for r in range(world_size)
         ),
     )
     by_rank = {r.extra["rank"]: r.extra for r in results}

@@ -225,8 +225,9 @@ def _wire_split_us(
 ) -> Dict[str, float]:
     """Summed wire-span time per link class for one rank.
 
-    ``wait``/``recv`` spans carry their source in args; the ring
-    engines' ``wait:slots``/``wait:D`` spans do not, but the ring only
+    ``wait``/``recv`` spans carry their source in args and a sender's
+    ``wait:ring`` stall its destination; the ring engines'
+    ``wait:slots``/``wait:D`` spans carry neither, but the ring only
     ever waits on its left neighbour ``(pid - 1) mod P``.  Raw sums (not
     unions): this is attribution of wait time per link, so overlapping
     waits count per-wait.
@@ -236,7 +237,7 @@ def _wire_split_us(
         if ev.get("cat") != "wire":
             continue
         args = ev.get("args") or {}
-        src = args.get("src")
+        src = args.get("src", args.get("dst"))
         if src is None:
             src = (pid - 1) % world if world > 0 else pid
         out[_link_class(int(src), pid, group_of)] += ev.get("dur", 0.0)

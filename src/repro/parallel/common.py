@@ -351,11 +351,9 @@ class ChunkSeam(Seam):
     takes the chunk's quantised gradient to what the rank accumulates.
     This base is the identity everywhere — a rank that holds the whole
     chunk and keeps its whole gradient.  Only such a rank may carry a
-    gradient as factors (``whole``, DESIGN.md §17): a seam that reduces
-    each microbatch's dense gradient, or splits the chunk, keeps it
-    dense."""
-
-    whole = True
+    gradient as factors (DESIGN.md §17): a loop whose seam reduces each
+    microbatch's dense gradient, or splits the chunk, keeps it dense
+    (:attr:`RankLoop.whole`)."""
 
     def gather(self, w: ParamStruct, op: str) -> ParamStruct:
         return w
@@ -487,6 +485,10 @@ class RankLoop:
     positions = slice(None)
     #: does the program run each backward's W apart from its B?
     split = False
+    #: does the rank keep each chunk's whole gradient?  Only then may a
+    #: thin chunk's leave its backward as factors (DESIGN.md §17): FSDP's,
+    #: TP's and SP's seams reduce or split it, so they stay dense.
+    whole = True
     #: the messages the loop posts (:class:`Post`): serial posts none.
     POSTS: Tuple[Post, ...] = ()
 
@@ -505,10 +507,11 @@ class RankLoop:
         self.inflight: Dict[object, tuple] = {}
         # unit -> (ids, seams, [(chunk position, cache, wcache), ...]), B to W
         self.pending_w: Dict[object, tuple] = {}
-        #: chunks thin enough to carry their gradient as factors (DESIGN.md §17)
+        #: chunks thin enough to carry their gradient as factors, on a
+        #: loop that keeps it whole (DESIGN.md §17)
         tokens = spec.microbatch_size * spec.cfg.seq_len
         self.factored = {i for i in range(spec.cfg.n_layers)
-                         if chunk_factored(spec.cfg, i, tokens)}
+                         if self.whole and chunk_factored(spec.cfg, i, tokens)}
         # chunk position -> mb -> factor bundle, from B (or W) to form()
         self.bundles: Dict[int, Dict[object, dict]] = {}
         self.peak_inflight = self.peak_pending_w = 0
@@ -656,9 +659,9 @@ class RankLoop:
             if self.split:
                 dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
                 parked.append((pos, cache, wcache))
-            elif self._factored(i, seam):
+            elif i in self.factored:
                 dy, cache, wcache = ck.bwd_input(i, w, dy, fwd[pos])
-                self._park(it, mb, pos, i, self._factors(i, cache, wcache))
+                self._park(it, mb, pos, i, chunk_factors(self.spec.cfg, i, cache, wcache))
                 del cache, wcache
             else:
                 dy, g = ck.bwd(i, w, dy, fwd[pos])
@@ -678,8 +681,9 @@ class RankLoop:
         w0 = perf_counter()
         ids, seams, parked = self.pending_w.pop(mb)
         for pos, cache, wcache in parked:
-            if self._factored(ids[pos], seams[pos]):
-                self._park(it, mb, pos, ids[pos], self._factors(ids[pos], cache, wcache))
+            if ids[pos] in self.factored:
+                self._park(it, mb, pos, ids[pos],
+                           chunk_factors(self.spec.cfg, ids[pos], cache, wcache))
                 continue
             g = self.ck.bwd_weight(ids[pos], cache, wcache)
             self._accumulate(grads, pos, ids[pos], seams[pos], g)
@@ -701,18 +705,10 @@ class RankLoop:
 
     # -- factored gradients (DESIGN.md §17) ----------------------------------------
 
-    def _factored(self, i: int, seam: ChunkSeam) -> bool:
-        """Does chunk ``i``'s gradient leave its backward as a factor bundle
-        rather than run the weight GEMMs there?  Where the rank keeps the
-        whole gradient and the microbatch is thin enough
-        (:func:`~repro.nn.model.chunk_factored`)."""
-        return seam.whole and i in self.factored
-
-    def _factors(self, i: int, cache: tuple, wcache: dict) -> dict:
-        """Chunk ``i``'s factor bundle from its B pass, quantised to the
-        activation formats (its inputs to ``q_act``, the rest to
-        ``q_act_grad``) where they are not the arrays' own."""
-        bundle = chunk_factors(self.spec.cfg, i, cache, wcache)
+    def _quantized(self, bundle: dict) -> dict:
+        """A factor bundle (:func:`~repro.nn.model.chunk_factors`) at the
+        activation formats — its inputs at ``q_act``, the rest at
+        ``q_act_grad`` — where they are not the arrays' own."""
         p, dtype = self.spec.precision, self.spec.cfg.dtype
         if is_exact(p.activations, dtype) and is_exact(p.act_grads, dtype):
             return bundle
@@ -721,9 +717,9 @@ class RankLoop:
                 for k, a in bundle.items()}
 
     def _park(self, it: int, mb, pos: int, i: int, bundle: dict) -> None:
-        """Keep chunk ``i``'s bundle for microbatch ``mb`` until
+        """Keep chunk ``i``'s bundle for microbatch ``mb``, quantised, until
         :meth:`form` runs at the end of the iteration."""
-        self.bundles.setdefault(pos, {})[mb] = bundle
+        self.bundles.setdefault(pos, {})[mb] = self._quantized(bundle)
 
     def form(self, it: int, grads) -> None:
         """Each factored chunk's gradient, written into ``grads[key]`` from

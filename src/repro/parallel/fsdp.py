@@ -104,8 +104,6 @@ class FSDPSeam(ChunkSeam):
     (``("fsdp-rs",) + key``).  ``k`` is the rank's local microbatch
     ordinal, identical on every rank, unlike the global microbatch id."""
 
-    whole = False
-
     def __init__(self, comm: Communicator, spec: TrainSpec,
                  template: ParamStruct, key: Tuple):
         super().__init__(spec.cfg.n_heads)
@@ -136,6 +134,7 @@ class FSDPLoop(DPLoop):
              Post("B", "reduce-scatter", "fsdp-rs", "chunk", "wgrad"),
              Post("end", "all-reduce", "fsdp-loss", "one", "loss"),
              Post("call", "all-gather", "fsdp-final", "chunk", "weight"))
+    whole = False
 
     def init_state(self):
         """The rank's flat shard of every chunk and of its optimizer

@@ -58,8 +58,6 @@ class SPSeam(ChunkSeam):
     the layer is position-local, so the other seam points are identities.
     """
 
-    whole = False
-
     attention_core = True
 
     def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):
@@ -115,6 +113,7 @@ class SPLoop(RankLoop):
              Post("B", "reduce-scatter", "sp-b", "act", "act_grad", count=2),
              Post("end", "all-reduce", "sp-grad", "chunk", "wgrad"),
              Post("end", "all-reduce", "sp-loss", "one", "loss"))
+    whole = False
 
     def __init__(self, spec: TrainSpec, comm: Communicator):
         super().__init__(spec, comm)

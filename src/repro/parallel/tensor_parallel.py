@@ -128,8 +128,6 @@ class TPSeam(ChunkSeam):
     in the forward, tagged ``("tp-f", it, mb, i, site)``, and its
     column-parallel input gradients in the backward (``"tp-b"``)."""
 
-    whole = False
-
     def __init__(self, comm: Communicator, spec: TrainSpec, key: Tuple):
         super().__init__(spec.cfg.n_heads // comm.world_size)
         self.comm, self.key = comm, key
@@ -158,6 +156,7 @@ class TPLoop(RankLoop):
     POSTS = (Post("F", "all-reduce", "tp-f", "act", "act", count=2),
              Post("B", "all-reduce", "tp-b", "act", "act", count=2),
              Post("call", "hop", "tp-final", "split", "dtype", peer="root"))
+    whole = False
 
     @classmethod
     def check(cls, spec, world):

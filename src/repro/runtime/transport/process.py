@@ -140,8 +140,11 @@ from .shm import (
 __all__ = ["ProcessTransport", "ShmWire"]
 
 #: per-directed-link ring capacity.  The ring carries frame headers,
-#: descriptors and whatever payload is not arena-resident; a frame
-#: larger than this streams through in pieces, at memcpy cost.
+#: descriptors and whatever payload is not arena-resident (pool buffers
+#: — ring slots, ``D``, staged factor bundles — cross as descriptors);
+#: a frame larger than this streams through in pieces, at memcpy cost,
+#: and blocks its sender until the receiver polls (a traced
+#: ``wait:ring`` wire span).
 DEFAULT_LINK_BYTES = 1 << 20
 #: per-rank arena region for launches that state no pool working set,
 #: and the headroom added to the ones that do (it absorbs the pool's
@@ -384,6 +387,7 @@ class ShmWire(Wire):
         self._send_seq[msg.dst] = seq + 1
         ring = self._out[msg.dst]
         deadline: Optional[Deadline] = None
+        stalled = None  # when the frame first found the ring full
         for mv in encode_frame(msg.payload, msg.tag, msg.nbytes, seq,
                                integrity=fab.integrity, arena=self.arena):
             pos = 0
@@ -406,6 +410,7 @@ class ShmWire(Wire):
                     )
                 if deadline is None:
                     deadline = Deadline(fab.timeout)
+                    stalled = perf_counter()
                 elif deadline.expired():
                     raise RecvTimeout(
                         f"rank {self.rank} stalled {fab.timeout}s streaming "
@@ -413,6 +418,11 @@ class ShmWire(Wire):
                         f"— likely a schedule deadlock)"
                     )
                 self.wait(self._poll)
+        if stalled is not None and fab.tracer.enabled:
+            # the sender waited on the receiver's polls: wire time, not compute
+            fab.tracer.rank(self.rank).complete(
+                "wait:ring", "wire", stalled, perf_counter() - stalled,
+                {"dst": msg.dst, "tag": msg.tag})
 
     # -- poll: decode inbound rings --------------------------------------------
 

@@ -49,10 +49,10 @@ from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.api import rank_programs
+from ..core.api import ZOO, rank_programs
 from ..nn.checkpoint import checkpoint_elements, replay_flops, replayed_chunks
 from ..nn.layer import layer_param_count
-from ..nn.model import default_ffn, model_param_count
+from ..nn.model import chunk_factored, default_ffn, model_param_count
 from ..parallel.common import Sizes
 from .hardware import GPU
 
@@ -275,6 +275,15 @@ class CostModel:
             for (kind, _), n in zip(ops, replays)
         ]
 
+    def factored(self, whole: bool) -> List[bool]:
+        """Per chunk: is its weight gradient formed from factor bundles,
+        once per iteration (DESIGN.md §17)?  On a loop that keeps whole
+        gradients (``whole``), where the chunk is below the regime
+        boundary."""
+        d = self.dims
+        return [whole and chunk_factored(d, i, d.tokens_per_microbatch)
+                for i in range(d.n_layers)]
+
     def op_means(self, strategy: str, world: int) -> Tuple[float, float]:
         """``(T_F, T_B)`` of one unit — a stage's, a slot's or the whole
         model's layers — averaged over every op of every rank's program
@@ -283,8 +292,9 @@ class CostModel:
         (:mod:`repro.sim.analytic`) take per op."""
         programs, units = rank_programs(strategy, world, self.dims.n_microbatches)
         layers = self.dims.n_layers // units
+        factored = all(self.factored(ZOO[strategy].whole))
         priced = [(k, t) for ops in programs
-                  for (k, _), t in zip(ops, self.op_times(ops, layers))]
+                  for (k, _), t in zip(ops, self.op_times(ops, layers, factored))]
         return tuple(fmean(t for k, t in priced if k == kind) for kind in "FB")
 
     def overlapped(self, compute: float, comm: float) -> float:

@@ -177,8 +177,8 @@ def _mem_dp(dims, cluster, cost) -> List[float]:
 def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
     """One weight ring (a ``ring`` family record): three circulating
     slots (2 W + D), double-buffered — the D of a slot's dense chunks,
-    and below the regime boundary the owner's factor bundles in its
-    place — plus owner-local optimizer state,
+    and below the regime boundary the owner's factor bundles and the
+    sender's staged ones in its place — plus owner-local optimizer state,
     plus the walked activations of each worker's turn program.  Embedding
     and head weights ride the ring, so every worker transiently holds
     copies; their optimizer state sits on their owners.
@@ -196,9 +196,12 @@ def _mem_ring(dims, cluster, cost, mode: str, hier: bool) -> List[float]:
                  if post.when == "turn" and post.width == "wgrad" for slot in range(world))
     slots *= 2  # double buffering for the prefetched next turn
     # below the regime boundary the owner holds every microbatch's factor
-    # bundle of its slot until it forms the gradient
-    slots += dims.n_microbatches * max(sizes.nbytes(post, slot) for post in RingLoop.POSTS
-                                       if post.peer == "owner" for slot in range(world))
+    # bundle of its slot until it forms the gradient, and every sender the
+    # bundles it staged for the other slots, (P - 1) N / P of them, until
+    # the loss gather
+    held = dims.n_microbatches + (world - 1) * dims.n_microbatches // world
+    slots += held * max(sizes.nbytes(post, slot) for post in RingLoop.POSTS
+                        if post.peer == "owner" for slot in range(world))
     opt = cost.optimizer_bytes(lps)
     embed_ride = 2 * dims.vocab * dims.hidden * cost.cfg.weight_bytes * 2
     embed_opt = cost.embedding_bytes() / world  # owners share the extras

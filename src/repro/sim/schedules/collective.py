@@ -118,8 +118,9 @@ def build_collective(
         return collective_task(g, (post.kind, *key), post, sizes, cluster, net, deps, i)
 
     program = rank_programs(strategy.name, world, dims.n_microbatches)[0][0]
+    factored = cost.factored(strategy.whole)
     computes, issued = [], {}
-    for (kind, mb), t in zip(program, cost.op_times(program, layers)):
+    for (kind, mb), t in zip(program, cost.op_times(program, layers, all(factored))):
         order = range(layers) if kind == "F" else range(layers - 1, -1, -1)
         ops = [post for post in rows if post.when == kind]
         for key in [(mb, i) for i in order] if per_op > 1 else [(mb,)]:
@@ -134,6 +135,10 @@ def build_collective(
             for post in ops:
                 if post.what != "all-gather":
                     mine.append(issue(post, key, (computes[-1],), key[-1]))
+    if any(factored):  # the W halves of every microbatch, at once, before the sync
+        n = sum(factored) * sum(kind == "B" for kind, _ in program)
+        computes.append(g.add(("FORM",), ("compute", 0), n * cost.t_fwd_layer(),
+                              deps=(computes[-1],), kind="W", worker=0))
     for post in rows:
         if post.when == "end":
             for i in range(layers) if post.unit == "chunk" else [None]:

@@ -23,6 +23,7 @@ receive does *not* opportunistically run a later op.
 
 from __future__ import annotations
 
+from ...parallel.common import slot_chunk_ids
 from ...parallel.pipeline import StageLoop, stage_program
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
@@ -84,11 +85,12 @@ def build_pipeline(
     # are straight-line programs issued by one Python loop per rank, not
     # dynamic work-stealing executors), so each op depends on its
     # predecessor on the same stage.
+    factored = cost.factored(StageLoop.whole)
     last = []
     for s in range(world):
         prev = None
         program = stage_program(schedule, world, s, n_mb)
-        for (kind, mb), dur in zip(program, cost.op_times(program, lps)):
+        for (kind, mb), dur in zip(program, cost.op_times(program, lps, all(factored))):
             if kind == "F":
                 deps = hop("CA", s - 1, mb) if s > 0 else []
             elif kind == "B":
@@ -100,6 +102,10 @@ def build_pipeline(
             prev = (kind, s, mb)
             g.add(prev, ("compute", s), dur, deps=tuple(deps),
                   kind=kind, worker=s, mb=mb)
+        n = sum(factored[i] for i in slot_chunk_ids(s, world, dims.n_layers))
+        if n:  # the W halves of every microbatch, at once, before the loss gather
+            prev = g.add(("FORM", s), ("compute", s), n * n_mb * cost.t_fwd_layer(),
+                         deps=(prev,), kind="W", worker=s)
         last.append(prev)
     net = ("net",) if exec_cfg.overlap else ("compute", 0)
     for post in StageLoop.POSTS:

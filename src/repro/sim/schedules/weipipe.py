@@ -58,7 +58,6 @@ from typing import Callable, Tuple
 
 from ...core.schedule import fwd_home, ring_schedule, ring_splits_backward, slot_owner, turn_ops
 from ...core.weipipe import HELD, RingLoop
-from ...nn.model import chunk_factored
 from ...parallel.common import Sizes, slot_chunk_ids
 from ..costmodel import CostModel, ExecConfig, WorkloadDims
 from ..engine import TaskGraph
@@ -183,8 +182,7 @@ def build_weipipe(
 
     wgrad_op = "W" if ring_splits_backward(mode) else "B"
     sizes = cost.sizes(world)
-    tokens = dims.tokens_per_microbatch
-    factored = [chunk_factored(dims, i, tokens) for i in range(dims.n_layers)]
+    factored = cost.factored(RingLoop.whole)
 
     # each rank's turns priced op by op along its whole program, so a B
     # pays the replays the checkpoint rule counts for it there.

@@ -137,11 +137,13 @@ def test_wide_slot_trains_by_descriptor_bit_identically():
     assert ring_pool_bytes(spec, 2, 0) == 2 * (32 << 20) > DEFAULT_ARENA_BYTES
 
 
-def test_a_factored_wide_slot_draws_the_b_slot_alone():
-    # 8 tokens against H = 448: the gradient is formed in private memory
-    # and the B slot's 32 MiB span is the whole draw
+def test_a_factored_wide_slot_draws_the_b_slot_and_one_staged_bundle():
+    # 8 tokens against H = 448: the gradient is formed in private memory,
+    # so a rank draws its B slot's 32 MiB span and, for its one backward
+    # on the other slot (P - 1 slots x N / P microbatches), one staged
+    # bundle: 61 760 / 62 440 fp64 elements (chunk 0 / 1), a 512 KiB span
     spec = _wide_slot(1)
-    assert ring_pool_bytes(spec, 2, 0) == 32 << 20
+    assert [ring_pool_bytes(spec, 2, r) for r in range(2)] == [(32 << 20) + (512 << 10)] * 2
 
 
 # -- (c) an undersized arena is loud and correct ------------------------------

@@ -9,8 +9,11 @@ iteration with one GEMM per weight over the stacked tokens — the same
 formation serial and the pipeline stage run.  So every ring row, on
 either wire and at either width, equals serial and ``1f1b`` exactly; the
 message table prices the new ``factors`` row and the missing ``D``; and
-the arena holds the B slot alone.
+the arena holds the B slot and the staged bundles, whose float bodies
+cross the process wire as descriptors.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from repro import FP32, FP64, MIXED, Adam, MasterWeightOptimizer, ModelConfig, T
 from repro.core.api import ZOO, strategy_names
 from repro.core.weipipe import ring_pool_bytes, train_weipipe
 from repro.nn.model import chunk_factored, chunk_param_count
+from repro.nn.params import BufferPool
 from repro.runtime import Fabric, ProcessTransport
-from repro.runtime.transport.shm import ShmArena
+from repro.runtime.transport.shm import ShmArena, split_payload
 from repro.testing import check_ledger, compare_train_results
 
 PRECISION = {"fp64": (FP64, np.float64), "fp32": (FP32, np.float32)}
@@ -54,6 +58,7 @@ def test_every_ring_row_equals_serial_and_1f1b_bitwise(precision, backend):
 
 
 def test_mixed_rings_stay_at_the_mixed_tolerance():
+    # the staging copy quantises each bundle: both wires agree bitwise
     spec = _cell(MIXED, np.float32, make_optimizer=lambda: MasterWeightOptimizer(
         Adam(lr=3e-3), MIXED))
     ref = train(spec, "serial", 1)
@@ -62,6 +67,8 @@ def test_mixed_rings_stay_at_the_mixed_tolerance():
         np.testing.assert_allclose(got.losses, ref.losses, rtol=1e-2)
         for chunk in got.chunks:
             assert all(np.isfinite(a).all() for a in chunk.values()), name
+        proc = train(spec, name, world, backend="process")
+        assert compare_train_results(proc, got, tol=0) is None, (name, world)
 
 
 @pytest.mark.parametrize("name", ["weipipe-naive", "weipipe-interleave", "weipipe-zb",
@@ -84,18 +91,89 @@ def test_the_process_wire_matches_the_table_too():
     assert check_ledger("weipipe-interleave", spec, 2, wire) is None
 
 
-def test_the_arena_holds_the_b_slot_alone():
+def _bundle_floats(cfg, i, tokens):
+    """Float elements of chunk ``i``'s factor bundle, from the shapes: each
+    linear's input (``3H + F`` a token) and output gradient (``5H + 2F``),
+    the two norm gains; the embedding's gradient on the first chunk (its
+    token ids are not floats); the head's input and gradient and the
+    final norm's gain on the last."""
+    h, f = cfg.hidden, cfg.ffn
+    n = tokens * (8 * h + 3 * f) + 2 * h
+    n += tokens * h * (i == 0)
+    return n + (tokens * (h + cfg.vocab) + h) * (i == cfg.n_layers - 1)
+
+
+def test_the_arena_holds_the_b_slot_and_the_staged_bundles():
+    # each rank draws its B slot, and one staged buffer per backward on a
+    # slot it does not own: N / P microbatches on each of the P - 1 others
     spec = _cell()
-    itemsize = np.dtype(spec.cfg.dtype).itemsize
+    cfg, tokens = spec.cfg, spec.cfg.seq_len
+    itemsize = np.dtype(cfg.dtype).itemsize
     for world in (2, 4):
         predicted = [ring_pool_bytes(spec, world, r) for r in range(world)]
-        slots = [sum(ShmArena.span_nbytes(chunk_param_count(spec.cfg, i) * itemsize)
-                     for i in range(spec.cfg.n_layers) if i * world // spec.cfg.n_layers
-                     == (r - 1) % world) for r in range(world)]
-        assert predicted == slots
+
+        def chunks(slot):
+            return [i for i in range(cfg.n_layers) if i * world // cfg.n_layers == slot]
+
+        expected = [
+            sum(ShmArena.span_nbytes(chunk_param_count(cfg, i) * itemsize)
+                for i in chunks((r - 1) % world))
+            + spec.n_microbatches // world * sum(
+                ShmArena.span_nbytes(itemsize * sum(_bundle_floats(cfg, i, tokens)
+                                                    for i in chunks(slot)))
+                for slot in range(world) if slot != (r - 1) % world)
+            for r in range(world)
+        ]
+        assert predicted == expected
         pt = ProcessTransport()
         res = train_weipipe(spec, world, fabric=pt)
         assert [p["arena_used"] for p in pt.pools_by_rank] == predicted
         assert res.extra["arena_overflow_allocs"] == 0
         allocs = res.extra["pool_allocs_by_iter"]
         assert allocs[-1] - allocs[0] == 0, allocs
+
+
+@pytest.mark.parametrize("mode", ["interleave", "zero-bubble"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_the_staged_bundles_return_to_the_pool_every_iteration(backend, mode):
+    # a staged buffer is drawn per shipped unit and released after the
+    # loss gather: iteration 0 draws them all, every later one reuses them
+    spec = replace(_cell(), iters=3)
+    world = 2
+    units = (world - 1) * spec.n_microbatches // world  # shipped per rank and iteration
+    wire = Fabric(world) if backend == "thread" else ProcessTransport()
+    train_weipipe(spec, world, mode=mode, fabric=wire)
+    pools = ([wire.shared_pool(BufferPool).as_dict()] if backend == "thread"
+             else wire.pools_by_rank)
+    ranks = world if backend == "thread" else 1  # the thread wire's pool is shared
+    for pool in pools:
+        assert pool["releases"] == spec.iters * units * ranks, pool
+        assert pool["free_buffers"] == units * ranks, pool
+
+
+def test_every_float_body_of_a_factors_frame_is_an_arena_descriptor(monkeypatch, tmp_path):
+    # the ranks inherit the spy at fork: it splits each frame's payload
+    # the way the codec does and logs what every body became
+    from repro.runtime.transport import process
+
+    log = tmp_path / "frames"
+    encode = process.encode_frame
+
+    def spy(payload, tag, nbytes, seq, integrity=True, arena=None):
+        if tag[0] == "factors":
+            _, specs, _ = split_payload(payload, arena)
+            floats = [s for s in specs if np.dtype(s[-1]).kind == "f"]
+            with open(log, "a") as f:
+                f.write(f"{len(floats)} {sum(len(s) == 4 for s in floats)}\n")
+        return encode(payload, tag, nbytes, seq, integrity=integrity, arena=arena)
+
+    monkeypatch.setattr(process, "encode_frame", spy)
+    spec = _cell(FP32, np.float32)
+    world = 4
+    ref = train_weipipe(spec, world)
+    got = train_weipipe(spec, world, fabric=ProcessTransport())
+    assert compare_train_results(got, ref, tol=0) is None
+    frames = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    # one hop per backward on a foreign slot: (P - 1) N / P a rank and iteration
+    assert len(frames) == spec.iters * world * (world - 1) * spec.n_microbatches // world
+    assert all(n > 0 and descriptors == n for n, descriptors in frames), frames

@@ -10,6 +10,8 @@ training computation, and the steady-state allocation gate must hold
 with the recorder and the tracer both live.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,26 @@ def test_cross_rank_send_recv_causally_ordered():
                 assert posts[k] <= end + skew_us, (key, k)
                 matched += 1
     assert matched > 0
+
+
+def test_a_sender_that_fills_the_link_ring_records_its_wait():
+    # a private frame of twice the link ring to a receiver that sleeps
+    # before it polls: the sender waits on the ring, and that wait is a
+    # wire span on its timeline, not time between spans
+    link = 1 << 16
+    tracer = Tracer()
+
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send(np.ones(link // 4), 1, ("big",))
+        else:
+            time.sleep(0.3)
+            comm.recv(0, ("big",))
+
+    run_workers(2, fn, fabric=ProcessTransport(tracer=tracer, link_bytes=link))
+    waits = [e for e in tracer.events() if e["name"] == "wait:ring"]
+    assert [(e["pid"], e["cat"], e["args"]["dst"]) for e in waits] == [(0, "wire", 1)]
+    assert waits[0]["dur"] > 0.1e6  # µs
 
 
 # -- merged metrics -----------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.api import ZOO
 from repro.sim import WorkloadDims, evaluate, run_cell, nvlink_cluster, pcie_ethernet_cluster, simulate
-from repro.sim.costmodel import ExecConfig
+from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.runner import build_schedule, exec_for
 from repro.sim.schedules import (
     build_pipeline,
@@ -285,3 +285,40 @@ class TestCollectiveFamilies:
     def test_divisibility(self, strategy, dims):
         with pytest.raises(ValueError, match="per rank"):
             build_schedule(strategy, dims, CLUSTER)
+
+
+class TestFactoredPrograms:
+    """Below the regime boundary (``chunk_factored``) a loop that keeps
+    whole gradients runs B as the input half and forms each chunk's
+    gradient once, at the iteration's end (DESIGN.md §17): ``op_means``
+    and every builder price it so.  FSDP reduces each microbatch's
+    gradient, so it stays dense."""
+
+    THIN = WorkloadDims(hidden=64, n_layers=4, seq_len=8, microbatch=1,
+                        n_microbatches=8, n_heads=4, vocab=29)
+    PAIR = nvlink_cluster(2, gpus_per_node=2)
+
+    @pytest.mark.parametrize("name, ratio", [("1f1b", 1.0), ("dp", 1.0),
+                                             ("weipipe-interleave", 1.0), ("fsdp", 2.0)])
+    def test_the_b_over_f_prediction(self, name, ratio):
+        t_f, t_b = CostModel(self.THIN, self.PAIR.gpu, NOREC).op_means(name, 2)
+        assert t_b / t_f == pytest.approx(ratio)
+        dense = CostModel(self.THIN.with_(seq_len=32), self.PAIR.gpu, NOREC)
+        t_f, t_b = dense.op_means(name, 2)
+        assert t_b / t_f == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("name, forms", [
+        # per rank: its chunks x the microbatches it ran
+        ("1f1b", {("FORM", 0): 2 * 8, ("FORM", 1): 2 * 8}),
+        ("dp", {("FORM",): 4 * 4}),
+        ("fsdp", {}),
+    ])
+    def test_each_rank_forms_once_before_its_sync(self, name, forms):
+        built = build_schedule(name, self.THIN, self.PAIR, NOREC)
+        t_f = built.cost.t_fwd_layer()
+        got = {tid: task.duration / t_f for tid, task in built.graph.tasks.items()
+               if tid[0] == "FORM"}
+        assert got == pytest.approx(forms)
+        for tid in forms:  # the end collectives wait for it
+            assert any(tid in task.deps for task in built.graph.tasks.values()
+                       if task.meta["kind"] == "comm")
