@@ -15,7 +15,7 @@ from conftest import save_and_print
 
 from repro.sim import WorkloadDims, evaluate, nvlink_cluster, render_timeline, simulate
 from repro.sim.costmodel import ExecConfig
-from repro.sim.schedules import RING_FIGURES, build_ring_figure, build_weipipe
+from repro.sim.schedules import RING_FIGURES, build_ring_figure, build_schedule
 
 DIMS = WorkloadDims(
     hidden=1024, n_layers=4, seq_len=4096, microbatch=4, n_microbatches=8
@@ -28,8 +28,8 @@ def _render_all():
     out = []
     reports = {}
     for title, built in [
-        ("Figure 1: WeiPipe-Naive (P=4, two rounds)", build_weipipe("naive", DIMS, CLUSTER)),
-        ("Figure 2: WeiPipe-Interleave (P=4, two rounds)", build_weipipe("interleave", DIMS, CLUSTER)),
+        ("Figure 1: WeiPipe-Naive (P=4, two rounds)", build_schedule("weipipe-naive", DIMS, CLUSTER)),
+        ("Figure 2: WeiPipe-Interleave (P=4, two rounds)", build_schedule("weipipe-interleave", DIMS, CLUSTER)),
         ("Figure 3: WeiPipe-zero-bubble 1 (WZB1)", build_ring_figure("wzb1", DIMS, CLUSTER, NOREC)),
         ("Figure 4: WeiPipe-zero-bubble 2 (WZB2)", build_ring_figure("wzb2", DIMS, CLUSTER, NOREC)),
     ]:

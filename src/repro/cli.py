@@ -388,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl = sub.add_parser("timeline", help="render a schedule timeline")
     p_tl.add_argument(
         "schedule",
-        help="a ring or pipeline strategy (see `repro strategies`), or one "
-             "of the paper's conceptual Figure 3 / 4 diagrams: wzb1, wzb2",
+        help="a simulated strategy (see `repro strategies`; the rank-symmetric "
+             "dp / fsdp / tp / sp draw rank 0), or one of the paper's "
+             "conceptual Figure 3 / 4 diagrams: wzb1, wzb2",
     )
     p_tl.add_argument("--world", type=int, default=4)
     p_tl.add_argument("--microbatches", type=int, default=8)
@@ -968,7 +969,7 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    from .core import ZOO
+    from .core import strategy_names
     from .sim import (
         WorkloadDims, build_schedule, exec_for, nvlink_cluster, render_timeline,
     )
@@ -976,8 +977,7 @@ def _cmd_timeline(args) -> int:
     from .sim.schedules import RING_FIGURES, build_ring_figure
 
     name = args.schedule
-    programs = [s.name for s in ZOO.values() if s.family in ("pipeline", "ring")]
-    choices = [*programs, *RING_FIGURES]
+    choices = [*strategy_names(simulated=True), *RING_FIGURES]
     if name not in choices:
         raise SystemExit(
             f"timeline: unknown schedule {name!r}; choose from {choices}"
@@ -987,12 +987,15 @@ def _cmd_timeline(args) -> int:
         n_microbatches=args.microbatches,
     )
     cluster = nvlink_cluster(args.world, gpus_per_node=args.world)
-    if name in RING_FIGURES:
-        built = build_ring_figure(name, dims, cluster, ExecConfig(recompute=False))
-    else:
-        built = build_schedule(
-            name, dims, cluster, ExecConfig(recompute=exec_for(name).recompute)
-        )
+    try:
+        if name in RING_FIGURES:
+            built = build_ring_figure(name, dims, cluster, ExecConfig(recompute=False))
+        else:
+            built = build_schedule(
+                name, dims, cluster, ExecConfig(recompute=exec_for(name).recompute)
+            )
+    except ValueError as e:  # a size the world does not divide
+        raise SystemExit(f"timeline {name}: {e}") from None
     print(render_timeline(built, width=args.width, title=name))
     return 0
 

@@ -1,12 +1,10 @@
 """One-call simulation of a strategy on a workload and cluster.
 
 ``run_cell`` is the unit of every table/figure bench and of the planner's
-ranking: it builds the schedule (``build_schedule``: the strategy's
-record picks its family's builder — ``build_pipeline`` and
-``build_weipipe`` walk every rank's stage / ring program, and the
-rank-symmetric dp, fsdp, tp and sp share ``build_collective``, which
-walks rank 0's program and wraps it in the family's row of
-collectives), simulates it, and returns a :class:`SimReport`.
+ranking: it builds the schedule (``build_schedule``, the one walk of the
+strategy's rank programs and its message table,
+:mod:`.schedules.walk`), simulates it, and returns a
+:class:`SimReport`.
 ``exec_for`` is the paper's per-strategy execution rule (Section 5 +
 observed baseline behaviour), read off the record's ``recompute`` /
 ``overlap``, that all of them apply:
@@ -32,17 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
-from ..core.api import ZOO, Strategy, strategy_names
+from ..core.api import ZOO
 from ..runtime.topology import LinkSpec
 from .costmodel import CostModel, ExecConfig, WorkloadDims
 from .hardware import Cluster
 from .metrics import SimReport, evaluate
-from .schedules.base import BuiltSchedule
-from .schedules.collective import build_collective
-from .schedules.pipeline import build_pipeline
-from .schedules.weipipe import build_weipipe
+from .schedules.walk import build_schedule
 
 __all__ = ["run_cell", "build_schedule", "exec_for", "predict_run", "FREE_LINK"]
 
@@ -50,36 +45,11 @@ __all__ = ["run_cell", "build_schedule", "exec_for", "predict_run", "FREE_LINK"]
 #: moment it is sent (``Fabric.topology`` is then accounting-only).
 FREE_LINK = LinkSpec("free", bandwidth=math.inf)
 
-#: family -> the DES builder of a :class:`~repro.core.api.Strategy`.
-_BUILDERS: Dict[str, Callable[[Strategy, WorkloadDims, Cluster, ExecConfig], BuiltSchedule]] = {
-    "pipeline": lambda s, d, c, e: build_pipeline(s.schedule, d, c, e),
-    "ring": lambda s, d, c, e: build_weipipe(
-        s.schedule, d, c, e, hier=s.hier, name=s.name
-    ),
-    **dict.fromkeys(("dp", "fsdp", "tp", "sp"), build_collective),
-}
-
 
 def exec_for(strategy: str, precision: str = "fp16") -> ExecConfig:
     """Per-strategy execution config (see module docstring)."""
     s = ZOO[strategy]
     return ExecConfig.for_precision(precision, recompute=s.recompute, overlap=s.overlap)
-
-
-def build_schedule(
-    strategy: str,
-    dims: WorkloadDims,
-    cluster: Cluster,
-    exec_cfg: ExecConfig = ExecConfig(),
-) -> BuiltSchedule:
-    """The DES task graph of ``strategy`` on one evaluation cell."""
-    s = ZOO.get(strategy)
-    if s is None or not s.simulated:
-        raise ValueError(
-            f"unknown simulated strategy {strategy!r}; "
-            f"choose from {strategy_names(simulated=True)}"
-        )
-    return _BUILDERS[s.family](s, dims, cluster, exec_cfg)
 
 
 def run_cell(

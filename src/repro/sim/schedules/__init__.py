@@ -1,16 +1,14 @@
-"""Schedule builders: strategy -> task graph."""
+"""Schedule builders: strategy -> task graph (:func:`.walk.build_schedule`)."""
 
 from .base import BuiltSchedule
-from .collective import build_collective, ring_collective_time
-from .pipeline import build_pipeline
-from .weipipe import RING_FIGURES, build_ring_figure, build_weipipe
+from .collective import ring_collective_time
+from .walk import build_schedule
+from .weipipe import RING_FIGURES, build_ring_figure
 
 __all__ = [
     "BuiltSchedule",
     "RING_FIGURES",
-    "build_collective",
-    "build_pipeline",
     "build_ring_figure",
-    "build_weipipe",
+    "build_schedule",
     "ring_collective_time",
 ]

@@ -1,6 +1,7 @@
-"""Common types for schedule builders.
+"""Common types for the schedule builder.
 
-A builder turns (workload, cluster, exec config) into a
+The builder (:mod:`.walk`; :func:`.weipipe.build_ring_figure` for the
+figures) turns (workload, cluster, exec config) into a
 :class:`~repro.sim.engine.TaskGraph` whose compute tasks carry
 ``worker`` and ``kind`` metadata; the metrics layer derives throughput,
 bubble ratios and per-link bandwidth from the simulated timeline.
@@ -8,16 +9,19 @@ bubble ratios and per-link bandwidth from the simulated timeline.
 Conventions:
 
 * compute resources are ``("compute", worker)``;
-* ring messages use ``("link", src, dst)`` with the link chosen by the
-  cluster topology; collectives use the shared ``("net",)`` resource;
+* point-to-point messages use ``("link", src, dst)`` with the link
+  chosen by the cluster topology; collectives use the shared ``("net",)``
+  resource;
 * pipelines and rings build every rank's timeline; the rank-symmetric
-  families (dp / fsdp / tp / sp, :mod:`.collective`) build rank 0's
-  alone and set ``compute_workers=[0]``, which the metrics scale up;
-* compute tasks set ``kind`` in {"F", "B", "W", "BW", "turn"}, plus
-  ``worker``; comm tasks set ``kind="comm"`` and ``nbytes``.
-* With ``overlap=False`` builders route comm through the *sender's*
-  compute resource, serialising it with computation — the ablation for
-  the paper's ``batch_isend_irecv`` prefetching.
+  families (dp / fsdp / tp / sp) build rank 0's alone and set
+  ``compute_workers=[0]``, which the metrics scale up;
+* compute tasks set ``kind`` in {"F", "B", "W", "turn", "update"} and
+  ``worker`` — ``"W"`` also for the formation of factored gradients
+  (``FORM``); a receiver's stall on a blocking hop sets
+  ``kind="recv-stall"``; comm tasks set ``kind="comm"`` and ``nbytes``.
+* With ``overlap=False`` comm rides the *sender's* compute resource,
+  serialising it with computation — the ablation for the paper's
+  ``batch_isend_irecv`` prefetching.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Renders one row per worker, one column per time bucket, with a letter
 for the dominant compute kind in that bucket:
 
-* ``F`` forward, ``B`` backward (or B pass), ``W`` W pass,
+* ``F`` forward, ``B`` backward (or B pass), ``W`` W pass or the
+  formation of factored gradients, ``U`` the ring's update,
 * ``*`` a WeiPipe turn doing more than one op (forward + backward),
 * ``.`` idle (a bubble).
 
@@ -22,7 +23,7 @@ from .schedules.base import BuiltSchedule
 __all__ = ["render_timeline"]
 
 
-_KIND_CHAR = {"F": "F", "B": "B", "W": "W", "BW": "B", "update": "U"}
+_KIND_CHAR = {"F": "F", "B": "B", "W": "W", "update": "U"}
 
 
 def _task_char(meta: dict) -> str:

@@ -29,7 +29,7 @@ from repro.runtime import Fabric
 from repro.sim.costmodel import ExecConfig, WorkloadDims
 from repro.sim.engine import simulate
 from repro.sim.hardware import nvlink_cluster
-from repro.sim.schedules.pipeline import build_pipeline
+from repro.sim.schedules import build_schedule
 
 SCHEDULES = list(PIPELINE_SCHEDULES)
 #: every test below also sweeps N in 1..12 (and every rank) per cell.
@@ -179,7 +179,7 @@ class TestConsumersReadTheProgram:
             hidden=64, n_layers=world, seq_len=128, microbatch=1, n_microbatches=n_mb
         )
         exec_cfg = ExecConfig(recompute=not splits_backward(schedule), overlap=overlap)
-        built = build_pipeline(schedule, dims, nvlink_cluster(world, world), exec_cfg)
+        built = build_schedule(schedule, dims, nvlink_cluster(world, world), exec_cfg)
         sim = simulate(built.graph)
         for rank in range(world):
             ran = sorted(

@@ -18,7 +18,7 @@ from repro.sim.analytic import (
 )
 from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.hardware import A800, Cluster
-from repro.sim.schedules import build_pipeline, build_weipipe
+from repro.sim.schedules import build_schedule
 
 FREE = LinkSpec("free", bandwidth=1e18, latency=0.0)
 
@@ -46,21 +46,21 @@ NOREC = ExecConfig(recompute=False)
 class TestBubbleCrossCheck:
     def test_gpipe(self, world, rounds):
         d, cluster = dims(world, rounds), free_cluster(world)
-        rep = evaluate(build_pipeline("gpipe", d, cluster, NOREC))
+        rep = evaluate(build_schedule("gpipe", d, cluster, NOREC))
         t_f, t_b = CostModel(d, cluster.gpu, NOREC).op_means("gpipe", world)
         expected = bubble_ratio_1f1b(world, d.n_microbatches, t_f, t_b)
         assert rep.bubble_ratio == pytest.approx(expected, rel=0.05)
 
     def test_1f1b(self, world, rounds):
         d, cluster = dims(world, rounds), free_cluster(world)
-        rep = evaluate(build_pipeline("1f1b", d, cluster, NOREC))
+        rep = evaluate(build_schedule("1f1b", d, cluster, NOREC))
         t_f, t_b = CostModel(d, cluster.gpu, NOREC).op_means("1f1b", world)
         expected = bubble_ratio_1f1b(world, d.n_microbatches, t_f, t_b)
         assert rep.bubble_ratio == pytest.approx(expected, rel=0.05)
 
     def test_weipipe_interleave(self, world, rounds):
         d, cluster = dims(world, rounds), free_cluster(world)
-        rep = evaluate(build_weipipe("interleave", d, cluster, NOREC))
+        rep = evaluate(build_schedule("weipipe-interleave", d, cluster, NOREC))
         t_f, t_b = CostModel(d, cluster.gpu, NOREC).op_means("weipipe-interleave", world)
         expected = bubble_ratio_weipipe_interleave(
             world, d.n_microbatches, t_f, t_b
@@ -73,7 +73,7 @@ class TestBubbleCrossCheck:
 
     def test_weipipe_naive(self, world, rounds):
         d, cluster = dims(world, rounds), free_cluster(world)
-        rep = evaluate(build_weipipe("naive", d, cluster, NOREC))
+        rep = evaluate(build_schedule("weipipe-naive", d, cluster, NOREC))
         t_f, t_b = CostModel(d, cluster.gpu, NOREC).op_means("weipipe-naive", world)
         expected = bubble_ratio_weipipe_naive(world, d.n_microbatches, t_f, t_b)
         assert rep.bubble_ratio == pytest.approx(expected, abs=0.06)

@@ -1,17 +1,14 @@
 """Schedule builders: structural sanity and comparative timing shapes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.api import ZOO
 from repro.sim import WorkloadDims, evaluate, run_cell, nvlink_cluster, pcie_ethernet_cluster, simulate
 from repro.sim.costmodel import CostModel, ExecConfig
 from repro.sim.runner import build_schedule, exec_for
-from repro.sim.schedules import (
-    build_pipeline,
-    build_ring_figure,
-    build_weipipe,
-    ring_collective_time,
-)
+from repro.sim.schedules import build_ring_figure, ring_collective_time
 
 DIMS = WorkloadDims(
     hidden=1024, n_layers=8, seq_len=4096, microbatch=8, n_microbatches=16
@@ -35,12 +32,12 @@ def _figure(variant):
 class TestBuildersSimulate:
     @pytest.mark.parametrize("name", ["gpipe", "1f1b"])
     def test_pipeline_builds(self, name):
-        rep = _report(build_pipeline, name, DIMS, CLUSTER)
+        rep = _report(build_schedule, name, DIMS, CLUSTER)
         assert rep.makespan > 0 and 0 <= rep.bubble_ratio < 1
 
     @pytest.mark.parametrize("name", ["zb1", "zb2"])
     def test_zb_builds(self, name):
-        rep = _report(build_pipeline, name, DIMS, CLUSTER, NOREC)
+        rep = _report(build_schedule, name, DIMS, CLUSTER, NOREC)
         assert rep.makespan > 0
 
     @pytest.mark.parametrize(
@@ -63,9 +60,9 @@ class TestValidation:
     def test_layers_divisibility(self):
         bad = DIMS.with_(n_layers=6)
         with pytest.raises(ValueError):
-            build_pipeline("1f1b", bad, CLUSTER)
+            build_schedule("1f1b", bad, CLUSTER)
         with pytest.raises(ValueError):
-            build_weipipe("interleave", bad, CLUSTER)
+            build_schedule("weipipe-interleave", bad, CLUSTER)
 
     def test_split_backward_prices_recompute(self):
         """A split backward recomputes like the runtime's: its B passes
@@ -80,9 +77,9 @@ class TestValidation:
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):
-            build_pipeline("2f2b", DIMS, CLUSTER)
+            build_schedule("2f2b", DIMS, CLUSTER)
         with pytest.raises(ValueError):
-            build_weipipe("turbo", DIMS, CLUSTER)
+            build_schedule("turbo", DIMS, CLUSTER)
         with pytest.raises(ValueError):
             build_ring_figure("wzb3", DIMS, CLUSTER, NOREC)
 
@@ -91,8 +88,8 @@ class TestComparativeShapes:
     """Orderings the paper derives analytically must hold in the DES."""
 
     def test_interleave_beats_naive(self):
-        naive = _report(build_weipipe, "naive", DIMS, CLUSTER)
-        inter = _report(build_weipipe, "interleave", DIMS, CLUSTER)
+        naive = _report(build_schedule, "weipipe-naive", DIMS, CLUSTER)
+        inter = _report(build_schedule, "weipipe-interleave", DIMS, CLUSTER)
         assert inter.makespan < naive.makespan
         assert inter.bubble_ratio < naive.bubble_ratio
 
@@ -100,20 +97,20 @@ class TestComparativeShapes:
         """Same fill/drain ramp; 1F1B wins on memory, not time.  (Without
         recompute: with it 1F1B's last stage keeps its caches and runs
         lighter B ops than the stages it waits on.)"""
-        f = _report(build_pipeline, "1f1b", DIMS, CLUSTER, NOREC)
-        g = _report(build_pipeline, "gpipe", DIMS, CLUSTER, NOREC)
+        f = _report(build_schedule, "1f1b", DIMS, CLUSTER, NOREC)
+        g = _report(build_schedule, "gpipe", DIMS, CLUSTER, NOREC)
         assert f.bubble_ratio == pytest.approx(g.bubble_ratio, rel=0.05)
 
     def test_zb1_lower_bubble_than_1f1b(self):
-        f = _report(build_pipeline, "1f1b", DIMS, CLUSTER, NOREC)
-        z = _report(build_pipeline, "zb1", DIMS, CLUSTER, NOREC)
+        f = _report(build_schedule, "1f1b", DIMS, CLUSTER, NOREC)
+        z = _report(build_schedule, "zb1", DIMS, CLUSTER, NOREC)
         assert z.bubble_ratio < f.bubble_ratio
 
     def test_wzb2_nearly_zero_bubble(self):
         assert _figure("wzb2").bubble_ratio < 0.08
 
     def test_wzb1_bubble_below_interleave(self):
-        inter = _report(build_weipipe, "interleave", DIMS, CLUSTER, NOREC)
+        inter = _report(build_schedule, "weipipe-interleave", DIMS, CLUSTER, NOREC)
         assert _figure("wzb1").bubble_ratio < inter.bubble_ratio
 
     def test_wzb2_more_comm_per_compute_than_wzb1(self):
@@ -123,44 +120,42 @@ class TestComparativeShapes:
         """The ring that executes with a split backward defers each W one
         revolution: the same compute per worker as interleave's fused
         backward, and a makespan no longer than interleave's."""
-        inter = _report(build_weipipe, "interleave", DIMS, CLUSTER, NOREC)
-        zb = _report(build_weipipe, "zero-bubble", DIMS, CLUSTER, NOREC,
-                     name="weipipe-zb")
+        inter = _report(build_schedule, "weipipe-interleave", DIMS, CLUSTER, NOREC)
+        zb = _report(build_schedule, "weipipe-zb", DIMS, CLUSTER, NOREC)
         assert zb.makespan <= inter.makespan * (1 + 1e-9)
         assert zb.bubble_ratio == pytest.approx(inter.bubble_ratio)
 
     def test_hier_moves_fewer_bytes_only_across_nodes(self):
         multi = pcie_ethernet_cluster(4, gpus_per_node=2)
         for cluster, fewer in ((CLUSTER, False), (multi, True)):
-            flat = _report(build_weipipe, "interleave", DIMS, cluster)
-            hier = _report(build_weipipe, "interleave", DIMS, cluster, hier=True,
-                           name="weipipe-hier")
+            flat = _report(build_schedule, "weipipe-interleave", DIMS, cluster)
+            hier = _report(build_schedule, "weipipe-hier", DIMS, cluster)
             assert (hier.comm_bytes_total < flat.comm_bytes_total) == fewer
             assert hier.makespan <= flat.makespan
 
     def test_more_microbatches_shrink_bubble(self):
-        small = _report(build_weipipe, "interleave", DIMS, CLUSTER)
+        small = _report(build_schedule, "weipipe-interleave", DIMS, CLUSTER)
         big = _report(
-            build_weipipe, "interleave", DIMS.with_(n_microbatches=64), CLUSTER
+            build_schedule, "weipipe-interleave", DIMS.with_(n_microbatches=64), CLUSTER
         )
         assert big.bubble_ratio < small.bubble_ratio
 
     def test_weipipe_comm_independent_of_seq(self):
-        a = _report(build_weipipe, "interleave", DIMS, CLUSTER)
+        a = _report(build_schedule, "weipipe-interleave", DIMS, CLUSTER)
         b = _report(
-            build_weipipe, "interleave", DIMS.with_(seq_len=16384), CLUSTER
+            build_schedule, "weipipe-interleave", DIMS.with_(seq_len=16384), CLUSTER
         )
         assert b.comm_bytes_total == pytest.approx(a.comm_bytes_total)
 
     def test_pipeline_comm_scales_with_seq(self):
-        a = _report(build_pipeline, "1f1b", DIMS, CLUSTER)
-        b = _report(build_pipeline, "1f1b", DIMS.with_(seq_len=16384), CLUSTER)
+        a = _report(build_schedule, "1f1b", DIMS, CLUSTER)
+        b = _report(build_schedule, "1f1b", DIMS.with_(seq_len=16384), CLUSTER)
         assert b.comm_bytes_total == pytest.approx(4 * a.comm_bytes_total, rel=0.01)
 
     def test_overlap_helps_pipelines(self):
         slow_cluster = pcie_ethernet_cluster(4, gpus_per_node=2)
-        on = _report(build_pipeline, "1f1b", DIMS, slow_cluster, ExecConfig(overlap=True))
-        off = _report(build_pipeline, "1f1b", DIMS, slow_cluster, ExecConfig(overlap=False))
+        on = _report(build_schedule, "1f1b", DIMS, slow_cluster, ExecConfig(overlap=True))
+        off = _report(build_schedule, "1f1b", DIMS, slow_cluster, ExecConfig(overlap=False))
         assert on.makespan < off.makespan
 
     def test_ethernet_slows_weipipe_less_than_1f1b(self):
@@ -170,12 +165,12 @@ class TestComparativeShapes:
         slow = pcie_ethernet_cluster(4, gpus_per_node=2)
         dims = DIMS.with_(seq_len=16384, microbatch=8)
         wp_pen = (
-            _report(build_weipipe, "interleave", dims, slow).makespan
-            / _report(build_weipipe, "interleave", dims, fast).makespan
+            _report(build_schedule, "weipipe-interleave", dims, slow).makespan
+            / _report(build_schedule, "weipipe-interleave", dims, fast).makespan
         )
         pp_pen = (
-            _report(build_pipeline, "1f1b", dims, slow, ExecConfig(overlap=False)).makespan
-            / _report(build_pipeline, "1f1b", dims, fast, ExecConfig(overlap=False)).makespan
+            _report(build_schedule, "1f1b", dims, slow, ExecConfig(overlap=False)).makespan
+            / _report(build_schedule, "1f1b", dims, fast, ExecConfig(overlap=False)).makespan
         )
         assert wp_pen < pp_pen
 
@@ -223,7 +218,7 @@ class TestTensorParallelSim:
 
 
 #: the collective families' DES at ``exec_for`` on DIMS, recorded when
-#: ``build_collective`` came to price the message table (each chunk as
+#: the collective families' DES came to price the message table (each chunk as
 #: ``chunk_param_count`` sizes it, the ring's ``(P-1)/P`` of each buffer,
 #: the loss all-reduces): ``(makespan, comm_bytes_total)`` per cluster,
 #: exact.
@@ -243,14 +238,66 @@ COLLECTIVE_PINS = {
 }
 
 
+#: the pipeline and ring families' DES at ``exec_for`` on DIMS, recorded
+#: before one walk came to build every family: ``(makespan,
+#: comm_bytes_total)`` per cluster, exact.  The pcie cluster spans two
+#: nodes, so ``weipipe-hier``'s reference rule runs there.
+PROGRAM_PINS = {
+    "nvlink": {
+        "gpipe": (2.444829564807145, 6442451040.0),
+        "1f1b": (2.422525400418147, 6442451040.0),
+        "zb1": (1.917407798064023, 6442451040.0),
+        "zb2": (1.9174077980640227, 6442451040.0),
+        "weipipe-naive": (3.124496901308505, 48183839104.0),
+        "weipipe-interleave": (2.4280977668301826, 24258070912.0),
+        "weipipe-zb": (2.0235262328337256, 28245698944.0),
+        "weipipe-hier": (2.4280977668301826, 24258070912.0),
+    },
+    "pcie": {
+        "gpipe": (3.7200810150170542, 15032385984.0),
+        "1f1b": (3.4608927842053046, 15032385984.0),
+        "zb1": (3.1776345764320615, 15032385984.0),
+        "zb2": (3.195996993886607, 15032385984.0),
+        "weipipe-naive": (5.726651046556195, 48183839616.0),
+        "weipipe-interleave": (3.892941802928564, 32233327488.0),
+        "weipipe-zb": (4.776415800841907, 40208583552.0),
+        "weipipe-hier": (2.7052632662134366, 28245701760.0),
+    },
+}
+
+#: the same cells with ``exec_for``'s overlap flipped, on pcie.
+FLIPPED_PINS = {
+    "1f1b": (2.409622558250779, 15032385984.0),
+    "weipipe-interleave": (5.234306520663311, 32233327488.0),
+}
+
+_PINNED_CLUSTERS = {"nvlink": CLUSTER, "pcie": pcie_ethernet_cluster(8, gpus_per_node=4)}
+
+
+class TestProgramFamiliesPinned:
+    """Pipelines and rings: every rank's program."""
+
+    @pytest.mark.parametrize("cluster", ["nvlink", "pcie"])
+    @pytest.mark.parametrize("strategy", list(PROGRAM_PINS["nvlink"]))
+    def test_pinned_at_exec_for(self, strategy, cluster):
+        rep = run_cell(strategy, DIMS, _PINNED_CLUSTERS[cluster], exec_for(strategy))
+        assert (rep.makespan, rep.comm_bytes_total) == PROGRAM_PINS[cluster][strategy]
+
+    @pytest.mark.parametrize("strategy", list(FLIPPED_PINS))
+    def test_pinned_with_overlap_flipped(self, strategy):
+        base = exec_for(strategy)
+        rep = run_cell(strategy, DIMS, _PINNED_CLUSTERS["pcie"],
+                       replace(base, overlap=not base.overlap))
+        assert (rep.makespan, rep.comm_bytes_total) == FLIPPED_PINS[strategy]
+
+
 class TestCollectiveFamilies:
-    """dp, fsdp, tp and sp: one builder over rank 0's program."""
+    """dp, fsdp, tp and sp: rank 0's program."""
 
     @pytest.mark.parametrize("cluster", ["nvlink", "pcie"])
     @pytest.mark.parametrize("strategy", ["dp", "fsdp", "tp", "sp"])
     def test_pinned_at_exec_for(self, strategy, cluster):
-        c = {"nvlink": CLUSTER, "pcie": pcie_ethernet_cluster(8, gpus_per_node=4)}[cluster]
-        rep = run_cell(strategy, DIMS, c, exec_for(strategy))
+        rep = run_cell(strategy, DIMS, _PINNED_CLUSTERS[cluster], exec_for(strategy))
         assert (rep.makespan, rep.comm_bytes_total) == COLLECTIVE_PINS[cluster][strategy]
 
     def test_fsdp_gathers_keep_the_prefetch_window(self):

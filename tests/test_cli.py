@@ -241,6 +241,18 @@ class TestCommands:
         with pytest.raises(SystemExit, match="choose from.*weipipe-zb.*wzb1"):
             main(["timeline", "weipipe-wzb1"])
 
+    def test_timeline_refuses_an_indivisible_world_in_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["timeline", "weipipe-interleave", "--world", "3"])
+        message = str(exc.value)
+        assert "\n" not in message and "not divisible by 3" in message
+
+    def test_timeline_draws_a_rank_symmetric_record_as_rank_0(self, capsys):
+        assert main(["timeline", "fsdp", "--width", "40"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("worker")]
+        assert len(rows) == 1 and rows[0].startswith("worker  0 |")
+
     def test_simulate_oom_exit_code(self, capsys):
         rc = main([
             "simulate", "--strategy", "zb2", "--world", "16",
