@@ -637,16 +637,6 @@ def _cmd_train(args) -> int:
             raise SystemExit(str(e)) from None
 
     process = args.backend == "process"
-    if process and durable:
-        raise SystemExit(
-            "--checkpoint-every/--resume require --backend thread "
-            "(the commit hook runs in the driver's process)"
-        )
-    if process and args.dp > 1:
-        raise SystemExit(
-            "--dp > 1 requires --backend thread (the hybrid driver "
-            "shares one in-process fabric across rings)"
-        )
     tracer, metrics = _obs(args, **trace_metadata(
         args.strategy, args.world, spec, topology=topo, backend=args.backend,
     ))

@@ -208,9 +208,11 @@ def build_schedule(
             if not owners:
                 tails[r] = form
 
-    # the end rows: the collectives after every rank's last compute and
-    # homing arrivals; an end hop after the owner's update
-    last = tuple(d for r in ranks for d in (tails[r], *(arrived(r, total) if turns else ())))
+    # the end rows: the collectives after every rank's last compute, its
+    # FORM (the ring forms before its loss gather) and homing arrivals; an
+    # end hop after the owner's update
+    last = tuple(d for r in ranks for d in (
+        tails[r], *(formed.get(r, ()) if owners else ()), *(arrived(r, total) if turns else ())))
     syncs = tuple(
         collective_task(g, (post.kind, *part), post, sizes, cluster, net, last, *part)
         for post in rows if post.when == "end" and post.what != "hop"

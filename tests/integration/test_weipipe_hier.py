@@ -9,6 +9,8 @@ verbatim (byte-identical wire), ``Px1`` makes every hop a boundary and
 every rank a gateway.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,23 @@ class TestStrategyRegistration:
         result = train(spec, "weipipe-hier", WORLD, fabric=fabric)
         assert result.extra["groups"] == [[0, 1], [2, 3]]
         assert fabric.link_traffic()["inter"]["bytes"] > 0
+
+    @pytest.mark.parametrize("groups", ["3x2", "2x3"])
+    def test_elastic_call_takes_the_fabric_groups(self, groups):
+        """Without a failure the elastic call computes on the whole fabric,
+        so its ring crosses the fabric's group boundaries exactly as the
+        plain call's does (on ``3x2`` it used the default ``2x3`` grid)."""
+        from repro.parallel import train_elastic
+
+        spec = default_differential_spec(n_microbatches=12, iters=1)
+        spec = replace(spec, cfg=spec.cfg.with_(hidden=32, n_layers=6))
+        crossings = []
+        for run in (train, train_elastic):
+            fabric = Fabric(6, topology=Topology.grid(6, groups))
+            run(spec, "weipipe-hier", 6, fabric=fabric)
+            crossings.append(tuple(fabric.metrics.total(f"weipipe_hier_{k}_crossings_total")
+                                   for k in ("full", "ref")))
+        assert crossings[0] == crossings[1]
 
     def test_default_groups(self):
         assert default_groups(4) == "2x2"

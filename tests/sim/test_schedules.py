@@ -369,3 +369,21 @@ class TestFactoredPrograms:
         for tid in forms:  # the end collectives wait for it
             assert any(tid in task.deps for task in built.graph.tasks.values()
                        if task.meta["kind"] == "comm")
+
+    @pytest.mark.parametrize("name", [n for n, s in ZOO.items() if s.simulated])
+    def test_the_loss_sync_waits_for_every_form(self, name):
+        """Every rank forms before its loss collective, as the runtime does
+        (the ring's ``RingLoop.run_iteration`` forms, then gathers)."""
+        built = build_schedule(name, self.THIN, nvlink_cluster(4, gpus_per_node=4), NOREC)
+        tasks = built.graph.tasks
+        forms = {tid for tid in tasks if tid[0] == "FORM"}
+        for tid, task in tasks.items():
+            if not str(tid[0]).endswith("-loss"):
+                continue
+            seen, todo = set(), list(task.deps)
+            while todo:
+                dep = todo.pop()
+                if dep not in seen:
+                    seen.add(dep)
+                    todo.extend(tasks[dep].deps)
+            assert forms <= seen, (tid, sorted(forms - seen))

@@ -166,17 +166,30 @@ class TestCommands:
             if m["name"] == "fabric_retransmits"
         )
 
-    def test_train_process_backend_still_rejects_durable(self, tmp_path):
-        import pytest
+    def test_train_process_backend_writes_the_thread_checkpoint(self, tmp_path):
+        """The commit hook runs in rank 0's forked process and writes the
+        same bytes the thread run writes."""
+        paths = {b: tmp_path / f"{b}.npz" for b in ("thread", "process")}
+        for backend, path in paths.items():
+            assert main([
+                "train", "--strategy", "1f1b", "--iters", "2", "--world", "2",
+                "--hidden", "16", "--layers", "2", "--heads", "2", "--seq", "8",
+                "--vocab", "17", "--microbatches", "4", "--backend", backend,
+                "--checkpoint-every", "1", "--checkpoint-path", str(path),
+            ]) == 0
+        assert paths["thread"].read_bytes() == paths["process"].read_bytes()
 
-        with pytest.raises(SystemExit, match="backend thread"):
-            main([
-                "train", "--iters", "1", "--world", "2", "--hidden", "16",
-                "--layers", "2", "--heads", "2", "--seq", "8", "--vocab",
-                "17", "--microbatches", "4", "--backend", "process",
-                "--checkpoint-every", "1",
-                "--checkpoint-path", str(tmp_path / "ckpt.npz"),
-            ])
+    def test_train_hybrid_on_process_backend_matches_thread(self, capsys):
+        losses = {}
+        for backend in ("thread", "process"):
+            assert main([
+                "train", "--iters", "2", "--world", "4", "--dp", "2",
+                "--hidden", "16", "--layers", "2", "--heads", "2", "--seq", "8",
+                "--vocab", "17", "--microbatches", "4", "--backend", backend,
+            ]) == 0
+            losses[backend] = [line for line in capsys.readouterr().out.splitlines()
+                               if line.startswith("iter ")]
+        assert losses["thread"] and losses["thread"] == losses["process"]
 
     @pytest.mark.parametrize("argv, why", [
         (["--strategy", "frobnicate"], "unknown strategy 'frobnicate'"),
