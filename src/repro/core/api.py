@@ -15,35 +15,35 @@ string must not change the numbers (see ``tests/integration``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional, Tuple
 
 from ..parallel.common import Post, RankLoop, TrainResult, TrainSpec
-from ..parallel.data_parallel import DPLoop, train_data_parallel
-from ..parallel.fsdp import FSDPLoop, train_fsdp
-from ..parallel.pipeline import StageLoop, splits_backward, stage_program, train_pipeline
-from ..parallel.serial import train_serial
-from ..parallel.sequence_parallel import SPLoop, train_sequence_parallel
-from ..parallel.tensor_parallel import TPLoop, train_tensor_parallel
-from ..runtime import Fabric, Topology, default_groups
+from ..parallel.data_parallel import DPLoop
+from ..parallel.fsdp import FSDPLoop
+from ..parallel.pipeline import StageLoop, splits_backward, stage_program
+from ..parallel.sequence_parallel import SPLoop
+from ..parallel.tensor_parallel import TPLoop
+from ..runtime import Fabric, run_workers
 from .schedule import ring_program, ring_splits_backward
-from .weipipe import RingLoop, train_weipipe
+from .weipipe import RingLoop
 
-__all__ = ["train", "Strategy", "ZOO", "strategy_names", "rank_programs", "posts"]
-
-Runner = Callable[[TrainSpec, int, Optional[Fabric]], TrainResult]
+__all__ = ["train", "launch", "record", "Strategy", "ZOO", "strategy_names",
+           "rank_programs", "posts"]
 
 
 @dataclass(frozen=True)
 class Strategy:
     """One row of the strategy zoo: what a strategy *is*, for every reader.
 
-    ``run(spec, world, fabric)`` trains it.  ``family`` (serial / dp /
-    fsdp / pipeline / ring / tp / sp) selects the per-family machinery the
-    other layers keep beside their own code — the DES builder
-    (``sim.runner``), the memory model (``sim.memory``) and the loop one
-    rank runs (:data:`_LOOPS`, which ``parallel.elastic`` also builds) —
-    so ``core`` never imports ``sim``.  ``schedule`` is the family's row:
+    :func:`train` trains it.  ``family`` (serial / dp / fsdp / pipeline /
+    ring / tp / sp) selects the loop one rank runs (:attr:`loop`, which
+    :func:`launch` and ``parallel.elastic`` build through its ``build``)
+    and the memory model (``sim.memory``); the DES walks the loop's
+    programs and message table (``sim.schedules.walk``), so ``core``
+    never imports ``sim``.  ``schedule`` is the family's row:
     a ``PIPELINE_SCHEDULES`` schedule or a ``RING_SCHEDULES`` mode;
     ``hier`` marks the two-level ring.  ``divides`` names the sizes the
     parallel degree must divide (``layers`` / ``heads`` / ``ffn`` /
@@ -52,7 +52,6 @@ class Strategy:
 
     name: str
     family: str
-    run: Runner
     schedule: Optional[str] = None
     hier: bool = False
     divides: Tuple[str, ...] = ()
@@ -88,7 +87,12 @@ class Strategy:
         """Does its loop keep each chunk's whole gradient, so that below
         the regime boundary it forms it from factor bundles
         (``RankLoop.whole``, DESIGN.md §17)?"""
-        return _LOOPS[self.family].whole
+        return self.loop.whole
+
+    @property
+    def loop(self) -> type:
+        """The loop class one rank of it runs (:data:`_LOOPS`)."""
+        return _LOOPS[self.family]
 
     @property
     def overlap(self) -> bool:
@@ -101,53 +105,49 @@ class Strategy:
         splits?"""
         return all(sizes[dim] % degree == 0 for dim in self.divides)
 
+    def check(self, spec: TrainSpec, world: int) -> None:
+        """Refuse, before any worker starts, a ``world`` that does not
+        divide a size the record ``divides`` or that its loop's ``check``
+        refuses: the one validation :func:`launch` and ``train_elastic``
+        run."""
+        for dim, size in sizes(spec).items():
+            if dim in self.divides and size % world:
+                raise ValueError(
+                    f"{_FIELDS[dim]} ({size}) must be divisible by the world size {world}")
+        self.loop.check(spec, world)
 
-def _serial(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
-    if world != 1:
-        raise ValueError("serial strategy runs on exactly one worker")
-    return train_serial(spec, fabric)
+
+#: the spec field of each size a record's ``divides`` may name.
+_FIELDS = {"layers": "n_layers", "heads": "n_heads", "ffn": "ffn", "seq": "seq_len",
+           "microbatches": "n_microbatches"}
+
+
+def sizes(spec: TrainSpec) -> Dict[str, int]:
+    """The sizes a record's ``divides`` may name, of ``spec``."""
+    return {dim: getattr(spec if dim == "microbatches" else spec.cfg, field)
+            for dim, field in _FIELDS.items()}
 
 
 def _pipeline(schedule: str, **flags) -> Strategy:
-    return Strategy(
-        schedule, "pipeline",
-        lambda s, w, f: train_pipeline(s, w, schedule=schedule, fabric=f),
-        schedule=schedule, divides=("layers",), **flags,
-    )
+    return Strategy(schedule, "pipeline", schedule=schedule, divides=("layers",), **flags)
 
 
 def _ring(name: str, mode: str, hier: bool = False, **flags) -> Strategy:
-    def run(spec: TrainSpec, world: int, fabric: Optional[Fabric]) -> TrainResult:
-        topo = None
-        if hier:
-            # group layout: the fabric's topology when it has one, else
-            # the default grid.
-            topo = getattr(fabric, "topology", None) or Topology.grid(
-                world, default_groups(world)
-            )
-        return train_weipipe(spec, world, mode=mode, fabric=fabric, topology=topo)
-
-    return Strategy(
-        name, "ring", run, schedule=mode, hier=hier,
-        divides=("layers", "microbatches"), **flags,
-    )
+    return Strategy(name, "ring", schedule=mode, hier=hier,
+                    divides=("layers", "microbatches"), **flags)
 
 
 #: every strategy, by the name ``train`` takes — the one statement of each.
 ZOO: Dict[str, Strategy] = {s.name: s for s in (
-    Strategy("serial", "serial", _serial),
+    Strategy("serial", "serial"),
     _pipeline("gpipe"),
     _pipeline("1f1b", differential_world=4),
     _pipeline("zb1", differential_world=4),
     _pipeline("zb2"),
-    Strategy("fsdp", "fsdp", lambda s, w, f: train_fsdp(s, w, fabric=f),
-             divides=("microbatches",), differential_world=4),
-    Strategy("dp", "dp", lambda s, w, f: train_data_parallel(s, w, fabric=f),
-             divides=("microbatches",)),
-    Strategy("tp", "tp", lambda s, w, f: train_tensor_parallel(s, w, fabric=f),
-             divides=("heads", "ffn"), full_cache=True, differential_world=2),
-    Strategy("sp", "sp", lambda s, w, f: train_sequence_parallel(s, w, fabric=f),
-             divides=("seq",), full_cache=True, differential_world=4),
+    Strategy("fsdp", "fsdp", divides=("microbatches",), differential_world=4),
+    Strategy("dp", "dp", divides=("microbatches",)),
+    Strategy("tp", "tp", divides=("heads", "ffn"), full_cache=True, differential_world=2),
+    Strategy("sp", "sp", divides=("seq",), full_cache=True, differential_world=4),
     _ring("weipipe-naive", "naive", differential_world=4),
     _ring("weipipe-interleave", "interleave", differential_world=4),
     _ring("weipipe-zb", "zero-bubble", differential_world=4),
@@ -180,7 +180,8 @@ def rank_programs(strategy: str, world: int, n_mb: int) -> Tuple[List[list], int
 
 
 #: family -> the loop one rank of it runs: its ``POSTS`` are the family's
-#: messages, and ``parallel.elastic`` runs it one iteration at a time.
+#: messages; :func:`launch` runs it for a call, ``parallel.elastic`` one
+#: iteration at a time.
 _LOOPS = {"serial": RankLoop, "dp": DPLoop, "fsdp": FSDPLoop, "tp": TPLoop,
           "sp": SPLoop, "pipeline": StageLoop, "ring": RingLoop}
 
@@ -189,7 +190,56 @@ def posts(strategy: str) -> Tuple[Post, ...]:
     """The message table of ``strategy`` (DESIGN §23): the rows of its
     loop's ``POSTS``, which the DES, the closed forms, the memory model and
     the wire gate read."""
-    return _LOOPS[ZOO[strategy].family].POSTS
+    return ZOO[strategy].loop.POSTS
+
+
+def record(strategy: str) -> Strategy:
+    """The record of ``strategy``; a ``ValueError`` naming the choices."""
+    if strategy not in ZOO:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {strategy_names()}")
+    return ZOO[strategy]
+
+
+def _merge(a, b):
+    """The launch's ``extra`` rule over two ranks' (lower rank first):
+    dicts merge key by key, numbers add, anything else is the lower
+    rank's."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = _merge(out[k], v) if k in out else v
+        return out
+    if isinstance(a, numbers.Number) and isinstance(b, numbers.Number):
+        return a + b
+    return a
+
+
+def launch(s: Strategy, spec: TrainSpec, world: int, fabric=None, **build) -> TrainResult:
+    """Train ``spec`` as record ``s`` on ``world`` ranks: refuse a bad
+    world in the parent (:meth:`Strategy.check`), run each rank's loop
+    (``s.loop.build(s, spec, comm, **build)``) through ``run_workers``
+    with the pool it states, then union the chunks the ranks report by
+    chunk id and merge their ``extra`` by :func:`_merge`.  A loop that
+    posts nothing (serial) runs here, on no wire: a ``fabric`` (a
+    ``Fabric`` or a transport) lends it only its tracer, as rank 0's."""
+    s.check(spec, world)
+
+    def rank(comm):
+        loop = s.loop.build(s, spec, comm, **build)
+        if comm is None and getattr(fabric, "tracer", None) is not None:
+            loop.trace = fabric.tracer.rank(0)
+        return loop.report(*loop.train())
+
+    if not s.loop.POSTS:
+        results = [rank(None)]
+    else:
+        results = run_workers(world, rank, fabric=fabric,
+                              pool_bytes=s.loop.pool_bytes(s, spec, world))
+    owned = {}
+    for _, chunks, _ in results:
+        owned.update(chunks)
+    return TrainResult(losses=results[0][0], chunks=[owned[i] for i in sorted(owned)],
+                       extra=reduce(_merge, (extra for _, _, extra in results)))
 
 
 def train(
@@ -206,16 +256,13 @@ def train(
     fork one worker process per rank over shared memory — every strategy
     is transport-agnostic, and results are bit-exact across backends.
     """
-    if strategy not in ZOO:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; choose from {strategy_names()}"
-        )
+    s = record(strategy)
     if backend is not None and backend != "thread":
         if fabric is not None:
             raise ValueError("pass either fabric= or backend=, not both")
-        # a Transport rides the fabric= plumbing: every train_* forwards
-        # it to run_workers, whose resolver accepts transports there.
+        # a Transport rides the fabric= plumbing: the launch forwards it
+        # to run_workers, whose resolver accepts transports there.
         from ..runtime import resolve_transport
 
         fabric = resolve_transport(None, backend)
-    return ZOO[strategy].run(spec, world_size, fabric)
+    return launch(s, spec, world_size, fabric)

@@ -57,13 +57,14 @@ never what is computed:
   crosses and the hooks are the plain send / identity.
 
 Numerical contract: identical losses and final weights as
-:func:`repro.parallel.serial.train_serial` (exact in fp32/fp64 policies
+the serial baseline, ``train(spec, "serial")`` (exact in fp32/fp64 policies
 up to accumulation order) for every ``overlap`` x ``topology`` —
 enforced by ``tests/integration``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -88,9 +89,7 @@ from ..parallel.common import (
     microbatch,
     pre_update,
     quantize_grads_,
-    recompute_ledger,
     slot_chunk_ids,
-    sum_recompute,
 )
 from ..runtime import (
     WREF_NBYTES,
@@ -99,7 +98,7 @@ from ..runtime import (
     Topology,
     all_gather,
     all_reduce,
-    run_workers,
+    default_groups,
 )
 from ..runtime.transport.shm import ShmArena
 from .schedule import (
@@ -215,11 +214,31 @@ class RingLoop(RankLoop):
              Post("call", "hop", "inject", "slot", "weight", peer="home"),
              Post("call", "all-gather", "wp-final", "model", "dtype"))
 
+    @classmethod
+    def build(cls, record, spec, comm, overlap: bool = True,
+              topology: Optional[Topology] = None):
+        """A ring of the record's mode on ``comm``.  The two-level ring
+        (``record.hier``) groups ranks by ``topology``, else by the
+        fabric's groups while ``comm`` is the whole fabric, else (an
+        elastic step after a shrink) by the default grid of its world.
+        A fresh loop starts with empty gateway caches: every shrink or
+        rejoin invalidates all cached weight slots by construction."""
+        if record.hier and topology is None:
+            w, fabric = comm.world_size, comm.fabric
+            topology = (fabric.topology if w == fabric.world_size else None) or (
+                Topology.grid(w, default_groups(w)))
+        return cls(comm, spec, record.schedule, overlap=overlap, topology=topology)
+
+    @classmethod
+    def pool_bytes(cls, record, spec, world):
+        return max(ring_pool_bytes(spec, world, r, record.schedule) for r in range(world))
+
     def __init__(self, comm: Communicator, spec: TrainSpec, mode: str,
                  dp_comm: Optional[Communicator] = None,
                  overlap: bool = True,
                  topology: Optional[Topology] = None):
         super().__init__(spec, comm)
+        self.topology = topology
         # group layout: the flat ring is the one-group (1xP) hierarchy.
         topo = topology if topology is not None else Topology.flat(self.world)
         #: replica group for 2-D hybrids (repro.core.hybrid): the owners
@@ -400,6 +419,33 @@ class RingLoop(RankLoop):
         the losses and the owned slot's chunks and optimizer states."""
         losses = [self.run_iteration(it) for it in range(self.spec.iters)]
         return losses, [self.bwd_slot[i] for i in self.ids], [self.opt_states[i] for i in self.ids]
+
+    def report(self, losses, chunks, states):
+        """Every rank takes part in gathering the owned slots
+        (``("wp-final",)``); rank 0 reports the model, so the others do
+        not ship theirs back to the launcher.  Beside the loop's ledgers
+        each rank reports its wire and compute seconds, hier crossings and
+        arena overflow; rank 0 its pool's allocation history and, on a
+        grouped ring, the ``groups`` and ``gateways``."""
+        model = gather_owned(self.comm, dict(zip(self.ids, chunks)), ("wp-final",))
+        r = self.rank
+        extra = {
+            **self.ledgers(),
+            # back-compat totals; the registry histograms are canonical.
+            "wire_wait_s": {r: self._h_wire.total},
+            "compute_s": {r: self._h_compute.total},
+            "inter_full_sends": self.inter_full_sends,
+            "inter_ref_sends": self.inter_ref_sends,
+            "arena_overflow_allocs": self.pool.arena_overflow_allocs,
+            "arena_overflow_bytes": self.pool.arena_overflow_bytes,
+        }
+        if r != 0:
+            return losses, {}, extra
+        extra["pool_allocs_by_iter"] = list(self.pool_allocs_by_iter)
+        if self.topology is not None:
+            extra["groups"] = [list(g) for g in self.topology.groups]
+            extra["gateways"] = list(self.topology.gateways())
+        return losses, dict(enumerate(model)), extra
 
     def unshard(self, chunks, states):
         """The owners' all-gather (:meth:`RankLoop.unshard`), then the D
@@ -755,34 +801,6 @@ class RingLoop(RankLoop):
         self.fwd_slot = self.comm.recv(source, ("inject", it))
 
 
-def _worker(comm: Communicator, spec: TrainSpec, mode: str, overlap: bool,
-            topology: Optional[Topology]) -> TrainResult:
-    w = RingLoop(comm, spec, mode, overlap=overlap, topology=topology)
-    losses, owned, _ = w.train()
-    # final weights: every worker's owned (updated) slot.  All ranks take
-    # part in the gather; only rank 0's copy is read (train_weipipe), so
-    # the others do not ship theirs back to the launcher.
-    chunks = gather_owned(comm, dict(zip(w.ids, owned)), ("wp-final",))
-    return TrainResult(
-        losses=losses,
-        chunks=chunks if w.rank == 0 else None,
-        extra={
-            "rank": w.rank,
-            "peak_inflight": w.peak_inflight,
-            "peak_pending_w": w.peak_pending_w,
-            # back-compat totals; the registry histograms are canonical.
-            "wire_wait_s": w._h_wire.total,
-            "compute_s": w._h_compute.total,
-            "pool_allocs_by_iter": list(w.pool_allocs_by_iter),
-            "inter_full_sends": w.inter_full_sends,
-            "inter_ref_sends": w.inter_ref_sends,
-            "arena_overflow_allocs": w.pool.arena_overflow_allocs,
-            "arena_overflow_bytes": w.pool.arena_overflow_bytes,
-            "recompute": recompute_ledger(w.ck),
-        },
-    )
-
-
 def train_weipipe(
     spec: TrainSpec,
     world_size: int,
@@ -815,34 +833,13 @@ def train_weipipe(
     Requires ``n_layers % world_size == 0`` and
     ``n_microbatches % world_size == 0`` (the paper's setting).
     """
+    from .api import ZOO, launch  # core.api imports this module
+
     ring_splits_backward(mode)  # validates the mode
-    slot_chunk_ids(0, world_size, spec.cfg.n_layers)  # validates divisibility
-    if spec.n_microbatches % world_size != 0:
-        raise ValueError("n_microbatches must be divisible by world_size")
     if topology is not None and topology.world_size != world_size:
         raise ValueError(
             f"topology is for world_size {topology.world_size}, "
             f"training uses {world_size}"
         )
-    results = run_workers(
-        world_size,
-        lambda comm: _worker(comm, spec, mode, overlap, topology),
-        fabric=fabric,
-        pool_bytes=max(
-            ring_pool_bytes(spec, world_size, r, mode) for r in range(world_size)
-        ),
-    )
-    by_rank = {r.extra["rank"]: r.extra for r in results}
-    extra: Dict[str, object] = {
-        key: {r: e[key] for r, e in by_rank.items()}
-        for key in ("peak_inflight", "peak_pending_w", "wire_wait_s", "compute_s")
-    }
-    extra["pool_allocs_by_iter"] = results[0].extra["pool_allocs_by_iter"]
-    for key in ("inter_full_sends", "inter_ref_sends",
-                "arena_overflow_allocs", "arena_overflow_bytes"):
-        extra[key] = sum(e[key] for e in by_rank.values())
-    extra["recompute"] = sum_recompute(r.extra["recompute"] for r in results)
-    if topology is not None:
-        extra["groups"] = [list(g) for g in topology.groups]
-        extra["gateways"] = list(topology.gateways())
-    return TrainResult(losses=results[0].losses, chunks=results[0].chunks, extra=extra)
+    return launch(replace(ZOO["weipipe-interleave"], schedule=mode), spec, world_size,
+                  fabric, overlap=overlap, topology=topology)

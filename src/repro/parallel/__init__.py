@@ -1,13 +1,9 @@
-"""Baseline training strategies on the functional runtime."""
+"""Baseline training strategies on the functional runtime: the loop one
+rank of each runs (``core.api.launch`` builds and launches them)."""
 
 from .common import TrainResult, TrainSpec, microbatch
-from .data_parallel import train_data_parallel
 from .elastic import ElasticState, step_engine_for, train_elastic
-from .fsdp import train_fsdp
-from .pipeline import stage_program, train_pipeline
-from .sequence_parallel import train_sequence_parallel
-from .serial import train_serial
-from .tensor_parallel import train_tensor_parallel
+from .pipeline import stage_program
 
 __all__ = [
     "ElasticState",
@@ -16,11 +12,5 @@ __all__ = [
     "microbatch",
     "stage_program",
     "step_engine_for",
-    "train_data_parallel",
     "train_elastic",
-    "train_fsdp",
-    "train_pipeline",
-    "train_sequence_parallel",
-    "train_serial",
-    "train_tensor_parallel",
 ]

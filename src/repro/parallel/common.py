@@ -517,9 +517,25 @@ class RankLoop:
         self.peak_inflight = self.peak_pending_w = 0
 
     @classmethod
+    def build(cls, record, spec: TrainSpec, comm) -> "RankLoop":
+        """The loop one rank of ``record`` (a ``core.api.Strategy``) runs
+        on ``comm``; the launcher and the elastic step engine both build
+        it here."""
+        return cls(spec, comm)
+
+    @classmethod
     def check(cls, spec: TrainSpec, world: int) -> None:
         """Refuse, before any worker starts, a ``spec`` the loop cannot run
-        on ``world`` ranks beyond what its record ``divides``: nothing here."""
+        on ``world`` ranks beyond what its record ``divides``.  A loop that
+        posts nothing has no wire: it runs on one worker."""
+        if not cls.POSTS and world != 1:
+            raise ValueError("serial strategy runs on exactly one worker")
+
+    @classmethod
+    def pool_bytes(cls, record, spec: TrainSpec, world: int) -> Optional[int]:
+        """The most bytes one rank draws from the fabric's buffer pool
+        (``run_workers``' ``pool_bytes``); ``None``: no statement."""
+        return None
 
     def microbatches(self) -> Sequence[int]:
         return range(self.spec.n_microbatches)
@@ -583,6 +599,25 @@ class RankLoop:
             return chunks, states
         pairs = gather_owned(self.comm, dict(zip(self.ids, zip(chunks, states))), ("owned",))
         return [c for c, _ in pairs], [s for _, s in pairs]
+
+    def ledgers(self) -> Dict:
+        """The rank's ledgers for a call's ``extra``: its peak counts,
+        keyed by its rank, and its recompute ledger."""
+        return {"peak_inflight": {self.rank: self.peak_inflight},
+                "peak_pending_w": {self.rank: self.peak_pending_w},
+                "recompute": recompute_ledger(self.ck)}
+
+    def report(self, losses: List[float], chunks: List[ParamStruct], states: List[Dict]):
+        """What the rank hands the launcher after :meth:`train`: its losses,
+        the chunks it reports by id and its ``extra``.  A rank holding a
+        part of the model (a pipeline stage) reports its chunks; of ranks
+        that each hold the whole (serial's, DP's, SP's replicas) rank 0
+        reports it, with its optimizer states."""
+        if len(self.ids) < self.spec.cfg.n_layers:
+            return losses, dict(zip(self.ids, chunks)), self.ledgers()
+        if self.rank != 0:
+            return losses, {}, self.ledgers()
+        return losses, dict(zip(self.ids, chunks)), {**self.ledgers(), "opt_state": states}
 
     def step(self, it: int, chunks: List[ParamStruct], states: List[Dict]) -> float:
         """Iteration ``it`` in place over the rank's ``chunks`` and their

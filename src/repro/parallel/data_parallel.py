@@ -13,15 +13,15 @@ The replicas are the whole state, so elastic recovery
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..nn.params import ParamStruct
-from ..runtime import Communicator, Fabric, all_reduce, run_workers
-from .common import Post, RankLoop, TrainResult, TrainSpec, recompute_ledger, sum_recompute
+from ..runtime import Communicator, all_reduce
+from .common import Post, RankLoop, TrainSpec
 
-__all__ = ["train_data_parallel", "all_reduce_grads"]
+__all__ = ["DPLoop", "all_reduce_grads"]
 
 
 def all_reduce_grads(
@@ -52,26 +52,3 @@ class DPLoop(RankLoop):
 
     def sync(self, it, grads, loss):
         return all_reduce_grads(self.comm, self.spec, "dp", it, grads, loss)
-
-
-def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    loop = DPLoop(spec, comm)
-    losses, chunks, states = loop.train()
-    return TrainResult(
-        losses=losses, chunks=chunks,
-        extra={"opt_state": states, "recompute": recompute_ledger(loop.ck)},
-    )
-
-
-def train_data_parallel(
-    spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
-) -> TrainResult:
-    """Run DP on ``world_size`` simulated workers; returns rank 0's view
-    (all replicas are identical by construction — asserted in tests)."""
-    if spec.n_microbatches % world_size != 0:
-        raise ValueError("n_microbatches must be divisible by world_size")
-    results = run_workers(
-        world_size, lambda comm: _worker(comm, spec), fabric=fabric
-    )
-    results[0].extra["recompute"] = sum_recompute(r.extra["recompute"] for r in results)
-    return results[0]

@@ -22,27 +22,17 @@ a persistent-shard run, on any number of workers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..nn.params import ParamStruct
 from ..optim.optimizer import map_opt_state
-from ..runtime import (
-    Communicator,
-    Fabric,
-    all_gather,
-    all_reduce,
-    reduce_scatter,
-    run_workers,
-    split_chunks,
-)
-from .common import (
-    ChunkSeam, Post, TrainResult, TrainSpec, init_opt_states, recompute_ledger, sum_recompute,
-)
+from ..runtime import Communicator, all_gather, all_reduce, reduce_scatter, split_chunks
+from .common import ChunkSeam, Post, TrainSpec, init_opt_states
 from .data_parallel import DPLoop
 
-__all__ = ["train_fsdp", "FSDPSeam"]
+__all__ = ["FSDPLoop", "FSDPSeam"]
 
 
 def _gather_chunk(
@@ -170,30 +160,12 @@ class FSDPLoop(DPLoop):
     def clip_args(self, it):
         return {"comm": self.comm, "tag": ("fsdp-clip", it)}
 
-
-def _worker(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    loop = FSDPLoop(spec, comm)
-    losses, shards, _ = loop.train()
-
-    # reassemble full weights once, for result comparison.
-    w_wire = spec.precision.weight_bytes
-    final = [
-        _gather_chunk(comm, s["flat"], t, ("fsdp-final", i), w_wire)
-        for i, (s, t) in enumerate(zip(shards, loop.templates))
-    ]
-    return TrainResult(
-        losses=losses, chunks=final, extra={"recompute": recompute_ledger(loop.ck)}
-    )
-
-
-def train_fsdp(
-    spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
-) -> TrainResult:
-    """Run ZeRO-3 FSDP on ``world_size`` simulated workers."""
-    if spec.n_microbatches % world_size != 0:
-        raise ValueError("n_microbatches must be divisible by world_size")
-    results = run_workers(
-        world_size, lambda comm: _worker(comm, spec), fabric=fabric
-    )
-    results[0].extra["recompute"] = sum_recompute(r.extra["recompute"] for r in results)
-    return results[0]
+    def report(self, losses, chunks, states):
+        """Every rank takes part in gathering the full weights once
+        (``("fsdp-final", i)``); rank 0 reports them."""
+        w_wire = self.spec.precision.weight_bytes
+        final = [
+            _gather_chunk(self.comm, s["flat"], t, ("fsdp-final", i), w_wire)
+            for i, (s, t) in enumerate(zip(chunks, self.templates))
+        ]
+        return losses, dict(enumerate(final)) if self.rank == 0 else {}, self.ledgers()

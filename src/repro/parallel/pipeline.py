@@ -48,18 +48,16 @@ task graph and what ``repro.sim.memory`` walks (DESIGN §18).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..nn.params import ParamStruct
-from ..runtime import Communicator, Fabric, all_gather, run_workers
-from .common import Post, RankLoop, TrainResult, TrainSpec, microbatch, recompute_ledger
-from .common import slot_chunk_ids, sum_recompute
+from ..runtime import Communicator, all_gather
+from .common import Post, RankLoop, TrainSpec, microbatch, slot_chunk_ids
 
 __all__ = [
     "PIPELINE_SCHEDULES",
     "splits_backward",
     "stage_program",
-    "train_pipeline",
+    "StageLoop",
 ]
 
 #: schedule -> (warmup depth of stage ``r`` of ``P`` running ``n``
@@ -126,6 +124,11 @@ class StageLoop(RankLoop):
              Post("B", "hop", "bgrad", "act", "act_grad", peer="prev"),
              Post("end", "all-gather", "pp-loss", "ranks", "loss"))
 
+    @classmethod
+    def build(cls, record, spec, comm):
+        """Stage ``comm.rank`` of the record's schedule."""
+        return cls(spec, comm, record.schedule)
+
     def __init__(self, spec: TrainSpec, comm: Communicator, schedule: str):
         super().__init__(spec, comm)
         self.ids = slot_chunk_ids(self.rank, self.world, spec.cfg.n_layers)
@@ -158,50 +161,3 @@ class StageLoop(RankLoop):
 
     def clip_args(self, it):
         return {"comm": self.comm, "tag": ("pp-clip", it)}
-
-    def run(self) -> TrainResult:
-        """Train the stage's chunks; its result and ledgers."""
-        losses, chunks, _ = self.train()
-        return TrainResult(losses, chunks, extra={
-            "rank": self.rank,
-            "peak_inflight": self.peak_inflight,
-            "peak_pending_w": self.peak_pending_w,
-            "recompute": recompute_ledger(self.ck),
-        })
-
-
-def train_pipeline(
-    spec: TrainSpec,
-    world_size: int,
-    schedule: str = "1f1b",
-    fabric: Optional[Fabric] = None,
-) -> TrainResult:
-    """Run an activation-passing pipeline (``schedule`` names a row of
-    :data:`PIPELINE_SCHEDULES`).
-
-    Returns losses plus the *full* model (stage chunk lists concatenated
-    in order).  ``extra["peak_inflight"]`` / ``extra["peak_pending_w"]``
-    map rank -> peak count of microbatches between F and B / B and W;
-    ``extra["recompute"]`` is the stages' replayed / kept backward count.
-    Configuration errors raise ``ValueError`` here, before any worker is
-    launched.
-    """
-    slot_chunk_ids(0, world_size, spec.cfg.n_layers)  # validate divisibility
-    _row(schedule)  # validate the schedule name
-    results = run_workers(
-        world_size, lambda comm: StageLoop(spec, comm, schedule).run(), fabric=fabric
-    )
-    chunks: List[ParamStruct] = []
-    for r in results:
-        chunks.extend(r.chunks)
-    return TrainResult(
-        losses=results[0].losses,
-        chunks=chunks,
-        extra={
-            **{
-                key: {r.extra["rank"]: r.extra[key] for r in results}
-                for key in ("peak_inflight", "peak_pending_w")
-            },
-            "recompute": sum_recompute(r.extra["recompute"] for r in results),
-        },
-    )

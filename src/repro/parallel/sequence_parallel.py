@@ -36,16 +36,16 @@ it up to the collectives' summation order
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..nn.attention import attention_block_bwd, attention_block_fwd
-from ..runtime import Communicator, Fabric, all_gather, reduce_scatter, run_workers
-from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec
+from ..runtime import Communicator, all_gather, reduce_scatter
+from .common import ChunkSeam, Post, RankLoop, TrainSpec
 from .data_parallel import all_reduce_grads
 
-__all__ = ["train_sequence_parallel", "SPSeam"]
+__all__ = ["SPLoop", "SPSeam"]
 
 
 class SPSeam(ChunkSeam):
@@ -124,8 +124,6 @@ class SPLoop(RankLoop):
 
     @classmethod
     def check(cls, spec, world):
-        if spec.cfg.seq_len % world != 0:
-            raise ValueError("seq_len must be divisible by the SP world size")
         if spec.recompute:
             raise ValueError(
                 "the SP baseline does not implement recomputation "
@@ -137,16 +135,3 @@ class SPLoop(RankLoop):
 
     def sync(self, it, grads, loss):
         return all_reduce_grads(self.comm, self.spec, "sp", it, grads, loss)
-
-
-def _sp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    losses, chunks, _ = SPLoop(spec, comm).train()
-    return TrainResult(losses=losses, chunks=chunks)
-
-
-def train_sequence_parallel(
-    spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
-) -> TrainResult:
-    """Train with gather-based sequence parallelism."""
-    SPLoop.check(spec, world_size)
-    return run_workers(world_size, lambda comm: _sp_rank(comm, spec), fabric=fabric)[0]

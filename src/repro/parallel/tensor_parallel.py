@@ -43,10 +43,10 @@ import numpy as np
 
 from ..nn.params import ParamStruct
 from ..optim.optimizer import map_opt_state
-from ..runtime import Communicator, Fabric, all_gather, all_reduce, run_workers
-from .common import ChunkSeam, Post, RankLoop, TrainResult, TrainSpec, init_opt_states
+from ..runtime import Communicator, all_gather, all_reduce
+from .common import ChunkSeam, Post, RankLoop, TrainSpec, init_opt_states
 
-__all__ = ["train_tensor_parallel", "split_layer_weights", "merge_layer_grads", "TPSeam"]
+__all__ = ["TPLoop", "split_layer_weights", "merge_layer_grads", "TPSeam"]
 
 
 def _col_slice(w: np.ndarray, rank: int, world: int) -> np.ndarray:
@@ -160,10 +160,6 @@ class TPLoop(RankLoop):
 
     @classmethod
     def check(cls, spec, world):
-        if spec.cfg.n_heads % world != 0:
-            raise ValueError("n_heads must be divisible by the TP world size")
-        if spec.cfg.ffn % world != 0:
-            raise ValueError("ffn width must be divisible by the TP world size")
         if spec.recompute:
             raise ValueError(
                 "the TP baseline does not implement recomputation "
@@ -195,18 +191,7 @@ class TPLoop(RankLoop):
         count = lambda name: _PARTITION[name] != "replicated" or self.rank == 0
         return {"comm": self.comm, "count": count, "tag": ("tp-clip", it)}
 
-
-def _tp_rank(comm: Communicator, spec: TrainSpec) -> TrainResult:
-    losses, shards, _ = TPLoop(spec, comm).train()
-    final = [
-        merge_layer_grads(comm, shard, ("tp-final", i)) for i, shard in enumerate(shards)
-    ]
-    return TrainResult(losses=losses, chunks=final)
-
-
-def train_tensor_parallel(
-    spec: TrainSpec, world_size: int, fabric: Optional[Fabric] = None
-) -> TrainResult:
-    """Train with pure tensor parallelism across ``world_size`` workers."""
-    TPLoop.check(spec, world_size)
-    return run_workers(world_size, lambda comm: _tp_rank(comm, spec), fabric=fabric)[0]
+    def report(self, losses, chunks, states):
+        """Rank 0 reports the model it merges (``("tp-final", i)``)."""
+        final = [merge_layer_grads(self.comm, c, ("tp-final", i)) for i, c in enumerate(chunks)]
+        return losses, dict(enumerate(final)) if self.rank == 0 else {}, self.ledgers()

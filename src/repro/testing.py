@@ -294,7 +294,8 @@ def _sweep(
         if isinstance(entry, int):
             if name not in ZOO:
                 raise ValueError(f"unknown strategy {name!r}")
-            entry = (entry, ZOO[name].run)
+            entry = (entry, lambda spec, world, fabric, name=name: train(
+                spec, name, world, fabric=fabric))
         runners[name] = entry
     replays: Dict[str, str] = {}
     for name, (cap, runner) in runners.items():

@@ -351,11 +351,13 @@ def test_worker_error_comes_back_intact():
 
 
 def _ring_worker_chunks(spec):
-    from repro.core.weipipe import _worker
+    from repro.core.api import ZOO
+    from repro.core.weipipe import RingLoop
 
     def fn(comm):
-        res = _worker(comm, spec, "interleave", True, None)
-        return None if res.chunks is None else len(res.chunks)
+        loop = RingLoop.build(ZOO["weipipe-interleave"], spec, comm)
+        _, chunks, _ = loop.report(*loop.train())
+        return len(chunks) or None
     return fn
 
 

@@ -58,7 +58,7 @@ def test_message_table_gates_the_records_the_matrix_leaves_out(name, world, prec
     spec = replace(default_differential_spec(), precision=precision)
     topology = Topology.grid(world, "2x2") if ZOO[name].hier and world == 4 else None
     wire = Fabric(world, topology=topology)
-    ZOO[name].run(spec, world, wire)
+    train(spec, name, world, fabric=wire)
     assert check_ledger(name, spec, world, wire, topology) is None
     if topology is not None:  # both link classes carry traffic, refs cross
         links = table_ledger(name, spec, world, topology)["link"]
@@ -73,7 +73,7 @@ def test_message_table_gate_catches_a_drifted_row(monkeypatch):
 
     spec = replace(default_differential_spec(), precision=FP32)
     wire = Fabric(2)
-    ZOO["weipipe-interleave"].run(spec, 2, wire)
+    train(spec, "weipipe-interleave", 2, fabric=wire)
     rows = tuple(replace(p, width="dtype") if p.kind == "D" else p for p in RingLoop.POSTS)
     monkeypatch.setattr(RingLoop, "POSTS", rows)
     assert "wire ledger" in check_ledger("weipipe-interleave", spec, 2, wire)
@@ -95,14 +95,14 @@ def test_backend_differential_reports_divergence():
             from dataclasses import replace
 
             cell_spec = replace(cell_spec, data_seed=cell_spec.data_seed + 1)
-        return ZOO["1f1b"].run(cell_spec, world, fabric)
+        return train(cell_spec, "1f1b", world, fabric=fabric)
 
     import repro.core.api as api
 
-    api.ZOO["_lying"] = api.Strategy("_lying", "pipeline", lying_runner)
+    api.ZOO["_lying"] = api.Strategy("_lying", "pipeline", schedule="1f1b")
     try:
         report = run_backend_differential(
-            strategies={"_lying": 2}, worlds=(2,), precisions=("fp64",)
+            strategies={"_lying": (2, lying_runner)}, worlds=(2,), precisions=("fp64",)
         )
     finally:
         del api.ZOO["_lying"]

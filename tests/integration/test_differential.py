@@ -23,7 +23,7 @@ import repro.core.api as api
 from repro.cli import _spec, build_parser
 from repro.nn.model import ModelConfig
 from repro.nn.precision import FP32
-from repro.parallel.common import TrainResult, microbatch, pre_update
+from repro.parallel.common import RankLoop, TrainResult, microbatch, pre_update
 from repro.runtime import ChaosPolicy, Fabric, run_workers
 from repro.testing import (
     HEAL_SCHEDULES,
@@ -114,8 +114,17 @@ class TestOneComparator:
             assert "loss curve diverges at iter 0" in diff
 
 
-def _boom(spec, world, fabric):
-    raise RuntimeError("forced failure")
+class _Boom(RankLoop):
+    """The loop of a record whose every launch fails, in the parent."""
+
+    @classmethod
+    def check(cls, spec, world):
+        raise RuntimeError("forced failure")
+
+
+def _boom(monkeypatch):
+    monkeypatch.setitem(api._LOOPS, "boom", _Boom)
+    monkeypatch.setitem(api.ZOO, "boom", api.Strategy("boom", "boom"))
 
 
 class TestReplayLines:
@@ -161,7 +170,7 @@ class TestReplayLines:
     def test_forced_failure_replays_through_its_own_subcommand(
         self, matrix, monkeypatch
     ):
-        monkeypatch.setitem(api.ZOO, "boom", api.Strategy("boom", "dp", _boom))
+        _boom(monkeypatch)
         run, expected, cell_spec = self.MATRICES[matrix]
         report = run()
         assert report.runs == 1 and not report.ok
@@ -176,7 +185,7 @@ class TestReplayLines:
                 assert _dims(_spec(args)) == _dims(cell_spec)
 
     def test_a_non_default_cell_replays_its_own_model(self, monkeypatch):
-        monkeypatch.setitem(api.ZOO, "boom", api.Strategy("boom", "dp", _boom))
+        _boom(monkeypatch)
         spec = default_differential_spec(
             cfg=ModelConfig(hidden=8, n_layers=2, n_heads=2, seq_len=4, vocab=11),
             n_microbatches=2, microbatch_size=1, iters=3,

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.api import ZOO
+from repro.core.api import train
 from repro.obs import Tracer, validate_chrome_trace
 from repro.obs.flight import load_postmortem, render_postmortem
 from repro.runtime import ChaosPolicy, Fabric, ProcessTransport
@@ -28,7 +28,7 @@ def _traced_run(world=2, strategy="weipipe-interleave"):
     spec = default_differential_spec()
     tracer = Tracer(metadata={"strategy": strategy, "world": world})
     transport = ProcessTransport(tracer=tracer)
-    result = ZOO[strategy].run(spec, world, transport)
+    result = train(spec, strategy, world, fabric=transport)
     return tracer, transport, result
 
 
@@ -136,7 +136,7 @@ def test_merged_metrics_eagerly_zeroed_on_quiet_run():
 def test_untraced_process_run_merges_metrics_too():
     spec = default_differential_spec()
     transport = ProcessTransport()
-    ZOO["weipipe-interleave"].run(spec, 2, transport)
+    train(spec, "weipipe-interleave", 2, fabric=transport)
     assert transport.metrics.value("fabric_retransmits") == 0.0
     assert transport.tracer is None
 
@@ -206,7 +206,7 @@ def test_clean_process_run_leaves_no_bundle(tmp_path):
     transport = ProcessTransport(postmortem_to=str(tmp_path))
     _, _, result = (None, None, None)
     spec = default_differential_spec()
-    ZOO["weipipe-interleave"].run(spec, 2, transport)
+    train(spec, "weipipe-interleave", 2, fabric=transport)
     assert transport.last_postmortem is None
     assert transport.last_postmortem_path is None
 
@@ -273,7 +273,7 @@ def test_zero_steady_state_allocs_with_tracer_and_recorder_thread():
 def test_flight_recorder_ring_stays_bounded_after_training():
     transport = ProcessTransport()
     spec = default_differential_spec()
-    ZOO["weipipe-interleave"].run(spec, 2, transport)
+    train(spec, "weipipe-interleave", 2, fabric=transport)
     for snap in transport.flights_by_rank.values():
         assert len(snap["events"]) <= snap["capacity"]
         assert snap["recorded"] == snap["dropped"] + len(snap["events"])

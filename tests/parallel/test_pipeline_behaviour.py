@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro import FP32, FP64, ModelConfig, TrainSpec, train
+from repro.core.api import ZOO
 from repro.parallel.common import slot_chunk_ids
 from repro.parallel.pipeline import PIPELINE_SCHEDULES
 from repro.testing import compare_train_results
@@ -156,7 +157,6 @@ class TestValidation:
     ):
         """Configuration errors are the parent's plain ``ValueError``:
         no thread started, no process forked, no shm segment created."""
-        from repro.parallel.pipeline import train_pipeline
         from repro.runtime import resolve_transport
 
         transport = resolve_transport(None, backend)
@@ -165,9 +165,39 @@ class TestValidation:
             transport, "launch", lambda *a, **kw: launches.append(a) or ([], [])
         )
         with pytest.raises(ValueError, match=match):
-            train_pipeline(
-                replace(_spec(), **spec_kw), 4, schedule=schedule, fabric=transport
-            )
+            train(replace(_spec(), **spec_kw), schedule, 4, fabric=transport)
+        assert launches == []
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("name, dim", [
+        (name, dim) for name, s in ZOO.items() for dim in s.divides or ("world",)
+    ])
+    def test_every_record_refuses_a_bad_world_before_launch(
+        self, monkeypatch, backend, name, dim
+    ):
+        """One validation serves every record: a world that does not
+        divide a size the record splits (serial: any world but 1) is the
+        parent's ``ValueError``, and nothing is launched."""
+        from repro.runtime import resolve_transport
+
+        transport = resolve_transport(None, backend)
+        launches = []
+        monkeypatch.setattr(
+            transport, "launch", lambda *a, **kw: launches.append(a) or ([], [])
+        )
+        # 4 ranks; the size the record splits is 6, every other one divides
+        cfg = ModelConfig(hidden=32, n_layers=4, n_heads=4, seq_len=8, vocab=23, ffn=64)
+        spec = TrainSpec(cfg=cfg, n_microbatches=4, microbatch_size=1, iters=1)
+        spec = replace(spec, **{
+            "layers": {"cfg": cfg.with_(n_layers=6)},
+            "heads": {"cfg": cfg.with_(hidden=48, n_heads=6)},
+            "ffn": {"cfg": cfg.with_(ffn=66)},
+            "seq": {"cfg": cfg.with_(seq_len=6)},
+            "microbatches": {"n_microbatches": 6},
+            "world": {},
+        }[dim])
+        with pytest.raises(ValueError, match="divisible|one worker"):
+            train(spec, name, 4, fabric=transport)
         assert launches == []
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
